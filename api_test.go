@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -69,7 +70,7 @@ func TestRepositoryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	projected, err := st.ProjectNames([]string{"Bha", "Lla", "Syn"})
+	projected, err := st.ProjectNamesCtx(context.Background(), []string{"Bha", "Lla", "Syn"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package crimson_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -374,14 +375,14 @@ func BenchmarkParallelRead(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			r := rand.New(rand.NewSource(17))
 			for pb.Next() {
-				if _, err := st.LCA(r.Intn(nodes), r.Intn(nodes)); err != nil {
+				if _, err := st.LCACtx(context.Background(), r.Intn(nodes), r.Intn(nodes)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	})
 	b.Run("Project-k=20", func(b *testing.B) {
-		rows, err := st.SampleUniform(20, rand.New(rand.NewSource(18)))
+		rows, err := st.SampleUniformCtx(context.Background(), 20, rand.New(rand.NewSource(18)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -392,7 +393,7 @@ func BenchmarkParallelRead(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := st.Project(ids); err != nil {
+				if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -402,7 +403,7 @@ func BenchmarkParallelRead(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			r := rand.New(rand.NewSource(19))
 			for pb.Next() {
-				if _, err := st.SampleUniform(50, r); err != nil {
+				if _, err := st.SampleUniformCtx(context.Background(), 50, r); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -502,14 +503,14 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 	r := rand.New(rand.NewSource(10))
 	b.Run("NodeByName", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := st.NodeByName(names[i%len(names)]); err != nil {
+			if _, err := st.NodeByNameCtx(context.Background(), names[i%len(names)]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Children", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Children(pairs[i%len(pairs)][0]); err != nil {
+			if _, err := st.ChildrenCtx(context.Background(), pairs[i%len(pairs)][0]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -517,13 +518,13 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 	b.Run("LCA", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			if _, err := st.LCA(p[0], p[1]); err != nil {
+			if _, err := st.LCACtx(context.Background(), p[0], p[1]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Project-k=50", func(b *testing.B) {
-		rows, err := st.SampleUniform(50, r)
+		rows, err := st.SampleUniformCtx(context.Background(), 50, r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -533,7 +534,7 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Project(ids); err != nil {
+			if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
 				b.Fatal(err)
 			}
 		}

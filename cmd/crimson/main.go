@@ -20,12 +20,10 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -33,9 +31,7 @@ import (
 	"repro/internal/benchmark"
 	"repro/internal/recon"
 	"repro/internal/seqsim"
-	"repro/internal/shard"
 	"repro/internal/treegen"
-	"repro/internal/treestore"
 )
 
 func main() {
@@ -623,42 +619,8 @@ func cmdBench(args []string) error {
 	seed := fs.Int64("seed", 1, "RNG seed")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "concurrent replicate evaluations (1 = serial; results are identical either way)")
 	jsonOut := fs.String("json", "", "write the report as JSON to this file ('-' = stdout)")
-	loadShards := fs.Int("load-shards", 0, "instead of a reconstruction benchmark, measure concurrent tree-load throughput into an N-shard repository")
-	loadTrees := fs.Int("load-trees", 4, "trees loaded concurrently in --load-shards mode")
-	loadLeaves := fs.Int("load-leaves", 20000, "leaves per tree in --load-shards mode")
-	ingest := fs.Bool("ingest", false, "instead of a reconstruction benchmark, measure the single-tree ingest pipeline (parse / index / stage / insert) stage by stage")
-	ingestWorkers := fs.Int("ingest-workers", 0, "pipeline fan-out in --ingest mode (0 = GOMAXPROCS)")
-	ingestReps := fs.Int("ingest-reps", 3, "repetitions in --ingest mode (best run is reported)")
-	readBench := fs.Bool("read", false, "instead of a reconstruction benchmark, measure the hot read path (project / lca / clade / match) against a stored Yule tree")
-	readReps := fs.Int("read-reps", 3, "repetitions in --read mode (best run is reported)")
-	readCacheMB := fs.Int("read-cache-mb", 64, "decoded-node read cache budget in --read mode, MB (0 disables the cache and the batched fast path)")
-	projectK := fs.Int("project-k", 50, "species sample size for the projection / clade / match queries in --read mode")
-	commitBench := fs.Bool("commit", false, "instead of a reconstruction benchmark, measure durable commit throughput (concurrent small committers + one bulk load against a file-backed repository)")
-	commitWriters := fs.Int("commit-writers", 8, "concurrent small committers in --commit mode")
-	commitOps := fs.Int("commit-ops", 64, "commits per writer in --commit mode")
-	replBench := fs.Bool("repl", false, "instead of a reconstruction benchmark, measure replication: concurrent writes against an in-process primary with every write read back from a streaming follower, reporting apply lag")
-	replWriters := fs.Int("repl-writers", 8, "concurrent writers in --repl mode")
-	replOps := fs.Int("repl-ops", 16, "writes per writer in --repl mode")
-	replLeaves := fs.Int("repl-leaves", 2000, "leaves in the pre-loaded gold tree in --repl mode")
-	baseline := fs.String("baseline", "", "in --ingest, --read, --commit or --repl mode, compare the throughput scalar against this baseline JSON report (e.g. BENCH_load.json, BENCH_read.json, BENCH_commit.json, BENCH_repl.json)")
-	maxRegress := fs.Float64("max-regress", 0.10, "with --baseline, fail when throughput regresses by more than this fraction")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *replBench {
-		return runReplBench(*replWriters, *replOps, *replLeaves, *seed, *jsonOut, *baseline, *maxRegress)
-	}
-	if *commitBench {
-		return runCommitBench(*commitWriters, *commitOps, *seed, *jsonOut, *baseline, *maxRegress)
-	}
-	if *readBench {
-		return runReadBench(*loadLeaves, *readReps, *projectK, *readCacheMB, *seed, *jsonOut, *baseline, *maxRegress)
-	}
-	if *ingest {
-		return runIngestBench(*loadLeaves, *ingestWorkers, *ingestReps, *seed, *jsonOut, *baseline, *maxRegress)
-	}
-	if *loadShards > 0 {
-		return runLoadBench(*loadShards, *loadTrees, *loadLeaves, *seed, *jsonOut)
 	}
 	var gold *crimson.Tree
 	var repo *crimson.Repository
@@ -749,552 +711,6 @@ func cmdBench(args []string) error {
 			map[string]any{"tree": *name, "sizes": sizeList, "reps": *reps, "algs": *algs},
 			"benchmark complete")
 		return repo.Commit()
-	}
-	return nil
-}
-
-// loadBenchReport is the JSON body of a --load-shards run: aggregate
-// throughput of concurrent tree loads into an N-shard in-memory
-// repository. CI runs it at shards=1 and shards=4 so the sharding speedup
-// (or the single-core lack of one) is visible per build.
-type loadBenchReport struct {
-	Shards        int     `json:"shards"`
-	Trees         int     `json:"trees"`
-	LeavesPerTree int     `json:"leaves_per_tree"`
-	TotalNodes    int     `json:"total_nodes"`
-	Seconds       float64 `json:"seconds"`
-	NodesPerSec   float64 `json:"nodes_per_sec"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-}
-
-// distinctShardNames picks k deterministic tree names spread over as many
-// distinct shards of router as possible (round-robin when k > N).
-func distinctShardNames(router *shard.Router, k int) []string {
-	names := make([]string, 0, k)
-	used := make(map[int]bool)
-	for i := 0; len(names) < k; i++ {
-		name := fmt.Sprintf("bench-tree-%d", i)
-		si := router.Place(name)
-		if used[si] && len(used) < router.N() && len(names) < router.N() {
-			continue // still hunting for an unused shard
-		}
-		used[si] = true
-		names = append(names, name)
-	}
-	return names
-}
-
-// runLoadBench loads trees concurrently — one goroutine per tree, loads on
-// the same shard serialized to honor the one-writer-per-shard contract —
-// and reports aggregate nodes/s.
-func runLoadBench(shards, nTrees, leaves int, seed int64, jsonOut string) error {
-	if nTrees < 1 {
-		return fmt.Errorf("bench: --load-trees must be >= 1")
-	}
-	router, err := shard.NewRouter(shards)
-	if err != nil {
-		return err
-	}
-	trees := make([]*crimson.Tree, nTrees)
-	total := 0
-	for i := range trees {
-		t, err := treegen.Yule(leaves, 1.0, rand.New(rand.NewSource(seed+int64(i))))
-		if err != nil {
-			return err
-		}
-		trees[i] = t
-		total += t.NumNodes()
-	}
-	names := distinctShardNames(router, nTrees)
-
-	repo := crimson.OpenMemSharded(shards)
-	defer repo.Close()
-	writerMu := make([]sync.Mutex, shards)
-	errs := make(chan error, nTrees)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range trees {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			si := router.Place(names[i])
-			writerMu[si].Lock()
-			defer writerMu[si].Unlock()
-			if _, err := repo.Trees.Load(names[i], trees[i], crimson.DefaultFanout, nil); err != nil {
-				errs <- fmt.Errorf("loading %s: %w", names[i], err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	rep := loadBenchReport{
-		Shards:        shards,
-		Trees:         nTrees,
-		LeavesPerTree: leaves,
-		TotalNodes:    total,
-		Seconds:       elapsed.Seconds(),
-		NodesPerSec:   float64(total) / elapsed.Seconds(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-	}
-	fmt.Fprintf(os.Stderr, "loaded %d trees (%d nodes) on %d shard(s) in %.3fs: %.0f nodes/s (GOMAXPROCS=%d)\n",
-		rep.Trees, rep.TotalNodes, rep.Shards, rep.Seconds, rep.NodesPerSec, rep.GOMAXPROCS)
-	if jsonOut != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if jsonOut == "-" {
-			os.Stdout.Write(raw)
-			return nil
-		}
-		return os.WriteFile(jsonOut, raw, 0o644)
-	}
-	return nil
-}
-
-// ingestBenchReport is the JSON body of an --ingest run: the single-tree
-// ingest pipeline timed stage by stage. CI writes it to BENCH_load.json so
-// load-throughput regressions show up per build; the committed baseline at
-// the repo root records the 1-CPU container numbers.
-type ingestBenchReport struct {
-	Leaves      int     `json:"leaves"`
-	Nodes       int     `json:"nodes"`
-	InputBytes  int     `json:"input_bytes"`
-	Workers     int     `json:"workers"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	Reps        int     `json:"reps"`
-	ParseNS     int64   `json:"parse_ns"`
-	IndexNS     int64   `json:"index_ns"`
-	StageNS     int64   `json:"stage_ns"`
-	InsertNS    int64   `json:"insert_ns"`
-	TotalNS     int64   `json:"total_ns"`
-	NodesPerSec float64 `json:"nodes_per_sec"`
-}
-
-// runIngestBench generates a Yule tree, serializes it, and measures the
-// full ingest pipeline — chunked parse, hierarchical index, row staging,
-// pipelined bulk insert — reporting the best of reps runs. With baseline
-// set it also acts as a regression gate: the run fails when nodes_per_sec
-// falls more than maxRegress below the baseline report's.
-func runIngestBench(leaves, workers, reps int, seed int64, jsonOut, baseline string, maxRegress float64) error {
-	if reps < 1 {
-		reps = 1
-	}
-	gold, err := treegen.Yule(leaves, 1.0, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return err
-	}
-	text := crimson.FormatNewick(gold)
-	best := ingestBenchReport{
-		Leaves:     leaves,
-		InputBytes: len(text),
-		Workers:    workers,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Reps:       reps,
-	}
-	for rep := 0; rep < reps; rep++ {
-		parseStart := time.Now()
-		t, err := crimson.ParseNewickWorkers(text, workers)
-		if err != nil {
-			return err
-		}
-		parseNS := time.Since(parseStart).Nanoseconds()
-		s := treestore.OpenMem()
-		var m crimson.LoadMetrics
-		if _, err := s.LoadOpts("bench", t, crimson.DefaultFanout, crimson.LoadOptions{Workers: workers, Metrics: &m}, nil); err != nil {
-			s.Close()
-			return err
-		}
-		s.Close()
-		total := parseNS + m.IndexNS + m.StageNS + m.InsertNS
-		if best.TotalNS == 0 || total < best.TotalNS {
-			best.Nodes = t.NumNodes()
-			best.ParseNS = parseNS
-			best.IndexNS = m.IndexNS
-			best.StageNS = m.StageNS
-			best.InsertNS = m.InsertNS
-			best.TotalNS = total
-			best.NodesPerSec = float64(t.NumNodes()) / (float64(total) / 1e9)
-		}
-	}
-	fmt.Fprintf(os.Stderr,
-		"ingest %d leaves (%d nodes, %d bytes): parse %.1fms index %.1fms stage %.1fms insert %.1fms => %.0f nodes/s (workers=%d GOMAXPROCS=%d)\n",
-		best.Leaves, best.Nodes, best.InputBytes,
-		float64(best.ParseNS)/1e6, float64(best.IndexNS)/1e6, float64(best.StageNS)/1e6, float64(best.InsertNS)/1e6,
-		best.NodesPerSec, best.Workers, best.GOMAXPROCS)
-	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
-		if err != nil {
-			return fmt.Errorf("bench: reading baseline: %w", err)
-		}
-		var base ingestBenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("bench: parsing baseline %s: %w", baseline, err)
-		}
-		if base.NodesPerSec > 0 {
-			ratio := best.NodesPerSec / base.NodesPerSec
-			fmt.Fprintf(os.Stderr, "ingest gate: baseline %.0f nodes/s, current %.0f nodes/s (%.1f%% of baseline, floor %.1f%%)\n",
-				base.NodesPerSec, best.NodesPerSec, ratio*100, (1-maxRegress)*100)
-			if ratio < 1-maxRegress {
-				return fmt.Errorf("bench: ingest throughput regressed %.1f%% vs %s (limit %.1f%%)",
-					(1-ratio)*100, baseline, maxRegress*100)
-			}
-		}
-	}
-	if jsonOut != "" {
-		raw, err := json.MarshalIndent(best, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if jsonOut == "-" {
-			os.Stdout.Write(raw)
-			return nil
-		}
-		return os.WriteFile(jsonOut, raw, 0o644)
-	}
-	return nil
-}
-
-// readBenchReport is the JSON body of a --read run: the hot read path —
-// projection, LCA, minimal spanning clade and pattern match against a
-// stored Yule tree — timed with the decoded-node read cache enabled. CI
-// writes it to bench-read.json and gates queries_per_sec against the
-// committed BENCH_read.json baseline; the Counters map records the obs
-// engine deltas (descents, cells decoded, cache hits/misses) for the run
-// so cache behaviour is visible per build.
-type readBenchReport struct {
-	Leaves        int              `json:"leaves"`
-	Nodes         int              `json:"nodes"`
-	ProjectK      int              `json:"project_k"`
-	CacheMB       int              `json:"cache_mb"`
-	Reps          int              `json:"reps"`
-	GOMAXPROCS    int              `json:"gomaxprocs"`
-	Queries       int              `json:"queries"`
-	ProjectNS     int64            `json:"project_ns"`
-	LCANS         int64            `json:"lca_ns"`
-	CladeNS       int64            `json:"clade_ns"`
-	MatchNS       int64            `json:"match_ns"`
-	TotalNS       int64            `json:"total_ns"`
-	QueriesPerSec float64          `json:"queries_per_sec"`
-	Counters      map[string]int64 `json:"counters"`
-}
-
-// runReadBench generates a Yule tree, loads it into a single-shard
-// in-memory repository, enables the decoded-node read cache, and times a
-// fixed query mix — one k-species projection, a batch of LCA pairs, one
-// minimal spanning clade, one pattern match — reporting the best of reps
-// runs. With baseline set it also acts as a regression gate on
-// queries_per_sec, mirroring the ingest gate.
-func runReadBench(leaves, reps, projectK, cacheMB int, seed int64, jsonOut, baseline string, maxRegress float64) error {
-	if reps < 1 {
-		reps = 1
-	}
-	if projectK < 2 {
-		return fmt.Errorf("bench: --project-k must be >= 2")
-	}
-	gold, err := treegen.Yule(leaves, 1.0, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return err
-	}
-	repo := crimson.OpenMemSharded(1)
-	defer repo.Close()
-	if _, err := repo.Trees.Load("bench", gold, crimson.DefaultFanout, nil); err != nil {
-		return err
-	}
-	repo.SetReadCacheMB(cacheMB)
-	st, err := repo.Tree("bench")
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	sample, err := st.SampleUniformCtx(ctx, projectK, rand.New(rand.NewSource(seed+1)))
-	if err != nil {
-		return err
-	}
-	ids := make([]int, len(sample))
-	names := make([]string, len(sample))
-	for i, n := range sample {
-		ids[i] = n.ID
-		names[i] = n.Name
-	}
-	const lcaPairs = 32
-	best := readBenchReport{
-		Leaves:     leaves,
-		Nodes:      gold.NumNodes(),
-		ProjectK:   projectK,
-		CacheMB:    cacheMB,
-		Reps:       reps,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Queries:    3 + lcaPairs,
-	}
-	before := crimson.EngineCounters()
-	for rep := 0; rep < reps; rep++ {
-		t0 := time.Now()
-		if _, err := st.ProjectCtx(ctx, ids); err != nil {
-			return err
-		}
-		projectNS := time.Since(t0).Nanoseconds()
-		t0 = time.Now()
-		for i := 0; i < lcaPairs; i++ {
-			if _, err := st.LCACtx(ctx, ids[i%len(ids)], ids[(i+1)%len(ids)]); err != nil {
-				return err
-			}
-		}
-		lcaNS := time.Since(t0).Nanoseconds()
-		t0 = time.Now()
-		if _, err := st.MinimalSpanningCladeCtx(ctx, ids); err != nil {
-			return err
-		}
-		cladeNS := time.Since(t0).Nanoseconds()
-		t0 = time.Now()
-		if _, err := st.ProjectNamesCtx(ctx, names); err != nil {
-			return err
-		}
-		matchNS := time.Since(t0).Nanoseconds()
-		total := projectNS + lcaNS + cladeNS + matchNS
-		if best.TotalNS == 0 || total < best.TotalNS {
-			best.ProjectNS = projectNS
-			best.LCANS = lcaNS
-			best.CladeNS = cladeNS
-			best.MatchNS = matchNS
-			best.TotalNS = total
-			best.QueriesPerSec = float64(best.Queries) / (float64(total) / 1e9)
-		}
-	}
-	after := crimson.EngineCounters()
-	best.Counters = make(map[string]int64)
-	for name, v := range after {
-		if d := v - before[name]; d != 0 {
-			best.Counters[name] = d
-		}
-	}
-	fmt.Fprintf(os.Stderr,
-		"read %d leaves (%d nodes, cache %dMB, k=%d): project %.1fms lca %.1fms clade %.1fms match %.1fms => %.0f queries/s (GOMAXPROCS=%d)\n",
-		best.Leaves, best.Nodes, best.CacheMB, best.ProjectK,
-		float64(best.ProjectNS)/1e6, float64(best.LCANS)/1e6, float64(best.CladeNS)/1e6, float64(best.MatchNS)/1e6,
-		best.QueriesPerSec, best.GOMAXPROCS)
-	fmt.Fprintf(os.Stderr, "read counters (all reps): descents=%d cells_decoded=%d cache hits=%d misses=%d evicts=%d\n",
-		best.Counters["btree_descents"], best.Counters["cells_decoded"],
-		best.Counters["read_cache_hits"], best.Counters["read_cache_misses"], best.Counters["read_cache_evicts"])
-	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
-		if err != nil {
-			return fmt.Errorf("bench: reading baseline: %w", err)
-		}
-		var base readBenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("bench: parsing baseline %s: %w", baseline, err)
-		}
-		if base.QueriesPerSec > 0 {
-			ratio := best.QueriesPerSec / base.QueriesPerSec
-			fmt.Fprintf(os.Stderr, "read gate: baseline %.0f queries/s, current %.0f queries/s (%.1f%% of baseline, floor %.1f%%)\n",
-				base.QueriesPerSec, best.QueriesPerSec, ratio*100, (1-maxRegress)*100)
-			if ratio < 1-maxRegress {
-				return fmt.Errorf("bench: read throughput regressed %.1f%% vs %s (limit %.1f%%)",
-					(1-ratio)*100, baseline, maxRegress*100)
-			}
-		}
-	}
-	if jsonOut != "" {
-		raw, err := json.MarshalIndent(best, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if jsonOut == "-" {
-			os.Stdout.Write(raw)
-			return nil
-		}
-		return os.WriteFile(jsonOut, raw, 0o644)
-	}
-	return nil
-}
-
-// commitBenchReport is the JSON body of a --commit run: durable commit
-// throughput under concurrency — N small committers racing one bulk
-// writer against a file-backed single-shard repository. CI writes it to
-// bench-commit.json and gates commits_per_sec against the committed
-// BENCH_commit.json baseline; fsyncs_per_commit shows how well group
-// commit coalesces WAL flushes, and the checkpoint fields how far the
-// async writeback pipeline ran.
-type commitBenchReport struct {
-	Writers                int              `json:"writers"`
-	OpsPerWriter           int              `json:"ops_per_writer"`
-	BulkRows               int              `json:"bulk_rows"`
-	GOMAXPROCS             int              `json:"gomaxprocs"`
-	Commits                int64            `json:"commits"`
-	Seconds                float64          `json:"seconds"`
-	CommitsPerSec          float64          `json:"commits_per_sec"`
-	FsyncsPerCommit        float64          `json:"fsyncs_per_commit"`
-	AvgBatch               float64          `json:"avg_batch"`
-	CheckpointRuns         int64            `json:"checkpoint_runs"`
-	CheckpointBacklogBytes int64            `json:"checkpoint_backlog_bytes"`
-	WALBytes               int64            `json:"wal_bytes"`
-	Counters               map[string]int64 `json:"counters"`
-}
-
-// runCommitBench measures the pipelined durability path: writers
-// goroutines each issue ops small species writes — capture the
-// transaction under a shared mutex, release it, then wait for the WAL
-// fsync — while one bulk goroutine commits batches of 256 rows the same
-// way. Every waiter that blocks behind an in-flight fsync coalesces into
-// the next group-commit batch, so fsyncs_per_commit falls well below 1
-// whenever there is any concurrency. With baseline set it gates
-// commits_per_sec, mirroring the ingest and read gates.
-func runCommitBench(writers, ops int, seed int64, jsonOut, baseline string, maxRegress float64) error {
-	if writers < 1 || ops < 1 {
-		return fmt.Errorf("bench: --commit-writers and --commit-ops must be >= 1")
-	}
-	dir, err := os.MkdirTemp("", "crimson-commit-bench-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	repo, err := crimson.Open(filepath.Join(dir, "bench.crimson"))
-	if err != nil {
-		return err
-	}
-	defer repo.Close()
-
-	const bulkBatch = 256
-	bulkRows := writers * ops
-	payload := make([]byte, 64)
-	rand.New(rand.NewSource(seed)).Read(payload)
-
-	before := crimson.EngineCounters()
-	var (
-		mu       sync.Mutex // write discipline: capture under mu, wait after release
-		commits  int64
-		countMu  sync.Mutex
-		errsMu   sync.Mutex
-		firstErr error
-	)
-	commitOne := func(mutate func() error) {
-		mu.Lock()
-		err := mutate()
-		w := repo.CommitAsync()
-		mu.Unlock()
-		if werr := w.Wait(); err == nil {
-			err = werr
-		}
-		if err != nil {
-			errsMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errsMu.Unlock()
-			return
-		}
-		countMu.Lock()
-		commits++
-		countMu.Unlock()
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for wid := 0; wid < writers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			for i := 0; i < ops; i++ {
-				sp := fmt.Sprintf("w%d-s%d", wid, i)
-				commitOne(func() error {
-					return repo.Species.Put("bench", sp, "seq:bench", payload)
-				})
-			}
-		}(wid)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for off := 0; off < bulkRows; off += bulkBatch {
-			end := off + bulkBatch
-			if end > bulkRows {
-				end = bulkRows
-			}
-			commitOne(func() error {
-				for j := off; j < end; j++ {
-					sp := fmt.Sprintf("bulk-s%d", j)
-					if err := repo.Species.Put("bench-bulk", sp, "seq:bench", payload); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		}
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return fmt.Errorf("bench: commit failed: %w", firstErr)
-	}
-	after := crimson.EngineCounters()
-	delta := make(map[string]int64)
-	for name, v := range after {
-		if d := v - before[name]; d != 0 {
-			delta[name] = d
-		}
-	}
-	rep := commitBenchReport{
-		Writers:                writers,
-		OpsPerWriter:           ops,
-		BulkRows:               bulkRows,
-		GOMAXPROCS:             runtime.GOMAXPROCS(0),
-		Commits:                commits,
-		Seconds:                elapsed.Seconds(),
-		CommitsPerSec:          float64(commits) / elapsed.Seconds(),
-		CheckpointRuns:         delta["checkpoint_runs"],
-		CheckpointBacklogBytes: repo.CheckpointBacklog(),
-		WALBytes:               repo.WALSize(),
-		Counters:               delta,
-	}
-	if ec := delta["commits"]; ec > 0 {
-		rep.FsyncsPerCommit = float64(delta["wal_syncs"]) / float64(ec)
-		if b := delta["group_commit_batches"]; b > 0 {
-			rep.AvgBatch = float64(ec) / float64(b)
-		}
-	}
-	fmt.Fprintf(os.Stderr,
-		"commit %d writers x %d ops + %d bulk rows: %d commits in %.2fs => %.0f commits/s, %.2f fsyncs/commit, avg batch %.1f, checkpoints %d (backlog %d B, wal %d B, GOMAXPROCS=%d)\n",
-		rep.Writers, rep.OpsPerWriter, rep.BulkRows, rep.Commits, rep.Seconds,
-		rep.CommitsPerSec, rep.FsyncsPerCommit, rep.AvgBatch, rep.CheckpointRuns,
-		rep.CheckpointBacklogBytes, rep.WALBytes, rep.GOMAXPROCS)
-	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
-		if err != nil {
-			return fmt.Errorf("bench: reading baseline: %w", err)
-		}
-		var base commitBenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("bench: parsing baseline %s: %w", baseline, err)
-		}
-		if base.CommitsPerSec > 0 {
-			ratio := rep.CommitsPerSec / base.CommitsPerSec
-			fmt.Fprintf(os.Stderr, "commit gate: baseline %.0f commits/s, current %.0f commits/s (%.1f%% of baseline, floor %.1f%%)\n",
-				base.CommitsPerSec, rep.CommitsPerSec, ratio*100, (1-maxRegress)*100)
-			if ratio < 1-maxRegress {
-				return fmt.Errorf("bench: commit throughput regressed %.1f%% vs %s (limit %.1f%%)",
-					(1-ratio)*100, baseline, maxRegress*100)
-			}
-		}
-	}
-	if jsonOut != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if jsonOut == "-" {
-			os.Stdout.Write(raw)
-			return nil
-		}
-		return os.WriteFile(jsonOut, raw, 0o644)
 	}
 	return nil
 }
@@ -1403,7 +819,7 @@ func cmdServe(args []string) error {
 	cacheSize := fs.Int("cache", 1024, "result-cache capacity in entries (negative disables)")
 	maxBody := fs.Int64("max-body", 256<<20, "request body limit in bytes")
 	loadWorkers := fs.Int("load-workers", 0, "ingest pipeline fan-out per load request (0 = GOMAXPROCS)")
-	readCacheMB := fs.Int("read-cache-mb", 64, "decoded-node read cache budget in MB, split across shards (0 disables the cache and the batched read fast path)")
+	readCacheMB := fs.Int("read-cache-mb", 64, "decoded-node read cache budget in MB, split across shards (0 = no cache; queries run the same batched path either way)")
 	slowQueryMS := fs.Int("slow-query-ms", 0, "log requests slower than this many milliseconds together with their span tree (0 disables)")
 	traceAll := fs.Bool("trace", false, "collect a span tree on every request (clients still opt into the echo with ?debug=trace)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")

@@ -1,29 +1,14 @@
 // Replication commands: `crimson promote` flips a follower crimsond
-// into a writable primary over HTTP, and `crimson bench -repl` measures
-// the write-on-primary / read-on-follower path — an in-process primary
-// and follower pair under concurrent writer churn, reporting durable
-// write throughput and the apply lag a read-your-writes client
-// observes.
+// into a writable primary over HTTP.
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
-	"net/http"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
-	crimson "repro"
 	"repro/client"
-	"repro/internal/treegen"
 )
 
 func cmdPromote(args []string) error {
@@ -44,187 +29,6 @@ func cmdPromote(args []string) error {
 	fmt.Printf("%s promoted: role=%s\n", *addr, st.Role)
 	for _, sh := range st.Shards {
 		fmt.Printf("  shard %d: epoch %d\n", sh.Shard, sh.Epoch)
-	}
-	return nil
-}
-
-// replBenchReport is the JSON body of a `bench -repl` run. CI gates
-// writes_per_sec against the committed BENCH_repl.json baseline; the
-// lag percentiles are the time a read-your-writes follower read waited
-// for the apply loop to reach the writer's epoch (the ISSUE's bound:
-// p99 under 2s on the bench workload).
-type replBenchReport struct {
-	Writers      int     `json:"writers"`
-	OpsPerWriter int     `json:"ops_per_writer"`
-	Leaves       int     `json:"leaves"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Writes       int64   `json:"writes"`
-	Seconds      float64 `json:"seconds"`
-	WritesPerSec float64 `json:"writes_per_sec"`
-	LagP50MS     float64 `json:"lag_p50_ms"`
-	LagP99MS     float64 `json:"lag_p99_ms"`
-	LagMaxMS     float64 `json:"lag_max_ms"`
-	LagTimeouts  int     `json:"lag_timeouts"` // reads that gave up after the server's 2s bound
-}
-
-// runReplBench stands up a file-backed primary crimsond and a follower
-// streaming its WAL, loads a gold tree, then runs writers concurrent
-// goroutines each issuing ops species writes against the primary — and
-// after every write, a follower read pinned (X-Crimson-Min-Epoch) to
-// the epoch the write published, so the read's latency IS the apply
-// lag that write experienced end to end.
-func runReplBench(writers, ops, leaves int, seed int64, jsonOut, baseline string, maxRegress float64) error {
-	if writers < 1 || ops < 1 {
-		return fmt.Errorf("bench: --repl-writers and --repl-ops must be >= 1")
-	}
-	dir, err := os.MkdirTemp("", "crimson-repl-bench-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	ctx, stop := signalContext()
-	defer stop()
-
-	repo, err := crimson.OpenSharded(filepath.Join(dir, "primary"), 1)
-	if err != nil {
-		return err
-	}
-	defer repo.Close()
-	srv := repo.NewServer(crimson.ServerConfig{Addr: "127.0.0.1:0"})
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	defer srv.Shutdown(context.Background())
-	primaryURL := "http://" + srv.Addr()
-	pcl := client.New(primaryURL, nil)
-
-	gold, err := treegen.Yule(leaves, 1.0, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return err
-	}
-	if _, err := pcl.LoadTreeCtx(ctx, "bench", 0, gold); err != nil {
-		return fmt.Errorf("bench: loading gold tree: %w", err)
-	}
-
-	frepo, fl, err := crimson.OpenFollower(ctx, filepath.Join(dir, "follower"), primaryURL)
-	if err != nil {
-		return fmt.Errorf("bench: opening follower: %w", err)
-	}
-	defer frepo.Close()
-	defer fl.Stop()
-	fsrv := frepo.NewFollowerServer(fl, crimson.ServerConfig{Addr: "127.0.0.1:0"})
-	if err := fsrv.Start(); err != nil {
-		return err
-	}
-	defer fsrv.Shutdown(context.Background())
-	fcl := client.New("http://"+fsrv.Addr(), nil)
-
-	payload := make([]byte, 64)
-	rand.New(rand.NewSource(seed + 1)).Read(payload)
-	var (
-		mu       sync.Mutex
-		lags     []float64 // ms
-		timeouts int
-		writes   int64
-		firstErr error
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for wid := 0; wid < writers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			for i := 0; i < ops; i++ {
-				sp := fmt.Sprintf("w%d-s%d", wid, i)
-				if err := pcl.PutSpeciesDataCtx(ctx, "bench", sp, "seq:bench", payload); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("write %s: %w", sp, err)
-					}
-					mu.Unlock()
-					return
-				}
-				eps := pcl.LastEpochs()
-				t0 := time.Now()
-				_, err := fcl.SpeciesDataCtx(client.MinEpochContext(ctx, eps), "bench", sp, "seq:bench")
-				lag := time.Since(t0)
-				mu.Lock()
-				writes++
-				var ae *client.APIError
-				switch {
-				case err == nil:
-					lags = append(lags, float64(lag)/float64(time.Millisecond))
-				case errors.As(err, &ae) && ae.Status == http.StatusConflict:
-					timeouts++ // follower did not reach the epoch within the server's bound
-				default:
-					if firstErr == nil {
-						firstErr = fmt.Errorf("follower read %s: %w", sp, err)
-					}
-				}
-				mu.Unlock()
-			}
-		}(wid)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return fmt.Errorf("bench: repl churn failed: %w", firstErr)
-	}
-
-	sort.Float64s(lags)
-	pct := func(q float64) float64 {
-		if len(lags) == 0 {
-			return 0
-		}
-		return lags[int(q*float64(len(lags)-1))]
-	}
-	rep := replBenchReport{
-		Writers:      writers,
-		OpsPerWriter: ops,
-		Leaves:       leaves,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Writes:       writes,
-		Seconds:      elapsed.Seconds(),
-		WritesPerSec: float64(writes) / elapsed.Seconds(),
-		LagP50MS:     pct(0.50),
-		LagP99MS:     pct(0.99),
-		LagMaxMS:     pct(1.0),
-		LagTimeouts:  timeouts,
-	}
-	fmt.Fprintf(os.Stderr,
-		"repl %d writers x %d ops (gold %d leaves): %d writes in %.2fs => %.0f writes/s, apply lag p50/p99/max = %.1f/%.1f/%.1f ms, %d timeouts (GOMAXPROCS=%d)\n",
-		rep.Writers, rep.OpsPerWriter, rep.Leaves, rep.Writes, rep.Seconds, rep.WritesPerSec,
-		rep.LagP50MS, rep.LagP99MS, rep.LagMaxMS, rep.LagTimeouts, rep.GOMAXPROCS)
-	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
-		if err != nil {
-			return fmt.Errorf("bench: reading baseline: %w", err)
-		}
-		var base replBenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("bench: parsing baseline %s: %w", baseline, err)
-		}
-		if base.WritesPerSec > 0 {
-			ratio := rep.WritesPerSec / base.WritesPerSec
-			fmt.Fprintf(os.Stderr, "repl gate: baseline %.0f writes/s, current %.0f writes/s (%.1f%% of baseline, floor %.1f%%)\n",
-				base.WritesPerSec, rep.WritesPerSec, ratio*100, (1-maxRegress)*100)
-			if ratio < 1-maxRegress {
-				return fmt.Errorf("bench: repl throughput regressed %.1f%% vs %s (limit %.1f%%)",
-					(1-ratio)*100, baseline, maxRegress*100)
-			}
-		}
-	}
-	if jsonOut != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if jsonOut == "-" {
-			os.Stdout.Write(raw)
-			return nil
-		}
-		return os.WriteFile(jsonOut, raw, 0o644)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -55,7 +56,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				switch (g + i) % 3 {
 				case 0: // sample then project
-					rows, err := st.SampleUniform(8, r)
+					rows, err := st.SampleUniformCtx(context.Background(), 8, r)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d: sample: %w", g, err)
 						return
@@ -64,18 +65,18 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					for j, row := range rows {
 						ids[j] = row.ID
 					}
-					if _, err := st.Project(ids); err != nil {
+					if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
 						errs <- fmt.Errorf("reader %d: project: %w", g, err)
 						return
 					}
 				case 1: // storage-backed LCA
 					a, b := r.Intn(info.Nodes), r.Intn(info.Nodes)
-					if _, err := st.LCA(a, b); err != nil {
+					if _, err := st.LCACtx(context.Background(), a, b); err != nil {
 						errs <- fmt.Errorf("reader %d: lca(%d,%d): %w", g, a, b, err)
 						return
 					}
 				case 2: // pattern match: project a random selection, compare
-					rows, err := st.SampleUniform(5, r)
+					rows, err := st.SampleUniformCtx(context.Background(), 5, r)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d: sample: %w", g, err)
 						return
@@ -84,12 +85,12 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					for j, row := range rows {
 						names[j] = row.Name
 					}
-					pattern, err := st.ProjectNames(names)
+					pattern, err := st.ProjectNamesCtx(context.Background(), names)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d: project names: %w", g, err)
 						return
 					}
-					projected, err := st.ProjectNames(pattern.LeafNames())
+					projected, err := st.ProjectNamesCtx(context.Background(), pattern.LeafNames())
 					if err != nil {
 						errs <- fmt.Errorf("reader %d: re-project: %w", g, err)
 						return
@@ -196,7 +197,7 @@ func TestSnapshotIsolationLoadDeleteStress(t *testing.T) {
 					}
 					// Count every stored node row: mid-delete states would
 					// lose rows, mid-load states would miss tables.
-					leaves, err := ft.LeavesUnder(0)
+					leaves, err := ft.LeavesUnderCtx(context.Background(), 0)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d: flux leaves: %w", g, err)
 						sn.Close()
@@ -207,7 +208,7 @@ func TestSnapshotIsolationLoadDeleteStress(t *testing.T) {
 						sn.Close()
 						return
 					}
-					if _, err := ft.LCA(r.Intn(info.Nodes), r.Intn(info.Nodes)); err != nil {
+					if _, err := ft.LCACtx(context.Background(), r.Intn(info.Nodes), r.Intn(info.Nodes)); err != nil {
 						errs <- fmt.Errorf("reader %d: flux LCA: %w", g, err)
 						sn.Close()
 						return
@@ -228,7 +229,7 @@ func TestSnapshotIsolationLoadDeleteStress(t *testing.T) {
 					sn.Close()
 					return
 				}
-				rows, err := gt.SampleUniform(6, r)
+				rows, err := gt.SampleUniformCtx(context.Background(), 6, r)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: sample: %w", g, err)
 					sn.Close()
@@ -238,7 +239,7 @@ func TestSnapshotIsolationLoadDeleteStress(t *testing.T) {
 				for j, row := range rows {
 					ids[j] = row.ID
 				}
-				if _, err := gt.Project(ids); err != nil {
+				if _, err := gt.ProjectCtx(context.Background(), ids); err != nil {
 					errs <- fmt.Errorf("reader %d: project: %w", g, err)
 					sn.Close()
 					return

@@ -2,6 +2,7 @@ package queryrepo
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -81,6 +82,50 @@ func TestRerunArgsRoundTrip(t *testing.T) {
 	}
 	if got.Time.IsZero() {
 		t.Fatal("timestamp missing")
+	}
+}
+
+// TestHistoryMixedRowSizes records the row mix crimsond sees under mixed
+// LCA / clade traffic: runs of ~100 B rows followed by runs of 300-1024 B
+// rows (a clade query's species list and summary), the mix that overflowed
+// a leaf of the history table when the B+tree split by cell count.
+func TestHistoryMixedRowSizes(t *testing.T) {
+	db := relstore.OpenMemDB()
+	defer db.Close()
+	r, err := NewOnDB(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	record := func(kind string, args any, summary string) {
+		t.Helper()
+		if _, err := r.Record(kind, args, summary); err != nil {
+			t.Fatalf("record #%d (%s, %d B summary): %v", len(want)+1, kind, len(summary), err)
+		}
+		want = append(want, summary)
+	}
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 40; i++ {
+			record("lca", lcaArgs{"gold", "Lla", "Spy"}, "LCA = node 3")
+		}
+		for i := 0; i < 8; i++ {
+			record("clade", map[string]string{"tree": "gold"}, strings.Repeat("s", 300+(round*8+i)*7%700))
+		}
+	}
+	hist, err := r.History(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist) != len(want) {
+		t.Fatalf("history has %d entries, want %d", len(hist), len(want))
+	}
+	for i, e := range hist { // newest first
+		if w := want[len(want)-1-i]; e.Summary != w {
+			t.Fatalf("entry #%d: summary of %d B, want %d B", e.ID, len(e.Summary), len(w))
+		}
+	}
+	if err := db.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
 	}
 }
 

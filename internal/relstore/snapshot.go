@@ -40,11 +40,6 @@ func (db *DB) Snapshot() *Snap {
 	return sn
 }
 
-// Store exposes the underlying storage engine the snapshot reads from;
-// higher layers use it to inspect engine-level configuration such as
-// whether the decoded-node read cache is enabled.
-func (s *Snap) Store() *storage.Store { return s.ss.Store() }
-
 // Epoch reports the committed epoch this snapshot reads.
 func (s *Snap) Epoch() uint64 { return s.ss.Epoch() }
 

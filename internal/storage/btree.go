@@ -121,25 +121,35 @@ type node struct {
 	children []PageID // internal only; len(keys)+1
 }
 
+// cellSize is the encoded size of the node's i-th key with its value (leaf)
+// or right child pointer (internal).
+func (n *node) cellSize(i int) int {
+	if n.kind == pageLeaf {
+		return 4 + len(n.keys[i]) + len(n.vals[i])
+	}
+	return 2 + len(n.keys[i]) + 8
+}
+
 func (n *node) encodedSize() int {
+	var sz int
 	switch n.kind {
 	case pageLeaf:
-		sz := leafHeaderSize
-		for i, k := range n.keys {
-			sz += 4 + len(k) + len(n.vals[i])
-		}
-		return sz
+		sz = leafHeaderSize
 	case pageInternal:
-		sz := internalHeaderSize
-		for _, k := range n.keys {
-			sz += 2 + len(k) + 8
-		}
-		return sz
+		sz = internalHeaderSize
+	default:
+		return PageSize
 	}
-	return PageSize
+	for i := range n.keys {
+		sz += n.cellSize(i)
+	}
+	return sz
 }
 
 func (n *node) encode(buf []byte) error {
+	if sz := n.encodedSize(); sz > len(buf) {
+		return fmt.Errorf("storage: encode node: %d cells need %d bytes, page holds %d", len(n.keys), sz, len(buf))
+	}
 	buf[0] = n.kind
 	binary.LittleEndian.PutUint16(buf[1:], uint16(len(n.keys)))
 	switch n.kind {
@@ -579,8 +589,32 @@ func (t *BTree) insert(pid PageID, key, value []byte, isOverflow bool) (PageID, 
 	return n.page, up, added, err
 }
 
+// splitIndex picks where to cut an over-full node of n cells: the index in
+// [1, n-1] whose preceding cells come closest to half of the encoded
+// bytes. Cutting at n/2 instead puts a run of large cells that follows many
+// small ones into one half, which can then exceed PageSize; by bytes, each
+// half stays within half a maximal cell of the midpoint.
+func splitIndex(n int, cellSize func(i int) int) int {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += cellSize(i)
+	}
+	best, bestDist, left := 1, total, 0
+	for i := 1; i < n; i++ {
+		left += cellSize(i - 1)
+		dist := 2*left - total
+		if dist < 0 {
+			dist = -dist
+		}
+		if dist < bestDist {
+			best, bestDist = i, dist
+		}
+	}
+	return best
+}
+
 func (t *BTree) splitLeaf(n *node) (*splitResult, error) {
-	mid := len(n.keys) / 2
+	mid := splitIndex(len(n.keys), n.cellSize)
 	rid, err := t.store.Allocate()
 	if err != nil {
 		return nil, err
@@ -605,7 +639,8 @@ func (t *BTree) splitLeaf(n *node) (*splitResult, error) {
 }
 
 func (t *BTree) splitInternal(n *node) (*splitResult, error) {
-	mid := len(n.keys) / 2
+	// keys[mid] moves up, so both halves keep a key only for mid <= n-2.
+	mid := splitIndex(len(n.keys)-1, n.cellSize)
 	up := n.keys[mid]
 	rid, err := t.store.Allocate()
 	if err != nil {

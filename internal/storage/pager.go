@@ -424,11 +424,6 @@ func (s *Store) SetReadCacheBytes(n int64) {
 	s.rcache.Store(newReadCache(n))
 }
 
-// ReadCacheEnabled reports whether a decoded-node read cache is installed.
-// Higher layers use it to choose between the batched fast read path and
-// the legacy per-row path.
-func (s *Store) ReadCacheEnabled() bool { return s.rcache.Load() != nil }
-
 // ReadCacheStats reports the decoded-node cache's entry count and resident
 // bytes (zeros when disabled).
 func (s *Store) ReadCacheStats() (entries int, bytes int64) {

@@ -127,9 +127,6 @@ func TestReadCacheHitsOnRepeatedDescents(t *testing.T) {
 	s := OpenMem()
 	defer s.Close()
 	s.SetReadCacheBytes(8 << 20)
-	if !s.ReadCacheEnabled() {
-		t.Fatal("cache not enabled")
-	}
 	bt, err := NewBTree(s)
 	if err != nil {
 		t.Fatal(err)

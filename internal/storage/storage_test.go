@@ -596,6 +596,82 @@ func TestBTreeMatchesMapModel(t *testing.T) {
 	}
 }
 
+// TestBTreeSplitsSkewedCellsByBytes pins the split point to the byte
+// midpoint. Splitting at len(keys)/2 let a node of many small cells followed
+// by a run of large ones put all the large cells in one half, which then
+// overflowed its page: the encoder wrote past 4096 B and the next read of
+// the page panicked. The leaf case is the query-history table's (LCA rows
+// of ~100 B, then clade rows of 450-1024 B); the internal case needs short
+// separators followed by maximal keys.
+func TestBTreeSplitsSkewedCellsByBytes(t *testing.T) {
+	cases := []struct {
+		name             string
+		small, large     int
+		largeKey         int
+		smallVal, valMin int
+		valSpan          int
+	}{
+		{name: "leaf", small: 300, large: 300, largeKey: 9, smallVal: 8, valMin: 450, valSpan: MaxInlineValue - 450 + 1},
+		// 2-byte keys under 1000 B values make three-cell leaves, so the
+		// root fills with short separators; 512 B keys then arrive on its
+		// right edge.
+		{name: "internal", small: 120, large: 60, largeKey: MaxKeySize, smallVal: 1000, valMin: 1000, valSpan: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := OpenMem()
+			defer s.Close()
+			tr, err := NewBTree(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(7))
+			want := make(map[string][]byte)
+			put := func(key []byte, vlen int) {
+				t.Helper()
+				val := make([]byte, vlen)
+				r.Read(val)
+				if err := tr.Put(key, val); err != nil {
+					t.Fatalf("Put(%d B key, %d B value): %v", len(key), vlen, err)
+				}
+				want[string(key)] = val
+			}
+			for i := 0; i < tc.small; i++ {
+				put([]byte{'a', byte(i)}, tc.smallVal)
+			}
+			for i := 0; i < tc.large; i++ {
+				key := bytes.Repeat([]byte{'z'}, tc.largeKey)
+				binary.BigEndian.PutUint32(key[len(key)-4:], uint32(i))
+				put(key, tc.valMin+r.Intn(tc.valSpan))
+			}
+			if err := tr.Check(); err != nil {
+				t.Fatalf("Check: %v", err)
+			}
+			c, err := tr.First()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			n := 0
+			for ; c.Valid(); n++ {
+				v, err := c.Value()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(v, want[string(c.Key())]) {
+					t.Fatalf("entry %d: value differs from what was put", n)
+				}
+				if err := c.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n != len(want) {
+				t.Fatalf("scan saw %d entries, want %d", n, len(want))
+			}
+		})
+	}
+}
+
 func TestStoreCommitDurability(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "durable.db")

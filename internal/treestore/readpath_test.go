@@ -26,10 +26,13 @@ func total(root *obs.Span, name string) int64 {
 }
 
 // TestProjectCacheCutsDecodesAndDescents is the headline acceptance check
-// for the hot read path: on a 10k-leaf tree, a k=50 projection with the
-// decoded-node cache enabled (warm) must issue at least 3x fewer B+tree
-// descents and decode at least 3x fewer cells than the same projection on
-// the legacy path, while producing the identical tree.
+// for the hot read path: on a 10k-leaf tree, a k=50 projection must stay
+// under fixed ceilings of B+tree descents and decoded cells. There is one
+// query path, so descents are the same with the decoded-node cache off and
+// on; the cache only spares the re-decoding of interior nodes. The counts
+// are deterministic — 273 descents, 18 966 cells with the cache, 61 266
+// without — and the ceilings sit ~10% over them; the per-row path this
+// replaced took 1 145 descents and 225 139 cells.
 func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-leaf tree load")
@@ -57,7 +60,7 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 		ids[i] = n.ID
 	}
 
-	// Legacy path: cache disabled, per-row reads.
+	// Cache off: same query code, every interior node decoded per descent.
 	offCtx, offSpan := counterCtx()
 	want, err := st.ProjectCtx(offCtx, ids)
 	if err != nil {
@@ -66,21 +69,14 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	offDescents := total(offSpan, "btree_descents")
 	offCells := total(offSpan, "cells_decoded")
 
-	// Fast path: cache on (handles opened now see it), one warm-up run so
-	// the interior working set is resident, then the measured run.
+	// Cache on: one warm-up run so the interior working set is resident,
+	// then the measured run.
 	s.dbs[0].Store().SetReadCacheBytes(64 << 20)
-	fast, err := s.Tree("big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fast.batch {
-		t.Fatal("tree handle did not pick up the batched fast path")
-	}
-	if _, err := fast.ProjectCtx(context.Background(), ids); err != nil {
+	if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
 	onCtx, onSpan := counterCtx()
-	got, err := fast.ProjectCtx(onCtx, ids)
+	got, err := st.ProjectCtx(onCtx, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,21 +86,31 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	if !phylo.Equal(got, want, 1e-12) {
 		t.Fatal("cache-on projection differs from cache-off projection")
 	}
-	if onDescents == 0 || offDescents < 3*onDescents {
-		t.Fatalf("btree_descents: off=%d on=%d, want >= 3x reduction", offDescents, onDescents)
+	t.Logf("descents off=%d on=%d; cells off=%d on=%d", offDescents, onDescents, offCells, onCells)
+	const (
+		maxDescents = 300
+		maxCellsOn  = 21000
+		maxCellsOff = 67000
+	)
+	if onDescents != offDescents {
+		t.Fatalf("btree_descents: off=%d on=%d, want equal (one query path)", offDescents, onDescents)
 	}
-	if onCells == 0 || offCells < 3*onCells {
-		t.Fatalf("cells_decoded: off=%d on=%d, want >= 3x reduction", offCells, onCells)
+	if onDescents == 0 || onDescents > maxDescents {
+		t.Fatalf("btree_descents = %d, want 1..%d", onDescents, maxDescents)
 	}
-	t.Logf("descents off=%d on=%d (%.1fx); cells off=%d on=%d (%.1fx)",
-		offDescents, onDescents, float64(offDescents)/float64(onDescents),
-		offCells, onCells, float64(offCells)/float64(onCells))
+	if onCells == 0 || onCells > maxCellsOn {
+		t.Fatalf("cells_decoded (cache on) = %d, want 1..%d", onCells, maxCellsOn)
+	}
+	if offCells > maxCellsOff {
+		t.Fatalf("cells_decoded (cache off) = %d, want <= %d", offCells, maxCellsOff)
+	}
 }
 
 // TestQueriesByteIdenticalAcrossCacheSizes runs the same query mix at every
 // cache configuration — disabled, too small to admit anything, small
 // enough to evict constantly, and comfortably large — and requires
-// identical answers from all of them.
+// identical answers from all of them, reached through the identical number
+// of B+tree descents: the cache size selects no query code.
 func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 	gold, err := treegen.Yule(2000, 1.0, rand.New(rand.NewSource(21)))
 	if err != nil {
@@ -130,14 +136,15 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 	}
 
 	type answers struct {
-		project *phylo.Tree
-		export  *phylo.Tree
-		clade   []Node
-		lcas    []int
+		project  *phylo.Tree
+		export   *phylo.Tree
+		clade    []Node
+		lcas     []int
+		descents int64
 	}
-	run := func(tr *Tree) (answers, error) {
-		var a answers
-		var err error
+	run := func(tr *Tree) (a answers, err error) {
+		ctx, span := counterCtx()
+		defer func() { a.descents = total(span, "btree_descents") }()
 		if a.project, err = tr.ProjectCtx(ctx, ids); err != nil {
 			return a, err
 		}
@@ -160,6 +167,9 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 	want, err := run(base) // cache disabled: the reference answers
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want.descents == 0 {
+		t.Fatal("reference run counted no descents")
 	}
 	for _, bytes := range []int64{64 << 10, 256 << 10, 64 << 20} {
 		t.Run(fmt.Sprintf("cache=%d", bytes), func(t *testing.T) {
@@ -191,6 +201,9 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 					if got.lcas[i] != want.lcas[i] {
 						t.Fatalf("pass %d: lca[%d] = %d != %d", pass, i, got.lcas[i], want.lcas[i])
 					}
+				}
+				if got.descents != want.descents {
+					t.Fatalf("pass %d: %d descents, cache off took %d", pass, got.descents, want.descents)
 				}
 			}
 		})

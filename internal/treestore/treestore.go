@@ -45,11 +45,12 @@ var (
 
 // Store is the Tree Repository over a relational database.
 //
-// Concurrency: query methods on stored trees (Node, NodeByName, Children,
-// LCA, Frontier, LeavesUnder, Project, Sample*) run on the database's
-// read-lock path and may be called from many goroutines at once, including
-// while one writer goroutine is loading or deleting another tree — the
-// writer simply serializes against each individual read operation.
+// Concurrency: query methods on stored trees (Node, NodeByNameCtx,
+// ChildrenCtx, LCACtx, FrontierCtx, LeavesUnderCtx, ProjectCtx,
+// Sample*Ctx) run on the database's read-lock path and may be called from
+// many goroutines at once, including while one writer goroutine is loading
+// or deleting another tree — the writer simply serializes against each
+// individual read operation.
 //
 // For queries that must never wait on a writer at all — long analytical
 // reads overlapping bulk loads and deletes — take a Snapshot: tree handles
@@ -533,14 +534,12 @@ func (s *Store) LoadOpts(name string, t *phylo.Tree, f int, opts LoadOptions, pr
 // Tree opens a handle on a stored tree over the live tables of its shard.
 func (s *Store) Tree(name string) (*Tree, error) {
 	db := s.dbFor(name)
-	batch := db.Store().ReadCacheEnabled()
-	return openTree(name, func(tab string) (table, error) { return db.Table(tab) }, batch)
+	return openTree(name, func(tab string) (table, error) { return db.Table(tab) })
 }
 
 // openTree assembles a tree handle from whatever table source it is given
-// — the live database or a snapshot. batch selects the batched/memoized
-// read path (see Tree.batch).
-func openTree(name string, get func(string) (table, error), batch bool) (*Tree, error) {
+// — the live database or a snapshot.
+func openTree(name string, get func(string) (table, error)) (*Tree, error) {
 	trees, err := get("trees")
 	if err != nil {
 		if errors.Is(err, relstore.ErrNoTable) {
@@ -560,7 +559,7 @@ func openTree(name string, get func(string) (table, error), batch bool) (*Tree, 
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{info: info, nodes: nodeTab, batch: batch}
+	t := &Tree{info: info, nodes: nodeTab}
 	for k := 0; k < info.Layers; k++ {
 		subTab, err := get(subsTable(name, k))
 		if err != nil {
@@ -662,8 +661,7 @@ func (sn *Snap) Close() {
 // snapshot was taken) ErrNoTree — never a torn state.
 func (sn *Snap) Tree(name string) (*Tree, error) {
 	rs := sn.sns[sn.router.Place(name)]
-	batch := rs.Store().ReadCacheEnabled()
-	return openTree(name, func(tab string) (table, error) { return rs.Table(tab) }, batch)
+	return openTree(name, func(tab string) (table, error) { return rs.Table(tab) })
 }
 
 // Trees lists the trees stored as of the snapshot, merged across shards in
@@ -740,26 +738,18 @@ func decodeNode(row relstore.Row) Node {
 }
 
 // Tree is a handle on one stored tree; every query goes to the relational
-// store row by row. A Tree handle is safe for concurrent use by multiple
-// goroutines: all methods are read-only. A handle from Store.Tree reads
-// the live tables (each operation takes the database read lock, so it
-// serializes against the writer per row batch); a handle from Snap.Tree
-// reads a pinned snapshot lock-free and is immune to concurrent loads and
-// deletes.
+// store: node sets are fetched with batched point reads (GetBatchCtx) and
+// the layered LCA recursion runs over a request-scoped cell memo. A Tree
+// handle is safe for concurrent use by multiple goroutines: all methods
+// are read-only. A handle from Store.Tree reads the live tables (each
+// operation takes the database read lock, so it serializes against the
+// writer per row batch); a handle from Snap.Tree reads a pinned snapshot
+// lock-free and is immune to concurrent loads and deletes.
 type Tree struct {
 	info   TreeInfo
 	nodes  table
 	layers []table // layer 1.. (index 0 = layer 1)
 	subs   []table // layer 0..
-
-	// batch selects the hot read path: node sets are fetched with batched
-	// point reads (GetBatchCtx) and the LCA recursion inside Project and
-	// MinimalSpanningClade runs over a request-scoped cell memo. It is set
-	// when the underlying store has the decoded-node read cache enabled —
-	// the two optimizations ship as one knob, so with the cache disabled
-	// queries take exactly the legacy per-row path. Both paths produce
-	// byte-identical results.
-	batch bool
 }
 
 // Info returns the tree's summary.
@@ -800,14 +790,6 @@ func (t *Tree) NodeByNameCtx(ctx context.Context, name string) (Node, error) {
 	return *found, nil
 }
 
-// NodeByName fetches a node by species name.
-//
-// Deprecated: use NodeByNameCtx so the lookup participates in request
-// cancellation.
-func (t *Tree) NodeByName(name string) (Node, error) {
-	return t.NodeByNameCtx(context.Background(), name)
-}
-
 // ChildrenCtx lists a node's children in ordinal order under ctx. The
 // by_parent index is keyed (parent, id) and ids are preorder, so siblings
 // arrive from the scan already in ordinal order — ordinals are assigned in
@@ -823,14 +805,6 @@ func (t *Tree) ChildrenCtx(ctx context.Context, id int) ([]Node, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Children lists a node's children in ordinal order.
-//
-// Deprecated: use ChildrenCtx so the listing participates in request
-// cancellation.
-func (t *Tree) Children(id int) ([]Node, error) {
-	return t.ChildrenCtx(context.Background(), id)
 }
 
 // layerCell is the subset of fields the LCA recursion needs.
@@ -855,8 +829,6 @@ type cellMemoKey struct{ k, id int }
 // chains overlap heavily; the memo collapses those repeat chain walks into
 // map hits. It is request-scoped — created per call, never shared across
 // requests — and used from a single goroutine, so it needs no locking.
-// All methods are nil-safe: a nil memo disables memoization, which is the
-// legacy path.
 type cellMemo struct {
 	m    map[cellMemoKey]layerCell
 	subs map[cellMemoKey]int // (layer, subtree) -> source node id
@@ -872,45 +844,38 @@ func newCellMemo() *cellMemo {
 }
 
 func (m *cellMemo) get(k, id int) (layerCell, bool) {
-	if m == nil {
-		return layerCell{}, false
-	}
 	c, ok := m.m[cellMemoKey{k: k, id: id}]
 	return c, ok
 }
 
 func (m *cellMemo) put(k, id int, c layerCell) {
-	if m == nil || len(m.m) >= cellMemoMax {
+	if len(m.m) >= cellMemoMax {
 		return
 	}
 	m.m[cellMemoKey{k: k, id: id}] = c
 }
 
 func (m *cellMemo) getSub(k, s int) (int, bool) {
-	if m == nil {
-		return 0, false
-	}
 	src, ok := m.subs[cellMemoKey{k: k, id: s}]
 	return src, ok
 }
 
 func (m *cellMemo) putSub(k, s, src int) {
-	if m == nil || len(m.subs) >= cellMemoMax {
+	if len(m.subs) >= cellMemoMax {
 		return
 	}
 	m.subs[cellMemoKey{k: k, id: s}] = src
 }
 
 func (m *cellMemo) getRow(id int) (Node, bool) {
-	if m == nil {
-		return Node{}, false
-	}
 	n, ok := m.rows[id]
 	return n, ok
 }
 
+// putRow memoizes a layer-0 node row together with its LCA cell.
 func (m *cellMemo) putRow(n Node) {
-	if m == nil || len(m.rows) >= cellMemoMax {
+	m.put(0, n.ID, layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth})
+	if len(m.rows) >= cellMemoMax {
 		return
 	}
 	m.rows[n.ID] = n
@@ -919,8 +884,11 @@ func (m *cellMemo) putRow(n Node) {
 // cell fetches the LCA recursion fields of node id at layer k, checking
 // ctx first: the layered recursion's loops are chains of point reads, so
 // this check is what makes a long LCA (and everything built on it —
-// Project, pattern match, clade) abort promptly on cancellation. A non-nil
-// memo is consulted before the store and learns every fetch.
+// Project, pattern match, clade) abort promptly on cancellation. The memo
+// is consulted before the store and learns every fetch: layer 0 is one
+// point read of the wide node row, a higher layer one descent that harvests
+// the whole leaf of the narrow layer relation, so chain walks through that
+// region of the layer become map hits.
 func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, error) {
 	if err := ctx.Err(); err != nil {
 		return layerCell{}, err
@@ -939,62 +907,42 @@ func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, 
 			}
 			return layerCell{}, err
 		}
-		c := layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth}
-		memo.put(k, id, c)
-		return c, nil
+		return layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth}, nil
 	}
-	if memo != nil {
-		// Memoized path: one descent harvests the whole leaf, so chain
-		// walks through this region of the layer become map hits.
-		rows, err := t.layers[k-1].GetLeafCtx(ctx, relstore.Int(int64(id)))
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return layerCell{}, cerr
-			}
-			return layerCell{}, err
-		}
-		hit := false
-		var c layerCell
-		for _, row := range rows {
-			rc := layerCell{
-				sub:     int(row[3].Int64()),
-				lparent: int(row[4].Int64()),
-				ldepth:  int(row[5].Int64()),
-			}
-			rid := int(row[0].Int64())
-			memo.put(k, rid, rc)
-			if rid == id {
-				c, hit = rc, true
-			}
-		}
-		if !hit {
-			return layerCell{}, fmt.Errorf("%w: layer %d id %d", ErrNoNode, k, id)
-		}
-		return c, nil
+	if k > len(t.layers) {
+		// A live handle opened across a delete + reload of its name can pair
+		// one version's catalog row with another's relations.
+		return layerCell{}, fmt.Errorf("%w: layer %d beyond the handle's %d", ErrNoNode, k, len(t.layers))
 	}
-	row, ok, err := t.layers[k-1].GetCtx(ctx, relstore.Int(int64(id)))
+	rows, err := t.layers[k-1].GetLeafCtx(ctx, relstore.Int(int64(id)))
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return layerCell{}, cerr
 		}
 		return layerCell{}, err
 	}
-	if !ok {
+	hit := false
+	var c layerCell
+	for _, row := range rows {
+		rc := layerCell{
+			sub:     int(row[3].Int64()),
+			lparent: int(row[4].Int64()),
+			ldepth:  int(row[5].Int64()),
+		}
+		rid := int(row[0].Int64())
+		memo.put(k, rid, rc)
+		if rid == id {
+			c, hit = rc, true
+		}
+	}
+	if !hit {
 		return layerCell{}, fmt.Errorf("%w: layer %d id %d", ErrNoNode, k, id)
 	}
-	c := layerCell{
-		sub:     int(row[3].Int64()),
-		lparent: int(row[4].Int64()),
-		ldepth:  int(row[5].Int64()),
-	}
-	memo.put(k, id, c)
 	return c, nil
 }
 
-// nodeRow fetches a full layer-0 node row through the request memo (if
-// any): on the memoized path one descent harvests the whole storage leaf
-// around the row, so the walk's repeat visits to nearby ancestors become
-// map hits instead of descents.
+// nodeRow fetches a full layer-0 node row through the request memo, so the
+// walk's repeat visits to an ancestor become map hits instead of descents.
 func (t *Tree) nodeRow(ctx context.Context, memo *cellMemo, id int) (Node, error) {
 	if n, ok := memo.getRow(id); ok {
 		return n, nil
@@ -1004,61 +952,42 @@ func (t *Tree) nodeRow(ctx context.Context, memo *cellMemo, id int) (Node, error
 		return Node{}, err
 	}
 	memo.putRow(n)
-	memo.put(0, n.ID, layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth})
 	return n, nil
 }
 
 // subSource returns the source node of subtree s at layer k (-1 if none),
 // consulting the request memo first: ascend walks the same subtree chains
-// for every pair rooted in the same region, and on the memoized path one
-// descent harvests the whole leaf of the subtree relation.
+// for every pair rooted in the same region, and one descent harvests the
+// whole leaf of the subtree relation.
 func (t *Tree) subSource(ctx context.Context, memo *cellMemo, k, s int) (int, error) {
 	if src, ok := memo.getSub(k, s); ok {
 		return src, nil
 	}
-	if memo != nil {
-		rows, err := t.subs[k].GetLeafCtx(ctx, relstore.Int(int64(s)))
-		if err != nil {
-			return 0, err
-		}
-		hit := false
-		src := 0
-		for _, row := range rows {
-			sid := int(row[0].Int64())
-			v := int(row[2].Int64())
-			memo.putSub(k, sid, v)
-			if sid == s {
-				src, hit = v, true
-			}
-		}
-		if !hit {
-			return 0, fmt.Errorf("%w: layer %d subtree %d", ErrNoNode, k, s)
-		}
-		return src, nil
-	}
-	row, ok, err := t.subs[k].GetCtx(ctx, relstore.Int(int64(s)))
+	rows, err := t.subs[k].GetLeafCtx(ctx, relstore.Int(int64(s)))
 	if err != nil {
 		return 0, err
 	}
-	if !ok {
+	hit := false
+	src := 0
+	for _, row := range rows {
+		sid := int(row[0].Int64())
+		v := int(row[2].Int64())
+		memo.putSub(k, sid, v)
+		if sid == s {
+			src, hit = v, true
+		}
+	}
+	if !hit {
 		return 0, fmt.Errorf("%w: layer %d subtree %d", ErrNoNode, k, s)
 	}
-	return int(row[2].Int64()), nil
+	return src, nil
 }
 
 // LCACtx answers least-common-ancestor queries directly against the stored
 // relations under ctx, using the same layered recursion as core.Index but
 // fetching only the rows the query touches.
 func (t *Tree) LCACtx(ctx context.Context, a, b int) (int, error) {
-	return t.lcaAt(ctx, nil, 0, a, b)
-}
-
-// LCA answers least-common-ancestor queries against the stored relations.
-//
-// Deprecated: use LCACtx so the recursion participates in request
-// cancellation.
-func (t *Tree) LCA(a, b int) (int, error) {
-	return t.LCACtx(context.Background(), a, b)
+	return t.lcaAt(ctx, newCellMemo(), 0, a, b)
 }
 
 func (t *Tree) lcaAt(ctx context.Context, memo *cellMemo, k, a, b int) (int, error) {
@@ -1138,14 +1067,6 @@ func (t *Tree) IsAncestorCtx(ctx context.Context, a, b int) (bool, error) {
 	return l == a, err
 }
 
-// IsAncestor reports whether a is a (non-strict) ancestor of b.
-//
-// Deprecated: use IsAncestorCtx so the check participates in request
-// cancellation.
-func (t *Tree) IsAncestor(a, b int) (bool, error) {
-	return t.IsAncestorCtx(context.Background(), a, b)
-}
-
 // FrontierCtx returns the maximal nodes whose root distance exceeds time
 // under ctx, found with a range scan on the by_dist index plus one parent
 // fetch per candidate — no full-tree traversal. Candidates are collected
@@ -1183,14 +1104,6 @@ func (t *Tree) FrontierCtx(ctx context.Context, time float64) ([]Node, error) {
 	return out, nil
 }
 
-// Frontier returns the maximal nodes whose root distance exceeds time.
-//
-// Deprecated: use FrontierCtx so the scan participates in request
-// cancellation.
-func (t *Tree) Frontier(time float64) ([]Node, error) {
-	return t.FrontierCtx(context.Background(), time)
-}
-
 // LeavesUnderCtx returns the leaves in the clade rooted at id under ctx,
 // using the preorder-range property (descendants occupy ids
 // [id, id+size)).
@@ -1210,14 +1123,6 @@ func (t *Tree) LeavesUnderCtx(ctx context.Context, id int) ([]Node, error) {
 	return out, err
 }
 
-// LeavesUnder returns the leaves in the clade rooted at id.
-//
-// Deprecated: use LeavesUnderCtx so the scan participates in request
-// cancellation.
-func (t *Tree) LeavesUnder(id int) ([]Node, error) {
-	return t.LeavesUnderCtx(context.Background(), id)
-}
-
 // MinimalSpanningCladeCtx returns all nodes of the clade rooted at the LCA
 // of the given nodes under ctx (§2.2: "the set of nodes in the tree rooted
 // by their least common ancestor").
@@ -1225,18 +1130,17 @@ func (t *Tree) MinimalSpanningCladeCtx(ctx context.Context, ids []int) ([]Node, 
 	if len(ids) == 0 {
 		return nil, errors.New("treestore: empty node set")
 	}
-	memo, err := t.seedMemo(ctx, ids)
+	_, memo, err := t.fetchNodes(ctx, ids)
 	if err != nil {
 		return nil, err
 	}
 	l := ids[0]
 	for _, id := range ids[1:] {
-		var err error
 		if l, err = t.lcaAt(ctx, memo, 0, l, id); err != nil {
 			return nil, err
 		}
 	}
-	root, err := t.Node(l)
+	root, err := t.nodeRow(ctx, memo, l)
 	if err != nil {
 		return nil, err
 	}
@@ -1246,15 +1150,6 @@ func (t *Tree) MinimalSpanningCladeCtx(ctx context.Context, ids []int) ([]Node, 
 		return true, nil
 	})
 	return out, err
-}
-
-// MinimalSpanningClade returns all nodes of the clade rooted at the LCA of
-// the given nodes.
-//
-// Deprecated: use MinimalSpanningCladeCtx so the query participates in
-// request cancellation.
-func (t *Tree) MinimalSpanningClade(ids []int) ([]Node, error) {
-	return t.MinimalSpanningCladeCtx(context.Background(), ids)
 }
 
 // SampleUniformCtx draws k distinct random leaves under ctx using
@@ -1302,14 +1197,6 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// SampleUniform draws k distinct random leaves.
-//
-// Deprecated: use SampleUniformCtx so the draw participates in request
-// cancellation.
-func (t *Tree) SampleUniform(k int, r *rand.Rand) ([]Node, error) {
-	return t.SampleUniformCtx(context.Background(), k, r)
 }
 
 // SampleWithTimeCtx implements the paper's time-constrained sampling
@@ -1386,76 +1273,33 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 	return out, nil
 }
 
-// SampleWithTime implements the paper's time-constrained sampling.
-//
-// Deprecated: use SampleWithTimeCtx so the sampling participates in
-// request cancellation.
-func (t *Tree) SampleWithTime(time float64, k int, r *rand.Rand) ([]Node, error) {
-	return t.SampleWithTimeCtx(context.Background(), time, k, r)
-}
-
-// fetchNodes fetches the rows for the given ids. On the batched path one
-// GetBatchCtx call fetches all of them in leaf order (one B+tree descent
-// per distinct leaf); on the legacy path each id is an independent point
-// read. Any missing id is an ErrNoNode error.
-func (t *Tree) fetchNodes(ctx context.Context, ids []int) ([]Node, error) {
-	rows := make([]Node, len(ids))
-	if t.batch {
-		keys := make([]relstore.Value, len(ids))
-		for i, id := range ids {
-			keys[i] = relstore.Int(int64(id))
-		}
-		raw, found, err := t.nodes.GetBatchCtx(ctx, keys)
-		if err != nil {
-			return nil, err
-		}
-		for i, id := range ids {
-			if !found[i] {
-				return nil, fmt.Errorf("%w: id %d", ErrNoNode, id)
-			}
-			rows[i] = decodeNode(raw[i])
-		}
-		return rows, nil
-	}
-	for i, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var err error
-		if rows[i], err = t.NodeCtx(ctx, id); err != nil {
-			return nil, err
+// fetchNodes fetches the rows of the distinct ids in preorder (id) order
+// with one GetBatchCtx call — one B+tree descent per distinct leaf — and
+// returns them with a request-scoped memo seeded from them for the LCA
+// walk that follows. Any missing id is an ErrNoNode error.
+func (t *Tree) fetchNodes(ctx context.Context, ids []int) ([]Node, *cellMemo, error) {
+	sorted := append([]int(nil), ids...)
+	sort.Ints(sorted)
+	keys := make([]relstore.Value, 0, len(sorted))
+	for i, id := range sorted {
+		if i == 0 || sorted[i-1] != id {
+			keys = append(keys, relstore.Int(int64(id)))
 		}
 	}
-	return rows, nil
-}
-
-// seedMemo builds a request-scoped cell memo for an LCA fold over ids,
-// prefetching their rows in one leaf-order batch and seeding the layer-0
-// cells. On the legacy path (batch off) it returns a nil memo, which the
-// recursion treats as no memoization at all.
-func (t *Tree) seedMemo(ctx context.Context, ids []int) (*cellMemo, error) {
-	if !t.batch || len(ids) < 2 {
-		return nil, nil
-	}
-	uniq := append([]int(nil), ids...)
-	sort.Ints(uniq)
-	n := 0
-	for i, id := range uniq {
-		if i == 0 || uniq[i-1] != id {
-			uniq[n] = id
-			n++
-		}
-	}
-	rows, err := t.fetchNodes(ctx, uniq[:n])
+	raw, found, err := t.nodes.GetBatchCtx(ctx, keys)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	rows := make([]Node, len(keys))
 	memo := newCellMemo()
-	for _, r := range rows {
-		memo.putRow(r)
-		memo.put(0, r.ID, layerCell{sub: r.Sub, lparent: r.LocalParent, ldepth: r.LocalDepth})
+	for i, key := range keys {
+		if !found[i] {
+			return nil, nil, fmt.Errorf("%w: id %d", ErrNoNode, key.Int64())
+		}
+		rows[i] = decodeNode(raw[i])
+		memo.putRow(rows[i])
 	}
-	return memo, nil
+	return rows, memo, nil
 }
 
 // ProjectCtx computes the tree projection over the given node ids under
@@ -1465,16 +1309,8 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("treestore: empty projection set")
 	}
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-	uniq := sorted[:0]
-	for i, id := range sorted {
-		if i == 0 || sorted[i-1] != id {
-			uniq = append(uniq, id)
-		}
-	}
 	fetchCtx, fetchSpan := obs.StartSpan(ctx, "fetch_nodes")
-	rows, err := t.fetchNodes(fetchCtx, uniq)
+	rows, memo, err := t.fetchNodes(fetchCtx, ids)
 	fetchSpan.End()
 	if err != nil {
 		return nil, err
@@ -1494,18 +1330,8 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	}
 	lcaCtx, lcaSpan := obs.StartSpan(ctx, "lca_walk")
 	defer lcaSpan.End()
-	// On the batched path the LCA walk runs over a request-scoped memo,
-	// seeded with the layer-0 cells of the rows just fetched: consecutive
-	// pairs share long ancestor chains, and the memo collapses the repeat
-	// chain reads into map hits.
-	var memo *cellMemo
-	if t.batch {
-		memo = newCellMemo()
-		for _, r := range rows {
-			memo.putRow(r)
-			memo.put(0, r.ID, layerCell{sub: r.Sub, lparent: r.LocalParent, ldepth: r.LocalDepth})
-		}
-	}
+	// Consecutive pairs share long ancestor chains: the memo seeded with
+	// the rows just fetched collapses the repeat chain reads into map hits.
 	stack := []*entry{{row: rows[0], nw: &phylo.Node{Name: rows[0].Name}}}
 	for _, x := range rows[1:] {
 		top := stack[len(stack)-1]
@@ -1553,14 +1379,6 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	return tr, nil
 }
 
-// Project computes the tree projection over the given node ids.
-//
-// Deprecated: use ProjectCtx so the projection participates in request
-// cancellation.
-func (t *Tree) Project(ids []int) (*phylo.Tree, error) {
-	return t.ProjectCtx(context.Background(), ids)
-}
-
 // ExportCtx rebuilds the complete in-memory tree from the stored relation
 // under ctx — the inverse of Load. One primary-key scan; used to hand a
 // stored gold tree to in-memory tooling (e.g. the Benchmark Manager). For
@@ -1595,15 +1413,6 @@ func (t *Tree) ExportCtx(ctx context.Context) (*phylo.Tree, error) {
 	return out, nil
 }
 
-// Export rebuilds the complete in-memory tree from the stored relation.
-//
-// Deprecated: use ExportCtx (or ExportNewickTo for serialization, which
-// streams in bounded memory) so the scan participates in request
-// cancellation.
-func (t *Tree) Export() (*phylo.Tree, error) {
-	return t.ExportCtx(context.Background())
-}
-
 // ProjectNamesCtx projects over species names under ctx.
 func (t *Tree) ProjectNamesCtx(ctx context.Context, names []string) (*phylo.Tree, error) {
 	resolveCtx, resolveSpan := obs.StartSpan(ctx, "resolve_names")
@@ -1618,12 +1427,4 @@ func (t *Tree) ProjectNamesCtx(ctx context.Context, names []string) (*phylo.Tree
 	}
 	resolveSpan.End()
 	return t.ProjectCtx(ctx, ids)
-}
-
-// ProjectNames projects over species names.
-//
-// Deprecated: use ProjectNamesCtx so the projection participates in
-// request cancellation.
-func (t *Tree) ProjectNames(names []string) (*phylo.Tree, error) {
-	return t.ProjectNamesCtx(context.Background(), names)
 }

@@ -1,6 +1,7 @@
 package treestore
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -62,7 +63,7 @@ func TestLoadAndInfo(t *testing.T) {
 
 func TestNodeAccess(t *testing.T) {
 	_, tr := loadFigure1(t, 2)
-	syn, err := tr.NodeByName("Syn")
+	syn, err := tr.NodeByNameCtx(context.Background(), "Syn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestNodeAccess(t *testing.T) {
 	if root.Parent != -1 || root.Size != 8 {
 		t.Fatalf("root row = %+v", root)
 	}
-	kids, err := tr.Children(0)
+	kids, err := tr.ChildrenCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestNodeAccess(t *testing.T) {
 	if _, err := tr.Node(99); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("missing node error = %v", err)
 	}
-	if _, err := tr.NodeByName("Ghost"); !errors.Is(err, ErrNoNode) {
+	if _, err := tr.NodeByNameCtx(context.Background(), "Ghost"); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("missing name error = %v", err)
 	}
 }
@@ -95,17 +96,17 @@ func TestNodeAccess(t *testing.T) {
 // against the relational store.
 func TestStoredLCAMatchesPaper(t *testing.T) {
 	_, tr := loadFigure1(t, 2)
-	syn, _ := tr.NodeByName("Syn")
-	lla, _ := tr.NodeByName("Lla")
-	spy, _ := tr.NodeByName("Spy")
-	l, err := tr.LCA(syn.ID, lla.ID)
+	syn, _ := tr.NodeByNameCtx(context.Background(), "Syn")
+	lla, _ := tr.NodeByNameCtx(context.Background(), "Lla")
+	spy, _ := tr.NodeByNameCtx(context.Background(), "Spy")
+	l, err := tr.LCACtx(context.Background(), syn.ID, lla.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l != 0 {
 		t.Fatalf("LCA(Syn, Lla) = %d, want root (0)", l)
 	}
-	l, err = tr.LCA(lla.ID, spy.ID)
+	l, err = tr.LCACtx(context.Background(), lla.ID, spy.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +114,11 @@ func TestStoredLCAMatchesPaper(t *testing.T) {
 	if lrow.Leaf || lrow.Depth != 2 {
 		t.Fatalf("LCA(Lla, Spy) = %+v, want y at depth 2", lrow)
 	}
-	ok, err := tr.IsAncestor(0, lla.ID)
+	ok, err := tr.IsAncestorCtx(context.Background(), 0, lla.ID)
 	if err != nil || !ok {
 		t.Fatalf("IsAncestor(root, Lla) = %v, %v", ok, err)
 	}
-	ok, err = tr.IsAncestor(lla.ID, 0)
+	ok, err = tr.IsAncestorCtx(context.Background(), lla.ID, 0)
 	if err != nil || ok {
 		t.Fatalf("IsAncestor(Lla, root) = %v, %v", ok, err)
 	}
@@ -148,7 +149,7 @@ func TestStoredLCAMatchesCoreProperty(t *testing.T) {
 			a := r.Intn(gold.NumNodes())
 			b := r.Intn(gold.NumNodes())
 			want := ix.LCA(a, b)
-			got, err := st.LCA(a, b)
+			got, err := st.LCACtx(context.Background(), a, b)
 			if err != nil || got != want {
 				t.Logf("seed %d: LCA(%d,%d) = %d,%v want %d", seed, a, b, got, err, want)
 				return false
@@ -163,7 +164,7 @@ func TestStoredLCAMatchesCoreProperty(t *testing.T) {
 
 func TestFrontierMatchesInMemory(t *testing.T) {
 	_, tr := loadFigure1(t, 2)
-	front, err := tr.Frontier(1)
+	front, err := tr.FrontierCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestFrontierMatchesInMemory(t *testing.T) {
 		}
 	}
 	// Strictness at the boundary.
-	front, err = tr.Frontier(1.25)
+	front, err = tr.FrontierCtx(context.Background(), 1.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,20 +194,20 @@ func TestFrontierMatchesInMemory(t *testing.T) {
 
 func TestLeavesUnderAndClade(t *testing.T) {
 	_, tr := loadFigure1(t, 2)
-	lla, _ := tr.NodeByName("Lla")
-	spy, _ := tr.NodeByName("Spy")
-	yID, err := tr.LCA(lla.ID, spy.ID)
+	lla, _ := tr.NodeByNameCtx(context.Background(), "Lla")
+	spy, _ := tr.NodeByNameCtx(context.Background(), "Spy")
+	yID, err := tr.LCACtx(context.Background(), lla.ID, spy.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaves, err := tr.LeavesUnder(yID)
+	leaves, err := tr.LeavesUnderCtx(context.Background(), yID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(leaves) != 2 {
 		t.Fatalf("leaves under y = %d", len(leaves))
 	}
-	clade, err := tr.MinimalSpanningClade([]int{lla.ID, spy.ID})
+	clade, err := tr.MinimalSpanningCladeCtx(context.Background(), []int{lla.ID, spy.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +215,8 @@ func TestLeavesUnderAndClade(t *testing.T) {
 		t.Fatalf("clade size = %d, want 3", len(clade))
 	}
 	// Clade of Syn and Lla spans the whole tree.
-	syn, _ := tr.NodeByName("Syn")
-	clade, err = tr.MinimalSpanningClade([]int{syn.ID, lla.ID})
+	syn, _ := tr.NodeByNameCtx(context.Background(), "Syn")
+	clade, err = tr.MinimalSpanningCladeCtx(context.Background(), []int{syn.ID, lla.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestLeavesUnderAndClade(t *testing.T) {
 func TestStoredSampling(t *testing.T) {
 	_, tr := loadFigure1(t, 2)
 	r := rand.New(rand.NewSource(2))
-	got, err := tr.SampleUniform(3, r)
+	got, err := tr.SampleUniformCtx(context.Background(), 3, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +242,13 @@ func TestStoredSampling(t *testing.T) {
 		}
 		seen[n.ID] = true
 	}
-	if _, err := tr.SampleUniform(6, r); err == nil {
+	if _, err := tr.SampleUniformCtx(context.Background(), 6, r); err == nil {
 		t.Fatal("oversample accepted")
 	}
 	// Time-constrained: replicate the paper's walkthrough.
 	for seed := int64(0); seed < 20; seed++ {
 		rr := rand.New(rand.NewSource(seed))
-		got, err := tr.SampleWithTime(1, 4, rr)
+		got, err := tr.SampleWithTimeCtx(context.Background(), 1, 4, rr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func TestStoredSampling(t *testing.T) {
 			t.Fatalf("seed %d: neither Lla nor Spy sampled", seed)
 		}
 	}
-	if _, err := tr.SampleWithTime(100, 1, r); err == nil {
+	if _, err := tr.SampleWithTimeCtx(context.Background(), 100, 1, r); err == nil {
 		t.Fatal("empty frontier accepted")
 	}
 }
@@ -270,7 +271,7 @@ func TestStoredSampling(t *testing.T) {
 // TestStoredProjectionFigure2 reproduces Figure 2 against the store.
 func TestStoredProjectionFigure2(t *testing.T) {
 	_, tr := loadFigure1(t, 2)
-	got, err := tr.ProjectNames([]string{"Bha", "Lla", "Syn"})
+	got, err := tr.ProjectNamesCtx(context.Background(), []string{"Bha", "Lla", "Syn"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestStoredProjectionMatchesMemoryProperty(t *testing.T) {
 			ids[i] = n.ID
 			names[i] = n.Name
 		}
-		got, err := st.Project(ids)
+		got, err := st.ProjectCtx(context.Background(), ids)
 		if err != nil {
 			t.Logf("stored project: %v", err)
 			return false
@@ -358,12 +359,12 @@ func TestPersistAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, err := tr.NodeByName("Syn")
+	syn, err := tr.NodeByNameCtx(context.Background(), "Syn")
 	if err != nil || syn.Dist != 2.5 {
 		t.Fatalf("Syn after reopen = %+v, %v", syn, err)
 	}
-	lla, _ := tr.NodeByName("Lla")
-	l, err := tr.LCA(syn.ID, lla.ID)
+	lla, _ := tr.NodeByNameCtx(context.Background(), "Lla")
+	l, err := tr.LCACtx(context.Background(), syn.ID, lla.ID)
 	if err != nil || l != 0 {
 		t.Fatalf("LCA after reopen = %d, %v", l, err)
 	}
@@ -412,9 +413,17 @@ func TestDeepStoredTree(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a, b := r.Intn(gold.NumNodes()), r.Intn(gold.NumNodes())
 		want := ix.LCA(a, b)
-		got, err := st.LCA(a, b)
+		got, err := st.LCACtx(context.Background(), a, b)
 		if err != nil || got != want {
 			t.Fatalf("deep LCA(%d,%d) = %d,%v want %d", a, b, got, err, want)
 		}
+	}
+	// A live handle opened across a delete + reload of its name can hold
+	// fewer layer relations than the node rows it reads imply: that is an
+	// error, not an index panic.
+	stale := *st
+	stale.layers = nil
+	if _, err := stale.LCACtx(context.Background(), 0, gold.NumNodes()-1); !errors.Is(err, ErrNoNode) {
+		t.Fatalf("LCA on a handle missing its layers: err = %v, want ErrNoNode", err)
 	}
 }

@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -41,7 +42,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := st.LCA(r.Intn(nodes), r.Intn(nodes)); err != nil {
+			if _, err := st.LCACtx(context.Background(), r.Intn(nodes), r.Intn(nodes)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -53,7 +54,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := st.LCA(r.Intn(nodes), r.Intn(nodes)); err != nil {
+			if _, err := st.LCACtx(context.Background(), r.Intn(nodes), r.Intn(nodes)); err != nil {
 				b.Fatal(err)
 			}
 			sn.Close()
@@ -64,7 +65,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 		if err != nil {
 			return nil
 		}
-		rows, err := st.SampleUniform(20, rand.New(rand.NewSource(7)))
+		rows, err := st.SampleUniformCtx(context.Background(), 20, rand.New(rand.NewSource(7)))
 		if err != nil {
 			return nil
 		}
@@ -82,7 +83,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Project(ids); err != nil {
+			if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -96,7 +97,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := st.Project(ids); err != nil {
+			if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
 				b.Fatal(err)
 			}
 			sn.Close()

@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -70,7 +71,7 @@ func TestShardedRepositoryEndToEnd(t *testing.T) {
 		if st.Info().Leaves != leaves[name] {
 			t.Fatalf("%s has %d leaves, want %d", name, st.Info().Leaves, leaves[name])
 		}
-		if _, err := st.LCA(1, 2); err != nil {
+		if _, err := st.LCACtx(context.Background(), 1, 2); err != nil {
 			t.Fatalf("LCA on %s: %v", name, err)
 		}
 		data, err := repo.Species.Get(name, "s1", "seq:test")

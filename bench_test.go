@@ -135,7 +135,9 @@ func BenchmarkE5LabelSize(b *testing.B) {
 }
 
 // BenchmarkE5LCA measures per-query LCA latency on deep trees for the
-// three strategies: naive pointer walk, plain Dewey LCP, hierarchical.
+// three strategies: naive pointer walk, plain Dewey LCP, hierarchical — the
+// last both on the in-memory index and on the stored relations (a snapshot
+// handle on an in-memory repository, the path crimsond serves).
 func BenchmarkE5LCA(b *testing.B) {
 	for _, depth := range []int{1000, 10000, 100000} {
 		t := catTree(b, depth)
@@ -167,6 +169,27 @@ func BenchmarkE5LCA(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("stored-f=%d/depth=%d", core.DefaultFanout, depth), func(b *testing.B) {
+			s := treestore.OpenMem()
+			defer s.Close()
+			if _, err := s.Load("cat", t, core.DefaultFanout, nil); err != nil {
+				b.Fatal(err)
+			}
+			sn := s.Snapshot()
+			defer sn.Close()
+			st, err := sn.Tree("cat")
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				if _, err := st.LCACtx(ctx, p[0], p[1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

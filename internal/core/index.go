@@ -7,7 +7,9 @@
 // by f regardless of tree depth. A "source node" links each split-off
 // subtree to the node it was split from (the dotted edge from node 6 to
 // node 3 in Figure 4), and least-common-ancestor queries recurse up the
-// layer stack exactly as in the paper's Syn/Lla walkthrough.
+// layer stack exactly as in the paper's Syn/Lla walkthrough: at most 2f
+// parent steps and two source-node lookups per layer, so the cost depends
+// on f and the number of layers, never on the tree's depth.
 package core
 
 import (
@@ -172,54 +174,56 @@ func nextLayerTree(l *Layer) (parent []int32, ord []uint32, internal []bool) {
 
 // lcaLocal finds the LCA of two nodes known to share a subtree, by the
 // bounded parent climb (at most 2f steps — equivalent to the longest-
-// common-prefix computation on their local labels).
-func lcaLocal(l *Layer, a, b int32) int32 {
+// common-prefix computation on their local labels). ca and cb are the
+// children of a and b already known to lie on the two paths (-1 for none);
+// the results are the children of the LCA on each path: the last node
+// stepped from, or the incoming child where that side did not move.
+func lcaLocal(l *Layer, a, ca, b, cb int32) (lca, childA, childB int32) {
 	for l.LocalDepth[a] > l.LocalDepth[b] {
-		a = l.LocalParent[a]
+		a, ca = l.LocalParent[a], a
 	}
 	for l.LocalDepth[b] > l.LocalDepth[a] {
-		b = l.LocalParent[b]
+		b, cb = l.LocalParent[b], b
 	}
 	for a != b {
-		a = l.LocalParent[a]
-		b = l.LocalParent[b]
+		a, ca = l.LocalParent[a], a
+		b, cb = l.LocalParent[b], b
 	}
-	return a
-}
-
-// ascend climbs from node id to its ancestor-or-self lying in subtree s,
-// hopping across subtree boundaries via source nodes (paper: "Ancestors
-// are found using source nodes").
-func ascend(l *Layer, id, s int32) int32 {
-	for l.Sub[id] != s {
-		id = l.SubSource[l.Sub[id]]
-	}
-	return id
+	return a, ca, cb
 }
 
 // LCA returns the preorder ID of the least common ancestor of nodes a and
 // b (preorder IDs). It implements the paper's recursive procedure: same
 // subtree → local label LCP; different subtrees → recurse one layer up on
-// the subtree representatives, then ascend both nodes into the subtree the
-// upper-layer LCA represents.
+// the subtree representatives, then enter the subtree the upper-layer LCA
+// represents through the source nodes of its two child subtrees
+// ("Ancestors are found using source nodes") and finish locally. Each
+// layer costs at most 2f steps whatever the tree's depth.
 func (ix *Index) LCA(a, b int) int {
-	x, y := int32(a), int32(b)
-	k := 0
-	// Descend bookkeeping: the recursion in the paper maps subtrees to
-	// upper-layer nodes whose ids coincide with subtree ids, so the
-	// recursion is a simple loop up the layer stack and back down once.
-	return int(ix.lcaAt(k, x, y))
+	l, _, _ := ix.lcaAt(0, int32(a), int32(b))
+	return int(l)
 }
 
-func (ix *Index) lcaAt(k int, a, b int32) int32 {
+// lcaAt returns the LCA of a and b in layer k's tree together with the
+// child of that LCA on each side's path (-1 when the side is the LCA
+// itself). The children are what spares the layer below a walk up its
+// source chain: subtree ids are the next layer's node ids, so the child
+// subtree on a side names the one source node through which that side
+// enters the LCA's subtree.
+func (ix *Index) lcaAt(k int, a, b int32) (lca, childA, childB int32) {
 	l := ix.Layers[k]
 	if l.Sub[a] == l.Sub[b] {
-		return lcaLocal(l, a, b)
+		return lcaLocal(l, a, -1, b, -1)
 	}
-	// Representatives of the two subtrees are nodes of layer k+1 with the
-	// same ids as the subtrees.
-	s := ix.lcaAt(k+1, l.Sub[a], l.Sub[b]) // subtree id in layer k
-	return lcaLocal(l, ascend(l, a, s), ascend(l, b, s))
+	_, sa, sb := ix.lcaAt(k+1, l.Sub[a], l.Sub[b])
+	ca, cb := int32(-1), int32(-1)
+	if sa >= 0 {
+		a, ca = l.SubSource[sa], l.SubRoot[sa]
+	}
+	if sb >= 0 {
+		b, cb = l.SubSource[sb], l.SubRoot[sb]
+	}
+	return lcaLocal(l, a, ca, b, cb)
 }
 
 // LCANodes is LCA on *phylo.Node values.

@@ -246,26 +246,76 @@ func (v *TableView) RowsRange(ctx context.Context, lo, hi Value) iter.Seq2[Row, 
 	}
 }
 
-// indexRowScan resolves each index entry the underlying scan yields to its
-// primary row and hands it to fn. The per-request counter set is resolved
-// from ctx once, at closure construction, so the per-entry point reads
-// attribute to the request without a per-row context lookup.
-func (v *TableView) indexRowScan(ctx context.Context, index string, fn func(Row) (bool, error)) func(key, pk []byte) (bool, error) {
+// indexBatchMax caps how many index entries are resolved by one batched
+// primary read: enough that a long range shares one descent per primary
+// leaf, small enough that the rows buffered ahead of the callback stay in
+// the tens of kilobytes.
+const indexBatchMax = 1024
+
+// indexRowScan streams the index entries from start for as long as within
+// accepts their keys, resolves them to primary rows and hands those to fn
+// in index order. Entries are resolved in batches through the primary
+// tree's batched point read, which shares one descent among the keys of a
+// batch that land in one primary leaf. Batches start at one entry and
+// double up to indexBatchMax, so a lookup that stops at its first match
+// costs one index descent and one primary descent, and a scan that stops
+// after n rows has resolved fewer than 2n. The per-request counter set is
+// resolved from ctx once, not per entry.
+func (v *TableView) indexRowScan(ctx context.Context, index string, tree *storage.BTree, start []byte, within func(key []byte) bool, fn func(Row) (bool, error)) error {
 	ctr := obs.CountersFrom(ctx)
-	return func(_, pk []byte) (bool, error) {
-		enc, ok, err := v.primary.GetC(pk, ctr)
+	var pks [][]byte
+	limit := 1
+	// flush resolves the collected entries and delivers their rows; it
+	// reports whether fn wants more.
+	flush := func() (bool, error) {
+		vals, found, err := v.primary.GetBatchC(ctx, pks, ctr)
 		if err != nil {
 			return false, err
 		}
-		if !ok {
-			return false, fmt.Errorf("relstore: index %s.%s points at missing row", v.schema.Name, index)
+		for i, enc := range vals {
+			if !found[i] {
+				return false, fmt.Errorf("relstore: index %s.%s points at missing row", v.schema.Name, index)
+			}
+			row, err := decodeRow(enc)
+			if err != nil {
+				return false, err
+			}
+			if cont, err := fn(row); err != nil || !cont {
+				return false, err
+			}
 		}
-		row, err := decodeRow(enc)
-		if err != nil {
-			return false, err
+		pks = pks[:0]
+		if limit < indexBatchMax {
+			limit *= 2
 		}
-		return fn(row)
+		return true, nil
 	}
+	stopped := false
+	err := tree.Scan(ctx, start, func(key, pk []byte) (bool, error) {
+		if !within(key) {
+			return false, nil
+		}
+		// Scan does not promise that pk outlives the callback.
+		pks = append(pks, append([]byte(nil), pk...))
+		if len(pks) < limit {
+			return true, nil
+		}
+		cont, err := flush()
+		stopped = !cont
+		return cont, err
+	})
+	if err != nil || stopped || len(pks) == 0 {
+		return err
+	}
+	if _, err := flush(); err != nil {
+		// As in BTree.Scan: once the context is done, a failure is the
+		// cancellation, not whatever a reclaimed page decoded to.
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		return err
+	}
+	return nil
 }
 
 // IndexScanCtx visits rows whose indexed columns equal vals (a prefix of
@@ -279,13 +329,9 @@ func (v *TableView) IndexScanCtx(ctx context.Context, index string, vals []Value
 	if err != nil {
 		return err
 	}
-	resolve := v.indexRowScan(ctx, index, fn)
-	return tree.Scan(ctx, prefix, func(key, pk []byte) (bool, error) {
-		if !bytes.HasPrefix(key, prefix) {
-			return false, nil
-		}
-		return resolve(key, pk)
-	})
+	return v.indexRowScan(ctx, index, tree, prefix, func(key []byte) bool {
+		return bytes.HasPrefix(key, prefix)
+	}, fn)
 }
 
 // IndexScan visits rows whose indexed columns equal vals (a prefix of the
@@ -314,13 +360,9 @@ func (v *TableView) IndexRangeCtx(ctx context.Context, index string, lo, hi Valu
 			return err
 		}
 	}
-	resolve := v.indexRowScan(ctx, index, fn)
-	return tree.Scan(ctx, start, func(key, pk []byte) (bool, error) {
-		if hiKey != nil && bytes.Compare(key, hiKey) >= 0 {
-			return false, nil
-		}
-		return resolve(key, pk)
-	})
+	return v.indexRowScan(ctx, index, tree, start, func(key []byte) bool {
+		return hiKey == nil || bytes.Compare(key, hiKey) < 0
+	}, fn)
 }
 
 // IndexRange visits rows whose first indexed column lies in [lo, hi); either

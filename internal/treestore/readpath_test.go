@@ -2,10 +2,14 @@ package treestore
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/newick"
 	"repro/internal/obs"
 	"repro/internal/phylo"
 	"repro/internal/treegen"
@@ -30,9 +34,10 @@ func total(root *obs.Span, name string) int64 {
 // under fixed ceilings of B+tree descents and decoded cells. There is one
 // query path, so descents are the same with the decoded-node cache off and
 // on; the cache only spares the re-decoding of interior nodes. The counts
-// are deterministic — 273 descents, 18 966 cells with the cache, 61 266
+// are deterministic — 226 descents, 16 165 cells with the cache, 50 201
 // without — and the ceilings sit ~10% over them; the per-row path this
-// replaced took 1 145 descents and 225 139 cells.
+// replaced took 1 145 descents and 225 139 cells, and the recursion that
+// still walked source chains 273 descents and 18 966 / 61 266 cells.
 func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-leaf tree load")
@@ -88,9 +93,9 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	}
 	t.Logf("descents off=%d on=%d; cells off=%d on=%d", offDescents, onDescents, offCells, onCells)
 	const (
-		maxDescents = 300
-		maxCellsOn  = 21000
-		maxCellsOff = 67000
+		maxDescents = 250
+		maxCellsOn  = 18000
+		maxCellsOff = 55000
 	)
 	if onDescents != offDescents {
 		t.Fatalf("btree_descents: off=%d on=%d, want equal (one query path)", offDescents, onDescents)
@@ -110,15 +115,38 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 // cache configuration — disabled, too small to admit anything, small
 // enough to evict constantly, and comfortably large — and requires
 // identical answers from all of them, reached through the identical number
-// of B+tree descents: the cache size selects no query code.
+// of B+tree descents: the cache size selects no query code. It runs on a
+// shallow Yule tree and on a deep caterpillar (four layers at f=16), and
+// pins a digest of the Project / MinimalSpanningClade / SampleWithTime / LCA
+// answers recorded at commit 0874a91, before the LCA recursion stopped
+// walking source chains and the frontier stopped reading parents: those
+// changes remove reads, never a byte of any answer.
 func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
-	gold, err := treegen.Yule(2000, 1.0, rand.New(rand.NewSource(21)))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		gen    func() (*phylo.Tree, error)
+		f      int
+		digest string
+	}{
+		{"yule", func() (*phylo.Tree, error) { return treegen.Yule(2000, 1.0, rand.New(rand.NewSource(21))) }, 4,
+			"a8d747db9eec3f2b64b3f83377ca6bf8f65c9166e4e895465e5e116613b37e91"},
+		{"caterpillar", func() (*phylo.Tree, error) { return treegen.Caterpillar(5000, rand.New(rand.NewSource(23))) }, 16,
+			"08f6ff36375b08ad1b0c486f991a1abfe04d0c8b21891a57ac10799aca3cd1e6"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gold, err := tc.gen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			queriesByteIdentical(t, gold, tc.f, tc.digest)
+		})
 	}
+}
+
+func queriesByteIdentical(t *testing.T, gold *phylo.Tree, f int, digest string) {
 	s := OpenMem()
 	defer s.Close()
-	if _, err := s.Load("t", gold, 4, nil); err != nil {
+	if _, err := s.Load("t", gold, f, nil); err != nil {
 		t.Fatal(err)
 	}
 	base, err := s.Tree("t")
@@ -131,14 +159,17 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := make([]int, len(sel))
+	height := 0.0
 	for i, n := range sel {
 		ids[i] = n.ID
+		height = max(height, n.Dist)
 	}
 
 	type answers struct {
 		project  *phylo.Tree
 		export   *phylo.Tree
 		clade    []Node
+		sample   []Node
 		lcas     []int
 		descents int64
 	}
@@ -152,6 +183,9 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 			return a, err
 		}
 		if a.clade, err = tr.MinimalSpanningCladeCtx(ctx, ids); err != nil {
+			return a, err
+		}
+		if a.sample, err = tr.SampleWithTimeCtx(ctx, height/2, 10, rand.New(rand.NewSource(24))); err != nil {
 			return a, err
 		}
 		for i := 0; i+1 < len(ids); i += 2 {
@@ -171,6 +205,23 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 	if want.descents == 0 {
 		t.Fatal("reference run counted no descents")
 	}
+	h := sha256.New()
+	fmt.Fprintln(h, newick.String(want.project))
+	fmt.Fprintln(h, want.clade, want.sample, want.lcas)
+	if got := hex.EncodeToString(h.Sum(nil)); got != digest {
+		t.Fatalf("answers digest %s, want %s (recorded at commit 0874a91)", got, digest)
+	}
+	sameNodes := func(what string, got, want []Node) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s size %d != %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s[%d] differs", what, i)
+			}
+		}
+	}
 	for _, bytes := range []int64{64 << 10, 256 << 10, 64 << 20} {
 		t.Run(fmt.Sprintf("cache=%d", bytes), func(t *testing.T) {
 			s.dbs[0].Store().SetReadCacheBytes(bytes)
@@ -189,14 +240,8 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 				if !phylo.Equal(got.export, want.export, 0) {
 					t.Fatalf("pass %d: export differs", pass)
 				}
-				if len(got.clade) != len(want.clade) {
-					t.Fatalf("pass %d: clade size %d != %d", pass, len(got.clade), len(want.clade))
-				}
-				for i := range got.clade {
-					if got.clade[i] != want.clade[i] {
-						t.Fatalf("pass %d: clade[%d] differs", pass, i)
-					}
-				}
+				sameNodes(fmt.Sprintf("pass %d: clade", pass), got.clade, want.clade)
+				sameNodes(fmt.Sprintf("pass %d: sample", pass), got.sample, want.sample)
 				for i := range got.lcas {
 					if got.lcas[i] != want.lcas[i] {
 						t.Fatalf("pass %d: lca[%d] = %d != %d", pass, i, got.lcas[i], want.lcas[i])
@@ -244,5 +289,186 @@ func TestChildrenCtxOrdinalOrder(t *testing.T) {
 	}
 	if total != gold.NumNodes()-1 {
 		t.Fatalf("children total %d, want %d", total, gold.NumNodes()-1)
+	}
+}
+
+// loadTree loads gold into a fresh in-memory repository at depth bound f.
+func loadTree(t *testing.T, gold *phylo.Tree, f int) *Tree {
+	t.Helper()
+	s := OpenMem()
+	t.Cleanup(func() { s.Close() })
+	st, err := s.Load("t", gold, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// checkLCA compares both engines with the naive parent walk, which shares
+// no code with either.
+func checkLCA(t *testing.T, gold *phylo.Tree, ix *core.Index, st *Tree, a, b int) {
+	t.Helper()
+	nodes := gold.Nodes()
+	want := phylo.LCA(nodes[a], nodes[b]).ID
+	if got := ix.LCA(a, b); got != want {
+		t.Fatalf("core LCA(%d,%d) = %d, want %d", a, b, got, want)
+	}
+	if got, err := st.LCACtx(context.Background(), a, b); err != nil || got != want {
+		t.Fatalf("stored LCA(%d,%d) = %d, %v, want %d", a, b, got, err, want)
+	}
+}
+
+// TestLCADifferentialNaive checks core.Index.LCA and the stored LCACtx
+// against phylo.LCA on every ordered pair of small trees of four shapes at
+// depth bounds that put subtree roots and source nodes everywhere (f=1
+// makes every interior node a subtree root) — so a == b, ancestor and
+// descendant pairs, the root, and pairs whose LCA is a subtree root or a
+// source node are all covered — and on seeded pairs of the depth-20k
+// caterpillar, where each side enters the LCA's subtree from hundreds of
+// subtrees away.
+func TestLCADifferentialNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for _, shape := range []struct {
+		name string
+		gen  func() (*phylo.Tree, error)
+	}{
+		{"caterpillar", func() (*phylo.Tree, error) { return treegen.Caterpillar(30, r) }},
+		{"balanced", func() (*phylo.Tree, error) { return treegen.Balanced(5, r) }},
+		{"yule", func() (*phylo.Tree, error) { return treegen.Yule(32, 1.0, r) }},
+		{"birth-death", func() (*phylo.Tree, error) { return treegen.BirthDeath(24, 1.0, 0.4, true, r) }},
+	} {
+		name := shape.name
+		gold, err := shape.gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := gold.NumNodes()
+		if n > 200 {
+			t.Fatalf("%s: %d nodes, the all-pairs trees are meant to stay <= 200", name, n)
+		}
+		for _, f := range []int{1, 2, 3, 16} {
+			t.Run(fmt.Sprintf("%s/f=%d", name, f), func(t *testing.T) {
+				ix, err := core.Build(gold, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := loadTree(t, gold, f)
+				for a := 0; a < n; a++ {
+					for b := 0; b < n; b++ {
+						checkLCA(t, gold, ix, st, a, b)
+					}
+				}
+			})
+		}
+	}
+	t.Run("caterpillar/depth=20000", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("40k-node tree load")
+		}
+		gold, err := treegen.Caterpillar(20000, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := core.Build(gold, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := loadTree(t, gold, 16)
+		for i := 0; i < 2000; i++ {
+			checkLCA(t, gold, ix, st, r.Intn(gold.NumNodes()), r.Intn(gold.NumNodes()))
+		}
+	})
+}
+
+// TestDeepLCADescentCeiling pins the paper's cost claim on the stored
+// engine with deterministic counters: on caterpillars at f=16, no pair may
+// cost more B+tree descents than layers x (2f local cells + the 2 query
+// cells + the 2 entered source cells + 2 subs rows) — a source-chain walk
+// would cost depth/f — and the mean over 500 pairs may grow from depth 2k
+// (3 layers) to depth 20k (4 layers) by no more than the layer-count ratio.
+func TestDeepLCADescentCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40k-node tree load")
+	}
+	const f = 16
+	mean := map[int]float64{}
+	layers := map[int]int{}
+	for _, depth := range []int{2000, 20000} {
+		gold, err := treegen.Caterpillar(depth, rand.New(rand.NewSource(51)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := loadTree(t, gold, f)
+		layers[depth] = st.Info().Layers
+		ceiling := int64(layers[depth] * (2*f + 6))
+		r := rand.New(rand.NewSource(52))
+		sum, worst := int64(0), int64(0)
+		for i := 0; i < 500; i++ {
+			a, b := r.Intn(gold.NumNodes()), r.Intn(gold.NumNodes())
+			ctx, span := counterCtx()
+			if _, err := st.LCACtx(ctx, a, b); err != nil {
+				t.Fatal(err)
+			}
+			d := total(span, "btree_descents")
+			if d > ceiling {
+				t.Fatalf("depth %d: LCA(%d,%d) took %d descents, ceiling %d = %d layers x (2f+6)", depth, a, b, d, ceiling, layers[depth])
+			}
+			sum += d
+			worst = max(worst, d)
+		}
+		mean[depth] = float64(sum) / 500
+		t.Logf("depth %d: %d layers, mean %.1f descents, worst %d, ceiling %d", depth, layers[depth], mean[depth], worst, ceiling)
+	}
+	if layers[2000] != 3 || layers[20000] != 4 {
+		t.Fatalf("layers = %v, want 3 at depth 2k and 4 at depth 20k", layers)
+	}
+	if limit := mean[2000] * float64(layers[20000]) / float64(layers[2000]); mean[20000] > limit {
+		t.Fatalf("mean descents grew %.1f -> %.1f from depth 2k to 20k, more than the layer ratio allows (%.1f)", mean[2000], mean[20000], limit)
+	}
+}
+
+// TestSampleWithTimeDescents pins the frontier's cost: a k=50 sample beyond
+// a time that about 2 000 nodes of the depth-20k caterpillar exceed must
+// take fewer descents than a tenth of that candidate count — the by_dist
+// entries resolve in shared batches, no candidate's parent is read, and
+// each frontier clade is one range scan.
+func TestSampleWithTimeDescents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40k-node tree load")
+	}
+	gold, err := treegen.Caterpillar(20000, rand.New(rand.NewSource(53)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := loadTree(t, gold, 16)
+	ctx := context.Background()
+	last, err := st.NodeCtx(ctx, gold.NumNodes()-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time := 0.95 * last.Dist
+	candidates := 0
+	for id := 0; id < gold.NumNodes(); id++ {
+		if n, err := st.NodeCtx(ctx, id); err != nil {
+			t.Fatal(err)
+		} else if n.Dist > time {
+			candidates++
+		}
+	}
+	if candidates < 1500 || candidates > 2500 {
+		t.Fatalf("%d nodes beyond time, the fixture is meant to have about 2000", candidates)
+	}
+	sctx, span := counterCtx()
+	got, err := st.SampleWithTimeCtx(sctx, time, 50, rand.New(rand.NewSource(54)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 50 {
+		t.Fatalf("sampled %d leaves, want 50", len(got))
+	}
+	d := total(span, "btree_descents")
+	t.Logf("%d candidates, %d descents", candidates, d)
+	if d == 0 || d >= int64(candidates/10) {
+		t.Fatalf("SampleWithTime took %d descents over %d candidates, want 1..%d", d, candidates, candidates/10-1)
 	}
 }

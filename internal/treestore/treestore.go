@@ -822,8 +822,13 @@ const cellMemoMax = 1 << 14
 // cellMemoKey addresses one memoized cell: layer and node id.
 type cellMemoKey struct{ k, id int }
 
+// subLink is one row of a subs relation: the subtree's root node and the
+// source node it was split off from (-1 for the subtree holding the layer
+// root).
+type subLink struct{ root, source int }
+
 // cellMemo memoizes the point reads of the layered LCA recursion within
-// one request: layer cells by (layer, id), subtree sources by (layer,
+// one request: layer cells by (layer, id), subtree links by (layer,
 // subtree), and full layer-0 node rows by id. Project and
 // MinimalSpanningClade run the recursion over many pairs whose ancestor
 // chains overlap heavily; the memo collapses those repeat chain walks into
@@ -831,14 +836,14 @@ type cellMemoKey struct{ k, id int }
 // requests — and used from a single goroutine, so it needs no locking.
 type cellMemo struct {
 	m    map[cellMemoKey]layerCell
-	subs map[cellMemoKey]int // (layer, subtree) -> source node id
-	rows map[int]Node        // layer-0 node rows
+	subs map[cellMemoKey]subLink // (layer, subtree) -> root and source
+	rows map[int]Node            // layer-0 node rows
 }
 
 func newCellMemo() *cellMemo {
 	return &cellMemo{
 		m:    make(map[cellMemoKey]layerCell),
-		subs: make(map[cellMemoKey]int),
+		subs: make(map[cellMemoKey]subLink),
 		rows: make(map[int]Node),
 	}
 }
@@ -855,16 +860,16 @@ func (m *cellMemo) put(k, id int, c layerCell) {
 	m.m[cellMemoKey{k: k, id: id}] = c
 }
 
-func (m *cellMemo) getSub(k, s int) (int, bool) {
-	src, ok := m.subs[cellMemoKey{k: k, id: s}]
-	return src, ok
+func (m *cellMemo) getSub(k, s int) (subLink, bool) {
+	l, ok := m.subs[cellMemoKey{k: k, id: s}]
+	return l, ok
 }
 
-func (m *cellMemo) putSub(k, s, src int) {
+func (m *cellMemo) putSub(k, s int, l subLink) {
 	if len(m.subs) >= cellMemoMax {
 		return
 	}
-	m.subs[cellMemoKey{k: k, id: s}] = src
+	m.subs[cellMemoKey{k: k, id: s}] = l
 }
 
 func (m *cellMemo) getRow(id int) (Node, bool) {
@@ -882,13 +887,13 @@ func (m *cellMemo) putRow(n Node) {
 }
 
 // cell fetches the LCA recursion fields of node id at layer k, checking
-// ctx first: the layered recursion's loops are chains of point reads, so
-// this check is what makes a long LCA (and everything built on it —
-// Project, pattern match, clade) abort promptly on cancellation. The memo
-// is consulted before the store and learns every fetch: layer 0 is one
-// point read of the wide node row, a higher layer one descent that harvests
-// the whole leaf of the narrow layer relation, so chain walks through that
-// region of the layer become map hits.
+// ctx first: the recursion's local climbs are chains of point reads (at
+// most 2f per layer), so this check is what makes an LCA (and everything
+// built on it — Project, pattern match, clade) abort promptly on
+// cancellation. The memo is consulted before the store and learns every
+// fetch: layer 0 is one point read of the wide node row, a higher layer one
+// descent that harvests the whole leaf of the narrow layer relation, so a
+// local climb through that region of the layer becomes map hits.
 func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, error) {
 	if err := ctx.Err(); err != nil {
 		return layerCell{}, err
@@ -955,109 +960,130 @@ func (t *Tree) nodeRow(ctx context.Context, memo *cellMemo, id int) (Node, error
 	return n, nil
 }
 
-// subSource returns the source node of subtree s at layer k (-1 if none),
-// consulting the request memo first: ascend walks the same subtree chains
-// for every pair rooted in the same region, and one descent harvests the
-// whole leaf of the subtree relation.
-func (t *Tree) subSource(ctx context.Context, memo *cellMemo, k, s int) (int, error) {
-	if src, ok := memo.getSub(k, s); ok {
-		return src, nil
+// subLink returns the root and source node of subtree s at layer k,
+// consulting the request memo first. The recursion reads at most two of
+// these per layer — the two child subtrees through which the sides enter
+// the LCA's subtree — and one descent harvests the whole leaf of the narrow
+// subs relation for the pairs that follow in the same request.
+func (t *Tree) subLink(ctx context.Context, memo *cellMemo, k, s int) (subLink, error) {
+	if l, ok := memo.getSub(k, s); ok {
+		return l, nil
 	}
 	rows, err := t.subs[k].GetLeafCtx(ctx, relstore.Int(int64(s)))
 	if err != nil {
-		return 0, err
+		if cerr := ctx.Err(); cerr != nil { // as in cell
+			return subLink{}, cerr
+		}
+		return subLink{}, err
 	}
 	hit := false
-	src := 0
+	var link subLink
 	for _, row := range rows {
 		sid := int(row[0].Int64())
-		v := int(row[2].Int64())
-		memo.putSub(k, sid, v)
+		l := subLink{root: int(row[1].Int64()), source: int(row[2].Int64())}
+		memo.putSub(k, sid, l)
 		if sid == s {
-			src, hit = v, true
+			link, hit = l, true
 		}
 	}
 	if !hit {
-		return 0, fmt.Errorf("%w: layer %d subtree %d", ErrNoNode, k, s)
+		return subLink{}, fmt.Errorf("%w: layer %d subtree %d", ErrNoNode, k, s)
 	}
-	return src, nil
+	return link, nil
 }
 
 // LCACtx answers least-common-ancestor queries directly against the stored
 // relations under ctx, using the same layered recursion as core.Index but
-// fetching only the rows the query touches.
+// fetching only the rows the query touches: per layer at most 2f cells and
+// two subs rows, whatever the tree's depth.
 func (t *Tree) LCACtx(ctx context.Context, a, b int) (int, error) {
-	return t.lcaAt(ctx, newCellMemo(), 0, a, b)
+	return t.lca(ctx, newCellMemo(), a, b)
 }
 
-func (t *Tree) lcaAt(ctx context.Context, memo *cellMemo, k, a, b int) (int, error) {
+// lca is the layer-0 LCA of a and b through the request memo.
+func (t *Tree) lca(ctx context.Context, memo *cellMemo, a, b int) (int, error) {
+	l, _, _, err := t.lcaAt(ctx, memo, 0, a, b)
+	return l, err
+}
+
+// lcaAt returns the LCA of a and b in layer k's tree and the child of that
+// LCA on each side's path (-1 when the side is the LCA itself). Subtree ids
+// of layer k are node ids of layer k+1, so the child subtree the upper
+// layer reports for a side names the one subs row through which that side
+// enters the LCA's subtree: its source is the side's ancestor there and its
+// root the child on the path. No source chain is walked.
+func (t *Tree) lcaAt(ctx context.Context, memo *cellMemo, k, a, b int) (lca, childA, childB int, err error) {
 	ca, err := t.cell(ctx, memo, k, a)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
 	cb, err := t.cell(ctx, memo, k, b)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
-	if ca.sub == cb.sub {
-		return t.lcaLocal(ctx, memo, k, a, ca, b, cb)
+	pa, pb := -1, -1
+	if ca.sub != cb.sub {
+		_, sa, sb, err := t.lcaAt(ctx, memo, k+1, ca.sub, cb.sub)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if sa >= 0 {
+			if a, pa, ca, err = t.enter(ctx, memo, k, sa); err != nil {
+				return 0, 0, 0, err
+			}
+		}
+		if sb >= 0 {
+			if b, pb, cb, err = t.enter(ctx, memo, k, sb); err != nil {
+				return 0, 0, 0, err
+			}
+		}
 	}
-	s, err := t.lcaAt(ctx, memo, k+1, ca.sub, cb.sub)
-	if err != nil {
-		return 0, err
-	}
-	ap, capCell, err := t.ascend(ctx, memo, k, a, ca, s)
-	if err != nil {
-		return 0, err
-	}
-	bp, cbpCell, err := t.ascend(ctx, memo, k, b, cb, s)
-	if err != nil {
-		return 0, err
-	}
-	return t.lcaLocal(ctx, memo, k, ap, capCell, bp, cbpCell)
+	return t.lcaLocal(ctx, memo, k, a, pa, ca, b, pb, cb)
 }
 
-func (t *Tree) lcaLocal(ctx context.Context, memo *cellMemo, k, a int, ca layerCell, b int, cb layerCell) (int, error) {
+// enter steps from subtree s of layer k into its parent subtree: the source
+// node of s, the child of that node on the way (the root of s), and the
+// source's cell.
+func (t *Tree) enter(ctx context.Context, memo *cellMemo, k, s int) (id, child int, c layerCell, err error) {
+	link, err := t.subLink(ctx, memo, k, s)
+	if err != nil {
+		return 0, 0, layerCell{}, err
+	}
+	c, err = t.cell(ctx, memo, k, link.source)
+	return link.source, link.root, c, err
+}
+
+// lcaLocal is the bounded parent climb of two nodes sharing a subtree. pa
+// and pb are the children of a and b already known to lie on the paths (-1
+// for none); it returns the LCA and the child of it on each path. On a
+// handle torn by a delete + reload of its name the two nodes may not share
+// a subtree: the climb then runs off a subtree root (lparent -1, a row no
+// relation holds) and ends in ErrNoNode after at most 2f steps.
+func (t *Tree) lcaLocal(ctx context.Context, memo *cellMemo, k, a, pa int, ca layerCell, b, pb int, cb layerCell) (int, int, int, error) {
+	var err error
 	for ca.ldepth > cb.ldepth {
-		a = ca.lparent
-		var err error
+		a, pa = ca.lparent, a
 		if ca, err = t.cell(ctx, memo, k, a); err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
 	}
 	for cb.ldepth > ca.ldepth {
-		b = cb.lparent
-		var err error
+		b, pb = cb.lparent, b
 		if cb, err = t.cell(ctx, memo, k, b); err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
 	}
 	for a != b {
-		var err error
-		a = ca.lparent
+		a, pa = ca.lparent, a
 		if ca, err = t.cell(ctx, memo, k, a); err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
-		b = cb.lparent
+		b, pb = cb.lparent, b
 		if cb, err = t.cell(ctx, memo, k, b); err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
 	}
-	return a, nil
-}
-
-func (t *Tree) ascend(ctx context.Context, memo *cellMemo, k, id int, c layerCell, s int) (int, layerCell, error) {
-	for c.sub != s {
-		src, err := t.subSource(ctx, memo, k, c.sub)
-		if err != nil {
-			return 0, layerCell{}, err
-		}
-		id = src
-		if c, err = t.cell(ctx, memo, k, id); err != nil {
-			return 0, layerCell{}, err
-		}
-	}
-	return id, c, nil
+	return a, pa, pb, nil
 }
 
 // IsAncestorCtx reports whether a is a (non-strict) ancestor of b via the
@@ -1068,10 +1094,9 @@ func (t *Tree) IsAncestorCtx(ctx context.Context, a, b int) (bool, error) {
 }
 
 // FrontierCtx returns the maximal nodes whose root distance exceeds time
-// under ctx, found with a range scan on the by_dist index plus one parent
-// fetch per candidate — no full-tree traversal. Candidates are collected
-// during the scan and their parents fetched afterwards: scan callbacks run
-// under the database read lock and must not issue further queries.
+// under ctx, found with one range scan on the by_dist index — no full-tree
+// traversal and no further reads: the scan yields every node beyond time,
+// so a candidate is maximal exactly when its parent is not a candidate.
 func (t *Tree) FrontierCtx(ctx context.Context, time float64) ([]Node, error) {
 	var cand []Node
 	err := t.nodes.IndexRangeCtx(ctx, "by_dist", relstore.Float(time), relstore.Value{}, func(row relstore.Row) (bool, error) {
@@ -1083,20 +1108,13 @@ func (t *Tree) FrontierCtx(ctx context.Context, time float64) ([]Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	beyond := make(map[int]struct{}, len(cand))
+	for _, n := range cand {
+		beyond[n.ID] = struct{}{}
+	}
 	var out []Node
 	for _, n := range cand {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if n.Parent < 0 {
-			out = append(out, n)
-			continue
-		}
-		p, err := t.Node(n.Parent)
-		if err != nil {
-			return nil, err
-		}
-		if p.Dist <= time {
+		if _, ok := beyond[n.Parent]; !ok {
 			out = append(out, n)
 		}
 	}
@@ -1108,12 +1126,21 @@ func (t *Tree) FrontierCtx(ctx context.Context, time float64) ([]Node, error) {
 // using the preorder-range property (descendants occupy ids
 // [id, id+size)).
 func (t *Tree) LeavesUnderCtx(ctx context.Context, id int) ([]Node, error) {
-	n, err := t.Node(id)
+	n, err := t.NodeCtx(ctx, id)
 	if err != nil {
 		return nil, err
 	}
+	return t.leavesUnder(ctx, n)
+}
+
+// leavesUnder is LeavesUnderCtx for a caller that already holds the clade
+// root's row: a leaf is its own clade, an interior node one range scan.
+func (t *Tree) leavesUnder(ctx context.Context, n Node) ([]Node, error) {
+	if n.Leaf {
+		return []Node{n}, nil
+	}
 	var out []Node
-	err = t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(id)), relstore.Int(int64(id+n.Size)), func(row relstore.Row) (bool, error) {
+	err := t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(n.ID)), relstore.Int(int64(n.ID+n.Size)), func(row relstore.Row) (bool, error) {
 		c := decodeNode(row)
 		if c.Leaf {
 			out = append(out, c)
@@ -1136,7 +1163,7 @@ func (t *Tree) MinimalSpanningCladeCtx(ctx context.Context, ids []int) ([]Node, 
 	}
 	l := ids[0]
 	for _, id := range ids[1:] {
-		if l, err = t.lcaAt(ctx, memo, 0, l, id); err != nil {
+		if l, err = t.lca(ctx, memo, l, id); err != nil {
 			return nil, err
 		}
 	}
@@ -1219,7 +1246,7 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 	groups := make([][]Node, len(frontier))
 	total := 0
 	for i, fn := range frontier {
-		if groups[i], err = t.LeavesUnderCtx(leavesCtx, fn.ID); err != nil {
+		if groups[i], err = t.leavesUnder(leavesCtx, fn); err != nil {
 			leavesSpan.End()
 			return nil, err
 		}
@@ -1335,7 +1362,7 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	stack := []*entry{{row: rows[0], nw: &phylo.Node{Name: rows[0].Name}}}
 	for _, x := range rows[1:] {
 		top := stack[len(stack)-1]
-		lid, err := t.lcaAt(lcaCtx, memo, 0, top.row.ID, x.ID)
+		lid, err := t.lca(lcaCtx, memo, top.row.ID, x.ID)
 		if err != nil {
 			return nil, err
 		}

@@ -426,4 +426,27 @@ func TestDeepStoredTree(t *testing.T) {
 	if _, err := stale.LCACtx(context.Background(), 0, gold.NumNodes()-1); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("LCA on a handle missing its layers: err = %v, want ErrNoNode", err)
 	}
+	// The same tear can pair one version's node and layer rows with another
+	// version's subs rows, so the source a side enters through need not lie
+	// in the subtree the upper layer named: each query must then fail with
+	// ErrNoNode (or happen to succeed), never spin or index out of range.
+	other, err := s.Load("other", gold, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := *st
+	torn.subs = other.subs[:len(st.subs)]
+	failed := 0
+	for i := 0; i < 200; i++ {
+		_, err := torn.LCACtx(context.Background(), r.Intn(gold.NumNodes()), r.Intn(gold.NumNodes()))
+		if err != nil && !errors.Is(err, ErrNoNode) {
+			t.Fatalf("LCA on a handle with another version's subs: err = %v, want ErrNoNode", err)
+		}
+		if err != nil {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no LCA on the torn handle failed; the fixture no longer tears anything")
+	}
 }

@@ -539,6 +539,7 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 		}
 	})
 	b.Run("LCA", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
 			if _, err := st.LCACtx(context.Background(), p[0], p[1]); err != nil {
@@ -555,6 +556,7 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 		for i, row := range rows {
 			ids[i] = row.ID
 		}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
@@ -637,6 +639,66 @@ func BenchmarkE13BTree(b *testing.B) {
 			s.Close()
 		}
 		b.ReportMetric(float64(len(sorted)*b.N)/b.Elapsed().Seconds(), "keys/s")
+	})
+}
+
+// BenchmarkBTreeGet shows the cost of the B+tree's three read shapes on a
+// warm tree — 100k bulk-loaded keys, buffer pool and decoded-node cache both
+// holding everything — with allocations reported: a point read, a sorted
+// batch of 64, and the visit of one whole leaf. Reads happen in place, so
+// the allocations are the leaf's node and offset table (and a batch's
+// result slices), whatever a leaf holds.
+func BenchmarkBTreeGet(b *testing.B) {
+	s := storage.OpenMem()
+	defer s.Close()
+	s.SetReadCacheBytes(64 << 20)
+	tr, err := storage.NewBTree(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := make([]storage.KV, 100000)
+	for i := range pairs {
+		k := []byte(fmt.Sprintf("key%08d", i))
+		pairs[i] = storage.KV{Key: k, Value: k}
+	}
+	if err := tr.BulkLoad(pairs); err != nil {
+		b.Fatal(err)
+	}
+	key := func(i int) []byte { return pairs[i*7919%len(pairs)].Key }
+	ctx := context.Background()
+	b.Run("point", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := tr.GetC(key(i), nil); err != nil || !ok {
+				b.Fatal(ok, err)
+			}
+		}
+	})
+	b.Run("batch-64", func(b *testing.B) {
+		batch := make([][]byte, 64)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range batch {
+				batch[j] = key(64*i + j)
+			}
+			if _, _, err := tr.GetBatchC(ctx, batch, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("leaf", func(b *testing.B) {
+		b.ReportAllocs()
+		cells := 0
+		for i := 0; i < b.N; i++ {
+			err := tr.GetLeafC(key(i), nil, func(k, v []byte) error {
+				cells++
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 	})
 }
 

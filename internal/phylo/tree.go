@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Node is one vertex of a phylogenetic tree. Leaves carry species names;
@@ -52,8 +53,12 @@ func (n *Node) Degree() int { return len(n.Children) }
 type Tree struct {
 	Root *Node
 
-	byName map[string]*Node // lazily built name lookup
-	nodes  []*Node          // lazily built preorder list
+	// The preorder list and the name lookup are built on first use, and
+	// concurrent readers may both find one missing (perfbench's two clients
+	// do): each builds it complete and publishes it whole, so none ever
+	// reads a list or a map being filled. Mutation is not concurrent-safe.
+	nodes  atomic.Pointer[[]*Node]
+	byName atomic.Pointer[map[string]*Node]
 }
 
 // New returns a tree rooted at root.
@@ -61,8 +66,8 @@ func New(root *Node) *Tree { return &Tree{Root: root} }
 
 // invalidate drops derived lookups after a mutation.
 func (t *Tree) invalidate() {
-	t.byName = nil
-	t.nodes = nil
+	t.byName.Store(nil)
+	t.nodes.Store(nil)
 }
 
 // Mutated must be called after external code changes the tree's structure
@@ -82,8 +87,8 @@ func (t *Tree) Reindex() {
 // Nodes returns all nodes in preorder (parent before children, children in
 // stored order). The returned slice is cached; treat it as read-only.
 func (t *Tree) Nodes() []*Node {
-	if t.nodes != nil {
-		return t.nodes
+	if p := t.nodes.Load(); p != nil {
+		return *p
 	}
 	if t.Root == nil {
 		return nil
@@ -98,7 +103,7 @@ func (t *Tree) Nodes() []*Node {
 			stack = append(stack, n.Children[i])
 		}
 	}
-	t.nodes = out
+	t.nodes.Store(&out)
 	return out
 }
 
@@ -143,15 +148,18 @@ func (t *Tree) NodeByName(name string) *Node {
 	if name == "" {
 		return nil
 	}
-	if t.byName == nil {
-		t.byName = make(map[string]*Node)
+	m := t.byName.Load()
+	if m == nil {
+		built := make(map[string]*Node)
 		for _, n := range t.Nodes() {
 			if n.Name != "" {
-				t.byName[n.Name] = n
+				built[n.Name] = n
 			}
 		}
+		m = &built
+		t.byName.Store(m)
 	}
-	return t.byName[name]
+	return (*m)[name]
 }
 
 // Depth returns the number of edges from the root to n.

@@ -1,7 +1,9 @@
 package phylo
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -247,4 +249,32 @@ func TestDepth(t *testing.T) {
 	if d := Depth(tr.NodeByName("Lla")); d != 3 {
 		t.Fatalf("Depth(Lla) = %d, want 3", d)
 	}
+}
+
+// TestNodeByNameConcurrentFirstUse: the preorder list and the name lookup
+// are built on first use, and several readers may be the first at once
+// (perfbench's clients resolve names on one shared tree). Each must get its
+// answer from a complete list and map, never a fatal "concurrent map read
+// and map write". Run under -race.
+func TestNodeByNameConcurrentFirstUse(t *testing.T) {
+	root := &Node{Name: "root"}
+	for i := 0; i < 2000; i++ {
+		root.AddChild(&Node{Name: fmt.Sprintf("leaf%04d", i)})
+	}
+	tr := New(root) // nothing built yet
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < 2000; i += 8 {
+				name := fmt.Sprintf("leaf%04d", i)
+				if n := tr.NodeByName(name); n == nil || n.Name != name {
+					t.Errorf("NodeByName(%q) = %v", name, n)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

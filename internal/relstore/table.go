@@ -398,13 +398,22 @@ func (t *Table) GetBatchCtx(ctx context.Context, keys []Value) ([]Row, []bool, e
 	return t.TableView.GetBatchCtx(ctx, keys)
 }
 
-// GetLeafCtx returns the decoded rows of the storage leaf containing (or
-// that would contain) key, under one acquisition of the database read
-// lock. See TableView.GetLeafCtx.
-func (t *Table) GetLeafCtx(ctx context.Context, key Value) ([]Row, error) {
+// GetLeafCtx visits the rows of the storage leaf containing (or that would
+// contain) key, under one acquisition of the database read lock. See
+// TableView.GetLeafCtx; fn runs under the lock.
+func (t *Table) GetLeafCtx(ctx context.Context, key Value, cols []int, fn func(ints []int64, row func() (Row, error)) error) error {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	return t.TableView.GetLeafCtx(ctx, key)
+	return t.TableView.GetLeafCtx(ctx, key, cols, fn)
+}
+
+// IndexGetBatchCtx resolves many values of an index's first column to their
+// rows under one acquisition of the database read lock. See
+// TableView.IndexGetBatchCtx.
+func (t *Table) IndexGetBatchCtx(ctx context.Context, index string, vals []Value) ([]Row, []bool, error) {
+	t.db.mu.RLock()
+	defer t.db.mu.RUnlock()
+	return t.TableView.IndexGetBatchCtx(ctx, index, vals)
 }
 
 // Len returns the row count. Safe for concurrent readers.

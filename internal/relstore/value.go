@@ -317,13 +317,23 @@ func encodeRow(row Row) []byte {
 	return dst
 }
 
+// decodeRow builds the Row of an encoded row.
 func decodeRow(buf []byte) (Row, error) {
+	return appendRow(nil, buf)
+}
+
+// appendRow decodes an encoded row onto dst (allocating when dst is nil).
+// Strings and byte slices are copied: the Values own their bytes, whatever
+// becomes of the page the row was read from.
+func appendRow(dst Row, buf []byte) (Row, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return nil, ErrCorruptRow
 	}
 	buf = buf[sz:]
-	row := make(Row, 0, n)
+	if dst == nil {
+		dst = make(Row, 0, min(n, uint64(len(buf)))) // a column takes at least a byte
+	}
 	for i := uint64(0); i < n; i++ {
 		if len(buf) == 0 {
 			return nil, ErrCorruptRow
@@ -336,34 +346,34 @@ func decodeRow(buf []byte) (Row, error) {
 			if sz <= 0 {
 				return nil, ErrCorruptRow
 			}
-			row = append(row, Int(v))
+			dst = append(dst, Int(v))
 			buf = buf[sz:]
 		case TFloat:
 			bits, sz := binary.Uvarint(buf)
 			if sz <= 0 {
 				return nil, ErrCorruptRow
 			}
-			row = append(row, Float(math.Float64frombits(bits)))
+			dst = append(dst, Float(math.Float64frombits(bits)))
 			buf = buf[sz:]
 		case TString:
 			l, sz := binary.Uvarint(buf)
 			if sz <= 0 || uint64(len(buf[sz:])) < l {
 				return nil, ErrCorruptRow
 			}
-			row = append(row, Str(string(buf[sz:sz+int(l)])))
+			dst = append(dst, Str(string(buf[sz:sz+int(l)])))
 			buf = buf[sz+int(l):]
 		case TBytes:
 			l, sz := binary.Uvarint(buf)
 			if sz <= 0 || uint64(len(buf[sz:])) < l {
 				return nil, ErrCorruptRow
 			}
-			row = append(row, Blob(append([]byte(nil), buf[sz:sz+int(l)]...)))
+			dst = append(dst, Blob(append([]byte(nil), buf[sz:sz+int(l)]...)))
 			buf = buf[sz+int(l):]
 		case TBool:
 			if len(buf) < 1 {
 				return nil, ErrCorruptRow
 			}
-			row = append(row, Bool(buf[0] != 0))
+			dst = append(dst, Bool(buf[0] != 0))
 			buf = buf[1:]
 		default:
 			return nil, fmt.Errorf("%w: column type %d", ErrCorruptRow, typ)
@@ -372,5 +382,59 @@ func decodeRow(buf []byte) (Row, error) {
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptRow, len(buf))
 	}
-	return row, nil
+	return dst, nil
+}
+
+// rowInts reads the integer columns at the ascending positions cols of an
+// encoded row into out, in place: the columns before and between them are
+// stepped over by their lengths and those after the last are not looked at,
+// no Value is built. It is the loop a leaf harvest (TableView.GetLeafCtx)
+// runs over every row of a leaf — one flat pass, where a call per column
+// through decodeRow's Values made the stored Project half as fast again. A
+// row that ends early, is malformed on the way, or holds another type at one
+// of the positions is ErrCorruptRow.
+func rowInts(buf []byte, cols []int, out []int64) error {
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 {
+		return ErrCorruptRow
+	}
+	buf = buf[sz:]
+	for col, next := 0, 0; next < len(cols); col++ {
+		if uint64(col) >= n || len(buf) == 0 {
+			return ErrCorruptRow
+		}
+		typ := ColumnType(buf[0])
+		buf = buf[1:]
+		wanted := col == cols[next]
+		if wanted && typ != TInt {
+			return fmt.Errorf("%w: column %d is %s, not an integer", ErrCorruptRow, col, typ)
+		}
+		switch typ {
+		case TInt, TFloat: // one varint either way
+			if wanted {
+				out[next], sz = binary.Varint(buf)
+				next++
+			} else {
+				_, sz = binary.Uvarint(buf)
+			}
+			if sz <= 0 {
+				return ErrCorruptRow
+			}
+			buf = buf[sz:]
+		case TString, TBytes:
+			l, sz := binary.Uvarint(buf)
+			if sz <= 0 || uint64(len(buf[sz:])) < l {
+				return ErrCorruptRow
+			}
+			buf = buf[sz+int(l):]
+		case TBool:
+			if len(buf) < 1 {
+				return ErrCorruptRow
+			}
+			buf = buf[1:]
+		default:
+			return fmt.Errorf("%w: column type %d", ErrCorruptRow, typ)
+		}
+	}
+	return nil
 }

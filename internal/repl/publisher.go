@@ -352,7 +352,6 @@ func (p *Publisher) sendSnapshot(ctx context.Context, fw *frameWriter, sub *subs
 	flush()
 
 	chunk := make([]storage.DirtyPage, 0, snapChunkPages)
-	slab := make([]byte, snapChunkPages*storage.PageSize)
 	ship := func() error {
 		if len(chunk) == 0 {
 			return nil
@@ -370,11 +369,11 @@ func (p *Publisher) sendSnapshot(ctx context.Context, fw *frameWriter, sub *subs
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		dst := slab[len(chunk)*storage.PageSize : (len(chunk)+1)*storage.PageSize : (len(chunk)+1)*storage.PageSize]
-		if err := p.store.ReadPageInto(id, dst); err != nil {
+		img, err := p.store.ReadPage(id)
+		if err != nil {
 			return err
 		}
-		chunk = append(chunk, storage.DirtyPage{ID: id, Data: dst})
+		chunk = append(chunk, storage.DirtyPage{ID: id, Data: img})
 		if len(chunk) == snapChunkPages {
 			if err := ship(); err != nil {
 				return err

@@ -371,6 +371,101 @@ func TestFollowerInvalidatesPinnedSnapshots(t *testing.T) {
 	}
 }
 
+// TestFollowerApplyLeavesHeldImagesIntact is the aliasing half of the
+// torn-read guard. Reads return sub-slices of immutable page images, so a
+// replicated apply that installs new images for pages a pinned reader has
+// read must leave the bytes that reader holds exactly as they were — and the
+// reader's next page read must still end in ErrSnapshotInvalidated, because
+// the page ids it would follow now belong to another epoch.
+func TestFollowerApplyLeavesHeldImagesIntact(t *testing.T) {
+	p := newPrimaryFixture(t)
+	epoch := p.commit(t, "held", 40)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	fl := startFollower(t, ctx, t.TempDir(), p.srv.URL)
+	defer fl.Stop()
+	st := fl.Stores()[0]
+	waitEpoch(t, st, epoch)
+
+	sn := st.Snapshot()
+	defer sn.Close()
+	pinned := storage.OpenBTreeAt(st, sn.Root(0), sn.Epoch())
+	type held struct{ got, want []byte }
+	var hs []held
+	err := pinned.GetLeaf(ctx, []byte("held-000"), func(k, v []byte) error {
+		hs = append(hs, held{k, bytes.Clone(k)}, held{v, bytes.Clone(v)})
+		return nil
+	})
+	if err != nil || len(hs) == 0 {
+		t.Fatalf("pinned harvest before conflict: %d slices, err=%v", len(hs), err)
+	}
+	pages := map[storage.PageID][]byte{}
+	if err := pinned.Pages(func(id storage.PageID) {
+		img, err := st.ReadPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages[id] = img
+		hs = append(hs, held{img, bytes.Clone(img)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { // the reader keeps looking at what it holds while batches apply
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, h := range hs {
+				if !bytes.Equal(h.got, h.want) {
+					t.Error("held bytes changed during replicated apply")
+					return
+				}
+			}
+		}
+	}()
+
+	// Churn the primary until it has freed and reused pages retired after
+	// the snapshot's epoch — the snapshot's own — then let the follower
+	// apply past it. (Few commits: each conflicting batch
+	// waits out the follower's grace period for the open snapshot.)
+	deadline := time.Now().Add(10 * time.Second)
+	for round := 0; p.store.ReclaimHorizon() < sn.Epoch()+2; round++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("primary reclaim horizon stuck at %d, want >= %d", p.store.ReclaimHorizon(), sn.Epoch()+2)
+		}
+		p.commit(t, fmt.Sprintf("churn%d", round), 2)
+	}
+	waitEpoch(t, st, p.commit(t, "final", 1))
+	close(stop)
+	<-done
+
+	for _, h := range hs {
+		if !bytes.Equal(h.got, h.want) {
+			t.Fatal("held bytes differ after the conflicting apply")
+		}
+	}
+	replaced := 0
+	for id, old := range pages {
+		if now, err := st.ReadPage(id); err != nil {
+			t.Fatal(err)
+		} else if !bytes.Equal(now, old) {
+			replaced++
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("the apply replaced none of the pages the reader held: the test exercised nothing")
+	}
+	if _, _, err := pinned.Get([]byte("held-001")); !errors.Is(err, storage.ErrSnapshotInvalidated) {
+		t.Fatalf("pinned read after conflicting apply: err=%v, want ErrSnapshotInvalidated", err)
+	}
+}
+
 // TestReplicaRejectsLocalCommit pins the fork-prevention rule: a replica
 // store must refuse local commits until promoted.
 func TestReplicaRejectsLocalCommit(t *testing.T) {

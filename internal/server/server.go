@@ -1458,15 +1458,11 @@ func (s *Server) handleLCA(r *http.Request, sn *reqSnap) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	na, err := t.NodeByNameCtx(r.Context(), a)
+	ends, err := t.NodesByNameCtx(r.Context(), []string{a, b})
 	if err != nil {
 		return nil, err
 	}
-	nb, err := t.NodeByNameCtx(r.Context(), b)
-	if err != nil {
-		return nil, err
-	}
-	id, err := t.LCACtx(r.Context(), na.ID, nb.ID)
+	id, err := t.LCACtx(r.Context(), ends[0].ID, ends[1].ID)
 	if err != nil {
 		return nil, err
 	}
@@ -1547,12 +1543,12 @@ func (s *Server) handleClade(r *http.Request, sn *reqSnap) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]int, len(names))
-	for i, sp := range names {
-		row, err := t.NodeByNameCtx(r.Context(), sp)
-		if err != nil {
-			return nil, err
-		}
+	rows, err := t.NodesByNameCtx(r.Context(), names)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int, len(rows))
+	for i, row := range rows {
 		ids[i] = row.ID
 	}
 	clade, err := t.MinimalSpanningCladeCtx(r.Context(), ids)

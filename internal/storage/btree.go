@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -44,10 +44,18 @@ const (
 // at a fixed root therefore remains a consistent immutable view of the
 // moment that root was current — the basis of snapshot reads.
 //
+// Reads happen in place. A node read takes the page's immutable image from
+// the buffer pool (no copy) and indexes its cells; the keys and values a
+// read returns — Get, GetBatch, GetLeaf, Scan, Cursor.Key/Value — are
+// sub-slices of that image (overflow values are assembled into a buffer of
+// their own). They stay valid and unchanged for as long as the caller holds
+// them, whatever the writer, the pool or a replicated apply do meanwhile,
+// and must not be written into. Holding one keeps its whole 4 KiB image
+// alive, so copy out what is kept for long.
+//
 // Concurrency: read operations (Get, Has, Len, First, Seek and cursor
-// iteration) are safe to call from many goroutines at once — every node
-// read copies page contents out of the store, so readers never share
-// mutable state. Mutations (Put, Delete, BulkLoad) require exclusive
+// iteration) are safe to call from many goroutines at once — readers share
+// nothing mutable. Mutations (Put, Delete, BulkLoad) require exclusive
 // access: callers must ensure no reader of the SAME BTree handle or other
 // writer runs concurrently (package relstore enforces this with a
 // database-level mutex; snapshot readers use their own BTree handles over
@@ -74,7 +82,7 @@ func NewBTree(store *Store) (*BTree, error) {
 		return nil, err
 	}
 	t := &BTree{store: store, root: id}
-	if err := t.writeNode(&node{kind: pageLeaf, page: id}); err != nil {
+	if err := t.writeNode(&cells{kind: pageLeaf, page: id}); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -111,8 +119,110 @@ func (t *BTree) cacheEpoch() uint64 {
 // must re-read it after mutations.
 func (t *BTree) Root() PageID { return t.root }
 
-// node is the decoded in-memory form of a tree page.
+// node is a tree page read in place: the page's immutable image and the
+// offset of every cell in it. decodeNode has checked that each cell lies
+// inside the page, so the accessors slice without further checks; what they
+// return aliases the image (capacity clipped, so an append cannot reach the
+// page). A node holds no pointers besides its two slices and is never
+// modified, which is what lets the decoded-node cache share one among
+// readers; the mutation paths turn it into cells to splice.
 type node struct {
+	kind byte
+	page PageID
+	data []byte   // the page image
+	offs []uint16 // offs[i] is where cell i starts in data
+	end  int      // where the last cell ends
+}
+
+func (n *node) nkeys() int { return len(n.offs) }
+
+// key returns the i-th key.
+func (n *node) key(i int) []byte {
+	o := int(n.offs[i])
+	klen := int(binary.LittleEndian.Uint16(n.data[o:]))
+	if n.kind == pageLeaf {
+		o += 4
+	} else {
+		o += 2
+	}
+	return n.data[o : o+klen : o+klen]
+}
+
+// val returns the stored value of leaf cell i: the value itself, or its
+// 12-byte overflow ref when overflow(i).
+func (n *node) val(i int) []byte {
+	o := int(n.offs[i])
+	klen := int(binary.LittleEndian.Uint16(n.data[o:]))
+	vlen := int(binary.LittleEndian.Uint16(n.data[o+2:]) & 0x7fff)
+	o += 4 + klen
+	return n.data[o : o+vlen : o+vlen]
+}
+
+// overflow reports whether leaf cell i stores an overflow ref.
+func (n *node) overflow(i int) bool {
+	return binary.LittleEndian.Uint16(n.data[int(n.offs[i])+2:])&0x8000 != 0
+}
+
+// child returns the i-th child of an internal node, i in [0, nkeys].
+func (n *node) child(i int) PageID {
+	if i == 0 {
+		return PageID(binary.LittleEndian.Uint64(n.data[3:]))
+	}
+	return PageID(binary.LittleEndian.Uint64(n.data[n.cellEnd(i-1)-8:]))
+}
+
+func (n *node) cellEnd(i int) int {
+	if i+1 < len(n.offs) {
+		return int(n.offs[i+1])
+	}
+	return n.end
+}
+
+// decodeNode indexes the cells of a tree page. It is the one place page
+// bytes are interpreted as a node, and it trusts none of them: a cell count
+// or a length that would reach past the page is ErrCorruptPage naming the
+// page — never a slice out of bounds.
+func decodeNode(id PageID, data []byte) (*node, error) {
+	if len(data) != PageSize {
+		return nil, fmt.Errorf("%w: page %d image is %d bytes", ErrCorruptPage, id, len(data))
+	}
+	n := &node{kind: data[0], page: id, data: data}
+	var off, head, tail int // first cell, fixed bytes before and after a cell's key (and value)
+	switch n.kind {
+	case pageLeaf:
+		off, head, tail = leafHeaderSize, 4, 0
+	case pageInternal:
+		off, head, tail = internalHeaderSize, 2, 8
+	default:
+		return nil, fmt.Errorf("%w: page %d is not a tree node (kind %d)", ErrCorruptPage, id, n.kind)
+	}
+	nkeys := int(binary.LittleEndian.Uint16(data[1:]))
+	if off+nkeys*(head+tail) > PageSize {
+		return nil, fmt.Errorf("%w: page %d claims %d cells", ErrCorruptPage, id, nkeys)
+	}
+	n.offs = make([]uint16, nkeys)
+	for i := range n.offs {
+		if off+head > PageSize {
+			return nil, fmt.Errorf("%w: page %d cell %d starts at %d", ErrCorruptPage, id, i, off)
+		}
+		n.offs[i] = uint16(off)
+		size := head + int(binary.LittleEndian.Uint16(data[off:])) + tail
+		if n.kind == pageLeaf {
+			size += int(binary.LittleEndian.Uint16(data[off+2:]) & 0x7fff)
+		}
+		if off += size; off > PageSize {
+			return nil, fmt.Errorf("%w: page %d cell %d ends at %d", ErrCorruptPage, id, i, off)
+		}
+	}
+	n.end = off
+	return n, nil
+}
+
+// cells is the spliceable form of a node: what Put, Delete and BulkLoad
+// edit and then encode onto a page. The keys and values alias whatever they
+// were taken from — a page image (edit), the caller's arguments — and are
+// only read until encode has copied them out.
+type cells struct {
 	kind     byte
 	page     PageID
 	keys     [][]byte
@@ -121,18 +231,40 @@ type node struct {
 	children []PageID // internal only; len(keys)+1
 }
 
-// cellSize is the encoded size of the node's i-th key with its value (leaf)
-// or right child pointer (internal).
-func (n *node) cellSize(i int) int {
-	if n.kind == pageLeaf {
-		return 4 + len(n.keys[i]) + len(n.vals[i])
+// edit lists the node's cells for splicing, with room for one more.
+func (n *node) edit() *cells {
+	nk := n.nkeys()
+	e := &cells{kind: n.kind, page: n.page, keys: make([][]byte, nk, nk+1)}
+	for i := range e.keys {
+		e.keys[i] = n.key(i)
 	}
-	return 2 + len(n.keys[i]) + 8
+	if n.kind == pageLeaf {
+		e.vals = make([][]byte, nk, nk+1)
+		e.overflow = make([]bool, nk, nk+1)
+		for i := range e.vals {
+			e.vals[i], e.overflow[i] = n.val(i), n.overflow(i)
+		}
+		return e
+	}
+	e.children = make([]PageID, nk+1, nk+2)
+	for i := range e.children {
+		e.children[i] = n.child(i)
+	}
+	return e
 }
 
-func (n *node) encodedSize() int {
+// cellSize is the encoded size of the i-th key with its value (leaf) or
+// right child pointer (internal).
+func (e *cells) cellSize(i int) int {
+	if e.kind == pageLeaf {
+		return 4 + len(e.keys[i]) + len(e.vals[i])
+	}
+	return 2 + len(e.keys[i]) + 8
+}
+
+func (e *cells) encodedSize() int {
 	var sz int
-	switch n.kind {
+	switch e.kind {
 	case pageLeaf:
 		sz = leafHeaderSize
 	case pageInternal:
@@ -140,26 +272,26 @@ func (n *node) encodedSize() int {
 	default:
 		return PageSize
 	}
-	for i := range n.keys {
-		sz += n.cellSize(i)
+	for i := range e.keys {
+		sz += e.cellSize(i)
 	}
 	return sz
 }
 
-func (n *node) encode(buf []byte) error {
-	if sz := n.encodedSize(); sz > len(buf) {
-		return fmt.Errorf("storage: encode node: %d cells need %d bytes, page holds %d", len(n.keys), sz, len(buf))
+func (e *cells) encode(buf []byte) error {
+	if sz := e.encodedSize(); sz > len(buf) {
+		return fmt.Errorf("storage: encode node: %d cells need %d bytes, page holds %d", len(e.keys), sz, len(buf))
 	}
-	buf[0] = n.kind
-	binary.LittleEndian.PutUint16(buf[1:], uint16(len(n.keys)))
-	switch n.kind {
+	buf[0] = e.kind
+	binary.LittleEndian.PutUint16(buf[1:], uint16(len(e.keys)))
+	switch e.kind {
 	case pageLeaf:
 		off := leafHeaderSize
-		for i, k := range n.keys {
-			v := n.vals[i]
+		for i, k := range e.keys {
+			v := e.vals[i]
 			binary.LittleEndian.PutUint16(buf[off:], uint16(len(k)))
 			vmeta := uint16(len(v))
-			if n.overflow[i] {
+			if e.overflow[i] {
 				vmeta |= 0x8000
 			}
 			binary.LittleEndian.PutUint16(buf[off+2:], vmeta)
@@ -168,45 +300,54 @@ func (n *node) encode(buf []byte) error {
 			off += copy(buf[off:], v)
 		}
 	case pageInternal:
-		binary.LittleEndian.PutUint64(buf[3:], uint64(n.children[0]))
+		binary.LittleEndian.PutUint64(buf[3:], uint64(e.children[0]))
 		off := internalHeaderSize
-		for i, k := range n.keys {
+		for i, k := range e.keys {
 			binary.LittleEndian.PutUint16(buf[off:], uint16(len(k)))
 			off += 2
 			off += copy(buf[off:], k)
-			binary.LittleEndian.PutUint64(buf[off:], uint64(n.children[i+1]))
+			binary.LittleEndian.PutUint64(buf[off:], uint64(e.children[i+1]))
 			off += 8
 		}
 	default:
-		return fmt.Errorf("storage: encode node: bad kind %d", n.kind)
+		return fmt.Errorf("storage: encode node: bad kind %d", e.kind)
 	}
 	return nil
 }
 
-// writeNode writes the node to its page in place. Only valid for pages the
-// writer owns (freshly allocated this transaction); COW paths use
-// writeNodeCOW.
-func (t *BTree) writeNode(n *node) error {
-	var buf [PageSize]byte
-	if err := n.encode(buf[:]); err != nil {
-		return err
+// image encodes the cells onto a new page image, which the store then owns.
+func (e *cells) image() ([]byte, error) {
+	img := make([]byte, PageSize)
+	if err := e.encode(img); err != nil {
+		return nil, err
 	}
-	return t.store.WritePage(n.page, buf[:])
+	return img, nil
 }
 
-// writeNodeCOW writes the node with copy-on-write semantics and updates
-// n.page to wherever the image landed (a fresh page stays put; a committed
-// page is retired and replaced).
-func (t *BTree) writeNodeCOW(n *node) error {
-	var buf [PageSize]byte
-	if err := n.encode(buf[:]); err != nil {
-		return err
-	}
-	id, err := t.store.WriteCOW(n.page, buf[:])
+// writeNode writes the cells to their page, which keeps its id. Only valid
+// for pages the writer owns (freshly allocated this transaction); COW paths
+// use writeNodeCOW.
+func (t *BTree) writeNode(e *cells) error {
+	img, err := e.image()
 	if err != nil {
 		return err
 	}
-	n.page = id
+	return t.store.WritePage(e.page, img)
+}
+
+// writeNodeCOW writes the cells with copy-on-write semantics and updates
+// e.page to wherever the image landed (a fresh page stays put; a committed
+// page is retired and replaced).
+func (t *BTree) writeNodeCOW(e *cells) error {
+	img, err := e.image()
+	if err != nil {
+		return err
+	}
+	id, err := t.store.WriteCOW(e.page, img)
+	if err != nil {
+		return err
+	}
+	e.page = id
 	return nil
 }
 
@@ -215,67 +356,36 @@ func (t *BTree) readNode(id PageID) (*node, error) {
 }
 
 // readNodeC is readNode with per-request counter attribution: page reads
-// feed the buffer-pool hit/miss counters and every decoded cell is
-// counted, globally always and into c when a trace is active (c nil-safe).
+// feed the buffer-pool hit/miss counters and the cells of every node
+// visited are counted, globally always and into c when a trace is active
+// (c nil-safe).
 func (t *BTree) readNodeC(id PageID, c *obs.Counters) (*node, error) {
-	var buf [PageSize]byte
-	if err := t.store.readPageInto(id, buf[:], c); err != nil {
+	img, err := t.store.readPage(id, c)
+	if err != nil {
 		return nil, err
 	}
 	// Checked after the read on purpose: the invalidation mark is stored
-	// before a replicated apply mutates any pool frame, and pool access
-	// serializes on the pool mutex, so a read that saw post-apply bytes is
-	// ordered after the mark and fails here instead of decoding them.
+	// before a replicated apply replaces any pool frame, and pool access
+	// serializes on the pool mutex, so a read that got a post-apply image is
+	// ordered after the mark and fails here instead of decoding it.
 	if t.pinned && t.store.snapshotInvalid(t.epoch) {
 		return nil, ErrSnapshotInvalidated
 	}
-	n := &node{kind: buf[0], page: id}
-	nkeys := int(binary.LittleEndian.Uint16(buf[1:]))
-	switch n.kind {
-	case pageLeaf:
-		off := leafHeaderSize
-		n.keys = make([][]byte, nkeys)
-		n.vals = make([][]byte, nkeys)
-		n.overflow = make([]bool, nkeys)
-		for i := 0; i < nkeys; i++ {
-			klen := int(binary.LittleEndian.Uint16(buf[off:]))
-			vmeta := binary.LittleEndian.Uint16(buf[off+2:])
-			vlen := int(vmeta & 0x7fff)
-			n.overflow[i] = vmeta&0x8000 != 0
-			off += 4
-			n.keys[i] = append([]byte(nil), buf[off:off+klen]...)
-			off += klen
-			n.vals[i] = append([]byte(nil), buf[off:off+vlen]...)
-			off += vlen
-		}
-	case pageInternal:
-		n.children = make([]PageID, 1, nkeys+1)
-		n.children[0] = PageID(binary.LittleEndian.Uint64(buf[3:]))
-		off := internalHeaderSize
-		n.keys = make([][]byte, nkeys)
-		for i := 0; i < nkeys; i++ {
-			klen := int(binary.LittleEndian.Uint16(buf[off:]))
-			off += 2
-			n.keys[i] = append([]byte(nil), buf[off:off+klen]...)
-			off += klen
-			n.children = append(n.children, PageID(binary.LittleEndian.Uint64(buf[off:])))
-			off += 8
-		}
-	default:
-		return nil, fmt.Errorf("storage: page %d is not a tree node (kind %d)", id, n.kind)
+	n, err := decodeNode(id, img)
+	if err != nil {
+		return nil, err
 	}
-	obs.Engine.Add(obs.CtrCellsDecoded, int64(nkeys))
-	c.Add(obs.CtrCellsDecoded, int64(nkeys))
+	obs.Engine.Add(obs.CtrCellsDecoded, int64(n.nkeys()))
+	c.Add(obs.CtrCellsDecoded, int64(n.nkeys()))
 	return n, nil
 }
 
-// readNodeShared is readNodeC for strictly read-only descent paths: it
-// consults the store's decoded-node cache before touching the page, and
-// publishes interior nodes it had to decode. The returned node may be
-// shared with other goroutines — callers must not modify it (the mutation
-// and maintenance paths keep using readNode/readNodeC, whose nodes are
-// private copies they splice in place). Leaves are never cached, so every
-// leaf returned here is a private decode and its vals may be handed out.
+// readNodeShared is readNodeC for the read-only descent paths: it consults
+// the store's decoded-node cache before touching the page, and publishes
+// the interior nodes it had to decode. Nodes are immutable, so a cached one
+// is shared as is; the mutation and maintenance paths read through
+// readNode, past the cache, because they also read pages the writer has
+// rewritten since the last commit.
 func (t *BTree) readNodeShared(id PageID, c *obs.Counters) (*node, error) {
 	rc := t.store.rcache.Load()
 	if rc == nil {
@@ -304,17 +414,43 @@ func (t *BTree) readNodeShared(id PageID, c *obs.Counters) (*node, error) {
 // childIndex returns the child to descend into for key: the first separator
 // strictly greater than key bounds the child on its left.
 func childIndex(n *node, key []byte) int {
-	return sort.Search(len(n.keys), func(i int) bool {
-		return bytes.Compare(key, n.keys[i]) < 0
-	})
+	lo, hi := 0, n.nkeys()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(key, n.key(mid)) < 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
-// leafIndex returns (pos, found) for key within a leaf.
+// leafIndex returns (pos, found) for key within a leaf: pos is the first
+// cell whose key is >= key.
 func leafIndex(n *node, key []byte) (int, bool) {
-	pos := sort.Search(len(n.keys), func(i int) bool {
-		return bytes.Compare(n.keys[i], key) >= 0
-	})
-	return pos, pos < len(n.keys) && bytes.Equal(n.keys[pos], key)
+	lo, hi := 0, n.nkeys()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(n.key(mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < n.nkeys() && bytes.Equal(n.key(lo), key)
+}
+
+// leafFor descends from the root to the leaf key routes to. One call is one
+// root-to-leaf descent.
+func (t *BTree) leafFor(key []byte, c *obs.Counters) (*node, error) {
+	obs.Engine.Add(obs.CtrBTreeDescents, 1)
+	c.Add(obs.CtrBTreeDescents, 1)
+	n, err := t.readNodeShared(t.root, c)
+	for err == nil && n.kind == pageInternal {
+		n, err = t.readNodeShared(n.child(childIndex(n, key)), c)
+	}
+	return n, err
 }
 
 // Get returns the value stored under key.
@@ -331,16 +467,9 @@ func (t *BTree) GetCtx(ctx context.Context, key []byte) ([]byte, bool, error) {
 // GetC is Get with explicit per-request counter attribution (c may be
 // nil). One call is one root-to-leaf descent.
 func (t *BTree) GetC(key []byte, c *obs.Counters) ([]byte, bool, error) {
-	obs.Engine.Add(obs.CtrBTreeDescents, 1)
-	c.Add(obs.CtrBTreeDescents, 1)
-	n, err := t.readNodeShared(t.root, c)
+	n, err := t.leafFor(key, c)
 	if err != nil {
 		return nil, false, err
-	}
-	for n.kind == pageInternal {
-		if n, err = t.readNodeShared(n.children[childIndex(n, key)], c); err != nil {
-			return nil, false, err
-		}
 	}
 	pos, found := leafIndex(n, key)
 	if !found {
@@ -350,10 +479,10 @@ func (t *BTree) GetC(key []byte, c *obs.Counters) ([]byte, bool, error) {
 }
 
 func (t *BTree) resolveValue(n *node, pos int) ([]byte, bool, error) {
-	if !n.overflow[pos] {
-		return n.vals[pos], true, nil
+	if !n.overflow(pos) {
+		return n.val(pos), true, nil
 	}
-	v, err := t.readOverflow(n.vals[pos])
+	v, err := t.readOverflow(n.val(pos))
 	return v, err == nil, err
 }
 
@@ -361,6 +490,16 @@ func (t *BTree) resolveValue(n *node, pos int) ([]byte, bool, error) {
 func (t *BTree) Has(key []byte) (bool, error) {
 	_, ok, err := t.Get(key)
 	return ok, err
+}
+
+// sortedOrder returns the indexes of keys in ascending key order.
+func sortedOrder(keys [][]byte) []int {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
+	return order
 }
 
 // GetBatch performs many point reads in one pass: keys are visited in
@@ -379,102 +518,95 @@ func (t *BTree) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, 
 func (t *BTree) GetBatchC(ctx context.Context, keys [][]byte, c *obs.Counters) ([][]byte, []bool, error) {
 	vals := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return vals, found, nil
-	}
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return bytes.Compare(keys[order[a]], keys[order[b]]) < 0
-	})
-	var (
-		leaf *node
-		hi   []byte // first key routed past the current leaf; nil when rightmost
-	)
-	// descend routes to key's leaf, tracking the tightest upper separator
-	// seen on the path: every key below it is guaranteed to live in (or be
-	// absent from) this leaf, which is what lets the sorted walk reuse it.
-	descend := func(key []byte) error {
-		obs.Engine.Add(obs.CtrBTreeDescents, 1)
-		c.Add(obs.CtrBTreeDescents, 1)
-		n, err := t.readNodeShared(t.root, c)
-		if err != nil {
-			return err
-		}
-		hi = nil
-		for n.kind == pageInternal {
-			idx := childIndex(n, key)
-			if idx < len(n.keys) {
-				hi = n.keys[idx]
-			}
-			if n, err = t.readNodeShared(n.children[idx], c); err != nil {
-				return err
-			}
-		}
-		leaf = n
-		return nil
-	}
-	for visited, oi := range order {
+	cur := Cursor{tree: t, c: c}
+	for visited, oi := range sortedOrder(keys) {
 		if visited&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
 		}
-		key := keys[oi]
-		if leaf == nil || (hi != nil && bytes.Compare(key, hi) >= 0) {
-			if err := descend(key); err != nil {
-				return nil, nil, err
-			}
-		}
-		pos, ok := leafIndex(leaf, key)
-		if !ok {
-			continue
-		}
-		v, ok, err := t.resolveValue(leaf, pos)
+		ok, err := cur.locate(keys[oi])
 		if err != nil {
 			return nil, nil, err
 		}
-		vals[oi], found[oi] = v, ok
+		if !ok {
+			continue
+		}
+		if vals[oi], found[oi], err = t.resolveValue(cur.leaf, cur.pos); err != nil {
+			return nil, nil, err
+		}
 	}
 	return vals, found, nil
 }
 
-// GetLeaf returns every key/value pair residing in the leaf that contains
-// (or would contain) key, in key order, resolving overflow values. One
-// descent buys the whole leaf: batch-friendly readers harvest the
-// neighbors a point read already paid to decode instead of descending for
-// each of them separately.
-func (t *BTree) GetLeaf(ctx context.Context, key []byte) ([][]byte, [][]byte, error) {
-	return t.GetLeafC(key, obs.CountersFrom(ctx))
+// SeekBatchC is the batched form of Seek: for every key it reports the
+// first entry at or after it — found[i] and vals[i] are that entry's key and
+// value, found[i] nil when no entry follows keys[i]. Like GetBatchC it
+// visits the keys in sorted order and moves on from the current leaf only
+// when a key routes past it, so a sweep costs one descent per distinct leaf
+// it lands in. It is what resolves a batch of prefix lookups on a secondary
+// index; like the one-entry scans it stands for, it counts every entry it
+// reports as a row scanned.
+func (t *BTree) SeekBatchC(ctx context.Context, keys [][]byte, c *obs.Counters) (found, vals [][]byte, err error) {
+	found = make([][]byte, len(keys))
+	vals = make([][]byte, len(keys))
+	cur := Cursor{tree: t, c: c}
+	rows := int64(0)
+	defer func() {
+		obs.Engine.Add(obs.CtrRowsScanned, rows)
+		c.Add(obs.CtrRowsScanned, rows)
+	}()
+	for visited, oi := range sortedOrder(keys) {
+		if visited&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
+		if _, err := cur.locate(keys[oi]); err != nil {
+			return nil, nil, err
+		}
+		if err := cur.skipEmpty(); err != nil {
+			return nil, nil, err
+		}
+		if !cur.Valid() {
+			break // off the end of the tree: no entry follows this key or any later one
+		}
+		found[oi] = cur.Key()
+		if vals[oi], err = cur.Value(); err != nil {
+			return nil, nil, err
+		}
+		rows++
+	}
+	return found, vals, nil
+}
+
+// GetLeaf calls fn with every key/value pair residing in the leaf that
+// contains (or would contain) key, in key order, resolving overflow values.
+// One descent buys the whole leaf: batch-friendly readers harvest the
+// neighbors a point read already paid to reach instead of descending for
+// each of them separately. Nothing is copied or collected — fn sees the
+// cells in place, under the aliasing rules of the BTree doc comment.
+func (t *BTree) GetLeaf(ctx context.Context, key []byte, fn func(key, value []byte) error) error {
+	return t.GetLeafC(key, obs.CountersFrom(ctx), fn)
 }
 
 // GetLeafC is GetLeaf with explicit per-request counter attribution (c may
 // be nil).
-func (t *BTree) GetLeafC(key []byte, c *obs.Counters) ([][]byte, [][]byte, error) {
-	obs.Engine.Add(obs.CtrBTreeDescents, 1)
-	c.Add(obs.CtrBTreeDescents, 1)
-	n, err := t.readNodeShared(t.root, c)
+func (t *BTree) GetLeafC(key []byte, c *obs.Counters, fn func(key, value []byte) error) error {
+	n, err := t.leafFor(key, c)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	for n.kind == pageInternal {
-		if n, err = t.readNodeShared(n.children[childIndex(n, key)], c); err != nil {
-			return nil, nil, err
-		}
-	}
-	keys := make([][]byte, len(n.keys))
-	vals := make([][]byte, len(n.keys))
-	copy(keys, n.keys)
-	for i := range n.keys {
+	for i := 0; i < n.nkeys(); i++ {
 		v, _, err := t.resolveValue(n, i)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		vals[i] = v
+		if err := fn(n.key(i), v); err != nil {
+			return err
+		}
 	}
-	return keys, vals, nil
+	return nil
 }
 
 type splitResult struct {
@@ -482,7 +614,7 @@ type splitResult struct {
 	right PageID
 }
 
-// Put inserts or replaces the value under key.
+// Put inserts or replaces the value under key. Neither slice is retained.
 func (t *BTree) Put(key, value []byte) error {
 	if len(key) == 0 || len(key) > MaxKeySize {
 		return fmt.Errorf("%w: %d bytes (max %d, min 1)", ErrKeyTooLarge, len(key), MaxKeySize)
@@ -511,7 +643,7 @@ func (t *BTree) Put(key, value []byte) error {
 	if err != nil {
 		return err
 	}
-	root := &node{
+	root := &cells{
 		kind:     pageInternal,
 		page:     id,
 		keys:     [][]byte{split.key},
@@ -524,10 +656,11 @@ func (t *BTree) Put(key, value []byte) error {
 	return nil
 }
 
-// insert descends to the leaf, mutates it, and copy-on-writes the dirtied
-// path back up. It returns the (possibly moved) page id of the subtree
-// root, a pending split for the caller to absorb, and whether a new key
-// was added.
+// insert descends to the leaf, splices the cell in, and copy-on-writes the
+// dirtied path back up. It returns the (possibly moved) page id of the
+// subtree root, a pending split for the caller to absorb, and whether a new
+// key was added. Nodes on the path are read in place and listed as cells
+// only where they change.
 func (t *BTree) insert(pid PageID, key, value []byte, isOverflow bool) (PageID, *splitResult, bool, error) {
 	n, err := t.readNode(pid)
 	if err != nil {
@@ -535,58 +668,50 @@ func (t *BTree) insert(pid PageID, key, value []byte, isOverflow bool) (PageID, 
 	}
 	if n.kind == pageLeaf {
 		pos, found := leafIndex(n, key)
-		added := !found
+		e := n.edit()
 		if found {
-			if n.overflow[pos] {
-				if err := t.freeOverflow(n.vals[pos]); err != nil {
+			if e.overflow[pos] {
+				if err := t.freeOverflow(e.vals[pos]); err != nil {
 					return 0, nil, false, err
 				}
 			}
-			n.vals[pos] = value
-			n.overflow[pos] = isOverflow
+			e.vals[pos] = value
+			e.overflow[pos] = isOverflow
 		} else {
-			n.keys = append(n.keys, nil)
-			copy(n.keys[pos+1:], n.keys[pos:])
-			n.keys[pos] = append([]byte(nil), key...)
-			n.vals = append(n.vals, nil)
-			copy(n.vals[pos+1:], n.vals[pos:])
-			n.vals[pos] = value
-			n.overflow = append(n.overflow, false)
-			copy(n.overflow[pos+1:], n.overflow[pos:])
-			n.overflow[pos] = isOverflow
+			e.keys = slices.Insert(e.keys, pos, key)
+			e.vals = slices.Insert(e.vals, pos, value)
+			e.overflow = slices.Insert(e.overflow, pos, isOverflow)
 		}
-		if n.encodedSize() <= PageSize {
-			err := t.writeNodeCOW(n)
-			return n.page, nil, added, err
+		if e.encodedSize() <= PageSize {
+			err := t.writeNodeCOW(e)
+			return e.page, nil, !found, err
 		}
-		split, err := t.splitLeaf(n)
-		return n.page, split, added, err
+		split, err := t.splitLeaf(e)
+		return e.page, split, !found, err
 	}
 
 	idx := childIndex(n, key)
-	childID, split, added, err := t.insert(n.children[idx], key, value, isOverflow)
+	child := n.child(idx)
+	childID, split, added, err := t.insert(child, key, value, isOverflow)
 	if err != nil {
 		return 0, nil, added, err
 	}
-	if split == nil && childID == n.children[idx] {
-		// Child was fresh and updated in place: this node is untouched.
+	if split == nil && childID == child {
+		// Child was fresh and kept its id: this node is untouched.
 		return pid, nil, added, nil
 	}
-	n.children[idx] = childID
+	e := n.edit()
+	e.children[idx] = childID
 	if split != nil {
-		n.keys = append(n.keys, nil)
-		copy(n.keys[idx+1:], n.keys[idx:])
-		n.keys[idx] = split.key
-		n.children = append(n.children, 0)
-		copy(n.children[idx+2:], n.children[idx+1:])
-		n.children[idx+1] = split.right
+		e.keys = slices.Insert(e.keys, idx, split.key)
+		e.children = slices.Insert(e.children, idx+1, split.right)
 	}
-	if n.encodedSize() <= PageSize {
-		err := t.writeNodeCOW(n)
-		return n.page, nil, added, err
+	if e.encodedSize() <= PageSize {
+		err := t.writeNodeCOW(e)
+		return e.page, nil, added, err
 	}
-	up, err := t.splitInternal(n)
-	return n.page, up, added, err
+	up, err := t.splitInternal(e)
+	return e.page, up, added, err
 }
 
 // splitIndex picks where to cut an over-full node of n cells: the index in
@@ -613,51 +738,51 @@ func splitIndex(n int, cellSize func(i int) int) int {
 	return best
 }
 
-func (t *BTree) splitLeaf(n *node) (*splitResult, error) {
-	mid := splitIndex(len(n.keys), n.cellSize)
+func (t *BTree) splitLeaf(e *cells) (*splitResult, error) {
+	mid := splitIndex(len(e.keys), e.cellSize)
 	rid, err := t.store.Allocate()
 	if err != nil {
 		return nil, err
 	}
-	right := &node{
+	right := &cells{
 		kind:     pageLeaf,
 		page:     rid,
-		keys:     append([][]byte(nil), n.keys[mid:]...),
-		vals:     append([][]byte(nil), n.vals[mid:]...),
-		overflow: append([]bool(nil), n.overflow[mid:]...),
+		keys:     e.keys[mid:],
+		vals:     e.vals[mid:],
+		overflow: e.overflow[mid:],
 	}
-	n.keys = n.keys[:mid]
-	n.vals = n.vals[:mid]
-	n.overflow = n.overflow[:mid]
+	e.keys = e.keys[:mid]
+	e.vals = e.vals[:mid]
+	e.overflow = e.overflow[:mid]
 	if err := t.writeNode(right); err != nil {
 		return nil, err
 	}
-	if err := t.writeNodeCOW(n); err != nil {
+	if err := t.writeNodeCOW(e); err != nil {
 		return nil, err
 	}
-	return &splitResult{key: append([]byte(nil), right.keys[0]...), right: rid}, nil
+	return &splitResult{key: right.keys[0], right: rid}, nil
 }
 
-func (t *BTree) splitInternal(n *node) (*splitResult, error) {
+func (t *BTree) splitInternal(e *cells) (*splitResult, error) {
 	// keys[mid] moves up, so both halves keep a key only for mid <= n-2.
-	mid := splitIndex(len(n.keys)-1, n.cellSize)
-	up := n.keys[mid]
+	mid := splitIndex(len(e.keys)-1, e.cellSize)
+	up := e.keys[mid]
 	rid, err := t.store.Allocate()
 	if err != nil {
 		return nil, err
 	}
-	right := &node{
+	right := &cells{
 		kind:     pageInternal,
 		page:     rid,
-		keys:     append([][]byte(nil), n.keys[mid+1:]...),
-		children: append([]PageID(nil), n.children[mid+1:]...),
+		keys:     e.keys[mid+1:],
+		children: e.children[mid+1:],
 	}
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
+	e.keys = e.keys[:mid]
+	e.children = e.children[:mid+1]
 	if err := t.writeNode(right); err != nil {
 		return nil, err
 	}
-	if err := t.writeNodeCOW(n); err != nil {
+	if err := t.writeNodeCOW(e); err != nil {
 		return nil, err
 	}
 	return &splitResult{key: up, right: rid}, nil
@@ -693,28 +818,31 @@ func (t *BTree) remove(pid PageID, key []byte) (PageID, bool, error) {
 		if !found {
 			return pid, false, nil
 		}
-		if n.overflow[pos] {
-			if err := t.freeOverflow(n.vals[pos]); err != nil {
+		if n.overflow(pos) {
+			if err := t.freeOverflow(n.val(pos)); err != nil {
 				return 0, false, err
 			}
 		}
-		n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
-		n.vals = append(n.vals[:pos], n.vals[pos+1:]...)
-		n.overflow = append(n.overflow[:pos], n.overflow[pos+1:]...)
-		err := t.writeNodeCOW(n)
-		return n.page, true, err
+		e := n.edit()
+		e.keys = slices.Delete(e.keys, pos, pos+1)
+		e.vals = slices.Delete(e.vals, pos, pos+1)
+		e.overflow = slices.Delete(e.overflow, pos, pos+1)
+		err := t.writeNodeCOW(e)
+		return e.page, true, err
 	}
 	idx := childIndex(n, key)
-	childID, found, err := t.remove(n.children[idx], key)
+	child := n.child(idx)
+	childID, found, err := t.remove(child, key)
 	if err != nil || !found {
 		return pid, found, err
 	}
-	if childID == n.children[idx] {
+	if childID == child {
 		return pid, true, nil
 	}
-	n.children[idx] = childID
-	err = t.writeNodeCOW(n)
-	return n.page, true, err
+	e := n.edit()
+	e.children[idx] = childID
+	err = t.writeNodeCOW(e)
+	return e.page, true, err
 }
 
 // Len returns the number of entries, counting by scan if the cached count
@@ -742,44 +870,55 @@ func (t *BTree) Len() (int, error) {
 // writeOverflow spills value into a chain of overflow pages and returns the
 // 12-byte reference stored inline in the leaf.
 func (t *BTree) writeOverflow(value []byte) ([]byte, error) {
-	var head, prev PageID
-	var prevBuf [PageSize]byte
-	remaining := value
-	for len(remaining) > 0 || head == 0 {
+	// Every page names its successor, so the chain's ids come first.
+	ids := make([]PageID, max(1, (len(value)+overflowCapacity-1)/overflowCapacity))
+	for i := range ids {
 		id, err := t.store.Allocate()
 		if err != nil {
 			return nil, err
 		}
-		if head == 0 {
-			head = id
+		ids[i] = id
+	}
+	for i, id := range ids {
+		chunk := value[i*overflowCapacity : min(len(value), (i+1)*overflowCapacity)]
+		img := make([]byte, PageSize)
+		img[0] = pageOverflow
+		if i+1 < len(ids) {
+			binary.LittleEndian.PutUint64(img[1:], uint64(ids[i+1]))
 		}
-		if prev != 0 {
-			binary.LittleEndian.PutUint64(prevBuf[1:], uint64(id))
-			if err := t.store.WritePage(prev, prevBuf[:]); err != nil {
-				return nil, err
-			}
-		}
-		n := len(remaining)
-		if n > overflowCapacity {
-			n = overflowCapacity
-		}
-		var buf [PageSize]byte
-		buf[0] = pageOverflow
-		binary.LittleEndian.PutUint32(buf[9:], uint32(n))
-		copy(buf[overflowHeaderSize:], remaining[:n])
-		remaining = remaining[n:]
-		if len(remaining) == 0 {
-			if err := t.store.WritePage(id, buf[:]); err != nil {
-				return nil, err
-			}
-		} else {
-			prev, prevBuf = id, buf
+		binary.LittleEndian.PutUint32(img[9:], uint32(len(chunk)))
+		copy(img[overflowHeaderSize:], chunk)
+		if err := t.store.WritePage(id, img); err != nil {
+			return nil, err
 		}
 	}
 	ref := make([]byte, overflowRefSize)
-	binary.LittleEndian.PutUint64(ref, uint64(head))
+	binary.LittleEndian.PutUint64(ref, uint64(ids[0]))
 	binary.LittleEndian.PutUint32(ref[8:], uint32(len(value)))
 	return ref, nil
+}
+
+// overflowPage reads one page of an overflow chain: its payload and the id
+// of the page that follows (0 at the end).
+func (t *BTree) overflowPage(id PageID) (payload []byte, next PageID, err error) {
+	img, err := t.store.ReadPage(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	// Same post-read invalidation check as readNodeC: overflow chains
+	// follow page pointers, so a replicated apply reusing a chain page
+	// must surface as an error, not silently spliced bytes.
+	if t.pinned && t.store.snapshotInvalid(t.epoch) {
+		return nil, 0, ErrSnapshotInvalidated
+	}
+	if img[0] != pageOverflow {
+		return nil, 0, fmt.Errorf("%w: page %d in overflow chain has kind %d", ErrCorruptPage, id, img[0])
+	}
+	n := int(binary.LittleEndian.Uint32(img[9:]))
+	if n > overflowCapacity {
+		return nil, 0, fmt.Errorf("%w: overflow page %d claims %d bytes", ErrCorruptPage, id, n)
+	}
+	return img[overflowHeaderSize : overflowHeaderSize+n], PageID(binary.LittleEndian.Uint64(img[1:])), nil
 }
 
 func (t *BTree) readOverflow(ref []byte) ([]byte, error) {
@@ -788,27 +927,22 @@ func (t *BTree) readOverflow(ref []byte) ([]byte, error) {
 	}
 	id := PageID(binary.LittleEndian.Uint64(ref))
 	total := int(binary.LittleEndian.Uint32(ref[8:]))
-	out := make([]byte, 0, total)
-	for id != 0 {
-		buf, err := t.store.ReadPage(id)
+	// The ref is as untrusted as the pages: grow towards total rather than
+	// reserve it, and stop a chain that runs past it (or in a circle).
+	out := make([]byte, 0, min(total, 16*overflowCapacity))
+	for id != 0 && len(out) <= total {
+		payload, next, err := t.overflowPage(id)
 		if err != nil {
 			return nil, err
 		}
-		// Same post-read invalidation check as readNodeC: overflow chains
-		// follow page pointers, so a replicated apply reusing a chain page
-		// must surface as an error, not silently spliced bytes.
-		if t.pinned && t.store.snapshotInvalid(t.epoch) {
-			return nil, ErrSnapshotInvalidated
+		if len(payload) == 0 {
+			return nil, fmt.Errorf("%w: overflow page %d is empty", ErrCorruptPage, id)
 		}
-		if buf[0] != pageOverflow {
-			return nil, fmt.Errorf("storage: page %d in overflow chain has kind %d", id, buf[0])
-		}
-		n := int(binary.LittleEndian.Uint32(buf[9:]))
-		out = append(out, buf[overflowHeaderSize:overflowHeaderSize+n]...)
-		id = PageID(binary.LittleEndian.Uint64(buf[1:]))
+		out = append(out, payload...)
+		id = next
 	}
 	if len(out) != total {
-		return nil, fmt.Errorf("storage: overflow chain has %d bytes, want %d", len(out), total)
+		return nil, fmt.Errorf("%w: overflow chain has %d bytes, want %d", ErrCorruptPage, len(out), total)
 	}
 	return out, nil
 }
@@ -820,14 +954,20 @@ func (t *BTree) freeOverflow(ref []byte) error {
 	if len(ref) != overflowRefSize {
 		return fmt.Errorf("storage: bad overflow ref of %d bytes", len(ref))
 	}
+	return t.overflowPages(ref, func(id PageID) error { return t.store.Retire(id) })
+}
+
+// overflowPages visits every page of one overflow chain, reading each
+// page's successor before visit sees it (visit may retire the page).
+func (t *BTree) overflowPages(ref []byte, visit func(PageID) error) error {
 	id := PageID(binary.LittleEndian.Uint64(ref))
 	for id != 0 {
-		buf, err := t.store.ReadPage(id)
+		img, err := t.store.ReadPage(id)
 		if err != nil {
 			return err
 		}
-		next := PageID(binary.LittleEndian.Uint64(buf[1:]))
-		if err := t.store.Retire(id); err != nil {
+		next := PageID(binary.LittleEndian.Uint64(img[1:]))
+		if err := visit(id); err != nil {
 			return err
 		}
 		id = next
@@ -846,18 +986,17 @@ func (t *BTree) RetireAll() error {
 		if err != nil {
 			return err
 		}
-		if n.kind == pageInternal {
-			for _, child := range n.children {
-				if err := walk(child); err != nil {
+		for i := 0; i < n.nkeys(); i++ {
+			if n.kind == pageLeaf && n.overflow(i) {
+				if err := t.freeOverflow(n.val(i)); err != nil {
 					return err
 				}
 			}
-		} else {
-			for i, isOv := range n.overflow {
-				if isOv {
-					if err := t.freeOverflow(n.vals[i]); err != nil {
-						return err
-					}
+		}
+		if n.kind == pageInternal {
+			for i := 0; i <= n.nkeys(); i++ {
+				if err := walk(n.child(i)); err != nil {
+					return err
 				}
 			}
 		}
@@ -867,12 +1006,12 @@ func (t *BTree) RetireAll() error {
 }
 
 // Cursor iterates leaf entries in ascending key order by keeping the
-// descent path (decoded copies of the root-to-leaf nodes) on a stack.
-// Because every node is a private decoded copy, a cursor is immune to
-// concurrent pool eviction and — when iterating a snapshot-pinned root —
-// to concurrent writers. A Cursor is for use by one goroutine, but any
-// number of cursors may iterate one tree concurrently. Close releases
-// nothing under COW but is kept for API symmetry.
+// descent path (the root-to-leaf nodes) on a stack. Nodes are immutable
+// views of immutable page images, so a cursor is immune to concurrent pool
+// eviction and — when iterating a snapshot-pinned root — to concurrent
+// writers. A Cursor is for use by one goroutine, but any number of cursors
+// may iterate one tree concurrently. Close releases nothing under COW but
+// is kept for API symmetry.
 type Cursor struct {
 	tree  *BTree
 	stack []cursorFrame // ancestors of the current leaf, root first
@@ -911,12 +1050,54 @@ func (c *Cursor) descend(id PageID, key []byte) error {
 			idx = childIndex(n, key)
 		}
 		c.stack = append(c.stack, cursorFrame{n: n, idx: idx})
-		if n, err = c.tree.readNodeShared(n.children[idx], c.c); err != nil {
+		if n, err = c.tree.readNodeShared(n.child(idx), c.c); err != nil {
 			return err
 		}
 	}
 	c.leaf = n
 	return nil
+}
+
+// covers reports whether key routes to the current leaf: at or above the
+// nearest separator on the leaf's left along the descent path, below the
+// nearest on its right.
+func (c *Cursor) covers(key []byte) bool {
+	if c.leaf == nil {
+		return false
+	}
+	lo, hi := false, false
+	for i := len(c.stack) - 1; i >= 0 && !(lo && hi); i-- {
+		f := c.stack[i]
+		if !lo && f.idx > 0 {
+			if bytes.Compare(key, f.n.key(f.idx-1)) < 0 {
+				return false
+			}
+			lo = true
+		}
+		if !hi && f.idx < f.n.nkeys() {
+			if bytes.Compare(key, f.n.key(f.idx)) >= 0 {
+				return false
+			}
+			hi = true
+		}
+	}
+	return true
+}
+
+// locate moves the cursor to the first cell at or after key within the leaf
+// key routes to, reporting whether that cell holds key itself. It descends
+// from the root only when key routes outside the current leaf; the position
+// may be one past the leaf's last cell (skipEmpty moves on from there).
+func (c *Cursor) locate(key []byte) (bool, error) {
+	if !c.covers(key) {
+		c.stack = c.stack[:0]
+		if err := c.descend(c.tree.root, key); err != nil {
+			return false, err
+		}
+	}
+	var found bool
+	c.pos, found = leafIndex(c.leaf, key)
+	return found, nil
 }
 
 // First positions a cursor at the smallest key.
@@ -928,7 +1109,6 @@ func (t *BTree) firstC(ctr *obs.Counters) (*Cursor, error) {
 	if err := c.descend(t.root, nil); err != nil {
 		return nil, err
 	}
-	c.pos = 0
 	if err := c.skipEmpty(); err != nil {
 		return nil, err
 	}
@@ -941,10 +1121,9 @@ func (t *BTree) Seek(key []byte) (*Cursor, error) { return t.seekC(key, nil) }
 // seekC is Seek with per-request counter attribution (c may be nil).
 func (t *BTree) seekC(key []byte, ctr *obs.Counters) (*Cursor, error) {
 	c := &Cursor{tree: t, c: ctr}
-	if err := c.descend(t.root, key); err != nil {
+	if _, err := c.locate(key); err != nil {
 		return nil, err
 	}
-	c.pos, _ = leafIndex(c.leaf, key)
 	if err := c.skipEmpty(); err != nil {
 		return nil, err
 	}
@@ -952,10 +1131,10 @@ func (t *BTree) seekC(key []byte, ctr *obs.Counters) (*Cursor, error) {
 }
 
 // Valid reports whether the cursor references an entry.
-func (c *Cursor) Valid() bool { return c.leaf != nil && c.pos < len(c.leaf.keys) }
+func (c *Cursor) Valid() bool { return c.leaf != nil && c.pos < c.leaf.nkeys() }
 
 // Key returns the current key. Valid must be true.
-func (c *Cursor) Key() []byte { return c.leaf.keys[c.pos] }
+func (c *Cursor) Key() []byte { return c.leaf.key(c.pos) }
 
 // Value returns the current value, resolving overflow chains.
 func (c *Cursor) Value() ([]byte, error) {
@@ -977,13 +1156,13 @@ func (c *Cursor) Next() error {
 // stack to the first ancestor with an unvisited child, then descend its
 // leftmost edge.
 func (c *Cursor) skipEmpty() error {
-	for c.leaf != nil && c.pos >= len(c.leaf.keys) {
+	for c.leaf != nil && c.pos >= c.leaf.nkeys() {
 		advanced := false
 		for len(c.stack) > 0 {
 			f := &c.stack[len(c.stack)-1]
-			if f.idx+1 < len(f.n.children) {
+			if f.idx < f.n.nkeys() {
 				f.idx++
-				if err := c.descend(f.n.children[f.idx], nil); err != nil {
+				if err := c.descend(f.n.child(f.idx), nil); err != nil {
 					return err
 				}
 				c.pos = 0
@@ -1011,14 +1190,15 @@ func (t *BTree) Check() error {
 		if err != nil {
 			return err
 		}
-		for i, k := range n.keys {
+		for i := 0; i < n.nkeys(); i++ {
+			k := n.key(i)
 			if lo != nil && bytes.Compare(k, lo) < 0 {
 				return fmt.Errorf("storage: check: page %d key %d below range", id, i)
 			}
 			if hi != nil && bytes.Compare(k, hi) >= 0 {
 				return fmt.Errorf("storage: check: page %d key %d above range", id, i)
 			}
-			if i > 0 && bytes.Compare(n.keys[i-1], k) >= 0 {
+			if i > 0 && bytes.Compare(n.key(i-1), k) >= 0 {
 				return fmt.Errorf("storage: check: page %d keys out of order at %d", id, i)
 			}
 		}
@@ -1030,15 +1210,15 @@ func (t *BTree) Check() error {
 			}
 			return nil
 		}
-		for i, child := range n.children {
+		for i := 0; i <= n.nkeys(); i++ {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = n.keys[i-1]
+				clo = n.key(i - 1)
 			}
-			if i < len(n.keys) {
-				chi = n.keys[i]
+			if i < n.nkeys() {
+				chi = n.key(i)
 			}
-			if err := walk(child, clo, chi, d+1); err != nil {
+			if err := walk(n.child(i), clo, chi, d+1); err != nil {
 				return err
 			}
 		}

@@ -12,7 +12,9 @@ import (
 const DefaultPoolSize = 4096
 
 // frame is one cached page. A frame is on the LRU list only while it is
-// clean; dirty frames are never evicted.
+// clean; dirty frames are never evicted. data is the page's image and is
+// immutable: nothing writes into it once the frame holds it. A new version
+// of the page replaces the slice (Put), eviction merely drops the reference.
 type frame struct {
 	id    PageID
 	data  []byte
@@ -20,14 +22,23 @@ type frame struct {
 	elem  *list.Element // position in the LRU list (nil while dirty)
 }
 
-// BufferPool caches page frames above a Pager with LRU eviction. Dirty
+// zeroPage is the image of every page that has been grown but not yet
+// written. Shared by all such frames; like every image it is never written.
+var zeroPage = make([]byte, PageSize)
+
+// BufferPool caches page images above a Pager with LRU eviction. Dirty
 // frames are never evicted; they are held until the Store commits them
 // through the WAL, which keeps crash recovery simple (no steal policy).
 //
+// Images are immutable. Get hands out the image itself — no copy — and the
+// caller may keep it for as long as it likes: Put installs a new image
+// beside it and eviction only drops the pool's reference, so neither can
+// change bytes a reader holds. In exchange nobody may write into an image,
+// neither a reader into one it got nor a writer into one it installed.
+//
 // All methods are safe for concurrent use; an internal mutex serializes
-// access to the frame table and the LRU list. Readers only ever copy page
-// contents out under the mutex, so no caller aliases a frame, and eviction
-// can never invalidate data a reader holds.
+// access to the frame table and the LRU list (a map lookup and an LRU touch
+// on a hit).
 type BufferPool struct {
 	mu     sync.Mutex
 	pager  Pager
@@ -50,15 +61,17 @@ func NewBufferPool(pager Pager, limit int) *BufferPool {
 	}
 }
 
-// load returns the frame for page id, reading it from the pager on a miss,
-// and reports whether the frame was already resident. Callers must hold
-// bp.mu.
-func (bp *BufferPool) load(id PageID) (*frame, bool, error) {
+// page returns the image of page id, reading it from the pager on a miss,
+// and reports whether the frame was already resident (feeding the pool
+// hit/miss counters).
+func (bp *BufferPool) page(id PageID) ([]byte, bool, error) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
 		if f.elem != nil {
 			bp.lru.MoveToFront(f.elem)
 		}
-		return f, true, nil
+		return f.data, true, nil
 	}
 	data := make([]byte, PageSize)
 	if err := bp.pager.ReadPage(id, data); err != nil {
@@ -68,58 +81,32 @@ func (bp *BufferPool) load(id PageID) (*frame, bool, error) {
 	f.elem = bp.lru.PushFront(f)
 	bp.frames[id] = f
 	bp.evict()
-	return f, false, nil
+	return data, false, nil
 }
 
-// ReadInto copies the contents of page id into dst (PageSize long), reading
-// it from the pager on a miss. The copy happens under the pool lock, so dst
-// never aliases a frame and stays valid regardless of later pool activity.
-func (bp *BufferPool) ReadInto(id PageID, dst []byte) error {
-	_, err := bp.ReadIntoHit(id, dst)
-	return err
-}
-
-// ReadIntoHit is ReadInto plus a hit report: it returns whether the page
-// was served from a resident frame (true) or read from the pager (false),
-// feeding the buffer-pool hit/miss counters.
-func (bp *BufferPool) ReadIntoHit(id PageID, dst []byte) (bool, error) {
-	if len(dst) < PageSize {
-		return false, fmt.Errorf("storage: ReadInto page %d with %d-byte buffer", id, len(dst))
-	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	f, hit, err := bp.load(id)
-	if err != nil {
-		return false, err
-	}
-	copy(dst[:PageSize], f.data)
-	return hit, nil
-}
-
-// Get returns a private copy of the contents of page id. Prefer ReadInto on
-// hot paths to reuse a caller-owned buffer.
+// Get returns the image of page id. The slice is shared and immutable: the
+// caller must not write into it, and may hold it indefinitely.
 func (bp *BufferPool) Get(id PageID) ([]byte, error) {
-	out := make([]byte, PageSize)
-	if err := bp.ReadInto(id, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	img, _, err := bp.page(id)
+	return img, err
 }
 
-// Put replaces the contents of page id in the pool and marks it dirty. The
-// page is not written to the pager until the owning Store commits.
-func (bp *BufferPool) Put(id PageID, data []byte) error {
-	if len(data) != PageSize {
-		return fmt.Errorf("storage: Put page %d with %d bytes", id, len(data))
+// Put installs img as the new image of page id and marks the page dirty.
+// Ownership of img passes to the pool: the caller must not modify it
+// afterwards (readers of the page's previous image keep that one). The page
+// is not written to the pager until the owning Store commits.
+func (bp *BufferPool) Put(id PageID, img []byte) error {
+	if len(img) != PageSize {
+		return fmt.Errorf("storage: Put page %d with %d bytes", id, len(img))
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	f, ok := bp.frames[id]
 	if !ok {
-		f = &frame{id: id, data: make([]byte, PageSize)}
+		f = &frame{id: id}
 		bp.frames[id] = f
 	}
-	copy(f.data, data)
+	f.data = img
 	bp.markDirty(f)
 	return nil
 }
@@ -132,7 +119,7 @@ func (bp *BufferPool) Grow() (PageID, error) {
 	if err != nil {
 		return 0, err
 	}
-	f := &frame{id: id, data: make([]byte, PageSize)}
+	f := &frame{id: id, data: zeroPage}
 	bp.frames[id] = f
 	bp.markDirty(f)
 	return id, nil
@@ -168,8 +155,7 @@ type DirtyPage struct {
 }
 
 // DirtyPages returns the pending page images in ascending page order. The
-// Data slices alias pool frames; the caller must finish with them before
-// any further pool mutation (the Store does so under its write lock).
+// Data slices are the pool's own immutable images, valid indefinitely.
 func (bp *BufferPool) DirtyPages() []DirtyPage {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()

@@ -42,7 +42,7 @@ func (t *BTree) Empty() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return root.kind == pageLeaf && len(root.keys) == 0, nil
+	return root.kind == pageLeaf && root.nkeys() == 0, nil
 }
 
 // BulkLoad builds the tree bottom-up from pairs, whose keys must be
@@ -86,7 +86,7 @@ func (t *BTree) BulkLoad(pairs []KV) error {
 		}
 		first = id
 	}
-	cur := &node{kind: pageLeaf, page: first}
+	cur := &cells{kind: pageLeaf, page: first}
 	curSize := leafHeaderSize
 	level := []levelEntry{{key: pairs[0].Key, page: cur.page}}
 	for _, p := range pairs {
@@ -107,11 +107,13 @@ func (t *BTree) BulkLoad(pairs []KV) error {
 			if err := t.writeNode(cur); err != nil {
 				return err
 			}
-			cur = &node{kind: pageLeaf, page: nid}
+			// The page just written holds copies: the next leaf's cells
+			// reuse the slices instead of growing new ones from nothing.
+			cur = &cells{kind: pageLeaf, page: nid, keys: cur.keys[:0], vals: cur.vals[:0], overflow: cur.overflow[:0]}
 			curSize = leafHeaderSize
 			level = append(level, levelEntry{key: p.Key, page: nid})
 		}
-		cur.keys = append(cur.keys, append([]byte(nil), p.Key...))
+		cur.keys = append(cur.keys, p.Key)
 		cur.vals = append(cur.vals, stored)
 		cur.overflow = append(cur.overflow, isOverflow)
 		curSize += entry
@@ -131,7 +133,7 @@ func (t *BTree) BulkLoad(pairs []KV) error {
 			if err != nil {
 				return err
 			}
-			n := &node{kind: pageInternal, page: id, children: []PageID{level[i].page}}
+			n := &cells{kind: pageInternal, page: id, children: []PageID{level[i].page}}
 			first := level[i].key
 			size := internalHeaderSize
 			i++

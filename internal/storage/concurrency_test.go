@@ -24,7 +24,7 @@ func TestStoreConcurrentReaders(t *testing.T) {
 	}
 	// The B+tree itself is single-writer; concurrent READ access via
 	// independent cursors is safe because all page I/O goes through the
-	// Store's mutex and readNode copies page contents.
+	// buffer pool's mutex and page images are immutable.
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -73,8 +73,8 @@ func TestStoreConcurrentPageIO(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			buf := make([]byte, PageSize)
 			for i := 0; i < 200; i++ {
+				buf := make([]byte, PageSize) // WritePage keeps it
 				buf[0] = byte(g)
 				buf[1] = byte(i)
 				if err := s.WritePage(ids[g], buf); err != nil {

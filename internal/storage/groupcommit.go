@@ -12,8 +12,9 @@ import (
 // halves:
 //
 //   - prepare (under Store.mu): stamp the next epoch into the meta page,
-//     collect the dirty pages once, copy their images into a private slab,
-//     insert them into the writeback table (see checkpoint.go), clear the
+//     collect the dirty pages once (their images are immutable, so the
+//     batch shares them with the pool: nothing is copied), insert them
+//     into the writeback table (see checkpoint.go), clear the
 //     pool's dirty flags, and enqueue a commitReq. Enqueueing while still
 //     holding Store.mu guarantees WAL batch order == epoch order.
 //
@@ -30,7 +31,7 @@ import (
 type commitReq struct {
 	epoch uint64
 	roots [NumRoots]PageID
-	pages []DirtyPage // private images (one slab); stable after prepare
+	pages []DirtyPage // the pool's immutable images as of prepare
 	done  chan error  // buffered(1); receives the flush result
 
 	// Filled by the leader before done is signalled (the channel receive
@@ -264,7 +265,7 @@ func (s *Store) CommitAsync() *CommitWaiter {
 // (or, during init, have exclusive access). A nil request means there was
 // nothing to commit or the store is in-memory (committed inline).
 func (s *Store) prepareLocked() (*commitReq, error) {
-	if s.pool.DirtyCount() == 0 {
+	if s.pool.DirtyCount() == 0 && !s.metaDirty {
 		return nil, nil
 	}
 	if s.replica.Load() {
@@ -300,16 +301,11 @@ func (s *Store) captureLocked() (*commitReq, error) {
 		return nil, nil
 	}
 
-	// Copy the images into one private slab: the WAL encode and any
-	// checkpoint writeback happen after Store.mu is released, while the
-	// writer may already be dirtying the same frames for the next epoch.
-	slab := make([]byte, len(dirty)*PageSize)
-	pages := make([]DirtyPage, len(dirty))
-	for i, d := range dirty {
-		dst := slab[i*PageSize : (i+1)*PageSize : (i+1)*PageSize]
-		copy(dst, d.Data)
-		pages[i] = DirtyPage{ID: d.ID, Data: dst}
-	}
+	// The images are immutable, so the WAL encode and the checkpoint
+	// writeback — which happen after Store.mu is released, while the writer
+	// may already be rewriting the same pages for the next epoch — share
+	// them with the pool instead of copying.
+	pages := dirty
 	// Insert into the writeback table before clearing dirty flags: once
 	// ClearDirty may evict a frame, a pool miss must find the committed
 	// image in the writeback table rather than stale bytes on disk.

@@ -40,6 +40,10 @@ var (
 	ErrPageBounds  = errors.New("storage: page id out of bounds")
 	ErrKeyTooLarge = errors.New("storage: key too large")
 	ErrNotFound    = errors.New("storage: key not found")
+	// ErrCorruptPage is returned when a page's bytes do not decode as what
+	// the reader was told to expect (a torn or damaged node, an overflow
+	// chain running off its pages). The wrapping error names the page.
+	ErrCorruptPage = errors.New("storage: corrupt page")
 )
 
 // PageID identifies a page within a page file. Page 0 is the meta page and
@@ -341,13 +345,16 @@ func (m *meta) decode(buf []byte) error {
 // Concurrency: the store is multi-version. Mutations (WriteCOW, WritePage,
 // Allocate, Free, Retire, SetRoot, Commit, Close) serialize on the store
 // mutex and must come from one writer at a time (package relstore enforces
-// this with its database mutex). Reads — ReadPage, ReadPageInto — never
-// take the store mutex: they are served from the buffer pool under its own
-// short-lived latch and may run from any number of goroutines concurrently
-// with the writer. Snapshot readers are safe because a committed page is
-// never modified in place: writers copy-on-write onto fresh pages and the
-// superseded pages are only reused after every snapshot that could see
-// them has closed (see epoch.go).
+// this with its database mutex). Reads — ReadPage — never take the store
+// mutex: they take the page's immutable image from the buffer pool under
+// its own short-lived latch and may run from any number of goroutines
+// concurrently with the writer. Snapshot readers are safe because a
+// committed page is never modified in place: writers copy-on-write onto
+// fresh pages and the superseded pages are only reused after every snapshot
+// that could see them has closed (see epoch.go). Nor is any page *image*
+// ever modified: rewriting a page — a fresh one by its writer, a reused id,
+// a replicated apply — installs a new image, so bytes a reader already holds
+// stay what they were.
 type Store struct {
 	mu     sync.RWMutex
 	pager  Pager
@@ -356,9 +363,14 @@ type Store struct {
 	meta   meta
 	closed atomic.Bool
 
+	// metaDirty records that meta has changed since its image was last
+	// installed as page 0. The page is encoded once, when a commit is
+	// prepared (writeMeta), not on every allocation, free and root change.
+	metaDirty bool
+
 	// fresh holds the pages allocated since the last commit. They are
-	// invisible to every published state, so the writer may modify them in
-	// place and retiring one frees it immediately.
+	// invisible to every published state, so the writer may rewrite them
+	// under the same id and retiring one frees it immediately.
 	fresh map[PageID]struct{}
 
 	// wasClean records whether the file carried the clean-shutdown flag
@@ -404,8 +416,8 @@ type Store struct {
 	commitHook atomic.Pointer[func(ReplBatch)]
 	horizon    atomic.Uint64
 
-	// snapInvalid is an exclusive upper bound on snapshot epochs whose page
-	// images may have been overwritten in place by a replicated apply (see
+	// snapInvalid is an exclusive upper bound on snapshot epochs whose pages
+	// may have been replaced by a replicated apply (see
 	// InvalidateSnapshotsBelow). Pinned reads below it fail with
 	// ErrSnapshotInvalidated instead of silently decoding mutated pages.
 	snapInvalid atomic.Uint64
@@ -434,9 +446,9 @@ func (s *Store) ReadCacheStats() (entries int, bytes int64) {
 }
 
 // dropCached removes every cached decode of the page. Must be called
-// whenever a page's bytes may change under an id a reader could still look
-// up: on free (the id becomes reallocatable) and on in-place writes of
-// writer-owned pages.
+// whenever a page id may come to name different bytes while a reader could
+// still look it up: on free (the id becomes reallocatable) and on rewrites
+// of writer-owned pages.
 func (s *Store) dropCached(id PageID) {
 	if rc := s.rcache.Load(); rc != nil {
 		rc.drop(id)
@@ -542,7 +554,7 @@ func (s *Store) init() error {
 		// growing the file inside an uncommitted transaction — the next
 		// open sees an unclean file and sweeps.
 		s.meta.clean = false
-		s.writeMeta()
+		s.metaDirty = true
 		if err := s.commitSync(); err != nil {
 			return err
 		}
@@ -577,7 +589,8 @@ func (s *Store) WasCleanShutdown() bool { return s.wasClean }
 
 // Allocate returns a page available for use, reusing freed pages first.
 // Allocated pages count as fresh until the next commit: the writer may
-// modify them in place, since no published state can reference them.
+// rewrite them under the same id, since no published state can reference
+// them.
 func (s *Store) Allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -590,12 +603,12 @@ func (s *Store) allocate() (PageID, error) {
 	}
 	if s.meta.freeHead != 0 {
 		id := s.meta.freeHead
-		var buf [PageSize]byte
-		if err := s.pool.ReadInto(id, buf[:]); err != nil {
+		link, err := s.pool.Get(id)
+		if err != nil {
 			return 0, err
 		}
-		s.meta.freeHead = PageID(binary.LittleEndian.Uint64(buf[:]))
-		s.writeMeta()
+		s.meta.freeHead = PageID(binary.LittleEndian.Uint64(link))
+		s.metaDirty = true
 		s.fresh[id] = struct{}{}
 		return id, nil
 	}
@@ -624,13 +637,13 @@ func (s *Store) free(id PageID) error {
 	// The id is about to become reallocatable: no reader may resolve a
 	// cached decode of its old contents once it is reused.
 	s.dropCached(id)
-	var buf [PageSize]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(s.meta.freeHead))
-	if err := s.pool.Put(id, buf[:]); err != nil {
+	link := make([]byte, PageSize)
+	binary.LittleEndian.PutUint64(link, uint64(s.meta.freeHead))
+	if err := s.pool.Put(id, link); err != nil {
 		return err
 	}
 	s.meta.freeHead = id
-	s.writeMeta()
+	s.metaDirty = true
 	return nil
 }
 
@@ -660,8 +673,8 @@ func (s *Store) retire(id PageID) error {
 	return nil
 }
 
-// Writable reports whether the writer may modify the page in place: true
-// only for pages allocated since the last commit.
+// Writable reports whether the writer may rewrite the page under its id:
+// true only for pages allocated since the last commit.
 func (s *Store) Writable(id PageID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -669,14 +682,16 @@ func (s *Store) Writable(id PageID) bool {
 	return ok
 }
 
-// writeMeta pushes the meta page into the buffer pool; it becomes durable at
-// the next Commit. Errors are impossible for page 0 once the store is open.
+// writeMeta installs the meta page's image in the buffer pool, as part of
+// the commit being prepared. Errors are impossible for page 0 once the store
+// is open.
 func (s *Store) writeMeta() {
-	var buf [PageSize]byte
-	s.meta.encode(buf[:])
-	if err := s.pool.Put(0, buf[:]); err != nil {
+	img := make([]byte, PageSize)
+	s.meta.encode(img)
+	if err := s.pool.Put(0, img); err != nil {
 		panic("storage: write meta: " + err.Error())
 	}
+	s.metaDirty = false
 }
 
 // Root returns the page id stored in the named root slot (0 if unset).
@@ -693,39 +708,29 @@ func (s *Store) SetRoot(slot int, id PageID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.meta.roots[slot] = id
-	s.writeMeta()
+	s.metaDirty = true
 }
 
-// ReadPage returns a private copy of the page contents via the buffer pool
-// (page-copy semantics: the slice never aliases a pool frame and stays valid
-// indefinitely). Reads never take the store mutex, so they proceed while a
-// writer mutates other pages — the foundation of non-blocking snapshot
-// reads.
+// ReadPage returns the image of the page via the buffer pool. The slice is
+// the pool's own immutable image, not a copy: the caller must not write
+// into it and may hold it indefinitely — a later rewrite of the page
+// installs a new image and leaves this one as it was. Reads never take the
+// store mutex, so they proceed while a writer mutates other pages — the
+// foundation of non-blocking snapshot reads.
 func (s *Store) ReadPage(id PageID) ([]byte, error) {
-	out := make([]byte, PageSize)
-	if err := s.ReadPageInto(id, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.readPage(id, nil)
 }
 
-// ReadPageInto copies the page contents into buf (at least PageSize long),
-// avoiding the allocation of ReadPage on hot read paths. Safe for any
-// number of concurrent readers, including while a writer commits.
-func (s *Store) ReadPageInto(id PageID, buf []byte) error {
-	return s.readPageInto(id, buf, nil)
-}
-
-// readPageInto is the counted read chokepoint: buffer-pool hits and
-// misses (each miss is one page read) feed the global engine counters
-// always, and the per-request set c when a trace is active (c nil-safe).
-func (s *Store) readPageInto(id PageID, buf []byte, c *obs.Counters) error {
+// readPage is the counted read chokepoint: buffer-pool hits and misses
+// (each miss is one page read) feed the global engine counters always, and
+// the per-request set c when a trace is active (c nil-safe).
+func (s *Store) readPage(id PageID, c *obs.Counters) ([]byte, error) {
 	if s.closed.Load() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	hit, err := s.pool.ReadIntoHit(id, buf)
+	img, hit, err := s.pool.page(id)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if hit {
 		obs.Engine.Add(obs.CtrPoolHits, 1)
@@ -736,43 +741,45 @@ func (s *Store) readPageInto(id PageID, buf []byte, c *obs.Counters) error {
 		c.Add(obs.CtrPoolMisses, 1)
 		c.Add(obs.CtrPagesRead, 1)
 	}
-	return nil
+	return img, nil
 }
 
-// WritePage replaces the page contents via the buffer pool, in place.
-// Callers must own the page (fresh, or provably unreferenced by any
-// published state); COW paths use WriteCOW.
-func (s *Store) WritePage(id PageID, buf []byte) error {
+// WritePage installs img as the page's new image via the buffer pool.
+// Ownership of img passes to the store: the caller must not modify it
+// afterwards. Callers must own the page (fresh, or provably unreferenced by
+// any published state); COW paths use WriteCOW.
+func (s *Store) WritePage(id PageID, img []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	// In-place rewrite: any cached decode of the page is now stale.
+	// The page has new contents: any cached decode of it is now stale.
 	s.dropCached(id)
-	return s.pool.Put(id, buf)
+	return s.pool.Put(id, img)
 }
 
 // WriteCOW writes a page image with copy-on-write semantics: a fresh page
-// is updated in place and keeps its id; a committed page is left untouched,
+// keeps its id and gets the new image; a committed page is left untouched,
 // the image lands on a newly allocated page, and the old page is retired.
-// The returned id is where the image now lives.
-func (s *Store) WriteCOW(id PageID, buf []byte) (PageID, error) {
+// The returned id is where the image now lives. As with WritePage,
+// ownership of img passes to the store.
+func (s *Store) WriteCOW(id PageID, img []byte) (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
 	if _, ok := s.fresh[id]; ok {
-		// Fresh pages are rewritten in place; drop any cached decode.
+		// Fresh pages keep their id; drop any cached decode.
 		s.dropCached(id)
-		return id, s.pool.Put(id, buf)
+		return id, s.pool.Put(id, img)
 	}
 	nid, err := s.allocate()
 	if err != nil {
 		return 0, err
 	}
-	if err := s.pool.Put(nid, buf); err != nil {
+	if err := s.pool.Put(nid, img); err != nil {
 		return 0, err
 	}
 	if err := s.retire(id); err != nil {
@@ -847,7 +854,7 @@ func (s *Store) Close() error {
 	// list, and only the reopen sweep provably reclaims what that leaked.
 	if pending == 0 && !s.wasReplica {
 		s.meta.clean = true
-		s.writeMeta()
+		s.metaDirty = true
 		cleanErr = s.commitSync()
 	}
 	s.mu.Unlock()

@@ -11,21 +11,28 @@ import (
 // (PageID, epoch): because copy-on-write commits never modify a published
 // page in place, a (page, epoch) pair names immutable bytes for as long as
 // the page exists, so entries need no invalidation while cached — they are
-// only dropped when something makes the page id reusable or writer-mutable:
+// only dropped when something makes the page id name other bytes:
 //
 //   - Store.free: the page returns to the free list (epoch reclamation,
 //     explicit frees, reclamation sweeps) and its id may be reallocated
 //     with different contents.
 //   - Store.WritePage / the fresh branch of Store.WriteCOW: the writer
-//     rewrites a page it owns in place (fresh pages are writer-mutable
-//     until the next commit).
+//     gives a page it owns a new image (fresh pages are the writer's to
+//     rewrite until the next commit).
 //
-// Leaves are deliberately not cached: leaf values are returned to callers
-// by reference (BTree.resolveValue aliases node.vals), so sharing decoded
-// leaves across goroutines would tie those value slices' lifetimes to the
-// cache's eviction policy. Interior nodes carry only routing state
-// (separator keys and child ids) and are read strictly read-only by the
-// descent paths, making them safe to share once published here.
+// An entry is a node: the page's immutable image and its cell-offset table
+// (see btree.go). It holds two pointers, whatever the number of cells, so
+// the cache's budget is a few thousand objects for the collector to look at
+// rather than one per separator key; and it keeps its image alive by itself,
+// so an entry outlives the pool frame it was decoded from.
+//
+// Leaves are not cached, for economy rather than safety — a leaf's values
+// are handed out as sub-slices of an immutable image either way. Indexing a
+// leaf's cells is one pass over their headers, cheap next to the descent
+// that led there, while every cached leaf would pin a 4 KiB image the
+// buffer pool already budgets for: the leaf level is the bulk of a tree,
+// and the cache would become a second, unaccounted pool. Interior nodes are
+// few, hot, and on the path of every descent.
 //
 // The cache is sharded to keep it lock-light: each shard is an
 // independently locked LRU with its own slice of the byte budget, and a
@@ -82,19 +89,14 @@ func (c *readCache) shardFor(id PageID) *rcShard {
 	return &c.shards[h>>(64-4)]          // top 4 bits: 16 shards
 }
 
-// nodeCost approximates the resident footprint of a decoded interior node:
-// struct and slice headers plus key bytes and child ids.
+// nodeCost is the resident footprint of a cached node: the page image it
+// keeps alive, its offset table, and the node and entry structs.
 func nodeCost(n *node) int64 {
-	cost := int64(96) // node struct + slice headers, roughly
-	for _, k := range n.keys {
-		cost += int64(len(k)) + 24 // backing array + slice header
-	}
-	cost += int64(len(n.children)) * 8
-	return cost
+	return int64(PageSize + 2*len(n.offs) + 160)
 }
 
 // get returns the cached node for (id, epoch) and marks it most recently
-// used. The returned node is shared: callers must treat it as immutable.
+// used. The returned node is shared (and, like every node, immutable).
 func (c *readCache) get(id PageID, epoch uint64) (*node, bool) {
 	sh := c.shardFor(id)
 	sh.mu.Lock()

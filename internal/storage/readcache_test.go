@@ -12,12 +12,21 @@ import (
 
 // rcTestNode builds a small interior node for direct cache tests.
 func rcTestNode(page PageID, keyBytes int) *node {
-	return &node{
+	e := &cells{
 		kind:     pageInternal,
 		page:     page,
 		keys:     [][]byte{bytes.Repeat([]byte{'k'}, keyBytes)},
 		children: []PageID{page + 1, page + 2},
 	}
+	img, err := e.image()
+	if err != nil {
+		panic(err)
+	}
+	n, err := decodeNode(page, img)
+	if err != nil {
+		panic(err)
+	}
+	return n
 }
 
 func TestReadCachePutGetDrop(t *testing.T) {
@@ -60,13 +69,11 @@ func TestReadCachePutGetDrop(t *testing.T) {
 }
 
 func TestReadCacheEvictsUnderBudget(t *testing.T) {
-	// Budget: one shard gets total/readCacheShards bytes. Use big keys so a
-	// few entries overflow a shard and force LRU eviction from the tail.
-	c := newReadCache(readCacheShards * 1024)
+	// Budget: one shard gets total/readCacheShards bytes — room for two
+	// entries here (an entry costs its whole page image), so a few entries
+	// overflow a shard and force LRU eviction from the tail.
 	perEntry := nodeCost(rcTestNode(0, 256))
-	if perEntry >= 1024 {
-		t.Fatalf("test node too big: %d", perEntry)
-	}
+	c := newReadCache(readCacheShards * (2*perEntry + 1))
 	// All on one shard: readCache hashes by page id, so use ids that land
 	// together by construction — insert many and rely on per-shard budgets.
 	for i := PageID(0); i < 64; i++ {
@@ -86,7 +93,7 @@ func TestReadCacheEvictsUnderBudget(t *testing.T) {
 	}
 
 	// An entry larger than a whole shard budget is refused outright.
-	big := newReadCache(readCacheShards * 64)
+	big := newReadCache(readCacheShards * (perEntry - 1))
 	big.put(1, 1, rcTestNode(1, 512))
 	if entries, _ := big.stats(); entries != 0 {
 		t.Fatalf("oversized entry was cached (%d entries)", entries)

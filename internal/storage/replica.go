@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -12,8 +13,9 @@ import (
 //   - Every commit batch is self-describing: prepareLocked always stamps the
 //     meta page (epoch + roots), so page 0's image rides in every batch and a
 //     batch alone tells a follower which epoch it lands on.
-//   - Page images in a batch are immutable after prepare (private slab), so
-//     the commit hook may retain them with zero copies.
+//   - Page images in a batch are immutable (every page image is, once
+//     installed in the pool), so the commit hook may retain them with zero
+//     copies.
 //   - Freed pages carry their free-list link bytes through the pool, so the
 //     link writes are part of commit batches too: an applied follower's page
 //     file is byte-compatible with the primary's.
@@ -103,17 +105,20 @@ func (s *Store) SetWALRetainCap(bytes int64) {
 }
 
 // ErrSnapshotInvalidated is returned by reads on a pinned snapshot whose
-// pages may have been overwritten by a replicated apply: the follower
-// waited out its grace period for the snapshot to close, then invalidated
-// it rather than let its reads silently observe mutated pages. The read is
-// retryable on a fresh snapshot (or, at the serving layer, on the primary).
+// pages may have been replaced by a replicated apply: the follower waited
+// out its grace period for the snapshot to close, then invalidated it
+// rather than let its reads silently follow page ids that now name another
+// epoch's pages. (An image the reader already holds is unaffected — images
+// are immutable — but its next page read would be of the new state.) The
+// read is retryable on a fresh snapshot (or, at the serving layer, on the
+// primary).
 var ErrSnapshotInvalidated = errors.New("storage: snapshot invalidated by replication apply; retry the read")
 
 // InvalidateSnapshotsBelow marks every snapshot with epoch < limit invalid:
 // their subsequent page reads fail with ErrSnapshotInvalidated. The mark is
-// monotonic. It must be stored BEFORE the apply mutates any pool frame —
+// monotonic. It must be stored BEFORE the apply replaces any pool frame —
 // pool reads and writes serialize on the pool mutex, so a reader that
-// observes post-apply bytes is ordered after the apply's Put, hence after
+// gets a post-apply image is ordered after the apply's Put, hence after
 // this store, and its post-read check sees the mark.
 func (s *Store) InvalidateSnapshotsBelow(limit uint64) {
 	for {
@@ -246,7 +251,10 @@ func (s *Store) ApplyReplicated(epoch uint64, pages []DirtyPage) error {
 		}
 		// The id may be a reuse of a page some cached decode still names.
 		s.dropCached(p.ID)
-		if err := s.pool.Put(p.ID, p.Data); err != nil {
+		// The batch's buffers stay the caller's (one receive buffer may back
+		// many pages): the pool gets an image of its own, and a reader still
+		// holding the page's previous image keeps it.
+		if err := s.pool.Put(p.ID, bytes.Clone(p.Data)); err != nil {
 			s.mu.Unlock()
 			return err
 		}
@@ -267,6 +275,7 @@ func (s *Store) ApplyReplicated(epoch uint64, pages []DirtyPage) error {
 		return fmt.Errorf("storage: replicated batch meta epoch %d != %d", m.epoch, epoch)
 	}
 	s.meta = m
+	s.metaDirty = false // the batch's page 0 is this meta
 	req, err := s.captureLocked()
 	s.mu.Unlock()
 	if err != nil {

@@ -22,7 +22,9 @@ const cancelCheckInterval = 128
 // above bottoms out in.
 //
 // Like cursor iteration, Scan is safe for any number of concurrent readers
-// of the same tree.
+// of the same tree. The key and value fn sees alias an immutable page image
+// (see the BTree doc comment): they outlive the callback unchanged, at the
+// price of keeping that image alive.
 func (t *BTree) Scan(ctx context.Context, start []byte, fn func(key, value []byte) (bool, error)) error {
 	// Once the context is done, any failure is reported as the context's
 	// error: a cancelled reader whose snapshot pins were already released

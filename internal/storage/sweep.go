@@ -17,6 +17,7 @@ import "encoding/binary"
 // nodes and the overflow chains of spilled values. It is a read-only walk
 // of the tree rooted at the handle's current root.
 func (t *BTree) Pages(visit func(PageID)) error {
+	visitOverflow := func(id PageID) error { visit(id); return nil }
 	var walk func(id PageID) error
 	walk = func(id PageID) error {
 		visit(id)
@@ -25,41 +26,24 @@ func (t *BTree) Pages(visit func(PageID)) error {
 			return err
 		}
 		if n.kind == pageInternal {
-			for _, child := range n.children {
-				if err := walk(child); err != nil {
+			for i := 0; i <= n.nkeys(); i++ {
+				if err := walk(n.child(i)); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		for i, isOv := range n.overflow {
-			if !isOv {
-				continue
-			}
-			if err := t.overflowPages(n.vals[i], visit); err != nil {
-				return err
+		for i := 0; i < n.nkeys(); i++ {
+			// An unreadable ref has nothing to visit.
+			if ref := n.val(i); n.overflow(i) && len(ref) == overflowRefSize {
+				if err := t.overflowPages(ref, visitOverflow); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
 	return walk(t.root)
-}
-
-// overflowPages visits every page of one overflow chain.
-func (t *BTree) overflowPages(ref []byte, visit func(PageID)) error {
-	if len(ref) != overflowRefSize {
-		return nil // unreadable ref: nothing to visit
-	}
-	id := PageID(binary.LittleEndian.Uint64(ref))
-	for id != 0 {
-		visit(id)
-		buf, err := t.store.ReadPage(id)
-		if err != nil {
-			return err
-		}
-		id = PageID(binary.LittleEndian.Uint64(buf[1:]))
-	}
-	return nil
 }
 
 // FreePages returns the page ids currently chained on the free list.
@@ -71,13 +55,13 @@ func (s *Store) FreePages() ([]PageID, error) {
 
 func (s *Store) freePagesLocked() ([]PageID, error) {
 	var out []PageID
-	var buf [PageSize]byte
 	for id := s.meta.freeHead; id != 0; {
 		out = append(out, id)
-		if err := s.pool.ReadInto(id, buf[:]); err != nil {
+		link, err := s.pool.Get(id)
+		if err != nil {
 			return nil, err
 		}
-		id = PageID(binary.LittleEndian.Uint64(buf[:]))
+		id = PageID(binary.LittleEndian.Uint64(link))
 	}
 	return out, nil
 }

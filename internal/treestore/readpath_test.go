@@ -34,10 +34,11 @@ func total(root *obs.Span, name string) int64 {
 // under fixed ceilings of B+tree descents and decoded cells. There is one
 // query path, so descents are the same with the decoded-node cache off and
 // on; the cache only spares the re-decoding of interior nodes. The counts
-// are deterministic — 226 descents, 16 165 cells with the cache, 50 201
-// without — and the ceilings sit ~10% over them; the per-row path this
-// replaced took 1 145 descents and 225 139 cells, and the recursion that
-// still walked source chains 273 descents and 18 966 / 61 266 cells.
+// are deterministic — 161 descents, 12 378 cells with the cache, 35 154
+// without — and the ceilings sit ~10% over them. Before layer 0 harvested
+// the leaf a point read lands in, as the upper layers always did, the same
+// projection took 226 descents and 16 165 / 50 201 cells; the per-row path
+// before that 1 145 descents and 225 139 cells.
 func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-leaf tree load")
@@ -93,9 +94,9 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	}
 	t.Logf("descents off=%d on=%d; cells off=%d on=%d", offDescents, onDescents, offCells, onCells)
 	const (
-		maxDescents = 250
-		maxCellsOn  = 18000
-		maxCellsOff = 55000
+		maxDescents = 175
+		maxCellsOn  = 13500
+		maxCellsOff = 38500
 	)
 	if onDescents != offDescents {
 		t.Fatalf("btree_descents: off=%d on=%d, want equal (one query path)", offDescents, onDescents)
@@ -381,17 +382,30 @@ func TestLCADifferentialNaive(t *testing.T) {
 }
 
 // TestDeepLCADescentCeiling pins the paper's cost claim on the stored
-// engine with deterministic counters: on caterpillars at f=16, no pair may
-// cost more B+tree descents than layers x (2f local cells + the 2 query
-// cells + the 2 entered source cells + 2 subs rows) — a source-chain walk
-// would cost depth/f — and the mean over 500 pairs may grow from depth 2k
-// (3 layers) to depth 20k (4 layers) by no more than the layer-count ratio.
+// engine with deterministic counters. On caterpillars at f=16 an LCA reads,
+// per layer, at most 2f local cells, the 2 query cells, the 2 entered source
+// cells and 2 subs rows — a source-chain walk would read depth/f — and since
+// every read harvests the storage leaf it lands in, those reads collapse
+// into a few descents a layer: over 500 seeded pairs the mean is 6.0 at
+// depth 2k (3 layers, worst pair 7) and 8.8 at depth 20k (4 layers, worst
+// 11). The ceilings are absolute, per layer: a mean of 2.5 descents and no
+// pair over 3. The code that made a descent of every layer-0 read took 4.6
+// and 4.1 a layer on the same pairs (means 13.7 and 16.4) and fails both.
+//
+// The two means are not compared with each other. The top layer is one
+// storage leaf and enters nothing, so it costs one descent where a lower
+// layer costs about three: the cost is affine in the layer count, about
+// 3(L-1)+1, and a tree with fewer layers is cheaper by more than the layer
+// ratio — 8.8 is above 4/3 of 6.0 with nothing walked twice.
 func TestDeepLCADescentCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("40k-node tree load")
 	}
-	const f = 16
-	mean := map[int]float64{}
+	const (
+		f            = 16
+		meanPerLayer = 2.5
+		maxPerLayer  = 3
+	)
 	layers := map[int]int{}
 	for _, depth := range []int{2000, 20000} {
 		gold, err := treegen.Caterpillar(depth, rand.New(rand.NewSource(51)))
@@ -400,7 +414,7 @@ func TestDeepLCADescentCeiling(t *testing.T) {
 		}
 		st := loadTree(t, gold, f)
 		layers[depth] = st.Info().Layers
-		ceiling := int64(layers[depth] * (2*f + 6))
+		ceiling := int64(maxPerLayer * layers[depth])
 		r := rand.New(rand.NewSource(52))
 		sum, worst := int64(0), int64(0)
 		for i := 0; i < 500; i++ {
@@ -411,19 +425,19 @@ func TestDeepLCADescentCeiling(t *testing.T) {
 			}
 			d := total(span, "btree_descents")
 			if d > ceiling {
-				t.Fatalf("depth %d: LCA(%d,%d) took %d descents, ceiling %d = %d layers x (2f+6)", depth, a, b, d, ceiling, layers[depth])
+				t.Fatalf("depth %d: LCA(%d,%d) took %d descents, ceiling %d = %d a layer over %d layers", depth, a, b, d, ceiling, maxPerLayer, layers[depth])
 			}
 			sum += d
 			worst = max(worst, d)
 		}
-		mean[depth] = float64(sum) / 500
-		t.Logf("depth %d: %d layers, mean %.1f descents, worst %d, ceiling %d", depth, layers[depth], mean[depth], worst, ceiling)
+		mean := float64(sum) / 500
+		t.Logf("depth %d: %d layers, mean %.1f descents, worst %d, ceiling %d", depth, layers[depth], mean, worst, ceiling)
+		if limit := meanPerLayer * float64(layers[depth]); mean > limit {
+			t.Fatalf("depth %d: mean %.1f descents over %d layers, want <= %.1f (%.1f a layer)", depth, mean, layers[depth], limit, meanPerLayer)
+		}
 	}
 	if layers[2000] != 3 || layers[20000] != 4 {
 		t.Fatalf("layers = %v, want 3 at depth 2k and 4 at depth 20k", layers)
-	}
-	if limit := mean[2000] * float64(layers[20000]) / float64(layers[2000]); mean[20000] > limit {
-		t.Fatalf("mean descents grew %.1f -> %.1f from depth 2k to 20k, more than the layer ratio allows (%.1f)", mean[2000], mean[20000], limit)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -85,8 +86,8 @@ func (s *Store) dbFor(name string) *relstore.DB {
 type table interface {
 	Get(key relstore.Value) (relstore.Row, bool, error)
 	GetCtx(ctx context.Context, key relstore.Value) (relstore.Row, bool, error)
-	GetBatchCtx(ctx context.Context, keys []relstore.Value) ([]relstore.Row, []bool, error)
-	GetLeafCtx(ctx context.Context, key relstore.Value) ([]relstore.Row, error)
+	GetLeafCtx(ctx context.Context, key relstore.Value, cols []int, fn func(ints []int64, row func() (relstore.Row, error)) error) error
+	IndexGetBatchCtx(ctx context.Context, index string, vals []relstore.Value) ([]relstore.Row, []bool, error)
 	ScanCtx(ctx context.Context, fn func(relstore.Row) (bool, error)) error
 	ScanRangeCtx(ctx context.Context, lo, hi relstore.Value, fn func(relstore.Row) (bool, error)) error
 	IndexScanCtx(ctx context.Context, index string, vals []relstore.Value, fn func(relstore.Row) (bool, error)) error
@@ -720,31 +721,61 @@ type Node struct {
 	Size        int // nodes in the subtree rooted here (preorder range length)
 }
 
+// Column positions of the nodes relation, in the order Load's schema lists
+// them.
+const (
+	colID = iota
+	colParent
+	colOrd
+	colName
+	colLength
+	colDepth
+	colDist
+	colSub
+	colLParent
+	colLDepth
+	colLeaf
+	colSize
+)
+
+// What a leaf harvest reads of every row, per relation: the key and the
+// fields the LCA recursion walks on. A layer relation is (id, parent, ord,
+// sub, lparent, ldepth), a subs relation (id, root, source).
+var (
+	nodeCellCols  = []int{colID, colSub, colLParent, colLDepth}
+	layerCellCols = []int{0, 3, 4, 5}
+	subLinkCols   = []int{0, 1, 2}
+)
+
+// decodeNode is the one reader of a nodes row.
 func decodeNode(row relstore.Row) Node {
 	return Node{
-		ID:          int(row[0].Int64()),
-		Parent:      int(row[1].Int64()),
-		Ord:         int(row[2].Int64()),
-		Name:        row[3].Text(),
-		Length:      row[4].Float64(),
-		Depth:       int(row[5].Int64()),
-		Dist:        row[6].Float64(),
-		Sub:         int(row[7].Int64()),
-		LocalParent: int(row[8].Int64()),
-		LocalDepth:  int(row[9].Int64()),
-		Leaf:        row[10].Truth(),
-		Size:        int(row[11].Int64()),
+		ID:          int(row[colID].Int64()),
+		Parent:      int(row[colParent].Int64()),
+		Ord:         int(row[colOrd].Int64()),
+		Name:        row[colName].Text(),
+		Length:      row[colLength].Float64(),
+		Depth:       int(row[colDepth].Int64()),
+		Dist:        row[colDist].Float64(),
+		Sub:         int(row[colSub].Int64()),
+		LocalParent: int(row[colLParent].Int64()),
+		LocalDepth:  int(row[colLDepth].Int64()),
+		Leaf:        row[colLeaf].Truth(),
+		Size:        int(row[colSize].Int64()),
 	}
 }
 
 // Tree is a handle on one stored tree; every query goes to the relational
-// store: node sets are fetched with batched point reads (GetBatchCtx) and
-// the layered LCA recursion runs over a request-scoped cell memo. A Tree
-// handle is safe for concurrent use by multiple goroutines: all methods
-// are read-only. A handle from Store.Tree reads the live tables (each
-// operation takes the database read lock, so it serializes against the
-// writer per row batch); a handle from Snap.Tree reads a pinned snapshot
-// lock-free and is immune to concurrent loads and deletes.
+// store: node sets are fetched a storage leaf at a time (GetLeafCtx reads
+// the few integers the walk needs out of each row in place and decodes in
+// full only the rows asked for), names resolve in one batched index sweep
+// (IndexGetBatchCtx), and the layered LCA recursion runs over a
+// request-scoped cell memo. A Tree handle is safe for concurrent use by
+// multiple goroutines: all methods are read-only. A handle from Store.Tree
+// reads the live tables (each operation takes the database read lock, so it
+// serializes against the writer per row batch); a handle from Snap.Tree
+// reads a pinned snapshot lock-free and is immune to concurrent loads and
+// deletes.
 type Tree struct {
 	info   TreeInfo
 	nodes  table
@@ -775,19 +806,36 @@ func (t *Tree) NodeCtx(ctx context.Context, id int) (Node, error) {
 
 // NodeByNameCtx fetches a node by species name under ctx.
 func (t *Tree) NodeByNameCtx(ctx context.Context, name string) (Node, error) {
-	var found *Node
-	err := t.nodes.IndexScanCtx(ctx, "by_name", []relstore.Value{relstore.Str(name)}, func(row relstore.Row) (bool, error) {
-		n := decodeNode(row)
-		found = &n
-		return false, nil
-	})
+	rows, err := t.NodesByNameCtx(ctx, []string{name})
 	if err != nil {
 		return Node{}, err
 	}
-	if found == nil {
-		return Node{}, fmt.Errorf("%w: name %q", ErrNoNode, name)
+	return rows[0], nil
+}
+
+// NodesByNameCtx fetches the nodes with the given species names under ctx,
+// in argument order (a name given twice comes back twice). All the names
+// are resolved in one sorted sweep of the by_name index and their rows read
+// in one batched pass over the nodes relation, so k names cost one descent
+// per distinct leaf touched in either, not two descents each. A name no
+// node carries is an ErrNoNode error naming it.
+func (t *Tree) NodesByNameCtx(ctx context.Context, names []string) ([]Node, error) {
+	vals := make([]relstore.Value, len(names))
+	for i, name := range names {
+		vals[i] = relstore.Str(name)
 	}
-	return *found, nil
+	rows, found, err := t.nodes.IndexGetBatchCtx(ctx, "by_name", vals)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Node, len(names))
+	for i, row := range rows {
+		if !found[i] {
+			return nil, fmt.Errorf("%w: name %q", ErrNoNode, names[i])
+		}
+		out[i] = decodeNode(row)
+	}
+	return out, nil
 }
 
 // ChildrenCtx lists a node's children in ordinal order under ctx. The
@@ -819,57 +867,101 @@ type layerCell struct {
 // cannot grow it without limit.
 const cellMemoMax = 1 << 14
 
-// cellMemoKey addresses one memoized cell: layer and node id.
-type cellMemoKey struct{ k, id int }
-
 // subLink is one row of a subs relation: the subtree's root node and the
 // source node it was split off from (-1 for the subtree holding the layer
 // root).
 type subLink struct{ root, source int }
 
+// idRow is one harvested row: its key and the fields kept of it.
+type idRow[T any] struct {
+	id int
+	v  T
+}
+
+// leafRuns memoizes what a request has harvested from one relation. A run
+// is the rows of one storage leaf, in the ascending id order they were read
+// in — appended to a slice, no hashing, one allocation a leaf. Leaves hold
+// disjoint id intervals, so the runs are kept ordered by first id and a
+// lookup is two binary searches.
+type leafRuns[T any] struct {
+	runs [][]idRow[T]
+	rows int // over all runs, against cellMemoMax
+}
+
+func (lr *leafRuns[T]) get(id int) (v T, ok bool) {
+	i := sort.Search(len(lr.runs), func(i int) bool { return lr.runs[i][0].id > id })
+	if i == 0 {
+		return v, false
+	}
+	run := lr.runs[i-1]
+	j, ok := sort.Find(len(run), func(j int) int { return id - run[j].id })
+	if !ok {
+		return v, false
+	}
+	return run[j].v, true
+}
+
+// newRun returns an empty run sized like the relation's last leaf.
+func (lr *leafRuns[T]) newRun() []idRow[T] {
+	n := 64
+	if len(lr.runs) > 0 {
+		n = len(lr.runs[len(lr.runs)-1]) + 8
+	}
+	return make([]idRow[T], 0, n)
+}
+
+// add memoizes a harvested leaf. A leaf read a second time — for the full
+// row of an id whose cell the first read already gave — is not added twice.
+func (lr *leafRuns[T]) add(run []idRow[T]) {
+	if len(run) == 0 || lr.rows >= cellMemoMax {
+		return
+	}
+	i := sort.Search(len(lr.runs), func(i int) bool { return lr.runs[i][0].id > run[0].id })
+	if i > 0 && lr.runs[i-1][0].id == run[0].id {
+		return
+	}
+	lr.runs = slices.Insert(lr.runs, i, run)
+	lr.rows += len(run)
+}
+
 // cellMemo memoizes the point reads of the layered LCA recursion within
-// one request: layer cells by (layer, id), subtree links by (layer,
-// subtree), and full layer-0 node rows by id. Project and
-// MinimalSpanningClade run the recursion over many pairs whose ancestor
-// chains overlap heavily; the memo collapses those repeat chain walks into
-// map hits. It is request-scoped — created per call, never shared across
-// requests — and used from a single goroutine, so it needs no locking.
+// one request: per layer the cells and the subtree links of every storage
+// leaf the request has read (see leafRuns), and the full layer-0 node rows
+// it asked for by id. Project and MinimalSpanningClade run the recursion
+// over many pairs whose ancestor chains overlap heavily; the memo collapses
+// those repeat chain walks into lookups. It is request-scoped — created per
+// call, never shared across requests — and used from a single goroutine, so
+// it needs no locking. It holds numbers and names, never a reference into a
+// page.
 type cellMemo struct {
-	m    map[cellMemoKey]layerCell
-	subs map[cellMemoKey]subLink // (layer, subtree) -> root and source
-	rows map[int]Node            // layer-0 node rows
+	cells []leafRuns[layerCell] // by layer
+	links []leafRuns[subLink]   // by layer
+	rows  map[int]Node          // layer-0 node rows
 }
 
 func newCellMemo() *cellMemo {
-	return &cellMemo{
-		m:    make(map[cellMemoKey]layerCell),
-		subs: make(map[cellMemoKey]subLink),
-		rows: make(map[int]Node),
+	return &cellMemo{rows: make(map[int]Node)}
+}
+
+// layer returns the k-th element of a per-layer slice, growing it to fit.
+func layer[T any](s *[]T, k int) *T {
+	if k >= len(*s) {
+		*s = append(*s, make([]T, k+1-len(*s))...)
 	}
+	return &(*s)[k]
 }
 
 func (m *cellMemo) get(k, id int) (layerCell, bool) {
-	c, ok := m.m[cellMemoKey{k: k, id: id}]
-	return c, ok
-}
-
-func (m *cellMemo) put(k, id int, c layerCell) {
-	if len(m.m) >= cellMemoMax {
-		return
+	if k == 0 {
+		if n, ok := m.rows[id]; ok {
+			return layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth}, true
+		}
 	}
-	m.m[cellMemoKey{k: k, id: id}] = c
+	return layer(&m.cells, k).get(id)
 }
 
 func (m *cellMemo) getSub(k, s int) (subLink, bool) {
-	l, ok := m.subs[cellMemoKey{k: k, id: s}]
-	return l, ok
-}
-
-func (m *cellMemo) putSub(k, s int, l subLink) {
-	if len(m.subs) >= cellMemoMax {
-		return
-	}
-	m.subs[cellMemoKey{k: k, id: s}] = l
+	return layer(&m.links, k).get(s)
 }
 
 func (m *cellMemo) getRow(id int) (Node, bool) {
@@ -877,9 +969,8 @@ func (m *cellMemo) getRow(id int) (Node, bool) {
 	return n, ok
 }
 
-// putRow memoizes a layer-0 node row together with its LCA cell.
+// putRow memoizes a layer-0 node row (and with it its LCA cell).
 func (m *cellMemo) putRow(n Node) {
-	m.put(0, n.ID, layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth})
 	if len(m.rows) >= cellMemoMax {
 		return
 	}
@@ -891,9 +982,11 @@ func (m *cellMemo) putRow(n Node) {
 // most 2f per layer), so this check is what makes an LCA (and everything
 // built on it — Project, pattern match, clade) abort promptly on
 // cancellation. The memo is consulted before the store and learns every
-// fetch: layer 0 is one point read of the wide node row, a higher layer one
-// descent that harvests the whole leaf of the narrow layer relation, so a
-// local climb through that region of the layer becomes map hits.
+// fetch. A fetch is one descent, at every layer, and harvests the whole
+// storage leaf it lands in: the key and three integers read in place from
+// each row of the layer relation — or, at layer 0, of the wide nodes
+// relation, whose other eight columns are passed over — so a local climb
+// through that region of the layer becomes memo hits.
 func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, error) {
 	if err := ctx.Err(); err != nil {
 		return layerCell{}, err
@@ -901,63 +994,104 @@ func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, 
 	if c, ok := memo.get(k, id); ok {
 		return c, nil
 	}
-	// Point-read failures after the context died are reported as the
-	// cancellation: a cancelled reader whose snapshot pins were released
-	// may hit reclaimed pages, and that must not masquerade as corruption.
 	if k == 0 {
 		n, err := t.nodeRow(ctx, memo, id)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return layerCell{}, cerr
-			}
-			return layerCell{}, err
-		}
-		return layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth}, nil
+		return layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth}, err
 	}
 	if k > len(t.layers) {
 		// A live handle opened across a delete + reload of its name can pair
 		// one version's catalog row with another's relations.
 		return layerCell{}, fmt.Errorf("%w: layer %d beyond the handle's %d", ErrNoNode, k, len(t.layers))
 	}
-	rows, err := t.layers[k-1].GetLeafCtx(ctx, relstore.Int(int64(id)))
+	c, ok, err := harvestLeaf(ctx, t.layers[k-1], layer(&memo.cells, k), id, layerCellCols, func(ints []int64, _ fullRow) (layerCell, error) {
+		return cellOf(ints), nil
+	})
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: layer %d id %d", ErrNoNode, k, id)
+	}
+	return c, err
+}
+
+// fullRow decodes the whole of the row a leaf harvest is at (see
+// relstore's GetLeafCtx).
+type fullRow = func() (relstore.Row, error)
+
+// cellOf is the LCA cell in the integers a harvest read by nodeCellCols or
+// layerCellCols.
+func cellOf(ints []int64) layerCell {
+	return layerCell{sub: int(ints[1]), lparent: int(ints[2]), ldepth: int(ints[3])}
+}
+
+// harvestLeaf reads the storage leaf of tab that holds id, with one
+// descent, into lr: of every row the integer columns cols (the key first),
+// from which read makes the fields to keep. It returns the fields of id's
+// own row, if the leaf holds one. A failure after the context died is
+// reported as the cancellation: a cancelled reader whose snapshot pins were
+// released may hit reclaimed pages, and that must not masquerade as
+// corruption.
+func harvestLeaf[T any](ctx context.Context, tab table, lr *leafRuns[T], id int, cols []int, read func(ints []int64, row fullRow) (T, error)) (v T, ok bool, err error) {
+	run := lr.newRun()
+	err = tab.GetLeafCtx(ctx, relstore.Int(int64(id)), cols, func(ints []int64, row fullRow) error {
+		rv, err := read(ints, row)
+		run = append(run, idRow[T]{int(ints[0]), rv})
+		return err
+	})
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return layerCell{}, cerr
+			err = cerr
 		}
-		return layerCell{}, err
+		return v, false, err
 	}
-	hit := false
-	var c layerCell
-	for _, row := range rows {
-		rc := layerCell{
-			sub:     int(row[3].Int64()),
-			lparent: int(row[4].Int64()),
-			ldepth:  int(row[5].Int64()),
-		}
-		rid := int(row[0].Int64())
-		memo.put(k, rid, rc)
-		if rid == id {
-			c, hit = rc, true
-		}
+	lr.add(run)
+	j, ok := sort.Find(len(run), func(j int) int { return id - run[j].id })
+	if ok {
+		v = run[j].v
 	}
-	if !hit {
-		return layerCell{}, fmt.Errorf("%w: layer %d id %d", ErrNoNode, k, id)
-	}
-	return c, nil
+	return v, ok, nil
 }
 
 // nodeRow fetches a full layer-0 node row through the request memo, so the
 // walk's repeat visits to an ancestor become map hits instead of descents.
+// The memo keeps numbers and names, not pages: the row of an id whose leaf
+// was harvested for its cells only costs a second descent into that leaf,
+// which leafRuns.add then recognises and does not keep twice.
 func (t *Tree) nodeRow(ctx context.Context, memo *cellMemo, id int) (Node, error) {
 	if n, ok := memo.getRow(id); ok {
 		return n, nil
 	}
-	n, err := t.NodeCtx(ctx, id)
-	if err != nil {
-		return Node{}, err
+	return t.harvest(ctx, memo, id, nil, nil)
+}
+
+// harvest reads the storage leaf of the nodes relation that holds id, with
+// one descent. The memo learns the LCA cell of every row in the leaf — the
+// ancestors and neighbors the walk asks for next — and the full row of id
+// and of every id listed in want (ascending), whose rows also land in the
+// matching slots of out. It returns id's row.
+func (t *Tree) harvest(ctx context.Context, memo *cellMemo, id int, want []int, out []Node) (Node, error) {
+	var target Node
+	_, ok, err := harvestLeaf(ctx, t.nodes, layer(&memo.cells, 0), id, nodeCellCols, func(ints []int64, row fullRow) (layerCell, error) {
+		rid := int(ints[0])
+		w, wanted := sort.Find(len(want), func(i int) int { return rid - want[i] })
+		if wanted || rid == id {
+			r, err := row()
+			if err != nil {
+				return layerCell{}, err
+			}
+			n := decodeNode(r)
+			memo.putRow(n)
+			if wanted {
+				out[w] = n
+			}
+			if rid == id {
+				target = n
+			}
+		}
+		return cellOf(ints), nil
+	})
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: id %d", ErrNoNode, id)
 	}
-	memo.putRow(n)
-	return n, nil
+	return target, err
 }
 
 // subLink returns the root and source node of subtree s at layer k,
@@ -969,27 +1103,13 @@ func (t *Tree) subLink(ctx context.Context, memo *cellMemo, k, s int) (subLink, 
 	if l, ok := memo.getSub(k, s); ok {
 		return l, nil
 	}
-	rows, err := t.subs[k].GetLeafCtx(ctx, relstore.Int(int64(s)))
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil { // as in cell
-			return subLink{}, cerr
-		}
-		return subLink{}, err
+	l, ok, err := harvestLeaf(ctx, t.subs[k], layer(&memo.links, k), s, subLinkCols, func(ints []int64, _ fullRow) (subLink, error) {
+		return subLink{root: int(ints[1]), source: int(ints[2])}, nil
+	})
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: layer %d subtree %d", ErrNoNode, k, s)
 	}
-	hit := false
-	var link subLink
-	for _, row := range rows {
-		sid := int(row[0].Int64())
-		l := subLink{root: int(row[1].Int64()), source: int(row[2].Int64())}
-		memo.putSub(k, sid, l)
-		if sid == s {
-			link, hit = l, true
-		}
-	}
-	if !hit {
-		return subLink{}, fmt.Errorf("%w: layer %d subtree %d", ErrNoNode, k, s)
-	}
-	return link, nil
+	return l, err
 }
 
 // LCACtx answers least-common-ancestor queries directly against the stored
@@ -1300,31 +1420,29 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 	return out, nil
 }
 
-// fetchNodes fetches the rows of the distinct ids in preorder (id) order
-// with one GetBatchCtx call — one B+tree descent per distinct leaf — and
-// returns them with a request-scoped memo seeded from them for the LCA
-// walk that follows. Any missing id is an ErrNoNode error.
+// fetchNodes fetches the rows of the distinct ids in preorder (id) order,
+// one descent per distinct storage leaf they fall in, and returns them with
+// the request-scoped memo those harvests filled for the LCA walk that
+// follows. Any missing id is an ErrNoNode error.
 func (t *Tree) fetchNodes(ctx context.Context, ids []int) ([]Node, *cellMemo, error) {
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-	keys := make([]relstore.Value, 0, len(sorted))
-	for i, id := range sorted {
-		if i == 0 || sorted[i-1] != id {
-			keys = append(keys, relstore.Int(int64(id)))
-		}
+	want := slices.Clone(ids)
+	slices.Sort(want)
+	want = slices.Compact(want)
+	if len(want) > 0 && want[0] < 0 {
+		return nil, nil, fmt.Errorf("%w: id %d", ErrNoNode, want[0])
 	}
-	raw, found, err := t.nodes.GetBatchCtx(ctx, keys)
-	if err != nil {
-		return nil, nil, err
+	rows := make([]Node, len(want))
+	for i := range rows {
+		rows[i].ID = -1 // not fetched yet
 	}
-	rows := make([]Node, len(keys))
 	memo := newCellMemo()
-	for i, key := range keys {
-		if !found[i] {
-			return nil, nil, fmt.Errorf("%w: id %d", ErrNoNode, key.Int64())
+	for i, id := range want {
+		if rows[i].ID == id {
+			continue // an earlier id's leaf held this one too
 		}
-		rows[i] = decodeNode(raw[i])
-		memo.putRow(rows[i])
+		if _, err := t.harvest(ctx, memo, id, want, rows); err != nil {
+			return nil, nil, err
+		}
 	}
 	return rows, memo, nil
 }
@@ -1342,6 +1460,12 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	return t.project(ctx, memo, rows)
+}
+
+// project is ProjectCtx over rows already fetched: distinct, in preorder
+// (id) order, and known to memo.
+func (t *Tree) project(ctx context.Context, memo *cellMemo, rows []Node) (*phylo.Tree, error) {
 	if len(rows) == 1 {
 		tr := phylo.New(&phylo.Node{Name: rows[0].Name})
 		tr.Reindex()
@@ -1440,18 +1564,24 @@ func (t *Tree) ExportCtx(ctx context.Context) (*phylo.Tree, error) {
 	return out, nil
 }
 
-// ProjectNamesCtx projects over species names under ctx.
+// ProjectNamesCtx projects over species names under ctx. The rows the
+// name lookup read are the rows the projection runs on: nothing is fetched
+// a second time by id.
 func (t *Tree) ProjectNamesCtx(ctx context.Context, names []string) (*phylo.Tree, error) {
-	resolveCtx, resolveSpan := obs.StartSpan(ctx, "resolve_names")
-	ids := make([]int, len(names))
-	for i, name := range names {
-		n, err := t.NodeByNameCtx(resolveCtx, name)
-		if err != nil {
-			resolveSpan.End()
-			return nil, err
-		}
-		ids[i] = n.ID
+	if len(names) == 0 {
+		return nil, errors.New("treestore: empty projection set")
 	}
+	resolveCtx, resolveSpan := obs.StartSpan(ctx, "resolve_names")
+	rows, err := t.NodesByNameCtx(resolveCtx, names)
 	resolveSpan.End()
-	return t.ProjectCtx(ctx, ids)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(rows, func(a, b Node) int { return a.ID - b.ID })
+	rows = slices.CompactFunc(rows, func(a, b Node) bool { return a.ID == b.ID })
+	memo := newCellMemo()
+	for _, n := range rows {
+		memo.putRow(n)
+	}
+	return t.project(ctx, memo, rows)
 }

@@ -105,6 +105,15 @@ const (
 	// replication retain floor because the log outgrew the retain cap —
 	// the lagging subscriber falls back to a full snapshot catch-up.
 	CtrWALRetainDrops
+	// CtrReplFenceWaits counts reads that had to block on their
+	// X-Crimson-Min-Epoch fence (the store was behind when they arrived).
+	CtrReplFenceWaits
+	// CtrReplFenceTimeouts counts fenced reads that gave up with 409
+	// because the store did not reach the epoch in time.
+	CtrReplFenceTimeouts
+	// CtrReplFenceWakeups counts wake-ups of epoch waiters by the change
+	// signal: O(1) per event that moves the store, none while it idles.
+	CtrReplFenceWakeups
 
 	NumCounters
 )
@@ -140,6 +149,9 @@ var counterNames = [NumCounters]string{
 	"repl_reconnects",
 	"repl_snapshots_invalidated",
 	"wal_retain_drops",
+	"repl_fence_waits",
+	"repl_fence_timeouts",
+	"repl_fence_wakeups",
 }
 
 // Name returns the counter's snake_case wire name.
@@ -165,6 +177,17 @@ var Engine = &Counters{}
 // for "commits per flushed batch": a flush of n commits is recorded as
 // Observe(n µs), so bucket i counts batches of ≤ 2^i commits.
 var GroupBatch = &Histogram{}
+
+// The replication wait histograms, process-global like the counters of
+// the reads and applies they time. ReplFenceWait has one observation per
+// read that blocked on its X-Crimson-Min-Epoch fence (reads that arrive
+// with the epoch already published are not observed); ReplHorizonWait one
+// per replicated apply that carried a reclaim horizon, the time it spent
+// waiting for older local snapshots to close (zero for most).
+var (
+	ReplFenceWait   = &Histogram{}
+	ReplHorizonWait = &Histogram{}
+)
 
 // Add increments counter c by n. A nil receiver is a no-op.
 func (cs *Counters) Add(c Counter, n int64) {

@@ -54,6 +54,12 @@ type ShardStatus struct {
 	Connected     bool   `json:"connected,omitempty"`
 	Synced        bool   `json:"synced,omitempty"`
 	LastContactMS int64  `json:"last_contact_ms,omitempty"`
+	// LastError is the error that ended the shard's most recent broken
+	// stream (connect failure, a non-200 from the primary, a failed apply)
+	// and LastErrorMS its age; both clear once a later stream proves
+	// healthy by applying a batch or answering a ping caught up.
+	LastError   string `json:"last_error,omitempty"`
+	LastErrorMS int64  `json:"last_error_ms,omitempty"`
 }
 
 // Follower replicates a primary's sharded store into a local directory.
@@ -72,6 +78,11 @@ type Follower struct {
 	stores  []*storage.Store
 	shards  []*followerShard
 
+	// allSynced is closed by the ping handler that finds every shard
+	// synced; WaitSynced blocks on it.
+	allSynced  chan struct{}
+	syncedOnce sync.Once
+
 	mu       sync.Mutex
 	cancel   context.CancelFunc
 	started  bool
@@ -83,7 +94,22 @@ type followerShard struct {
 	primaryEpoch atomic.Uint64
 	connected    atomic.Bool
 	synced       atomic.Bool
-	lastContact  atomic.Int64 // unix nanos of the last frame received
+	lastContact  atomic.Int64                // unix nanos of the last frame received
+	lastErr      atomic.Pointer[streamError] // nil while the stream is healthy
+}
+
+// streamError is what ended a shard's stream, and when.
+type streamError struct {
+	msg string
+	at  int64 // unix nanos
+}
+
+// healthy clears the shard's last stream error: the current stream has
+// applied a batch or found itself caught up.
+func (sh *followerShard) healthy() {
+	if sh.lastErr.Load() != nil {
+		sh.lastErr.Store(nil)
+	}
 }
 
 // OpenFollower prepares dir as a replica of the primary at baseURL: it
@@ -125,7 +151,7 @@ func OpenFollower(dir, baseURL string, hc *http.Client) (*Follower, error) {
 		return nil, err
 	}
 
-	f := &Follower{primary: primary, hc: hc, dir: dir}
+	f := &Follower{primary: primary, hc: hc, dir: dir, allSynced: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		if err := os.MkdirAll(shard.Dir(dir, i), 0o777); err != nil {
 			f.closeStores()
@@ -212,7 +238,10 @@ func (f *Follower) Stop() {
 	f.wg.Wait()
 }
 
-// run is one shard's reconnect loop.
+// run is one shard's reconnect loop. Any stream error means reconnect from
+// the applied epoch; the error is kept for Status, since "connected=false"
+// alone does not say whether the primary is down, demoted or shipping
+// something this store refuses to apply.
 func (f *Follower) run(ctx context.Context, i int) {
 	backoff := backoffMin
 	for {
@@ -222,7 +251,7 @@ func (f *Follower) run(ctx context.Context, i int) {
 		if ctx.Err() != nil {
 			return
 		}
-		_ = err // any stream error means reconnect from the applied epoch
+		f.shards[i].lastErr.Store(&streamError{msg: err.Error(), at: time.Now().UnixNano()})
 		obs.Engine.Add(obs.CtrReplReconnects, 1)
 		// A stream that held for a while earns a fresh backoff.
 		if time.Since(started) > 5*time.Second {
@@ -295,13 +324,16 @@ func (f *Follower) streamOnce(ctx context.Context, i int) error {
 			snapPages = nil
 			// A snapshot replaces every page: wait for all local
 			// snapshots older than its epoch.
-			f.waitHorizon(st, frame.Epoch)
+			if err := f.waitHorizon(ctx, st, frame.Epoch); err != nil {
+				return err
+			}
 			if err := st.ApplyReplicated(frame.Epoch, all); err != nil {
 				return err
 			}
 			obs.Engine.Add(obs.CtrReplBatchesApplied, 1)
 			obs.Engine.Add(obs.CtrReplPagesApplied, int64(len(all)))
 			sh.notePrimaryEpoch(frame.Epoch)
+			sh.healthy()
 		case KindBatch:
 			if frame.Epoch <= st.PublishedEpoch() {
 				// Reconnect overlap: the batch is already applied.
@@ -310,7 +342,9 @@ func (f *Follower) streamOnce(ctx context.Context, i int) error {
 			if frame.Horizon > 0 {
 				// Pages retired at epochs <= Horizon have been reused on
 				// the primary; this batch may rewrite them.
-				f.waitHorizon(st, frame.Horizon+1)
+				if err := f.waitHorizon(ctx, st, frame.Horizon+1); err != nil {
+					return err
+				}
 			}
 			if err := st.ApplyReplicated(frame.Epoch, pages); err != nil {
 				return err
@@ -318,10 +352,14 @@ func (f *Follower) streamOnce(ctx context.Context, i int) error {
 			obs.Engine.Add(obs.CtrReplBatchesApplied, 1)
 			obs.Engine.Add(obs.CtrReplPagesApplied, int64(len(pages)))
 			sh.notePrimaryEpoch(frame.Epoch)
+			sh.healthy()
 		case KindPing:
 			sh.notePrimaryEpoch(frame.Epoch)
 			if st.PublishedEpoch() >= frame.Epoch {
-				sh.synced.Store(true)
+				sh.healthy()
+				if !sh.synced.Swap(true) && f.Synced() {
+					f.syncedOnce.Do(func() { close(f.allSynced) })
+				}
 			}
 		default:
 			return fmt.Errorf("repl: unknown frame kind %q", frame.Kind)
@@ -339,30 +377,36 @@ func (sh *followerShard) notePrimaryEpoch(e uint64) {
 }
 
 // waitHorizon blocks (up to horizonGrace) while any open local snapshot
-// pins an epoch below limit. If the grace expires with such snapshots
-// still open, they are invalidated — their subsequent reads fail with
-// storage.ErrSnapshotInvalidated (a retryable error the serving layer
-// maps to a failover status) — so the apply that follows can never be
-// silently observed by a pinned reader as torn pages.
-func (f *Follower) waitHorizon(st *storage.Store, limit uint64) {
-	deadline := time.Now().Add(horizonGrace)
-	for {
-		oldest, ok := st.OldestSnapshotEpoch()
-		if !ok || oldest >= limit {
-			return
-		}
-		if time.Now().After(deadline) {
-			obs.Engine.Add(obs.CtrReplApplyConflicts, 1)
-			obs.Engine.Add(obs.CtrReplSnapshotsInvalidated, 1)
-			// Must happen before ApplyReplicated touches the pool: readers
-			// check the mark after each page read, so ordering the store
-			// before any frame mutation closes the race (see
-			// InvalidateSnapshotsBelow).
-			st.InvalidateSnapshotsBelow(limit)
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+// pins an epoch below limit, and returns the moment the last of them
+// closes — it sleeps on the store's change signal, it does not poll. If
+// the grace expires with such snapshots still open, they are invalidated —
+// their subsequent reads fail with storage.ErrSnapshotInvalidated (a
+// retryable error the serving layer maps to a failover status) — so the
+// apply that follows can never be silently observed by a pinned reader as
+// torn pages. A non-nil error (ctx ended, store closed) means the apply
+// must not proceed. The time spent here is recorded in
+// obs.ReplHorizonWait, once per call.
+func (f *Follower) waitHorizon(ctx context.Context, st *storage.Store, limit uint64) error {
+	start := time.Now()
+	wctx, cancel := context.WithTimeout(ctx, horizonGrace)
+	err := st.AwaitSnapshotsFrom(wctx, limit)
+	cancel()
+	obs.ReplHorizonWait.Observe(time.Since(start))
+	switch {
+	case err == nil:
+		return nil
+	case ctx.Err() != nil:
+		return ctx.Err()
+	case !errors.Is(err, context.DeadlineExceeded):
+		return err
 	}
+	obs.Engine.Add(obs.CtrReplApplyConflicts, 1)
+	obs.Engine.Add(obs.CtrReplSnapshotsInvalidated, 1)
+	// Must happen before ApplyReplicated touches the pool: readers check
+	// the mark after each page read, so ordering the store before any
+	// frame mutation closes the race (see InvalidateSnapshotsBelow).
+	st.InvalidateSnapshotsBelow(limit)
+	return nil
 }
 
 // Synced reports whether every shard has caught up with the primary at
@@ -378,15 +422,11 @@ func (f *Follower) Synced() bool {
 
 // WaitSynced blocks until every shard is synced or ctx ends.
 func (f *Follower) WaitSynced(ctx context.Context) error {
-	for {
-		if f.Synced() {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(10 * time.Millisecond):
-		}
+	select {
+	case <-f.allSynced:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -442,6 +482,10 @@ func (f *Follower) Status() StatusResponse {
 		}
 		if lc := sh.lastContact.Load(); lc != 0 {
 			ss.LastContactMS = (now - lc) / int64(time.Millisecond)
+		}
+		if le := sh.lastErr.Load(); le != nil {
+			ss.LastError = le.msg
+			ss.LastErrorMS = (now - le.at) / int64(time.Millisecond)
 		}
 		out.Shards = append(out.Shards, ss)
 	}

@@ -10,9 +10,12 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -139,12 +142,10 @@ func (f *primaryFixture) commit(t *testing.T, prefix string, n int) uint64 {
 // waitEpoch blocks until the store's published epoch reaches want.
 func waitEpoch(t *testing.T, st *storage.Store, want uint64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for st.PublishedEpoch() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("store stuck at epoch %d, want %d", st.PublishedEpoch(), want)
-		}
-		time.Sleep(2 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := st.AwaitEpoch(ctx, want); err != nil {
+		t.Fatalf("store stuck at epoch %d, want %d: %v", st.PublishedEpoch(), want, err)
 	}
 }
 
@@ -486,5 +487,108 @@ func TestReplicaRejectsLocalCommit(t *testing.T) {
 	st.SetRoot(0, tree.Root())
 	if err := st.Commit(); err == nil {
 		t.Fatal("local commit on a replica store succeeded, want ErrReplica")
+	}
+}
+
+// TestHorizonWaitEndsWhenTheReaderCloses is the other half of the horizon
+// guard: an apply blocked behind a pinned snapshot resumes when that
+// snapshot closes — woken by the close, well inside the grace period — and
+// nothing is invalidated, because nothing had to be.
+func TestHorizonWaitEndsWhenTheReaderCloses(t *testing.T) {
+	p := newPrimaryFixture(t)
+	epoch := p.commit(t, "hz", 4)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	fl := startFollower(t, ctx, t.TempDir(), p.srv.URL)
+	defer fl.Stop()
+	st := fl.Stores()[0]
+	waitEpoch(t, st, epoch)
+
+	sn := st.Snapshot()
+	defer sn.Close()
+	pinned := storage.OpenBTreeAt(st, sn.Root(0), sn.Epoch())
+	conflicts := obs.Engine.Get(obs.CtrReplApplyConflicts)
+	waits := obs.ReplHorizonWait.Snapshot()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for round := 0; p.store.ReclaimHorizon() < sn.Epoch(); round++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("primary reclaim horizon stuck at %d, want >= %d", p.store.ReclaimHorizon(), sn.Epoch())
+		}
+		p.commit(t, fmt.Sprintf("churn%d", round), 2)
+	}
+	blocked := time.Now()
+	target := p.commit(t, "final", 1)
+
+	// The conflicting batch is held back while the reader is open...
+	time.Sleep(40 * time.Millisecond)
+	if got := st.PublishedEpoch(); got >= target {
+		t.Fatalf("apply reached epoch %d over an open snapshot at %d", got, sn.Epoch())
+	}
+	if _, ok, err := pinned.Get([]byte("hz-001")); err != nil || !ok {
+		t.Fatalf("pinned read while the apply waits: ok=%v err=%v", ok, err)
+	}
+	// ...and goes ahead the moment it closes.
+	sn.Close()
+	waitEpoch(t, st, target)
+	if d := time.Since(blocked); d >= horizonGrace {
+		t.Fatalf("apply resumed %v after the conflict began: the grace period ran out instead of the close waking it", d)
+	}
+	verifyKeys(t, st, "final", 1)
+	if got := obs.Engine.Get(obs.CtrReplApplyConflicts); got != conflicts {
+		t.Fatalf("repl_apply_conflicts moved by %d with the reader closed in time", got-conflicts)
+	}
+	after := obs.ReplHorizonWait.Snapshot()
+	if after.Count == waits.Count || time.Duration(after.SumNS-waits.SumNS) < 30*time.Millisecond {
+		t.Fatalf("horizon wait histogram: %d observations / %v recorded for a wait of at least 40ms",
+			after.Count-waits.Count, time.Duration(after.SumNS-waits.SumNS))
+	}
+}
+
+// TestFollowerKeepsLastStreamError: a follower whose streams are refused
+// says why in its status (not just connected=false), WaitSynced gives up
+// with the context, and both the error and its age clear once a later
+// stream proves healthy.
+func TestFollowerKeepsLastStreamError(t *testing.T) {
+	p := newPrimaryFixture(t)
+	p.commit(t, "err", 2)
+	var demoted atomic.Bool
+	demoted.Store(true)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if demoted.Load() && r.URL.Path == "/v1/repl/stream" {
+			http.Error(w, "follower cannot serve the replication stream", http.StatusConflict)
+			return
+		}
+		p.srv.Config.Handler.ServeHTTP(w, r)
+	}))
+	defer front.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	fl, err := OpenFollower(t.TempDir(), front.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl.Start(ctx)
+	defer fl.Stop()
+
+	short, cancelShort := context.WithTimeout(ctx, 150*time.Millisecond)
+	defer cancelShort()
+	if err := fl.WaitSynced(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitSynced against a refusing primary: %v", err)
+	}
+	sh := fl.Status().Shards[0]
+	if sh.Connected || !strings.Contains(sh.LastError, "409") || !strings.Contains(sh.LastError, "cannot serve") {
+		t.Fatalf("status while refused: %+v", sh)
+	}
+
+	demoted.Store(false)
+	if err := fl.WaitSynced(ctx); err != nil {
+		t.Fatalf("WaitSynced once the primary serves: %v", err)
+	}
+	waitEpoch(t, fl.Stores()[0], p.commit(t, "ok", 1))
+	if sh := fl.Status().Shards[0]; sh.LastError != "" || sh.LastErrorMS != 0 || !sh.Connected {
+		t.Fatalf("status after a healthy stream applied a batch: %+v", sh)
 	}
 }

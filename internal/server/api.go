@@ -195,8 +195,18 @@ type StatsSnapshot struct {
 	// on a primary, each shard's published epoch and connected
 	// subscriber count; on a follower, additionally the primary's epoch,
 	// the apply lag in epochs, and stream liveness (connected / synced /
-	// time since last frame).
+	// time since last frame);
+	// last_error / last_error_ms name what broke a shard's last stream.
 	Repl *repl.StatusResponse `json:"repl,omitempty"`
+	// ReplWaits summarizes the time spent waiting on replication, from
+	// the histograms /metrics exposes as crimsond_repl_fence_wait_seconds
+	// ("fence": reads that blocked on X-Crimson-Min-Epoch until the apply
+	// that published their epoch woke them) and
+	// crimsond_repl_horizon_wait_seconds ("horizon": replicated applies
+	// waiting for older local snapshots to close). Keys with no
+	// observation are omitted; the wake-up, wait and timeout counts live
+	// in the engine map (repl_fence_*).
+	ReplWaits map[string]OpLatency `json:"repl_waits,omitempty"`
 }
 
 // OpLatency summarizes one operation's latency histogram. Percentiles

@@ -9,11 +9,17 @@
 // published-epoch vector (comma separated, one entry per shard), the
 // shard epoch a commit published at on a primary, the last applied
 // epoch on a follower. A read request may carry `X-Crimson-Min-Epoch`
-// (same format): the server then waits — bounded — until every shard
-// has reached the requested epoch before pinning the snapshot, giving
-// a client read-your-writes on a lagging replica; if the replica does
-// not catch up in time the request fails with 409 and the client is
-// expected to fail over to the primary.
+// (same format): the server then waits — bounded by replWaitMax — until
+// every shard has reached the requested epoch before pinning the
+// snapshot, giving a client read-your-writes on a lagging replica; if the
+// replica does not catch up in time the request fails with 409 and the
+// client is expected to fail over to the primary. The wait does not poll:
+// the request sleeps on the shard store's epoch-change signal
+// (storage.Store.AwaitEpoch) and the apply that publishes the epoch wakes
+// it, so a fenced read costs the apply lag and nothing on top. The time
+// spent is attributed — a fence_wait span on traced requests, the
+// crimsond_repl_fence_wait_seconds histogram, the repl_fence_* engine
+// counters.
 package server
 
 import (
@@ -25,16 +31,13 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/repl"
 )
 
-const (
-	// replWaitMax bounds how long a read blocks on X-Crimson-Min-Epoch
-	// before giving up with 409 (a tighter request deadline wins).
-	replWaitMax = 2 * time.Second
-	// replWaitPoll is the apply-progress polling interval during that wait.
-	replWaitPoll = 5 * time.Millisecond
-)
+// replWaitMax bounds how long a read blocks on X-Crimson-Min-Epoch before
+// giving up with 409 (a tighter request deadline wins).
+const replWaitMax = 2 * time.Second
 
 // epochVector reports each shard's published epoch: the last committed
 // epoch on a primary, the last replicated-applied epoch on a follower.
@@ -101,39 +104,43 @@ func (s *Server) awaitMinEpoch(r *http.Request) error {
 	if len(want) != len(s.be.DBs) {
 		return badRequest("X-Crimson-Min-Epoch has %d entries, server has %d shards", len(want), len(s.be.DBs))
 	}
-	reached := func() bool {
-		for i, db := range s.be.DBs {
-			if db.Store().PublishedEpoch() < want[i] {
-				return false
-			}
+	behind := false
+	for i, db := range s.be.DBs {
+		if db.Store().PublishedEpoch() < want[i] {
+			behind = true
+			break
 		}
-		return true
 	}
-	if reached() {
+	if !behind {
 		return nil
 	}
-	deadline := time.Now().Add(replWaitMax)
-	if d, ok := r.Context().Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	ticker := time.NewTicker(replWaitPoll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return &httpErr{status: http.StatusConflict,
-				msg: "replica has not reached the requested epoch (request cancelled)"}
-		case <-ticker.C:
-			if reached() {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return &httpErr{status: http.StatusConflict, msg: fmt.Sprintf(
-					"replica lags the requested epoch (have %s, want %s); retry on the primary",
-					formatEpochVector(s.epochVector()), formatEpochVector(want))}
-			}
+	// Shard epochs only grow, so waiting shard by shard under one deadline
+	// is the pointwise test: a shard found caught up stays caught up.
+	obs.Engine.Add(obs.CtrReplFenceWaits, 1)
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(r.Context(), replWaitMax)
+	defer cancel()
+	for i, db := range s.be.DBs {
+		if err = db.Store().AwaitEpoch(ctx, want[i]); err != nil {
+			break
 		}
 	}
+	d := time.Since(start)
+	obs.ReplFenceWait.Observe(d)
+	obs.SpanFrom(r.Context()).AddTimed("fence_wait", d)
+	switch {
+	case err == nil:
+		return nil
+	case r.Context().Err() != nil:
+		return &httpErr{status: http.StatusConflict,
+			msg: "replica has not reached the requested epoch (request cancelled)"}
+	case errors.Is(err, context.DeadlineExceeded):
+		obs.Engine.Add(obs.CtrReplFenceTimeouts, 1)
+		return &httpErr{status: http.StatusConflict, msg: fmt.Sprintf(
+			"replica lags the requested epoch (have %s, want %s); retry on the primary",
+			formatEpochVector(s.epochVector()), formatEpochVector(want))}
+	}
+	return err
 }
 
 // replRoutes mounts the replication endpoints. The stream and promote

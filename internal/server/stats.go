@@ -131,6 +131,26 @@ func (st *serverStats) histSnapshots() []opHistEntry {
 	return out
 }
 
+func latencyOf(h obs.HistSnapshot) OpLatency {
+	return OpLatency{
+		Count: h.Count,
+		P50MS: h.Quantile(0.50) * 1000,
+		P95MS: h.Quantile(0.95) * 1000,
+		P99MS: h.Quantile(0.99) * 1000,
+	}
+}
+
+// replWaits are the two replication wait histograms: key names them in
+// /v1/stats (repl_waits) and in /metrics
+// (crimsond_repl_<key>_wait_seconds).
+var replWaits = []struct {
+	key, help string
+	h         *obs.Histogram
+}{
+	{"fence", "Time reads spent blocked on their X-Crimson-Min-Epoch fence before the publishing apply woke them.", obs.ReplFenceWait},
+	{"horizon", "Time replicated applies spent waiting for local snapshots older than the reclaim horizon to close.", obs.ReplHorizonWait},
+}
+
 // snapshot captures every counter; cacheEntries and openTrees are
 // supplied by the server since they live outside this struct.
 func (st *serverStats) snapshot(cacheEntries, openTrees int) StatsSnapshot {
@@ -142,11 +162,12 @@ func (st *serverStats) snapshot(cacheEntries, openTrees int) StatsSnapshot {
 	}
 	lat := make(map[string]OpLatency)
 	for _, e := range st.histSnapshots() {
-		lat[e.op] = OpLatency{
-			Count: e.h.Count,
-			P50MS: e.h.Quantile(0.50) * 1000,
-			P95MS: e.h.Quantile(0.95) * 1000,
-			P99MS: e.h.Quantile(0.99) * 1000,
+		lat[e.op] = latencyOf(e.h)
+	}
+	waits := make(map[string]OpLatency)
+	for _, rw := range replWaits {
+		if h := rw.h.Snapshot(); h.Count > 0 {
+			waits[rw.key] = latencyOf(h)
 		}
 	}
 	var mem runtime.MemStats
@@ -163,6 +184,7 @@ func (st *serverStats) snapshot(cacheEntries, openTrees int) StatsSnapshot {
 		OpenTrees:      openTrees,
 		PerOp:          perOp,
 		OpLatencies:    lat,
+		ReplWaits:      waits,
 		Engine:         obs.Engine.Snapshot(),
 		Goroutines:     runtime.NumGoroutine(),
 		HeapAllocBytes: mem.HeapAlloc,
@@ -186,6 +208,7 @@ func metricsText(s StatsSnapshot, hists []opHistEntry) string {
 	writeEngineFamilies(&sb, s.Engine)
 	writeHistogramFamilies(&sb, hists)
 	writeGroupCommitFamily(&sb)
+	writeReplWaitFamilies(&sb)
 	writeRuntimeFamilies(&sb, s)
 	return sb.String()
 }
@@ -350,6 +373,9 @@ var engineHelp = map[string]string{
 	"repl_reconnects":            "Replication stream reconnect attempts.",
 	"repl_snapshots_invalidated": "Replica applies that invalidated still-open local snapshots (their reads fail with a retryable error).",
 	"wal_retain_drops":           "WAL truncations that overrode a replication retain floor because the log outgrew the retain cap.",
+	"repl_fence_waits":           "Reads that blocked on their X-Crimson-Min-Epoch fence.",
+	"repl_fence_timeouts":        "Fenced reads that gave up with 409 because the store did not reach the epoch in time.",
+	"repl_fence_wakeups":         "Wake-ups of epoch waiters by the store's change signal (one per event, none while idle).",
 }
 
 // writeEngineFamilies emits one counter family per process-global engine
@@ -372,15 +398,24 @@ func writeHistogramFamilies(b *strings.Builder, hists []opHistEntry) {
 	fmt.Fprintf(b, "# HELP crimsond_op_duration_seconds End-to-end request latency by operation (op=\"commit\" is engine commit latency).\n")
 	fmt.Fprintf(b, "# TYPE crimsond_op_duration_seconds histogram\n")
 	for _, e := range hists {
-		for i := 0; i < obs.HistBuckets; i++ {
-			bound := float64(obs.BucketBoundUS(i)) / 1e6
-			fmt.Fprintf(b, "crimsond_op_duration_seconds_bucket{op=\"%s\",le=\"%s\"} %d\n",
-				e.op, fnum(bound), e.h.Counts[i])
-		}
-		fmt.Fprintf(b, "crimsond_op_duration_seconds_bucket{op=\"%s\",le=\"+Inf\"} %d\n", e.op, e.h.Counts[obs.HistBuckets])
-		fmt.Fprintf(b, "crimsond_op_duration_seconds_sum{op=\"%s\"} %s\n", e.op, fnum(float64(e.h.SumNS)/1e9))
-		fmt.Fprintf(b, "crimsond_op_duration_seconds_count{op=\"%s\"} %d\n", e.op, e.h.Count)
+		writeSecondsHistogram(b, "crimsond_op_duration_seconds", "op=\""+e.op+"\"", e.h)
 	}
+}
+
+// writeSecondsHistogram writes one latency histogram's samples — buckets
+// with le bounds in seconds, then _sum and _count — under the family's
+// already-written metadata. labels is empty or `k="v"[,...]`.
+func writeSecondsHistogram(b *strings.Builder, name, labels string, h obs.HistSnapshot) {
+	bucketLabels, braced := labels, ""
+	if labels != "" {
+		bucketLabels, braced = labels+",", "{"+labels+"}"
+	}
+	for i := 0; i < obs.HistBuckets; i++ {
+		fmt.Fprintf(b, "%s_bucket{%sle=\"%s\"} %d\n", name, bucketLabels, fnum(float64(obs.BucketBoundUS(i))/1e6), h.Counts[i])
+	}
+	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, bucketLabels, h.Counts[obs.HistBuckets])
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, braced, fnum(float64(h.SumNS)/1e9))
+	fmt.Fprintf(b, "%s_count%s %d\n", name, braced, h.Count)
 }
 
 // writeGroupCommitFamily renders the group-commit batch-size distribution:
@@ -398,6 +433,17 @@ func writeGroupCommitFamily(b *strings.Builder) {
 	fmt.Fprintf(b, "crimsond_group_commit_batch_size_bucket{le=\"+Inf\"} %d\n", gb.Counts[obs.HistBuckets])
 	fmt.Fprintf(b, "crimsond_group_commit_batch_size_sum %d\n", gb.SumNS/1000)
 	fmt.Fprintf(b, "crimsond_group_commit_batch_size_count %d\n", gb.Count)
+}
+
+// writeReplWaitFamilies renders the two replication wait histograms, in
+// seconds. Both families are emitted on every server, empty until a
+// fenced read or a replicated apply has waited.
+func writeReplWaitFamilies(b *strings.Builder) {
+	for _, rw := range replWaits {
+		name := "crimsond_repl_" + rw.key + "_wait_seconds"
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, rw.help, name)
+		writeSecondsHistogram(b, name, "", rw.h.Snapshot())
+	}
 }
 
 func writeRuntimeFamilies(b *strings.Builder, s StatsSnapshot) {

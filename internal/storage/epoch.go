@@ -1,6 +1,11 @@
 package storage
 
-import "sync"
+import (
+	"context"
+	"sync"
+
+	"repro/internal/obs"
+)
 
 // This file implements the MVCC spine of the store: versioned roots
 // published at commit, snapshot handles that pin an epoch, and epoch-based
@@ -22,6 +27,14 @@ import "sync"
 // Lock ordering: Store.mu may be taken before epochs.mu, never the other
 // way around. Paths that discover freeable pages under epochs.mu release
 // it before re-entering the store to push them onto the free list.
+//
+// Waiting: the spine has one change signal. Whoever needs the state to
+// move — a fenced replica read waiting for an epoch (AwaitEpoch), a
+// replicated apply waiting for older snapshots to close
+// (AwaitSnapshotsFrom) — registers a channel under epochs.mu and blocks on
+// it; every path that moves the state (publish, the last pin of an epoch
+// released, an invalidation, Promote, Close) closes that channel under the
+// same lock, after its own update. Nobody polls.
 
 // retireBatch collects the pages retired while one epoch was current.
 // Batches are appended in epoch order, so the pending list stays sorted.
@@ -30,7 +43,14 @@ type retireBatch struct {
 	pages []PageID
 }
 
-// epochs tracks the published state and the reclamation pipeline.
+// epochs tracks the published state, the reclamation pipeline and the
+// waiters on either. changed is the change signal: nil while nobody waits
+// (so the paths that move the state pay one nil check under the lock they
+// already hold), created by the first waiter to block, closed and cleared
+// by wakeLocked. A woken waiter re-reads the state under mu, so a wake
+// that follows the update it announces can neither be lost (the waiter
+// either sees the new state before registering, or is registered when the
+// close comes) nor report a state that is not there.
 type epochs struct {
 	mu        sync.Mutex
 	current   uint64           // epoch of the last published (committed) state
@@ -38,12 +58,95 @@ type epochs struct {
 	active    map[uint64]int   // open snapshot refcounts by epoch
 	pending   []retireBatch    // retired pages awaiting reclamation, epoch-sorted
 	pendingN  int              // total pages across pending
+	changed   chan struct{}    // non-nil iff a waiter is blocked on the next change
+	closed    bool             // the store is closed: waiters return ErrClosed
 }
 
 func (e *epochs) init(epoch uint64, roots [NumRoots]PageID) {
 	e.current = epoch
 	e.published = roots
 	e.active = make(map[uint64]int)
+}
+
+// wakeLocked releases every blocked waiter to re-read the state. It must run
+// after the update it announces. Callers hold e.mu.
+func (e *epochs) wakeLocked() {
+	if e.changed != nil {
+		close(e.changed)
+		e.changed = nil
+	}
+}
+
+// wake is wakeLocked for the paths whose update lives outside e.mu.
+func (e *epochs) wake() {
+	e.mu.Lock()
+	e.wakeLocked()
+	e.mu.Unlock()
+}
+
+// await blocks until reached (evaluated under e.mu) holds, the store closes
+// (ErrClosed) or ctx ends (its error), and reports how many times the
+// signal woke it on the way.
+func (e *epochs) await(ctx context.Context, reached func() bool) (wakeups int64, err error) {
+	for {
+		e.mu.Lock()
+		if reached() {
+			e.mu.Unlock()
+			return wakeups, nil
+		}
+		if e.closed {
+			e.mu.Unlock()
+			return wakeups, ErrClosed
+		}
+		if e.changed == nil {
+			e.changed = make(chan struct{})
+		}
+		ch := e.changed
+		e.mu.Unlock()
+		select {
+		case <-ch:
+			wakeups++
+		case <-ctx.Done():
+			return wakeups, ctx.Err()
+		}
+	}
+}
+
+// AwaitEpoch blocks until the published epoch is at least epoch — the
+// min-epoch fence of a replica read, woken by the apply (or commit) that
+// publishes. It is judged on the state a snapshot opened right after will
+// read, so a caller that pins a snapshot on return sees epoch or later
+// (PublishedEpoch, stored under the same lock, reads no less either). It
+// returns ctx's error when ctx ends first and ErrClosed once the store is
+// closed; every wake-up counts in repl_fence_wakeups.
+func (s *Store) AwaitEpoch(ctx context.Context, epoch uint64) error {
+	e := &s.ep
+	wakeups, err := e.await(ctx, func() bool { return e.current >= epoch })
+	if wakeups > 0 {
+		obs.Engine.Add(obs.CtrReplFenceWakeups, wakeups)
+	}
+	return err
+}
+
+// AwaitSnapshotsFrom blocks until no open snapshot that can still read
+// pins an epoch below limit (snapshots already invalidated below limit do
+// not count: their reads fail instead of observing an apply). It returns
+// the moment the last such snapshot closes, ctx's error when ctx ends
+// first, and ErrClosed once the store is closed.
+func (s *Store) AwaitSnapshotsFrom(ctx context.Context, limit uint64) error {
+	e := &s.ep
+	_, err := e.await(ctx, func() bool {
+		if s.snapInvalid.Load() >= limit {
+			return true
+		}
+		for ep := range e.active {
+			if ep < limit {
+				return false
+			}
+		}
+		return true
+	})
+	return err
 }
 
 // retireAt records a superseded committed page under the given epoch — the
@@ -127,11 +230,15 @@ func (sn *Snap) Close() {
 	sn.once.Do(func() { sn.s.releaseSnapshot(sn.epoch) })
 }
 
+// releaseSnapshot drops one pin of epoch and reclaims what that frees. The
+// last pin of an epoch is a state change a waiter can be blocked on (an
+// apply in AwaitSnapshotsFrom), so it raises the change signal.
 func (s *Store) releaseSnapshot(epoch uint64) {
 	e := &s.ep
 	e.mu.Lock()
 	if n := e.active[epoch]; n <= 1 {
 		delete(e.active, epoch)
+		e.wakeLocked()
 	} else {
 		e.active[epoch] = n - 1
 	}

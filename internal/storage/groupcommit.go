@@ -139,7 +139,9 @@ func (s *Store) flushBatch(batch []*commitReq) error {
 	return nil
 }
 
-// publish makes epoch the state new snapshots read. Publication is
+// publish makes epoch the state new snapshots read, and wakes whoever is
+// blocked in AwaitEpoch on it — after the update, under the same lock, so
+// the woken waiter reads the epoch it was woken for. Publication is
 // monotonic: group flushes always carry the newest epoch of their batch, so
 // intermediate epochs of a batch publish implicitly.
 func (s *Store) publish(epoch uint64, roots [NumRoots]PageID) {
@@ -148,14 +150,10 @@ func (s *Store) publish(epoch uint64, roots [NumRoots]PageID) {
 	if epoch > e.current {
 		e.current = epoch
 		e.published = roots
+		s.pubEpoch.Store(epoch) // the lock-free mirror of current
+		e.wakeLocked()
 	}
 	e.mu.Unlock()
-	for {
-		cur := s.pubEpoch.Load()
-		if epoch <= cur || s.pubEpoch.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
 }
 
 // CommitWaiter is the handle returned by CommitAsync. Wait blocks until the

@@ -875,6 +875,12 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed.Store(true)
+	// Release anyone blocked on an epoch or a snapshot close: nothing will
+	// move this store again.
+	s.ep.mu.Lock()
+	s.ep.closed = true
+	s.ep.wakeLocked()
+	s.ep.mu.Unlock()
 	if s.wal != nil {
 		if err := s.wal.Close(); err != nil {
 			s.pager.Close()

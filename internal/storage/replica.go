@@ -78,8 +78,12 @@ func (s *Store) IsReplica() bool { return s.replica.Load() }
 // serving layer) is responsible for stopping the apply loop first and for
 // running a reclamation sweep afterwards: replicated snapshot catch-ups
 // synthesize a meta page with an empty free list, so a promoted store may
-// carry leaked pages until swept.
-func (s *Store) Promote() { s.replica.Store(false) }
+// carry leaked pages until swept. Blocked waiters are woken to re-read
+// the state: what moves it from here on is local commits.
+func (s *Store) Promote() {
+	s.replica.Store(false)
+	s.ep.wake()
+}
 
 // PublishedEpoch reports the last published (committed or applied) epoch
 // without taking any locks.
@@ -119,11 +123,16 @@ var ErrSnapshotInvalidated = errors.New("storage: snapshot invalidated by replic
 // monotonic. It must be stored BEFORE the apply replaces any pool frame —
 // pool reads and writes serialize on the pool mutex, so a reader that
 // gets a post-apply image is ordered after the apply's Put, hence after
-// this store, and its post-read check sees the mark.
+// this store, and its post-read check sees the mark. Snapshots below the
+// mark no longer hold back AwaitSnapshotsFrom, so its waiters are woken.
 func (s *Store) InvalidateSnapshotsBelow(limit uint64) {
 	for {
 		cur := s.snapInvalid.Load()
-		if limit <= cur || s.snapInvalid.CompareAndSwap(cur, limit) {
+		if limit <= cur {
+			return
+		}
+		if s.snapInvalid.CompareAndSwap(cur, limit) {
+			s.ep.wake()
 			return
 		}
 	}
@@ -154,21 +163,6 @@ func (s *Store) ScanWALBatches(fn func(pages []DirtyPage) error) error {
 		return nil
 	}
 	return s.wal.ScanCommitted(fn)
-}
-
-// OldestSnapshotEpoch reports the oldest epoch pinned by an open snapshot,
-// and whether any snapshot is open at all.
-func (s *Store) OldestSnapshotEpoch() (uint64, bool) {
-	e := &s.ep
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	min, found := uint64(0), false
-	for ep := range e.active {
-		if !found || ep < min {
-			min, found = ep, true
-		}
-	}
-	return min, found
 }
 
 // BatchMeta decodes the meta-page image riding in a commit batch, returning

@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,14 +10,16 @@ import (
 	"time"
 
 	crimson "repro"
+	"repro/internal/treestore"
 )
 
 // This file is the facade-level crash matrix for the durability pipeline:
 // with the async checkpointer pinned off, a repository is killed (by
-// copying its files and abandoning the handle) either right after its WAL
-// fsyncs or right after an explicit checkpoint, at every shard layout the
-// suite runs at (CRIMSON_TEST_SHARDS; CI runs 1 and 4). Recovery must land
-// on the last committed state in all four cells.
+// copying its files and abandoning the handle) right after its WAL fsyncs,
+// right after an explicit checkpoint, or with one more load applied and its
+// commit captured but not yet flushed, at every shard layout the suite runs
+// at (CRIMSON_TEST_SHARDS; CI runs 1 and 4). Recovery must land on the last
+// committed state in all six cells.
 
 // matrixShards honors CRIMSON_TEST_SHARDS the way the server E2E suite
 // does: 1 by default, whatever the variable says otherwise.
@@ -89,7 +92,7 @@ func copyFile(t *testing.T, src, dst string) {
 // empty) both reopen to the same committed state with integrity green.
 func TestCrashMatrixFacade(t *testing.T) {
 	shards := matrixShards(t)
-	for _, stage := range []string{"after-wal-fsync", "after-checkpoint"} {
+	for _, stage := range []string{"after-wal-fsync", "after-checkpoint", "after-capture"} {
 		t.Run(stage, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "repo")
 			repo, err := crimson.OpenSharded(path, shards)
@@ -132,6 +135,23 @@ func TestCrashMatrixFacade(t *testing.T) {
 				if got := repo.WALSize(); got != 0 {
 					t.Fatalf("WALs hold %d bytes after checkpoint, want 0", got)
 				}
+			case "after-capture":
+				// A load dies between the capture of its commit and the WAL
+				// fsync: the tree is applied and its transaction queued for
+				// the next group flush, which never comes. Recovery is the
+				// previous epoch, without the tree.
+				tree, err := crimson.GenerateYule(120, 1.0, rand.New(rand.NewSource(99)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := repo.Trees.PrepareLoad("doomed", tree, crimson.DefaultFanout, crimson.LoadOptions{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Apply(); err != nil {
+					t.Fatal(err)
+				}
+				repo.CommitAsync() // captured, never waited for
 			}
 			copied := copyRepoFiles(t, path)
 			// Crash: the original handle is abandoned, never closed.
@@ -159,6 +179,9 @@ func TestCrashMatrixFacade(t *testing.T) {
 				if string(data) != "ACGT-"+name {
 					t.Fatalf("species row for %s recovered as %q", name, data)
 				}
+			}
+			if _, err := reopened.Tree("doomed"); !errors.Is(err, treestore.ErrNoTree) {
+				t.Fatalf("a load that never reached the WAL recovered: %v", err)
 			}
 			if err := reopened.Check(); err != nil {
 				t.Fatalf("post-recovery integrity after %s crash: %v", stage, err)

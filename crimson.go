@@ -574,25 +574,20 @@ func (r *Repository) Check() error { return shard.CheckAll(r.dbs) }
 // closed even if one fails; failures come back joined.
 func (r *Repository) Close() error { return shard.CloseAll(r.dbs) }
 
-// recordCommit appends one history record and commits shard 0, under
-// shard 0's facade writer mutex: the record's counter read-modify-write
-// plus entry insert and the commit land as one unit, so a concurrent
-// load's shard-0 commit can never publish a half-applied record (nor can
-// a history commit publish another load's half-applied shard-0 tables —
-// loads hold the same mutex while they write shard 0). Callers must not
+// recordAsync appends one history record and captures shard 0's commit,
+// under shard 0's facade writer mutex: the record's counter
+// read-modify-write plus entry insert and the capture land as one unit, so
+// a concurrent load's shard-0 commit can never publish a half-applied
+// record (nor can a history commit publish another load's half-applied
+// shard-0 tables — loads hold the same mutex while they write shard 0). The
+// caller waits on the returned commit; waiting happens outside every mutex,
+// so concurrent writers coalesce into one group flush. Callers must not
 // hold any facade writer mutex when calling (shard 0's included).
-func (r *Repository) recordCommit(kind string, args map[string]any, summary string) error {
+func (r *Repository) recordAsync(kind string, args map[string]any, summary string) *relstore.CommitWaiter {
 	r.writeMus[0].Lock()
+	defer r.writeMus[0].Unlock()
 	_, _ = r.Queries.Record(kind, args, summary)
-	// The prepare under the mutex captures the record atomically; waiting
-	// for the WAL fsync happens after release, so concurrent history
-	// writers coalesce into one group flush.
-	w := r.dbs[0].CommitAsync()
-	r.writeMus[0].Unlock()
-	if err := w.Wait(); err != nil {
-		return fmt.Errorf("crimson: committing history shard: %w", err)
-	}
-	return nil
+	return r.dbs[0].CommitAsync()
 }
 
 // LoadTree stores an in-memory tree under the given name with depth bound
@@ -607,20 +602,11 @@ func (r *Repository) LoadTree(name string, t *Tree, f int, progress treestore.Pr
 	return r.LoadTreeOpts(name, t, f, LoadOptions{}, progress)
 }
 
-// LoadTreeOpts is LoadTree with ingest-pipeline options: row staging fans
-// out across opts.Workers goroutines and per-stage timings land in
+// LoadTreeOpts is LoadTree with ingest-pipeline options: staging fans out
+// across opts.Workers goroutines and per-stage timings land in
 // opts.Metrics. The stored relations are identical at every worker count.
 func (r *Repository) LoadTreeOpts(name string, t *Tree, f int, opts LoadOptions, progress treestore.Progress) (*StoredTree, error) {
-	si := r.router.Place(name)
-	r.writeMus[si].Lock()
-	st, err := r.Trees.LoadOpts(name, t, f, opts, progress) // commits the tree's shard
-	r.writeMus[si].Unlock()
-	if err != nil {
-		return nil, err
-	}
-	err = r.recordCommit("load", map[string]any{"tree": name, "f": f, "nodes": t.NumNodes()},
-		fmt.Sprintf("loaded %d nodes", t.NumNodes()))
-	return st, err
+	return r.load(name, t, nil, f, opts, progress)
 }
 
 // LoadNexus loads the first tree of a NEXUS document (under its TREE name
@@ -639,33 +625,57 @@ func (r *Repository) LoadNexusOpts(doc *NexusDocument, name string, f int, opts 
 	if name == "" {
 		name = doc.Trees[0].Name
 	}
-	si := r.router.Place(name)
-	r.writeMus[si].Lock()
-	st, err := r.Trees.LoadOpts(name, doc.Trees[0].Tree, f, opts, progress) // commits the tree's shard
+	return r.load(name, doc.Trees[0].Tree, doc.Characters, f, opts, progress)
+}
+
+// load is the one managed load path. It holds the tree's shard writer
+// mutex for the apply alone: the tree is validated, indexed and staged
+// before the mutex is taken (treestore.PrepareLoad), and both commits — the
+// tree's shard, carrying the tree and any sequences, and the history's
+// shard 0 — are captured under their mutexes but waited for after release,
+// so their WAL flushes overlap each other and coalesce with other writers'.
+func (r *Repository) load(name string, t *Tree, chars *nexus.Characters, f int, opts LoadOptions, progress treestore.Progress) (*StoredTree, error) {
+	p, err := r.Trees.PrepareLoad(name, t, f, opts, progress)
 	if err != nil {
-		r.writeMus[si].Unlock()
 		return nil, err
 	}
-	if ch := doc.Characters; ch != nil {
-		for _, taxon := range ch.Order {
-			if err := r.Species.Put(name, taxon, "seq:nexus", []byte(ch.Seqs[taxon])); err != nil {
-				r.writeMus[si].Unlock()
-				return nil, err
-			}
+	si := r.router.Place(name)
+	apply := func() (*StoredTree, *relstore.CommitWaiter, error) {
+		r.writeMus[si].Lock()
+		defer r.writeMus[si].Unlock()
+		st, err := p.Apply()
+		if err != nil {
+			return nil, nil, err
 		}
-		progress.Say("stored %d sequences in the species repository", len(ch.Order))
+		if chars != nil {
+			for _, taxon := range chars.Order {
+				if err := r.Species.Put(name, taxon, "seq:nexus", []byte(chars.Seqs[taxon])); err != nil {
+					// Nothing of this load is captured yet: take it back out
+					// of the working state so no later commit publishes half
+					// of it.
+					_ = r.Trees.Drop(name)
+					_, _ = r.Species.DeleteTree(name)
+					return nil, nil, err
+				}
+			}
+			progress.Say("stored %d sequences in the species repository", len(chars.Order))
+		}
+		return st, r.dbs[si].CommitAsync(), nil
 	}
-	// Sequences live on the tree's shard. Capture that commit under the
-	// mutex, then overlap its WAL flush with the shard-0 history commit:
-	// the two shards' fsyncs proceed in parallel.
-	w := r.dbs[si].CommitAsync()
-	r.writeMus[si].Unlock()
-	recErr := r.recordCommit("load", map[string]any{"tree": name, "f": f, "nodes": st.Info().Nodes},
-		fmt.Sprintf("loaded %d nodes", st.Info().Nodes))
+	st, w, err := apply()
+	if err != nil {
+		return nil, err
+	}
+	rec := r.recordAsync("load", map[string]any{"tree": name, "f": f, "nodes": p.Info().Nodes},
+		fmt.Sprintf("loaded %d nodes", p.Info().Nodes))
 	if err := w.Wait(); err != nil {
 		return nil, fmt.Errorf("crimson: committing shard %d: %w", si, err)
 	}
-	return st, recErr
+	p.Committed()
+	if err := rec.Wait(); err != nil {
+		return st, fmt.Errorf("crimson: committing history shard: %w", err)
+	}
+	return st, nil
 }
 
 // Tree opens a stored tree by name.

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
-	"sync"
 
 	"repro/internal/storage"
 )
@@ -157,146 +155,6 @@ func (t *Table) Put(row Row) error {
 		}
 	}
 	return t.write(pk, row, old)
-}
-
-// BulkInsert adds rows in one write-lock acquisition. When the table is
-// structurally empty (never written, or freshly created), the rows are
-// staged, sorted by primary key, and loaded bottom-up through
-// storage.BTree.BulkLoad — the primary tree and every secondary index are
-// built with sequential page writes instead of one descent per row. The
-// sorted runs (primary plus one per secondary index) are staged on
-// concurrent goroutines; only the short BulkLoad publishes that follow run
-// serially, so the single-writer commit contract is unchanged. On
-// that fast path the batch is all-or-nothing: duplicate primary keys and
-// unique-index violations within the batch are detected before anything is
-// written. On a non-empty table BulkInsert degrades to the row-at-a-time
-// insert path (still under a single lock acquisition); there a conflict
-// stops the batch at the offending row and earlier rows remain, exactly as
-// with repeated Insert calls.
-func (t *Table) BulkInsert(rows []Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	for _, row := range rows {
-		if err := t.checkRow(row); err != nil {
-			return err
-		}
-	}
-	t.db.mu.Lock()
-	defer t.db.mu.Unlock()
-
-	// The fast path needs every tree structurally empty (BulkLoad's
-	// precondition — a lazily-emptied tree may still have internal pages).
-	empty, err := t.primary.Empty()
-	if err != nil {
-		return err
-	}
-	for _, ix := range t.schema.Indexes {
-		if !empty {
-			break
-		}
-		if empty, err = t.indexes[ix.Name].Empty(); err != nil {
-			return err
-		}
-	}
-	if !empty {
-		for _, row := range rows {
-			if err := t.insertLocked(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Stage the primary run and every secondary index's run concurrently —
-	// one goroutine per tree. Each run is built from read-only schema state
-	// and its own output slice, so the fan-out needs no locking; all sorts
-	// and uniqueness checks still finish BEFORE the first tree is written,
-	// so a rejected batch leaves the table untouched. Index keys embed the
-	// primary key, so full keys are unique; unique indexes additionally
-	// reject two rows sharing the indexed-column prefix. Errors surface in
-	// the same order as a serial staging pass: primary first, then indexes
-	// in schema order.
-	pks := make([][]byte, len(rows))
-	for i, row := range rows {
-		pks[i] = t.primaryKey(row)
-	}
-	var wg sync.WaitGroup
-	prim := make([]storage.KV, len(rows))
-	var primErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		order := make([]int, len(rows))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return bytes.Compare(pks[order[a]], pks[order[b]]) < 0 })
-		for i, o := range order {
-			if i > 0 && bytes.Equal(pks[order[i-1]], pks[o]) {
-				primErr = fmt.Errorf("%w: %s in %s", ErrDuplicateKey, rows[o][t.keyCol], t.schema.Name)
-				return
-			}
-			prim[i] = storage.KV{Key: pks[o], Value: encodeRow(rows[o])}
-		}
-	}()
-	indexRuns := make([][]storage.KV, len(t.schema.Indexes))
-	indexErrs := make([]error, len(t.schema.Indexes))
-	for ixi := range t.schema.Indexes {
-		wg.Add(1)
-		go func(ixi int) {
-			defer wg.Done()
-			ix := t.schema.Indexes[ixi]
-			entries := make([]storage.KV, len(rows))
-			var prefixes [][]byte
-			if ix.Unique {
-				prefixes = make([][]byte, len(rows))
-			}
-			for i, row := range rows {
-				entries[i] = storage.KV{Key: t.indexKey(ix, row), Value: pks[i]}
-				if ix.Unique {
-					p, err := t.indexPrefix(ix, t.indexVals(ix, row))
-					if err != nil {
-						indexErrs[ixi] = err
-						return
-					}
-					prefixes[i] = p
-				}
-			}
-			sort.Slice(entries, func(a, b int) bool { return bytes.Compare(entries[a].Key, entries[b].Key) < 0 })
-			if ix.Unique {
-				sort.Slice(prefixes, func(a, b int) bool { return bytes.Compare(prefixes[a], prefixes[b]) < 0 })
-				for i := 1; i < len(prefixes); i++ {
-					if bytes.Equal(prefixes[i-1], prefixes[i]) {
-						indexErrs[ixi] = fmt.Errorf("%w: unique index %s.%s", ErrDuplicateKey, t.schema.Name, ix.Name)
-						return
-					}
-				}
-			}
-			indexRuns[ixi] = entries
-		}(ixi)
-	}
-	wg.Wait()
-	if primErr != nil {
-		return primErr
-	}
-	indexEntries := make(map[string][]storage.KV, len(t.schema.Indexes))
-	for ixi, ix := range t.schema.Indexes {
-		if indexErrs[ixi] != nil {
-			return indexErrs[ixi]
-		}
-		indexEntries[ix.Name] = indexRuns[ixi]
-	}
-
-	if err := t.primary.BulkLoad(prim); err != nil {
-		return err
-	}
-	for _, ix := range t.schema.Indexes {
-		if err := t.indexes[ix.Name].BulkLoad(indexEntries[ix.Name]); err != nil {
-			return err
-		}
-	}
-	return t.db.noteRootsLocked(t)
 }
 
 // write stores the row and maintains secondary indexes, removing entries of

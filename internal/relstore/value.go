@@ -191,7 +191,7 @@ func appendTupleValue(dst []byte, v Value) []byte {
 		return append(dst, b[:]...)
 	case TString:
 		dst = append(dst, tagString)
-		return appendEscaped(dst, []byte(v.s))
+		return appendEscaped(dst, v.s)
 	case TBytes:
 		dst = append(dst, tagBytes)
 		return appendEscaped(dst, v.b)
@@ -199,9 +199,9 @@ func appendTupleValue(dst []byte, v Value) []byte {
 	panic("relstore: encode invalid value")
 }
 
-func appendEscaped(dst, raw []byte) []byte {
-	for _, c := range raw {
-		if c == 0x00 {
+func appendEscaped[T string | []byte](dst []byte, raw T) []byte {
+	for i := 0; i < len(raw); i++ {
+		if c := raw[i]; c == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {
 			dst = append(dst, c)
@@ -296,25 +296,29 @@ func DecodeKey(buf []byte) ([]Value, error) {
 func encodeRow(row Row) []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(row)))
 	for _, v := range row {
-		dst = append(dst, byte(v.Type))
-		switch v.Type {
-		case TInt:
-			dst = binary.AppendVarint(dst, v.i)
-		case TFloat:
-			dst = binary.AppendUvarint(dst, math.Float64bits(v.f))
-		case TString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-			dst = append(dst, v.s...)
-		case TBytes:
-			dst = binary.AppendUvarint(dst, uint64(len(v.b)))
-			dst = append(dst, v.b...)
-		case TBool:
-			dst = append(dst, byte(v.i))
-		default:
-			panic("relstore: encode row with invalid value")
-		}
+		dst = appendRowValue(dst, v)
 	}
 	return dst
+}
+
+// appendRowValue appends one column of a stored row: type byte, payload.
+func appendRowValue(dst []byte, v Value) []byte {
+	dst = append(dst, byte(v.Type))
+	switch v.Type {
+	case TInt:
+		return binary.AppendVarint(dst, v.i)
+	case TFloat:
+		return binary.AppendUvarint(dst, math.Float64bits(v.f))
+	case TString:
+		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
+		return append(dst, v.s...)
+	case TBytes:
+		dst = binary.AppendUvarint(dst, uint64(len(v.b)))
+		return append(dst, v.b...)
+	case TBool:
+		return append(dst, byte(v.i))
+	}
+	panic("relstore: encode row with invalid value")
 }
 
 // decodeRow builds the Row of an encoded row.

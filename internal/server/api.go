@@ -182,8 +182,12 @@ type StatsSnapshot struct {
 	HistoryDropped int64 `json:"history_dropped"`
 
 	// LoadWorkers is the ingest pipeline's configured fan-out (chunked
-	// parsing and row staging); Loads counts completed tree loads, and
-	// the *_ns counters accumulate per-stage wall time across them.
+	// parsing and staging); Loads counts completed tree loads, and the
+	// *_ns counters accumulate per-stage wall time across them. The four
+	// stages sum to a load's work: parse (reading the body included),
+	// index, stage (row encoding and run building, outside the writer
+	// mutex) and insert (the apply under it). A load's waits are not in
+	// them: see write_waits.lock and op_latencies.commit.
 	LoadWorkers  int   `json:"load_workers"`
 	Loads        int64 `json:"loads"`
 	LoadParseNS  int64 `json:"load_parse_ns"`
@@ -207,6 +211,11 @@ type StatsSnapshot struct {
 	// observation are omitted; the wake-up, wait and timeout counts live
 	// in the engine map (repl_fence_*).
 	ReplWaits map[string]OpLatency `json:"repl_waits,omitempty"`
+	// WriteWaits summarizes the time write requests spent waiting to write:
+	// "lock" is the wait for the shard's writer mutex
+	// (crimsond_write_lock_wait_seconds), one observation per acquisition
+	// that found it held. Omitted until a write has waited.
+	WriteWaits map[string]OpLatency `json:"write_waits,omitempty"`
 }
 
 // OpLatency summarizes one operation's latency histogram. Percentiles

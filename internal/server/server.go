@@ -12,9 +12,12 @@
 // delete is in flight, and each request sees a consistent committed state
 // (never a half-loaded or half-deleted tree). A semaphore bounds in-flight
 // reads (Config.MaxInFlightReads); excess requests queue. Mutations —
-// load, delete, species put — serialize on a per-shard writer mutex: each
-// shard is its own storage engine with its own single-writer contract, so
-// loads of trees on different shards proceed genuinely in parallel.
+// load, delete, species put — serialize on a per-shard writer mutex, held
+// only while a mutation writes pages and captures its commit: body reads,
+// parsing, indexing and staging come before it, every fsync wait after it.
+// Each shard is its own storage engine with its own single-writer
+// contract, so loads of trees on different shards proceed genuinely in
+// parallel.
 // Query-history lives on shard 0; read-path records are drained by an
 // async recorder goroutine so recording never puts a read behind any
 // writer lock. Repeated projections, LCAs, clades and pattern matches are
@@ -56,6 +59,7 @@ import (
 	"repro/internal/newick"
 	"repro/internal/nexus"
 	"repro/internal/obs"
+	"repro/internal/phylo"
 	"repro/internal/queryrepo"
 	"repro/internal/recon"
 	"repro/internal/relstore"
@@ -367,7 +371,7 @@ func (s *Server) routes() {
 	})
 	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		io.WriteString(w, metricsText(s.snapshot(), s.stats.histSnapshots()))
+		io.WriteString(w, metricsText(s.snapshot(), s.stats.histSnapshots(), s.stats.waitSnapshots()))
 	})
 	if s.cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -650,38 +654,39 @@ func (s *Server) cachePut(name string, ver uint64, key string, val any) {
 	}
 }
 
-// bumpTree installs a freshly loaded tree's version (the shard epoch its
-// load published at) and drops whatever handle or cached results a
-// previous incarnation under the same name left behind. Called by the load
-// path after its final commit on the tree's shard.
-func (s *Server) bumpTree(name string, si int) {
-	ep := s.be.DBs[si].MVCC().Epoch
+// bumpTree captures shard si's pending transaction — the one that changes
+// which incarnation of the tree exists: a load's, or a delete's — and
+// installs the captured commit's epoch as the tree's version, dropping
+// whatever handle or cached results the previous incarnation left behind.
+// Both happen under handleMu: a commit may publish the moment it is
+// captured (any waiter's group flush can carry it), and a reader of the new
+// epoch must not find the old version still installed, or it would be handed
+// the old incarnation's handle. The version is the captured epoch, not the
+// published one: readers older than it bypass the caches, and no reader
+// reaches it before the commit is durable. The caller holds the shard's
+// writer mutex.
+func (s *Server) bumpTree(cc *commitCollector, name string, si int) uint64 {
 	s.handleMu.Lock()
 	defer s.handleMu.Unlock()
+	ep := cc.commitAsync(si).Epoch()
 	delete(s.handles, name)
 	s.vers[name] = ep
 	s.cache.invalidateTree(name)
+	return ep
 }
 
-// dropTree removes a deleted tree's version, handle and cached results.
-// Called by the delete path after the delete has committed.
-func (s *Server) dropTree(name string) {
+// dropTree forgets the version a delete installed at epoch ep (see
+// bumpTree), so the map does not grow with every name ever deleted. It must
+// run strictly after the delete has published: an unknown version is
+// re-seeded by the next reader of the current epoch, and before the delete
+// publishes that reader still sees the tree about to vanish. A reload that
+// has installed a newer version since is left alone.
+func (s *Server) dropTree(name string, ep uint64) {
 	s.handleMu.Lock()
 	defer s.handleMu.Unlock()
-	delete(s.handles, name)
-	delete(s.vers, name)
-	s.cache.invalidateTree(name)
-}
-
-// commitShard commits shard si synchronously, recording the commit's
-// latency in the commit histogram and, when the calling request is traced,
-// as a "commit" child span with the durability pipeline's stage breakdown.
-func (s *Server) commitShard(ctx context.Context, si int) error {
-	start := time.Now()
-	w := s.be.DBs[si].CommitAsync()
-	err := w.Wait()
-	s.observeCommitWaiter(ctx, w, time.Since(start))
-	return err
+	if s.vers[name] == ep {
+		delete(s.vers, name)
+	}
 }
 
 // observeCommitWaiter records one awaited commit: total latency in the
@@ -709,35 +714,78 @@ func (s *Server) observeCommitWaiter(ctx context.Context, w *relstore.CommitWait
 	}
 }
 
-// commitCollector gathers commits captured while a shard's writer mutex is
-// held; the write wrapper awaits their durability after the mutex is
-// released. That window — transaction captured, lock released, fsync
-// pending — is what lets concurrent write requests coalesce into one WAL
-// flush (group commit).
+// commitCollector carries one write request through the three phases of a
+// mutation. Prepare is whatever the handler does before apply — reading the
+// body, parsing, staging — with no lock held. apply runs the handler's
+// mutation under its shard's writer mutex: page writes and commit capture
+// (commitAsync, bumpTree) and nothing that blocks. The wait — every
+// captured commit's WAL fsync, then the afterPublish steps — is the write
+// wrapper's, after the mutex is released. That window (transaction
+// captured, lock released, fsync pending) is what lets concurrent write
+// requests coalesce into one WAL flush (group commit), and keeping the
+// other two phases out of the mutex is what keeps a writer from queueing
+// behind another's upload, parse or disk.
 type commitCollector struct {
-	s       *Server
-	waiters []*relstore.CommitWaiter
+	s         *Server
+	ctx       context.Context
+	si        int // the request's shard
+	waiters   []*relstore.CommitWaiter
+	published []func()
 }
 
-// commitAsync captures shard si's pending transaction now. Durability is
-// awaited by the write wrapper.
-func (cc *commitCollector) commitAsync(si int) {
-	cc.waiters = append(cc.waiters, cc.s.be.DBs[si].CommitAsync())
+// apply runs fn under the request's shard writer mutex.
+func (cc *commitCollector) apply(fn func() error) error {
+	cc.s.lockShard(cc.ctx, cc.si)
+	defer cc.s.writeMus[cc.si].Unlock()
+	return fn()
 }
 
-// wait blocks until every collected commit is durable and returns the
-// first error.
-func (cc *commitCollector) wait(ctx context.Context) error {
+// commitAsync captures shard si's pending transaction now; the caller holds
+// that shard's writer mutex. Durability is awaited by the write wrapper.
+func (cc *commitCollector) commitAsync(si int) *relstore.CommitWaiter {
+	w := cc.s.be.DBs[si].CommitAsync()
+	cc.waiters = append(cc.waiters, w)
+	return w
+}
+
+// afterPublish registers a step the write wrapper runs once every collected
+// commit has been waited for.
+func (cc *commitCollector) afterPublish(fn func()) {
+	cc.published = append(cc.published, fn)
+}
+
+// wait blocks until every collected commit is durable, runs the
+// afterPublish steps and returns the first error.
+func (cc *commitCollector) wait() error {
 	var firstErr error
 	for _, w := range cc.waiters {
 		start := time.Now()
 		err := w.Wait()
-		cc.s.observeCommitWaiter(ctx, w, time.Since(start))
+		cc.s.observeCommitWaiter(cc.ctx, w, time.Since(start))
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	for _, fn := range cc.published {
+		fn()
+	}
 	return firstErr
+}
+
+// lockShard takes shard i's writer mutex. Time spent blocked on it is the
+// request's "write_lock_wait" child span and one observation of the
+// write-lock wait histogram; an acquisition that finds the mutex free
+// records nothing.
+func (s *Server) lockShard(ctx context.Context, i int) {
+	mu := &s.writeMus[i]
+	if mu.TryLock() {
+		return
+	}
+	start := time.Now()
+	mu.Lock()
+	d := time.Since(start)
+	s.stats.lockWait.Observe(d)
+	obs.SpanFrom(ctx).AddTimed("write_lock_wait", d)
 }
 
 // --- handler plumbing ------------------------------------------------------
@@ -821,12 +869,11 @@ func injectTrace(v any, sum *obs.SpanSummary) any {
 	return m
 }
 
-// writeFunc is a mutation handler; it runs under its tree's shard writer
-// mutex against the live repository. si is the shard index the wrapper
-// locked. Handlers whose commit need not publish before their response is
-// assembled (species and history writes) register it on cc instead of
-// committing inline; the wrapper waits for durability after the shard
-// mutex is released.
+// writeFunc is a mutation handler against the live repository. si is the
+// shard its tree lives on. The handler runs with no lock held and prepares
+// all it can that way; the part that writes goes through cc.apply, which
+// holds the shard's writer mutex for just that, and captures its commits
+// on cc — the wrapper waits for their durability once the handler returns.
 type writeFunc func(r *http.Request, si int, cc *commitCollector) (any, error)
 
 // readFunc is a query handler; it runs against the request's own MVCC
@@ -896,11 +943,14 @@ func (s *Server) countAborted(op string, err error) {
 	s.logf("crimsond: %s aborted by client: %v", op, err)
 }
 
-// write wraps a mutation handler: one writer at a time per shard. Every
-// write endpoint is tree-scoped ({name} in the route), so the wrapper
-// routes the request to its shard and locks only that shard's writer
-// mutex — mutations on different shards run in parallel while each shard's
-// storage engine keeps its single-writer contract.
+// write wraps a mutation handler: one writer at a time per shard, and only
+// while it writes. Every write endpoint is tree-scoped ({name} in the
+// route), so the wrapper routes the request to its shard; the handler takes
+// that shard's writer mutex for its apply step alone (commitCollector) —
+// mutations on different shards run in parallel, mutations on one shard
+// overlap everything but their page writes, and each shard's storage
+// engine keeps its single-writer contract. The wrapper then waits, outside
+// any mutex, for the commits the handler captured.
 func (s *Server) write(op string, fn writeFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.stats.countRequest(op)
@@ -913,13 +963,11 @@ func (s *Server) write(op string, fn writeFunc) http.HandlerFunc {
 			return
 		}
 		si := s.be.Router.Place(r.PathValue("name"))
-		cc := &commitCollector{s: s}
-		s.writeMus[si].Lock()
+		cc := &commitCollector{s: s, ctx: r.Context(), si: si}
 		v, err := fn(r, si, cc)
-		s.writeMus[si].Unlock()
 		// Await collected commits outside the shard mutex: the next writer
-		// may already be preparing, and its flush coalesces with ours.
-		if werr := cc.wait(r.Context()); werr != nil && err == nil {
+		// may already be applying, and its flush coalesces with ours.
+		if werr := cc.wait(); werr != nil && err == nil {
 			v, err = nil, werr
 		}
 		sum := s.endOp(oc, err)
@@ -1156,7 +1204,7 @@ func queryInt64(r *http.Request, key string, def int64) (int64, error) {
 // is only ever acquired bare or after another shard's, never the other way.
 func (s *Server) recordWrite(cc *commitCollector, si int, kind string, args any, summary string) error {
 	if si != 0 {
-		s.writeMus[0].Lock()
+		s.lockShard(cc.ctx, 0)
 		defer s.writeMus[0].Unlock()
 	}
 	if _, err := s.be.Queries.Record(kind, args, summary); err != nil {
@@ -1268,6 +1316,8 @@ func (s *Server) handleInfo(r *http.Request, sn *reqSnap) (any, error) {
 // handleLoad stores a tree posted as a Newick or NEXUS body. The body
 // streams through the parser for NEXUS; Newick is read whole (the
 // grammar needs the full string) but still bounded by MaxBodyBytes.
+// Reading, parsing, indexing and staging all happen before the writer
+// mutex is taken: a slow upload or a large tree delays nobody else.
 func (s *Server) handleLoad(r *http.Request, si int, cc *commitCollector) (any, error) {
 	name := r.PathValue("name")
 	f, err := queryInt(r, "f", core.DefaultFanout)
@@ -1280,66 +1330,71 @@ func (s *Server) handleLoad(r *http.Request, si int, cc *commitCollector) (any, 
 	}
 	progress := func(msg string) { s.logf("crimsond: load %s: %s", name, msg) }
 
-	resp := LoadResponse{}
-	var metrics treestore.LoadMetrics
-	opts := treestore.LoadOptions{Workers: s.cfg.LoadWorkers, Metrics: &metrics}
-	var parseNS int64
+	var t *phylo.Tree
+	var chars *nexus.Characters
+	parseStart := time.Now()
 	switch format {
 	case "newick":
-		raw, err := io.ReadAll(r.Body)
-		if err != nil {
+		var raw strings.Builder
+		if _, err := io.Copy(&raw, r.Body); err != nil {
 			return nil, badRequest("reading body: %v", err)
 		}
-		parseStart := time.Now()
-		t, err := newick.ParseWorkers(string(raw), s.cfg.LoadWorkers)
-		if err != nil {
+		if t, err = newick.ParseWorkers(raw.String(), s.cfg.LoadWorkers); err != nil {
 			return nil, err
 		}
-		parseNS = time.Since(parseStart).Nanoseconds()
-		st, err := s.be.Trees.LoadOpts(name, t, f, opts, progress)
-		if err != nil {
-			return nil, err
-		}
-		resp.Tree = infoJSON(st.Info())
 	case "nexus":
-		parseStart := time.Now()
 		doc, err := nexus.Parse(r.Body)
 		if err != nil {
 			return nil, badRequest("parsing NEXUS: %v", err)
 		}
-		parseNS = time.Since(parseStart).Nanoseconds()
 		if len(doc.Trees) == 0 {
 			return nil, badRequest("NEXUS document has no trees")
 		}
-		st, err := s.be.Trees.LoadOpts(name, doc.Trees[0].Tree, f, opts, progress)
-		if err != nil {
-			return nil, err
+		t, chars = doc.Trees[0].Tree, doc.Characters
+	default:
+		return nil, badRequest("unknown format %q (want newick or nexus)", format)
+	}
+	parseNS := time.Since(parseStart).Nanoseconds()
+	var metrics treestore.LoadMetrics
+	opts := treestore.LoadOptions{Workers: s.cfg.LoadWorkers, Metrics: &metrics}
+	p, err := s.be.Trees.PrepareLoad(name, t, f, opts, progress)
+	if err != nil {
+		return nil, err
+	}
+
+	resp := LoadResponse{Tree: infoJSON(p.Info())}
+	err = cc.apply(func() error {
+		if _, err := p.Apply(); err != nil {
+			return err
 		}
-		resp.Tree = infoJSON(st.Info())
-		if ch := doc.Characters; ch != nil {
-			for _, taxon := range ch.Order {
-				if err := s.be.Species.Put(name, taxon, "seq:nexus", []byte(ch.Seqs[taxon])); err != nil {
-					// Compensate: don't leave a half-loaded tree behind
-					// (Load already committed the tree relations).
-					if derr := s.be.Trees.Delete(name); derr != nil {
+		if chars != nil {
+			for _, taxon := range chars.Order {
+				if err := s.be.Species.Put(name, taxon, "seq:nexus", []byte(chars.Seqs[taxon])); err != nil {
+					// Compensate: nothing of this load has been captured
+					// yet, so taking it back out of the working state means
+					// no commit ever publishes half of it.
+					if derr := s.be.Trees.Drop(name); derr != nil {
 						s.logf("crimsond: rolling back partial load of %s: %v", name, derr)
 					}
 					if _, derr := s.be.Species.DeleteTree(name); derr != nil {
 						s.logf("crimsond: rolling back sequences of %s: %v", name, derr)
 					}
-					return nil, err
+					return err
 				}
 			}
-			resp.Sequences = len(ch.Order)
+			resp.Sequences = len(chars.Order)
 		}
-	default:
-		return nil, badRequest("unknown format %q (want newick or nexus)", format)
-	}
-	// Commit the tree's shard (sequences from a NEXUS body land there too),
-	// then publish the new incarnation's version to the caches.
-	if err := s.commitShard(r.Context(), si); err != nil {
+		// One commit carries the tree and its sequences (they share the
+		// shard); its epoch is the new incarnation's version.
+		s.bumpTree(cc, name, si)
+		return s.recordWrite(cc, si, "load",
+			map[string]any{"tree": name, "f": f, "nodes": resp.Tree.Nodes},
+			fmt.Sprintf("loaded %d nodes", resp.Tree.Nodes))
+	})
+	if err != nil {
 		return nil, err
 	}
+	cc.afterPublish(p.Committed)
 	s.stats.countLoad(parseNS, metrics)
 	if sp := obs.SpanFrom(r.Context()); sp != nil {
 		sp.AddTimed("parse", time.Duration(parseNS))
@@ -1347,29 +1402,28 @@ func (s *Server) handleLoad(r *http.Request, si int, cc *commitCollector) (any, 
 		sp.AddTimed("stage", time.Duration(metrics.StageNS))
 		sp.AddTimed("insert", time.Duration(metrics.InsertNS))
 	}
-	s.bumpTree(name, si)
-	return resp, s.recordWrite(cc, si, "load",
-		map[string]any{"tree": name, "f": f, "nodes": resp.Tree.Nodes},
-		fmt.Sprintf("loaded %d nodes", resp.Tree.Nodes))
+	return resp, nil
 }
 
 func (s *Server) handleDelete(r *http.Request, si int, cc *commitCollector) (any, error) {
 	name := r.PathValue("name")
-	if err := s.be.Trees.Delete(name); err != nil {
-		return nil, err
-	}
-	// The delete is committed and published at this point: drop the
-	// version, handle and cached results before anything fallible runs,
-	// or a failed species cleanup would leave the cache serving a tree
-	// whose relations are gone.
-	s.dropTree(name)
-	if _, err := s.be.Species.DeleteTree(name); err != nil {
-		return nil, err
-	}
-	if err := s.commitShard(r.Context(), si); err != nil {
-		return nil, err
-	}
-	return nil, s.recordWrite(cc, si, "delete", map[string]any{"tree": name}, "deleted")
+	return nil, cc.apply(func() error {
+		if err := s.be.Trees.Drop(name); err != nil {
+			return err
+		}
+		// From the delete's epoch on the name has no incarnation: install
+		// that as its version now, atomically with the capture and before
+		// anything fallible runs, or a failed species cleanup would leave
+		// the caches serving a tree whose relations are gone. The entry
+		// itself goes once the delete has published.
+		ep := s.bumpTree(cc, name, si)
+		cc.afterPublish(func() { s.dropTree(name, ep) })
+		if _, err := s.be.Species.DeleteTree(name); err != nil {
+			return err
+		}
+		cc.commitAsync(si)
+		return s.recordWrite(cc, si, "delete", map[string]any{"tree": name}, "deleted")
+	})
 }
 
 // handleExport streams the stored tree as chunked Newick: one relation
@@ -1681,11 +1735,13 @@ func (s *Server) handleSpeciesPut(r *http.Request, si int, cc *commitCollector) 
 	if err != nil {
 		return nil, badRequest("reading body: %v", err)
 	}
-	if err := s.be.Species.Put(name, sp, kind, data); err != nil {
-		return nil, err
-	}
-	cc.commitAsync(si)
-	return nil, nil
+	return nil, cc.apply(func() error {
+		if err := s.be.Species.Put(name, sp, kind, data); err != nil {
+			return err
+		}
+		cc.commitAsync(si)
+		return nil
+	})
 }
 
 func (s *Server) handleSpeciesGet(r *http.Request, sn *reqSnap) (string, string, error) {
@@ -1698,16 +1754,18 @@ func (s *Server) handleSpeciesGet(r *http.Request, sn *reqSnap) (string, string,
 }
 
 func (s *Server) handleSpeciesDelete(r *http.Request, si int, cc *commitCollector) (any, error) {
-	ok, err := s.be.Species.Delete(r.PathValue("name"), r.PathValue("sp"), r.PathValue("kind"))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s/%s", species.ErrNoData,
-			r.PathValue("name"), r.PathValue("sp"), r.PathValue("kind"))
-	}
-	cc.commitAsync(si)
-	return nil, nil
+	return nil, cc.apply(func() error {
+		ok, err := s.be.Species.Delete(r.PathValue("name"), r.PathValue("sp"), r.PathValue("kind"))
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("%w: %s/%s/%s", species.ErrNoData,
+				r.PathValue("name"), r.PathValue("sp"), r.PathValue("kind"))
+		}
+		cc.commitAsync(si)
+		return nil
+	})
 }
 
 func (s *Server) handleSpeciesList(r *http.Request, sn *reqSnap) (any, error) {

@@ -77,6 +77,10 @@ type serverStats struct {
 	// commitHist records storage-engine commit latency across all commit
 	// sites (loads, writes, the history recorder, shutdown).
 	commitHist obs.Histogram
+	// lockWait records the time write requests spent blocked on their
+	// shard's writer mutex: one observation per acquisition that found the
+	// mutex held (an uncontended one is not observed).
+	lockWait obs.Histogram
 }
 
 // countLoad records one completed tree load's per-stage timings.
@@ -140,15 +144,23 @@ func latencyOf(h obs.HistSnapshot) OpLatency {
 	}
 }
 
-// replWaits are the two replication wait histograms: key names them in
-// /v1/stats (repl_waits) and in /metrics
-// (crimsond_repl_<key>_wait_seconds).
-var replWaits = []struct {
-	key, help string
-	h         *obs.Histogram
-}{
-	{"fence", "Time reads spent blocked on their X-Crimson-Min-Epoch fence before the publishing apply woke them.", obs.ReplFenceWait},
-	{"horizon", "Time replicated applies spent waiting for local snapshots older than the reclaim horizon to close.", obs.ReplHorizonWait},
+// waitHist is one wait histogram: group and key name it in /v1/stats
+// (<group>_waits.<key>) and in /metrics
+// (crimsond_<group>_<key>_wait_seconds).
+type waitHist struct {
+	group, key, help string
+	h                obs.HistSnapshot
+}
+
+// waitSnapshots returns the wait histograms: the two replication waits
+// (process-global, observed by the layers that wait) and this server's
+// writer-mutex wait.
+func (st *serverStats) waitSnapshots() []waitHist {
+	return []waitHist{
+		{"repl", "fence", "Time reads spent blocked on their X-Crimson-Min-Epoch fence before the publishing apply woke them.", obs.ReplFenceWait.Snapshot()},
+		{"repl", "horizon", "Time replicated applies spent waiting for local snapshots older than the reclaim horizon to close.", obs.ReplHorizonWait.Snapshot()},
+		{"write", "lock", "Time write requests spent blocked on their shard's writer mutex, one observation per contended acquisition; the mutex is held for page writes and commit capture only, never for parsing, staging or an fsync.", st.lockWait.Snapshot()},
+	}
 }
 
 // snapshot captures every counter; cacheEntries and openTrees are
@@ -164,10 +176,10 @@ func (st *serverStats) snapshot(cacheEntries, openTrees int) StatsSnapshot {
 	for _, e := range st.histSnapshots() {
 		lat[e.op] = latencyOf(e.h)
 	}
-	waits := make(map[string]OpLatency)
-	for _, rw := range replWaits {
-		if h := rw.h.Snapshot(); h.Count > 0 {
-			waits[rw.key] = latencyOf(h)
+	waits := map[string]map[string]OpLatency{"repl": {}, "write": {}}
+	for _, w := range st.waitSnapshots() {
+		if w.h.Count > 0 {
+			waits[w.group][w.key] = latencyOf(w.h)
 		}
 	}
 	var mem runtime.MemStats
@@ -184,7 +196,8 @@ func (st *serverStats) snapshot(cacheEntries, openTrees int) StatsSnapshot {
 		OpenTrees:      openTrees,
 		PerOp:          perOp,
 		OpLatencies:    lat,
-		ReplWaits:      waits,
+		ReplWaits:      waits["repl"],
+		WriteWaits:     waits["write"],
 		Engine:         obs.Engine.Snapshot(),
 		Goroutines:     runtime.NumGoroutine(),
 		HeapAllocBytes: mem.HeapAlloc,
@@ -201,14 +214,14 @@ func (st *serverStats) snapshot(cacheEntries, openTrees int) StatsSnapshot {
 // Every series family carries # HELP and # TYPE metadata, counter names
 // end in _total, and label values use plain double quotes, so a strict
 // parser accepts the page.
-func metricsText(s StatsSnapshot, hists []opHistEntry) string {
+func metricsText(s StatsSnapshot, hists []opHistEntry, waits []waitHist) string {
 	var sb strings.Builder
 	writeStandardFamilies(&sb, s)
 	writeReplFamilies(&sb, s)
 	writeEngineFamilies(&sb, s.Engine)
 	writeHistogramFamilies(&sb, hists)
 	writeGroupCommitFamily(&sb)
-	writeReplWaitFamilies(&sb)
+	writeWaitFamilies(&sb, waits)
 	writeRuntimeFamilies(&sb, s)
 	return sb.String()
 }
@@ -274,10 +287,10 @@ func writeStandardFamilies(b *strings.Builder, s StatsSnapshot) {
 	counter("crimsond_history_dropped_total", "Query-history records dropped because the recorder queue was full.", s.HistoryDropped)
 	gauge("crimsond_load_workers", "Configured ingest fan-out.", int64(s.LoadWorkers))
 	counter("crimsond_loads_total", "Completed tree loads.", s.Loads)
-	counter("crimsond_load_parse_ns_total", "Wall time parsing input across loads, in nanoseconds.", s.LoadParseNS)
+	counter("crimsond_load_parse_ns_total", "Wall time reading and parsing input across loads, in nanoseconds. parse, index, stage and insert sum to a load's work; its waits are crimsond_write_lock_wait_seconds and op=\"commit\".", s.LoadParseNS)
 	counter("crimsond_load_index_ns_total", "Wall time indexing trees across loads, in nanoseconds.", s.LoadIndexNS)
-	counter("crimsond_load_stage_ns_total", "Wall time staging rows across loads, in nanoseconds.", s.LoadStageNS)
-	counter("crimsond_load_insert_ns_total", "Wall time inserting rows across loads, in nanoseconds.", s.LoadInsertNS)
+	counter("crimsond_load_stage_ns_total", "Wall time staging relations across loads (row encoding and the sorted runs of every tree, outside the writer mutex), in nanoseconds.", s.LoadStageNS)
+	counter("crimsond_load_insert_ns_total", "Wall time applying staged loads under the writer mutex (table creation and bulk page writes), in nanoseconds.", s.LoadInsertNS)
 
 	family("crimsond_op_requests_total", "Requests received, by operation.", "counter")
 	ops := make([]string, 0, len(s.PerOp))
@@ -435,14 +448,13 @@ func writeGroupCommitFamily(b *strings.Builder) {
 	fmt.Fprintf(b, "crimsond_group_commit_batch_size_count %d\n", gb.Count)
 }
 
-// writeReplWaitFamilies renders the two replication wait histograms, in
-// seconds. Both families are emitted on every server, empty until a
-// fenced read or a replicated apply has waited.
-func writeReplWaitFamilies(b *strings.Builder) {
-	for _, rw := range replWaits {
-		name := "crimsond_repl_" + rw.key + "_wait_seconds"
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, rw.help, name)
-		writeSecondsHistogram(b, name, "", rw.h.Snapshot())
+// writeWaitFamilies renders the wait histograms, in seconds. Every family
+// is emitted on every server, empty until something has waited.
+func writeWaitFamilies(b *strings.Builder, waits []waitHist) {
+	for _, w := range waits {
+		name := "crimsond_" + w.group + "_" + w.key + "_wait_seconds"
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, w.help, name)
+		writeSecondsHistogram(b, name, "", w.h)
 	}
 }
 

@@ -1,9 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -36,6 +37,10 @@ var zeroPage = make([]byte, PageSize)
 // change bytes a reader holds. In exchange nobody may write into an image,
 // neither a reader into one it got nor a writer into one it installed.
 //
+// The dirty frames are also kept on a list of their own, so collecting and
+// clearing them at commit costs O(dirty · log dirty) — the size of the
+// transaction — whatever the number of resident frames.
+//
 // All methods are safe for concurrent use; an internal mutex serializes
 // access to the frame table and the LRU list (a map lookup and an LRU touch
 // on a hit).
@@ -45,7 +50,7 @@ type BufferPool struct {
 	frames map[PageID]*frame
 	lru    *list.List // clean frames only, front = most recent
 	limit  int
-	dirtyN int // number of dirty frames
+	dirty  []*frame // the dirty frames, in the order they were dirtied
 }
 
 // NewBufferPool creates a pool holding at most limit clean frames.
@@ -133,7 +138,7 @@ func (bp *BufferPool) markDirty(f *frame) {
 	}
 	if !f.dirty {
 		f.dirty = true
-		bp.dirtyN++
+		bp.dirty = append(bp.dirty, f)
 	}
 }
 
@@ -159,14 +164,12 @@ type DirtyPage struct {
 func (bp *BufferPool) DirtyPages() []DirtyPage {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	out := make([]DirtyPage, 0, bp.dirtyN)
-	for _, f := range bp.frames {
-		if f.dirty {
-			out = append(out, DirtyPage{ID: f.id, Data: f.data})
-		}
+	out := make([]DirtyPage, len(bp.dirty))
+	for i, f := range bp.dirty {
+		out[i] = DirtyPage{ID: f.id, Data: f.data}
 	}
 	// Sort by page id for deterministic WAL contents.
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b DirtyPage) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -174,20 +177,19 @@ func (bp *BufferPool) DirtyPages() []DirtyPage {
 func (bp *BufferPool) DirtyCount() int {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	return bp.dirtyN
+	return len(bp.dirty)
 }
 
 // ClearDirty moves all dirty frames onto the clean LRU list after a commit.
 func (bp *BufferPool) ClearDirty() {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	for _, f := range bp.frames {
-		if f.dirty {
-			f.dirty = false
-			f.elem = bp.lru.PushFront(f)
-		}
+	for _, f := range bp.dirty {
+		f.dirty = false
+		f.elem = bp.lru.PushFront(f)
 	}
-	bp.dirtyN = 0
+	clear(bp.dirty) // evicted frames must not stay reachable from the list
+	bp.dirty = bp.dirty[:0]
 	bp.evict()
 }
 

@@ -255,8 +255,12 @@ func (p Progress) Say(format string, args ...any) {
 }
 
 // LoadMetrics receives per-stage wall times of one load, in nanoseconds.
-// Written once, on success; the stages partition the load end-to-end:
-// hierarchical index construction, row staging, and bulk insert + commit.
+// Written once, on success; the stages partition the load's work end to
+// end: hierarchical index construction, staging (row encoding and the
+// sorted runs of every relation — all of the prepare half after the index)
+// and insert, which is the apply half alone: the page writes under the
+// writer's lock. Waiting — for that lock, for the commit's fsync — is not in
+// them.
 type LoadMetrics struct {
 	IndexNS  int64
 	StageNS  int64
@@ -266,9 +270,9 @@ type LoadMetrics struct {
 // LoadOptions tunes the ingest pipeline. The zero value means serial-like
 // defaults: Workers <= 0 uses GOMAXPROCS.
 type LoadOptions struct {
-	// Workers bounds the fan-out of row staging. Every worker count
-	// produces bit-for-bit identical relations; this only trades wall
-	// time for CPU.
+	// Workers bounds the fan-out of staging: row encoding and the sorts of
+	// each relation's runs. Every worker count produces bit-for-bit
+	// identical relations; this only trades wall time for CPU.
 	Workers int
 	// Metrics, when non-nil, receives per-stage timings on success.
 	Metrics *LoadMetrics
@@ -282,61 +286,120 @@ func (o LoadOptions) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// fanOut splits [0,n) into contiguous ranges and runs fn on up to workers
-// goroutines. Ranges are deterministic; fn must only write its own range.
-func fanOut(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // Load stores the tree under the given name with depth bound f. The tree
 // must have preorder IDs (Reindex). Returns a handle for querying.
 func (s *Store) Load(name string, t *phylo.Tree, f int, progress Progress) (*Tree, error) {
 	return s.LoadOpts(name, t, f, LoadOptions{}, progress)
 }
 
-// LoadOpts is Load with pipeline options: row staging fans out across
+// LoadOpts is Load with pipeline options: staging fans out across
 // opts.Workers goroutines and per-stage timings land in opts.Metrics. The
 // stored relations are identical to a serial load at every worker count.
+//
+// It is PrepareLoad, Apply and a commit, back to back. A caller that
+// serializes writers with a lock of its own calls the halves itself: prepare
+// before taking the lock, Apply and relstore.DB.CommitAsync under it, Wait
+// after releasing it — the lock is then held for the page writes only.
 func (s *Store) LoadOpts(name string, t *phylo.Tree, f int, opts LoadOptions, progress Progress) (*Tree, error) {
+	p, err := s.PrepareLoad(name, t, f, opts, progress)
+	if err != nil {
+		return nil, err
+	}
+	st, err := p.Apply()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.db.Commit(); err != nil {
+		return nil, err
+	}
+	p.Committed()
+	return st, nil
+}
+
+func nodesSchema(tree string) relstore.Schema {
+	return relstore.Schema{
+		Name: nodesTable(tree),
+		Columns: []relstore.Column{
+			{Name: "id", Type: relstore.TInt},
+			{Name: "parent", Type: relstore.TInt},
+			{Name: "ord", Type: relstore.TInt},
+			{Name: "name", Type: relstore.TString},
+			{Name: "length", Type: relstore.TFloat},
+			{Name: "depth", Type: relstore.TInt},
+			{Name: "dist", Type: relstore.TFloat},
+			{Name: "sub", Type: relstore.TInt},
+			{Name: "lparent", Type: relstore.TInt},
+			{Name: "ldepth", Type: relstore.TInt},
+			{Name: "leaf", Type: relstore.TBool},
+			{Name: "size", Type: relstore.TInt},
+		},
+		Key: "id",
+		Indexes: []relstore.Index{
+			{Name: "by_name", Columns: []string{"name"}},
+			{Name: "by_dist", Columns: []string{"dist"}},
+			{Name: "by_parent", Columns: []string{"parent"}},
+		},
+	}
+}
+
+func subsSchema(tree string, k int) relstore.Schema {
+	return relstore.Schema{
+		Name: subsTable(tree, k),
+		Columns: []relstore.Column{
+			{Name: "id", Type: relstore.TInt},
+			{Name: "root", Type: relstore.TInt},
+			{Name: "source", Type: relstore.TInt},
+		},
+		Key: "id",
+	}
+}
+
+func layerSchema(tree string, k int) relstore.Schema {
+	return relstore.Schema{
+		Name: layerTable(tree, k),
+		Columns: []relstore.Column{
+			{Name: "id", Type: relstore.TInt},
+			{Name: "parent", Type: relstore.TInt},
+			{Name: "ord", Type: relstore.TInt},
+			{Name: "sub", Type: relstore.TInt},
+			{Name: "lparent", Type: relstore.TInt},
+			{Name: "ldepth", Type: relstore.TInt},
+		},
+		Key: "id",
+	}
+}
+
+// PreparedLoad is a tree ready to be stored: validated, indexed, and every
+// relation staged into the sorted runs its B+trees are built from. Preparing
+// touched no database and took no lock; Apply writes it.
+type PreparedLoad struct {
+	db       *relstore.DB
+	info     TreeInfo
+	nodes    *relstore.BulkStage
+	subs     []*relstore.BulkStage // per layer k >= 0
+	layers   []*relstore.BulkStage // per layer k >= 1, at k-1
+	opts     LoadOptions
+	metrics  LoadMetrics
+	progress Progress
+}
+
+// Info describes the tree as it will be stored.
+func (p *PreparedLoad) Info() TreeInfo { return p.info }
+
+// PrepareLoad does all of a load that needs no database: it validates the
+// name and the tree, builds the hierarchical index, and stages the node,
+// layer and subtree relations (relstore.StageBulk). It may run concurrently
+// with anything, writers on the same shard included. Every reason to reject
+// the tree short of its name being taken is found here, so a rejected load
+// never dirties a page.
+func (s *Store) PrepareLoad(name string, t *phylo.Tree, f int, opts LoadOptions, progress Progress) (*PreparedLoad, error) {
 	if !validName(name) {
 		return nil, fmt.Errorf("%w: %q", ErrBadName, name)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("treestore: invalid tree: %w", err)
 	}
-	db := s.dbFor(name)
-	trees, err := db.Table("trees")
-	if err != nil {
-		return nil, err
-	}
-	if _, ok, err := trees.Get(relstore.Str(name)); err != nil {
-		return nil, err
-	} else if ok {
-		return nil, fmt.Errorf("%w: %s", ErrTreeExists, name)
-	}
-
 	workers := opts.workerCount()
-	var stageNS, insertNS int64
 
 	progress.Say("building hierarchical index (f=%d) over %d nodes", f, t.NumNodes())
 	indexStart := time.Now()
@@ -362,174 +425,160 @@ func (s *Store) LoadOpts(name string, t *phylo.Tree, f int, opts LoadOptions, pr
 			size[p.ID] += size[nodes[i].ID]
 		}
 	}
-	indexNS := time.Since(indexStart).Nanoseconds()
+	stageStart := time.Now()
+	p := &PreparedLoad{
+		db: s.dbFor(name),
+		info: TreeInfo{
+			Name:   name,
+			Nodes:  t.NumNodes(),
+			Leaves: t.NumLeaves(),
+			F:      f,
+			Layers: ix.NumLayers(),
+			Depth:  t.MaxDepth(),
+		},
+		opts:     opts,
+		progress: progress,
+	}
+	p.metrics.IndexNS = stageStart.Sub(indexStart).Nanoseconds()
 
-	progress.Say("creating relations for tree %q", name)
-	nodeTab, err := db.CreateTable(relstore.Schema{
-		Name: nodesTable(name),
-		Columns: []relstore.Column{
-			{Name: "id", Type: relstore.TInt},
-			{Name: "parent", Type: relstore.TInt},
-			{Name: "ord", Type: relstore.TInt},
-			{Name: "name", Type: relstore.TString},
-			{Name: "length", Type: relstore.TFloat},
-			{Name: "depth", Type: relstore.TInt},
-			{Name: "dist", Type: relstore.TFloat},
-			{Name: "sub", Type: relstore.TInt},
-			{Name: "lparent", Type: relstore.TInt},
-			{Name: "ldepth", Type: relstore.TInt},
-			{Name: "leaf", Type: relstore.TBool},
-			{Name: "size", Type: relstore.TInt},
-		},
-		Key: "id",
-		Indexes: []relstore.Index{
-			{Name: "by_name", Columns: []string{"name"}},
-			{Name: "by_dist", Columns: []string{"dist"}},
-			{Name: "by_parent", Columns: []string{"parent"}},
-		},
+	// Every relation is staged whole: rows are encoded straight into the
+	// stage (no Row is built), keyed, sorted by primary key and by each
+	// secondary index, so Apply builds the trees bottom-up
+	// (storage.BTree.BulkLoad) instead of one B+tree descent per row. Rows
+	// are independent, so staging fans out across the pipeline workers.
+	stage := func(schema relstore.Schema, n int, fill func(i int, w *relstore.RowWriter)) (*relstore.BulkStage, error) {
+		st, err := relstore.StageBulk(schema, n, workers, fill)
+		if err != nil {
+			return nil, fmt.Errorf("treestore: staging %d rows of %s: %w", n, schema.Name, err)
+		}
+		return st, nil
+	}
+	l0 := ix.Layers[0]
+	p.nodes, err = stage(nodesSchema(name), len(nodes), func(i int, w *relstore.RowWriter) {
+		n := nodes[i]
+		w.Int(int64(n.ID))
+		w.Int(int64(l0.Parent[n.ID]))
+		w.Int(int64(l0.Ord[n.ID]))
+		w.Str(n.Name)
+		w.Float(n.Length)
+		w.Int(int64(depth[n.ID]))
+		w.Float(dist[n.ID])
+		w.Int(int64(l0.Sub[n.ID]))
+		w.Int(int64(l0.LocalParent[n.ID]))
+		w.Int(int64(l0.LocalDepth[n.ID]))
+		w.Bool(n.IsLeaf())
+		w.Int(int64(size[n.ID]))
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Stage all node rows, then hand them to BulkInsert in one batch: the
-	// rows are sorted by primary key and built into the primary tree and
-	// all three secondary indexes bottom-up (storage.BTree.BulkLoad),
-	// instead of one full B+tree descent per row. Staging is the
-	// allocation-heavy part of the load and every row is independent, so
-	// it fans out across the pipeline workers; rows land at fixed indices,
-	// making the batch identical at any worker count.
-	l0 := ix.Layers[0]
-	stageStart := time.Now()
-	nodeRows := make([]relstore.Row, len(nodes))
-	fanOut(len(nodes), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			n := nodes[i]
-			nodeRows[i] = relstore.Row{
-				relstore.Int(int64(n.ID)),
-				relstore.Int(int64(l0.Parent[n.ID])),
-				relstore.Int(int64(l0.Ord[n.ID])),
-				relstore.Str(n.Name),
-				relstore.Float(n.Length),
-				relstore.Int(int64(depth[n.ID])),
-				relstore.Float(dist[n.ID]),
-				relstore.Int(int64(l0.Sub[n.ID])),
-				relstore.Int(int64(l0.LocalParent[n.ID])),
-				relstore.Int(int64(l0.LocalDepth[n.ID])),
-				relstore.Bool(n.IsLeaf()),
-				relstore.Int(int64(size[n.ID])),
-			}
-		}
-	})
-	stageNS += time.Since(stageStart).Nanoseconds()
-	progress.Say("staged %d node rows for bulk load (%d workers)", len(nodeRows), workers)
-	insertStart := time.Now()
-	if err := nodeTab.BulkInsert(nodeRows); err != nil {
-		return nil, fmt.Errorf("treestore: bulk loading %d nodes: %w", len(nodeRows), err)
-	}
-	insertNS += time.Since(insertStart).Nanoseconds()
-	progress.Say("loaded %d/%d nodes", len(nodes), len(nodes))
+	progress.Say("staged %d node rows for bulk load (%d workers)", len(nodes), workers)
 
-	// Higher layers and per-layer subtree tables, bulk-loaded the same way.
+	// Higher layers and per-layer subtree tables, staged the same way.
 	for k, layer := range ix.Layers {
-		subTab, err := db.CreateTable(relstore.Schema{
-			Name: subsTable(name, k),
-			Columns: []relstore.Column{
-				{Name: "id", Type: relstore.TInt},
-				{Name: "root", Type: relstore.TInt},
-				{Name: "source", Type: relstore.TInt},
-			},
-			Key: "id",
+		subs, err := stage(subsSchema(name, k), len(layer.SubRoot), func(sID int, w *relstore.RowWriter) {
+			w.Int(int64(sID))
+			w.Int(int64(layer.SubRoot[sID]))
+			w.Int(int64(layer.SubSource[sID]))
 		})
 		if err != nil {
 			return nil, err
 		}
-		layerRef := layer
-		stageStart = time.Now()
-		subRows := make([]relstore.Row, len(layer.SubRoot))
-		fanOut(len(subRows), workers, func(lo, hi int) {
-			for sID := lo; sID < hi; sID++ {
-				subRows[sID] = relstore.Row{
-					relstore.Int(int64(sID)),
-					relstore.Int(int64(layerRef.SubRoot[sID])),
-					relstore.Int(int64(layerRef.SubSource[sID])),
-				}
-			}
-		})
-		stageNS += time.Since(stageStart).Nanoseconds()
-		insertStart = time.Now()
-		if err := subTab.BulkInsert(subRows); err != nil {
-			return nil, err
-		}
-		insertNS += time.Since(insertStart).Nanoseconds()
+		p.subs = append(p.subs, subs)
 		if k == 0 {
 			continue
 		}
-		layTab, err := db.CreateTable(relstore.Schema{
-			Name: layerTable(name, k),
-			Columns: []relstore.Column{
-				{Name: "id", Type: relstore.TInt},
-				{Name: "parent", Type: relstore.TInt},
-				{Name: "ord", Type: relstore.TInt},
-				{Name: "sub", Type: relstore.TInt},
-				{Name: "lparent", Type: relstore.TInt},
-				{Name: "ldepth", Type: relstore.TInt},
-			},
-			Key: "id",
+		lay, err := stage(layerSchema(name, k), len(layer.Parent), func(id int, w *relstore.RowWriter) {
+			w.Int(int64(id))
+			w.Int(int64(layer.Parent[id]))
+			w.Int(int64(layer.Ord[id]))
+			w.Int(int64(layer.Sub[id]))
+			w.Int(int64(layer.LocalParent[id]))
+			w.Int(int64(layer.LocalDepth[id]))
 		})
 		if err != nil {
 			return nil, err
 		}
-		stageStart = time.Now()
-		layRows := make([]relstore.Row, len(layer.Parent))
-		fanOut(len(layRows), workers, func(lo, hi int) {
-			for id := lo; id < hi; id++ {
-				layRows[id] = relstore.Row{
-					relstore.Int(int64(id)),
-					relstore.Int(int64(layerRef.Parent[id])),
-					relstore.Int(int64(layerRef.Ord[id])),
-					relstore.Int(int64(layerRef.Sub[id])),
-					relstore.Int(int64(layerRef.LocalParent[id])),
-					relstore.Int(int64(layerRef.LocalDepth[id])),
-				}
-			}
-		})
-		stageNS += time.Since(stageStart).Nanoseconds()
-		insertStart = time.Now()
-		if err := layTab.BulkInsert(layRows); err != nil {
+		p.layers = append(p.layers, lay)
+	}
+	p.metrics.StageNS = time.Since(stageStart).Nanoseconds()
+	return p, nil
+}
+
+// Apply writes the prepared tree into its shard: the name check, one
+// CreateTable and one bulk load per relation, the catalog row. It commits
+// nothing — the caller captures the shard's transaction
+// (relstore.DB.CommitAsync) when it has written whatever else belongs to
+// it. Apply is a mutation like any other: the caller is the shard's one
+// writer while it runs.
+//
+// ErrTreeExists comes back before anything is written. Past that check
+// nothing in a load can be rejected any more, only fail (I/O).
+func (p *PreparedLoad) Apply() (*Tree, error) {
+	start := time.Now()
+	name := p.info.Name
+	trees, err := p.db.Table("trees")
+	if err != nil {
+		return nil, err
+	}
+	if _, ok, err := trees.Get(relstore.Str(name)); err != nil {
+		return nil, err
+	} else if ok {
+		return nil, fmt.Errorf("%w: %s", ErrTreeExists, name)
+	}
+	p.progress.Say("creating relations for tree %q", name)
+	create := func(st *relstore.BulkStage) (*relstore.Table, error) {
+		tab, err := p.db.CreateTable(st.Schema())
+		if err != nil {
 			return nil, err
 		}
-		insertNS += time.Since(insertStart).Nanoseconds()
+		if err := tab.ApplyBulk(st); err != nil {
+			return nil, fmt.Errorf("treestore: bulk loading %d rows of %s: %w", st.Len(), tab.Name(), err)
+		}
+		return tab, nil
 	}
-
-	info := TreeInfo{
-		Name:   name,
-		Nodes:  t.NumNodes(),
-		Leaves: t.NumLeaves(),
-		F:      f,
-		Layers: ix.NumLayers(),
-		Depth:  t.MaxDepth(),
+	t := &Tree{info: p.info}
+	if t.nodes, err = create(p.nodes); err != nil {
+		return nil, err
 	}
-	insertStart = time.Now()
+	for k, st := range p.subs {
+		sub, err := create(st)
+		if err != nil {
+			return nil, err
+		}
+		t.subs = append(t.subs, sub)
+		if k == 0 {
+			continue
+		}
+		lay, err := create(p.layers[k-1])
+		if err != nil {
+			return nil, err
+		}
+		t.layers = append(t.layers, lay)
+	}
+	p.progress.Say("loaded %d/%d nodes", p.info.Nodes, p.info.Nodes)
 	err = trees.Insert(relstore.Row{
-		relstore.Str(info.Name),
-		relstore.Int(int64(info.Nodes)),
-		relstore.Int(int64(info.Leaves)),
-		relstore.Int(int64(info.F)),
-		relstore.Int(int64(info.Layers)),
-		relstore.Int(int64(info.Depth)),
+		relstore.Str(name),
+		relstore.Int(int64(p.info.Nodes)),
+		relstore.Int(int64(p.info.Leaves)),
+		relstore.Int(int64(p.info.F)),
+		relstore.Int(int64(p.info.Layers)),
+		relstore.Int(int64(p.info.Depth)),
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := db.Commit(); err != nil {
-		return nil, err
+	p.metrics.InsertNS = time.Since(start).Nanoseconds()
+	if p.opts.Metrics != nil {
+		*p.opts.Metrics = p.metrics
 	}
-	insertNS += time.Since(insertStart).Nanoseconds()
-	if opts.Metrics != nil {
-		*opts.Metrics = LoadMetrics{IndexNS: indexNS, StageNS: stageNS, InsertNS: insertNS}
-	}
-	progress.Say("tree %q committed (%d layers, depth %d)", name, info.Layers, info.Depth)
-	return s.Tree(name)
+	return t, nil
+}
+
+// Committed tells the progress sink the load is durable. The caller that
+// committed the shard calls it once its wait returned.
+func (p *PreparedLoad) Committed() {
+	p.progress.Say("tree %q committed (%d layers, depth %d)", p.info.Name, p.info.Layers, p.info.Depth)
 }
 
 // Tree opens a handle on a stored tree over the live tables of its shard.
@@ -671,8 +720,19 @@ func (sn *Snap) Trees() ([]TreeInfo, error) {
 	return sn.TreesCtx(context.Background())
 }
 
-// Delete removes a stored tree and its relations from its shard.
+// Delete removes a stored tree and its relations from its shard and
+// commits: Drop, then the shard's commit.
 func (s *Store) Delete(name string) error {
+	if err := s.Drop(name); err != nil {
+		return err
+	}
+	return s.dbFor(name).Commit()
+}
+
+// Drop removes a stored tree and its relations from its shard without
+// committing; like PreparedLoad.Apply it leaves the capture of the shard's
+// transaction to the caller, who is the shard's one writer while it runs.
+func (s *Store) Drop(name string) error {
 	db := s.dbFor(name)
 	trees, err := db.Table("trees")
 	if err != nil {
@@ -702,7 +762,7 @@ func (s *Store) Delete(name string) error {
 			}
 		}
 	}
-	return db.Commit()
+	return nil
 }
 
 // Node is one stored tree node row.

@@ -11,6 +11,25 @@ import (
 	"repro/internal/benchmark"
 )
 
+// snapshotOf pins repo's committed state until the test ends.
+func snapshotOf(t testing.TB, repo *crimson.Repository) *crimson.Snapshot {
+	t.Helper()
+	snap := repo.Snapshot()
+	t.Cleanup(snap.Close)
+	return snap
+}
+
+// openTree opens the named tree on a snapshot of repo that closes with the
+// test.
+func openTree(t testing.TB, repo *crimson.Repository, name string) *crimson.StoredTree {
+	t.Helper()
+	st, err := snapshotOf(t, repo).Tree(name)
+	if err != nil {
+		t.Fatalf("opening stored tree %q: %v", name, err)
+	}
+	return st
+}
+
 // TestFigure1PipelineOnFacade exercises the whole public API on the
 // paper's running example.
 func TestFigure1PipelineOnFacade(t *testing.T) {
@@ -66,23 +85,24 @@ func TestRepositoryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer repo.Close()
-	st, err = repo.Tree("fig1")
+	snap := snapshotOf(t, repo)
+	stored, err := snap.Tree("fig1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	projected, err := st.ProjectNamesCtx(context.Background(), []string{"Bha", "Lla", "Syn"})
+	projected, err := stored.ProjectNamesCtx(context.Background(), []string{"Bha", "Lla", "Syn"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := crimson.FormatNewick(projected); got != "(Syn:2.5,(Lla:2.5,Bha:0.75):0.5);" {
 		t.Fatalf("stored projection = %s", got)
 	}
-	seq, err := repo.Species.Get("fig1", "Bha", "seq:x")
+	seq, err := snap.SpeciesView.Get("fig1", "Bha", "seq:x")
 	if err != nil || string(seq) != "ACGT" {
 		t.Fatalf("species data = %q, %v", seq, err)
 	}
 	// The load was recorded in the history.
-	hist, err := repo.Queries.History(0)
+	hist, err := snap.QueryView.History(0)
 	if err != nil || len(hist) == 0 {
 		t.Fatalf("history = %v, %v", hist, err)
 	}
@@ -118,14 +138,12 @@ END;
 	if st.Info().Name != "demo" {
 		t.Fatalf("tree name = %s", st.Info().Name)
 	}
-	seq, err := repo.Species.Get("demo", "B", "seq:nexus")
-	if err != nil || string(seq) != "AGGT" {
-		t.Fatalf("nexus sequence = %q, %v", seq, err)
-	}
-	// And the alignment can be reassembled for a benchmark.
-	aln, err := repo.Species.Alignment("demo", "seq:nexus", []string{"A", "B", "C"})
-	if err != nil || aln.Len() != 4 {
-		t.Fatalf("alignment = %+v, %v", aln, err)
+	// The load committed the sequences with the tree.
+	species := snapshotOf(t, repo).SpeciesView
+	for taxon, want := range map[string]string{"A": "ACGT", "B": "AGGT", "C": "ACGA"} {
+		if seq, err := species.Get("demo", taxon, "seq:nexus"); err != nil || string(seq) != want {
+			t.Fatalf("nexus sequence of %s = %q, %v", taxon, seq, err)
+		}
 	}
 }
 

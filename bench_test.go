@@ -383,13 +383,18 @@ func relstoreBenchRows(n int) []relstore.Row {
 }
 
 // BenchmarkParallelRead measures storage-backed query throughput with
-// GOMAXPROCS goroutines hammering one stored tree — the concurrent read
-// path the RWMutex discipline unlocks. -cpu 1,4,8 sweeps the parallelism.
+// GOMAXPROCS goroutines hammering one stored tree through one snapshot,
+// which takes no lock. -cpu 1,4,8 sweeps the parallelism.
 func BenchmarkParallelRead(b *testing.B) {
 	t := yuleTree(b, 20000)
 	s := treestore.OpenMem()
 	defer s.Close()
-	st, err := s.Load("gold", t, core.DefaultFanout, nil)
+	if _, err := s.Load("gold", t, core.DefaultFanout, nil); err != nil {
+		b.Fatal(err)
+	}
+	sn := s.Snapshot()
+	defer sn.Close()
+	st, err := sn.Tree("gold")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -517,7 +522,12 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 	}
 	defer s.Close()
 	t := yuleTree(b, 20000)
-	st, err := s.Load("gold", t, core.DefaultFanout, nil)
+	if _, err := s.Load("gold", t, core.DefaultFanout, nil); err != nil {
+		b.Fatal(err)
+	}
+	sn := s.Snapshot()
+	defer sn.Close()
+	st, err := sn.Tree("gold")
 	if err != nil {
 		b.Fatal(err)
 	}

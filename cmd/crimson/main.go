@@ -215,6 +215,24 @@ func openRepoSharded(path string, shards int) (*crimson.Repository, error) {
 	return crimson.OpenSharded(path, shards)
 }
 
+// openStored opens the repository at path and the named tree as of a
+// snapshot of it; done closes both.
+func openStored(path, name string) (repo *crimson.Repository, st *crimson.StoredTree, done func(), err error) {
+	if repo, err = openRepo(path); err != nil {
+		return nil, nil, nil, err
+	}
+	snap := repo.Snapshot()
+	done = func() {
+		snap.Close()
+		repo.Close()
+	}
+	if st, err = snap.Tree(name); err != nil {
+		done()
+		return nil, nil, nil, err
+	}
+	return repo, st, done, nil
+}
+
 func cmdLoad(args []string) error {
 	fs := flag.NewFlagSet("load", flag.ContinueOnError)
 	repoPath := fs.String("repo", "", "repository page file (1 shard) or directory (sharded)")
@@ -290,7 +308,9 @@ func cmdTrees(args []string) error {
 		return err
 	}
 	defer repo.Close()
-	infos, err := repo.Trees.Trees()
+	snap := repo.Snapshot()
+	defer snap.Close()
+	infos, err := snap.Trees()
 	if err != nil {
 		return err
 	}
@@ -308,15 +328,11 @@ func cmdInfo(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	repo, err := openRepo(*repoPath)
+	_, st, done, err := openStored(*repoPath, *name)
 	if err != nil {
 		return err
 	}
-	defer repo.Close()
-	st, err := repo.Tree(*name)
-	if err != nil {
-		return err
-	}
+	defer done()
 	i := st.Info()
 	fmt.Printf("tree %q\n  nodes: %d\n  leaves: %d\n  depth: %d\n  depth bound f: %d\n  layers: %d\n",
 		i.Name, i.Nodes, i.Leaves, i.Depth, i.F, i.Layers)
@@ -348,15 +364,11 @@ func cmdLCA(args []string) error {
 	}
 	ctx, stop := signalContext()
 	defer stop()
-	repo, err := openRepo(*repoPath)
+	repo, st, done, err := openStored(*repoPath, *name)
 	if err != nil {
 		return err
 	}
-	defer repo.Close()
-	st, err := repo.Tree(*name)
-	if err != nil {
-		return err
-	}
+	defer done()
 	a, err := st.NodeByNameCtx(ctx, names[0])
 	if err != nil {
 		return err
@@ -369,7 +381,7 @@ func cmdLCA(args []string) error {
 	if err != nil {
 		return err
 	}
-	lrow, err := st.Node(l)
+	lrow, err := st.NodeCtx(ctx, l)
 	if err != nil {
 		return err
 	}
@@ -398,15 +410,11 @@ func cmdClade(args []string) error {
 	}
 	ctx, stop := signalContext()
 	defer stop()
-	repo, err := openRepo(*repoPath)
+	repo, st, done, err := openStored(*repoPath, *name)
 	if err != nil {
 		return err
 	}
-	defer repo.Close()
-	st, err := repo.Tree(*name)
-	if err != nil {
-		return err
-	}
+	defer done()
 	ids := make([]int, len(names))
 	for i, n := range names {
 		row, err := st.NodeByNameCtx(ctx, n)
@@ -449,15 +457,11 @@ func cmdSample(args []string) error {
 	}
 	ctx, stop := signalContext()
 	defer stop()
-	repo, err := openRepo(*repoPath)
+	repo, st, done, err := openStored(*repoPath, *name)
 	if err != nil {
 		return err
 	}
-	defer repo.Close()
-	st, err := repo.Tree(*name)
-	if err != nil {
-		return err
-	}
+	defer done()
 	r := rand.New(rand.NewSource(*seed))
 	var rows []crimson.StoredNode
 	if *timeArg >= 0 {
@@ -495,15 +499,11 @@ func cmdProject(args []string) error {
 	}
 	ctx, stop := signalContext()
 	defer stop()
-	repo, err := openRepo(*repoPath)
+	repo, st, done, err := openStored(*repoPath, *name)
 	if err != nil {
 		return err
 	}
-	defer repo.Close()
-	st, err := repo.Tree(*name)
-	if err != nil {
-		return err
-	}
+	defer done()
 	t, err := st.ProjectNamesCtx(ctx, names)
 	if err != nil {
 		return err
@@ -573,15 +573,11 @@ func cmdMatch(args []string) error {
 	if *patternFile == "" {
 		return fmt.Errorf("match: --pattern is required")
 	}
-	repo, err := openRepo(*repoPath)
+	repo, st, done, err := openStored(*repoPath, *name)
 	if err != nil {
 		return err
 	}
-	defer repo.Close()
-	st, err := repo.Tree(*name)
-	if err != nil {
-		return err
-	}
+	defer done()
 	pattern, err := crimson.ReadNewickFile(*patternFile)
 	if err != nil {
 		return err
@@ -635,14 +631,15 @@ func cmdBench(args []string) error {
 			return err
 		}
 		defer repo.Close()
-		st, err := repo.Tree(*name)
-		if err != nil {
-			return err
+		snap := repo.Snapshot()
+		st, err := snap.Tree(*name)
+		if err == nil {
+			// Rebuild the in-memory tree from the store for the benchmark run.
+			ctx, stop := signalContext()
+			gold, err = st.ExportCtx(ctx)
+			stop()
 		}
-		// Rebuild the in-memory tree from the store for the benchmark run.
-		ctx, stop := signalContext()
-		gold, err = st.ExportCtx(ctx)
-		stop()
+		snap.Close()
 		if err != nil {
 			return err
 		}
@@ -727,7 +724,9 @@ func cmdHistory(args []string) error {
 		return err
 	}
 	defer repo.Close()
-	entries, err := repo.Queries.History(*limit)
+	snap := repo.Snapshot()
+	defer snap.Close()
+	entries, err := snap.QueryView.History(*limit)
 	if err != nil {
 		return err
 	}
@@ -752,7 +751,9 @@ func cmdRerun(args []string) error {
 	if err != nil {
 		return err
 	}
-	entry, err := repo.Queries.Get(*id)
+	snap := repo.Snapshot()
+	entry, err := snap.QueryView.Get(*id)
+	snap.Close()
 	if err != nil {
 		repo.Close()
 		return err

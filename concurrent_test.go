@@ -5,101 +5,208 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	crimson "repro"
+	"repro/internal/phylo"
+	"repro/internal/sample"
 	"repro/internal/treegen"
 	"repro/internal/treestore"
 )
 
-// TestConcurrentReadersWithWriter is the repository-level stress test for
-// the many-readers/one-writer contract: 8+ goroutines run Project, Sample,
-// LCA and pattern-match queries against one stored tree while a writer
-// goroutine loads a second tree into the same repository. Run with -race.
-func TestConcurrentReadersWithWriter(t *testing.T) {
-	repo := crimson.OpenMem()
+// goldVersion is one incarnation of a stored tree — a shape and a depth
+// bound — with the in-memory engine that answers for it.
+type goldVersion struct {
+	tree   *crimson.Tree
+	f      int
+	ix     *crimson.Index
+	plan   *crimson.Planner
+	height float64 // root distance of the farthest leaf
+}
+
+func newGoldVersion(t testing.TB, leaves, f int, seed int64) *goldVersion {
+	t.Helper()
+	tree, err := treegen.Yule(leaves, 1.0, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := crimson.BuildIndex(tree, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &goldVersion{tree: tree, f: f, ix: ix, plan: crimson.NewPlanner(tree, ix)}
+	for _, d := range tree.RootDistances() {
+		v.height = max(v.height, d)
+	}
+	return v
+}
+
+// checkWhole is the read contract on one handle: st is one of versions,
+// whole — its summary is that version's, and an LCA, a uniform sample, the
+// projection over it and a time-constrained sample, drawn from rng, are the
+// in-memory engine's answers on that version's tree. No error is tolerated:
+// a handle from a snapshot cannot see a writer.
+func checkWhole(ctx context.Context, st *crimson.StoredTree, versions []*goldVersion, rng *rand.Rand) error {
+	info := st.Info()
+	var v *goldVersion
+	for _, cand := range versions {
+		if cand.f == info.F && cand.tree.NumNodes() == info.Nodes {
+			v = cand
+		}
+	}
+	if v == nil {
+		return fmt.Errorf("handle describes no loaded version: %+v", info)
+	}
+	if info.Leaves != v.tree.NumLeaves() || info.Layers != v.ix.NumLayers() || info.Depth != v.tree.MaxDepth() {
+		return fmt.Errorf("summary %+v mixes versions (f=%d tree: %d leaves, %d layers, depth %d)",
+			info, v.f, v.tree.NumLeaves(), v.ix.NumLayers(), v.tree.MaxDepth())
+	}
+	nodes := v.tree.Nodes()
+
+	a, b := rng.Intn(len(nodes)), rng.Intn(len(nodes))
+	if got, err := st.LCACtx(ctx, a, b); err != nil || got != v.ix.LCA(a, b) {
+		return fmt.Errorf("f=%d: LCA(%d,%d) = %d, %v; the index says %d", v.f, a, b, got, err, v.ix.LCA(a, b))
+	}
+
+	rows, err := st.SampleUniformCtx(ctx, 2+rng.Intn(8), rng)
+	if err != nil {
+		return fmt.Errorf("f=%d: sample: %w", v.f, err)
+	}
+	ids, names := make([]int, len(rows)), make([]string, len(rows))
+	for i, row := range rows {
+		if n := nodes[row.ID]; !row.Leaf || !n.IsLeaf() || n.Name != row.Name {
+			return fmt.Errorf("f=%d: sampled row %+v is not leaf %d (%q) of the tree", v.f, row, row.ID, n.Name)
+		}
+		ids[i], names[i] = row.ID, row.Name
+	}
+	got, err := st.ProjectCtx(ctx, ids)
+	if err != nil {
+		return fmt.Errorf("f=%d: project: %w", v.f, err)
+	}
+	want, err := v.plan.ProjectNames(names)
+	if err != nil {
+		return err
+	}
+	if !phylo.Equal(got, want, 1e-9) {
+		return fmt.Errorf("f=%d: projection over %v differs from the planner's", v.f, names)
+	}
+
+	seed := rng.Int63()
+	timed, err := st.SampleWithTimeCtx(ctx, v.height/2, 6, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return fmt.Errorf("f=%d: sample with time: %w", v.f, err)
+	}
+	mem, err := sample.WithRespectToTime(v.tree, v.height/2, 6, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return err
+	}
+	gotNames, wantNames := make([]string, len(timed)), sample.Names(mem)
+	for i, row := range timed {
+		gotNames[i] = row.Name
+	}
+	sort.Strings(gotNames)
+	sort.Strings(wantNames)
+	if !slices.Equal(gotNames, wantNames) {
+		return fmt.Errorf("f=%d: time-constrained sample %v, in memory %v", v.f, gotNames, wantNames)
+	}
+	return nil
+}
+
+// TestSnapshotReadersSameNameReload is the stress test of the read contract
+// — a read sees committed state, whole or not at all: one writer deletes a
+// tree and reloads its name with another tree at another depth bound, round
+// after round, a checkpointer flushes the page file under both, and eight
+// readers open snapshot after snapshot. Every Snapshot.Tree is ErrNoTree
+// (the snapshot fell between a delete and a reload) or a handle that passes
+// checkWhole. Run with -race.
+func TestSnapshotReadersSameNameReload(t *testing.T) {
+	repo, err := crimson.Open(filepath.Join(t.TempDir(), "reload.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer repo.Close()
+	versions := []*goldVersion{
+		newGoldVersion(t, 700, crimson.DefaultFanout, 1),
+		newGoldVersion(t, 900, 4, 2),
+		newGoldVersion(t, 500, 8, 3),
+	}
+	const name = "flux"
+	load := func(round int) error {
+		v := versions[round%len(versions)]
+		_, err := repo.LoadTree(name, v.tree, v.f, nil)
+		return err
+	}
+	if err := load(0); err != nil {
+		t.Fatal(err)
+	}
 
-	gold, err := treegen.Yule(2000, 1.0, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := repo.LoadTree("gold", gold, crimson.DefaultFanout, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := treegen.Yule(3000, 1.0, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const readers = 8
+	const (
+		readers = 8
+		rounds  = 9
+	)
+	var stop atomic.Bool
+	var seen atomic.Int64 // handles the readers have checked
 	var wg sync.WaitGroup
-	errs := make(chan error, readers+1)
+	errs := make(chan error, readers+2)
 
-	// Writer: load a second tree into the same repository mid-flight.
 	wg.Add(1)
-	go func() {
+	go func() { // writer
 		defer wg.Done()
-		if _, err := repo.LoadTree("second", second, crimson.DefaultFanout, nil); err != nil {
-			errs <- fmt.Errorf("writer: %w", err)
+		defer stop.Store(true)
+		for round := 1; round <= rounds; round++ {
+			// Let the readers at each version before it goes: the delete
+			// then lands while some of them are mid-query.
+			for target := seen.Load() + 2*readers; seen.Load() < target && len(errs) == 0; {
+				runtime.Gosched()
+			}
+			if err := repo.Trees.Delete(name); err != nil {
+				errs <- fmt.Errorf("delete, round %d: %w", round, err)
+				return
+			}
+			if err := load(round); err != nil {
+				errs <- fmt.Errorf("reload, round %d: %w", round, err)
+				return
+			}
 		}
 	}()
-
-	info := st.Info()
+	wg.Add(1)
+	go func() { // checkpointer
+		defer wg.Done()
+		for !stop.Load() {
+			if err := repo.Checkpoint(); err != nil {
+				errs <- fmt.Errorf("checkpoint: %w", err)
+				return
+			}
+		}
+	}()
+	whole, none := make([]int, readers), make([]int, readers)
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(100 + g)))
-			for i := 0; i < 30; i++ {
-				switch (g + i) % 3 {
-				case 0: // sample then project
-					rows, err := st.SampleUniformCtx(context.Background(), 8, r)
-					if err != nil {
-						errs <- fmt.Errorf("reader %d: sample: %w", g, err)
-						return
-					}
-					ids := make([]int, len(rows))
-					for j, row := range rows {
-						ids[j] = row.ID
-					}
-					if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
-						errs <- fmt.Errorf("reader %d: project: %w", g, err)
-						return
-					}
-				case 1: // storage-backed LCA
-					a, b := r.Intn(info.Nodes), r.Intn(info.Nodes)
-					if _, err := st.LCACtx(context.Background(), a, b); err != nil {
-						errs <- fmt.Errorf("reader %d: lca(%d,%d): %w", g, a, b, err)
-						return
-					}
-				case 2: // pattern match: project a random selection, compare
-					rows, err := st.SampleUniformCtx(context.Background(), 5, r)
-					if err != nil {
-						errs <- fmt.Errorf("reader %d: sample: %w", g, err)
-						return
-					}
-					names := make([]string, len(rows))
-					for j, row := range rows {
-						names[j] = row.Name
-					}
-					pattern, err := st.ProjectNamesCtx(context.Background(), names)
-					if err != nil {
-						errs <- fmt.Errorf("reader %d: project names: %w", g, err)
-						return
-					}
-					projected, err := st.ProjectNamesCtx(context.Background(), pattern.LeafNames())
-					if err != nil {
-						errs <- fmt.Errorf("reader %d: re-project: %w", g, err)
-						return
-					}
-					rf, err := crimson.RobinsonFoulds(projected, pattern)
-					if err != nil || rf != 0 {
-						errs <- fmt.Errorf("reader %d: self pattern match RF=%d, %v", g, rf, err)
-						return
-					}
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			for !stop.Load() {
+				snap := repo.Snapshot()
+				st, err := snap.Tree(name)
+				switch {
+				case errors.Is(err, treestore.ErrNoTree):
+					none[g]++
+					err = nil
+				case err == nil:
+					whole[g]++
+					err = checkWhole(context.Background(), st, versions, rng)
+					seen.Add(1)
+				}
+				snap.Close()
+				if err != nil {
+					errs <- fmt.Errorf("reader %d: %w", g, err)
+					return
 				}
 			}
 		}(g)
@@ -107,20 +214,27 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatal(err)
+		t.Error(err)
 	}
 
-	// Both trees are intact afterwards.
+	// The writer's last version is what a new snapshot reads, the
+	// repository is intact and nothing is left pinned.
+	final := openTree(t, repo, name)
+	if last := versions[rounds%len(versions)]; final.Info().F != last.f || final.Info().Nodes != last.tree.NumNodes() {
+		t.Fatalf("final tree is %+v, want the f=%d version of %d nodes", final.Info(), last.f, last.tree.NumNodes())
+	}
 	if err := repo.Check(); err != nil {
 		t.Fatalf("post-stress integrity: %v", err)
 	}
-	st2, err := repo.Tree("second")
-	if err != nil {
-		t.Fatal(err)
+	sumWhole, sumNone := 0, 0
+	for g := range whole {
+		sumWhole += whole[g]
+		sumNone += none[g]
 	}
-	if st2.Info().Nodes != second.NumNodes() {
-		t.Fatalf("second tree has %d nodes, want %d", st2.Info().Nodes, second.NumNodes())
+	if sumWhole == 0 {
+		t.Fatal("no reader ever saw the tree")
 	}
+	t.Logf("readers saw the tree whole %d times, absent %d times, across %d reloads", sumWhole, sumNone, rounds)
 }
 
 // TestSnapshotIsolationLoadDeleteStress is the MVCC stress test: 8

@@ -148,7 +148,7 @@ func TestCrashMatrixFacade(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := p.Apply(); err != nil {
+				if err := p.Apply(); err != nil {
 					t.Fatal(err)
 				}
 				repo.CommitAsync() // captured, never waited for
@@ -164,15 +164,17 @@ func TestCrashMatrixFacade(t *testing.T) {
 			if got := reopened.MVCC().Epoch; got != epoch {
 				t.Fatalf("recovered epoch %d, want %d", got, epoch)
 			}
+			snap := reopened.Snapshot()
+			defer snap.Close()
 			for name, n := range leaves {
-				st, err := reopened.Tree(name)
+				st, err := snap.Tree(name)
 				if err != nil {
 					t.Fatalf("tree %s lost in %s crash: %v", name, stage, err)
 				}
 				if st.Info().Leaves != n {
 					t.Fatalf("tree %s recovered with %d leaves, want %d", name, st.Info().Leaves, n)
 				}
-				data, err := reopened.Species.Get(name, "sp1", "seq:test")
+				data, err := snap.SpeciesView.Get(name, "sp1", "seq:test")
 				if err != nil {
 					t.Fatalf("species row for %s lost in %s crash: %v", name, stage, err)
 				}
@@ -180,7 +182,7 @@ func TestCrashMatrixFacade(t *testing.T) {
 					t.Fatalf("species row for %s recovered as %q", name, data)
 				}
 			}
-			if _, err := reopened.Tree("doomed"); !errors.Is(err, treestore.ErrNoTree) {
+			if _, err := snap.Tree("doomed"); !errors.Is(err, treestore.ErrNoTree) {
 				t.Fatalf("a load that never reached the WAL recovered: %v", err)
 			}
 			if err := reopened.Check(); err != nil {

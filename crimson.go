@@ -26,36 +26,38 @@
 //	repo := crimson.OpenMem()
 //	defer repo.Close()
 //	tree, _ := crimson.ParseNewick("(Syn:2.5,((Lla:1,Spy:1):1.5,Bha:0.75):0.5,Bsu:1.25);")
-//	stored, _ := repo.LoadTree("gold", tree, crimson.DefaultFanout, nil)
+//	repo.LoadTree("gold", tree, crimson.DefaultFanout, nil) // commits
+//	snap := repo.Snapshot()
+//	defer snap.Close()
+//	stored, _ := snap.Tree("gold")
 //	projected, _ := stored.ProjectNamesCtx(ctx, []string{"Bha", "Lla", "Syn"})
 //	fmt.Print(crimson.ASCII(projected))
 //
 // # Concurrency
 //
-// A Repository is multi-version and sharded: trees are partitioned across
-// N independent storage engines (OpenSharded; N=1 by default) by a hash
-// of the tree name, and each engine copy-on-writes every page it mutates
-// and publishes a new epoch at each commit, so readers have two paths.
+// A read sees committed state, whole or not at all. A Repository is
+// multi-version and sharded: trees are partitioned across N independent
+// storage engines (OpenSharded; N=1 by default) by a hash of the tree name,
+// and each engine copy-on-writes every page it mutates and publishes a new
+// epoch at each commit.
 //
-// Live handles (Tree, Species, Queries methods) take a shared read lock
-// per operation on their shard and see the writer's working state; they
-// serialize against each individual mutation. Mutations — LoadTree,
-// Delete, Species.Put, Queries.Record, Commit — take their shard's
-// exclusive write lock; callers must not run two writer goroutines
-// against the same shard at once, but writers on different shards (loads
-// of different trees that hash apart) proceed in parallel.
+// Every read goes through a Snapshot (Repository.Snapshot): it pins a
+// per-shard epoch vector — each shard's last committed epoch — and reads
+// lock-free. A projection, LCA, sample or export never waits on a concurrent
+// bulk load or delete and sees every tree, species record and history entry
+// exactly as committed on its shard: a tree mid-load or a record not yet
+// committed is invisible, a tree mid-delete is still whole. Opening one costs
+// tens of microseconds; superseded pages are reclaimed by epoch once the last
+// snapshot that could read them closes.
 //
-// Snapshots (Repository.Snapshot) pin a per-shard epoch vector — each
-// shard's last committed epoch — and read lock-free: a projection, LCA,
-// sample or export running on a snapshot never waits on a concurrent bulk
-// load or delete and always sees the whole repository exactly as
-// committed per shard — mid-load and mid-delete states are invisible.
-// Superseded pages are reclaimed by epoch once the last snapshot that
-// could read them closes. Loads use a sorted bulk-load fast path that
-// builds the node relation and its indexes bottom-up rather than one
-// B+tree descent per row. In-memory helpers (Index, Planner, pattern
-// match, RunBenchmark) are read-only after construction and freely
-// shareable across goroutines.
+// Mutations — LoadTree, Trees.Delete, Species.Put, Queries.Record, Commit —
+// take their shard's writer mutex; callers must not run two writer
+// goroutines against the same shard at once, but writers on different shards
+// (loads of different trees that hash apart) proceed in parallel. Loads use
+// a sorted bulk-load fast path that builds the node relation and its indexes
+// bottom-up rather than one B+tree descent per row. In-memory helpers
+// (Index, Planner, pattern match, RunBenchmark) are read-only after
+// construction and freely shareable across goroutines.
 //
 // # Cancellation and streaming
 //
@@ -115,9 +117,12 @@ type (
 	Index = core.Index
 	// Label is a Dewey label ("2.1.1").
 	Label = dewey.Label
-	// StoredTree is a handle on a tree in the relational repository; all
-	// its queries execute against the store row by row.
+	// StoredTree is a handle on a tree in the relational repository as of
+	// a Snapshot; all its queries execute against the store row by row.
 	StoredTree = treestore.Tree
+	// LoadedTree is what a load returns: Info describes the tree as stored.
+	// Query it through a Snapshot.
+	LoadedTree = treestore.PreparedLoad
 	// StoredNode is one stored tree node row.
 	StoredNode = treestore.Node
 	// TreeInfo summarizes a stored tree.
@@ -214,8 +219,8 @@ var (
 // independent writer locks: loads of trees on different shards proceed
 // genuinely in parallel, and the single-writer contract holds per shard.
 //
-// A Repository is safe for many concurrent reader goroutines plus one
-// writer per shard (see the package comment's Concurrency section).
+// A Repository is safe for any number of snapshot readers plus one writer
+// per shard (see the package comment's Concurrency section).
 type Repository struct {
 	dbs    []*relstore.DB
 	router *shard.Router
@@ -419,9 +424,8 @@ func OpenFollower(ctx context.Context, path, primaryURL string) (*Repository, *F
 }
 
 // assembleReplica builds the repository surface over replica databases
-// without initializing anything: replica repositories are read-only and
-// every read the follower server issues goes through snapshots, which
-// resolve tables lazily at their pinned epoch.
+// without initializing anything: replica repositories are read-only, and
+// snapshots resolve tables lazily at their pinned epoch.
 func assembleReplica(dbs []*relstore.DB) (*Repository, error) {
 	router, err := shard.NewRouter(len(dbs))
 	if err != nil {
@@ -598,27 +602,27 @@ func (r *Repository) recordAsync(kind string, args map[string]any, summary strin
 // and both steps run under the facade's per-shard writer mutexes, so
 // concurrent LoadTree calls for trees on different shards never publish
 // each other's half-applied state.
-func (r *Repository) LoadTree(name string, t *Tree, f int, progress treestore.Progress) (*StoredTree, error) {
+func (r *Repository) LoadTree(name string, t *Tree, f int, progress treestore.Progress) (*LoadedTree, error) {
 	return r.LoadTreeOpts(name, t, f, LoadOptions{}, progress)
 }
 
 // LoadTreeOpts is LoadTree with ingest-pipeline options: staging fans out
 // across opts.Workers goroutines and per-stage timings land in
 // opts.Metrics. The stored relations are identical at every worker count.
-func (r *Repository) LoadTreeOpts(name string, t *Tree, f int, opts LoadOptions, progress treestore.Progress) (*StoredTree, error) {
+func (r *Repository) LoadTreeOpts(name string, t *Tree, f int, opts LoadOptions, progress treestore.Progress) (*LoadedTree, error) {
 	return r.load(name, t, nil, f, opts, progress)
 }
 
 // LoadNexus loads the first tree of a NEXUS document (under its TREE name
 // unless name overrides it) and stores any CHARACTERS block in the
 // Species Repository under kind "seq:nexus".
-func (r *Repository) LoadNexus(doc *NexusDocument, name string, f int, progress treestore.Progress) (*StoredTree, error) {
+func (r *Repository) LoadNexus(doc *NexusDocument, name string, f int, progress treestore.Progress) (*LoadedTree, error) {
 	return r.LoadNexusOpts(doc, name, f, LoadOptions{}, progress)
 }
 
 // LoadNexusOpts is LoadNexus with ingest-pipeline options; see
 // LoadTreeOpts.
-func (r *Repository) LoadNexusOpts(doc *NexusDocument, name string, f int, opts LoadOptions, progress treestore.Progress) (*StoredTree, error) {
+func (r *Repository) LoadNexusOpts(doc *NexusDocument, name string, f int, opts LoadOptions, progress treestore.Progress) (*LoadedTree, error) {
 	if len(doc.Trees) == 0 {
 		return nil, fmt.Errorf("crimson: NEXUS document has no trees")
 	}
@@ -634,18 +638,17 @@ func (r *Repository) LoadNexusOpts(doc *NexusDocument, name string, f int, opts 
 // tree's shard, carrying the tree and any sequences, and the history's
 // shard 0 — are captured under their mutexes but waited for after release,
 // so their WAL flushes overlap each other and coalesce with other writers'.
-func (r *Repository) load(name string, t *Tree, chars *nexus.Characters, f int, opts LoadOptions, progress treestore.Progress) (*StoredTree, error) {
+func (r *Repository) load(name string, t *Tree, chars *nexus.Characters, f int, opts LoadOptions, progress treestore.Progress) (*LoadedTree, error) {
 	p, err := r.Trees.PrepareLoad(name, t, f, opts, progress)
 	if err != nil {
 		return nil, err
 	}
 	si := r.router.Place(name)
-	apply := func() (*StoredTree, *relstore.CommitWaiter, error) {
+	apply := func() (*relstore.CommitWaiter, error) {
 		r.writeMus[si].Lock()
 		defer r.writeMus[si].Unlock()
-		st, err := p.Apply()
-		if err != nil {
-			return nil, nil, err
+		if err := p.Apply(); err != nil {
+			return nil, err
 		}
 		if chars != nil {
 			for _, taxon := range chars.Order {
@@ -655,14 +658,14 @@ func (r *Repository) load(name string, t *Tree, chars *nexus.Characters, f int, 
 					// of it.
 					_ = r.Trees.Drop(name)
 					_, _ = r.Species.DeleteTree(name)
-					return nil, nil, err
+					return nil, err
 				}
 			}
 			progress.Say("stored %d sequences in the species repository", len(chars.Order))
 		}
-		return st, r.dbs[si].CommitAsync(), nil
+		return r.dbs[si].CommitAsync(), nil
 	}
-	st, w, err := apply()
+	w, err := apply()
 	if err != nil {
 		return nil, err
 	}
@@ -673,22 +676,19 @@ func (r *Repository) load(name string, t *Tree, chars *nexus.Characters, f int, 
 	}
 	p.Committed()
 	if err := rec.Wait(); err != nil {
-		return st, fmt.Errorf("crimson: committing history shard: %w", err)
+		return p, fmt.Errorf("crimson: committing history shard: %w", err)
 	}
-	return st, nil
+	return p, nil
 }
 
-// Tree opens a stored tree by name.
-func (r *Repository) Tree(name string) (*StoredTree, error) { return r.Trees.Tree(name) }
-
-// Snapshot is a consistent point-in-time read view of the whole
-// repository. It pins an epoch vector — each shard's last committed epoch,
-// one pin per shard — so queries through it run lock-free: they never wait
-// on a concurrent LoadTree or Delete, and they see every tree, species
-// record and history entry exactly as committed on its shard — a tree
-// mid-load is invisible, a tree mid-delete is still whole. Cross-shard
-// reads (listing trees) are consistent per shard. Close releases the pins
-// so the storage engines can reclaim superseded pages.
+// Snapshot is a consistent point-in-time read view of the whole repository,
+// and the only way to read it. It pins an epoch vector — each shard's last
+// committed epoch, one pin per shard — so queries through it run lock-free:
+// they never wait on a concurrent LoadTree or Delete, and they see every
+// tree, species record and history entry exactly as committed on its shard
+// — a tree mid-load is invisible, a tree mid-delete is still whole.
+// Cross-shard reads (listing trees) are consistent per shard. Close releases
+// the pins so the storage engines can reclaim superseded pages.
 type Snapshot struct {
 	sns []*relstore.Snap // one pinned snapshot per shard
 	// TreeSnap, SpeciesView and QueryView expose the three repositories'
@@ -857,8 +857,8 @@ func NewServer(repo *Repository, cfg ServerConfig) *Server { return repo.NewServ
 // with OpenFollower. The server rejects writes with 403, serves every
 // read at the shard's last applied epoch, reports apply lag in
 // /v1/stats and /metrics, and turns into a writable primary on
-// POST /v1/repl/promote (which re-resolves the repository's live table
-// handles in place — no reopen needed).
+// POST /v1/repl/promote (which re-resolves the repository's writer handles
+// in place — no reopen needed).
 func (r *Repository) NewFollowerServer(fl *Follower, cfg ServerConfig) *Server {
 	return server.New(server.Backend{
 		DBs:      r.dbs,

@@ -88,10 +88,10 @@ func TestStoredTreeCtxQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := repo.LoadTree("t", tree, crimson.DefaultFanout, nil)
-	if err != nil {
+	if _, err := repo.LoadTree("t", tree, crimson.DefaultFanout, nil); err != nil {
 		t.Fatal(err)
 	}
+	st := openTree(t, repo, "t")
 	ctx := context.Background()
 	names := tree.LeafNames()[:10]
 

@@ -33,7 +33,8 @@ func TestLoadTreeDurability(t *testing.T) {
 	}
 	defer reopened.Close()
 
-	st, err := reopened.Tree("gold")
+	snap := snapshotOf(t, reopened)
+	st, err := snap.Tree("gold")
 	if err != nil {
 		t.Fatalf("tree lost without explicit Commit: %v", err)
 	}
@@ -41,7 +42,7 @@ func TestLoadTreeDurability(t *testing.T) {
 		t.Fatalf("reloaded tree has %d leaves, want 80", st.Info().Leaves)
 	}
 	// The load's query-history record must have been committed too.
-	entries, err := reopened.Queries.ByKind("load")
+	entries, err := snap.QueryView.ByKind("load")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +115,10 @@ func TestCrashAfterCOWCommitWithActiveReaders(t *testing.T) {
 	if reopened.MVCC().OpenSnapshots != 0 {
 		t.Fatal("recovered store inherited a snapshot pin")
 	}
+	snap := reopened.Snapshot()
+	defer snap.Close()
 	for name, leaves := range map[string]int{"first": 150, "second": 300} {
-		st, err := reopened.Tree(name)
+		st, err := snap.Tree(name)
 		if err != nil {
 			t.Fatalf("tree %s lost in crash: %v", name, err)
 		}

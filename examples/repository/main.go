@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("== loading 5000-leaf gold tree into", path)
-	stored, err := repo.LoadTree("gold", gold, crimson.DefaultFanout, func(msg string) {
+	loaded, err := repo.LoadTree("gold", gold, crimson.DefaultFanout, func(msg string) {
 		fmt.Println("  ", msg)
 	})
 	if err != nil {
@@ -48,7 +48,18 @@ func main() {
 	if _, err := repo.Species.PutAlignment("gold", "seq:sim", aln); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("tree info: %+v\n", stored.Info())
+	fmt.Printf("tree info: %+v\n", loaded.Info())
+
+	// A read sees committed state: commit what was put, then read it back
+	// through a snapshot (the load committed itself).
+	if err := repo.Commit(); err != nil {
+		log.Fatal(err)
+	}
+	snap := repo.Snapshot()
+	stored, err := snap.Tree("gold")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Structure queries against the store, under a cancellable context —
 	// the same ctx-first forms crimsond runs per request.
@@ -60,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lrow, _ := stored.Node(lca)
+	lrow, _ := stored.NodeCtx(ctx, lca)
 	fmt.Printf("LCA(%s, %s) = node %d at depth %d, time %.3f\n", a.Name, b.Name, lca, lrow.Depth, lrow.Dist)
 	repo.Queries.Record("lca", map[string]string{"a": a.Name, "b": b.Name}, fmt.Sprintf("node %d", lca))
 
@@ -81,7 +92,7 @@ func main() {
 	repo.Queries.Record("project", map[string]any{"k": len(picked)}, crimson.FormatNewick(projected))
 
 	// Species data retrieval for the sample.
-	seq, err := repo.Species.Get("gold", picked[0].Name, "seq:sim")
+	seq, err := snap.SpeciesView.Get("gold", picked[0].Name, "seq:sim")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,8 +102,14 @@ func main() {
 	if err := repo.Species.Put("gold", picked[0].Name, "trait:eyecolor", []byte("brown")); err != nil {
 		log.Fatal(err)
 	}
-	recs, _ := repo.Species.List("gold", picked[0].Name)
+	snap.Close() // it predates the put: a new one, after the commit, sees it
+	if err := repo.Commit(); err != nil {
+		log.Fatal(err)
+	}
+	snap = repo.Snapshot()
+	recs, _ := snap.SpeciesView.List("gold", picked[0].Name)
 	fmt.Printf("%s now has %d data records\n", picked[0].Name, len(recs))
+	snap.Close()
 
 	if err := repo.Close(); err != nil {
 		log.Fatal(err)
@@ -105,9 +122,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer repo.Close()
-	infos, _ := repo.Trees.Trees()
+	snap = repo.Snapshot()
+	defer snap.Close()
+	infos, _ := snap.Trees()
 	fmt.Printf("trees: %+v\n", infos)
-	history, _ := repo.Queries.History(5)
+	history, _ := snap.QueryView.History(5)
 	fmt.Println("query history (most recent first):")
 	for _, e := range history {
 		fmt.Printf("  #%d %-8s %s => %.60s\n", e.ID, e.Kind, e.Args, e.Summary)

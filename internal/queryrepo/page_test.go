@@ -23,7 +23,8 @@ func TestHistoryPageWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full, err := repo.History(0)
+	view := committed(t, repo)
+	full, err := view.History(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestHistoryPageWalk(t *testing.T) {
 		var walked []Entry
 		before := int64(0)
 		for {
-			page, next, err := repo.HistoryPage(ctx, before, pageSize)
+			page, next, err := view.HistoryPage(ctx, before, pageSize)
 			if err != nil {
 				t.Fatalf("page size %d: %v", pageSize, err)
 			}
@@ -93,9 +94,10 @@ func TestHistoryPageSkipsGaps(t *testing.T) {
 	}
 	want := []int64{kept[6], kept[5], kept[4], kept[0]} // 7, 6, 5, 1 newest-first
 	var got []int64
+	view := committed(t, repo)
 	before := int64(0)
 	for {
-		page, next, err := repo.HistoryPage(context.Background(), before, 2)
+		page, next, err := view.HistoryPage(context.Background(), before, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

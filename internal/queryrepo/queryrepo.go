@@ -35,9 +35,8 @@ type Entry struct {
 //
 // Record is safe to call from many goroutines at once: a repo-level
 // mutex makes the read-counter/write-counter/insert sequence atomic, so
-// IDs stay unique and dense no matter how many recorders race. Readers
-// (History, ByKind, Get) take the database's shared read lock and may
-// run concurrently with one another and with recorders.
+// IDs stay unique and dense no matter how many recorders race. The history
+// is read through a View, which sees committed records only.
 type Repo struct {
 	db  *relstore.DB
 	mu  sync.Mutex // serializes Record/Clear (the id counter's read-modify-write)
@@ -54,13 +53,12 @@ func NewOnDB(db *relstore.DB) (*Repo, error) {
 }
 
 // NewOnReplicaDB layers the repository over a replica database without
-// touching it: the live table handle stays unresolved (a replica can
-// neither create the table nor record queries), while snapshot Views —
-// the only history read path the follower server uses — resolve the
-// table per snapshot as usual. After a promote, Reload resolves it.
+// touching it: a replica can neither create the table nor record queries,
+// so the writer's handle stays unresolved until a promote calls Reload.
+// Views never notice — they resolve the table per snapshot.
 func NewOnReplicaDB(db *relstore.DB) *Repo { return &Repo{db: db} }
 
-// Reload (re-)resolves the live table handle, creating the table where
+// Reload (re-)resolves the writer's table handle, creating the table where
 // missing. Called at construction and after a promote flips the
 // underlying store writable.
 func (r *Repo) Reload() error {
@@ -149,15 +147,7 @@ func decodeEntry(row relstore.Row) Entry {
 	}
 }
 
-// reader is the read surface the history queries need; both the live
-// table (lock-per-operation) and a snapshot view (lock-free) satisfy it.
-type reader interface {
-	Get(key relstore.Value) (relstore.Row, bool, error)
-	ScanRangeCtx(ctx context.Context, lo, hi relstore.Value, fn func(relstore.Row) (bool, error)) error
-	IndexScanCtx(ctx context.Context, index string, vals []relstore.Value, fn func(relstore.Row) (bool, error)) error
-}
-
-func getEntry(tab reader, id int64) (Entry, error) {
+func getEntry(tab *relstore.TableView, id int64) (Entry, error) {
 	row, ok, err := tab.Get(relstore.Int(id))
 	if err != nil {
 		return Entry{}, err
@@ -179,7 +169,7 @@ func getEntry(tab reader, id int64) (Entry, error) {
 // shortfall from gaps (a crashed insert that burned an id) — O(pages
 // read), not O(history), per page. A final one-descent probe below the
 // oldest returned id decides whether a next cursor exists.
-func historyPage(ctx context.Context, tab reader, beforeID int64, limit int) ([]Entry, int64, error) {
+func historyPage(ctx context.Context, tab *relstore.TableView, beforeID int64, limit int) ([]Entry, int64, error) {
 	if limit <= 0 {
 		// Full listing: one ascending scan, reversed.
 		var all []Entry
@@ -250,12 +240,12 @@ func historyPage(ctx context.Context, tab reader, beforeID int64, limit int) ([]
 	return out, next, nil
 }
 
-func history(ctx context.Context, tab reader, limit int) ([]Entry, error) {
+func history(ctx context.Context, tab *relstore.TableView, limit int) ([]Entry, error) {
 	out, _, err := historyPage(ctx, tab, 0, limit)
 	return out, err
 }
 
-func byKind(ctx context.Context, tab reader, kind string) ([]Entry, error) {
+func byKind(ctx context.Context, tab *relstore.TableView, kind string) ([]Entry, error) {
 	var out []Entry
 	err := tab.IndexScanCtx(ctx, "by_kind", []relstore.Value{relstore.Str(kind)}, func(row relstore.Row) (bool, error) {
 		out = append(out, decodeEntry(row))
@@ -264,42 +254,10 @@ func byKind(ctx context.Context, tab reader, kind string) ([]Entry, error) {
 	return out, err
 }
 
-// Get fetches one entry by id.
-func (r *Repo) Get(id int64) (Entry, error) { return getEntry(r.tab, id) }
-
-// HistoryCtx returns up to limit most recent entries under ctx, newest
-// first (limit <= 0 means all).
-func (r *Repo) HistoryCtx(ctx context.Context, limit int) ([]Entry, error) {
-	return history(ctx, r.tab, limit)
-}
-
-// History returns up to limit most recent entries, newest first
-// (limit <= 0 means all).
-func (r *Repo) History(limit int) ([]Entry, error) {
-	return r.HistoryCtx(context.Background(), limit)
-}
-
-// HistoryPage returns up to limit entries older than beforeID (beforeID
-// <= 0 starts at the newest), newest first, and the id to pass as the next
-// page's beforeID — 0 once the history is exhausted.
-func (r *Repo) HistoryPage(ctx context.Context, beforeID int64, limit int) ([]Entry, int64, error) {
-	return historyPage(ctx, r.tab, beforeID, limit)
-}
-
-// ByKindCtx returns all entries of one query kind under ctx, oldest first.
-func (r *Repo) ByKindCtx(ctx context.Context, kind string) ([]Entry, error) {
-	return byKind(ctx, r.tab, kind)
-}
-
-// ByKind returns all entries of one query kind, oldest first.
-func (r *Repo) ByKind(kind string) ([]Entry, error) {
-	return r.ByKindCtx(context.Background(), kind)
-}
-
-// View is a read-only snapshot view of the query history: Get, History and
-// ByKind run lock-free against the epoch the snapshot pinned, so browsing
-// history never waits behind a bulk load. Records committed after the
-// snapshot are invisible to it.
+// View is the read side of the query history, as of a snapshot: Get, History
+// and ByKind run lock-free against the epoch the snapshot pinned, so browsing
+// history never waits behind a bulk load. Records not committed when the
+// snapshot was taken are invisible to it.
 type View struct {
 	rs *relstore.Snap
 }
@@ -308,7 +266,7 @@ type View struct {
 // tree and species repositories).
 func ViewOn(rs *relstore.Snap) *View { return &View{rs: rs} }
 
-func (v *View) reader() (reader, error) {
+func (v *View) table() (*relstore.TableView, error) {
 	tab, err := v.rs.Table(tableName)
 	if errors.Is(err, relstore.ErrNoTable) {
 		return nil, nil
@@ -321,7 +279,7 @@ func (v *View) reader() (reader, error) {
 
 // Get fetches one entry by id as of the snapshot.
 func (v *View) Get(id int64) (Entry, error) {
-	tab, err := v.reader()
+	tab, err := v.table()
 	if err != nil {
 		return Entry{}, err
 	}
@@ -334,7 +292,7 @@ func (v *View) Get(id int64) (Entry, error) {
 // HistoryCtx returns up to limit most recent entries as of the snapshot
 // under ctx.
 func (v *View) HistoryCtx(ctx context.Context, limit int) ([]Entry, error) {
-	tab, err := v.reader()
+	tab, err := v.table()
 	if err != nil || tab == nil {
 		return nil, err
 	}
@@ -350,7 +308,7 @@ func (v *View) History(limit int) ([]Entry, error) {
 // snapshot (beforeID <= 0 starts at the newest), newest first, and the id
 // to pass as the next page's beforeID — 0 once exhausted.
 func (v *View) HistoryPage(ctx context.Context, beforeID int64, limit int) ([]Entry, int64, error) {
-	tab, err := v.reader()
+	tab, err := v.table()
 	if err != nil || tab == nil {
 		return nil, 0, err
 	}
@@ -359,7 +317,7 @@ func (v *View) HistoryPage(ctx context.Context, beforeID int64, limit int) ([]En
 
 // ByKindCtx returns all entries of one kind as of the snapshot under ctx.
 func (v *View) ByKindCtx(ctx context.Context, kind string) ([]Entry, error) {
-	tab, err := v.reader()
+	tab, err := v.table()
 	if err != nil || tab == nil {
 		return nil, err
 	}

@@ -20,6 +20,18 @@ func newRepo(t *testing.T) *Repo {
 	return r
 }
 
+// committed commits the repository's database and returns the history as a
+// snapshot taken right after reads it; the snapshot closes with the test.
+func committed(t testing.TB, r *Repo) *View {
+	t.Helper()
+	if err := r.db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sn := r.db.Snapshot()
+	t.Cleanup(sn.Close)
+	return ViewOn(sn)
+}
+
 type lcaArgs struct {
 	Tree string `json:"tree"`
 	A    string `json:"a"`
@@ -43,7 +55,8 @@ func TestRecordAndHistory(t *testing.T) {
 		t.Fatalf("second id = %d", e2.ID)
 	}
 
-	hist, err := r.History(0)
+	v := committed(t, r)
+	hist, err := v.History(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +66,7 @@ func TestRecordAndHistory(t *testing.T) {
 	if hist[0].ID != 2 || hist[1].ID != 1 {
 		t.Fatalf("history not newest-first: %v %v", hist[0].ID, hist[1].ID)
 	}
-	hist, _ = r.History(1)
+	hist, _ = v.History(1)
 	if len(hist) != 1 || hist[0].Kind != "project" {
 		t.Fatalf("limited history = %+v", hist)
 	}
@@ -66,7 +79,7 @@ func TestRerunArgsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Get(e.ID)
+	got, err := committed(t, r).Get(e.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +125,7 @@ func TestHistoryMixedRowSizes(t *testing.T) {
 			record("clade", map[string]string{"tree": "gold"}, strings.Repeat("s", 300+(round*8+i)*7%700))
 		}
 	}
-	hist, err := r.History(0)
+	hist, err := committed(t, r).History(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +144,12 @@ func TestHistoryMixedRowSizes(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	r := newRepo(t)
-	if _, err := r.Get(42); !errors.Is(err, ErrNoEntry) {
+	if _, err := committed(t, r).Get(42); !errors.Is(err, ErrNoEntry) {
 		t.Fatalf("err = %v", err)
 	}
 	// The internal counter row must not leak.
 	r.Record("x", nil, "")
-	if _, err := r.Get(-1); !errors.Is(err, ErrNoEntry) {
+	if _, err := committed(t, r).Get(-1); !errors.Is(err, ErrNoEntry) {
 		t.Fatalf("counter row leaked: %v", err)
 	}
 }
@@ -146,7 +159,7 @@ func TestByKind(t *testing.T) {
 	r.Record("lca", nil, "1")
 	r.Record("sample", nil, "2")
 	r.Record("lca", nil, "3")
-	got, err := r.ByKind("lca")
+	got, err := committed(t, r).ByKind("lca")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +176,7 @@ func TestClear(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("Clear = %d, %v", n, err)
 	}
-	hist, _ := r.History(0)
+	hist, _ := committed(t, r).History(0)
 	if len(hist) != 0 {
 		t.Fatalf("history after clear = %d", len(hist))
 	}
@@ -196,8 +209,9 @@ func TestIDsPersistAcrossHandles(t *testing.T) {
 }
 
 // TestConcurrentRecordersAndReaders races many Record goroutines against
-// History/ByKind readers (run under -race in CI) and verifies the
-// allocated IDs are exactly 1..N with no duplicates.
+// readers that commit, open a snapshot and run History/ByKind on it (run
+// under -race in CI), and verifies the allocated IDs are exactly 1..N with
+// no duplicates.
 func TestConcurrentRecordersAndReaders(t *testing.T) {
 	r := newRepo(t)
 	const (
@@ -209,7 +223,8 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 	errs := make([]error, recorders)
 	stop := make(chan struct{})
 
-	// Readers hammer History and ByKind while the recorders run.
+	// Readers commit whatever the recorders have written so far and hammer
+	// History and ByKind on a snapshot of it while the recorders run.
 	var readerWG sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		readerWG.Add(1)
@@ -221,12 +236,16 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := r.History(10); err != nil {
-					t.Errorf("reader %d: History: %v", g, err)
+				if err := r.db.Commit(); err != nil {
+					t.Errorf("reader %d: Commit: %v", g, err)
 					return
 				}
-				if _, err := r.ByKind("lca"); err != nil {
-					t.Errorf("reader %d: ByKind: %v", g, err)
+				sn := r.db.Snapshot()
+				_, herr := ViewOn(sn).History(10)
+				_, kerr := ViewOn(sn).ByKind("lca")
+				sn.Close()
+				if herr != nil || kerr != nil {
+					t.Errorf("reader %d: History: %v, ByKind: %v", g, herr, kerr)
 					return
 				}
 			}
@@ -283,7 +302,7 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 	}
 
 	// The history agrees: every entry present, newest first.
-	all, err := r.History(0)
+	all, err := committed(t, r).History(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,5 +313,41 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 		if all[i-1].ID <= all[i].ID {
 			t.Fatalf("history out of order at %d: %d then %d", i, all[i-1].ID, all[i].ID)
 		}
+	}
+}
+
+// TestViewSeesCommittedRecordsOnly: a record is invisible to a snapshot
+// taken before its commit — and to one taken before the commit but read
+// after it — and visible to a snapshot taken after.
+func TestViewSeesCommittedRecordsOnly(t *testing.T) {
+	r := newRepo(t)
+	if _, err := r.Record("lca", nil, "first"); err != nil {
+		t.Fatal(err)
+	}
+	before := r.db.Snapshot()
+	defer before.Close()
+	count := func(v *View) int {
+		t.Helper()
+		hist, err := v.History(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(hist)
+	}
+	if n := count(ViewOn(before)); n != 0 {
+		t.Fatalf("uncommitted record visible: history of %d", n)
+	}
+	after := committed(t, r)
+	if n := count(after); n != 1 {
+		t.Fatalf("history after commit = %d entries, want 1", n)
+	}
+	if _, err := after.Get(1); err != nil {
+		t.Fatalf("Get(1) after commit: %v", err)
+	}
+	if n := count(ViewOn(before)); n != 0 {
+		t.Fatalf("old snapshot moved: history of %d", n)
+	}
+	if _, err := ViewOn(before).Get(1); !errors.Is(err, ErrNoEntry) {
+		t.Fatalf("old snapshot Get(1): err = %v, want ErrNoEntry", err)
 	}
 }

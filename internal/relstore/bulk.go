@@ -17,7 +17,7 @@ import (
 // touches no database: it needs only the schema, encodes the rows, builds
 // the primary run and one run per secondary index, sorts them and finishes
 // every check that can reject the batch. Table.ApplyBulk then runs under the
-// database write lock and only hands the finished runs to BTree.BulkLoad.
+// database mutex and only hands the finished runs to BTree.BulkLoad.
 // Table.BulkInsert is the two back to back.
 
 // bulkLayout is what staging needs of a schema, resolved once per batch
@@ -440,7 +440,7 @@ func parallelDo(tasks, workers int, fn func(task int)) {
 // or conflicts with itself is rejected before the table is touched, and on
 // an empty table the rows are loaded bottom-up instead of one descent each.
 func (t *Table) BulkInsert(rows []Row) error {
-	st, err := StageBulk(t.schema, len(rows), 0, func(i int, w *RowWriter) {
+	st, err := StageBulk(t.view.schema, len(rows), 0, func(i int, w *RowWriter) {
 		for _, v := range rows[i] {
 			w.put(v)
 		}
@@ -451,8 +451,8 @@ func (t *Table) BulkInsert(rows []Row) error {
 	return t.ApplyBulk(st)
 }
 
-// ApplyBulk writes a staged batch into the table under one write-lock
-// acquisition. When the table is structurally empty (never written, or
+// ApplyBulk writes a staged batch into the table under one acquisition of
+// the database mutex. When the table is structurally empty (never written, or
 // freshly created) the staged runs go to storage.BTree.BulkLoad: the
 // primary tree and every secondary index are built with sequential page
 // writes, and nothing but those writes happens under the lock. On a
@@ -461,8 +461,8 @@ func (t *Table) BulkInsert(rows []Row) error {
 // stops the batch at the offending row and earlier rows remain, exactly as
 // with repeated Insert calls.
 func (t *Table) ApplyBulk(st *BulkStage) error {
-	if st.lay.schema.Name != t.schema.Name {
-		return fmt.Errorf("relstore: batch staged for %s applied to %s", st.lay.schema.Name, t.schema.Name)
+	if st.lay.schema.Name != t.Name() {
+		return fmt.Errorf("relstore: batch staged for %s applied to %s", st.lay.schema.Name, t.Name())
 	}
 	if st.n == 0 {
 		return nil
@@ -472,15 +472,16 @@ func (t *Table) ApplyBulk(st *BulkStage) error {
 
 	// The fast path needs every tree structurally empty (BulkLoad's
 	// precondition — a lazily-emptied tree may still have internal pages).
-	empty, err := t.primary.Empty()
+	v := &t.view
+	empty, err := v.primary.Empty()
 	if err != nil {
 		return err
 	}
-	for _, ix := range t.schema.Indexes {
+	for _, ix := range v.schema.Indexes {
 		if !empty {
 			break
 		}
-		if empty, err = t.indexes[ix.Name].Empty(); err != nil {
+		if empty, err = v.indexes[ix.Name].Empty(); err != nil {
 			return err
 		}
 	}
@@ -496,11 +497,11 @@ func (t *Table) ApplyBulk(st *BulkStage) error {
 		}
 		return nil
 	}
-	if err := t.primary.BulkLoad(st.prim); err != nil {
+	if err := v.primary.BulkLoad(st.prim); err != nil {
 		return err
 	}
-	for j, ix := range t.schema.Indexes {
-		if err := t.indexes[ix.Name].BulkLoad(st.index[j]); err != nil {
+	for j, ix := range v.schema.Indexes {
+		if err := v.indexes[ix.Name].BulkLoad(st.index[j]); err != nil {
 			return err
 		}
 	}

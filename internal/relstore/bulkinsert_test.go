@@ -57,9 +57,10 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, tab := range []*Table{bt, rt} {
+	for _, db := range []*DB{bulkDB, rowDB} {
+		tab := committed(t, db, "sp")
 		if err := tab.Check(); err != nil {
-			t.Fatalf("%s: %v", tab.Name(), err)
+			t.Fatal(err)
 		}
 		if got, err := tab.Len(); err != nil || got != n {
 			t.Fatalf("Len = %d, %v", got, err)
@@ -138,20 +139,20 @@ func TestBulkInsertRejectedBatchLeavesTableUntouched(t *testing.T) {
 	if err := tab.BulkInsert(rows); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("violation error = %v", err)
 	}
-	if n, err := tab.Len(); err != nil || n != 0 {
+	if n, err := committed(t, db, "sp").Len(); err != nil || n != 0 {
 		t.Fatalf("rejected batch left %d rows, %v", n, err)
 	}
-	if err := tab.Check(); err != nil {
+	if err := committed(t, db, "sp").Check(); err != nil {
 		t.Fatalf("table inconsistent after rejected batch: %v", err)
 	}
 	// A corrected batch still gets the (empty-table) bulk path and works.
 	if err := tab.BulkInsert(bulkRows(50)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Check(); err != nil {
+	if err := committed(t, db, "sp").Check(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tab.Len(); err != nil || n != 50 {
+	if n, err := committed(t, db, "sp").Len(); err != nil || n != 50 {
 		t.Fatalf("Len = %d, %v", n, err)
 	}
 }
@@ -176,17 +177,17 @@ func TestBulkInsertAfterDeleteAll(t *testing.T) {
 			t.Fatalf("Delete(%v) = %v, %v", row[0], ok, err)
 		}
 	}
-	if n, err := tab.Len(); err != nil || n != 0 {
+	if n, err := committed(t, db, "sp").Len(); err != nil || n != 0 {
 		t.Fatalf("Len after delete-all = %d, %v", n, err)
 	}
 	rows := bulkRows(500)
 	if err := tab.BulkInsert(rows); err != nil {
 		t.Fatalf("BulkInsert into lazily-emptied table: %v", err)
 	}
-	if err := tab.Check(); err != nil {
+	if err := committed(t, db, "sp").Check(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tab.Len(); err != nil || n != 500 {
+	if n, err := committed(t, db, "sp").Len(); err != nil || n != 500 {
 		t.Fatalf("Len = %d, %v", n, err)
 	}
 }
@@ -205,10 +206,10 @@ func TestBulkInsertFallbackOnNonEmptyTable(t *testing.T) {
 	if err := tab.BulkInsert(rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Check(); err != nil {
+	if err := committed(t, db, "sp").Check(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := tab.Len(); err != nil || got != 201 {
+	if got, err := committed(t, db, "sp").Len(); err != nil || got != 201 {
 		t.Fatalf("Len = %d, %v", got, err)
 	}
 	// A conflicting batch fails on the conflicting row.
@@ -244,7 +245,7 @@ func TestBulkInsertSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Check(); err != nil {
+	if err := committed(t, db, "sp").Check(); err != nil {
 		t.Fatal(err)
 	}
 	row, ok, err := tab.Get(Int(1234))

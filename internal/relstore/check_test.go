@@ -6,6 +6,21 @@ import (
 	"testing"
 )
 
+// publish commits what a test wrote to tab's trees behind its back — Check
+// reads committed state.
+func publish(t *testing.T, tab *Table) {
+	t.Helper()
+	tab.db.mu.Lock()
+	err := tab.db.noteRootsLocked(tab)
+	tab.db.mu.Unlock()
+	if err == nil {
+		err = tab.db.Commit()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckCleanDB(t *testing.T) {
 	db := OpenMemDB()
 	defer db.Close()
@@ -29,6 +44,9 @@ func TestCheckCleanDB(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Check(); err != nil {
 		t.Fatalf("Check on clean db: %v", err)
 	}
@@ -46,10 +64,11 @@ func TestCheckDetectsMissingIndexEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := tab.schema.Indexes[0]
-	if _, err := tab.indexes[ix.Name].Delete(tab.indexKey(ix, row)); err != nil {
+	ix := tab.view.schema.Indexes[0]
+	if _, err := tab.view.indexes[ix.Name].Delete(tab.view.indexKey(ix, row)); err != nil {
 		t.Fatal(err)
 	}
+	publish(t, tab)
 	err = db.Check()
 	if err == nil {
 		t.Fatal("Check missed a missing index entry")
@@ -67,9 +86,10 @@ func TestCheckDetectsDanglingIndexEntry(t *testing.T) {
 		tab.Insert(speciesRow(i, fmt.Sprintf("sp%03d", i), float64(i)))
 	}
 	// Corrupt: delete a row from the primary only.
-	if _, err := tab.primary.Delete(EncodeKey(Int(5))); err != nil {
+	if _, err := tab.view.primary.Delete(EncodeKey(Int(5))); err != nil {
 		t.Fatal(err)
 	}
+	publish(t, tab)
 	err := db.Check()
 	if err == nil {
 		t.Fatal("Check missed a dangling index entry")
@@ -85,9 +105,10 @@ func TestCheckDetectsCorruptRow(t *testing.T) {
 	tab, _ := db.CreateTable(speciesSchema())
 	tab.Insert(speciesRow(1, "sp", 0))
 	// Corrupt: overwrite the stored row bytes with garbage.
-	if err := tab.primary.Put(EncodeKey(Int(1)), []byte{0xFF, 0xEE}); err != nil {
+	if err := tab.view.primary.Put(EncodeKey(Int(1)), []byte{0xFF, 0xEE}); err != nil {
 		t.Fatal(err)
 	}
+	publish(t, tab)
 	if err := db.Check(); err == nil {
 		t.Fatal("Check missed a corrupt row")
 	}

@@ -40,7 +40,7 @@ func TestScanCtxCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	seen := 0
-	err := tab.ScanCtx(ctx, func(Row) (bool, error) { seen++; return true, nil })
+	err := tab.view.ScanCtx(ctx, func(Row) (bool, error) { seen++; return true, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -54,7 +54,7 @@ func TestScanCtxCancelsMidScan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	err := tab.ScanCtx(ctx, func(Row) (bool, error) {
+	err := tab.view.ScanCtx(ctx, func(Row) (bool, error) {
 		seen++
 		if seen == 10 {
 			cancel()
@@ -78,7 +78,7 @@ func TestIndexScanCtxCancels(t *testing.T) {
 	tab := ctxTestTable(t, 2000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := tab.IndexRangeCtx(ctx, "by_label", Value{}, Value{}, func(Row) (bool, error) {
+	err := tab.view.IndexRangeCtx(ctx, "by_label", Value{}, Value{}, func(Row) (bool, error) {
 		return true, nil
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -91,7 +91,7 @@ func TestRowsIteratorYieldsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen, sawErr := 0, false
-	for row, err := range tab.Rows(ctx) {
+	for row, err := range tab.view.Rows(ctx) {
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("iterator error = %v, want context.Canceled", err)
@@ -115,7 +115,7 @@ func TestRowsIteratorYieldsCancellation(t *testing.T) {
 func TestRowsIteratorBreakStopsScan(t *testing.T) {
 	tab := ctxTestTable(t, 1000)
 	seen := 0
-	for _, err := range tab.Rows(context.Background()) {
+	for _, err := range tab.view.Rows(context.Background()) {
 		if err != nil {
 			t.Fatal(err)
 		}

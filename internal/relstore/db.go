@@ -30,20 +30,14 @@ type catalogEntry struct {
 // in one page file, with a persistent catalog. All mutations become durable
 // at Commit (or Close).
 //
-// Concurrency: the database is multi-version. Live tables follow a
-// many-readers/one-writer discipline enforced by an internal RWMutex: read
-// operations (Get, Scan, ScanRange, IndexScan, IndexRange, Len, Check)
-// take the read lock, mutations (Insert, Put, Delete, BulkInsert,
-// CreateTable, DropTable) and Commit take the write lock. Live-table scan
-// callbacks run with the read lock held and must not invoke further DB or
-// Table methods (a waiting writer can deadlock a re-entrant read lock).
-//
-// For reads that must never wait on a writer — the server's query path,
-// long analytical scans during bulk loads — take a Snapshot instead: its
-// table views read copy-on-write pages pinned at the last committed epoch
-// and acquire no database lock at all.
+// Concurrency: the database is multi-version, and a read sees committed
+// state, whole or not at all. Every read goes through a Snapshot, whose table
+// views read copy-on-write pages pinned at the last committed epoch and take
+// no database lock: they never wait on a writer, and a writer never waits on
+// them. One mutex serializes the writer's side — each mutation of a Table,
+// CreateTable, DropTable and the capture of a Commit.
 type DB struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	store   *storage.Store
 	catalog *storage.BTree
 	tables  map[string]*Table
@@ -108,10 +102,10 @@ func (db *DB) sweepLeaked() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := t.primary.Pages(visit); err != nil {
+		if err := t.view.primary.Pages(visit); err != nil {
 			return 0, fmt.Errorf("walking %s: %w", name, err)
 		}
-		for ixName, tree := range t.indexes {
+		for ixName, tree := range t.view.indexes {
 			if err := tree.Pages(visit); err != nil {
 				return 0, fmt.Errorf("walking %s index %s: %w", name, ixName, err)
 			}
@@ -135,9 +129,9 @@ func NewOnReplicaStore(store *storage.Store) *DB {
 }
 
 // Reload reopens the catalog at the store's current root slot and drops
-// every cached table handle. On a follower the live handles go stale as
-// applied batches move roots (snapshot reads don't — they re-resolve per
-// snapshot); Reload is how a promote refreshes the live surface.
+// every cached writer's handle: on a follower applied batches move the roots
+// under them (snapshots re-resolve per snapshot and never notice). A promote
+// calls it before the first write.
 func (db *DB) Reload() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -217,7 +211,7 @@ func (db *DB) CreateTable(schema Schema) (*Table, error) {
 	}
 	keyCol, _ := schema.colIndex(schema.Key)
 	t := &Table{
-		TableView: TableView{
+		view: TableView{
 			schema:  schema,
 			keyCol:  keyCol,
 			primary: primary,
@@ -232,7 +226,7 @@ func (db *DB) CreateTable(schema Schema) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.indexes[ix.Name] = tree
+		t.view.indexes[ix.Name] = tree
 		t.indexRoots[ix.Name] = tree.Root()
 	}
 	if err := db.saveTable(t); err != nil {
@@ -269,7 +263,7 @@ func (db *DB) loadTable(name string) (*Table, error) {
 	}
 	keyCol, _ := ent.Schema.colIndex(ent.Schema.Key)
 	t := &Table{
-		TableView: TableView{
+		view: TableView{
 			schema:  ent.Schema,
 			keyCol:  keyCol,
 			primary: storage.OpenBTree(db.store, ent.PrimaryRoot),
@@ -280,7 +274,7 @@ func (db *DB) loadTable(name string) (*Table, error) {
 		indexRoots:  make(map[string]storage.PageID, len(ent.IndexRoots)),
 	}
 	for ixName, root := range ent.IndexRoots {
-		t.indexes[ixName] = storage.OpenBTree(db.store, root)
+		t.view.indexes[ixName] = storage.OpenBTree(db.store, root)
 		t.indexRoots[ixName] = root
 	}
 	db.tables[name] = t
@@ -289,8 +283,8 @@ func (db *DB) loadTable(name string) (*Table, error) {
 
 // Tables lists the names of all tables in catalog order.
 func (db *DB) Tables() ([]string, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.catalog == nil {
 		return nil, nil
 	}
@@ -329,10 +323,10 @@ func (db *DB) DropTable(name string) error {
 	}
 	delete(db.tables, name)
 	db.syncCatalogRoot()
-	if err := t.primary.RetireAll(); err != nil {
+	if err := t.view.primary.RetireAll(); err != nil {
 		return err
 	}
-	for _, tree := range t.indexes {
+	for _, tree := range t.view.indexes {
 		if err := tree.RetireAll(); err != nil {
 			return err
 		}
@@ -343,11 +337,11 @@ func (db *DB) DropTable(name string) error {
 // noteRootsLocked re-saves the table's catalog entry if any of its B+tree
 // roots moved. Under copy-on-write roots move on nearly every mutation.
 // Called by tables after each mutation; the caller holds the database
-// write lock.
+// mutex.
 func (db *DB) noteRootsLocked(t *Table) error {
-	moved := t.primary.Root() != t.primaryRoot
+	moved := t.view.primary.Root() != t.primaryRoot
 	if !moved {
-		for name, tree := range t.indexes {
+		for name, tree := range t.view.indexes {
 			if tree.Root() != t.indexRoots[name] {
 				moved = true
 				break
@@ -361,16 +355,16 @@ func (db *DB) noteRootsLocked(t *Table) error {
 }
 
 func (db *DB) saveTable(t *Table) error {
-	t.primaryRoot = t.primary.Root()
-	for name, tree := range t.indexes {
+	t.primaryRoot = t.view.primary.Root()
+	for name, tree := range t.view.indexes {
 		t.indexRoots[name] = tree.Root()
 	}
-	ent := catalogEntry{Schema: t.schema, PrimaryRoot: t.primaryRoot, IndexRoots: t.indexRoots}
+	ent := catalogEntry{Schema: t.view.schema, PrimaryRoot: t.primaryRoot, IndexRoots: t.indexRoots}
 	enc, err := json.Marshal(&ent)
 	if err != nil {
 		return err
 	}
-	if err := db.catalog.Put(catalogKey(t.schema.Name), enc); err != nil {
+	if err := db.catalog.Put(catalogKey(t.view.schema.Name), enc); err != nil {
 		return err
 	}
 	db.syncCatalogRoot()

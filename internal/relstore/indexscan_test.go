@@ -81,7 +81,7 @@ func TestIndexScanBatchedOrder(t *testing.T) {
 		}
 		return rows
 	}
-	live, snap := collect(tab.IndexRangeCtx), collect(view.IndexRangeCtx)
+	live, snap := collect(tab.view.IndexRangeCtx), collect(view.IndexRangeCtx)
 	if len(live) != 2800 || len(snap) != len(live) {
 		t.Fatalf("range delivered %d live and %d snapshot rows, want 2800 each", len(live), len(snap))
 	}
@@ -105,7 +105,7 @@ func TestIndexScanStopsWithinBatch(t *testing.T) {
 	_, tab := permutedTable(t)
 	ctx, totals := countedCtx()
 	seen := 0
-	err := tab.IndexRangeCtx(ctx, "by_label", Value{}, Value{}, func(Row) (bool, error) {
+	err := tab.view.IndexRangeCtx(ctx, "by_label", Value{}, Value{}, func(Row) (bool, error) {
 		seen++
 		return seen < 5, nil
 	})
@@ -129,7 +129,7 @@ func TestIndexScanSingleMatchTwoDescents(t *testing.T) {
 	_, tab := permutedTable(t)
 	ctx, totals := countedCtx()
 	var got Row
-	err := tab.IndexScanCtx(ctx, "by_label", []Value{Str("label-1234")}, func(row Row) (bool, error) {
+	err := tab.view.IndexScanCtx(ctx, "by_label", []Value{Str("label-1234")}, func(row Row) (bool, error) {
 		got = row
 		return false, nil
 	})
@@ -154,11 +154,11 @@ func TestIndexScanDanglingEntry(t *testing.T) {
 			victim = id
 		}
 	}
-	if ok, err := tab.primary.Delete(EncodeKey(Int(int64(victim)))); err != nil || !ok {
+	if ok, err := tab.view.primary.Delete(EncodeKey(Int(int64(victim)))); err != nil || !ok {
 		t.Fatalf("deleting the primary entry: %v, %v", ok, err)
 	}
 	seen := 0
-	err := tab.IndexRangeCtx(context.Background(), "by_label", Value{}, Value{}, func(Row) (bool, error) {
+	err := tab.view.IndexRangeCtx(context.Background(), "by_label", Value{}, Value{}, func(Row) (bool, error) {
 		seen++
 		return true, nil
 	})
@@ -177,7 +177,7 @@ func TestIndexScanCancelsMidScan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	err := tab.IndexRangeCtx(ctx, "by_label", Value{}, Value{}, func(Row) (bool, error) {
+	err := tab.view.IndexRangeCtx(ctx, "by_label", Value{}, Value{}, func(Row) (bool, error) {
 		seen++
 		if seen == 10 {
 			cancel()

@@ -125,7 +125,7 @@ func TestIndexGetBatch(t *testing.T) {
 	}
 	vals = append(vals, Str("label-9999"), Str("a")) // past the last entry, before the first
 	type lookup func(ctx context.Context, index string, vals []Value) ([]Row, []bool, error)
-	for name, get := range map[string]lookup{"live": tab.IndexGetBatchCtx, "snapshot": view.IndexGetBatchCtx} {
+	for name, get := range map[string]lookup{"live": tab.view.IndexGetBatchCtx, "snapshot": view.IndexGetBatchCtx} {
 		ctx, totals := countedCtx()
 		rows, found, err := get(ctx, "by_label", vals)
 		if err != nil {
@@ -146,10 +146,10 @@ func TestIndexGetBatch(t *testing.T) {
 		// to and their entries lie in, and the primary leaves of the rows.
 		leaves := map[string]bool{}
 		for i, val := range vals {
-			leaves["index "+leafOf(t, &tab.TableView, "by_label", EncodeKey(val))] = true
+			leaves["index "+leafOf(t, &tab.view, "by_label", EncodeKey(val))] = true
 			if i < len(ids) {
-				leaves["index "+leafOf(t, &tab.TableView, "by_label", EncodeKey(val, Int(int64(ids[i]))))] = true
-				leaves["primary "+leafOf(t, &tab.TableView, "", EncodeKey(Int(int64(ids[i]))))] = true
+				leaves["index "+leafOf(t, &tab.view, "by_label", EncodeKey(val, Int(int64(ids[i]))))] = true
+				leaves["primary "+leafOf(t, &tab.view, "", EncodeKey(Int(int64(ids[i]))))] = true
 			}
 		}
 		if d := totals("btree_descents"); d == 0 || d > int64(len(leaves)) {
@@ -175,10 +175,10 @@ func TestIndexGetBatch(t *testing.T) {
 	}
 
 	// An index entry whose row is gone is reported as what it is.
-	if _, err := tab.primary.Delete(EncodeKey(Int(777))); err != nil {
+	if _, err := tab.view.primary.Delete(EncodeKey(Int(777))); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = tab.IndexGetBatchCtx(context.Background(), "by_label", vals)
+	_, _, err = tab.view.IndexGetBatchCtx(context.Background(), "by_label", vals)
 	if err == nil || !strings.Contains(err.Error(), "points at missing row") {
 		t.Fatalf("dangling index entry: err = %v, want \"points at missing row\"", err)
 	}
@@ -228,16 +228,16 @@ func TestGetLeafVisitsTheLeafInPlace(t *testing.T) {
 		t.Fatal("the leaf holding key 1234 did not yield row 1234")
 	}
 	visit := func([]int64, func() (Row, error)) error { return nil }
-	if err := tab.GetLeafCtx(ctx, Str("x"), nil, visit); !errors.Is(err, ErrSchemaRow) {
+	if err := tab.view.GetLeafCtx(ctx, Str("x"), nil, visit); !errors.Is(err, ErrSchemaRow) {
 		t.Fatalf("mistyped key: err = %v, want ErrSchemaRow", err)
 	}
 	for _, cols := range [][]int{{1}, {0, 0}, {2}, {-1}} { // a string column, a repeat, out of range
-		if err := tab.GetLeafCtx(ctx, Int(5), cols, visit); !errors.Is(err, ErrSchemaRow) {
+		if err := tab.view.GetLeafCtx(ctx, Int(5), cols, visit); !errors.Is(err, ErrSchemaRow) {
 			t.Fatalf("columns %v: err = %v, want ErrSchemaRow", cols, err)
 		}
 	}
 	stop := errors.New("stop")
-	if err := tab.GetLeafCtx(ctx, Int(5), nil, func([]int64, func() (Row, error)) error { return stop }); !errors.Is(err, stop) {
+	if err := tab.view.GetLeafCtx(ctx, Int(5), nil, func([]int64, func() (Row, error)) error { return stop }); !errors.Is(err, stop) {
 		t.Fatalf("callback error: got %v, want it passed through", err)
 	}
 }

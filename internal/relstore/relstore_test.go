@@ -30,6 +30,22 @@ func speciesSchema() Schema {
 	}
 }
 
+// committed commits db and returns the named table as a snapshot taken
+// right after reads it; the snapshot closes with the test.
+func committed(t testing.TB, db *DB, name string) *TableView {
+	t.Helper()
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sn := db.Snapshot()
+	t.Cleanup(sn.Close)
+	v, err := sn.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func speciesRow(id int64, name string, depth float64) Row {
 	return Row{Int(id), Str(name), Float(depth), Blob([]byte("ACGT")), Bool(true)}
 }
@@ -184,7 +200,7 @@ func TestTableCRUD(t *testing.T) {
 	if row[1].Text() != "sp042" {
 		t.Fatalf("Get(42) name = %q", row[1].Text())
 	}
-	if n, _ := tab.Len(); n != 100 {
+	if n, _ := committed(t, db, "species").Len(); n != 100 {
 		t.Fatalf("Len = %d", n)
 	}
 	// Update via Put changes the indexed name.
@@ -284,7 +300,7 @@ func TestScanOrderAndRange(t *testing.T) {
 		t.Fatalf("Scan visited %d rows", len(ids))
 	}
 	ids = nil
-	tab.ScanRange(Int(10), Int(20), func(r Row) (bool, error) {
+	committed(t, db, "species").ScanRange(Int(10), Int(20), func(r Row) (bool, error) {
 		ids = append(ids, r[0].Int64())
 		return true, nil
 	})
@@ -309,7 +325,7 @@ func TestIndexRangeByFloat(t *testing.T) {
 		}
 	}
 	var depths []float64
-	err := tab.IndexRange("by_depth", Float(5.0), Float(10.0), func(r Row) (bool, error) {
+	err := committed(t, db, "species").IndexRange("by_depth", Float(5.0), Float(10.0), func(r Row) (bool, error) {
 		depths = append(depths, r[2].Float64())
 		return true, nil
 	})
@@ -357,20 +373,17 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "species" {
 		t.Fatalf("Tables = %v, %v", names, err)
 	}
-	tab, err = db.Table("species")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := tab.Len(); n != 300 {
+	view := committed(t, db, "species")
+	if n, _ := view.Len(); n != 300 {
 		t.Fatalf("Len after reopen = %d", n)
 	}
-	row, ok, err := tab.Get(Int(250))
+	row, ok, err := view.Get(Int(250))
 	if err != nil || !ok || row[1].Text() != "sp0250" {
 		t.Fatalf("Get(250) after reopen: %v %v %v", row, ok, err)
 	}
 	// Index must also have been persisted.
 	var got []int64
-	err = tab.IndexScan("by_name", []Value{Str("sp0123")}, func(r Row) (bool, error) {
+	err = view.IndexScan("by_name", []Value{Str("sp0123")}, func(r Row) (bool, error) {
 		got = append(got, r[0].Int64())
 		return true, nil
 	})
@@ -457,11 +470,12 @@ func TestTableMatchesMapModel(t *testing.T) {
 				delete(model, k)
 			}
 		}
-		if n, _ := tab.Len(); n != len(model) {
+		view := committed(t, db, "t")
+		if n, _ := view.Len(); n != len(model) {
 			return false
 		}
 		for k, want := range model {
-			row, ok, err := tab.Get(Int(k))
+			row, ok, err := view.Get(Int(k))
 			if err != nil || !ok || row[1].Text() != want {
 				return false
 			}
@@ -473,7 +487,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 		}
 		for v, want := range counts {
 			n := 0
-			tab.IndexScan("by_v", []Value{Str(v)}, func(Row) (bool, error) { n++; return true, nil })
+			view.IndexScan("by_v", []Value{Str(v)}, func(Row) (bool, error) { n++; return true, nil })
 			if n != want {
 				return false
 			}

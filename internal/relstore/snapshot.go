@@ -13,10 +13,10 @@ import (
 // it reads the catalog and B+tree roots as of that commit, and the pages
 // behind them are guaranteed not to be reclaimed until Close.
 //
-// A Snap acquires no database lock, so its reads proceed at full speed
-// while a writer bulk-loads, deletes or commits — the writers-block-readers
-// stall of the live read path does not exist here. The trade-off is
-// staleness: a snapshot never sees anything committed after it was taken.
+// A Snap is the one way to read the database. It acquires no database lock,
+// so its reads proceed at full speed while a writer bulk-loads, deletes or
+// commits, and it never sees anything committed after it was taken — nor
+// anything uncommitted, ever.
 //
 // A Snap is safe for concurrent use by multiple goroutines. Close releases
 // the epoch pin; forgetting to close a snapshot delays page reclamation
@@ -112,14 +112,14 @@ func (s *Snap) Tables() ([]string, error) {
 	return names, nil
 }
 
-// Check verifies every table of the snapshot (the same integrity pass as
-// DB.Check, against the pinned state, without blocking the writer).
+// Check verifies the catalog and every table of the snapshot (see DB.Check)
+// without blocking the writer.
 func (s *Snap) Check() error {
 	if s.catalog == nil {
 		return nil
 	}
 	if err := s.catalog.Check(); err != nil {
-		return fmt.Errorf("relstore: snapshot catalog tree: %w", err)
+		return fmt.Errorf("relstore: catalog tree: %w", err)
 	}
 	names, err := s.Tables()
 	if err != nil {

@@ -120,7 +120,7 @@ func TestSweepKeepsLiveData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := tab.Len()
+		n, err := tab.view.Len()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestCleanShutdownSkipsSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tab.Len(); err != nil || n != 30 {
+	if n, err := tab.view.Len(); err != nil || n != 30 {
 		t.Fatalf("tab has %d rows after flag round trip, want 30 (err=%v)", n, err)
 	}
 }

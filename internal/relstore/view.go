@@ -10,21 +10,14 @@ import (
 	"repro/internal/storage"
 )
 
-// TableView is the lock-free read surface of a table: the schema plus the
-// B+trees the reads run against. It comes in two flavors with one code
-// path:
-//
-//   - Embedded in a live *Table, where the trees are the writer's working
-//     trees and every read method is wrapped with the database read lock.
-//   - Handed out by Snap.Table, where the trees are opened at the roots a
-//     snapshot pinned. Those pages are immutable (copy-on-write writers
-//     never touch them, and epoch reclamation waits for the snapshot to
-//     close), so snapshot views take no locks at all: Get, Scan and the
-//     index scans run in parallel with bulk loads, deletes and commits.
-//
-// Unlike the live Table's scan methods, snapshot-view scan callbacks may
-// freely issue further reads on the same view — there is no lock to
-// re-enter.
+// TableView is the read surface of a table: the schema plus the B+trees the
+// reads run against. Snap.Table hands one out with the trees opened at the
+// roots its snapshot pinned. Those pages are immutable (copy-on-write writers
+// never touch them, and epoch reclamation waits for the snapshot to close),
+// so a view takes no lock at all: Get, Scan and the index scans run in
+// parallel with bulk loads, deletes and commits, and a scan callback may
+// issue further reads on the same view. (A Table keeps one over the writer's
+// working trees, for the reads it makes under the database mutex.)
 type TableView struct {
 	schema  Schema
 	keyCol  int

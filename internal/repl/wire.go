@@ -46,10 +46,16 @@ const (
 	KindPing    = "ping"
 )
 
-// maxFramePages bounds a single frame's payload (4 GiB of pages) against
-// corrupt or hostile headers. Real commit batches are far smaller;
-// snapshots ship in snapChunkPages-sized frames.
-const maxFramePages = 1 << 20
+// Bounds against corrupt or hostile frames. maxFramePages caps what a header
+// may claim (4 GiB of pages; real commit batches are far smaller, snapshots
+// ship in snapChunkPages-sized frames); the claim itself reserves nothing —
+// readFrame takes memory as page images arrive, firstSlabPages at first.
+// maxFrameHeader caps the JSON header line, and is the reader's buffer.
+const (
+	maxFramePages  = 1 << 20
+	maxFrameHeader = 64 << 10
+	firstSlabPages = 16
+)
 
 // Frame is one stream frame's JSON header. Which fields are meaningful
 // depends on Kind; N is the number of page entries in the binary payload
@@ -130,13 +136,18 @@ type frameReader struct {
 }
 
 func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(r, 64<<10)}
+	return &frameReader{br: bufio.NewReaderSize(r, maxFrameHeader)}
 }
 
-// readFrame reads the next frame header and its page payload. The
-// returned page images are private copies (one slab per frame).
+// readFrame reads the next frame header and its page payload. The returned
+// page images are private copies, cut from slabs that double in size as the
+// payload keeps coming: a frame costs at most twice the bytes it delivered,
+// whatever its header claimed.
 func (fr *frameReader) readFrame() (Frame, []storage.DirtyPage, error) {
-	line, err := fr.br.ReadBytes('\n')
+	line, err := fr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return Frame{}, nil, fmt.Errorf("repl: frame header longer than %d bytes", maxFrameHeader)
+	}
 	if err != nil {
 		return Frame{}, nil, err
 	}
@@ -150,18 +161,24 @@ func (fr *frameReader) readFrame() (Frame, []storage.DirtyPage, error) {
 	if f.N == 0 {
 		return f, nil, nil
 	}
-	pages := make([]storage.DirtyPage, f.N)
-	slab := make([]byte, f.N*storage.PageSize)
+	pages := make([]storage.DirtyPage, 0, min(f.N, firstSlabPages))
+	var slab []byte
+	slabPages := firstSlabPages
 	var idb [8]byte
 	for i := 0; i < f.N; i++ {
 		if _, err := io.ReadFull(fr.br, idb[:]); err != nil {
 			return Frame{}, nil, fmt.Errorf("repl: truncated frame payload: %w", err)
 		}
-		dst := slab[i*storage.PageSize : (i+1)*storage.PageSize : (i+1)*storage.PageSize]
+		if len(slab) == 0 {
+			slab = make([]byte, min(f.N-i, slabPages)*storage.PageSize)
+			slabPages *= 2
+		}
+		dst := slab[:storage.PageSize:storage.PageSize]
+		slab = slab[storage.PageSize:]
 		if _, err := io.ReadFull(fr.br, dst); err != nil {
 			return Frame{}, nil, fmt.Errorf("repl: truncated page image: %w", err)
 		}
-		pages[i] = storage.DirtyPage{ID: storage.PageID(binary.LittleEndian.Uint64(idb[:])), Data: dst}
+		pages = append(pages, storage.DirtyPage{ID: storage.PageID(binary.LittleEndian.Uint64(idb[:])), Data: dst})
 	}
 	return f, pages, nil
 }

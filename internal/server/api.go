@@ -136,7 +136,10 @@ type StatsSnapshot struct {
 	// AbortedReads counts read requests that ended because the client's
 	// context was cancelled — a disconnect or deadline — rather than
 	// completing. Each one released its snapshot pins on abort.
-	AbortedReads int64            `json:"aborted_reads"`
+	AbortedReads int64 `json:"aborted_reads"`
+	// Panics counts requests whose handler panicked; each was answered 500
+	// (or cut, if its body had begun) and its stack logged.
+	Panics       int64            `json:"panics"`
 	CacheHits    int64            `json:"cache_hits"`
 	CacheMisses  int64            `json:"cache_misses"`
 	CacheEntries int              `json:"cache_entries"`

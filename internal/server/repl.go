@@ -239,7 +239,7 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // promote completes a failover: stop the apply loops, flip the stores
-// writable, re-resolve every repository's live handles (creating tables
+// writable, re-resolve every repository's writer handles (creating tables
 // a young replica never saw), sweep pages the snapshot catch-up leaked
 // onto no free list, commit, and open the write path. Idempotent — a
 // second call returns 409. The writer mutexes are all held across the
@@ -275,7 +275,7 @@ func (s *Server) promote() error {
 }
 
 // finishPromote runs the post-flip promotion steps: re-resolve every
-// repository's live handles, sweep catch-up leaks, commit, and drop the
+// repository's writer handles, sweep catch-up leaks, commit, and drop the
 // read-only epoch-keyed caches. Idempotent, so a failed promote can be
 // retried end to end.
 func (s *Server) finishPromote() error {

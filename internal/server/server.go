@@ -47,6 +47,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -402,10 +403,45 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/history/{id}", s.read("history_get", s.handleHistoryGet))
 }
 
-// ServeHTTP makes the server usable as a plain http.Handler.
+// ServeHTTP makes the server usable as a plain http.Handler. It is also the
+// one place a handler panic is caught: the request is answered 500 with its
+// id (or, once its body has begun, cut), counted, and its stack logged. The
+// handler's own defers have run by then, so its read slot and snapshot pins
+// are back.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	sw := &startedWriter{ResponseWriter: w}
+	defer func() {
+		rec := recover()
+		if rec == nil {
+			return
+		}
+		if rec == http.ErrAbortHandler { // a stream cut on purpose
+			panic(rec)
+		}
+		s.stats.panics.Add(1)
+		rid := sw.Header().Get("X-Request-Id")
+		if rid == "" { // it panicked before, or outside, beginOp
+			rid = s.nextRequestID()
+			sw.Header().Set("X-Request-Id", rid)
+		}
+		if s.slogger != nil {
+			s.slogger.Error("handler panic", "req_id", rid, "path", r.URL.Path, "panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
+		} else {
+			s.logf("crimsond: panic serving %s req=%s: %v\n%s", r.URL.Path, rid, rec, debug.Stack())
+		}
+		if sw.started {
+			panic(http.ErrAbortHandler)
+		}
+		s.fail(sw, http.StatusInternalServerError, fmt.Errorf("internal error (request %s)", rid))
+	}()
+	// The limit reader gets w itself: on an oversized body it asks net/http's
+	// own writer to close the connection.
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	s.mux.ServeHTTP(w, r)
+	s.mux.ServeHTTP(sw, r)
+}
+
+func (s *Server) nextRequestID() string {
+	return "r" + strconv.FormatInt(s.reqSeq.Add(1), 10)
 }
 
 // Start listens on Config.Addr and serves in the background, returning
@@ -809,7 +845,7 @@ type opCtx struct {
 func (s *Server) beginOp(op string, w http.ResponseWriter, r *http.Request) (*http.Request, *opCtx) {
 	oc := &opCtx{op: op, start: time.Now()}
 	oc.debug = r.URL.Query().Get("debug") == "trace"
-	oc.rid = "r" + strconv.FormatInt(s.reqSeq.Add(1), 10)
+	oc.rid = s.nextRequestID()
 	w.Header().Set("X-Request-Id", oc.rid)
 	s.setEpochHeader(w)
 	if oc.debug || s.cfg.Trace || s.cfg.SlowQueryMS > 0 {
@@ -869,7 +905,7 @@ func injectTrace(v any, sum *obs.SpanSummary) any {
 	return m
 }
 
-// writeFunc is a mutation handler against the live repository. si is the
+// writeFunc is a mutation handler against the repository. si is the
 // shard its tree lives on. The handler runs with no lock held and prepares
 // all it can that way; the part that writes goes through cc.apply, which
 // holds the shard's writer mutex for just that, and captures its commits
@@ -910,20 +946,11 @@ func (s *Server) read(op string, fn readFunc) http.HandlerFunc {
 			s.fail(w, errStatus(err), err)
 			return
 		}
-		select {
-		case s.readSem <- struct{}{}:
-		case <-r.Context().Done():
-			s.endOp(oc, errors.New("server overloaded"))
-			s.fail(w, http.StatusServiceUnavailable, errors.New("server overloaded"))
+		sn := s.acquireRead(oc, w, r)
+		if sn == nil {
 			return
 		}
-		s.stats.inFlightReads.Add(1)
-		defer func() {
-			s.stats.inFlightReads.Add(-1)
-			<-s.readSem
-		}()
-		sn := s.openSnap()
-		defer sn.close()
+		defer s.releaseRead(sn)
 		v, err := fn(r, sn)
 		sum := s.endOp(oc, err)
 		if abortedByClient(r, err) {
@@ -936,6 +963,30 @@ func (s *Server) read(op string, fn readFunc) http.HandlerFunc {
 		}
 		s.finish(w, v, err)
 	}
+}
+
+// acquireRead takes a read slot (bounded in-flight) and opens the request's
+// snapshot view; releaseRead gives both back. A client that goes away while
+// queued for a slot is a client abort like any other — answered 499 and
+// counted in aborted_reads — and gets a nil view: the response is written.
+func (s *Server) acquireRead(oc *opCtx, w http.ResponseWriter, r *http.Request) *reqSnap {
+	select {
+	case s.readSem <- struct{}{}:
+	case <-r.Context().Done():
+		err := r.Context().Err()
+		s.endOp(oc, err)
+		s.countAborted(oc.op, err)
+		s.fail(w, statusClientClosedRequest, err)
+		return nil
+	}
+	s.stats.inFlightReads.Add(1)
+	return s.openSnap()
+}
+
+func (s *Server) releaseRead(sn *reqSnap) {
+	sn.close()
+	s.stats.inFlightReads.Add(-1)
+	<-s.readSem
 }
 
 func (s *Server) countAborted(op string, err error) {
@@ -988,20 +1039,11 @@ func (s *Server) readText(op string, fn func(r *http.Request, sn *reqSnap) (stri
 			s.fail(w, errStatus(err), err)
 			return
 		}
-		select {
-		case s.readSem <- struct{}{}:
-		case <-r.Context().Done():
-			s.endOp(oc, errors.New("server overloaded"))
-			s.fail(w, http.StatusServiceUnavailable, errors.New("server overloaded"))
+		sn := s.acquireRead(oc, w, r)
+		if sn == nil {
 			return
 		}
-		s.stats.inFlightReads.Add(1)
-		defer func() {
-			s.stats.inFlightReads.Add(-1)
-			<-s.readSem
-		}()
-		sn := s.openSnap()
-		defer sn.close()
+		defer s.releaseRead(sn)
 		body, contentType, err := fn(r, sn)
 		s.endOp(oc, err)
 		if abortedByClient(r, err) {
@@ -1018,9 +1060,10 @@ func (s *Server) readText(op string, fn func(r *http.Request, sn *reqSnap) (stri
 	}
 }
 
-// startedWriter tracks whether a streaming handler has begun writing its
-// body, which decides whether an error can still become a JSON error
-// response or must abort the connection.
+// startedWriter tracks whether a handler has begun writing its response,
+// which decides whether an error (or a panic) can still become a JSON error
+// response or must abort the connection. ServeHTTP wraps every request's
+// writer in one.
 type startedWriter struct {
 	http.ResponseWriter
 	started bool
@@ -1035,6 +1078,16 @@ func (sw *startedWriter) Write(p []byte) (int, error) {
 	sw.started = true
 	return sw.ResponseWriter.Write(p)
 }
+
+// Flush and Unwrap keep http.Flusher and http.ResponseController working
+// through the wrapper (the replication stream uses both).
+func (sw *startedWriter) Flush() {
+	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+func (sw *startedWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // readStream wraps a query handler that streams its own response body
 // (chunked export). The handler runs under the request context with a
@@ -1052,21 +1105,12 @@ func (s *Server) readStream(op string, fn func(r *http.Request, sn *reqSnap, w h
 			s.fail(w, errStatus(err), err)
 			return
 		}
-		select {
-		case s.readSem <- struct{}{}:
-		case <-r.Context().Done():
-			s.endOp(oc, errors.New("server overloaded"))
-			s.fail(w, http.StatusServiceUnavailable, errors.New("server overloaded"))
+		sn := s.acquireRead(oc, w, r)
+		if sn == nil {
 			return
 		}
-		s.stats.inFlightReads.Add(1)
-		defer func() {
-			s.stats.inFlightReads.Add(-1)
-			<-s.readSem
-		}()
-		sn := s.openSnap()
-		defer sn.close()
-		sw := &startedWriter{ResponseWriter: w}
+		defer s.releaseRead(sn)
+		sw := w.(*startedWriter) // ServeHTTP's
 		err := fn(r, sn, sw)
 		s.endOp(oc, err)
 		if err == nil {
@@ -1364,7 +1408,7 @@ func (s *Server) handleLoad(r *http.Request, si int, cc *commitCollector) (any, 
 
 	resp := LoadResponse{Tree: infoJSON(p.Info())}
 	err = cc.apply(func() error {
-		if _, err := p.Apply(); err != nil {
+		if err := p.Apply(); err != nil {
 			return err
 		}
 		if chars != nil {

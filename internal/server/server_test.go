@@ -110,7 +110,9 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// The in-process view of the same repository.
-	st, err := repo.Tree("gold")
+	snap := repo.Snapshot()
+	defer snap.Close()
+	st, err := snap.Tree("gold")
 	if err != nil {
 		t.Fatalf("opening stored tree in-process: %v", err)
 	}
@@ -330,7 +332,9 @@ func TestConcurrentClients(t *testing.T) {
 	if _, err := cl.LoadTreeCtx(context.Background(), "gold", 0, gold); err != nil {
 		t.Fatal(err)
 	}
-	st, err := repo.Tree("gold")
+	snap := repo.Snapshot()
+	defer snap.Close()
+	st, err := snap.Tree("gold")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,7 @@ type serverStats struct {
 	errors         atomic.Int64
 	inFlightReads  atomic.Int64
 	abortedReads   atomic.Int64
+	panics         atomic.Int64
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	historyDropped atomic.Int64
@@ -190,6 +191,7 @@ func (st *serverStats) snapshot(cacheEntries, openTrees int) StatsSnapshot {
 		Errors:         st.errors.Load(),
 		InFlightReads:  st.inFlightReads.Load(),
 		AbortedReads:   st.abortedReads.Load(),
+		Panics:         st.panics.Load(),
 		CacheHits:      st.cacheHits.Load(),
 		CacheMisses:    st.cacheMisses.Load(),
 		CacheEntries:   cacheEntries,
@@ -251,6 +253,7 @@ func writeStandardFamilies(b *strings.Builder, s StatsSnapshot) {
 	counter("crimsond_errors_total", "Requests that returned an error response.", s.Errors)
 	gauge("crimsond_inflight_reads", "Read requests currently executing.", s.InFlightReads)
 	counter("crimsond_aborted_reads_total", "Read requests aborted by client disconnect or deadline.", s.AbortedReads)
+	counter("crimsond_panics_total", "Requests whose handler panicked (answered 500, stack logged).", s.Panics)
 	counter("crimsond_cache_hits_total", "Result-cache hits.", s.CacheHits)
 	counter("crimsond_cache_misses_total", "Result-cache misses.", s.CacheMisses)
 	gauge("crimsond_cache_entries", "Entries currently in the result cache.", int64(s.CacheEntries))

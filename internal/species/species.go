@@ -77,10 +77,9 @@ func NewOnShards(dbs []*relstore.DB, router *shard.Router) (*Repo, error) {
 }
 
 // NewOnShardsReplica layers the repository over replica databases without
-// touching them: the live table handles stay unresolved (a replica can
-// neither create the table nor accept writes), while snapshot Views — the
-// only read path the follower server uses — resolve tables per snapshot
-// as usual. After a promote, Reload resolves the live handles.
+// touching them: a replica can neither create the table nor accept writes,
+// so the writer's handles stay unresolved until a promote calls Reload.
+// Views never notice — they resolve tables per snapshot.
 func NewOnShardsReplica(dbs []*relstore.DB, router *shard.Router) (*Repo, error) {
 	if router.N() != len(dbs) {
 		return nil, fmt.Errorf("species: router covers %d shards, got %d databases", router.N(), len(dbs))
@@ -88,8 +87,8 @@ func NewOnShardsReplica(dbs []*relstore.DB, router *shard.Router) (*Repo, error)
 	return &Repo{dbs: dbs, tabs: make([]*relstore.Table, len(dbs)), router: router}, nil
 }
 
-// Reload (re-)resolves the live table handle of every shard, creating the
-// table where missing. Called at construction and after a promote flips
+// Reload (re-)resolves the writer's table handle of every shard, creating
+// the table where missing. Called at construction and after a promote flips
 // the underlying stores writable.
 func (r *Repo) Reload() error {
 	for i, db := range r.dbs {
@@ -102,43 +101,15 @@ func (r *Repo) Reload() error {
 	return nil
 }
 
-// tabFor returns the shard table that owns records of the given tree.
-func (r *Repo) tabFor(tree string) *relstore.Table {
-	return r.tabs[r.router.Place(tree)]
-}
-
-// writeTabFor is tabFor for the write paths: on a replica the live handle
-// is unresolved, and a clear error beats a nil dereference.
-func (r *Repo) writeTabFor(tree string) (*relstore.Table, error) {
-	tab := r.tabFor(tree)
+// tabFor returns the writer's handle on the shard table that owns records of
+// the given tree. On a replica it is unresolved, and a clear error beats a
+// nil dereference.
+func (r *Repo) tabFor(tree string) (*relstore.Table, error) {
+	tab := r.tabs[r.router.Place(tree)]
 	if tab == nil {
 		return nil, fmt.Errorf("species: repository is a read-only replica (promote before writing)")
 	}
 	return tab, nil
-}
-
-// readerFor returns a read surface for the shard owning tree plus a
-// release func. On a primary it is the live table (release is a no-op);
-// on a replica — where live handles stay unresolved because applied
-// batches move roots under them — it resolves the table through a fresh
-// snapshot pinned at the last applied epoch. A nil reader with nil error
-// means the table does not exist yet (no species data ever committed).
-func (r *Repo) readerFor(tree string) (reader, func(), error) {
-	idx := r.router.Place(tree)
-	if tab := r.tabs[idx]; tab != nil {
-		return tab, func() {}, nil
-	}
-	sn := r.dbs[idx].Snapshot()
-	tab, err := sn.Table(tableName)
-	if errors.Is(err, relstore.ErrNoTable) {
-		sn.Close()
-		return nil, func() {}, nil
-	}
-	if err != nil {
-		sn.Close()
-		return nil, nil, err
-	}
-	return tab, sn.Close, nil
 }
 
 func key(tree, sp, kind string) string { return tree + "/" + sp + "/" + kind }
@@ -161,7 +132,7 @@ func (r *Repo) Put(tree, sp, kind string, data []byte) error {
 			return err
 		}
 	}
-	tab, err := r.writeTabFor(tree)
+	tab, err := r.tabFor(tree)
 	if err != nil {
 		return err
 	}
@@ -174,14 +145,7 @@ func (r *Repo) Put(tree, sp, kind string, data []byte) error {
 	})
 }
 
-// reader is the read surface Get and List need; both the live table
-// (lock-per-operation) and a snapshot view (lock-free) satisfy it.
-type reader interface {
-	Get(key relstore.Value) (relstore.Row, bool, error)
-	IndexScan(index string, vals []relstore.Value, fn func(relstore.Row) (bool, error)) error
-}
-
-func getRecord(tab reader, tree, sp, kind string) ([]byte, error) {
+func getRecord(tab *relstore.TableView, tree, sp, kind string) ([]byte, error) {
 	row, ok, err := tab.Get(relstore.Str(key(tree, sp, kind)))
 	if err != nil {
 		return nil, err
@@ -192,7 +156,7 @@ func getRecord(tab reader, tree, sp, kind string) ([]byte, error) {
 	return row[4].Bytes(), nil
 }
 
-func listRecords(tab reader, tree, sp string) ([]Record, error) {
+func listRecords(tab *relstore.TableView, tree, sp string) ([]Record, error) {
 	var out []Record
 	err := tab.IndexScan("by_species", []relstore.Value{relstore.Str(tree), relstore.Str(sp)},
 		func(row relstore.Row) (bool, error) {
@@ -207,20 +171,6 @@ func listRecords(tab reader, tree, sp string) ([]Record, error) {
 	return out, err
 }
 
-// Get fetches one record. On a replica repository the read runs against a
-// fresh snapshot of the owning shard (the live handle is unresolved).
-func (r *Repo) Get(tree, sp, kind string) ([]byte, error) {
-	tab, release, err := r.readerFor(tree)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if tab == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoData, key(tree, sp, kind))
-	}
-	return getRecord(tab, tree, sp, kind)
-}
-
 // Record is one stored species-data item.
 type Record struct {
 	Tree    string
@@ -229,25 +179,12 @@ type Record struct {
 	Data    []byte
 }
 
-// List returns all records for one species of one tree. Like Get it
-// falls back to a snapshot read on a replica repository.
-func (r *Repo) List(tree, sp string) ([]Record, error) {
-	tab, release, err := r.readerFor(tree)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if tab == nil {
-		return nil, nil
-	}
-	return listRecords(tab, tree, sp)
-}
-
-// View is a read-only snapshot view of the species repository: Get and
-// List run lock-free against the epoch the snapshot pinned, so they never
-// wait behind a bulk load or delete. Records are routed to the snapshot of
-// the shard that owns their tree. Tables are resolved lazily — a snapshot
-// taken before the repository's first commit simply has no data.
+// View is the read side of the species repository, as of a snapshot: Get and
+// List run lock-free against the epoch the snapshot pinned, so they see
+// committed records only and never wait behind a bulk load or delete.
+// Records are routed to the snapshot of the shard that owns their tree.
+// Tables are resolved lazily — a snapshot taken before the repository's
+// first commit simply has no data.
 type View struct {
 	sns    []*relstore.Snap
 	router *shard.Router
@@ -264,7 +201,7 @@ func ViewOnShards(sns []*relstore.Snap, router *shard.Router) *View {
 	return &View{sns: sns, router: router}
 }
 
-func (v *View) readerFor(tree string) (reader, error) {
+func (v *View) tableFor(tree string) (*relstore.TableView, error) {
 	tab, err := v.sns[v.router.Place(tree)].Table(tableName)
 	if errors.Is(err, relstore.ErrNoTable) {
 		return nil, nil
@@ -277,7 +214,7 @@ func (v *View) readerFor(tree string) (reader, error) {
 
 // Get fetches one record as of the snapshot.
 func (v *View) Get(tree, sp, kind string) ([]byte, error) {
-	tab, err := v.readerFor(tree)
+	tab, err := v.tableFor(tree)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +226,7 @@ func (v *View) Get(tree, sp, kind string) ([]byte, error) {
 
 // List returns all records for one species of one tree as of the snapshot.
 func (v *View) List(tree, sp string) ([]Record, error) {
-	tab, err := v.readerFor(tree)
+	tab, err := v.tableFor(tree)
 	if err != nil || tab == nil {
 		return nil, err
 	}
@@ -298,7 +235,7 @@ func (v *View) List(tree, sp string) ([]Record, error) {
 
 // Delete removes one record, reporting whether it existed.
 func (r *Repo) Delete(tree, sp, kind string) (bool, error) {
-	tab, err := r.writeTabFor(tree)
+	tab, err := r.tabFor(tree)
 	if err != nil {
 		return false, err
 	}
@@ -307,7 +244,7 @@ func (r *Repo) Delete(tree, sp, kind string) (bool, error) {
 
 // DeleteTree removes all species data of one tree.
 func (r *Repo) DeleteTree(tree string) (int, error) {
-	tab, err := r.writeTabFor(tree)
+	tab, err := r.tabFor(tree)
 	if err != nil {
 		return 0, err
 	}
@@ -337,19 +274,4 @@ func (r *Repo) PutAlignment(tree, kind string, aln *seqsim.Alignment) (int, erro
 		}
 	}
 	return len(aln.Names), nil
-}
-
-// Alignment reassembles an alignment for the given species names from
-// records of the given kind.
-func (r *Repo) Alignment(tree, kind string, names []string) (*seqsim.Alignment, error) {
-	aln := &seqsim.Alignment{Seqs: make(map[string][]byte, len(names))}
-	for _, name := range names {
-		data, err := r.Get(tree, name, kind)
-		if err != nil {
-			return nil, err
-		}
-		aln.Names = append(aln.Names, name)
-		aln.Seqs[name] = data
-	}
-	return aln, nil
 }

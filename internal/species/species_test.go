@@ -20,12 +20,27 @@ func newRepo(t *testing.T) *Repo {
 	return r
 }
 
+// committed commits every shard and returns the repository as a snapshot
+// taken right after reads it; the snapshot closes with the test.
+func committed(t testing.TB, r *Repo) *View {
+	t.Helper()
+	sns := make([]*relstore.Snap, len(r.dbs))
+	for i, db := range r.dbs {
+		if err := db.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		sns[i] = db.Snapshot()
+		t.Cleanup(sns[i].Close)
+	}
+	return ViewOnShards(sns, r.router)
+}
+
 func TestPutGetDelete(t *testing.T) {
 	r := newRepo(t)
 	if err := r.Put("gold", "Bha", "seq:ssu", []byte("ACGTACGT")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Get("gold", "Bha", "seq:ssu")
+	got, err := committed(t, r).Get("gold", "Bha", "seq:ssu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +51,7 @@ func TestPutGetDelete(t *testing.T) {
 	if err := r.Put("gold", "Bha", "seq:ssu", []byte("TTTT")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = r.Get("gold", "Bha", "seq:ssu")
+	got, _ = committed(t, r).Get("gold", "Bha", "seq:ssu")
 	if string(got) != "TTTT" {
 		t.Fatalf("after replace: %q", got)
 	}
@@ -44,7 +59,7 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Delete = %v, %v", ok, err)
 	}
-	if _, err := r.Get("gold", "Bha", "seq:ssu"); !errors.Is(err, ErrNoData) {
+	if _, err := committed(t, r).Get("gold", "Bha", "seq:ssu"); !errors.Is(err, ErrNoData) {
 		t.Fatalf("Get after delete = %v", err)
 	}
 	if ok, _ := r.Delete("gold", "Bha", "seq:ssu"); ok {
@@ -69,7 +84,7 @@ func TestListBySpecies(t *testing.T) {
 	r.Put("gold", "Lla", "seq:ssu", []byte("CCCC"))
 	r.Put("other", "Bha", "seq:ssu", []byte("GGGG"))
 
-	recs, err := r.List("gold", "Bha")
+	recs, err := committed(t, r).List("gold", "Bha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +102,7 @@ func TestListBySpecies(t *testing.T) {
 		t.Fatalf("kinds = %v", kinds)
 	}
 	// A species with no data lists empty.
-	recs, err = r.List("gold", "Missing")
+	recs, err = committed(t, r).List("gold", "Missing")
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("List missing = %v, %v", recs, err)
 	}
@@ -102,10 +117,10 @@ func TestDeleteTree(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("DeleteTree = %d, %v", n, err)
 	}
-	if _, err := r.Get("gold", "Bha", "seq:a"); err == nil {
+	if _, err := committed(t, r).Get("gold", "Bha", "seq:a"); err == nil {
 		t.Fatal("gold data survived")
 	}
-	if _, err := r.Get("keep", "Bha", "seq:a"); err != nil {
+	if _, err := committed(t, r).Get("keep", "Bha", "seq:a"); err != nil {
 		t.Fatalf("keep data lost: %v", err)
 	}
 }
@@ -124,15 +139,43 @@ func TestAlignmentRoundTrip(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("PutAlignment = %d, %v", n, err)
 	}
-	got, err := r.Alignment("gold", "seq:sim", []string{"Lla", "Syn"})
-	if err != nil {
+	v := committed(t, r)
+	for _, name := range aln.Names {
+		if got, err := v.Get("gold", name, "seq:sim"); err != nil || !bytes.Equal(got, aln.Seqs[name]) {
+			t.Fatalf("%s = %q, %v", name, got, err)
+		}
+	}
+	if _, err := v.Get("gold", "Ghost", "seq:sim"); !errors.Is(err, ErrNoData) {
+		t.Fatalf("missing species: err = %v", err)
+	}
+}
+
+// TestViewSeesCommittedRecordsOnly: a put is invisible to a snapshot taken
+// before its commit, whenever that snapshot is read, and visible to one taken
+// after.
+func TestViewSeesCommittedRecordsOnly(t *testing.T) {
+	r := newRepo(t)
+	if err := r.Put("gold", "Bha", "seq:ssu", []byte("ACGT")); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Names) != 2 || !bytes.Equal(got.Seqs["Lla"], []byte("AGGT")) {
-		t.Fatalf("alignment = %+v", got)
+	sn := r.dbs[0].Snapshot()
+	defer sn.Close()
+	before := ViewOn(sn)
+	if _, err := before.Get("gold", "Bha", "seq:ssu"); !errors.Is(err, ErrNoData) {
+		t.Fatalf("uncommitted put visible: err = %v", err)
 	}
-	if _, err := r.Alignment("gold", "seq:sim", []string{"Ghost"}); err == nil {
-		t.Fatal("missing species accepted")
+	after := committed(t, r)
+	if got, err := after.Get("gold", "Bha", "seq:ssu"); err != nil || string(got) != "ACGT" {
+		t.Fatalf("after commit: %q, %v", got, err)
+	}
+	if recs, err := after.List("gold", "Bha"); err != nil || len(recs) != 1 {
+		t.Fatalf("after commit: List = %v, %v", recs, err)
+	}
+	if _, err := before.Get("gold", "Bha", "seq:ssu"); !errors.Is(err, ErrNoData) {
+		t.Fatalf("old snapshot moved: err = %v", err)
+	}
+	if recs, err := before.List("gold", "Bha"); err != nil || len(recs) != 0 {
+		t.Fatalf("old snapshot moved: List = %v, %v", recs, err)
 	}
 }
 
@@ -147,7 +190,7 @@ func TestLargeSequencesPersist(t *testing.T) {
 	if err := r.Put("gold", "Bha", "seq:genome", big); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Get("gold", "Bha", "seq:genome")
+	got, err := committed(t, r).Get("gold", "Bha", "seq:genome")
 	if err != nil {
 		t.Fatal(err)
 	}

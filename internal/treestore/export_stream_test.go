@@ -41,10 +41,7 @@ func TestExportNewickStreamMatchesString(t *testing.T) {
 	s := OpenMem()
 	defer s.Close()
 	for name, orig := range cases {
-		st, err := s.Load(name, orig, 3, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		st := loadOpen(t, s, name, orig, 3)
 		full, err := st.ExportCtx(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -61,10 +58,7 @@ func TestExportNewickStreamSingleLeaf(t *testing.T) {
 	defer s.Close()
 	one := phylo.New(&phylo.Node{Name: "only"})
 	one.Reindex()
-	st, err := s.Load("one", one, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := loadOpen(t, s, "one", one, 2)
 	if got := streamedNewick(t, st); got != "only;" {
 		t.Fatalf("single-leaf stream = %q, want %q", got, "only;")
 	}
@@ -78,10 +72,7 @@ func TestExportNewickStreamCancel(t *testing.T) {
 	}
 	s := OpenMem()
 	defer s.Close()
-	st, err := s.Load("big", big, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := loadOpen(t, s, "big", big, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := st.ExportNewickTo(ctx, io.Discard); !errors.Is(err, context.Canceled) {
@@ -107,10 +98,7 @@ func benchExportTree(b *testing.B, leaves int) *Tree {
 	}
 	s := OpenMem()
 	b.Cleanup(func() { s.Close() })
-	st, err := s.Load("gold", gold, 16, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	st := loadOpen(b, s, "gold", gold, 16)
 	return st
 }
 

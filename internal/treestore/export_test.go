@@ -13,10 +13,7 @@ func TestExportRoundTrip(t *testing.T) {
 	s := OpenMem()
 	defer s.Close()
 	orig := phylo.PaperFigure1()
-	st, err := s.Load("fig1", orig, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := loadOpen(t, s, "fig1", orig, 2)
 	got, err := st.ExportCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -34,10 +31,7 @@ func TestExportLargeTree(t *testing.T) {
 	}
 	s := OpenMem()
 	defer s.Close()
-	st, err := s.Load("big", orig, 16, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := loadOpen(t, s, "big", orig, 16)
 	got, err := st.ExportCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package treestore
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 
 	"repro/internal/relstore"
@@ -14,7 +13,7 @@ import (
 // the shard holds more beyond what it returned. Seeking straight to the
 // resume point means a paginated listing never re-reads the rows earlier
 // pages already returned.
-func treesAfter(ctx context.Context, trees table, after string, limit int) ([]TreeInfo, bool, error) {
+func treesAfter(ctx context.Context, trees *relstore.TableView, after string, limit int) ([]TreeInfo, bool, error) {
 	lo := relstore.Value{}
 	if after != "" {
 		lo = relstore.Str(after)
@@ -39,18 +38,25 @@ func treesAfter(ctx context.Context, trees table, after string, limit int) ([]Tr
 	return out, more, nil
 }
 
-// treesPageOver is the shared shard-merge pager behind Store.TreesPage and
-// Snap.TreesPage: collect each shard's first limit entries past the
-// cursor, sort the union, cut at limit. The global page takes at most
-// limit entries from any one shard, so the union's first limit entries are
-// exactly the global continuation; a nil table (a snapshot that predates
-// the shard's catalog) contributes nothing.
-func treesPageOver(ctx context.Context, tabs []table, after string, limit int) ([]TreeInfo, string, error) {
+// TreesPage lists up to limit trees whose name sorts strictly after the
+// cursor name, merged across shards in name order (limit <= 0 means all).
+// It returns the page and, when more trees remain, the name to pass as the
+// next call's after — the shard-merge resume position. Each shard is read
+// from its resume point forward, so iterating a large repository page by
+// page does work proportional to the pages read, not to the full catalog
+// each time. The page is each shard's first limit entries past the cursor,
+// sorted and cut at limit: it takes at most limit entries from any one
+// shard, so the union's first limit entries are the global continuation.
+func (sn *Snap) TreesPage(ctx context.Context, after string, limit int) ([]TreeInfo, string, error) {
 	var all []TreeInfo
 	more := false
-	for _, trees := range tabs {
-		if trees == nil {
-			continue
+	for _, rs := range sn.sns {
+		trees, err := rs.Table("trees")
+		if err != nil {
+			if errors.Is(err, relstore.ErrNoTable) {
+				continue // snapshot predates this shard's catalog
+			}
+			return nil, "", err
 		}
 		page, shardMore, err := treesAfter(ctx, trees, after, limit)
 		if err != nil {
@@ -73,53 +79,9 @@ func treesPageOver(ctx context.Context, tabs []table, after string, limit int) (
 	return all, next, nil
 }
 
-// TreesPage lists up to limit trees whose name sorts strictly after the
-// cursor name, merged across shards in name order (limit <= 0 means all).
-// It returns the page and, when more trees remain, the name to pass as the
-// next call's after — the shard-merge resume position. Each shard is read
-// from its resume point forward, so iterating a large repository page by
-// page does work proportional to the pages read, not to the full catalog
-// each time.
-func (sn *Snap) TreesPage(ctx context.Context, after string, limit int) ([]TreeInfo, string, error) {
-	tabs := make([]table, len(sn.sns))
-	for i, rs := range sn.sns {
-		trees, err := rs.Table("trees")
-		if err != nil {
-			if errors.Is(err, relstore.ErrNoTable) {
-				continue // snapshot predates this shard's catalog
-			}
-			return nil, "", err
-		}
-		tabs[i] = trees
-	}
-	return treesPageOver(ctx, tabs, after, limit)
-}
-
 // TreesCtx lists the trees stored as of the snapshot under ctx, merged
 // across shards in name order.
 func (sn *Snap) TreesCtx(ctx context.Context) ([]TreeInfo, error) {
 	out, _, err := sn.TreesPage(ctx, "", 0)
-	return out, err
-}
-
-// TreesPage lists up to limit trees after the cursor name against the live
-// tables; see Snap.TreesPage. For a paginated walk that must be consistent
-// across pages, take a snapshot and page over that instead.
-func (s *Store) TreesPage(ctx context.Context, after string, limit int) ([]TreeInfo, string, error) {
-	tabs := make([]table, len(s.dbs))
-	for i, db := range s.dbs {
-		trees, err := db.Table("trees")
-		if err != nil {
-			return nil, "", fmt.Errorf("treestore: shard %d catalog: %w", i, err)
-		}
-		tabs[i] = trees
-	}
-	return treesPageOver(ctx, tabs, after, limit)
-}
-
-// TreesCtx lists all stored trees under ctx, fanning out over every shard
-// and merging the per-shard catalogs in name order.
-func (s *Store) TreesCtx(ctx context.Context) ([]TreeInfo, error) {
-	out, _, err := s.TreesPage(ctx, "", 0)
 	return out, err
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // bigYule is the 10k-leaf tree of TestProjectCacheCutsDecodesAndDescents
-// with the same seeded 50-leaf sample, committed, behind a live handle and
-// a snapshot handle.
-func bigYule(t *testing.T) (live, snap *Tree, sel []Node) {
+// with the same seeded 50-leaf sample, on a snapshot.
+func bigYule(t *testing.T) (snap *Tree, sel []Node) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("10k-leaf tree load")
@@ -25,19 +24,15 @@ func bigYule(t *testing.T) (live, snap *Tree, sel []Node) {
 	}
 	s := OpenMem()
 	t.Cleanup(func() { s.Close() })
-	if live, err = s.Load("big", gold, 4, nil); err != nil {
+	if _, err = s.Load("big", gold, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.dbs[0].Store().SetReadCacheBytes(64 << 20)
-	sn := s.Snapshot()
-	t.Cleanup(sn.Close)
-	if snap, err = sn.Tree("big"); err != nil {
+	snap = openTreeOf(t, s, "big")
+	if sel, err = snap.SampleUniformCtx(context.Background(), 50, rand.New(rand.NewSource(12))); err != nil {
 		t.Fatal(err)
 	}
-	if sel, err = live.SampleUniformCtx(context.Background(), 50, rand.New(rand.NewSource(12))); err != nil {
-		t.Fatal(err)
-	}
-	return live, snap, sel
+	return snap, sel
 }
 
 // countdownCtx is a context that reports cancellation from its n-th Err
@@ -55,11 +50,10 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestNodesByName checks the batched name lookup against NodeCtx: argument
-// order under a permuted input with repeats, live handle and snapshot handle
-// alike; unknown names; cancellation between two stretches of the sweep; and
+// order under a permuted input with repeats; unknown names; cancellation between two stretches of the sweep; and
 // its cost next to one lookup per name.
 func TestNodesByName(t *testing.T) {
-	live, snap, sel := bigYule(t)
+	snap, sel := bigYule(t)
 	ctx := context.Background()
 	names := make([]string, 0, len(sel)+3)
 	want := make([]Node, 0, len(sel)+3)
@@ -71,21 +65,19 @@ func TestNodesByName(t *testing.T) {
 		names = append(names, names[i])
 		want = append(want, want[i])
 	}
-	for name, tr := range map[string]*Tree{"live": live, "snapshot": snap} {
-		got, err := tr.NodesByNameCtx(ctx, names)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	got, err := snap.NodesByNameCtx(ctx, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rows for %d names", len(got), len(names))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("names[%d]=%q resolved to %+v, want %+v", i, names[i], got[i], want[i])
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d rows for %d names", name, len(got), len(names))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: names[%d]=%q resolved to %+v, want %+v", name, i, names[i], got[i], want[i])
-			}
-			if byID, err := tr.NodeCtx(ctx, got[i].ID); err != nil || byID != got[i] {
-				t.Fatalf("%s: row read in place %+v differs from NodeCtx's %+v (%v)", name, got[i], byID, err)
-			}
+		if byID, err := snap.NodeCtx(ctx, got[i].ID); err != nil || byID != got[i] {
+			t.Fatalf("row read in place %+v differs from NodeCtx's %+v (%v)", got[i], byID, err)
 		}
 	}
 
@@ -144,7 +136,7 @@ func TestNodesByName(t *testing.T) {
 // of that, the deterministic count now 211. The answer is the projection by
 // id.
 func TestProjectNamesSkipsTheRefetch(t *testing.T) {
-	_, snap, sel := bigYule(t)
+	snap, sel := bigYule(t)
 	names := make([]string, len(sel))
 	ids := make([]int, len(sel))
 	for i, n := range sel {
@@ -177,7 +169,7 @@ func TestProjectNamesSkipsTheRefetch(t *testing.T) {
 // where copying every key and value of every node touched took 3 334 and
 // 39 477.
 func TestStoredQueryAllocations(t *testing.T) {
-	_, snap, sel := bigYule(t)
+	snap, sel := bigYule(t)
 	ids := make([]int, len(sel))
 	for i, n := range sel {
 		ids[i] = n.ID

@@ -43,16 +43,16 @@ func loadDump(t *testing.T, tr *phylo.Tree, workers int) (string, []Node) {
 	t.Helper()
 	s := OpenMem()
 	defer s.Close()
-	st, err := s.LoadOpts("t", tr, 3, LoadOptions{Workers: workers}, nil)
-	if err != nil {
+	if _, err := s.LoadOpts("t", tr, 3, LoadOptions{Workers: workers}, nil); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
+	st := openTreeOf(t, s, "t")
 	var sb strings.Builder
 	if err := st.ExportNewickTo(context.Background(), &sb); err != nil {
 		t.Fatalf("workers=%d: export: %v", workers, err)
 	}
 	var rows []Node
-	err = st.nodes.ScanCtx(context.Background(), func(row relstore.Row) (bool, error) {
+	err := st.nodes.ScanCtx(context.Background(), func(row relstore.Row) (bool, error) {
 		rows = append(rows, decodeNode(row))
 		return true, nil
 	})
@@ -121,12 +121,12 @@ func TestLoadPageFilesIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ref := OpenMem()
 			defer ref.Close()
-			st, err := ref.LoadOpts("t", tr, 3, LoadOptions{Workers: 1}, nil)
-			if err != nil {
+			if _, err := ref.LoadOpts("t", tr, 3, LoadOptions{Workers: 1}, nil); err != nil {
 				t.Fatal(err)
 			}
+			st := openTreeOf(t, ref, "t")
 			schemas := []relstore.Schema{nodesSchema("t")}
-			tables := []table{st.nodes}
+			tables := []*relstore.TableView{st.nodes}
 			for k, sub := range st.subs {
 				schemas, tables = append(schemas, subsSchema("t", k)), append(tables, sub)
 				if k > 0 {
@@ -318,7 +318,9 @@ func TestLoadOptsConcurrentDistinctShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	infos, err := s.Trees()
+	sn := s.Snapshot()
+	defer sn.Close()
+	infos, err := sn.Trees()
 	if err != nil {
 		t.Fatal(err)
 	}

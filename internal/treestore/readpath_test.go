@@ -53,10 +53,7 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := s.Tree("big")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTreeOf(t, s, "big")
 	sel, err := st.SampleUniformCtx(context.Background(), 50, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatal(err)
@@ -150,10 +147,7 @@ func queriesByteIdentical(t *testing.T, gold *phylo.Tree, f int, digest string) 
 	if _, err := s.Load("t", gold, f, nil); err != nil {
 		t.Fatal(err)
 	}
-	base, err := s.Tree("t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := openTreeOf(t, s, "t")
 	ctx := context.Background()
 	sel, err := base.SampleUniformCtx(ctx, 40, rand.New(rand.NewSource(22)))
 	if err != nil {
@@ -226,10 +220,7 @@ func queriesByteIdentical(t *testing.T, gold *phylo.Tree, f int, digest string) 
 	for _, bytes := range []int64{64 << 10, 256 << 10, 64 << 20} {
 		t.Run(fmt.Sprintf("cache=%d", bytes), func(t *testing.T) {
 			s.dbs[0].Store().SetReadCacheBytes(bytes)
-			tr, err := s.Tree("t")
-			if err != nil {
-				t.Fatal(err)
-			}
+			tr := openTreeOf(t, s, "t")
 			for pass := 0; pass < 2; pass++ { // cold, then warm
 				got, err := run(tr)
 				if err != nil {
@@ -267,10 +258,7 @@ func TestChildrenCtxOrdinalOrder(t *testing.T) {
 	}
 	s := OpenMem()
 	defer s.Close()
-	st, err := s.Load("t", gold, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := loadOpen(t, s, "t", gold, 3)
 	ctx := context.Background()
 	total := 0
 	for id := 0; id < gold.NumNodes(); id++ {
@@ -298,10 +286,7 @@ func loadTree(t *testing.T, gold *phylo.Tree, f int) *Tree {
 	t.Helper()
 	s := OpenMem()
 	t.Cleanup(func() { s.Close() })
-	st, err := s.Load("t", gold, f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := loadOpen(t, s, "t", gold, f)
 	return st
 }
 

@@ -46,27 +46,21 @@ var (
 
 // Store is the Tree Repository over a relational database.
 //
-// Concurrency: query methods on stored trees (Node, NodeByNameCtx,
-// ChildrenCtx, LCACtx, FrontierCtx, LeavesUnderCtx, ProjectCtx,
-// Sample*Ctx) run on the database's read-lock path and may be called from
-// many goroutines at once, including while one writer goroutine is loading
-// or deleting another tree — the writer simply serializes against each
-// individual read operation.
-//
-// For queries that must never wait on a writer at all — long analytical
-// reads overlapping bulk loads and deletes — take a Snapshot: tree handles
-// opened from it are bound to the last committed epoch and read lock-free
-// against copy-on-write pages, seeing the whole tree exactly as committed
-// even while it is concurrently deleted.
+// Concurrency: a Store writes — PrepareLoad, Apply, Drop, Commit — and hands
+// out snapshots; a read sees committed state, whole or not at all. Tree
+// handles come from a Snapshot only: bound to the last committed epoch, they
+// read copy-on-write pages lock-free, from many goroutines at once, and see
+// the whole tree exactly as committed even while a writer deletes or reloads
+// it. One writer at a time per shard.
 //
 // Sharding: a Store may span N independent databases (one per shard, each
 // its own page file, WAL and epoch machinery). Trees are placed on shards
 // by a deterministic hash of the tree name, so every tree's relations live
 // wholly on one shard and tree-scoped operations route to exactly one
-// database; Trees fans out and merges. Because each shard is its own
-// engine with its own writer lock, loads of trees on different shards
-// proceed genuinely in parallel — the one-writer-at-a-time contract holds
-// per shard, not globally.
+// database; a snapshot's Trees fans out and merges. Because each shard is
+// its own engine, loads of trees on different shards proceed genuinely in
+// parallel — the one-writer-at-a-time contract holds per shard, not
+// globally.
 type Store struct {
 	dbs    []*relstore.DB
 	router *shard.Router
@@ -75,24 +69,6 @@ type Store struct {
 // dbFor returns the shard database that owns the named tree.
 func (s *Store) dbFor(name string) *relstore.DB {
 	return s.dbs[s.router.Place(name)]
-}
-
-// table is the read surface a stored tree queries against. Both live
-// tables (*relstore.Table, which lock per operation) and snapshot views
-// (*relstore.TableView, lock-free against a pinned epoch) satisfy it, so
-// one Tree implementation serves both paths. Scans are ctx-first: every
-// query on a stored tree threads its context down to here, so cancelling
-// the context aborts the row stream cooperatively.
-type table interface {
-	Get(key relstore.Value) (relstore.Row, bool, error)
-	GetCtx(ctx context.Context, key relstore.Value) (relstore.Row, bool, error)
-	GetLeafCtx(ctx context.Context, key relstore.Value, cols []int, fn func(ints []int64, row func() (relstore.Row, error)) error) error
-	IndexGetBatchCtx(ctx context.Context, index string, vals []relstore.Value) ([]relstore.Row, []bool, error)
-	ScanCtx(ctx context.Context, fn func(relstore.Row) (bool, error)) error
-	ScanRangeCtx(ctx context.Context, lo, hi relstore.Value, fn func(relstore.Row) (bool, error)) error
-	IndexScanCtx(ctx context.Context, index string, vals []relstore.Value, fn func(relstore.Row) (bool, error)) error
-	IndexRangeCtx(ctx context.Context, index string, lo, hi relstore.Value, fn func(relstore.Row) (bool, error)) error
-	Len() (int, error)
 }
 
 // Open opens (creating if needed) a repository in the page file at path.
@@ -286,9 +262,10 @@ func (o LoadOptions) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Load stores the tree under the given name with depth bound f. The tree
-// must have preorder IDs (Reindex). Returns a handle for querying.
-func (s *Store) Load(name string, t *phylo.Tree, f int, progress Progress) (*Tree, error) {
+// Load stores the tree under the given name with depth bound f and commits.
+// The tree must have preorder IDs (Reindex). The result describes what was
+// stored (Info); query it through a Snapshot.
+func (s *Store) Load(name string, t *phylo.Tree, f int, progress Progress) (*PreparedLoad, error) {
 	return s.LoadOpts(name, t, f, LoadOptions{}, progress)
 }
 
@@ -300,20 +277,19 @@ func (s *Store) Load(name string, t *phylo.Tree, f int, progress Progress) (*Tre
 // serializes writers with a lock of its own calls the halves itself: prepare
 // before taking the lock, Apply and relstore.DB.CommitAsync under it, Wait
 // after releasing it — the lock is then held for the page writes only.
-func (s *Store) LoadOpts(name string, t *phylo.Tree, f int, opts LoadOptions, progress Progress) (*Tree, error) {
+func (s *Store) LoadOpts(name string, t *phylo.Tree, f int, opts LoadOptions, progress Progress) (*PreparedLoad, error) {
 	p, err := s.PrepareLoad(name, t, f, opts, progress)
 	if err != nil {
 		return nil, err
 	}
-	st, err := p.Apply()
-	if err != nil {
+	if err := p.Apply(); err != nil {
 		return nil, err
 	}
 	if err := p.db.Commit(); err != nil {
 		return nil, err
 	}
 	p.Committed()
-	return st, nil
+	return p, nil
 }
 
 func nodesSchema(tree string) relstore.Schema {
@@ -514,47 +490,42 @@ func (s *Store) PrepareLoad(name string, t *phylo.Tree, f int, opts LoadOptions,
 //
 // ErrTreeExists comes back before anything is written. Past that check
 // nothing in a load can be rejected any more, only fail (I/O).
-func (p *PreparedLoad) Apply() (*Tree, error) {
+func (p *PreparedLoad) Apply() error {
 	start := time.Now()
 	name := p.info.Name
 	trees, err := p.db.Table("trees")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, ok, err := trees.Get(relstore.Str(name)); err != nil {
-		return nil, err
+		return err
 	} else if ok {
-		return nil, fmt.Errorf("%w: %s", ErrTreeExists, name)
+		return fmt.Errorf("%w: %s", ErrTreeExists, name)
 	}
 	p.progress.Say("creating relations for tree %q", name)
-	create := func(st *relstore.BulkStage) (*relstore.Table, error) {
+	create := func(st *relstore.BulkStage) error {
 		tab, err := p.db.CreateTable(st.Schema())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := tab.ApplyBulk(st); err != nil {
-			return nil, fmt.Errorf("treestore: bulk loading %d rows of %s: %w", st.Len(), tab.Name(), err)
+			return fmt.Errorf("treestore: bulk loading %d rows of %s: %w", st.Len(), tab.Name(), err)
 		}
-		return tab, nil
+		return nil
 	}
-	t := &Tree{info: p.info}
-	if t.nodes, err = create(p.nodes); err != nil {
-		return nil, err
+	if err := create(p.nodes); err != nil {
+		return err
 	}
 	for k, st := range p.subs {
-		sub, err := create(st)
-		if err != nil {
-			return nil, err
+		if err := create(st); err != nil {
+			return err
 		}
-		t.subs = append(t.subs, sub)
 		if k == 0 {
 			continue
 		}
-		lay, err := create(p.layers[k-1])
-		if err != nil {
-			return nil, err
+		if err := create(p.layers[k-1]); err != nil {
+			return err
 		}
-		t.layers = append(t.layers, lay)
 	}
 	p.progress.Say("loaded %d/%d nodes", p.info.Nodes, p.info.Nodes)
 	err = trees.Insert(relstore.Row{
@@ -566,13 +537,13 @@ func (p *PreparedLoad) Apply() (*Tree, error) {
 		relstore.Int(int64(p.info.Depth)),
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p.metrics.InsertNS = time.Since(start).Nanoseconds()
 	if p.opts.Metrics != nil {
 		*p.opts.Metrics = p.metrics
 	}
-	return t, nil
+	return nil
 }
 
 // Committed tells the progress sink the load is durable. The caller that
@@ -581,16 +552,9 @@ func (p *PreparedLoad) Committed() {
 	p.progress.Say("tree %q committed (%d layers, depth %d)", p.info.Name, p.info.Layers, p.info.Depth)
 }
 
-// Tree opens a handle on a stored tree over the live tables of its shard.
-func (s *Store) Tree(name string) (*Tree, error) {
-	db := s.dbFor(name)
-	return openTree(name, func(tab string) (table, error) { return db.Table(tab) })
-}
-
-// openTree assembles a tree handle from whatever table source it is given
-// — the live database or a snapshot.
-func openTree(name string, get func(string) (table, error)) (*Tree, error) {
-	trees, err := get("trees")
+// openTree assembles a tree handle from the relations a snapshot holds.
+func openTree(rs *relstore.Snap, name string) (*Tree, error) {
+	trees, err := rs.Table("trees")
 	if err != nil {
 		if errors.Is(err, relstore.ErrNoTable) {
 			return nil, fmt.Errorf("%w: %s", ErrNoTree, name)
@@ -605,19 +569,19 @@ func openTree(name string, get func(string) (table, error)) (*Tree, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoTree, name)
 	}
 	info := decodeInfo(row)
-	nodeTab, err := get(nodesTable(name))
+	nodeTab, err := rs.Table(nodesTable(name))
 	if err != nil {
 		return nil, err
 	}
 	t := &Tree{info: info, nodes: nodeTab}
 	for k := 0; k < info.Layers; k++ {
-		subTab, err := get(subsTable(name, k))
+		subTab, err := rs.Table(subsTable(name, k))
 		if err != nil {
 			return nil, err
 		}
 		t.subs = append(t.subs, subTab)
 		if k > 0 {
-			layTab, err := get(layerTable(name, k))
+			layTab, err := rs.Table(layerTable(name, k))
 			if err != nil {
 				return nil, err
 			}
@@ -636,12 +600,6 @@ func decodeInfo(row relstore.Row) TreeInfo {
 		Layers: int(row[4].Int64()),
 		Depth:  int(row[5].Int64()),
 	}
-}
-
-// Trees lists all stored trees, fanning out over every shard and merging
-// the per-shard catalogs in name order.
-func (s *Store) Trees() ([]TreeInfo, error) {
-	return s.TreesCtx(context.Background())
 }
 
 // Snap is a point-in-time read view of the Tree Repository. Each shard's
@@ -710,8 +668,7 @@ func (sn *Snap) Close() {
 // either sees the whole tree or (if the tree was not committed when the
 // snapshot was taken) ErrNoTree — never a torn state.
 func (sn *Snap) Tree(name string) (*Tree, error) {
-	rs := sn.sns[sn.router.Place(name)]
-	return openTree(name, func(tab string) (table, error) { return rs.Table(tab) })
+	return openTree(sn.sns[sn.router.Place(name)], name)
 }
 
 // Trees lists the trees stored as of the snapshot, merged across shards in
@@ -825,34 +782,27 @@ func decodeNode(row relstore.Row) Node {
 	}
 }
 
-// Tree is a handle on one stored tree; every query goes to the relational
-// store: node sets are fetched a storage leaf at a time (GetLeafCtx reads
-// the few integers the walk needs out of each row in place and decodes in
-// full only the rows asked for), names resolve in one batched index sweep
-// (IndexGetBatchCtx), and the layered LCA recursion runs over a
+// Tree is a handle on one stored tree as of a snapshot; every query goes to
+// the relational store: node sets are fetched a storage leaf at a time
+// (GetLeafCtx reads the few integers the walk needs out of each row in place
+// and decodes in full only the rows asked for), names resolve in one batched
+// index sweep (IndexGetBatchCtx), and the layered LCA recursion runs over a
 // request-scoped cell memo. A Tree handle is safe for concurrent use by
-// multiple goroutines: all methods are read-only. A handle from Store.Tree
-// reads the live tables (each operation takes the database read lock, so it
-// serializes against the writer per row batch); a handle from Snap.Tree
-// reads a pinned snapshot lock-free and is immune to concurrent loads and
-// deletes.
+// multiple goroutines: all methods are read-only, take no lock, and are
+// immune to concurrent loads and deletes. It is valid until its snapshot
+// closes.
 type Tree struct {
 	info   TreeInfo
-	nodes  table
-	layers []table // layer 1.. (index 0 = layer 1)
-	subs   []table // layer 0..
+	nodes  *relstore.TableView
+	layers []*relstore.TableView // layer 1.. (index 0 = layer 1)
+	subs   []*relstore.TableView // layer 0..
 }
 
 // Info returns the tree's summary.
 func (t *Tree) Info() TreeInfo { return t.info }
 
-// Node fetches a node by preorder id.
-func (t *Tree) Node(id int) (Node, error) {
-	return t.NodeCtx(context.Background(), id)
-}
-
-// NodeCtx is Node attributing engine counters to the request span carried
-// by ctx, if any.
+// NodeCtx fetches a node by preorder id, attributing engine counters to the
+// request span carried by ctx, if any.
 func (t *Tree) NodeCtx(ctx context.Context, id int) (Node, error) {
 	row, ok, err := t.nodes.GetCtx(ctx, relstore.Int(int64(id)))
 	if err != nil {
@@ -1059,8 +1009,8 @@ func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, 
 		return layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth}, err
 	}
 	if k > len(t.layers) {
-		// A live handle opened across a delete + reload of its name can pair
-		// one version's catalog row with another's relations.
+		// Only corrupt relations get here: the top layer's nodes share one
+		// subtree, so a sound walk never climbs past it.
 		return layerCell{}, fmt.Errorf("%w: layer %d beyond the handle's %d", ErrNoNode, k, len(t.layers))
 	}
 	c, ok, err := harvestLeaf(ctx, t.layers[k-1], layer(&memo.cells, k), id, layerCellCols, func(ints []int64, _ fullRow) (layerCell, error) {
@@ -1089,7 +1039,7 @@ func cellOf(ints []int64) layerCell {
 // reported as the cancellation: a cancelled reader whose snapshot pins were
 // released may hit reclaimed pages, and that must not masquerade as
 // corruption.
-func harvestLeaf[T any](ctx context.Context, tab table, lr *leafRuns[T], id int, cols []int, read func(ints []int64, row fullRow) (T, error)) (v T, ok bool, err error) {
+func harvestLeaf[T any](ctx context.Context, tab *relstore.TableView, lr *leafRuns[T], id int, cols []int, read func(ints []int64, row fullRow) (T, error)) (v T, ok bool, err error) {
 	run := lr.newRun()
 	err = tab.GetLeafCtx(ctx, relstore.Int(int64(id)), cols, func(ints []int64, row fullRow) error {
 		rv, err := read(ints, row)
@@ -1235,10 +1185,10 @@ func (t *Tree) enter(ctx context.Context, memo *cellMemo, k, s int) (id, child i
 
 // lcaLocal is the bounded parent climb of two nodes sharing a subtree. pa
 // and pb are the children of a and b already known to lie on the paths (-1
-// for none); it returns the LCA and the child of it on each path. On a
-// handle torn by a delete + reload of its name the two nodes may not share
-// a subtree: the climb then runs off a subtree root (lparent -1, a row no
-// relation holds) and ends in ErrNoNode after at most 2f steps.
+// for none); it returns the LCA and the child of it on each path. Should
+// corrupt relations hand it two nodes that share no subtree, the climb runs
+// off a subtree root (lparent -1, a row no relation holds) and ends in
+// ErrNoNode after at most 2f steps.
 func (t *Tree) lcaLocal(ctx context.Context, memo *cellMemo, k, a, pa int, ca layerCell, b, pb int, cb layerCell) (int, int, int, error) {
 	var err error
 	for ca.ldepth > cb.ldepth {

@@ -12,19 +12,38 @@ import (
 	"repro/internal/core"
 	"repro/internal/phylo"
 	"repro/internal/project"
+	"repro/internal/relstore"
 	"repro/internal/sample"
 	"repro/internal/treegen"
 )
+
+// openTreeOf opens the named tree on a snapshot of s that closes with the
+// test (or, in a property function, with the enclosing test).
+func openTreeOf(t testing.TB, s *Store, name string) *Tree {
+	t.Helper()
+	sn := s.Snapshot()
+	t.Cleanup(sn.Close)
+	tr, err := sn.Tree(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// loadOpen stores tr in s — Load commits — and opens it on a snapshot.
+func loadOpen(t testing.TB, s *Store, name string, tr *phylo.Tree, f int) *Tree {
+	t.Helper()
+	if _, err := s.Load(name, tr, f, nil); err != nil {
+		t.Fatal(err)
+	}
+	return openTreeOf(t, s, name)
+}
 
 func loadFigure1(t *testing.T, f int) (*Store, *Tree) {
 	t.Helper()
 	s := OpenMem()
 	t.Cleanup(func() { s.Close() })
-	tr, err := s.Load("fig1", phylo.PaperFigure1(), f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, tr
+	return s, loadOpen(t, s, "fig1", phylo.PaperFigure1(), f)
 }
 
 func TestLoadAndInfo(t *testing.T) {
@@ -70,7 +89,7 @@ func TestNodeAccess(t *testing.T) {
 	if !syn.Leaf || syn.Dist != 2.5 || syn.Depth != 1 {
 		t.Fatalf("Syn row = %+v", syn)
 	}
-	root, err := tr.Node(0)
+	root, err := tr.NodeCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +103,7 @@ func TestNodeAccess(t *testing.T) {
 	if len(kids) != 3 || kids[0].Name != "Syn" || kids[0].Ord != 1 {
 		t.Fatalf("children = %+v", kids)
 	}
-	if _, err := tr.Node(99); !errors.Is(err, ErrNoNode) {
+	if _, err := tr.NodeCtx(context.Background(), 99); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("missing node error = %v", err)
 	}
 	if _, err := tr.NodeByNameCtx(context.Background(), "Ghost"); !errors.Is(err, ErrNoNode) {
@@ -110,7 +129,7 @@ func TestStoredLCAMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lrow, _ := tr.Node(l)
+	lrow, _ := tr.NodeCtx(context.Background(), l)
 	if lrow.Leaf || lrow.Depth != 2 {
 		t.Fatalf("LCA(Lla, Spy) = %+v, want y at depth 2", lrow)
 	}
@@ -140,11 +159,7 @@ func TestStoredLCAMatchesCoreProperty(t *testing.T) {
 		}
 		s := OpenMem()
 		defer s.Close()
-		st, err := s.Load("t", gold, fanout, nil)
-		if err != nil {
-			t.Logf("Load: %v", err)
-			return false
-		}
+		st := loadOpen(t, s, "t", gold, fanout)
 		for i := 0; i < 60; i++ {
 			a := r.Intn(gold.NumNodes())
 			b := r.Intn(gold.NumNodes())
@@ -298,10 +313,7 @@ func TestStoredProjectionMatchesMemoryProperty(t *testing.T) {
 		fanout := 2 + r.Intn(5)
 		s := OpenMem()
 		defer s.Close()
-		st, err := s.Load("t", gold, fanout, nil)
-		if err != nil {
-			return false
-		}
+		st := loadOpen(t, s, "t", gold, fanout)
 		sel, err := sample.Uniform(gold, 2+r.Intn(10), r)
 		if err != nil {
 			return false
@@ -351,11 +363,13 @@ func TestPersistAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	infos, err := s.Trees()
+	sn := s.Snapshot()
+	defer sn.Close()
+	infos, err := sn.Trees()
 	if err != nil || len(infos) != 1 || infos[0].Name != "fig1" {
 		t.Fatalf("Trees after reopen = %v, %v", infos, err)
 	}
-	tr, err := s.Tree("fig1")
+	tr, err := sn.Tree("fig1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,10 +396,12 @@ func TestDelete(t *testing.T) {
 	if err := s.Delete("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Tree("a"); !errors.Is(err, ErrNoTree) {
+	sn := s.Snapshot()
+	defer sn.Close()
+	if _, err := sn.Tree("a"); !errors.Is(err, ErrNoTree) {
 		t.Fatalf("deleted tree still opens: %v", err)
 	}
-	if _, err := s.Tree("b"); err != nil {
+	if _, err := sn.Tree("b"); err != nil {
 		t.Fatalf("sibling tree lost: %v", err)
 	}
 	if err := s.Delete("a"); !errors.Is(err, ErrNoTree) {
@@ -402,10 +418,7 @@ func TestDeepStoredTree(t *testing.T) {
 	}
 	s := OpenMem()
 	defer s.Close()
-	st, err := s.Load("deep", gold, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := loadOpen(t, s, "deep", gold, 8)
 	if st.Info().Layers < 3 {
 		t.Fatalf("layers = %d, expected >= 3 for depth 800 at f=8", st.Info().Layers)
 	}
@@ -418,35 +431,82 @@ func TestDeepStoredTree(t *testing.T) {
 			t.Fatalf("deep LCA(%d,%d) = %d,%v want %d", a, b, got, err, want)
 		}
 	}
-	// A live handle opened across a delete + reload of its name can hold
-	// fewer layer relations than the node rows it reads imply: that is an
-	// error, not an index panic.
-	stale := *st
-	stale.layers = nil
-	if _, err := stale.LCACtx(context.Background(), 0, gold.NumNodes()-1); !errors.Is(err, ErrNoNode) {
-		t.Fatalf("LCA on a handle missing its layers: err = %v, want ErrNoNode", err)
-	}
-	// The same tear can pair one version's node and layer rows with another
-	// version's subs rows, so the source a side enters through need not lie
-	// in the subtree the upper layer named: each query must then fail with
-	// ErrNoNode (or happen to succeed), never spin or index out of range.
-	other, err := s.Load("other", gold, 5, nil)
+}
+
+// TestCorruptRelationsAreErrors damages a committed tree's relations and
+// queries them: relations that contradict each other are ErrNoNode, never an
+// index out of range or a walk that does not end.
+func TestCorruptRelationsAreErrors(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	gold, err := treegen.Caterpillar(800, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := *st
-	torn.subs = other.subs[:len(st.subs)]
+	s := OpenMem()
+	defer s.Close()
+	for name, f := range map[string]int{"deep": 8, "other": 5} {
+		if _, err := s.Load(name, gold, f, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := s.dbs[0]
+	table := func(name string) *relstore.Table {
+		t.Helper()
+		tab, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	layers := openTreeOf(t, s, "deep").Info().Layers
+
+	// Subtree links that belong to another decomposition: the source a side
+	// enters through need not lie in the subtree the upper layer named.
+	for k := 0; k < layers; k++ {
+		var rows []relstore.Row
+		if err := table(subsTable("other", k)).Scan(func(row relstore.Row) (bool, error) {
+			rows = append(rows, row)
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			if err := table(subsTable("deep", k)).Put(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st := openTreeOf(t, s, "deep")
 	failed := 0
 	for i := 0; i < 200; i++ {
-		_, err := torn.LCACtx(context.Background(), r.Intn(gold.NumNodes()), r.Intn(gold.NumNodes()))
+		_, err := st.LCACtx(context.Background(), r.Intn(gold.NumNodes()), r.Intn(gold.NumNodes()))
 		if err != nil && !errors.Is(err, ErrNoNode) {
-			t.Fatalf("LCA on a handle with another version's subs: err = %v, want ErrNoNode", err)
+			t.Fatalf("LCA over another decomposition's subs: err = %v, want ErrNoNode", err)
 		}
 		if err != nil {
 			failed++
 		}
 	}
 	if failed == 0 {
-		t.Fatal("no LCA on the torn handle failed; the fixture no longer tears anything")
+		t.Fatal("no LCA failed; the fixture no longer corrupts anything")
+	}
+
+	// A catalog row that claims fewer layers than the node rows imply.
+	info := st.Info()
+	err = table("trees").Put(relstore.Row{
+		relstore.Str("other"), relstore.Int(int64(info.Nodes)), relstore.Int(int64(info.Leaves)),
+		relstore.Int(5), relstore.Int(1), relstore.Int(int64(info.Depth)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openTreeOf(t, s, "other").LCACtx(context.Background(), 0, gold.NumNodes()-1); !errors.Is(err, ErrNoNode) {
+		t.Fatalf("LCA on a tree missing its layers: err = %v, want ErrNoNode", err)
 	}
 }

@@ -11,107 +11,66 @@ import (
 	"repro/internal/treestore"
 )
 
-// BenchmarkReadDuringLoad quantifies the tentpole claim of the MVCC
-// rework: reader latency while a bulk load churns in the background.
+// BenchmarkReadDuringLoad quantifies what MVCC snapshots buy: reader
+// latency while a bulk load churns in the background. Same query mix in
+// both arms (storage-backed LCA or projection on a 2k-leaf tree, one
+// snapshot per operation: pin the epoch, open the handle, query, release):
 //
-// Four arms, same query mix (storage-backed LCA or projection on a
-// 2k-leaf tree):
-//
-//	live/idle          — reads through the live handle, no writer
-//	live/during-load   — live handle while 10k-leaf load→delete cycles run;
-//	                     each read serializes against the writer's lock and
-//	                     stalls for the writer's longest critical section
-//	snapshot/idle      — per-op snapshot (pin epoch, open handle, query)
-//	snapshot/during-load — per-op snapshot under the same churn; reads
-//	                     never take the database lock, so the only cost
-//	                     left is CPU contention with the loader
-//
-// The acceptance criterion compares snapshot/during-load to snapshot/idle.
-// On a single-core box the loader competes for the CPU itself, so compare
-// the live and snapshot during-load arms to see the locking effect in
-// isolation.
+//	idle        — no writer
+//	during-load — 10k-leaf load→delete cycles run alongside; reads take no
+//	              database lock, so the only cost left is CPU contention
+//	              with the loader
 func BenchmarkReadDuringLoad(b *testing.B) {
 	base := yuleTree(b, 2000)
 	churn := yuleTree(b, 10000)
 
-	type readerFunc func(b *testing.B, s *treestore.Store, nodes int, r *rand.Rand)
-
-	liveLCA := func(b *testing.B, s *treestore.Store, nodes int, r *rand.Rand) {
-		st, err := s.Tree("gold")
+	// onSnapshot runs fn on the gold tree as a new snapshot reads it.
+	onSnapshot := func(b *testing.B, s *treestore.Store, fn func(st *treestore.Tree) error) {
+		sn := s.Snapshot()
+		defer sn.Close()
+		st, err := sn.Tree("gold")
+		if err == nil {
+			err = fn(st)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		for i := 0; i < b.N; i++ {
-			if _, err := st.LCACtx(context.Background(), r.Intn(nodes), r.Intn(nodes)); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
+	type readerFunc func(b *testing.B, s *treestore.Store, nodes int, r *rand.Rand)
 	snapLCA := func(b *testing.B, s *treestore.Store, nodes int, r *rand.Rand) {
 		for i := 0; i < b.N; i++ {
-			sn := s.Snapshot()
-			st, err := sn.Tree("gold")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := st.LCACtx(context.Background(), r.Intn(nodes), r.Intn(nodes)); err != nil {
-				b.Fatal(err)
-			}
-			sn.Close()
-		}
-	}
-	projectIDs := func(s *treestore.Store) []int {
-		st, err := s.Tree("gold")
-		if err != nil {
-			return nil
-		}
-		rows, err := st.SampleUniformCtx(context.Background(), 20, rand.New(rand.NewSource(7)))
-		if err != nil {
-			return nil
-		}
-		ids := make([]int, len(rows))
-		for i, row := range rows {
-			ids[i] = row.ID
-		}
-		return ids
-	}
-	liveProject := func(b *testing.B, s *treestore.Store, nodes int, r *rand.Rand) {
-		ids := projectIDs(s)
-		st, err := s.Tree("gold")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
-				b.Fatal(err)
-			}
+			onSnapshot(b, s, func(st *treestore.Tree) error {
+				_, err := st.LCACtx(context.Background(), r.Intn(nodes), r.Intn(nodes))
+				return err
+			})
 		}
 	}
 	snapProject := func(b *testing.B, s *treestore.Store, nodes int, r *rand.Rand) {
-		ids := projectIDs(s)
+		var ids []int
+		onSnapshot(b, s, func(st *treestore.Tree) error {
+			rows, err := st.SampleUniformCtx(context.Background(), 20, rand.New(rand.NewSource(7)))
+			for _, row := range rows {
+				ids = append(ids, row.ID)
+			}
+			return err
+		})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sn := s.Snapshot()
-			st, err := sn.Tree("gold")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
-				b.Fatal(err)
-			}
-			sn.Close()
+			onSnapshot(b, s, func(st *treestore.Tree) error {
+				_, err := st.ProjectCtx(context.Background(), ids)
+				return err
+			})
 		}
 	}
 
 	run := func(b *testing.B, reader readerFunc, withLoad bool) {
 		s := treestore.OpenMem()
 		defer s.Close()
-		st, err := s.Load("gold", base, core.DefaultFanout, nil)
+		loaded, err := s.Load("gold", base, core.DefaultFanout, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		nodes := st.Info().Nodes
+		nodes := loaded.Info().Nodes
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		if withLoad {
@@ -148,12 +107,8 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 		reader   readerFunc
 		withLoad bool
 	}{
-		{"LCA/live/idle", liveLCA, false},
-		{"LCA/live/during-load", liveLCA, true},
 		{"LCA/snapshot/idle", snapLCA, false},
 		{"LCA/snapshot/during-load", snapLCA, true},
-		{"Project-k=20/live/idle", liveProject, false},
-		{"Project-k=20/live/during-load", liveProject, true},
 		{"Project-k=20/snapshot/idle", snapProject, false},
 		{"Project-k=20/snapshot/during-load", snapProject, true},
 	}

@@ -10,18 +10,17 @@ import (
 	"testing"
 
 	crimson "repro"
-	"repro/internal/relstore"
-	"repro/internal/treegen"
 	"repro/internal/treestore"
 )
 
 // TestReadCacheChurnSnapshotIsolation hammers the version-keyed read cache
 // with churn: one writer repeatedly deletes and reloads the same tree name
-// (a different tree each round) while eight readers query whatever the
-// live repository currently holds and one snapshot taken before the churn
+// (a different tree at a different depth bound each round) while eight
+// readers open a snapshot per query and one snapshot taken before the churn
 // keeps reading the original version. The cache keys by (page, epoch), so
-// the snapshot must keep seeing the old tree bit-for-bit while live
-// readers only ever see a complete version — old or new, never torn.
+// the old snapshot must keep seeing the old tree bit-for-bit while every new
+// one sees a complete version — old or new, checked against the in-memory
+// engine — or, between a delete and its reload, no tree at all.
 // Runs at 1 and 4 shards; the -race build is the point of this test.
 func TestReadCacheChurnSnapshotIsolation(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -31,17 +30,16 @@ func TestReadCacheChurnSnapshotIsolation(t *testing.T) {
 			repo.SetReadCacheMB(8)
 
 			const name = "churn"
-			versions := make([]*crimson.Tree, 4)
-			leaves := make(map[int]int) // leaf count -> version
-			for i := range versions {
-				tree, err := treegen.Yule(400+100*i, 1.0, rand.New(rand.NewSource(int64(100+i))))
-				if err != nil {
-					t.Fatal(err)
-				}
-				versions[i] = tree
-				leaves[tree.NumLeaves()] = i
+			versions := make([]*goldVersion, 4)
+			for i, f := range []int{crimson.DefaultFanout, 4, 8, 3} {
+				versions[i] = newGoldVersion(t, 400+100*i, f, int64(100+i))
 			}
-			if _, err := repo.LoadTree(name, versions[0], crimson.DefaultFanout, nil); err != nil {
+			load := func(round int) error {
+				v := versions[round%len(versions)]
+				_, err := repo.LoadTree(name, v.tree, v.f, nil)
+				return err
+			}
+			if err := load(0); err != nil {
 				t.Fatal(err)
 			}
 
@@ -67,59 +65,39 @@ func TestReadCacheChurnSnapshotIsolation(t *testing.T) {
 			}
 
 			// Writer: delete + reload a different version each round.
+			const rounds = 8
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				defer stop.Store(true)
-				for round := 1; round <= 8; round++ {
+				for round := 1; round <= rounds; round++ {
 					if err := repo.Trees.Delete(name); err != nil {
 						fail("delete round %d: %v", round, err)
 						return
 					}
-					v := versions[round%len(versions)]
-					if _, err := repo.LoadTree(name, v, crimson.DefaultFanout, nil); err != nil {
+					if err := load(round); err != nil {
 						fail("reload round %d: %v", round, err)
 						return
 					}
 				}
 			}()
 
-			// Live readers: must always see some complete version.
+			// Readers on new snapshots: no tree, or some version, whole.
 			for r := 0; r < 8; r++ {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(seed))
 					for !stop.Load() {
-						st, err := repo.Tree(name)
-						if err != nil {
-							// Between delete and reload the tree (or some of
-							// its relations — live handles see the writer's
-							// progress) is simply gone. Retry.
-							if errors.Is(err, treestore.ErrNoTree) || errors.Is(err, relstore.ErrNoTable) {
-								continue
-							}
-							fail("live open: %v", err)
+						sn := repo.Snapshot()
+						st, err := sn.Tree(name)
+						if err == nil {
+							err = checkWhole(context.Background(), st, versions, rng)
+						}
+						sn.Close()
+						if err != nil && !errors.Is(err, treestore.ErrNoTree) {
+							fail("reader %d: %v", seed, err)
 							return
-						}
-						info := st.Info()
-						if _, ok := leaves[info.Leaves]; !ok {
-							fail("live reader saw %d leaves: not any loaded version", info.Leaves)
-							return
-						}
-						k := 2 + rng.Intn(8)
-						sel, err := st.SampleUniformCtx(context.Background(), k, rng)
-						if err != nil {
-							// The version changed under the handle: reads hit
-							// reclaimed pages and fail cleanly. Retry.
-							continue
-						}
-						ids := make([]int, len(sel))
-						for i, n := range sel {
-							ids[i] = n.ID
-						}
-						if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
-							continue
 						}
 					}
 				}(int64(r))
@@ -131,8 +109,8 @@ func TestReadCacheChurnSnapshotIsolation(t *testing.T) {
 				defer wg.Done()
 				for i := 0; !stop.Load() || i < 1; i++ {
 					info := snapTree.Info()
-					if got := info.Leaves; got != versions[0].NumLeaves() {
-						fail("snapshot saw %d leaves, want %d", got, versions[0].NumLeaves())
+					if got := info.Leaves; got != versions[0].tree.NumLeaves() {
+						fail("snapshot saw %d leaves, want %d", got, versions[0].tree.NumLeaves())
 						return
 					}
 					got, err := snapTree.ExportCtx(context.Background())
@@ -153,15 +131,11 @@ func TestReadCacheChurnSnapshotIsolation(t *testing.T) {
 				t.Error(err)
 			}
 
-			// After the dust settles the live view is the writer's last
-			// version, readable end to end.
-			st, err := repo.Tree(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			final := versions[8%len(versions)]
-			if st.Info().Leaves != final.NumLeaves() {
-				t.Fatalf("final tree has %d leaves, want %d", st.Info().Leaves, final.NumLeaves())
+			// After the dust settles a new snapshot reads the writer's last
+			// version, end to end.
+			st := openTree(t, repo, name)
+			if err := checkWhole(context.Background(), st, versions[rounds%len(versions):][:1], rand.New(rand.NewSource(9))); err != nil {
+				t.Fatalf("final tree: %v", err)
 			}
 			if entries, bytes := repo.ReadCacheStats(); entries > 0 && bytes <= 0 {
 				t.Fatalf("cache stats inconsistent: %d entries, %d bytes", entries, bytes)

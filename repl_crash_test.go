@@ -43,7 +43,9 @@ func startReplPrimary(t *testing.T, shards int) (*crimson.Repository, *crimson.S
 // exportNewick renders one stored tree to Newick text via the repository.
 func exportNewick(t *testing.T, repo *crimson.Repository, name string) string {
 	t.Helper()
-	st, err := repo.Tree(name)
+	snap := repo.Snapshot()
+	defer snap.Close()
+	st, err := snap.Tree(name)
 	if err != nil {
 		t.Fatalf("tree %s: %v", name, err)
 	}
@@ -144,9 +146,11 @@ func TestCrashMatrixReplFollowerKill(t *testing.T) {
 			t.Fatalf("tree %s differs on the resurrected follower (%d vs %d bytes)", name, len(p), len(f))
 		}
 	}
+	snap := frepo2.Snapshot()
+	defer snap.Close()
 	for i := 0; i < 40; i++ {
 		sp := fmt.Sprintf("churn-%03d", i)
-		data, err := frepo2.Species.Get(trees[i%len(trees)], sp, "seq:test")
+		data, err := snap.SpeciesView.Get(trees[i%len(trees)], sp, "seq:test")
 		if err != nil {
 			t.Fatalf("churn row %s lost across the kill: %v", sp, err)
 		}
@@ -242,12 +246,14 @@ func TestCrashMatrixReplPromote(t *testing.T) {
 	if got := exportNewick(t, frepo, "pp"); got != goldNewick {
 		t.Fatal("promoted tree export differs from the dead primary's")
 	}
+	snap := frepo.Snapshot()
 	for sp, val := range want {
-		data, err := frepo.Species.Get("pp", sp, "seq:test")
+		data, err := snap.SpeciesView.Get("pp", sp, "seq:test")
 		if err != nil || string(data) != val {
 			t.Fatalf("row %s after promote: %q err=%v", sp, data, err)
 		}
 	}
+	snap.Close()
 	if err := fcl.PutSpeciesDataCtx(ctx, "pp", "after-kill", "seq:test", []byte("alive")); err != nil {
 		t.Fatalf("write after promote: %v", err)
 	}

@@ -49,7 +49,8 @@ func TestShardedRepositoryEndToEnd(t *testing.T) {
 	}
 
 	// The merged listing sees every tree exactly once, in name order.
-	infos, err := repo.Trees.Trees()
+	snap := repo.Snapshot()
+	infos, err := snap.Trees()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestShardedRepositoryEndToEnd(t *testing.T) {
 
 	// Queries and species data route to the right shard.
 	for _, name := range names {
-		st, err := repo.Tree(name)
+		st, err := snap.Tree(name)
 		if err != nil {
 			t.Fatalf("opening %s: %v", name, err)
 		}
@@ -74,20 +75,21 @@ func TestShardedRepositoryEndToEnd(t *testing.T) {
 		if _, err := st.LCACtx(context.Background(), 1, 2); err != nil {
 			t.Fatalf("LCA on %s: %v", name, err)
 		}
-		data, err := repo.Species.Get(name, "s1", "seq:test")
+		data, err := snap.SpeciesView.Get(name, "s1", "seq:test")
 		if err != nil || string(data) != "ACGT-"+name {
 			t.Fatalf("species data of %s = %q, %v", name, data, err)
 		}
 	}
 
 	// History records from every load are readable (they live on shard 0).
-	entries, err := repo.Queries.ByKind("load")
+	entries, err := snap.QueryView.ByKind("load")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != len(names) {
 		t.Fatalf("history has %d load entries, want %d", len(entries), len(names))
 	}
+	snap.Close()
 	if err := repo.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +106,9 @@ func TestShardedRepositoryEndToEnd(t *testing.T) {
 	if reopened.Shards() != 4 {
 		t.Fatalf("auto-detected %d shards, want 4", reopened.Shards())
 	}
+	snap = reopened.Snapshot()
 	for _, name := range names {
-		st, err := reopened.Tree(name)
+		st, err := snap.Tree(name)
 		if err != nil {
 			t.Fatalf("tree %s lost across reopen: %v", name, err)
 		}
@@ -113,6 +116,7 @@ func TestShardedRepositoryEndToEnd(t *testing.T) {
 			t.Fatalf("%s has %d leaves after reopen, want %d", name, st.Info().Leaves, leaves[name])
 		}
 	}
+	snap.Close()
 	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +164,7 @@ func TestSingleFileShardMismatch(t *testing.T) {
 	if reopened.Shards() != 1 {
 		t.Fatalf("single file detected as %d shards", reopened.Shards())
 	}
-	if _, err := reopened.Tree("gold"); err != nil {
-		t.Fatal(err)
-	}
+	openTree(t, reopened, "gold")
 }
 
 // TestConcurrentLoadsOnDistinctShards is the router's race test: 8
@@ -215,10 +217,7 @@ func TestConcurrentLoadsOnDistinctShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, name := range names {
-		st, err := repo.Tree(name)
-		if err != nil {
-			t.Fatalf("opening %s: %v", name, err)
-		}
+		st := openTree(t, repo, name)
 		if st.Info().Nodes != wantNodes[i] {
 			t.Fatalf("%s has %d nodes, want %d", name, st.Info().Nodes, wantNodes[i])
 		}

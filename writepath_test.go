@@ -107,9 +107,8 @@ func TestConcurrentLoadTreeOfOneName(t *testing.T) {
 	if winner < 0 {
 		t.Fatal("no load of the name succeeded")
 	}
-	st, err := repo.Tree("same")
-	if err != nil || st.Info().Leaves != trees[winner].NumLeaves() {
-		t.Fatalf("stored tree %+v, %v; the winner has %d leaves", st, err, trees[winner].NumLeaves())
+	if st := openTree(t, repo, "same"); st.Info().Leaves != trees[winner].NumLeaves() {
+		t.Fatalf("stored tree %+v; the winner has %d leaves", st.Info(), trees[winner].NumLeaves())
 	}
 	if err := repo.Check(); err != nil {
 		t.Fatal(err)

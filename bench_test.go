@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dewey"
 	"repro/internal/distance"
+	"repro/internal/obs"
 	"repro/internal/phylo"
 	"repro/internal/project"
 	"repro/internal/recon"
@@ -576,6 +577,59 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 	})
 }
 
+// BenchmarkStoredProjectNames is the treestore layer of the benchmark's
+// served_cold workload on its own: k=50 projections by species name, every
+// one over another name set, against 20k-leaf trees (f=16) in a file-backed
+// repository whose trees together outgrow the buffer pool — four of some
+// 1 700 pages each against 4 096 frames. It reports time, B+tree descents and
+// allocations per projection, so a change to the stored read path shows its
+// before and after here, one `go test -bench` away from the E5–E14 arms.
+func BenchmarkStoredProjectNames(b *testing.B) {
+	dir, err := os.MkdirTemp("", "crimson-bench-*")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	s, err := treestore.Open(filepath.Join(dir, "bench.db"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	const trees, sets, k = 4, 64, 50
+	t := yuleTree(b, 20000)
+	for i := 0; i < trees; i++ {
+		if _, err := s.Load(fmt.Sprintf("gold%d", i), t, core.DefaultFanout, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sn := s.Snapshot()
+	defer sn.Close()
+	var handles [trees]*treestore.Tree
+	for i := range handles {
+		if handles[i], err = sn.Tree(fmt.Sprintf("gold%d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	leaves := t.LeafNames()
+	r := rand.New(rand.NewSource(13))
+	var names [sets][]string
+	for i := range names {
+		for _, j := range r.Perm(len(leaves))[:k] {
+			names[i] = append(names[i], leaves[j])
+		}
+	}
+	ctx := context.Background()
+	descents := obs.Engine.Get(obs.CtrBTreeDescents)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := handles[i%trees].ProjectNamesCtx(ctx, names[i/trees%sets]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(obs.Engine.Get(obs.CtrBTreeDescents)-descents)/float64(b.N), "descents/op")
+}
+
 // --- E13: storage substrate micro-benchmarks ---------------------------------
 
 // BenchmarkE13BTree measures raw B+tree operations of the storage engine.
@@ -655,7 +709,7 @@ func BenchmarkE13BTree(b *testing.B) {
 // BenchmarkBTreeGet shows the cost of the B+tree's three read shapes on a
 // warm tree — 100k bulk-loaded keys, buffer pool and decoded-node cache both
 // holding everything — with allocations reported: a point read, a sorted
-// batch of 64, and the visit of one whole leaf. Reads happen in place, so
+// batch of 64, and the descent to one held leaf. Reads happen in place, so
 // the allocations are the leaf's node and offset table (and a batch's
 // result slices), whatever a leaf holds.
 func BenchmarkBTreeGet(b *testing.B) {
@@ -700,13 +754,11 @@ func BenchmarkBTreeGet(b *testing.B) {
 		b.ReportAllocs()
 		cells := 0
 		for i := 0; i < b.N; i++ {
-			err := tr.GetLeafC(key(i), nil, func(k, v []byte) error {
-				cells++
-				return nil
-			})
+			leaf, err := tr.LeafC(key(i), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
+			cells += leaf.Len()
 		}
 		b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 	})

@@ -369,19 +369,7 @@ func cmdLCA(args []string) error {
 		return err
 	}
 	defer done()
-	a, err := st.NodeByNameCtx(ctx, names[0])
-	if err != nil {
-		return err
-	}
-	b, err := st.NodeByNameCtx(ctx, names[1])
-	if err != nil {
-		return err
-	}
-	l, err := st.LCACtx(ctx, a.ID, b.ID)
-	if err != nil {
-		return err
-	}
-	lrow, err := st.NodeCtx(ctx, l)
+	lrow, err := st.LCANamesCtx(ctx, names[0], names[1])
 	if err != nil {
 		return err
 	}
@@ -415,15 +403,7 @@ func cmdClade(args []string) error {
 		return err
 	}
 	defer done()
-	ids := make([]int, len(names))
-	for i, n := range names {
-		row, err := st.NodeByNameCtx(ctx, n)
-		if err != nil {
-			return err
-		}
-		ids[i] = row.ID
-	}
-	clade, err := st.MinimalSpanningCladeCtx(ctx, ids)
+	clade, err := st.CladeNamesCtx(ctx, names)
 	if err != nil {
 		return err
 	}

@@ -84,6 +84,9 @@ func TestRowIntsRejectsCorruptAndMistyped(t *testing.T) {
 	}
 }
 
+// budget is a leaf budget of n for a reader of its own.
+func budget(n int) *int { return &n }
+
 // leafOf names the storage leaf key routes to by the first key in it.
 func leafOf(t *testing.T, v *TableView, index string, key []byte) string {
 	t.Helper()
@@ -91,17 +94,14 @@ func leafOf(t *testing.T, v *TableView, index string, key []byte) string {
 	if index != "" {
 		tree = v.indexes[index]
 	}
-	first := ""
-	err := tree.GetLeaf(context.Background(), key, func(k, _ []byte) error {
-		if first == "" {
-			first = string(k)
-		}
-		return nil
-	})
+	leaf, err := tree.LeafC(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return first
+	if leaf.Len() == 0 {
+		return ""
+	}
+	return string(leaf.Key(0))
 }
 
 // TestIndexGetBatch checks the batched index lookup against one index scan
@@ -124,10 +124,10 @@ func TestIndexGetBatch(t *testing.T) {
 		vals = append(vals, Str(permutedLabel(id)))
 	}
 	vals = append(vals, Str("label-9999"), Str("a")) // past the last entry, before the first
-	type lookup func(ctx context.Context, index string, vals []Value) ([]Row, []bool, error)
-	for name, get := range map[string]lookup{"live": tab.view.IndexGetBatchCtx, "snapshot": view.IndexGetBatchCtx} {
+	for name, v := range map[string]*TableView{"live": &tab.view, "snapshot": view} {
 		ctx, totals := countedCtx()
-		rows, found, err := get(ctx, "by_label", vals)
+		r := v.Reader(budget(1 << 10))
+		rows, found, err := r.IndexGetBatchCtx(ctx, "by_label", vals)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -160,17 +160,29 @@ func TestIndexGetBatch(t *testing.T) {
 		if rows := totals("rows_scanned"); rows != int64(len(vals))-1 {
 			t.Fatalf("%s: %d index entries counted as scanned for %d values with an entry at or after them", name, rows, len(vals)-1)
 		}
+		// The primary leaves stay held: the rows the sweep resolved are read
+		// again by key without a descent.
+		before := totals("btree_descents")
+		for _, id := range ids {
+			if row, ok, err := r.Row(ctx, Int(int64(id))); err != nil || !ok || row[1].Text() != permutedLabel(id) {
+				t.Fatalf("%s: row %d after the sweep: %v, %v, %v", name, id, row, ok, err)
+			}
+		}
+		if d := totals("btree_descents") - before; d != 0 {
+			t.Fatalf("%s: reading the swept rows by key took %d more descents, want 0", name, d)
+		}
 	}
 
-	if _, _, err := view.IndexGetBatchCtx(context.Background(), "by_nothing", vals); !errors.Is(err, ErrNoIndex) {
+	r := view.Reader(budget(1 << 10))
+	if _, _, err := r.IndexGetBatchCtx(context.Background(), "by_nothing", vals); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("unknown index: err = %v, want ErrNoIndex", err)
 	}
-	if _, _, err := view.IndexGetBatchCtx(context.Background(), "by_label", []Value{Int(1)}); !errors.Is(err, ErrSchemaRow) {
+	if _, _, err := r.IndexGetBatchCtx(context.Background(), "by_label", []Value{Int(1)}); !errors.Is(err, ErrSchemaRow) {
 		t.Fatalf("mistyped value: err = %v, want ErrSchemaRow", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := view.IndexGetBatchCtx(ctx, "by_label", vals); !errors.Is(err, context.Canceled) {
+	if _, _, err := r.IndexGetBatchCtx(ctx, "by_label", vals); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled lookup: err = %v, want context.Canceled", err)
 	}
 
@@ -178,16 +190,19 @@ func TestIndexGetBatch(t *testing.T) {
 	if _, err := tab.view.primary.Delete(EncodeKey(Int(777))); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = tab.view.IndexGetBatchCtx(context.Background(), "by_label", vals)
+	live := tab.view.Reader(budget(1 << 10))
+	_, _, err = live.IndexGetBatchCtx(context.Background(), "by_label", vals)
 	if err == nil || !strings.Contains(err.Error(), "points at missing row") {
 		t.Fatalf("dangling index entry: err = %v, want \"points at missing row\"", err)
 	}
 }
 
-// TestGetLeafVisitsTheLeafInPlace: the rows GetLeafCtx visits are the rows
-// of the leaf holding the key, in key order, the key's own among them; the
-// integers it reads in place and the row it decodes on request agree.
-func TestGetLeafVisitsTheLeafInPlace(t *testing.T) {
+// TestReaderHoldsTheLeaf: a reader descends once to a key's leaf and then
+// answers every row of that leaf in place — the integers it reads and the
+// row it decodes agree, absent keys included — and never goes to a leaf
+// twice, in whatever order the keys come; with the bound forced to one leaf
+// it answers the same and keeps no more than that.
+func TestReaderHoldsTheLeaf(t *testing.T) {
 	db, tab := permutedTable(t)
 	sn := db.Snapshot()
 	defer sn.Close()
@@ -196,48 +211,108 @@ func TestGetLeafVisitsTheLeafInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, totals := countedCtx()
-	var ids []int64
-	err = view.GetLeafCtx(ctx, Int(1234), []int{0}, func(ints []int64, row func() (Row, error)) error {
-		id := ints[0]
-		if id%3 == 0 { // in full only now and then, as a harvest does
-			full, err := row()
-			if err != nil {
-				return err
-			}
-			if len(full) != 2 || full[0].Int64() != id || full[1].Text() != permutedLabel(int(id)) {
-				t.Fatalf("row %d decoded to %v", id, full)
-			}
-		}
-		ids = append(ids, id)
-		return nil
-	})
+	leaf, err := view.primary.LeafC(EncodeKey(Int(1234)), nil)
+	if err != nil || leaf.Len() < 2 {
+		t.Fatalf("the leaf of key 1234: %d entries, %v", leaf.Len(), err)
+	}
+	first, err := DecodeKey(leaf.Key(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) < 2 || totals("btree_descents") != 1 {
-		t.Fatalf("harvested %d rows in %d descents, want a leaf's worth in one", len(ids), totals("btree_descents"))
-	}
-	seen := false
-	for i, id := range ids {
-		seen = seen || id == 1234
-		if i > 0 && id != ids[i-1]+1 {
-			t.Fatalf("rows out of key order: %d after %d", id, ids[i-1])
+	lo, hi := first[0].Int64(), first[0].Int64()+int64(leaf.Len())
+
+	left := 1 << 10
+	r := view.Reader(&left)
+	ints := make([]int64, 1)
+	for id := hi - 1; id >= lo; id-- { // downwards: held leaves are found by range, not by recency
+		if ok, err := r.Ints(ctx, Int(id), []int{0}, ints); err != nil || !ok || ints[0] != id {
+			t.Fatalf("Ints(%d) = %v, %v, %v", id, ints[0], ok, err)
+		}
+		if id%3 == 0 { // in full only now and then, as a walk does
+			full, ok, err := r.Row(ctx, Int(id))
+			if err != nil || !ok || len(full) != 2 || full[0].Int64() != id || full[1].Text() != permutedLabel(int(id)) {
+				t.Fatalf("row %d decoded to %v, %v, %v", id, full, ok, err)
+			}
 		}
 	}
-	if !seen {
-		t.Fatal("the leaf holding key 1234 did not yield row 1234")
+	if d := totals("btree_descents"); d != 1 || len(r.leaves) != 1 {
+		t.Fatalf("%d rows of one leaf took %d descents and hold %d leaves, want 1 and 1", hi-lo, d, len(r.leaves))
 	}
-	visit := func([]int64, func() (Row, error)) error { return nil }
-	if err := tab.view.GetLeafCtx(ctx, Str("x"), nil, visit); !errors.Is(err, ErrSchemaRow) {
+
+	// Every row, in a scattered order, twice: one descent per leaf the first
+	// time, none the second.
+	leaves := map[string]bool{}
+	for pass := 0; pass < 2; pass++ {
+		before := totals("btree_descents")
+		for i := 0; i < indexScanRows; i++ {
+			id := i * 7919 % indexScanRows
+			leaves[leafOf(t, view, "", EncodeKey(Int(int64(id))))] = true
+			row, ok, err := r.Row(ctx, Int(int64(id)))
+			if err != nil || !ok || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
+				t.Fatalf("pass %d: row %d = %v, %v, %v", pass, id, row, ok, err)
+			}
+		}
+		d := totals("btree_descents") - before
+		if want := int64((1 - pass) * (len(leaves) - 1)); d != want {
+			t.Fatalf("pass %d over %d leaves (one held already): %d descents, want %d", pass, len(leaves), d, want)
+		}
+	}
+	for i := 1; i < len(r.leaves); i++ {
+		if bytes.Compare(r.leaves[i-1].Key(0), r.leaves[i].Key(0)) >= 0 {
+			t.Fatalf("held leaves out of key order at %d", i)
+		}
+	}
+
+	// Absent keys: before the first, past the last, and the reader still
+	// holds each leaf once.
+	held := len(r.leaves)
+	for _, id := range []int64{-1, indexScanRows, indexScanRows + 7, -1} {
+		if ok, err := r.Ints(ctx, Int(id), []int{0}, ints); err != nil || ok {
+			t.Fatalf("Ints(%d) on an absent key = %v, %v", id, ok, err)
+		}
+		if _, ok, err := r.Row(ctx, Int(id)); err != nil || ok {
+			t.Fatalf("Row(%d) on an absent key = %v, %v", id, ok, err)
+		}
+	}
+	if len(r.leaves) != held {
+		t.Fatalf("absent keys grew the held leaves from %d to %d", held, len(r.leaves))
+	}
+
+	if left != 1<<10-len(r.leaves) {
+		t.Fatalf("%d leaves held left %d of a budget of %d", len(r.leaves), left, 1<<10)
+	}
+
+	// The bound: one leaf kept, every answer the same.
+	one := view.Reader(budget(1))
+	for i := 0; i < indexScanRows; i += 13 {
+		id := i * 7919 % indexScanRows
+		row, ok, err := one.Row(ctx, Int(int64(id)))
+		if err != nil || !ok || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
+			t.Fatalf("bounded reader: row %d = %v, %v, %v", id, row, ok, err)
+		}
+		if len(one.leaves) > 1 {
+			t.Fatalf("a reader bounded to 1 leaf holds %d", len(one.leaves))
+		}
+	}
+
+	if _, err := r.Ints(ctx, Str("x"), nil, nil); !errors.Is(err, ErrSchemaRow) {
+		t.Fatalf("mistyped key: err = %v, want ErrSchemaRow", err)
+	}
+	if _, _, err := r.Row(ctx, Str("x")); !errors.Is(err, ErrSchemaRow) {
 		t.Fatalf("mistyped key: err = %v, want ErrSchemaRow", err)
 	}
 	for _, cols := range [][]int{{1}, {0, 0}, {2}, {-1}} { // a string column, a repeat, out of range
-		if err := tab.view.GetLeafCtx(ctx, Int(5), cols, visit); !errors.Is(err, ErrSchemaRow) {
+		if _, err := r.Ints(ctx, Int(5), cols, make([]int64, 2)); !errors.Is(err, ErrSchemaRow) {
 			t.Fatalf("columns %v: err = %v, want ErrSchemaRow", cols, err)
 		}
 	}
-	stop := errors.New("stop")
-	if err := tab.view.GetLeafCtx(ctx, Int(5), nil, func([]int64, func() (Row, error)) error { return stop }); !errors.Is(err, stop) {
-		t.Fatalf("callback error: got %v, want it passed through", err)
+	if _, err := r.Ints(ctx, Int(5), []int{0}, nil); !errors.Is(err, ErrSchemaRow) {
+		t.Fatalf("no room for the column: err = %v, want ErrSchemaRow", err)
+	}
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	fresh := tab.view.Reader(budget(1 << 10))
+	if _, err := fresh.Ints(dead, Int(5), []int{0}, ints); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a descent under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }

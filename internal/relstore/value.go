@@ -392,11 +392,11 @@ func appendRow(dst Row, buf []byte) (Row, error) {
 // rowInts reads the integer columns at the ascending positions cols of an
 // encoded row into out, in place: the columns before and between them are
 // stepped over by their lengths and those after the last are not looked at,
-// no Value is built. It is the loop a leaf harvest (TableView.GetLeafCtx)
-// runs over every row of a leaf — one flat pass, where a call per column
+// no Value is built. It is what Reader.Ints runs on the one row it was asked
+// for, bytes straight out of a page: one flat pass, where a call per column
 // through decodeRow's Values made the stored Project half as fast again. A
 // row that ends early, is malformed on the way, or holds another type at one
-// of the positions is ErrCorruptRow.
+// of the positions is ErrCorruptRow (FuzzRowDecode).
 func rowInts(buf []byte, cols []int, out []int64) error {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {

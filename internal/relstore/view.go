@@ -18,6 +18,10 @@ import (
 // parallel with bulk loads, deletes and commits, and a scan callback may
 // issue further reads on the same view. (A Table keeps one over the writer's
 // working trees, for the reads it makes under the database mutex.)
+//
+// A view keeps nothing between calls. A request that reads many rows by key
+// takes a Reader from it, which holds the primary leaves it has been to for
+// as long as the request lasts.
 type TableView struct {
 	schema  Schema
 	keyCol  int
@@ -141,106 +145,6 @@ func (v *TableView) GetBatchCtx(ctx context.Context, keys []Value) ([]Row, []boo
 		}
 		if rows[i], err = decodeRow(val); err != nil {
 			return nil, nil, err
-		}
-	}
-	return rows, found, nil
-}
-
-// GetLeafCtx calls fn once for every row of the storage leaf that contains
-// (or would contain) key, in key order. One descent harvests every
-// neighboring row the point read already reached; batch-oriented readers
-// memoize what they need of them so nearby lookups never descend again. The
-// requested key may be absent — callers check the rows they got.
-//
-// The rows are read in place. ints holds the row's values of the integer
-// columns at the ascending positions cols, taken straight from the encoded
-// row with the columns between them passed over; row decodes the whole row,
-// for the few a reader wants in full. Both ints and the Row that row returns
-// are reused from one call of fn to the next: keep the values, not the
-// slices.
-func (v *TableView) GetLeafCtx(ctx context.Context, key Value, cols []int, fn func(ints []int64, row func() (Row, error)) error) error {
-	keyType := v.schema.Columns[v.keyCol].Type
-	if key.Type != keyType {
-		return fmt.Errorf("%w: key wants %s, got %s", ErrSchemaRow, keyType, key.Type)
-	}
-	for i, c := range cols {
-		if c < 0 || c >= len(v.schema.Columns) || v.schema.Columns[c].Type != TInt || (i > 0 && c <= cols[i-1]) {
-			return fmt.Errorf("%w: leaf harvest wants ascending integer columns, got %v", ErrSchemaRow, cols)
-		}
-	}
-	var (
-		enc  []byte // the row fn is being called for
-		buf  Row
-		ints = make([]int64, len(cols))
-	)
-	row := func() (Row, error) {
-		var err error
-		buf, err = appendRow(buf[:0], enc)
-		return buf, err
-	}
-	return v.primary.GetLeaf(ctx, EncodeKey(key), func(_, val []byte) error {
-		enc = val
-		if err := rowInts(enc, cols, ints); err != nil {
-			return err
-		}
-		return fn(ints, row)
-	})
-}
-
-// IndexGetBatchCtx looks up many values of an index's first column at once:
-// rows[i] is the first row, in index order, whose indexed column equals
-// vals[i], and found[i] whether there is one. The values are resolved in one
-// sorted sweep of the index and the rows they point at in one batched read
-// of the primary tree, so the cost is one descent per distinct leaf touched
-// in either — not two per value.
-func (v *TableView) IndexGetBatchCtx(ctx context.Context, index string, vals []Value) ([]Row, []bool, error) {
-	ix, tree, err := v.findIndex(index)
-	if err != nil {
-		return nil, nil, err
-	}
-	prefixes := make([][]byte, len(vals))
-	for i, val := range vals {
-		if prefixes[i], err = v.indexPrefix(ix, []Value{val}); err != nil {
-			return nil, nil, err
-		}
-	}
-	// As in BTree.Scan: once the context is done, a failure is the
-	// cancellation, not whatever a reclaimed page decoded to.
-	fail := func(err error) ([]Row, []bool, error) {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
-		}
-		return nil, nil, err
-	}
-	ctr := obs.CountersFrom(ctx)
-	keys, pks, err := tree.SeekBatchC(ctx, prefixes, ctr)
-	if err != nil {
-		return fail(err)
-	}
-	found := make([]bool, len(vals))
-	hits := make([]int, 0, len(vals)) // the i with an entry, and their primary keys
-	hitPKs := make([][]byte, 0, len(vals))
-	for i, key := range keys {
-		if key != nil && bytes.HasPrefix(key, prefixes[i]) {
-			found[i] = true
-			hits = append(hits, i)
-			hitPKs = append(hitPKs, pks[i])
-		}
-	}
-	encs, ok, err := v.primary.GetBatchC(ctx, hitPKs, ctr)
-	if err != nil {
-		return fail(err)
-	}
-	// The rows are cut from one backing array: one allocation, not one a row.
-	ncols := len(v.schema.Columns)
-	backing := make(Row, len(hits)*ncols)
-	rows := make([]Row, len(vals))
-	for j, i := range hits {
-		if !ok[j] {
-			return fail(fmt.Errorf("relstore: index %s.%s points at missing row", v.schema.Name, index))
-		}
-		if rows[i], err = appendRow(backing[j*ncols:j*ncols:(j+1)*ncols], encs[j]); err != nil {
-			return fail(err)
 		}
 	}
 	return rows, found, nil
@@ -377,12 +281,7 @@ func (v *TableView) indexRowScan(ctx context.Context, index string, tree *storag
 		return err
 	}
 	if _, err := flush(); err != nil {
-		// As in BTree.Scan: once the context is done, a failure is the
-		// cancellation, not whatever a reclaimed page decoded to.
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return err
+		return fail(ctx, err)
 	}
 	return nil
 }

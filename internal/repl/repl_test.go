@@ -394,12 +394,17 @@ func TestFollowerApplyLeavesHeldImagesIntact(t *testing.T) {
 	pinned := storage.OpenBTreeAt(st, sn.Root(0), sn.Epoch())
 	type held struct{ got, want []byte }
 	var hs []held
-	err := pinned.GetLeaf(ctx, []byte("held-000"), func(k, v []byte) error {
+	leaf, err := pinned.LeafC([]byte("held-000"), nil)
+	if err != nil || leaf.Len() == 0 {
+		t.Fatalf("pinned leaf before conflict: %d entries, err=%v", leaf.Len(), err)
+	}
+	for i := 0; i < leaf.Len(); i++ {
+		k := leaf.Key(i)
+		v, err := leaf.Val(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		hs = append(hs, held{k, bytes.Clone(k)}, held{v, bytes.Clone(v)})
-		return nil
-	})
-	if err != nil || len(hs) == 0 {
-		t.Fatalf("pinned harvest before conflict: %d slices, err=%v", len(hs), err)
 	}
 	pages := map[storage.PageID][]byte{}
 	if err := pinned.Pages(func(id storage.PageID) {
@@ -461,6 +466,15 @@ func TestFollowerApplyLeavesHeldImagesIntact(t *testing.T) {
 	}
 	if replaced == 0 {
 		t.Fatal("the apply replaced none of the pages the reader held: the test exercised nothing")
+	}
+	// What the reader holds still answers; its next page read does not.
+	if pos, ok := leaf.Find([]byte("held-000")); !ok {
+		t.Fatal("the held leaf lost its key after the conflicting apply")
+	} else if _, err := leaf.Val(pos); err != nil {
+		t.Fatalf("the held leaf's value after the conflicting apply: %v", err)
+	}
+	if _, err := pinned.LeafC([]byte("held-001"), nil); !errors.Is(err, storage.ErrSnapshotInvalidated) {
+		t.Fatalf("pinned descent after conflicting apply: err=%v, want ErrSnapshotInvalidated", err)
 	}
 	if _, _, err := pinned.Get([]byte("held-001")); !errors.Is(err, storage.ErrSnapshotInvalidated) {
 		t.Fatalf("pinned read after conflicting apply: err=%v, want ErrSnapshotInvalidated", err)

@@ -1189,8 +1189,8 @@ func errStatus(err error) int {
 		// 409 is what the client failover path retries against another
 		// base (typically the primary).
 		return http.StatusConflict
-	case errors.Is(err, treestore.ErrBadName), errors.Is(err, species.ErrBadKey),
-		errors.Is(err, newick.ErrSyntax):
+	case errors.Is(err, treestore.ErrBadName), errors.Is(err, treestore.ErrBadSample),
+		errors.Is(err, species.ErrBadKey), errors.Is(err, newick.ErrSyntax):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
@@ -1556,15 +1556,7 @@ func (s *Server) handleLCA(r *http.Request, sn *reqSnap) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	ends, err := t.NodesByNameCtx(r.Context(), []string{a, b})
-	if err != nil {
-		return nil, err
-	}
-	id, err := t.LCACtx(r.Context(), ends[0].ID, ends[1].ID)
-	if err != nil {
-		return nil, err
-	}
-	row, err := t.NodeCtx(r.Context(), id)
+	row, err := t.LCANamesCtx(r.Context(), a, b)
 	if err != nil {
 		return nil, err
 	}
@@ -1572,7 +1564,7 @@ func (s *Server) handleLCA(r *http.Request, sn *reqSnap) (any, error) {
 	if cacheable {
 		s.cachePut(name, ver, key, resp)
 	}
-	s.recordAsync("lca", map[string]any{"tree": name, "a": a, "b": b}, fmt.Sprintf("node %d", id))
+	s.recordAsync("lca", map[string]any{"tree": name, "a": a, "b": b}, fmt.Sprintf("node %d", row.ID))
 	return resp, nil
 }
 
@@ -1641,15 +1633,7 @@ func (s *Server) handleClade(r *http.Request, sn *reqSnap) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := t.NodesByNameCtx(r.Context(), names)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]int, len(rows))
-	for i, row := range rows {
-		ids[i] = row.ID
-	}
-	clade, err := t.MinimalSpanningCladeCtx(r.Context(), ids)
+	clade, err := t.CladeNamesCtx(r.Context(), names)
 	if err != nil {
 		return nil, err
 	}

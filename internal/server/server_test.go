@@ -650,3 +650,39 @@ func TestShardedServer(t *testing.T) {
 		t.Fatalf("old species set against the reloaded tree: err = %v, want 404 (stale cache must not answer)", err)
 	}
 }
+
+// TestBadSampleRequestsAre400: a sample the tree cannot supply is the
+// caller's mistake — a size below one or above the leaf count, a time beyond
+// the tree's height, fewer leaves beyond the time than asked for — and is
+// answered 400 with the reason, not 500; the read slot it took is released.
+func TestBadSampleRequestsAre400(t *testing.T) {
+	_, cl := startServer(t, crimson.ServerConfig{})
+	ctx := context.Background()
+	// Leaves a, b at time 3, c at 2, d at 9: only d lies beyond time 5.
+	if _, err := cl.LoadNewickCtx(ctx, "uneven", 0, strings.NewReader("(((a:1,b:1):1,c:1):1,d:9);")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		what string
+		ask  func() ([]string, error)
+		want string
+	}{
+		{"k=0", func() ([]string, error) { return cl.SampleUniformCtx(ctx, "uneven", 0, 1) }, "sample size must be >= 1"},
+		{"k above the leaf count", func() ([]string, error) { return cl.SampleUniformCtx(ctx, "uneven", 5, 1) }, "sample 5 > 4 leaves"},
+		{"k=0 with a time", func() ([]string, error) { return cl.SampleWithTimeCtx(ctx, "uneven", 1, 0, 1) }, "sample size must be >= 1"},
+		{"a time beyond the height", func() ([]string, error) { return cl.SampleWithTimeCtx(ctx, "uneven", 100, 1, 1) }, "no nodes beyond time 100"},
+		{"fewer than k leaves beyond the time", func() ([]string, error) { return cl.SampleWithTimeCtx(ctx, "uneven", 5, 2, 1) }, "only 1 leaves beyond time 5 < 2"},
+	} {
+		_, err := tc.ask()
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != 400 || !strings.Contains(apiErr.Message, tc.want) {
+			t.Errorf("%s: err = %v, want 400 saying %q", tc.what, err, tc.want)
+		}
+	}
+	if got, err := cl.SampleWithTimeCtx(ctx, "uneven", 5, 1, 1); err != nil || len(got) != 1 || got[0] != "d" {
+		t.Fatalf("the sample the tree can supply: %v, %v, want [d]", got, err)
+	}
+	waitStats(t, cl, "read slots released after the rejected samples", func(st client.Stats) bool {
+		return st.InFlightReads == 0 && st.OpenSnapshots == 0
+	})
+}

@@ -36,7 +36,7 @@ func checkHeld(t *testing.T, when string, hs []held) {
 	}
 }
 
-// TestHeldBytesSurviveRewriteReuseAndEviction takes values, a leaf harvest,
+// TestHeldBytesSurviveRewriteReuseAndEviction takes values, a held Leaf,
 // cursor keys and whole page images from a snapshot, then lets a writer
 // overwrite and delete everything across commits, closes the snapshot so
 // the old pages are freed and their ids reused, checkpoints, and pushes
@@ -82,12 +82,19 @@ func TestHeldBytesSurviveRewriteReuseAndEviction(t *testing.T) {
 		}
 		hs = append(hs, hold(fmt.Sprintf("value of key %d", i), v))
 	}
-	err = pinned.GetLeaf(context.Background(), key(1500), func(k, v []byte) error {
-		hs = append(hs, hold("a harvested key", k), hold("a harvested value", v))
-		return nil
-	})
+	leaf, err := pinned.LeafC(key(1500), nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pos, ok := leaf.Find(key(1500)); !ok || !bytes.Equal(leaf.Key(pos), key(1500)) {
+		t.Fatalf("the leaf key 1500 routes to does not hold it (pos %d of %d)", pos, leaf.Len())
+	}
+	for i := 0; i < leaf.Len(); i++ {
+		v, err := leaf.Val(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, hold("a held leaf's key", leaf.Key(i)), hold("a held leaf's value", v))
 	}
 	vals, _, err := pinned.GetBatch(context.Background(), [][]byte{key(5), key(2995), key(1200)})
 	if err != nil {
@@ -172,6 +179,12 @@ func TestHeldBytesSurviveRewriteReuseAndEviction(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	checkHeld(t, "after the pages were freed, reused, checkpointed and evicted", hs)
+	// The held Leaf still answers from its image: same position, same bytes.
+	if pos, ok := leaf.Find(key(1500)); !ok {
+		t.Fatal("the held leaf lost key 1500")
+	} else if v, err := leaf.Val(pos); err != nil || !bytes.HasPrefix(v, []byte("round-0-")) {
+		t.Fatalf("the held leaf's value of key 1500 is %q, %v, want round 0's", v, err)
+	}
 
 	reused := 0
 	for id, old := range images {

@@ -46,7 +46,7 @@ const (
 //
 // Reads happen in place. A node read takes the page's immutable image from
 // the buffer pool (no copy) and indexes its cells; the keys and values a
-// read returns — Get, GetBatch, GetLeaf, Scan, Cursor.Key/Value — are
+// read returns — Get, GetBatch, Leaf, Scan, Cursor.Key/Value — are
 // sub-slices of that image (overflow values are assembled into a buffer of
 // their own). They stay valid and unchanged for as long as the caller holds
 // them, whatever the writer, the pool or a replicated apply do meanwhile,
@@ -580,34 +580,46 @@ func (t *BTree) SeekBatchC(ctx context.Context, keys [][]byte, c *obs.Counters) 
 	return found, vals, nil
 }
 
-// GetLeaf calls fn with every key/value pair residing in the leaf that
-// contains (or would contain) key, in key order, resolving overflow values.
-// One descent buys the whole leaf: batch-friendly readers harvest the
-// neighbors a point read already paid to reach instead of descending for
-// each of them separately. Nothing is copied or collected — fn sees the
-// cells in place, under the aliasing rules of the BTree doc comment.
-func (t *BTree) GetLeaf(ctx context.Context, key []byte, fn func(key, value []byte) error) error {
-	return t.GetLeafC(key, obs.CountersFrom(ctx), fn)
+// Leaf is one leaf of a tree held in place: the page's immutable image and
+// the offsets of its cells. It is what a reader keeps of a descent so that a
+// second key routing to the same leaf costs a binary search, not another
+// walk from the root. Keys and values are sub-slices of the image, under the
+// aliasing rules of the BTree doc comment: they stay what they were whatever
+// the writer, the pool or a replicated apply do to the page afterwards, and a
+// held Leaf keeps its 4 KiB image alive — hold them for a request, not
+// longer. A Leaf comes from LeafC; the zero value is not usable.
+type Leaf struct {
+	t *BTree
+	n *node
 }
 
-// GetLeafC is GetLeaf with explicit per-request counter attribution (c may
-// be nil).
-func (t *BTree) GetLeafC(key []byte, c *obs.Counters, fn func(key, value []byte) error) error {
+// LeafC descends to the leaf that contains (or would contain) key, with
+// explicit per-request counter attribution (c may be nil). One call is one
+// root-to-leaf descent.
+func (t *BTree) LeafC(key []byte, c *obs.Counters) (Leaf, error) {
 	n, err := t.leafFor(key, c)
 	if err != nil {
-		return err
+		return Leaf{}, err
 	}
-	for i := 0; i < n.nkeys(); i++ {
-		v, _, err := t.resolveValue(n, i)
-		if err != nil {
-			return err
-		}
-		if err := fn(n.key(i), v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return Leaf{t: t, n: n}, nil
 }
+
+// Len returns the number of entries in the leaf.
+func (l Leaf) Len() int { return l.n.nkeys() }
+
+// Key returns the i-th key, i in [0, Len).
+func (l Leaf) Key(i int) []byte { return l.n.key(i) }
+
+// Val returns the i-th value, resolving an overflow chain (the one case
+// that reads further pages, and so the one that can fail).
+func (l Leaf) Val(i int) ([]byte, error) {
+	v, _, err := l.t.resolveValue(l.n, i)
+	return v, err
+}
+
+// Find returns the position of the first entry whose key is >= key, and
+// whether that entry holds key itself.
+func (l Leaf) Find(key []byte) (int, bool) { return leafIndex(l.n, key) }
 
 type splitResult struct {
 	key   []byte

@@ -34,9 +34,11 @@ func total(root *obs.Span, name string) int64 {
 // under fixed ceilings of B+tree descents and decoded cells. There is one
 // query path, so descents are the same with the decoded-node cache off and
 // on; the cache only spares the re-decoding of interior nodes. The counts
-// are deterministic — 161 descents, 12 378 cells with the cache, 35 154
-// without — and the ceilings sit ~10% over them. Before layer 0 harvested
-// the leaf a point read lands in, as the upper layers always did, the same
+// are deterministic — 123 descents, one per distinct leaf the request
+// touches, 10 135 cells with the cache, 26 214 without — and the ceilings
+// sit ~10% over them. While the request memo kept a leaf's integers and not
+// the leaf, 38 more descents went back for the full row of an LCA (161;
+// 12 378 / 35 154 cells); before layer 0 read whole leaves at all, the same
 // projection took 226 descents and 16 165 / 50 201 cells; the per-row path
 // before that 1 145 descents and 225 139 cells.
 func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
@@ -91,9 +93,9 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	}
 	t.Logf("descents off=%d on=%d; cells off=%d on=%d", offDescents, onDescents, offCells, onCells)
 	const (
-		maxDescents = 175
-		maxCellsOn  = 13500
-		maxCellsOff = 38500
+		maxDescents = 135
+		maxCellsOn  = 11100
+		maxCellsOff = 28800
 	)
 	if onDescents != offDescents {
 		t.Fatalf("btree_descents: off=%d on=%d, want equal (one query path)", offDescents, onDescents)
@@ -370,7 +372,7 @@ func TestLCADifferentialNaive(t *testing.T) {
 // engine with deterministic counters. On caterpillars at f=16 an LCA reads,
 // per layer, at most 2f local cells, the 2 query cells, the 2 entered source
 // cells and 2 subs rows — a source-chain walk would read depth/f — and since
-// every read harvests the storage leaf it lands in, those reads collapse
+// the request holds every storage leaf a read lands in, those reads collapse
 // into a few descents a layer: over 500 seeded pairs the mean is 6.0 at
 // depth 2k (3 layers, worst pair 7) and 8.8 at depth 20k (4 layers, worst
 // 11). The ceilings are absolute, per layer: a mean of 2.5 descents and no

@@ -42,6 +42,10 @@ var (
 	ErrTreeExists = errors.New("treestore: tree already exists")
 	ErrBadName    = errors.New("treestore: tree name must match [A-Za-z0-9_-]+")
 	ErrNoNode     = errors.New("treestore: no such node")
+	// ErrBadSample is a sample the tree cannot supply: a size below one or
+	// above what there is to draw from, a time no node lies beyond. The
+	// request is at fault, not the store.
+	ErrBadSample = errors.New("treestore: bad sample request")
 )
 
 // Store is the Tree Repository over a relational database.
@@ -755,13 +759,13 @@ const (
 	colSize
 )
 
-// What a leaf harvest reads of every row, per relation: the key and the
-// fields the LCA recursion walks on. A layer relation is (id, parent, ord,
-// sub, lparent, ldepth), a subs relation (id, root, source).
+// What the LCA recursion reads of a row, per relation: the fields it walks
+// on. A layer relation is (id, parent, ord, sub, lparent, ldepth), a subs
+// relation (id, root, source).
 var (
-	nodeCellCols  = []int{colID, colSub, colLParent, colLDepth}
-	layerCellCols = []int{0, 3, 4, 5}
-	subLinkCols   = []int{0, 1, 2}
+	nodeCellCols  = []int{colSub, colLParent, colLDepth}
+	layerCellCols = []int{3, 4, 5}
+	subLinkCols   = []int{1, 2}
 )
 
 // decodeNode is the one reader of a nodes row.
@@ -783,14 +787,15 @@ func decodeNode(row relstore.Row) Node {
 }
 
 // Tree is a handle on one stored tree as of a snapshot; every query goes to
-// the relational store: node sets are fetched a storage leaf at a time
-// (GetLeafCtx reads the few integers the walk needs out of each row in place
-// and decodes in full only the rows asked for), names resolve in one batched
-// index sweep (IndexGetBatchCtx), and the layered LCA recursion runs over a
-// request-scoped cell memo. A Tree handle is safe for concurrent use by
-// multiple goroutines: all methods are read-only, take no lock, and are
-// immune to concurrent loads and deletes. It is valid until its snapshot
-// closes.
+// the relational store, through one request-scoped memo (cellMemo): a
+// relstore.Reader per relation that holds every storage leaf the request has
+// been to, so no leaf is descended to twice in a request and a row is decoded
+// — the three integers the walk needs, or the whole Node — only when the walk
+// asks for it. Names resolve in one batched index sweep whose primary leaves
+// the walk then finds already held. A Tree handle is safe for concurrent use
+// by multiple goroutines: all methods are read-only, take no lock, share no
+// memo, and are immune to concurrent loads and deletes. It is valid until its
+// snapshot closes.
 type Tree struct {
 	info   TreeInfo
 	nodes  *relstore.TableView
@@ -830,11 +835,17 @@ func (t *Tree) NodeByNameCtx(ctx context.Context, name string) (Node, error) {
 // per distinct leaf touched in either, not two descents each. A name no
 // node carries is an ErrNoNode error naming it.
 func (t *Tree) NodesByNameCtx(ctx context.Context, names []string) ([]Node, error) {
+	return t.nodesByName(ctx, newCellMemo(t), names)
+}
+
+// nodesByName is NodesByNameCtx through the request memo, which keeps the
+// nodes leaves the rows were read from for the walk that follows.
+func (t *Tree) nodesByName(ctx context.Context, memo *cellMemo, names []string) ([]Node, error) {
 	vals := make([]relstore.Value, len(names))
 	for i, name := range names {
 		vals[i] = relstore.Str(name)
 	}
-	rows, found, err := t.nodes.IndexGetBatchCtx(ctx, "by_name", vals)
+	rows, found, err := memo.nodes.IndexGetBatchCtx(ctx, "by_name", vals)
 	if err != nil {
 		return nil, err
 	}
@@ -872,254 +883,113 @@ type layerCell struct {
 	ldepth  int
 }
 
-// cellMemoMax bounds a request-scoped cell memo. Once full the memo keeps
-// serving hits but stops admitting new entries, so one adversarial request
-// cannot grow it without limit.
-const cellMemoMax = 1 << 14
+// memoMaxLeaves bounds the storage leaves a request memo holds, over all its
+// relations: 1 024 of them are 4 MiB of page images, most of which the buffer
+// pool holds anyway. Past it the memo keeps answering — from what it holds,
+// and by descent — and stops retaining, so one adversarial request cannot pin
+// memory without limit.
+const memoMaxLeaves = 1 << 10
 
 // subLink is one row of a subs relation: the subtree's root node and the
 // source node it was split off from (-1 for the subtree holding the layer
 // root).
 type subLink struct{ root, source int }
 
-// idRow is one harvested row: its key and the fields kept of it.
-type idRow[T any] struct {
-	id int
-	v  T
-}
-
-// leafRuns memoizes what a request has harvested from one relation. A run
-// is the rows of one storage leaf, in the ascending id order they were read
-// in — appended to a slice, no hashing, one allocation a leaf. Leaves hold
-// disjoint id intervals, so the runs are kept ordered by first id and a
-// lookup is two binary searches.
-type leafRuns[T any] struct {
-	runs [][]idRow[T]
-	rows int // over all runs, against cellMemoMax
-}
-
-func (lr *leafRuns[T]) get(id int) (v T, ok bool) {
-	i := sort.Search(len(lr.runs), func(i int) bool { return lr.runs[i][0].id > id })
-	if i == 0 {
-		return v, false
-	}
-	run := lr.runs[i-1]
-	j, ok := sort.Find(len(run), func(j int) int { return id - run[j].id })
-	if !ok {
-		return v, false
-	}
-	return run[j].v, true
-}
-
-// newRun returns an empty run sized like the relation's last leaf.
-func (lr *leafRuns[T]) newRun() []idRow[T] {
-	n := 64
-	if len(lr.runs) > 0 {
-		n = len(lr.runs[len(lr.runs)-1]) + 8
-	}
-	return make([]idRow[T], 0, n)
-}
-
-// add memoizes a harvested leaf. A leaf read a second time — for the full
-// row of an id whose cell the first read already gave — is not added twice.
-func (lr *leafRuns[T]) add(run []idRow[T]) {
-	if len(run) == 0 || lr.rows >= cellMemoMax {
-		return
-	}
-	i := sort.Search(len(lr.runs), func(i int) bool { return lr.runs[i][0].id > run[0].id })
-	if i > 0 && lr.runs[i-1][0].id == run[0].id {
-		return
-	}
-	lr.runs = slices.Insert(lr.runs, i, run)
-	lr.rows += len(run)
-}
-
-// cellMemo memoizes the point reads of the layered LCA recursion within
-// one request: per layer the cells and the subtree links of every storage
-// leaf the request has read (see leafRuns), and the full layer-0 node rows
-// it asked for by id. Project and MinimalSpanningClade run the recursion
-// over many pairs whose ancestor chains overlap heavily; the memo collapses
-// those repeat chain walks into lookups. It is request-scoped — created per
-// call, never shared across requests — and used from a single goroutine, so
-// it needs no locking. It holds numbers and names, never a reference into a
-// page.
+// cellMemo is what one request remembers of the relations it reads: one
+// relstore.Reader per relation — nodes, and layer_k and subs_k of every
+// layer — each holding the storage leaves the request has descended to.
+// Project and MinimalSpanningClade run the LCA recursion over many pairs
+// whose ancestor chains overlap heavily, and a local climb's next cell is
+// most often in the leaf of the last; the held leaves turn those reads into
+// binary searches and decode nothing but the row asked for. It is
+// request-scoped — created per call, never shared across requests, gone with
+// it — and used from a single goroutine, so it needs no locking.
 type cellMemo struct {
-	cells []leafRuns[layerCell] // by layer
-	links []leafRuns[subLink]   // by layer
-	rows  map[int]Node          // layer-0 node rows
+	budget int // leaves the readers may still retain, of memoMaxLeaves
+	nodes  relstore.Reader
+	layers []relstore.Reader // layer 1.. (index 0 = layer 1)
+	subs   []relstore.Reader // layer 0..
+	ints   [3]int64          // scratch: the columns of the row being read
 }
 
-func newCellMemo() *cellMemo {
-	return &cellMemo{rows: make(map[int]Node)}
-}
-
-// layer returns the k-th element of a per-layer slice, growing it to fit.
-func layer[T any](s *[]T, k int) *T {
-	if k >= len(*s) {
-		*s = append(*s, make([]T, k+1-len(*s))...)
+func newCellMemo(t *Tree) *cellMemo {
+	m := &cellMemo{
+		budget: memoMaxLeaves,
+		layers: make([]relstore.Reader, len(t.layers)),
+		subs:   make([]relstore.Reader, len(t.subs)),
 	}
-	return &(*s)[k]
-}
-
-func (m *cellMemo) get(k, id int) (layerCell, bool) {
-	if k == 0 {
-		if n, ok := m.rows[id]; ok {
-			return layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth}, true
-		}
+	m.nodes = t.nodes.Reader(&m.budget)
+	for k, tab := range t.layers {
+		m.layers[k] = tab.Reader(&m.budget)
 	}
-	return layer(&m.cells, k).get(id)
-}
-
-func (m *cellMemo) getSub(k, s int) (subLink, bool) {
-	return layer(&m.links, k).get(s)
-}
-
-func (m *cellMemo) getRow(id int) (Node, bool) {
-	n, ok := m.rows[id]
-	return n, ok
-}
-
-// putRow memoizes a layer-0 node row (and with it its LCA cell).
-func (m *cellMemo) putRow(n Node) {
-	if len(m.rows) >= cellMemoMax {
-		return
+	for k, tab := range t.subs {
+		m.subs[k] = tab.Reader(&m.budget)
 	}
-	m.rows[n.ID] = n
+	return m
 }
 
 // cell fetches the LCA recursion fields of node id at layer k, checking
 // ctx first: the recursion's local climbs are chains of point reads (at
 // most 2f per layer), so this check is what makes an LCA (and everything
 // built on it — Project, pattern match, clade) abort promptly on
-// cancellation. The memo is consulted before the store and learns every
-// fetch. A fetch is one descent, at every layer, and harvests the whole
-// storage leaf it lands in: the key and three integers read in place from
-// each row of the layer relation — or, at layer 0, of the wide nodes
-// relation, whose other eight columns are passed over — so a local climb
-// through that region of the layer becomes memo hits.
+// cancellation. The read goes through the layer's reader: three integers
+// taken in place from the one row — of the layer relation or, at layer 0, of
+// the wide nodes relation, whose other nine columns are passed over — and a
+// descent only when the request has not been to the row's leaf yet.
 func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, error) {
 	if err := ctx.Err(); err != nil {
 		return layerCell{}, err
 	}
-	if c, ok := memo.get(k, id); ok {
-		return c, nil
-	}
-	if k == 0 {
-		n, err := t.nodeRow(ctx, memo, id)
-		return layerCell{sub: n.Sub, lparent: n.LocalParent, ldepth: n.LocalDepth}, err
-	}
-	if k > len(t.layers) {
+	r, cols := &memo.nodes, nodeCellCols
+	switch {
+	case k > len(memo.layers):
 		// Only corrupt relations get here: the top layer's nodes share one
 		// subtree, so a sound walk never climbs past it.
-		return layerCell{}, fmt.Errorf("%w: layer %d beyond the handle's %d", ErrNoNode, k, len(t.layers))
+		return layerCell{}, fmt.Errorf("%w: layer %d beyond the handle's %d", ErrNoNode, k, len(memo.layers))
+	case k > 0:
+		r, cols = &memo.layers[k-1], layerCellCols
 	}
-	c, ok, err := harvestLeaf(ctx, t.layers[k-1], layer(&memo.cells, k), id, layerCellCols, func(ints []int64, _ fullRow) (layerCell, error) {
-		return cellOf(ints), nil
-	})
-	if err == nil && !ok {
-		err = fmt.Errorf("%w: layer %d id %d", ErrNoNode, k, id)
-	}
-	return c, err
-}
-
-// fullRow decodes the whole of the row a leaf harvest is at (see
-// relstore's GetLeafCtx).
-type fullRow = func() (relstore.Row, error)
-
-// cellOf is the LCA cell in the integers a harvest read by nodeCellCols or
-// layerCellCols.
-func cellOf(ints []int64) layerCell {
-	return layerCell{sub: int(ints[1]), lparent: int(ints[2]), ldepth: int(ints[3])}
-}
-
-// harvestLeaf reads the storage leaf of tab that holds id, with one
-// descent, into lr: of every row the integer columns cols (the key first),
-// from which read makes the fields to keep. It returns the fields of id's
-// own row, if the leaf holds one. A failure after the context died is
-// reported as the cancellation: a cancelled reader whose snapshot pins were
-// released may hit reclaimed pages, and that must not masquerade as
-// corruption.
-func harvestLeaf[T any](ctx context.Context, tab *relstore.TableView, lr *leafRuns[T], id int, cols []int, read func(ints []int64, row fullRow) (T, error)) (v T, ok bool, err error) {
-	run := lr.newRun()
-	err = tab.GetLeafCtx(ctx, relstore.Int(int64(id)), cols, func(ints []int64, row fullRow) error {
-		rv, err := read(ints, row)
-		run = append(run, idRow[T]{int(ints[0]), rv})
-		return err
-	})
+	ok, err := r.Ints(ctx, relstore.Int(int64(id)), cols, memo.ints[:])
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
+		return layerCell{}, err
+	}
+	if !ok {
+		if k == 0 {
+			return layerCell{}, fmt.Errorf("%w: id %d", ErrNoNode, id)
 		}
-		return v, false, err
+		return layerCell{}, fmt.Errorf("%w: layer %d id %d", ErrNoNode, k, id)
 	}
-	lr.add(run)
-	j, ok := sort.Find(len(run), func(j int) int { return id - run[j].id })
-	if ok {
-		v = run[j].v
-	}
-	return v, ok, nil
+	return layerCell{sub: int(memo.ints[0]), lparent: int(memo.ints[1]), ldepth: int(memo.ints[2])}, nil
 }
 
-// nodeRow fetches a full layer-0 node row through the request memo, so the
-// walk's repeat visits to an ancestor become map hits instead of descents.
-// The memo keeps numbers and names, not pages: the row of an id whose leaf
-// was harvested for its cells only costs a second descent into that leaf,
-// which leafRuns.add then recognises and does not keep twice.
+// nodeRow fetches a full layer-0 node row through the request memo: decoded
+// from the leaf the request holds when it has been there — for the row's
+// cell, or a neighbor's — and by one descent otherwise.
 func (t *Tree) nodeRow(ctx context.Context, memo *cellMemo, id int) (Node, error) {
-	if n, ok := memo.getRow(id); ok {
-		return n, nil
+	row, ok, err := memo.nodes.Row(ctx, relstore.Int(int64(id)))
+	if err != nil {
+		return Node{}, err
 	}
-	return t.harvest(ctx, memo, id, nil, nil)
+	if !ok {
+		return Node{}, fmt.Errorf("%w: id %d", ErrNoNode, id)
+	}
+	return decodeNode(row), nil
 }
 
-// harvest reads the storage leaf of the nodes relation that holds id, with
-// one descent. The memo learns the LCA cell of every row in the leaf — the
-// ancestors and neighbors the walk asks for next — and the full row of id
-// and of every id listed in want (ascending), whose rows also land in the
-// matching slots of out. It returns id's row.
-func (t *Tree) harvest(ctx context.Context, memo *cellMemo, id int, want []int, out []Node) (Node, error) {
-	var target Node
-	_, ok, err := harvestLeaf(ctx, t.nodes, layer(&memo.cells, 0), id, nodeCellCols, func(ints []int64, row fullRow) (layerCell, error) {
-		rid := int(ints[0])
-		w, wanted := sort.Find(len(want), func(i int) int { return rid - want[i] })
-		if wanted || rid == id {
-			r, err := row()
-			if err != nil {
-				return layerCell{}, err
-			}
-			n := decodeNode(r)
-			memo.putRow(n)
-			if wanted {
-				out[w] = n
-			}
-			if rid == id {
-				target = n
-			}
-		}
-		return cellOf(ints), nil
-	})
-	if err == nil && !ok {
-		err = fmt.Errorf("%w: id %d", ErrNoNode, id)
-	}
-	return target, err
-}
-
-// subLink returns the root and source node of subtree s at layer k,
-// consulting the request memo first. The recursion reads at most two of
-// these per layer — the two child subtrees through which the sides enter
-// the LCA's subtree — and one descent harvests the whole leaf of the narrow
-// subs relation for the pairs that follow in the same request.
+// subLink returns the root and source node of subtree s at layer k through
+// the request memo. The recursion reads at most two of these per layer — the
+// two child subtrees through which the sides enter the LCA's subtree — and
+// the narrow subs relation packs hundreds to a leaf, so the pairs that
+// follow in the same request mostly find theirs held.
 func (t *Tree) subLink(ctx context.Context, memo *cellMemo, k, s int) (subLink, error) {
-	if l, ok := memo.getSub(k, s); ok {
-		return l, nil
+	ok, err := memo.subs[k].Ints(ctx, relstore.Int(int64(s)), subLinkCols, memo.ints[:])
+	if err != nil {
+		return subLink{}, err
 	}
-	l, ok, err := harvestLeaf(ctx, t.subs[k], layer(&memo.links, k), s, subLinkCols, func(ints []int64, _ fullRow) (subLink, error) {
-		return subLink{root: int(ints[1]), source: int(ints[2])}, nil
-	})
-	if err == nil && !ok {
-		err = fmt.Errorf("%w: layer %d subtree %d", ErrNoNode, k, s)
+	if !ok {
+		return subLink{}, fmt.Errorf("%w: layer %d subtree %d", ErrNoNode, k, s)
 	}
-	return l, err
+	return subLink{root: int(memo.ints[0]), source: int(memo.ints[1])}, nil
 }
 
 // LCACtx answers least-common-ancestor queries directly against the stored
@@ -1127,7 +997,24 @@ func (t *Tree) subLink(ctx context.Context, memo *cellMemo, k, s int) (subLink, 
 // fetching only the rows the query touches: per layer at most 2f cells and
 // two subs rows, whatever the tree's depth.
 func (t *Tree) LCACtx(ctx context.Context, a, b int) (int, error) {
-	return t.lca(ctx, newCellMemo(), a, b)
+	return t.lca(ctx, newCellMemo(t), a, b)
+}
+
+// LCANamesCtx returns the least common ancestor of two species, by name,
+// under ctx. The names, the walk and the answer's row go through one memo:
+// the leaves the name lookup read are the walk's end leaves, and the answer
+// is mostly decoded from a leaf the walk has been to.
+func (t *Tree) LCANamesCtx(ctx context.Context, a, b string) (Node, error) {
+	memo := newCellMemo(t)
+	ends, err := t.nodesByName(ctx, memo, []string{a, b})
+	if err != nil {
+		return Node{}, err
+	}
+	l, err := t.lca(ctx, memo, ends[0].ID, ends[1].ID)
+	if err != nil {
+		return Node{}, err
+	}
+	return t.nodeRow(ctx, memo, l)
 }
 
 // lca is the layer-0 LCA of a and b through the request memo.
@@ -1284,14 +1171,31 @@ func (t *Tree) leavesUnder(ctx context.Context, n Node) ([]Node, error) {
 // of the given nodes under ctx (§2.2: "the set of nodes in the tree rooted
 // by their least common ancestor").
 func (t *Tree) MinimalSpanningCladeCtx(ctx context.Context, ids []int) ([]Node, error) {
-	if len(ids) == 0 {
-		return nil, errors.New("treestore: empty node set")
-	}
-	_, memo, err := t.fetchNodes(ctx, ids)
+	return t.clade(ctx, newCellMemo(t), ids)
+}
+
+// CladeNamesCtx is MinimalSpanningCladeCtx over species names: the rows the
+// name lookup read are not read again by id.
+func (t *Tree) CladeNamesCtx(ctx context.Context, names []string) ([]Node, error) {
+	memo := newCellMemo(t)
+	rows, err := t.nodesByName(ctx, memo, names)
 	if err != nil {
 		return nil, err
 	}
+	ids := make([]int, len(rows))
+	for i, n := range rows {
+		ids[i] = n.ID
+	}
+	return t.clade(ctx, memo, ids)
+}
+
+// clade is MinimalSpanningCladeCtx through the request memo.
+func (t *Tree) clade(ctx context.Context, memo *cellMemo, ids []int) ([]Node, error) {
+	if len(ids) == 0 {
+		return nil, errors.New("treestore: empty node set")
+	}
 	l := ids[0]
+	var err error
 	for _, id := range ids[1:] {
 		if l, err = t.lca(ctx, memo, l, id); err != nil {
 			return nil, err
@@ -1314,10 +1218,10 @@ func (t *Tree) MinimalSpanningCladeCtx(ctx context.Context, ids []int) ([]Node, 
 // phylogeny), falling back to a scan when k approaches the leaf count.
 func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Node, error) {
 	if k < 1 {
-		return nil, errors.New("treestore: sample size must be >= 1")
+		return nil, fmt.Errorf("%w: sample size must be >= 1", ErrBadSample)
 	}
 	if k > t.info.Leaves {
-		return nil, fmt.Errorf("treestore: sample %d > %d leaves", k, t.info.Leaves)
+		return nil, fmt.Errorf("%w: sample %d > %d leaves", ErrBadSample, k, t.info.Leaves)
 	}
 	if 2*k > t.info.Leaves {
 		leaves, err := t.LeavesUnderCtx(ctx, 0)
@@ -1361,7 +1265,7 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 // per-frontier quotas with remainder redistribution.
 func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *rand.Rand) ([]Node, error) {
 	if k < 1 {
-		return nil, errors.New("treestore: sample size must be >= 1")
+		return nil, fmt.Errorf("%w: sample size must be >= 1", ErrBadSample)
 	}
 	frontierCtx, frontierSpan := obs.StartSpan(ctx, "frontier")
 	frontier, err := t.FrontierCtx(frontierCtx, time)
@@ -1370,7 +1274,7 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 		return nil, err
 	}
 	if len(frontier) == 0 {
-		return nil, fmt.Errorf("treestore: no nodes beyond time %g", time)
+		return nil, fmt.Errorf("%w: no nodes beyond time %g", ErrBadSample, time)
 	}
 	leavesCtx, leavesSpan := obs.StartSpan(ctx, "collect_leaves")
 	groups := make([][]Node, len(frontier))
@@ -1384,7 +1288,7 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 	}
 	leavesSpan.End()
 	if total < k {
-		return nil, fmt.Errorf("treestore: only %d leaves beyond time %g < %d", total, time, k)
+		return nil, fmt.Errorf("%w: only %d leaves beyond time %g < %d", ErrBadSample, total, time, k)
 	}
 	quota := make([]int, len(groups))
 	for i := range quota {
@@ -1430,31 +1334,22 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 	return out, nil
 }
 
-// fetchNodes fetches the rows of the distinct ids in preorder (id) order,
-// one descent per distinct storage leaf they fall in, and returns them with
-// the request-scoped memo those harvests filled for the LCA walk that
-// follows. Any missing id is an ErrNoNode error.
-func (t *Tree) fetchNodes(ctx context.Context, ids []int) ([]Node, *cellMemo, error) {
+// fetchNodes fetches the rows of the distinct ids in preorder (id) order
+// through the request memo: one descent per distinct storage leaf they fall
+// in, and those leaves are held for the LCA walk that follows. Any missing
+// id is an ErrNoNode error.
+func (t *Tree) fetchNodes(ctx context.Context, memo *cellMemo, ids []int) ([]Node, error) {
 	want := slices.Clone(ids)
 	slices.Sort(want)
 	want = slices.Compact(want)
-	if len(want) > 0 && want[0] < 0 {
-		return nil, nil, fmt.Errorf("%w: id %d", ErrNoNode, want[0])
-	}
 	rows := make([]Node, len(want))
-	for i := range rows {
-		rows[i].ID = -1 // not fetched yet
-	}
-	memo := newCellMemo()
 	for i, id := range want {
-		if rows[i].ID == id {
-			continue // an earlier id's leaf held this one too
-		}
-		if _, err := t.harvest(ctx, memo, id, want, rows); err != nil {
-			return nil, nil, err
+		var err error
+		if rows[i], err = t.nodeRow(ctx, memo, id); err != nil {
+			return nil, err
 		}
 	}
-	return rows, memo, nil
+	return rows, nil
 }
 
 // ProjectCtx computes the tree projection over the given node ids under
@@ -1464,8 +1359,9 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("treestore: empty projection set")
 	}
+	memo := newCellMemo(t)
 	fetchCtx, fetchSpan := obs.StartSpan(ctx, "fetch_nodes")
-	rows, memo, err := t.fetchNodes(fetchCtx, ids)
+	rows, err := t.fetchNodes(fetchCtx, memo, ids)
 	fetchSpan.End()
 	if err != nil {
 		return nil, err
@@ -1473,8 +1369,8 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	return t.project(ctx, memo, rows)
 }
 
-// project is ProjectCtx over rows already fetched: distinct, in preorder
-// (id) order, and known to memo.
+// project is ProjectCtx over rows already fetched through memo: distinct and
+// in preorder (id) order.
 func (t *Tree) project(ctx context.Context, memo *cellMemo, rows []Node) (*phylo.Tree, error) {
 	if len(rows) == 1 {
 		tr := phylo.New(&phylo.Node{Name: rows[0].Name})
@@ -1491,8 +1387,8 @@ func (t *Tree) project(ctx context.Context, memo *cellMemo, rows []Node) (*phylo
 	}
 	lcaCtx, lcaSpan := obs.StartSpan(ctx, "lca_walk")
 	defer lcaSpan.End()
-	// Consecutive pairs share long ancestor chains: the memo seeded with
-	// the rows just fetched collapses the repeat chain reads into map hits.
+	// Consecutive pairs share long ancestor chains: the memo, which holds the
+	// leaves the rows were fetched from, answers the repeat chain reads in place.
 	stack := []*entry{{row: rows[0], nw: &phylo.Node{Name: rows[0].Name}}}
 	for _, x := range rows[1:] {
 		top := stack[len(stack)-1]
@@ -1575,23 +1471,21 @@ func (t *Tree) ExportCtx(ctx context.Context) (*phylo.Tree, error) {
 }
 
 // ProjectNamesCtx projects over species names under ctx. The rows the
-// name lookup read are the rows the projection runs on: nothing is fetched
-// a second time by id.
+// name lookup read are the rows the projection runs on, and the leaves it
+// read them from are the ones the walk starts in: nothing is fetched a second
+// time by id.
 func (t *Tree) ProjectNamesCtx(ctx context.Context, names []string) (*phylo.Tree, error) {
 	if len(names) == 0 {
 		return nil, errors.New("treestore: empty projection set")
 	}
+	memo := newCellMemo(t)
 	resolveCtx, resolveSpan := obs.StartSpan(ctx, "resolve_names")
-	rows, err := t.NodesByNameCtx(resolveCtx, names)
+	rows, err := t.nodesByName(resolveCtx, memo, names)
 	resolveSpan.End()
 	if err != nil {
 		return nil, err
 	}
 	slices.SortFunc(rows, func(a, b Node) int { return a.ID - b.ID })
 	rows = slices.CompactFunc(rows, func(a, b Node) bool { return a.ID == b.ID })
-	memo := newCellMemo()
-	for _, n := range rows {
-		memo.putRow(n)
-	}
 	return t.project(ctx, memo, rows)
 }

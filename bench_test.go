@@ -370,10 +370,10 @@ func relstoreBenchSchema() relstore.Schema {
 	}
 }
 
-func relstoreBenchRows(n int) []relstore.Row {
-	rows := make([]relstore.Row, n)
+func relstoreBenchRows(n int) []relstore.Tuple {
+	rows := make([]relstore.Tuple, n)
 	for i := range rows {
-		rows[i] = relstore.Row{
+		rows[i] = relstore.Tuple{
 			relstore.Int(int64(i)),
 			relstore.Str(fmt.Sprintf("species%08d", i)),
 			relstore.Float(float64(i%977) * 0.25),
@@ -577,39 +577,57 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 	})
 }
 
-// BenchmarkStoredProjectNames is the treestore layer of the benchmark's
-// served_cold workload on its own: k=50 projections by species name, every
-// one over another name set, against 20k-leaf trees (f=16) in a file-backed
-// repository whose trees together outgrow the buffer pool — four of some
-// 1 700 pages each against 4 096 frames. It reports time, B+tree descents and
-// allocations per projection, so a change to the stored read path shows its
-// before and after here, one `go test -bench` away from the E5–E14 arms.
-func BenchmarkStoredProjectNames(b *testing.B) {
-	dir, err := os.MkdirTemp("", "crimson-bench-*")
+// storedTrees loads n copies of t ("gold0"...) at the default fanout into a
+// file-backed repository of its own and returns handles on one snapshot of
+// them; everything is closed when the benchmark ends.
+func storedTrees(b *testing.B, t *phylo.Tree, n int) []*treestore.Tree {
+	b.Helper()
+	s, err := treestore.Open(filepath.Join(b.TempDir(), "bench.db"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-	s, err := treestore.Open(filepath.Join(dir, "bench.db"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	const trees, sets, k = 4, 64, 50
-	t := yuleTree(b, 20000)
-	for i := 0; i < trees; i++ {
+	b.Cleanup(func() { s.Close() })
+	for i := 0; i < n; i++ {
 		if _, err := s.Load(fmt.Sprintf("gold%d", i), t, core.DefaultFanout, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 	sn := s.Snapshot()
-	defer sn.Close()
-	var handles [trees]*treestore.Tree
+	b.Cleanup(sn.Close)
+	handles := make([]*treestore.Tree, n)
 	for i := range handles {
 		if handles[i], err = sn.Tree(fmt.Sprintf("gold%d", i)); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return handles
+}
+
+// timeStored resets the timer for the measured loop; the func it returns
+// reports what one iteration of it cost the engine in B+tree descents and in
+// rows scanned, next to the time and the allocations.
+func timeStored(b *testing.B) func() {
+	descents, rows := obs.Engine.Get(obs.CtrBTreeDescents), obs.Engine.Get(obs.CtrRowsScanned)
+	b.ReportAllocs()
+	b.ResetTimer()
+	return func() {
+		b.ReportMetric(float64(obs.Engine.Get(obs.CtrBTreeDescents)-descents)/float64(b.N), "descents/op")
+		b.ReportMetric(float64(obs.Engine.Get(obs.CtrRowsScanned)-rows)/float64(b.N), "rows/op")
+	}
+}
+
+// BenchmarkStoredProjectNames is the treestore layer of the benchmark's
+// served_cold workload on its own: k=50 projections by species name, every
+// one over another name set, against 20k-leaf trees (f=16) in a file-backed
+// repository whose trees together outgrow the buffer pool — four of some
+// 1 700 pages each against 4 096 frames. It reports time, B+tree descents,
+// rows scanned and allocations per projection, so a change to the stored read
+// path shows its before and after here, one `go test -bench` away from the
+// E5–E14 arms.
+func BenchmarkStoredProjectNames(b *testing.B) {
+	const trees, sets, k = 4, 64, 50
+	t := yuleTree(b, 20000)
+	handles := storedTrees(b, t, trees)
 	leaves := t.LeafNames()
 	r := rand.New(rand.NewSource(13))
 	var names [sets][]string
@@ -619,15 +637,84 @@ func BenchmarkStoredProjectNames(b *testing.B) {
 		}
 	}
 	ctx := context.Background()
-	descents := obs.Engine.Get(obs.CtrBTreeDescents)
-	b.ReportAllocs()
-	b.ResetTimer()
+	defer timeStored(b)()
 	for i := 0; i < b.N; i++ {
 		if _, err := handles[i%trees].ProjectNamesCtx(ctx, names[i/trees%sets]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(obs.Engine.Get(obs.CtrBTreeDescents)-descents)/float64(b.N), "descents/op")
+}
+
+// BenchmarkStoredTimeSample is the sample_time op of the benchmark's
+// deep_inproc workload on its own: 50 species drawn with respect to time from
+// a stored depth-20k caterpillar, at thresholds between 0.94 and 0.97 of its
+// height — 600 to 1 200 leaves beyond the frontier, of which a sample returns
+// 50.
+func BenchmarkStoredTimeSample(b *testing.B) {
+	const k, times = 50, 64
+	t := catTree(b, 20000)
+	tree := storedTrees(b, t, 1)[0]
+	height := 0.0
+	for _, d := range t.RootDistances() {
+		height = max(height, d)
+	}
+	r := rand.New(rand.NewSource(17))
+	var at [times]float64
+	for i := range at {
+		at[i] = height * (0.94 + 0.03*r.Float64())
+	}
+	ctx := context.Background()
+	defer timeStored(b)()
+	for i := 0; i < b.N; i++ {
+		if _, err := tree.SampleWithTimeCtx(ctx, at[i%times], k, rand.New(rand.NewSource(int64(i)))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoredClade is the clade op of served_cold on its own: the minimal
+// spanning clade of 81 species that span a subtree of 80 to 160 leaves of a
+// stored 20k-leaf tree, every row of it decoded for the answer.
+func BenchmarkStoredClade(b *testing.B) {
+	const sets, named = 64, 81
+	t := yuleTree(b, 20000)
+	tree := storedTrees(b, t, 1)[0]
+	// Preorder ids: the clade of node i is nodes[i : i+size[i]].
+	nodes := t.Nodes()
+	size, leaves := make([]int, len(nodes)), make([]int, len(nodes))
+	var roots []int
+	for i := len(nodes) - 1; i >= 0; i-- {
+		size[i]++
+		if nodes[i].IsLeaf() {
+			leaves[i]++
+		}
+		if p := nodes[i].Parent; p != nil {
+			size[p.ID] += size[i]
+			leaves[p.ID] += leaves[i]
+		}
+		if leaves[i] >= 80 && leaves[i] <= 160 {
+			roots = append(roots, i)
+		}
+	}
+	r := rand.New(rand.NewSource(19))
+	var names [sets][]string
+	for i := range names {
+		root := roots[r.Intn(len(roots))]
+		var under []string
+		for _, n := range nodes[root : root+size[root]] {
+			if n.IsLeaf() {
+				under = append(under, n.Name)
+			}
+		}
+		names[i] = append(under[:named-1:named-1], under[len(under)-1])
+	}
+	ctx := context.Background()
+	defer timeStored(b)()
+	for i := 0; i < b.N; i++ {
+		if _, err := tree.CladeNamesCtx(ctx, names[i%sets]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- E13: storage substrate micro-benchmarks ---------------------------------

@@ -102,7 +102,7 @@ func (r *Repo) Record(kind string, args any, summary string) (Entry, error) {
 		return Entry{}, err
 	}
 	e := Entry{ID: id, Time: time.Now(), Kind: kind, Args: string(argsJSON), Summary: summary}
-	err = r.tab.Insert(relstore.Row{
+	err = r.tab.Insert(relstore.Tuple{
 		relstore.Int(e.ID),
 		relstore.Int(e.Time.UnixNano()),
 		relstore.Str(e.Kind),
@@ -122,9 +122,13 @@ func (r *Repo) nextID() (int64, error) {
 	}
 	next := int64(1)
 	if ok {
-		next = row[1].Int64() + 1
+		counter, err := decodeEntry(row)
+		if err != nil {
+			return 0, err
+		}
+		next = counter.Time.UnixNano() + 1 // the counter row keeps the last id in its time column
 	}
-	err = r.tab.Put(relstore.Row{
+	err = r.tab.Put(relstore.Tuple{
 		relstore.Int(counterKey),
 		relstore.Int(next),
 		relstore.Str("_counter"),
@@ -137,13 +141,24 @@ func (r *Repo) nextID() (int64, error) {
 	return next, nil
 }
 
-func decodeEntry(row relstore.Row) Entry {
-	return Entry{
-		ID:      row[0].Int64(),
-		Time:    time.Unix(0, row[1].Int64()),
-		Kind:    row[2].Text(),
-		Args:    row[3].Text(),
-		Summary: row[4].Text(),
+func decodeEntry(row relstore.Row) (Entry, error) {
+	c := row.Cols()
+	e := Entry{
+		ID:      c.Int(),
+		Time:    time.Unix(0, c.Int()),
+		Kind:    string(c.Str()),
+		Args:    string(c.Str()),
+		Summary: string(c.Str()),
+	}
+	return e, c.Err()
+}
+
+// appendEntries is the scan callback that decodes every row onto *out.
+func appendEntries(out *[]Entry) func(relstore.Row) (bool, error) {
+	return func(row relstore.Row) (bool, error) {
+		e, err := decodeEntry(row)
+		*out = append(*out, e)
+		return true, err
 	}
 }
 
@@ -152,10 +167,14 @@ func getEntry(tab *relstore.TableView, id int64) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	if !ok || row[2].Text() == "_counter" {
+	if !ok {
 		return Entry{}, fmt.Errorf("%w: %d", ErrNoEntry, id)
 	}
-	return decodeEntry(row), nil
+	e, err := decodeEntry(row)
+	if err == nil && e.Kind == "_counter" {
+		err = fmt.Errorf("%w: %d", ErrNoEntry, id)
+	}
+	return e, err
 }
 
 // historyPage returns up to limit entries with id < beforeID (beforeID <= 0
@@ -177,10 +196,7 @@ func historyPage(ctx context.Context, tab *relstore.TableView, beforeID int64, l
 		if beforeID > 0 {
 			hi = relstore.Int(beforeID)
 		}
-		err := tab.ScanRangeCtx(ctx, relstore.Int(0), hi, func(row relstore.Row) (bool, error) {
-			all = append(all, decodeEntry(row))
-			return true, nil
-		})
+		err := tab.ScanRangeCtx(ctx, relstore.Int(0), hi, appendEntries(&all))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -200,7 +216,11 @@ func historyPage(ctx context.Context, tab *relstore.TableView, beforeID int64, l
 		if !ok {
 			return nil, 0, nil // no history yet
 		}
-		hi = row[1].Int64() + 1
+		counter, err := decodeEntry(row)
+		if err != nil {
+			return nil, 0, err
+		}
+		hi = counter.Time.UnixNano() + 1
 	}
 	out := make([]Entry, 0, limit)
 	for hi > 0 && len(out) < limit {
@@ -209,10 +229,7 @@ func historyPage(ctx context.Context, tab *relstore.TableView, beforeID int64, l
 			lo = 0
 		}
 		var window []Entry // ascending within the window
-		err := tab.ScanRangeCtx(ctx, relstore.Int(lo), relstore.Int(hi), func(row relstore.Row) (bool, error) {
-			window = append(window, decodeEntry(row))
-			return true, nil
-		})
+		err := tab.ScanRangeCtx(ctx, relstore.Int(lo), relstore.Int(hi), appendEntries(&window))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -247,10 +264,7 @@ func history(ctx context.Context, tab *relstore.TableView, limit int) ([]Entry, 
 
 func byKind(ctx context.Context, tab *relstore.TableView, kind string) ([]Entry, error) {
 	var out []Entry
-	err := tab.IndexScanCtx(ctx, "by_kind", []relstore.Value{relstore.Str(kind)}, func(row relstore.Row) (bool, error) {
-		out = append(out, decodeEntry(row))
-		return true, nil
-	})
+	err := tab.IndexScanCtx(ctx, "by_kind", []relstore.Value{relstore.Str(kind)}, appendEntries(&out))
 	return out, err
 }
 
@@ -340,8 +354,9 @@ func (r *Repo) Clear() (int, error) {
 	defer r.mu.Unlock()
 	var ids []int64
 	err := r.tab.Scan(func(row relstore.Row) (bool, error) {
-		ids = append(ids, row[0].Int64())
-		return true, nil
+		c := row.Cols()
+		ids = append(ids, c.Int())
+		return true, c.Err()
 	})
 	if err != nil {
 		return 0, err

@@ -86,7 +86,7 @@ func (a *arena) appendAll(b *arena) {
 
 // RowWriter receives the rows of one contiguous range of a batch, a value
 // at a time in column order, and encodes each straight into the stage's
-// arenas: the stored row, the primary key and every index key. No Row is
+// arenas: the stored row, the primary key and every index key. No Tuple is
 // built. The first value of the wrong type, or a row with the wrong number
 // of values, fails the whole batch with ErrSchemaRow.
 type RowWriter struct {
@@ -439,7 +439,7 @@ func parallelDo(tasks, workers int, fn func(task int)) {
 // ApplyBulk. See those for the contract; in short, a batch that is malformed
 // or conflicts with itself is rejected before the table is touched, and on
 // an empty table the rows are loaded bottom-up instead of one descent each.
-func (t *Table) BulkInsert(rows []Row) error {
+func (t *Table) BulkInsert(rows []Tuple) error {
 	st, err := StageBulk(t.view.schema, len(rows), 0, func(i int, w *RowWriter) {
 		for _, v := range rows[i] {
 			w.put(v)

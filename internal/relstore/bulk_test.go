@@ -80,9 +80,9 @@ func nodesLikeSchema() Schema {
 	}
 }
 
-func nodesLikeRows(n int) []Row {
+func nodesLikeRows(n int) []Tuple {
 	rng := rand.New(rand.NewSource(5))
-	rows := make([]Row, n)
+	rows := make([]Tuple, n)
 	for i := range rows {
 		name, leaf := "", i%2 == 1
 		if leaf {
@@ -92,7 +92,7 @@ func nodesLikeRows(n int) []Row {
 		if i > 0 {
 			parent = int64(rng.Intn(i))
 		}
-		rows[i] = Row{
+		rows[i] = Tuple{
 			Int(int64(i)), Int(parent), Int(int64(1 + i%2)), Str(name), Float(rng.Float64()),
 			Int(int64(i % 40)), Float(rng.Float64() * 10), Int(int64(i / 16)), Int(int64(i%16 - 1)),
 			Int(int64(i % 4)), Bool(leaf), Int(int64(1 + rng.Intn(50))),
@@ -103,7 +103,7 @@ func nodesLikeRows(n int) []Row {
 
 // fillTyped writes a row through the typed RowWriter methods, the way the
 // tree repository stages without building Rows.
-func fillTyped(rows []Row) func(i int, w *RowWriter) {
+func fillTyped(rows []Tuple) func(i int, w *RowWriter) {
 	return func(i int, w *RowWriter) {
 		for _, v := range rows[i] {
 			switch v.Type {
@@ -123,7 +123,7 @@ func fillTyped(rows []Row) func(i int, w *RowWriter) {
 }
 
 // TestStageBulkSameAtEveryWorkerCount stages one batch through the typed
-// writer at several fan-outs and through BulkInsert's Row path: the runs
+// writer at several fan-outs and through BulkInsert's Tuple path: the runs
 // must be identical, and the stored rows must decode to the input.
 func TestStageBulkSameAtEveryWorkerCount(t *testing.T) {
 	schema := nodesLikeSchema()
@@ -154,7 +154,7 @@ func TestStageBulkSameAtEveryWorkerCount(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got.prim, want.prim) || !reflect.DeepEqual(got.index, want.index) {
-			t.Fatalf("workers=%d: staged runs differ from the serial Row-fed stage", workers)
+			t.Fatalf("workers=%d: staged runs differ from the serial Tuple-fed stage", workers)
 		}
 	}
 }
@@ -164,21 +164,21 @@ func TestStageBulkSameAtEveryWorkerCount(t *testing.T) {
 func TestStageBulkRejectsBeforeAnyTable(t *testing.T) {
 	schema := bulkSchema("sp", true)
 	good := bulkRows(20)
-	with := func(i int, row Row) []Row {
+	with := func(i int, row Tuple) []Tuple {
 		rows := slices.Clone(good)
 		rows[i] = row
 		return rows
 	}
 	for name, tc := range map[string]struct {
-		rows []Row
+		rows []Tuple
 		want error
 	}{
-		"wrong type":    {with(3, Row{Int(1), Int(2), Float(3)}), ErrSchemaRow},
-		"short row":     {with(3, Row{Int(1), Str("x")}), ErrSchemaRow},
-		"long row":      {with(3, Row{Int(1), Str("x"), Float(1), Float(2)}), ErrSchemaRow},
+		"wrong type":    {with(3, Tuple{Int(1), Int(2), Float(3)}), ErrSchemaRow},
+		"short row":     {with(3, Tuple{Int(1), Str("x")}), ErrSchemaRow},
+		"long row":      {with(3, Tuple{Int(1), Str("x"), Float(1), Float(2)}), ErrSchemaRow},
 		"duplicate key": {with(3, good[9]), ErrDuplicateKey},
-		"unique index":  {with(3, Row{Int(1000), good[9][1], Float(1)}), ErrDuplicateKey},
-		"oversized key": {with(3, Row{Int(1000), Str(strings.Repeat("x", storage.MaxKeySize)), Float(1)}), storage.ErrKeyTooLarge},
+		"unique index":  {with(3, Tuple{Int(1000), good[9][1], Float(1)}), ErrDuplicateKey},
+		"oversized key": {with(3, Tuple{Int(1000), Str(strings.Repeat("x", storage.MaxKeySize)), Float(1)}), storage.ErrKeyTooLarge},
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, err := StageBulk(schema, len(tc.rows), 2, func(i int, w *RowWriter) {

@@ -22,10 +22,10 @@ func bulkSchema(name string, unique bool) Schema {
 	}
 }
 
-func bulkRows(n int) []Row {
-	rows := make([]Row, n)
+func bulkRows(n int) []Tuple {
+	rows := make([]Tuple, n)
 	for i := range rows {
-		rows[i] = Row{
+		rows[i] = Tuple{
 			Int(int64(n - 1 - i)), // reverse order: BulkInsert must sort
 			Str(fmt.Sprintf("sp%05d", n-1-i)),
 			Float(float64(i) * 0.5),
@@ -68,10 +68,18 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	}
 	// Identical scan results in identical order.
 	var bulkSeen, rowSeen []int64
-	if err := bt.Scan(func(r Row) (bool, error) { bulkSeen = append(bulkSeen, r[0].Int64()); return true, nil }); err != nil {
+	if err := bt.Scan(func(stored Row) (bool, error) {
+		r := tup(t, stored)
+		bulkSeen = append(bulkSeen, r[0].Int64())
+		return true, nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Scan(func(r Row) (bool, error) { rowSeen = append(rowSeen, r[0].Int64()); return true, nil }); err != nil {
+	if err := rt.Scan(func(stored Row) (bool, error) {
+		r := tup(t, stored)
+		rowSeen = append(rowSeen, r[0].Int64())
+		return true, nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(bulkSeen) != len(rowSeen) {
@@ -84,7 +92,8 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	}
 	// Index scans agree too.
 	count := 0
-	err = bt.IndexScan("by_name", []Value{Str("sp00042")}, func(r Row) (bool, error) {
+	err = bt.IndexScan("by_name", []Value{Str("sp00042")}, func(stored Row) (bool, error) {
+		r := tup(t, stored)
 		count++
 		if r[0].Int64() != 42 {
 			t.Fatalf("by_name hit id %d", r[0].Int64())
@@ -118,7 +127,7 @@ func TestBulkInsertUniqueIndexViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := bulkRows(10)
-	rows[7] = Row{Int(1000), rows[2][1], Float(9)} // same name as rows[2], fresh id
+	rows[7] = Tuple{Int(1000), rows[2][1], Float(9)} // same name as rows[2], fresh id
 	if err := tab.BulkInsert(rows); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("unique index violation error = %v", err)
 	}
@@ -135,7 +144,7 @@ func TestBulkInsertRejectedBatchLeavesTableUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := bulkRows(50)
-	rows[7] = Row{Int(1000), rows[2][1], Float(9)} // unique-index conflict
+	rows[7] = Tuple{Int(1000), rows[2][1], Float(9)} // unique-index conflict
 	if err := tab.BulkInsert(rows); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("violation error = %v", err)
 	}
@@ -199,7 +208,7 @@ func TestBulkInsertFallbackOnNonEmptyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(Row{Int(100000), Str("pre"), Float(1)}); err != nil {
+	if err := tab.Insert(Tuple{Int(100000), Str("pre"), Float(1)}); err != nil {
 		t.Fatal(err)
 	}
 	rows := bulkRows(200)
@@ -213,7 +222,7 @@ func TestBulkInsertFallbackOnNonEmptyTable(t *testing.T) {
 		t.Fatalf("Len = %d, %v", got, err)
 	}
 	// A conflicting batch fails on the conflicting row.
-	err = tab.BulkInsert([]Row{{Int(100000), Str("again"), Float(2)}})
+	err = tab.BulkInsert([]Tuple{{Int(100000), Str("again"), Float(2)}})
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("fallback duplicate error = %v", err)
 	}
@@ -249,7 +258,7 @@ func TestBulkInsertSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	row, ok, err := tab.Get(Int(1234))
-	if err != nil || !ok || row[1].Text() != "sp01234" {
+	if err != nil || !ok || tup(t, row)[1].Text() != "sp01234" {
 		t.Fatalf("reopened Get = %v, %v, %v", row, ok, err)
 	}
 }

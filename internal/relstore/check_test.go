@@ -65,7 +65,7 @@ func TestCheckDetectsMissingIndexEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := tab.view.schema.Indexes[0]
-	if _, err := tab.view.indexes[ix.Name].Delete(tab.view.indexKey(ix, row)); err != nil {
+	if _, err := tab.view.indexes[ix.Name].Delete(tab.view.indexKey(ix, tup(t, row))); err != nil {
 		t.Fatal(err)
 	}
 	publish(t, tab)

@@ -25,9 +25,9 @@ func ctxTestTable(t *testing.T, rows int) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]Row, rows)
+	batch := make([]Tuple, rows)
 	for i := range batch {
-		batch[i] = Row{Int(int64(i)), Str(fmt.Sprintf("label-%04d", i))}
+		batch[i] = Tuple{Int(int64(i)), Str(fmt.Sprintf("label-%04d", i))}
 	}
 	if err := tab.BulkInsert(batch); err != nil {
 		t.Fatal(err)
@@ -86,45 +86,17 @@ func TestIndexScanCtxCancels(t *testing.T) {
 	}
 }
 
-func TestRowsIteratorYieldsCancellation(t *testing.T) {
-	tab := ctxTestTable(t, 1000)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	seen, sawErr := 0, false
-	for row, err := range tab.view.Rows(ctx) {
-		if err != nil {
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("iterator error = %v, want context.Canceled", err)
-			}
-			if row != nil {
-				t.Fatal("error pair carried a non-nil row")
-			}
-			sawErr = true
-			break
-		}
-		seen++
-		if seen == 5 {
-			cancel()
-		}
-	}
-	if !sawErr {
-		t.Fatalf("iterator finished %d rows without surfacing cancellation", seen)
-	}
-}
-
-func TestRowsIteratorBreakStopsScan(t *testing.T) {
+func TestScanCtxStopsWhenToldTo(t *testing.T) {
 	tab := ctxTestTable(t, 1000)
 	seen := 0
-	for _, err := range tab.view.Rows(context.Background()) {
-		if err != nil {
-			t.Fatal(err)
-		}
+	err := tab.view.ScanCtx(context.Background(), func(Row) (bool, error) {
 		seen++
-		if seen == 3 {
-			break
-		}
+		return seen < 3, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if seen != 3 {
-		t.Fatalf("broke at 3, iterator ran %d", seen)
+		t.Fatalf("stopped at 3, scan ran %d", seen)
 	}
 }

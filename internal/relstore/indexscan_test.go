@@ -36,9 +36,9 @@ func permutedTable(t *testing.T) (*DB, *Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]Row, indexScanRows)
+	batch := make([]Tuple, indexScanRows)
 	for i := range batch {
-		batch[i] = Row{Int(int64(i)), Str(permutedLabel(i))}
+		batch[i] = Tuple{Int(int64(i)), Str(permutedLabel(i))}
 	}
 	if err := tab.BulkInsert(batch); err != nil {
 		t.Fatal(err)
@@ -70,9 +70,10 @@ func TestIndexScanBatchedOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	type rangeScan func(ctx context.Context, index string, lo, hi Value, fn func(Row) (bool, error)) error
-	collect := func(scan rangeScan) []Row {
-		var rows []Row
-		err := scan(context.Background(), "by_label", Str("label-0100"), Str("label-2900"), func(row Row) (bool, error) {
+	collect := func(scan rangeScan) []Tuple {
+		var rows []Tuple
+		err := scan(context.Background(), "by_label", Str("label-0100"), Str("label-2900"), func(stored Row) (bool, error) {
+			row := tup(t, stored)
 			rows = append(rows, row)
 			return true, nil
 		})
@@ -128,8 +129,9 @@ func TestIndexScanStopsWithinBatch(t *testing.T) {
 func TestIndexScanSingleMatchTwoDescents(t *testing.T) {
 	_, tab := permutedTable(t)
 	ctx, totals := countedCtx()
-	var got Row
-	err := tab.view.IndexScanCtx(ctx, "by_label", []Value{Str("label-1234")}, func(row Row) (bool, error) {
+	var got Tuple
+	err := tab.view.IndexScanCtx(ctx, "by_label", []Value{Str("label-1234")}, func(stored Row) (bool, error) {
+		row := tup(t, stored)
 		got = row
 		return false, nil
 	})

@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // TestRowIntsReadsWhatDecodeRowReads takes every subset of the integer
 // columns of rows holding every column type through rowInts and checks the
 // values against decodeRow's.
 func TestRowIntsReadsWhatDecodeRowReads(t *testing.T) {
-	rows := []Row{
+	rows := []Tuple{
 		{Int(0), Int(-1), Str(""), Int(math.MaxInt64), Float(-2.5e-300), Int(math.MinInt64), Str("taxon\x00042"), Bool(true), Blob([]byte{0, 1, 2}), Int(42), Float(math.Inf(1)), Bool(false)},
 		{Str(strings.Repeat("n", 300)), Int(12345), Float(1.25), Bool(true)},
 		{},
@@ -54,7 +57,7 @@ func TestRowIntsReadsWhatDecodeRowReads(t *testing.T) {
 // unknown column type are all ErrCorruptRow, never a panic — and decodeRow
 // agrees on every cut.
 func TestRowIntsRejectsCorruptAndMistyped(t *testing.T) {
-	enc := encodeRow(Row{Int(7), Str("name"), Float(2), Bool(true), Int(9)})
+	enc := encodeRow(Tuple{Int(7), Str("name"), Float(2), Bool(true), Int(9)})
 	out := make([]int64, 2)
 	for _, cols := range [][]int{{1}, {0, 2}, {3}, {4, 5}} {
 		if err := rowInts(enc, cols, out); !errors.Is(err, ErrCorruptRow) {
@@ -135,7 +138,7 @@ func TestIndexGetBatch(t *testing.T) {
 			if !found[i] {
 				t.Fatalf("%s: %s not found", name, vals[i])
 			}
-			if row := rows[i]; len(row) != 2 || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
+			if row := tup(t, rows[i]); len(row) != 2 || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
 				t.Fatalf("%s: value %d resolved to %v, want (%d, %q)", name, i, row, id, permutedLabel(id))
 			}
 		}
@@ -164,7 +167,7 @@ func TestIndexGetBatch(t *testing.T) {
 		// again by key without a descent.
 		before := totals("btree_descents")
 		for _, id := range ids {
-			if row, ok, err := r.Row(ctx, Int(int64(id))); err != nil || !ok || row[1].Text() != permutedLabel(id) {
+			if row, ok, err := r.Row(ctx, Int(int64(id))); err != nil || !ok || tup(t, row)[1].Text() != permutedLabel(id) {
 				t.Fatalf("%s: row %d after the sweep: %v, %v, %v", name, id, row, ok, err)
 			}
 		}
@@ -229,8 +232,8 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 			t.Fatalf("Ints(%d) = %v, %v, %v", id, ints[0], ok, err)
 		}
 		if id%3 == 0 { // in full only now and then, as a walk does
-			full, ok, err := r.Row(ctx, Int(id))
-			if err != nil || !ok || len(full) != 2 || full[0].Int64() != id || full[1].Text() != permutedLabel(int(id)) {
+			row, ok, err := r.Row(ctx, Int(id))
+			if full := tup(t, row); err != nil || !ok || len(full) != 2 || full[0].Int64() != id || full[1].Text() != permutedLabel(int(id)) {
 				t.Fatalf("row %d decoded to %v, %v, %v", id, full, ok, err)
 			}
 		}
@@ -247,8 +250,8 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 		for i := 0; i < indexScanRows; i++ {
 			id := i * 7919 % indexScanRows
 			leaves[leafOf(t, view, "", EncodeKey(Int(int64(id))))] = true
-			row, ok, err := r.Row(ctx, Int(int64(id)))
-			if err != nil || !ok || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
+			stored, ok, err := r.Row(ctx, Int(int64(id)))
+			if row := tup(t, stored); err != nil || !ok || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
 				t.Fatalf("pass %d: row %d = %v, %v, %v", pass, id, row, ok, err)
 			}
 		}
@@ -286,8 +289,8 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 	one := view.Reader(budget(1))
 	for i := 0; i < indexScanRows; i += 13 {
 		id := i * 7919 % indexScanRows
-		row, ok, err := one.Row(ctx, Int(int64(id)))
-		if err != nil || !ok || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
+		stored, ok, err := one.Row(ctx, Int(int64(id)))
+		if row := tup(t, stored); err != nil || !ok || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
 			t.Fatalf("bounded reader: row %d = %v, %v, %v", id, row, ok, err)
 		}
 		if len(one.leaves) > 1 {
@@ -314,5 +317,109 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 	fresh := tab.view.Reader(budget(1 << 10))
 	if _, err := fresh.Ints(dead, Int(5), []int{0}, ints); !errors.Is(err, context.Canceled) {
 		t.Fatalf("a descent under a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestScanRowsSurviveRewriteAndEviction holds the Rows a primary scan and an
+// index scan hand their callbacks while, inside those callbacks, a writer
+// replaces every row (copy-on-write, across commits) and a pool of 16 frames
+// is driven through enough other pages to evict every frame: the bytes a Row
+// aliases are an immutable page image, so for the callback's duration — and
+// for as long as the Row is kept — they read what they read when handed out,
+// and the scan goes on over the snapshot's rows as if nothing had happened.
+func TestScanRowsSurviveRewriteAndEviction(t *testing.T) {
+	db, err := newDB(storage.OpenMemWithPoolLimit(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tab, err := db.CreateTable(Schema{
+		Name:    "items",
+		Columns: []Column{{Name: "id", Type: TInt}, {Name: "label", Type: TString}},
+		Key:     "id",
+		Indexes: []Index{{Name: "by_label", Columns: []string{"label"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < indexScanRows; i++ {
+		if err := tab.Insert(Tuple{Int(int64(i)), Str(permutedLabel(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sn := db.Snapshot()
+	defer sn.Close()
+	view, err := sn.Table("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	round := 0
+	churn := func() { // what the rest of the system does while a callback holds its Row
+		round++
+		for i := 0; i < indexScanRows; i++ {
+			if err := tab.Put(Tuple{Int(int64(i)), Str(fmt.Sprintf("round-%d-%04d", round, i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		latest := db.Snapshot()
+		defer latest.Close()
+		now, err := latest.Table("items")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		if err := now.Scan(func(Row) (bool, error) { rows++; return true, nil }); err != nil || rows != indexScanRows {
+			t.Fatalf("round %d: the rewritten table scans to %d rows, %v", round, rows, err)
+		}
+	}
+	type kept struct {
+		row   Row
+		bytes []byte // what row.enc held when handed out
+		id    int
+	}
+	var all []kept
+	visit := func(what string, seen *int) func(Row) (bool, error) {
+		return func(row Row) (bool, error) {
+			c := row.Cols()
+			id, label := int(c.Int()), c.Str()
+			if err := c.Err(); err != nil || string(label) != permutedLabel(id) {
+				t.Fatalf("%s: row %d reads %q, %v: not the snapshot's row", what, id, label, err)
+			}
+			if *seen++; *seen%1500 == 1 {
+				churn()
+				if string(label) != permutedLabel(id) {
+					t.Fatalf("%s: the label of row %d changed under the callback holding it", what, id)
+				}
+				if vals := tup(t, row); vals[0].Int64() != int64(id) || vals[1].Text() != permutedLabel(id) {
+					t.Fatalf("%s: row %d decodes to %v after the rewrite", what, id, vals)
+				}
+			}
+			if *seen%97 == 0 {
+				all = append(all, kept{row, bytes.Clone(row.enc), id})
+			}
+			return true, nil
+		}
+	}
+	var primary, index int
+	if err := view.ScanCtx(context.Background(), visit("primary scan", &primary)); err != nil {
+		t.Fatal(err)
+	}
+	if err := view.IndexRangeCtx(context.Background(), "by_label", Value{}, Value{}, visit("index scan", &index)); err != nil {
+		t.Fatal(err)
+	}
+	if primary != indexScanRows || index != indexScanRows || round < 4 {
+		t.Fatalf("scans saw %d and %d rows of %d over %d rewrites", primary, index, indexScanRows, round)
+	}
+	for _, k := range all {
+		if !bytes.Equal(k.row.enc, k.bytes) {
+			t.Fatalf("the bytes of row %d changed after its callback returned", k.id)
+		}
 	}
 }

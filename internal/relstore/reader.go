@@ -16,7 +16,7 @@ import (
 // as it is (storage.Leaf — the pool's own immutable image and a cell-offset
 // table), ordered by key range, and a later key that a held leaf covers is
 // answered there with two binary searches. So within a request no leaf is
-// descended to twice, and of a held leaf only the rows asked for are decoded,
+// descended to twice, and of a held leaf only the rows asked for are looked at,
 // one at a time, only the columns asked for.
 //
 // The leaves kept are bounded by a budget the owner hands in
@@ -33,7 +33,6 @@ type Reader struct {
 	budget *int           // leaves the request may still retain; shared, counted down
 	leaves []storage.Leaf // non-empty leaves, ascending by first key
 	key    []byte         // scratch: the encoded key of the lookup in progress
-	row    Row            // scratch: the last row decoded in full
 }
 
 // Reader returns a reader over the view's rows. It retains a leaf while
@@ -119,7 +118,7 @@ func (r *Reader) encoded(ctx context.Context, key Value) ([]byte, bool, error) {
 // Ints reads the integer columns at the ascending positions cols of the row
 // with the given primary key into out, reporting whether there is such a
 // row. The values are taken straight from the encoded row, the columns
-// between them stepped over; no Row is built.
+// between them stepped over; no Value is built.
 func (r *Reader) Ints(ctx context.Context, key Value, cols []int, out []int64) (bool, error) {
 	for i, c := range cols {
 		if c < 0 || c >= len(r.v.schema.Columns) || r.v.schema.Columns[c].Type != TInt || (i > 0 && c <= cols[i-1]) || i >= len(out) {
@@ -136,20 +135,12 @@ func (r *Reader) Ints(ctx context.Context, key Value, cols []int, out []int64) (
 	return true, nil
 }
 
-// Row decodes the whole row with the given primary key, reporting whether
-// there is one. The Row is the reader's and is reused by its next call: keep
-// the values, not the slice.
+// Row returns the row with the given primary key where it lies in the leaf
+// the reader holds (or has just descended to), reporting whether there is
+// one.
 func (r *Reader) Row(ctx context.Context, key Value) (Row, bool, error) {
 	enc, ok, err := r.encoded(ctx, key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	row, err := appendRow(r.row[:0], enc)
-	if err != nil {
-		return nil, false, fail(ctx, err)
-	}
-	r.row = row
-	return row, true, nil
+	return Row{enc}, ok, err
 }
 
 // IndexGetBatchCtx looks up many values of an index's first column at once:
@@ -158,7 +149,8 @@ func (r *Reader) Row(ctx context.Context, key Value) (Row, bool, error) {
 // sorted sweep of the index and the rows they point at are read through the
 // reader, so the cost is one descent per distinct leaf touched in either —
 // not two per value — and the primary leaves stay held for the reads that
-// follow in the same request.
+// follow in the same request. The rows are handed out as they lie in those
+// leaves.
 func (r *Reader) IndexGetBatchCtx(ctx context.Context, index string, vals []Value) ([]Row, []bool, error) {
 	v := r.v
 	ix, tree, err := v.findIndex(index)
@@ -176,33 +168,19 @@ func (r *Reader) IndexGetBatchCtx(ctx context.Context, index string, vals []Valu
 		return nil, nil, fail(ctx, err)
 	}
 	found := make([]bool, len(vals))
-	hits := 0
-	for i, key := range keys {
-		if key != nil && bytes.HasPrefix(key, prefixes[i]) {
-			found[i] = true
-			hits++
-		}
-	}
-	// The rows are cut from one backing array: one allocation, not one a row.
-	backing := make(Row, 0, hits*len(v.schema.Columns))
 	rows := make([]Row, len(vals))
-	for i, pk := range pks {
-		if !found[i] {
+	for i, key := range keys {
+		if key == nil || !bytes.HasPrefix(key, prefixes[i]) {
 			continue
 		}
-		enc, ok, err := r.get(ctx, pk)
+		enc, ok, err := r.get(ctx, pks[i])
 		if err != nil {
 			return nil, nil, err
 		}
 		if !ok {
 			return nil, nil, fail(ctx, fmt.Errorf("relstore: index %s.%s points at missing row", v.schema.Name, index))
 		}
-		row, err := appendRow(backing, enc)
-		if err != nil {
-			return nil, nil, fail(ctx, err)
-		}
-		rows[i] = row[len(backing):len(row):len(row)]
-		backing = row
+		rows[i], found[i] = Row{enc}, true
 	}
 	return rows, found, nil
 }

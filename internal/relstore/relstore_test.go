@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -46,8 +47,8 @@ func committed(t testing.TB, db *DB, name string) *TableView {
 	return v
 }
 
-func speciesRow(id int64, name string, depth float64) Row {
-	return Row{Int(id), Str(name), Float(depth), Blob([]byte("ACGT")), Bool(true)}
+func speciesRow(id int64, name string, depth float64) Tuple {
+	return Tuple{Int(id), Str(name), Float(depth), Blob([]byte("ACGT")), Bool(true)}
 }
 
 func TestKeyEncodingOrderInts(t *testing.T) {
@@ -123,7 +124,7 @@ func TestKeyEncodingOrderProperty(t *testing.T) {
 }
 
 func TestRowCodecRoundTrip(t *testing.T) {
-	row := Row{Int(-42), Str("Syn"), Float(2.5), Blob([]byte{9, 8, 7}), Bool(false)}
+	row := Tuple{Int(-42), Str("Syn"), Float(2.5), Blob([]byte{9, 8, 7}), Bool(false)}
 	got, err := decodeRow(encodeRow(row))
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +140,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 }
 
 func TestRowCodecRejectsCorrupt(t *testing.T) {
-	enc := encodeRow(Row{Int(1), Str("x")})
+	enc := encodeRow(Tuple{Int(1), Str("x")})
 	for cut := 1; cut < len(enc); cut++ {
 		if _, err := decodeRow(enc[:cut]); err == nil {
 			t.Fatalf("decode of %d-byte prefix succeeded", cut)
@@ -197,8 +198,8 @@ func TestTableCRUD(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Get(42): %v %v", ok, err)
 	}
-	if row[1].Text() != "sp042" {
-		t.Fatalf("Get(42) name = %q", row[1].Text())
+	if name := tup(t, row)[1].Text(); name != "sp042" {
+		t.Fatalf("Get(42) name = %q", name)
 	}
 	if n, _ := committed(t, db, "species").Len(); n != 100 {
 		t.Fatalf("Len = %d", n)
@@ -208,7 +209,8 @@ func TestTableCRUD(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hits []string
-	err = tab.IndexScan("by_name", []Value{Str("sp042")}, func(r Row) (bool, error) {
+	err = tab.IndexScan("by_name", []Value{Str("sp042")}, func(stored Row) (bool, error) {
+		r := tup(t, stored)
 		hits = append(hits, r[1].Text())
 		return true, nil
 	})
@@ -218,7 +220,8 @@ func TestTableCRUD(t *testing.T) {
 	if len(hits) != 0 {
 		t.Fatalf("stale index entry: %v", hits)
 	}
-	err = tab.IndexScan("by_name", []Value{Str("renamed")}, func(r Row) (bool, error) {
+	err = tab.IndexScan("by_name", []Value{Str("renamed")}, func(stored Row) (bool, error) {
+		r := tup(t, stored)
 		hits = append(hits, r[1].Text())
 		return true, nil
 	})
@@ -233,7 +236,8 @@ func TestTableCRUD(t *testing.T) {
 		t.Fatal("row present after delete")
 	}
 	hits = nil
-	tab.IndexScan("by_name", []Value{Str("renamed")}, func(r Row) (bool, error) {
+	tab.IndexScan("by_name", []Value{Str("renamed")}, func(stored Row) (bool, error) {
+		r := tup(t, stored)
 		hits = append(hits, r[1].Text())
 		return true, nil
 	})
@@ -249,7 +253,7 @@ func TestTableRejectsBadRows(t *testing.T) {
 	db := OpenMemDB()
 	defer db.Close()
 	tab, _ := db.CreateTable(speciesSchema())
-	if err := tab.Insert(Row{Int(1)}); !errors.Is(err, ErrSchemaRow) {
+	if err := tab.Insert(Tuple{Int(1)}); !errors.Is(err, ErrSchemaRow) {
 		t.Fatalf("short row error = %v", err)
 	}
 	bad := speciesRow(1, "x", 0)
@@ -289,7 +293,8 @@ func TestScanOrderAndRange(t *testing.T) {
 		}
 	}
 	var ids []int64
-	tab.Scan(func(r Row) (bool, error) {
+	tab.Scan(func(stored Row) (bool, error) {
+		r := tup(t, stored)
 		ids = append(ids, r[0].Int64())
 		return true, nil
 	})
@@ -300,7 +305,8 @@ func TestScanOrderAndRange(t *testing.T) {
 		t.Fatalf("Scan visited %d rows", len(ids))
 	}
 	ids = nil
-	committed(t, db, "species").ScanRange(Int(10), Int(20), func(r Row) (bool, error) {
+	committed(t, db, "species").ScanRangeCtx(context.Background(), Int(10), Int(20), func(stored Row) (bool, error) {
+		r := tup(t, stored)
 		ids = append(ids, r[0].Int64())
 		return true, nil
 	})
@@ -309,7 +315,10 @@ func TestScanOrderAndRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tab.Scan(func(r Row) (bool, error) { n++; return n < 5, nil })
+	tab.Scan(func(Row) (bool, error) {
+		n++
+		return n < 5, nil
+	})
 	if n != 5 {
 		t.Fatalf("early stop visited %d", n)
 	}
@@ -325,7 +334,8 @@ func TestIndexRangeByFloat(t *testing.T) {
 		}
 	}
 	var depths []float64
-	err := committed(t, db, "species").IndexRange("by_depth", Float(5.0), Float(10.0), func(r Row) (bool, error) {
+	err := committed(t, db, "species").IndexRangeCtx(context.Background(), "by_depth", Float(5.0), Float(10.0), func(stored Row) (bool, error) {
+		r := tup(t, stored)
 		depths = append(depths, r[2].Float64())
 		return true, nil
 	})
@@ -378,12 +388,13 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatalf("Len after reopen = %d", n)
 	}
 	row, ok, err := view.Get(Int(250))
-	if err != nil || !ok || row[1].Text() != "sp0250" {
+	if err != nil || !ok || tup(t, row)[1].Text() != "sp0250" {
 		t.Fatalf("Get(250) after reopen: %v %v %v", row, ok, err)
 	}
 	// Index must also have been persisted.
 	var got []int64
-	err = view.IndexScan("by_name", []Value{Str("sp0123")}, func(r Row) (bool, error) {
+	err = view.IndexScan("by_name", []Value{Str("sp0123")}, func(stored Row) (bool, error) {
+		r := tup(t, stored)
 		got = append(got, r[0].Int64())
 		return true, nil
 	})
@@ -420,7 +431,7 @@ func TestLargeBlobRows(t *testing.T) {
 	for i := range seq {
 		seq[i] = "ACGT"[i%4]
 	}
-	row := Row{Int(1), Str("big"), Float(0), Blob(seq), Bool(true)}
+	row := Tuple{Int(1), Str("big"), Float(0), Blob(seq), Bool(true)}
 	if err := tab.Insert(row); err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +439,7 @@ func TestLargeBlobRows(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got[3].Bytes(), seq) {
+	if !bytes.Equal(tup(t, got)[3].Bytes(), seq) {
 		t.Fatal("large sequence corrupted")
 	}
 }
@@ -455,7 +466,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 			switch r.Intn(3) {
 			case 0, 1:
 				v := fmt.Sprintf("v%d", r.Intn(50))
-				if err := tab.Put(Row{Int(k), Str(v)}); err != nil {
+				if err := tab.Put(Tuple{Int(k), Str(v)}); err != nil {
 					return false
 				}
 				model[k] = v
@@ -476,7 +487,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 		}
 		for k, want := range model {
 			row, ok, err := view.Get(Int(k))
-			if err != nil || !ok || row[1].Text() != want {
+			if err != nil || !ok || tup(t, row)[1].Text() != want {
 				return false
 			}
 		}
@@ -497,4 +508,14 @@ func TestTableMatchesMapModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// tup decodes a row a read handed out into its values.
+func tup(t testing.TB, row Row) Tuple {
+	t.Helper()
+	vals, err := row.Tuple()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals
 }

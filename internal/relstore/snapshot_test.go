@@ -32,7 +32,7 @@ func TestSnapshotIsolatesFromMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if err := tab.Insert(Row{Int(int64(i)), Str(fmt.Sprintf("sp%03d", i))}); err != nil {
+		if err := tab.Insert(Tuple{Int(int64(i)), Str(fmt.Sprintf("sp%03d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,13 +69,14 @@ func TestSnapshotIsolatesFromMutations(t *testing.T) {
 	// The snapshot still sees all 200 rows, consistently, by every access
 	// path — and scan callbacks may re-enter the view (no lock to deadlock).
 	n := 0
-	err = view.Scan(func(row Row) (bool, error) {
+	err = view.Scan(func(stored Row) (bool, error) {
+		row := tup(t, stored)
 		id := row[0].Int64()
 		got, ok, err := view.Get(Int(id))
 		if err != nil || !ok {
 			return false, fmt.Errorf("re-entrant Get(%d): ok=%v err=%v", id, ok, err)
 		}
-		if got[1].Text() != row[1].Text() {
+		if tup(t, got)[1].Text() != row[1].Text() {
 			return false, fmt.Errorf("row %d mismatch", id)
 		}
 		n++
@@ -88,7 +89,7 @@ func TestSnapshotIsolatesFromMutations(t *testing.T) {
 		t.Fatalf("snapshot scan saw %d rows, want 200", n)
 	}
 	found := 0
-	err = view.IndexScan("by_name", []Value{Str("sp007")}, func(row Row) (bool, error) {
+	err = view.IndexScan("by_name", []Value{Str("sp007")}, func(Row) (bool, error) {
 		found++
 		return true, nil
 	})
@@ -119,9 +120,9 @@ func TestSnapshotIsolatesFromMutations(t *testing.T) {
 func TestDropTableReclaimsPages(t *testing.T) {
 	db := OpenMemDB()
 	defer db.Close()
-	rows := make([]Row, 5000)
+	rows := make([]Tuple, 5000)
 	for i := range rows {
-		rows[i] = Row{Int(int64(i)), Str(fmt.Sprintf("sp%06d", i))}
+		rows[i] = Tuple{Int(int64(i)), Str(fmt.Sprintf("sp%06d", i))}
 	}
 	load := func(cycle int) {
 		tab, err := db.CreateTable(snapTestSchema("churn"))

@@ -35,7 +35,7 @@ func fillSweepTable(t *testing.T, db *DB, name string, rows int) {
 		payload[i] = byte(i)
 	}
 	for i := 0; i < rows; i++ {
-		if err := tab.Insert(Row{Int(int64(i)), Blob(payload)}); err != nil {
+		if err := tab.Insert(Tuple{Int(int64(i)), Blob(payload)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,8 +131,8 @@ func TestSweepKeepsLiveData(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("tab%d row 25 unreadable after sweep: ok=%v err=%v", i, ok, err)
 		}
-		if len(row[1].Bytes()) != storage.MaxInlineValue*2 {
-			t.Fatalf("tab%d overflow payload truncated to %d bytes", i, len(row[1].Bytes()))
+		if n := len(tup(t, row)[1].Bytes()); n != storage.MaxInlineValue*2 {
+			t.Fatalf("tab%d overflow payload truncated to %d bytes", i, n)
 		}
 	}
 	if err := reopened.Check(); err != nil {

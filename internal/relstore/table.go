@@ -135,7 +135,7 @@ func (t *Table) IndexScan(index string, vals []Value, fn func(Row) (bool, error)
 
 // Insert adds a new row; it fails with ErrDuplicateKey if the primary key
 // (or a unique index entry) already exists.
-func (t *Table) Insert(row Row) error {
+func (t *Table) Insert(row Tuple) error {
 	if err := t.view.checkRow(row); err != nil {
 		return err
 	}
@@ -144,7 +144,7 @@ func (t *Table) Insert(row Row) error {
 	return t.insertLocked(row)
 }
 
-func (t *Table) insertLocked(row Row) error {
+func (t *Table) insertLocked(row Tuple) error {
 	v := &t.view
 	pk := v.primaryKey(row)
 	if ok, err := v.primary.Has(pk); err != nil {
@@ -156,7 +156,7 @@ func (t *Table) insertLocked(row Row) error {
 }
 
 // Put inserts or replaces the row with the same primary key.
-func (t *Table) Put(row Row) error {
+func (t *Table) Put(row Tuple) error {
 	if err := t.view.checkRow(row); err != nil {
 		return err
 	}
@@ -168,7 +168,7 @@ func (t *Table) Put(row Row) error {
 	if err != nil {
 		return err
 	}
-	var old Row
+	var old Tuple
 	if ok {
 		if old, err = decodeRow(oldEnc); err != nil {
 			return err
@@ -179,7 +179,7 @@ func (t *Table) Put(row Row) error {
 
 // write stores the row and maintains secondary indexes, removing entries of
 // the replaced row (if any). The caller holds the database mutex.
-func (t *Table) write(pk []byte, row, old Row) error {
+func (t *Table) write(pk []byte, row, old Tuple) error {
 	v := &t.view
 	for _, ix := range v.schema.Indexes {
 		if ix.Unique {
@@ -231,8 +231,12 @@ func (t *Table) Delete(key Value) (bool, error) {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
 	v := &t.view
-	row, ok, err := v.Get(key)
+	stored, ok, err := v.Get(key)
 	if err != nil || !ok {
+		return false, err
+	}
+	row, err := stored.Tuple()
+	if err != nil {
 		return false, err
 	}
 	pk := v.primaryKey(row)

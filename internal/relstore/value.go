@@ -144,8 +144,10 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// Row is an ordered tuple of values matching a table schema.
-type Row []Value
+// Tuple is a row as values: an ordered tuple matching a table schema. It is
+// what a writer hands in (Insert, Put, BulkInsert) and what Row.Tuple decodes
+// for a reader that wants every column as a Value.
+type Tuple []Value
 
 // ErrCorruptRow is returned when a stored row cannot be decoded.
 var ErrCorruptRow = errors.New("relstore: corrupt row encoding")
@@ -293,7 +295,7 @@ func DecodeKey(buf []byte) ([]Value, error) {
 // encodeRow serializes a row for storage in the primary tree. The format is
 // self-delimiting: uvarint column count, then per column a type byte and a
 // type-specific payload.
-func encodeRow(row Row) []byte {
+func encodeRow(row Tuple) []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(row)))
 	for _, v := range row {
 		dst = appendRowValue(dst, v)
@@ -321,23 +323,16 @@ func appendRowValue(dst []byte, v Value) []byte {
 	panic("relstore: encode row with invalid value")
 }
 
-// decodeRow builds the Row of an encoded row.
-func decodeRow(buf []byte) (Row, error) {
-	return appendRow(nil, buf)
-}
-
-// appendRow decodes an encoded row onto dst (allocating when dst is nil).
-// Strings and byte slices are copied: the Values own their bytes, whatever
-// becomes of the page the row was read from.
-func appendRow(dst Row, buf []byte) (Row, error) {
+// decodeRow builds the Tuple of an encoded row, validating all of it. Strings
+// and byte slices are copied: the Values own their bytes, whatever becomes of
+// the page the row was read from.
+func decodeRow(buf []byte) (Tuple, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return nil, ErrCorruptRow
 	}
 	buf = buf[sz:]
-	if dst == nil {
-		dst = make(Row, 0, min(n, uint64(len(buf)))) // a column takes at least a byte
-	}
+	dst := make(Tuple, 0, min(n, uint64(len(buf)))) // a column takes at least a byte
 	for i := uint64(0); i < n; i++ {
 		if len(buf) == 0 {
 			return nil, ErrCorruptRow
@@ -389,56 +384,165 @@ func appendRow(dst Row, buf []byte) (Row, error) {
 	return dst, nil
 }
 
-// rowInts reads the integer columns at the ascending positions cols of an
-// encoded row into out, in place: the columns before and between them are
-// stepped over by their lengths and those after the last are not looked at,
-// no Value is built. It is what Reader.Ints runs on the one row it was asked
-// for, bytes straight out of a page: one flat pass, where a call per column
-// through decodeRow's Values made the stored Project half as fast again. A
-// row that ends early, is malformed on the way, or holds another type at one
-// of the positions is ErrCorruptRow (FuzzRowDecode).
-func rowInts(buf []byte, cols []int, out []int64) error {
-	n, sz := binary.Uvarint(buf)
+// Row is a stored row read where it lies: the encoded bytes, as a B+tree leaf
+// (or an overflow chain) holds them. Every read hands one out and decodes
+// nothing: Cols steps through the columns in place, Tuple builds the values.
+// The bytes alias an immutable page image (see storage.BTree): they never
+// change, and a Row that is kept keeps its 4 KiB image alive. So a Row is for
+// the callback it was handed to, or for the request that read it; what is to
+// live longer is copied out (Tuple, string(c.Str())).
+type Row struct{ enc []byte }
+
+// Tuple decodes the whole row into values that own their bytes.
+func (r Row) Tuple() (Tuple, error) { return decodeRow(r.enc) }
+
+// Cols returns a cursor on the row's first column.
+func (r Row) Cols() Cols {
+	n, sz := binary.Uvarint(r.enc)
 	if sz <= 0 {
-		return ErrCorruptRow
+		return Cols{err: ErrCorruptRow}
 	}
-	buf = buf[sz:]
-	for col, next := 0, 0; next < len(cols); col++ {
-		if uint64(col) >= n || len(buf) == 0 {
-			return ErrCorruptRow
+	return Cols{buf: r.enc[sz:], left: n}
+}
+
+// Cols reads the columns of a Row in schema order, in place — the read-side
+// twin of RowWriter: each call takes the next column, which must hold the
+// type asked for, Skip steps over unwanted ones by their lengths, the columns
+// after the last one read are not looked at and no Value is built. Errors
+// stick: once a column is missing, malformed or of another type, every later
+// call returns the zero value and Err reports ErrCorruptRow — read, then check
+// Err once. The bytes come straight out of a page: nothing here trusts them
+// (FuzzRowDecode).
+type Cols struct {
+	buf  []byte // the columns not yet read
+	left uint64 // how many the row's header says those are
+	err  error
+}
+
+// Err reports the first failure of the reads so far.
+func (c *Cols) Err() error { return c.err }
+
+// fail keeps the first failure and leaves no column for later reads to find.
+func (c *Cols) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	c.buf, c.left = nil, 0
+}
+
+// open consumes the type byte of the next column, which must be want.
+func (c *Cols) open(want ColumnType) bool {
+	if c.left == 0 || len(c.buf) == 0 {
+		c.fail(ErrCorruptRow)
+		return false
+	}
+	if typ := ColumnType(c.buf[0]); typ != want {
+		c.fail(fmt.Errorf("%w: column is %s, not %s", ErrCorruptRow, typ, want))
+		return false
+	}
+	c.left--
+	c.buf = c.buf[1:]
+	return true
+}
+
+// Int reads the next column, an integer.
+func (c *Cols) Int() int64 {
+	if !c.open(TInt) {
+		return 0
+	}
+	v, sz := binary.Varint(c.buf)
+	if sz <= 0 {
+		c.fail(ErrCorruptRow)
+		return 0
+	}
+	c.buf = c.buf[sz:]
+	return v
+}
+
+// Float reads the next column, a float.
+func (c *Cols) Float() float64 {
+	if !c.open(TFloat) {
+		return 0
+	}
+	bits, sz := binary.Uvarint(c.buf)
+	if sz <= 0 {
+		c.fail(ErrCorruptRow)
+		return 0
+	}
+	c.buf = c.buf[sz:]
+	return math.Float64frombits(bits)
+}
+
+// Bool reads the next column, a boolean.
+func (c *Cols) Bool() bool {
+	if !c.open(TBool) || len(c.buf) == 0 {
+		c.fail(ErrCorruptRow) // keeps open's error, if that is what failed
+		return false
+	}
+	v := c.buf[0] != 0
+	c.buf = c.buf[1:]
+	return v
+}
+
+// Str reads the next column, a string, as the row's own bytes (the page's).
+func (c *Cols) Str() []byte {
+	if !c.open(TString) {
+		return nil
+	}
+	l, sz := binary.Uvarint(c.buf)
+	if sz <= 0 || uint64(len(c.buf[sz:])) < l {
+		c.fail(ErrCorruptRow)
+		return nil
+	}
+	s := c.buf[sz : sz+int(l) : sz+int(l)]
+	c.buf = c.buf[sz+int(l):]
+	return s
+}
+
+// Skip steps over the next n columns: one flat loop, most of a cell read's cost.
+func (c *Cols) Skip(n int) {
+	buf, left := c.buf, c.left
+	for ; n > 0; n-- {
+		if left == 0 || len(buf) == 0 {
+			c.fail(ErrCorruptRow)
+			return
 		}
 		typ := ColumnType(buf[0])
 		buf = buf[1:]
-		wanted := col == cols[next]
-		if wanted && typ != TInt {
-			return fmt.Errorf("%w: column %d is %s, not an integer", ErrCorruptRow, col, typ)
-		}
+		left--
+		sz := 0 // of the payload: at least a byte, whatever the type
 		switch typ {
 		case TInt, TFloat: // one varint either way
-			if wanted {
-				out[next], sz = binary.Varint(buf)
-				next++
-			} else {
-				_, sz = binary.Uvarint(buf)
-			}
-			if sz <= 0 {
-				return ErrCorruptRow
-			}
-			buf = buf[sz:]
+			_, sz = binary.Uvarint(buf)
 		case TString, TBytes:
-			l, sz := binary.Uvarint(buf)
-			if sz <= 0 || uint64(len(buf[sz:])) < l {
-				return ErrCorruptRow
+			if l, lsz := binary.Uvarint(buf); lsz > 0 && uint64(len(buf[lsz:])) >= l {
+				sz = lsz + int(l)
 			}
-			buf = buf[sz+int(l):]
 		case TBool:
-			if len(buf) < 1 {
-				return ErrCorruptRow
-			}
-			buf = buf[1:]
+			sz = min(len(buf), 1)
 		default:
-			return fmt.Errorf("%w: column type %d", ErrCorruptRow, typ)
+			c.fail(fmt.Errorf("%w: column type %d", ErrCorruptRow, typ))
+			return
 		}
+		if sz <= 0 {
+			c.fail(ErrCorruptRow)
+			return
+		}
+		buf = buf[sz:]
 	}
-	return nil
+	c.buf, c.left = buf, left
+}
+
+// rowInts reads the integer columns at the ascending positions cols of an
+// encoded row into out: one pass of a Cols cursor, skipping the others. It is
+// what Reader.Ints runs on the one row it was asked for.
+func rowInts(buf []byte, cols []int, out []int64) error {
+	c := Row{buf}.Cols()
+	at := 0
+	for i, col := range cols {
+		c.Skip(col - at)
+		out[i] = c.Int()
+		at = col + 1
+	}
+	return c.Err()
 }

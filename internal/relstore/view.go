@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"iter"
 
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -18,6 +17,8 @@ import (
 // parallel with bulk loads, deletes and commits, and a scan callback may
 // issue further reads on the same view. (A Table keeps one over the writer's
 // working trees, for the reads it makes under the database mutex.)
+// Every read hands out the stored row where it lies, a Row over the bytes of
+// the page image, and decodes nothing.
 //
 // A view keeps nothing between calls. A request that reads many rows by key
 // takes a Reader from it, which holds the primary leaves it has been to for
@@ -40,7 +41,7 @@ func (v *TableView) Schema() Schema {
 // Name returns the table name.
 func (v *TableView) Name() string { return v.schema.Name }
 
-func (v *TableView) checkRow(row Row) error {
+func (v *TableView) checkRow(row Tuple) error {
 	if len(row) != len(v.schema.Columns) {
 		return fmt.Errorf("%w: %d values for %d columns", ErrSchemaRow, len(row), len(v.schema.Columns))
 	}
@@ -53,9 +54,9 @@ func (v *TableView) checkRow(row Row) error {
 	return nil
 }
 
-func (v *TableView) primaryKey(row Row) []byte { return EncodeKey(row[v.keyCol]) }
+func (v *TableView) primaryKey(row Tuple) []byte { return EncodeKey(row[v.keyCol]) }
 
-func (v *TableView) indexKey(ix Index, row Row) []byte {
+func (v *TableView) indexKey(ix Index, row Tuple) []byte {
 	vals := make([]Value, 0, len(ix.Columns)+1)
 	for _, c := range ix.Columns {
 		ci, _ := v.schema.colIndex(c)
@@ -82,7 +83,7 @@ func (v *TableView) indexPrefix(ix Index, vals []Value) ([]byte, error) {
 	return key, nil
 }
 
-func (v *TableView) indexVals(ix Index, row Row) []Value {
+func (v *TableView) indexVals(ix Index, row Tuple) []Value {
 	vals := make([]Value, len(ix.Columns))
 	for i, c := range ix.Columns {
 		ci, _ := v.schema.colIndex(c)
@@ -109,15 +110,11 @@ func (v *TableView) Get(key Value) (Row, bool, error) {
 // pool hits/misses) to the request span carried by ctx, if any.
 func (v *TableView) GetCtx(ctx context.Context, key Value) (Row, bool, error) {
 	if key.Type != v.schema.Columns[v.keyCol].Type {
-		return nil, false, fmt.Errorf("%w: key wants %s, got %s",
+		return Row{}, false, fmt.Errorf("%w: key wants %s, got %s",
 			ErrSchemaRow, v.schema.Columns[v.keyCol].Type, key.Type)
 	}
 	enc, ok, err := v.primary.GetCtx(ctx, EncodeKey(key))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	row, err := decodeRow(enc)
-	return row, err == nil, err
+	return Row{enc}, ok, err
 }
 
 // GetBatchCtx fetches many rows by primary key in one storage pass:
@@ -140,12 +137,7 @@ func (v *TableView) GetBatchCtx(ctx context.Context, keys []Value) ([]Row, []boo
 	}
 	rows := make([]Row, len(keys))
 	for i, val := range vals {
-		if !found[i] {
-			continue
-		}
-		if rows[i], err = decodeRow(val); err != nil {
-			return nil, nil, err
-		}
+		rows[i] = Row{val}
 	}
 	return rows, found, nil
 }
@@ -157,7 +149,8 @@ func (v *TableView) Len() (int, error) {
 
 // ScanCtx visits all rows in primary key order under ctx: the scan checks
 // the context cooperatively and aborts with its error once it is done. The
-// callback returns false to stop early.
+// callback returns false to stop early. The Row is the callback's for the
+// length of the call.
 func (v *TableView) ScanCtx(ctx context.Context, fn func(Row) (bool, error)) error {
 	return v.ScanRangeCtx(ctx, Value{}, Value{}, fn)
 }
@@ -184,40 +177,8 @@ func (v *TableView) ScanRangeCtx(ctx context.Context, lo, hi Value, fn func(Row)
 		if hiKey != nil && bytes.Compare(key, hiKey) >= 0 {
 			return false, nil
 		}
-		row, err := decodeRow(enc)
-		if err != nil {
-			return false, err
-		}
-		return fn(row)
+		return fn(Row{enc})
 	})
-}
-
-// ScanRange visits rows with primary key in [lo, hi); either bound may be
-// the zero Value meaning unbounded. Equivalent to ScanRangeCtx with a
-// background context.
-func (v *TableView) ScanRange(lo, hi Value, fn func(Row) (bool, error)) error {
-	return v.ScanRangeCtx(context.Background(), lo, hi, fn)
-}
-
-// Rows returns an iterator over all rows in primary key order under ctx.
-// A scan failure — context cancellation included — is yielded as the final
-// pair's error with a nil row.
-func (v *TableView) Rows(ctx context.Context) iter.Seq2[Row, error] {
-	return v.RowsRange(ctx, Value{}, Value{})
-}
-
-// RowsRange returns an iterator over the rows with primary key in [lo, hi)
-// under ctx; either bound may be the zero Value for unbounded. Breaking
-// out of the loop stops the underlying scan immediately.
-func (v *TableView) RowsRange(ctx context.Context, lo, hi Value) iter.Seq2[Row, error] {
-	return func(yield func(Row, error) bool) {
-		err := v.ScanRangeCtx(ctx, lo, hi, func(row Row) (bool, error) {
-			return yield(row, nil), nil
-		})
-		if err != nil {
-			yield(nil, err)
-		}
-	}
 }
 
 // indexBatchMax caps how many index entries are resolved by one batched
@@ -250,11 +211,7 @@ func (v *TableView) indexRowScan(ctx context.Context, index string, tree *storag
 			if !found[i] {
 				return false, fmt.Errorf("relstore: index %s.%s points at missing row", v.schema.Name, index)
 			}
-			row, err := decodeRow(enc)
-			if err != nil {
-				return false, err
-			}
-			if cont, err := fn(row); err != nil || !cont {
+			if cont, err := fn(Row{enc}); err != nil || !cont {
 				return false, err
 			}
 		}
@@ -331,13 +288,6 @@ func (v *TableView) IndexRangeCtx(ctx context.Context, index string, lo, hi Valu
 	return v.indexRowScan(ctx, index, tree, start, func(key []byte) bool {
 		return hiKey == nil || bytes.Compare(key, hiKey) < 0
 	}, fn)
-}
-
-// IndexRange visits rows whose first indexed column lies in [lo, hi); either
-// bound may be the zero Value for unbounded. Equivalent to IndexRangeCtx
-// with a background context.
-func (v *TableView) IndexRange(index string, lo, hi Value, fn func(Row) (bool, error)) error {
-	return v.IndexRangeCtx(context.Background(), index, lo, hi, fn)
 }
 
 // Check verifies one table view: B+tree structural invariants, row

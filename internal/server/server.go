@@ -1314,6 +1314,11 @@ func decodeCursor(kind, cursor string) (string, error) {
 	if !ok {
 		return "", badRequest("cursor does not belong to this endpoint")
 	}
+	// The decoder lets line breaks and loose trailing bits through; the
+	// server never issued such a token.
+	if encodeCursor(kind, pos) != cursor {
+		return "", badRequest("bad cursor: not a token this server issued")
+	}
 	return pos, nil
 }
 

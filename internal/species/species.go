@@ -136,7 +136,7 @@ func (r *Repo) Put(tree, sp, kind string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return tab.Put(relstore.Row{
+	return tab.Put(relstore.Tuple{
 		relstore.Str(key(tree, sp, kind)),
 		relstore.Str(tree),
 		relstore.Str(sp),
@@ -153,18 +153,26 @@ func getRecord(tab *relstore.TableView, tree, sp, kind string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoData, key(tree, sp, kind))
 	}
-	return row[4].Bytes(), nil
+	vals, err := row.Tuple()
+	if err != nil {
+		return nil, err
+	}
+	return vals[4].Bytes(), nil
 }
 
 func listRecords(tab *relstore.TableView, tree, sp string) ([]Record, error) {
 	var out []Record
 	err := tab.IndexScan("by_species", []relstore.Value{relstore.Str(tree), relstore.Str(sp)},
 		func(row relstore.Row) (bool, error) {
+			vals, err := row.Tuple()
+			if err != nil {
+				return false, err
+			}
 			out = append(out, Record{
-				Tree:    row[1].Text(),
-				Species: row[2].Text(),
-				Kind:    row[3].Text(),
-				Data:    row[4].Bytes(),
+				Tree:    vals[1].Text(),
+				Species: vals[2].Text(),
+				Kind:    vals[3].Text(),
+				Data:    vals[4].Bytes(),
 			})
 			return true, nil
 		})
@@ -250,8 +258,9 @@ func (r *Repo) DeleteTree(tree string) (int, error) {
 	}
 	var keys []string
 	err = tab.IndexScan("by_tree", []relstore.Value{relstore.Str(tree)}, func(row relstore.Row) (bool, error) {
-		keys = append(keys, row[0].Text())
-		return true, nil
+		c := row.Cols()
+		keys = append(keys, string(c.Str()))
+		return true, c.Err()
 	})
 	if err != nil {
 		return 0, err

@@ -41,7 +41,10 @@ func (t *Tree) ExportNewickTo(ctx context.Context, w io.Writer) error {
 			// instead of walking the rest of the tree into no-op emits.
 			return false, err
 		}
-		n := decodeNode(row)
+		n, err := decodeNode(row)
+		if err != nil {
+			return false, err
+		}
 		for len(open) > 0 && n.ID >= open[len(open)-1].end {
 			top := open[len(open)-1]
 			open = open[:len(open)-1]

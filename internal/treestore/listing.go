@@ -21,7 +21,10 @@ func treesAfter(ctx context.Context, trees *relstore.TableView, after string, li
 	var out []TreeInfo
 	more := false
 	err := trees.ScanRangeCtx(ctx, lo, relstore.Value{}, func(row relstore.Row) (bool, error) {
-		info := decodeInfo(row)
+		info, err := decodeInfo(row)
+		if err != nil {
+			return false, err
+		}
 		if info.Name <= after { // seek lands on the cursor row itself; skip it
 			return true, nil
 		}

@@ -163,13 +163,18 @@ func TestProjectNamesSkipsTheRefetch(t *testing.T) {
 	}
 }
 
-// TestStoredQueryAllocations holds the stored LCA and a k=50 projection on
-// the 10k-leaf tree (f=4, seven layers; snapshot handle, decoded-node cache
-// warm) under allocation ceilings ~10% over the counts recorded with the
-// request holding its leaves — 40 and 647, about five a storage leaf read and
-// nothing per row but a Node's name; one run of integers per leaf read took
-// 161 and 2 559, and copying every key and value of every node touched 3 334
-// and 39 477.
+// TestStoredQueryAllocations holds the stored queries on the 10k-leaf tree
+// (f=4, seven layers; snapshot handle, decoded-node cache warm) under
+// allocation ceilings ~10% over the counts recorded. An LCA and a k=50
+// projection take 40 and 647 with the request holding its leaves — about five
+// a storage leaf read and nothing per row but a Node's name; one run of
+// integers per leaf read took 161 and 2 559, and copying every key and value
+// of every node touched 3 334 and 39 477. The scans read rows where they lie:
+// a clade of a few hundred nodes takes 170 (462 when a scan built a Tuple and
+// a Node of every row), a k=50 uniform sample 242 (559 when every draw was
+// decoded, leaf or not) and a k=50 sample beyond 0.8 of the height — some
+// 1 600 frontier clades, a range scan each, which is where what is left goes —
+// 23 346 (84 723 when every row beyond the frontier was decoded).
 func TestStoredQueryAllocations(t *testing.T) {
 	snap, sel := bigYule(t)
 	ids := make([]int, len(sel))
@@ -180,21 +185,49 @@ func TestStoredQueryAllocations(t *testing.T) {
 	if _, err := snap.ProjectCtx(ctx, ids); err != nil { // warms the decoded-node cache
 		t.Fatal(err)
 	}
-	lca := testing.AllocsPerRun(20, func() {
-		if _, err := snap.LCACtx(ctx, ids[0], ids[49]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	project := testing.AllocsPerRun(5, func() {
-		if _, err := snap.ProjectCtx(ctx, ids); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("allocations: LCACtx %v, ProjectCtx(k=50) %v", lca, project)
-	if lca > 43 {
-		t.Fatalf("LCACtx allocates %v times, want <= 43", lca)
+	cladeRoot, height := 0, 0.0
+	for _, n := range sel {
+		height = max(height, n.Dist)
 	}
-	if project > 710 {
-		t.Fatalf("ProjectCtx(k=50) allocates %v times, want <= 710", project)
+	for id := 1; cladeRoot == 0; id++ {
+		if n, err := snap.NodeCtx(ctx, id); err != nil {
+			t.Fatal(err)
+		} else if n.Size >= 150 && n.Size <= 300 {
+			cladeRoot = id
+		}
+	}
+	measure := func(runs int, query func() error) float64 {
+		return testing.AllocsPerRun(runs, func() {
+			if err := query(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, q := range []struct {
+		name  string
+		runs  int
+		max   float64
+		query func() error
+	}{
+		{"LCACtx", 20, 43, func() error { _, err := snap.LCACtx(ctx, ids[0], ids[49]); return err }},
+		{"ProjectCtx(k=50)", 5, 710, func() error { _, err := snap.ProjectCtx(ctx, ids); return err }},
+		{"MinimalSpanningCladeCtx", 5, 187, func() error {
+			_, err := snap.MinimalSpanningCladeCtx(ctx, []int{cladeRoot})
+			return err
+		}},
+		{"SampleUniformCtx(k=50)", 5, 266, func() error {
+			_, err := snap.SampleUniformCtx(ctx, 50, rand.New(rand.NewSource(12)))
+			return err
+		}},
+		{"SampleWithTimeCtx(k=50)", 5, 25700, func() error {
+			_, err := snap.SampleWithTimeCtx(ctx, 0.8*height, 50, rand.New(rand.NewSource(12)))
+			return err
+		}},
+	} {
+		got := measure(q.runs, q.query)
+		t.Logf("%s allocates %v times", q.name, got)
+		if got > q.max {
+			t.Errorf("%s allocates %v times, want <= %v", q.name, got, q.max)
+		}
 	}
 }

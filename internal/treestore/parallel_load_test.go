@@ -52,10 +52,7 @@ func loadDump(t *testing.T, tr *phylo.Tree, workers int) (string, []Node) {
 		t.Fatalf("workers=%d: export: %v", workers, err)
 	}
 	var rows []Node
-	err := st.nodes.ScanCtx(context.Background(), func(row relstore.Row) (bool, error) {
-		rows = append(rows, decodeNode(row))
-		return true, nil
-	})
+	err := st.nodes.ScanCtx(context.Background(), appendNodes(&rows))
 	if err != nil {
 		t.Fatalf("workers=%d: scan: %v", workers, err)
 	}
@@ -136,10 +133,11 @@ func TestLoadPageFilesIdentical(t *testing.T) {
 			boxed := pageFileAfter(t, func(s *Store) {
 				db := s.dbs[0]
 				for i, schema := range schemas {
-					var rows []relstore.Row
+					var rows []relstore.Tuple
 					err := tables[i].ScanCtx(context.Background(), func(row relstore.Row) (bool, error) {
-						rows = append(rows, row)
-						return true, nil
+						vals, err := row.Tuple()
+						rows = append(rows, vals)
+						return true, err
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -157,7 +155,7 @@ func TestLoadPageFilesIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				info := st.Info()
-				err = trees.Insert(relstore.Row{relstore.Str("t"), relstore.Int(int64(info.Nodes)), relstore.Int(int64(info.Leaves)),
+				err = trees.Insert(relstore.Tuple{relstore.Str("t"), relstore.Int(int64(info.Nodes)), relstore.Int(int64(info.Leaves)),
 					relstore.Int(int64(info.F)), relstore.Int(int64(info.Layers)), relstore.Int(int64(info.Depth))})
 				if err != nil {
 					t.Fatal(err)
@@ -212,7 +210,7 @@ func TestRejectedLoadLeavesNoDirtyPages(t *testing.T) {
 	}
 	touch := func(name string) int {
 		t.Helper()
-		if err := trees.Put(relstore.Row{relstore.Str(name), relstore.Int(1), relstore.Int(1), relstore.Int(2), relstore.Int(1), relstore.Int(0)}); err != nil {
+		if err := trees.Put(relstore.Tuple{relstore.Str(name), relstore.Int(1), relstore.Int(1), relstore.Int(2), relstore.Int(1), relstore.Int(0)}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := trees.Delete(relstore.Str(name)); err != nil {

@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -532,7 +531,7 @@ func (p *PreparedLoad) Apply() error {
 		}
 	}
 	p.progress.Say("loaded %d/%d nodes", p.info.Nodes, p.info.Nodes)
-	err = trees.Insert(relstore.Row{
+	err = trees.Insert(relstore.Tuple{
 		relstore.Str(name),
 		relstore.Int(int64(p.info.Nodes)),
 		relstore.Int(int64(p.info.Leaves)),
@@ -572,7 +571,10 @@ func openTree(rs *relstore.Snap, name string) (*Tree, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoTree, name)
 	}
-	info := decodeInfo(row)
+	info, err := decodeInfo(row)
+	if err != nil {
+		return nil, err
+	}
 	nodeTab, err := rs.Table(nodesTable(name))
 	if err != nil {
 		return nil, err
@@ -595,15 +597,18 @@ func openTree(rs *relstore.Snap, name string) (*Tree, error) {
 	return t, nil
 }
 
-func decodeInfo(row relstore.Row) TreeInfo {
-	return TreeInfo{
-		Name:   row[0].Text(),
-		Nodes:  int(row[1].Int64()),
-		Leaves: int(row[2].Int64()),
-		F:      int(row[3].Int64()),
-		Layers: int(row[4].Int64()),
-		Depth:  int(row[5].Int64()),
+// decodeInfo is the one reader of a trees catalog row.
+func decodeInfo(row relstore.Row) (TreeInfo, error) {
+	c := row.Cols()
+	info := TreeInfo{
+		Name:   string(c.Str()),
+		Nodes:  int(c.Int()),
+		Leaves: int(c.Int()),
+		F:      int(c.Int()),
+		Layers: int(c.Int()),
+		Depth:  int(c.Int()),
 	}
+	return info, c.Err()
 }
 
 // Snap is a point-in-time read view of the Tree Repository. Each shard's
@@ -706,7 +711,11 @@ func (s *Store) Drop(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTree, name)
 	}
-	layers := int(row[4].Int64())
+	info, err := decodeInfo(row)
+	if err != nil {
+		return err
+	}
+	layers := info.Layers
 	if _, err := trees.Delete(relstore.Str(name)); err != nil {
 		return err
 	}
@@ -768,21 +777,46 @@ var (
 	subLinkCols   = []int{1, 2}
 )
 
-// decodeNode is the one reader of a nodes row.
-func decodeNode(row relstore.Row) Node {
-	return Node{
-		ID:          int(row[colID].Int64()),
-		Parent:      int(row[colParent].Int64()),
-		Ord:         int(row[colOrd].Int64()),
-		Name:        row[colName].Text(),
-		Length:      row[colLength].Float64(),
-		Depth:       int(row[colDepth].Int64()),
-		Dist:        row[colDist].Float64(),
-		Sub:         int(row[colSub].Int64()),
-		LocalParent: int(row[colLParent].Int64()),
-		LocalDepth:  int(row[colLDepth].Int64()),
-		Leaf:        row[colLeaf].Truth(),
-		Size:        int(row[colSize].Int64()),
+// decodeNode is the one reader of a whole nodes row: the twelve columns in
+// schema order, straight from the stored row, the name copied out of the page.
+// What only tests a column or two (frontier, leafIDs) reads those with a
+// cursor of its own and comes here for the rows it keeps.
+func decodeNode(row relstore.Row) (Node, error) {
+	c := row.Cols()
+	n := Node{
+		ID:          int(c.Int()),
+		Parent:      int(c.Int()),
+		Ord:         int(c.Int()),
+		Name:        string(c.Str()),
+		Length:      c.Float(),
+		Depth:       int(c.Int()),
+		Dist:        c.Float(),
+		Sub:         int(c.Int()),
+		LocalParent: int(c.Int()),
+		LocalDepth:  int(c.Int()),
+		Leaf:        c.Bool(),
+		Size:        int(c.Int()),
+	}
+	return n, c.Err()
+}
+
+// nodeOf is decodeNode for a row a point read returned: outside a scan, which
+// does this for its callback, it reports a failure as the cancellation once ctx
+// is done — a cancelled reader may have landed on a reclaimed page.
+func nodeOf(ctx context.Context, row relstore.Row) (Node, error) {
+	n, err := decodeNode(row)
+	if err != nil && ctx.Err() != nil {
+		return Node{}, ctx.Err()
+	}
+	return n, err
+}
+
+// appendNodes is the scan callback that decodes every row onto *out.
+func appendNodes(out *[]Node) func(relstore.Row) (bool, error) {
+	return func(row relstore.Row) (bool, error) {
+		n, err := decodeNode(row)
+		*out = append(*out, n)
+		return true, err
 	}
 }
 
@@ -792,7 +826,10 @@ func decodeNode(row relstore.Row) Node {
 // been to, so no leaf is descended to twice in a request and a row is decoded
 // — the three integers the walk needs, or the whole Node — only when the walk
 // asks for it. Names resolve in one batched index sweep whose primary leaves
-// the walk then finds already held. A Tree handle is safe for concurrent use
+// the walk then finds already held. Scans read their rows where they lie
+// (relstore.Row): a clade or an export decodes each row once, straight into a
+// Node, and a sample tests a column or two of the rows it passes and decodes
+// the ones it returns. A Tree handle is safe for concurrent use
 // by multiple goroutines: all methods are read-only, take no lock, share no
 // memo, and are immune to concurrent loads and deletes. It is valid until its
 // snapshot closes.
@@ -816,7 +853,7 @@ func (t *Tree) NodeCtx(ctx context.Context, id int) (Node, error) {
 	if !ok {
 		return Node{}, fmt.Errorf("%w: id %d", ErrNoNode, id)
 	}
-	return decodeNode(row), nil
+	return nodeOf(ctx, row)
 }
 
 // NodeByNameCtx fetches a node by species name under ctx.
@@ -854,7 +891,9 @@ func (t *Tree) nodesByName(ctx context.Context, memo *cellMemo, names []string) 
 		if !found[i] {
 			return nil, fmt.Errorf("%w: name %q", ErrNoNode, names[i])
 		}
-		out[i] = decodeNode(row)
+		if out[i], err = nodeOf(ctx, row); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -866,10 +905,7 @@ func (t *Tree) nodesByName(ctx context.Context, memo *cellMemo, names []string) 
 // no post-hoc sort is needed.
 func (t *Tree) ChildrenCtx(ctx context.Context, id int) ([]Node, error) {
 	var out []Node
-	err := t.nodes.IndexScanCtx(ctx, "by_parent", []relstore.Value{relstore.Int(int64(id))}, func(row relstore.Row) (bool, error) {
-		out = append(out, decodeNode(row))
-		return true, nil
-	})
+	err := t.nodes.IndexScanCtx(ctx, "by_parent", []relstore.Value{relstore.Int(int64(id))}, appendNodes(&out))
 	if err != nil {
 		return nil, err
 	}
@@ -973,7 +1009,7 @@ func (t *Tree) nodeRow(ctx context.Context, memo *cellMemo, id int) (Node, error
 	if !ok {
 		return Node{}, fmt.Errorf("%w: id %d", ErrNoNode, id)
 	}
-	return decodeNode(row), nil
+	return nodeOf(ctx, row)
 }
 
 // subLink returns the root and source node of subtree s at layer k through
@@ -1110,32 +1146,45 @@ func (t *Tree) IsAncestorCtx(ctx context.Context, a, b int) (bool, error) {
 	return l == a, err
 }
 
+// idSet is a set of node ids of one tree, a bit each; add wants an id in it.
+type idSet []uint64
+
+func (s idSet) in(id int) bool  { return id >= 0 && id>>6 < len(s) }
+func (s idSet) has(id int) bool { return s.in(id) && s[id>>6]&(1<<(id&63)) != 0 }
+func (s idSet) add(id int)      { s[id>>6] |= 1 << (id & 63) }
+
 // FrontierCtx returns the maximal nodes whose root distance exceeds time
 // under ctx, found with one range scan on the by_dist index — no full-tree
 // traversal and no further reads: the scan yields every node beyond time,
-// so a candidate is maximal exactly when its parent is not a candidate.
+// so a candidate is maximal exactly when its parent is not a candidate. Of a
+// candidate it reads id, parent and distance, in place; edge lengths are >= 0
+// (Load validates them), so a parent comes by before its children in (dist,
+// id) order and only the maximal candidates are decoded into Nodes.
 func (t *Tree) FrontierCtx(ctx context.Context, time float64) ([]Node, error) {
-	var cand []Node
+	beyond := make(idSet, (t.info.Nodes+63)/64)
+	var out []Node
 	err := t.nodes.IndexRangeCtx(ctx, "by_dist", relstore.Float(time), relstore.Value{}, func(row relstore.Row) (bool, error) {
-		if n := decodeNode(row); n.Dist > time {
-			cand = append(cand, n)
+		c := row.Cols()
+		id, parent := int(c.Int()), int(c.Int())
+		c.Skip(colDist - colOrd)
+		dist := c.Float()
+		if err := c.Err(); err != nil || dist <= time {
+			return err == nil, err
 		}
-		return true, nil
+		if !beyond.in(id) {
+			return false, fmt.Errorf("treestore: frontier: node id %d out of range", id)
+		}
+		if beyond.add(id); beyond.has(parent) {
+			return true, nil
+		}
+		n, err := decodeNode(row)
+		out = append(out, n)
+		return true, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	beyond := make(map[int]struct{}, len(cand))
-	for _, n := range cand {
-		beyond[n.ID] = struct{}{}
-	}
-	var out []Node
-	for _, n := range cand {
-		if _, ok := beyond[n.Parent]; !ok {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Node) int { return a.ID - b.ID })
 	return out, nil
 }
 
@@ -1143,28 +1192,42 @@ func (t *Tree) FrontierCtx(ctx context.Context, time float64) ([]Node, error) {
 // using the preorder-range property (descendants occupy ids
 // [id, id+size)).
 func (t *Tree) LeavesUnderCtx(ctx context.Context, id int) ([]Node, error) {
-	n, err := t.NodeCtx(ctx, id)
+	memo := newCellMemo(t)
+	n, err := t.nodeRow(ctx, memo, id)
 	if err != nil {
 		return nil, err
 	}
-	return t.leavesUnder(ctx, n)
+	ids, err := t.leafIDs(ctx, n, nil)
+	if err != nil {
+		return nil, err
+	}
+	return t.fetchNodes(ctx, memo, ids)
 }
 
-// leavesUnder is LeavesUnderCtx for a caller that already holds the clade
-// root's row: a leaf is its own clade, an interior node one range scan.
-func (t *Tree) leavesUnder(ctx context.Context, n Node) ([]Node, error) {
+// leafIDs appends the ids of the leaves in the clade rooted at n, ascending:
+// a leaf is its own clade, an interior node one range scan that reads the id
+// and the leaf flag of each row. The callers fetch the rows they keep.
+func (t *Tree) leafIDs(ctx context.Context, n Node, ids []int) ([]int, error) {
 	if n.Leaf {
-		return []Node{n}, nil
+		return append(ids, n.ID), nil
 	}
-	var out []Node
 	err := t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(n.ID)), relstore.Int(int64(n.ID+n.Size)), func(row relstore.Row) (bool, error) {
-		c := decodeNode(row)
-		if c.Leaf {
-			out = append(out, c)
+		id, leaf, err := idAndLeaf(row)
+		if leaf {
+			ids = append(ids, id)
 		}
-		return true, nil
+		return true, err
 	})
-	return out, err
+	return ids, err
+}
+
+// idAndLeaf reads the id and the leaf flag of a nodes row in place.
+func idAndLeaf(row relstore.Row) (id int, leaf bool, err error) {
+	c := row.Cols()
+	id = int(c.Int())
+	c.Skip(colLeaf - colParent)
+	leaf = c.Bool()
+	return id, leaf, c.Err()
 }
 
 // MinimalSpanningCladeCtx returns all nodes of the clade rooted at the LCA
@@ -1206,16 +1269,17 @@ func (t *Tree) clade(ctx context.Context, memo *cellMemo, ids []int) ([]Node, er
 		return nil, err
 	}
 	var out []Node
-	err = t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(l)), relstore.Int(int64(l+root.Size)), func(row relstore.Row) (bool, error) {
-		out = append(out, decodeNode(row))
-		return true, nil
-	})
+	if root.Size > 0 && root.Size <= t.info.Nodes {
+		out = make([]Node, 0, root.Size)
+	}
+	err = t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(l)), relstore.Int(int64(l+root.Size)), appendNodes(&out))
 	return out, err
 }
 
 // SampleUniformCtx draws k distinct random leaves under ctx using
 // rejection sampling on the id space (leaves are a large fraction of any
-// phylogeny), falling back to a scan when k approaches the leaf count.
+// phylogeny), falling back to a scan when k approaches the leaf count. A draw
+// is judged on its leaf flag alone; only the leaves kept are decoded.
 func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Node, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: sample size must be >= 1", ErrBadSample)
@@ -1223,8 +1287,9 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 	if k > t.info.Leaves {
 		return nil, fmt.Errorf("%w: sample %d > %d leaves", ErrBadSample, k, t.info.Leaves)
 	}
+	memo := newCellMemo(t)
 	if 2*k > t.info.Leaves {
-		leaves, err := t.LeavesUnderCtx(ctx, 0)
+		leaves, err := t.leafIDs(ctx, Node{Size: t.info.Nodes, Leaf: t.info.Nodes == 1}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -1232,12 +1297,10 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 			j := i + r.Intn(len(leaves)-i)
 			leaves[i], leaves[j] = leaves[j], leaves[i]
 		}
-		out := leaves[:k]
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-		return out, nil
+		return t.fetchNodes(ctx, memo, leaves[:k])
 	}
 	picked := make(map[int]bool, k)
-	var out []Node
+	out := make([]Node, 0, k)
 	for len(out) < k {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -1246,23 +1309,33 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 		if picked[id] {
 			continue
 		}
-		n, err := t.NodeCtx(ctx, id)
+		row, ok, err := memo.nodes.Row(ctx, relstore.Int(int64(id)))
 		if err != nil {
 			return nil, err
 		}
-		if !n.Leaf {
+		if !ok {
+			return nil, fmt.Errorf("%w: id %d", ErrNoNode, id)
+		}
+		if _, leaf, err := idAndLeaf(row); err != nil {
+			return nil, err
+		} else if !leaf {
 			continue
+		}
+		n, err := nodeOf(ctx, row)
+		if err != nil {
+			return nil, err
 		}
 		picked[id] = true
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Node) int { return a.ID - b.ID })
 	return out, nil
 }
 
 // SampleWithTimeCtx implements the paper's time-constrained sampling
 // against the stored tree under ctx: frontier via the distance index, then
-// per-frontier quotas with remainder redistribution.
+// per-frontier quotas with remainder redistribution. The draws run on leaf
+// ids; only the k drawn are fetched and decoded.
 func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *rand.Rand) ([]Node, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: sample size must be >= 1", ErrBadSample)
@@ -1277,18 +1350,23 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 		return nil, fmt.Errorf("%w: no nodes beyond time %g", ErrBadSample, time)
 	}
 	leavesCtx, leavesSpan := obs.StartSpan(ctx, "collect_leaves")
-	groups := make([][]Node, len(frontier))
-	total := 0
+	var leaves []int // of every group, one after the other
+	groups := make([][]int, len(frontier))
+	ends := make([]int, len(frontier))
 	for i, fn := range frontier {
-		if groups[i], err = t.leavesUnder(leavesCtx, fn); err != nil {
+		if leaves, err = t.leafIDs(leavesCtx, fn, leaves); err != nil {
 			leavesSpan.End()
 			return nil, err
 		}
-		total += len(groups[i])
+		ends[i] = len(leaves)
 	}
 	leavesSpan.End()
-	if total < k {
-		return nil, fmt.Errorf("%w: only %d leaves beyond time %g < %d", ErrBadSample, total, time, k)
+	if len(leaves) < k {
+		return nil, fmt.Errorf("%w: only %d leaves beyond time %g < %d", ErrBadSample, len(leaves), time, k)
+	}
+	start := 0
+	for i, end := range ends {
+		groups[i], start = leaves[start:end], end
 	}
 	quota := make([]int, len(groups))
 	for i := range quota {
@@ -1313,25 +1391,23 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 				break
 			}
 			if room := len(groups[i]) - quota[i]; room > 0 {
-				take := room
-				if take > excess {
-					take = excess
-				}
+				take := min(room, excess)
 				quota[i] += take
 				excess -= take
 			}
 		}
 	}
-	var out []Node
+	picked := make([]int, 0, k)
 	for i, g := range groups {
 		for j := 0; j < quota[i]; j++ {
 			m := j + r.Intn(len(g)-j)
 			g[j], g[m] = g[m], g[j]
 		}
-		out = append(out, g[:quota[i]]...)
+		picked = append(picked, g[:quota[i]]...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	fetchCtx, fetchSpan := obs.StartSpan(ctx, "fetch_nodes")
+	defer fetchSpan.End()
+	return t.fetchNodes(fetchCtx, newCellMemo(t), picked)
 }
 
 // fetchNodes fetches the rows of the distinct ids in preorder (id) order
@@ -1444,7 +1520,10 @@ func (t *Tree) project(ctx context.Context, memo *cellMemo, rows []Node) (*phylo
 func (t *Tree) ExportCtx(ctx context.Context) (*phylo.Tree, error) {
 	nodes := make([]*phylo.Node, t.info.Nodes)
 	err := t.nodes.ScanCtx(ctx, func(row relstore.Row) (bool, error) {
-		n := decodeNode(row)
+		n, err := decodeNode(row)
+		if err != nil {
+			return false, err
+		}
 		if n.ID < 0 || n.ID >= len(nodes) {
 			return false, fmt.Errorf("treestore: export: node id %d out of range", n.ID)
 		}

@@ -463,10 +463,11 @@ func TestCorruptRelationsAreErrors(t *testing.T) {
 	// Subtree links that belong to another decomposition: the source a side
 	// enters through need not lie in the subtree the upper layer named.
 	for k := 0; k < layers; k++ {
-		var rows []relstore.Row
+		var rows []relstore.Tuple
 		if err := table(subsTable("other", k)).Scan(func(row relstore.Row) (bool, error) {
-			rows = append(rows, row)
-			return true, nil
+			vals, err := row.Tuple()
+			rows = append(rows, vals)
+			return true, err
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -496,7 +497,7 @@ func TestCorruptRelationsAreErrors(t *testing.T) {
 
 	// A catalog row that claims fewer layers than the node rows imply.
 	info := st.Info()
-	err = table("trees").Put(relstore.Row{
+	err = table("trees").Put(relstore.Tuple{
 		relstore.Str("other"), relstore.Int(int64(info.Nodes)), relstore.Int(int64(info.Leaves)),
 		relstore.Int(5), relstore.Int(1), relstore.Int(int64(info.Depth)),
 	})

@@ -29,136 +29,89 @@ import "sync/atomic"
 // Counter indexes one engine counter within a Counters set.
 type Counter int
 
-// The engine counters, ordered hot-to-cold. NumCounters must stay last.
+// The engine counters, ordered hot-to-cold; counterDefs names and
+// describes each one. NumCounters must stay last.
 const (
-	// CtrBTreeDescents counts root-to-leaf B+tree descents (point reads
-	// and cursor positioning).
 	CtrBTreeDescents Counter = iota
-	// CtrCellsDecoded counts leaf/internal cells decoded from node pages.
 	CtrCellsDecoded
-	// CtrRowsScanned counts rows visited by relational scans.
 	CtrRowsScanned
-	// CtrPoolHits counts buffer-pool frame hits.
 	CtrPoolHits
-	// CtrPoolMisses counts buffer-pool misses (each one is a page read).
 	CtrPoolMisses
-	// CtrPagesRead counts pages read from the pager (pool misses).
 	CtrPagesRead
-	// CtrPagesWritten counts pages written to the pager at commit.
 	CtrPagesWritten
-	// CtrCOWPages counts pages allocated by copy-on-write supersession.
 	CtrCOWPages
-	// CtrWALBytes counts bytes appended to the write-ahead log.
 	CtrWALBytes
-	// CtrWALSyncs counts WAL fsync batches.
 	CtrWALSyncs
-	// CtrReadCacheHits counts decoded-node cache hits on the read path.
 	CtrReadCacheHits
-	// CtrReadCacheMisses counts decoded-node cache misses (cacheable
-	// interior nodes that had to be decoded from the page).
 	CtrReadCacheMisses
-	// CtrReadCacheEvicts counts decoded-node cache evictions under the
-	// byte budget.
 	CtrReadCacheEvicts
-	// CtrCommits counts durable commits (each waiter that returned from a
-	// successful Commit/CommitAsync wait).
 	CtrCommits
-	// CtrGroupBatches counts group-commit flushes (one WAL append + fsync
-	// covering one or more commits).
 	CtrGroupBatches
-	// CtrGroupFsyncsSaved counts fsyncs avoided by group commit: for each
-	// flushed batch of n commits, n-1 syncs were saved versus the serial
-	// one-fsync-per-commit path.
 	CtrGroupFsyncsSaved
-	// CtrCheckpointRuns counts background/synchronous checkpoint passes
-	// that wrote at least one page back to the page file.
 	CtrCheckpointRuns
-	// CtrCheckpointPages counts pages written back by checkpoints.
 	CtrCheckpointPages
-	// CtrCheckpointBytes counts bytes written back by checkpoints.
 	CtrCheckpointBytes
-	// CtrWALHighwaterBytes tracks (via Max) the largest WAL size observed
-	// between truncations.
 	CtrWALHighwaterBytes
-	// CtrReplBatchesShipped counts commit batches shipped to replication
-	// subscribers (one per batch per subscriber).
 	CtrReplBatchesShipped
-	// CtrReplBytesShipped counts page-image bytes shipped to subscribers.
 	CtrReplBytesShipped
-	// CtrReplSnapshotPages counts pages streamed in snapshot catch-ups.
 	CtrReplSnapshotPages
-	// CtrReplBatchesApplied counts replicated batches applied by a follower.
 	CtrReplBatchesApplied
-	// CtrReplPagesApplied counts page images applied by a follower.
 	CtrReplPagesApplied
-	// CtrReplApplyConflicts counts batches applied after the reclaim-horizon
-	// grace period expired with local snapshots still open (those snapshots
-	// are invalidated before the apply proceeds).
 	CtrReplApplyConflicts
-	// CtrReplReconnects counts follower stream reconnect attempts.
 	CtrReplReconnects
-	// CtrReplSnapshotsInvalidated counts replica applies that invalidated
-	// still-open local snapshots (their in-flight reads fail with a
-	// retryable error instead of observing rewritten pages).
 	CtrReplSnapshotsInvalidated
-	// CtrWALRetainDrops counts WAL truncations that proceeded past a
-	// replication retain floor because the log outgrew the retain cap —
-	// the lagging subscriber falls back to a full snapshot catch-up.
 	CtrWALRetainDrops
-	// CtrReplFenceWaits counts reads that had to block on their
-	// X-Crimson-Min-Epoch fence (the store was behind when they arrived).
 	CtrReplFenceWaits
-	// CtrReplFenceTimeouts counts fenced reads that gave up with 409
-	// because the store did not reach the epoch in time.
 	CtrReplFenceTimeouts
-	// CtrReplFenceWakeups counts wake-ups of epoch waiters by the change
-	// signal: O(1) per event that moves the store, none while it idles.
 	CtrReplFenceWakeups
 
 	NumCounters
 )
 
-// counterNames are the wire/metric names, indexed by Counter.
-var counterNames = [NumCounters]string{
-	"btree_descents",
-	"cells_decoded",
-	"rows_scanned",
-	"pool_hits",
-	"pool_misses",
-	"pages_read",
-	"pages_written",
-	"cow_pages",
-	"wal_bytes",
-	"wal_syncs",
-	"read_cache_hits",
-	"read_cache_misses",
-	"read_cache_evicts",
-	"commits",
-	"group_commit_batches",
-	"group_fsyncs_saved",
-	"checkpoint_runs",
-	"checkpoint_pages",
-	"checkpoint_bytes",
-	"wal_highwater_bytes",
-	"repl_batches_shipped",
-	"repl_bytes_shipped",
-	"repl_snapshot_pages",
-	"repl_batches_applied",
-	"repl_pages_applied",
-	"repl_apply_conflicts",
-	"repl_reconnects",
-	"repl_snapshots_invalidated",
-	"wal_retain_drops",
-	"repl_fence_waits",
-	"repl_fence_timeouts",
-	"repl_fence_wakeups",
+// counterDefs is the one description of every engine counter: its
+// snake_case wire name (the /v1/stats engine key, and the <name> of
+// crimsond_engine_<name>_total) and the HELP text /metrics gives it.
+// Adding a counter is a constant above and a row here.
+var counterDefs = [NumCounters]struct{ name, help string }{
+	CtrBTreeDescents:            {"btree_descents", "B+tree root-to-leaf descents."},
+	CtrCellsDecoded:             {"cells_decoded", "B+tree cells decoded while reading nodes."},
+	CtrRowsScanned:              {"rows_scanned", "Rows produced by range scans."},
+	CtrPoolHits:                 {"pool_hits", "Buffer-pool page read hits."},
+	CtrPoolMisses:               {"pool_misses", "Buffer-pool page read misses."},
+	CtrPagesRead:                {"pages_read", "Pages read from disk."},
+	CtrPagesWritten:             {"pages_written", "Pages written at commit."},
+	CtrCOWPages:                 {"cow_pages", "Pages copied by copy-on-write before modification."},
+	CtrWALBytes:                 {"wal_bytes", "Bytes appended to the write-ahead log."},
+	CtrWALSyncs:                 {"wal_syncs", "Write-ahead log fsyncs."},
+	CtrReadCacheHits:            {"read_cache_hits", "Decoded-node read cache hits."},
+	CtrReadCacheMisses:          {"read_cache_misses", "Decoded-node read cache misses (cacheable interior nodes decoded)."},
+	CtrReadCacheEvicts:          {"read_cache_evicts", "Decoded-node read cache evictions under the byte budget."},
+	CtrCommits:                  {"commits", "Storage-engine commits made durable."},
+	CtrGroupBatches:             {"group_commit_batches", "WAL batches flushed by group commit (each is one fsync)."},
+	CtrGroupFsyncsSaved:         {"group_fsyncs_saved", "Fsyncs avoided by coalescing commits into group-commit batches."},
+	CtrCheckpointRuns:           {"checkpoint_runs", "Background checkpoint passes completed."},
+	CtrCheckpointPages:          {"checkpoint_pages", "Pages written back to the page file by checkpoints."},
+	CtrCheckpointBytes:          {"checkpoint_bytes", "Bytes written back to the page file by checkpoints."},
+	CtrWALHighwaterBytes:        {"wal_highwater_bytes", "Largest write-ahead log size observed (high-water mark)."},
+	CtrReplBatchesShipped:       {"repl_batches_shipped", "WAL commit batches shipped to replication subscribers."},
+	CtrReplBytesShipped:         {"repl_bytes_shipped", "Bytes shipped on replication streams (page payloads)."},
+	CtrReplSnapshotPages:        {"repl_snapshot_pages", "Pages shipped in full-snapshot replica catch-ups."},
+	CtrReplBatchesApplied:       {"repl_batches_applied", "Replicated batches applied by this follower."},
+	CtrReplPagesApplied:         {"repl_pages_applied", "Pages applied from replicated batches and snapshots."},
+	CtrReplApplyConflicts:       {"repl_apply_conflicts", "Replica applies that waited out the snapshot grace period and invalidated the still-open snapshots."},
+	CtrReplReconnects:           {"repl_reconnects", "Replication stream reconnect attempts."},
+	CtrReplSnapshotsInvalidated: {"repl_snapshots_invalidated", "Replica applies that invalidated still-open local snapshots (their reads fail with a retryable error)."},
+	CtrWALRetainDrops:           {"wal_retain_drops", "WAL truncations that overrode a replication retain floor because the log outgrew the retain cap."},
+	CtrReplFenceWaits:           {"repl_fence_waits", "Reads that blocked on their X-Crimson-Min-Epoch fence."},
+	CtrReplFenceTimeouts:        {"repl_fence_timeouts", "Fenced reads that gave up with 409 because the store did not reach the epoch in time."},
+	CtrReplFenceWakeups:         {"repl_fence_wakeups", "Wake-ups of epoch waiters by the store's change signal (one per event, none while idle)."},
 }
 
 // Name returns the counter's snake_case wire name.
-func (c Counter) Name() string { return counterNames[c] }
+func (c Counter) Name() string { return counterDefs[c].name }
 
-// CounterNames lists every counter name in index order.
-func CounterNames() []string { return counterNames[:] }
+// Help returns the counter's one-line description (its /metrics HELP).
+func (c Counter) Help() string { return counterDefs[c].help }
 
 // Counters is a fixed set of atomic engine counters. The zero value is
 // ready to use, and every method is nil-safe so instrumentation hooks can
@@ -241,7 +194,7 @@ func (cs *Counters) Snapshot() map[string]int64 {
 	}
 	for i := Counter(0); i < NumCounters; i++ {
 		if n := cs.v[i].Load(); n != 0 {
-			out[counterNames[i]] = n
+			out[counterDefs[i].name] = n
 		}
 	}
 	return out

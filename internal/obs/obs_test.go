@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,9 +51,9 @@ func TestCounterNamesComplete(t *testing.T) {
 			t.Fatalf("duplicate counter name %q", name)
 		}
 		seen[name] = true
-	}
-	if len(CounterNames()) != int(NumCounters) {
-		t.Fatalf("CounterNames() length %d != %d", len(CounterNames()), NumCounters)
+		if help := i.Help(); help == "" || strings.ContainsRune(help, '\n') {
+			t.Fatalf("counter %s has HELP %q, want one non-empty line", name, help)
+		}
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // "<tree>\x00<version>\x00<op>\x00<canonical args>", where the version is
 // the shard epoch the tree's current incarnation was committed at: an
 // entry names one immutable incarnation of one tree, so nothing ever has
-// to be updated in place — reloading a tree moves the version and strands
-// the old keys (they age out of the LRU), and deleting a tree drops its
-// prefix eagerly. A capacity of zero disables the cache entirely.
+// to be updated or dropped: reloading or deleting a tree moves its version
+// (versions only grow), which strands the old keys — no lookup can reach
+// them again, and they age out of the LRU. A capacity of zero disables the
+// cache entirely.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -66,19 +67,6 @@ func (c *resultCache) put(key string, val any) {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// invalidateTree drops every cached result of one tree.
-func (c *resultCache) invalidateTree(tree string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prefix := tree + "\x00"
-	for key, el := range c.items {
-		if strings.HasPrefix(key, prefix) {
-			c.ll.Remove(el)
-			delete(c.items, key)
-		}
 	}
 }
 

@@ -117,6 +117,63 @@ func TestCancelMidReadReleasesSnapshotPins(t *testing.T) {
 	})
 }
 
+// TestBenchReleasesSnapshotBeforeRun: a Benchmark Manager run reads the
+// store only to export its gold tree. While the in-memory run goes on, the
+// request holds no read slot and no snapshot pin, so deleting and reloading
+// the very tree it benchmarks reclaims every page of the old incarnation
+// before the run ends.
+func TestBenchReleasesSnapshotBeforeRun(t *testing.T) {
+	if replicaMode() {
+		t.Skip("snapshot pins and read slots live on the server that ran the bench")
+	}
+	repo, cl := startServer(t, crimson.ServerConfig{})
+	ctx := context.Background()
+	gold := yule(t, 2000, 31)
+	if _, err := repo.LoadTree("gold", gold, crimson.DefaultFanout, nil); err != nil {
+		t.Fatalf("loading tree: %v", err)
+	}
+	base := waitStats(t, cl, "idle baseline", func(st client.Stats) bool {
+		return st.OpenSnapshots == 0 && st.InFlightReads == 0
+	})
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.BenchCtx(ctx, "gold", client.BenchRequest{
+			Sizes: []int{80}, Replicates: 3, Algorithms: []string{"MP"}, SeqLength: 200, Seed: 5, Parallel: 1,
+		})
+		done <- err
+	}()
+	running := func(what string) {
+		t.Helper()
+		select {
+		case err := <-done:
+			t.Fatalf("the bench ended (err %v) before %s; it is too short to observe", err, what)
+		default:
+		}
+	}
+	// The export scans every node row; once it has, only the run is left.
+	scanned := base.Engine["rows_scanned"] + int64(gold.NumNodes())
+	waitStats(t, cl, "the bench past its export, holding nothing", func(st client.Stats) bool {
+		return st.PerOp["bench"] == 1 && st.Engine["rows_scanned"] >= scanned &&
+			st.InFlightReads == 0 && st.OpenSnapshots == 0
+	})
+	running("its export was seen released")
+
+	if err := cl.DeleteCtx(ctx, "gold"); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	if _, err := cl.LoadTreeCtx(ctx, "gold", crimson.DefaultFanout, yule(t, 300, 32)); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	waitStats(t, cl, "the old incarnation's pages reclaimed", func(st client.Stats) bool {
+		return st.PendingReclaimPages <= base.PendingReclaimPages && st.OpenSnapshots == 0
+	})
+	running("the delete was reclaimed")
+	if err := <-done; err != nil {
+		t.Fatalf("bench: %v", err)
+	}
+}
+
 // TestAbortedExportNeverSilentlyTruncates pins the failure mode of a cut
 // stream: after cancelling mid-download, the client must see either an
 // error or a complete well-formed Newick body — never a clean EOF on a

@@ -24,15 +24,15 @@ func TestHandlerPanicIsRecovered(t *testing.T) {
 		defer mu.Unlock()
 		logged = append(logged, fmt.Sprintf(format, args...))
 	}
-	s.mux.HandleFunc("GET /v1/test/panic", s.read("info", func(r *http.Request, sn *reqSnap) (any, error) {
-		sn.shard(0) // pin, as a real query would have by now
+	s.mount(route{"GET /v1/test/panic", "info", readRoute, func(_ *Server, q *req) (any, error) {
+		q.sn.shard(0) // pin, as a real query would have by now
 		panic("boom in a handler")
-	}))
-	s.mux.HandleFunc("GET /v1/test/panic-midstream", s.readStream("export", func(r *http.Request, sn *reqSnap, w http.ResponseWriter) error {
-		sn.shard(0)
-		w.Write([]byte("(a,"))
+	}})
+	s.mount(route{"GET /v1/test/panic-midstream", "export", readRoute, func(_ *Server, q *req) (any, error) {
+		q.sn.shard(0)
+		q.w.Write([]byte("(a,"))
 		panic("boom mid-body")
-	}))
+	}})
 	released := func(when string) {
 		t.Helper()
 		if n, in := len(s.readSem), s.stats.inFlightReads.Load(); n != 0 || in != 0 {
@@ -89,8 +89,9 @@ func TestHandlerPanicIsRecovered(t *testing.T) {
 }
 
 // TestQueuedReadAbortIsClientAbort: a client that gives up while its read
-// waits for a slot is a client abort — 499 and aborted_reads — in all three
-// read wrappers, not an overload counted as a server fault.
+// waits for a slot is a client abort — 499 and aborted_reads — whatever
+// kind of result its handler would have returned, not an overload counted
+// as a server fault.
 func TestQueuedReadAbortIsClientAbort(t *testing.T) {
 	s := newWriteTestServer(t, 1)
 	for i := 0; i < cap(s.readSem); i++ {
@@ -99,9 +100,9 @@ func TestQueuedReadAbortIsClientAbort(t *testing.T) {
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i, target := range []string{
-		"/v1/trees",                  // read
-		"/v1/trees/t/species/s/kind", // readText
-		"/v1/trees/t/export",         // readStream
+		"/v1/trees",                  // a JSON value
+		"/v1/trees/t/species/s/kind", // a rawBody
+		"/v1/trees/t/export",         // streamed
 	} {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest("GET", target, nil).WithContext(gone))

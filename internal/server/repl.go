@@ -143,16 +143,6 @@ func (s *Server) awaitMinEpoch(r *http.Request) error {
 	return err
 }
 
-// replRoutes mounts the replication endpoints. The stream and promote
-// handlers bypass the read/write wrappers: the stream holds its
-// connection open indefinitely (it must not consume a bounded read
-// slot), and promote is a role change, not a data write.
-func (s *Server) replRoutes() {
-	s.mux.HandleFunc("GET /v1/repl/status", s.handleReplStatus)
-	s.mux.HandleFunc("GET /v1/repl/stream", s.handleReplStream)
-	s.mux.HandleFunc("POST /v1/repl/promote", s.handleReplPromote)
-}
-
 // replStatus builds the role + per-shard replication view served by
 // /v1/repl/status and embedded in /v1/stats and /metrics.
 func (s *Server) replStatus() repl.StatusResponse {
@@ -174,43 +164,34 @@ func (s *Server) replStatus() repl.StatusResponse {
 	return st
 }
 
-func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	s.stats.countRequest("repl_status")
-	s.setEpochHeader(w)
-	writeJSON(w, http.StatusOK, s.replStatus())
-}
+func (s *Server) handleReplStatus(*req) (any, error) { return s.replStatus(), nil }
 
 // handleReplStream serves one shard's replication stream: catch-up
 // (ring, WAL scan or full snapshot) followed by live batches as the
 // group committer fsyncs them. The response streams until the client
 // disconnects or the server shuts down.
-func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
-	s.stats.countRequest("repl_stream")
+func (s *Server) handleReplStream(q *req) (any, error) {
 	if s.readOnly.Load() {
-		s.fail(w, http.StatusConflict,
-			errors.New("follower cannot serve the replication stream; connect to the primary"))
-		return
+		return nil, &httpErr{status: http.StatusConflict,
+			msg: "follower cannot serve the replication stream; connect to the primary"}
 	}
-	si, err := queryInt(r, "shard", 0)
+	si, err := queryInt(q.Request, "shard", 0)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	if si < 0 || si >= len(s.pubs) {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("shard %d out of range (server has %d)", si, len(s.pubs)))
-		return
+		return nil, badRequest("shard %d out of range (server has %d)", si, len(s.pubs))
 	}
 	from := uint64(0)
-	if raw := r.URL.Query().Get("from_epoch"); raw != "" {
+	if raw := q.URL.Query().Get("from_epoch"); raw != "" {
 		if from, err = strconv.ParseUint(raw, 10, 64); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad from_epoch %q: %v", raw, err))
-			return
+			return nil, badRequest("bad from_epoch %q: %v", raw, err)
 		}
 	}
 	// End the stream either when the subscriber goes away (request
 	// context) or when this server shuts down (streamCtx) — Shutdown
 	// drains active requests, and a stream never ends on its own.
-	ctx, cancel := context.WithCancel(r.Context())
+	ctx, cancel := context.WithCancel(q.Context())
 	defer cancel()
 	go func() {
 		select {
@@ -219,23 +200,18 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 		}
 	}()
-	if err := s.pubs[si].ServeStream(ctx, w, from); err != nil && ctx.Err() == nil {
+	if err := s.pubs[si].ServeStream(ctx, q.w, from); err != nil && ctx.Err() == nil {
 		s.logf("crimsond: repl stream shard %d: %v", si, err)
 	}
+	return streamed{}, nil
 }
 
 // handleReplPromote flips a follower into a writable primary.
-func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
-	s.stats.countRequest("repl_promote")
-	start := time.Now()
-	err := s.promote()
-	s.stats.observeOp("repl_promote", time.Since(start))
-	if err != nil {
-		s.fail(w, errStatus(err), err)
-		return
+func (s *Server) handleReplPromote(*req) (any, error) {
+	if err := s.promote(); err != nil {
+		return nil, err
 	}
-	s.setEpochHeader(w)
-	writeJSON(w, http.StatusOK, s.replStatus())
+	return s.replStatus(), nil
 }
 
 // promote completes a failover: stop the apply loops, flip the stores

@@ -5,6 +5,11 @@
 // paper's demo assumed (a shared data-management service for
 // phylogenetics groups) and the layer every scaling PR plugs into.
 //
+// Every endpoint is a row of the route table (routes.go) — method and
+// path, op name, read/write/plain, and the one handler function that
+// differs — and every request runs through the one pipeline, serve, which
+// counts, traces and answers it.
+//
 // Concurrency discipline: every read request runs against its own MVCC
 // snapshot, pinned lazily per shard — a request touching one tree pins
 // only that tree's shard. Snapshot reads are lock-free — they never touch
@@ -67,7 +72,6 @@ import (
 	"repro/internal/repl"
 	"repro/internal/shard"
 	"repro/internal/species"
-	"repro/internal/storage"
 	"repro/internal/treecmp"
 	"repro/internal/treestore"
 )
@@ -239,7 +243,7 @@ func New(be Backend, cfg Config) *Server {
 		cfg:      cfg,
 		be:       be,
 		mux:      http.NewServeMux(),
-		stats:    newServerStats(),
+		stats:    &serverStats{start: time.Now()},
 		cache:    newResultCache(cfg.ResultCacheSize),
 		readSem:  make(chan struct{}, cfg.MaxInFlightReads),
 		writeMus: make([]sync.Mutex, len(be.DBs)),
@@ -254,8 +258,19 @@ func New(be Backend, cfg Config) *Server {
 	for i, db := range be.DBs {
 		s.pubs[i] = repl.NewPublisher(db.Store())
 	}
-	s.routes()
-	s.replRoutes()
+	for _, rt := range routes {
+		s.mount(rt)
+	}
+	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok\n")
+	})
+	if cfg.EnablePprof {
+		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	}
 	s.httpSrv = &http.Server{Handler: s}
 	return s
 }
@@ -356,51 +371,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-func (s *Server) routes() {
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok\n")
-	})
-	s.mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		s.stats.countRequest("stats")
-		start := time.Now()
-		snap := s.snapshot()
-		writeJSON(w, http.StatusOK, snap)
-		s.stats.observeOp("stats", time.Since(start))
-	})
-	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		io.WriteString(w, metricsText(s.snapshot(), s.stats.histSnapshots(), s.stats.waitSnapshots()))
-	})
-	if s.cfg.EnablePprof {
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
-
-	s.mux.HandleFunc("GET /v1/trees", s.read("trees", s.handleTrees))
-	s.mux.HandleFunc("POST /v1/trees/{name}", s.write("load", s.handleLoad))
-	s.mux.HandleFunc("GET /v1/trees/{name}", s.read("info", s.handleInfo))
-	s.mux.HandleFunc("DELETE /v1/trees/{name}", s.write("delete", s.handleDelete))
-	s.mux.HandleFunc("GET /v1/trees/{name}/project", s.read("project", s.handleProject))
-	s.mux.HandleFunc("GET /v1/trees/{name}/lca", s.read("lca", s.handleLCA))
-	s.mux.HandleFunc("GET /v1/trees/{name}/sample", s.read("sample", s.handleSample))
-	s.mux.HandleFunc("GET /v1/trees/{name}/clade", s.read("clade", s.handleClade))
-	s.mux.HandleFunc("POST /v1/trees/{name}/match", s.read("match", s.handleMatch))
-	s.mux.HandleFunc("POST /v1/trees/{name}/bench", s.read("bench", s.handleBench))
-	s.mux.HandleFunc("GET /v1/trees/{name}/export", s.readStream("export", s.handleExport))
-
-	s.mux.HandleFunc("PUT /v1/trees/{name}/species/{sp}/{kind}", s.write("species_put", s.handleSpeciesPut))
-	s.mux.HandleFunc("GET /v1/trees/{name}/species/{sp}/{kind}", s.readText("species_get", s.handleSpeciesGet))
-	s.mux.HandleFunc("DELETE /v1/trees/{name}/species/{sp}/{kind}", s.write("species_delete", s.handleSpeciesDelete))
-	s.mux.HandleFunc("GET /v1/trees/{name}/species/{sp}", s.read("species_list", s.handleSpeciesList))
-
-	s.mux.HandleFunc("GET /v1/history", s.read("history", s.handleHistory))
-	s.mux.HandleFunc("GET /v1/history/{id}", s.read("history_get", s.handleHistoryGet))
 }
 
 // ServeHTTP makes the server usable as a plain http.Handler. It is also the
@@ -572,21 +542,51 @@ func (s *Server) snapshot() StatsSnapshot {
 	return st
 }
 
-// reqSnap is the per-request MVCC view: at most one relational snapshot
-// per shard, pinned lazily so a request touching a single tree pins only
-// that tree's shard. It is opened by the read wrappers and closed when the
-// request finishes.
+// reqSnap is a read request's MVCC view and read slot: at most one
+// relational snapshot per shard, pinned lazily so a request touching a
+// single tree pins only that tree's shard. The pipeline releases it when
+// the request ends; a handler done with the store sooner (bench) releases
+// it early, and the pipeline's release is then a no-op.
 type reqSnap struct {
-	s   *Server
-	sns []*relstore.Snap // indexed by shard; nil until first touched
+	s        *Server
+	sns      []*relstore.Snap // indexed by shard; nil until first touched
+	released bool
 }
 
-func (s *Server) openSnap() *reqSnap {
-	return &reqSnap{s: s, sns: make([]*relstore.Snap, len(s.be.DBs))}
+// acquireRead takes a read slot (bounded in-flight) and opens the request's
+// snapshot view. A client that goes away while queued for a slot gets its
+// context's error: a client abort like any other, answered 499 and counted
+// in aborted_reads.
+func (s *Server) acquireRead(r *http.Request) (*reqSnap, error) {
+	select {
+	case s.readSem <- struct{}{}:
+	case <-r.Context().Done():
+		return nil, r.Context().Err()
+	}
+	s.stats.inFlightReads.Add(1)
+	return &reqSnap{s: s, sns: make([]*relstore.Snap, len(s.be.DBs))}, nil
 }
 
-// shard pins (once) and returns the snapshot of shard i. A reqSnap serves
-// one request goroutine, so no locking is needed.
+// release closes the pinned snapshots and gives the read slot back; on
+// cancellation the engine scans abort cooperatively, so a disconnected
+// client's epoch pins go promptly instead of riding out the full query.
+// Idempotent. A reqSnap serves one request goroutine, so no locking is
+// needed.
+func (sn *reqSnap) release() {
+	if sn.released {
+		return
+	}
+	sn.released = true
+	for _, rs := range sn.sns {
+		if rs != nil {
+			rs.Close()
+		}
+	}
+	sn.s.stats.inFlightReads.Add(-1)
+	<-sn.s.readSem
+}
+
+// shard pins (once) and returns the snapshot of shard i.
 func (sn *reqSnap) shard(i int) *relstore.Snap {
 	if sn.sns[i] == nil {
 		sn.sns[i] = sn.s.be.DBs[i].Snapshot()
@@ -608,14 +608,6 @@ func (sn *reqSnap) treeSnap() *treestore.Snap {
 		sn.shard(i)
 	}
 	return treestore.SnapOnShards(sn.sns, sn.s.be.Router)
-}
-
-func (sn *reqSnap) close() {
-	for _, rs := range sn.sns {
-		if rs != nil {
-			rs.Close()
-		}
-	}
 }
 
 // treeVer reports the tree's version — the shard epoch its current
@@ -679,9 +671,9 @@ func (s *Server) tree(sn *reqSnap, name string) (*treestore.Tree, error) {
 // the tree, and the caller proved its snapshot reads that incarnation
 // (ep >= ver) — so unrelated commits on the shard are irrelevant and no
 // epoch freshness check is needed. The one guard left: the version must
-// still be current, so entries for a just-deleted tree are not
-// re-inserted after dropTree purged them (they would be unreachable
-// anyway, but would sit in the LRU until evicted).
+// still be current, so a result computed as a reload or delete lands is
+// not inserted (it would be unreachable, but would take LRU room until
+// evicted).
 func (s *Server) cachePut(name string, ver uint64, key string, val any) {
 	s.handleMu.Lock()
 	defer s.handleMu.Unlock()
@@ -692,8 +684,9 @@ func (s *Server) cachePut(name string, ver uint64, key string, val any) {
 
 // bumpTree captures shard si's pending transaction — the one that changes
 // which incarnation of the tree exists: a load's, or a delete's — and
-// installs the captured commit's epoch as the tree's version, dropping
-// whatever handle or cached results the previous incarnation left behind.
+// installs the captured commit's epoch as the tree's version, dropping the
+// handle the previous incarnation left behind; its cached results need no
+// dropping, their keys name the old version.
 // Both happen under handleMu: a commit may publish the moment it is
 // captured (any waiter's group flush can carry it), and a reader of the new
 // epoch must not find the old version still installed, or it would be handed
@@ -701,13 +694,12 @@ func (s *Server) cachePut(name string, ver uint64, key string, val any) {
 // published one: readers older than it bypass the caches, and no reader
 // reaches it before the commit is durable. The caller holds the shard's
 // writer mutex.
-func (s *Server) bumpTree(cc *commitCollector, name string, si int) uint64 {
+func (s *Server) bumpTree(cc *commitCollector, name string) uint64 {
 	s.handleMu.Lock()
 	defer s.handleMu.Unlock()
-	ep := cc.commitAsync(si).Epoch()
+	ep := cc.commitAsync(cc.si).Epoch()
 	delete(s.handles, name)
 	s.vers[name] = ep
-	s.cache.invalidateTree(name)
 	return ep
 }
 
@@ -731,7 +723,7 @@ func (s *Server) dropTree(name string, ep uint64) {
 // "group_wait" (time queued behind the group-commit leader) and
 // "checkpoint" (an inline backpressure checkpoint, when one ran).
 func (s *Server) observeCommitWaiter(ctx context.Context, w *relstore.CommitWaiter, d time.Duration) {
-	s.stats.observeCommit(d)
+	s.stats.commitHist.Observe(d)
 	sp := obs.SpanFrom(ctx)
 	if sp == nil {
 		return
@@ -756,7 +748,7 @@ func (s *Server) observeCommitWaiter(ctx context.Context, w *relstore.CommitWait
 // mutation under its shard's writer mutex: page writes and commit capture
 // (commitAsync, bumpTree) and nothing that blocks. The wait — every
 // captured commit's WAL fsync, then the afterPublish steps — is the write
-// wrapper's, after the mutex is released. That window (transaction
+// pipeline's, after the mutex is released. That window (transaction
 // captured, lock released, fsync pending) is what lets concurrent write
 // requests coalesce into one WAL flush (group commit), and keeping the
 // other two phases out of the mutex is what keeps a writer from queueing
@@ -777,14 +769,14 @@ func (cc *commitCollector) apply(fn func() error) error {
 }
 
 // commitAsync captures shard si's pending transaction now; the caller holds
-// that shard's writer mutex. Durability is awaited by the write wrapper.
+// that shard's writer mutex. Durability is awaited by the pipeline.
 func (cc *commitCollector) commitAsync(si int) *relstore.CommitWaiter {
 	w := cc.s.be.DBs[si].CommitAsync()
 	cc.waiters = append(cc.waiters, w)
 	return w
 }
 
-// afterPublish registers a step the write wrapper runs once every collected
+// afterPublish registers a step the pipeline runs once every collected
 // commit has been waited for.
 func (cc *commitCollector) afterPublish(fn func()) {
 	cc.published = append(cc.published, fn)
@@ -824,378 +816,6 @@ func (s *Server) lockShard(ctx context.Context, i int) {
 	obs.SpanFrom(ctx).AddTimed("write_lock_wait", d)
 }
 
-// --- handler plumbing ------------------------------------------------------
-
-// opCtx is one request's observability state: its id, latency clock and
-// (when tracing is on for this request) the root span installed into the
-// request context.
-type opCtx struct {
-	op    string
-	rid   string
-	start time.Time
-	root  *obs.Span // nil when this request is not traced
-	debug bool      // client asked for ?debug=trace
-}
-
-// beginOp starts per-request observability. A root span is collected
-// when the client asks (?debug=trace) or the server is configured to
-// (Trace, or a slow-query threshold that may need the tree); otherwise
-// the request runs on the nil-span fast path and only the process-global
-// engine counters tick.
-func (s *Server) beginOp(op string, w http.ResponseWriter, r *http.Request) (*http.Request, *opCtx) {
-	oc := &opCtx{op: op, start: time.Now()}
-	oc.debug = r.URL.Query().Get("debug") == "trace"
-	oc.rid = s.nextRequestID()
-	w.Header().Set("X-Request-Id", oc.rid)
-	s.setEpochHeader(w)
-	if oc.debug || s.cfg.Trace || s.cfg.SlowQueryMS > 0 {
-		oc.root = obs.NewRoot(op)
-		r = r.WithContext(obs.ContextWithSpan(r.Context(), oc.root))
-	}
-	return r, oc
-}
-
-// endOp closes the request's observability: records the op latency
-// histogram, ends the span, and emits the slow-query and structured
-// request logs. It returns the span summary when ?debug=trace asked for
-// it (nil otherwise).
-func (s *Server) endOp(oc *opCtx, err error) *obs.SpanSummary {
-	d := time.Since(oc.start)
-	s.stats.observeOp(oc.op, d)
-	oc.root.End()
-	ms := float64(d) / float64(time.Millisecond)
-	slow := s.cfg.SlowQueryMS > 0 && d >= time.Duration(s.cfg.SlowQueryMS)*time.Millisecond
-	var sum *obs.SpanSummary
-	if oc.debug || slow {
-		sum = oc.root.Summary()
-	}
-	if slow {
-		tree, _ := json.Marshal(sum)
-		if s.slogger != nil {
-			s.slogger.Warn("slow query", "op", oc.op, "req_id", oc.rid,
-				"duration_ms", ms, "trace", json.RawMessage(tree))
-		} else {
-			s.logf("crimsond: slow %s req=%s %.1fms trace=%s", oc.op, oc.rid, ms, tree)
-		}
-	} else if s.slogger != nil {
-		if err != nil {
-			s.slogger.Info("request", "op", oc.op, "req_id", oc.rid, "duration_ms", ms, "err", err.Error())
-		} else {
-			s.slogger.Debug("request", "op", oc.op, "req_id", oc.rid, "duration_ms", ms)
-		}
-	}
-	if !oc.debug {
-		return nil
-	}
-	return sum
-}
-
-// injectTrace embeds the span summary into a JSON-object response body
-// under a "trace" key; non-object payloads are wrapped instead.
-func injectTrace(v any, sum *obs.SpanSummary) any {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return v
-	}
-	var m map[string]any
-	if err := json.Unmarshal(b, &m); err != nil || m == nil {
-		return map[string]any{"result": json.RawMessage(b), "trace": sum}
-	}
-	m["trace"] = sum
-	return m
-}
-
-// writeFunc is a mutation handler against the repository. si is the
-// shard its tree lives on. The handler runs with no lock held and prepares
-// all it can that way; the part that writes goes through cc.apply, which
-// holds the shard's writer mutex for just that, and captures its commits
-// on cc — the wrapper waits for their durability once the handler returns.
-type writeFunc func(r *http.Request, si int, cc *commitCollector) (any, error)
-
-// readFunc is a query handler; it runs against the request's own MVCC
-// snapshot and takes no repository lock.
-type readFunc func(r *http.Request, sn *reqSnap) (any, error)
-
-// statusClientClosedRequest is the non-standard (nginx-convention) status
-// for requests whose client went away; the response is almost certainly
-// unwritable, but the code keeps logs and tests unambiguous.
-const statusClientClosedRequest = 499
-
-// abortedByClient reports whether err means the request's own context
-// ended the read — the client disconnected or its deadline passed —
-// rather than the query failing on its merits.
-func abortedByClient(r *http.Request, err error) bool {
-	if err == nil || r.Context().Err() == nil {
-		return false
-	}
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// read wraps a query handler: count it, take a read slot (bounded
-// in-flight), pin a snapshot, run under the request context, encode. A nil
-// result encodes as 204 No Content. The snapshot closes when the handler
-// returns — on cancellation the engine scans abort cooperatively, so a
-// disconnected client's epoch pins are released promptly instead of riding
-// out the full query.
-func (s *Server) read(op string, fn readFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.stats.countRequest(op)
-		r, oc := s.beginOp(op, w, r)
-		if err := s.awaitMinEpoch(r); err != nil {
-			s.endOp(oc, err)
-			s.fail(w, errStatus(err), err)
-			return
-		}
-		sn := s.acquireRead(oc, w, r)
-		if sn == nil {
-			return
-		}
-		defer s.releaseRead(sn)
-		v, err := fn(r, sn)
-		sum := s.endOp(oc, err)
-		if abortedByClient(r, err) {
-			s.countAborted(op, err)
-			s.fail(w, statusClientClosedRequest, err)
-			return
-		}
-		if err == nil && sum != nil && v != nil {
-			v = injectTrace(v, sum)
-		}
-		s.finish(w, v, err)
-	}
-}
-
-// acquireRead takes a read slot (bounded in-flight) and opens the request's
-// snapshot view; releaseRead gives both back. A client that goes away while
-// queued for a slot is a client abort like any other — answered 499 and
-// counted in aborted_reads — and gets a nil view: the response is written.
-func (s *Server) acquireRead(oc *opCtx, w http.ResponseWriter, r *http.Request) *reqSnap {
-	select {
-	case s.readSem <- struct{}{}:
-	case <-r.Context().Done():
-		err := r.Context().Err()
-		s.endOp(oc, err)
-		s.countAborted(oc.op, err)
-		s.fail(w, statusClientClosedRequest, err)
-		return nil
-	}
-	s.stats.inFlightReads.Add(1)
-	return s.openSnap()
-}
-
-func (s *Server) releaseRead(sn *reqSnap) {
-	sn.close()
-	s.stats.inFlightReads.Add(-1)
-	<-s.readSem
-}
-
-func (s *Server) countAborted(op string, err error) {
-	s.stats.abortedReads.Add(1)
-	s.logf("crimsond: %s aborted by client: %v", op, err)
-}
-
-// write wraps a mutation handler: one writer at a time per shard, and only
-// while it writes. Every write endpoint is tree-scoped ({name} in the
-// route), so the wrapper routes the request to its shard; the handler takes
-// that shard's writer mutex for its apply step alone (commitCollector) —
-// mutations on different shards run in parallel, mutations on one shard
-// overlap everything but their page writes, and each shard's storage
-// engine keeps its single-writer contract. The wrapper then waits, outside
-// any mutex, for the commits the handler captured.
-func (s *Server) write(op string, fn writeFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.stats.countRequest(op)
-		r, oc := s.beginOp(op, w, r)
-		if s.readOnly.Load() {
-			err := &httpErr{status: http.StatusForbidden,
-				msg: "this server is a read-only replica; send writes to the primary or promote it"}
-			s.endOp(oc, err)
-			s.fail(w, errStatus(err), err)
-			return
-		}
-		si := s.be.Router.Place(r.PathValue("name"))
-		cc := &commitCollector{s: s, ctx: r.Context(), si: si}
-		v, err := fn(r, si, cc)
-		// Await collected commits outside the shard mutex: the next writer
-		// may already be applying, and its flush coalesces with ours.
-		if werr := cc.wait(); werr != nil && err == nil {
-			v, err = nil, werr
-		}
-		sum := s.endOp(oc, err)
-		if err == nil && sum != nil && v != nil {
-			v = injectTrace(v, sum)
-		}
-		s.finish(w, v, err)
-	}
-}
-
-// readText wraps a query handler that produces a plain-text body.
-func (s *Server) readText(op string, fn func(r *http.Request, sn *reqSnap) (string, string, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.stats.countRequest(op)
-		r, oc := s.beginOp(op, w, r)
-		if err := s.awaitMinEpoch(r); err != nil {
-			s.endOp(oc, err)
-			s.fail(w, errStatus(err), err)
-			return
-		}
-		sn := s.acquireRead(oc, w, r)
-		if sn == nil {
-			return
-		}
-		defer s.releaseRead(sn)
-		body, contentType, err := fn(r, sn)
-		s.endOp(oc, err)
-		if abortedByClient(r, err) {
-			s.countAborted(op, err)
-			s.fail(w, statusClientClosedRequest, err)
-			return
-		}
-		if err != nil {
-			s.fail(w, errStatus(err), err)
-			return
-		}
-		w.Header().Set("Content-Type", contentType)
-		io.WriteString(w, body)
-	}
-}
-
-// startedWriter tracks whether a handler has begun writing its response,
-// which decides whether an error (or a panic) can still become a JSON error
-// response or must abort the connection. ServeHTTP wraps every request's
-// writer in one.
-type startedWriter struct {
-	http.ResponseWriter
-	started bool
-}
-
-func (sw *startedWriter) WriteHeader(status int) {
-	sw.started = true
-	sw.ResponseWriter.WriteHeader(status)
-}
-
-func (sw *startedWriter) Write(p []byte) (int, error) {
-	sw.started = true
-	return sw.ResponseWriter.Write(p)
-}
-
-// Flush and Unwrap keep http.Flusher and http.ResponseController working
-// through the wrapper (the replication stream uses both).
-func (sw *startedWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (sw *startedWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
-
-// readStream wraps a query handler that streams its own response body
-// (chunked export). The handler runs under the request context with a
-// pinned snapshot, exactly like read; results flow to the client as they
-// are produced instead of materializing server-side. An error before the
-// first byte becomes a normal JSON error response; an error mid-stream —
-// client disconnect included — kills the connection so the client sees
-// truncation rather than a clean end of body.
-func (s *Server) readStream(op string, fn func(r *http.Request, sn *reqSnap, w http.ResponseWriter) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.stats.countRequest(op)
-		r, oc := s.beginOp(op, w, r)
-		if err := s.awaitMinEpoch(r); err != nil {
-			s.endOp(oc, err)
-			s.fail(w, errStatus(err), err)
-			return
-		}
-		sn := s.acquireRead(oc, w, r)
-		if sn == nil {
-			return
-		}
-		defer s.releaseRead(sn)
-		sw := w.(*startedWriter) // ServeHTTP's
-		err := fn(r, sn, sw)
-		s.endOp(oc, err)
-		if err == nil {
-			return
-		}
-		aborted := abortedByClient(r, err)
-		if aborted {
-			s.countAborted(op, err)
-		}
-		if !sw.started {
-			if aborted {
-				s.fail(w, statusClientClosedRequest, err)
-			} else {
-				s.fail(w, errStatus(err), err)
-			}
-			return
-		}
-		s.logf("crimsond: %s stream cut mid-body: %v", op, err)
-		s.stats.errors.Add(1)
-		panic(http.ErrAbortHandler)
-	}
-}
-
-func (s *Server) finish(w http.ResponseWriter, v any, err error) {
-	// Refresh the epoch header stamped at beginOp: a write has published
-	// a new epoch since, and a min-epoch wait may have ridden out applies.
-	s.setEpochHeader(w)
-	if err != nil {
-		s.fail(w, errStatus(err), err)
-		return
-	}
-	if v == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-func (s *Server) fail(w http.ResponseWriter, status int, err error) {
-	s.stats.errors.Add(1)
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-// httpErr carries an explicit status (bad parameters and the like).
-type httpErr struct {
-	status int
-	msg    string
-}
-
-func (e *httpErr) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &httpErr{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func errStatus(err error) int {
-	var he *httpErr
-	switch {
-	case errors.As(err, &he):
-		return he.status
-	case errors.Is(err, treestore.ErrNoTree), errors.Is(err, treestore.ErrNoNode),
-		errors.Is(err, species.ErrNoData), errors.Is(err, queryrepo.ErrNoEntry):
-		return http.StatusNotFound
-	case errors.Is(err, treestore.ErrTreeExists):
-		return http.StatusConflict
-	case errors.Is(err, storage.ErrSnapshotInvalidated):
-		// A replica apply invalidated the request's snapshot mid-read.
-		// 409 is what the client failover path retries against another
-		// base (typically the primary).
-		return http.StatusConflict
-	case errors.Is(err, treestore.ErrBadName), errors.Is(err, treestore.ErrBadSample),
-		errors.Is(err, species.ErrBadKey), errors.Is(err, newick.ErrSyntax):
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
-}
-
 func infoJSON(i treestore.TreeInfo) TreeInfo {
 	return TreeInfo{Name: i.Name, Nodes: i.Nodes, Leaves: i.Leaves, F: i.F, Layers: i.Layers, Depth: i.Depth}
 }
@@ -1215,39 +835,37 @@ func splitList(s string) []string {
 	return out
 }
 
-func queryInt(r *http.Request, key string, def int) (int, error) {
+// queryInt parses an integer query parameter the way strconv.Atoi (int)
+// or strconv.ParseInt (int64) does; absent, it is def.
+func queryInt[T int | int64](r *http.Request, key string, def T) (T, error) {
 	raw := r.URL.Query().Get(key)
 	if raw == "" {
 		return def, nil
 	}
-	v, err := strconv.Atoi(raw)
+	var v int64
+	var err error
+	if _, isInt := any(def).(int); isInt {
+		var n int
+		n, err = strconv.Atoi(raw)
+		v = int64(n)
+	} else {
+		v, err = strconv.ParseInt(raw, 10, 64)
+	}
 	if err != nil {
 		return 0, badRequest("bad %s=%q: %v", key, raw, err)
 	}
-	return v, nil
-}
-
-func queryInt64(r *http.Request, key string, def int64) (int64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, badRequest("bad %s=%q: %v", key, raw, err)
-	}
-	return v, nil
+	return T(v), nil
 }
 
 // recordWrite appends a mutation's history record on shard 0 and captures
-// its commit on cc (awaited by the write wrapper after every mutex drops).
-// The caller holds shard si's writer mutex; when the history shard is a
+// its commit on cc (awaited by the pipeline after every mutex drops).
+// The caller holds its shard's (cc.si's) writer mutex; when the history shard is a
 // different one, its mutex is taken here — capturing a commit on a shard
 // requires its writer lock, or a concurrent history commit could capture
 // another load's half-applied tables. Lock order is safe: shard 0's mutex
 // is only ever acquired bare or after another shard's, never the other way.
-func (s *Server) recordWrite(cc *commitCollector, si int, kind string, args any, summary string) error {
-	if si != 0 {
+func (s *Server) recordWrite(cc *commitCollector, kind string, args any, summary string) error {
+	if cc.si != 0 {
 		s.lockShard(cc.ctx, 0)
 		defer s.writeMus[0].Unlock()
 	}
@@ -1328,19 +946,19 @@ func decodeCursor(kind, cursor string) (string, error) {
 // page resumes the name-sorted shard merge from where the previous one
 // stopped, reading only what the page needs from each shard. Without
 // either parameter it returns the full listing, as before.
-func (s *Server) handleTrees(r *http.Request, sn *reqSnap) (any, error) {
-	limit, err := queryInt(r, "limit", 0)
+func (s *Server) handleTrees(q *req) (any, error) {
+	limit, err := queryInt(q.Request, "limit", 0)
 	if err != nil {
 		return nil, err
 	}
 	if limit < 0 {
 		return nil, badRequest("bad limit %d: must be >= 0", limit)
 	}
-	after, err := decodeCursor(treeCursorKind, r.URL.Query().Get("cursor"))
+	after, err := decodeCursor(treeCursorKind, q.URL.Query().Get("cursor"))
 	if err != nil {
 		return nil, err
 	}
-	infos, next, err := sn.treeSnap().TreesPage(r.Context(), after, limit)
+	infos, next, err := q.sn.treeSnap().TreesPage(q.Context(), after, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -1354,8 +972,8 @@ func (s *Server) handleTrees(r *http.Request, sn *reqSnap) (any, error) {
 	return resp, nil
 }
 
-func (s *Server) handleInfo(r *http.Request, sn *reqSnap) (any, error) {
-	t, err := s.tree(sn, r.PathValue("name"))
+func (s *Server) handleInfo(q *req) (any, error) {
+	t, err := s.tree(q.sn, q.PathValue("name"))
 	if err != nil {
 		return nil, err
 	}
@@ -1367,13 +985,13 @@ func (s *Server) handleInfo(r *http.Request, sn *reqSnap) (any, error) {
 // grammar needs the full string) but still bounded by MaxBodyBytes.
 // Reading, parsing, indexing and staging all happen before the writer
 // mutex is taken: a slow upload or a large tree delays nobody else.
-func (s *Server) handleLoad(r *http.Request, si int, cc *commitCollector) (any, error) {
-	name := r.PathValue("name")
-	f, err := queryInt(r, "f", core.DefaultFanout)
+func (s *Server) handleLoad(q *req) (any, error) {
+	name, cc := q.PathValue("name"), q.cc
+	f, err := queryInt(q.Request, "f", core.DefaultFanout)
 	if err != nil {
 		return nil, err
 	}
-	format := r.URL.Query().Get("format")
+	format := q.URL.Query().Get("format")
 	if format == "" {
 		format = "newick"
 	}
@@ -1385,14 +1003,14 @@ func (s *Server) handleLoad(r *http.Request, si int, cc *commitCollector) (any, 
 	switch format {
 	case "newick":
 		var raw strings.Builder
-		if _, err := io.Copy(&raw, r.Body); err != nil {
+		if _, err := io.Copy(&raw, q.Body); err != nil {
 			return nil, badRequest("reading body: %v", err)
 		}
 		if t, err = newick.ParseWorkers(raw.String(), s.cfg.LoadWorkers); err != nil {
 			return nil, err
 		}
 	case "nexus":
-		doc, err := nexus.Parse(r.Body)
+		doc, err := nexus.Parse(q.Body)
 		if err != nil {
 			return nil, badRequest("parsing NEXUS: %v", err)
 		}
@@ -1435,8 +1053,8 @@ func (s *Server) handleLoad(r *http.Request, si int, cc *commitCollector) (any, 
 		}
 		// One commit carries the tree and its sequences (they share the
 		// shard); its epoch is the new incarnation's version.
-		s.bumpTree(cc, name, si)
-		return s.recordWrite(cc, si, "load",
+		s.bumpTree(cc, name)
+		return s.recordWrite(cc, "load",
 			map[string]any{"tree": name, "f": f, "nodes": resp.Tree.Nodes},
 			fmt.Sprintf("loaded %d nodes", resp.Tree.Nodes))
 	})
@@ -1445,7 +1063,7 @@ func (s *Server) handleLoad(r *http.Request, si int, cc *commitCollector) (any, 
 	}
 	cc.afterPublish(p.Committed)
 	s.stats.countLoad(parseNS, metrics)
-	if sp := obs.SpanFrom(r.Context()); sp != nil {
+	if sp := obs.SpanFrom(q.Context()); sp != nil {
 		sp.AddTimed("parse", time.Duration(parseNS))
 		sp.AddTimed("index", time.Duration(metrics.IndexNS))
 		sp.AddTimed("stage", time.Duration(metrics.StageNS))
@@ -1454,8 +1072,8 @@ func (s *Server) handleLoad(r *http.Request, si int, cc *commitCollector) (any, 
 	return resp, nil
 }
 
-func (s *Server) handleDelete(r *http.Request, si int, cc *commitCollector) (any, error) {
-	name := r.PathValue("name")
+func (s *Server) handleDelete(q *req) (any, error) {
+	name, cc := q.PathValue("name"), q.cc
 	return nil, cc.apply(func() error {
 		if err := s.be.Trees.Drop(name); err != nil {
 			return err
@@ -1465,13 +1083,13 @@ func (s *Server) handleDelete(r *http.Request, si int, cc *commitCollector) (any
 		// anything fallible runs, or a failed species cleanup would leave
 		// the caches serving a tree whose relations are gone. The entry
 		// itself goes once the delete has published.
-		ep := s.bumpTree(cc, name, si)
+		ep := s.bumpTree(cc, name)
 		cc.afterPublish(func() { s.dropTree(name, ep) })
 		if _, err := s.be.Species.DeleteTree(name); err != nil {
 			return err
 		}
-		cc.commitAsync(si)
-		return s.recordWrite(cc, si, "delete", map[string]any{"tree": name}, "deleted")
+		cc.commitAsync(cc.si)
+		return s.recordWrite(cc, "delete", map[string]any{"tree": name}, "deleted")
 	})
 }
 
@@ -1480,62 +1098,84 @@ func (s *Server) handleDelete(r *http.Request, si int, cc *commitCollector) (any
 // the tree or its serialization — peak memory is the emit chunk, and a
 // client that disconnects stops the scan (and releases the snapshot)
 // within one cancellation check.
-func (s *Server) handleExport(r *http.Request, sn *reqSnap, w http.ResponseWriter) error {
-	t, err := s.tree(sn, r.PathValue("name"))
+func (s *Server) handleExport(q *req) (any, error) {
+	t, err := s.tree(q.sn, q.PathValue("name"))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w.Header().Set("Content-Type", "text/x-newick; charset=utf-8")
-	if err := t.ExportNewickTo(r.Context(), w); err != nil {
-		return err
+	q.w.Header().Set("Content-Type", "text/x-newick; charset=utf-8")
+	if err := t.ExportNewickTo(q.Context(), q.w); err != nil {
+		return nil, err
 	}
-	_, err = io.WriteString(w, "\n")
-	return err
+	_, err = io.WriteString(q.w, "\n")
+	return streamed{}, err
 }
 
 // --- query handlers --------------------------------------------------------
 
-func (s *Server) handleProject(r *http.Request, sn *reqSnap) (any, error) {
-	name := r.PathValue("name")
-	names := splitList(r.URL.Query().Get("species"))
+// cacheable is an answer the result cache holds: one of the four
+// cacheable queries' responses. asHit is the copy a cache hit serves,
+// marked "cached": true.
+type cacheable interface{ asHit() any }
+
+func (r ProjectResponse) asHit() any { r.Cached = true; return r }
+func (r LCAResponse) asHit() any     { r.Cached = true; return r }
+func (r CladeResponse) asHit() any   { r.Cached = true; return r }
+func (r MatchResponse) asHit() any   { r.Cached = true; return r }
+
+// cachedQuery answers a cacheable query (project, lca, clade, match) on
+// the named tree: from the result cache under (tree, version, op, key)
+// when the request's snapshot reads the tree's current incarnation, else
+// by running compute on the tree's handle and caching what it answers.
+// compute runs only on a miss, so it is where a query records its history.
+func (s *Server) cachedQuery(q *req, name, op string, key []string, compute func(t *treestore.Tree) (cacheable, error)) (any, error) {
+	rs, _ := q.sn.forTree(name)
+	ver, useCache := s.treeVer(name, rs.Epoch())
+	var k string
+	if useCache {
+		k = cacheKey(name, ver, op, key...)
+		if v, ok := s.cache.get(k); ok {
+			s.stats.cacheHits.Add(1)
+			return v.(cacheable).asHit(), nil
+		}
+	}
+	s.stats.cacheMisses.Add(1)
+	t, err := s.tree(q.sn, name)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := compute(t)
+	if err != nil {
+		return nil, err
+	}
+	if useCache {
+		s.cachePut(name, ver, k, resp)
+	}
+	return resp, nil
+}
+
+func (s *Server) handleProject(q *req) (any, error) {
+	name := q.PathValue("name")
+	names := splitList(q.URL.Query().Get("species"))
 	if len(names) == 0 {
 		return nil, badRequest("species parameter is required")
 	}
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
-	rs, _ := sn.forTree(name)
-	ep := rs.Epoch()
-	ver, cacheable := s.treeVer(name, ep)
-	var key string
-	if cacheable {
-		key = cacheKey(name, ver, "project", sorted...)
-		if v, ok := s.cache.get(key); ok {
-			s.stats.cacheHits.Add(1)
-			resp := v.(ProjectResponse)
-			resp.Cached = true
-			return resp, nil
+	return s.cachedQuery(q, name, "project", sorted, func(t *treestore.Tree) (cacheable, error) {
+		projected, err := t.ProjectNamesCtx(q.Context(), names)
+		if err != nil {
+			return nil, err
 		}
-	}
-	s.stats.cacheMisses.Add(1)
-	t, err := s.tree(sn, name)
-	if err != nil {
-		return nil, err
-	}
-	projected, err := t.ProjectNamesCtx(r.Context(), names)
-	if err != nil {
-		return nil, err
-	}
-	resp := ProjectResponse{Newick: newick.String(projected), Leaves: projected.NumLeaves()}
-	if cacheable {
-		s.cachePut(name, ver, key, resp)
-	}
-	s.recordAsync("project", map[string]any{"tree": name, "species": names}, resp.Newick)
-	return resp, nil
+		resp := ProjectResponse{Newick: newick.String(projected), Leaves: projected.NumLeaves()}
+		s.recordAsync("project", map[string]any{"tree": name, "species": names}, resp.Newick)
+		return resp, nil
+	})
 }
 
-func (s *Server) handleLCA(r *http.Request, sn *reqSnap) (any, error) {
-	name := r.PathValue("name")
-	a, b := r.URL.Query().Get("a"), r.URL.Query().Get("b")
+func (s *Server) handleLCA(q *req) (any, error) {
+	name := q.PathValue("name")
+	a, b := q.URL.Query().Get("a"), q.URL.Query().Get("b")
 	if a == "" || b == "" {
 		return nil, badRequest("a and b parameters are required")
 	}
@@ -1543,61 +1183,41 @@ func (s *Server) handleLCA(r *http.Request, sn *reqSnap) (any, error) {
 	if ka > kb {
 		ka, kb = kb, ka // LCA is symmetric; canonicalize the key
 	}
-	rs, _ := sn.forTree(name)
-	ep := rs.Epoch()
-	ver, cacheable := s.treeVer(name, ep)
-	var key string
-	if cacheable {
-		key = cacheKey(name, ver, "lca", ka, kb)
-		if v, ok := s.cache.get(key); ok {
-			s.stats.cacheHits.Add(1)
-			resp := v.(LCAResponse)
-			resp.Cached = true
-			return resp, nil
+	return s.cachedQuery(q, name, "lca", []string{ka, kb}, func(t *treestore.Tree) (cacheable, error) {
+		row, err := t.LCANamesCtx(q.Context(), a, b)
+		if err != nil {
+			return nil, err
 		}
-	}
-	s.stats.cacheMisses.Add(1)
-	t, err := s.tree(sn, name)
-	if err != nil {
-		return nil, err
-	}
-	row, err := t.LCANamesCtx(r.Context(), a, b)
-	if err != nil {
-		return nil, err
-	}
-	resp := LCAResponse{Node: nodeJSON(row)}
-	if cacheable {
-		s.cachePut(name, ver, key, resp)
-	}
-	s.recordAsync("lca", map[string]any{"tree": name, "a": a, "b": b}, fmt.Sprintf("node %d", row.ID))
-	return resp, nil
+		s.recordAsync("lca", map[string]any{"tree": name, "a": a, "b": b}, fmt.Sprintf("node %d", row.ID))
+		return LCAResponse{Node: nodeJSON(row)}, nil
+	})
 }
 
-func (s *Server) handleSample(r *http.Request, sn *reqSnap) (any, error) {
-	name := r.PathValue("name")
-	k, err := queryInt(r, "k", 10)
+func (s *Server) handleSample(q *req) (any, error) {
+	name := q.PathValue("name")
+	k, err := queryInt(q.Request, "k", 10)
 	if err != nil {
 		return nil, err
 	}
-	seed, err := queryInt64(r, "seed", 1)
+	seed, err := queryInt(q.Request, "seed", int64(1))
 	if err != nil {
 		return nil, err
 	}
-	t, err := s.tree(sn, name)
+	t, err := s.tree(q.sn, name)
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var rows []treestore.Node
-	timeRaw := r.URL.Query().Get("time")
+	timeRaw := q.URL.Query().Get("time")
 	timeArg := -1.0
 	if timeRaw != "" {
 		if timeArg, err = strconv.ParseFloat(timeRaw, 64); err != nil {
 			return nil, badRequest("bad time=%q: %v", timeRaw, err)
 		}
-		rows, err = t.SampleWithTimeCtx(r.Context(), timeArg, k, rng)
+		rows, err = t.SampleWithTimeCtx(q.Context(), timeArg, k, rng)
 	} else {
-		rows, err = t.SampleUniformCtx(r.Context(), k, rng)
+		rows, err = t.SampleUniformCtx(q.Context(), k, rng)
 	}
 	if err != nil {
 		return nil, err
@@ -1612,55 +1232,36 @@ func (s *Server) handleSample(r *http.Request, sn *reqSnap) (any, error) {
 	return resp, nil
 }
 
-func (s *Server) handleClade(r *http.Request, sn *reqSnap) (any, error) {
-	name := r.PathValue("name")
-	names := splitList(r.URL.Query().Get("species"))
+func (s *Server) handleClade(q *req) (any, error) {
+	name := q.PathValue("name")
+	names := splitList(q.URL.Query().Get("species"))
 	if len(names) == 0 {
 		return nil, badRequest("species parameter is required")
 	}
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
-	rs, _ := sn.forTree(name)
-	ep := rs.Epoch()
-	ver, cacheable := s.treeVer(name, ep)
-	var key string
-	if cacheable {
-		key = cacheKey(name, ver, "clade", sorted...)
-		if v, ok := s.cache.get(key); ok {
-			s.stats.cacheHits.Add(1)
-			resp := v.(CladeResponse)
-			resp.Cached = true
-			return resp, nil
+	return s.cachedQuery(q, name, "clade", sorted, func(t *treestore.Tree) (cacheable, error) {
+		clade, err := t.CladeNamesCtx(q.Context(), names)
+		if err != nil {
+			return nil, err
 		}
-	}
-	s.stats.cacheMisses.Add(1)
-	t, err := s.tree(sn, name)
-	if err != nil {
-		return nil, err
-	}
-	clade, err := t.CladeNamesCtx(r.Context(), names)
-	if err != nil {
-		return nil, err
-	}
-	resp := CladeResponse{Root: nodeJSON(clade[0]), Nodes: len(clade)}
-	for _, n := range clade {
-		if n.Leaf {
-			resp.Leaves++
-			resp.Species = append(resp.Species, n.Name)
+		resp := CladeResponse{Root: nodeJSON(clade[0]), Nodes: len(clade)}
+		for _, n := range clade {
+			if n.Leaf {
+				resp.Leaves++
+				resp.Species = append(resp.Species, n.Name)
+			}
 		}
-	}
-	sort.Strings(resp.Species)
-	if cacheable {
-		s.cachePut(name, ver, key, resp)
-	}
-	s.recordAsync("clade", map[string]any{"tree": name, "species": names},
-		fmt.Sprintf("%d nodes", resp.Nodes))
-	return resp, nil
+		sort.Strings(resp.Species)
+		s.recordAsync("clade", map[string]any{"tree": name, "species": names},
+			fmt.Sprintf("%d nodes", resp.Nodes))
+		return resp, nil
+	})
 }
 
-func (s *Server) handleMatch(r *http.Request, sn *reqSnap) (any, error) {
-	name := r.PathValue("name")
-	raw, err := io.ReadAll(r.Body)
+func (s *Server) handleMatch(q *req) (any, error) {
+	name := q.PathValue("name")
+	raw, err := io.ReadAll(q.Body)
 	if err != nil {
 		return nil, badRequest("reading pattern body: %v", err)
 	}
@@ -1669,76 +1270,58 @@ func (s *Server) handleMatch(r *http.Request, sn *reqSnap) (any, error) {
 		return nil, err
 	}
 	canonical := newick.String(pattern)
-	rs, _ := sn.forTree(name)
-	ep := rs.Epoch()
-	ver, cacheable := s.treeVer(name, ep)
-	var key string
-	if cacheable {
-		key = cacheKey(name, ver, "match", canonical)
-		if v, ok := s.cache.get(key); ok {
-			s.stats.cacheHits.Add(1)
-			resp := v.(MatchResponse)
-			resp.Cached = true
-			return resp, nil
+	return s.cachedQuery(q, name, "match", []string{canonical}, func(t *treestore.Tree) (cacheable, error) {
+		projected, err := t.ProjectNamesCtx(q.Context(), pattern.LeafNames())
+		if err != nil {
+			return nil, err
 		}
-	}
-	s.stats.cacheMisses.Add(1)
-	t, err := s.tree(sn, name)
-	if err != nil {
-		return nil, err
-	}
-	projected, err := t.ProjectNamesCtx(r.Context(), pattern.LeafNames())
-	if err != nil {
-		return nil, err
-	}
-	rf, err := treecmp.RobinsonFoulds(projected, pattern)
-	if err != nil {
-		return nil, err
-	}
-	norm, err := treecmp.NormalizedRF(projected, pattern)
-	if err != nil {
-		return nil, err
-	}
-	resp := MatchResponse{Exact: rf == 0, RF: rf, NormRF: norm, Projected: newick.String(projected)}
-	if cacheable {
-		s.cachePut(name, ver, key, resp)
-	}
-	s.recordAsync("match", map[string]any{"tree": name, "pattern": canonical},
-		fmt.Sprintf("RF=%d", rf))
-	return resp, nil
+		rf, err := treecmp.RobinsonFoulds(projected, pattern)
+		if err != nil {
+			return nil, err
+		}
+		norm, err := treecmp.NormalizedRF(projected, pattern)
+		if err != nil {
+			return nil, err
+		}
+		s.recordAsync("match", map[string]any{"tree": name, "pattern": canonical},
+			fmt.Sprintf("RF=%d", rf))
+		return MatchResponse{Exact: rf == 0, RF: rf, NormRF: norm, Projected: newick.String(projected)}, nil
+	})
 }
 
-// handleBench runs the Benchmark Manager against a stored gold tree.
-// It executes on the read path: the gold tree is exported once and the
-// whole run is in-memory from there.
-func (s *Server) handleBench(r *http.Request, sn *reqSnap) (any, error) {
-	name := r.PathValue("name")
-	var req BenchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+// handleBench runs the Benchmark Manager against a stored gold tree. Only
+// the export of the gold tree reads the store: the read slot and snapshot
+// pins go back as soon as it returns, so a long run holds neither the MVCC
+// horizon nor, on a follower, replicated applies.
+func (s *Server) handleBench(q *req) (any, error) {
+	name := q.PathValue("name")
+	var breq BenchRequest
+	if err := json.NewDecoder(q.Body).Decode(&breq); err != nil {
 		return nil, badRequest("decoding bench request: %v", err)
 	}
-	t, err := s.tree(sn, name)
+	t, err := s.tree(q.sn, name)
 	if err != nil {
 		return nil, err
 	}
-	gold, err := t.ExportCtx(r.Context())
+	gold, err := t.ExportCtx(q.Context())
 	if err != nil {
 		return nil, err
 	}
+	q.sn.release()
 	cfg := benchmark.Config{
 		Gold:        gold,
-		SeqLength:   req.SeqLength,
-		SampleSizes: req.Sizes,
-		Replicates:  req.Replicates,
-		Seed:        req.Seed,
-		Parallel:    req.Parallel,
+		SeqLength:   breq.SeqLength,
+		SampleSizes: breq.Sizes,
+		Replicates:  breq.Replicates,
+		Seed:        breq.Seed,
+		Parallel:    breq.Parallel,
 	}
 	if len(cfg.SampleSizes) == 0 {
 		cfg.SampleSizes = []int{10, 50, 100}
 	}
-	for _, a := range req.Algorithms {
+	for _, a := range breq.Algorithms {
 		if a == "MP" || a == "mp" {
-			cfg.SeqAlgorithms = append(cfg.SeqAlgorithms, recon.Parsimony{Seed: req.Seed})
+			cfg.SeqAlgorithms = append(cfg.SeqAlgorithms, recon.Parsimony{Seed: breq.Seed})
 			continue
 		}
 		alg, err := recon.ByName(a)
@@ -1747,63 +1330,63 @@ func (s *Server) handleBench(r *http.Request, sn *reqSnap) (any, error) {
 		}
 		cfg.Algorithms = append(cfg.Algorithms, alg)
 	}
-	if req.Time != nil {
+	if breq.Time != nil {
 		cfg.Method = benchmark.TimeConstrained
-		cfg.Time = *req.Time
+		cfg.Time = *breq.Time
 	}
 	rep, err := benchmark.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.recordAsync("bench", map[string]any{"tree": name, "sizes": cfg.SampleSizes,
-		"reps": cfg.Replicates, "algs": req.Algorithms}, "benchmark complete")
+		"reps": cfg.Replicates, "algs": breq.Algorithms}, "benchmark complete")
 	return rep.JSON(), nil
 }
 
 // --- species handlers ------------------------------------------------------
 
-func (s *Server) handleSpeciesPut(r *http.Request, si int, cc *commitCollector) (any, error) {
-	name, sp, kind := r.PathValue("name"), r.PathValue("sp"), r.PathValue("kind")
-	data, err := io.ReadAll(r.Body)
+func (s *Server) handleSpeciesPut(q *req) (any, error) {
+	name, sp, kind := q.PathValue("name"), q.PathValue("sp"), q.PathValue("kind")
+	data, err := io.ReadAll(q.Body)
 	if err != nil {
 		return nil, badRequest("reading body: %v", err)
 	}
-	return nil, cc.apply(func() error {
+	return nil, q.cc.apply(func() error {
 		if err := s.be.Species.Put(name, sp, kind, data); err != nil {
 			return err
 		}
-		cc.commitAsync(si)
+		q.cc.commitAsync(q.cc.si)
 		return nil
 	})
 }
 
-func (s *Server) handleSpeciesGet(r *http.Request, sn *reqSnap) (string, string, error) {
-	rs, _ := sn.forTree(r.PathValue("name"))
-	data, err := species.ViewOn(rs).Get(r.PathValue("name"), r.PathValue("sp"), r.PathValue("kind"))
+func (s *Server) handleSpeciesGet(q *req) (any, error) {
+	rs, _ := q.sn.forTree(q.PathValue("name"))
+	data, err := species.ViewOn(rs).Get(q.PathValue("name"), q.PathValue("sp"), q.PathValue("kind"))
 	if err != nil {
-		return "", "", err
+		return nil, err
 	}
-	return string(data), "application/octet-stream", nil
+	return rawBody{"application/octet-stream", string(data)}, nil
 }
 
-func (s *Server) handleSpeciesDelete(r *http.Request, si int, cc *commitCollector) (any, error) {
-	return nil, cc.apply(func() error {
-		ok, err := s.be.Species.Delete(r.PathValue("name"), r.PathValue("sp"), r.PathValue("kind"))
+func (s *Server) handleSpeciesDelete(q *req) (any, error) {
+	name, sp, kind := q.PathValue("name"), q.PathValue("sp"), q.PathValue("kind")
+	return nil, q.cc.apply(func() error {
+		ok, err := s.be.Species.Delete(name, sp, kind)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("%w: %s/%s/%s", species.ErrNoData,
-				r.PathValue("name"), r.PathValue("sp"), r.PathValue("kind"))
+			return fmt.Errorf("%w: %s/%s/%s", species.ErrNoData, name, sp, kind)
 		}
-		cc.commitAsync(si)
+		q.cc.commitAsync(q.cc.si)
 		return nil
 	})
 }
 
-func (s *Server) handleSpeciesList(r *http.Request, sn *reqSnap) (any, error) {
-	rs, _ := sn.forTree(r.PathValue("name"))
-	recs, err := species.ViewOn(rs).List(r.PathValue("name"), r.PathValue("sp"))
+func (s *Server) handleSpeciesList(q *req) (any, error) {
+	rs, _ := q.sn.forTree(q.PathValue("name"))
+	recs, err := species.ViewOn(rs).List(q.PathValue("name"), q.PathValue("sp"))
 	if err != nil {
 		return nil, err
 	}
@@ -1823,23 +1406,23 @@ func entryJSON(e queryrepo.Entry) HistoryEntry {
 // handleHistory lists query-history entries newest first. limit bounds the
 // page (default 50) and cursor resumes where the previous page stopped;
 // ?kind= filtering is unpaginated (index scan, oldest first), as before.
-func (s *Server) handleHistory(r *http.Request, sn *reqSnap) (any, error) {
-	view := queryrepo.ViewOn(sn.shard(0)) // history lives on shard 0
-	if kind := r.URL.Query().Get("kind"); kind != "" {
-		entries, err := view.ByKindCtx(r.Context(), kind)
+func (s *Server) handleHistory(q *req) (any, error) {
+	view := queryrepo.ViewOn(q.sn.shard(0)) // history lives on shard 0
+	if kind := q.URL.Query().Get("kind"); kind != "" {
+		entries, err := view.ByKindCtx(q.Context(), kind)
 		if err != nil {
 			return nil, err
 		}
 		return historyJSON(entries, 0), nil
 	}
-	limit, err := queryInt(r, "limit", 50)
+	limit, err := queryInt(q.Request, "limit", 50)
 	if err != nil {
 		return nil, err
 	}
 	if limit < 0 {
 		return nil, badRequest("bad limit %d: must be >= 0", limit)
 	}
-	pos, err := decodeCursor(historyCursorKind, r.URL.Query().Get("cursor"))
+	pos, err := decodeCursor(historyCursorKind, q.URL.Query().Get("cursor"))
 	if err != nil {
 		return nil, err
 	}
@@ -1849,7 +1432,7 @@ func (s *Server) handleHistory(r *http.Request, sn *reqSnap) (any, error) {
 			return nil, badRequest("bad cursor position %q", pos)
 		}
 	}
-	entries, next, err := view.HistoryPage(r.Context(), before, limit)
+	entries, next, err := view.HistoryPage(q.Context(), before, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -1867,14 +1450,23 @@ func historyJSON(entries []queryrepo.Entry, next int64) HistoryResponse {
 	return resp
 }
 
-func (s *Server) handleHistoryGet(r *http.Request, sn *reqSnap) (any, error) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
+func (s *Server) handleHistoryGet(q *req) (any, error) {
+	id, err := strconv.ParseInt(q.PathValue("id"), 10, 64)
 	if err != nil {
-		return nil, badRequest("bad history id %q", r.PathValue("id"))
+		return nil, badRequest("bad history id %q", q.PathValue("id"))
 	}
-	e, err := queryrepo.ViewOn(sn.shard(0)).Get(id)
+	e, err := queryrepo.ViewOn(q.sn.shard(0)).Get(id)
 	if err != nil {
 		return nil, err
 	}
 	return entryJSON(e), nil
+}
+
+// --- stats handlers ---------------------------------------------------------
+
+func (s *Server) handleStats(*req) (any, error) { return s.snapshot(), nil }
+
+func (s *Server) handleMetrics(*req) (any, error) {
+	text := metricsText(s.snapshot(), s.stats.histSnapshots(), s.stats.waitSnapshots())
+	return rawBody{"text/plain; version=0.0.4; charset=utf-8", text}, nil
 }

@@ -18,6 +18,7 @@ import (
 
 	crimson "repro"
 	"repro/client"
+	"repro/internal/newick"
 	"repro/internal/phylo"
 	"repro/internal/shard"
 	"repro/internal/treegen"
@@ -685,4 +686,104 @@ func TestBadSampleRequestsAre400(t *testing.T) {
 	waitStats(t, cl, "read slots released after the rejected samples", func(st client.Stats) bool {
 		return st.InFlightReads == 0 && st.OpenSnapshots == 0
 	})
+}
+
+// TestReloadNeverServesOldIncarnation: result-cache keys name one
+// incarnation of a tree, and a delete or reload only moves the tree's
+// version — nothing is dropped from the cache. Reloading a name with
+// another shape over the same species, round after round, must still
+// answer project, lca, clade and match for the shape now stored, and the
+// stranded entries must not push the cache past its capacity.
+func TestReloadNeverServesOldIncarnation(t *testing.T) {
+	const capacity = 6
+	_, cl := startServer(t, crimson.ServerConfig{ResultCacheSize: capacity})
+	ctx := context.Background()
+	shapes := []*phylo.Tree{yule(t, 80, 41), yule(t, 80, 42)}
+	leaves := shapes[0].LeafNames()
+	sort.Strings(leaves)
+	species := leaves[:7]
+	// The LCA and clade pair: a cherry of one shape, two clades of the other.
+	var pair []string
+	for _, n := range shapes[0].Leaves() {
+		sib := n.Parent.Children
+		if len(sib) == 2 && sib[0].IsLeaf() && sib[1].IsLeaf() &&
+			shapes[1].NodeByName(sib[0].Name).Parent != shapes[1].NodeByName(sib[1].Name).Parent {
+			pair = []string{sib[0].Name, sib[1].Name}
+			break
+		}
+	}
+	if pair == nil {
+		t.Fatal("the shapes share every cherry")
+	}
+	pattern, err := newick.Parse(fmt.Sprintf("((%s,%s),(%s,%s),%s);", leaves[10], leaves[11], leaves[12], leaves[13], leaves[14]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// answers runs the four cacheable queries twice and returns the first
+	// round's answers; the second must repeat them (from the cache, when the
+	// primary served them).
+	answers := func(round int) [4]string {
+		var out [4]string
+		for rep := 0; rep < 2; rep++ {
+			p, err := cl.ProjectCtx(ctx, "t", species)
+			if err != nil {
+				t.Fatalf("round %d project: %v", round, err)
+			}
+			l, err := cl.LCACtx(ctx, "t", pair[0], pair[1])
+			if err != nil {
+				t.Fatalf("round %d lca: %v", round, err)
+			}
+			c, err := cl.CladeCtx(ctx, "t", pair)
+			if err != nil {
+				t.Fatalf("round %d clade: %v", round, err)
+			}
+			m, err := cl.MatchCtx(ctx, "t", pattern)
+			if err != nil {
+				t.Fatalf("round %d match: %v", round, err)
+			}
+			cached := [4]bool{p.Cached, l.Cached, c.Cached, m.Cached}
+			p.Cached, l.Cached, c.Cached, m.Cached = false, false, false, false
+			got := [4]string{fmt.Sprint(p), fmt.Sprint(l), fmt.Sprint(c), fmt.Sprint(m)}
+			if rep == 0 {
+				out = got
+			} else if got != out {
+				t.Fatalf("round %d: a repeat answered %v, the first %v", round, got, out)
+			}
+			if hit := rep == 1; !replicaMode() && cached != [4]bool{hit, hit, hit, hit} {
+				t.Fatalf("round %d repeat %d: cached flags %v", round, rep, cached)
+			}
+		}
+		return out
+	}
+	var want [2][4]string
+	for round := 0; round < 6; round++ {
+		if round > 0 {
+			if err := cl.DeleteCtx(ctx, "t"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cl.LoadTreeCtx(ctx, "t", 0, shapes[round%2]); err != nil {
+			t.Fatal(err)
+		}
+		got := answers(round)
+		if round < 2 {
+			want[round] = got
+			continue
+		}
+		if got != want[round%2] {
+			t.Fatalf("round %d answered %v, want shape %d's %v", round, got, round%2, want[round%2])
+		}
+	}
+	for i := range want[0] {
+		if want[0][i] == want[1][i] {
+			t.Fatalf("query %d answers both shapes alike (%s): it cannot tell incarnations apart", i, want[0][i])
+		}
+	}
+	st, err := cl.StatsCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheEntries > capacity {
+		t.Fatalf("cache_entries = %d, capacity %d", st.CacheEntries, capacity)
+	}
 }

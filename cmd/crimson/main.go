@@ -635,18 +635,9 @@ func cmdBench(args []string) error {
 		}
 		sizeList = append(sizeList, v)
 	}
-	var algorithms []recon.Algorithm
-	var seqAlgorithms []recon.SeqAlgorithm
-	for _, a := range splitSpecies(*algs) {
-		if a == "MP" || a == "mp" {
-			seqAlgorithms = append(seqAlgorithms, recon.Parsimony{Seed: *seed})
-			continue
-		}
-		alg, err := recon.ByName(a)
-		if err != nil {
-			return err
-		}
-		algorithms = append(algorithms, alg)
+	algorithms, seqAlgorithms, err := recon.ByNames(splitSpecies(*algs), *seed)
+	if err != nil {
+		return err
 	}
 	cfg := crimson.BenchConfig{
 		Gold:          gold,

@@ -107,49 +107,17 @@ var (
 
 // Run executes the benchmark.
 func Run(cfg Config) (*Report, error) {
-	if cfg.Gold == nil {
-		return nil, ErrNoGold
-	}
-	if len(cfg.SampleSizes) == 0 {
-		return nil, ErrNoSize
+	if cfg.Gold != nil && len(cfg.SampleSizes) == 0 {
+		return nil, ErrNoSize // a config without a gold tree is ErrNoGold first
 	}
 	if cfg.Replicates <= 0 {
 		cfg.Replicates = 3
 	}
-	// Default algorithms only when the caller named none at all: a config
-	// with only SeqAlgorithms (e.g. parsimony alone) runs exactly those.
-	if len(cfg.Algorithms) == 0 && len(cfg.SeqAlgorithms) == 0 {
-		cfg.Algorithms = []recon.Algorithm{recon.NeighborJoining{}, recon.UPGMA{}}
+	ru, r, err := newRun(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Distances == nil {
-		cfg.Distances = DefaultDistances
-	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-
-	ix := cfg.Index
-	if ix == nil {
-		var err error
-		if ix, err = core.Build(cfg.Gold, core.DefaultFanout); err != nil {
-			return nil, err
-		}
-	}
-	planner := project.NewPlanner(cfg.Gold, ix)
-
-	aln := cfg.Alignment
-	if aln == nil {
-		model := cfg.Model
-		if model == nil {
-			model = seqsim.JC69{}
-		}
-		length := cfg.SeqLength
-		if length <= 0 {
-			length = 500
-		}
-		var err error
-		if aln, err = seqsim.Evolve(cfg.Gold, seqsim.Config{Length: length, Model: model}, r); err != nil {
-			return nil, fmt.Errorf("benchmark: simulating sequences: %w", err)
-		}
-	}
+	cfg = ru.cfg
 
 	// Draw every sample first, sequentially on the one seeded RNG, so the
 	// selections are identical regardless of cfg.Parallel.
@@ -177,9 +145,8 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	// Evaluate. The planner, index and alignment are read-only after
-	// construction, so evaluations are independent and can fan out across
-	// a bounded worker pool.
+	// Evaluate. The run is read-only once built, so evaluations are
+	// independent and can fan out across a bounded worker pool.
 	perJob := make([][]Result, len(jobs))
 	errs := make([]error, len(jobs))
 	workers := cfg.Parallel
@@ -188,7 +155,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if workers <= 1 {
 		for i, j := range jobs {
-			perJob[i], errs[i] = evaluate(cfg, planner, aln, j.sel, j.rpl)
+			perJob[i], errs[i] = ru.evaluate(j.sel, j.rpl)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -198,7 +165,7 @@ func Run(cfg Config) (*Report, error) {
 			go func() {
 				defer wg.Done()
 				for i := range next {
-					perJob[i], errs[i] = evaluate(cfg, planner, aln, jobs[i].sel, jobs[i].rpl)
+					perJob[i], errs[i] = ru.evaluate(jobs[i].sel, jobs[i].rpl)
 				}
 			}()
 		}
@@ -222,25 +189,56 @@ func Run(cfg Config) (*Report, error) {
 // RunExplicit benchmarks the algorithms on one explicit species selection
 // (the paper's "user input" method).
 func RunExplicit(cfg Config, names []string) (*Report, error) {
+	ru, _, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sel, err := sample.FromNames(cfg.Gold, names)
+	if err != nil {
+		return nil, err
+	}
+	results, err := ru.evaluate(sel, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &Report{Config: ru.cfg, Results: results}, nil
+}
+
+// run is what every evaluation of one benchmark reads: the config with its
+// defaults filled in, the planner over the gold tree, and the alignment. It
+// is read-only once built.
+type run struct {
+	cfg     Config
+	planner *project.Planner
+	aln     *seqsim.Alignment
+}
+
+// newRun is the set-up Run and RunExplicit share: the config's defaults, the
+// index and planner over the gold tree, and the alignment. It returns the
+// run's one seeded RNG too; an alignment simulated here has drawn from it
+// already, and the samples draw from it next.
+func newRun(cfg Config) (*run, *rand.Rand, error) {
 	if cfg.Gold == nil {
-		return nil, ErrNoGold
+		return nil, nil, ErrNoGold
+	}
+	// Default algorithms only when the caller named none at all: a config
+	// with only SeqAlgorithms (e.g. parsimony alone) runs exactly those.
+	if len(cfg.Algorithms) == 0 && len(cfg.SeqAlgorithms) == 0 {
+		cfg.Algorithms = []recon.Algorithm{recon.NeighborJoining{}, recon.UPGMA{}}
 	}
 	if cfg.Distances == nil {
 		cfg.Distances = DefaultDistances
 	}
-	if len(cfg.Algorithms) == 0 && len(cfg.SeqAlgorithms) == 0 {
-		cfg.Algorithms = []recon.Algorithm{recon.NeighborJoining{}, recon.UPGMA{}}
-	}
+	r := rand.New(rand.NewSource(cfg.Seed))
 	ix := cfg.Index
 	if ix == nil {
 		var err error
 		if ix, err = core.Build(cfg.Gold, core.DefaultFanout); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	planner := project.NewPlanner(cfg.Gold, ix)
-	aln := cfg.Alignment
-	if aln == nil {
+	ru := &run{cfg: cfg, planner: project.NewPlanner(cfg.Gold, ix), aln: cfg.Alignment}
+	if ru.aln == nil {
 		model := cfg.Model
 		if model == nil {
 			model = seqsim.JC69{}
@@ -250,26 +248,16 @@ func RunExplicit(cfg Config, names []string) (*Report, error) {
 			length = 500
 		}
 		var err error
-		r := rand.New(rand.NewSource(cfg.Seed))
-		if aln, err = seqsim.Evolve(cfg.Gold, seqsim.Config{Length: length, Model: model}, r); err != nil {
-			return nil, err
+		if ru.aln, err = seqsim.Evolve(cfg.Gold, seqsim.Config{Length: length, Model: model}, r); err != nil {
+			return nil, nil, fmt.Errorf("benchmark: simulating sequences: %w", err)
 		}
 	}
-	sel, err := sample.FromNames(cfg.Gold, names)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Config: cfg}
-	results, err := evaluate(cfg, planner, aln, sel, 0)
-	if err != nil {
-		return nil, err
-	}
-	rep.Results = results
-	return rep, nil
+	return ru, r, nil
 }
 
-func evaluate(cfg Config, planner *project.Planner, aln *seqsim.Alignment, sel []*phylo.Node, replicate int) ([]Result, error) {
-	reference, err := planner.Project(sel)
+func (ru *run) evaluate(sel []*phylo.Node, replicate int) ([]Result, error) {
+	cfg := ru.cfg
+	reference, err := ru.planner.Project(sel)
 	if err != nil {
 		return nil, fmt.Errorf("benchmark: projecting reference: %w", err)
 	}
@@ -277,7 +265,7 @@ func evaluate(cfg Config, planner *project.Planner, aln *seqsim.Alignment, sel [
 	for i, n := range sel {
 		names[i] = n.Name
 	}
-	sub, err := aln.Subset(names)
+	sub, err := ru.aln.Subset(names)
 	if err != nil {
 		return nil, fmt.Errorf("benchmark: selecting sequences: %w", err)
 	}

@@ -210,6 +210,12 @@ func (ix *Index) LCA(a, b int) int {
 // source chain: subtree ids are the next layer's node ids, so the child
 // subtree on a side names the one source node through which that side
 // enters the LCA's subtree.
+//
+// treestore's Tree.lcaAt is the same recursion over stored cells, and stays a
+// second copy on purpose: a walk generic over a cell source took this one
+// from ≈ 125 ns to ≈ 220 ns an LCA at depth 100k, f=16, on a 2-vCPU machine
+// (≈ 310 ns through a plain interface). TestLCADifferentialNaive holds the two to phylo.LCA on
+// one table of tree shapes.
 func (ix *Index) lcaAt(k int, a, b int32) (lca, childA, childB int32) {
 	l := ix.Layers[k]
 	if l.Sub[a] == l.Sub[b] {

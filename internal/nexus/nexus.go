@@ -104,7 +104,7 @@ func endCommand(tz *tokenizer) error {
 		if err != nil {
 			return err
 		}
-		if tok == ";" {
+		if tz.is(tok, ";") {
 			return nil
 		}
 	}
@@ -141,7 +141,7 @@ func parseTaxa(tz *tokenizer, doc *Document) error {
 				if err != nil {
 					return err
 				}
-				if lbl == ";" {
+				if tz.is(lbl, ";") {
 					break
 				}
 				doc.Taxa = append(doc.Taxa, lbl)
@@ -187,7 +187,7 @@ func parseFormat(tz *tokenizer, ch *Characters) error {
 		if err != nil {
 			return err
 		}
-		if tok == ";" {
+		if tz.is(tok, ";") {
 			return nil
 		}
 		key := strings.ToUpper(tok)
@@ -195,8 +195,8 @@ func parseFormat(tz *tokenizer, ch *Characters) error {
 		if err != nil {
 			return err
 		}
-		if eq != "=" {
-			if eq == ";" {
+		if !tz.is(eq, "=") {
+			if tz.is(eq, ";") {
 				return nil
 			}
 			continue // flag without value (e.g. INTERLEAVE)
@@ -204,6 +204,9 @@ func parseFormat(tz *tokenizer, ch *Characters) error {
 		val, err := tz.next()
 		if err != nil {
 			return err
+		}
+		if tz.punct(val) {
+			return fmt.Errorf("%w: FORMAT %s has no value", ErrFormat, key)
 		}
 		switch key {
 		case "DATATYPE":
@@ -222,14 +225,21 @@ func parseMatrix(tz *tokenizer, ch *Characters) error {
 		if err != nil {
 			return err
 		}
-		if name == ";" {
+		if tz.is(name, ";") {
+			// Rows are aligned: Write gives the matrix one NCHAR.
+			for _, taxon := range ch.Order {
+				if first := ch.Order[0]; len(ch.Seqs[taxon]) != len(ch.Seqs[first]) {
+					return fmt.Errorf("%w: taxon %q has %d characters, taxon %q %d", ErrFormat,
+						taxon, len(ch.Seqs[taxon]), first, len(ch.Seqs[first]))
+				}
+			}
 			return nil
 		}
 		seq, err := tz.next()
 		if err != nil {
 			return err
 		}
-		if seq == ";" {
+		if tz.punct(seq) {
 			return fmt.Errorf("%w: taxon %q has no sequence", ErrFormat, name)
 		}
 		if _, seen := ch.Seqs[name]; !seen {
@@ -316,7 +326,7 @@ func parseTrees(tz *tokenizer, doc *Document) error {
 				if err != nil {
 					return err
 				}
-				if key == ";" {
+				if tz.is(key, ";") {
 					break
 				}
 				val, err := tz.next()
@@ -328,10 +338,10 @@ func parseTrees(tz *tokenizer, doc *Document) error {
 				if err != nil {
 					return err
 				}
-				if sep == ";" {
+				if tz.is(sep, ";") {
 					break
 				}
-				if sep != "," {
+				if !tz.is(sep, ",") {
 					return fmt.Errorf("%w: expected ',' in TRANSLATE, got %q", ErrFormat, sep)
 				}
 			}
@@ -394,16 +404,16 @@ func Write(w io.Writer, doc *Document) error {
 		if datatype == "" {
 			datatype = "DNA"
 		}
-		fmt.Fprintf(&sb, "\tFORMAT DATATYPE=%s", datatype)
+		fmt.Fprintf(&sb, "\tFORMAT DATATYPE=%s", quoteWord(datatype))
 		if ch.Missing != "" {
-			fmt.Fprintf(&sb, " MISSING=%s", ch.Missing)
+			fmt.Fprintf(&sb, " MISSING=%s", quoteWord(ch.Missing))
 		}
 		if ch.Gap != "" {
-			fmt.Fprintf(&sb, " GAP=%s", ch.Gap)
+			fmt.Fprintf(&sb, " GAP=%s", quoteWord(ch.Gap))
 		}
 		sb.WriteString(";\n\tMATRIX\n")
 		for _, taxon := range ch.Order {
-			fmt.Fprintf(&sb, "\t\t%s %s\n", quoteWord(taxon), ch.Seqs[taxon])
+			fmt.Fprintf(&sb, "\t\t%s %s\n", quoteWord(taxon), quoteWord(ch.Seqs[taxon]))
 		}
 		sb.WriteString("\t;\nEND;\n")
 	}
@@ -440,10 +450,12 @@ func quoteWord(s string) string {
 }
 
 // tokenizer splits NEXUS input into words, quoted strings and punctuation,
-// skipping [comments].
+// skipping [comments]. A quoted string is a word whatever it holds: ';' is
+// the end of a command, ';' quoted a name.
 type tokenizer struct {
-	in  string
-	pos int
+	in     string
+	pos    int
+	quoted bool // the last token read was a quoted string
 }
 
 func newTokenizer(s string) *tokenizer { return &tokenizer{in: s} }
@@ -474,8 +486,18 @@ func (tz *tokenizer) skip() {
 
 const punctuation = ";=,"
 
+// is reports whether tok, the token just read, is the punctuation mark p.
+func (tz *tokenizer) is(tok, p string) bool { return !tz.quoted && tok == p }
+
+// punct reports whether tok, the token just read, is a punctuation mark: read
+// where a word (a sequence, a value) belongs, it is a format error.
+func (tz *tokenizer) punct(tok string) bool {
+	return !tz.quoted && len(tok) == 1 && strings.Contains(punctuation, tok)
+}
+
 func (tz *tokenizer) next() (string, error) {
 	tz.skip()
+	tz.quoted = false
 	if tz.pos >= len(tz.in) {
 		return "", io.EOF
 	}
@@ -486,6 +508,7 @@ func (tz *tokenizer) next() (string, error) {
 	}
 	if c == '\'' {
 		tz.pos++
+		tz.quoted = true
 		var sb strings.Builder
 		for tz.pos < len(tz.in) {
 			ch := tz.in[tz.pos]
@@ -520,7 +543,7 @@ func (tz *tokenizer) expect(tok string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if got != tok {
+	if !tz.is(got, tok) {
 		return "", fmt.Errorf("%w: expected %q, got %q", ErrFormat, tok, got)
 	}
 	return got, nil

@@ -11,12 +11,17 @@
 // merging of the paper happens implicitly: edge weights in the projection
 // are differences of root distances, so a suppressed chain contributes the
 // sum of its edge weights (1.5 + 1 = 2.5 for Lla in Figure 2).
+//
+// Build is that algorithm, once, over nodes as Vertex values and an LCA
+// function: Planner runs it over an in-memory tree and its index, package
+// treestore over stored rows and the stored LCA walk.
 package project
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/phylo"
 )
@@ -34,15 +39,15 @@ type NaiveLCA struct{}
 // LCANodes returns the LCA by parent walking.
 func (NaiveLCA) LCANodes(a, b *phylo.Node) *phylo.Node { return phylo.LCA(a, b) }
 
-// Planner prepares per-tree arrays (preorder ranks, depths, root
-// distances) once so repeated projections cost O(k · f) LCA work instead
-// of O(n) per call.
+// Planner prepares per-tree arrays (depths and root distances, indexed by
+// preorder id) once so repeated projections cost O(k · f) LCA work instead
+// of O(n) per call. The tree must have preorder IDs (Reindex).
 type Planner struct {
 	tree  *phylo.Tree
 	lca   LCAFinder
-	depth map[*phylo.Node]int
-	dist  map[*phylo.Node]float64
-	rank  map[*phylo.Node]int
+	nodes []*phylo.Node // preorder: nodes[n.ID] == n exactly for the tree's own nodes
+	depth []int
+	dist  []float64
 }
 
 // NewPlanner builds a planner for t using the given LCA implementation.
@@ -51,18 +56,14 @@ func NewPlanner(t *phylo.Tree, lca LCAFinder) *Planner {
 	p := &Planner{
 		tree:  t,
 		lca:   lca,
-		depth: make(map[*phylo.Node]int, len(nodes)),
-		dist:  make(map[*phylo.Node]float64, len(nodes)),
-		rank:  make(map[*phylo.Node]int, len(nodes)),
+		nodes: nodes,
+		depth: make([]int, len(nodes)),
+		dist:  make([]float64, len(nodes)),
 	}
 	for i, n := range nodes { // preorder: parents first
-		p.rank[n] = i
-		if n.Parent == nil {
-			p.depth[n] = 0
-			p.dist[n] = 0
-		} else {
-			p.depth[n] = p.depth[n.Parent] + 1
-			p.dist[n] = p.dist[n.Parent] + n.Length
+		if n.Parent != nil {
+			p.depth[i] = p.depth[n.Parent.ID] + 1
+			p.dist[i] = p.dist[n.Parent.ID] + n.Length
 		}
 	}
 	return p
@@ -74,88 +75,94 @@ var (
 	ErrForeignNode    = errors.New("project: node not in the planner's tree")
 )
 
-// Project returns the projection of the planner's tree over the given
-// nodes (normally leaves). Duplicates are removed. The result is a fresh
-// tree whose node names are copied from the originals; its root is the LCA
-// of the selection (or the node itself for a singleton).
-func (p *Planner) Project(selection []*phylo.Node) (*phylo.Tree, error) {
-	if len(selection) == 0 {
+// Vertex is a node of the projected tree as Build sees it: its preorder id
+// (equal ids are the same node), depth in edges and distance from the root,
+// and name. Both query engines hand Build their nodes in this form.
+type Vertex struct {
+	ID    int
+	Depth int
+	Dist  float64
+	Name  string
+}
+
+// Build is the paper's projection, whatever the nodes come from: sort the
+// selection in preorder and drop repeats ("we sort the input leaf set
+// according to the pre-order of tree T"), then insert the nodes left to
+// right keeping the rightmost path of the growing projection on a stack; lca
+// answers the ancestor questions. sel is sorted in place. The result is a
+// fresh tree whose node names are copied from the vertices, with edge weights
+// the differences of root distances; its root is the LCA of the selection
+// (or the vertex itself for a singleton, when lca is never called).
+func Build(sel []Vertex, lca func(a, b Vertex) (Vertex, error)) (*phylo.Tree, error) {
+	if len(sel) == 0 {
 		return nil, ErrEmptySelection
 	}
-	// Sort by preorder and dedupe, per the paper ("we sort the input leaf
-	// set according to the pre-order of tree T").
-	sel := make([]*phylo.Node, 0, len(selection))
-	seen := make(map[*phylo.Node]bool, len(selection))
-	for _, n := range selection {
-		if _, ok := p.rank[n]; !ok {
-			return nil, fmt.Errorf("%w: %q", ErrForeignNode, n.Name)
-		}
-		if !seen[n] {
-			seen[n] = true
-			sel = append(sel, n)
-		}
-	}
-	sort.Slice(sel, func(i, j int) bool { return p.rank[sel[i]] < p.rank[sel[j]] })
-
-	if len(sel) == 1 {
-		root := &phylo.Node{Name: sel[0].Name}
-		t := phylo.New(root)
-		t.Reindex()
-		return t, nil
-	}
+	slices.SortFunc(sel, func(a, b Vertex) int { return cmp.Compare(a.ID, b.ID) })
+	sel = slices.CompactFunc(sel, func(a, b Vertex) bool { return a.ID == b.ID })
 
 	type entry struct {
-		orig *phylo.Node
-		nw   *phylo.Node
+		v  Vertex
+		nw *phylo.Node
 	}
-	attach := func(parent, child *entry) {
-		child.nw.Length = p.dist[child.orig] - p.dist[parent.orig]
+	// stack holds the rightmost path of the projection under construction,
+	// shallowest at the bottom. unwind pops the entries deeper than depth,
+	// linking each to the one popped after it, and returns the shallowest of
+	// them (nw nil when none was).
+	var stack []entry
+	push := func(v Vertex) { stack = append(stack, entry{v: v, nw: &phylo.Node{Name: v.Name}}) }
+	attach := func(parent, child entry) {
+		child.nw.Length = child.v.Dist - parent.v.Dist
 		parent.nw.AddChild(child.nw)
 	}
-	newEntry := func(orig *phylo.Node) *entry {
-		return &entry{orig: orig, nw: &phylo.Node{Name: orig.Name}}
-	}
-
-	// stack holds the rightmost path of the projection under construction,
-	// shallowest at the bottom. Children are linked when entries pop.
-	stack := []*entry{newEntry(sel[0])}
-	for _, x := range sel[1:] {
-		top := stack[len(stack)-1]
-		l := p.lca.LCANodes(top.orig, x)
-		var last *entry
-		for len(stack) > 0 && p.depth[stack[len(stack)-1].orig] > p.depth[l] {
+	unwind := func(depth int) (last entry) {
+		for len(stack) > 0 && stack[len(stack)-1].v.Depth > depth {
 			e := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if last != nil {
+			if last.nw != nil {
 				attach(e, last)
 			}
 			last = e
 		}
-		if len(stack) > 0 && stack[len(stack)-1].orig == l {
-			if last != nil {
-				attach(stack[len(stack)-1], last)
-			}
-		} else {
-			le := newEntry(l)
-			if last != nil {
-				attach(le, last)
-			}
-			stack = append(stack, le)
-		}
-		stack = append(stack, newEntry(x))
+		return last
 	}
-	var last *entry
-	for len(stack) > 0 {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if last != nil {
-			attach(e, last)
+	push(sel[0])
+	for _, x := range sel[1:] {
+		l, err := lca(stack[len(stack)-1].v, x)
+		if err != nil {
+			return nil, err
 		}
-		last = e
+		last := unwind(l.Depth)
+		if len(stack) == 0 || stack[len(stack)-1].v.ID != l.ID {
+			push(l)
+		}
+		if last.nw != nil {
+			attach(stack[len(stack)-1], last)
+		}
+		push(x)
 	}
-	t := phylo.New(last.nw)
+	t := phylo.New(unwind(-1).nw)
 	t.Reindex()
 	return t, nil
+}
+
+// Project returns the projection of the planner's tree over the given
+// nodes (normally leaves), through Build. Duplicates are removed. The
+// result is a fresh tree whose node names are copied from the originals.
+func (p *Planner) Project(selection []*phylo.Node) (*phylo.Tree, error) {
+	sel := make([]Vertex, len(selection))
+	for i, n := range selection {
+		if n.ID < 0 || n.ID >= len(p.nodes) || p.nodes[n.ID] != n {
+			return nil, fmt.Errorf("%w: %q", ErrForeignNode, n.Name)
+		}
+		sel[i] = p.vertex(n)
+	}
+	return Build(sel, func(a, b Vertex) (Vertex, error) {
+		return p.vertex(p.lca.LCANodes(p.nodes[a.ID], p.nodes[b.ID])), nil
+	})
+}
+
+func (p *Planner) vertex(n *phylo.Node) Vertex {
+	return Vertex{ID: n.ID, Depth: p.depth[n.ID], Dist: p.dist[n.ID], Name: n.Name}
 }
 
 // ProjectNames projects over leaves identified by name.

@@ -221,13 +221,24 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// ByName returns a registered algorithm by its report name.
-func ByName(name string) (Algorithm, error) {
-	switch name {
-	case "NJ", "nj":
-		return NeighborJoining{}, nil
-	case "UPGMA", "upgma":
-		return UPGMA{}, nil
+// ByNames is the one parser of algorithm names, as a Benchmark Manager
+// request gives them: NJ and UPGMA are the distance methods, MP the
+// character-based Parsimony on seed, each in upper or lower case. Both kinds
+// come back in request order.
+func ByNames(names []string, seed int64) ([]Algorithm, []SeqAlgorithm, error) {
+	var algs []Algorithm
+	var seqAlgs []SeqAlgorithm
+	for _, name := range names {
+		switch name {
+		case "NJ", "nj":
+			algs = append(algs, NeighborJoining{})
+		case "UPGMA", "upgma":
+			algs = append(algs, UPGMA{})
+		case "MP", "mp":
+			seqAlgs = append(seqAlgs, Parsimony{Seed: seed})
+		default:
+			return nil, nil, fmt.Errorf("recon: unknown algorithm %q (have NJ, UPGMA)", name)
+		}
 	}
-	return nil, fmt.Errorf("recon: unknown algorithm %q (have NJ, UPGMA)", name)
+	return algs, seqAlgs, nil
 }

@@ -3,6 +3,7 @@ package recon
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,12 +170,24 @@ func TestTooFew(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"NJ", "nj", "UPGMA", "upgma"} {
-		if _, err := ByName(name); err != nil {
-			t.Fatalf("ByName(%s): %v", name, err)
-		}
+	algs, seqAlgs, err := ByNames([]string{"NJ", "mp", "nj", "UPGMA", "MP", "upgma"}, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ByName("maximum-likelihood"); err == nil {
+	var got []string
+	for _, a := range algs {
+		got = append(got, a.Name())
+	}
+	for _, a := range seqAlgs {
+		got = append(got, a.Name())
+	}
+	if want := []string{"NJ", "NJ", "UPGMA", "UPGMA", "MP", "MP"}; !slices.Equal(got, want) {
+		t.Fatalf("ByNames = %v, want %v", got, want)
+	}
+	if seqAlgs[0] != (Parsimony{Seed: 3}) {
+		t.Fatalf("MP = %+v, want parsimony on the request's seed", seqAlgs[0])
+	}
+	if _, _, err := ByNames([]string{"NJ", "maximum-likelihood"}, 1); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }

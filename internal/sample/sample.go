@@ -1,7 +1,8 @@
 // Package sample implements the species-sampling queries of §2.2: uniform
 // random sampling of leaves, random sampling *with respect to an
-// evolutionary time* (the paper's frontier strategy), clade-restricted
-// sampling, and explicit user selection. All randomized functions take a
+// evolutionary time* (the paper's frontier strategy), and explicit user
+// selection. Pick and Draw are the draws themselves, over any element type:
+// the stored engine runs them on leaf ids. All randomized functions take a
 // *rand.Rand so experiments are reproducible.
 package sample
 
@@ -30,13 +31,64 @@ func Uniform(t *phylo.Tree, k int, r *rand.Rand) ([]*phylo.Node, error) {
 	if len(leaves) < k {
 		return nil, fmt.Errorf("%w: %d < %d", ErrTooFew, len(leaves), k)
 	}
-	// Partial Fisher-Yates: only the first k positions are needed.
-	picked := append([]*phylo.Node(nil), leaves...)
+	return Pick(leaves, k, r), nil
+}
+
+// Pick draws k distinct elements of s uniformly at random: a partial
+// Fisher–Yates shuffle, one r.Intn per element drawn, that moves them to the
+// front of s and returns s[:k]. It permutes s in place, so s must be the
+// caller's own — never a cached slice such as phylo.Tree.Nodes(). k must be
+// in [0, len(s)].
+func Pick[T any](s []T, k int, r *rand.Rand) []T {
 	for i := 0; i < k; i++ {
-		j := i + r.Intn(len(picked)-i)
-		picked[i], picked[j] = picked[j], picked[i]
+		j := i + r.Intn(len(s)-i)
+		s[i], s[j] = s[j], s[i]
 	}
-	return picked[:k], nil
+	return s[:k]
+}
+
+// Draw is the paper's quota draw over the groups of leaves under the
+// frontier nodes: each group gets k/len(groups) draws, the remainder goes to
+// groups chosen at random, and a quota above its group's size spills over to
+// groups with spare room, chosen at random; then each group is Picked its
+// quota. The draws come back group after group. Each group is permuted in
+// place. The callers check the request: k >= 1, groups non-empty, and at
+// least k elements in all.
+func Draw[T any](groups [][]T, k int, r *rand.Rand) []T {
+	quota := make([]int, len(groups))
+	for i := range quota {
+		quota[i] = k / len(groups)
+	}
+	for _, i := range r.Perm(len(groups))[:k%len(groups)] {
+		quota[i]++
+	}
+	for {
+		excess := 0
+		for i := range quota {
+			if over := quota[i] - len(groups[i]); over > 0 {
+				quota[i] = len(groups[i])
+				excess += over
+			}
+		}
+		if excess == 0 {
+			break
+		}
+		for _, i := range r.Perm(len(groups)) {
+			if excess == 0 {
+				break
+			}
+			if room := len(groups[i]) - quota[i]; room > 0 {
+				take := min(room, excess)
+				quota[i] += take
+				excess -= take
+			}
+		}
+	}
+	out := make([]T, 0, k)
+	for i, g := range groups {
+		out = append(out, Pick(g, quota[i], r)...)
+	}
+	return out
 }
 
 // Frontier returns the maximal nodes whose total weight from the root
@@ -69,7 +121,6 @@ func WithRespectToTime(t *phylo.Tree, time float64, k int, r *rand.Rand) ([]*phy
 	if len(frontier) == 0 {
 		return nil, fmt.Errorf("%w: time %g", ErrEmptyResult, time)
 	}
-	// Collect leaves under each frontier node.
 	groups := make([][]*phylo.Node, len(frontier))
 	total := 0
 	for i, fn := range frontier {
@@ -79,72 +130,7 @@ func WithRespectToTime(t *phylo.Tree, time float64, k int, r *rand.Rand) ([]*phy
 	if total < k {
 		return nil, fmt.Errorf("%w: %d leaves past time %g < %d", ErrTooFew, total, time, k)
 	}
-	// Base quota per group plus a remainder distributed to random groups,
-	// then shift quota overflow to groups with spare capacity.
-	quota := make([]int, len(groups))
-	base := k / len(groups)
-	for i := range quota {
-		quota[i] = base
-	}
-	for _, i := range r.Perm(len(groups))[:k%len(groups)] {
-		quota[i]++
-	}
-	for {
-		excess := 0
-		for i := range quota {
-			if over := quota[i] - len(groups[i]); over > 0 {
-				quota[i] = len(groups[i])
-				excess += over
-			}
-		}
-		if excess == 0 {
-			break
-		}
-		spare := r.Perm(len(groups))
-		for _, i := range spare {
-			if excess == 0 {
-				break
-			}
-			if room := len(groups[i]) - quota[i]; room > 0 {
-				take := room
-				if take > excess {
-					take = excess
-				}
-				quota[i] += take
-				excess -= take
-			}
-		}
-	}
-	var out []*phylo.Node
-	for i, g := range groups {
-		if quota[i] == 0 {
-			continue
-		}
-		picked := append([]*phylo.Node(nil), g...)
-		for j := 0; j < quota[i]; j++ {
-			m := j + r.Intn(len(picked)-j)
-			picked[j], picked[m] = picked[m], picked[j]
-		}
-		out = append(out, picked[:quota[i]]...)
-	}
-	return out, nil
-}
-
-// ByClade samples k leaves uniformly from the clade rooted at node.
-func ByClade(node *phylo.Node, k int, r *rand.Rand) ([]*phylo.Node, error) {
-	if k < 1 {
-		return nil, ErrBadCount
-	}
-	leaves := subtreeLeaves(node)
-	if len(leaves) < k {
-		return nil, fmt.Errorf("%w: clade has %d leaves < %d", ErrTooFew, len(leaves), k)
-	}
-	picked := append([]*phylo.Node(nil), leaves...)
-	for i := 0; i < k; i++ {
-		j := i + r.Intn(len(picked)-i)
-		picked[i], picked[j] = picked[j], picked[i]
-	}
-	return picked[:k], nil
+	return Draw(groups, k, r), nil
 }
 
 // FromNames resolves an explicit user selection (the paper's "user input"

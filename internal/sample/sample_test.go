@@ -225,22 +225,6 @@ func TestTimeSamplingInvariantProperty(t *testing.T) {
 	}
 }
 
-func TestByClade(t *testing.T) {
-	tr := phylo.PaperFigure1()
-	y := tr.NodeByName("Lla").Parent
-	r := rand.New(rand.NewSource(5))
-	got, err := ByClade(y, 2, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(Names(got), []string{"Lla", "Spy"}) {
-		t.Fatalf("clade sample = %v", Names(got))
-	}
-	if _, err := ByClade(y, 3, r); err == nil {
-		t.Fatal("clade oversample succeeded")
-	}
-}
-
 func TestFromNames(t *testing.T) {
 	tr := phylo.PaperFigure1()
 	got, err := FromNames(tr, []string{"Bha", "Syn"})

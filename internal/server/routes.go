@@ -12,6 +12,7 @@ import (
 	"repro/internal/newick"
 	"repro/internal/obs"
 	"repro/internal/queryrepo"
+	"repro/internal/sample"
 	"repro/internal/species"
 	"repro/internal/storage"
 	"repro/internal/treestore"
@@ -336,6 +337,7 @@ func errStatus(err error) int {
 		// base (typically the primary).
 		return http.StatusConflict
 	case errors.Is(err, treestore.ErrBadName), errors.Is(err, treestore.ErrBadSample),
+		errors.Is(err, sample.ErrBadCount), errors.Is(err, sample.ErrTooFew), errors.Is(err, sample.ErrEmptyResult),
 		errors.Is(err, species.ErrBadKey), errors.Is(err, newick.ErrSyntax):
 		return http.StatusBadRequest
 	}

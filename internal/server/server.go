@@ -1275,17 +1275,13 @@ func (s *Server) handleMatch(q *req) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		rf, err := treecmp.RobinsonFoulds(projected, pattern)
-		if err != nil {
-			return nil, err
-		}
-		norm, err := treecmp.NormalizedRF(projected, pattern)
+		m, err := treecmp.Score(projected, pattern)
 		if err != nil {
 			return nil, err
 		}
 		s.recordAsync("match", map[string]any{"tree": name, "pattern": canonical},
-			fmt.Sprintf("RF=%d", rf))
-		return MatchResponse{Exact: rf == 0, RF: rf, NormRF: norm, Projected: newick.String(projected)}, nil
+			fmt.Sprintf("RF=%d", m.RF))
+		return MatchResponse{Exact: m.Exact, RF: m.RF, NormRF: m.Normalized, Projected: newick.String(projected)}, nil
 	})
 }
 
@@ -1319,16 +1315,8 @@ func (s *Server) handleBench(q *req) (any, error) {
 	if len(cfg.SampleSizes) == 0 {
 		cfg.SampleSizes = []int{10, 50, 100}
 	}
-	for _, a := range breq.Algorithms {
-		if a == "MP" || a == "mp" {
-			cfg.SeqAlgorithms = append(cfg.SeqAlgorithms, recon.Parsimony{Seed: breq.Seed})
-			continue
-		}
-		alg, err := recon.ByName(a)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		cfg.Algorithms = append(cfg.Algorithms, alg)
+	if cfg.Algorithms, cfg.SeqAlgorithms, err = recon.ByNames(breq.Algorithms, breq.Seed); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	if breq.Time != nil {
 		cfg.Method = benchmark.TimeConstrained

@@ -688,6 +688,40 @@ func TestBadSampleRequestsAre400(t *testing.T) {
 	})
 }
 
+// TestBadBenchRequestsAre400: a Benchmark Manager run the gold tree cannot
+// draw its samples for is the caller's mistake as well — a size below one or
+// above the leaf count, a time beyond the tree's height — and is answered 400
+// with the sampler's reason, as an unknown algorithm is; the read slot the
+// export took is released.
+func TestBadBenchRequestsAre400(t *testing.T) {
+	_, cl := startServer(t, crimson.ServerConfig{})
+	ctx := context.Background()
+	if _, err := cl.LoadTreeCtx(ctx, "gold", 0, yule(t, 64, 13)); err != nil {
+		t.Fatal(err)
+	}
+	beyond := 1e9
+	for _, tc := range []struct {
+		what string
+		req  client.BenchRequest
+		want string
+	}{
+		{"a size above the leaf count", client.BenchRequest{Sizes: []int{500}}, "fewer eligible leaves than requested"},
+		{"size 0", client.BenchRequest{Sizes: []int{0}}, "requested count must be >= 1"},
+		{"a time beyond the height", client.BenchRequest{Sizes: []int{4}, Time: &beyond}, "no nodes satisfy the time constraint"},
+		{"an unknown algorithm", client.BenchRequest{Sizes: []int{4}, Algorithms: []string{"ML"}}, `unknown algorithm "ML"`},
+	} {
+		tc.req.Replicates, tc.req.SeqLength, tc.req.Seed = 1, 60, 1
+		_, err := cl.BenchCtx(ctx, "gold", tc.req)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != 400 || !strings.Contains(apiErr.Message, tc.want) {
+			t.Errorf("%s: err = %v, want 400 saying %q", tc.what, err, tc.want)
+		}
+	}
+	waitStats(t, cl, "read slots released after the rejected runs", func(st client.Stats) bool {
+		return st.InFlightReads == 0 && st.OpenSnapshots == 0
+	})
+}
+
 // TestReloadNeverServesOldIncarnation: result-cache keys name one
 // incarnation of a tree, and a delete or reload only moves the tree's
 // version — nothing is dropped from the cache. Reloading a name with

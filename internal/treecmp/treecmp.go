@@ -10,6 +10,7 @@ package treecmp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,37 +53,44 @@ func Clades(t *phylo.Tree) map[string]bool {
 // their clade sets. Lower is more similar; 0 means identical topology
 // (ignoring edge lengths and child order).
 func RobinsonFoulds(a, b *phylo.Tree) (int, error) {
-	if !sameLeafSet(a, b) {
-		return 0, ErrLeafMismatch
-	}
-	ca, cb := Clades(a), Clades(b)
-	d := 0
-	for k := range ca {
-		if !cb[k] {
-			d++
-		}
-	}
-	for k := range cb {
-		if !ca[k] {
-			d++
-		}
-	}
-	return d, nil
+	d, _, err := symDiff(a, b, Clades)
+	return d, err
 }
 
 // NormalizedRF returns RF scaled into [0,1] by the maximum possible
 // distance (the total number of non-trivial clades in both trees). Two
 // identical topologies score 0; trees sharing no clades score 1.
 func NormalizedRF(a, b *phylo.Tree) (float64, error) {
-	d, err := RobinsonFoulds(a, b)
-	if err != nil {
-		return 0, err
+	d, total, err := symDiff(a, b, Clades)
+	return normalized(d, total), err
+}
+
+// symDiff is the size of the symmetric difference of the two trees' clade
+// or split sets, and the size of both sets together.
+func symDiff(a, b *phylo.Tree, sets func(*phylo.Tree) map[string]bool) (d, total int, err error) {
+	if !sameLeafSet(a, b) {
+		return 0, 0, ErrLeafMismatch
 	}
-	max := len(Clades(a)) + len(Clades(b))
-	if max == 0 {
-		return 0, nil
+	sa, sb := sets(a), sets(b)
+	for k := range sa {
+		if !sb[k] {
+			d++
+		}
 	}
-	return float64(d) / float64(max), nil
+	for k := range sb {
+		if !sa[k] {
+			d++
+		}
+	}
+	return d, len(sa) + len(sb), nil
+}
+
+// normalized scales a symmetric difference by the most it could be.
+func normalized(d, total int) float64 {
+	if total == 0 {
+		return 0
+	}
+	return float64(d) / float64(total)
 }
 
 func sameLeafSet(a, b *phylo.Tree) bool {
@@ -105,55 +113,28 @@ func sameLeafSet(a, b *phylo.Tree) bool {
 // Bipartitions returns the non-trivial bipartitions (splits) induced by
 // the internal edges of a tree, viewed as unrooted. Each split is encoded
 // canonically as the sorted leaf names of the side NOT containing the
-// lexicographically smallest leaf.
+// lexicographically smallest leaf. The edge above a clade splits it from the
+// rest of the leaves, so the splits are the clades with two or more leaves
+// outside them, seen from the side away from that leaf.
 func Bipartitions(t *phylo.Tree) map[string]bool {
 	all := t.LeafNames()
 	if len(all) < 4 {
 		return map[string]bool{}
 	}
-	ref := all[0]
-	for _, n := range all {
-		if n < ref {
-			ref = n
-		}
-	}
-	total := len(all)
+	ref := slices.Min(all)
 	out := make(map[string]bool)
-	var walk func(n *phylo.Node) []string
-	walk = func(n *phylo.Node) []string {
-		if n.IsLeaf() {
-			return []string{n.Name}
+	for c := range Clades(t) {
+		side := strings.Split(c, "\x00")
+		if len(all)-len(side) < 2 {
+			continue
 		}
-		var names []string
-		for _, c := range n.Children {
-			names = append(names, walk(c)...)
+		if slices.Contains(side, ref) {
+			side = complement(all, side)
+			sort.Strings(side)
 		}
-		// An internal edge above n splits names | rest. Skip trivial
-		// splits (|side| < 2) and the root's non-edge.
-		if n.Parent != nil && len(names) >= 2 && total-len(names) >= 2 {
-			side := names
-			if containsName(side, ref) {
-				side = complement(all, side)
-			}
-			sorted := append([]string(nil), side...)
-			sort.Strings(sorted)
-			out[strings.Join(sorted, "\x00")] = true
-		}
-		return names
-	}
-	if t.Root != nil {
-		walk(t.Root)
+		out[strings.Join(side, "\x00")] = true
 	}
 	return out
-}
-
-func containsName(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
 }
 
 func complement(all, side []string) []string {
@@ -174,35 +155,14 @@ func complement(all, side []string) []string {
 // split sets — the standard score for algorithms (like Neighbor-Joining)
 // whose output rooting is arbitrary.
 func RobinsonFouldsUnrooted(a, b *phylo.Tree) (int, error) {
-	if !sameLeafSet(a, b) {
-		return 0, ErrLeafMismatch
-	}
-	sa, sb := Bipartitions(a), Bipartitions(b)
-	d := 0
-	for k := range sa {
-		if !sb[k] {
-			d++
-		}
-	}
-	for k := range sb {
-		if !sa[k] {
-			d++
-		}
-	}
-	return d, nil
+	d, _, err := symDiff(a, b, Bipartitions)
+	return d, err
 }
 
 // NormalizedRFUnrooted scales the unrooted RF distance into [0,1].
 func NormalizedRFUnrooted(a, b *phylo.Tree) (float64, error) {
-	d, err := RobinsonFouldsUnrooted(a, b)
-	if err != nil {
-		return 0, err
-	}
-	max := len(Bipartitions(a)) + len(Bipartitions(b))
-	if max == 0 {
-		return 0, nil
-	}
-	return float64(d) / float64(max), nil
+	d, total, err := symDiff(a, b, Bipartitions)
+	return normalized(d, total), err
 }
 
 // MatchResult reports the outcome of a tree pattern match.
@@ -223,15 +183,18 @@ func PatternMatch(planner *project.Planner, pattern *phylo.Tree) (*MatchResult, 
 	if err != nil {
 		return nil, fmt.Errorf("treecmp: projecting pattern leaves: %w", err)
 	}
-	rf, err := RobinsonFoulds(projected, pattern)
+	return Score(projected, pattern)
+}
+
+// Score is the comparison half of the pattern match, for a projection made by
+// either query engine: the rooted RF distance between the projection and the
+// pattern, normalized, and whether it is zero.
+func Score(projected, pattern *phylo.Tree) (*MatchResult, error) {
+	rf, total, err := symDiff(projected, pattern, Clades)
 	if err != nil {
 		return nil, err
 	}
-	norm, err := NormalizedRF(projected, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &MatchResult{Exact: rf == 0, RF: rf, Normalized: norm, Projected: projected}, nil
+	return &MatchResult{Exact: rf == 0, RF: rf, Normalized: normalized(rf, total), Projected: projected}, nil
 }
 
 // TripletDistance counts resolved leaf triplets on which the two trees

@@ -307,7 +307,7 @@ func checkLCA(t *testing.T, gold *phylo.Tree, ix *core.Index, st *Tree, a, b int
 }
 
 // TestLCADifferentialNaive checks core.Index.LCA and the stored LCACtx
-// against phylo.LCA on every ordered pair of small trees of four shapes at
+// against phylo.LCA on every ordered pair of small trees of five shapes at
 // depth bounds that put subtree roots and source nodes everywhere (f=1
 // makes every interior node a subtree root) — so a == b, ancestor and
 // descendant pairs, the root, and pairs whose LCA is a subtree root or a
@@ -324,6 +324,9 @@ func TestLCADifferentialNaive(t *testing.T) {
 		{"balanced", func() (*phylo.Tree, error) { return treegen.Balanced(5, r) }},
 		{"yule", func() (*phylo.Tree, error) { return treegen.Yule(32, 1.0, r) }},
 		{"birth-death", func() (*phylo.Tree, error) { return treegen.BirthDeath(24, 1.0, 0.4, true, r) }},
+		// Unbounded fan-out: a parent drawn uniformly from the nodes so far.
+		// Its own source, so the rows above draw what they always drew.
+		{"random-attach", func() (*phylo.Tree, error) { return treegen.RandomAttach(160, rand.New(rand.NewSource(43))) }},
 	} {
 		name := shape.name
 		gold, err := shape.gen()
@@ -334,7 +337,7 @@ func TestLCADifferentialNaive(t *testing.T) {
 		if n > 200 {
 			t.Fatalf("%s: %d nodes, the all-pairs trees are meant to stay <= 200", name, n)
 		}
-		for _, f := range []int{1, 2, 3, 16} {
+		for _, f := range []int{1, 2, 3, 6, 16} {
 			t.Run(fmt.Sprintf("%s/f=%d", name, f), func(t *testing.T) {
 				ix, err := core.Build(gold, f)
 				if err != nil {

@@ -31,7 +31,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/phylo"
+	"repro/internal/project"
 	"repro/internal/relstore"
+	"repro/internal/sample"
 	"repro/internal/shard"
 )
 
@@ -1065,6 +1067,12 @@ func (t *Tree) lca(ctx context.Context, memo *cellMemo, a, b int) (int, error) {
 // layer reports for a side names the one subs row through which that side
 // enters the LCA's subtree: its source is the side's ancestor there and its
 // root the child on the path. No source chain is walked.
+//
+// It is core.Index's lcaAt over the request memo instead of slices, kept as a
+// second copy on purpose: making the in-memory walk generic over a cell
+// source cost it 1.75× (2.4× through a plain interface).
+// TestLCADifferentialNaive holds the two to phylo.LCA on one table of tree
+// shapes.
 func (t *Tree) lcaAt(ctx context.Context, memo *cellMemo, k, a, b int) (lca, childA, childB int, err error) {
 	ca, err := t.cell(ctx, memo, k, a)
 	if err != nil {
@@ -1293,11 +1301,7 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < k; i++ {
-			j := i + r.Intn(len(leaves)-i)
-			leaves[i], leaves[j] = leaves[j], leaves[i]
-		}
-		return t.fetchNodes(ctx, memo, leaves[:k])
+		return t.fetchNodes(ctx, memo, sample.Pick(leaves, k, r))
 	}
 	picked := make(map[int]bool, k)
 	out := make([]Node, 0, k)
@@ -1350,61 +1354,23 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 		return nil, fmt.Errorf("%w: no nodes beyond time %g", ErrBadSample, time)
 	}
 	leavesCtx, leavesSpan := obs.StartSpan(ctx, "collect_leaves")
-	var leaves []int // of every group, one after the other
+	// Every group is appended to one slice. A later append writes past a group
+	// or into a new array, so a group taken as the tail just read stays put.
+	var leaves []int
 	groups := make([][]int, len(frontier))
-	ends := make([]int, len(frontier))
 	for i, fn := range frontier {
+		start := len(leaves)
 		if leaves, err = t.leafIDs(leavesCtx, fn, leaves); err != nil {
 			leavesSpan.End()
 			return nil, err
 		}
-		ends[i] = len(leaves)
+		groups[i] = leaves[start:]
 	}
 	leavesSpan.End()
 	if len(leaves) < k {
 		return nil, fmt.Errorf("%w: only %d leaves beyond time %g < %d", ErrBadSample, len(leaves), time, k)
 	}
-	start := 0
-	for i, end := range ends {
-		groups[i], start = leaves[start:end], end
-	}
-	quota := make([]int, len(groups))
-	for i := range quota {
-		quota[i] = k / len(groups)
-	}
-	for _, i := range r.Perm(len(groups))[:k%len(groups)] {
-		quota[i]++
-	}
-	for {
-		excess := 0
-		for i := range quota {
-			if over := quota[i] - len(groups[i]); over > 0 {
-				quota[i] = len(groups[i])
-				excess += over
-			}
-		}
-		if excess == 0 {
-			break
-		}
-		for _, i := range r.Perm(len(groups)) {
-			if excess == 0 {
-				break
-			}
-			if room := len(groups[i]) - quota[i]; room > 0 {
-				take := min(room, excess)
-				quota[i] += take
-				excess -= take
-			}
-		}
-	}
-	picked := make([]int, 0, k)
-	for i, g := range groups {
-		for j := 0; j < quota[i]; j++ {
-			m := j + r.Intn(len(g)-j)
-			g[j], g[m] = g[m], g[j]
-		}
-		picked = append(picked, g[:quota[i]]...)
-	}
+	picked := sample.Draw(groups, k, r)
 	fetchCtx, fetchSpan := obs.StartSpan(ctx, "fetch_nodes")
 	defer fetchSpan.End()
 	return t.fetchNodes(fetchCtx, newCellMemo(t), picked)
@@ -1445,71 +1411,34 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	return t.project(ctx, memo, rows)
 }
 
-// project is ProjectCtx over rows already fetched through memo: distinct and
-// in preorder (id) order.
+// project is ProjectCtx over rows already fetched through memo, distinct and
+// in preorder (id) order: project.Build over the rows, with the LCA answered by the stored walk and its row read
+// through the same memo. A singleton projection walks nothing and opens no
+// lca_walk span.
 func (t *Tree) project(ctx context.Context, memo *cellMemo, rows []Node) (*phylo.Tree, error) {
-	if len(rows) == 1 {
-		tr := phylo.New(&phylo.Node{Name: rows[0].Name})
-		tr.Reindex()
-		return tr, nil
+	sel := make([]project.Vertex, len(rows))
+	for i, n := range rows {
+		sel[i] = vertexOf(n)
 	}
-	type entry struct {
-		row Node
-		nw  *phylo.Node
-	}
-	attach := func(parent, child *entry) {
-		child.nw.Length = child.row.Dist - parent.row.Dist
-		parent.nw.AddChild(child.nw)
+	if len(sel) == 1 {
+		return project.Build(sel, nil)
 	}
 	lcaCtx, lcaSpan := obs.StartSpan(ctx, "lca_walk")
 	defer lcaSpan.End()
 	// Consecutive pairs share long ancestor chains: the memo, which holds the
 	// leaves the rows were fetched from, answers the repeat chain reads in place.
-	stack := []*entry{{row: rows[0], nw: &phylo.Node{Name: rows[0].Name}}}
-	for _, x := range rows[1:] {
-		top := stack[len(stack)-1]
-		lid, err := t.lca(lcaCtx, memo, top.row.ID, x.ID)
+	return project.Build(sel, func(a, b project.Vertex) (project.Vertex, error) {
+		id, err := t.lca(lcaCtx, memo, a.ID, b.ID)
 		if err != nil {
-			return nil, err
+			return project.Vertex{}, err
 		}
-		lrow, err := t.nodeRow(lcaCtx, memo, lid)
-		if err != nil {
-			return nil, err
-		}
-		var last *entry
-		for len(stack) > 0 && stack[len(stack)-1].row.Depth > lrow.Depth {
-			e := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if last != nil {
-				attach(e, last)
-			}
-			last = e
-		}
-		if len(stack) > 0 && stack[len(stack)-1].row.ID == lid {
-			if last != nil {
-				attach(stack[len(stack)-1], last)
-			}
-		} else {
-			le := &entry{row: lrow, nw: &phylo.Node{Name: lrow.Name}}
-			if last != nil {
-				attach(le, last)
-			}
-			stack = append(stack, le)
-		}
-		stack = append(stack, &entry{row: x, nw: &phylo.Node{Name: x.Name}})
-	}
-	var last *entry
-	for len(stack) > 0 {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if last != nil {
-			attach(e, last)
-		}
-		last = e
-	}
-	tr := phylo.New(last.nw)
-	tr.Reindex()
-	return tr, nil
+		n, err := t.nodeRow(lcaCtx, memo, id)
+		return vertexOf(n), err
+	})
+}
+
+func vertexOf(n Node) project.Vertex {
+	return project.Vertex{ID: n.ID, Depth: n.Depth, Dist: n.Dist, Name: n.Name}
 }
 
 // ExportCtx rebuilds the complete in-memory tree from the stored relation

@@ -143,40 +143,6 @@ func TestStoredLCAMatchesPaper(t *testing.T) {
 	}
 }
 
-// TestStoredLCAMatchesCoreProperty cross-checks the storage-backed LCA
-// against the in-memory index on random trees.
-func TestStoredLCAMatchesCoreProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		gold, err := treegen.RandomAttach(120+r.Intn(80), r)
-		if err != nil {
-			return false
-		}
-		fanout := 1 + r.Intn(6)
-		ix, err := core.Build(gold, fanout)
-		if err != nil {
-			return false
-		}
-		s := OpenMem()
-		defer s.Close()
-		st := loadOpen(t, s, "t", gold, fanout)
-		for i := 0; i < 60; i++ {
-			a := r.Intn(gold.NumNodes())
-			b := r.Intn(gold.NumNodes())
-			want := ix.LCA(a, b)
-			got, err := st.LCACtx(context.Background(), a, b)
-			if err != nil || got != want {
-				t.Logf("seed %d: LCA(%d,%d) = %d,%v want %d", seed, a, b, got, err, want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFrontierMatchesInMemory(t *testing.T) {
 	_, tr := loadFigure1(t, 2)
 	front, err := tr.FrontierCtx(context.Background(), 1)

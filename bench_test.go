@@ -315,7 +315,7 @@ func BenchmarkLoadTree(b *testing.B) {
 }
 
 // BenchmarkBulkInsert contrasts Table.BulkInsert with the row-at-a-time
-// Insert path on an identical 20k-row relation (three secondary indexes,
+// Insert path on an identical 20k-row relation (two secondary indexes,
 // mirroring the nodes table schema shape).
 func BenchmarkBulkInsert(b *testing.B) {
 	schema := relstoreBenchSchema()
@@ -365,7 +365,6 @@ func relstoreBenchSchema() relstore.Schema {
 		Indexes: []relstore.Index{
 			{Name: "by_name", Columns: []string{"name"}},
 			{Name: "by_dist", Columns: []string{"dist"}},
-			{Name: "by_parent", Columns: []string{"parent"}},
 		},
 	}
 }

@@ -136,18 +136,6 @@ func (l Label) Key() []byte {
 	return out
 }
 
-// FromKey decodes a Key back into a Label.
-func FromKey(key []byte) (Label, error) {
-	if len(key)%4 != 0 {
-		return nil, fmt.Errorf("%w: key length %d", ErrBadLabel, len(key))
-	}
-	out := make(Label, len(key)/4)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(key[4*i:])
-	}
-	return out, nil
-}
-
 // Size returns the encoded size of the label in bytes. This is the storage
 // metric the paper argues grows without bound on deep trees.
 func (l Label) Size() int { return 4 * len(l) }

@@ -91,20 +91,6 @@ func TestKeyOrderMatchesCompare(t *testing.T) {
 	}
 }
 
-func TestKeyRoundTrip(t *testing.T) {
-	l := Label{2, 1, 1, 99999}
-	got, err := FromKey(l.Key())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Compare(l, got) != 0 {
-		t.Fatalf("FromKey = %v", got)
-	}
-	if _, err := FromKey([]byte{1, 2, 3}); err == nil {
-		t.Fatal("FromKey of odd length succeeded")
-	}
-}
-
 func TestChildParent(t *testing.T) {
 	l := Label{2, 1}
 	c := l.Child(3)

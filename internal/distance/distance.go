@@ -177,17 +177,3 @@ func build(aln *seqsim.Alignment, correct func(p, tsFrac float64) (float64, erro
 	}
 	return m, nil
 }
-
-// FromTree returns the additive (path-length) distance matrix of a tree —
-// the "true" distances, useful for testing reconstruction algorithms
-// without sequence noise.
-func FromTree(dist map[string]float64, lcaDist func(a, b string) float64, names []string) *Matrix {
-	m := New(names)
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			da, db := dist[names[i]], dist[names[j]]
-			m.Set(i, j, da+db-2*lcaDist(names[i], names[j]))
-		}
-	}
-	return m
-}

@@ -242,12 +242,17 @@ func (t *Tree) Validate() error {
 	}
 	seen := make(map[*Node]bool)
 	names := make(map[string]bool)
-	var walk func(n *Node) error
-	walk = func(n *Node) error {
+	// A second visit is checked before the parent pointer: a node under two
+	// parents, or under itself, is a DAG or a cycle, not just a bad pointer.
+	var walk func(n, parent *Node) error
+	walk = func(n, parent *Node) error {
 		if seen[n] {
 			return fmt.Errorf("phylo: node %q appears twice (cycle or DAG)", n.Name)
 		}
 		seen[n] = true
+		if n.Parent != parent {
+			return fmt.Errorf("phylo: child %q has wrong parent pointer", n.Name)
+		}
 		if n.Length < 0 {
 			return fmt.Errorf("phylo: node %q has negative edge length %g", n.Name, n.Length)
 		}
@@ -261,16 +266,13 @@ func (t *Tree) Validate() error {
 			names[n.Name] = true
 		}
 		for _, c := range n.Children {
-			if c.Parent != n {
-				return fmt.Errorf("phylo: child %q has wrong parent pointer", c.Name)
-			}
-			if err := walk(c); err != nil {
+			if err := walk(c, n); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return walk(t.Root)
+	return walk(t.Root, nil)
 }
 
 // SuppressUnary merges out-degree-1 interior nodes with their single child,

@@ -3,6 +3,7 @@ package phylo
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -135,6 +136,24 @@ func TestValidateCatchesProblems(t *testing.T) {
 	// Empty tree.
 	if err := (&Tree{}).Validate(); err == nil {
 		t.Fatal("empty tree passed Validate")
+	}
+	// A node reached twice: listed twice by one parent (Syn under the root),
+	// listed by a second parent after its own (Bha under Bsu too), or listed
+	// below itself (y under its child Lla). Each is an error, found at the
+	// walk's second visit: none hangs or recurses without end.
+	twice := PaperFigure1()
+	twice.Root.Children = append(twice.Root.Children, twice.NodeByName("Syn"))
+	dag := PaperFigure1()
+	bsu := dag.NodeByName("Bsu")
+	bsu.Children = append(bsu.Children, dag.NodeByName("Bha"))
+	cycle := PaperFigure1()
+	lla := cycle.NodeByName("Lla")
+	lla.Children = append(lla.Children, lla.Parent)
+	for name, tr := range map[string]*Tree{"listed twice": twice, "two parents": dag, "cycle": cycle} {
+		err := tr.Validate()
+		if err == nil || !strings.Contains(err.Error(), "appears twice") {
+			t.Errorf("%s: Validate = %v, want an appears-twice error", name, err)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func TestSortedRunMatchesByteOrder(t *testing.T) {
 }
 
 // nodesLikeSchema has the shape of the tree repository's node relation:
-// twelve columns, three secondary indexes, one of them on a string column
+// twelve columns, two secondary indexes, one of them on a string column
 // that is empty for half the rows.
 func nodesLikeSchema() Schema {
 	return Schema{
@@ -75,7 +75,6 @@ func nodesLikeSchema() Schema {
 		Indexes: []Index{
 			{Name: "by_name", Columns: []string{"name"}},
 			{Name: "by_dist", Columns: []string{"dist"}},
-			{Name: "by_parent", Columns: []string{"parent"}},
 		},
 	}
 }
@@ -224,7 +223,7 @@ func TestApplyBulkRefusesAnotherTablesStage(t *testing.T) {
 }
 
 // BenchmarkStageBulk stages the node relation of a 2k-leaf tree (3 999 rows,
-// twelve columns, three indexes): the prepare half of a load's bulk insert.
+// twelve columns, two indexes): the prepare half of a load's bulk insert.
 func BenchmarkStageBulk(b *testing.B) {
 	schema := nodesLikeSchema()
 	rows := nodesLikeRows(3999)

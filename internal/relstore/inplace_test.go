@@ -375,7 +375,7 @@ func TestScanRowsSurviveRewriteAndEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows := 0
-		if err := now.Scan(func(Row) (bool, error) { rows++; return true, nil }); err != nil || rows != indexScanRows {
+		if err := now.ScanCtx(context.Background(), func(Row) (bool, error) { rows++; return true, nil }); err != nil || rows != indexScanRows {
 			t.Fatalf("round %d: the rewritten table scans to %d rows, %v", round, rows, err)
 		}
 	}

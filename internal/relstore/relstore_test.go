@@ -393,7 +393,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	// Index must also have been persisted.
 	var got []int64
-	err = view.IndexScan("by_name", []Value{Str("sp0123")}, func(stored Row) (bool, error) {
+	err = view.IndexScanCtx(context.Background(), "by_name", []Value{Str("sp0123")}, func(stored Row) (bool, error) {
 		r := tup(t, stored)
 		got = append(got, r[0].Int64())
 		return true, nil
@@ -498,7 +498,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 		}
 		for v, want := range counts {
 			n := 0
-			view.IndexScan("by_v", []Value{Str(v)}, func(Row) (bool, error) { n++; return true, nil })
+			view.IndexScanCtx(context.Background(), "by_v", []Value{Str(v)}, func(Row) (bool, error) { n++; return true, nil })
 			if n != want {
 				return false
 			}

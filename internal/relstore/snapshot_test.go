@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -69,7 +70,7 @@ func TestSnapshotIsolatesFromMutations(t *testing.T) {
 	// The snapshot still sees all 200 rows, consistently, by every access
 	// path — and scan callbacks may re-enter the view (no lock to deadlock).
 	n := 0
-	err = view.Scan(func(stored Row) (bool, error) {
+	err = view.ScanCtx(context.Background(), func(stored Row) (bool, error) {
 		row := tup(t, stored)
 		id := row[0].Int64()
 		got, ok, err := view.Get(Int(id))
@@ -89,7 +90,7 @@ func TestSnapshotIsolatesFromMutations(t *testing.T) {
 		t.Fatalf("snapshot scan saw %d rows, want 200", n)
 	}
 	found := 0
-	err = view.IndexScan("by_name", []Value{Str("sp007")}, func(Row) (bool, error) {
+	err = view.IndexScanCtx(context.Background(), "by_name", []Value{Str("sp007")}, func(Row) (bool, error) {
 		found++
 		return true, nil
 	})

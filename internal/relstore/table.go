@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 
@@ -95,8 +96,8 @@ var (
 // by the encoded primary key holding encoded rows, plus one B+tree per
 // secondary index whose keys are (indexed columns..., primary key) and whose
 // values are the encoded primary key. Its trees are the working trees of the
-// open transaction, so every method — the mutations and the three reads a
-// writer decides by (Get, Scan, IndexScan) — holds the database mutex.
+// open transaction, so every method — the mutations and the reads a writer
+// decides by (Get, Scan, ScanRange, IndexScan) — holds the database mutex.
 // Everything else reads a Snap's TableView.
 type Table struct {
 	view TableView
@@ -120,9 +121,16 @@ func (t *Table) Get(key Value) (Row, bool, error) {
 // Scan visits all rows of the working state in primary key order. fn runs
 // under the database mutex: it collects, and calls nothing of the database.
 func (t *Table) Scan(fn func(Row) (bool, error)) error {
+	return t.ScanRange(Value{}, Value{}, fn)
+}
+
+// ScanRange visits the rows of the working state with primary key in
+// [lo, hi), either bound the zero Value for unbounded. fn runs under the
+// database mutex, as in Scan.
+func (t *Table) ScanRange(lo, hi Value, fn func(Row) (bool, error)) error {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	return t.view.Scan(fn)
+	return t.view.ScanRangeCtx(context.Background(), lo, hi, fn)
 }
 
 // IndexScan visits the rows of the working state whose indexed columns equal
@@ -130,7 +138,7 @@ func (t *Table) Scan(fn func(Row) (bool, error)) error {
 func (t *Table) IndexScan(index string, vals []Value, fn func(Row) (bool, error)) error {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	return t.view.IndexScan(index, vals, fn)
+	return t.view.IndexScanCtx(context.Background(), index, vals, fn)
 }
 
 // Insert adds a new row; it fails with ErrDuplicateKey if the primary key
@@ -155,7 +163,9 @@ func (t *Table) insertLocked(row Tuple) error {
 	return t.write(pk, row, nil)
 }
 
-// Put inserts or replaces the row with the same primary key.
+// Put inserts or replaces the row with the same primary key. The replaced
+// row is read only for the index entries it owns: without secondary
+// indexes, Put writes the primary tree alone.
 func (t *Table) Put(row Tuple) error {
 	if err := t.view.checkRow(row); err != nil {
 		return err
@@ -164,13 +174,13 @@ func (t *Table) Put(row Tuple) error {
 	defer t.db.mu.Unlock()
 	v := &t.view
 	pk := v.primaryKey(row)
-	oldEnc, ok, err := v.primary.Get(pk)
-	if err != nil {
-		return err
-	}
 	var old Tuple
-	if ok {
-		if old, err = decodeRow(oldEnc); err != nil {
+	if len(v.schema.Indexes) > 0 {
+		oldEnc, ok, err := v.primary.Get(pk)
+		if ok && err == nil {
+			old, err = decodeRow(oldEnc)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -226,21 +236,25 @@ func (t *Table) write(pk []byte, row, old Tuple) error {
 	return t.db.noteRootsLocked(t)
 }
 
-// Delete removes the row with the given primary key, reporting presence.
+// Delete removes the row with the given primary key, reporting presence. As
+// in Put, the row is read only on a table with secondary indexes.
 func (t *Table) Delete(key Value) (bool, error) {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
 	v := &t.view
-	stored, ok, err := v.Get(key)
-	if err != nil || !ok {
-		return false, err
+	var row Tuple
+	if len(v.schema.Indexes) > 0 {
+		stored, ok, err := v.Get(key)
+		if ok && err == nil {
+			row, err = stored.Tuple()
+		}
+		if err != nil || !ok {
+			return false, err
+		}
+	} else if keyType := v.schema.Columns[v.keyCol].Type; key.Type != keyType {
+		return false, fmt.Errorf("%w: key wants %s, got %s", ErrSchemaRow, keyType, key.Type)
 	}
-	row, err := stored.Tuple()
-	if err != nil {
-		return false, err
-	}
-	pk := v.primaryKey(row)
-	if _, err := v.primary.Delete(pk); err != nil {
+	if ok, err := v.primary.Delete(EncodeKey(key)); err != nil || !ok {
 		return false, err
 	}
 	for _, ix := range v.schema.Indexes {

@@ -155,13 +155,6 @@ func (v *TableView) ScanCtx(ctx context.Context, fn func(Row) (bool, error)) err
 	return v.ScanRangeCtx(ctx, Value{}, Value{}, fn)
 }
 
-// Scan visits all rows in primary key order. The callback returns false to
-// stop early. Equivalent to ScanCtx with a background context (the scan
-// cannot be cancelled).
-func (v *TableView) Scan(fn func(Row) (bool, error)) error {
-	return v.ScanCtx(context.Background(), fn)
-}
-
 // ScanRangeCtx visits rows with primary key in [lo, hi) under ctx; either
 // bound may be the zero Value meaning unbounded.
 func (v *TableView) ScanRangeCtx(ctx context.Context, lo, hi Value, fn func(Row) (bool, error)) error {
@@ -257,13 +250,6 @@ func (v *TableView) IndexScanCtx(ctx context.Context, index string, vals []Value
 	return v.indexRowScan(ctx, index, tree, prefix, func(key []byte) bool {
 		return bytes.HasPrefix(key, prefix)
 	}, fn)
-}
-
-// IndexScan visits rows whose indexed columns equal vals (a prefix of the
-// index columns may be given). Rows arrive in index order. Equivalent to
-// IndexScanCtx with a background context.
-func (v *TableView) IndexScan(index string, vals []Value, fn func(Row) (bool, error)) error {
-	return v.IndexScanCtx(context.Background(), index, vals, fn)
 }
 
 // IndexRangeCtx visits rows whose first indexed column lies in [lo, hi)

@@ -6,6 +6,7 @@
 package species
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -34,6 +35,9 @@ type Repo struct {
 	router *shard.Router
 }
 
+// initShard opens the shard's table, creating it where missing: one B+tree,
+// keyed tree/species/kind. Tables created with by_species and by_tree keep
+// them, kept consistent by the writer and read by nothing.
 func initShard(db *relstore.DB) (*relstore.Table, error) {
 	tab, err := db.Table(tableName)
 	if errors.Is(err, relstore.ErrNoTable) {
@@ -47,10 +51,6 @@ func initShard(db *relstore.DB) (*relstore.Table, error) {
 				{Name: "data", Type: relstore.TBytes},
 			},
 			Key: "key",
-			Indexes: []relstore.Index{
-				{Name: "by_species", Columns: []string{"tree", "species"}},
-				{Name: "by_tree", Columns: []string{"tree"}},
-			},
 		})
 	}
 	return tab, err
@@ -114,6 +114,13 @@ func (r *Repo) tabFor(tree string) (*relstore.Table, error) {
 
 func key(tree, sp, kind string) string { return tree + "/" + sp + "/" + kind }
 
+// prefix is the key range of the records under parts: '0' is the byte after
+// '/', which no part holds (validPart).
+func prefix(parts ...string) (lo, hi relstore.Value) {
+	p := strings.Join(parts, "/")
+	return relstore.Str(p + "/"), relstore.Str(p + "0")
+}
+
 func validPart(s string) error {
 	if s == "" {
 		return fmt.Errorf("%w: empty", ErrBadKey)
@@ -162,20 +169,20 @@ func getRecord(tab *relstore.TableView, tree, sp, kind string) ([]byte, error) {
 
 func listRecords(tab *relstore.TableView, tree, sp string) ([]Record, error) {
 	var out []Record
-	err := tab.IndexScan("by_species", []relstore.Value{relstore.Str(tree), relstore.Str(sp)},
-		func(row relstore.Row) (bool, error) {
-			vals, err := row.Tuple()
-			if err != nil {
-				return false, err
-			}
-			out = append(out, Record{
-				Tree:    vals[1].Text(),
-				Species: vals[2].Text(),
-				Kind:    vals[3].Text(),
-				Data:    vals[4].Bytes(),
-			})
-			return true, nil
+	lo, hi := prefix(tree, sp)
+	err := tab.ScanRangeCtx(context.Background(), lo, hi, func(row relstore.Row) (bool, error) {
+		vals, err := row.Tuple()
+		if err != nil {
+			return false, err
+		}
+		out = append(out, Record{
+			Tree:    vals[1].Text(),
+			Species: vals[2].Text(),
+			Kind:    vals[3].Text(),
+			Data:    vals[4].Bytes(),
 		})
+		return true, nil
+	})
 	return out, err
 }
 
@@ -257,7 +264,8 @@ func (r *Repo) DeleteTree(tree string) (int, error) {
 		return 0, err
 	}
 	var keys []string
-	err = tab.IndexScan("by_tree", []relstore.Value{relstore.Str(tree)}, func(row relstore.Row) (bool, error) {
+	lo, hi := prefix(tree)
+	err = tab.ScanRange(lo, hi, func(row relstore.Row) (bool, error) {
 		c := row.Cols()
 		keys = append(keys, string(c.Str()))
 		return true, c.Err()

@@ -3,6 +3,8 @@ package species
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/relstore"
@@ -176,6 +178,119 @@ func TestViewSeesCommittedRecordsOnly(t *testing.T) {
 	}
 	if recs, err := before.List("gold", "Bha"); err != nil || len(recs) != 0 {
 		t.Fatalf("old snapshot moved: List = %v, %v", recs, err)
+	}
+}
+
+// TestOldSpeciesSchemaStillWorks: a species_data table created before list
+// and delete-tree became primary-key ranges still carries the two secondary
+// indexes it was created with. It answers Get and List, and DeleteTree
+// removes what it removes on a table created now; and its writer keeps both
+// indexes consistent through puts, replacements and deletes (Check after
+// every commit).
+func TestOldSpeciesSchemaStillWorks(t *testing.T) {
+	oldDB := relstore.OpenMemDB()
+	defer oldDB.Close()
+	if _, err := oldDB.CreateTable(relstore.Schema{
+		Name: tableName,
+		Columns: []relstore.Column{
+			{Name: "key", Type: relstore.TString},
+			{Name: "tree", Type: relstore.TString},
+			{Name: "species", Type: relstore.TString},
+			{Name: "kind", Type: relstore.TString},
+			{Name: "data", Type: relstore.TBytes},
+		},
+		Key: "key",
+		Indexes: []relstore.Index{
+			{Name: "by_species", Columns: []string{"tree", "species"}},
+			{Name: "by_tree", Columns: []string{"tree"}},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	old, err := NewOnDB(oldDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repos := []*Repo{old, newRepo(t)}
+	trees, sps := []string{"gold", "gold2", "keep"}, []string{"Bh", "Bha", "Lla"}
+	// answers renders everything a reader can ask of the records below. A
+	// list must hold exactly the records Get finds: "Bh" and "gold" are
+	// prefixes of other names.
+	answers := func(r *Repo) string {
+		v := committed(t, r)
+		var b strings.Builder
+		for _, tree := range trees {
+			for _, sp := range sps {
+				recs, err := v.List(tree, sp)
+				fmt.Fprintf(&b, "%s/%s: %v %v\n", tree, sp, recs, err)
+				found := 0
+				for _, kind := range []string{"seq:a", "seq:b", "trait:x"} {
+					data, err := v.Get(tree, sp, kind)
+					fmt.Fprintf(&b, "  %s %q %v\n", kind, data, err != nil)
+					if err == nil {
+						found++
+					}
+				}
+				for _, rec := range recs {
+					if rec.Tree != tree || rec.Species != sp {
+						t.Fatalf("List(%s, %s) holds %s/%s", tree, sp, rec.Tree, rec.Species)
+					}
+				}
+				if len(recs) != found {
+					t.Fatalf("List(%s, %s) = %d records, Get finds %d", tree, sp, len(recs), found)
+				}
+			}
+		}
+		return b.String()
+	}
+	steps := []struct {
+		name string
+		do   func(r *Repo) (any, error)
+	}{
+		{"puts", func(r *Repo) (any, error) {
+			for i, tree := range trees {
+				for j, sp := range sps {
+					for k, kind := range []string{"seq:a", "seq:b", "trait:x"} {
+						if err := r.Put(tree, sp, kind, []byte{byte(i), byte(j), byte(k)}); err != nil {
+							return nil, err
+						}
+					}
+				}
+			}
+			return nil, nil
+		}},
+		{"replace", func(r *Repo) (any, error) { return nil, r.Put("gold", "Bha", "seq:b", []byte("new")) }},
+		{"delete", func(r *Repo) (any, error) { return r.Delete("gold2", "Lla", "trait:x") }},
+		{"delete absent", func(r *Repo) (any, error) { return r.Delete("gold2", "Lla", "trait:x") }},
+		{"delete tree", func(r *Repo) (any, error) { return r.DeleteTree("gold") }},
+		{"delete tree again", func(r *Repo) (any, error) { return r.DeleteTree("gold") }},
+	}
+	for _, step := range steps {
+		var got [2]string
+		for i, r := range repos {
+			res, err := step.do(r)
+			if err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+			got[i] = fmt.Sprint(res) + "\n" + answers(r) // commits
+			if err := r.dbs[0].Check(); err != nil {
+				t.Fatalf("%s: Check: %v", step.name, err)
+			}
+		}
+		if got[0] != got[1] {
+			t.Fatalf("%s: old schema answers\n%s\nnew schema answers\n%s", step.name, got[0], got[1])
+		}
+	}
+	for i, want := range []int{2, 0} {
+		sn := repos[i].dbs[0].Snapshot()
+		tab, err := sn.Table(tableName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(tab.Schema().Indexes); n != want {
+			t.Fatalf("repository %d: species_data has %d secondary indexes, want %d", i, n, want)
+		}
+		sn.Close()
 	}
 }
 

@@ -250,36 +250,51 @@ func queriesByteIdentical(t *testing.T, gold *phylo.Tree, f int, digest string) 
 	s.dbs[0].Store().SetReadCacheBytes(0) // leave the store as found
 }
 
-// TestChildrenCtxOrdinalOrder pins the by_parent scan contract the sort
-// removal relies on: children come back in ordinal order directly from the
-// index scan.
+// TestChildrenCtxOrdinalOrder pins the preorder children walk — id+1, then
+// each next sibling at child.ID + child.Size, up to id + Size — on a Yule
+// tree, a star (one node with 500 children), a caterpillar and a single
+// leaf: every node's children are the in-memory tree's, in ordinal order,
+// each naming its parent, and an id outside the tree (-1, n) has none and is
+// no error.
 func TestChildrenCtxOrdinalOrder(t *testing.T) {
-	gold, err := treegen.Yule(300, 1.0, rand.New(rand.NewSource(31)))
+	yule, err := treegen.Yule(300, 1.0, rand.New(rand.NewSource(31)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := OpenMem()
-	defer s.Close()
-	st := loadOpen(t, s, "t", gold, 3)
-	ctx := context.Background()
-	total := 0
-	for id := 0; id < gold.NumNodes(); id++ {
-		kids, err := st.ChildrenCtx(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, kid := range kids {
-			if kid.Ord != i+1 {
-				t.Fatalf("node %d child %d has ordinal %d, want %d", id, i, kid.Ord, i+1)
-			}
-			if kid.Parent != id {
-				t.Fatalf("node %d child %d reports parent %d", id, i, kid.Parent)
-			}
-		}
-		total += len(kids)
+	caterpillar, err := treegen.Caterpillar(300, rand.New(rand.NewSource(32)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total != gold.NumNodes()-1 {
-		t.Fatalf("children total %d, want %d", total, gold.NumNodes()-1)
+	hub := &phylo.Node{}
+	for i := 0; i < 500; i++ {
+		hub.AddChild(&phylo.Node{Name: fmt.Sprintf("s%03d", i), Length: 1})
+	}
+	star, single := phylo.New(hub), phylo.New(&phylo.Node{Name: "solo"})
+	star.Reindex()
+	single.Reindex()
+	for name, gold := range map[string]*phylo.Tree{"yule": yule, "star": star, "caterpillar": caterpillar, "single": single} {
+		t.Run(name, func(t *testing.T) {
+			st := loadTree(t, gold, 3)
+			nodes := gold.Nodes()
+			for id := -1; id <= len(nodes); id++ {
+				kids, err := st.ChildrenCtx(context.Background(), id)
+				if err != nil {
+					t.Fatalf("node %d: %v", id, err)
+				}
+				var want []*phylo.Node
+				if id >= 0 && id < len(nodes) {
+					want = nodes[id].Children
+				}
+				if len(kids) != len(want) {
+					t.Fatalf("node %d: %d children, want %d", id, len(kids), len(want))
+				}
+				for i, kid := range kids {
+					if kid.ID != want[i].ID || kid.Ord != i+1 || kid.Parent != id {
+						t.Fatalf("node %d child %d: id %d ord %d parent %d, want id %d ord %d", id, i, kid.ID, kid.Ord, kid.Parent, want[i].ID, i+1)
+					}
+				}
+			}
+		})
 	}
 }
 

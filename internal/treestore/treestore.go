@@ -8,9 +8,10 @@
 //
 // Layout per tree T:
 //
-//	nodes_T   — one row per node: structure, hierarchical-label fields,
-//	            depth, root distance (evolutionary time), subtree size;
-//	            indexed by name, by root distance, and by parent.
+//	nodes_T   — one row per node, keyed by preorder id: structure,
+//	            hierarchical-label fields, depth, root distance
+//	            (evolutionary time), subtree size; indexed by name and by
+//	            root distance.
 //	layer_T_k — layer k >= 1 of the decomposition (one row per subtree of
 //	            layer k-1).
 //	subs_T_k  — per-subtree root and source node for every layer.
@@ -318,7 +319,6 @@ func nodesSchema(tree string) relstore.Schema {
 		Indexes: []relstore.Index{
 			{Name: "by_name", Columns: []string{"name"}},
 			{Name: "by_dist", Columns: []string{"dist"}},
-			{Name: "by_parent", Columns: []string{"parent"}},
 		},
 	}
 }
@@ -900,16 +900,29 @@ func (t *Tree) nodesByName(ctx context.Context, memo *cellMemo, names []string) 
 	return out, nil
 }
 
-// ChildrenCtx lists a node's children in ordinal order under ctx. The
-// by_parent index is keyed (parent, id) and ids are preorder, so siblings
-// arrive from the scan already in ordinal order — ordinals are assigned in
-// child order and a preorder numbering visits children in that order — and
-// no post-hoc sort is needed.
+// ChildrenCtx lists a node's children in ordinal order under ctx, walking
+// preorder ids through one request memo: the first child is id+1, the next
+// sibling starts where a child's subtree ends (child.ID + child.Size), and
+// the walk stops at id + Size. An id the tree does not have has no children.
 func (t *Tree) ChildrenCtx(ctx context.Context, id int) ([]Node, error) {
-	var out []Node
-	err := t.nodes.IndexScanCtx(ctx, "by_parent", []relstore.Value{relstore.Int(int64(id))}, appendNodes(&out))
+	memo := newCellMemo(t)
+	n, err := t.nodeRow(ctx, memo, id)
+	if errors.Is(err, ErrNoNode) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
+	}
+	var out []Node
+	for c := id + 1; c < id+n.Size; c += out[len(out)-1].Size {
+		kid, err := t.nodeRow(ctx, memo, c)
+		if err != nil {
+			return nil, err
+		}
+		if kid.Size < 1 {
+			return nil, fmt.Errorf("treestore: node %d has subtree size %d", c, kid.Size)
+		}
+		out = append(out, kid)
 	}
 	return out, nil
 }
@@ -1145,13 +1158,6 @@ func (t *Tree) lcaLocal(ctx context.Context, memo *cellMemo, k, a, pa int, ca la
 		}
 	}
 	return a, pa, pb, nil
-}
-
-// IsAncestorCtx reports whether a is a (non-strict) ancestor of b via the
-// LCA identity, under ctx.
-func (t *Tree) IsAncestorCtx(ctx context.Context, a, b int) (bool, error) {
-	l, err := t.LCACtx(ctx, a, b)
-	return l == a, err
 }
 
 // idSet is a set of node ids of one tree, a bit each; add wants an id in it.

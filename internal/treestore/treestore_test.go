@@ -133,14 +133,6 @@ func TestStoredLCAMatchesPaper(t *testing.T) {
 	if lrow.Leaf || lrow.Depth != 2 {
 		t.Fatalf("LCA(Lla, Spy) = %+v, want y at depth 2", lrow)
 	}
-	ok, err := tr.IsAncestorCtx(context.Background(), 0, lla.ID)
-	if err != nil || !ok {
-		t.Fatalf("IsAncestor(root, Lla) = %v, %v", ok, err)
-	}
-	ok, err = tr.IsAncestorCtx(context.Background(), lla.ID, 0)
-	if err != nil || ok {
-		t.Fatalf("IsAncestor(Lla, root) = %v, %v", ok, err)
-	}
 }
 
 func TestFrontierMatchesInMemory(t *testing.T) {

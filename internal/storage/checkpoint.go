@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -48,29 +49,48 @@ type wbEntry struct {
 // writeback is the table of committed-but-not-yet-checkpointed page images.
 // Reads consult `live` first (newest images), then `flushing` (the capture a
 // checkpoint is currently writing), then fall through to the page file.
+//
+// live keeps, per page and oldest first, the newest WAL-durable image and
+// the prepared images above it. A prepared image must not replace the
+// durable one: the checkpoint writes the durable image back before the WAL
+// batch holding it is dropped, and the prepared batch is not in the WAL yet.
 type writeback struct {
 	mu        sync.Mutex
-	live      map[PageID]wbEntry
+	live      map[PageID][]wbEntry
 	flushing  map[PageID]wbEntry
 	durable   uint64 // highest epoch whose WAL batch has fsynced
-	liveBytes int64
+	liveBytes int64  // PageSize per page in live, however many images it holds
 	flushBy   int64
 }
 
 func newWriteback() *writeback {
-	return &writeback{live: make(map[PageID]wbEntry)}
+	return &writeback{live: make(map[PageID][]wbEntry)}
 }
 
-// insert records the images of one prepared commit. Called under Store.mu.
+// insert records the images of one prepared commit. Called under Store.mu,
+// so images arrive in epoch order. Durable images older than the newest
+// durable one are pruned here: a chain grows only by commits in flight.
 func (wb *writeback) insert(epoch uint64, pages []DirtyPage) {
 	wb.mu.Lock()
 	for _, p := range pages {
-		if _, ok := wb.live[p.ID]; !ok {
+		chain := wb.live[p.ID]
+		if len(chain) == 0 {
 			wb.liveBytes += PageSize
+		} else if n := wb.durableLen(chain); n > 1 {
+			chain = slices.Delete(chain, 0, n-1)
 		}
-		wb.live[p.ID] = wbEntry{epoch: epoch, data: p.Data}
+		wb.live[p.ID] = append(chain, wbEntry{epoch: epoch, data: p.Data})
 	}
 	wb.mu.Unlock()
+}
+
+// durableLen reports how many images of chain, a prefix, are WAL-durable.
+func (wb *writeback) durableLen(chain []wbEntry) int {
+	n := 0
+	for n < len(chain) && chain[n].epoch <= wb.durable {
+		n++
+	}
+	return n
 }
 
 // setDurable marks every image at or below epoch as WAL-durable (callable
@@ -88,8 +108,8 @@ func (wb *writeback) setDurable(epoch uint64) {
 func (wb *writeback) read(id PageID, dst []byte) bool {
 	wb.mu.Lock()
 	defer wb.mu.Unlock()
-	if e, ok := wb.live[id]; ok {
-		copy(dst[:PageSize], e.data)
+	if chain := wb.live[id]; len(chain) > 0 {
+		copy(dst[:PageSize], chain[len(chain)-1].data)
 		return true
 	}
 	if e, ok := wb.flushing[id]; ok {
@@ -99,10 +119,10 @@ func (wb *writeback) read(id PageID, dst []byte) bool {
 	return false
 }
 
-// capture moves every WAL-durable live image into the flushing set and
-// returns them sorted by page id. Images of not-yet-fsynced epochs stay
-// live for a later pass. Callers serialize via the checkpointer mutex, so
-// flushing is empty on entry.
+// capture moves the newest WAL-durable image of every live page into the
+// flushing set and returns them sorted by page id. Images of
+// not-yet-fsynced epochs stay live for a later pass. Callers serialize via
+// the checkpointer mutex, so flushing is empty on entry.
 func (wb *writeback) capture() []DirtyPage {
 	wb.mu.Lock()
 	defer wb.mu.Unlock()
@@ -113,13 +133,19 @@ func (wb *writeback) capture() []DirtyPage {
 		wb.flushing = make(map[PageID]wbEntry)
 	}
 	out := make([]DirtyPage, 0, len(wb.live))
-	for id, e := range wb.live {
-		if e.epoch > wb.durable {
+	for id, chain := range wb.live {
+		n := wb.durableLen(chain)
+		if n == 0 {
 			continue
 		}
+		e := chain[n-1]
+		if chain = slices.Delete(chain, 0, n); len(chain) == 0 {
+			delete(wb.live, id)
+			wb.liveBytes -= PageSize
+		} else {
+			wb.live[id] = chain
+		}
 		wb.flushing[id] = e
-		delete(wb.live, id)
-		wb.liveBytes -= PageSize
 		wb.flushBy += PageSize
 		out = append(out, DirtyPage{ID: id, Data: e.data})
 	}
@@ -136,15 +162,17 @@ func (wb *writeback) finish() {
 	wb.mu.Unlock()
 }
 
-// fail returns the flushing set to live after a writeback error, except
-// where a newer live image has superseded it.
+// fail returns the flushing set to live after a writeback error, each image
+// under the newer ones its page gained meanwhile (a prepared image above it
+// is not in the WAL yet, so it cannot stand in for this one).
 func (wb *writeback) fail() {
 	wb.mu.Lock()
 	for id, e := range wb.flushing {
-		if _, ok := wb.live[id]; !ok {
-			wb.live[id] = e
+		chain := wb.live[id]
+		if len(chain) == 0 {
 			wb.liveBytes += PageSize
 		}
+		wb.live[id] = append([]wbEntry{e}, chain...)
 	}
 	wb.flushing = nil
 	wb.flushBy = 0

@@ -165,3 +165,39 @@ func TestCrashMatrixAfterCheckpointBeforeTruncate(t *testing.T) {
 	// Crash here: WAL still holds every batch the checkpoint just wrote.
 	verifyRecovered(t, crashSnapshot(t, path), epoch, want)
 }
+
+// TestCrashMatrixCheckpointDuringPreparedCommit checkpoints while a commit
+// that rewrites the same pages is prepared but not yet in the WAL — what
+// crimsond does whenever one request commits two shards and waits on them
+// in turn. The prepared images must not hide the durable ones beneath them
+// from the checkpoint: the checkpoint drops the log, so the page file must
+// then hold every acknowledged commit.
+//
+// Schedule: 3 commits with checkpoints off; CommitAsync a 4th on the same
+// tree without Wait; Checkpoint; crash-copy; reopen. Before the writeback
+// table kept the durable image under the prepared one, this recovered
+// epoch 0 with 3 acknowledged.
+func TestCrashMatrixCheckpointDuringPreparedCommit(t *testing.T) {
+	s, path := openTempStore(t)
+	s.SetCheckpointPolicy(1<<40, time.Hour)
+	want := crashWorkload(t, s, 3)
+	epoch := s.MVCC().Epoch
+
+	tree := OpenBTree(s, s.Root(0))
+	if err := tree.Put([]byte("c00-k00"), []byte("prepared")); err != nil {
+		t.Fatal(err)
+	}
+	s.SetRoot(0, tree.Root())
+	w := s.CommitAsync()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	verifyRecovered(t, crashSnapshot(t, path), epoch, want)
+
+	// The prepared commit still lands, and a crash after it recovers it.
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want["c00-k00"] = "prepared"
+	verifyRecovered(t, crashSnapshot(t, path), w.Epoch(), want)
+}

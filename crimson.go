@@ -530,7 +530,7 @@ func (r *Repository) CommitAsync() *CommitWaiter {
 }
 
 // Checkpoint synchronously flushes every shard's committed pages to its
-// page file and truncates the WALs (a no-op for in-memory repositories).
+// page file and resets the WALs (a no-op for in-memory repositories).
 func (r *Repository) Checkpoint() error {
 	var errs []error
 	for i, db := range r.dbs {

@@ -400,7 +400,7 @@ func (db *DB) CommitAsync() *CommitWaiter {
 }
 
 // Checkpoint synchronously flushes committed pages to the page file and
-// truncates the WAL (a no-op for in-memory databases). Used by fsck-style
+// resets the WAL (a no-op for in-memory databases). Used by fsck-style
 // verification and crash tests that copy the page file directly.
 func (db *DB) Checkpoint() error {
 	return db.store.Checkpoint()

@@ -101,7 +101,7 @@ func (p *Publisher) onCommit(b storage.ReplBatch) {
 }
 
 // register adds a subscriber cursor and immediately pins the WAL retain
-// floor at it, before any catch-up source is consulted — so a truncation
+// floor at it, before any catch-up source is consulted — so a WAL reset
 // can never race away batches the new subscriber was about to read.
 func (p *Publisher) register(from uint64) *subscriber {
 	sub := &subscriber{next: from, ch: make(chan struct{}, 1)}

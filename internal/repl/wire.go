@@ -23,7 +23,7 @@
 //
 // Catch-up picks the cheapest source that can reach the subscriber's
 // next epoch: the publisher's in-memory ring of recent batches, else a
-// scan of the primary's WAL (whose truncation the subscriber's retain
+// scan of the primary's WAL (whose reset the subscriber's retain
 // floor holds back), else a full page-file snapshot.
 package repl
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -12,7 +13,7 @@ import (
 // This file implements async checkpointing: committed page images accumulate
 // in an in-memory writeback table once their WAL fsync lands, and a
 // background checkpointer writes them to the page file in large sorted,
-// coalesced batches — only then truncating the WAL. The WAL remains the
+// coalesced batches — only then resetting the WAL. The WAL remains the
 // durability boundary; the page file is allowed to lag arbitrarily far
 // behind it, because recovery replays the WAL tail exactly as before (now
 // just a longer tail).
@@ -24,10 +25,12 @@ import (
 //   - Only images whose WAL batch has fsynced (epoch ≤ durable) are ever
 //     written to the page file: a torn page-file write is then always
 //     repairable by WAL replay. The durable mark advances under the WAL
-//     mutex, so it is ordered against Size() samples.
-//   - The WAL is truncated only if its size is unchanged since it was
-//     sampled before the capture (WAL.TruncateIf), so truncation can never
-//     discard a batch the checkpoint did not write back.
+//     mutex before the WAL's size does, so it is ordered against Size()
+//     samples.
+//   - The WAL is reset only once the page file holds every batch in it:
+//     batches appended after the pass sampled the size are written back
+//     under the WAL mutex first (WAL.ResetIf's catch-up), so a reset can
+//     never discard a batch the checkpoint did not write back.
 
 // Default checkpoint policy: flush when the writeback backlog reaches
 // DefaultCheckpointBytes, or every DefaultCheckpointInterval otherwise.
@@ -36,7 +39,9 @@ const (
 	DefaultCheckpointInterval = time.Second
 
 	// backpressureFactor times the byte threshold is the hard backlog cap:
-	// a committer whose Wait observes more runs a synchronous checkpoint.
+	// a committer whose Wait observes more runs a synchronous checkpoint,
+	// and so does one that sees the WAL grown by as much since the last
+	// pass.
 	backpressureFactor = 4
 )
 
@@ -211,6 +216,7 @@ type checkpointer struct {
 	stop    chan struct{}
 	done    chan struct{}
 	started bool
+	walMark atomic.Int64 // WAL size at the end of the last pass
 }
 
 // SetCheckpointPolicy adjusts the byte threshold and the age interval of
@@ -276,15 +282,18 @@ func (s *Store) checkpointLoop() {
 
 // maybeCheckpoint applies the checkpoint policy after a commit: kick the
 // background flusher once the backlog crosses the byte threshold, and run a
-// synchronous pass (backpressure) once it crosses the hard cap. Returns the
-// time spent in a synchronous pass, if any.
+// synchronous pass (backpressure) once the backlog crosses the hard cap or
+// the WAL has grown by as much since the last pass — rewrites of the same
+// pages grow the log, not the backlog. Growth is counted from the last
+// pass, not from zero, so a log a retain floor keeps does not force a pass
+// per commit. Returns the time spent in a synchronous pass, if any.
 func (s *Store) maybeCheckpoint() time.Duration {
 	if s.wb == nil {
 		return 0
 	}
 	backlog := s.wb.backlog()
 	thresh := s.checkpointThreshold()
-	if backlog >= backpressureFactor*thresh {
+	if backlog >= backpressureFactor*thresh || s.wal.Size()-s.ckpt.walMark.Load() >= backpressureFactor*thresh {
 		start := time.Now()
 		s.runCheckpoint()
 		return time.Since(start)
@@ -299,8 +308,8 @@ func (s *Store) maybeCheckpoint() time.Duration {
 }
 
 // Checkpoint synchronously writes every WAL-durable pending image to the
-// page file and truncates the WAL if no commit landed meanwhile. A no-op on
-// in-memory stores.
+// page file and resets the WAL, unless a replication retain floor keeps it.
+// A no-op on in-memory stores.
 func (s *Store) Checkpoint() error {
 	if s.wb == nil {
 		return nil
@@ -326,34 +335,49 @@ func (s *Store) WALSize() int64 {
 	return s.wal.Size()
 }
 
-// runCheckpoint performs one checkpoint pass: sample the WAL size, capture
-// the WAL-durable writeback images, write them to the page file sorted and
-// coalesced, sync, and truncate the WAL iff nothing was appended since the
-// sample. Passes are serialized; concurrent callers stack up harmlessly.
+// runCheckpoint performs one checkpoint pass: sample the WAL size, write the
+// WAL-durable writeback images back, then reset the WAL — after writing
+// back, under the WAL mutex, whatever was committed since the sample.
+// Passes are serialized; concurrent callers stack up harmlessly.
 func (s *Store) runCheckpoint() error {
 	s.ckpt.mu.Lock()
 	defer s.ckpt.mu.Unlock()
 	walSize := s.wal.Size()
+	n, err := s.writeBack()
+	if err == nil {
+		var caught int64
+		_, err = s.wal.ResetIf(walSize, func() (err error) {
+			caught, err = s.writeBack()
+			return err
+		})
+		n += caught
+	}
+	if n > 0 {
+		obs.Engine.Add(obs.CtrCheckpointRuns, 1)
+	}
+	s.ckpt.walMark.Store(s.wal.Size())
+	return err
+}
+
+// writeBack writes every WAL-durable pending image to the page file, sorted
+// and coalesced, syncs it, and reports how many pages it wrote.
+func (s *Store) writeBack() (int64, error) {
 	pages := s.wb.capture()
 	if len(pages) == 0 {
-		return nil
+		return 0, nil
 	}
 	if err := s.pager.WritePages(pages); err != nil {
 		s.wb.fail()
-		return err
+		return 0, err
 	}
 	if err := s.pager.Sync(); err != nil {
 		s.wb.fail()
-		return err
+		return 0, err
 	}
 	s.wb.finish()
 	n := int64(len(pages))
-	obs.Engine.Add(obs.CtrCheckpointRuns, 1)
 	obs.Engine.Add(obs.CtrCheckpointPages, n)
 	obs.Engine.Add(obs.CtrCheckpointBytes, n*PageSize)
 	obs.Engine.Add(obs.CtrPagesWritten, n)
-	if _, err := s.wal.TruncateIf(walSize); err != nil {
-		return err
-	}
-	return nil
+	return n, nil
 }

@@ -3,7 +3,11 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -136,6 +140,128 @@ func TestCheckpointBackpressure(t *testing.T) {
 	}
 	if got := s.CheckpointBacklog(); got > backpressureFactor*PageSize {
 		t.Fatalf("backlog %d above the hard cap after backpressure", got)
+	}
+}
+
+// TestWALBoundedUnderSustainedCommits runs two committers flat out — the
+// writer mutex held for the mutation and the prepare, the wait outside it,
+// as crimsond does — while the background checkpointer works at a 64 KiB
+// threshold. A pass resets the log even when commits land during it, and
+// the log growing by 4 × the threshold since the last pass kicks one, so
+// the log never holds more than that plus the batch that crossed it.
+func TestWALBoundedUnderSustainedCommits(t *testing.T) {
+	s, _ := openTempStore(t)
+	const thresh = 64 << 10
+	s.SetCheckpointPolicy(thresh, 0)
+	var largestCommit atomic.Int64 // bytes one commit appends to the log
+	s.SetCommitHook(func(b ReplBatch) {
+		n := int64(len(b.Pages)*walPageFrame + 12)
+		for cur := largestCommit.Load(); n > cur && !largestCommit.CompareAndSwap(cur, n); cur = largestCommit.Load() {
+		}
+	})
+
+	var (
+		writer  sync.Mutex
+		largest atomic.Int64 // largest WALSize observed
+		wg      sync.WaitGroup
+		errs    = make(chan error, 2)
+	)
+	observe := func() {
+		n := s.WALSize()
+		for cur := largest.Load(); n > cur && !largest.CompareAndSwap(cur, n); cur = largest.Load() {
+		}
+	}
+	for slot := 1; slot <= 2; slot++ {
+		writer.Lock()
+		tree, err := NewBTree(s)
+		if err == nil {
+			s.SetRoot(slot, tree.Root())
+			err = s.Commit()
+		}
+		writer.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := 0; c < 200; c++ {
+				writer.Lock()
+				for i := 0; i < 4; i++ {
+					k := fmt.Sprintf("c%03d-k%d", c, i)
+					if err := tree.Put([]byte(k), bytes.Repeat([]byte{byte(c)}, 200)); err != nil {
+						writer.Unlock()
+						errs <- err
+						return
+					}
+				}
+				s.SetRoot(slot, tree.Root())
+				w := s.CommitAsync()
+				writer.Unlock()
+				if err := w.Wait(); err != nil {
+					errs <- err
+					return
+				}
+				observe()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// A group batch holds at most one commit per committer.
+	bound := backpressureFactor*thresh + 2*largestCommit.Load()
+	if got := largest.Load(); got > bound {
+		t.Fatalf("WAL reached %d B under sustained commits, bound %d B (4 × %d B + the largest batch)", got, bound, thresh)
+	}
+	t.Logf("largest WAL %d B, bound %d B", largest.Load(), bound)
+}
+
+// TestWALResetKeepsBlocks checkpoints the same commit pattern 20 times: each
+// reset leaves the log empty, and after the first cycle the file neither
+// shrinks nor gives back blocks — a reset rewrites the header, it does not
+// free the log.
+func TestWALResetKeepsBlocks(t *testing.T) {
+	s, path := openTempStore(t)
+	s.SetCheckpointPolicy(1<<40, time.Hour)
+	tree, err := NewBTree(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size, blocks int64
+	for cycle := 0; cycle < 20; cycle++ {
+		for c := 0; c < 4; c++ {
+			if err := tree.Put([]byte(fmt.Sprintf("k%d", c)), bytes.Repeat([]byte{byte(cycle)}, 512)); err != nil {
+				t.Fatal(err)
+			}
+			s.SetRoot(0, tree.Root())
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.WALSize(); got != 0 {
+			t.Fatalf("cycle %d: WALSize %d after the checkpoint, want 0", cycle, got)
+		}
+		fi, err := os.Stat(path + ".wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, ok := fi.Sys().(*syscall.Stat_t)
+		if !ok {
+			t.Skip("no block count on this platform")
+		}
+		if cycle > 0 && (fi.Size() < size || st.Blocks < blocks) {
+			t.Fatalf("cycle %d: WAL file went from %d B / %d blocks to %d B / %d blocks", cycle, size, blocks, fi.Size(), st.Blocks)
+		}
+		size, blocks = fi.Size(), st.Blocks
+	}
+	if size <= walHeaderSize {
+		t.Fatalf("WAL file is %d B after 20 cycles: the log was freed, not recycled", size)
 	}
 }
 

@@ -109,9 +109,10 @@ func (s *Store) flushBatch(batch []*commitReq) error {
 	}
 	last := batch[len(batch)-1]
 	start := time.Now()
-	// The durability mark runs under the WAL mutex: once any later Size()
-	// sample can observe these bytes, the checkpointer can also see that
-	// their epochs are durable (so it never truncates an image it skipped).
+	// The durability mark runs under the WAL mutex, before the size grows: once
+	// a Size() sample can observe these bytes, the checkpointer can also see
+	// that their epochs are durable (so it never resets past an image it
+	// skipped).
 	err := s.wal.AppendGroup(batches, batch[0].epoch, last.epoch, func() { s.wb.setDurable(last.epoch) })
 	walDur := time.Since(start)
 	if err != nil {

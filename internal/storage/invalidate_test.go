@@ -83,7 +83,7 @@ func TestWALRetainCapOverridesFloor(t *testing.T) {
 	s.SetWALRetainFloor(first)
 
 	// Under the default (large) cap the floor wins.
-	if ok, err := s.wal.TruncateIf(s.wal.Size()); err != nil || ok {
+	if ok, err := s.wal.ResetIf(s.wal.Size(), nil); err != nil || ok {
 		t.Fatalf("truncate under cap: ok=%v err=%v, want refused", ok, err)
 	}
 	if s.WALSize() == 0 {
@@ -92,7 +92,7 @@ func TestWALRetainCapOverridesFloor(t *testing.T) {
 
 	// With the cap below the log size, the floor is overridden.
 	s.SetWALRetainCap(1)
-	if ok, err := s.wal.TruncateIf(s.wal.Size()); err != nil || !ok {
+	if ok, err := s.wal.ResetIf(s.wal.Size(), nil); err != nil || !ok {
 		t.Fatalf("truncate past cap: ok=%v err=%v, want accepted", ok, err)
 	}
 	if s.WALSize() != 0 {

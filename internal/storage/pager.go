@@ -862,7 +862,7 @@ func (s *Store) Close() error {
 		return cleanErr
 	}
 	// Final synchronous checkpoint: drain the writeback table into the page
-	// file and truncate the WAL, so a cleanly closed store reopens without
+	// file and reset the WAL, so a cleanly closed store reopens without
 	// replay work.
 	if s.wb != nil {
 		if err := s.Checkpoint(); err != nil {

@@ -89,8 +89,8 @@ func (s *Store) Promote() {
 // without taking any locks.
 func (s *Store) PublishedEpoch() uint64 { return s.pubEpoch.Load() }
 
-// SetWALRetainFloor sets the WAL retain floor: while non-zero, WAL
-// truncation is refused whenever the log still holds a batch at or beyond
+// SetWALRetainFloor sets the WAL retain floor: while non-zero, a WAL
+// reset is refused whenever the log still holds a batch at or beyond
 // the floor epoch, so a connected follower can always be caught up from the
 // log. Zero clears the floor. No-op on in-memory stores.
 func (s *Store) SetWALRetainFloor(epoch uint64) {
@@ -100,7 +100,7 @@ func (s *Store) SetWALRetainFloor(epoch uint64) {
 }
 
 // SetWALRetainCap bounds the WAL bytes a retain floor may pin before
-// truncation proceeds anyway (the laggard falls back to a snapshot
+// a reset proceeds anyway (the laggard falls back to a snapshot
 // catch-up). Non-positive means unlimited. No-op on in-memory stores.
 func (s *Store) SetWALRetainCap(bytes int64) {
 	if s.wal != nil {

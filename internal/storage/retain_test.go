@@ -40,7 +40,7 @@ func TestWALRetainFloorBlocksTruncate(t *testing.T) {
 	// The images are checkpointed; only the truncate was held back. Clearing
 	// the floor and truncating at the sampled size must now succeed.
 	s.SetWALRetainFloor(0)
-	if ok, err := s.wal.TruncateIf(s.wal.Size()); err != nil || !ok {
+	if ok, err := s.wal.ResetIf(s.wal.Size(), nil); err != nil || !ok {
 		t.Fatalf("truncate after clearing floor: ok=%v err=%v", ok, err)
 	}
 	if s.WALSize() != 0 {

@@ -2,48 +2,60 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
-// WAL frame kinds.
+// WAL frame kinds, and the magic of the log header.
 const (
 	walFramePage   = 0x50414745 // "PAGE"
 	walFrameCommit = 0x434f4d54 // "COMT"
+	walMagic       = 0x4357414c // "CWAL"
+
+	walHeaderSize = 16
 )
 
 // WAL is a physical redo log. Each Commit of the Store appends the full
 // images of the dirty pages followed by a commit frame, then syncs. Only
 // batches terminated by a valid commit frame are replayed during recovery;
-// a torn tail (crash mid-append) is discarded. After the page file itself
-// is synced the WAL is truncated, so the log stays short.
+// a torn tail (crash mid-append) is discarded. Once the page file holds
+// every batch, the log is reset: it starts a new generation in place,
+// keeping the file's blocks, so a reset costs one 16-byte header write and
+// an fsync rather than freeing and reallocating the log.
 //
-// Frame layout (little endian):
+// Layout (little endian):
 //
+//	header:       u32 "CWAL" | u64 generation | u32 crc     (at offset 0)
 //	page frame:   u32 kind | u64 pageID | u32 len | data | u32 crc
 //	commit frame: u32 kind | u32 count  | u32 crc
 //
-// The CRC covers everything in the frame before it.
+// A frame's CRC covers everything in the frame before it, seeded with the
+// generation (walSeed), so frames an older generation left beyond the new
+// tail never verify: recovery stops at the first one. A log without a valid
+// header (the format before generations) is generation 0: frames from
+// offset 0, unsalted CRCs. Recovery replays it, then frees it once and
+// writes the header.
 type WAL struct {
 	mu      sync.Mutex
 	f       *os.File
-	path    string
-	size    int64  // bytes appended since the last truncation
-	scratch []byte // grow-only encode buffer reused across commits
+	gen     uint64       // generation of the frames being appended
+	base    int64        // offset of the first frame: walHeaderSize, or 0 without a header
+	size    atomic.Int64 // bytes of this generation's frames; written under mu
+	scratch []byte       // grow-only encode buffer reused across commits
 
 	// first/last are the epochs of the oldest and newest batches currently
 	// in the log (zero when empty or unknown). retain is the replication
-	// retain floor: while non-zero, truncation is refused as long as the log
+	// retain floor: while non-zero, a reset is refused as long as the log
 	// still holds any batch with epoch >= retain, so a connected follower
 	// that has not consumed those batches can always catch up from the log
 	// instead of falling back to a full snapshot. retainCap bounds how many
-	// bytes the floor may pin: once the log outgrows it, truncation proceeds
+	// bytes the floor may pin: once the log outgrows it, the reset proceeds
 	// despite the floor and the laggard falls back to a snapshot catch-up —
 	// a hung subscriber must not grow the primary's WAL without bound.
 	first, last uint64
@@ -52,28 +64,126 @@ type WAL struct {
 }
 
 // DefaultRetainCapBytes is the default bound on how much WAL a replication
-// retain floor may pin before truncation proceeds anyway.
+// retain floor may pin before a reset proceeds anyway.
 const DefaultRetainCapBytes = 64 << 20
 
+// walSeed is the CRC seed of a generation's frames; generation 0 is the
+// unsalted format before generations.
+func walSeed(gen uint64) uint32 { return uint32(gen) ^ uint32(gen>>32) }
+
+// appendWALHeader encodes the header of generation gen onto buf.
+func appendWALHeader(buf []byte, gen uint64) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, walMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, gen)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
+// readWALHeader reports the generation in the log's header; ok is false
+// when the file has no valid header.
+func readWALHeader(r io.ReaderAt) (gen uint64, ok bool) {
+	var h [walHeaderSize]byte
+	if _, err := r.ReadAt(h[:], 0); err != nil ||
+		binary.LittleEndian.Uint32(h[0:]) != walMagic ||
+		crc32.ChecksumIEEE(h[:12]) != binary.LittleEndian.Uint32(h[12:]) {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(h[4:]), true
+}
+
+// openWAL opens the log and finds the end of its committed content, where
+// the next batch is appended.
 func openWAL(path string) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
-	w := &WAL{f: f, path: path, retainCap: DefaultRetainCapBytes}
-	if st, err := f.Stat(); err == nil {
-		w.size = st.Size()
-		if _, err := f.Seek(0, io.SeekEnd); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: open wal: %w", err)
-		}
+	w := &WAL{f: f, retainCap: DefaultRetainCapBytes}
+	if gen, ok := readWALHeader(f); ok {
+		w.gen, w.base = gen, walHeaderSize
 	}
+	st, err := f.Stat()
+	var end int64
+	if err == nil {
+		end, err = scanWAL(f, walSeed(w.gen), w.base, st.Size(), nil)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: open wal: %w", err)
+	}
+	w.size.Store(end - w.base)
 	return w, nil
 }
 
+// scanWAL reads the frames salted with seed from off up to limit and hands
+// fn (when non-nil) every batch a commit frame closes, oldest first. The
+// first frame that is short, of an unknown kind or fails its CRC ends the
+// log. It returns the offset just past the last commit frame; the error is
+// an I/O error or fn's. The page images passed to fn are freshly allocated
+// and may be retained, and no page is allocated before the bytes it is read
+// from are known to lie within limit.
+func scanWAL(r io.ReaderAt, seed uint32, off, limit int64, fn func(pages []DirtyPage) error) (int64, error) {
+	hdr := make([]byte, 16)
+	read := func(p []byte, at int64) (bool, error) {
+		if at+int64(len(p)) > limit {
+			return false, nil
+		}
+		if n, err := r.ReadAt(p, at); n < len(p) {
+			if err == io.EOF {
+				err = nil
+			}
+			return false, err
+		}
+		return true, nil
+	}
+	var pending []DirtyPage
+	for pos := off; ; {
+		if ok, err := read(hdr[:12], pos); !ok {
+			return off, err
+		}
+		switch binary.LittleEndian.Uint32(hdr) {
+		case walFrameCommit:
+			if crc32.Update(seed, crc32.IEEETable, hdr[:8]) != binary.LittleEndian.Uint32(hdr[8:]) {
+				return off, nil
+			}
+			pos += 12
+			if len(pending) > 0 && fn != nil {
+				if err := fn(pending); err != nil {
+					return off, err
+				}
+			}
+			pending, off = nil, pos
+		case walFramePage:
+			if ok, err := read(hdr[12:16], pos+12); !ok || binary.LittleEndian.Uint32(hdr[12:]) != PageSize {
+				return off, err
+			}
+			if pos+16+PageSize+4 > limit {
+				return off, nil
+			}
+			id := PageID(binary.LittleEndian.Uint64(hdr[4:]))
+			crc := crc32.Update(seed, crc32.IEEETable, hdr[:16])
+			data := make([]byte, PageSize)
+			if ok, err := read(data, pos+16); !ok {
+				return off, err
+			}
+			if ok, err := read(hdr[:4], pos+16+PageSize); !ok {
+				return off, err
+			}
+			if crc32.Update(crc, crc32.IEEETable, data) != binary.LittleEndian.Uint32(hdr) {
+				return off, nil
+			}
+			pending = append(pending, DirtyPage{ID: id, Data: data})
+			pos += 16 + PageSize + 4
+		default:
+			return off, nil
+		}
+	}
+}
+
 // appendWALBatch encodes one commit batch (page frames terminated by a
-// commit frame) onto buf and returns the extended slice.
-func appendWALBatch(buf []byte, pages []DirtyPage) []byte {
+// commit frame) with CRCs seeded by seed onto buf and returns the extended
+// slice.
+func appendWALBatch(buf []byte, seed uint32, pages []DirtyPage) []byte {
 	var scratch [16]byte
 	for _, p := range pages {
 		binary.LittleEndian.PutUint32(scratch[0:], walFramePage)
@@ -82,7 +192,7 @@ func appendWALBatch(buf []byte, pages []DirtyPage) []byte {
 		frameStart := len(buf)
 		buf = append(buf, scratch[:16]...)
 		buf = append(buf, p.Data...)
-		crc := crc32.ChecksumIEEE(buf[frameStart:])
+		crc := crc32.Update(seed, crc32.IEEETable, buf[frameStart:])
 		binary.LittleEndian.PutUint32(scratch[0:], crc)
 		buf = append(buf, scratch[:4]...)
 	}
@@ -90,20 +200,21 @@ func appendWALBatch(buf []byte, pages []DirtyPage) []byte {
 	binary.LittleEndian.PutUint32(scratch[0:], walFrameCommit)
 	binary.LittleEndian.PutUint32(scratch[4:], uint32(len(pages)))
 	buf = append(buf, scratch[:8]...)
-	crc := crc32.ChecksumIEEE(buf[frameStart:])
+	crc := crc32.Update(seed, crc32.IEEETable, buf[frameStart:])
 	binary.LittleEndian.PutUint32(scratch[0:], crc)
 	return append(buf, scratch[:4]...)
 }
 
-// AppendGroup encodes every batch back to back, appends them with a single
-// Write, and syncs once. This is the group-commit fast path: a flush of N
-// coalesced commits costs one fsync instead of N. firstEpoch/lastEpoch are
-// the epochs of the oldest and newest batches in the group (zero when
-// unknown); they maintain the log's content-epoch range for the replication
-// retain floor. A non-nil onDurable hook runs after the fsync while the WAL
-// mutex is still held, so whatever it records is ordered before any later
-// Size() sample — the checkpointer relies on this to never truncate a batch
-// it has not written back.
+// AppendGroup encodes every batch back to back, writes them at the log's
+// tail with a single write, and syncs once. This is the group-commit fast
+// path: a flush of N coalesced commits costs one fsync instead of N.
+// firstEpoch/lastEpoch are the epochs of the oldest and newest batches in
+// the group (zero when unknown); they maintain the log's content-epoch
+// range for the replication retain floor. A non-nil onDurable hook runs
+// after the fsync and before the new size is published, so whatever it
+// records is ordered before any Size() sample that counts these bytes — the
+// checkpointer relies on this to never reset past a batch it has not
+// written back.
 func (w *WAL) AppendGroup(batches [][]DirtyPage, firstEpoch, lastEpoch uint64, onDurable func()) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -112,28 +223,30 @@ func (w *WAL) AppendGroup(batches [][]DirtyPage, firstEpoch, lastEpoch uint64, o
 	}
 	buf := w.scratch[:0]
 	for _, pages := range batches {
-		buf = appendWALBatch(buf, pages)
+		buf = appendWALBatch(buf, walSeed(w.gen), pages)
 	}
 	w.scratch = buf
-	if _, err := w.f.Write(buf); err != nil {
+	size := w.size.Load()
+	if _, err := w.f.WriteAt(buf, w.base+size); err != nil {
 		return fmt.Errorf("storage: wal append: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.size += int64(len(buf))
 	if w.first == 0 && firstEpoch > 0 {
 		w.first = firstEpoch
 	}
 	if lastEpoch > w.last {
 		w.last = lastEpoch
 	}
-	obs.Engine.Add(obs.CtrWALBytes, int64(len(buf)))
-	obs.Engine.Add(obs.CtrWALSyncs, 1)
-	obs.Engine.Max(obs.CtrWALHighwaterBytes, w.size)
 	if onDurable != nil {
 		onDurable()
 	}
+	size += int64(len(buf))
+	w.size.Store(size)
+	obs.Engine.Add(obs.CtrWALBytes, int64(len(buf)))
+	obs.Engine.Add(obs.CtrWALSyncs, 1)
+	obs.Engine.Max(obs.CtrWALHighwaterBytes, size)
 	return nil
 }
 
@@ -150,9 +263,9 @@ func (w *WAL) LogCommit(pages []DirtyPage) error {
 }
 
 // RetainFrom sets the replication retain floor: while epoch is non-zero,
-// TruncateIf refuses to discard the log as long as it still holds a batch
+// ResetIf refuses to discard the log as long as it still holds a batch
 // with epoch >= the floor. A floor of zero (replication off, or every
-// follower caught up past the log's content) restores normal truncation.
+// follower caught up past the log's content) restores normal resets.
 func (w *WAL) RetainFrom(epoch uint64) {
 	w.mu.Lock()
 	w.retain = epoch
@@ -184,109 +297,69 @@ func (w *WAL) ContentEpochs() (first, last uint64) {
 }
 
 // ScanCommitted replays every fully committed batch currently in the log
-// through fn, oldest first, without disturbing the append position. A torn
-// tail ends the scan silently (exactly as Recover would discard it). The
+// through fn, oldest first, without disturbing the append position. The
 // page images passed to fn are freshly allocated and may be retained.
 //
 // Callers that need the scanned range to stay stable (the replication
 // catch-up path) must hold a retain floor covering it, otherwise a
-// concurrent checkpoint may truncate the file mid-scan; a truncated read
-// surfaces as a clean end of scan, not corruption.
+// concurrent checkpoint may reset the log mid-scan; the next generation's
+// frames then fail the scanned generation's CRCs, so a reset surfaces as a
+// clean end of scan, not corruption.
 func (w *WAL) ScanCommitted(fn func(pages []DirtyPage) error) error {
 	w.mu.Lock()
 	if w.f == nil {
 		w.mu.Unlock()
 		return ErrClosed
 	}
-	f, size := w.f, w.size
+	f, seed, base, size := w.f, walSeed(w.gen), w.base, w.size.Load()
 	w.mu.Unlock()
-
-	r := newWALReader(io.NewSectionReader(f, 0, size))
-	var pending []DirtyPage
-	for {
-		kind, err := r.u32()
-		if err != nil {
-			return nil // clean EOF or torn tail: end of committed content
-		}
-		switch kind {
-		case walFramePage:
-			id, err := r.u64()
-			if err != nil {
-				return nil
-			}
-			n, err := r.u32()
-			if err != nil || n != PageSize {
-				return nil
-			}
-			data := make([]byte, n)
-			if err := r.bytes(data); err != nil {
-				return nil
-			}
-			crc, err := r.u32()
-			if err != nil || crc != r.frameCRC() {
-				return nil
-			}
-			pending = append(pending, DirtyPage{ID: PageID(id), Data: data})
-		case walFrameCommit:
-			if _, err := r.u32(); err != nil {
-				return nil
-			}
-			crc, err := r.u32()
-			if err != nil || crc != r.frameCRC() {
-				return nil
-			}
-			if len(pending) > 0 {
-				if err := fn(pending); err != nil {
-					return err
-				}
-			}
-			pending = nil
-		default:
-			return nil
-		}
-		r.endFrame()
-	}
+	_, err := scanWAL(f, seed, base, base+size, fn)
+	return err
 }
 
-// Size reports the bytes appended since the last truncation.
-func (w *WAL) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
+// Size reports the bytes appended since the last reset (the file itself
+// keeps its blocks, and is at least this long). It takes no lock.
+func (w *WAL) Size() int64 { return w.size.Load() }
 
-// TruncateIf truncates the log only if its size still equals size — i.e. no
-// commit has been appended since the caller sampled Size() — and no
-// replication retain floor covers its content. The checkpointer uses this so
-// a truncation can never discard a batch it did not write back, nor one a
-// connected follower has not consumed.
-func (w *WAL) TruncateIf(size int64) (bool, error) {
+// ResetIf starts a new generation of the log once the page file holds
+// every batch in it, and reports whether it did. sampled is the Size()
+// the caller read before writing back. If commits have landed since,
+// catchUp must write their now-durable images back first; it runs under
+// the WAL mutex, so nothing lands meanwhile. A nil catchUp refuses
+// instead. A replication retain floor covering the log's content keeps it
+// whole (up to the retain cap), and a handle whose generation is no longer
+// the one in the file's header — another handle has reopened the path —
+// never touches it.
+func (w *WAL) ResetIf(sampled int64, catchUp func() error) (bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return false, ErrClosed
 	}
-	if w.size != size {
+	size := w.size.Load()
+	if size == 0 || (size != sampled && catchUp == nil) {
 		return false, nil
 	}
-	if w.retain != 0 && w.size > 0 && w.last >= w.retain {
-		if w.retainCap <= 0 || w.size <= w.retainCap {
+	if w.retain != 0 && w.last >= w.retain {
+		if w.retainCap <= 0 || size <= w.retainCap {
 			// A follower still needs batches in this log: keep it whole. The
 			// images are already checkpointed, so recovery replaying them
 			// again is idempotent.
 			return false, nil
 		}
-		// The floor has pinned more than the cap: truncate anyway. The
-		// lagging subscriber's next catch-up finds the log range gone and
-		// falls back to a full snapshot; a scan already in flight sees a
-		// clean end of scan.
+		// The floor has pinned more than the cap: reset anyway. The lagging
+		// subscriber's next catch-up finds the log range gone and falls back
+		// to a full snapshot; a scan already in flight sees a clean end of
+		// scan.
 		obs.Engine.Add(obs.CtrWALRetainDrops, 1)
 	}
-	// Cross-check the physical size: if it disagrees with our bookkeeping,
-	// another handle owns the file now (a test reopened an abandoned store's
-	// path) — never truncate bytes we did not append.
-	if fi, err := w.f.Stat(); err != nil || fi.Size() != size {
-		return false, err
+	if gen, _ := readWALHeader(w.f); gen != w.gen {
+		return false, nil
+	}
+	if size != sampled {
+		if err := catchUp(); err != nil {
+			return false, err
+		}
 	}
 	if err := w.resetLocked(); err != nil {
 		return false, err
@@ -294,122 +367,59 @@ func (w *WAL) TruncateIf(size int64) (bool, error) {
 	return true, nil
 }
 
-// Recover replays committed batches onto the pager and truncates the log.
-// It is called before the Store reads its meta page.
+// Recover replays committed batches onto the pager and resets the log. It
+// is called before the Store reads its meta page, and before the log is
+// shared. A log without a header is freed once here; from then on it is
+// reset in place.
 func (w *WAL) Recover(pager Pager) error {
 	if w.f == nil {
 		return ErrClosed
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	type pendingPage struct {
-		id   PageID
-		data []byte
-	}
-	var pending []pendingPage
 	replayed := false
-	r := newWALReader(w.f)
-	for {
-		kind, err := r.u32()
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		switch kind {
-		case walFramePage:
-			id, err := r.u64()
-			if err != nil {
-				return w.truncateTail(err)
-			}
-			n, err := r.u32()
-			if err != nil || n != PageSize {
-				return w.truncateTail(err)
-			}
-			data := make([]byte, n)
-			if err := r.bytes(data); err != nil {
-				return w.truncateTail(err)
-			}
-			crc, err := r.u32()
-			if err != nil {
-				return w.truncateTail(err)
-			}
-			if crc != r.frameCRC() {
-				return w.truncateTail(nil) // torn frame: discard tail
-			}
-			pending = append(pending, pendingPage{PageID(id), data})
-		case walFrameCommit:
-			if _, err := r.u32(); err != nil { // page count (informational)
-				return w.truncateTail(err)
-			}
-			crc, err := r.u32()
-			if err != nil {
-				return w.truncateTail(err)
-			}
-			if crc != r.frameCRC() {
-				return w.truncateTail(nil)
-			}
-			// Apply the batch: every page image is rewritten.
-			for _, p := range pending {
-				for pager.PageCount() <= p.id {
-					if _, err := pager.Grow(); err != nil {
-						return err
-					}
-				}
-				if err := pager.WritePage(p.id, p.data); err != nil {
+	_, err := scanWAL(w.f, walSeed(w.gen), w.base, w.base+w.size.Load(), func(pages []DirtyPage) error {
+		for _, p := range pages {
+			for pager.PageCount() <= p.ID {
+				if _, err := pager.Grow(); err != nil {
 					return err
 				}
 			}
-			if len(pending) > 0 {
-				replayed = true
+			if err := pager.WritePage(p.ID, p.Data); err != nil {
+				return err
 			}
-			pending = pending[:0]
-		default:
-			// Unknown frame: treat as a torn tail.
-			return w.truncateTail(nil)
 		}
-		r.endFrame()
+		replayed = true
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if replayed {
 		if err := pager.Sync(); err != nil {
 			return err
 		}
 	}
-	return w.Reset()
-}
-
-// truncateTail discards an unreadable log tail; readErr is returned only if
-// it signals a real I/O problem rather than a short read.
-func (w *WAL) truncateTail(readErr error) error {
-	if readErr != nil && !errors.Is(readErr, io.EOF) && !errors.Is(readErr, io.ErrUnexpectedEOF) {
-		return readErr
-	}
-	return w.Reset()
-}
-
-// Reset truncates the log; called after the page file is durably synced.
-func (w *WAL) Reset() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return ErrClosed
+	if w.base == 0 {
+		if err := w.f.Truncate(0); err != nil {
+			return err
+		}
 	}
 	return w.resetLocked()
 }
 
+// resetLocked starts the next generation: the header is rewritten and
+// synced, and appends start over right after it. Callers hold w.mu (or,
+// in Recover, have the log to themselves).
 func (w *WAL) resetLocked() error {
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
+	gen := w.gen + 1
+	var h [walHeaderSize]byte
+	if _, err := w.f.WriteAt(appendWALHeader(h[:0], gen), 0); err != nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.size = 0
+	w.gen, w.base = gen, walHeaderSize
+	w.size.Store(0)
 	w.first, w.last = 0, 0
 	return nil
 }
@@ -425,47 +435,3 @@ func (w *WAL) Close() error {
 	w.f = nil
 	return err
 }
-
-// walReader reads WAL frames while accumulating a CRC of the current frame.
-type walReader struct {
-	r     io.Reader
-	crc   uint32
-	frame []byte
-}
-
-func newWALReader(r io.Reader) *walReader { return &walReader{r: r} }
-
-func (wr *walReader) bytes(buf []byte) error {
-	if _, err := io.ReadFull(wr.r, buf); err != nil {
-		return err
-	}
-	wr.frame = append(wr.frame, buf...)
-	return nil
-}
-
-func (wr *walReader) u32() (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(wr.r, b[:]); err != nil {
-		return 0, err
-	}
-	wr.frame = append(wr.frame, b[:]...)
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func (wr *walReader) u64() (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(wr.r, b[:]); err != nil {
-		return 0, err
-	}
-	wr.frame = append(wr.frame, b[:]...)
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// frameCRC returns the CRC of the current frame excluding the 4 CRC bytes
-// just read.
-func (wr *walReader) frameCRC() uint32 {
-	return crc32.ChecksumIEEE(wr.frame[:len(wr.frame)-4])
-}
-
-// endFrame resets the CRC accumulator for the next frame.
-func (wr *walReader) endFrame() { wr.frame = wr.frame[:0] }

@@ -6,6 +6,8 @@ package phylo
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 )
@@ -233,6 +235,13 @@ func (t *Tree) Clone() *Tree {
 
 // Validate checks structural invariants: parent/child pointer consistency,
 // acyclicity, non-negative edge lengths, and unique non-empty leaf names.
+//
+// The walk takes memory in proportion to the tree's node count, not to its
+// pointers: when the cached preorder gives the count, a visit is marked by
+// the node's preorder id in a bitmap and a leaf name by its hash in a flat
+// table. Ids that are not a permutation of 0..n-1, a second visit, or two
+// names with one hash send the check back to a walk over a set of node
+// pointers and a set of names, which finds the same first problem.
 func (t *Tree) Validate() error {
 	if t.Root == nil {
 		return errors.New("phylo: tree has no root")
@@ -240,7 +249,7 @@ func (t *Tree) Validate() error {
 	if t.Root.Parent != nil {
 		return errors.New("phylo: root has a parent")
 	}
-	// A cached preorder sizes both maps: it is the last walk's count, exact
+	// A cached preorder sizes the marks: it is the last walk's count, exact
 	// unless the tree changed since without Mutated.
 	nodes, leaves := 0, 0
 	if p := t.nodes.Load(); p != nil {
@@ -251,39 +260,114 @@ func (t *Tree) Validate() error {
 			}
 		}
 	}
+	if nodes > 0 {
+		visited := make([]uint64, (nodes+63)/64)
+		names := newNameHashes(leaves)
+		done, err := t.validate(func(n *Node) (again, ok bool) {
+			id := n.ID
+			if uint(id) >= uint(nodes) || visited[id/64]&(1<<(id%64)) != 0 {
+				return false, false
+			}
+			visited[id/64] |= 1 << (id % 64)
+			return false, true
+		}, names.add)
+		if done {
+			return err
+		}
+	}
 	seen := make(map[*Node]struct{}, nodes)
 	names := make(map[string]struct{}, leaves)
-	// A second visit is checked before the parent pointer: a node under two
-	// parents, or under itself, is a DAG or a cycle, not just a bad pointer.
-	var walk func(n, parent *Node) error
-	walk = func(n, parent *Node) error {
-		if _, ok := seen[n]; ok {
-			return fmt.Errorf("phylo: node %q appears twice (cycle or DAG)", n.Name)
+	_, err := t.validate(func(n *Node) (again, ok bool) {
+		if _, again = seen[n]; !again {
+			seen[n] = struct{}{}
 		}
-		seen[n] = struct{}{}
-		if n.Parent != parent {
-			return fmt.Errorf("phylo: child %q has wrong parent pointer", n.Name)
+		return again, true
+	}, func(name string) (again, ok bool) {
+		if _, again = names[name]; !again {
+			names[name] = struct{}{}
+		}
+		return again, true
+	})
+	return err
+}
+
+// validate walks the tree in preorder on an explicit stack (a caterpillar
+// is as deep as it has leaves) and returns the first problem. visit records
+// a node's visit and leaf a leaf's name, each reporting whether it was
+// recorded before; either may give up instead (ok false), and then so does
+// the walk (done false).
+func (t *Tree) validate(visit func(n *Node) (again, ok bool), leaf func(name string) (again, ok bool)) (done bool, err error) {
+	type frame struct{ n, parent *Node }
+	stack := []frame{{t.Root, nil}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := f.n
+		// A second visit is checked before the parent pointer: a node under
+		// two parents, or under itself, is a DAG or a cycle, not just a bad
+		// pointer.
+		if again, ok := visit(n); !ok {
+			return false, nil
+		} else if again {
+			return true, fmt.Errorf("phylo: node %q appears twice (cycle or DAG)", n.Name)
+		}
+		if n.Parent != f.parent {
+			return true, fmt.Errorf("phylo: child %q has wrong parent pointer", n.Name)
 		}
 		if n.Length < 0 {
-			return fmt.Errorf("phylo: node %q has negative edge length %g", n.Name, n.Length)
+			return true, fmt.Errorf("phylo: node %q has negative edge length %g", n.Name, n.Length)
 		}
 		if n.IsLeaf() {
 			if n.Name == "" {
-				return errors.New("phylo: leaf without a name")
+				return true, errors.New("phylo: leaf without a name")
 			}
-			if _, ok := names[n.Name]; ok {
-				return fmt.Errorf("phylo: duplicate leaf name %q", n.Name)
-			}
-			names[n.Name] = struct{}{}
-		}
-		for _, c := range n.Children {
-			if err := walk(c, n); err != nil {
-				return err
+			if again, ok := leaf(n.Name); !ok {
+				return false, nil
+			} else if again {
+				return true, fmt.Errorf("phylo: duplicate leaf name %q", n.Name)
 			}
 		}
-		return nil
+		for i := len(n.Children) - 1; i >= 0; i-- {
+			stack = append(stack, frame{n.Children[i], n})
+		}
 	}
-	return walk(t.Root, nil)
+	return true, nil
+}
+
+// nameHashes is a set of leaf-name hashes, open-addressed in a flat table
+// of eight bytes a slot: it holds no strings and no pointers. Equal hashes
+// are taken for equal names only by giving up (see Validate).
+type nameHashes struct {
+	seed  maphash.Seed
+	slots []uint64 // 0 marks a free slot
+	free  int      // slots left before the table counts as full
+}
+
+// newNameHashes returns a set with room for n names at most three quarters
+// full.
+func newNameHashes(n int) *nameHashes {
+	size := 1 << bits.Len(uint(n+n/3))
+	return &nameHashes{seed: maphash.MakeSeed(), slots: make([]uint64, size), free: size * 3 / 4}
+}
+
+// add records name. It gives up when name's hash is already in the set, or
+// the set is full: the cached leaf count it was sized by was stale.
+func (s *nameHashes) add(name string) (again, ok bool) {
+	if s.free == 0 {
+		return false, false
+	}
+	h := maphash.String(s.seed, name) | 1
+	mask := uint64(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = h
+			s.free--
+			return false, true
+		case h:
+			return false, false
+		}
+	}
 }
 
 // SuppressUnary merges out-degree-1 interior nodes with their single child,

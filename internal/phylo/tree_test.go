@@ -157,6 +157,46 @@ func TestValidateCatchesProblems(t *testing.T) {
 	}
 }
 
+// TestValidateMarksAgreeWithSets breaks a tree whose preorder is cached,
+// so Validate marks visits by id and names by hash, in each way it can be
+// broken — and scrambles its ids without breaking it — and requires the
+// same verdict, word for word, as the walk over pointer and name sets it
+// takes once the cache is dropped.
+func TestValidateMarksAgreeWithSets(t *testing.T) {
+	cases := map[string]func(tr *Tree){
+		"intact":               func(tr *Tree) {},
+		"duplicate leaf name":  func(tr *Tree) { tr.NodeByName("Bha").Name = "Syn" },
+		"negative length":      func(tr *Tree) { tr.NodeByName("Lla").Length = -2 },
+		"wrong parent pointer": func(tr *Tree) { tr.NodeByName("Bha").Parent = tr.Root },
+		"unnamed leaf":         func(tr *Tree) { tr.NodeByName("Spy").Name = "" },
+		"listed twice":         func(tr *Tree) { tr.Root.Children = append(tr.Root.Children, tr.NodeByName("Syn")) },
+		"cycle": func(tr *Tree) {
+			lla := tr.NodeByName("Lla")
+			lla.Children = append(lla.Children, lla.Parent)
+		},
+		"ids permuted": func(tr *Tree) {
+			a, b := tr.NodeByName("Bha"), tr.NodeByName("Syn")
+			a.ID, b.ID = b.ID, a.ID
+		},
+		"ids repeated":     func(tr *Tree) { tr.NodeByName("Bha").ID = tr.NodeByName("Syn").ID },
+		"ids out of range": func(tr *Tree) { tr.NodeByName("Bha").ID = -1 },
+	}
+	for name, breakIt := range cases {
+		tr := PaperFigure1()
+		tr.Reindex()
+		tr.Nodes()
+		breakIt(tr)
+		marked := fmt.Sprint(tr.Validate())
+		tr.Mutated()
+		if sets := fmt.Sprint(tr.Validate()); marked != sets {
+			t.Errorf("%s: Validate with marks = %s, with sets = %s", name, marked, sets)
+		}
+		if (name == "intact" || strings.HasPrefix(name, "ids")) != (marked == "<nil>") {
+			t.Errorf("%s: Validate = %s", name, marked)
+		}
+	}
+}
+
 func TestSuppressUnary(t *testing.T) {
 	// root -> a(1) -> b(2) -> leaf(3); plus root -> other(5)
 	leaf := &Node{Name: "L", Length: 3}

@@ -127,40 +127,109 @@ func newRowWriter(lay *bulkLayout, first, n int) *RowWriter {
 	return w
 }
 
+// The typed writers below encode a value straight into the row arena and,
+// for a keyed column, into tup, with no Value built. The row bytes go on by
+// x = append(x, ...), which stores only the slice's length unless the arena
+// grows.
+
 // Int writes the next value of the row, an integer column's.
-func (w *RowWriter) Int(v int64) { w.put(Int(v)) }
+func (w *RowWriter) Int(v int64) {
+	if w.open(TInt) {
+		b, n := rowInt(v)
+		w.rows.buf = append(w.rows.buf, b[:n]...)
+		if w.lay.keyed[w.col] {
+			k := tupleInt(v)
+			w.tup = append(w.tup, k[:]...)
+		}
+		w.next()
+	}
+}
 
 // Float writes the next value of the row, a float column's.
-func (w *RowWriter) Float(v float64) { w.put(Float(v)) }
+func (w *RowWriter) Float(v float64) {
+	if w.open(TFloat) {
+		b, n := rowFloat(v)
+		w.rows.buf = append(w.rows.buf, b[:n]...)
+		if w.lay.keyed[w.col] {
+			k := tupleFloat(v)
+			w.tup = append(w.tup, k[:]...)
+		}
+		w.next()
+	}
+}
 
 // Str writes the next value of the row, a string column's.
-func (w *RowWriter) Str(v string) { w.put(Str(v)) }
+func (w *RowWriter) Str(v string) { putBytes(w, TString, tagString, v) }
 
 // Blob writes the next value of the row, a bytes column's.
-func (w *RowWriter) Blob(v []byte) { w.put(Blob(v)) }
+func (w *RowWriter) Blob(v []byte) { putBytes(w, TBytes, tagBytes, v) }
+
+// putBytes is Str and Blob: a length-prefixed row column, and for a keyed
+// column the tagged, escaped tuple encoding.
+func putBytes[T string | []byte](w *RowWriter, typ ColumnType, tag byte, v T) {
+	if w.open(typ) {
+		b, n := rowVarHead(typ, len(v))
+		w.rows.buf = append(w.rows.buf, b[:n]...)
+		w.rows.buf = append(w.rows.buf, v...)
+		if w.lay.keyed[w.col] {
+			w.tup = appendEscaped(append(w.tup, tag), v)
+		}
+		w.next()
+	}
+}
 
 // Bool writes the next value of the row, a boolean column's.
-func (w *RowWriter) Bool(v bool) { w.put(Bool(v)) }
+func (w *RowWriter) Bool(v bool) {
+	if w.open(TBool) {
+		var b byte
+		if v {
+			b = 1
+		}
+		w.rows.buf = append(w.rows.buf, byte(TBool), b)
+		if w.lay.keyed[w.col] {
+			w.tup = append(w.tup, tupleBool(v))
+		}
+		w.next()
+	}
+}
 
+// put writes the next value of the row from a Value: BulkInsert's generic
+// tuples.
 func (w *RowWriter) put(v Value) {
+	if w.open(v.Type) {
+		w.rows.buf = appendRowValue(w.rows.buf, v)
+		if w.lay.keyed[w.col] {
+			w.tup = appendTupleValue(w.tup, v)
+		}
+		w.next()
+	}
+}
+
+// open starts the row's next value, of type typ, and reports whether to
+// encode it: not after an error, not past the row's last column (endRow
+// reports the count), and not into a column of another type, which fails
+// the batch.
+func (w *RowWriter) open(typ ColumnType) bool {
 	cols := w.lay.schema.Columns
 	if w.err != nil || w.col >= len(cols) {
-		w.col++ // endRow reports the count
-		return
+		w.col++
+		return false
 	}
-	if c := cols[w.col]; v.Type != c.Type {
-		w.err = fmt.Errorf("%w: column %s wants %s, got %s", ErrSchemaRow, c.Name, c.Type, v.Type)
-		return
+	if c := cols[w.col]; typ != c.Type {
+		w.err = fmt.Errorf("%w: column %s wants %s, got %s", ErrSchemaRow, c.Name, c.Type, typ)
+		return false
 	}
 	if w.col == 0 {
 		w.rows.buf = binary.AppendUvarint(w.rows.buf, uint64(len(cols)))
 	}
-	w.rows.buf = appendRowValue(w.rows.buf, v)
-	if w.lay.keyed[w.col] {
-		w.tupLo[w.col] = len(w.tup)
-		w.tup = appendTupleValue(w.tup, v)
-		w.tupHi[w.col] = len(w.tup)
-	}
+	w.tupLo[w.col] = len(w.tup)
+	return true
+}
+
+// next ends the value open started: a keyed column's tuple encoding is
+// what tup gained since.
+func (w *RowWriter) next() {
+	w.tupHi[w.col] = len(w.tup)
 	w.col++
 }
 
@@ -462,7 +531,9 @@ func sortByKey(keys, scratch []sortKey, key func(row int) []byte, off int) {
 		keys[i].head = binary.BigEndian.Uint64(head[:])
 		keys[i].size = uint32(min(len(t), 9))
 	}
-	radixSort(keys, scratch)
+	if !inRadixOrder(keys) {
+		radixSort(keys, scratch)
+	}
 	for lo := 0; lo < len(keys); {
 		hi, more := lo+1, keys[lo].size > 8
 		for hi < len(keys) && keys[hi].head == keys[lo].head {
@@ -474,6 +545,18 @@ func sortByKey(keys, scratch []sortKey, key func(row int) []byte, off int) {
 		}
 		lo = hi
 	}
+}
+
+// inRadixOrder reports whether keys are already in radixSort's order, as a
+// block of rows that arrives in key order is (the empty names of a tree's
+// internal nodes, in preorder): the stable sort would leave it as it is.
+func inRadixOrder(keys []sortKey) bool {
+	for i := 1; i < len(keys); i++ {
+		if a, b := keys[i-1], keys[i]; a.head > b.head || a.head == b.head && a.size > b.size {
+			return false
+		}
+	}
+	return true
 }
 
 // radixSort orders keys by head and then size, with a stable LSD radix sort

@@ -208,13 +208,16 @@ func TestStageBulkRejectsBeforeAnyTable(t *testing.T) {
 		"oversized key":           {with(3, Tuple{Int(1000), Str(strings.Repeat("x", storage.MaxKeySize)), Float(1)}), storage.ErrKeyTooLarge},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, err := StageBulk(schema, len(tc.rows), 2, func(i int, w *RowWriter) {
+			// Boxed Values and the typed writers are rejected alike.
+			boxed := func(i int, w *RowWriter) {
 				for _, v := range tc.rows[i] {
 					w.put(v)
 				}
-			})
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("StageBulk error = %v, want %v", err, tc.want)
+			}
+			for _, fill := range []func(int, *RowWriter){boxed, fillTyped(tc.rows)} {
+				if _, err := StageBulk(schema, len(tc.rows), 2, fill); !errors.Is(err, tc.want) {
+					t.Fatalf("StageBulk error = %v, want %v", err, tc.want)
+				}
 			}
 		})
 	}

@@ -171,25 +171,12 @@ const (
 func appendTupleValue(dst []byte, v Value) []byte {
 	switch v.Type {
 	case TBool:
-		if v.i != 0 {
-			return append(dst, tagTrue)
-		}
-		return append(dst, tagFalse)
+		return append(dst, tupleBool(v.i != 0))
 	case TInt:
-		dst = append(dst, tagInt)
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(v.i)^(1<<63))
+		b := tupleInt(v.i)
 		return append(dst, b[:]...)
 	case TFloat:
-		dst = append(dst, tagFloat)
-		bits := math.Float64bits(v.f)
-		if bits&(1<<63) != 0 {
-			bits = ^bits
-		} else {
-			bits |= 1 << 63
-		}
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], bits)
+		b := tupleFloat(v.f)
 		return append(dst, b[:]...)
 	case TString:
 		dst = append(dst, tagString)
@@ -199,6 +186,34 @@ func appendTupleValue(dst []byte, v Value) []byte {
 		return appendEscaped(dst, v.b)
 	}
 	panic("relstore: encode invalid value")
+}
+
+// tupleBool, tupleInt and tupleFloat are the tuple encodings of the
+// fixed-width types, for appendTupleValue and the bulk path's typed cell
+// writers (RowWriter).
+func tupleBool(v bool) byte {
+	if v {
+		return tagTrue
+	}
+	return tagFalse
+}
+
+func tupleInt(v int64) (b [9]byte) {
+	b[0] = tagInt
+	binary.BigEndian.PutUint64(b[1:], uint64(v)^(1<<63))
+	return b
+}
+
+func tupleFloat(v float64) (b [9]byte) {
+	bits := math.Float64bits(v)
+	if bits&(1<<63) != 0 {
+		bits = ^bits
+	} else {
+		bits |= 1 << 63
+	}
+	b[0] = tagFloat
+	binary.BigEndian.PutUint64(b[1:], bits)
+	return b
 }
 
 func appendEscaped[T string | []byte](dst []byte, raw T) []byte {
@@ -305,22 +320,42 @@ func encodeRow(row Tuple) []byte {
 
 // appendRowValue appends one column of a stored row: type byte, payload.
 func appendRowValue(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.Type))
 	switch v.Type {
 	case TInt:
-		return binary.AppendVarint(dst, v.i)
+		b, n := rowInt(v.i)
+		return append(dst, b[:n]...)
 	case TFloat:
-		return binary.AppendUvarint(dst, math.Float64bits(v.f))
+		b, n := rowFloat(v.f)
+		return append(dst, b[:n]...)
 	case TString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		return append(dst, v.s...)
+		b, n := rowVarHead(TString, len(v.s))
+		return append(append(dst, b[:n]...), v.s...)
 	case TBytes:
-		dst = binary.AppendUvarint(dst, uint64(len(v.b)))
-		return append(dst, v.b...)
+		b, n := rowVarHead(TBytes, len(v.b))
+		return append(append(dst, b[:n]...), v.b...)
 	case TBool:
-		return append(dst, byte(v.i))
+		return append(dst, byte(TBool), byte(v.i))
 	}
 	panic("relstore: encode row with invalid value")
+}
+
+// rowInt, rowFloat and rowVarHead encode a row column's type byte and its
+// varint into b[:n]: an integer's value, a float's bits, the length of the
+// bytes a string or a byte slice appends after. appendRowValue and the
+// typed cell writers (RowWriter) share them.
+func rowInt(v int64) (b [1 + binary.MaxVarintLen64]byte, n int) {
+	b[0] = byte(TInt)
+	return b, 1 + binary.PutVarint(b[1:], v)
+}
+
+func rowFloat(v float64) (b [1 + binary.MaxVarintLen64]byte, n int) {
+	b[0] = byte(TFloat)
+	return b, 1 + binary.PutUvarint(b[1:], math.Float64bits(v))
+}
+
+func rowVarHead(typ ColumnType, size int) (b [1 + binary.MaxVarintLen64]byte, n int) {
+	b[0] = byte(typ)
+	return b, 1 + binary.PutUvarint(b[1:], uint64(size))
 }
 
 // decodeRow builds the Tuple of an encoded row, validating all of it. Strings

@@ -3,10 +3,12 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -292,9 +294,6 @@ func junkBatch(s *Store, epoch uint64, n int) []DirtyPage {
 	return pages
 }
 
-// walPageFrame is the size of one page frame.
-const walPageFrame = 16 + PageSize + 4
-
 // TestCrashMatrixTornAppendOverStaleFrames tears the next append of a
 // fresh generation — inside a frame and at frame boundaries, short of its
 // commit frame — over the frames of a longer, older generation. Recovery
@@ -364,6 +363,303 @@ func TestCrashMatrixAlignedStaleCommitFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyRecovered(t, copyPath, epoch, want)
+}
+
+// bigCommit puts n keys prefix0000.. whose values spill to overflow pages
+// (about four pages a key) and commits them, so a few hundred keys make a
+// batch several times walBufSize. It returns the keys and the commit error.
+func bigCommit(t *testing.T, s *Store, prefix string, n int) (map[string]string, error) {
+	t.Helper()
+	tree := OpenBTree(s, s.Root(0))
+	keys := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("%s%04d", prefix, i)
+		v := strings.Repeat(k, 4*PageSize/len(k))
+		if err := tree.Put([]byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		keys[k] = v
+	}
+	s.SetRoot(0, tree.Root())
+	return keys, s.Commit()
+}
+
+// TestCrashMatrixTornGroupOverStaleFrames commits a batch several times
+// walBufSize into a fresh generation laid over a longer, older one, and
+// records the writes AppendGroup made of it. The log then holds exactly the
+// reference encoding of the batch. Replaying the crash copy taken before
+// the batch with its writes cut at every boundary between two of them (and
+// one byte short of the last) recovers the last acknowledged epoch; with
+// every write, the whole batch replays.
+func TestCrashMatrixTornGroupOverStaleFrames(t *testing.T) {
+	s, path := openTempStore(t)
+	s.SetCheckpointPolicy(1<<40, time.Hour)
+	want := crashWorkload(t, s, 3)
+	if _, err := bigCommit(t, s, "old", 300); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tree := OpenBTree(s, s.Root(0))
+	for i := 0; i < 300; i++ {
+		if _, err := tree.Delete([]byte(fmt.Sprintf("old%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SetRoot(0, tree.Root())
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	epoch := s.MVCC().Epoch
+	copyPath := crashSnapshot(t, path)
+
+	var logged [][]DirtyPage
+	s.SetCommitHook(func(b ReplBatch) { logged = append(logged, b.Pages) })
+	rec := &faultFile{}
+	injectWALFaults(s, rec)
+	added, err := bigCommit(t, s, "new", 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	log, err := os.ReadFile(path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != 1 {
+		t.Fatalf("%d batches logged, want 1", len(logged))
+	}
+	ref := appendWALBatch(nil, walSeed(s.wal.gen), logged[0])
+	if got := log[walHeaderSize : walHeaderSize+s.WALSize()]; !bytes.Equal(got, ref) {
+		t.Fatalf("logged %d bytes differ from the %d-byte reference encoding", len(got), len(ref))
+	}
+	if len(log) <= walHeaderSize+len(ref) {
+		t.Fatal("stage mis-setup: no stale frames beyond the batch")
+	}
+	if len(rec.writes) < 3 {
+		t.Fatalf("a %d-byte batch took %d writes, want >= 3", len(ref), len(rec.writes))
+	}
+	at := int64(walHeaderSize)
+	for i, w := range rec.writes {
+		if w.off != at || len(w.data) > walBufSize+walPageFrame || (i < len(rec.writes)-1 && len(w.data) < walBufSize) {
+			t.Fatalf("write %d: %d bytes at %d, want %d..%d bytes at %d", i, len(w.data), w.off, walBufSize, walBufSize+walPageFrame, at)
+		}
+		at += int64(len(w.data))
+	}
+
+	replay := func(writes []walWrite, cut int) string {
+		t.Helper()
+		p := crashSnapshot(t, copyPath)
+		f, err := os.OpenFile(p+".wal", os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		for i, w := range writes {
+			if i == len(writes)-1 {
+				w.data = w.data[:len(w.data)-cut]
+			}
+			if _, err := f.WriteAt(w.data, w.off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	for k := 1; k < len(rec.writes); k++ {
+		verifyRecovered(t, replay(rec.writes[:k], 0), epoch, want)
+	}
+	verifyRecovered(t, replay(rec.writes, 1), epoch, want)
+	for k, v := range added {
+		want[k] = v
+	}
+	verifyRecovered(t, replay(rec.writes, 0), epoch+1, want)
+}
+
+// errInjected is the failure a faultFile injects.
+var errInjected = errors.New("injected wal failure")
+
+// walWrite is one WriteAt a faultFile passed through.
+type walWrite struct {
+	off  int64
+	data []byte
+}
+
+// faultFile stands in front of a WAL's file. It records every write it
+// passes through, fails the failWrite-th WriteAt or the failSync-th Sync
+// (counting from 1; 0 fails none), and runs onSync before each Sync. The
+// WAL calls it under its mutex.
+type faultFile struct {
+	walFile
+	failWrite, failSync int
+	onSync              func()
+	writes              []walWrite
+	syncs               int
+}
+
+func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
+	if len(f.writes)+1 == f.failWrite {
+		return 0, errInjected
+	}
+	f.writes = append(f.writes, walWrite{off: off, data: bytes.Clone(p)})
+	return f.walFile.WriteAt(p, off)
+}
+
+func (f *faultFile) Sync() error {
+	if f.onSync != nil {
+		f.onSync()
+	}
+	if f.syncs++; f.syncs == f.failSync {
+		return errInjected
+	}
+	return f.walFile.Sync()
+}
+
+// injectWALFaults puts f in front of the store's WAL file.
+func injectWALFaults(s *Store, f *faultFile) {
+	s.wal.mu.Lock()
+	f.walFile, s.wal.f = s.wal.f, f
+	s.wal.mu.Unlock()
+}
+
+// TestCrashMatrixFailedFsyncPoisons fails a commit's WAL write or fsync and
+// commits again. The failed group's frames may lie at the log's tail, and
+// its epoch's images were never logged durably, so the WAL must refuse
+// every later append and reset: the next commit fails, and reads keep
+// serving the last acknowledged epoch.
+//
+// Schedule: 3 commits with checkpoints off; 400 keys a0000..a0399 committed
+// with the WAL fsync failing (the commit returns the error); b0000
+// committed; crash-copy; reopen. Before a failure poisoned the WAL, the
+// second commit returned nil for epoch 5, and the reopened store
+// recovered it with "page 2 key 0 above range": epoch 5's group had
+// overwritten epoch 4's frames and marked epoch 4's images durable. The
+// second cell fails the second write of a group several writes long, and
+// the third a group's fsync while another commit waits for that group's
+// leader.
+func TestCrashMatrixFailedFsyncPoisons(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault faultFile
+		big   bool
+	}{
+		{"fsync", faultFile{failSync: 1}, false},
+		{"second write of a group", faultFile{failWrite: 2}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, path := openTempStore(t)
+			s.SetCheckpointPolicy(1<<40, time.Hour)
+			want := crashWorkload(t, s, 3)
+			epoch := s.MVCC().Epoch
+			fault := tc.fault
+			injectWALFaults(s, &fault)
+
+			var failed map[string]string
+			var err error
+			if tc.big {
+				failed, err = bigCommit(t, s, "a", 150)
+			} else {
+				failed = make(map[string]string)
+				tree := OpenBTree(s, s.Root(0))
+				for i := 0; i < 400; i++ {
+					k := fmt.Sprintf("a%04d", i)
+					if err := tree.Put([]byte(k), []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+					failed[k] = "v"
+				}
+				s.SetRoot(0, tree.Root())
+				err = s.Commit()
+			}
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("commit over a failing WAL: %v, want the injected failure", err)
+			}
+
+			tree := OpenBTree(s, s.Root(0))
+			if err := tree.Put([]byte("b0000"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			s.SetRoot(0, tree.Root())
+			if err := s.Commit(); !errors.Is(err, errInjected) {
+				t.Fatalf("commit after a failed WAL append: %v, want the first failure", err)
+			}
+			if err := s.Checkpoint(); !errors.Is(err, errInjected) {
+				t.Fatalf("checkpoint after a failed WAL append: %v, want the first failure", err)
+			}
+			if got := s.PublishedEpoch(); got != epoch {
+				t.Fatalf("published epoch %d after failed commits, want %d", got, epoch)
+			}
+			sn := s.Snapshot()
+			if v, ok, err := OpenBTree(s, sn.Root(0)).Get([]byte("c00-k00")); err != nil || !ok || string(v) != want["c00-k00"] {
+				t.Fatalf("read of epoch %d after failed commits: %q ok=%v err=%v", epoch, v, ok, err)
+			}
+			sn.Close()
+
+			// The fsync cell's frames were written before its sync failed, so
+			// the crash copy may recover them, whole; never b0000.
+			re, err := Open(crashSnapshot(t, path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := re.MVCC().Epoch; got == epoch+1 && !tc.big {
+				for k, v := range failed {
+					want[k] = v
+				}
+				epoch++
+			}
+			verifyStore(t, re, epoch, want)
+			if _, ok, err := OpenBTree(re, re.Root(0)).Get([]byte("b0000")); err != nil || ok {
+				t.Fatalf("b0000 recovered (ok=%v err=%v) from a commit that failed", ok, err)
+			}
+		})
+	}
+	t.Run("parked waiter", parkedWaiterCell)
+}
+
+// parkedWaiterCell parks a commit behind a leader whose WAL fsync then
+// fails: the parked waiter must get the failure, not hang.
+func parkedWaiterCell(t *testing.T) {
+	s, _ := openTempStore(t)
+	s.SetCheckpointPolicy(1<<40, time.Hour)
+	crashWorkload(t, s, 1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	injectWALFaults(s, &faultFile{failSync: 1, onSync: func() {
+		select {
+		case <-entered:
+		default:
+			close(entered)
+			<-release
+		}
+	}})
+	commit := func(k string) *CommitWaiter {
+		tree := OpenBTree(s, s.Root(0))
+		if err := tree.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		s.SetRoot(0, tree.Root())
+		return s.CommitAsync()
+	}
+	errs := make(chan error, 2)
+	leader := commit("x1")
+	go func() { errs <- leader.Wait() }()
+	<-entered
+	parked := commit("x2")
+	go func() { errs <- parked.Wait() }()
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("waiter %d: %v, want the injected failure", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a waiter hung after its group's WAL fsync failed")
+		}
+	}
 }
 
 // appendUnsaltedBatch encodes a batch in the format before generations:

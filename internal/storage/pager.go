@@ -826,11 +826,35 @@ func OpenMemWithPoolLimit(limit int) *Store {
 }
 
 // Close commits outstanding changes, runs a final synchronous checkpoint
-// and releases the underlying files.
+// and releases the underlying files. The files are released even when the
+// commit or the checkpoint fails (a store whose WAL failed refuses every
+// commit), and the failure is returned.
 func (s *Store) Close() error {
 	// Stop the background checkpointer first so no flush races the final
 	// synchronous passes below.
 	s.stopCheckpointer()
+	err := s.closeCommit()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return err
+	}
+	s.closed.Store(true)
+	// Release anyone blocked on an epoch or a snapshot close: nothing will
+	// move this store again.
+	s.ep.mu.Lock()
+	s.ep.closed = true
+	s.ep.wakeLocked()
+	s.ep.mu.Unlock()
+	if s.wal != nil {
+		err = errors.Join(err, s.wal.Close())
+	}
+	return errors.Join(err, s.pager.Close())
+}
+
+// closeCommit is Close's last transaction: it commits outstanding changes,
+// stamps the clean-shutdown flag and checkpoints.
+func (s *Store) closeCommit() error {
 	// Two commits: the first flushes the transaction, and its reclamation
 	// pass may push pages onto the free list (dirtying the free-list
 	// links); the second makes those durable so reopened stores reuse them.
@@ -867,28 +891,5 @@ func (s *Store) Close() error {
 	// Final synchronous checkpoint: drain the writeback table into the page
 	// file and reset the WAL, so a cleanly closed store reopens without
 	// replay work.
-	if s.wb != nil {
-		if err := s.Checkpoint(); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return nil
-	}
-	s.closed.Store(true)
-	// Release anyone blocked on an epoch or a snapshot close: nothing will
-	// move this store again.
-	s.ep.mu.Lock()
-	s.ep.closed = true
-	s.ep.wakeLocked()
-	s.ep.mu.Unlock()
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil {
-			s.pager.Close()
-			return err
-		}
-	}
-	return s.pager.Close()
+	return s.Checkpoint()
 }

@@ -19,7 +19,26 @@ const (
 	walMagic       = 0x4357414c // "CWAL"
 
 	walHeaderSize = 16
+
+	// walPageFrame is the size of one page frame: header, image, CRC.
+	walPageFrame = 16 + PageSize + 4
+
+	// walBufSize is how many encoded bytes AppendGroup gathers before it
+	// writes them out: a group larger than this takes several writes (and
+	// still one fsync), through a buffer that never holds more than this
+	// plus one frame.
+	walBufSize = 1 << 20
 )
+
+// walFile is what the log needs of its file. Tests put one in front of the
+// *os.File that fails a chosen write or sync.
+type walFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
 
 // WAL is a physical redo log. Each Commit of the Store appends the full
 // images of the dirty pages followed by a commit frame, then syncs. Only
@@ -42,12 +61,19 @@ const (
 // offset 0, unsalted CRCs. Recovery replays it, then frees it once and
 // writes the header.
 type WAL struct {
-	mu      sync.Mutex
-	f       *os.File
-	gen     uint64       // generation of the frames being appended
-	base    int64        // offset of the first frame: walHeaderSize, or 0 without a header
-	size    atomic.Int64 // bytes of this generation's frames; written under mu
-	scratch []byte       // grow-only encode buffer reused across commits
+	mu   sync.Mutex
+	f    walFile
+	gen  uint64       // generation of the frames being appended
+	base int64        // offset of the first frame: walHeaderSize, or 0 without a header
+	size atomic.Int64 // bytes of this generation's frames; written under mu
+	buf  []byte       // encode buffer: walBufSize plus one frame, allocated at the first append
+
+	// err is the first write or sync failure. It is sticky: the failed
+	// group's bytes may lie at the tail, half written or written but not
+	// synced, and its epoch's images were never marked durable, so no later
+	// group may land on top of it. Every append and reset returns it until
+	// the store is reopened and recovery decides what the tail holds.
+	err error
 
 	// first/last are the epochs of the oldest and newest batches currently
 	// in the log (zero when empty or unknown). retain is the replication
@@ -180,34 +206,41 @@ func scanWAL(r io.ReaderAt, seed uint32, off, limit int64, fn func(pages []Dirty
 	}
 }
 
-// appendWALBatch encodes one commit batch (page frames terminated by a
-// commit frame) with CRCs seeded by seed onto buf and returns the extended
-// slice.
-func appendWALBatch(buf []byte, seed uint32, pages []DirtyPage) []byte {
-	var scratch [16]byte
-	for _, p := range pages {
-		binary.LittleEndian.PutUint32(scratch[0:], walFramePage)
-		binary.LittleEndian.PutUint64(scratch[4:], uint64(p.ID))
-		binary.LittleEndian.PutUint32(scratch[12:], uint32(len(p.Data)))
-		frameStart := len(buf)
-		buf = append(buf, scratch[:16]...)
-		buf = append(buf, p.Data...)
-		crc := crc32.Update(seed, crc32.IEEETable, buf[frameStart:])
-		binary.LittleEndian.PutUint32(scratch[0:], crc)
-		buf = append(buf, scratch[:4]...)
-	}
-	frameStart := len(buf)
-	binary.LittleEndian.PutUint32(scratch[0:], walFrameCommit)
-	binary.LittleEndian.PutUint32(scratch[4:], uint32(len(pages)))
-	buf = append(buf, scratch[:8]...)
-	crc := crc32.Update(seed, crc32.IEEETable, buf[frameStart:])
-	binary.LittleEndian.PutUint32(scratch[0:], crc)
-	return append(buf, scratch[:4]...)
+// appendWALPage encodes the page frame of p with its CRC seeded by seed
+// onto buf.
+func appendWALPage(buf []byte, seed uint32, p DirtyPage) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, walFramePage)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.ID))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Data)))
+	buf = append(buf, p.Data...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Update(seed, crc32.IEEETable, buf[start:]))
 }
 
-// AppendGroup encodes every batch back to back, writes them at the log's
-// tail with a single write, and syncs once. This is the group-commit fast
-// path: a flush of N coalesced commits costs one fsync instead of N.
+// appendWALCommit encodes the commit frame closing a batch of count pages.
+func appendWALCommit(buf []byte, seed uint32, count int) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, walFrameCommit)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Update(seed, crc32.IEEETable, buf[start:]))
+}
+
+// appendWALBatch encodes one commit batch (page frames terminated by a
+// commit frame) with CRCs seeded by seed onto buf and returns the extended
+// slice. AppendGroup writes exactly these bytes, in pieces.
+func appendWALBatch(buf []byte, seed uint32, pages []DirtyPage) []byte {
+	for _, p := range pages {
+		buf = appendWALPage(buf, seed, p)
+	}
+	return appendWALCommit(buf, seed, len(pages))
+}
+
+// AppendGroup encodes every batch back to back at the log's tail, writing
+// the encoded frames out each time walBufSize of them have gathered (a
+// group under that size takes one write), and syncs once. This is the
+// group-commit fast path: a flush of N coalesced commits costs one fsync
+// instead of N. A crash between two of the writes leaves a tail without the
+// group's commit frames, which recovery discards like any torn write.
 // firstEpoch/lastEpoch are the epochs of the oldest and newest batches in
 // the group (zero when unknown); they maintain the log's content-epoch
 // range for the replication retain floor. A non-nil onDurable hook runs
@@ -215,23 +248,57 @@ func appendWALBatch(buf []byte, seed uint32, pages []DirtyPage) []byte {
 // records is ordered before any Size() sample that counts these bytes — the
 // checkpointer relies on this to never reset past a batch it has not
 // written back.
+//
+// The first failed write or sync fails this append and every later one,
+// and every later ResetIf (see WAL.err).
 func (w *WAL) AppendGroup(batches [][]DirtyPage, firstEpoch, lastEpoch uint64, onDurable func()) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return ErrClosed
 	}
-	buf := w.scratch[:0]
-	for _, pages := range batches {
-		buf = appendWALBatch(buf, walSeed(w.gen), pages)
+	if w.err != nil {
+		return w.err
 	}
-	w.scratch = buf
-	size := w.size.Load()
-	if _, err := w.f.WriteAt(buf, w.base+size); err != nil {
-		return fmt.Errorf("storage: wal append: %w", err)
+	if w.buf == nil {
+		w.buf = make([]byte, 0, walBufSize+walPageFrame)
+	}
+	seed, size := walSeed(w.gen), w.size.Load()
+	end := size
+	buf := w.buf[:0]
+	// write writes buf out once it holds at least n bytes. Called after
+	// every frame with n = walBufSize, it keeps buf under walBufSize
+	// before each append, so no append outgrows the buffer.
+	write := func(n int) error {
+		if len(buf) < n {
+			return nil
+		}
+		if _, err := w.f.WriteAt(buf, w.base+end); err != nil {
+			w.err = fmt.Errorf("storage: wal append: %w", err)
+			return w.err
+		}
+		end += int64(len(buf))
+		buf = buf[:0]
+		return nil
+	}
+	for _, pages := range batches {
+		for _, p := range pages {
+			buf = appendWALPage(buf, seed, p)
+			if err := write(walBufSize); err != nil {
+				return err
+			}
+		}
+		buf = appendWALCommit(buf, seed, len(pages))
+		if err := write(walBufSize); err != nil {
+			return err
+		}
+	}
+	if err := write(1); err != nil {
+		return err
 	}
 	if err := w.f.Sync(); err != nil {
-		return err
+		w.err = fmt.Errorf("storage: wal sync: %w", err)
+		return w.err
 	}
 	if w.first == 0 && firstEpoch > 0 {
 		w.first = firstEpoch
@@ -242,11 +309,10 @@ func (w *WAL) AppendGroup(batches [][]DirtyPage, firstEpoch, lastEpoch uint64, o
 	if onDurable != nil {
 		onDurable()
 	}
-	size += int64(len(buf))
-	w.size.Store(size)
-	obs.Engine.Add(obs.CtrWALBytes, int64(len(buf)))
+	w.size.Store(end)
+	obs.Engine.Add(obs.CtrWALBytes, end-size)
 	obs.Engine.Add(obs.CtrWALSyncs, 1)
-	obs.Engine.Max(obs.CtrWALHighwaterBytes, size)
+	obs.Engine.Max(obs.CtrWALHighwaterBytes, end)
 	return nil
 }
 
@@ -335,6 +401,9 @@ func (w *WAL) ResetIf(sampled int64, catchUp func() error) (bool, error) {
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return false, ErrClosed
+	}
+	if w.err != nil {
+		return false, w.err
 	}
 	size := w.size.Load()
 	if size == 0 || (size != sampled && catchUp == nil) {

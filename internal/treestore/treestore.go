@@ -391,17 +391,19 @@ func (s *Store) PrepareLoad(name string, t *phylo.Tree, f int, opts LoadOptions,
 
 	nodes := t.Nodes()
 	// Derived per-node arrays: depth, root distance, subtree size; and the
-	// catalog's leaf count and maximum depth, from the same pass.
-	depth := make([]int, len(nodes))
+	// catalog's leaf count and maximum depth, from the same pass. Depths and
+	// sizes are at most the node count, which an int32 holds for any tree
+	// that fits in memory.
+	depth := make([]int32, len(nodes))
 	dist := make([]float64, len(nodes))
-	size := make([]int, len(nodes))
+	size := make([]int32, len(nodes))
 	leaves, maxDepth := 0, 0
 	for _, n := range nodes {
 		size[n.ID] = 1
 		if n.Parent != nil {
 			depth[n.ID] = depth[n.Parent.ID] + 1
 			dist[n.ID] = dist[n.Parent.ID] + n.Length
-			maxDepth = max(maxDepth, depth[n.ID])
+			maxDepth = max(maxDepth, int(depth[n.ID]))
 		}
 		if n.IsLeaf() {
 			leaves++

@@ -191,3 +191,127 @@ func TestCrashMatrixFacade(t *testing.T) {
 		})
 	}
 }
+
+// pageFileBytes sums the sizes of a repository's page files (WALs and the
+// manifest excluded).
+func pageFileBytes(t *testing.T, path string) int64 {
+	t.Helper()
+	var n int64
+	err := filepath.Walk(path, func(p string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if !info.IsDir() && filepath.Ext(p) != ".wal" && filepath.Ext(p) != ".json" {
+			n += info.Size()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestCrashMatrixDrop crashes around the drop of a 20k-leaf tree — ≈ 1 400
+// freed pages, far past the meta page's room for ids, so the free list
+// spills into trunk pages — at every durability stage the drop passes
+// through: its commit captured but not flushed (the tree survives); its
+// commit fsynced with the freed ids not yet committed (they leak, and the
+// reopen sweep reclaims them); the free list's own commit fsynced (its
+// trunk pages live in the WAL); and that commit checkpointed. Every reopen
+// must pass Check, which accounts for every page of every shard, and a
+// reload of the dropped tree must reuse its pages instead of growing the
+// files.
+func TestCrashMatrixDrop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20k-leaf tree load")
+	}
+	shards := matrixShards(t)
+	big, err := crimson.GenerateYule(20000, 1.0, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"drop-after-capture", "drop-after-wal-fsync", "free-list-after-wal-fsync", "free-list-after-checkpoint"} {
+		t.Run(stage, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "repo")
+			repo, err := crimson.OpenSharded(path, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repo.SetCheckpointPolicy(1<<40, time.Hour)
+			small, err := crimson.GenerateYule(200, 1.0, rand.New(rand.NewSource(6)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := repo.LoadTree("small", small, crimson.DefaultFanout, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := repo.LoadTree("big", big, crimson.DefaultFanout, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := repo.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			switch stage {
+			case "drop-after-capture":
+				if err := repo.Trees.Drop("big"); err != nil {
+					t.Fatal(err)
+				}
+				repo.CommitAsync() // captured, never waited for
+			default:
+				if err := repo.Trees.Delete("big"); err != nil {
+					t.Fatal(err)
+				}
+				if stage == "drop-after-wal-fsync" {
+					break
+				}
+				if err := repo.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if stage == "free-list-after-checkpoint" {
+					if err := repo.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// The published epoch: a commit only captured is not in it.
+			epoch := repo.MVCC().Epoch
+			copied := copyRepoFiles(t, path)
+			// Crash: the original handle is abandoned, never closed.
+
+			reopened, err := crimson.OpenSharded(copied, shards)
+			if err != nil {
+				t.Fatalf("reopening %s crash copy: %v", stage, err)
+			}
+			defer reopened.Close()
+			if got := reopened.MVCC().Epoch; got != epoch {
+				t.Fatalf("recovered epoch %d, want %d", got, epoch)
+			}
+			if err := reopened.Check(); err != nil {
+				t.Fatalf("post-recovery integrity after %s crash: %v", stage, err)
+			}
+			snap := reopened.Snapshot()
+			_, err = snap.Tree("big")
+			snap.Close()
+			if stage == "drop-after-capture" {
+				if err != nil {
+					t.Fatalf("the tree whose drop never reached the WAL is gone: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, treestore.ErrNoTree) {
+				t.Fatalf("a dropped tree recovered: %v", err)
+			}
+			size := pageFileBytes(t, copied)
+			if _, err := reopened.LoadTree("big", big, crimson.DefaultFanout, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := reopened.Check(); err != nil {
+				t.Fatalf("integrity after reloading into the freed pages: %v", err)
+			}
+			if grown := pageFileBytes(t, copied); grown > size {
+				t.Fatalf("reloading the dropped tree grew the page files from %d to %d bytes", size, grown)
+			}
+		})
+	}
+}

@@ -75,43 +75,56 @@ func OpenDB(path string) (*DB, error) {
 // sweepLeaked computes the set of pages reachable from the published state
 // — the catalog tree plus every table's primary tree, secondary indexes
 // and overflow chains — and frees everything the page file holds beyond
-// that set and the free list. It runs single-threaded at open, before any
-// snapshot or writer exists. If a root slot other than the catalog's is in
-// use the sweep backs off entirely: it cannot prove reachability for a
-// layout it does not understand.
+// that set, the free list and the pages pending reclamation. It runs at
+// open, before any snapshot or writer exists, and after a promote.
 func (db *DB) sweepLeaked() (int, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	reachable, err := db.reachableLocked()
+	if err != nil || reachable == nil {
+		return 0, err
+	}
+	return db.store.ReclaimUnreachable(reachable, true)
+}
+
+// reachableLocked returns every page the catalog reaches: the catalog tree
+// and each table's primary tree, secondary indexes and overflow chains. It
+// returns nil when there is no catalog, or when a root slot other than the
+// catalog's is in use: reachability cannot be proven for a layout the
+// database does not understand. Callers hold db.mu.
+func (db *DB) reachableLocked() (map[storage.PageID]bool, error) {
 	if db.catalog == nil {
-		return 0, nil
+		return nil, nil
 	}
 	for slot := 0; slot < storage.NumRoots; slot++ {
 		if slot != catalogRootSlot && db.store.Root(slot) != 0 {
-			return 0, nil
+			return nil, nil
 		}
 	}
 	reachable := make(map[storage.PageID]bool)
 	visit := func(id storage.PageID) { reachable[id] = true }
 	if err := db.catalog.Pages(visit); err != nil {
-		return 0, fmt.Errorf("walking catalog: %w", err)
+		return nil, fmt.Errorf("walking catalog: %w", err)
 	}
-	names, err := db.Tables()
+	names, err := db.tablesLocked()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	for _, name := range names {
-		t, err := db.Table(name)
+		t, err := db.loadTable(name)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		if err := t.view.primary.Pages(visit); err != nil {
-			return 0, fmt.Errorf("walking %s: %w", name, err)
+			return nil, fmt.Errorf("walking %s: %w", name, err)
 		}
 		for ixName, tree := range t.view.indexes {
 			if err := tree.Pages(visit); err != nil {
-				return 0, fmt.Errorf("walking %s index %s: %w", name, ixName, err)
+				return nil, fmt.Errorf("walking %s index %s: %w", name, ixName, err)
 			}
 		}
 	}
-	return db.store.ReclaimUnreachable(reachable)
+	return reachable, nil
 }
 
 // NewOnReplicaStore layers a database over a replication-follower store.
@@ -285,6 +298,10 @@ func (db *DB) loadTable(name string) (*Table, error) {
 func (db *DB) Tables() ([]string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.tablesLocked()
+}
+
+func (db *DB) tablesLocked() ([]string, error) {
 	if db.catalog == nil {
 		return nil, nil
 	}

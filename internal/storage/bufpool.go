@@ -20,6 +20,7 @@ type frame struct {
 	id    PageID
 	data  []byte
 	dirty bool
+	slot  int           // index in BufferPool.dirty while dirty
 	elem  *list.Element // position in the LRU list (nil while dirty)
 }
 
@@ -50,7 +51,7 @@ type BufferPool struct {
 	frames map[PageID]*frame
 	lru    *list.List // clean frames only, front = most recent
 	limit  int
-	dirty  []*frame // the dirty frames, in the order they were dirtied
+	dirty  []*frame // the dirty frames, in no particular order
 }
 
 // NewBufferPool creates a pool holding at most limit clean frames.
@@ -138,7 +139,32 @@ func (bp *BufferPool) markDirty(f *frame) {
 	}
 	if !f.dirty {
 		f.dirty = true
+		f.slot = len(bp.dirty)
 		bp.dirty = append(bp.dirty, f)
+	}
+}
+
+// discard drops page id's frame, dirty or clean, without its image going
+// anywhere: the page has been freed, nothing reads a free page, and the
+// page's next owner installs a new image.
+func (bp *BufferPool) discard(id PageID) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	f, ok := bp.frames[id]
+	if !ok {
+		return
+	}
+	delete(bp.frames, id)
+	if f.elem != nil {
+		bp.lru.Remove(f.elem)
+		f.elem = nil
+	}
+	if f.dirty {
+		last := bp.dirty[len(bp.dirty)-1]
+		bp.dirty[f.slot], last.slot = last, f.slot
+		bp.dirty[len(bp.dirty)-1] = nil
+		bp.dirty = bp.dirty[:len(bp.dirty)-1]
+		f.dirty = false
 	}
 }
 

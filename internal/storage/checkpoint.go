@@ -192,8 +192,8 @@ func (wb *writeback) backlog() int64 {
 }
 
 // writebackPager interposes the writeback table between the buffer pool and
-// the page file: a pool miss (including an eviction re-read and the free
-// list link reads) must see committed images that have not been
+// the page file: a pool miss (including an eviction re-read and a free
+// list trunk read) must see committed images that have not been
 // checkpointed yet. All other operations delegate to the real pager.
 type writebackPager struct {
 	Pager

@@ -98,7 +98,8 @@ func verifyRecovered(t *testing.T, path string, wantEpoch uint64, want map[strin
 	verifyStore(t, re, wantEpoch, want)
 }
 
-// verifyStore asserts the store holds exactly the given committed state.
+// verifyStore asserts the store holds exactly the given committed state,
+// and that its pages account (see ReclaimUnreachable) once swept.
 func verifyStore(t *testing.T, re *Store, wantEpoch uint64, want map[string]string) {
 	t.Helper()
 	if got := re.MVCC().Epoch; got != wantEpoch {
@@ -116,6 +117,15 @@ func verifyStore(t *testing.T, re *Store, wantEpoch uint64, want map[string]stri
 	}
 	if err := tree.Check(); err != nil {
 		t.Fatalf("post-recovery tree integrity: %v", err)
+	}
+	// Page accounting: the sweep reclaims what the crash leaked, and then
+	// every page is exactly one of reachable, free or pending reclamation.
+	reachable := pagesOf(t, re)
+	if _, err := re.ReclaimUnreachable(reachable, true); err != nil {
+		t.Fatalf("post-recovery sweep: %v", err)
+	}
+	if n, err := re.ReclaimUnreachable(reachable, false); err != nil || n != 0 {
+		t.Fatalf("post-recovery page accounting: %d pages unaccounted, %v", n, err)
 	}
 }
 

@@ -24,9 +24,12 @@ const PageSize = 4096
 
 const (
 	metaMagic = "CRIMSONP"
-	// metaVersion 2 dropped the leaf pages' stored sibling-link slot,
-	// shrinking the leaf header; version-1 files are rejected on open.
-	metaVersion = 2
+	// metaVersion 3 keeps the free list as page ids: inline in the meta
+	// page, the rest in trunk pages (see freelist.go). Version 2 chained
+	// whole link pages from freeHead; such a link page reads as an empty
+	// trunk, so version-2 files open as they are. Version 2 had dropped the
+	// leaf pages' stored sibling-link slot; version-1 files are rejected.
+	metaVersion = 3
 
 	// NumRoots is the number of named root slots kept in the meta page.
 	// Slot 0 is reserved by the relational layer for its catalog tree.
@@ -292,14 +295,30 @@ func (p *memPager) Close() error {
 // signal that a reclamation sweep may find leaked pages. Pre-flag files
 // read as unclean (the byte was always zero), which costs exactly one
 // sweep on their first open with current code.
+//
+// free and freeHead are the free list (freelist.go). pageCount is the
+// file's page count when the meta was written: a page grown and freed in
+// one transaction is on the free list but in no WAL batch, so a crash can
+// lose the file's growth to it, and open grows the file back to pageCount.
+// A version-2 meta decodes with no inline ids and a zero pageCount.
 type meta struct {
-	freeHead PageID
-	roots    [NumRoots]PageID
-	epoch    uint64
-	clean    bool
+	freeHead  PageID
+	free      []PageID
+	roots     [NumRoots]PageID
+	epoch     uint64
+	pageCount PageID
+	clean     bool
 }
 
-const metaCleanOff = 24 + 8*NumRoots + 8
+// The version-3 fields follow the clean byte: the inline id count, the page
+// count, then the ids.
+const (
+	metaCleanOff = 24 + 8*NumRoots + 8
+	metaFreeNOff = metaCleanOff + 4
+	metaPagesOff = metaFreeNOff + 4
+	metaFreeOff  = metaPagesOff + 8
+	metaFreeCap  = (PageSize - metaFreeOff) / 8
+)
 
 func (m *meta) encode(buf []byte) {
 	for i := range buf {
@@ -316,6 +335,11 @@ func (m *meta) encode(buf []byte) {
 	if m.clean {
 		buf[metaCleanOff] = 1
 	}
+	binary.LittleEndian.PutUint32(buf[metaFreeNOff:], uint32(len(m.free)))
+	binary.LittleEndian.PutUint64(buf[metaPagesOff:], uint64(m.pageCount))
+	for i, id := range m.free {
+		binary.LittleEndian.PutUint64(buf[metaFreeOff+8*i:], uint64(id))
+	}
 }
 
 func (m *meta) decode(buf []byte) error {
@@ -325,7 +349,8 @@ func (m *meta) decode(buf []byte) error {
 	if string(buf[:8]) != metaMagic {
 		return fmt.Errorf("%w: bad magic", ErrBadMeta)
 	}
-	if v := binary.LittleEndian.Uint32(buf[8:]); v != metaVersion {
+	v := binary.LittleEndian.Uint32(buf[8:])
+	if v != metaVersion && v != 2 {
 		return fmt.Errorf("%w: version %d", ErrBadMeta, v)
 	}
 	if ps := binary.LittleEndian.Uint32(buf[12:]); ps != PageSize {
@@ -337,6 +362,21 @@ func (m *meta) decode(buf []byte) error {
 	}
 	m.epoch = binary.LittleEndian.Uint64(buf[24+8*NumRoots:])
 	m.clean = buf[metaCleanOff] == 1
+	m.free, m.pageCount = nil, 0
+	if v == 2 {
+		return nil
+	}
+	n := binary.LittleEndian.Uint32(buf[metaFreeNOff:])
+	if n > metaFreeCap {
+		return fmt.Errorf("%w: %d inline free ids, room for %d", ErrBadMeta, n, metaFreeCap)
+	}
+	m.pageCount = PageID(binary.LittleEndian.Uint64(buf[metaPagesOff:]))
+	if n > 0 {
+		m.free = make([]PageID, n)
+		for i := range m.free {
+			m.free[i] = PageID(binary.LittleEndian.Uint64(buf[metaFreeOff+8*i:]))
+		}
+	}
 	return nil
 }
 
@@ -346,7 +386,7 @@ func (m *meta) decode(buf []byte) error {
 // and publishes a new epoch.
 //
 // Concurrency: the store is multi-version. Mutations (WriteCOW, WritePage,
-// Allocate, Free, Retire, SetRoot, Commit, Close) serialize on the store
+// Allocate, Retire, SetRoot, Commit, Close) serialize on the store
 // mutex and must come from one writer at a time (package relstore enforces
 // this with its database mutex). Reads — ReadPage — never take the store
 // mutex: they take the page's immutable image from the buffer pool under
@@ -545,6 +585,12 @@ func (s *Store) init() error {
 	if err := s.meta.decode(buf[:]); err != nil {
 		return err
 	}
+	if err := s.growTo(s.meta.pageCount); err != nil {
+		return err
+	}
+	if err := s.checkInlineFree(); err != nil {
+		return err
+	}
 	s.ep.init(s.meta.epoch, s.meta.roots)
 	s.pubEpoch.Store(s.meta.epoch)
 	s.wasClean = s.meta.clean
@@ -590,66 +636,6 @@ func (s *Store) commitSync() error {
 // should run a reclamation sweep.
 func (s *Store) WasCleanShutdown() bool { return s.wasClean }
 
-// Allocate returns a page available for use, reusing freed pages first.
-// Allocated pages count as fresh until the next commit: the writer may
-// rewrite them under the same id, since no published state can reference
-// them.
-func (s *Store) Allocate() (PageID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.allocate()
-}
-
-func (s *Store) allocate() (PageID, error) {
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	if s.meta.freeHead != 0 {
-		id := s.meta.freeHead
-		link, err := s.pool.Get(id)
-		if err != nil {
-			return 0, err
-		}
-		s.meta.freeHead = PageID(binary.LittleEndian.Uint64(link))
-		s.metaDirty = true
-		s.fresh[id] = struct{}{}
-		return id, nil
-	}
-	id, err := s.pool.Grow()
-	if err != nil {
-		return 0, err
-	}
-	s.fresh[id] = struct{}{}
-	return id, nil
-}
-
-// Free returns a page to the free list for immediate reuse. Callers must
-// know that no committed state or open snapshot can reference the page;
-// for pages superseded by copy-on-write use Retire instead.
-func (s *Store) Free(id PageID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	delete(s.fresh, id)
-	return s.free(id)
-}
-
-func (s *Store) free(id PageID) error {
-	// The id is about to become reallocatable: no reader may resolve a
-	// cached decode of its old contents once it is reused.
-	s.dropCached(id)
-	link := make([]byte, PageSize)
-	binary.LittleEndian.PutUint64(link, uint64(s.meta.freeHead))
-	if err := s.pool.Put(id, link); err != nil {
-		return err
-	}
-	s.meta.freeHead = id
-	s.metaDirty = true
-	return nil
-}
-
 // Retire marks a page as superseded. A fresh page (allocated since the
 // last commit) was never visible to anyone and is freed immediately; a
 // committed page enters the epoch-reclamation pipeline and returns to the
@@ -690,6 +676,7 @@ func (s *Store) Writable(id PageID) bool {
 // is open.
 func (s *Store) writeMeta() {
 	img := make([]byte, PageSize)
+	s.meta.pageCount = s.pager.PageCount()
 	s.meta.encode(img)
 	if err := s.pool.Put(0, img); err != nil {
 		panic("storage: write meta: " + err.Error())
@@ -856,8 +843,9 @@ func (s *Store) Close() error {
 // stamps the clean-shutdown flag and checkpoints.
 func (s *Store) closeCommit() error {
 	// Two commits: the first flushes the transaction, and its reclamation
-	// pass may push pages onto the free list (dirtying the free-list
-	// links); the second makes those durable so reopened stores reuse them.
+	// pass may push pages onto the free list (changing the meta page, and a
+	// trunk page when the inline ids spill); the second makes those durable
+	// so reopened stores reuse them.
 	for i := 0; i < 2; i++ {
 		if err := s.Commit(); err != nil && !errors.Is(err, ErrClosed) {
 			return err

@@ -16,9 +16,14 @@ import (
 //   - Page images in a batch are immutable (every page image is, once
 //     installed in the pool), so the commit hook may retain them with zero
 //     copies.
-//   - Freed pages carry their free-list link bytes through the pool, so the
-//     link writes are part of commit batches too: an applied follower's page
-//     file is byte-compatible with the primary's.
+//   - The free list lives in the meta page and in trunk pages, both written
+//     through the pool, so they ride in commit batches too. A freed page
+//     itself is never written: the primary's page file keeps its last
+//     committed image, and so does the follower's, which applied the same
+//     batches. The meta page carries the primary's page count, and the apply
+//     grows the follower's file to it, so a page grown and freed in one
+//     commit exists on both sides. An applied follower's page file stays
+//     byte-compatible with the primary's.
 //
 // A follower applies a batch by installing the images into its own pool and
 // running them through the very same group-commit/WAL/checkpoint machinery —
@@ -185,8 +190,9 @@ func BatchMeta(pages []DirtyPage) (epoch uint64, roots [NumRoots]PageID, ok bool
 // EncodeReplicaMeta builds the meta-page image a snapshot catch-up applies:
 // the snapshot's epoch and roots, an empty free list (the primary's free
 // list is not part of the reachable-page stream; dropping it only leaks
-// pages, which the post-promote sweep reclaims) and the clean flag unset
-// (so an eventual promote-then-reopen sweeps).
+// pages, which the post-promote sweep reclaims), no page count (the apply
+// grows the file to the batch's pages) and the clean flag unset (so an
+// eventual promote-then-reopen sweeps).
 func EncodeReplicaMeta(epoch uint64, roots [NumRoots]PageID) []byte {
 	m := meta{roots: roots, epoch: epoch}
 	buf := make([]byte, PageSize)
@@ -204,7 +210,8 @@ var ErrNotReplica = errors.New("storage: not a replica")
 var ErrReplica = errors.New("storage: replica stores are read-only")
 
 // ApplyReplicated installs one replicated commit batch: the page images are
-// written into the pool (growing the file as needed), the meta image in the
+// written into the pool (growing the file to the primary's page count and
+// past every page in the batch), the meta image in the
 // batch becomes the store's meta, and the whole batch is committed through
 // the ordinary group-commit path — WAL append + fsync on the follower's own
 // log, writeback insert, epoch publish. Batches must arrive in epoch order
@@ -239,13 +246,15 @@ func (s *Store) ApplyReplicated(epoch uint64, pages []DirtyPage) error {
 		s.mu.Unlock()
 		return err
 	}
+	grow := m.pageCount
 	for _, p := range pages {
-		for s.pager.PageCount() <= p.ID {
-			if _, err := s.pool.Grow(); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
+		grow = max(grow, p.ID+1)
+	}
+	if err := s.growTo(grow); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	for _, p := range pages {
 		// The id may be a reuse of a page some cached decode still names.
 		s.dropCached(p.ID)
 		// The batch's buffers stay the caller's (one receive buffer may back

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -26,17 +27,51 @@ func openTempStore(t *testing.T) (*Store, string) {
 }
 
 func TestMetaRoundTrip(t *testing.T) {
-	m := meta{freeHead: 42}
-	m.roots[0] = 7
-	m.roots[7] = 1234567
-	var buf [PageSize]byte
-	m.encode(buf[:])
-	var got meta
-	if err := got.decode(buf[:]); err != nil {
-		t.Fatalf("decode: %v", err)
+	full := make([]PageID, metaFreeCap)
+	for i := range full {
+		full[i] = PageID(1000 + i)
 	}
-	if got != m {
-		t.Fatalf("meta round trip: got %+v want %+v", got, m)
+	for _, free := range [][]PageID{nil, {5, 3, 9}, full} {
+		m := meta{freeHead: 42, free: free, pageCount: 2000}
+		m.roots[0] = 7
+		m.roots[7] = 1234567
+		var buf [PageSize]byte
+		m.encode(buf[:])
+		var got meta
+		if err := got.decode(buf[:]); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("meta round trip: got %+v want %+v", got, m)
+		}
+	}
+}
+
+// encodeV2Meta is the version-2 meta page: the free list is a chain of
+// whole link pages headed at freeHead, and nothing follows the clean byte.
+func encodeV2Meta(freeHead PageID, roots [NumRoots]PageID, epoch uint64, clean bool) []byte {
+	buf := make([]byte, PageSize)
+	copy(buf, metaMagic)
+	binary.LittleEndian.PutUint32(buf[8:], 2)
+	binary.LittleEndian.PutUint32(buf[12:], PageSize)
+	binary.LittleEndian.PutUint64(buf[16:], uint64(freeHead))
+	for i, r := range roots {
+		binary.LittleEndian.PutUint64(buf[24+8*i:], uint64(r))
+	}
+	binary.LittleEndian.PutUint64(buf[24+8*NumRoots:], epoch)
+	if clean {
+		buf[metaCleanOff] = 1
+	}
+	return buf
+}
+
+func TestMetaRejectsInlineOverflow(t *testing.T) {
+	var buf [PageSize]byte
+	(&meta{epoch: 3}).encode(buf[:])
+	binary.LittleEndian.PutUint32(buf[metaFreeNOff:], metaFreeCap+1)
+	var m meta
+	if err := m.decode(buf[:]); !errors.Is(err, ErrBadMeta) {
+		t.Fatalf("decode of %d inline ids: %v, want ErrBadMeta", metaFreeCap+1, err)
 	}
 }
 
@@ -50,11 +85,13 @@ func TestMetaRejectsGarbage(t *testing.T) {
 }
 
 // FuzzMetaDecode: any bytes as page 0. The decode is an error, or a meta
-// whose encoding repeats the input up to the clean flag and decodes back to
-// the same fields. It never panics, whatever the length.
+// that re-encodes (as version 3) to the same fields. A version-3 input's
+// encoding repeats it up to the clean flag and from the inline id count
+// through the last inline id; a version-2 input decodes with no inline ids
+// and no page count. It never panics, whatever the length.
 func FuzzMetaDecode(f *testing.F) {
 	valid := make([]byte, PageSize)
-	m := meta{freeHead: 9, epoch: 1 << 40, clean: true}
+	m := meta{freeHead: 9, free: []PageID{4, 12, 8}, epoch: 1 << 40, pageCount: 77, clean: true}
 	m.roots[1] = 77
 	m.encode(valid)
 	f.Add(valid)
@@ -62,6 +99,7 @@ func FuzzMetaDecode(f *testing.F) {
 	f.Add(valid[:8])
 	f.Add([]byte{})
 	f.Add(make([]byte, PageSize))
+	f.Add(encodeV2Meta(9, m.roots, 1<<40, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got meta
 		if err := got.decode(data); err != nil {
@@ -72,11 +110,21 @@ func FuzzMetaDecode(f *testing.F) {
 		}
 		enc := make([]byte, PageSize)
 		got.encode(enc)
-		if !bytes.Equal(enc[:metaCleanOff], data[:metaCleanOff]) {
+		if !bytes.Equal(enc[12:metaCleanOff], data[12:metaCleanOff]) {
 			t.Fatalf("meta %+v re-encodes to other bytes", got)
 		}
+		switch binary.LittleEndian.Uint32(data[8:]) {
+		case metaVersion:
+			if end := metaFreeOff + 8*len(got.free); !bytes.Equal(enc[metaFreeNOff:end], data[metaFreeNOff:end]) {
+				t.Fatalf("meta %+v re-encodes its inline ids to other bytes", got)
+			}
+		case 2:
+			if got.free != nil || got.pageCount != 0 {
+				t.Fatalf("version-2 meta decoded with inline ids %v, page count %d", got.free, got.pageCount)
+			}
+		}
 		var again meta
-		if err := again.decode(enc); err != nil || again != got {
+		if err := again.decode(enc); err != nil || !reflect.DeepEqual(again, got) {
 			t.Fatalf("meta %+v re-encodes to %+v, %v", got, again, err)
 		}
 	})
@@ -197,7 +245,7 @@ func TestStoreAllocateFreeReuse(t *testing.T) {
 	if a == 0 || b == 0 || a == b {
 		t.Fatalf("bad allocations %d %d", a, b)
 	}
-	if err := s.Free(a); err != nil {
+	if err := s.Retire(a); err != nil { // a is fresh: retiring it frees it
 		t.Fatal(err)
 	}
 	c, err := s.Allocate()

@@ -1,6 +1,6 @@
 package storage
 
-import "encoding/binary"
+import "fmt"
 
 // This file implements the startup reclamation sweep. Retire lists live in
 // memory, so a crash between retiring a page (COW supersession, an overflow
@@ -10,8 +10,9 @@ import "encoding/binary"
 // The sweep closes that gap at open time: callers that know the full root
 // topology (package relstore walks the catalog and every table tree)
 // compute the reachable page set, and ReclaimUnreachable frees everything
-// else. A page leaked by a crash is by construction unreachable from the
-// recovered (last published) state, so the sweep can never free live data.
+// else that is neither free nor pending reclamation. A page leaked by a
+// crash is by construction unreachable from the recovered (last published)
+// state, so the sweep can never free live data.
 
 // Pages calls visit for every page the tree occupies: internal nodes, leaf
 // nodes and the overflow chains of spilled values. It is a read-only walk
@@ -46,54 +47,68 @@ func (t *BTree) Pages(visit func(PageID)) error {
 	return walk(t.root)
 }
 
-// FreePages returns the page ids currently chained on the free list.
-func (s *Store) FreePages() ([]PageID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.freePagesLocked()
-}
-
-func (s *Store) freePagesLocked() ([]PageID, error) {
-	var out []PageID
-	for id := s.meta.freeHead; id != 0; {
-		out = append(out, id)
-		link, err := s.pool.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		id = PageID(binary.LittleEndian.Uint64(link))
-	}
-	return out, nil
-}
-
-// ReclaimUnreachable returns every allocated page that is neither in
-// reachable nor already on the free list to the free list, reporting how
-// many were reclaimed. The caller supplies the complete reachable set (the
-// meta page is implicit); pages freed here become durable at the next
-// commit. Intended to run at open time, before any snapshot is taken.
-func (s *Store) ReclaimUnreachable(reachable map[PageID]bool) (int, error) {
+// ReclaimUnreachable accounts for every page of the file. Page 0 is the
+// meta page; each page in [1, PageCount) must be exactly one of reachable
+// (the caller's complete set, from the catalog down), free, or pending
+// reclamation. A page that is none of them has leaked: ReclaimUnreachable
+// returns how many leaked and, when reclaim is set, frees them (durable at
+// the next commit). A page counted twice, or a free list that is not a set
+// of pages of the file, is an error.
+//
+// The accounting needs a quiescent store — no transaction in progress, the
+// last prepared commit published — and the reachable set of that state. On
+// a busy store, or a replica (whose pending pages are its primary's), it
+// accounts for nothing and returns 0. The open-time sweep reclaims; the
+// integrity check (relstore's DB.Check) only counts.
+func (s *Store) ReclaimUnreachable(reachable map[PageID]bool, reclaim bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	free, err := s.freePagesLocked()
+	if s.replica.Load() {
+		return 0, nil
+	}
+	e := &s.ep
+	e.mu.Lock()
+	quiet := len(s.fresh) == 0 && s.meta.epoch == e.current && s.meta.roots == e.published
+	var pending []PageID
+	for _, b := range e.pending {
+		quiet = quiet && b.epoch < e.current
+		pending = append(pending, b.pages...)
+	}
+	e.mu.Unlock()
+	if !quiet {
+		return 0, nil
+	}
+	count := s.pager.PageCount()
+	accounted, err := s.freeSetLocked(count)
 	if err != nil {
 		return 0, err
 	}
-	onFreeList := make(map[PageID]bool, len(free))
-	for _, id := range free {
-		onFreeList[id] = true
+	for id := range reachable {
+		if id != 0 && id < count && accounted[id] {
+			return 0, fmt.Errorf("storage: page %d is reachable and on the free list", id)
+		}
+	}
+	for _, id := range pending {
+		if id == 0 || id >= count || accounted[id] || reachable[id] {
+			return 0, fmt.Errorf("storage: page %d is pending reclamation and out of bounds, free, reachable or pending twice", id)
+		}
+		accounted[id] = true
 	}
 	n := 0
-	for id := PageID(1); id < s.pager.PageCount(); id++ {
-		if reachable[id] || onFreeList[id] {
+	for id := PageID(1); id < count; id++ {
+		if reachable[id] || accounted[id] {
+			continue
+		}
+		n++
+		if !reclaim {
 			continue
 		}
 		if err := s.free(id); err != nil {
 			return n, err
 		}
-		n++
 	}
 	return n, nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relstore"
 	"repro/internal/species"
+	"repro/internal/storage"
 	"repro/internal/treegen"
 )
 
@@ -100,5 +101,87 @@ func TestLoadWriteVolume(t *testing.T) {
 	}
 	if trees := 1 + len(openTreeOf(t, s, "y2k").nodes.Schema().Indexes); trees != 3 {
 		t.Fatalf("the node relation is %d B+trees, want 3", trees)
+	}
+}
+
+// TestDropWriteVolume gates what a dropped tree costs the commits after
+// it. Its pages go on the free list as ids, so the commit that makes them
+// free logs the meta page (and, past the meta page's room, a trunk page
+// per 249 ids), never the pages themselves. After a 2k-leaf drop the next
+// 256-byte species put logs ≤ 25 000 WAL bytes and a 2k-leaf reload into
+// the freed pages ≤ 590 000; the commit after a 20k-leaf drop logs ≤ 10
+// pages. When each freed page was logged as a link image, the put logged
+// 572 136 bytes (the 139 freed pages rode in its commit) and the 20k
+// drop's commit 1 371 pages; the reload logged 572 136 bytes either way.
+func TestDropWriteVolume(t *testing.T) {
+	db, err := relstore.OpenDB(filepath.Join(t.TempDir(), "crimson.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s, err := NewOnDB(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := species.NewOnDB(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gold, err := treegen.Yule(2000, 1.0, rand.New(rand.NewSource(43)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Load("keep", gold, core.DefaultFanout, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Load("drop", gold, core.DefaultFanout, nil); err != nil {
+		t.Fatal(err)
+	}
+	// The drop's commit publishes; its reclaim frees the tree's pages,
+	// durable at the next commit.
+	if err := s.Delete("drop"); err != nil {
+		t.Fatal(err)
+	}
+	name := gold.LeafNames()[7]
+	_, put := writeVolume(t, func() error {
+		if err := repo.Put("keep", name, "seq:gate", bytes.Repeat([]byte("ACGT"), 64)); err != nil {
+			return err
+		}
+		return db.Commit()
+	})
+	_, reload := writeVolume(t, func() error {
+		_, err := s.Load("drop", gold, core.DefaultFanout, nil)
+		return err
+	})
+	t.Logf("after a 2k-leaf drop: a 256-byte put logs %d WAL bytes, a 2k-leaf reload %d", put, reload)
+	if put > 25000 || reload > 590000 {
+		t.Fatalf("after a 2k-leaf drop a put logged %d and a reload %d WAL bytes, want <= 25000 and <= 590000", put, reload)
+	}
+	if testing.Short() {
+		return
+	}
+	big, err := treegen.Yule(20000, 1.0, rand.New(rand.NewSource(44)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Load("big", big, core.DefaultFanout, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("big"); err != nil {
+		t.Fatal(err)
+	}
+	pending := db.MVCC().PendingReclaimPages
+	var frames int
+	db.Store().SetCommitHook(func(b storage.ReplBatch) { frames += len(b.Pages) })
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	db.Store().SetCommitHook(nil)
+	t.Logf("the commit after a 20k-leaf drop logs %d pages", frames)
+	if pending != 0 || frames == 0 || frames > 10 {
+		t.Fatalf("the commit after a 20k-leaf drop logged %d pages (%d still pending reclamation), want 1..10", frames, pending)
+	}
+	if err := db.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

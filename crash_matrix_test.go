@@ -213,15 +213,15 @@ func pageFileBytes(t *testing.T, path string) int64 {
 }
 
 // TestCrashMatrixDrop crashes around the drop of a 20k-leaf tree — ≈ 1 400
-// freed pages, far past the meta page's room for ids, so the free list
-// spills into trunk pages — at every durability stage the drop passes
-// through: its commit captured but not flushed (the tree survives); its
-// commit fsynced with the freed ids not yet committed (they leak, and the
-// reopen sweep reclaims them); the free list's own commit fsynced (its
-// trunk pages live in the WAL); and that commit checkpointed. Every reopen
-// must pass Check, which accounts for every page of every shard, and a
-// reload of the dropped tree must reuse its pages instead of growing the
-// files.
+// retired pages, far past the meta page's room for ids, so the list of
+// unreachable pages spills into trunk pages — at every durability stage
+// the drop passes through: its commit captured but not flushed (the tree
+// survives); its commit fsynced, listing the retired ids, its trunk pages
+// in the WAL; a commit after it (the stage that once made the free list
+// durable; now it finds nothing to commit); and a checkpoint. Every
+// reopen must pass Check, which accounts for every page of every shard
+// with no reclaim step, and a reload of the dropped tree must reuse its
+// pages instead of growing the files.
 func TestCrashMatrixDrop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20k-leaf tree load")

@@ -10,11 +10,11 @@ import (
 // between each table and its secondary indexes (every row has exactly its
 // index entries; every index entry resolves to a stored row). It is the
 // backing of the CLI's fsck command: a synchronous checkpoint, then
-// Snap.Check on a snapshot of the result. On a quiescent database it then
-// accounts for every page of the file: each is exactly one of reachable
-// from the catalog, free, or pending reclamation (see
-// storage.Store.ReclaimUnreachable). It holds the writer's mutex for that
-// walk.
+// Snap.Check on a snapshot of the result. It then accounts for every page
+// of the file, on a primary and a follower alike: each is exactly one of
+// reachable from the catalog or listed as unreachable (see
+// storage.Store.ReclaimUnreachable). It holds the writer's mutex for that,
+// so no mutation is half done.
 func (db *DB) Check() error {
 	// Flush the writeback table first so the page file matches the
 	// WAL-durable state (fsck over a copied page file sees everything).
@@ -29,16 +29,12 @@ func (db *DB) Check() error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	reachable, err := db.reachableLocked()
-	if err != nil || reachable == nil {
-		return err
-	}
-	leaked, err := db.store.ReclaimUnreachable(reachable, false)
+	leaked, err := db.account()
 	if err != nil {
 		return fmt.Errorf("relstore: page accounting: %w", err)
 	}
 	if leaked > 0 {
-		return fmt.Errorf("relstore: page accounting: %d pages are neither reachable, free nor pending reclamation", leaked)
+		return fmt.Errorf("relstore: page accounting: %d pages are neither reachable nor listed", leaked)
 	}
 	return nil
 }

@@ -44,95 +44,46 @@ type DB struct {
 }
 
 // OpenDB opens (creating if needed) a database in the page file at path.
-// If the file was not shut down cleanly, WAL recovery is followed by a
-// reclamation sweep: retire lists are kept in memory, so a crash between
-// retiring pages (a COW rewrite, a dropped relation) and reclaiming them
-// leaks the pages — unreachable from any root, yet not on the free list.
-// The sweep diffs the pages reachable from the recovered catalog against
-// the page file and returns the leaked ones to the free list, so crashes
-// cannot grow the file permanently. Cleanly closed files skip the sweep —
-// the clean-shutdown flag in the meta page certifies nothing was pending
-// — keeping open O(1) in the database size on the common path.
+// After a crash WAL recovery lands on the last commit, whose meta page
+// lists every page no state references, so opening costs the same as
+// after a clean close. A crashed file of an older format lacks the pending
+// ids; OpenDB lists the pages the catalog does not reach, once.
 func OpenDB(path string) (*DB, error) {
 	store, err := storage.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	db, err := newDB(store)
+	if err == nil && store.Incomplete() {
+		if _, err = db.account(); err == nil {
+			err = db.Commit()
+		}
+	}
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	if !store.WasCleanShutdown() {
-		if _, err := db.sweepLeaked(); err != nil {
-			store.Close()
-			return nil, fmt.Errorf("relstore: startup reclamation sweep: %w", err)
-		}
-	}
 	return db, nil
 }
 
-// sweepLeaked computes the set of pages reachable from the published state
-// — the catalog tree plus every table's primary tree, secondary indexes
-// and overflow chains — and frees everything the page file holds beyond
-// that set, the free list and the pages pending reclamation. It runs at
-// open, before any snapshot or writer exists, and after a promote.
-func (db *DB) sweepLeaked() (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	reachable, err := db.reachableLocked()
+// account runs the store's page accounting (ReclaimUnreachable) against
+// the pages a snapshot of the database reaches; on an Incomplete store it
+// completes the list.
+func (db *DB) account() (int, error) {
+	sn := db.Snapshot()
+	defer sn.Close()
+	reachable, err := sn.reachable()
 	if err != nil || reachable == nil {
 		return 0, err
 	}
-	return db.store.ReclaimUnreachable(reachable, true)
-}
-
-// reachableLocked returns every page the catalog reaches: the catalog tree
-// and each table's primary tree, secondary indexes and overflow chains. It
-// returns nil when there is no catalog, or when a root slot other than the
-// catalog's is in use: reachability cannot be proven for a layout the
-// database does not understand. Callers hold db.mu.
-func (db *DB) reachableLocked() (map[storage.PageID]bool, error) {
-	if db.catalog == nil {
-		return nil, nil
-	}
-	for slot := 0; slot < storage.NumRoots; slot++ {
-		if slot != catalogRootSlot && db.store.Root(slot) != 0 {
-			return nil, nil
-		}
-	}
-	reachable := make(map[storage.PageID]bool)
-	visit := func(id storage.PageID) { reachable[id] = true }
-	if err := db.catalog.Pages(visit); err != nil {
-		return nil, fmt.Errorf("walking catalog: %w", err)
-	}
-	names, err := db.tablesLocked()
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range names {
-		t, err := db.loadTable(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.view.primary.Pages(visit); err != nil {
-			return nil, fmt.Errorf("walking %s: %w", name, err)
-		}
-		for ixName, tree := range t.view.indexes {
-			if err := tree.Pages(visit); err != nil {
-				return nil, fmt.Errorf("walking %s index %s: %w", name, ixName, err)
-			}
-		}
-	}
-	return reachable, nil
+	return db.store.ReclaimUnreachable(sn.ss, reachable)
 }
 
 // NewOnReplicaStore layers a database over a replication-follower store.
 // Nothing is bootstrapped or committed: a replica's pages arrive solely
 // through applied batches, so the catalog is opened at whatever root the
 // replicated meta page names (nil until the primary's first commit
-// arrives; Reload picks it up). No reclamation sweep runs either — a
-// replica never frees pages on its own.
+// arrives; Reload picks it up).
 func NewOnReplicaStore(store *storage.Store) *DB {
 	db := &DB{store: store, tables: make(map[string]*Table)}
 	if root := store.Root(catalogRootSlot); root != 0 {
@@ -154,16 +105,6 @@ func (db *DB) Reload() {
 		db.catalog = nil
 	}
 	db.tables = make(map[string]*Table)
-}
-
-// Sweep runs the leaked-page reclamation sweep (see OpenDB) on demand: a
-// promoted follower calls it because snapshot catch-ups synthesize an
-// empty free list, leaking whatever the old primary's free list held.
-// The caller must ensure no writer is active; concurrent snapshot reads
-// are safe — the sweep only frees pages unreachable from every epoch a
-// replica ever applied.
-func (db *DB) Sweep() (int, error) {
-	return db.sweepLeaked()
 }
 
 // OpenMemDB opens a database backed entirely by memory.

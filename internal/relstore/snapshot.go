@@ -3,6 +3,8 @@ package relstore
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/storage"
@@ -135,4 +137,39 @@ func (s *Snap) Check() error {
 		}
 	}
 	return nil
+}
+
+// reachable marks every page the snapshot's catalog reaches, in a set
+// indexed by page id: the catalog tree and each table's primary tree,
+// secondary indexes and overflow chains. It returns nil when a root slot
+// other than the catalog's is in use: reachability cannot be proven for a
+// layout the database does not understand.
+func (s *Snap) reachable() ([]bool, error) {
+	for slot := 0; slot < storage.NumRoots; slot++ {
+		if slot != catalogRootSlot && s.ss.Root(slot) != 0 {
+			return nil, nil
+		}
+	}
+	var trees []*storage.BTree
+	if s.catalog != nil {
+		trees = append(trees, s.catalog)
+	}
+	names, err := s.Tables()
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range names {
+		v, err := s.Table(name)
+		if err != nil {
+			return nil, err
+		}
+		trees = append(append(trees, v.primary), slices.Collect(maps.Values(v.indexes))...)
+	}
+	set := make([]bool, s.ss.Store().PageCount())
+	for _, tree := range trees {
+		if err := tree.Pages(func(id storage.PageID) { set[id] = true }); err != nil {
+			return nil, fmt.Errorf("relstore: walking the catalog's trees: %w", err)
+		}
+	}
+	return set, nil
 }

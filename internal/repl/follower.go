@@ -33,8 +33,8 @@ const (
 
 // StatusResponse is the /v1/repl/status body, served by both roles.
 // Degraded is set on a follower whose promote attempt failed after the
-// stores were already flipped writable: apply loops are stopped, nothing
-// is replicating, and retrying POST /v1/repl/promote is the remediation.
+// apply loops stopped: nothing is replicating, and retrying POST
+// /v1/repl/promote is the remediation.
 type StatusResponse struct {
 	Role     string        `json:"role"` // "primary" or "follower"
 	Degraded bool          `json:"degraded,omitempty"`
@@ -317,11 +317,11 @@ func (f *Follower) streamOnce(ctx context.Context, i int) error {
 				return fmt.Errorf("repl: snapend frame outside snapshot")
 			}
 			inSnap = false
-			metaPage := storage.EncodeReplicaMeta(frame.Epoch, rootsFromWire(frame.Roots))
-			all := make([]storage.DirtyPage, 0, len(snapPages)+1)
-			all = append(all, storage.DirtyPage{ID: 0, Data: metaPage})
-			all = append(all, snapPages...)
+			all := snapPages
 			snapPages = nil
+			if _, roots, ok := storage.BatchMeta(all); !ok || roots != rootsFromWire(frame.Roots) {
+				return fmt.Errorf("repl: snapshot at epoch %d does not carry its meta page", frame.Epoch)
+			}
 			// A snapshot replaces every page: wait for all local
 			// snapshots older than its epoch.
 			if err := f.waitHorizon(ctx, st, frame.Epoch); err != nil {
@@ -432,21 +432,22 @@ func (f *Follower) WaitSynced(ctx context.Context) error {
 
 // Promote stops the apply loops and flips every shard store to a
 // writable primary. The serving layer completes the promotion (catalog
-// reload, leak sweep, accepting writes); replication of already-applied
-// epochs is preserved — nothing the primary WAL-fsynced and shipped is
-// lost.
-func (f *Follower) Promote() {
+// reload, accepting writes); replication of already-applied epochs is
+// preserved — nothing the primary WAL-fsynced and shipped is lost. A store
+// whose list of unreachable pages does not read stays a follower, and the
+// error says which; promoting again retries it.
+func (f *Follower) Promote() error {
 	f.mu.Lock()
-	if f.promoted {
-		f.mu.Unlock()
-		return
-	}
 	f.promoted = true
 	f.mu.Unlock()
 	f.Stop()
-	for _, s := range f.stores {
-		s.Promote()
+	var errs []error
+	for i, s := range f.stores {
+		if err := s.Promote(); err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+		}
 	}
+	return errors.Join(errs...)
 }
 
 // Promoted reports whether Promote has run.

@@ -330,28 +330,32 @@ func (p *Publisher) shipBatch(fw *frameWriter, sub *subscriber, flush func(), ep
 	return nil
 }
 
-// sendSnapshot ships the whole page file pinned at one committed epoch:
-// hello{snapshot}, the pages from 1 on in chunks, then snapend with the
-// epoch and roots the pages realize. The snapshot pin keeps every page
-// reachable at that epoch immutable while streaming; pages unreachable at
-// the pinned epoch may carry newer bytes, which is harmless — the batches
-// from the pinned epoch on rewrite them on the follower.
+// sendSnapshot ships the page file of one committed epoch: hello{snapshot},
+// that epoch's meta page and its pages from 1 on in chunks, then snapend
+// with the epoch and roots the pages realize. The snapshot pin keeps every
+// page the epoch reaches, and every trunk page of its list of unreachable
+// pages, immutable while streaming; a listed page may carry newer bytes,
+// which is harmless — nothing reads it, and the batches from the pinned
+// epoch on rewrite it on the follower.
 func (p *Publisher) sendSnapshot(ctx context.Context, fw *frameWriter, sub *subscriber, flush func()) error {
-	sn := p.store.Snapshot()
+	sn, metaPage, count, err := p.store.CatchUpSnapshot(ctx)
+	if err != nil {
+		return err
+	}
 	defer sn.Close()
 	epoch := sn.Epoch()
-	count := p.store.PageCount()
 	var roots [storage.NumRoots]storage.PageID
 	for i := range roots {
 		roots[i] = sn.Root(i)
 	}
 
-	if err := fw.writeFrame(Frame{Kind: KindHello, Snapshot: true, Epoch: epoch, PageTotal: uint64(count) - 1}, nil); err != nil {
+	if err := fw.writeFrame(Frame{Kind: KindHello, Snapshot: true, Epoch: epoch, PageTotal: uint64(count)}, nil); err != nil {
 		return err
 	}
 	flush()
 
 	chunk := make([]storage.DirtyPage, 0, snapChunkPages)
+	chunk = append(chunk, storage.DirtyPage{ID: 0, Data: metaPage})
 	ship := func() error {
 		if len(chunk) == 0 {
 			return nil

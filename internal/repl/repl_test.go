@@ -287,7 +287,9 @@ func TestFollowerPromote(t *testing.T) {
 	st := fl.Stores()[0]
 	waitEpoch(t, st, epoch)
 
-	fl.Promote()
+	if err := fl.Promote(); err != nil {
+		t.Fatal(err)
+	}
 	if !fl.Promoted() {
 		t.Fatal("Promoted() false after Promote")
 	}

@@ -216,9 +216,8 @@ func (s *Server) handleReplPromote(*req) (any, error) {
 
 // promote completes a failover: stop the apply loops, flip the stores
 // writable, re-resolve every repository's writer handles (creating tables
-// a young replica never saw), sweep pages the snapshot catch-up leaked
-// onto no free list, commit, and open the write path. Idempotent — a
-// second call returns 409. The writer mutexes are all held across the
+// a young replica never saw), commit, and open the write path. Idempotent
+// — a second call returns 409. The writer mutexes are all held across the
 // flip so the first real write starts against fully promoted state.
 func (s *Server) promote() error {
 	s.promoteMu.Lock()
@@ -231,18 +230,20 @@ func (s *Server) promote() error {
 		s.writeMus[i].Lock()
 		defer s.writeMus[i].Unlock()
 	}
-	fl.Promote()
-	// Everything past this point runs with the stores already writable
-	// and the apply loops stopped. A failure here leaves the server
-	// half-promoted: still read-only, nothing replicating. Flag the
-	// state (degraded in /v1/repl/status) and tell the operator that
-	// retrying promote — every step below is idempotent — completes the
-	// failover.
-	if err := s.finishPromote(); err != nil {
+	// Everything past this point runs with the apply loops stopped. A
+	// failure leaves the server half-promoted: still read-only, nothing
+	// replicating. Flag the state (degraded in /v1/repl/status) and tell
+	// the operator that retrying promote — every step is idempotent —
+	// completes the failover.
+	err := fl.Promote()
+	if err == nil {
+		err = s.finishPromote()
+	}
+	if err != nil {
 		s.promoteDegraded.Store(true)
-		s.logf("crimsond: promote failed after stores flipped writable; "+
+		s.logf("crimsond: promote failed after the apply loops stopped; "+
 			"server is degraded (read-only, not replicating) until POST /v1/repl/promote is retried: %v", err)
-		return fmt.Errorf("%w (stores are already writable and the apply loops are stopped; retry promote to complete the failover)", err)
+		return fmt.Errorf("%w (the apply loops are stopped; retry promote to complete the failover)", err)
 	}
 	s.promoteDegraded.Store(false)
 	s.readOnly.Store(false)
@@ -251,9 +252,8 @@ func (s *Server) promote() error {
 }
 
 // finishPromote runs the post-flip promotion steps: re-resolve every
-// repository's writer handles, sweep catch-up leaks, commit, and drop the
-// read-only epoch-keyed caches. Idempotent, so a failed promote can be
-// retried end to end.
+// repository's writer handles, commit, and drop the read-only epoch-keyed
+// caches. Idempotent, so a failed promote can be retried end to end.
 func (s *Server) finishPromote() error {
 	for _, db := range s.be.DBs {
 		db.Reload()
@@ -266,15 +266,6 @@ func (s *Server) finishPromote() error {
 	}
 	if err := s.be.Queries.Reload(); err != nil {
 		return fmt.Errorf("promote: reloading query repository: %w", err)
-	}
-	for i, db := range s.be.DBs {
-		n, err := db.Sweep()
-		if err != nil {
-			return fmt.Errorf("promote: sweeping shard %d: %w", i, err)
-		}
-		if n > 0 {
-			s.logf("crimsond: promote: reclaimed %d leaked pages on shard %d", n, i)
-		}
 	}
 	for i, db := range s.be.DBs {
 		if err := db.Commit(); err != nil {

@@ -176,9 +176,9 @@ type Server struct {
 	readOnly  atomic.Bool
 	promoteMu sync.Mutex // serializes POST /v1/repl/promote
 	// promoteDegraded is set when a promote attempt failed after the
-	// stores were already flipped writable: the server still reports as a
-	// follower but nothing is replicating. Surfaced in /v1/repl/status;
-	// retrying promote clears it.
+	// apply loops stopped: the server still reports as a follower but
+	// nothing is replicating. Surfaced in /v1/repl/status; retrying
+	// promote clears it.
 	promoteDegraded atomic.Bool
 	// streamCtx cancels open replication streams at Shutdown —
 	// http.Server.Shutdown waits for active requests, and a stream never

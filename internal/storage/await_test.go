@@ -214,7 +214,9 @@ func TestPromoteReleasesWaiters(t *testing.T) {
 	defer s.Close()
 	want := s.PublishedEpoch() + 1
 	done := blockOn(t, s, func() error { return s.AwaitEpoch(context.Background(), want) })
-	s.Promote()
+	if err := s.Promote(); err != nil {
+		t.Fatal(err)
+	}
 	// Promote cleared the channel; finding one again means the waiter was
 	// woken, found the epoch still short and registered anew.
 	awaitRegistered(t, s, done)

@@ -99,7 +99,8 @@ func verifyRecovered(t *testing.T, path string, wantEpoch uint64, want map[strin
 }
 
 // verifyStore asserts the store holds exactly the given committed state,
-// and that its pages account (see ReclaimUnreachable) once swept.
+// and that every page is reachable or listed, with no reclaim step (see
+// ReclaimUnreachable): the crash leaked nothing.
 func verifyStore(t *testing.T, re *Store, wantEpoch uint64, want map[string]string) {
 	t.Helper()
 	if got := re.MVCC().Epoch; got != wantEpoch {
@@ -118,13 +119,10 @@ func verifyStore(t *testing.T, re *Store, wantEpoch uint64, want map[string]stri
 	if err := tree.Check(); err != nil {
 		t.Fatalf("post-recovery tree integrity: %v", err)
 	}
-	// Page accounting: the sweep reclaims what the crash leaked, and then
-	// every page is exactly one of reachable, free or pending reclamation.
-	reachable := pagesOf(t, re)
-	if _, err := re.ReclaimUnreachable(reachable, true); err != nil {
-		t.Fatalf("post-recovery sweep: %v", err)
+	if re.meta.incomplete {
+		t.Fatal("a version-4 file reopened with an incomplete list")
 	}
-	if n, err := re.ReclaimUnreachable(reachable, false); err != nil || n != 0 {
+	if n, err := account(re); err != nil || n != 0 {
 		t.Fatalf("post-recovery page accounting: %d pages unaccounted, %v", n, err)
 	}
 }
@@ -799,7 +797,7 @@ func TestApplyReplicatedRejectsWholeBatch(t *testing.T) {
 	})
 	e := s.PublishedEpoch()
 	metaAt := func(epoch uint64) DirtyPage {
-		return DirtyPage{ID: 0, Data: EncodeReplicaMeta(epoch, [NumRoots]PageID{})}
+		return DirtyPage{ID: 0, Data: metaImage(epoch, [NumRoots]PageID{})}
 	}
 	bad := []DirtyPage{{ID: 3, Data: bytes.Repeat([]byte{0xAB}, PageSize)}, metaAt(e + 5)}
 	if err := s.ApplyReplicated(e+1, bad); err == nil {

@@ -55,6 +55,7 @@ type epochs struct {
 	mu        sync.Mutex
 	current   uint64           // epoch of the last published (committed) state
 	published [NumRoots]PageID // root slots as of the last commit
+	meta      []byte           // the last commit's meta page image
 	active    map[uint64]int   // open snapshot refcounts by epoch
 	pending   []retireBatch    // retired pages awaiting reclamation, epoch-sorted
 	pendingN  int              // total pages across pending
@@ -62,9 +63,10 @@ type epochs struct {
 	closed    bool             // the store is closed: waiters return ErrClosed
 }
 
-func (e *epochs) init(epoch uint64, roots [NumRoots]PageID) {
+func (e *epochs) init(epoch uint64, roots [NumRoots]PageID, meta []byte) {
 	e.current = epoch
 	e.published = roots
+	e.meta = meta
 	e.active = make(map[uint64]int)
 }
 
@@ -155,15 +157,27 @@ func (s *Store) AwaitSnapshotsFrom(ctx context.Context, limit uint64) error {
 // attributing to the published epoch could free a page that a
 // prepared-but-unpublished epoch still references. Prepared epochs are
 // monotonic under Store.mu, so the pending list stays epoch-sorted.
-func (e *epochs) retireAt(epoch uint64, id PageID) {
+func (e *epochs) retireAt(epoch uint64, ids ...PageID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if n := len(e.pending); n > 0 && e.pending[n-1].epoch == epoch {
-		e.pending[n-1].pages = append(e.pending[n-1].pages, id)
+		e.pending[n-1].pages = append(e.pending[n-1].pages, ids...)
 	} else {
-		e.pending = append(e.pending, retireBatch{epoch: epoch, pages: []PageID{id}})
+		e.pending = append(e.pending, retireBatch{epoch: epoch, pages: ids})
 	}
-	e.pendingN++
+	e.pendingN += len(ids)
+}
+
+// oldestLocked is the oldest epoch a reader may still read: the current
+// one, or an older one an open snapshot pins. Callers hold e.mu.
+func (e *epochs) oldestLocked() uint64 {
+	min := e.current
+	for ep := range e.active {
+		if ep < min {
+			min = ep
+		}
+	}
+	return min
 }
 
 // collectLocked removes and returns every pending page that is now safe to
@@ -174,12 +188,7 @@ func (e *epochs) retireAt(epoch uint64, id PageID) {
 // reused here, a follower must not apply the commits that reuse them while
 // it still serves snapshots older than the horizon. Callers hold e.mu.
 func (e *epochs) collectLocked() ([]PageID, uint64) {
-	min := e.current
-	for ep := range e.active {
-		if ep < min {
-			min = ep
-		}
-	}
+	min := e.oldestLocked()
 	i := 0
 	var out []PageID
 	var maxEpoch uint64
@@ -202,6 +211,7 @@ type Snap struct {
 	s     *Store
 	epoch uint64
 	roots [NumRoots]PageID
+	meta  []byte
 	once  sync.Once
 }
 
@@ -211,7 +221,7 @@ func (s *Store) Snapshot() *Snap {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.active[e.current]++
-	return &Snap{s: s, epoch: e.current, roots: e.published}
+	return &Snap{s: s, epoch: e.current, roots: e.published, meta: e.meta}
 }
 
 // Epoch reports the committed epoch this snapshot pins.
@@ -242,29 +252,10 @@ func (s *Store) releaseSnapshot(epoch uint64) {
 	} else {
 		e.active[epoch] = n - 1
 	}
-	free, hz := e.collectLocked()
+	ready := len(e.pending) > 0 && e.pending[0].epoch < e.oldestLocked()
 	e.mu.Unlock()
-	s.noteHorizon(hz)
-	s.freeReclaimed(free)
-}
-
-// freeReclaimed pushes reclaimed pages onto the free list. It takes the
-// store lock itself, so callers must not hold it (or epochs.mu).
-func (s *Store) freeReclaimed(ids []PageID) {
-	if len(ids) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return
-	}
-	for _, id := range ids {
-		if err := s.free(id); err != nil {
-			// Reclamation is best-effort: a failure leaks the page but
-			// cannot corrupt committed state.
-			return
-		}
+	if ready {
+		s.reclaim()
 	}
 }
 

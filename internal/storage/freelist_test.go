@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -27,22 +28,24 @@ func writeV2File(t *testing.T, path string, head PageID, links []PageID, clean b
 	}
 }
 
-// pagesOf returns every page the store's root-0 tree occupies.
-func pagesOf(t *testing.T, s *Store) map[PageID]bool {
-	t.Helper()
-	reachable := map[PageID]bool{}
-	if root := s.Root(0); root != 0 {
-		if err := OpenBTree(s, root).Pages(func(id PageID) { reachable[id] = true }); err != nil {
-			t.Fatal(err)
+// account runs the page accounting of a store whose one tree hangs off
+// root 0, against a snapshot of it (see ReclaimUnreachable).
+func account(s *Store) (int, error) {
+	sn := s.Snapshot()
+	defer sn.Close()
+	reachable := make([]bool, s.PageCount())
+	if root := sn.Root(0); root != 0 {
+		if err := OpenBTreeAt(s, root, sn.Epoch()).Pages(func(id PageID) { reachable[id] = true }); err != nil {
+			return 0, err
 		}
 	}
-	return reachable
+	return s.ReclaimUnreachable(sn, reachable)
 }
 
 // TestFreeListCyclicV2Chain: a v2 file whose link chain is a cycle (page 2
-// names 3, page 3 names 2). The sweep's walk of it used to follow the
-// links forever, growing its list without bound; allocation handed the
-// two pages out in turn, forever. Both must fail.
+// names 3, page 3 names 2). A walk of it used to follow the links forever,
+// growing its list without bound; allocation handed the two pages out in
+// turn, forever. The accounting and allocation must both fail.
 func TestFreeListCyclicV2Chain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cycle.db")
 	writeV2File(t, path, 2, []PageID{0, 3, 2}, false)
@@ -50,19 +53,19 @@ func TestFreeListCyclicV2Chain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No deferred Close: a sweep that never returns holds the store mutex.
+	// No deferred Close: a walk that never returns holds the store mutex.
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.ReclaimUnreachable(map[PageID]bool{}, true)
+		_, err := account(s)
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrCorruptPage) {
-			t.Fatalf("sweep over a cyclic free chain: %v, want ErrCorruptPage", err)
+			t.Fatalf("accounting over a cyclic free chain: %v, want ErrCorruptPage", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("sweep over a cyclic free chain did not return")
+		t.Fatal("accounting over a cyclic free chain did not return")
 	}
 	defer s.Close()
 	var got []PageID
@@ -81,8 +84,8 @@ func TestFreeListCyclicV2Chain(t *testing.T) {
 
 // TestFreeListOpensV2LinkChain: a cleanly closed v2 file with five free
 // pages chained 3 → 1 → 5 → 2 → 4 opens as it is, accounts for every page
-// as free, hands the five out in chain order, and grows the file only
-// after them.
+// as listed, hands the five out in chain order, and grows the file only
+// after them. It reopens as version 4 with every page accounted.
 func TestFreeListOpensV2LinkChain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v2.db")
 	writeV2File(t, path, 3, []PageID{5, 4, 1, 0, 2}, true)
@@ -90,8 +93,8 @@ func TestFreeListOpensV2LinkChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.ReclaimUnreachable(map[PageID]bool{}, false); err != nil || n != 0 {
-		t.Fatalf("v2 accounting: %d leaked, %v", n, err)
+	if n, err := account(s); err != nil || n != 0 {
+		t.Fatalf("v2 accounting: %d unaccounted, %v", n, err)
 	}
 	var got []PageID
 	for i := 0; i < 6; i++ {
@@ -110,10 +113,8 @@ func TestFreeListOpensV2LinkChain(t *testing.T) {
 	}
 	s.SetRoot(0, tree.Root())
 	for _, id := range got {
-		if id != tree.Root() {
-			if err := s.Retire(id); err != nil {
-				t.Fatal(err)
-			}
+		if err := s.Retire(id); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -124,16 +125,17 @@ func TestFreeListOpensV2LinkChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if n, err := s.ReclaimUnreachable(pagesOf(t, s), false); err != nil || n != 0 {
-		t.Fatalf("reopened v3 accounting: %d leaked, %v", n, err)
+	if n, err := account(s); err != nil || n != 0 {
+		t.Fatalf("reopened v4 accounting: %d unaccounted, %v", n, err)
 	}
 }
 
-// TestFreeListSpillsToTrunks frees 1 500 committed pages — three times the
-// inline room — and checks what that costs and that every id comes back:
-// the commit that makes the free list durable logs the meta page and a
-// handful of trunk pages, never a freed page; after a reopen the 1 500
-// ids are handed out once each before the file grows.
+// TestFreeListSpillsToTrunks retires 1 500 committed pages — three times
+// the inline room — and checks what that costs and that every page comes
+// back: the retiring commit lists them, logging the meta page and a
+// handful of trunk pages (grown: nothing is reusable yet), never a retired
+// page; after a reopen the 1 500 ids and the trunk pages are handed out
+// once each before the file grows.
 func TestFreeListSpillsToTrunks(t *testing.T) {
 	const n = 1500
 	path := filepath.Join(t.TempDir(), "spill.db")
@@ -160,11 +162,6 @@ func TestFreeListSpillsToTrunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The retiring commit publishes; its reclaim frees the pages.
-	s.SetRoot(1, 0)
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
 	var logged []PageID
 	s.SetCommitHook(func(b ReplBatch) {
 		for _, p := range b.Pages {
@@ -180,12 +177,15 @@ func TestFreeListSpillsToTrunks(t *testing.T) {
 		if id != 0 {
 			trunks++
 		}
+		if _, found := slices.BinarySearch(ids, id); found {
+			t.Fatalf("the retiring commit logged retired page %d", id)
+		}
 	}
-	if logged[0] != 0 || trunks == 0 || trunks > n/(metaFreeCap/2) {
-		t.Fatalf("the free list's commit logged pages %v, want the meta page and at most %d trunks", logged, n/(metaFreeCap/2))
+	if len(logged) == 0 || logged[0] != 0 || trunks == 0 || trunks > n/(metaFreeCap/2) {
+		t.Fatalf("the retiring commit logged pages %v, want the meta page and at most %d trunks", logged, n/(metaFreeCap/2))
 	}
-	if leaked, err := s.ReclaimUnreachable(map[PageID]bool{}, false); err != nil || leaked != 0 {
-		t.Fatalf("accounting: %d leaked, %v", leaked, err)
+	if leaked, err := account(s); err != nil || leaked != 0 {
+		t.Fatalf("accounting: %d unaccounted, %v", leaked, err)
 	}
 	count := s.PageCount()
 	if err := s.Close(); err != nil {
@@ -197,7 +197,7 @@ func TestFreeListSpillsToTrunks(t *testing.T) {
 	}
 	defer s.Close()
 	var got []PageID
-	for i := 0; i < n; i++ {
+	for i := 0; i < n+trunks; i++ {
 		id, err := s.Allocate()
 		if err != nil {
 			t.Fatal(err)
@@ -205,14 +205,14 @@ func TestFreeListSpillsToTrunks(t *testing.T) {
 		got = append(got, id)
 	}
 	slices.Sort(got)
-	if !slices.Equal(got, ids) {
-		t.Fatalf("reallocated ids are not the freed ones (%d vs %d)", len(got), len(ids))
+	if want := slices.Concat(ids, logged[1:]); !slices.Equal(got, want) {
+		t.Fatalf("reallocated pages are not the retired ones and the trunks (%d vs %d)", len(got), len(want))
 	}
 	if s.PageCount() != count {
-		t.Fatalf("draining the free list grew the file from %d to %d pages", count, s.PageCount())
+		t.Fatalf("draining the list grew the file from %d to %d pages", count, s.PageCount())
 	}
 	if id, err := s.Allocate(); err != nil || id != count {
-		t.Fatalf("allocation past the free list: %d, %v, want %d", id, err, count)
+		t.Fatalf("allocation past the list: %d, %v, want %d", id, err, count)
 	}
 }
 
@@ -397,8 +397,104 @@ func TestFreeListFollowerMatchesPrimaryPageCount(t *testing.T) {
 	if f.PageCount() != p.PageCount() || f.PageCount() <= id {
 		t.Fatalf("follower has %d pages, primary %d; freed page %d", f.PageCount(), p.PageCount(), id)
 	}
-	f.Promote()
+	if err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
 	if got, err := f.Allocate(); err != nil || got != id {
 		t.Fatalf("promoted follower allocated %d, %v, want the free page %d", got, err, id)
+	}
+}
+
+// TestCatchUpSnapshotKeepsTrunks: a snapshot catch-up ships its epoch's
+// trunk pages, so none may be handed out while it streams. A trunk page
+// consumed with no snapshot open is handed out (the file does not grow for
+// it), and a catch-up waits for the commit that publishes that; while the
+// catch-up's snapshot is open, draining the list retires each consumed
+// trunk instead, and every page of the pinned epoch's chain reads as it
+// did.
+func TestCatchUpSnapshotKeepsTrunks(t *testing.T) {
+	s, _ := openTempStore(t)
+	var ids []PageID
+	for i := 0; i < 1500; i++ {
+		id, err := s.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if err := s.Retire(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	count := s.PageCount()
+	// Drain the inline ids and one trunk: its page is handed out.
+	for s.handout == 0 {
+		if _, err := s.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.PageCount() != count || s.handout != s.PublishedEpoch()+1 {
+		t.Fatalf("consuming a trunk: %d pages (was %d), handout epoch %d", s.PageCount(), count, s.handout)
+	}
+	type catchUp struct {
+		sn       *Snap
+		metaPage []byte
+	}
+	got := make(chan catchUp, 1)
+	go func() {
+		sn, metaPage, _, err := s.CatchUpSnapshot(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		got <- catchUp{sn, metaPage}
+	}()
+	select {
+	case <-got:
+		t.Fatal("a catch-up pinned an epoch whose trunk page is handed out")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	c := <-got
+	defer c.sn.Close()
+	var m meta
+	if err := m.decode(c.metaPage); err != nil || m.freeHead == 0 {
+		t.Fatalf("pinned meta: %+v, %v", m, err)
+	}
+	trunks := map[PageID][]byte{}
+	for id := m.freeHead; id != 0; id = PageID(binary.LittleEndian.Uint64(trunks[id])) {
+		img, err := s.ReadPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trunks[id] = img
+	}
+	for s.meta.freeHead != 0 || s.nfree > 0 {
+		id, err := s.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := trunks[id]; ok {
+			t.Fatalf("trunk page %d handed out while a snapshot is open", id)
+		}
+		if err := s.WritePage(id, bytes.Repeat([]byte{0xEE}, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range trunks {
+		if img, err := s.ReadPage(id); err != nil || !bytes.Equal(img, want) {
+			t.Fatalf("trunk page %d of the pinned epoch changed while the catch-up streamed (%v)", id, err)
+		}
 	}
 }

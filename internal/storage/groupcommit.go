@@ -32,6 +32,7 @@ type commitReq struct {
 	epoch uint64
 	roots [NumRoots]PageID
 	pages []DirtyPage // the pool's immutable images as of prepare
+	meta  []byte      // pages' meta page image, published with the epoch
 	done  chan error  // buffered(1); receives the flush result
 
 	// Filled by the leader before done is signalled (the channel receive
@@ -118,7 +119,7 @@ func (s *Store) flushBatch(batch []*commitReq) error {
 	if err != nil {
 		return err
 	}
-	s.publish(last.epoch, last.roots)
+	s.publish(last.epoch, last.roots, last.meta)
 	// Replication hook: hand each durable commit to the publisher, in epoch
 	// order, after the fsync that made it durable. The page slabs are
 	// immutable after prepare, so the hook may retain them without copying.
@@ -145,12 +146,13 @@ func (s *Store) flushBatch(batch []*commitReq) error {
 // the woken waiter reads the epoch it was woken for. Publication is
 // monotonic: group flushes always carry the newest epoch of their batch, so
 // intermediate epochs of a batch publish implicitly.
-func (s *Store) publish(epoch uint64, roots [NumRoots]PageID) {
+func (s *Store) publish(epoch uint64, roots [NumRoots]PageID, meta []byte) {
 	e := &s.ep
 	e.mu.Lock()
 	if epoch > e.current {
 		e.current = epoch
 		e.published = roots
+		e.meta = meta
 		s.pubEpoch.Store(epoch) // the lock-free mirror of current
 		e.wakeLocked()
 	}
@@ -185,9 +187,7 @@ func (w *CommitWaiter) Wait() error {
 		w.err = w.s.gc.wait(w.s, w.req)
 	}
 	if w.s != nil && w.err == nil {
-		if err := w.s.reclaim(); err != nil {
-			w.err = err
-		}
+		w.s.reclaim()
 		w.ckptDur = w.s.maybeCheckpoint()
 	}
 	return w.err
@@ -231,27 +231,6 @@ func (w *CommitWaiter) CheckpointTime() time.Duration {
 		return 0
 	}
 	return w.ckptDur
-}
-
-// reclaim frees every retired page whose superseding epoch has published
-// and which no open snapshot can reference.
-func (s *Store) reclaim() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return nil
-	}
-	e := &s.ep
-	e.mu.Lock()
-	free, hz := e.collectLocked()
-	e.mu.Unlock()
-	s.noteHorizon(hz)
-	for _, id := range free {
-		if err := s.free(id); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CommitAsync begins a commit and returns a waiter for its durability. The
@@ -298,6 +277,8 @@ func (s *Store) prepareLocked() (*commitReq, error) {
 // flush. Callers hold Store.mu.
 func (s *Store) captureLocked() (*commitReq, error) {
 	dirty := s.pool.DirtyPages()
+	// Every batch carries its stamped meta page, and page 0 sorts first.
+	meta := dirty[0].Data
 
 	if s.wal == nil || s.wb == nil {
 		// In-memory store: no WAL, no checkpointer — write straight back
@@ -310,7 +291,7 @@ func (s *Store) captureLocked() (*commitReq, error) {
 		obs.Engine.Add(obs.CtrPagesWritten, int64(len(dirty)))
 		s.pool.ClearDirty()
 		s.fresh = make(map[PageID]struct{})
-		s.publish(s.meta.epoch, s.meta.roots)
+		s.publish(s.meta.epoch, s.meta.roots, meta)
 		obs.Engine.Add(obs.CtrCommits, 1)
 		return nil, nil
 	}
@@ -330,6 +311,7 @@ func (s *Store) captureLocked() (*commitReq, error) {
 		epoch: s.meta.epoch,
 		roots: s.meta.roots,
 		pages: pages,
+		meta:  meta,
 		done:  make(chan error, 1),
 	}
 	s.gc.enqueue(req)

@@ -106,7 +106,7 @@ func TestWALRetainCapOverridesFloor(t *testing.T) {
 func TestLogCommitContentEpochs(t *testing.T) {
 	s, _ := openTempStore(t)
 	var roots [NumRoots]PageID
-	batch := []DirtyPage{{ID: 0, Data: EncodeReplicaMeta(7, roots)}}
+	batch := []DirtyPage{{ID: 0, Data: metaImage(7, roots)}}
 	if err := s.wal.LogCommit(batch); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestLogCommitContentEpochs(t *testing.T) {
 	}
 
 	// A second, newer batch extends only the upper bound.
-	batch2 := []DirtyPage{{ID: 0, Data: EncodeReplicaMeta(9, roots)}}
+	batch2 := []DirtyPage{{ID: 0, Data: metaImage(9, roots)}}
 	if err := s.wal.LogCommit(batch2); err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,11 @@ const PageSize = 4096
 
 const (
 	metaMagic = "CRIMSONP"
-	// metaVersion 3 keeps the free list as page ids: inline in the meta
-	// page, the rest in trunk pages (see freelist.go). Version 2 chained
-	// whole link pages from freeHead; such a link page reads as an empty
-	// trunk, so version-2 files open as they are. Version 2 had dropped the
-	// leaf pages' stored sibling-link slot; version-1 files are rejected.
-	metaVersion = 3
+	// metaVersion 4 lists pending pages too (freelist.go). Version 3, the
+	// same layout, and version 2, whose free list was a chain of link
+	// pages, listed reusable pages only: an unclean one opens with its list
+	// incomplete (see meta). Version-1 files are rejected.
+	metaVersion = 4
 
 	// NumRoots is the number of named root slots kept in the meta page.
 	// Slot 0 is reserved by the relational layer for its catalog tree.
@@ -290,28 +289,28 @@ func (p *memPager) Close() error {
 // meta is the decoded form of page 0. The epoch counts commits: WAL
 // recovery always lands on the root set and epoch of the last commit whose
 // records fully reached the log, which is how a crashed store reopens on
-// its last published state. The clean flag marks a shutdown that left no
-// retired pages awaiting reclamation — opening with it unset is the
-// signal that a reclamation sweep may find leaked pages. Pre-flag files
-// read as unclean (the byte was always zero), which costs exactly one
-// sweep on their first open with current code.
+// its last published state.
 //
-// free and freeHead are the free list (freelist.go). pageCount is the
-// file's page count when the meta was written: a page grown and freed in
-// one transaction is on the free list but in no WAL batch, so a crash can
-// lose the file's growth to it, and open grows the file back to pageCount.
-// A version-2 meta decodes with no inline ids and a zero pageCount.
+// free and freeHead list the pages no published state references
+// (freelist.go). pageCount is the file's page count when the meta was
+// written: a page grown and freed in one transaction is listed but in no
+// WAL batch, so open grows the file back to pageCount after a crash lost
+// that growth, and lists the pages past it, which no commit reached. A
+// version-2 meta decodes with no inline ids and no pageCount (0).
+// incomplete is decoded only: a version-2 or -3 page without its clean
+// byte, whose list lacks the ids pending when it was written, until
+// ReclaimUnreachable completes it.
 type meta struct {
-	freeHead  PageID
-	free      []PageID
-	roots     [NumRoots]PageID
-	epoch     uint64
-	pageCount PageID
-	clean     bool
+	freeHead   PageID
+	free       []PageID
+	roots      [NumRoots]PageID
+	epoch      uint64
+	pageCount  PageID
+	incomplete bool
 }
 
-// The version-3 fields follow the clean byte: the inline id count, the page
-// count, then the ids.
+// metaCleanOff is the clean-shutdown byte of versions 2 and 3, reserved in
+// version 4. The inline id count, the page count and the ids follow it.
 const (
 	metaCleanOff = 24 + 8*NumRoots + 8
 	metaFreeNOff = metaCleanOff + 4
@@ -332,9 +331,6 @@ func (m *meta) encode(buf []byte) {
 		binary.LittleEndian.PutUint64(buf[24+8*i:], uint64(r))
 	}
 	binary.LittleEndian.PutUint64(buf[24+8*NumRoots:], m.epoch)
-	if m.clean {
-		buf[metaCleanOff] = 1
-	}
 	binary.LittleEndian.PutUint32(buf[metaFreeNOff:], uint32(len(m.free)))
 	binary.LittleEndian.PutUint64(buf[metaPagesOff:], uint64(m.pageCount))
 	for i, id := range m.free {
@@ -350,7 +346,7 @@ func (m *meta) decode(buf []byte) error {
 		return fmt.Errorf("%w: bad magic", ErrBadMeta)
 	}
 	v := binary.LittleEndian.Uint32(buf[8:])
-	if v != metaVersion && v != 2 {
+	if v < 2 || v > metaVersion {
 		return fmt.Errorf("%w: version %d", ErrBadMeta, v)
 	}
 	if ps := binary.LittleEndian.Uint32(buf[12:]); ps != PageSize {
@@ -361,7 +357,7 @@ func (m *meta) decode(buf []byte) error {
 		m.roots[i] = PageID(binary.LittleEndian.Uint64(buf[24+8*i:]))
 	}
 	m.epoch = binary.LittleEndian.Uint64(buf[24+8*NumRoots:])
-	m.clean = buf[metaCleanOff] == 1
+	m.incomplete = v < metaVersion && buf[metaCleanOff] != 1
 	m.free, m.pageCount = nil, 0
 	if v == 2 {
 		return nil
@@ -416,9 +412,11 @@ type Store struct {
 	// under the same id and retiring one frees it immediately.
 	fresh map[PageID]struct{}
 
-	// wasClean records whether the file carried the clean-shutdown flag
-	// when opened (fresh stores count as clean: nothing can have leaked).
-	wasClean bool
+	// nfree and spilled split the listed ids into reusable and pending
+	// (freelist.go). handout is the epoch that publishes the last trunk
+	// page handed out (see CatchUpSnapshot).
+	nfree, spilled int
+	handout        uint64
 
 	// rcache, when non-nil, is the version-keyed decoded-node cache the
 	// B+tree read paths consult before decoding pages (see readcache.go).
@@ -444,13 +442,10 @@ type Store struct {
 	ckptInterval atomic.Int64
 
 	// replica marks a store opened as a replication follower: it never
-	// stamps epochs or the clean-shutdown flag itself — every mutation
-	// arrives pre-stamped through ApplyReplicated — so its page file stays
-	// byte-compatible with the primary's. Promote flips it off; wasReplica
-	// stays set so Close never stamps the clean flag on a file that may
-	// carry snapshot-catch-up leaks (the reopen sweep reclaims them).
-	replica    atomic.Bool
-	wasReplica bool
+	// stamps epochs itself — every mutation arrives pre-stamped through
+	// ApplyReplicated — so its page file stays byte-compatible with the
+	// primary's. Promote flips it off.
+	replica atomic.Bool
 
 	// commitHook, when set, receives every durable commit (epoch, roots and
 	// immutable page images) right after its WAL fsync — the replication
@@ -511,8 +506,8 @@ func openFile(path string, poolLimit int) (*Store, error) {
 
 // OpenReplica opens a file-backed store as a replication follower: WAL
 // recovery still runs (restart resumes on the last fully applied epoch),
-// but the store never stamps epochs or the clean flag itself — all state
-// advances arrive through ApplyReplicated. See Promote.
+// but the store never stamps epochs itself — all state advances arrive
+// through ApplyReplicated. See Promote.
 func OpenReplica(path string) (*Store, error) { return openFileMode(path, DefaultPoolSize, true) }
 
 func openFileMode(path string, poolLimit int, replica bool) (*Store, error) {
@@ -536,7 +531,6 @@ func openFileMode(path string, poolLimit int, replica bool) (*Store, error) {
 		fresh: make(map[PageID]struct{}),
 	}
 	s.replica.Store(replica)
-	s.wasReplica = replica
 	if err := s.init(); err != nil {
 		pager.Close()
 		wal.Close()
@@ -557,6 +551,7 @@ func (s *Store) init() error {
 			return err
 		}
 	}
+	img := make([]byte, PageSize)
 	if s.pager.PageCount() == 0 {
 		id, err := s.pager.Grow()
 		if err != nil {
@@ -565,76 +560,61 @@ func (s *Store) init() error {
 		if id != 0 {
 			return fmt.Errorf("storage: fresh file grew to page %d", id)
 		}
-		var buf [PageSize]byte
-		s.meta.encode(buf[:])
-		if err := s.pager.WritePage(0, buf[:]); err != nil {
+		s.meta.encode(img)
+		if err := s.pager.WritePage(0, img); err != nil {
 			return err
 		}
 		if err := s.pager.Sync(); err != nil {
 			return err
 		}
-		s.ep.init(s.meta.epoch, s.meta.roots)
-		s.pubEpoch.Store(s.meta.epoch)
-		s.wasClean = true // fresh store: nothing can have leaked
+		s.ep.init(s.meta.epoch, s.meta.roots, img)
 		return nil
 	}
-	var buf [PageSize]byte
-	if err := s.pager.ReadPage(0, buf[:]); err != nil {
+	if err := s.pager.ReadPage(0, img); err != nil {
 		return err
 	}
-	if err := s.meta.decode(buf[:]); err != nil {
+	if err := s.meta.decode(img); err != nil {
 		return err
 	}
 	if err := s.growTo(s.meta.pageCount); err != nil {
 		return err
 	}
-	if err := s.checkInlineFree(); err != nil {
-		return err
-	}
-	s.ep.init(s.meta.epoch, s.meta.roots)
-	s.pubEpoch.Store(s.meta.epoch)
-	s.wasClean = s.meta.clean
-	// A replica never commits on its own behalf: clearing the clean flag
-	// here would stamp a local epoch and diverge the file from the primary.
-	// The flag is handled at Promote time instead.
-	if s.meta.clean && !s.replica.Load() {
-		// Clear the flag durably (through the WAL) before anyone mutates:
-		// if this session crashes — even without ever committing, after
-		// growing the file inside an uncommitted transaction — the next
-		// open sees an unclean file and sweeps.
-		s.meta.clean = false
-		s.metaDirty = true
-		if err := s.commitSync(); err != nil {
+	// The inline ids must be distinct pages of the file.
+	mark := freeMarker(make([]bool, s.pager.PageCount()))
+	for _, id := range s.meta.free {
+		if err := mark(id); err != nil {
 			return err
 		}
-		// Checkpoint right away so a freshly opened store starts with an
-		// empty WAL, as it always has.
-		if err := s.Checkpoint(); err != nil {
+	}
+	if s.meta.pageCount == 0 {
+		// Version 2 (and a file never committed) records no page count.
+		s.meta.pageCount = s.pager.PageCount()
+		s.meta.encode(img)
+	}
+	s.ep.init(s.meta.epoch, s.meta.roots, img)
+	s.pubEpoch.Store(s.meta.epoch)
+	if s.replica.Load() {
+		// A follower's list is its primary's; Promote adopts it.
+		return nil
+	}
+	// No snapshot exists yet: every listed page is reusable. A follower's
+	// snapshots may predate the restart, so the reclaim horizon starts at
+	// the recovered epoch.
+	s.nfree = len(s.meta.free)
+	s.noteHorizon(s.meta.epoch)
+	return s.listGrown()
+}
+
+// listGrown lists the pages at or past the meta page's page count, which
+// only a transaction that never committed grew, as reusable.
+func (s *Store) listGrown() error {
+	for id := s.meta.pageCount; id < s.pager.PageCount(); id++ {
+		if err := s.free(id); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// commitSync prepares and flushes one commit synchronously. Used on paths
-// with exclusive access to the store (init, Close) where coalescing with
-// other committers is impossible by construction.
-func (s *Store) commitSync() error {
-	req, err := s.prepareLocked()
-	if err != nil {
-		return err
-	}
-	if req == nil {
-		return nil
-	}
-	return s.gc.wait(s, req)
-}
-
-// WasCleanShutdown reports whether the store was last closed with no
-// retired pages awaiting reclamation. When false, crash-leaked pages may
-// exist and callers that know the full root topology (package relstore)
-// should run a reclamation sweep.
-func (s *Store) WasCleanShutdown() bool { return s.wasClean }
 
 // Retire marks a page as superseded. A fresh page (allocated since the
 // last commit) was never visible to anyone and is freed immediately; a
@@ -655,11 +635,7 @@ func (s *Store) retire(id PageID) error {
 		delete(s.fresh, id)
 		return s.free(id)
 	}
-	// Attribute to the last *prepared* epoch (meta.epoch), not the published
-	// one: with group commit a prepared-but-unpublished epoch may still
-	// reference this page, and it must not free before that epoch publishes.
-	s.ep.retireAt(s.meta.epoch, id)
-	return nil
+	return s.listPending(id)
 }
 
 // Writable reports whether the writer may rewrite the page under its id:
@@ -815,12 +791,21 @@ func OpenMemWithPoolLimit(limit int) *Store {
 // Close commits outstanding changes, runs a final synchronous checkpoint
 // and releases the underlying files. The files are released even when the
 // commit or the checkpoint fails (a store whose WAL failed refuses every
-// commit), and the failure is returned.
+// commit), and the failure is returned. Pages still pending for an open
+// snapshot need nothing: the commit that retired them listed them.
 func (s *Store) Close() error {
 	// Stop the background checkpointer first so no flush races the final
-	// synchronous passes below.
+	// synchronous pass below.
 	s.stopCheckpointer()
-	err := s.closeCommit()
+	if s.closed.Load() {
+		return nil
+	}
+	err := s.Commit()
+	if err == nil {
+		// Drain the writeback table into the page file and reset the WAL,
+		// so a cleanly closed store reopens without replay work.
+		err = s.Checkpoint()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -837,47 +822,4 @@ func (s *Store) Close() error {
 		err = errors.Join(err, s.wal.Close())
 	}
 	return errors.Join(err, s.pager.Close())
-}
-
-// closeCommit is Close's last transaction: it commits outstanding changes,
-// stamps the clean-shutdown flag and checkpoints.
-func (s *Store) closeCommit() error {
-	// Two commits: the first flushes the transaction, and its reclamation
-	// pass may push pages onto the free list (changing the meta page, and a
-	// trunk page when the inline ids spill); the second makes those durable
-	// so reopened stores reuse them.
-	for i := 0; i < 2; i++ {
-		if err := s.Commit(); err != nil && !errors.Is(err, ErrClosed) {
-			return err
-		}
-	}
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		return nil
-	}
-	// Stamp the clean-shutdown flag — but only if no retired pages are
-	// still pending (a snapshot left open across Close pins them, and they
-	// would leak); an unclean file tells the next open to sweep them back.
-	s.ep.mu.Lock()
-	pending := s.ep.pendingN
-	s.ep.mu.Unlock()
-	var cleanErr error
-	// Replicas skip the clean stamp: it would advance the epoch past the
-	// primary's, and the next open resyncs/sweeps anyway. Promoted
-	// replicas skip it too — snapshot catch-ups synthesize an empty free
-	// list, and only the reopen sweep provably reclaims what that leaked.
-	if pending == 0 && !s.wasReplica {
-		s.meta.clean = true
-		s.metaDirty = true
-		cleanErr = s.commitSync()
-	}
-	s.mu.Unlock()
-	if cleanErr != nil {
-		return cleanErr
-	}
-	// Final synchronous checkpoint: drain the writeback table into the page
-	// file and reset the WAL, so a cleanly closed store reopens without
-	// replay work.
-	return s.Checkpoint()
 }

@@ -13,9 +13,9 @@ import (
 // the page exists, so entries need no invalidation while cached — they are
 // only dropped when something makes the page id name other bytes:
 //
-//   - Store.free: the page returns to the free list (epoch reclamation,
-//     explicit frees, reclamation sweeps) and its id may be reallocated
-//     with different contents.
+//   - Store.free and Store.reclaim: the page becomes reusable (freed in
+//     the transaction that allocated it, or no snapshot can read it any
+//     more) and its id may be reallocated with different contents.
 //   - Store.WritePage / the fresh branch of Store.WriteCOW: the writer
 //     gives a page it owns a new image (fresh pages are the writer's to
 //     rewrite until the next commit).

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 )
@@ -16,14 +17,17 @@ import (
 //   - Page images in a batch are immutable (every page image is, once
 //     installed in the pool), so the commit hook may retain them with zero
 //     copies.
-//   - The free list lives in the meta page and in trunk pages, both written
-//     through the pool, so they ride in commit batches too. A freed page
-//     itself is never written: the primary's page file keeps its last
-//     committed image, and so does the follower's, which applied the same
-//     batches. The meta page carries the primary's page count, and the apply
-//     grows the follower's file to it, so a page grown and freed in one
-//     commit exists on both sides. An applied follower's page file stays
-//     byte-compatible with the primary's.
+//   - The list of unreachable pages lives in the meta page and in trunk
+//     pages, both written through the pool, so they ride in commit batches
+//     too. A listed page itself is never written: the primary's page file
+//     keeps its last committed image, and so does the follower's, which
+//     applied the same batches. The meta page carries the primary's page
+//     count, and the apply grows the follower's file to it, so a page grown
+//     and freed in one commit exists on both sides. An applied follower's
+//     page file stays byte-compatible with the primary's.
+//   - A snapshot catch-up ships one epoch's file (CatchUpSnapshot): its
+//     meta page and pages, trunk pages included, so a follower promoted
+//     right after it reuses what the primary had listed.
 //
 // A follower applies a batch by installing the images into its own pool and
 // running them through the very same group-commit/WAL/checkpoint machinery —
@@ -79,15 +83,23 @@ func (s *Store) ReclaimHorizon() uint64 { return s.horizon.Load() }
 // IsReplica reports whether the store is a replication follower.
 func (s *Store) IsReplica() bool { return s.replica.Load() }
 
-// Promote flips a follower store to a writable primary. The caller (the
-// serving layer) is responsible for stopping the apply loop first and for
-// running a reclamation sweep afterwards: replicated snapshot catch-ups
-// synthesize a meta page with an empty free list, so a promoted store may
-// carry leaked pages until swept. Blocked waiters are woken to re-read
-// the state: what moves it from here on is local commits.
-func (s *Store) Promote() {
-	s.replica.Store(false)
+// Promote flips a follower store to a writable primary; the caller stops
+// the apply loop first. Every listed page counts as retired by the state
+// before the applied epoch — snapshots this store still serves may read
+// it — and pages past the meta page's count as reusable. Blocked waiters
+// are woken to re-read the state: local commits move it from here on.
+func (s *Store) Promote() error {
+	s.mu.Lock()
+	_, ids, err := s.trunksLocked()
+	if err == nil && s.replica.Swap(false) {
+		s.nfree, s.spilled = 0, len(ids)
+		s.ep.retireAt(max(s.meta.epoch, 1)-1, append(ids, s.meta.free...)...)
+		err = s.listGrown()
+	}
+	s.mu.Unlock()
 	s.ep.wake()
+	s.reclaim()
+	return err
 }
 
 // PublishedEpoch reports the last published (committed or applied) epoch
@@ -187,17 +199,28 @@ func BatchMeta(pages []DirtyPage) (epoch uint64, roots [NumRoots]PageID, ok bool
 	return 0, roots, false
 }
 
-// EncodeReplicaMeta builds the meta-page image a snapshot catch-up applies:
-// the snapshot's epoch and roots, an empty free list (the primary's free
-// list is not part of the reachable-page stream; dropping it only leaks
-// pages, which the post-promote sweep reclaims), no page count (the apply
-// grows the file to the batch's pages) and the clean flag unset (so an
-// eventual promote-then-reopen sweeps).
-func EncodeReplicaMeta(epoch uint64, roots [NumRoots]PageID) []byte {
-	m := meta{roots: roots, epoch: epoch}
-	buf := make([]byte, PageSize)
-	m.encode(buf)
-	return buf
+// CatchUpSnapshot pins a snapshot for a catch-up to ship whole: the meta
+// page image of its epoch, and the pages [1, pages) it records, read while
+// the snapshot is open. None of the epoch's trunk pages has been handed
+// out, and none is while the snapshot is open (a consumed trunk is retired
+// instead): a trunk page handed out by a transaction not yet published
+// makes it wait for that epoch. It returns ctx's error when ctx ends first.
+func (s *Store) CatchUpSnapshot(ctx context.Context) (sn *Snap, metaPage []byte, pages PageID, err error) {
+	for {
+		s.mu.Lock()
+		handout := s.handout
+		if handout <= s.PublishedEpoch() {
+			sn = s.Snapshot()
+			s.mu.Unlock()
+			var m meta
+			err := m.decode(sn.meta)
+			return sn, sn.meta, m.pageCount, err
+		}
+		s.mu.Unlock()
+		if err := s.AwaitEpoch(ctx, handout); err != nil {
+			return nil, nil, 0, err
+		}
+	}
 }
 
 // ErrNotReplica is returned by ApplyReplicated on a store that was not
@@ -216,7 +239,7 @@ var ErrReplica = errors.New("storage: replica stores are read-only")
 // the ordinary group-commit path — WAL append + fsync on the follower's own
 // log, writeback insert, epoch publish. Batches must arrive in epoch order
 // and strictly beyond the last applied epoch; a snapshot catch-up is applied
-// as one giant batch whose meta image is built with EncodeReplicaMeta.
+// as one giant batch (see CatchUpSnapshot).
 //
 // Crash safety: a crash mid-append leaves a torn WAL tail, which recovery
 // discards — the store reopens on the previous applied epoch and the

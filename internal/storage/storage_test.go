@@ -47,6 +47,14 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
+// metaImage is a meta page publishing epoch and roots, with nothing listed.
+func metaImage(epoch uint64, roots [NumRoots]PageID) []byte {
+	m := meta{roots: roots, epoch: epoch}
+	buf := make([]byte, PageSize)
+	m.encode(buf)
+	return buf
+}
+
 // encodeV2Meta is the version-2 meta page: the free list is a chain of
 // whole link pages headed at freeHead, and nothing follows the clean byte.
 func encodeV2Meta(freeHead PageID, roots [NumRoots]PageID, epoch uint64, clean bool) []byte {
@@ -85,13 +93,15 @@ func TestMetaRejectsGarbage(t *testing.T) {
 }
 
 // FuzzMetaDecode: any bytes as page 0. The decode is an error, or a meta
-// that re-encodes (as version 3) to the same fields. A version-3 input's
-// encoding repeats it up to the clean flag and from the inline id count
-// through the last inline id; a version-2 input decodes with no inline ids
-// and no page count. It never panics, whatever the length.
+// that re-encodes (as version 4) to the same fields, save that a version-2
+// or -3 input without its clean byte set decodes as an incomplete list. A
+// version-3 or -4 input's encoding repeats it up to the clean byte and
+// from the inline id count through the last inline id; a version-2 input
+// decodes with no inline ids and no page count. It never panics, whatever
+// the length.
 func FuzzMetaDecode(f *testing.F) {
 	valid := make([]byte, PageSize)
-	m := meta{freeHead: 9, free: []PageID{4, 12, 8}, epoch: 1 << 40, pageCount: 77, clean: true}
+	m := meta{freeHead: 9, free: []PageID{4, 12, 8}, epoch: 1 << 40, pageCount: 77}
 	m.roots[1] = 77
 	m.encode(valid)
 	f.Add(valid)
@@ -99,6 +109,11 @@ func FuzzMetaDecode(f *testing.F) {
 	f.Add(valid[:8])
 	f.Add([]byte{})
 	f.Add(make([]byte, PageSize))
+	v3 := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(v3[8:], 3)
+	f.Add(bytes.Clone(v3))
+	v3[metaCleanOff] = 1
+	f.Add(v3)
 	f.Add(encodeV2Meta(9, m.roots, 1<<40, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got meta
@@ -108,13 +123,17 @@ func FuzzMetaDecode(f *testing.F) {
 			}
 			return
 		}
+		v := binary.LittleEndian.Uint32(data[8:])
+		if want := v < metaVersion && data[metaCleanOff] != 1; got.incomplete != want {
+			t.Fatalf("version-%d meta with clean byte %d decoded incomplete=%v", v, data[metaCleanOff], got.incomplete)
+		}
 		enc := make([]byte, PageSize)
 		got.encode(enc)
 		if !bytes.Equal(enc[12:metaCleanOff], data[12:metaCleanOff]) {
 			t.Fatalf("meta %+v re-encodes to other bytes", got)
 		}
-		switch binary.LittleEndian.Uint32(data[8:]) {
-		case metaVersion:
+		switch v {
+		case metaVersion, 3:
 			if end := metaFreeOff + 8*len(got.free); !bytes.Equal(enc[metaFreeNOff:end], data[metaFreeNOff:end]) {
 				t.Fatalf("meta %+v re-encodes its inline ids to other bytes", got)
 			}
@@ -123,6 +142,7 @@ func FuzzMetaDecode(f *testing.F) {
 				t.Fatalf("version-2 meta decoded with inline ids %v, page count %d", got.free, got.pageCount)
 			}
 		}
+		got.incomplete = false
 		var again meta
 		if err := again.decode(enc); err != nil || !reflect.DeepEqual(again, got) {
 			t.Fatalf("meta %+v re-encodes to %+v, %v", got, again, err)
@@ -499,8 +519,12 @@ func FuzzWALScan(f *testing.F) {
 				}
 			}
 		}
-		if g, ok := readWALHeader(w.f); !ok || g != gen+1 || w.Size() != 0 {
-			t.Fatalf("after Recover: header generation %d (ok=%v), size %d; want generation %d, size 0", g, ok, w.Size(), gen+1)
+		want := gen + 1
+		if ok && len(data) == walHeaderSize {
+			want = gen // a bare header: nothing to replay, nothing to reset
+		}
+		if g, ok := readWALHeader(w.f); !ok || g != want || w.Size() != 0 {
+			t.Fatalf("after Recover: header generation %d (ok=%v), size %d; want generation %d, size 0", g, ok, w.Size(), want)
 		}
 		if st, err := os.Stat(path); err != nil || (base == 0 && st.Size() != walHeaderSize) {
 			t.Fatalf("a headerless log was not freed down to its header (err=%v)", err)

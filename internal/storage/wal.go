@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -439,10 +440,15 @@ func (w *WAL) ResetIf(sampled int64, catchUp func() error) (bool, error) {
 // Recover replays committed batches onto the pager and resets the log. It
 // is called before the Store reads its meta page, and before the log is
 // shared. A log without a header is freed once here; from then on it is
-// reset in place.
+// reset in place. A log that is only a header — what Close leaves — holds
+// no frame of any generation and is left as it is.
 func (w *WAL) Recover(pager Pager) error {
 	if w.f == nil {
 		return ErrClosed
+	}
+	var probe [1]byte
+	if n, _ := w.f.ReadAt(probe[:], walHeaderSize); n == 0 && w.base == walHeaderSize {
+		return nil
 	}
 	replayed := false
 	_, err := scanWAL(w.f, walSeed(w.gen), w.base, w.base+w.size.Load(), func(pages []DirtyPage) error {
@@ -493,14 +499,19 @@ func (w *WAL) resetLocked() error {
 	return nil
 }
 
-// Close closes the log file.
+// Close closes the log file, cut back to its header when it holds nothing
+// to replay, so the next open has nothing to reset.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
 	}
-	err := w.f.Close()
+	var err error
+	if w.err == nil && w.base == walHeaderSize && w.size.Load() == 0 {
+		err = w.f.Truncate(walHeaderSize)
+	}
+	err = errors.Join(err, w.f.Close())
 	w.f = nil
 	return err
 }

@@ -261,3 +261,100 @@ func TestCrashMatrixReplPromote(t *testing.T) {
 		t.Fatalf("post-promote integrity: %v", err)
 	}
 }
+
+// TestCrashMatrixReplPromoteAfterCatchUp promotes a follower whose only
+// replication was a snapshot catch-up: the primary drops a tree (its pages
+// listed, spilling into trunk pages), checkpoints so its log can no longer
+// replay from the start, and a new follower catches up from the page file,
+// then the primary dies with no batch after it. The catch-up shipped the
+// pinned epoch's own meta page and trunk pages, so Check accounts for
+// every follower page before and after the promote, and reloading the
+// dropped tree reuses the primary's listed pages instead of growing the
+// files.
+func TestCrashMatrixReplPromoteAfterCatchUp(t *testing.T) {
+	shards := matrixShards(t)
+	repo, srv, url := startReplPrimary(t, shards)
+	cl := client.New(url, nil)
+	ctx := context.Background()
+
+	keep, err := crimson.GenerateYule(300, 1.0, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop, err := crimson.GenerateYule(6000, 1.0, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.LoadTreeCtx(ctx, "keep", 0, keep); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.LoadTreeCtx(ctx, "drop", 0, drop); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.DeleteCtx(ctx, "drop"); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pShards := repo.MVCCShards()
+	shipped := crimson.EngineCounters()["repl_snapshot_pages"]
+
+	fdir := filepath.Join(t.TempDir(), "follower")
+	fctx, fcancel := context.WithCancel(ctx)
+	defer fcancel()
+	frepo, fl, err := crimson.OpenFollower(fctx, fdir, url)
+	if err != nil {
+		t.Fatalf("opening follower: %v", err)
+	}
+	defer frepo.Close()
+	fsrv := frepo.NewFollowerServer(fl, crimson.ServerConfig{Addr: "127.0.0.1:0"})
+	if err := fsrv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer fsrv.Shutdown(context.Background())
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		ok := true
+		for i, sh := range fl.Status().Shards {
+			if sh.Epoch < pShards[i].Epoch {
+				ok = false
+			}
+		}
+		if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never caught up: %+v vs %+v", fl.Status(), pShards)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if crimson.EngineCounters()["repl_snapshot_pages"] == shipped {
+		t.Fatal("the follower caught up from the log; the test needs a snapshot catch-up")
+	}
+	if err := frepo.Check(); err != nil {
+		t.Fatalf("follower integrity after the catch-up: %v", err)
+	}
+
+	// Kill the primary: no batch follows the catch-up.
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	repo.Close()
+	if _, err := client.New("http://"+fsrv.Addr(), nil).PromoteCtx(ctx); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if err := frepo.Check(); err != nil {
+		t.Fatalf("post-promote integrity: %v", err)
+	}
+	size := pageFileBytes(t, fdir)
+	if _, err := frepo.LoadTree("drop", drop, crimson.DefaultFanout, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := frepo.Check(); err != nil {
+		t.Fatalf("integrity after reloading into the listed pages: %v", err)
+	}
+	if grown := pageFileBytes(t, fdir); grown > size {
+		t.Fatalf("reloading the dropped tree on the promoted follower grew its page files from %d to %d bytes", size, grown)
+	}
+}

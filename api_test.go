@@ -102,7 +102,7 @@ func TestRepositoryLifecycle(t *testing.T) {
 		t.Fatalf("species data = %q, %v", seq, err)
 	}
 	// The load was recorded in the history.
-	hist, err := snap.QueryView.History(0)
+	hist, err := snap.QueryView.History(context.Background(), 0)
 	if err != nil || len(hist) == 0 {
 		t.Fatalf("history = %v, %v", hist, err)
 	}

@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -29,7 +28,7 @@ import (
 
 	crimson "repro"
 	"repro/internal/benchmark"
-	"repro/internal/recon"
+	"repro/internal/queryrepo"
 	"repro/internal/seqsim"
 	"repro/internal/treegen"
 )
@@ -362,26 +361,7 @@ func cmdLCA(args []string) error {
 	if len(names) != 2 {
 		return fmt.Errorf("lca: --species needs exactly two names")
 	}
-	ctx, stop := signalContext()
-	defer stop()
-	repo, st, done, err := openStored(*repoPath, *name)
-	if err != nil {
-		return err
-	}
-	defer done()
-	lrow, err := st.LCANamesCtx(ctx, names[0], names[1])
-	if err != nil {
-		return err
-	}
-	label := lrow.Name
-	if label == "" {
-		label = fmt.Sprintf("interior node %d", lrow.ID)
-	}
-	fmt.Printf("LCA(%s, %s) = %s (depth %d, time %g)\n", names[0], names[1], label, lrow.Depth, lrow.Dist)
-	_, _ = repo.Queries.Record("lca",
-		map[string]any{"tree": *name, "a": names[0], "b": names[1]},
-		fmt.Sprintf("node %d", lrow.ID))
-	return repo.Commit()
+	return runQuery(*repoPath, queryrepo.LCA{A: names[0], B: names[1], Tree: *name}, printOpts{})
 }
 
 func cmdClade(args []string) error {
@@ -396,33 +376,7 @@ func cmdClade(args []string) error {
 	if len(names) == 0 {
 		return fmt.Errorf("clade: --species is required")
 	}
-	ctx, stop := signalContext()
-	defer stop()
-	repo, st, done, err := openStored(*repoPath, *name)
-	if err != nil {
-		return err
-	}
-	defer done()
-	clade, err := st.CladeNamesCtx(ctx, names)
-	if err != nil {
-		return err
-	}
-	leaves := 0
-	var leafNames []string
-	for _, n := range clade {
-		if n.Leaf {
-			leaves++
-			leafNames = append(leafNames, n.Name)
-		}
-	}
-	sort.Strings(leafNames)
-	fmt.Printf("minimal spanning clade: %d nodes, %d leaves\n", len(clade), leaves)
-	if leaves <= 50 {
-		fmt.Println(strings.Join(leafNames, " "))
-	}
-	_, _ = repo.Queries.Record("clade", map[string]any{"tree": *name, "species": names},
-		fmt.Sprintf("%d nodes", len(clade)))
-	return repo.Commit()
+	return runQuery(*repoPath, queryrepo.Clade{Species: names, Tree: *name}, printOpts{})
 }
 
 func cmdSample(args []string) error {
@@ -435,33 +389,7 @@ func cmdSample(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ctx, stop := signalContext()
-	defer stop()
-	repo, st, done, err := openStored(*repoPath, *name)
-	if err != nil {
-		return err
-	}
-	defer done()
-	r := rand.New(rand.NewSource(*seed))
-	var rows []crimson.StoredNode
-	if *timeArg >= 0 {
-		rows, err = st.SampleWithTimeCtx(ctx, *timeArg, *k, r)
-	} else {
-		rows, err = st.SampleUniformCtx(ctx, *k, r)
-	}
-	if err != nil {
-		return err
-	}
-	var names []string
-	for _, n := range rows {
-		names = append(names, n.Name)
-	}
-	sort.Strings(names)
-	fmt.Println(strings.Join(names, " "))
-	_, _ = repo.Queries.Record("sample",
-		map[string]any{"tree": *name, "k": *k, "time": *timeArg, "seed": *seed},
-		strings.Join(names, " "))
-	return repo.Commit()
+	return runQuery(*repoPath, queryrepo.Sample{K: *k, Seed: *seed, Time: *timeArg, Tree: *name}, printOpts{})
 }
 
 func cmdProject(args []string) error {
@@ -477,25 +405,88 @@ func cmdProject(args []string) error {
 	if len(names) == 0 {
 		return fmt.Errorf("project: --species is required")
 	}
+	return runQuery(*repoPath, queryrepo.Project{Species: names, Tree: *name}, printOpts{format: *format})
+}
+
+// printOpts are the flags that shape how a query command prints its result
+// without changing the query: project's --format, bench's --json and
+// --parallel. A rerun prints with their defaults.
+type printOpts struct {
+	format   string
+	jsonOut  string
+	parallel int
+}
+
+// runQuery runs a query value on its stored tree, prints the result the
+// way the value's command does, and records the value with its summary.
+// Every query command and rerun end here.
+func runQuery(repoPath string, v queryrepo.Query, o printOpts) error {
 	ctx, stop := signalContext()
 	defer stop()
-	repo, st, done, err := openStored(*repoPath, *name)
+	repo, st, done, err := openStored(repoPath, v.TreeName())
 	if err != nil {
 		return err
 	}
 	defer done()
-	t, err := st.ProjectNamesCtx(ctx, names)
-	if err != nil {
-		return err
-	}
-	switch *format {
-	case "ascii":
-		fmt.Print(crimson.ASCII(t))
+	var summary string
+	switch v := v.(type) {
+	case queryrepo.LCA:
+		var n crimson.StoredNode
+		if n, summary, err = v.Run(ctx, st); err != nil {
+			return err
+		}
+		label := n.Name
+		if label == "" {
+			label = fmt.Sprintf("interior node %d", n.ID)
+		}
+		fmt.Printf("LCA(%s, %s) = %s (depth %d, time %g)\n", v.A, v.B, label, n.Depth, n.Dist)
+	case queryrepo.Clade:
+		var nodes []crimson.StoredNode
+		var leaves []string
+		if nodes, leaves, summary, err = v.Run(ctx, st); err != nil {
+			return err
+		}
+		fmt.Printf("minimal spanning clade: %d nodes, %d leaves\n", len(nodes), len(leaves))
+		if len(leaves) <= 50 {
+			fmt.Println(strings.Join(leaves, " "))
+		}
+	case queryrepo.Sample:
+		if _, summary, err = v.Run(ctx, st); err != nil {
+			return err
+		}
+		fmt.Println(summary)
+	case queryrepo.Project:
+		var t *crimson.Tree
+		if t, summary, err = v.Run(ctx, st); err != nil {
+			return err
+		}
+		if o.format == "ascii" {
+			fmt.Print(crimson.ASCII(t))
+		} else {
+			fmt.Println(summary)
+		}
+	case queryrepo.Match:
+		var m *crimson.MatchResult
+		if m, summary, err = v.Run(ctx, st); err != nil {
+			return err
+		}
+		if m.RF == 0 {
+			fmt.Println("MATCH (projection equals pattern)")
+		} else {
+			fmt.Printf("NO MATCH (Robinson-Foulds distance %d)\n", m.RF)
+		}
+	case queryrepo.Bench:
+		var rep *benchmark.Report
+		if rep, summary, err = v.Run(ctx, st, o.parallel, nil); err != nil {
+			return err
+		}
+		if err := printReport(rep, o.jsonOut); err != nil {
+			return err
+		}
 	default:
-		fmt.Println(crimson.FormatNewick(t))
+		return fmt.Errorf("rerun: query kind %q is not rerunnable", v.Kind())
 	}
-	_, _ = repo.Queries.Record("project", map[string]any{"tree": *name, "species": names},
-		crimson.FormatNewick(t))
+	_, _ = repo.Queries.Record(v, summary)
 	return repo.Commit()
 }
 
@@ -553,33 +544,11 @@ func cmdMatch(args []string) error {
 	if *patternFile == "" {
 		return fmt.Errorf("match: --pattern is required")
 	}
-	repo, st, done, err := openStored(*repoPath, *name)
-	if err != nil {
-		return err
-	}
-	defer done()
 	pattern, err := crimson.ReadNewickFile(*patternFile)
 	if err != nil {
 		return err
 	}
-	ctx, stop := signalContext()
-	defer stop()
-	projected, err := st.ProjectNamesCtx(ctx, pattern.LeafNames())
-	if err != nil {
-		return err
-	}
-	rf, err := crimson.RobinsonFoulds(projected, pattern)
-	if err != nil {
-		return err
-	}
-	if rf == 0 {
-		fmt.Println("MATCH (projection equals pattern)")
-	} else {
-		fmt.Printf("NO MATCH (Robinson-Foulds distance %d)\n", rf)
-	}
-	_, _ = repo.Queries.Record("match", map[string]any{"tree": *name, "pattern": crimson.FormatNewick(pattern)},
-		fmt.Sprintf("RF=%d", rf))
-	return repo.Commit()
+	return runQuery(*repoPath, queryrepo.Match{Pattern: crimson.FormatNewick(pattern), Tree: *name}, printOpts{})
 }
 
 func cmdBench(args []string) error {
@@ -598,88 +567,50 @@ func cmdBench(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var gold *crimson.Tree
-	var repo *crimson.Repository
-	var err error
-	switch {
-	case *goldFile != "":
-		if gold, err = crimson.ReadNewickFile(*goldFile); err != nil {
-			return err
-		}
-	case *repoPath != "":
-		if repo, err = openRepo(*repoPath); err != nil {
-			return err
-		}
-		defer repo.Close()
-		snap := repo.Snapshot()
-		st, err := snap.Tree(*name)
-		if err == nil {
-			// Rebuild the in-memory tree from the store for the benchmark run.
-			ctx, stop := signalContext()
-			gold, err = st.ExportCtx(ctx)
-			stop()
-		}
-		snap.Close()
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("bench: one of --gold or --repo is required")
-	}
-
-	var sizeList []int
+	v := queryrepo.Bench{Algs: splitSpecies(*algs), Reps: *reps, Seed: *seed, SeqLength: *seqLen, Time: *timeArg, Tree: *name}
 	for _, s := range splitSpecies(*sizes) {
-		v, err := strconv.Atoi(s)
+		n, err := strconv.Atoi(s)
 		if err != nil {
 			return fmt.Errorf("bench: bad size %q", s)
 		}
-		sizeList = append(sizeList, v)
+		v.Sizes = append(v.Sizes, n)
 	}
-	algorithms, seqAlgorithms, err := recon.ByNames(splitSpecies(*algs), *seed)
-	if err != nil {
-		return err
+	v = v.Defaults()
+	switch {
+	case *goldFile != "":
+		gold, err := crimson.ReadNewickFile(*goldFile)
+		if err != nil {
+			return err
+		}
+		rep, err := v.RunGold(gold, *parallel)
+		if err != nil {
+			return err
+		}
+		return printReport(rep, *jsonOut)
+	case *repoPath != "":
+		return runQuery(*repoPath, v, printOpts{jsonOut: *jsonOut, parallel: *parallel})
 	}
-	cfg := crimson.BenchConfig{
-		Gold:          gold,
-		SeqLength:     *seqLen,
-		SampleSizes:   sizeList,
-		Replicates:    *reps,
-		Algorithms:    algorithms,
-		SeqAlgorithms: seqAlgorithms,
-		Seed:          *seed,
-		Parallel:      *parallel,
-	}
-	if *timeArg >= 0 {
-		cfg.Method = benchmark.TimeConstrained
-		cfg.Time = *timeArg
-	}
-	rep, err := crimson.RunBenchmark(cfg)
-	if err != nil {
-		return err
-	}
-	if *jsonOut != "" {
+	return fmt.Errorf("bench: one of --gold or --repo is required")
+}
+
+// printReport prints a benchmark report as a table, or as JSON to jsonOut
+// ('-' = stdout, in place of the table).
+func printReport(rep *benchmark.Report, jsonOut string) error {
+	if jsonOut != "" {
 		raw, err := json.MarshalIndent(rep.JSON(), "", "  ")
 		if err != nil {
 			return err
 		}
 		raw = append(raw, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(raw)
-		} else {
-			if err := os.WriteFile(*jsonOut, raw, 0o644); err != nil {
-				return err
-			}
-			fmt.Print(rep.String())
+		if jsonOut == "-" {
+			_, err = os.Stdout.Write(raw)
+			return err
 		}
-	} else {
-		fmt.Print(rep.String())
+		if err := os.WriteFile(jsonOut, raw, 0o644); err != nil {
+			return err
+		}
 	}
-	if repo != nil {
-		_, _ = repo.Queries.Record("bench",
-			map[string]any{"tree": *name, "sizes": sizeList, "reps": *reps, "algs": *algs},
-			"benchmark complete")
-		return repo.Commit()
-	}
+	fmt.Print(rep.String())
 	return nil
 }
 
@@ -697,7 +628,7 @@ func cmdHistory(args []string) error {
 	defer repo.Close()
 	snap := repo.Snapshot()
 	defer snap.Close()
-	entries, err := snap.QueryView.History(*limit)
+	entries, err := snap.QueryView.History(context.Background(), *limit)
 	if err != nil {
 		return err
 	}
@@ -709,8 +640,8 @@ func cmdHistory(args []string) error {
 
 // cmdRerun re-executes a recorded query (§2.1: the Query Repository
 // "makes it convenient for users to recall and rerun historical queries").
-// It reads the entry, closes the repository, and dispatches the matching
-// command with the recorded arguments.
+// It reads the entry, closes the repository, and runs the recorded value
+// the way its command does.
 func cmdRerun(args []string) error {
 	fs := flag.NewFlagSet("rerun", flag.ContinueOnError)
 	repoPath := fs.String("repo", "", "repository page file")
@@ -732,32 +663,12 @@ func cmdRerun(args []string) error {
 	if err := repo.Close(); err != nil {
 		return err
 	}
-	var a struct {
-		Tree    string   `json:"tree"`
-		A       string   `json:"a"`
-		B       string   `json:"b"`
-		Species []string `json:"species"`
-		K       int      `json:"k"`
-		Time    float64  `json:"time"`
-		Seed    int64    `json:"seed"`
-	}
-	if err := entry.UnmarshalArgs(&a); err != nil {
-		return fmt.Errorf("rerun: decoding #%d: %w", *id, err)
+	v, err := entry.Query()
+	if err != nil {
+		return fmt.Errorf("rerun: %w", err)
 	}
 	fmt.Printf("rerunning #%d (%s)\n", entry.ID, entry.Kind)
-	switch entry.Kind {
-	case "lca":
-		return cmdLCA([]string{"--repo", *repoPath, "--name", a.Tree, "--species", a.A + "," + a.B})
-	case "project":
-		return cmdProject([]string{"--repo", *repoPath, "--name", a.Tree, "--species", strings.Join(a.Species, ",")})
-	case "clade":
-		return cmdClade([]string{"--repo", *repoPath, "--name", a.Tree, "--species", strings.Join(a.Species, ",")})
-	case "sample":
-		return cmdSample([]string{"--repo", *repoPath, "--name", a.Tree,
-			"--k", strconv.Itoa(a.K), "--time", strconv.FormatFloat(a.Time, 'g', -1, 64),
-			"--seed", strconv.FormatInt(a.Seed, 10)})
-	}
-	return fmt.Errorf("rerun: query kind %q is not rerunnable", entry.Kind)
+	return runQuery(*repoPath, v, printOpts{parallel: runtime.NumCPU()})
 }
 
 func cmdFsck(args []string) error {

@@ -4,8 +4,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	crimson "repro"
+	"repro/internal/queryrepo"
 )
 
 // withArgs runs the CLI entry with the given args, capturing stdout.
@@ -204,6 +209,51 @@ func TestRerunAndFsck(t *testing.T) {
 	if !strings.Contains(out, strings.TrimSpace(s1)) {
 		t.Fatalf("sample rerun not reproducible:\n%s vs %s", s1, out)
 	}
+	// Match and bench rerun too: the same RF line, and the same report.
+	pat := writeFile(t, dir, "pat.nwk", "(Bha:1,(Lla:1,Syn:1):1);")
+	m1, err := withArgs(t, "match", "--repo", repo, "--name", "fig1", "--pattern", pat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = withArgs(t, "rerun", "--repo", repo, "--id", "6")
+	if err != nil || out != "rerunning #6 (match)\n"+m1 {
+		t.Fatalf("match rerun: %v\n%s vs %s", err, m1, out)
+	}
+	firstJSON := filepath.Join(dir, "first.json")
+	b1, err := withArgs(t, "bench", "--repo", repo, "--name", "fig1", "--sizes", "4", "--reps", "2", "--len", "60",
+		"--alg", "NJ,UPGMA", "--seed", "9", "--json", firstJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = withArgs(t, "rerun", "--repo", repo, "--id", "8")
+	if err != nil || withoutTimes(out) != "rerunning #8 (bench)\n"+withoutTimes(b1) {
+		t.Fatalf("bench rerun: %v\n%s vs %s", err, b1, out)
+	}
+	// The entry holds what the report depends on, the seed included: the
+	// report at its values is the first one, byte for byte but the timings.
+	entry := historyEntry(t, repo, 8)
+	b, err := entry.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench := b.(queryrepo.Bench)
+	var sizes []string
+	for _, n := range bench.Sizes {
+		sizes = append(sizes, strconv.Itoa(n))
+	}
+	again, err := withArgs(t, "bench", "--repo", repo, "--name", bench.Tree, "--sizes", strings.Join(sizes, ","),
+		"--reps", strconv.Itoa(bench.Reps), "--len", strconv.Itoa(bench.SeqLength), "--alg", strings.Join(bench.Algs, ","),
+		"--time", strconv.FormatFloat(bench.Time, 'g', -1, 64), "--seed", strconv.FormatInt(bench.Seed, 10), "--json", "-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile(firstJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withoutTimes(again) != withoutTimes(string(report)) {
+		t.Fatalf("report at the recorded values differs:\n%s\nvs\n%s", report, again)
+	}
 	// Unknown id and non-rerunnable kinds fail cleanly.
 	if _, err := withArgs(t, "rerun", "--repo", repo, "--id", "999"); err == nil {
 		t.Fatal("rerun of missing id accepted")
@@ -216,6 +266,30 @@ func TestRerunAndFsck(t *testing.T) {
 	if err != nil || !strings.Contains(out, "ok:") {
 		t.Fatalf("fsck: %v\n%s", err, out)
 	}
+}
+
+// reconTime matches a reconstruction time: the last column of a bench
+// table row, or a recon_ns field of its JSON report.
+var reconTime = regexp.MustCompile(`(?m)( [0-9.]+[nµm]?s$|recon_ns": [0-9]+)`)
+
+// withoutTimes blanks the reconstruction times of bench output, the one
+// part two runs at one seed do not share.
+func withoutTimes(out string) string { return reconTime.ReplaceAllString(out, " _") }
+
+func historyEntry(t *testing.T, path string, id int64) queryrepo.Entry {
+	t.Helper()
+	repo, err := crimson.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	snap := repo.Snapshot()
+	defer snap.Close()
+	e, err := snap.QueryView.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func TestBenchWithParsimony(t *testing.T) {

@@ -587,10 +587,10 @@ func (r *Repository) Close() error { return shard.CloseAll(r.dbs) }
 // caller waits on the returned commit; waiting happens outside every mutex,
 // so concurrent writers coalesce into one group flush. Callers must not
 // hold any facade writer mutex when calling (shard 0's included).
-func (r *Repository) recordAsync(kind string, args map[string]any, summary string) *relstore.CommitWaiter {
+func (r *Repository) recordAsync(q queryrepo.Query, summary string) *relstore.CommitWaiter {
 	r.writeMus[0].Lock()
 	defer r.writeMus[0].Unlock()
-	_, _ = r.Queries.Record(kind, args, summary)
+	_, _ = r.Queries.Record(q, summary)
 	return r.dbs[0].CommitAsync()
 }
 
@@ -669,7 +669,7 @@ func (r *Repository) load(name string, t *Tree, chars *nexus.Characters, f int, 
 	if err != nil {
 		return nil, err
 	}
-	rec := r.recordAsync("load", map[string]any{"tree": name, "f": f, "nodes": p.Info().Nodes},
+	rec := r.recordAsync(queryrepo.Load{F: f, Nodes: p.Info().Nodes, Tree: name},
 		fmt.Sprintf("loaded %d nodes", p.Info().Nodes))
 	if err := w.Wait(); err != nil {
 		return nil, fmt.Errorf("crimson: committing shard %d: %w", si, err)

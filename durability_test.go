@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -42,7 +43,7 @@ func TestLoadTreeDurability(t *testing.T) {
 		t.Fatalf("reloaded tree has %d leaves, want 80", st.Info().Leaves)
 	}
 	// The load's query-history record must have been committed too.
-	entries, err := snap.QueryView.ByKind("load")
+	entries, err := snap.QueryView.ByKind(context.Background(), "load")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 
 	crimson "repro"
+	"repro/internal/queryrepo"
 )
 
 func main() {
@@ -64,32 +65,32 @@ func main() {
 	// Structure queries against the store, under a cancellable context —
 	// the same ctx-first forms crimsond runs per request.
 	ctx := context.Background()
+	// Each is a query value: run on the stored tree, recorded in the history
+	// with its summary, and rerunnable from there.
 	leaves := gold.LeafNames()
-	a, _ := stored.NodeByNameCtx(ctx, leaves[10])
-	b, _ := stored.NodeByNameCtx(ctx, leaves[4000])
-	lca, err := stored.LCACtx(ctx, a.ID, b.ID)
+	lq := queryrepo.LCA{A: leaves[10], B: leaves[4000], Tree: "gold"}
+	lrow, summary, err := lq.Run(ctx, stored)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lrow, _ := stored.NodeCtx(ctx, lca)
-	fmt.Printf("LCA(%s, %s) = node %d at depth %d, time %.3f\n", a.Name, b.Name, lca, lrow.Depth, lrow.Dist)
-	repo.Queries.Record("lca", map[string]string{"a": a.Name, "b": b.Name}, fmt.Sprintf("node %d", lca))
+	fmt.Printf("LCA(%s, %s) = node %d at depth %d, time %.3f\n", lq.A, lq.B, lrow.ID, lrow.Depth, lrow.Dist)
+	repo.Queries.Record(lq, summary)
 
 	// Sample with respect to time and project — the §2.2 workload.
 	picked, err := stored.SampleWithTimeCtx(ctx, lrow.Dist, 8, r)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ids := make([]int, len(picked))
-	for i, n := range picked {
-		ids[i] = n.ID
+	pq := queryrepo.Project{Tree: "gold"}
+	for _, n := range picked {
+		pq.Species = append(pq.Species, n.Name)
 	}
-	projected, err := stored.ProjectCtx(ctx, ids)
+	projected, summary, err := pq.Run(ctx, stored)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nprojected %d sampled species:\n%s", len(picked), crimson.ASCII(projected))
-	repo.Queries.Record("project", map[string]any{"k": len(picked)}, crimson.FormatNewick(projected))
+	repo.Queries.Record(pq, summary)
 
 	// Species data retrieval for the sample.
 	seq, err := snap.SpeciesView.Get("gold", picked[0].Name, "seq:sim")
@@ -126,7 +127,7 @@ func main() {
 	defer snap.Close()
 	infos, _ := snap.Trees()
 	fmt.Printf("trees: %+v\n", infos)
-	history, _ := snap.QueryView.History(5)
+	history, _ := snap.QueryView.History(ctx, 5)
 	fmt.Println("query history (most recent first):")
 	for _, e := range history {
 		fmt.Printf("  #%d %-8s %s => %.60s\n", e.ID, e.Kind, e.Args, e.Summary)

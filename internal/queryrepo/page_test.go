@@ -19,19 +19,19 @@ func TestHistoryPageWalk(t *testing.T) {
 	}
 	const n = 10
 	for i := 0; i < n; i++ {
-		if _, err := repo.Record("op", map[string]int{"i": i}, fmt.Sprintf("entry %d", i)); err != nil {
+		if _, err := repo.Record(Sample{K: i, Tree: "gold"}, fmt.Sprintf("entry %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	view := committed(t, repo)
-	full, err := view.History(0)
+	ctx := context.Background()
+	full, err := view.History(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full) != n {
 		t.Fatalf("full history has %d entries, want %d", len(full), n)
 	}
-	ctx := context.Background()
 	for _, pageSize := range []int{1, 3, 4, n, n + 5} {
 		var walked []Entry
 		before := int64(0)
@@ -72,7 +72,7 @@ func TestHistoryPageSkipsGaps(t *testing.T) {
 	}
 	record := func(i int) int64 {
 		t.Helper()
-		e, err := repo.Record("op", nil, fmt.Sprintf("entry %d", i))
+		e, err := repo.Record(Delete{Tree: "gold"}, fmt.Sprintf("entry %d", i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,8 +26,8 @@ const (
 type Entry struct {
 	ID      int64
 	Time    time.Time
-	Kind    string // e.g. "lca", "project", "sample", "bench"
-	Args    string // JSON-encoded arguments, sufficient to rerun
+	Kind    string // the Query's Kind: "lca", "project", "sample", "bench", ...
+	Args    string // the Query's JSON encoding; Query decodes it
 	Summary string // human-readable result summary
 }
 
@@ -88,10 +88,10 @@ func (r *Repo) Reload() error {
 	return nil
 }
 
-// Record appends a query to the history. Args is JSON-marshalled.
-// Safe for concurrent use.
-func (r *Repo) Record(kind string, args any, summary string) (Entry, error) {
-	argsJSON, err := json.Marshal(args)
+// Record appends a query to the history: its kind, its JSON encoding as
+// the args and the summary. Safe for concurrent use.
+func (r *Repo) Record(q Query, summary string) (Entry, error) {
+	argsJSON, err := json.Marshal(q)
 	if err != nil {
 		return Entry{}, fmt.Errorf("queryrepo: encoding args: %w", err)
 	}
@@ -101,7 +101,7 @@ func (r *Repo) Record(kind string, args any, summary string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	e := Entry{ID: id, Time: time.Now(), Kind: kind, Args: string(argsJSON), Summary: summary}
+	e := Entry{ID: id, Time: time.Now(), Kind: q.Kind(), Args: string(argsJSON), Summary: summary}
 	err = r.tab.Insert(relstore.Tuple{
 		relstore.Int(e.ID),
 		relstore.Int(e.Time.UnixNano()),
@@ -257,17 +257,6 @@ func historyPage(ctx context.Context, tab *relstore.TableView, beforeID int64, l
 	return out, next, nil
 }
 
-func history(ctx context.Context, tab *relstore.TableView, limit int) ([]Entry, error) {
-	out, _, err := historyPage(ctx, tab, 0, limit)
-	return out, err
-}
-
-func byKind(ctx context.Context, tab *relstore.TableView, kind string) ([]Entry, error) {
-	var out []Entry
-	err := tab.IndexScanCtx(ctx, "by_kind", []relstore.Value{relstore.Str(kind)}, appendEntries(&out))
-	return out, err
-}
-
 // View is the read side of the query history, as of a snapshot: Get, History
 // and ByKind run lock-free against the epoch the snapshot pinned, so browsing
 // history never waits behind a bulk load. Records not committed when the
@@ -303,19 +292,15 @@ func (v *View) Get(id int64) (Entry, error) {
 	return getEntry(tab, id)
 }
 
-// HistoryCtx returns up to limit most recent entries as of the snapshot
-// under ctx.
-func (v *View) HistoryCtx(ctx context.Context, limit int) ([]Entry, error) {
+// History returns up to limit most recent entries (all of them when limit
+// <= 0) as of the snapshot, newest first.
+func (v *View) History(ctx context.Context, limit int) ([]Entry, error) {
 	tab, err := v.table()
 	if err != nil || tab == nil {
 		return nil, err
 	}
-	return history(ctx, tab, limit)
-}
-
-// History returns up to limit most recent entries as of the snapshot.
-func (v *View) History(limit int) ([]Entry, error) {
-	return v.HistoryCtx(context.Background(), limit)
+	out, _, err := historyPage(ctx, tab, 0, limit)
+	return out, err
 }
 
 // HistoryPage returns up to limit entries older than beforeID as of the
@@ -329,23 +314,15 @@ func (v *View) HistoryPage(ctx context.Context, beforeID int64, limit int) ([]En
 	return historyPage(ctx, tab, beforeID, limit)
 }
 
-// ByKindCtx returns all entries of one kind as of the snapshot under ctx.
-func (v *View) ByKindCtx(ctx context.Context, kind string) ([]Entry, error) {
+// ByKind returns all entries of one kind as of the snapshot, oldest first.
+func (v *View) ByKind(ctx context.Context, kind string) ([]Entry, error) {
 	tab, err := v.table()
 	if err != nil || tab == nil {
 		return nil, err
 	}
-	return byKind(ctx, tab, kind)
-}
-
-// ByKind returns all entries of one kind as of the snapshot.
-func (v *View) ByKind(kind string) ([]Entry, error) {
-	return v.ByKindCtx(context.Background(), kind)
-}
-
-// UnmarshalArgs decodes an entry's JSON args for rerunning the query.
-func (e Entry) UnmarshalArgs(into any) error {
-	return json.Unmarshal([]byte(e.Args), into)
+	var out []Entry
+	err = tab.IndexScanCtx(ctx, "by_kind", []relstore.Value{relstore.Str(kind)}, appendEntries(&out))
+	return out, err
 }
 
 // Clear removes all history entries (and resets the id counter).

@@ -1,7 +1,10 @@
 package queryrepo
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -32,22 +35,16 @@ func committed(t testing.TB, r *Repo) *View {
 	return ViewOn(sn)
 }
 
-type lcaArgs struct {
-	Tree string `json:"tree"`
-	A    string `json:"a"`
-	B    string `json:"b"`
-}
-
 func TestRecordAndHistory(t *testing.T) {
 	r := newRepo(t)
-	e1, err := r.Record("lca", lcaArgs{"gold", "Lla", "Spy"}, "LCA = node 3")
+	e1, err := r.Record(LCA{A: "Lla", B: "Spy", Tree: "gold"}, "LCA = node 3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1.ID != 1 {
 		t.Fatalf("first id = %d", e1.ID)
 	}
-	e2, err := r.Record("project", map[string]any{"leaves": []string{"Bha", "Lla", "Syn"}}, "3-leaf projection")
+	e2, err := r.Record(Project{Species: []string{"Bha", "Lla", "Syn"}, Tree: "gold"}, "3-leaf projection")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +53,7 @@ func TestRecordAndHistory(t *testing.T) {
 	}
 
 	v := committed(t, r)
-	hist, err := v.History(0)
+	hist, err := v.History(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,35 +63,38 @@ func TestRecordAndHistory(t *testing.T) {
 	if hist[0].ID != 2 || hist[1].ID != 1 {
 		t.Fatalf("history not newest-first: %v %v", hist[0].ID, hist[1].ID)
 	}
-	hist, _ = v.History(1)
+	hist, _ = v.History(context.Background(), 1)
 	if len(hist) != 1 || hist[0].Kind != "project" {
 		t.Fatalf("limited history = %+v", hist)
 	}
 }
 
+// TestRerunArgsRoundTrip records one value of every kind and reads each
+// back: the entry's Query is the value recorded.
 func TestRerunArgsRoundTrip(t *testing.T) {
 	r := newRepo(t)
-	orig := lcaArgs{"gold", "Syn", "Lla"}
-	e, err := r.Record("lca", orig, "root")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := committed(t, r).Get(e.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back lcaArgs
-	if err := got.UnmarshalArgs(&back); err != nil {
-		t.Fatal(err)
-	}
-	if back != orig {
-		t.Fatalf("args = %+v, want %+v", back, orig)
-	}
-	if got.Summary != "root" || got.Kind != "lca" {
-		t.Fatalf("entry = %+v", got)
-	}
-	if got.Time.IsZero() {
-		t.Fatal("timestamp missing")
+	for _, q := range everyKind {
+		e, err := r.Record(q, "summary of "+q.Kind())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := committed(t, r).Get(e.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := got.Query()
+		if err != nil {
+			t.Fatalf("%s: %v", q.Kind(), err)
+		}
+		if !reflect.DeepEqual(back, q) {
+			t.Fatalf("%s: Query() = %#v, want %#v", q.Kind(), back, q)
+		}
+		if got.Summary != "summary of "+q.Kind() || got.Kind != q.Kind() {
+			t.Fatalf("entry = %+v", got)
+		}
+		if got.Time.IsZero() {
+			t.Fatal("timestamp missing")
+		}
 	}
 }
 
@@ -110,22 +110,22 @@ func TestHistoryMixedRowSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []string
-	record := func(kind string, args any, summary string) {
+	record := func(q Query, summary string) {
 		t.Helper()
-		if _, err := r.Record(kind, args, summary); err != nil {
-			t.Fatalf("record #%d (%s, %d B summary): %v", len(want)+1, kind, len(summary), err)
+		if _, err := r.Record(q, summary); err != nil {
+			t.Fatalf("record #%d (%s, %d B summary): %v", len(want)+1, q.Kind(), len(summary), err)
 		}
 		want = append(want, summary)
 	}
 	for round := 0; round < 12; round++ {
 		for i := 0; i < 40; i++ {
-			record("lca", lcaArgs{"gold", "Lla", "Spy"}, "LCA = node 3")
+			record(LCA{A: "Lla", B: "Spy", Tree: "gold"}, "LCA = node 3")
 		}
 		for i := 0; i < 8; i++ {
-			record("clade", map[string]string{"tree": "gold"}, strings.Repeat("s", 300+(round*8+i)*7%700))
+			record(Clade{Tree: "gold"}, strings.Repeat("s", 300+(round*8+i)*7%700))
 		}
 	}
-	hist, err := committed(t, r).History(0)
+	hist, err := committed(t, r).History(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestGetMissing(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// The internal counter row must not leak.
-	r.Record("x", nil, "")
+	r.Record(Delete{Tree: "x"}, "")
 	if _, err := committed(t, r).Get(-1); !errors.Is(err, ErrNoEntry) {
 		t.Fatalf("counter row leaked: %v", err)
 	}
@@ -156,10 +156,10 @@ func TestGetMissing(t *testing.T) {
 
 func TestByKind(t *testing.T) {
 	r := newRepo(t)
-	r.Record("lca", nil, "1")
-	r.Record("sample", nil, "2")
-	r.Record("lca", nil, "3")
-	got, err := committed(t, r).ByKind("lca")
+	r.Record(LCA{}, "1")
+	r.Record(Sample{}, "2")
+	r.Record(LCA{}, "3")
+	got, err := committed(t, r).ByKind(context.Background(), "lca")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,18 +170,18 @@ func TestByKind(t *testing.T) {
 
 func TestClear(t *testing.T) {
 	r := newRepo(t)
-	r.Record("a", nil, "")
-	r.Record("b", nil, "")
+	r.Record(Delete{Tree: "a"}, "")
+	r.Record(Delete{Tree: "b"}, "")
 	n, err := r.Clear()
 	if err != nil || n != 2 {
 		t.Fatalf("Clear = %d, %v", n, err)
 	}
-	hist, _ := committed(t, r).History(0)
+	hist, _ := committed(t, r).History(context.Background(), 0)
 	if len(hist) != 0 {
 		t.Fatalf("history after clear = %d", len(hist))
 	}
 	// Ids restart after a full clear.
-	e, _ := r.Record("c", nil, "")
+	e, _ := r.Record(Delete{Tree: "c"}, "")
 	if e.ID != 1 {
 		t.Fatalf("id after clear = %d", e.ID)
 	}
@@ -194,12 +194,12 @@ func TestIDsPersistAcrossHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.Record("x", nil, "")
+	r1.Record(Delete{Tree: "x"}, "")
 	r2, err := NewOnDB(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := r2.Record("y", nil, "")
+	e, err := r2.Record(Delete{Tree: "y"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +241,8 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 					return
 				}
 				sn := r.db.Snapshot()
-				_, herr := ViewOn(sn).History(10)
-				_, kerr := ViewOn(sn).ByKind("lca")
+				_, herr := ViewOn(sn).History(context.Background(), 10)
+				_, kerr := ViewOn(sn).ByKind(context.Background(), "lca")
 				sn.Close()
 				if herr != nil || kerr != nil {
 					t.Errorf("reader %d: History: %v, ByKind: %v", g, herr, kerr)
@@ -257,11 +257,11 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perRecorder; i++ {
-				kind := "lca"
+				var q Query = LCA{A: fmt.Sprint(g), B: fmt.Sprint(i), Tree: "gold"}
 				if i%2 == 1 {
-					kind = "project"
+					q = Project{Species: []string{fmt.Sprint(g), fmt.Sprint(i)}, Tree: "gold"}
 				}
-				e, err := r.Record(kind, map[string]any{"recorder": g, "i": i}, "x")
+				e, err := r.Record(q, "x")
 				if err != nil {
 					errs[g] = err
 					return
@@ -302,7 +302,7 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 	}
 
 	// The history agrees: every entry present, newest first.
-	all, err := committed(t, r).History(0)
+	all, err := committed(t, r).History(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,14 +321,14 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 // after it — and visible to a snapshot taken after.
 func TestViewSeesCommittedRecordsOnly(t *testing.T) {
 	r := newRepo(t)
-	if _, err := r.Record("lca", nil, "first"); err != nil {
+	if _, err := r.Record(LCA{}, "first"); err != nil {
 		t.Fatal(err)
 	}
 	before := r.db.Snapshot()
 	defer before.Close()
 	count := func(v *View) int {
 		t.Helper()
-		hist, err := v.History(0)
+		hist, err := v.History(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

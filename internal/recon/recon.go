@@ -37,6 +37,9 @@ type SeqAlgorithm interface {
 // ErrTooFewTaxa is returned for matrices with fewer than 2 taxa.
 var ErrTooFewTaxa = errors.New("recon: need at least 2 taxa")
 
+// ErrUnknownAlgorithm is returned by ByNames for a name it does not know.
+var ErrUnknownAlgorithm = errors.New("recon: unknown algorithm")
+
 // UPGMA implements average-linkage hierarchical clustering. It assumes a
 // molecular clock (ultrametric input) and produces a rooted binary tree.
 type UPGMA struct{}
@@ -237,7 +240,7 @@ func ByNames(names []string, seed int64) ([]Algorithm, []SeqAlgorithm, error) {
 		case "MP", "mp":
 			seqAlgs = append(seqAlgs, Parsimony{Seed: seed})
 		default:
-			return nil, nil, fmt.Errorf("recon: unknown algorithm %q (have NJ, UPGMA)", name)
+			return nil, nil, fmt.Errorf("%w %q (have NJ, UPGMA)", ErrUnknownAlgorithm, name)
 		}
 	}
 	return algs, seqAlgs, nil

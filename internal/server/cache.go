@@ -2,13 +2,15 @@ package server
 
 import (
 	"container/list"
+	"encoding/json"
 	"strconv"
-	"strings"
 	"sync"
+
+	"repro/internal/queryrepo"
 )
 
 // resultCache is a bounded LRU over query results. Keys are
-// "<tree>\x00<version>\x00<op>\x00<canonical args>", where the version is
+// "<tree>\x00<version>\x00<kind>\x00<canonical value's JSON>", where the version is
 // the shard epoch the tree's current incarnation was committed at: an
 // entry names one immutable incarnation of one tree, so nothing ever has
 // to be updated or dropped: reloading or deleting a tree moves its version
@@ -31,10 +33,11 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// cacheKey builds a canonical cache key for op on one incarnation (ver) of
-// a tree.
-func cacheKey(tree string, ver uint64, op string, args ...string) string {
-	return tree + "\x00" + strconv.FormatUint(ver, 10) + "\x00" + op + "\x00" + strings.Join(args, "\x1f")
+// cacheKey is the cache key of v on one incarnation (ver) of its tree: the
+// tree, the version, and the kind and encoding of v's canonical form.
+func cacheKey(ver uint64, v queryrepo.Query) string {
+	raw, _ := json.Marshal(queryrepo.Canonical(v)) // the cached kinds hold strings only: no error
+	return v.TreeName() + "\x00" + strconv.FormatUint(ver, 10) + "\x00" + v.Kind() + "\x00" + string(raw)
 }
 
 func (c *resultCache) get(key string) (any, bool) {

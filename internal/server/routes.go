@@ -12,6 +12,7 @@ import (
 	"repro/internal/newick"
 	"repro/internal/obs"
 	"repro/internal/queryrepo"
+	"repro/internal/recon"
 	"repro/internal/sample"
 	"repro/internal/species"
 	"repro/internal/storage"
@@ -72,6 +73,7 @@ var routes = []route{
 
 	{"GET /v1/history", "history", readRoute, (*Server).handleHistory},
 	{"GET /v1/history/{id}", "history_get", readRoute, (*Server).handleHistoryGet},
+	{"POST /v1/history/{id}/rerun", "history_rerun", readRoute, (*Server).handleRerun},
 
 	{"GET /v1/repl/status", "repl_status", plainRoute, (*Server).handleReplStatus},
 	{"GET /v1/repl/stream", "repl_stream", plainRoute, (*Server).handleReplStream},
@@ -338,7 +340,7 @@ func errStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, treestore.ErrBadName), errors.Is(err, treestore.ErrBadSample),
 		errors.Is(err, sample.ErrBadCount), errors.Is(err, sample.ErrTooFew), errors.Is(err, sample.ErrEmptyResult),
-		errors.Is(err, species.ErrBadKey), errors.Is(err, newick.ErrSyntax):
+		errors.Is(err, species.ErrBadKey), errors.Is(err, newick.ErrSyntax), errors.Is(err, recon.ErrUnknownAlgorithm):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

@@ -47,32 +47,27 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/benchmark"
 	"repro/internal/core"
 	"repro/internal/newick"
 	"repro/internal/nexus"
 	"repro/internal/obs"
 	"repro/internal/phylo"
 	"repro/internal/queryrepo"
-	"repro/internal/recon"
 	"repro/internal/relstore"
 	"repro/internal/repl"
 	"repro/internal/shard"
 	"repro/internal/species"
-	"repro/internal/treecmp"
 	"repro/internal/treestore"
 )
 
@@ -217,8 +212,7 @@ type epochHandle struct {
 
 // histRecord is one deferred query-history append.
 type histRecord struct {
-	kind    string
-	args    any
+	q       queryrepo.Query
 	summary string
 }
 
@@ -292,8 +286,8 @@ func (s *Server) recordLoop() {
 		recCommitInterval = time.Second
 	)
 	recordOne := func(rec histRecord) {
-		if _, err := s.be.Queries.Record(rec.kind, rec.args, rec.summary); err != nil {
-			s.logf("crimsond: recording %s query: %v", rec.kind, err)
+		if _, err := s.be.Queries.Record(rec.q, rec.summary); err != nil {
+			s.logf("crimsond: recording %s query: %v", rec.q.Kind(), err)
 		}
 	}
 	// capture snapshots the pending records' transaction under the shard-0
@@ -864,13 +858,13 @@ func queryInt[T int | int64](r *http.Request, key string, def T) (T, error) {
 // requires its writer lock, or a concurrent history commit could capture
 // another load's half-applied tables. Lock order is safe: shard 0's mutex
 // is only ever acquired bare or after another shard's, never the other way.
-func (s *Server) recordWrite(cc *commitCollector, kind string, args any, summary string) error {
+func (s *Server) recordWrite(cc *commitCollector, v queryrepo.Query, summary string) error {
 	if cc.si != 0 {
 		s.lockShard(cc.ctx, 0)
 		defer s.writeMus[0].Unlock()
 	}
-	if _, err := s.be.Queries.Record(kind, args, summary); err != nil {
-		s.logf("crimsond: recording %s query: %v", kind, err)
+	if _, err := s.be.Queries.Record(v, summary); err != nil {
+		s.logf("crimsond: recording %s query: %v", v.Kind(), err)
 	}
 	cc.commitAsync(0)
 	return nil
@@ -884,7 +878,7 @@ func (s *Server) recordWrite(cc *commitCollector, kind string, args any, summary
 // lazily on the first record, so a Server used as a bare http.Handler
 // and never queried leaks nothing; once queries have flowed, Shutdown is
 // what stops the recorder.
-func (s *Server) recordAsync(kind string, args any, summary string) {
+func (s *Server) recordAsync(v queryrepo.Query, summary string) {
 	if s.readOnly.Load() {
 		return // a replica's history is replicated, not locally written
 	}
@@ -898,7 +892,7 @@ func (s *Server) recordAsync(kind string, args any, summary string) {
 		go s.recordLoop()
 	})
 	select {
-	case s.recCh <- histRecord{kind: kind, args: args, summary: summary}:
+	case s.recCh <- histRecord{q: v, summary: summary}:
 	default:
 		s.stats.historyDropped.Add(1)
 	}
@@ -1054,8 +1048,7 @@ func (s *Server) handleLoad(q *req) (any, error) {
 		// One commit carries the tree and its sequences (they share the
 		// shard); its epoch is the new incarnation's version.
 		s.bumpTree(cc, name)
-		return s.recordWrite(cc, "load",
-			map[string]any{"tree": name, "f": f, "nodes": resp.Tree.Nodes},
+		return s.recordWrite(cc, queryrepo.Load{F: f, Nodes: resp.Tree.Nodes, Tree: name},
 			fmt.Sprintf("loaded %d nodes", resp.Tree.Nodes))
 	})
 	if err != nil {
@@ -1089,7 +1082,7 @@ func (s *Server) handleDelete(q *req) (any, error) {
 			return err
 		}
 		cc.commitAsync(cc.si)
-		return s.recordWrite(cc, "delete", map[string]any{"tree": name}, "deleted")
+		return s.recordWrite(cc, queryrepo.Delete{Tree: name}, "deleted")
 	})
 }
 
@@ -1123,20 +1116,21 @@ func (r LCAResponse) asHit() any     { r.Cached = true; return r }
 func (r CladeResponse) asHit() any   { r.Cached = true; return r }
 func (r MatchResponse) asHit() any   { r.Cached = true; return r }
 
-// cachedQuery answers a cacheable query (project, lca, clade, match) on
-// the named tree: from the result cache under (tree, version, op, key)
-// when the request's snapshot reads the tree's current incarnation, else
-// by running compute on the tree's handle and caching what it answers.
-// compute runs only on a miss, so it is where a query records its history.
-func (s *Server) cachedQuery(q *req, name, op string, key []string, compute func(t *treestore.Tree) (cacheable, error)) (any, error) {
+// cachedQuery answers a cacheable query (project, lca, clade, match): from
+// the result cache under (tree, version, canonical value) when the
+// request's snapshot reads the tree's current incarnation, else by running
+// compute on the tree's handle, caching what it answers and recording v
+// with the summary compute returns.
+func (s *Server) cachedQuery(q *req, v queryrepo.Query, compute func(t *treestore.Tree) (cacheable, string, error)) (any, error) {
+	name := v.TreeName()
 	rs, _ := q.sn.forTree(name)
 	ver, useCache := s.treeVer(name, rs.Epoch())
 	var k string
 	if useCache {
-		k = cacheKey(name, ver, op, key...)
-		if v, ok := s.cache.get(k); ok {
+		k = cacheKey(ver, v)
+		if hit, ok := s.cache.get(k); ok {
 			s.stats.cacheHits.Add(1)
-			return v.(cacheable).asHit(), nil
+			return hit.(cacheable).asHit(), nil
 		}
 	}
 	s.stats.cacheMisses.Add(1)
@@ -1144,123 +1138,112 @@ func (s *Server) cachedQuery(q *req, name, op string, key []string, compute func
 	if err != nil {
 		return nil, err
 	}
-	resp, err := compute(t)
+	resp, summary, err := compute(t)
 	if err != nil {
 		return nil, err
 	}
+	s.recordAsync(v, summary)
 	if useCache {
 		s.cachePut(name, ver, k, resp)
 	}
 	return resp, nil
 }
 
+// answer runs a query value the way its endpoint does — the four
+// cacheable kinds through the result cache, each recorded in the history
+// when it ran — and returns that endpoint's JSON body. The read endpoints
+// and POST /v1/history/{id}/rerun all end here.
+func (s *Server) answer(q *req, v queryrepo.Query) (any, error) {
+	ctx := q.Context()
+	switch v := v.(type) {
+	case queryrepo.LCA:
+		return s.cachedQuery(q, v, func(t *treestore.Tree) (cacheable, string, error) {
+			n, summary, err := v.Run(ctx, t)
+			return LCAResponse{Node: nodeJSON(n)}, summary, err
+		})
+	case queryrepo.Project:
+		return s.cachedQuery(q, v, func(t *treestore.Tree) (cacheable, string, error) {
+			p, summary, err := v.Run(ctx, t)
+			if err != nil {
+				return nil, "", err
+			}
+			return ProjectResponse{Newick: summary, Leaves: p.NumLeaves()}, summary, nil
+		})
+	case queryrepo.Clade:
+		return s.cachedQuery(q, v, func(t *treestore.Tree) (cacheable, string, error) {
+			nodes, leaves, summary, err := v.Run(ctx, t)
+			if err != nil {
+				return nil, "", err
+			}
+			return CladeResponse{Root: nodeJSON(nodes[0]), Nodes: len(nodes), Leaves: len(leaves), Species: leaves}, summary, nil
+		})
+	case queryrepo.Match:
+		return s.cachedQuery(q, v, func(t *treestore.Tree) (cacheable, string, error) {
+			m, summary, err := v.Run(ctx, t)
+			if err != nil {
+				return nil, "", err
+			}
+			return MatchResponse{Exact: m.Exact, RF: m.RF, NormRF: m.Normalized, Projected: newick.String(m.Projected)}, summary, nil
+		})
+	case queryrepo.Sample:
+		t, err := s.tree(q.sn, v.Tree)
+		if err != nil {
+			return nil, err
+		}
+		names, summary, err := v.Run(ctx, t)
+		if err != nil {
+			return nil, err
+		}
+		s.recordAsync(v, summary)
+		return SampleResponse{Species: names}, nil
+	case queryrepo.Bench:
+		return s.runBench(q, v, 0)
+	}
+	return nil, badRequest("a %s query cannot be rerun", v.Kind())
+}
+
 func (s *Server) handleProject(q *req) (any, error) {
-	name := q.PathValue("name")
 	names := splitList(q.URL.Query().Get("species"))
 	if len(names) == 0 {
 		return nil, badRequest("species parameter is required")
 	}
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	return s.cachedQuery(q, name, "project", sorted, func(t *treestore.Tree) (cacheable, error) {
-		projected, err := t.ProjectNamesCtx(q.Context(), names)
-		if err != nil {
-			return nil, err
-		}
-		resp := ProjectResponse{Newick: newick.String(projected), Leaves: projected.NumLeaves()}
-		s.recordAsync("project", map[string]any{"tree": name, "species": names}, resp.Newick)
-		return resp, nil
-	})
+	return s.answer(q, queryrepo.Project{Species: names, Tree: q.PathValue("name")})
 }
 
 func (s *Server) handleLCA(q *req) (any, error) {
-	name := q.PathValue("name")
 	a, b := q.URL.Query().Get("a"), q.URL.Query().Get("b")
 	if a == "" || b == "" {
 		return nil, badRequest("a and b parameters are required")
 	}
-	ka, kb := a, b
-	if ka > kb {
-		ka, kb = kb, ka // LCA is symmetric; canonicalize the key
-	}
-	return s.cachedQuery(q, name, "lca", []string{ka, kb}, func(t *treestore.Tree) (cacheable, error) {
-		row, err := t.LCANamesCtx(q.Context(), a, b)
-		if err != nil {
-			return nil, err
-		}
-		s.recordAsync("lca", map[string]any{"tree": name, "a": a, "b": b}, fmt.Sprintf("node %d", row.ID))
-		return LCAResponse{Node: nodeJSON(row)}, nil
-	})
+	return s.answer(q, queryrepo.LCA{A: a, B: b, Tree: q.PathValue("name")})
 }
 
 func (s *Server) handleSample(q *req) (any, error) {
-	name := q.PathValue("name")
-	k, err := queryInt(q.Request, "k", 10)
-	if err != nil {
+	v := queryrepo.Sample{Time: -1, Tree: q.PathValue("name")}
+	var err error
+	if v.K, err = queryInt(q.Request, "k", 10); err != nil {
 		return nil, err
 	}
-	seed, err := queryInt(q.Request, "seed", int64(1))
-	if err != nil {
+	if v.Seed, err = queryInt(q.Request, "seed", int64(1)); err != nil {
 		return nil, err
 	}
-	t, err := s.tree(q.sn, name)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var rows []treestore.Node
-	timeRaw := q.URL.Query().Get("time")
-	timeArg := -1.0
-	if timeRaw != "" {
-		if timeArg, err = strconv.ParseFloat(timeRaw, 64); err != nil {
-			return nil, badRequest("bad time=%q: %v", timeRaw, err)
+	if raw := q.URL.Query().Get("time"); raw != "" {
+		if v.Time, err = strconv.ParseFloat(raw, 64); err != nil {
+			return nil, badRequest("bad time=%q: %v", raw, err)
 		}
-		rows, err = t.SampleWithTimeCtx(q.Context(), timeArg, k, rng)
-	} else {
-		rows, err = t.SampleUniformCtx(q.Context(), k, rng)
 	}
-	if err != nil {
-		return nil, err
-	}
-	resp := SampleResponse{Species: make([]string, len(rows))}
-	for i, n := range rows {
-		resp.Species[i] = n.Name
-	}
-	sort.Strings(resp.Species)
-	s.recordAsync("sample", map[string]any{"tree": name, "k": k, "time": timeArg, "seed": seed},
-		strings.Join(resp.Species, " "))
-	return resp, nil
+	return s.answer(q, v)
 }
 
 func (s *Server) handleClade(q *req) (any, error) {
-	name := q.PathValue("name")
 	names := splitList(q.URL.Query().Get("species"))
 	if len(names) == 0 {
 		return nil, badRequest("species parameter is required")
 	}
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	return s.cachedQuery(q, name, "clade", sorted, func(t *treestore.Tree) (cacheable, error) {
-		clade, err := t.CladeNamesCtx(q.Context(), names)
-		if err != nil {
-			return nil, err
-		}
-		resp := CladeResponse{Root: nodeJSON(clade[0]), Nodes: len(clade)}
-		for _, n := range clade {
-			if n.Leaf {
-				resp.Leaves++
-				resp.Species = append(resp.Species, n.Name)
-			}
-		}
-		sort.Strings(resp.Species)
-		s.recordAsync("clade", map[string]any{"tree": name, "species": names},
-			fmt.Sprintf("%d nodes", resp.Nodes))
-		return resp, nil
-	})
+	return s.answer(q, queryrepo.Clade{Species: names, Tree: q.PathValue("name")})
 }
 
 func (s *Server) handleMatch(q *req) (any, error) {
-	name := q.PathValue("name")
 	raw, err := io.ReadAll(q.Body)
 	if err != nil {
 		return nil, badRequest("reading pattern body: %v", err)
@@ -1269,65 +1252,39 @@ func (s *Server) handleMatch(q *req) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	canonical := newick.String(pattern)
-	return s.cachedQuery(q, name, "match", []string{canonical}, func(t *treestore.Tree) (cacheable, error) {
-		projected, err := t.ProjectNamesCtx(q.Context(), pattern.LeafNames())
-		if err != nil {
-			return nil, err
-		}
-		m, err := treecmp.Score(projected, pattern)
-		if err != nil {
-			return nil, err
-		}
-		s.recordAsync("match", map[string]any{"tree": name, "pattern": canonical},
-			fmt.Sprintf("RF=%d", m.RF))
-		return MatchResponse{Exact: m.Exact, RF: m.RF, NormRF: m.Normalized, Projected: newick.String(projected)}, nil
-	})
+	return s.answer(q, queryrepo.Match{Pattern: newick.String(pattern), Tree: q.PathValue("name")})
 }
 
-// handleBench runs the Benchmark Manager against a stored gold tree. Only
-// the export of the gold tree reads the store: the read slot and snapshot
-// pins go back as soon as it returns, so a long run holds neither the MVCC
-// horizon nor, on a follower, replicated applies.
 func (s *Server) handleBench(q *req) (any, error) {
-	name := q.PathValue("name")
 	var breq BenchRequest
 	if err := json.NewDecoder(q.Body).Decode(&breq); err != nil {
 		return nil, badRequest("decoding bench request: %v", err)
 	}
-	t, err := s.tree(q.sn, name)
-	if err != nil {
-		return nil, err
-	}
-	gold, err := t.ExportCtx(q.Context())
-	if err != nil {
-		return nil, err
-	}
-	q.sn.release()
-	cfg := benchmark.Config{
-		Gold:        gold,
-		SeqLength:   breq.SeqLength,
-		SampleSizes: breq.Sizes,
-		Replicates:  breq.Replicates,
-		Seed:        breq.Seed,
-		Parallel:    breq.Parallel,
-	}
-	if len(cfg.SampleSizes) == 0 {
-		cfg.SampleSizes = []int{10, 50, 100}
-	}
-	if cfg.Algorithms, cfg.SeqAlgorithms, err = recon.ByNames(breq.Algorithms, breq.Seed); err != nil {
-		return nil, badRequest("%v", err)
+	v := queryrepo.Bench{Algs: breq.Algorithms, Reps: breq.Replicates, Seed: breq.Seed,
+		SeqLength: breq.SeqLength, Sizes: breq.Sizes, Time: -1, Tree: q.PathValue("name")}
+	if len(v.Sizes) == 0 {
+		v.Sizes = []int{10, 50, 100}
 	}
 	if breq.Time != nil {
-		cfg.Method = benchmark.TimeConstrained
-		cfg.Time = *breq.Time
+		v.Time = *breq.Time
 	}
-	rep, err := benchmark.Run(cfg)
+	return s.runBench(q, v.Defaults(), breq.Parallel)
+}
+
+// runBench runs the Benchmark Manager against a stored gold tree. Only
+// the export of the gold tree reads the store: the read slot and snapshot
+// pins go back as soon as it returns, so a long run holds neither the MVCC
+// horizon nor, on a follower, replicated applies.
+func (s *Server) runBench(q *req, v queryrepo.Bench, parallel int) (any, error) {
+	t, err := s.tree(q.sn, v.Tree)
 	if err != nil {
 		return nil, err
 	}
-	s.recordAsync("bench", map[string]any{"tree": name, "sizes": cfg.SampleSizes,
-		"reps": cfg.Replicates, "algs": breq.Algorithms}, "benchmark complete")
+	rep, summary, err := v.Run(q.Context(), t, parallel, q.sn.release)
+	if err != nil {
+		return nil, err
+	}
+	s.recordAsync(v, summary)
 	return rep.JSON(), nil
 }
 
@@ -1397,7 +1354,7 @@ func entryJSON(e queryrepo.Entry) HistoryEntry {
 func (s *Server) handleHistory(q *req) (any, error) {
 	view := queryrepo.ViewOn(q.sn.shard(0)) // history lives on shard 0
 	if kind := q.URL.Query().Get("kind"); kind != "" {
-		entries, err := view.ByKindCtx(q.Context(), kind)
+		entries, err := view.ByKind(q.Context(), kind)
 		if err != nil {
 			return nil, err
 		}
@@ -1438,16 +1395,35 @@ func historyJSON(entries []queryrepo.Entry, next int64) HistoryResponse {
 	return resp
 }
 
-func (s *Server) handleHistoryGet(q *req) (any, error) {
+// historyEntry reads the entry the request's {id} names.
+func (s *Server) historyEntry(q *req) (queryrepo.Entry, error) {
 	id, err := strconv.ParseInt(q.PathValue("id"), 10, 64)
 	if err != nil {
-		return nil, badRequest("bad history id %q", q.PathValue("id"))
+		return queryrepo.Entry{}, badRequest("bad history id %q", q.PathValue("id"))
 	}
-	e, err := queryrepo.ViewOn(q.sn.shard(0)).Get(id)
+	return queryrepo.ViewOn(q.sn.shard(0)).Get(id)
+}
+
+func (s *Server) handleHistoryGet(q *req) (any, error) {
+	e, err := s.historyEntry(q)
 	if err != nil {
 		return nil, err
 	}
 	return entryJSON(e), nil
+}
+
+// handleRerun reruns a recorded query through its endpoint's core and
+// answers that endpoint's body.
+func (s *Server) handleRerun(q *req) (any, error) {
+	e, err := s.historyEntry(q)
+	if err != nil {
+		return nil, err
+	}
+	v, err := e.Query()
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	return s.answer(q, v)
 }
 
 // --- stats handlers ---------------------------------------------------------

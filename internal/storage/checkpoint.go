@@ -213,6 +213,7 @@ func (p *writebackPager) ReadPage(id PageID, buf []byte) error {
 type checkpointer struct {
 	mu      sync.Mutex // serializes checkpoint passes
 	kick    chan struct{}
+	rearm   chan struct{} // the interval changed: restart the timer, run no pass
 	stop    chan struct{}
 	done    chan struct{}
 	started bool
@@ -226,8 +227,11 @@ func (s *Store) SetCheckpointPolicy(bytes int64, interval time.Duration) {
 	if bytes > 0 {
 		s.ckptBytes.Store(bytes)
 	}
-	if interval > 0 {
-		s.ckptInterval.Store(int64(interval))
+	if interval > 0 && s.ckptInterval.Swap(int64(interval)) != int64(interval) {
+		select {
+		case s.ckpt.rearm <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -240,6 +244,7 @@ func (s *Store) checkpointThreshold() int64 {
 
 func (s *Store) startCheckpointer() {
 	s.ckpt.kick = make(chan struct{}, 1)
+	s.ckpt.rearm = make(chan struct{}, 1)
 	s.ckpt.stop = make(chan struct{})
 	s.ckpt.done = make(chan struct{})
 	s.ckpt.started = true
@@ -272,6 +277,9 @@ func (s *Store) checkpointLoop() {
 			return
 		case <-s.ckpt.kick:
 			timer.Stop()
+		case <-s.ckpt.rearm:
+			timer.Stop()
+			continue
 		case <-timer.C:
 		}
 		// Best-effort: an I/O error here resurfaces on the next synchronous

@@ -60,6 +60,34 @@ func TestCheckpointDrainsBacklogAndTruncatesWAL(t *testing.T) {
 	}
 }
 
+// TestCheckpointPolicyRearmsTimer: a new checkpoint interval takes effect
+// at once. The checkpointer's timer was armed with the 1 s default at
+// open; setting 50 ms must re-arm it, so a commit's backlog drains within
+// a few intervals, long before the default would have fired.
+func TestCheckpointPolicyRearmsTimer(t *testing.T) {
+	s, _ := openTempStore(t)
+	time.Sleep(20 * time.Millisecond) // the checkpointer arms its first timer
+	s.SetCheckpointPolicy(0, 50*time.Millisecond)
+	tree, err := NewBTree(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	s.SetRoot(0, tree.Root())
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for s.CheckpointBacklog() > 0 {
+		if time.Since(start) > 500*time.Millisecond {
+			t.Fatalf("backlog of %d B not checkpointed 500 ms after a commit at a 50 ms interval", s.CheckpointBacklog())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestCheckpointSkipsUndurableEpochs pins the torn-page-safety invariant:
 // the checkpointer only writes images whose WAL batch has fsynced, so a
 // torn page-file write is always repairable by WAL replay. A prepared but

@@ -82,7 +82,7 @@ func TestShardedRepositoryEndToEnd(t *testing.T) {
 	}
 
 	// History records from every load are readable (they live on shard 0).
-	entries, err := snap.QueryView.ByKind("load")
+	entries, err := snap.QueryView.ByKind(context.Background(), "load")
 	if err != nil {
 		t.Fatal(err)
 	}

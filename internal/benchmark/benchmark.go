@@ -27,19 +27,19 @@ import (
 	"repro/internal/treecmp"
 )
 
-// Selection names a species sampling method.
-type Selection int
+// selection names a species sampling method.
+type selection int
 
-// Selection methods offered by the paper's demo: random sampling, random
-// sampling with respect to time, and user input (handled by RunExplicit).
+// Selection methods offered by the paper's demo: random sampling and random
+// sampling with respect to time.
 const (
-	Uniform Selection = iota
+	uniform selection = iota
 	TimeConstrained
 )
 
-func (s Selection) String() string {
+func (s selection) String() string {
 	switch s {
-	case Uniform:
+	case uniform:
 		return "uniform"
 	case TimeConstrained:
 		return "time"
@@ -60,7 +60,7 @@ type Config struct {
 
 	SampleSizes []int     // e.g. {10, 50, 100}
 	Replicates  int       // independent samples per size (default 3)
-	Method      Selection // sampling method
+	Method      selection // sampling method
 	Time        float64   // evolutionary time for TimeConstrained
 
 	Algorithms []recon.Algorithm // default {NJ, UPGMA}
@@ -81,8 +81,8 @@ type Config struct {
 	Parallel int
 }
 
-// Result is one (algorithm, sample) evaluation.
-type Result struct {
+// result is one (algorithm, sample) evaluation.
+type result struct {
 	Algorithm  string
 	Method     string
 	SampleSize int
@@ -96,28 +96,69 @@ type Result struct {
 // Report is a completed benchmark run.
 type Report struct {
 	Config  Config
-	Results []Result
+	Results []result
 }
 
 // Errors from Run.
 var (
-	ErrNoGold = errors.New("benchmark: config has no gold tree")
-	ErrNoSize = errors.New("benchmark: no sample sizes configured")
+	errNoGold = errors.New("benchmark: config has no gold tree")
+	errNoSize = errors.New("benchmark: no sample sizes configured")
 )
 
-// Run executes the benchmark.
+// run is what every evaluation of one benchmark reads: the config with its
+// defaults filled in, the planner over the gold tree, and the alignment. It
+// is read-only once built.
+type run struct {
+	cfg     Config
+	planner *project.Planner
+	aln     *seqsim.Alignment
+}
+
+// Run executes the benchmark. It fills in the config's defaults, builds the
+// index and planner over the gold tree and the alignment, and draws the
+// samples; an alignment simulated here draws from the run's one seeded RNG
+// before the samples do.
 func Run(cfg Config) (*Report, error) {
-	if cfg.Gold != nil && len(cfg.SampleSizes) == 0 {
-		return nil, ErrNoSize // a config without a gold tree is ErrNoGold first
+	if cfg.Gold == nil {
+		return nil, errNoGold
+	}
+	if len(cfg.SampleSizes) == 0 {
+		return nil, errNoSize
 	}
 	if cfg.Replicates <= 0 {
 		cfg.Replicates = 3
 	}
-	ru, r, err := newRun(cfg)
-	if err != nil {
-		return nil, err
+	// Default algorithms only when the caller named none at all: a config
+	// with only SeqAlgorithms (e.g. parsimony alone) runs exactly those.
+	if len(cfg.Algorithms) == 0 && len(cfg.SeqAlgorithms) == 0 {
+		cfg.Algorithms = []recon.Algorithm{recon.NeighborJoining{}, recon.UPGMA{}}
 	}
-	cfg = ru.cfg
+	if cfg.Distances == nil {
+		cfg.Distances = defaultDistances
+	}
+	r := rand.New(rand.NewSource(cfg.Seed))
+	ix := cfg.Index
+	if ix == nil {
+		var err error
+		if ix, err = core.Build(cfg.Gold, core.DefaultFanout); err != nil {
+			return nil, err
+		}
+	}
+	ru := &run{cfg: cfg, planner: project.NewPlanner(cfg.Gold, ix), aln: cfg.Alignment}
+	if ru.aln == nil {
+		model := cfg.Model
+		if model == nil {
+			model = seqsim.JC69{}
+		}
+		length := cfg.SeqLength
+		if length <= 0 {
+			length = 500
+		}
+		var err error
+		if ru.aln, err = seqsim.Evolve(cfg.Gold, seqsim.Config{Length: length, Model: model}, r); err != nil {
+			return nil, fmt.Errorf("benchmark: simulating sequences: %w", err)
+		}
+	}
 
 	// Draw every sample first, sequentially on the one seeded RNG, so the
 	// selections are identical regardless of cfg.Parallel.
@@ -131,7 +172,7 @@ func Run(cfg Config) (*Report, error) {
 			var sel []*phylo.Node
 			var err error
 			switch cfg.Method {
-			case Uniform:
+			case uniform:
 				sel, err = sample.Uniform(cfg.Gold, size, r)
 			case TimeConstrained:
 				sel, err = sample.WithRespectToTime(cfg.Gold, cfg.Time, size, r)
@@ -147,7 +188,7 @@ func Run(cfg Config) (*Report, error) {
 
 	// Evaluate. The run is read-only once built, so evaluations are
 	// independent and can fan out across a bounded worker pool.
-	perJob := make([][]Result, len(jobs))
+	perJob := make([][]result, len(jobs))
 	errs := make([]error, len(jobs))
 	workers := cfg.Parallel
 	if workers > len(jobs) {
@@ -186,76 +227,7 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// RunExplicit benchmarks the algorithms on one explicit species selection
-// (the paper's "user input" method).
-func RunExplicit(cfg Config, names []string) (*Report, error) {
-	ru, _, err := newRun(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := sample.FromNames(cfg.Gold, names)
-	if err != nil {
-		return nil, err
-	}
-	results, err := ru.evaluate(sel, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{Config: ru.cfg, Results: results}, nil
-}
-
-// run is what every evaluation of one benchmark reads: the config with its
-// defaults filled in, the planner over the gold tree, and the alignment. It
-// is read-only once built.
-type run struct {
-	cfg     Config
-	planner *project.Planner
-	aln     *seqsim.Alignment
-}
-
-// newRun is the set-up Run and RunExplicit share: the config's defaults, the
-// index and planner over the gold tree, and the alignment. It returns the
-// run's one seeded RNG too; an alignment simulated here has drawn from it
-// already, and the samples draw from it next.
-func newRun(cfg Config) (*run, *rand.Rand, error) {
-	if cfg.Gold == nil {
-		return nil, nil, ErrNoGold
-	}
-	// Default algorithms only when the caller named none at all: a config
-	// with only SeqAlgorithms (e.g. parsimony alone) runs exactly those.
-	if len(cfg.Algorithms) == 0 && len(cfg.SeqAlgorithms) == 0 {
-		cfg.Algorithms = []recon.Algorithm{recon.NeighborJoining{}, recon.UPGMA{}}
-	}
-	if cfg.Distances == nil {
-		cfg.Distances = DefaultDistances
-	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-	ix := cfg.Index
-	if ix == nil {
-		var err error
-		if ix, err = core.Build(cfg.Gold, core.DefaultFanout); err != nil {
-			return nil, nil, err
-		}
-	}
-	ru := &run{cfg: cfg, planner: project.NewPlanner(cfg.Gold, ix), aln: cfg.Alignment}
-	if ru.aln == nil {
-		model := cfg.Model
-		if model == nil {
-			model = seqsim.JC69{}
-		}
-		length := cfg.SeqLength
-		if length <= 0 {
-			length = 500
-		}
-		var err error
-		if ru.aln, err = seqsim.Evolve(cfg.Gold, seqsim.Config{Length: length, Model: model}, r); err != nil {
-			return nil, nil, fmt.Errorf("benchmark: simulating sequences: %w", err)
-		}
-	}
-	return ru, r, nil
-}
-
-func (ru *run) evaluate(sel []*phylo.Node, replicate int) ([]Result, error) {
+func (ru *run) evaluate(sel []*phylo.Node, replicate int) ([]result, error) {
 	cfg := ru.cfg
 	reference, err := ru.planner.Project(sel)
 	if err != nil {
@@ -275,7 +247,7 @@ func (ru *run) evaluate(sel []*phylo.Node, replicate int) ([]Result, error) {
 	}
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
-	var out []Result
+	var out []result
 	score := func(name string, tree *phylo.Tree, elapsed time.Duration) error {
 		rf, err := treecmp.RobinsonFouldsUnrooted(tree, reference)
 		if err != nil {
@@ -285,7 +257,7 @@ func (ru *run) evaluate(sel []*phylo.Node, replicate int) ([]Result, error) {
 		if err != nil {
 			return err
 		}
-		out = append(out, Result{
+		out = append(out, result{
 			Algorithm:  name,
 			Method:     cfg.Method.String(),
 			SampleSize: len(sel),
@@ -322,9 +294,9 @@ func (ru *run) evaluate(sel []*phylo.Node, replicate int) ([]Result, error) {
 	return out, nil
 }
 
-// DefaultDistances applies the Jukes–Cantor correction, falling back to
+// defaultDistances applies the Jukes–Cantor correction, falling back to
 // raw p-distances if any pair is saturated.
-func DefaultDistances(aln *seqsim.Alignment) (*distance.Matrix, error) {
+func defaultDistances(aln *seqsim.Alignment) (*distance.Matrix, error) {
 	m, err := distance.JC(aln)
 	if err == nil {
 		return m, nil
@@ -335,8 +307,8 @@ func DefaultDistances(aln *seqsim.Alignment) (*distance.Matrix, error) {
 	return nil, err
 }
 
-// Summary aggregates mean normalized RF per (algorithm, sample size).
-type Summary struct {
+// summary aggregates mean normalized RF per (algorithm, sample size).
+type summary struct {
 	Algorithm  string
 	SampleSize int
 	Runs       int
@@ -345,19 +317,19 @@ type Summary struct {
 	MeanRecon  time.Duration
 }
 
-// Summarize groups the report's results.
-func (r *Report) Summarize() []Summary {
+// summarize groups the report's results.
+func (r *Report) summarize() []summary {
 	type key struct {
 		alg  string
 		size int
 	}
-	acc := make(map[key]*Summary)
+	acc := make(map[key]*summary)
 	var order []key
 	for _, res := range r.Results {
 		k := key{res.Algorithm, res.SampleSize}
 		s, ok := acc[k]
 		if !ok {
-			s = &Summary{Algorithm: res.Algorithm, SampleSize: res.SampleSize}
+			s = &summary{Algorithm: res.Algorithm, SampleSize: res.SampleSize}
 			acc[k] = s
 			order = append(order, k)
 		}
@@ -366,7 +338,7 @@ func (r *Report) Summarize() []Summary {
 		s.MeanNormRF += res.NormRF
 		s.MeanRecon += res.Recon
 	}
-	out := make([]Summary, 0, len(order))
+	out := make([]summary, 0, len(order))
 	for _, k := range order {
 		s := acc[k]
 		s.MeanRF /= float64(s.Runs)
@@ -383,9 +355,9 @@ func (r *Report) Summarize() []Summary {
 	return out
 }
 
-// ConfigJSON is the machine-readable summary of a benchmark Config
+// configJSON is the machine-readable summary of a benchmark Config
 // (function-valued and tree-valued fields reduced to scalars).
-type ConfigJSON struct {
+type configJSON struct {
 	SampleSizes []int    `json:"sample_sizes"`
 	Replicates  int      `json:"replicates"`
 	Method      string   `json:"method"`
@@ -398,8 +370,8 @@ type ConfigJSON struct {
 	GoldLeaves  int      `json:"gold_leaves"`
 }
 
-// ResultJSON is the machine-readable form of one Result.
-type ResultJSON struct {
+// resultJSON is the machine-readable form of one Result.
+type resultJSON struct {
 	Algorithm  string   `json:"algorithm"`
 	Method     string   `json:"method"`
 	SampleSize int      `json:"sample_size"`
@@ -410,8 +382,8 @@ type ResultJSON struct {
 	Species    []string `json:"species"`
 }
 
-// SummaryJSON is the machine-readable form of one Summary row.
-type SummaryJSON struct {
+// summaryJSON is the machine-readable form of one Summary row.
+type summaryJSON struct {
 	Algorithm      string  `json:"algorithm"`
 	SampleSize     int     `json:"sample_size"`
 	Runs           int     `json:"runs"`
@@ -424,15 +396,15 @@ type SummaryJSON struct {
 // the payload of `crimson bench --json` and the server's bench endpoint,
 // so a perf trajectory can be captured as BENCH_*.json files.
 type ReportJSON struct {
-	Config  ConfigJSON    `json:"config"`
-	Results []ResultJSON  `json:"results"`
-	Summary []SummaryJSON `json:"summary"`
+	Config  configJSON    `json:"config"`
+	Results []resultJSON  `json:"results"`
+	Summary []summaryJSON `json:"summary"`
 }
 
 // JSON converts the report for marshalling. Config.Gold is summarized by
 // size, algorithms by name; durations become integral nanoseconds.
 func (r *Report) JSON() ReportJSON {
-	cfg := ConfigJSON{
+	cfg := configJSON{
 		SampleSizes: r.Config.SampleSizes,
 		Replicates:  r.Config.Replicates,
 		Method:      r.Config.Method.String(),
@@ -453,7 +425,7 @@ func (r *Report) JSON() ReportJSON {
 	}
 	out := ReportJSON{Config: cfg}
 	for _, res := range r.Results {
-		out.Results = append(out.Results, ResultJSON{
+		out.Results = append(out.Results, resultJSON{
 			Algorithm:  res.Algorithm,
 			Method:     res.Method,
 			SampleSize: res.SampleSize,
@@ -464,8 +436,8 @@ func (r *Report) JSON() ReportJSON {
 			Species:    res.Species,
 		})
 	}
-	for _, s := range r.Summarize() {
-		out.Summary = append(out.Summary, SummaryJSON{
+	for _, s := range r.summarize() {
+		out.Summary = append(out.Summary, summaryJSON{
 			Algorithm:      s.Algorithm,
 			SampleSize:     s.SampleSize,
 			Runs:           s.Runs,
@@ -481,7 +453,7 @@ func (r *Report) JSON() ReportJSON {
 func (r *Report) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-8s %-8s %-6s %-10s %-10s %s\n", "alg", "k", "runs", "meanRF", "normRF", "recon")
-	for _, s := range r.Summarize() {
+	for _, s := range r.summarize() {
 		fmt.Fprintf(&sb, "%-8s %-8d %-6d %-10.2f %-10.4f %s\n",
 			s.Algorithm, s.SampleSize, s.Runs, s.MeanRF, s.MeanNormRF, s.MeanRecon)
 	}

@@ -33,7 +33,7 @@ func TestRunUniform(t *testing.T) {
 		SeqLength:   800,
 		SampleSizes: []int{10, 25},
 		Replicates:  2,
-		Method:      Uniform,
+		Method:      uniform,
 		Seed:        1,
 	})
 	if err != nil {
@@ -60,7 +60,7 @@ func TestRunUniform(t *testing.T) {
 			t.Fatalf("method = %s", res.Method)
 		}
 	}
-	sums := rep.Summarize()
+	sums := rep.summarize()
 	if len(sums) != 4 {
 		t.Fatalf("summaries = %d, want 4", len(sums))
 	}
@@ -150,7 +150,7 @@ func TestNJBeatsUPGMAOnNonClockData(t *testing.T) {
 		t.Fatal(err)
 	}
 	var nj, up float64
-	for _, s := range rep.Summarize() {
+	for _, s := range rep.summarize() {
 		switch s.Algorithm {
 		case "NJ":
 			nj = s.MeanNormRF
@@ -163,32 +163,12 @@ func TestNJBeatsUPGMAOnNonClockData(t *testing.T) {
 	}
 }
 
-func TestRunExplicit(t *testing.T) {
-	gold := goldTree(t, 60)
-	names := gold.LeafNames()[:6]
-	rep, err := RunExplicit(Config{Gold: gold, SeqLength: 300, Seed: 2}, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 2 {
-		t.Fatalf("results = %d", len(rep.Results))
-	}
-	for _, res := range rep.Results {
-		if res.SampleSize != 6 {
-			t.Fatalf("size = %d", res.SampleSize)
-		}
-	}
-	if _, err := RunExplicit(Config{Gold: gold, SeqLength: 100}, []string{"ghost"}); err == nil {
-		t.Fatal("unknown species accepted")
-	}
-}
-
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(Config{}); err != ErrNoGold {
+	if _, err := Run(Config{}); err != errNoGold {
 		t.Fatalf("err = %v", err)
 	}
 	gold := goldTree(t, 20)
-	if _, err := Run(Config{Gold: gold}); err != ErrNoSize {
+	if _, err := Run(Config{Gold: gold}); err != errNoSize {
 		t.Fatalf("err = %v", err)
 	}
 	// Oversampling propagates the sampler's error.

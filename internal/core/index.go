@@ -24,14 +24,14 @@ import (
 // components.
 const DefaultFanout = 16
 
-// ErrBadFanout is returned by Build for a non-positive depth bound.
-var ErrBadFanout = errors.New("core: depth bound f must be >= 1")
+// errBadFanout is returned by Build for a non-positive depth bound.
+var errBadFanout = errors.New("core: depth bound f must be >= 1")
 
-// Layer holds one level of the hierarchical decomposition. Layer 0's nodes
+// layer holds one level of the hierarchical decomposition. Layer 0's nodes
 // are the original tree's nodes (identified by preorder ID); layer k+1 has
 // exactly one node per subtree of layer k, with matching indexes (node i of
 // layer k+1 represents subtree i of layer k).
-type Layer struct {
+type layer struct {
 	// Per node:
 	Parent      []int32  // parent node in this layer's tree; -1 for the root
 	Ord         []uint32 // 1-based child ordinal within Parent; 0 for the root
@@ -45,16 +45,16 @@ type Layer struct {
 }
 
 // NumNodes returns the number of nodes in the layer.
-func (l *Layer) NumNodes() int { return len(l.Parent) }
+func (l *layer) NumNodes() int { return len(l.Parent) }
 
-// NumSubtrees returns the number of bounded-depth subtrees in the layer.
-func (l *Layer) NumSubtrees() int { return len(l.SubRoot) }
+// numSubtrees returns the number of bounded-depth subtrees in the layer.
+func (l *layer) numSubtrees() int { return len(l.SubRoot) }
 
 // Index is the in-memory hierarchical label index over one tree.
 type Index struct {
 	F      int
 	Tree   *phylo.Tree
-	Layers []*Layer
+	Layers []*layer
 }
 
 // Build decomposes the tree with depth bound f and assigns hierarchical
@@ -68,7 +68,7 @@ type Index struct {
 // with x the source node of the second subtree.
 func Build(t *phylo.Tree, f int) (*Index, error) {
 	if f < 1 {
-		return nil, ErrBadFanout
+		return nil, errBadFanout
 	}
 	nodes := t.Nodes()
 	if len(nodes) == 0 {
@@ -101,7 +101,7 @@ func Build(t *phylo.Tree, f int) (*Index, error) {
 	for {
 		layer := buildLayer(parent, ord, internal, f)
 		ix.Layers = append(ix.Layers, layer)
-		if layer.NumSubtrees() <= 1 {
+		if layer.numSubtrees() <= 1 {
 			return ix, nil
 		}
 		parent, ord, internal = nextLayerTree(layer)
@@ -110,9 +110,9 @@ func Build(t *phylo.Tree, f int) (*Index, error) {
 
 // buildLayer decomposes one layer's tree (given as preorder-id parent/ord
 // arrays) into bounded-depth subtrees.
-func buildLayer(parent []int32, ord []uint32, internal []bool, f int) *Layer {
+func buildLayer(parent []int32, ord []uint32, internal []bool, f int) *layer {
 	n := len(parent)
-	l := &Layer{
+	l := &layer{
 		Parent:      parent,
 		Ord:         ord,
 		Sub:         make([]int32, n),
@@ -150,8 +150,8 @@ func buildLayer(parent []int32, ord []uint32, internal []bool, f int) *Layer {
 // subtree, an edge S_parent -> S when S's source node lies in S_parent.
 // Subtree ids are assigned in preorder of the lower layer, so parents
 // precede children here as well.
-func nextLayerTree(l *Layer) (parent []int32, ord []uint32, internal []bool) {
-	n := l.NumSubtrees()
+func nextLayerTree(l *layer) (parent []int32, ord []uint32, internal []bool) {
+	n := l.numSubtrees()
 	parent = make([]int32, n)
 	ord = make([]uint32, n)
 	internal = make([]bool, n)
@@ -178,7 +178,7 @@ func nextLayerTree(l *Layer) (parent []int32, ord []uint32, internal []bool) {
 // children of a and b already known to lie on the two paths (-1 for none);
 // the results are the children of the LCA on each path: the last node
 // stepped from, or the incoming child where that side did not move.
-func lcaLocal(l *Layer, a, ca, b, cb int32) (lca, childA, childB int32) {
+func lcaLocal(l *layer, a, ca, b, cb int32) (lca, childA, childB int32) {
 	for l.LocalDepth[a] > l.LocalDepth[b] {
 		a, ca = l.LocalParent[a], a
 	}
@@ -247,7 +247,7 @@ func (ix *Index) Label(id int) dewey.Label {
 	return layerLabel(ix.Layers[0], int32(id))
 }
 
-func layerLabel(l *Layer, id int32) dewey.Label {
+func layerLabel(l *layer, id int32) dewey.Label {
 	d := int(l.LocalDepth[id])
 	out := make(dewey.Label, d)
 	for i := d - 1; i >= 0; i-- {
@@ -257,12 +257,12 @@ func layerLabel(l *Layer, id int32) dewey.Label {
 	return out
 }
 
-// Subtree returns the layer-0 subtree id containing node id.
-func (ix *Index) Subtree(id int) int { return int(ix.Layers[0].Sub[int32(id)]) }
+// subtree returns the layer-0 subtree id containing node id.
+func (ix *Index) subtree(id int) int { return int(ix.Layers[0].Sub[int32(id)]) }
 
-// SourceNode returns the source node of layer-0 subtree s (the node the
+// sourceNode returns the source node of layer-0 subtree s (the node the
 // subtree was split off from), or -1 for the subtree holding the root.
-func (ix *Index) SourceNode(s int) int { return int(ix.Layers[0].SubSource[s]) }
+func (ix *Index) sourceNode(s int) int { return int(ix.Layers[0].SubSource[s]) }
 
 // FullLabel reconstructs the node's plain (unbounded) Dewey label by
 // concatenating local labels across the source-node chain. It is the
@@ -303,7 +303,7 @@ func (ix *Index) MaxLabelLen() int {
 
 // TotalLabelBytes sums the encoded sizes of all local labels across all
 // layers — the hierarchical index's storage footprint, compared against
-// dewey.PlainIndex.TotalLabelBytes in the benchmarks.
+// the plain Dewey index's TotalLabelBytes in the benchmarks.
 func (ix *Index) TotalLabelBytes() int {
 	total := 0
 	for _, l := range ix.Layers {
@@ -314,8 +314,8 @@ func (ix *Index) TotalLabelBytes() int {
 	return total
 }
 
-// Stats summarizes the decomposition for reporting.
-type Stats struct {
+// stats summarizes the decomposition for reporting.
+type stats struct {
 	F            int
 	Nodes        int
 	Layers       int
@@ -326,8 +326,8 @@ type Stats struct {
 }
 
 // Stats returns decomposition statistics.
-func (ix *Index) Stats() Stats {
-	st := Stats{
+func (ix *Index) Stats() stats {
+	st := stats{
 		F:           ix.F,
 		Nodes:       ix.Layers[0].NumNodes(),
 		Layers:      len(ix.Layers),
@@ -335,7 +335,7 @@ func (ix *Index) Stats() Stats {
 		LabelBytes:  ix.TotalLabelBytes(),
 	}
 	for _, l := range ix.Layers {
-		st.Subtrees = append(st.Subtrees, l.NumSubtrees())
+		st.Subtrees = append(st.Subtrees, l.numSubtrees())
 	}
 	st.MaxTreeDepth = ix.Tree.MaxDepth()
 	return st
@@ -370,7 +370,7 @@ func (ix *Index) Check() error {
 			}
 		}
 	}
-	if ix.Layers[len(ix.Layers)-1].NumSubtrees() != 1 {
+	if ix.Layers[len(ix.Layers)-1].numSubtrees() != 1 {
 		return errors.New("core: top layer has more than one subtree")
 	}
 	return nil

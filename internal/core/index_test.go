@@ -26,7 +26,7 @@ func TestFigure4Decomposition(t *testing.T) {
 		t.Fatalf("NumLayers = %d, want 2", got)
 	}
 	l0 := ix.Layers[0]
-	if got := l0.NumSubtrees(); got != 2 {
+	if got := l0.numSubtrees(); got != 2 {
 		t.Fatalf("layer 0 subtrees = %d, want 2", got)
 	}
 	lla := tr.NodeByName("Lla")
@@ -37,20 +37,20 @@ func TestFigure4Decomposition(t *testing.T) {
 	if got := l0.SubRoot[1]; got != int32(y.ID) {
 		t.Fatalf("subtree 1 root = node %d, want y (%d)", got, y.ID)
 	}
-	if got := ix.SourceNode(1); got != x.ID {
+	if got := ix.sourceNode(1); got != x.ID {
 		t.Fatalf("source of subtree 1 = %d, want x (%d)", got, x.ID)
 	}
 	// Membership.
 	for _, name := range []string{"Syn", "Bha", "Bsu"} {
-		if s := ix.Subtree(tr.NodeByName(name).ID); s != 0 {
+		if s := ix.subtree(tr.NodeByName(name).ID); s != 0 {
 			t.Fatalf("%s in subtree %d, want 0", name, s)
 		}
 	}
-	if ix.Subtree(tr.Root.ID) != 0 || ix.Subtree(x.ID) != 0 {
+	if ix.subtree(tr.Root.ID) != 0 || ix.subtree(x.ID) != 0 {
 		t.Fatal("root/x not in subtree 0")
 	}
 	for _, n := range []*phylo.Node{y, lla, spy} {
-		if s := ix.Subtree(n.ID); s != 1 {
+		if s := ix.subtree(n.ID); s != 1 {
 			t.Fatalf("node %d in subtree %d, want 1", n.ID, s)
 		}
 	}

@@ -9,8 +9,6 @@ package dewey
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -21,26 +19,6 @@ import (
 // the root. The root's label is empty. Labels print as "2.1.1" like the
 // paper's examples.
 type Label []uint32
-
-// ErrBadLabel is returned by Parse for malformed label text.
-var ErrBadLabel = errors.New("dewey: bad label")
-
-// Parse converts "2.1.1" into a Label. The empty string is the root.
-func Parse(s string) (Label, error) {
-	if s == "" {
-		return Label{}, nil
-	}
-	parts := strings.Split(s, ".")
-	out := make(Label, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 10, 32)
-		if err != nil || v == 0 {
-			return nil, fmt.Errorf("%w: component %q", ErrBadLabel, p)
-		}
-		out[i] = uint32(v)
-	}
-	return out, nil
-}
 
 // String renders the label in the paper's dotted form; the root is "".
 func (l Label) String() string {
@@ -57,8 +35,8 @@ func (l Label) String() string {
 // Len returns the number of components (the node's depth).
 func (l Label) Len() int { return len(l) }
 
-// Child returns the label of this node's i-th child (1-based).
-func (l Label) Child(i uint32) Label {
+// child returns the label of this node's i-th child (1-based).
+func (l Label) child(i uint32) Label {
 	out := make(Label, len(l)+1)
 	copy(out, l)
 	out[len(l)] = i
@@ -73,9 +51,9 @@ func (l Label) Parent() (Label, bool) {
 	return append(Label(nil), l[:len(l)-1]...), true
 }
 
-// Compare orders labels in document (preorder) order: component-wise
+// compare orders labels in document (preorder) order: component-wise
 // numeric comparison, with a prefix ordering before its extensions.
-func Compare(a, b Label) int {
+func compare(a, b Label) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
@@ -97,9 +75,9 @@ func Compare(a, b Label) int {
 	return 0
 }
 
-// LCP returns the longest common prefix of a and b — per the paper, the
+// lcp returns the longest common prefix of a and b — per the paper, the
 // label of their least common ancestor.
-func LCP(a, b Label) Label {
+func lcp(a, b Label) Label {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
@@ -111,9 +89,9 @@ func LCP(a, b Label) Label {
 	return append(Label(nil), a[:i]...)
 }
 
-// AncestorOrSelf reports whether a is a (non-strict) ancestor of b,
+// ancestorOrSelf reports whether a is a (non-strict) ancestor of b,
 // i.e. a is a prefix of b.
-func (l Label) AncestorOrSelf(b Label) bool {
+func (l Label) ancestorOrSelf(b Label) bool {
 	if len(l) > len(b) {
 		return false
 	}
@@ -127,7 +105,7 @@ func (l Label) AncestorOrSelf(b Label) bool {
 
 // Key returns an order-preserving byte encoding (4 bytes big-endian per
 // component) suitable as a B+tree key: bytewise comparison of keys matches
-// Compare on labels.
+// compare on labels.
 func (l Label) Key() []byte {
 	out := make([]byte, 4*len(l))
 	for i, c := range l {
@@ -140,19 +118,19 @@ func (l Label) Key() []byte {
 // metric the paper argues grows without bound on deep trees.
 func (l Label) Size() int { return 4 * len(l) }
 
-// PlainIndex assigns every node of a tree its full (unbounded) Dewey label
+// plainIndex assigns every node of a tree its full (unbounded) Dewey label
 // and answers LCA queries by longest-common-prefix plus a label lookup. On
 // a tree of depth d it stores O(d) bytes per node — the overhead the
 // hierarchical scheme in package core eliminates.
-type PlainIndex struct {
+type plainIndex struct {
 	labels  []Label        // indexed by node ID (preorder)
 	byLabel map[string]int // label key -> node ID
 }
 
 // BuildPlain labels the tree. The tree must have preorder IDs (Reindex).
-func BuildPlain(t *phylo.Tree) *PlainIndex {
+func BuildPlain(t *phylo.Tree) *plainIndex {
 	nodes := t.Nodes()
-	ix := &PlainIndex{
+	ix := &plainIndex{
 		labels:  make([]Label, len(nodes)),
 		byLabel: make(map[string]int, len(nodes)),
 	}
@@ -167,7 +145,7 @@ func BuildPlain(t *phylo.Tree) *PlainIndex {
 					break
 				}
 			}
-			lbl = parent.Child(ord)
+			lbl = parent.child(ord)
 		} else {
 			lbl = Label{}
 		}
@@ -178,27 +156,27 @@ func BuildPlain(t *phylo.Tree) *PlainIndex {
 }
 
 // Label returns the label of node id.
-func (ix *PlainIndex) Label(id int) Label { return ix.labels[id] }
+func (ix *plainIndex) Label(id int) Label { return ix.labels[id] }
 
 // LCA returns the node ID of the least common ancestor of a and b, found
 // as the longest common prefix of their labels (paper §2.1).
-func (ix *PlainIndex) LCA(a, b int) int {
-	return ix.byLabel[string(LCP(ix.labels[a], ix.labels[b]).Key())]
+func (ix *plainIndex) LCA(a, b int) int {
+	return ix.byLabel[string(lcp(ix.labels[a], ix.labels[b]).Key())]
 }
 
 // IsAncestor reports whether a is a (non-strict) ancestor of b.
-func (ix *PlainIndex) IsAncestor(a, b int) bool {
-	return ix.labels[a].AncestorOrSelf(ix.labels[b])
+func (ix *plainIndex) IsAncestor(a, b int) bool {
+	return ix.labels[a].ancestorOrSelf(ix.labels[b])
 }
 
 // Compare orders nodes a and b in preorder via their labels.
-func (ix *PlainIndex) Compare(a, b int) int {
-	return Compare(ix.labels[a], ix.labels[b])
+func (ix *plainIndex) Compare(a, b int) int {
+	return compare(ix.labels[a], ix.labels[b])
 }
 
 // TotalLabelBytes sums the encoded size of all labels — the index storage
 // footprint reported in the paper-claim benchmarks.
-func (ix *PlainIndex) TotalLabelBytes() int {
+func (ix *plainIndex) TotalLabelBytes() int {
 	total := 0
 	for _, l := range ix.labels {
 		total += l.Size()
@@ -207,7 +185,7 @@ func (ix *PlainIndex) TotalLabelBytes() int {
 }
 
 // MaxLabelLen returns the longest label length in components.
-func (ix *PlainIndex) MaxLabelLen() int {
+func (ix *plainIndex) MaxLabelLen() int {
 	max := 0
 	for _, l := range ix.labels {
 		if len(l) > max {

@@ -8,31 +8,18 @@ import (
 	"repro/internal/phylo"
 )
 
-func TestParseString(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Label
+func TestLabelString(t *testing.T) {
+	for _, c := range []struct {
+		l    Label
+		want string
 	}{
-		{"", Label{}},
-		{"2.1.1", Label{2, 1, 1}},
-		{"7", Label{7}},
-		{"1.2.3.4.5", Label{1, 2, 3, 4, 5}},
-	}
-	for _, c := range cases {
-		got, err := Parse(c.in)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", c.in, err)
-		}
-		if Compare(got, c.want) != 0 {
-			t.Fatalf("Parse(%q) = %v", c.in, got)
-		}
-		if got.String() != c.in {
-			t.Fatalf("String round trip: %q -> %q", c.in, got.String())
-		}
-	}
-	for _, bad := range []string{"0", "2..1", "a.b", "-1", "2.0"} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) succeeded", bad)
+		{Label{}, ""},
+		{Label{2, 1, 1}, "2.1.1"},
+		{Label{7}, "7"},
+		{Label{1, 2, 3, 4, 5}, "1.2.3.4.5"},
+	} {
+		if got := c.l.String(); got != c.want {
+			t.Fatalf("%v.String() = %q, want %q", []uint32(c.l), got, c.want)
 		}
 	}
 }
@@ -40,21 +27,21 @@ func TestParseString(t *testing.T) {
 func TestCompareAndLCP(t *testing.T) {
 	lla := Label{2, 1, 1}
 	spy := Label{2, 1, 2}
-	if Compare(lla, spy) >= 0 {
+	if compare(lla, spy) >= 0 {
 		t.Fatal("2.1.1 not before 2.1.2")
 	}
 	// The paper: LCA of Lla (2.1.1) and Spy (2.1.2) is (2.1).
-	if got := LCP(lla, spy); got.String() != "2.1" {
+	if got := lcp(lla, spy); got.String() != "2.1" {
 		t.Fatalf("LCP = %q, want 2.1", got.String())
 	}
 	// Prefix sorts before extension (preorder).
-	if Compare(Label{2, 1}, lla) >= 0 {
+	if compare(Label{2, 1}, lla) >= 0 {
 		t.Fatal("prefix not before extension")
 	}
-	if Compare(lla, lla) != 0 {
+	if compare(lla, lla) != 0 {
 		t.Fatal("self compare != 0")
 	}
-	if Compare(Label{3}, lla) <= 0 {
+	if compare(Label{3}, lla) <= 0 {
 		t.Fatal("3 not after 2.1.1")
 	}
 }
@@ -63,13 +50,13 @@ func TestAncestorOrSelf(t *testing.T) {
 	root := Label{}
 	x := Label{2}
 	lla := Label{2, 1, 1}
-	if !root.AncestorOrSelf(lla) || !x.AncestorOrSelf(lla) || !lla.AncestorOrSelf(lla) {
+	if !root.ancestorOrSelf(lla) || !x.ancestorOrSelf(lla) || !lla.ancestorOrSelf(lla) {
 		t.Fatal("ancestor tests failed")
 	}
-	if lla.AncestorOrSelf(x) {
+	if lla.ancestorOrSelf(x) {
 		t.Fatal("descendant reported as ancestor")
 	}
-	if (Label{3}).AncestorOrSelf(lla) {
+	if (Label{3}).ancestorOrSelf(lla) {
 		t.Fatal("sibling reported as ancestor")
 	}
 }
@@ -84,7 +71,7 @@ func TestKeyOrderMatchesCompare(t *testing.T) {
 		for _, v := range b {
 			lb = append(lb, v%1000+1)
 		}
-		return bytes.Compare(la.Key(), lb.Key()) == Compare(la, lb)
+		return bytes.Compare(la.Key(), lb.Key()) == compare(la, lb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -93,12 +80,12 @@ func TestKeyOrderMatchesCompare(t *testing.T) {
 
 func TestChildParent(t *testing.T) {
 	l := Label{2, 1}
-	c := l.Child(3)
+	c := l.child(3)
 	if c.String() != "2.1.3" {
 		t.Fatalf("Child = %s", c)
 	}
 	p, ok := c.Parent()
-	if !ok || Compare(p, l) != 0 {
+	if !ok || compare(p, l) != 0 {
 		t.Fatalf("Parent = %v %v", p, ok)
 	}
 	if _, ok := (Label{}).Parent(); ok {

@@ -1,9 +1,8 @@
 // Package distance computes pairwise evolutionary distance matrices from
 // sequence alignments — the input to the distance-based reconstruction
 // algorithms the Benchmark Manager evaluates. It provides the observed
-// proportion of differing sites (p-distance) and the model-based
-// corrections matching the simulators in package seqsim (Jukes–Cantor and
-// Kimura two-parameter).
+// proportion of differing sites (p-distance) and the Jukes–Cantor
+// correction matching package seqsim's JC69 simulator.
 package distance
 
 import (
@@ -42,16 +41,6 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.D[j][i] = v
 }
 
-// Index returns the row index for a taxon name.
-func (m *Matrix) Index(name string) (int, bool) {
-	for i, n := range m.Names {
-		if n == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // Validate checks symmetry, zero diagonal and non-negative finite entries.
 func (m *Matrix) Validate() error {
 	if len(m.D) != len(m.Names) {
@@ -79,20 +68,20 @@ func (m *Matrix) Validate() error {
 
 // Errors from matrix builders.
 var (
-	ErrTooFewTaxa = errors.New("distance: need at least 2 sequences")
+	errTooFewTaxa = errors.New("distance: need at least 2 sequences")
 	ErrSaturated  = errors.New("distance: correction undefined (sequences too divergent)")
 )
 
 // PDistance returns the observed proportion of differing sites for every
 // pair. Sites where either sequence has a non-ACGT symbol are skipped.
 func PDistance(aln *seqsim.Alignment) (*Matrix, error) {
-	return build(aln, func(p, tsFrac float64) (float64, error) { return p, nil })
+	return build(aln, func(p float64) (float64, error) { return p, nil })
 }
 
 // JC returns Jukes–Cantor corrected distances:
 // d = -3/4 · ln(1 - 4p/3). Pairs with p >= 0.75 are saturated.
 func JC(aln *seqsim.Alignment) (*Matrix, error) {
-	return build(aln, func(p, tsFrac float64) (float64, error) {
+	return build(aln, func(p float64) (float64, error) {
 		x := 1 - 4*p/3
 		if x <= 0 {
 			return 0, fmt.Errorf("%w: p=%g", ErrSaturated, p)
@@ -101,54 +90,10 @@ func JC(aln *seqsim.Alignment) (*Matrix, error) {
 	})
 }
 
-// K2P returns Kimura two-parameter corrected distances:
-// d = -1/2·ln((1-2P-Q)·sqrt(1-2Q)) where P and Q are the transition and
-// transversion proportions.
-func K2P(aln *seqsim.Alignment) (*Matrix, error) {
+func build(aln *seqsim.Alignment, correct func(p float64) (float64, error)) (*Matrix, error) {
 	names := aln.Names
 	if len(names) < 2 {
-		return nil, ErrTooFewTaxa
-	}
-	m := New(names)
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			si, sj := aln.Seqs[names[i]], aln.Seqs[names[j]]
-			ts, tv, n := 0, 0, 0
-			for k := 0; k < len(si) && k < len(sj); k++ {
-				bi, bj := seqsim.BaseIndex(si[k]), seqsim.BaseIndex(sj[k])
-				if bi < 0 || bj < 0 {
-					continue
-				}
-				n++
-				if bi == bj {
-					continue
-				}
-				if bi+bj == 2 || bi+bj == 4 { // A<->G or C<->T
-					ts++
-				} else {
-					tv++
-				}
-			}
-			if n == 0 {
-				return nil, fmt.Errorf("distance: no comparable sites between %s and %s", names[i], names[j])
-			}
-			p := float64(ts) / float64(n)
-			q := float64(tv) / float64(n)
-			a := 1 - 2*p - q
-			b := 1 - 2*q
-			if a <= 0 || b <= 0 {
-				return nil, fmt.Errorf("%w: P=%g Q=%g between %s and %s", ErrSaturated, p, q, names[i], names[j])
-			}
-			m.Set(i, j, -0.5*math.Log(a*math.Sqrt(b)))
-		}
-	}
-	return m, nil
-}
-
-func build(aln *seqsim.Alignment, correct func(p, tsFrac float64) (float64, error)) (*Matrix, error) {
-	names := aln.Names
-	if len(names) < 2 {
-		return nil, ErrTooFewTaxa
+		return nil, errTooFewTaxa
 	}
 	m := New(names)
 	for i := 0; i < len(names); i++ {
@@ -168,7 +113,7 @@ func build(aln *seqsim.Alignment, correct func(p, tsFrac float64) (float64, erro
 			if n == 0 {
 				return nil, fmt.Errorf("distance: no comparable sites between %s and %s", names[i], names[j])
 			}
-			d, err := correct(float64(diff)/float64(n), 0)
+			d, err := correct(float64(diff) / float64(n))
 			if err != nil {
 				return nil, err
 			}

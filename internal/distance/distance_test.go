@@ -86,23 +86,6 @@ func TestJCCorrection(t *testing.T) {
 	}
 }
 
-func TestK2PCorrection(t *testing.T) {
-	// 10 sites: 2 transitions (A->G), 1 transversion (A->T): P=0.2, Q=0.1.
-	aln := alnOf(map[string]string{
-		"a": "AAAAAAAAAA",
-		"b": "GGTAAAAAAA",
-	}, "a", "b")
-	m, err := K2P(aln)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, q := 0.2, 0.1
-	want := -0.5 * math.Log((1-2*p-q)*math.Sqrt(1-2*q))
-	if got := m.At(0, 1); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("K2P = %g, want %g", got, want)
-	}
-}
-
 // TestJCRecoversTrueDistance: simulate under JC and check the corrected
 // distance approximates the true path length.
 func TestJCRecoversTrueDistance(t *testing.T) {
@@ -149,19 +132,6 @@ func TestMatrixValidate(t *testing.T) {
 	}
 }
 
-func TestMatrixIndex(t *testing.T) {
-	m := New([]string{"x", "y", "z"})
-	if i, ok := m.Index("y"); !ok || i != 1 {
-		t.Fatalf("Index(y) = %d, %v", i, ok)
-	}
-	if _, ok := m.Index("nope"); ok {
-		t.Fatal("found missing name")
-	}
-	if m.Len() != 3 {
-		t.Fatal("Len wrong")
-	}
-}
-
 func TestTooFewTaxa(t *testing.T) {
 	one := alnOf(map[string]string{"a": "ACGT"}, "a")
 	if _, err := PDistance(one); err == nil {
@@ -169,8 +139,5 @@ func TestTooFewTaxa(t *testing.T) {
 	}
 	if _, err := JC(one); err == nil {
 		t.Fatal("single-taxon JC accepted")
-	}
-	if _, err := K2P(one); err == nil {
-		t.Fatal("single-taxon K2P accepted")
 	}
 }

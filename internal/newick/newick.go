@@ -7,7 +7,6 @@ package newick
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -43,32 +42,6 @@ func parseWith(p *parser) (*phylo.Tree, error) {
 	t := phylo.New(root)
 	t.Reindex()
 	return t, nil
-}
-
-// ParseAll reads consecutive ';'-terminated trees from s.
-func ParseAll(s string) ([]*phylo.Tree, error) {
-	var out []*phylo.Tree
-	p := &parser{in: s}
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.in) {
-			return out, nil
-		}
-		root, err := p.parseNode()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if p.pos < len(p.in) {
-			if p.in[p.pos] != ';' {
-				return nil, fmt.Errorf("%w: expected ';' at offset %d", ErrSyntax, p.pos)
-			}
-			p.pos++
-		}
-		t := phylo.New(root)
-		t.Reindex()
-		out = append(out, t)
-	}
 }
 
 type parser struct {
@@ -233,56 +206,30 @@ func (p *parser) parseNumber() (float64, error) {
 	return v, nil
 }
 
-// Options control serialization.
-type Options struct {
-	// Lengths includes branch lengths (":1.5") when true.
-	Lengths bool
-	// InteriorNames includes names of interior nodes when true.
-	InteriorNames bool
-}
-
-// DefaultOptions writes branch lengths and interior names.
-var DefaultOptions = Options{Lengths: true, InteriorNames: true}
-
-// Write serializes the tree to w in Newick format, ending with ";".
-func Write(w io.Writer, t *phylo.Tree, opt Options) error {
-	if t.Root == nil {
-		_, err := io.WriteString(w, ";")
-		return err
-	}
-	var sb strings.Builder
-	writeNode(&sb, t.Root, opt)
-	sb.WriteByte(';')
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// String serializes the tree with default options.
+// String serializes the tree in Newick format with branch lengths and
+// interior names, ending with ";".
 func String(t *phylo.Tree) string {
 	var sb strings.Builder
-	if err := Write(&sb, t, DefaultOptions); err != nil {
-		return ""
+	if t.Root != nil {
+		writeNode(&sb, t.Root)
 	}
+	sb.WriteByte(';')
 	return sb.String()
 }
 
-func writeNode(sb *strings.Builder, n *phylo.Node, opt Options) {
+func writeNode(sb *strings.Builder, n *phylo.Node) {
 	if len(n.Children) > 0 {
 		sb.WriteByte('(')
 		for i, c := range n.Children {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			writeNode(sb, c, opt)
+			writeNode(sb, c)
 		}
 		sb.WriteByte(')')
-		if opt.InteriorNames {
-			sb.WriteString(quoteLabel(n.Name))
-		}
-	} else {
-		sb.WriteString(quoteLabel(n.Name))
 	}
-	if opt.Lengths && n.Parent != nil {
+	sb.WriteString(quoteLabel(n.Name))
+	if n.Parent != nil {
 		sb.WriteByte(':')
 		sb.WriteString(strconv.FormatFloat(n.Length, 'g', -1, 64))
 	}

@@ -99,14 +99,6 @@ func TestInteriorNames(t *testing.T) {
 	if !strings.Contains(out, "AB") {
 		t.Fatalf("interior name not written: %s", out)
 	}
-	bare := func() string {
-		var sb strings.Builder
-		Write(&sb, tr, Options{Lengths: false, InteriorNames: false})
-		return sb.String()
-	}()
-	if strings.Contains(bare, "AB") || strings.Contains(bare, ":") {
-		t.Fatalf("options ignored: %s", bare)
-	}
 }
 
 func TestScientificNotationLengths(t *testing.T) {
@@ -137,19 +129,6 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) succeeded", in)
 		}
-	}
-}
-
-func TestParseAll(t *testing.T) {
-	trees, err := ParseAll("(A:1,B:2); (C:1,D:2);\n(E:1,F:2);")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) != 3 {
-		t.Fatalf("ParseAll returned %d trees", len(trees))
-	}
-	if trees[2].NodeByName("F") == nil {
-		t.Fatal("third tree wrong")
 	}
 }
 

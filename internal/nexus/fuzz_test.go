@@ -30,7 +30,7 @@ func FuzzNexusParse(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		doc, err := ParseString(in)
+		doc, err := parseString(in)
 		if err != nil {
 			return
 		}
@@ -38,7 +38,7 @@ func FuzzNexusParse(f *testing.F) {
 		if err := Write(&sb, doc); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		again, err := ParseString(sb.String())
+		again, err := parseString(sb.String())
 		if err != nil {
 			t.Fatalf("the written form does not parse: %v\n%s", err, sb.String())
 		}
@@ -96,8 +96,8 @@ func TestMatrixRowsAreWords(t *testing.T) {
 		"#NEXUS\nBEGIN DATA;\n\tMATRIX\n\t\tA ,\n\t;\nEND;\n",
 		"#NEXUS\nBEGIN DATA;\n\tMATRIX\n\t\tA =\n\t;\nEND;\n",
 	} {
-		if _, err := ParseString(in); !errors.Is(err, ErrFormat) {
-			t.Errorf("ParseString(%q) = %v, want ErrFormat", in, err)
+		if _, err := parseString(in); !errors.Is(err, errFormat) {
+			t.Errorf("parseString(%q) = %v, want errFormat", in, err)
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 	"repro/internal/phylo"
 )
 
-// ErrFormat wraps all NEXUS parse errors.
-var ErrFormat = errors.New("nexus: format error")
+// errFormat wraps all NEXUS parse errors.
+var errFormat = errors.New("nexus: format error")
 
 // Document is a parsed NEXUS file.
 type Document struct {
@@ -50,18 +50,18 @@ func Parse(r io.Reader) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ParseString(string(raw))
+	return parseString(string(raw))
 }
 
-// ParseString reads a NEXUS document from a string.
-func ParseString(s string) (*Document, error) {
+// parseString reads a NEXUS document from a string.
+func parseString(s string) (*Document, error) {
 	tz := newTokenizer(s)
 	first, err := tz.next()
 	if err != nil {
 		return nil, err
 	}
 	if !strings.EqualFold(first, "#NEXUS") {
-		return nil, fmt.Errorf("%w: missing #NEXUS header (got %q)", ErrFormat, first)
+		return nil, fmt.Errorf("%w: missing #NEXUS header (got %q)", errFormat, first)
 	}
 	doc := &Document{}
 	for {
@@ -73,7 +73,7 @@ func ParseString(s string) (*Document, error) {
 			return nil, err
 		}
 		if !strings.EqualFold(tok, "BEGIN") {
-			return nil, fmt.Errorf("%w: expected BEGIN, got %q", ErrFormat, tok)
+			return nil, fmt.Errorf("%w: expected BEGIN, got %q", errFormat, tok)
 		}
 		name, err := tz.next()
 		if err != nil {
@@ -206,7 +206,7 @@ func parseFormat(tz *tokenizer, ch *Characters) error {
 			return err
 		}
 		if tz.punct(val) {
-			return fmt.Errorf("%w: FORMAT %s has no value", ErrFormat, key)
+			return fmt.Errorf("%w: FORMAT %s has no value", errFormat, key)
 		}
 		switch key {
 		case "DATATYPE":
@@ -229,7 +229,7 @@ func parseMatrix(tz *tokenizer, ch *Characters) error {
 			// Rows are aligned: Write gives the matrix one NCHAR.
 			for _, taxon := range ch.Order {
 				if first := ch.Order[0]; len(ch.Seqs[taxon]) != len(ch.Seqs[first]) {
-					return fmt.Errorf("%w: taxon %q has %d characters, taxon %q %d", ErrFormat,
+					return fmt.Errorf("%w: taxon %q has %d characters, taxon %q %d", errFormat,
 						taxon, len(ch.Seqs[taxon]), first, len(ch.Seqs[first]))
 				}
 			}
@@ -240,7 +240,7 @@ func parseMatrix(tz *tokenizer, ch *Characters) error {
 			return err
 		}
 		if tz.punct(seq) {
-			return fmt.Errorf("%w: taxon %q has no sequence", ErrFormat, name)
+			return fmt.Errorf("%w: taxon %q has no sequence", errFormat, name)
 		}
 		if _, seen := ch.Seqs[name]; !seen {
 			ch.Order = append(ch.Order, name)
@@ -342,7 +342,7 @@ func parseTrees(tz *tokenizer, doc *Document) error {
 					break
 				}
 				if !tz.is(sep, ",") {
-					return fmt.Errorf("%w: expected ',' in TRANSLATE, got %q", ErrFormat, sep)
+					return fmt.Errorf("%w: expected ',' in TRANSLATE, got %q", errFormat, sep)
 				}
 			}
 		case strings.EqualFold(tok, "TREE"), strings.EqualFold(tok, "UTREE"):
@@ -524,7 +524,7 @@ func (tz *tokenizer) next() (string, error) {
 			sb.WriteByte(ch)
 			tz.pos++
 		}
-		return "", fmt.Errorf("%w: unterminated quote", ErrFormat)
+		return "", fmt.Errorf("%w: unterminated quote", errFormat)
 	}
 	start := tz.pos
 	for tz.pos < len(tz.in) {
@@ -544,7 +544,7 @@ func (tz *tokenizer) expect(tok string) (string, error) {
 		return "", err
 	}
 	if !tz.is(got, tok) {
-		return "", fmt.Errorf("%w: expected %q, got %q", ErrFormat, tok, got)
+		return "", fmt.Errorf("%w: expected %q, got %q", errFormat, tok, got)
 	}
 	return got, nil
 }
@@ -598,5 +598,5 @@ func (tz *tokenizer) treeBody() (bool, string, error) {
 			tz.pos++
 		}
 	}
-	return rooted, "", fmt.Errorf("%w: unterminated TREE command", ErrFormat)
+	return rooted, "", fmt.Errorf("%w: unterminated TREE command", errFormat)
 }

@@ -30,7 +30,7 @@ END;
 `
 
 func TestParseSample(t *testing.T) {
-	doc, err := ParseString(sampleNexus)
+	doc, err := parseString(sampleNexus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ BEGIN TREES;
 	TREE small = [&U] ((1:1,2:1):1,3:2);
 END;
 `
-	doc, err := ParseString(in)
+	doc, err := parseString(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ BEGIN DATA;
 	;
 END;
 `
-	doc, err := ParseString(in)
+	doc, err := parseString(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ BEGIN TAXA;
 	TAXLABELS A B;
 END;
 `
-	doc, err := ParseString(in)
+	doc, err := parseString(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ BEGIN TAXA;
 	TAXLABELS 'Homo sapiens' [inline comment] 'It''s here';
 END;
 `
-	doc, err := ParseString(in)
+	doc, err := parseString(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ END;
 }
 
 func TestWriteRoundTrip(t *testing.T) {
-	doc, err := ParseString(sampleNexus)
+	doc, err := parseString(sampleNexus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestWriteRoundTrip(t *testing.T) {
 	if err := Write(&sb, doc); err != nil {
 		t.Fatal(err)
 	}
-	doc2, err := ParseString(sb.String())
+	doc2, err := parseString(sb.String())
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, sb.String())
 	}
@@ -179,15 +179,15 @@ func TestErrors(t *testing.T) {
 		"#NEXUS\nBEGIN TAXA;\nTAXLABELS 'unterminated;\nEND;",
 	}
 	for _, in := range bad {
-		if _, err := ParseString(in); err == nil {
-			t.Errorf("ParseString(%q) succeeded", in)
+		if _, err := parseString(in); err == nil {
+			t.Errorf("parseString(%q) succeeded", in)
 		}
 	}
 }
 
 func TestTreeWithQuotedSemicolonLabel(t *testing.T) {
 	in := "#NEXUS\nBEGIN TREES;\nTREE q = ('a;b':1,c:2);\nEND;\n"
-	doc, err := ParseString(in)
+	doc, err := parseString(in)
 	if err != nil {
 		t.Fatal(err)
 	}

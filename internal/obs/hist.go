@@ -92,15 +92,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Merge adds other's buckets into s.
-func (s *HistSnapshot) Merge(other HistSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	s.SumNS += other.SumNS
-	s.Count += other.Count
-}
-
 // Quantile estimates the q-quantile (0 < q ≤ 1) as the upper bound of
 // the bucket containing the target rank, in seconds. An empty snapshot
 // returns 0; ranks landing in the +Inf bucket return the largest finite

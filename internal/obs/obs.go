@@ -172,19 +172,6 @@ func (cs *Counters) Max(c Counter, n int64) {
 	}
 }
 
-// AddAll adds every counter of other into cs. Nil receivers and nil
-// arguments are no-ops.
-func (cs *Counters) AddAll(other *Counters) {
-	if cs == nil || other == nil {
-		return
-	}
-	for i := Counter(0); i < NumCounters; i++ {
-		if n := other.v[i].Load(); n != 0 {
-			cs.v[i].Add(n)
-		}
-	}
-}
-
 // Snapshot returns the nonzero counters by name. Nil receivers return an
 // empty map.
 func (cs *Counters) Snapshot() map[string]int64 {

@@ -17,7 +17,6 @@ func TestCountersNilSafe(t *testing.T) {
 	if snap := c.Snapshot(); len(snap) != 0 {
 		t.Fatalf("nil Snapshot = %v, want empty", snap)
 	}
-	c.AddAll(&Counters{})
 }
 
 func TestCountersAddSnapshot(t *testing.T) {
@@ -31,12 +30,6 @@ func TestCountersAddSnapshot(t *testing.T) {
 	snap := c.Snapshot()
 	if len(snap) != 2 || snap["rows_scanned"] != 15 || snap["pool_hits"] != 2 {
 		t.Fatalf("snapshot = %v", snap)
-	}
-	var dst Counters
-	dst.Add(CtrPoolHits, 1)
-	dst.AddAll(&c)
-	if got := dst.Get(CtrPoolHits); got != 3 {
-		t.Fatalf("after AddAll pool_hits = %d, want 3", got)
 	}
 }
 
@@ -61,8 +54,8 @@ func TestSpanNilFastPath(t *testing.T) {
 	var s *Span
 	s.End()
 	s.AddTimed("x", time.Second)
-	if s.StartChild("child") != nil {
-		t.Fatal("nil StartChild should return nil")
+	if s.startChild("child") != nil {
+		t.Fatal("nil startChild should return nil")
 	}
 	if s.Counters() != nil {
 		t.Fatal("nil Counters should return nil")
@@ -121,7 +114,7 @@ func TestSpanConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				ch := root.StartChild("child")
+				ch := root.startChild("child")
 				ch.Counters().Add(CtrCellsDecoded, 1)
 				ch.End()
 			}
@@ -205,31 +198,6 @@ func TestHistogramObserveSnapshotQuantile(t *testing.T) {
 	var empty HistSnapshot
 	if empty.Quantile(0.5) != 0 {
 		t.Fatal("empty quantile should be 0")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Millisecond)
-	b.Observe(time.Second)
-	b.Observe(2 * time.Second)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 3 {
-		t.Fatalf("merged count = %d", sa.Count)
-	}
-	if sa.SumNS != int64(time.Millisecond+time.Second+2*time.Second) {
-		t.Fatalf("merged sum = %d", sa.SumNS)
-	}
-	if sa.Counts[HistBuckets] != 3 {
-		t.Fatalf("merged +Inf = %d", sa.Counts[HistBuckets])
-	}
-	prev := int64(0)
-	for i, c := range sa.Counts {
-		if c < prev {
-			t.Fatalf("merged bucket %d not monotone", i)
-		}
-		prev = c
 	}
 }
 

@@ -30,9 +30,9 @@ func NewRoot(name string) *Span {
 	return &Span{name: name, start: time.Now()}
 }
 
-// StartChild starts and returns a child span. On a nil receiver it
+// startChild starts and returns a child span. On a nil receiver it
 // returns nil, keeping the whole subtree disabled.
-func (s *Span) StartChild(name string) *Span {
+func (s *Span) startChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
@@ -178,6 +178,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	child := parent.StartChild(name)
+	child := parent.startChild(name)
 	return ContextWithSpan(ctx, child), child
 }

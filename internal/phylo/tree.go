@@ -26,9 +26,6 @@ type Node struct {
 // IsLeaf reports whether the node has no children.
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 
-// IsRoot reports whether the node has no parent.
-func (n *Node) IsRoot() bool { return n.Parent == nil }
-
 // AddChild appends child to n and sets its parent pointer.
 func (n *Node) AddChild(child *Node) {
 	child.Parent = n
@@ -189,16 +186,6 @@ func (t *Tree) MaxDepth() int {
 		}
 	}
 	return max
-}
-
-// RootDistance returns the total edge weight (evolutionary time) from the
-// root down to n.
-func RootDistance(n *Node) float64 {
-	d := 0.0
-	for ; n != nil && n.Parent != nil; n = n.Parent {
-		d += n.Length
-	}
-	return d
 }
 
 // RootDistances returns each node's root distance keyed by node pointer,

@@ -53,10 +53,7 @@ func TestPaperFigure1Shape(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := dist[c.n]; math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("RootDistance(%q) = %g, want %g", c.n.Name, got, c.want)
-		}
-		if got := RootDistance(c.n); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("RootDistance func (%q) = %g, want %g", c.n.Name, got, c.want)
+			t.Errorf("RootDistances()[%q] = %g, want %g", c.n.Name, got, c.want)
 		}
 	}
 }

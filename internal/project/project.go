@@ -26,13 +26,13 @@ import (
 	"repro/internal/phylo"
 )
 
-// LCAFinder answers least-common-ancestor queries on a tree. Both the
+// lcaFinder answers least-common-ancestor queries on a tree. Both the
 // hierarchical index (core.Index) and test oracles implement it.
-type LCAFinder interface {
+type lcaFinder interface {
 	LCANodes(a, b *phylo.Node) *phylo.Node
 }
 
-// NaiveLCA adapts the pointer-walk LCA to LCAFinder, for tests and for
+// NaiveLCA adapts the pointer-walk LCA to lcaFinder, for tests and for
 // trees too small to index.
 type NaiveLCA struct{}
 
@@ -44,14 +44,14 @@ func (NaiveLCA) LCANodes(a, b *phylo.Node) *phylo.Node { return phylo.LCA(a, b) 
 // of O(n) per call. The tree must have preorder IDs (Reindex).
 type Planner struct {
 	tree  *phylo.Tree
-	lca   LCAFinder
+	lca   lcaFinder
 	nodes []*phylo.Node // preorder: nodes[n.ID] == n exactly for the tree's own nodes
 	depth []int
 	dist  []float64
 }
 
 // NewPlanner builds a planner for t using the given LCA implementation.
-func NewPlanner(t *phylo.Tree, lca LCAFinder) *Planner {
+func NewPlanner(t *phylo.Tree, lca lcaFinder) *Planner {
 	nodes := t.Nodes()
 	p := &Planner{
 		tree:  t,
@@ -71,8 +71,8 @@ func NewPlanner(t *phylo.Tree, lca LCAFinder) *Planner {
 
 // Errors returned by Project.
 var (
-	ErrEmptySelection = errors.New("project: empty leaf selection")
-	ErrForeignNode    = errors.New("project: node not in the planner's tree")
+	errEmptySelection = errors.New("project: empty leaf selection")
+	errForeignNode    = errors.New("project: node not in the planner's tree")
 )
 
 // Vertex is a node of the projected tree as Build sees it: its preorder id
@@ -95,7 +95,7 @@ type Vertex struct {
 // (or the vertex itself for a singleton, when lca is never called).
 func Build(sel []Vertex, lca func(a, b Vertex) (Vertex, error)) (*phylo.Tree, error) {
 	if len(sel) == 0 {
-		return nil, ErrEmptySelection
+		return nil, errEmptySelection
 	}
 	slices.SortFunc(sel, func(a, b Vertex) int { return cmp.Compare(a.ID, b.ID) })
 	sel = slices.CompactFunc(sel, func(a, b Vertex) bool { return a.ID == b.ID })
@@ -152,7 +152,7 @@ func (p *Planner) Project(selection []*phylo.Node) (*phylo.Tree, error) {
 	sel := make([]Vertex, len(selection))
 	for i, n := range selection {
 		if n.ID < 0 || n.ID >= len(p.nodes) || p.nodes[n.ID] != n {
-			return nil, fmt.Errorf("%w: %q", ErrForeignNode, n.Name)
+			return nil, fmt.Errorf("%w: %q", errForeignNode, n.Name)
 		}
 		sel[i] = p.vertex(n)
 	}
@@ -176,38 +176,4 @@ func (p *Planner) ProjectNames(names []string) (*phylo.Tree, error) {
 		sel = append(sel, n)
 	}
 	return p.Project(sel)
-}
-
-// Naive computes the projection by the direct definition — mark all
-// root-paths of the selection, extract the induced subtree, then suppress
-// unary nodes summing weights. O(n) per call; used as the oracle in
-// property tests.
-func Naive(t *phylo.Tree, selection []*phylo.Node) (*phylo.Tree, error) {
-	if len(selection) == 0 {
-		return nil, ErrEmptySelection
-	}
-	keep := make(map[*phylo.Node]bool)
-	for _, n := range selection {
-		for cur := n; cur != nil; cur = cur.Parent {
-			if keep[cur] {
-				break
-			}
-			keep[cur] = true
-		}
-	}
-	var build func(n *phylo.Node) *phylo.Node
-	build = func(n *phylo.Node) *phylo.Node {
-		m := &phylo.Node{Name: n.Name, Length: n.Length}
-		for _, c := range n.Children {
-			if keep[c] {
-				m.AddChild(build(c))
-			}
-		}
-		return m
-	}
-	out := phylo.New(build(t.Root))
-	out.SuppressUnary()
-	out.Root.Length = 0
-	out.Reindex()
-	return out, nil
 }

@@ -324,28 +324,3 @@ func (v *View) ByKind(ctx context.Context, kind string) ([]Entry, error) {
 	err = tab.IndexScanCtx(ctx, "by_kind", []relstore.Value{relstore.Str(kind)}, appendEntries(&out))
 	return out, err
 }
-
-// Clear removes all history entries (and resets the id counter).
-func (r *Repo) Clear() (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var ids []int64
-	err := r.tab.Scan(func(row relstore.Row) (bool, error) {
-		c := row.Cols()
-		ids = append(ids, c.Int())
-		return true, c.Err()
-	})
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, id := range ids {
-		if _, err := r.tab.Delete(relstore.Int(id)); err != nil {
-			return n, err
-		}
-		if id != counterKey {
-			n++
-		}
-	}
-	return n, nil
-}

@@ -168,25 +168,6 @@ func TestByKind(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	r := newRepo(t)
-	r.Record(Delete{Tree: "a"}, "")
-	r.Record(Delete{Tree: "b"}, "")
-	n, err := r.Clear()
-	if err != nil || n != 2 {
-		t.Fatalf("Clear = %d, %v", n, err)
-	}
-	hist, _ := committed(t, r).History(context.Background(), 0)
-	if len(hist) != 0 {
-		t.Fatalf("history after clear = %d", len(hist))
-	}
-	// Ids restart after a full clear.
-	e, _ := r.Record(Delete{Tree: "c"}, "")
-	if e.ID != 1 {
-		t.Fatalf("id after clear = %d", e.ID)
-	}
-}
-
 func TestIDsPersistAcrossHandles(t *testing.T) {
 	db := relstore.OpenMemDB()
 	defer db.Close()

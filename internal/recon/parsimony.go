@@ -2,7 +2,6 @@ package recon
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"repro/internal/phylo"
@@ -29,7 +28,7 @@ type fitchSets []uint8
 // stepwise addition under the Fitch criterion.
 func (p Parsimony) ReconstructSeqs(aln *seqsim.Alignment) (*phylo.Tree, error) {
 	if len(aln.Names) < 2 {
-		return nil, ErrTooFewTaxa
+		return nil, errTooFewTaxa
 	}
 	sites := aln.Len()
 	if sites == 0 {
@@ -146,48 +145,4 @@ func fitchMerge(a, b fitchSets, score *int) fitchSets {
 		}
 	}
 	return out
-}
-
-// FitchScore computes the parsimony score of a fixed tree against an
-// alignment — the number of state changes the tree requires.
-func FitchScore(t *phylo.Tree, aln *seqsim.Alignment) (int, error) {
-	sites := aln.Len()
-	if sites == 0 {
-		return 0, errors.New("recon: empty alignment")
-	}
-	score := 0
-	var fitch func(n *phylo.Node) (fitchSets, error)
-	fitch = func(n *phylo.Node) (fitchSets, error) {
-		if n.IsLeaf() {
-			seq, ok := aln.Seqs[n.Name]
-			if !ok {
-				return nil, fmt.Errorf("recon: no sequence for leaf %q", n.Name)
-			}
-			fs := make(fitchSets, sites)
-			for i := 0; i < sites; i++ {
-				if b := seqsim.BaseIndex(seq[i]); b >= 0 {
-					fs[i] = 1 << uint(b)
-				} else {
-					fs[i] = 0b1111
-				}
-			}
-			return fs, nil
-		}
-		acc, err := fitch(n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range n.Children[1:] {
-			next, err := fitch(c)
-			if err != nil {
-				return nil, err
-			}
-			acc = fitchMerge(acc, next, &score)
-		}
-		return acc, nil
-	}
-	if _, err := fitch(t.Root); err != nil {
-		return 0, err
-	}
-	return score, nil
 }

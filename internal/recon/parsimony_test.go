@@ -1,6 +1,8 @@
 package recon
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -37,7 +39,7 @@ func TestParsimonyPerfectSignal(t *testing.T) {
 		if a.Parent == tr.Root && b.Parent == tr.Root {
 			t.Fatalf("seed %d: A and B both at root: %v", seed, tr.LeafNames())
 		}
-		score, err := FitchScore(tr, aln)
+		score, err := fitchScore(tr, aln)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +60,7 @@ func TestFitchScoreKnown(t *testing.T) {
 			"A": []byte("A"), "B": []byte("T"), "C": []byte("A"), "D": []byte("T"),
 		},
 	}
-	score, err := FitchScore(tr, aln)
+	score, err := fitchScore(tr, aln)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,19 +70,19 @@ func TestFitchScoreKnown(t *testing.T) {
 	// The congruent labeling needs 1 change.
 	aln.Seqs["B"] = []byte("A")
 	aln.Seqs["C"] = []byte("T")
-	score, err = FitchScore(tr, aln)
+	score, err = fitchScore(tr, aln)
 	if err != nil || score != 1 {
 		t.Fatalf("Fitch = %d, %v, want 1", score, err)
 	}
 	// Missing data counts as compatible with anything.
 	aln.Seqs["D"] = []byte("?")
-	score, err = FitchScore(tr, aln)
+	score, err = fitchScore(tr, aln)
 	if err != nil || score != 1 {
 		t.Fatalf("Fitch with ambiguity = %d, %v", score, err)
 	}
 	// Missing leaf sequence is an error.
 	delete(aln.Seqs, "A")
-	if _, err := FitchScore(tr, aln); err == nil {
+	if _, err := fitchScore(tr, aln); err == nil {
 		t.Fatal("missing sequence accepted")
 	}
 }
@@ -113,11 +115,11 @@ func TestParsimonyRecoversSimulatedTree(t *testing.T) {
 	}
 	// The greedy tree must score no worse than a random caterpillar over
 	// the same taxa.
-	mpScore, err := FitchScore(tr, aln)
+	mpScore, err := fitchScore(tr, aln)
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldScore, err := FitchScore(gold, aln)
+	goldScore, err := fitchScore(gold, aln)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,4 +164,48 @@ func mustTree(t *testing.T, s string) *phylo.Tree {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// fitchScore computes the parsimony score of a fixed tree against an
+// alignment — the number of state changes the tree requires.
+func fitchScore(t *phylo.Tree, aln *seqsim.Alignment) (int, error) {
+	sites := aln.Len()
+	if sites == 0 {
+		return 0, errors.New("recon: empty alignment")
+	}
+	score := 0
+	var fitch func(n *phylo.Node) (fitchSets, error)
+	fitch = func(n *phylo.Node) (fitchSets, error) {
+		if n.IsLeaf() {
+			seq, ok := aln.Seqs[n.Name]
+			if !ok {
+				return nil, fmt.Errorf("recon: no sequence for leaf %q", n.Name)
+			}
+			fs := make(fitchSets, sites)
+			for i := 0; i < sites; i++ {
+				if b := seqsim.BaseIndex(seq[i]); b >= 0 {
+					fs[i] = 1 << uint(b)
+				} else {
+					fs[i] = 0b1111
+				}
+			}
+			return fs, nil
+		}
+		acc, err := fitch(n.Children[0])
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range n.Children[1:] {
+			next, err := fitch(c)
+			if err != nil {
+				return nil, err
+			}
+			acc = fitchMerge(acc, next, &score)
+		}
+		return acc, nil
+	}
+	if _, err := fitch(t.Root); err != nil {
+		return 0, err
+	}
+	return score, nil
 }

@@ -34,8 +34,8 @@ type SeqAlgorithm interface {
 	ReconstructSeqs(aln *seqsim.Alignment) (*phylo.Tree, error)
 }
 
-// ErrTooFewTaxa is returned for matrices with fewer than 2 taxa.
-var ErrTooFewTaxa = errors.New("recon: need at least 2 taxa")
+// errTooFewTaxa is returned for matrices with fewer than 2 taxa.
+var errTooFewTaxa = errors.New("recon: need at least 2 taxa")
 
 // ErrUnknownAlgorithm is returned by ByNames for a name it does not know.
 var ErrUnknownAlgorithm = errors.New("recon: unknown algorithm")
@@ -51,7 +51,7 @@ func (UPGMA) Name() string { return "UPGMA" }
 func (UPGMA) Reconstruct(m *distance.Matrix) (*phylo.Tree, error) {
 	n := m.Len()
 	if n < 2 {
-		return nil, ErrTooFewTaxa
+		return nil, errTooFewTaxa
 	}
 	type cluster struct {
 		node   *phylo.Node
@@ -125,7 +125,7 @@ func (NeighborJoining) Name() string { return "NJ" }
 func (NeighborJoining) Reconstruct(m *distance.Matrix) (*phylo.Tree, error) {
 	n := m.Len()
 	if n < 2 {
-		return nil, ErrTooFewTaxa
+		return nil, errTooFewTaxa
 	}
 	if n == 2 {
 		root := &phylo.Node{}

@@ -93,7 +93,7 @@ func (a *arena) reserve(left int) {
 // at a time in column order, and encodes each straight into the stage's
 // arenas: the stored row, the primary key and every index key. No Tuple is
 // built. The first value of the wrong type, or a row with the wrong number
-// of values, fails the whole batch with ErrSchemaRow.
+// of values, fails the whole batch with errSchemaRow.
 type RowWriter struct {
 	lay   *bulkLayout
 	first int        // the batch row the range starts at
@@ -158,21 +158,15 @@ func (w *RowWriter) Float(v float64) {
 	}
 }
 
-// Str writes the next value of the row, a string column's.
-func (w *RowWriter) Str(v string) { putBytes(w, TString, tagString, v) }
-
-// Blob writes the next value of the row, a bytes column's.
-func (w *RowWriter) Blob(v []byte) { putBytes(w, TBytes, tagBytes, v) }
-
-// putBytes is Str and Blob: a length-prefixed row column, and for a keyed
-// column the tagged, escaped tuple encoding.
-func putBytes[T string | []byte](w *RowWriter, typ ColumnType, tag byte, v T) {
-	if w.open(typ) {
-		b, n := rowVarHead(typ, len(v))
+// Str writes the next value of the row, a string column's: length-prefixed
+// in the row, and for a keyed column the tagged, escaped tuple encoding.
+func (w *RowWriter) Str(v string) {
+	if w.open(TString) {
+		b, n := rowVarHead(TString, len(v))
 		w.rows.buf = append(w.rows.buf, b[:n]...)
 		w.rows.buf = append(w.rows.buf, v...)
 		if w.lay.keyed[w.col] {
-			w.tup = appendEscaped(append(w.tup, tag), v)
+			w.tup = appendEscaped(append(w.tup, tagString), v)
 		}
 		w.next()
 	}
@@ -209,14 +203,14 @@ func (w *RowWriter) put(v Value) {
 // encode it: not after an error, not past the row's last column (endRow
 // reports the count), and not into a column of another type, which fails
 // the batch.
-func (w *RowWriter) open(typ ColumnType) bool {
+func (w *RowWriter) open(typ columnType) bool {
 	cols := w.lay.schema.Columns
 	if w.err != nil || w.col >= len(cols) {
 		w.col++
 		return false
 	}
 	if c := cols[w.col]; typ != c.Type {
-		w.err = fmt.Errorf("%w: column %s wants %s, got %s", ErrSchemaRow, c.Name, c.Type, typ)
+		w.err = fmt.Errorf("%w: column %s wants %s, got %s", errSchemaRow, c.Name, c.Type, typ)
 		return false
 	}
 	if w.col == 0 {
@@ -241,7 +235,7 @@ func (w *RowWriter) endRow() {
 	}
 	lay := w.lay
 	if n := len(lay.schema.Columns); w.col != n {
-		w.err = fmt.Errorf("%w: %d values for %d columns", ErrSchemaRow, w.col, n)
+		w.err = fmt.Errorf("%w: %d values for %d columns", errSchemaRow, w.col, n)
 		return
 	}
 	row := w.first + len(w.rows.end) - 1
@@ -384,12 +378,12 @@ func StageBulk(schema Schema, n, workers int, fill func(i int, w *RowWriter)) (*
 	parallelDo(len(errs), workers, func(r int) {
 		if r == 0 {
 			if dup := st.prim.arrange(); dup >= 0 {
-				errs[0] = fmt.Errorf("%w: %s in %s", ErrDuplicateKey, keyString(st.prim.key(dup)), schema.Name)
+				errs[0] = fmt.Errorf("%w: %s in %s", errDuplicateKey, keyString(st.prim.key(dup)), schema.Name)
 			}
 			return
 		}
 		if st.index[r-1].arrange() >= 0 {
-			errs[r] = fmt.Errorf("%w: unique index %s.%s", ErrDuplicateKey, schema.Name, schema.Indexes[r-1].Name)
+			errs[r] = fmt.Errorf("%w: unique index %s.%s", errDuplicateKey, schema.Name, schema.Indexes[r-1].Name)
 		}
 	})
 	for _, err := range errs {
@@ -402,7 +396,7 @@ func StageBulk(schema Schema, n, workers int, fill func(i int, w *RowWriter)) (*
 
 // keyString renders a single-column key for an error message.
 func keyString(key []byte) string {
-	if vals, err := DecodeKey(key); err == nil && len(vals) == 1 {
+	if vals, err := decodeKey(key); err == nil && len(vals) == 1 {
 		return vals[0].String()
 	}
 	return fmt.Sprintf("%x", key)

@@ -91,7 +91,7 @@ func nodesLikeRows(n int) []Tuple {
 		rows[i] = Tuple{
 			Int(int64(i)), Int(parent), Int(int64(1 + i%2)), Str(name), Float(rng.Float64()),
 			Int(int64(i % 40)), Float(rng.Float64() * 10), Int(int64(i / 16)), Int(int64(i%16 - 1)),
-			Int(int64(i % 4)), Bool(leaf), Int(int64(1 + rng.Intn(50))),
+			Int(int64(i % 4)), boolValue(leaf), Int(int64(1 + rng.Intn(50))),
 		}
 	}
 	return rows
@@ -104,15 +104,13 @@ func fillTyped(rows []Tuple) func(i int, w *RowWriter) {
 		for _, v := range rows[i] {
 			switch v.Type {
 			case TInt:
-				w.Int(v.Int64())
+				w.Int(v.i)
 			case TFloat:
-				w.Float(v.Float64())
+				w.Float(v.f)
 			case TString:
 				w.Str(v.Text())
-			case TBytes:
-				w.Blob(v.Bytes())
 			case TBool:
-				w.Bool(v.Truth())
+				w.Bool(v.i != 0)
 			}
 		}
 	}
@@ -149,11 +147,11 @@ func TestStageBulkSameAtEveryWorkerCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(row, rows[row[0].Int64()]) {
-			t.Fatalf("staged row %v decodes to %v", rows[row[0].Int64()], row)
+		if !reflect.DeepEqual(row, rows[row[0].i]) {
+			t.Fatalf("staged row %v decodes to %v", rows[row[0].i], row)
 		}
 		if !bytes.Equal(kv.Value, encodeRow(row)) {
-			t.Fatalf("staged row %d is not encodeRow's bytes", row[0].Int64())
+			t.Fatalf("staged row %d is not encodeRow's bytes", row[0].i)
 		}
 	}
 	if want.prim.order != nil || want.index[0].order == nil {
@@ -198,13 +196,13 @@ func TestStageBulkRejectsBeforeAnyTable(t *testing.T) {
 		rows []Tuple
 		want error
 	}{
-		"wrong type":              {with(3, Tuple{Int(1), Int(2), Float(3)}), ErrSchemaRow},
-		"short row":               {with(3, Tuple{Int(1), Str("x")}), ErrSchemaRow},
-		"long row":                {with(3, Tuple{Int(1), Str("x"), Float(1), Float(2)}), ErrSchemaRow},
-		"duplicate key":           {with(3, good[9]), ErrDuplicateKey},
-		"unique index":            {with(3, Tuple{Int(1000), good[9][1], Float(1)}), ErrDuplicateKey},
-		"duplicate key, in order": {ascWith(4, asc[3]), ErrDuplicateKey},
-		"unique index, in order":  {ascWith(4, Tuple{Int(4), asc[3][1], Float(1)}), ErrDuplicateKey},
+		"wrong type":              {with(3, Tuple{Int(1), Int(2), Float(3)}), errSchemaRow},
+		"short row":               {with(3, Tuple{Int(1), Str("x")}), errSchemaRow},
+		"long row":                {with(3, Tuple{Int(1), Str("x"), Float(1), Float(2)}), errSchemaRow},
+		"duplicate key":           {with(3, good[9]), errDuplicateKey},
+		"unique index":            {with(3, Tuple{Int(1000), good[9][1], Float(1)}), errDuplicateKey},
+		"duplicate key, in order": {ascWith(4, asc[3]), errDuplicateKey},
+		"unique index, in order":  {ascWith(4, Tuple{Int(4), asc[3][1], Float(1)}), errDuplicateKey},
 		"oversized key":           {with(3, Tuple{Int(1000), Str(strings.Repeat("x", storage.MaxKeySize)), Float(1)}), storage.ErrKeyTooLarge},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -247,9 +245,15 @@ func TestApplyBulkRefusesAnotherTablesStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := db.Store().Pool().DirtyCount()
-	if err := tab.ApplyBulk(st); err == nil || db.Store().Pool().DirtyCount() != before {
-		t.Fatalf("ApplyBulk of another table's stage: err %v, dirty pages %d -> %d", err, before, db.Store().Pool().DirtyCount())
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// A refused stage dirties nothing: the commit after it has nothing to
+	// publish.
+	before := db.MVCC().Epoch
+	err = tab.ApplyBulk(st)
+	if cerr := db.Commit(); err == nil || cerr != nil || db.MVCC().Epoch != before {
+		t.Fatalf("ApplyBulk of another table's stage: err %v, then commit %v, epoch %d -> %d", err, cerr, before, db.MVCC().Epoch)
 	}
 }
 

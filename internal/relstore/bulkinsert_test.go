@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -70,14 +71,14 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	var bulkSeen, rowSeen []int64
 	if err := bt.Scan(func(stored Row) (bool, error) {
 		r := tup(t, stored)
-		bulkSeen = append(bulkSeen, r[0].Int64())
+		bulkSeen = append(bulkSeen, r[0].i)
 		return true, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Scan(func(stored Row) (bool, error) {
 		r := tup(t, stored)
-		rowSeen = append(rowSeen, r[0].Int64())
+		rowSeen = append(rowSeen, r[0].i)
 		return true, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -92,11 +93,11 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	}
 	// Index scans agree too.
 	count := 0
-	err = bt.IndexScan("by_name", []Value{Str("sp00042")}, func(stored Row) (bool, error) {
+	err = committed(t, bulkDB, "sp").IndexScanCtx(context.Background(), "by_name", []Value{Str("sp00042")}, func(stored Row) (bool, error) {
 		r := tup(t, stored)
 		count++
-		if r[0].Int64() != 42 {
-			t.Fatalf("by_name hit id %d", r[0].Int64())
+		if r[0].i != 42 {
+			t.Fatalf("by_name hit id %d", r[0].i)
 		}
 		return true, nil
 	})
@@ -114,7 +115,7 @@ func TestBulkInsertDuplicatePrimaryKey(t *testing.T) {
 	}
 	rows := bulkRows(10)
 	rows = append(rows, rows[3])
-	if err := tab.BulkInsert(rows); !errors.Is(err, ErrDuplicateKey) {
+	if err := tab.BulkInsert(rows); !errors.Is(err, errDuplicateKey) {
 		t.Fatalf("duplicate pk error = %v", err)
 	}
 }
@@ -128,7 +129,7 @@ func TestBulkInsertUniqueIndexViolation(t *testing.T) {
 	}
 	rows := bulkRows(10)
 	rows[7] = Tuple{Int(1000), rows[2][1], Float(9)} // same name as rows[2], fresh id
-	if err := tab.BulkInsert(rows); !errors.Is(err, ErrDuplicateKey) {
+	if err := tab.BulkInsert(rows); !errors.Is(err, errDuplicateKey) {
 		t.Fatalf("unique index violation error = %v", err)
 	}
 }
@@ -145,7 +146,7 @@ func TestBulkInsertRejectedBatchLeavesTableUntouched(t *testing.T) {
 	}
 	rows := bulkRows(50)
 	rows[7] = Tuple{Int(1000), rows[2][1], Float(9)} // unique-index conflict
-	if err := tab.BulkInsert(rows); !errors.Is(err, ErrDuplicateKey) {
+	if err := tab.BulkInsert(rows); !errors.Is(err, errDuplicateKey) {
 		t.Fatalf("violation error = %v", err)
 	}
 	if n, err := committed(t, db, "sp").Len(); err != nil || n != 0 {
@@ -223,7 +224,7 @@ func TestBulkInsertFallbackOnNonEmptyTable(t *testing.T) {
 	}
 	// A conflicting batch fails on the conflicting row.
 	err = tab.BulkInsert([]Tuple{{Int(100000), Str("again"), Float(2)}})
-	if !errors.Is(err, ErrDuplicateKey) {
+	if !errors.Is(err, errDuplicateKey) {
 		t.Fatalf("fallback duplicate error = %v", err)
 	}
 }

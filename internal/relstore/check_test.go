@@ -86,7 +86,7 @@ func TestCheckDetectsDanglingIndexEntry(t *testing.T) {
 		tab.Insert(speciesRow(i, fmt.Sprintf("sp%03d", i), float64(i)))
 	}
 	// Corrupt: delete a row from the primary only.
-	if _, err := tab.view.primary.Delete(EncodeKey(Int(5))); err != nil {
+	if _, err := tab.view.primary.Delete(encodeKey(Int(5))); err != nil {
 		t.Fatal(err)
 	}
 	publish(t, tab)
@@ -105,7 +105,7 @@ func TestCheckDetectsCorruptRow(t *testing.T) {
 	tab, _ := db.CreateTable(speciesSchema())
 	tab.Insert(speciesRow(1, "sp", 0))
 	// Corrupt: overwrite the stored row bytes with garbage.
-	if err := tab.view.primary.Put(EncodeKey(Int(1)), []byte{0xFF, 0xEE}); err != nil {
+	if err := tab.view.primary.Put(encodeKey(Int(1)), []byte{0xFF, 0xEE}); err != nil {
 		t.Fatal(err)
 	}
 	publish(t, tab)

@@ -16,8 +16,8 @@ const catalogRootSlot = 0
 // ErrNoTable is returned when a named table does not exist.
 var ErrNoTable = errors.New("relstore: no such table")
 
-// ErrTableExists is returned by CreateTable for duplicate names.
-var ErrTableExists = errors.New("relstore: table already exists")
+// errTableExists is returned by CreateTable for duplicate names.
+var errTableExists = errors.New("relstore: table already exists")
 
 // catalogEntry is the persisted description of one table.
 type catalogEntry struct {
@@ -155,7 +155,7 @@ func (db *DB) CreateTable(schema Schema) (*Table, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, err := db.loadTable(schema.Name); err == nil {
-		return nil, fmt.Errorf("%w: %s", ErrTableExists, schema.Name)
+		return nil, fmt.Errorf("%w: %s", errTableExists, schema.Name)
 	} else if !errors.Is(err, ErrNoTable) {
 		return nil, err
 	}
@@ -233,32 +233,6 @@ func (db *DB) loadTable(name string) (*Table, error) {
 	}
 	db.tables[name] = t
 	return t, nil
-}
-
-// Tables lists the names of all tables in catalog order.
-func (db *DB) Tables() ([]string, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.tablesLocked()
-}
-
-func (db *DB) tablesLocked() ([]string, error) {
-	if db.catalog == nil {
-		return nil, nil
-	}
-	var names []string
-	c, err := db.catalog.First()
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	for c.Valid() {
-		names = append(names, string(c.Key()[len("table/"):]))
-		if err := c.Next(); err != nil {
-			return nil, err
-		}
-	}
-	return names, nil
 }
 
 // DropTable removes the table from the catalog and retires every page of

@@ -8,9 +8,9 @@ import (
 )
 
 // FuzzRowDecode feeds arbitrary bytes to the readers of an encoded row —
-// decodeRow, rowInts, and a Cols cursor, which
+// decodeRow, rowInts, and a Row.Cols cursor, which
 // every scan callback and the request reader run on bytes straight out of a
-// page. Torn and hostile rows must come back as ErrCorruptRow, never as a
+// page. Torn and hostile rows must come back as errCorruptRow, never as a
 // panic, never read past the row (the input's capacity is clipped to its
 // length, so an overread is a panic) and never cost more Values than the input
 // has bytes (a column takes at least two). What decodes survives an encode and
@@ -19,8 +19,8 @@ import (
 func FuzzRowDecode(f *testing.F) {
 	for _, row := range []Tuple{
 		// a nodes row (leaf and interior), a layer row, a subs row
-		{Int(1234), Int(1230), Int(2), Str("taxon001234"), Float(0.0625), Int(14), Float(3.75), Int(77), Int(1230), Int(3), Bool(true), Int(1)},
-		{Int(0), Int(-1), Int(1), Str(""), Float(0), Int(0), Float(0), Int(0), Int(-1), Int(0), Bool(false), Int(39999)},
+		{Int(1234), Int(1230), Int(2), Str("taxon001234"), Float(0.0625), Int(14), Float(3.75), Int(77), Int(1230), Int(3), boolValue(true), Int(1)},
+		{Int(0), Int(-1), Int(1), Str(""), Float(0), Int(0), Float(0), Int(0), Int(-1), Int(0), boolValue(false), Int(39999)},
 		{Int(77), Int(70), Int(1), Int(4), Int(70), Int(2)},
 		{Int(4), Int(1024), Int(1019)},
 		{Int(math.MinInt64), Blob([]byte{0, 1, 2}), Float(math.Inf(-1)), Str("a\x00b")},
@@ -39,8 +39,8 @@ func FuzzRowDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		buf = buf[:len(buf):len(buf)]
 		row, err := decodeRow(buf)
-		if err != nil && !errors.Is(err, ErrCorruptRow) {
-			t.Fatalf("decodeRow error %q is not ErrCorruptRow", err)
+		if err != nil && !errors.Is(err, errCorruptRow) {
+			t.Fatalf("decodeRow error %q is not errCorruptRow", err)
 		}
 		if cap(row) > len(buf) {
 			t.Fatalf("decodeRow reserved %d values for %d bytes", cap(row), len(buf))
@@ -68,17 +68,17 @@ func FuzzRowDecode(f *testing.F) {
 			t.Fatalf("rowInts(%v) = %v on a row that decodes", intCols, ierr)
 		}
 		for j, c := range intCols {
-			if out[j] != row[c].Int64() {
-				t.Fatalf("rowInts read %d at column %d, decodeRow %d", out[j], c, row[c].Int64())
+			if out[j] != row[c].i {
+				t.Fatalf("rowInts read %d at column %d, decodeRow %d", out[j], c, row[c].i)
 			}
-			if ierr := rowInts(buf, intCols[j:j+1], out[len(intCols):]); ierr != nil || out[len(intCols)] != row[c].Int64() {
-				t.Fatalf("rowInts(%d alone) = %d, %v, decodeRow read %d", c, out[len(intCols)], ierr, row[c].Int64())
+			if ierr := rowInts(buf, intCols[j:j+1], out[len(intCols):]); ierr != nil || out[len(intCols)] != row[c].i {
+				t.Fatalf("rowInts(%d alone) = %d, %v, decodeRow read %d", c, out[len(intCols)], ierr, row[c].i)
 			}
 		}
 		for c := 0; c < 4; c++ {
-			if ierr := rowInts(buf, []int{c}, out); ierr != nil && !errors.Is(ierr, ErrCorruptRow) {
-				t.Fatalf("rowInts error %q is not ErrCorruptRow", ierr)
-			} else if ierr == nil && err == nil && (c >= len(row) || row[c].Type != TInt || row[c].Int64() != out[0]) {
+			if ierr := rowInts(buf, []int{c}, out); ierr != nil && !errors.Is(ierr, errCorruptRow) {
+				t.Fatalf("rowInts error %q is not errCorruptRow", ierr)
+			} else if ierr == nil && err == nil && (c >= len(row) || row[c].Type != TInt || row[c].i != out[0]) {
 				t.Fatalf("rowInts read %d at column %d of %v", out[0], c, row)
 			}
 		}
@@ -89,11 +89,11 @@ func FuzzRowDecode(f *testing.F) {
 // fuzzCols is the cursor's part of FuzzRowDecode. row and err are what
 // decodeRow made of buf.
 func fuzzCols(t *testing.T, buf []byte, row Tuple, err error) {
-	corrupt := func(c *Cols, what string) {
-		if err := c.Err(); !errors.Is(err, ErrCorruptRow) {
-			t.Fatalf("%s: Err = %v, want ErrCorruptRow", what, err)
+	corrupt := func(c *colCursor, what string) {
+		if err := c.Err(); !errors.Is(err, errCorruptRow) {
+			t.Fatalf("%s: Err = %v, want errCorruptRow", what, err)
 		}
-		if c.Int() != 0 || c.Float() != 0 || c.Bool() || c.Str() != nil || !errors.Is(c.Err(), ErrCorruptRow) {
+		if c.Int() != 0 || c.Float() != 0 || c.Bool() || c.Str() != nil || !errors.Is(c.Err(), errCorruptRow) {
 			t.Fatalf("%s: a failed cursor went on reading", what)
 		}
 	}
@@ -107,11 +107,11 @@ func fuzzCols(t *testing.T, buf []byte, row Tuple, err error) {
 			ok := true
 			switch v.Type {
 			case TInt:
-				ok = c.Int() == v.Int64()
+				ok = c.Int() == v.i
 			case TFloat:
-				ok = math.Float64bits(c.Float()) == math.Float64bits(v.Float64())
+				ok = math.Float64bits(c.Float()) == math.Float64bits(v.f)
 			case TBool:
-				ok = c.Bool() == v.Truth()
+				ok = c.Bool() == (v.i != 0)
 			case TString:
 				ok = string(c.Str()) == v.Text()
 			case TBytes:
@@ -136,7 +136,7 @@ func fuzzCols(t *testing.T, buf []byte, row Tuple, err error) {
 		}
 	}
 	// Whether or not the row decodes: reads chosen by the bytes themselves
-	// end in values or in ErrCorruptRow.
+	// end in values or in errCorruptRow.
 	c := Row{buf}.Cols()
 	for i := 0; i <= len(buf) && c.Err() == nil; i++ {
 		pick := byte(i)
@@ -161,20 +161,20 @@ func fuzzCols(t *testing.T, buf []byte, row Tuple, err error) {
 	corrupt(&c, "reads until the row gives out")
 }
 
-// FuzzKeyDecode feeds arbitrary bytes to DecodeKey, which reads the keys of
+// FuzzKeyDecode feeds arbitrary bytes to decodeKey, which reads the keys of
 // the B+trees back into values (and, through unescape, every string in
-// them): ErrCorruptRow or values, never a panic, never more values than
+// them): errCorruptRow or values, never a panic, never more values than
 // bytes; and a key that decodes is the one encoding of its values, so
-// EncodeKey gives the same bytes back.
+// encodeKey gives the same bytes back.
 func FuzzKeyDecode(f *testing.F) {
 	for _, vals := range [][]Value{
 		{Int(42)},
 		{Float(3.75), Int(1234)},
 		{Str("taxon001234"), Int(1234)},
-		{Str("tree/sp/seq:a"), Str("a\x00b"), Blob([]byte{0, 0xff, 0}), Bool(true), Bool(false)},
+		{Str("tree/sp/seq:a"), Str("a\x00b"), Blob([]byte{0, 0xff, 0}), boolValue(true), boolValue(false)},
 		{Float(math.Inf(-1)), Float(math.NaN()), Int(math.MinInt64)},
 	} {
-		key := EncodeKey(vals...)
+		key := encodeKey(vals...)
 		f.Add(key)
 		f.Add(key[:len(key)-1])
 	}
@@ -182,17 +182,17 @@ func FuzzKeyDecode(f *testing.F) {
 	f.Add([]byte{0x7f})
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		buf = buf[:len(buf):len(buf)]
-		vals, err := DecodeKey(buf)
+		vals, err := decodeKey(buf)
 		if err != nil {
-			if !errors.Is(err, ErrCorruptRow) {
-				t.Fatalf("DecodeKey error %q is not ErrCorruptRow", err)
+			if !errors.Is(err, errCorruptRow) {
+				t.Fatalf("decodeKey error %q is not errCorruptRow", err)
 			}
 			return
 		}
 		if len(vals) > len(buf) {
-			t.Fatalf("DecodeKey made %d values of %d bytes", len(vals), len(buf))
+			t.Fatalf("decodeKey made %d values of %d bytes", len(vals), len(buf))
 		}
-		if again := EncodeKey(vals...); !bytes.Equal(again, buf) {
+		if again := encodeKey(vals...); !bytes.Equal(again, buf) {
 			t.Fatalf("key %x decodes to %v, which encodes to %x", buf, vals, again)
 		}
 	})

@@ -90,10 +90,10 @@ func TestIndexScanBatchedOrder(t *testing.T) {
 		if want := fmt.Sprintf("label-%04d", 100+i); row[1].Text() != want {
 			t.Fatalf("row %d has label %s, want %s (index order)", i, row[1].Text(), want)
 		}
-		if got := permutedLabel(int(row[0].Int64())); got != row[1].Text() {
-			t.Fatalf("row %d: id %d resolved to label %s, its own is %s", i, row[0].Int64(), row[1].Text(), got)
+		if got := permutedLabel(int(row[0].i)); got != row[1].Text() {
+			t.Fatalf("row %d: id %d resolved to label %s, its own is %s", i, row[0].i, row[1].Text(), got)
 		}
-		if snap[i][0].Int64() != row[0].Int64() || snap[i][1].Text() != row[1].Text() {
+		if snap[i][0].i != row[0].i || snap[i][1].Text() != row[1].Text() {
 			t.Fatalf("row %d: snapshot view %v, live table %v", i, snap[i], row)
 		}
 	}
@@ -156,7 +156,7 @@ func TestIndexScanDanglingEntry(t *testing.T) {
 			victim = id
 		}
 	}
-	if ok, err := tab.view.primary.Delete(EncodeKey(Int(int64(victim)))); err != nil || !ok {
+	if ok, err := tab.view.primary.Delete(encodeKey(Int(int64(victim)))); err != nil || !ok {
 		t.Fatalf("deleting the primary entry: %v, %v", ok, err)
 	}
 	seen := 0

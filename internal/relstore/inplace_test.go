@@ -18,8 +18,8 @@ import (
 // values against decodeRow's.
 func TestRowIntsReadsWhatDecodeRowReads(t *testing.T) {
 	rows := []Tuple{
-		{Int(0), Int(-1), Str(""), Int(math.MaxInt64), Float(-2.5e-300), Int(math.MinInt64), Str("taxon\x00042"), Bool(true), Blob([]byte{0, 1, 2}), Int(42), Float(math.Inf(1)), Bool(false)},
-		{Str(strings.Repeat("n", 300)), Int(12345), Float(1.25), Bool(true)},
+		{Int(0), Int(-1), Str(""), Int(math.MaxInt64), Float(-2.5e-300), Int(math.MinInt64), Str("taxon\x00042"), boolValue(true), Blob([]byte{0, 1, 2}), Int(42), Float(math.Inf(1)), boolValue(false)},
+		{Str(strings.Repeat("n", 300)), Int(12345), Float(1.25), boolValue(true)},
 		{},
 	}
 	for _, row := range rows {
@@ -40,7 +40,7 @@ func TestRowIntsReadsWhatDecodeRowReads(t *testing.T) {
 			for j, c := range intCols {
 				if mask>>j&1 == 1 {
 					cols = append(cols, c)
-					wantInts = append(wantInts, want[c].Int64())
+					wantInts = append(wantInts, want[c].i)
 				}
 			}
 			got := make([]int64, len(cols))
@@ -54,36 +54,36 @@ func TestRowIntsReadsWhatDecodeRowReads(t *testing.T) {
 // TestRowIntsRejectsCorruptAndMistyped: a column of another type than an
 // integer at a position asked for, a position past the last column, a row
 // cut short before the last position asked for, an over-long varint and an
-// unknown column type are all ErrCorruptRow, never a panic — and decodeRow
+// unknown column type are all errCorruptRow, never a panic — and decodeRow
 // agrees on every cut.
 func TestRowIntsRejectsCorruptAndMistyped(t *testing.T) {
-	enc := encodeRow(Tuple{Int(7), Str("name"), Float(2), Bool(true), Int(9)})
+	enc := encodeRow(Tuple{Int(7), Str("name"), Float(2), boolValue(true), Int(9)})
 	out := make([]int64, 2)
 	for _, cols := range [][]int{{1}, {0, 2}, {3}, {4, 5}} {
-		if err := rowInts(enc, cols, out); !errors.Is(err, ErrCorruptRow) {
-			t.Fatalf("rowInts(%v): err = %v, want ErrCorruptRow", cols, err)
+		if err := rowInts(enc, cols, out); !errors.Is(err, errCorruptRow) {
+			t.Fatalf("rowInts(%v): err = %v, want errCorruptRow", cols, err)
 		}
 	}
 	for cut := 0; cut < len(enc); cut++ {
-		if err := rowInts(enc[:cut], []int{0, 4}, out); !errors.Is(err, ErrCorruptRow) {
-			t.Fatalf("row cut at %d of %d bytes: err = %v, want ErrCorruptRow", cut, len(enc), err)
+		if err := rowInts(enc[:cut], []int{0, 4}, out); !errors.Is(err, errCorruptRow) {
+			t.Fatalf("row cut at %d of %d bytes: err = %v, want errCorruptRow", cut, len(enc), err)
 		}
-		if _, err := decodeRow(enc[:cut]); !errors.Is(err, ErrCorruptRow) {
-			t.Fatalf("decodeRow of a row cut at %d bytes: err = %v, want ErrCorruptRow", cut, err)
+		if _, err := decodeRow(enc[:cut]); !errors.Is(err, errCorruptRow) {
+			t.Fatalf("decodeRow of a row cut at %d bytes: err = %v, want errCorruptRow", cut, err)
 		}
 	}
 	if err := rowInts(enc[:len(enc)-2], []int{0}, out); err != nil || out[0] != 7 {
 		t.Fatalf("a cut after the last column asked for: %d, %v; those bytes are not looked at", out[0], err)
 	}
-	if err := rowInts([]byte{3, 99, 1, 2}, []int{1}, out); !errors.Is(err, ErrCorruptRow) {
-		t.Fatalf("an unknown column type: err = %v, want ErrCorruptRow", err)
+	if err := rowInts([]byte{3, 99, 1, 2}, []int{1}, out); !errors.Is(err, errCorruptRow) {
+		t.Fatalf("an unknown column type: err = %v, want errCorruptRow", err)
 	}
 	overlong := append([]byte{1, byte(TInt)}, bytes.Repeat([]byte{0x80}, 10)...)
-	if err := rowInts(append(overlong, 0x01), []int{0}, out); !errors.Is(err, ErrCorruptRow) {
-		t.Fatalf("an 11-byte varint: err = %v, want ErrCorruptRow", err)
+	if err := rowInts(append(overlong, 0x01), []int{0}, out); !errors.Is(err, errCorruptRow) {
+		t.Fatalf("an 11-byte varint: err = %v, want errCorruptRow", err)
 	}
-	if _, err := decodeRow([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, byte(TInt), 2}); !errors.Is(err, ErrCorruptRow) {
-		t.Fatalf("a hostile column count: err = %v, want ErrCorruptRow", err)
+	if _, err := decodeRow([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, byte(TInt), 2}); !errors.Is(err, errCorruptRow) {
+		t.Fatalf("a hostile column count: err = %v, want errCorruptRow", err)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestIndexGetBatch(t *testing.T) {
 			if !found[i] {
 				t.Fatalf("%s: %s not found", name, vals[i])
 			}
-			if row := tup(t, rows[i]); len(row) != 2 || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
+			if row := tup(t, rows[i]); len(row) != 2 || row[0].i != int64(id) || row[1].Text() != permutedLabel(id) {
 				t.Fatalf("%s: value %d resolved to %v, want (%d, %q)", name, i, row, id, permutedLabel(id))
 			}
 		}
@@ -149,10 +149,10 @@ func TestIndexGetBatch(t *testing.T) {
 		// to and their entries lie in, and the primary leaves of the rows.
 		leaves := map[string]bool{}
 		for i, val := range vals {
-			leaves["index "+leafOf(t, &tab.view, "by_label", EncodeKey(val))] = true
+			leaves["index "+leafOf(t, &tab.view, "by_label", encodeKey(val))] = true
 			if i < len(ids) {
-				leaves["index "+leafOf(t, &tab.view, "by_label", EncodeKey(val, Int(int64(ids[i]))))] = true
-				leaves["primary "+leafOf(t, &tab.view, "", EncodeKey(Int(int64(ids[i]))))] = true
+				leaves["index "+leafOf(t, &tab.view, "by_label", encodeKey(val, Int(int64(ids[i]))))] = true
+				leaves["primary "+leafOf(t, &tab.view, "", encodeKey(Int(int64(ids[i]))))] = true
 			}
 		}
 		if d := totals("btree_descents"); d == 0 || d > int64(len(leaves)) {
@@ -177,11 +177,11 @@ func TestIndexGetBatch(t *testing.T) {
 	}
 
 	r := view.Reader(budget(1 << 10))
-	if _, _, err := r.IndexGetBatchCtx(context.Background(), "by_nothing", vals); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("unknown index: err = %v, want ErrNoIndex", err)
+	if _, _, err := r.IndexGetBatchCtx(context.Background(), "by_nothing", vals); !errors.Is(err, errNoIndex) {
+		t.Fatalf("unknown index: err = %v, want errNoIndex", err)
 	}
-	if _, _, err := r.IndexGetBatchCtx(context.Background(), "by_label", []Value{Int(1)}); !errors.Is(err, ErrSchemaRow) {
-		t.Fatalf("mistyped value: err = %v, want ErrSchemaRow", err)
+	if _, _, err := r.IndexGetBatchCtx(context.Background(), "by_label", []Value{Int(1)}); !errors.Is(err, errSchemaRow) {
+		t.Fatalf("mistyped value: err = %v, want errSchemaRow", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -190,7 +190,7 @@ func TestIndexGetBatch(t *testing.T) {
 	}
 
 	// An index entry whose row is gone is reported as what it is.
-	if _, err := tab.view.primary.Delete(EncodeKey(Int(777))); err != nil {
+	if _, err := tab.view.primary.Delete(encodeKey(Int(777))); err != nil {
 		t.Fatal(err)
 	}
 	live := tab.view.Reader(budget(1 << 10))
@@ -214,15 +214,15 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, totals := countedCtx()
-	leaf, err := view.primary.LeafC(EncodeKey(Int(1234)), nil)
+	leaf, err := view.primary.LeafC(encodeKey(Int(1234)), nil)
 	if err != nil || leaf.Len() < 2 {
 		t.Fatalf("the leaf of key 1234: %d entries, %v", leaf.Len(), err)
 	}
-	first, err := DecodeKey(leaf.Key(0))
+	first, err := decodeKey(leaf.Key(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := first[0].Int64(), first[0].Int64()+int64(leaf.Len())
+	lo, hi := first[0].i, first[0].i+int64(leaf.Len())
 
 	left := 1 << 10
 	r := view.Reader(&left)
@@ -233,7 +233,7 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 		}
 		if id%3 == 0 { // in full only now and then, as a walk does
 			row, ok, err := r.Row(ctx, Int(id))
-			if full := tup(t, row); err != nil || !ok || len(full) != 2 || full[0].Int64() != id || full[1].Text() != permutedLabel(int(id)) {
+			if full := tup(t, row); err != nil || !ok || len(full) != 2 || full[0].i != id || full[1].Text() != permutedLabel(int(id)) {
 				t.Fatalf("row %d decoded to %v, %v, %v", id, full, ok, err)
 			}
 		}
@@ -249,9 +249,9 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 		before := totals("btree_descents")
 		for i := 0; i < indexScanRows; i++ {
 			id := i * 7919 % indexScanRows
-			leaves[leafOf(t, view, "", EncodeKey(Int(int64(id))))] = true
+			leaves[leafOf(t, view, "", encodeKey(Int(int64(id))))] = true
 			stored, ok, err := r.Row(ctx, Int(int64(id)))
-			if row := tup(t, stored); err != nil || !ok || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
+			if row := tup(t, stored); err != nil || !ok || row[0].i != int64(id) || row[1].Text() != permutedLabel(id) {
 				t.Fatalf("pass %d: row %d = %v, %v, %v", pass, id, row, ok, err)
 			}
 		}
@@ -290,7 +290,7 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 	for i := 0; i < indexScanRows; i += 13 {
 		id := i * 7919 % indexScanRows
 		stored, ok, err := one.Row(ctx, Int(int64(id)))
-		if row := tup(t, stored); err != nil || !ok || row[0].Int64() != int64(id) || row[1].Text() != permutedLabel(id) {
+		if row := tup(t, stored); err != nil || !ok || row[0].i != int64(id) || row[1].Text() != permutedLabel(id) {
 			t.Fatalf("bounded reader: row %d = %v, %v, %v", id, row, ok, err)
 		}
 		if len(one.leaves) > 1 {
@@ -298,19 +298,19 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 		}
 	}
 
-	if _, err := r.Ints(ctx, Str("x"), nil, nil); !errors.Is(err, ErrSchemaRow) {
-		t.Fatalf("mistyped key: err = %v, want ErrSchemaRow", err)
+	if _, err := r.Ints(ctx, Str("x"), nil, nil); !errors.Is(err, errSchemaRow) {
+		t.Fatalf("mistyped key: err = %v, want errSchemaRow", err)
 	}
-	if _, _, err := r.Row(ctx, Str("x")); !errors.Is(err, ErrSchemaRow) {
-		t.Fatalf("mistyped key: err = %v, want ErrSchemaRow", err)
+	if _, _, err := r.Row(ctx, Str("x")); !errors.Is(err, errSchemaRow) {
+		t.Fatalf("mistyped key: err = %v, want errSchemaRow", err)
 	}
 	for _, cols := range [][]int{{1}, {0, 0}, {2}, {-1}} { // a string column, a repeat, out of range
-		if _, err := r.Ints(ctx, Int(5), cols, make([]int64, 2)); !errors.Is(err, ErrSchemaRow) {
-			t.Fatalf("columns %v: err = %v, want ErrSchemaRow", cols, err)
+		if _, err := r.Ints(ctx, Int(5), cols, make([]int64, 2)); !errors.Is(err, errSchemaRow) {
+			t.Fatalf("columns %v: err = %v, want errSchemaRow", cols, err)
 		}
 	}
-	if _, err := r.Ints(ctx, Int(5), []int{0}, nil); !errors.Is(err, ErrSchemaRow) {
-		t.Fatalf("no room for the column: err = %v, want ErrSchemaRow", err)
+	if _, err := r.Ints(ctx, Int(5), []int{0}, nil); !errors.Is(err, errSchemaRow) {
+		t.Fatalf("no room for the column: err = %v, want errSchemaRow", err)
 	}
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
@@ -397,7 +397,7 @@ func TestScanRowsSurviveRewriteAndEviction(t *testing.T) {
 				if string(label) != permutedLabel(id) {
 					t.Fatalf("%s: the label of row %d changed under the callback holding it", what, id)
 				}
-				if vals := tup(t, row); vals[0].Int64() != int64(id) || vals[1].Text() != permutedLabel(id) {
+				if vals := tup(t, row); vals[0].i != int64(id) || vals[1].Text() != permutedLabel(id) {
 					t.Fatalf("%s: row %d decodes to %v after the rewrite", what, id, vals)
 				}
 			}

@@ -109,7 +109,7 @@ func (r *Reader) hold(leaf storage.Leaf) {
 // encoded returns the stored bytes of the row with the given primary key.
 func (r *Reader) encoded(ctx context.Context, key Value) ([]byte, bool, error) {
 	if keyType := r.v.schema.Columns[r.v.keyCol].Type; key.Type != keyType {
-		return nil, false, fmt.Errorf("%w: key wants %s, got %s", ErrSchemaRow, keyType, key.Type)
+		return nil, false, fmt.Errorf("%w: key wants %s, got %s", errSchemaRow, keyType, key.Type)
 	}
 	r.key = appendTupleValue(r.key[:0], key)
 	return r.get(ctx, r.key)
@@ -122,7 +122,7 @@ func (r *Reader) encoded(ctx context.Context, key Value) ([]byte, bool, error) {
 func (r *Reader) Ints(ctx context.Context, key Value, cols []int, out []int64) (bool, error) {
 	for i, c := range cols {
 		if c < 0 || c >= len(r.v.schema.Columns) || r.v.schema.Columns[c].Type != TInt || (i > 0 && c <= cols[i-1]) || i >= len(out) {
-			return false, fmt.Errorf("%w: want ascending integer columns and room for them, got %v into %d", ErrSchemaRow, cols, len(out))
+			return false, fmt.Errorf("%w: want ascending integer columns and room for them, got %v into %d", errSchemaRow, cols, len(out))
 		}
 	}
 	enc, ok, err := r.encoded(ctx, key)

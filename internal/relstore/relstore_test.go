@@ -48,14 +48,14 @@ func committed(t testing.TB, db *DB, name string) *TableView {
 }
 
 func speciesRow(id int64, name string, depth float64) Tuple {
-	return Tuple{Int(id), Str(name), Float(depth), Blob([]byte("ACGT")), Bool(true)}
+	return Tuple{Int(id), Str(name), Float(depth), Blob([]byte("ACGT")), boolValue(true)}
 }
 
 func TestKeyEncodingOrderInts(t *testing.T) {
 	vals := []int64{math.MinInt64, -1000, -1, 0, 1, 42, 1000, math.MaxInt64}
 	var prev []byte
 	for _, v := range vals {
-		k := EncodeKey(Int(v))
+		k := encodeKey(Int(v))
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("int key order broken at %d", v)
 		}
@@ -67,7 +67,7 @@ func TestKeyEncodingOrderFloats(t *testing.T) {
 	vals := []float64{math.Inf(-1), -1e300, -1.5, -0.0001, 0, 0.0001, 1.5, 1e300, math.Inf(1)}
 	var prev []byte
 	for _, v := range vals {
-		k := EncodeKey(Float(v))
+		k := encodeKey(Float(v))
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("float key order broken at %g", v)
 		}
@@ -79,7 +79,7 @@ func TestKeyEncodingOrderStrings(t *testing.T) {
 	vals := []string{"", "a", "a\x00", "a\x00b", "aa", "ab", "b"}
 	var prev []byte
 	for i, v := range vals {
-		k := EncodeKey(Str(v))
+		k := encodeKey(Str(v))
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("string key order broken at %d (%q)", i, v)
 		}
@@ -88,8 +88,8 @@ func TestKeyEncodingOrderStrings(t *testing.T) {
 }
 
 func TestKeyEncodingRoundTrip(t *testing.T) {
-	in := []Value{Int(-7), Float(3.25), Str("Bha\x00Lla"), Blob([]byte{0, 1, 2}), Bool(true), Bool(false)}
-	out, err := DecodeKey(EncodeKey(in...))
+	in := []Value{Int(-7), Float(3.25), Str("Bha\x00Lla"), Blob([]byte{0, 1, 2}), boolValue(true), boolValue(false)}
+	out, err := decodeKey(encodeKey(in...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +107,8 @@ func TestKeyEncodingRoundTrip(t *testing.T) {
 // (int, string) composite ordering for arbitrary inputs.
 func TestKeyEncodingOrderProperty(t *testing.T) {
 	f := func(a1, b1 int64, a2, b2 string) bool {
-		ka := EncodeKey(Int(a1), Str(a2))
-		kb := EncodeKey(Int(b1), Str(b2))
+		ka := encodeKey(Int(a1), Str(a2))
+		kb := encodeKey(Int(b1), Str(b2))
 		want := 0
 		switch {
 		case a1 < b1, a1 == b1 && a2 < b2:
@@ -124,7 +124,7 @@ func TestKeyEncodingOrderProperty(t *testing.T) {
 }
 
 func TestRowCodecRoundTrip(t *testing.T) {
-	row := Tuple{Int(-42), Str("Syn"), Float(2.5), Blob([]byte{9, 8, 7}), Bool(false)}
+	row := Tuple{Int(-42), Str("Syn"), Float(2.5), Blob([]byte{9, 8, 7}), boolValue(false)}
 	got, err := decodeRow(encodeRow(row))
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestTableCRUD(t *testing.T) {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	if err := tab.Insert(speciesRow(5, "dup", 0)); !errors.Is(err, ErrDuplicateKey) {
+	if err := tab.Insert(speciesRow(5, "dup", 0)); !errors.Is(err, errDuplicateKey) {
 		t.Fatalf("duplicate insert error = %v", err)
 	}
 	row, ok, err := tab.Get(Int(42))
@@ -209,7 +209,7 @@ func TestTableCRUD(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hits []string
-	err = tab.IndexScan("by_name", []Value{Str("sp042")}, func(stored Row) (bool, error) {
+	err = committed(t, db, "species").IndexScanCtx(context.Background(), "by_name", []Value{Str("sp042")}, func(stored Row) (bool, error) {
 		r := tup(t, stored)
 		hits = append(hits, r[1].Text())
 		return true, nil
@@ -220,7 +220,7 @@ func TestTableCRUD(t *testing.T) {
 	if len(hits) != 0 {
 		t.Fatalf("stale index entry: %v", hits)
 	}
-	err = tab.IndexScan("by_name", []Value{Str("renamed")}, func(stored Row) (bool, error) {
+	err = committed(t, db, "species").IndexScanCtx(context.Background(), "by_name", []Value{Str("renamed")}, func(stored Row) (bool, error) {
 		r := tup(t, stored)
 		hits = append(hits, r[1].Text())
 		return true, nil
@@ -236,7 +236,7 @@ func TestTableCRUD(t *testing.T) {
 		t.Fatal("row present after delete")
 	}
 	hits = nil
-	tab.IndexScan("by_name", []Value{Str("renamed")}, func(stored Row) (bool, error) {
+	committed(t, db, "species").IndexScanCtx(context.Background(), "by_name", []Value{Str("renamed")}, func(stored Row) (bool, error) {
 		r := tup(t, stored)
 		hits = append(hits, r[1].Text())
 		return true, nil
@@ -253,15 +253,15 @@ func TestTableRejectsBadRows(t *testing.T) {
 	db := OpenMemDB()
 	defer db.Close()
 	tab, _ := db.CreateTable(speciesSchema())
-	if err := tab.Insert(Tuple{Int(1)}); !errors.Is(err, ErrSchemaRow) {
+	if err := tab.Insert(Tuple{Int(1)}); !errors.Is(err, errSchemaRow) {
 		t.Fatalf("short row error = %v", err)
 	}
 	bad := speciesRow(1, "x", 0)
 	bad[1] = Int(9) // wrong type for name
-	if err := tab.Insert(bad); !errors.Is(err, ErrSchemaRow) {
+	if err := tab.Insert(bad); !errors.Is(err, errSchemaRow) {
 		t.Fatalf("wrong type error = %v", err)
 	}
-	if _, _, err := tab.Get(Str("1")); !errors.Is(err, ErrSchemaRow) {
+	if _, _, err := tab.Get(Str("1")); !errors.Is(err, errSchemaRow) {
 		t.Fatalf("wrong key type error = %v", err)
 	}
 }
@@ -273,7 +273,7 @@ func TestUniqueIndexEnforced(t *testing.T) {
 	if err := tab.Insert(speciesRow(1, "same", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(speciesRow(2, "same", 0)); !errors.Is(err, ErrDuplicateKey) {
+	if err := tab.Insert(speciesRow(2, "same", 0)); !errors.Is(err, errDuplicateKey) {
 		t.Fatalf("unique violation error = %v", err)
 	}
 	// Re-putting the same row under the same pk is allowed.
@@ -295,7 +295,7 @@ func TestScanOrderAndRange(t *testing.T) {
 	var ids []int64
 	tab.Scan(func(stored Row) (bool, error) {
 		r := tup(t, stored)
-		ids = append(ids, r[0].Int64())
+		ids = append(ids, r[0].i)
 		return true, nil
 	})
 	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
@@ -307,7 +307,7 @@ func TestScanOrderAndRange(t *testing.T) {
 	ids = nil
 	committed(t, db, "species").ScanRangeCtx(context.Background(), Int(10), Int(20), func(stored Row) (bool, error) {
 		r := tup(t, stored)
-		ids = append(ids, r[0].Int64())
+		ids = append(ids, r[0].i)
 		return true, nil
 	})
 	if len(ids) != 10 || ids[0] != 10 || ids[9] != 19 {
@@ -336,7 +336,7 @@ func TestIndexRangeByFloat(t *testing.T) {
 	var depths []float64
 	err := committed(t, db, "species").IndexRangeCtx(context.Background(), "by_depth", Float(5.0), Float(10.0), func(stored Row) (bool, error) {
 		r := tup(t, stored)
-		depths = append(depths, r[2].Float64())
+		depths = append(depths, r[2].f)
 		return true, nil
 	})
 	if err != nil {
@@ -379,7 +379,9 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	names, err := db.Tables()
+	sn := db.Snapshot()
+	defer sn.Close()
+	names, err := sn.Tables()
 	if err != nil || len(names) != 1 || names[0] != "species" {
 		t.Fatalf("Tables = %v, %v", names, err)
 	}
@@ -395,11 +397,11 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	var got []int64
 	err = view.IndexScanCtx(context.Background(), "by_name", []Value{Str("sp0123")}, func(stored Row) (bool, error) {
 		r := tup(t, stored)
-		got = append(got, r[0].Int64())
+		got = append(got, r[0].i)
 		return true, nil
 	})
 	if err != nil || len(got) != 1 || got[0] != 123 {
-		t.Fatalf("IndexScan after reopen: %v %v", got, err)
+		t.Fatalf("index scan after reopen: %v %v", got, err)
 	}
 }
 
@@ -409,7 +411,7 @@ func TestCreateDropTable(t *testing.T) {
 	if _, err := db.CreateTable(speciesSchema()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateTable(speciesSchema()); !errors.Is(err, ErrTableExists) {
+	if _, err := db.CreateTable(speciesSchema()); !errors.Is(err, errTableExists) {
 		t.Fatalf("duplicate create error = %v", err)
 	}
 	if err := db.DropTable("species"); err != nil {
@@ -431,7 +433,7 @@ func TestLargeBlobRows(t *testing.T) {
 	for i := range seq {
 		seq[i] = "ACGT"[i%4]
 	}
-	row := Tuple{Int(1), Str("big"), Float(0), Blob(seq), Bool(true)}
+	row := Tuple{Int(1), Str("big"), Float(0), Blob(seq), boolValue(true)}
 	if err := tab.Insert(row); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func snapTestSchema(name string) Schema {
 
 // TestSnapshotIsolatesFromMutations pins snapshot semantics at the
 // relational layer: a snapshot keeps serving the committed rows — via Get,
-// Scan and IndexScan — while the live table is overwritten, rows are
+// Scan and IndexScanCtx — while the live table is overwritten, rows are
 // deleted, and even after the whole table is dropped.
 func TestSnapshotIsolatesFromMutations(t *testing.T) {
 	db := OpenMemDB()
@@ -72,7 +72,7 @@ func TestSnapshotIsolatesFromMutations(t *testing.T) {
 	n := 0
 	err = view.ScanCtx(context.Background(), func(stored Row) (bool, error) {
 		row := tup(t, stored)
-		id := row[0].Int64()
+		id := row[0].i
 		got, ok, err := view.Get(Int(id))
 		if err != nil || !ok {
 			return false, fmt.Errorf("re-entrant Get(%d): ok=%v err=%v", id, ok, err)

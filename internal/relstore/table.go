@@ -21,7 +21,7 @@ type Schema struct {
 // Column is one typed column of a schema.
 type Column struct {
 	Name string     `json:"name"`
-	Type ColumnType `json:"type"`
+	Type columnType `json:"type"`
 }
 
 // Index declares a secondary index over one or more columns.
@@ -87,9 +87,9 @@ func (s *Schema) colIndex(name string) (int, bool) {
 
 // Table errors.
 var (
-	ErrDuplicateKey = errors.New("relstore: duplicate key")
-	ErrSchemaRow    = errors.New("relstore: row does not match schema")
-	ErrNoIndex      = errors.New("relstore: no such index")
+	errDuplicateKey = errors.New("relstore: duplicate key")
+	errSchemaRow    = errors.New("relstore: row does not match schema")
+	errNoIndex      = errors.New("relstore: no such index")
 )
 
 // Table is the writer's handle on a stored relation: a primary B+tree keyed
@@ -97,7 +97,7 @@ var (
 // secondary index whose keys are (indexed columns..., primary key) and whose
 // values are the encoded primary key. Its trees are the working trees of the
 // open transaction, so every method — the mutations and the reads a writer
-// decides by (Get, Scan, ScanRange, IndexScan) — holds the database mutex.
+// decides by (Get, Scan, ScanRange) — holds the database mutex.
 // Everything else reads a Snap's TableView.
 type Table struct {
 	view TableView
@@ -133,15 +133,7 @@ func (t *Table) ScanRange(lo, hi Value, fn func(Row) (bool, error)) error {
 	return t.view.ScanRangeCtx(context.Background(), lo, hi, fn)
 }
 
-// IndexScan visits the rows of the working state whose indexed columns equal
-// vals, in index order. fn runs under the database mutex, as in Scan.
-func (t *Table) IndexScan(index string, vals []Value, fn func(Row) (bool, error)) error {
-	t.db.mu.Lock()
-	defer t.db.mu.Unlock()
-	return t.view.IndexScanCtx(context.Background(), index, vals, fn)
-}
-
-// Insert adds a new row; it fails with ErrDuplicateKey if the primary key
+// Insert adds a new row; it fails with errDuplicateKey if the primary key
 // (or a unique index entry) already exists.
 func (t *Table) Insert(row Tuple) error {
 	if err := t.view.checkRow(row); err != nil {
@@ -158,7 +150,7 @@ func (t *Table) insertLocked(row Tuple) error {
 	if ok, err := v.primary.Has(pk); err != nil {
 		return err
 	} else if ok {
-		return fmt.Errorf("%w: %s in %s", ErrDuplicateKey, row[v.keyCol], v.schema.Name)
+		return fmt.Errorf("%w: %s in %s", errDuplicateKey, row[v.keyCol], v.schema.Name)
 	}
 	return t.write(pk, row, nil)
 }
@@ -209,7 +201,7 @@ func (t *Table) write(pk []byte, row, old Tuple) error {
 				}
 				if !bytes.Equal(existingPK, pk) {
 					c.Close()
-					return fmt.Errorf("%w: unique index %s.%s", ErrDuplicateKey, v.schema.Name, ix.Name)
+					return fmt.Errorf("%w: unique index %s.%s", errDuplicateKey, v.schema.Name, ix.Name)
 				}
 			}
 			c.Close()
@@ -252,9 +244,9 @@ func (t *Table) Delete(key Value) (bool, error) {
 			return false, err
 		}
 	} else if keyType := v.schema.Columns[v.keyCol].Type; key.Type != keyType {
-		return false, fmt.Errorf("%w: key wants %s, got %s", ErrSchemaRow, keyType, key.Type)
+		return false, fmt.Errorf("%w: key wants %s, got %s", errSchemaRow, keyType, key.Type)
 	}
-	if ok, err := v.primary.Delete(EncodeKey(key)); err != nil || !ok {
+	if ok, err := v.primary.Delete(encodeKey(key)); err != nil || !ok {
 		return false, err
 	}
 	for _, ix := range v.schema.Indexes {

@@ -12,19 +12,19 @@ import (
 	"math"
 )
 
-// ColumnType enumerates the value types a column can hold.
-type ColumnType int
+// columnType enumerates the value types a column can hold.
+type columnType int
 
 // Column types supported by the relational layer.
 const (
-	TInt ColumnType = iota + 1
+	TInt columnType = iota + 1
 	TFloat
 	TString
 	TBytes
 	TBool
 )
 
-func (t ColumnType) String() string {
+func (t columnType) String() string {
 	switch t {
 	case TInt:
 		return "int"
@@ -43,7 +43,7 @@ func (t ColumnType) String() string {
 // Value is a single typed cell. The zero Value is invalid; construct values
 // with Int, Float, Str, Blob or Bool.
 type Value struct {
-	Type ColumnType
+	Type columnType
 	i    int64
 	f    float64
 	s    string
@@ -62,28 +62,12 @@ func Str(v string) Value { return Value{Type: TString, s: v} }
 // Blob returns a byte-slice value. The slice is referenced, not copied.
 func Blob(v []byte) Value { return Value{Type: TBytes, b: v} }
 
-// Bool returns a boolean value.
-func Bool(v bool) Value {
+// boolValue returns a boolean value.
+func boolValue(v bool) Value {
 	if v {
 		return Value{Type: TBool, i: 1}
 	}
 	return Value{Type: TBool}
-}
-
-// Int64 returns the integer payload; it panics on other types.
-func (v Value) Int64() int64 {
-	if v.Type != TInt {
-		panic("relstore: Int64 on " + v.Type.String())
-	}
-	return v.i
-}
-
-// Float64 returns the float payload; it panics on other types.
-func (v Value) Float64() float64 {
-	if v.Type != TFloat {
-		panic("relstore: Float64 on " + v.Type.String())
-	}
-	return v.f
 }
 
 // Text returns the string payload; it panics on other types.
@@ -100,14 +84,6 @@ func (v Value) Bytes() []byte {
 		panic("relstore: Bytes on " + v.Type.String())
 	}
 	return v.b
-}
-
-// Truth returns the boolean payload; it panics on other types.
-func (v Value) Truth() bool {
-	if v.Type != TBool {
-		panic("relstore: Truth on " + v.Type.String())
-	}
-	return v.i != 0
 }
 
 func (v Value) String() string {
@@ -149,8 +125,8 @@ func (v Value) Equal(o Value) bool {
 // for a reader that wants every column as a Value.
 type Tuple []Value
 
-// ErrCorruptRow is returned when a stored row cannot be decoded.
-var ErrCorruptRow = errors.New("relstore: corrupt row encoding")
+// errCorruptRow is returned when a stored row cannot be decoded.
+var errCorruptRow = errors.New("relstore: corrupt row encoding")
 
 // Tuple type tags. They are chosen so encoded tuples of mixed types still
 // order deterministically (bool < int < float < bytes/string).
@@ -227,8 +203,8 @@ func appendEscaped[T string | []byte](dst []byte, raw T) []byte {
 	return append(dst, 0x00)
 }
 
-// EncodeKey encodes values as an order-preserving composite key.
-func EncodeKey(vals ...Value) []byte {
+// encodeKey encodes values as an order-preserving composite key.
+func encodeKey(vals ...Value) []byte {
 	var dst []byte
 	for _, v := range vals {
 		dst = appendTupleValue(dst, v)
@@ -239,23 +215,23 @@ func EncodeKey(vals ...Value) []byte {
 // decodeTupleValue decodes one value from buf, returning it and the rest.
 func decodeTupleValue(buf []byte) (Value, []byte, error) {
 	if len(buf) == 0 {
-		return Value{}, nil, ErrCorruptRow
+		return Value{}, nil, errCorruptRow
 	}
 	tag, buf := buf[0], buf[1:]
 	switch tag {
 	case tagFalse:
-		return Bool(false), buf, nil
+		return boolValue(false), buf, nil
 	case tagTrue:
-		return Bool(true), buf, nil
+		return boolValue(true), buf, nil
 	case tagInt:
 		if len(buf) < 8 {
-			return Value{}, nil, ErrCorruptRow
+			return Value{}, nil, errCorruptRow
 		}
 		u := binary.BigEndian.Uint64(buf) ^ (1 << 63)
 		return Int(int64(u)), buf[8:], nil
 	case tagFloat:
 		if len(buf) < 8 {
-			return Value{}, nil, ErrCorruptRow
+			return Value{}, nil, errCorruptRow
 		}
 		bits := binary.BigEndian.Uint64(buf)
 		if bits&(1<<63) != 0 {
@@ -274,7 +250,7 @@ func decodeTupleValue(buf []byte) (Value, []byte, error) {
 		}
 		return Blob(raw), rest, nil
 	}
-	return Value{}, nil, fmt.Errorf("%w: tuple tag %#x", ErrCorruptRow, tag)
+	return Value{}, nil, fmt.Errorf("%w: tuple tag %#x", errCorruptRow, tag)
 }
 
 func unescape(buf []byte) (raw, rest []byte, err error) {
@@ -290,11 +266,11 @@ func unescape(buf []byte) (raw, rest []byte, err error) {
 		}
 		return raw, buf[i+1:], nil
 	}
-	return nil, nil, fmt.Errorf("%w: unterminated string", ErrCorruptRow)
+	return nil, nil, fmt.Errorf("%w: unterminated string", errCorruptRow)
 }
 
-// DecodeKey decodes a composite key produced by EncodeKey.
-func DecodeKey(buf []byte) ([]Value, error) {
+// decodeKey decodes a composite key produced by encodeKey.
+func decodeKey(buf []byte) ([]Value, error) {
 	var out []Value
 	for len(buf) > 0 {
 		v, rest, err := decodeTupleValue(buf)
@@ -353,7 +329,7 @@ func rowFloat(v float64) (b [1 + binary.MaxVarintLen64]byte, n int) {
 	return b, 1 + binary.PutUvarint(b[1:], math.Float64bits(v))
 }
 
-func rowVarHead(typ ColumnType, size int) (b [1 + binary.MaxVarintLen64]byte, n int) {
+func rowVarHead(typ columnType, size int) (b [1 + binary.MaxVarintLen64]byte, n int) {
 	b[0] = byte(typ)
 	return b, 1 + binary.PutUvarint(b[1:], uint64(size))
 }
@@ -364,57 +340,57 @@ func rowVarHead(typ ColumnType, size int) (b [1 + binary.MaxVarintLen64]byte, n 
 func decodeRow(buf []byte) (Tuple, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
-		return nil, ErrCorruptRow
+		return nil, errCorruptRow
 	}
 	buf = buf[sz:]
 	dst := make(Tuple, 0, min(n, uint64(len(buf)))) // a column takes at least a byte
 	for i := uint64(0); i < n; i++ {
 		if len(buf) == 0 {
-			return nil, ErrCorruptRow
+			return nil, errCorruptRow
 		}
-		typ := ColumnType(buf[0])
+		typ := columnType(buf[0])
 		buf = buf[1:]
 		switch typ {
 		case TInt:
 			v, sz := binary.Varint(buf)
 			if sz <= 0 {
-				return nil, ErrCorruptRow
+				return nil, errCorruptRow
 			}
 			dst = append(dst, Int(v))
 			buf = buf[sz:]
 		case TFloat:
 			bits, sz := binary.Uvarint(buf)
 			if sz <= 0 {
-				return nil, ErrCorruptRow
+				return nil, errCorruptRow
 			}
 			dst = append(dst, Float(math.Float64frombits(bits)))
 			buf = buf[sz:]
 		case TString:
 			l, sz := binary.Uvarint(buf)
 			if sz <= 0 || uint64(len(buf[sz:])) < l {
-				return nil, ErrCorruptRow
+				return nil, errCorruptRow
 			}
 			dst = append(dst, Str(string(buf[sz:sz+int(l)])))
 			buf = buf[sz+int(l):]
 		case TBytes:
 			l, sz := binary.Uvarint(buf)
 			if sz <= 0 || uint64(len(buf[sz:])) < l {
-				return nil, ErrCorruptRow
+				return nil, errCorruptRow
 			}
 			dst = append(dst, Blob(append([]byte(nil), buf[sz:sz+int(l)]...)))
 			buf = buf[sz+int(l):]
 		case TBool:
 			if len(buf) < 1 {
-				return nil, ErrCorruptRow
+				return nil, errCorruptRow
 			}
-			dst = append(dst, Bool(buf[0] != 0))
+			dst = append(dst, boolValue(buf[0] != 0))
 			buf = buf[1:]
 		default:
-			return nil, fmt.Errorf("%w: column type %d", ErrCorruptRow, typ)
+			return nil, fmt.Errorf("%w: column type %d", errCorruptRow, typ)
 		}
 	}
 	if len(buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptRow, len(buf))
+		return nil, fmt.Errorf("%w: %d trailing bytes", errCorruptRow, len(buf))
 	}
 	return dst, nil
 }
@@ -432,33 +408,33 @@ type Row struct{ enc []byte }
 func (r Row) Tuple() (Tuple, error) { return decodeRow(r.enc) }
 
 // Cols returns a cursor on the row's first column.
-func (r Row) Cols() Cols {
+func (r Row) Cols() colCursor {
 	n, sz := binary.Uvarint(r.enc)
 	if sz <= 0 {
-		return Cols{err: ErrCorruptRow}
+		return colCursor{err: errCorruptRow}
 	}
-	return Cols{buf: r.enc[sz:], left: n}
+	return colCursor{buf: r.enc[sz:], left: n}
 }
 
-// Cols reads the columns of a Row in schema order, in place — the read-side
+// colCursor reads the columns of a Row in schema order, in place — the read-side
 // twin of RowWriter: each call takes the next column, which must hold the
 // type asked for, Skip steps over unwanted ones by their lengths, the columns
 // after the last one read are not looked at and no Value is built. Errors
 // stick: once a column is missing, malformed or of another type, every later
-// call returns the zero value and Err reports ErrCorruptRow — read, then check
+// call returns the zero value and Err reports errCorruptRow — read, then check
 // Err once. The bytes come straight out of a page: nothing here trusts them
 // (FuzzRowDecode).
-type Cols struct {
+type colCursor struct {
 	buf  []byte // the columns not yet read
 	left uint64 // how many the row's header says those are
 	err  error
 }
 
 // Err reports the first failure of the reads so far.
-func (c *Cols) Err() error { return c.err }
+func (c *colCursor) Err() error { return c.err }
 
 // fail keeps the first failure and leaves no column for later reads to find.
-func (c *Cols) fail(err error) {
+func (c *colCursor) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
@@ -466,13 +442,13 @@ func (c *Cols) fail(err error) {
 }
 
 // open consumes the type byte of the next column, which must be want.
-func (c *Cols) open(want ColumnType) bool {
+func (c *colCursor) open(want columnType) bool {
 	if c.left == 0 || len(c.buf) == 0 {
-		c.fail(ErrCorruptRow)
+		c.fail(errCorruptRow)
 		return false
 	}
-	if typ := ColumnType(c.buf[0]); typ != want {
-		c.fail(fmt.Errorf("%w: column is %s, not %s", ErrCorruptRow, typ, want))
+	if typ := columnType(c.buf[0]); typ != want {
+		c.fail(fmt.Errorf("%w: column is %s, not %s", errCorruptRow, typ, want))
 		return false
 	}
 	c.left--
@@ -481,13 +457,13 @@ func (c *Cols) open(want ColumnType) bool {
 }
 
 // Int reads the next column, an integer.
-func (c *Cols) Int() int64 {
+func (c *colCursor) Int() int64 {
 	if !c.open(TInt) {
 		return 0
 	}
 	v, sz := binary.Varint(c.buf)
 	if sz <= 0 {
-		c.fail(ErrCorruptRow)
+		c.fail(errCorruptRow)
 		return 0
 	}
 	c.buf = c.buf[sz:]
@@ -495,13 +471,13 @@ func (c *Cols) Int() int64 {
 }
 
 // Float reads the next column, a float.
-func (c *Cols) Float() float64 {
+func (c *colCursor) Float() float64 {
 	if !c.open(TFloat) {
 		return 0
 	}
 	bits, sz := binary.Uvarint(c.buf)
 	if sz <= 0 {
-		c.fail(ErrCorruptRow)
+		c.fail(errCorruptRow)
 		return 0
 	}
 	c.buf = c.buf[sz:]
@@ -509,9 +485,9 @@ func (c *Cols) Float() float64 {
 }
 
 // Bool reads the next column, a boolean.
-func (c *Cols) Bool() bool {
+func (c *colCursor) Bool() bool {
 	if !c.open(TBool) || len(c.buf) == 0 {
-		c.fail(ErrCorruptRow) // keeps open's error, if that is what failed
+		c.fail(errCorruptRow) // keeps open's error, if that is what failed
 		return false
 	}
 	v := c.buf[0] != 0
@@ -520,13 +496,13 @@ func (c *Cols) Bool() bool {
 }
 
 // Str reads the next column, a string, as the row's own bytes (the page's).
-func (c *Cols) Str() []byte {
+func (c *colCursor) Str() []byte {
 	if !c.open(TString) {
 		return nil
 	}
 	l, sz := binary.Uvarint(c.buf)
 	if sz <= 0 || uint64(len(c.buf[sz:])) < l {
-		c.fail(ErrCorruptRow)
+		c.fail(errCorruptRow)
 		return nil
 	}
 	s := c.buf[sz : sz+int(l) : sz+int(l)]
@@ -535,14 +511,14 @@ func (c *Cols) Str() []byte {
 }
 
 // Skip steps over the next n columns: one flat loop, most of a cell read's cost.
-func (c *Cols) Skip(n int) {
+func (c *colCursor) Skip(n int) {
 	buf, left := c.buf, c.left
 	for ; n > 0; n-- {
 		if left == 0 || len(buf) == 0 {
-			c.fail(ErrCorruptRow)
+			c.fail(errCorruptRow)
 			return
 		}
-		typ := ColumnType(buf[0])
+		typ := columnType(buf[0])
 		buf = buf[1:]
 		left--
 		sz := 0 // of the payload: at least a byte, whatever the type
@@ -556,11 +532,11 @@ func (c *Cols) Skip(n int) {
 		case TBool:
 			sz = min(len(buf), 1)
 		default:
-			c.fail(fmt.Errorf("%w: column type %d", ErrCorruptRow, typ))
+			c.fail(fmt.Errorf("%w: column type %d", errCorruptRow, typ))
 			return
 		}
 		if sz <= 0 {
-			c.fail(ErrCorruptRow)
+			c.fail(errCorruptRow)
 			return
 		}
 		buf = buf[sz:]

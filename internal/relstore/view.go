@@ -43,18 +43,18 @@ func (v *TableView) Name() string { return v.schema.Name }
 
 func (v *TableView) checkRow(row Tuple) error {
 	if len(row) != len(v.schema.Columns) {
-		return fmt.Errorf("%w: %d values for %d columns", ErrSchemaRow, len(row), len(v.schema.Columns))
+		return fmt.Errorf("%w: %d values for %d columns", errSchemaRow, len(row), len(v.schema.Columns))
 	}
 	for i, val := range row {
 		if val.Type != v.schema.Columns[i].Type {
 			return fmt.Errorf("%w: column %s wants %s, got %s",
-				ErrSchemaRow, v.schema.Columns[i].Name, v.schema.Columns[i].Type, val.Type)
+				errSchemaRow, v.schema.Columns[i].Name, v.schema.Columns[i].Type, val.Type)
 		}
 	}
 	return nil
 }
 
-func (v *TableView) primaryKey(row Tuple) []byte { return EncodeKey(row[v.keyCol]) }
+func (v *TableView) primaryKey(row Tuple) []byte { return encodeKey(row[v.keyCol]) }
 
 func (v *TableView) indexKey(ix Index, row Tuple) []byte {
 	vals := make([]Value, 0, len(ix.Columns)+1)
@@ -63,7 +63,7 @@ func (v *TableView) indexKey(ix Index, row Tuple) []byte {
 		vals = append(vals, row[ci])
 	}
 	vals = append(vals, row[v.keyCol])
-	return EncodeKey(vals...)
+	return encodeKey(vals...)
 }
 
 // indexPrefix encodes just the indexed column values, for prefix scans.
@@ -76,7 +76,7 @@ func (v *TableView) indexPrefix(ix Index, vals []Value) ([]byte, error) {
 		ci, _ := v.schema.colIndex(ix.Columns[i])
 		if val.Type != v.schema.Columns[ci].Type {
 			return nil, fmt.Errorf("%w: index %s column %s wants %s, got %s",
-				ErrSchemaRow, ix.Name, ix.Columns[i], v.schema.Columns[ci].Type, val.Type)
+				errSchemaRow, ix.Name, ix.Columns[i], v.schema.Columns[ci].Type, val.Type)
 		}
 		key = appendTupleValue(key, val)
 	}
@@ -98,7 +98,7 @@ func (v *TableView) findIndex(name string) (Index, *storage.BTree, error) {
 			return ix, v.indexes[name], nil
 		}
 	}
-	return Index{}, nil, fmt.Errorf("%w: %s.%s", ErrNoIndex, v.schema.Name, name)
+	return Index{}, nil, fmt.Errorf("%w: %s.%s", errNoIndex, v.schema.Name, name)
 }
 
 // Get fetches the row with the given primary key value.
@@ -111,9 +111,9 @@ func (v *TableView) Get(key Value) (Row, bool, error) {
 func (v *TableView) GetCtx(ctx context.Context, key Value) (Row, bool, error) {
 	if key.Type != v.schema.Columns[v.keyCol].Type {
 		return Row{}, false, fmt.Errorf("%w: key wants %s, got %s",
-			ErrSchemaRow, v.schema.Columns[v.keyCol].Type, key.Type)
+			errSchemaRow, v.schema.Columns[v.keyCol].Type, key.Type)
 	}
-	enc, ok, err := v.primary.GetCtx(ctx, EncodeKey(key))
+	enc, ok, err := v.primary.GetCtx(ctx, encodeKey(key))
 	return Row{enc}, ok, err
 }
 
@@ -127,9 +127,9 @@ func (v *TableView) GetBatchCtx(ctx context.Context, keys []Value) ([]Row, []boo
 	for i, key := range keys {
 		if key.Type != keyType {
 			return nil, nil, fmt.Errorf("%w: key wants %s, got %s",
-				ErrSchemaRow, keyType, key.Type)
+				errSchemaRow, keyType, key.Type)
 		}
-		enc[i] = EncodeKey(key)
+		enc[i] = encodeKey(key)
 	}
 	vals, found, err := v.primary.GetBatch(ctx, enc)
 	if err != nil {
@@ -160,11 +160,11 @@ func (v *TableView) ScanCtx(ctx context.Context, fn func(Row) (bool, error)) err
 func (v *TableView) ScanRangeCtx(ctx context.Context, lo, hi Value, fn func(Row) (bool, error)) error {
 	var start []byte
 	if lo.Type != 0 {
-		start = EncodeKey(lo)
+		start = encodeKey(lo)
 	}
 	var hiKey []byte
 	if hi.Type != 0 {
-		hiKey = EncodeKey(hi)
+		hiKey = encodeKey(hi)
 	}
 	return v.primary.Scan(ctx, start, func(key, enc []byte) (bool, error) {
 		if hiKey != nil && bytes.Compare(key, hiKey) >= 0 {

@@ -74,7 +74,6 @@ type ShardStatus struct {
 type Follower struct {
 	primary string
 	hc      *http.Client
-	dir     string
 	stores  []*storage.Store
 	shards  []*followerShard
 
@@ -151,7 +150,7 @@ func OpenFollower(dir, baseURL string, hc *http.Client) (*Follower, error) {
 		return nil, err
 	}
 
-	f := &Follower{primary: primary, hc: hc, dir: dir, allSynced: make(chan struct{})}
+	f := &Follower{primary: primary, hc: hc, allSynced: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		if err := os.MkdirAll(shard.Dir(dir, i), 0o777); err != nil {
 			f.closeStores()
@@ -200,12 +199,6 @@ func (f *Follower) closeStores() {
 
 // Stores returns the per-shard replica stores, in shard order.
 func (f *Follower) Stores() []*storage.Store { return f.stores }
-
-// Dir returns the local replica directory.
-func (f *Follower) Dir() string { return f.dir }
-
-// Primary returns the primary's base URL.
-func (f *Follower) Primary() string { return f.primary }
 
 // Start launches one streaming apply loop per shard. The loops stop when
 // ctx ends or Stop/Promote is called.
@@ -301,18 +294,18 @@ func (f *Follower) streamOnce(ctx context.Context, i int) error {
 		}
 		sh.lastContact.Store(time.Now().UnixNano())
 		switch frame.Kind {
-		case KindHello:
+		case kindHello:
 			sh.notePrimaryEpoch(frame.Epoch)
 			if frame.Snapshot {
 				inSnap = true
 				snapPages = make([]storage.DirtyPage, 0, frame.PageTotal)
 			}
-		case KindPages:
+		case kindPages:
 			if !inSnap {
 				return fmt.Errorf("repl: pages frame outside snapshot")
 			}
 			snapPages = append(snapPages, pages...)
-		case KindSnapEnd:
+		case kindSnapEnd:
 			if !inSnap {
 				return fmt.Errorf("repl: snapend frame outside snapshot")
 			}
@@ -334,7 +327,7 @@ func (f *Follower) streamOnce(ctx context.Context, i int) error {
 			obs.Engine.Add(obs.CtrReplPagesApplied, int64(len(all)))
 			sh.notePrimaryEpoch(frame.Epoch)
 			sh.healthy()
-		case KindBatch:
+		case kindBatch:
 			if frame.Epoch <= st.PublishedEpoch() {
 				// Reconnect overlap: the batch is already applied.
 				continue
@@ -353,7 +346,7 @@ func (f *Follower) streamOnce(ctx context.Context, i int) error {
 			obs.Engine.Add(obs.CtrReplPagesApplied, int64(len(pages)))
 			sh.notePrimaryEpoch(frame.Epoch)
 			sh.healthy()
-		case KindPing:
+		case kindPing:
 			sh.notePrimaryEpoch(frame.Epoch)
 			if st.PublishedEpoch() >= frame.Epoch {
 				sh.healthy()
@@ -450,8 +443,8 @@ func (f *Follower) Promote() error {
 	return errors.Join(errs...)
 }
 
-// Promoted reports whether Promote has run.
-func (f *Follower) Promoted() bool {
+// isPromoted reports whether Promote has run.
+func (f *Follower) isPromoted() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.promoted
@@ -461,7 +454,7 @@ func (f *Follower) Promoted() bool {
 // /v1/stats on a follower.
 func (f *Follower) Status() StatusResponse {
 	out := StatusResponse{Role: "follower"}
-	if f.Promoted() {
+	if f.isPromoted() {
 		out.Role = "primary"
 	}
 	now := time.Now().UnixNano()

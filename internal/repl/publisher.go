@@ -168,8 +168,8 @@ func (p *Publisher) ringFrom(next uint64) ([]storage.ReplBatch, bool) {
 	return append([]storage.ReplBatch(nil), p.ring[i:]...), true
 }
 
-// PublisherStatus is one publisher's /v1/repl/status entry.
-type PublisherStatus struct {
+// publisherStatus is one publisher's /v1/repl/status entry.
+type publisherStatus struct {
 	Epoch       uint64 `json:"epoch"`
 	Subscribers int    `json:"subscribers"`
 	WALFirst    uint64 `json:"wal_first_epoch"`
@@ -177,9 +177,9 @@ type PublisherStatus struct {
 }
 
 // Status reports the publisher's shipping state.
-func (p *Publisher) Status() PublisherStatus {
+func (p *Publisher) Status() publisherStatus {
 	first, last := p.store.WALEpochRange()
-	return PublisherStatus{
+	return publisherStatus{
 		Epoch:       p.store.PublishedEpoch(),
 		Subscribers: p.Subscribers(),
 		WALFirst:    first,
@@ -208,7 +208,7 @@ func (p *Publisher) ServeStream(ctx context.Context, w http.ResponseWriter, from
 		}
 	}
 
-	if err := fw.writeFrame(Frame{Kind: KindHello, Epoch: p.store.PublishedEpoch()}, nil); err != nil {
+	if err := fw.writeFrame(frame{Kind: kindHello, Epoch: p.store.PublishedEpoch()}, nil); err != nil {
 		return err
 	}
 	flush()
@@ -218,7 +218,7 @@ func (p *Publisher) ServeStream(ctx context.Context, w http.ResponseWriter, from
 	}
 	// The first ping is the caught-up signal: the follower marks itself
 	// synced when its applied epoch reaches a ping's epoch.
-	if err := fw.writeFrame(Frame{Kind: KindPing, Epoch: p.store.PublishedEpoch()}, nil); err != nil {
+	if err := fw.writeFrame(frame{Kind: kindPing, Epoch: p.store.PublishedEpoch()}, nil); err != nil {
 		return err
 	}
 	flush()
@@ -234,7 +234,7 @@ func (p *Publisher) ServeStream(ctx context.Context, w http.ResponseWriter, from
 				return err
 			}
 		case <-ticker.C:
-			if err := fw.writeFrame(Frame{Kind: KindPing, Epoch: p.store.PublishedEpoch()}, nil); err != nil {
+			if err := fw.writeFrame(frame{Kind: kindPing, Epoch: p.store.PublishedEpoch()}, nil); err != nil {
 				return err
 			}
 			flush()
@@ -320,7 +320,7 @@ func (p *Publisher) shipFromWAL(ctx context.Context, fw *frameWriter, sub *subsc
 
 // shipBatch writes one commit batch frame and advances the cursor.
 func (p *Publisher) shipBatch(fw *frameWriter, sub *subscriber, flush func(), epoch, horizon uint64, pages []storage.DirtyPage) error {
-	if err := fw.writeFrame(Frame{Kind: KindBatch, Epoch: epoch, Horizon: horizon}, pages); err != nil {
+	if err := fw.writeFrame(frame{Kind: kindBatch, Epoch: epoch, Horizon: horizon}, pages); err != nil {
 		return err
 	}
 	flush()
@@ -349,7 +349,7 @@ func (p *Publisher) sendSnapshot(ctx context.Context, fw *frameWriter, sub *subs
 		roots[i] = sn.Root(i)
 	}
 
-	if err := fw.writeFrame(Frame{Kind: KindHello, Snapshot: true, Epoch: epoch, PageTotal: uint64(count)}, nil); err != nil {
+	if err := fw.writeFrame(frame{Kind: kindHello, Snapshot: true, Epoch: epoch, PageTotal: uint64(count)}, nil); err != nil {
 		return err
 	}
 	flush()
@@ -360,7 +360,7 @@ func (p *Publisher) sendSnapshot(ctx context.Context, fw *frameWriter, sub *subs
 		if len(chunk) == 0 {
 			return nil
 		}
-		if err := fw.writeFrame(Frame{Kind: KindPages}, chunk); err != nil {
+		if err := fw.writeFrame(frame{Kind: kindPages}, chunk); err != nil {
 			return err
 		}
 		flush()
@@ -387,7 +387,7 @@ func (p *Publisher) sendSnapshot(ctx context.Context, fw *frameWriter, sub *subs
 	if err := ship(); err != nil {
 		return err
 	}
-	if err := fw.writeFrame(Frame{Kind: KindSnapEnd, Epoch: epoch, Roots: rootsToWire(roots)}, nil); err != nil {
+	if err := fw.writeFrame(frame{Kind: kindSnapEnd, Epoch: epoch, Roots: rootsToWire(roots)}, nil); err != nil {
 		return err
 	}
 	flush()

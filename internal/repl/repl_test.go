@@ -33,14 +33,14 @@ func TestWireRoundTrip(t *testing.T) {
 		return storage.DirtyPage{ID: id, Data: d}
 	}
 	frames := []struct {
-		f     Frame
+		f     frame
 		pages []storage.DirtyPage
 	}{
-		{Frame{Kind: KindHello, Epoch: 7, Snapshot: true, PageTotal: 123}, nil},
-		{Frame{Kind: KindPages}, []storage.DirtyPage{mkPage(1, 0xAA), mkPage(9, 0x55)}},
-		{Frame{Kind: KindSnapEnd, Epoch: 7, Roots: rootsToWire(roots)}, nil},
-		{Frame{Kind: KindBatch, Epoch: 8, Horizon: 3}, []storage.DirtyPage{mkPage(0, 0x01)}},
-		{Frame{Kind: KindPing, Epoch: 8}, nil},
+		{frame{Kind: kindHello, Epoch: 7, Snapshot: true, PageTotal: 123}, nil},
+		{frame{Kind: kindPages}, []storage.DirtyPage{mkPage(1, 0xAA), mkPage(9, 0x55)}},
+		{frame{Kind: kindSnapEnd, Epoch: 7, Roots: rootsToWire(roots)}, nil},
+		{frame{Kind: kindBatch, Epoch: 8, Horizon: 3}, []storage.DirtyPage{mkPage(0, 0x01)}},
+		{frame{Kind: kindPing, Epoch: 8}, nil},
 	}
 
 	var buf bytes.Buffer
@@ -290,7 +290,7 @@ func TestFollowerPromote(t *testing.T) {
 	if err := fl.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	if !fl.Promoted() {
+	if !fl.isPromoted() {
 		t.Fatal("Promoted() false after Promote")
 	}
 	if st.IsReplica() {

@@ -39,11 +39,11 @@ import (
 
 // Frame kinds (the Kind field of a frame header).
 const (
-	KindHello   = "hello"
-	KindPages   = "pages"
-	KindSnapEnd = "snapend"
-	KindBatch   = "batch"
-	KindPing    = "ping"
+	kindHello   = "hello"
+	kindPages   = "pages"
+	kindSnapEnd = "snapend"
+	kindBatch   = "batch"
+	kindPing    = "ping"
 )
 
 // Bounds against corrupt or hostile frames. maxFramePages caps what a header
@@ -57,10 +57,10 @@ const (
 	firstSlabPages = 16
 )
 
-// Frame is one stream frame's JSON header. Which fields are meaningful
+// frame is one stream frame's JSON header. Which fields are meaningful
 // depends on Kind; N is the number of page entries in the binary payload
 // that follows the header line.
-type Frame struct {
+type frame struct {
 	Kind      string   `json:"kind"`
 	Epoch     uint64   `json:"epoch,omitempty"`
 	Horizon   uint64   `json:"horizon,omitempty"`
@@ -102,7 +102,7 @@ func newFrameWriter(w io.Writer) *frameWriter {
 // payload. f.N is forced to len(pages) so headers can't lie about their
 // payload. The underlying writer sees the whole frame (bufio flush), but
 // HTTP-level flushing is the caller's business.
-func (fw *frameWriter) writeFrame(f Frame, pages []storage.DirtyPage) error {
+func (fw *frameWriter) writeFrame(f frame, pages []storage.DirtyPage) error {
 	f.N = len(pages)
 	hdr, err := json.Marshal(f)
 	if err != nil {
@@ -143,20 +143,20 @@ func newFrameReader(r io.Reader) *frameReader {
 // page images are private copies, cut from slabs that double in size as the
 // payload keeps coming: a frame costs at most twice the bytes it delivered,
 // whatever its header claimed.
-func (fr *frameReader) readFrame() (Frame, []storage.DirtyPage, error) {
+func (fr *frameReader) readFrame() (frame, []storage.DirtyPage, error) {
 	line, err := fr.br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		return Frame{}, nil, fmt.Errorf("repl: frame header longer than %d bytes", maxFrameHeader)
+		return frame{}, nil, fmt.Errorf("repl: frame header longer than %d bytes", maxFrameHeader)
 	}
 	if err != nil {
-		return Frame{}, nil, err
+		return frame{}, nil, err
 	}
-	var f Frame
+	var f frame
 	if err := json.Unmarshal(line, &f); err != nil {
-		return Frame{}, nil, fmt.Errorf("repl: bad frame header: %w", err)
+		return frame{}, nil, fmt.Errorf("repl: bad frame header: %w", err)
 	}
 	if f.N < 0 || f.N > maxFramePages {
-		return Frame{}, nil, fmt.Errorf("repl: frame page count %d out of range", f.N)
+		return frame{}, nil, fmt.Errorf("repl: frame page count %d out of range", f.N)
 	}
 	if f.N == 0 {
 		return f, nil, nil
@@ -167,7 +167,7 @@ func (fr *frameReader) readFrame() (Frame, []storage.DirtyPage, error) {
 	var idb [8]byte
 	for i := 0; i < f.N; i++ {
 		if _, err := io.ReadFull(fr.br, idb[:]); err != nil {
-			return Frame{}, nil, fmt.Errorf("repl: truncated frame payload: %w", err)
+			return frame{}, nil, fmt.Errorf("repl: truncated frame payload: %w", err)
 		}
 		if len(slab) == 0 {
 			slab = make([]byte, min(f.N-i, slabPages)*storage.PageSize)
@@ -176,7 +176,7 @@ func (fr *frameReader) readFrame() (Frame, []storage.DirtyPage, error) {
 		dst := slab[:storage.PageSize:storage.PageSize]
 		slab = slab[storage.PageSize:]
 		if _, err := io.ReadFull(fr.br, dst); err != nil {
-			return Frame{}, nil, fmt.Errorf("repl: truncated page image: %w", err)
+			return frame{}, nil, fmt.Errorf("repl: truncated page image: %w", err)
 		}
 		pages = append(pages, storage.DirtyPage{ID: storage.PageID(binary.LittleEndian.Uint64(idb[:])), Data: dst})
 	}

@@ -29,7 +29,7 @@ func testPages(n int) []storage.DirtyPage {
 	return pages
 }
 
-func encodeFrame(t testing.TB, f Frame, pages []storage.DirtyPage) []byte {
+func encodeFrame(t testing.TB, f frame, pages []storage.DirtyPage) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := newFrameWriter(&buf).writeFrame(f, pages); err != nil {
@@ -45,7 +45,7 @@ func encodeFrame(t testing.TB, f Frame, pages []storage.DirtyPage) []byte {
 // frame of many pages, its slabs doubling, still reads back exactly.
 func TestReadFrameTakesMemoryAsPagesArrive(t *testing.T) {
 	hostile := []byte(`{"kind":"batch","n":1048576}` + "\n")
-	payload := encodeFrame(t, Frame{Kind: KindBatch}, testPages(3))
+	payload := encodeFrame(t, frame{Kind: kindBatch}, testPages(3))
 	payload = payload[bytes.IndexByte(payload, '\n')+1:]
 	for name, input := range map[string][]byte{
 		"header alone":         hostile,
@@ -71,7 +71,7 @@ func TestReadFrameTakesMemoryAsPagesArrive(t *testing.T) {
 	}
 
 	want := testPages(5*firstSlabPages + 3) // slabs of 16, 32 and the 35 left
-	f, got, err := newFrameReader(bytes.NewReader(encodeFrame(t, Frame{Kind: KindPages}, want))).readFrame()
+	f, got, err := newFrameReader(bytes.NewReader(encodeFrame(t, frame{Kind: kindPages}, want))).readFrame()
 	if err != nil || f.N != len(want) || len(got) != len(want) {
 		t.Fatalf("frame of %d pages: n=%d, %d pages, %v", len(want), f.N, len(got), err)
 	}
@@ -88,16 +88,16 @@ func TestReadFrameTakesMemoryAsPagesArrive(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	var roots [storage.NumRoots]storage.PageID
 	roots[0] = 42
-	f.Add(encodeFrame(f, Frame{Kind: KindHello, Epoch: 7, Snapshot: true, PageTotal: 123}, nil))
-	f.Add(encodeFrame(f, Frame{Kind: KindSnapEnd, Epoch: 7, Roots: rootsToWire(roots)}, nil))
-	f.Add(encodeFrame(f, Frame{Kind: KindBatch, Epoch: 8, Horizon: 3}, testPages(2)))
+	f.Add(encodeFrame(f, frame{Kind: kindHello, Epoch: 7, Snapshot: true, PageTotal: 123}, nil))
+	f.Add(encodeFrame(f, frame{Kind: kindSnapEnd, Epoch: 7, Roots: rootsToWire(roots)}, nil))
+	f.Add(encodeFrame(f, frame{Kind: kindBatch, Epoch: 8, Horizon: 3}, testPages(2)))
 	f.Add([]byte(`{"kind":"batch","n":1048576}` + "\n"))
 	f.Add([]byte(`{"kind":"pages","n":-1}` + "\n"))
 	f.Add([]byte(`{"kind":"ping","roots":[]}` + "\n"))
 	f.Add(bytes.Repeat([]byte("x"), maxFrameHeader+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
-			fr    Frame
+			fr    frame
 			pages []storage.DirtyPage
 			err   error
 		)

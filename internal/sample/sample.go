@@ -92,7 +92,7 @@ func Draw[T any](groups [][]T, k int, r *rand.Rand) []T {
 }
 
 // Frontier returns the maximal nodes whose total weight from the root
-// exceeds the given evolutionary time: every node n with RootDistance(n) >
+// exceeds the given evolutionary time: every node n whose root distance is >
 // time whose parent's distance is <= time. This is the node set the
 // paper's walkthrough computes (for time 1 on Figure 1 it is {Bha, y, Syn,
 // Bsu}, y being the parent of Lla and Spy).
@@ -131,28 +131,6 @@ func WithRespectToTime(t *phylo.Tree, time float64, k int, r *rand.Rand) ([]*phy
 		return nil, fmt.Errorf("%w: %d leaves past time %g < %d", ErrTooFew, total, time, k)
 	}
 	return Draw(groups, k, r), nil
-}
-
-// FromNames resolves an explicit user selection (the paper's "user input"
-// selection method), failing on unknown names and rejecting duplicates.
-func FromNames(t *phylo.Tree, names []string) ([]*phylo.Node, error) {
-	if len(names) == 0 {
-		return nil, ErrBadCount
-	}
-	seen := make(map[string]bool, len(names))
-	out := make([]*phylo.Node, 0, len(names))
-	for _, name := range names {
-		if seen[name] {
-			return nil, fmt.Errorf("sample: duplicate name %q", name)
-		}
-		seen[name] = true
-		n := t.NodeByName(name)
-		if n == nil {
-			return nil, fmt.Errorf("sample: no species named %q", name)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // Names returns the sorted names of the sampled nodes — convenient for

@@ -225,26 +225,6 @@ func TestTimeSamplingInvariantProperty(t *testing.T) {
 	}
 }
 
-func TestFromNames(t *testing.T) {
-	tr := phylo.PaperFigure1()
-	got, err := FromNames(tr, []string{"Bha", "Syn"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatal("wrong count")
-	}
-	if _, err := FromNames(tr, []string{"Bha", "Bha"}); err == nil {
-		t.Fatal("duplicate accepted")
-	}
-	if _, err := FromNames(tr, []string{"Nope"}); err == nil {
-		t.Fatal("unknown accepted")
-	}
-	if _, err := FromNames(tr, nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-}
-
 func contains(xs []string, want string) bool {
 	i := sort.SearchStrings(xs, want)
 	return i < len(xs) && xs[i] == want

@@ -17,8 +17,8 @@ import (
 	"repro/internal/phylo"
 )
 
-// Bases are indexed A=0, C=1, G=2, T=3 throughout.
-var Bases = [4]byte{'A', 'C', 'G', 'T'}
+// bases are indexed A=0, C=1, G=2, T=3 throughout.
+var bases = [4]byte{'A', 'C', 'G', 'T'}
 
 // BaseIndex maps a nucleotide letter to its index, or -1.
 func BaseIndex(b byte) int {
@@ -38,10 +38,10 @@ func BaseIndex(b byte) int {
 // Model yields the 4x4 transition probability matrix P(t) for a branch of
 // length t (expected substitutions per site).
 type Model interface {
-	// Probabilities returns P where P[i][j] = Pr(j at child | i at parent).
-	Probabilities(t float64) [4][4]float64
-	// Freqs returns the equilibrium base frequencies.
-	Freqs() [4]float64
+	// probabilities returns P where P[i][j] = Pr(j at child | i at parent).
+	probabilities(t float64) [4][4]float64
+	// freqs returns the equilibrium base frequencies.
+	freqs() [4]float64
 	// Name identifies the model in reports.
 	Name() string
 }
@@ -52,12 +52,12 @@ type JC69 struct{}
 // Name implements Model.
 func (JC69) Name() string { return "JC69" }
 
-// Freqs implements Model.
-func (JC69) Freqs() [4]float64 { return [4]float64{0.25, 0.25, 0.25, 0.25} }
+// freqs implements Model.
+func (JC69) freqs() [4]float64 { return [4]float64{0.25, 0.25, 0.25, 0.25} }
 
-// Probabilities implements Model with the closed form
+// probabilities implements Model with the closed form
 // P(same) = 1/4 + 3/4·e^(−4t/3), P(diff) = 1/4 − 1/4·e^(−4t/3).
-func (JC69) Probabilities(t float64) [4][4]float64 {
+func (JC69) probabilities(t float64) [4][4]float64 {
 	e := math.Exp(-4.0 * t / 3.0)
 	same := 0.25 + 0.75*e
 	diff := 0.25 - 0.25*e
@@ -83,13 +83,13 @@ type K2P struct {
 // Name implements Model.
 func (m K2P) Name() string { return fmt.Sprintf("K2P(kappa=%g)", m.Kappa) }
 
-// Freqs implements Model.
-func (K2P) Freqs() [4]float64 { return [4]float64{0.25, 0.25, 0.25, 0.25} }
+// freqs implements Model.
+func (K2P) freqs() [4]float64 { return [4]float64{0.25, 0.25, 0.25, 0.25} }
 
-// Probabilities implements Model. With rates normalized so t is the
+// probabilities implements Model. With rates normalized so t is the
 // expected number of substitutions per site: alpha/beta = kappa and
 // alpha + 2beta = 1.
-func (m K2P) Probabilities(t float64) [4][4]float64 {
+func (m K2P) probabilities(t float64) [4][4]float64 {
 	k := m.Kappa
 	beta := 1.0 / (k + 2.0)
 	alpha := k * beta
@@ -130,11 +130,11 @@ type HKY85 struct {
 // Name implements Model.
 func (m HKY85) Name() string { return fmt.Sprintf("HKY85(kappa=%g)", m.Kappa) }
 
-// Freqs implements Model.
-func (m HKY85) Freqs() [4]float64 { return m.BaseFreqs }
+// freqs implements Model.
+func (m HKY85) freqs() [4]float64 { return m.BaseFreqs }
 
-// Probabilities implements Model using the standard HKY closed form.
-func (m HKY85) Probabilities(t float64) [4][4]float64 {
+// probabilities implements Model using the standard HKY closed form.
+func (m HKY85) probabilities(t float64) [4][4]float64 {
 	pi := m.BaseFreqs
 	piR := pi[0] + pi[2] // purines A,G
 	piY := pi[1] + pi[3] // pyrimidines C,T
@@ -216,18 +216,18 @@ func (a *Alignment) Characters() *nexus.Characters {
 
 // Errors from Evolve.
 var (
-	ErrNoModel   = errors.New("seqsim: config has no model")
-	ErrBadLength = errors.New("seqsim: sequence length must be >= 1")
+	errNoModel   = errors.New("seqsim: config has no model")
+	errBadLength = errors.New("seqsim: sequence length must be >= 1")
 )
 
 // Evolve simulates sequences down the tree and returns the alignment at
 // the leaves. Interior sequences are transient. Deterministic given r.
 func Evolve(t *phylo.Tree, cfg Config, r *rand.Rand) (*Alignment, error) {
 	if cfg.Model == nil {
-		return nil, ErrNoModel
+		return nil, errNoModel
 	}
 	if cfg.Length < 1 {
-		return nil, ErrBadLength
+		return nil, errBadLength
 	}
 	scale := cfg.Scale
 	if scale == 0 {
@@ -241,7 +241,7 @@ func Evolve(t *phylo.Tree, cfg Config, r *rand.Rand) (*Alignment, error) {
 	// category of rate 1.
 	var rates []float64
 	if cfg.GammaAlpha > 0 {
-		rates = DiscreteGamma(cfg.GammaAlpha, ncat)
+		rates = discreteGamma(cfg.GammaAlpha, ncat)
 	} else {
 		rates = []float64{1}
 	}
@@ -250,7 +250,7 @@ func Evolve(t *phylo.Tree, cfg Config, r *rand.Rand) (*Alignment, error) {
 		siteCat[i] = uint8(r.Intn(len(rates)))
 	}
 
-	freqs := cfg.Model.Freqs()
+	freqs := cfg.Model.freqs()
 	root := make([]byte, cfg.Length)
 	if cfg.Root != nil {
 		if len(cfg.Root) != cfg.Length {
@@ -279,7 +279,7 @@ func Evolve(t *phylo.Tree, cfg Config, r *rand.Rand) (*Alignment, error) {
 		if n.IsLeaf() {
 			out := make([]byte, len(seq))
 			for i, b := range seq {
-				out[i] = Bases[b]
+				out[i] = bases[b]
 			}
 			aln.Names = append(aln.Names, n.Name)
 			aln.Seqs[n.Name] = out
@@ -288,7 +288,7 @@ func Evolve(t *phylo.Tree, cfg Config, r *rand.Rand) (*Alignment, error) {
 		for _, c := range n.Children {
 			tables := edgeTables{cum: make([][4][4]float64, len(rates))}
 			for ci, rate := range rates {
-				p := cfg.Model.Probabilities(c.Length * scale * rate)
+				p := cfg.Model.probabilities(c.Length * scale * rate)
 				for i := 0; i < 4; i++ {
 					acc := 0.0
 					for j := 0; j < 4; j++ {
@@ -326,11 +326,11 @@ func sampleIndex(freqs []float64, r *rand.Rand) byte {
 	return byte(len(freqs) - 1)
 }
 
-// DiscreteGamma returns the mean rates of ncat equal-probability
+// discreteGamma returns the mean rates of ncat equal-probability
 // categories of a Gamma(alpha, 1/alpha) distribution (mean 1), following
 // Yang (1994). Category means are approximated by the rate at each
 // category's median quantile, renormalized to mean 1.
-func DiscreteGamma(alpha float64, ncat int) []float64 {
+func discreteGamma(alpha float64, ncat int) []float64 {
 	rates := make([]float64, ncat)
 	sum := 0.0
 	for i := 0; i < ncat; i++ {

@@ -11,7 +11,7 @@ import (
 
 func checkStochasticMatrix(t *testing.T, m Model, bt float64) {
 	t.Helper()
-	p := m.Probabilities(bt)
+	p := m.probabilities(bt)
 	for i := 0; i < 4; i++ {
 		sum := 0.0
 		for j := 0; j < 4; j++ {
@@ -44,7 +44,7 @@ func TestModelsAreStochastic(t *testing.T) {
 func TestZeroTimeIsIdentity(t *testing.T) {
 	models := []Model{JC69{}, K2P{Kappa: 2}, HKY85{Kappa: 2, BaseFreqs: [4]float64{0.1, 0.2, 0.3, 0.4}}}
 	for _, m := range models {
-		p := m.Probabilities(0)
+		p := m.probabilities(0)
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
 				want := 0.0
@@ -62,8 +62,8 @@ func TestZeroTimeIsIdentity(t *testing.T) {
 func TestLongTimeReachesEquilibrium(t *testing.T) {
 	models := []Model{JC69{}, K2P{Kappa: 3}, HKY85{Kappa: 2, BaseFreqs: [4]float64{0.1, 0.2, 0.3, 0.4}}}
 	for _, m := range models {
-		p := m.Probabilities(500)
-		freqs := m.Freqs()
+		p := m.probabilities(500)
+		freqs := m.freqs()
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
 				if math.Abs(p[i][j]-freqs[j]) > 1e-6 {
@@ -79,11 +79,11 @@ func TestLongTimeReachesEquilibrium(t *testing.T) {
 func TestModelNesting(t *testing.T) {
 	uniform := [4]float64{0.25, 0.25, 0.25, 0.25}
 	for _, bt := range []float64{0.05, 0.3, 1.2} {
-		jc := JC69{}.Probabilities(bt)
-		k1 := K2P{Kappa: 1}.Probabilities(bt)
-		h1 := HKY85{Kappa: 1, BaseFreqs: uniform}.Probabilities(bt)
-		k3 := K2P{Kappa: 3}.Probabilities(bt)
-		h3 := HKY85{Kappa: 3, BaseFreqs: uniform}.Probabilities(bt)
+		jc := JC69{}.probabilities(bt)
+		k1 := K2P{Kappa: 1}.probabilities(bt)
+		h1 := HKY85{Kappa: 1, BaseFreqs: uniform}.probabilities(bt)
+		k3 := K2P{Kappa: 3}.probabilities(bt)
+		h3 := HKY85{Kappa: 3, BaseFreqs: uniform}.probabilities(bt)
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
 				if math.Abs(jc[i][j]-k1[i][j]) > 1e-9 {
@@ -209,7 +209,7 @@ func TestEvolveErrors(t *testing.T) {
 
 func TestDiscreteGamma(t *testing.T) {
 	for _, alpha := range []float64{0.3, 1.0, 5.0} {
-		rates := DiscreteGamma(alpha, 4)
+		rates := discreteGamma(alpha, 4)
 		if len(rates) != 4 {
 			t.Fatal("wrong category count")
 		}
@@ -230,7 +230,7 @@ func TestDiscreteGamma(t *testing.T) {
 	}
 	// Small alpha = more heterogeneity (wider spread).
 	spread := func(rs []float64) float64 { return rs[len(rs)-1] - rs[0] }
-	if spread(DiscreteGamma(0.3, 4)) <= spread(DiscreteGamma(5, 4)) {
+	if spread(discreteGamma(0.3, 4)) <= spread(discreteGamma(5, 4)) {
 		t.Fatal("smaller alpha should spread rates more")
 	}
 }
@@ -303,7 +303,7 @@ func TestAlignmentSubsetAndCharacters(t *testing.T) {
 }
 
 func TestBaseIndex(t *testing.T) {
-	for i, b := range Bases {
+	for i, b := range bases {
 		if BaseIndex(b) != i {
 			t.Fatalf("BaseIndex(%c) = %d", b, BaseIndex(b))
 		}

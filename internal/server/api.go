@@ -179,7 +179,7 @@ type StatsSnapshot struct {
 	// group_commit_batches, group_fsyncs_saved, checkpoint_*).
 	CheckpointBacklogBytes int64             `json:"checkpoint_backlog_bytes"`
 	WALBytes               int64             `json:"wal_bytes"`
-	GroupCommit            *GroupCommitStats `json:"group_commit,omitempty"`
+	GroupCommit            *groupCommitStats `json:"group_commit,omitempty"`
 	// HistoryDropped counts read-path query-history records discarded
 	// because the async recorder's queue was full.
 	HistoryDropped int64 `json:"history_dropped"`
@@ -242,10 +242,10 @@ type ShardMVCC struct {
 	WALBytes               int64  `json:"wal_bytes"`
 }
 
-// GroupCommitStats summarizes the group-commit batch-size distribution:
+// groupCommitStats summarizes the group-commit batch-size distribution:
 // how many commits each flushed WAL batch carried. Percentile values are
 // upper bounds of the log2 bucket containing the rank.
-type GroupCommitStats struct {
+type groupCommitStats struct {
 	Batches  int64   `json:"batches"`
 	Commits  int64   `json:"commits"`
 	AvgBatch float64 `json:"avg_batch"`

@@ -90,7 +90,7 @@ type Backend struct {
 
 // Config tunes the server. The zero value is usable.
 type Config struct {
-	// Addr is the listen address for Start/ListenAndServe
+	// Addr is the listen address for Start
 	// (default ":8321").
 	Addr string
 	// MaxInFlightReads bounds concurrently executing read requests;
@@ -216,9 +216,8 @@ type histRecord struct {
 	summary string
 }
 
-// New builds a server over the backend. Call Start, Serve or
-// ListenAndServe to accept connections, or use it directly as an
-// http.Handler.
+// New builds a server over the backend. Call Start to accept
+// connections, or use it directly as an http.Handler.
 func New(be Backend, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	if be.Router == nil {
@@ -428,24 +427,7 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// Serve accepts connections on ln until Shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	s.ln = ln
-	s.lnMu.Unlock()
-	return s.httpSrv.Serve(ln)
-}
-
-// ListenAndServe listens on Config.Addr and blocks until Shutdown.
-func (s *Server) ListenAndServe() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Addr reports the bound listen address ("" before Start/Serve).
+// Addr reports the bound listen address ("" before Start).
 func (s *Server) Addr() string {
 	s.lnMu.Lock()
 	defer s.lnMu.Unlock()
@@ -525,7 +507,7 @@ func (s *Server) snapshot() StatsSnapshot {
 	rs := s.replStatus()
 	st.Repl = &rs
 	if gb := obs.GroupBatch.Snapshot(); gb.Count > 0 {
-		st.GroupCommit = &GroupCommitStats{
+		st.GroupCommit = &groupCommitStats{
 			Batches:  gb.Count,
 			Commits:  gb.SumNS / int64(time.Microsecond),
 			AvgBatch: float64(gb.SumNS) / float64(time.Microsecond) / float64(gb.Count),

@@ -24,14 +24,14 @@ import (
 	"repro/internal/relstore"
 )
 
-// Layout is the placement scheme recorded in the manifest. There is one
+// layout is the placement scheme recorded in the manifest. There is one
 // scheme today; the field exists so a future range- or directory-based
 // placement can coexist with hashed layouts.
-const Layout = "hash/fnv1a64"
+const layout = "hash/fnv1a64"
 
-// ManifestName is the manifest's file name inside a sharded repository
+// manifestName is the manifest's file name inside a sharded repository
 // directory.
-const ManifestName = "crimson-manifest.json"
+const manifestName = "crimson-manifest.json"
 
 // ErrShardMismatch is returned when a repository's manifest disagrees with
 // the shard count the caller asked for.
@@ -74,8 +74,8 @@ func (r *Router) Place(name string) int {
 	return int(h.Sum64() % uint64(r.n))
 }
 
-// Manifest is the persisted description of a sharded repository layout.
-type Manifest struct {
+// manifest is the persisted description of a sharded repository layout.
+type manifest struct {
 	Version int    `json:"version"`
 	Shards  int    `json:"shards"`
 	Layout  string `json:"layout"`
@@ -85,50 +85,50 @@ type Manifest struct {
 const manifestVersion = 1
 
 // NewManifest returns a manifest for n shards under the current layout.
-func NewManifest(n int) Manifest {
-	return Manifest{Version: manifestVersion, Shards: n, Layout: Layout}
+func NewManifest(n int) manifest {
+	return manifest{Version: manifestVersion, Shards: n, Layout: layout}
 }
 
 // WriteManifest persists the manifest into dir.
-func WriteManifest(dir string, m Manifest) error {
+func WriteManifest(dir string, m manifest) error {
 	enc, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
 	enc = append(enc, '\n')
-	return os.WriteFile(filepath.Join(dir, ManifestName), enc, 0o644)
+	return os.WriteFile(filepath.Join(dir, manifestName), enc, 0o644)
 }
 
 // ReadManifest loads the manifest from dir. A missing file reports
 // ErrNoManifest so callers can distinguish "not a sharded repository" from
 // a corrupt one.
-func ReadManifest(dir string) (Manifest, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+func ReadManifest(dir string) (manifest, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return Manifest{}, fmt.Errorf("%w in %s", ErrNoManifest, dir)
+			return manifest{}, fmt.Errorf("%w in %s", ErrNoManifest, dir)
 		}
-		return Manifest{}, err
+		return manifest{}, err
 	}
-	var m Manifest
+	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return Manifest{}, fmt.Errorf("shard: parsing manifest in %s: %w", dir, err)
+		return manifest{}, fmt.Errorf("shard: parsing manifest in %s: %w", dir, err)
 	}
 	if m.Version != manifestVersion {
-		return Manifest{}, fmt.Errorf("shard: manifest version %d in %s, want %d", m.Version, dir, manifestVersion)
+		return manifest{}, fmt.Errorf("shard: manifest version %d in %s, want %d", m.Version, dir, manifestVersion)
 	}
 	if m.Shards < 1 {
-		return Manifest{}, fmt.Errorf("shard: manifest in %s declares %d shards", dir, m.Shards)
+		return manifest{}, fmt.Errorf("shard: manifest in %s declares %d shards", dir, m.Shards)
 	}
-	if m.Layout != Layout {
-		return Manifest{}, fmt.Errorf("shard: manifest layout %q in %s, want %q", m.Layout, dir, Layout)
+	if m.Layout != layout {
+		return manifest{}, fmt.Errorf("shard: manifest layout %q in %s, want %q", m.Layout, dir, layout)
 	}
 	return m, nil
 }
 
 // Validate checks a requested shard count against the manifest. want == 0
 // means "whatever the manifest says".
-func (m Manifest) Validate(want int) error {
+func (m manifest) Validate(want int) error {
 	if want != 0 && want != m.Shards {
 		return fmt.Errorf("%w: repository has %d shards, --shards asked for %d", ErrShardMismatch, m.Shards, want)
 	}

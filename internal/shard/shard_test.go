@@ -67,7 +67,7 @@ func TestManifestRoundTripAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Shards != 4 || m.Layout != Layout {
+	if m.Shards != 4 || m.Layout != layout {
 		t.Fatalf("manifest round trip = %+v", m)
 	}
 	if err := m.Validate(0); err != nil {

@@ -56,12 +56,6 @@ func initShard(db *relstore.DB) (*relstore.Table, error) {
 	return tab, err
 }
 
-// NewOnDB layers the repository over an existing database (shared with
-// the tree repository).
-func NewOnDB(db *relstore.DB) (*Repo, error) {
-	return NewOnShards([]*relstore.DB{db}, shard.Single)
-}
-
 // NewOnShards layers the repository over one database per shard, using the
 // same router as the tree repository so species data lands on its tree's
 // shard.
@@ -167,15 +161,15 @@ func getRecord(tab *relstore.TableView, tree, sp, kind string) ([]byte, error) {
 	return vals[4].Bytes(), nil
 }
 
-func listRecords(tab *relstore.TableView, tree, sp string) ([]Record, error) {
-	var out []Record
+func listRecords(tab *relstore.TableView, tree, sp string) ([]record, error) {
+	var out []record
 	lo, hi := prefix(tree, sp)
 	err := tab.ScanRangeCtx(context.Background(), lo, hi, func(row relstore.Row) (bool, error) {
 		vals, err := row.Tuple()
 		if err != nil {
 			return false, err
 		}
-		out = append(out, Record{
+		out = append(out, record{
 			Tree:    vals[1].Text(),
 			Species: vals[2].Text(),
 			Kind:    vals[3].Text(),
@@ -186,8 +180,8 @@ func listRecords(tab *relstore.TableView, tree, sp string) ([]Record, error) {
 	return out, err
 }
 
-// Record is one stored species-data item.
-type Record struct {
+// record is one stored species-data item.
+type record struct {
 	Tree    string
 	Species string
 	Kind    string
@@ -240,7 +234,7 @@ func (v *View) Get(tree, sp, kind string) ([]byte, error) {
 }
 
 // List returns all records for one species of one tree as of the snapshot.
-func (v *View) List(tree, sp string) ([]Record, error) {
+func (v *View) List(tree, sp string) ([]record, error) {
 	tab, err := v.tableFor(tree)
 	if err != nil || tab == nil {
 		return nil, err

@@ -9,13 +9,14 @@ import (
 
 	"repro/internal/relstore"
 	"repro/internal/seqsim"
+	"repro/internal/shard"
 )
 
 func newRepo(t *testing.T) *Repo {
 	t.Helper()
 	db := relstore.OpenMemDB()
 	t.Cleanup(func() { db.Close() })
-	r, err := NewOnDB(db)
+	r, err := NewOnShards([]*relstore.DB{db}, shard.Single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestOldSpeciesSchemaStillWorks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	old, err := NewOnDB(oldDB)
+	old, err := NewOnShards([]*relstore.DB{oldDB}, shard.Single)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestHeldBytesSurviveRewriteReuseAndEviction(t *testing.T) {
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Pool().Len(); got > 16+1 {
+	if got := poolFrames(s.pool); got > 16+1 {
 		t.Fatalf("pool holds %d frames, limit 16", got)
 	}
 }

@@ -179,7 +179,7 @@ func stillBlocked(t *testing.T, done <-chan error) {
 	}
 }
 
-// TestCloseReleasesWaiters: both kinds of waiter return ErrClosed when the
+// TestCloseReleasesWaiters: both kinds of waiter return errClosed when the
 // store closes under them, and so does a call on a closed store.
 func TestCloseReleasesWaiters(t *testing.T) {
 	s := OpenMem()
@@ -191,13 +191,13 @@ func TestCloseReleasesWaiters(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := mustReturn(t, epochWait); !errors.Is(err, ErrClosed) {
+	if err := mustReturn(t, epochWait); !errors.Is(err, errClosed) {
 		t.Fatalf("AwaitEpoch across Close: %v", err)
 	}
-	if err := mustReturn(t, snapWait); !errors.Is(err, ErrClosed) {
+	if err := mustReturn(t, snapWait); !errors.Is(err, errClosed) {
 		t.Fatalf("AwaitSnapshotsFrom across Close: %v", err)
 	}
-	if err := s.AwaitEpoch(ctx, limit+10); !errors.Is(err, ErrClosed) {
+	if err := s.AwaitEpoch(ctx, limit+10); !errors.Is(err, errClosed) {
 		t.Fatalf("AwaitEpoch on a closed store: %v", err)
 	}
 	sn.Close()

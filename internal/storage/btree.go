@@ -39,14 +39,14 @@ const (
 // reclamation.
 //
 // Mutations never modify a committed page in place: the dirtied path from
-// leaf to root is rewritten onto fresh pages (Store.WriteCOW), so the root
+// leaf to root is rewritten onto fresh pages (Store.writeCOW), so the root
 // id changes on every mutation that touches committed pages. A tree opened
 // at a fixed root therefore remains a consistent immutable view of the
 // moment that root was current — the basis of snapshot reads.
 //
 // Reads happen in place. A node read takes the page's immutable image from
 // the buffer pool (no copy) and indexes its cells; the keys and values a
-// read returns — Get, GetBatch, Leaf, Scan, Cursor.Key/Value — are
+// read returns — Get, GetBatch, Leaf, Scan, cursor.Key/Value — are
 // sub-slices of that image (overflow values are assembled into a buffer of
 // their own). They stay valid and unchanged for as long as the caller holds
 // them, whatever the writer, the pool or a replicated apply do meanwhile,
@@ -77,7 +77,7 @@ type BTree struct {
 
 // NewBTree creates an empty tree in the store.
 func NewBTree(store *Store) (*BTree, error) {
-	id, err := store.Allocate()
+	id, err := store.allocate()
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +180,11 @@ func (n *node) cellEnd(i int) int {
 
 // decodeNode indexes the cells of a tree page. It is the one place page
 // bytes are interpreted as a node, and it trusts none of them: a cell count
-// or a length that would reach past the page is ErrCorruptPage naming the
+// or a length that would reach past the page is errCorruptPage naming the
 // page — never a slice out of bounds.
 func decodeNode(id PageID, data []byte) (*node, error) {
 	if len(data) != PageSize {
-		return nil, fmt.Errorf("%w: page %d image is %d bytes", ErrCorruptPage, id, len(data))
+		return nil, fmt.Errorf("%w: page %d image is %d bytes", errCorruptPage, id, len(data))
 	}
 	n := &node{kind: data[0], page: id, data: data}
 	var off, head, tail int // first cell, fixed bytes before and after a cell's key (and value)
@@ -194,16 +194,16 @@ func decodeNode(id PageID, data []byte) (*node, error) {
 	case pageInternal:
 		off, head, tail = internalHeaderSize, 2, 8
 	default:
-		return nil, fmt.Errorf("%w: page %d is not a tree node (kind %d)", ErrCorruptPage, id, n.kind)
+		return nil, fmt.Errorf("%w: page %d is not a tree node (kind %d)", errCorruptPage, id, n.kind)
 	}
 	nkeys := int(binary.LittleEndian.Uint16(data[1:]))
 	if off+nkeys*(head+tail) > PageSize {
-		return nil, fmt.Errorf("%w: page %d claims %d cells", ErrCorruptPage, id, nkeys)
+		return nil, fmt.Errorf("%w: page %d claims %d cells", errCorruptPage, id, nkeys)
 	}
 	n.offs = make([]uint16, nkeys)
 	for i := range n.offs {
 		if off+head > PageSize {
-			return nil, fmt.Errorf("%w: page %d cell %d starts at %d", ErrCorruptPage, id, i, off)
+			return nil, fmt.Errorf("%w: page %d cell %d starts at %d", errCorruptPage, id, i, off)
 		}
 		n.offs[i] = uint16(off)
 		size := head + int(binary.LittleEndian.Uint16(data[off:])) + tail
@@ -211,7 +211,7 @@ func decodeNode(id PageID, data []byte) (*node, error) {
 			size += int(binary.LittleEndian.Uint16(data[off+2:]) & 0x7fff)
 		}
 		if off += size; off > PageSize {
-			return nil, fmt.Errorf("%w: page %d cell %d ends at %d", ErrCorruptPage, id, i, off)
+			return nil, fmt.Errorf("%w: page %d cell %d ends at %d", errCorruptPage, id, i, off)
 		}
 	}
 	n.end = off
@@ -332,7 +332,7 @@ func (t *BTree) writeNode(e *cells) error {
 	if err != nil {
 		return err
 	}
-	return t.store.WritePage(e.page, img)
+	return t.store.writePage(e.page, img)
 }
 
 // writeNodeCOW writes the cells with copy-on-write semantics and updates
@@ -343,7 +343,7 @@ func (t *BTree) writeNodeCOW(e *cells) error {
 	if err != nil {
 		return err
 	}
-	id, err := t.store.WriteCOW(e.page, img)
+	id, err := t.store.writeCOW(e.page, img)
 	if err != nil {
 		return err
 	}
@@ -518,7 +518,7 @@ func (t *BTree) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, 
 func (t *BTree) GetBatchC(ctx context.Context, keys [][]byte, c *obs.Counters) ([][]byte, []bool, error) {
 	vals := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
-	cur := Cursor{tree: t, c: c}
+	cur := cursor{tree: t, c: c}
 	for visited, oi := range sortedOrder(keys) {
 		if visited&63 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -550,7 +550,7 @@ func (t *BTree) GetBatchC(ctx context.Context, keys [][]byte, c *obs.Counters) (
 func (t *BTree) SeekBatchC(ctx context.Context, keys [][]byte, c *obs.Counters) (found, vals [][]byte, err error) {
 	found = make([][]byte, len(keys))
 	vals = make([][]byte, len(keys))
-	cur := Cursor{tree: t, c: c}
+	cur := cursor{tree: t, c: c}
 	rows := int64(0)
 	defer func() {
 		obs.Engine.Add(obs.CtrRowsScanned, rows)
@@ -651,7 +651,7 @@ func (t *BTree) Put(key, value []byte) error {
 		return nil
 	}
 	// Root split: make a new root with two children.
-	id, err := t.store.Allocate()
+	id, err := t.store.allocate()
 	if err != nil {
 		return err
 	}
@@ -752,7 +752,7 @@ func splitIndex(n int, cellSize func(i int) int) int {
 
 func (t *BTree) splitLeaf(e *cells) (*splitResult, error) {
 	mid := splitIndex(len(e.keys), e.cellSize)
-	rid, err := t.store.Allocate()
+	rid, err := t.store.allocate()
 	if err != nil {
 		return nil, err
 	}
@@ -779,7 +779,7 @@ func (t *BTree) splitInternal(e *cells) (*splitResult, error) {
 	// keys[mid] moves up, so both halves keep a key only for mid <= n-2.
 	mid := splitIndex(len(e.keys)-1, e.cellSize)
 	up := e.keys[mid]
-	rid, err := t.store.Allocate()
+	rid, err := t.store.allocate()
 	if err != nil {
 		return nil, err
 	}
@@ -885,7 +885,7 @@ func (t *BTree) writeOverflow(value []byte) ([]byte, error) {
 	// Every page names its successor, so the chain's ids come first.
 	ids := make([]PageID, max(1, (len(value)+overflowCapacity-1)/overflowCapacity))
 	for i := range ids {
-		id, err := t.store.Allocate()
+		id, err := t.store.allocate()
 		if err != nil {
 			return nil, err
 		}
@@ -900,7 +900,7 @@ func (t *BTree) writeOverflow(value []byte) ([]byte, error) {
 		}
 		binary.LittleEndian.PutUint32(img[9:], uint32(len(chunk)))
 		copy(img[overflowHeaderSize:], chunk)
-		if err := t.store.WritePage(id, img); err != nil {
+		if err := t.store.writePage(id, img); err != nil {
 			return nil, err
 		}
 	}
@@ -924,11 +924,11 @@ func (t *BTree) overflowPage(id PageID) (payload []byte, next PageID, err error)
 		return nil, 0, ErrSnapshotInvalidated
 	}
 	if img[0] != pageOverflow {
-		return nil, 0, fmt.Errorf("%w: page %d in overflow chain has kind %d", ErrCorruptPage, id, img[0])
+		return nil, 0, fmt.Errorf("%w: page %d in overflow chain has kind %d", errCorruptPage, id, img[0])
 	}
 	n := int(binary.LittleEndian.Uint32(img[9:]))
 	if n > overflowCapacity {
-		return nil, 0, fmt.Errorf("%w: overflow page %d claims %d bytes", ErrCorruptPage, id, n)
+		return nil, 0, fmt.Errorf("%w: overflow page %d claims %d bytes", errCorruptPage, id, n)
 	}
 	return img[overflowHeaderSize : overflowHeaderSize+n], PageID(binary.LittleEndian.Uint64(img[1:])), nil
 }
@@ -948,13 +948,13 @@ func (t *BTree) readOverflow(ref []byte) ([]byte, error) {
 			return nil, err
 		}
 		if len(payload) == 0 {
-			return nil, fmt.Errorf("%w: overflow page %d is empty", ErrCorruptPage, id)
+			return nil, fmt.Errorf("%w: overflow page %d is empty", errCorruptPage, id)
 		}
 		out = append(out, payload...)
 		id = next
 	}
 	if len(out) != total {
-		return nil, fmt.Errorf("%w: overflow chain has %d bytes, want %d", ErrCorruptPage, len(out), total)
+		return nil, fmt.Errorf("%w: overflow chain has %d bytes, want %d", errCorruptPage, len(out), total)
 	}
 	return out, nil
 }
@@ -966,7 +966,7 @@ func (t *BTree) freeOverflow(ref []byte) error {
 	if len(ref) != overflowRefSize {
 		return fmt.Errorf("storage: bad overflow ref of %d bytes", len(ref))
 	}
-	return t.overflowPages(ref, func(id PageID) error { return t.store.Retire(id) })
+	return t.overflowPages(ref, func(id PageID) error { return t.store.retire(id) })
 }
 
 // overflowPages visits every page of one overflow chain, reading each
@@ -1012,19 +1012,19 @@ func (t *BTree) RetireAll() error {
 				}
 			}
 		}
-		return t.store.Retire(id)
+		return t.store.retire(id)
 	}
 	return walk(t.root)
 }
 
-// Cursor iterates leaf entries in ascending key order by keeping the
+// cursor iterates leaf entries in ascending key order by keeping the
 // descent path (the root-to-leaf nodes) on a stack. Nodes are immutable
 // views of immutable page images, so a cursor is immune to concurrent pool
 // eviction and — when iterating a snapshot-pinned root — to concurrent
-// writers. A Cursor is for use by one goroutine, but any number of cursors
+// writers. A cursor is for use by one goroutine, but any number of cursors
 // may iterate one tree concurrently. Close releases nothing under COW but
 // is kept for API symmetry.
-type Cursor struct {
+type cursor struct {
 	tree  *BTree
 	stack []cursorFrame // ancestors of the current leaf, root first
 	leaf  *node
@@ -1041,7 +1041,7 @@ type cursorFrame struct {
 
 // Close releases the cursor. It is safe to call multiple times and on
 // exhausted cursors.
-func (c *Cursor) Close() {
+func (c *cursor) Close() {
 	c.leaf = nil
 	c.stack = nil
 }
@@ -1049,7 +1049,7 @@ func (c *Cursor) Close() {
 // descend walks from page id down to a leaf, pushing the internal nodes on
 // the cursor stack. With key == nil it follows the leftmost edge;
 // otherwise it routes by key.
-func (c *Cursor) descend(id PageID, key []byte) error {
+func (c *cursor) descend(id PageID, key []byte) error {
 	obs.Engine.Add(obs.CtrBTreeDescents, 1)
 	c.c.Add(obs.CtrBTreeDescents, 1)
 	n, err := c.tree.readNodeShared(id, c.c)
@@ -1073,7 +1073,7 @@ func (c *Cursor) descend(id PageID, key []byte) error {
 // covers reports whether key routes to the current leaf: at or above the
 // nearest separator on the leaf's left along the descent path, below the
 // nearest on its right.
-func (c *Cursor) covers(key []byte) bool {
+func (c *cursor) covers(key []byte) bool {
 	if c.leaf == nil {
 		return false
 	}
@@ -1100,7 +1100,7 @@ func (c *Cursor) covers(key []byte) bool {
 // key routes to, reporting whether that cell holds key itself. It descends
 // from the root only when key routes outside the current leaf; the position
 // may be one past the leaf's last cell (skipEmpty moves on from there).
-func (c *Cursor) locate(key []byte) (bool, error) {
+func (c *cursor) locate(key []byte) (bool, error) {
 	if !c.covers(key) {
 		c.stack = c.stack[:0]
 		if err := c.descend(c.tree.root, key); err != nil {
@@ -1113,11 +1113,11 @@ func (c *Cursor) locate(key []byte) (bool, error) {
 }
 
 // First positions a cursor at the smallest key.
-func (t *BTree) First() (*Cursor, error) { return t.firstC(nil) }
+func (t *BTree) First() (*cursor, error) { return t.firstC(nil) }
 
 // firstC is First with per-request counter attribution (c may be nil).
-func (t *BTree) firstC(ctr *obs.Counters) (*Cursor, error) {
-	c := &Cursor{tree: t, c: ctr}
+func (t *BTree) firstC(ctr *obs.Counters) (*cursor, error) {
+	c := &cursor{tree: t, c: ctr}
 	if err := c.descend(t.root, nil); err != nil {
 		return nil, err
 	}
@@ -1128,11 +1128,11 @@ func (t *BTree) firstC(ctr *obs.Counters) (*Cursor, error) {
 }
 
 // Seek positions a cursor at the first key >= key.
-func (t *BTree) Seek(key []byte) (*Cursor, error) { return t.seekC(key, nil) }
+func (t *BTree) Seek(key []byte) (*cursor, error) { return t.seekC(key, nil) }
 
 // seekC is Seek with per-request counter attribution (c may be nil).
-func (t *BTree) seekC(key []byte, ctr *obs.Counters) (*Cursor, error) {
-	c := &Cursor{tree: t, c: ctr}
+func (t *BTree) seekC(key []byte, ctr *obs.Counters) (*cursor, error) {
+	c := &cursor{tree: t, c: ctr}
 	if _, err := c.locate(key); err != nil {
 		return nil, err
 	}
@@ -1143,20 +1143,20 @@ func (t *BTree) seekC(key []byte, ctr *obs.Counters) (*Cursor, error) {
 }
 
 // Valid reports whether the cursor references an entry.
-func (c *Cursor) Valid() bool { return c.leaf != nil && c.pos < c.leaf.nkeys() }
+func (c *cursor) Valid() bool { return c.leaf != nil && c.pos < c.leaf.nkeys() }
 
 // Key returns the current key. Valid must be true.
-func (c *Cursor) Key() []byte { return c.leaf.key(c.pos) }
+func (c *cursor) Key() []byte { return c.leaf.key(c.pos) }
 
 // Value returns the current value, resolving overflow chains.
-func (c *Cursor) Value() ([]byte, error) {
+func (c *cursor) Value() ([]byte, error) {
 	v, _, err := c.tree.resolveValue(c.leaf, c.pos)
 	return v, err
 }
 
 // Next advances to the following entry, crossing leaf boundaries via the
 // ancestor stack.
-func (c *Cursor) Next() error {
+func (c *cursor) Next() error {
 	if !c.Valid() {
 		return nil
 	}
@@ -1167,7 +1167,7 @@ func (c *Cursor) Next() error {
 // skipEmpty advances past exhausted (or lazily emptied) leaves: climb the
 // stack to the first ancestor with an unvisited child, then descend its
 // leftmost edge.
-func (c *Cursor) skipEmpty() error {
+func (c *cursor) skipEmpty() error {
 	for c.leaf != nil && c.pos >= c.leaf.nkeys() {
 		advanced := false
 		for len(c.stack) > 0 {

@@ -8,9 +8,9 @@ import (
 	"sync"
 )
 
-// DefaultPoolSize is the default number of page frames held by a buffer
+// defaultPoolSize is the default number of page frames held by a buffer
 // pool (4096 frames * 4 KiB pages = 16 MiB).
-const DefaultPoolSize = 4096
+const defaultPoolSize = 4096
 
 // frame is one cached page. A frame is on the LRU list only while it is
 // clean; dirty frames are never evicted. data is the page's image and is
@@ -20,7 +20,7 @@ type frame struct {
 	id    PageID
 	data  []byte
 	dirty bool
-	slot  int           // index in BufferPool.dirty while dirty
+	slot  int           // index in bufferPool.dirty while dirty
 	elem  *list.Element // position in the LRU list (nil while dirty)
 }
 
@@ -28,7 +28,7 @@ type frame struct {
 // written. Shared by all such frames; like every image it is never written.
 var zeroPage = make([]byte, PageSize)
 
-// BufferPool caches page images above a Pager with LRU eviction. Dirty
+// bufferPool caches page images above a pageFile with LRU eviction. Dirty
 // frames are never evicted; they are held until the Store commits them
 // through the WAL, which keeps crash recovery simple (no steal policy).
 //
@@ -45,21 +45,21 @@ var zeroPage = make([]byte, PageSize)
 // All methods are safe for concurrent use; an internal mutex serializes
 // access to the frame table and the LRU list (a map lookup and an LRU touch
 // on a hit).
-type BufferPool struct {
+type bufferPool struct {
 	mu     sync.Mutex
-	pager  Pager
+	pager  pageFile
 	frames map[PageID]*frame
 	lru    *list.List // clean frames only, front = most recent
 	limit  int
 	dirty  []*frame // the dirty frames, in no particular order
 }
 
-// NewBufferPool creates a pool holding at most limit clean frames.
-func NewBufferPool(pager Pager, limit int) *BufferPool {
+// newBufferPool creates a pool holding at most limit clean frames.
+func newBufferPool(pager pageFile, limit int) *bufferPool {
 	if limit < 16 {
 		limit = 16
 	}
-	return &BufferPool{
+	return &bufferPool{
 		pager:  pager,
 		frames: make(map[PageID]*frame),
 		lru:    list.New(),
@@ -70,7 +70,7 @@ func NewBufferPool(pager Pager, limit int) *BufferPool {
 // page returns the image of page id, reading it from the pager on a miss,
 // and reports whether the frame was already resident (feeding the pool
 // hit/miss counters).
-func (bp *BufferPool) page(id PageID) ([]byte, bool, error) {
+func (bp *bufferPool) page(id PageID) ([]byte, bool, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
@@ -92,7 +92,7 @@ func (bp *BufferPool) page(id PageID) ([]byte, bool, error) {
 
 // Get returns the image of page id. The slice is shared and immutable: the
 // caller must not write into it, and may hold it indefinitely.
-func (bp *BufferPool) Get(id PageID) ([]byte, error) {
+func (bp *bufferPool) Get(id PageID) ([]byte, error) {
 	img, _, err := bp.page(id)
 	return img, err
 }
@@ -101,7 +101,7 @@ func (bp *BufferPool) Get(id PageID) ([]byte, error) {
 // Ownership of img passes to the pool: the caller must not modify it
 // afterwards (readers of the page's previous image keep that one). The page
 // is not written to the pager until the owning Store commits.
-func (bp *BufferPool) Put(id PageID, img []byte) error {
+func (bp *bufferPool) Put(id PageID, img []byte) error {
 	if len(img) != PageSize {
 		return fmt.Errorf("storage: Put page %d with %d bytes", id, len(img))
 	}
@@ -118,7 +118,7 @@ func (bp *BufferPool) Put(id PageID, img []byte) error {
 }
 
 // Grow extends the pager by one page and installs a zeroed dirty frame.
-func (bp *BufferPool) Grow() (PageID, error) {
+func (bp *bufferPool) Grow() (PageID, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	id, err := bp.pager.Grow()
@@ -132,7 +132,7 @@ func (bp *BufferPool) Grow() (PageID, error) {
 }
 
 // markDirty removes f from the LRU list and flags it. Callers hold bp.mu.
-func (bp *BufferPool) markDirty(f *frame) {
+func (bp *bufferPool) markDirty(f *frame) {
 	if f.elem != nil {
 		bp.lru.Remove(f.elem)
 		f.elem = nil
@@ -147,7 +147,7 @@ func (bp *BufferPool) markDirty(f *frame) {
 // discard drops page id's frame, dirty or clean, without its image going
 // anywhere: the page has been freed, nothing reads a free page, and the
 // page's next owner installs a new image.
-func (bp *BufferPool) discard(id PageID) {
+func (bp *bufferPool) discard(id PageID) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	f, ok := bp.frames[id]
@@ -170,7 +170,7 @@ func (bp *BufferPool) discard(id PageID) {
 
 // evict trims the LRU list to the pool limit. Only clean frames are ever
 // on the list, so dirty pages survive. Callers hold bp.mu.
-func (bp *BufferPool) evict() {
+func (bp *bufferPool) evict() {
 	for bp.lru.Len() > bp.limit {
 		back := bp.lru.Back()
 		f := back.Value.(*frame)
@@ -185,9 +185,9 @@ type DirtyPage struct {
 	Data []byte
 }
 
-// DirtyPages returns the pending page images in ascending page order. The
+// dirtyPages returns the pending page images in ascending page order. The
 // Data slices are the pool's own immutable images, valid indefinitely.
-func (bp *BufferPool) DirtyPages() []DirtyPage {
+func (bp *bufferPool) dirtyPages() []DirtyPage {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	out := make([]DirtyPage, len(bp.dirty))
@@ -199,15 +199,15 @@ func (bp *BufferPool) DirtyPages() []DirtyPage {
 	return out
 }
 
-// DirtyCount reports the number of dirty frames without collecting them.
-func (bp *BufferPool) DirtyCount() int {
+// dirtyCount reports the number of dirty frames without collecting them.
+func (bp *bufferPool) dirtyCount() int {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	return len(bp.dirty)
 }
 
-// ClearDirty moves all dirty frames onto the clean LRU list after a commit.
-func (bp *BufferPool) ClearDirty() {
+// clearDirty moves all dirty frames onto the clean LRU list after a commit.
+func (bp *bufferPool) clearDirty() {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for _, f := range bp.dirty {
@@ -217,11 +217,4 @@ func (bp *BufferPool) ClearDirty() {
 	clear(bp.dirty) // evicted frames must not stay reachable from the list
 	bp.dirty = bp.dirty[:0]
 	bp.evict()
-}
-
-// Len reports the number of cached frames (clean + dirty).
-func (bp *BufferPool) Len() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.frames)
 }

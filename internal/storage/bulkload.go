@@ -6,11 +6,11 @@ import (
 	"fmt"
 )
 
-// ErrNotEmpty is returned by BulkLoad on a tree that already has entries.
-var ErrNotEmpty = errors.New("storage: bulk load into non-empty tree")
+// errNotEmpty is returned by BulkLoad on a tree that already has entries.
+var errNotEmpty = errors.New("storage: bulk load into non-empty tree")
 
-// ErrUnsorted is returned by BulkLoad when keys are not strictly ascending.
-var ErrUnsorted = errors.New("storage: bulk load keys not strictly ascending")
+// errUnsorted is returned by BulkLoad when keys are not strictly ascending.
+var errUnsorted = errors.New("storage: bulk load keys not strictly ascending")
 
 // Leaves are packed to ~94% and internal nodes to ~90% of a page during
 // bulk load, leaving headroom so trickle inserts after a load do not split
@@ -59,7 +59,7 @@ func (t *BTree) BulkLoad(n int, at func(i int) (key, val []byte)) error {
 		return err
 	}
 	if !empty {
-		return ErrNotEmpty
+		return errNotEmpty
 	}
 	if n == 0 {
 		return nil
@@ -71,8 +71,8 @@ func (t *BTree) BulkLoad(n int, at func(i int) (key, val []byte)) error {
 	// the load has succeeded, honoring copy-on-write so snapshot readers keep
 	// a stable empty tree.
 	first := t.root
-	if !t.store.Writable(first) {
-		if first, err = t.store.Allocate(); err != nil {
+	if !t.store.writable(first) {
+		if first, err = t.store.allocate(); err != nil {
 			return err
 		}
 	}
@@ -86,7 +86,7 @@ func (t *BTree) BulkLoad(n int, at func(i int) (key, val []byte)) error {
 			return fmt.Errorf("%w: pair %d has %d bytes (max %d, min 1)", ErrKeyTooLarge, i, len(key), MaxKeySize)
 		}
 		if i > 0 && bytes.Compare(prev, key) >= 0 {
-			return fmt.Errorf("%w: pair %d", ErrUnsorted, i)
+			return fmt.Errorf("%w: pair %d", errUnsorted, i)
 		}
 		prev = key
 		stored, isOverflow := val, false
@@ -99,7 +99,7 @@ func (t *BTree) BulkLoad(n int, at func(i int) (key, val []byte)) error {
 		}
 		entry := 4 + len(key) + len(stored)
 		if len(cur.keys) > 0 && curSize+entry > bulkLeafFill {
-			nid, err := t.store.Allocate()
+			nid, err := t.store.allocate()
 			if err != nil {
 				return err
 			}
@@ -130,7 +130,7 @@ func (t *BTree) BulkLoad(n int, at func(i int) (key, val []byte)) error {
 		var next []levelEntry
 		i := 0
 		for i < len(level) {
-			id, err := t.store.Allocate()
+			id, err := t.store.allocate()
 			if err != nil {
 				return err
 			}
@@ -152,7 +152,7 @@ func (t *BTree) BulkLoad(n int, at func(i int) (key, val []byte)) error {
 		level = next
 	}
 	if first != t.root {
-		if err := t.store.Retire(t.root); err != nil {
+		if err := t.store.retire(t.root); err != nil {
 			return err
 		}
 	}

@@ -118,18 +118,18 @@ func TestBulkLoadRejectsUnsortedAndNonEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = bulkLoad(tr, []kv{{Key: []byte("b"), Value: nil}, {Key: []byte("a"), Value: nil}})
-	if !errors.Is(err, ErrUnsorted) {
+	if !errors.Is(err, errUnsorted) {
 		t.Fatalf("unsorted load error = %v", err)
 	}
 	err = bulkLoad(tr, []kv{{Key: []byte("a"), Value: nil}, {Key: []byte("a"), Value: nil}})
-	if !errors.Is(err, ErrUnsorted) {
+	if !errors.Is(err, errUnsorted) {
 		t.Fatalf("duplicate-key load error = %v", err)
 	}
 	if err := tr.Put([]byte("x"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	err = bulkLoad(tr, bulkPairs(3))
-	if !errors.Is(err, ErrNotEmpty) {
+	if !errors.Is(err, errNotEmpty) {
 		t.Fatalf("non-empty load error = %v", err)
 	}
 }
@@ -165,7 +165,7 @@ func TestBulkLoadThenPutAndDelete(t *testing.T) {
 }
 
 // TestCursorUnderEvictionPressure is the regression test for the old
-// BufferPool.Get aliasing hazard: with a 16-frame pool, iterating a tree
+// bufferPool.Get aliasing hazard: with a 16-frame pool, iterating a tree
 // much larger than the pool while other reads thrash the LRU must still
 // visit every entry exactly once. Under COW the cursor holds decoded
 // copies of its descent path, so eviction can never invalidate a live
@@ -209,8 +209,8 @@ func TestCursorUnderEvictionPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Pool().Len() > 16+1 { // limit + at most the frame being read
-		t.Fatalf("pool holds %d frames, limit 16", s.Pool().Len())
+	if poolFrames(s.pool) > 16+1 { // limit + at most the frame being read
+		t.Fatalf("pool holds %d frames, limit 16", poolFrames(s.pool))
 	}
 }
 

@@ -29,14 +29,14 @@ import (
 //     samples.
 //   - The WAL is reset only once the page file holds every batch in it:
 //     batches appended after the pass sampled the size are written back
-//     under the WAL mutex first (WAL.ResetIf's catch-up), so a reset can
+//     under the WAL mutex first (wal.resetIf's catch-up), so a reset can
 //     never discard a batch the checkpoint did not write back.
 
 // Default checkpoint policy: flush when the writeback backlog reaches
-// DefaultCheckpointBytes, or every DefaultCheckpointInterval otherwise.
+// defaultCheckpointBytes, or every defaultCheckpointInterval otherwise.
 const (
-	DefaultCheckpointBytes    = int64(4 << 20)
-	DefaultCheckpointInterval = time.Second
+	defaultCheckpointBytes    = int64(4 << 20)
+	defaultCheckpointInterval = time.Second
 
 	// backpressureFactor times the byte threshold is the hard backlog cap:
 	// a committer whose Wait observes more runs a synchronous checkpoint,
@@ -196,7 +196,7 @@ func (wb *writeback) backlog() int64 {
 // list trunk read) must see committed images that have not been
 // checkpointed yet. All other operations delegate to the real pager.
 type writebackPager struct {
-	Pager
+	pageFile
 	wb *writeback
 }
 
@@ -204,7 +204,7 @@ func (p *writebackPager) ReadPage(id PageID, buf []byte) error {
 	if p.wb.read(id, buf) {
 		return nil
 	}
-	return p.Pager.ReadPage(id, buf)
+	return p.pageFile.ReadPage(id, buf)
 }
 
 // checkpointer owns the background flush goroutine and serializes
@@ -239,7 +239,7 @@ func (s *Store) checkpointThreshold() int64 {
 	if n := s.ckptBytes.Load(); n > 0 {
 		return n
 	}
-	return DefaultCheckpointBytes
+	return defaultCheckpointBytes
 }
 
 func (s *Store) startCheckpointer() {
@@ -268,7 +268,7 @@ func (s *Store) checkpointLoop() {
 	for {
 		interval := time.Duration(s.ckptInterval.Load())
 		if interval <= 0 {
-			interval = DefaultCheckpointInterval
+			interval = defaultCheckpointInterval
 		}
 		timer := time.NewTimer(interval)
 		select {
@@ -354,7 +354,7 @@ func (s *Store) runCheckpoint() error {
 	n, err := s.writeBack()
 	if err == nil {
 		var caught int64
-		_, err = s.wal.ResetIf(walSize, func() (err error) {
+		_, err = s.wal.resetIf(walSize, func() (err error) {
 			caught, err = s.writeBack()
 			return err
 		})
@@ -374,11 +374,11 @@ func (s *Store) writeBack() (int64, error) {
 	if len(pages) == 0 {
 		return 0, nil
 	}
-	if err := s.pager.WritePages(pages); err != nil {
+	if err := s.pager.writePages(pages); err != nil {
 		s.wb.fail()
 		return 0, err
 	}
-	if err := s.pager.Sync(); err != nil {
+	if err := s.pager.sync(); err != nil {
 		s.wb.fail()
 		return 0, err
 	}

@@ -298,7 +298,7 @@ func TestWALResetKeepsBlocks(t *testing.T) {
 // must all land byte-exact.
 func TestWritePagesCoalesced(t *testing.T) {
 	dir := t.TempDir()
-	pager, err := OpenFilePager(filepath.Join(dir, "pages.db"))
+	pager, err := openFilePager(filepath.Join(dir, "pages.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestWritePagesCoalesced(t *testing.T) {
 	for id := PageID(maxCoalescePages + 12); id < n; id += 3 {
 		pages = append(pages, DirtyPage{ID: id, Data: page(id)})
 	}
-	if err := pager.WritePages(pages); err != nil {
+	if err := pager.writePages(pages); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, PageSize)

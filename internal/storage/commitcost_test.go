@@ -14,8 +14,8 @@ import (
 func residentStore(tb testing.TB, pool int) *Store {
 	tb.Helper()
 	s := OpenMemWithPoolLimit(pool)
-	for s.pool.Len() < pool {
-		if _, err := s.Allocate(); err != nil {
+	for poolFrames(s.pool) < pool {
+		if _, err := s.allocate(); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestWALBatchListsPagesAscending(t *testing.T) {
 	s.SetCheckpointPolicy(1<<40, time.Hour) // keep the WAL for the scan
 	var ids []PageID
 	for i := 0; i < 40; i++ {
-		id, err := s.Allocate()
+		id, err := s.allocate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestWALBatchListsPagesAscending(t *testing.T) {
 		for i := len(ids)/2*(2-half) - 1; i >= len(ids)/2*(1-half); i-- {
 			img := make([]byte, PageSize)
 			img[0] = byte(i)
-			if _, err := s.WriteCOW(ids[i], img); err != nil {
+			if _, err := s.writeCOW(ids[i], img); err != nil {
 				t.Fatal(err)
 			}
 		}

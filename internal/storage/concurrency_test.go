@@ -61,7 +61,7 @@ func TestStoreConcurrentPageIO(t *testing.T) {
 	const goroutines = 8
 	ids := make([]PageID, goroutines)
 	for i := range ids {
-		id, err := s.Allocate()
+		id, err := s.allocate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +74,10 @@ func TestStoreConcurrentPageIO(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				buf := make([]byte, PageSize) // WritePage keeps it
+				buf := make([]byte, PageSize) // writePage keeps it
 				buf[0] = byte(g)
 				buf[1] = byte(i)
-				if err := s.WritePage(ids[g], buf); err != nil {
+				if err := s.writePage(ids[g], buf); err != nil {
 					errs <- err
 					return
 				}

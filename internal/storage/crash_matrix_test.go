@@ -158,10 +158,10 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 	if len(pages) < 2 {
 		t.Fatalf("captured %d pages, need >= 2 for a meaningful split", len(pages))
 	}
-	if err := s.pager.WritePages(pages[:len(pages)/2]); err != nil {
+	if err := s.pager.writePages(pages[:len(pages)/2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.pager.Sync(); err != nil {
+	if err := s.pager.sync(); err != nil {
 		t.Fatal(err)
 	}
 	copyPath := crashSnapshot(t, path)
@@ -182,10 +182,10 @@ func TestCrashMatrixAfterCheckpointBeforeTruncate(t *testing.T) {
 	if len(pages) == 0 {
 		t.Fatal("nothing captured — workload produced no durable backlog")
 	}
-	if err := s.pager.WritePages(pages); err != nil {
+	if err := s.pager.writePages(pages); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.pager.Sync(); err != nil {
+	if err := s.pager.sync(); err != nil {
 		t.Fatal(err)
 	}
 	s.wb.finish()
@@ -231,16 +231,16 @@ func TestCrashMatrixCheckpointDuringPreparedCommit(t *testing.T) {
 
 // syncHookPager runs onSync, once, before the first page-file sync.
 type syncHookPager struct {
-	Pager
+	pageFile
 	onSync func()
 }
 
-func (p *syncHookPager) Sync() error {
+func (p *syncHookPager) sync() error {
 	if f := p.onSync; f != nil {
 		p.onSync = nil
 		f()
 	}
-	return p.Pager.Sync()
+	return p.pageFile.sync()
 }
 
 // TestCrashMatrixCommitDuringCheckpoint lands a commit after a checkpoint
@@ -251,7 +251,7 @@ func TestCrashMatrixCommitDuringCheckpoint(t *testing.T) {
 	s, path := openTempStore(t)
 	s.SetCheckpointPolicy(1<<40, time.Hour)
 	want := crashWorkload(t, s, 3)
-	s.pager = &syncHookPager{Pager: s.pager, onSync: func() {
+	s.pager = &syncHookPager{pageFile: s.pager, onSync: func() {
 		for k, v := range crashWorkload2(t, s, 3, 4) {
 			want[k] = v
 		}
@@ -394,7 +394,7 @@ func bigCommit(t *testing.T, s *Store, prefix string, n int) (map[string]string,
 
 // TestCrashMatrixTornGroupOverStaleFrames commits a batch several times
 // walBufSize into a fresh generation laid over a longer, older one, and
-// records the writes AppendGroup made of it. The log then holds exactly the
+// records the writes appendGroup made of it. The log then holds exactly the
 // reference encoding of the batch. Replaying the crash copy taken before
 // the batch with its writes cut at every boundary between two of them (and
 // one byte short of the last) recovers the last acknowledged epoch; with
@@ -762,7 +762,7 @@ func TestCrashMatrixAbandonedHandleReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := s1.wal.ResetIf(sampled, nil); err != nil || ok {
+	if ok, err := s1.wal.resetIf(sampled, nil); err != nil || ok {
 		t.Fatalf("abandoned handle's reset: ok=%v err=%v, want refused", ok, err)
 	}
 	if after, err := os.ReadFile(path + ".wal"); err != nil || !bytes.Equal(before, after) {

@@ -14,7 +14,7 @@ import (
 // The model:
 //
 //   - Writers never modify a committed page in place. They copy-on-write
-//     through Store.WriteCOW, which redirects the write to a fresh page and
+//     through Store.writeCOW, which redirects the write to a fresh page and
 //     retires the superseded one.
 //   - Commit atomically publishes the new root set and epoch. Snapshots
 //     taken afterwards see the new state; snapshots taken before keep
@@ -60,7 +60,7 @@ type epochs struct {
 	pending   []retireBatch    // retired pages awaiting reclamation, epoch-sorted
 	pendingN  int              // total pages across pending
 	changed   chan struct{}    // non-nil iff a waiter is blocked on the next change
-	closed    bool             // the store is closed: waiters return ErrClosed
+	closed    bool             // the store is closed: waiters return errClosed
 }
 
 func (e *epochs) init(epoch uint64, roots [NumRoots]PageID, meta []byte) {
@@ -87,7 +87,7 @@ func (e *epochs) wake() {
 }
 
 // await blocks until reached (evaluated under e.mu) holds, the store closes
-// (ErrClosed) or ctx ends (its error), and reports how many times the
+// (errClosed) or ctx ends (its error), and reports how many times the
 // signal woke it on the way.
 func (e *epochs) await(ctx context.Context, reached func() bool) (wakeups int64, err error) {
 	for {
@@ -98,7 +98,7 @@ func (e *epochs) await(ctx context.Context, reached func() bool) (wakeups int64,
 		}
 		if e.closed {
 			e.mu.Unlock()
-			return wakeups, ErrClosed
+			return wakeups, errClosed
 		}
 		if e.changed == nil {
 			e.changed = make(chan struct{})
@@ -119,7 +119,7 @@ func (e *epochs) await(ctx context.Context, reached func() bool) (wakeups int64,
 // publishes. It is judged on the state a snapshot opened right after will
 // read, so a caller that pins a snapshot on return sees epoch or later
 // (PublishedEpoch, stored under the same lock, reads no less either). It
-// returns ctx's error when ctx ends first and ErrClosed once the store is
+// returns ctx's error when ctx ends first and errClosed once the store is
 // closed; every wake-up counts in repl_fence_wakeups.
 func (s *Store) AwaitEpoch(ctx context.Context, epoch uint64) error {
 	e := &s.ep
@@ -134,7 +134,7 @@ func (s *Store) AwaitEpoch(ctx context.Context, epoch uint64) error {
 // pins an epoch below limit (snapshots already invalidated below limit do
 // not count: their reads fail instead of observing an apply). It returns
 // the moment the last such snapshot closes, ctx's error when ctx ends
-// first, and ErrClosed once the store is closed.
+// first, and errClosed once the store is closed.
 func (s *Store) AwaitSnapshotsFrom(ctx context.Context, limit uint64) error {
 	e := &s.ep
 	_, err := e.await(ctx, func() bool {

@@ -34,22 +34,22 @@ const (
 // errFreeList reports a list that does not name a set of pages of the
 // file. Allocating from it would hand a page out twice or past the end.
 func errFreeList(format string, args ...any) error {
-	return fmt.Errorf("%w: free list: %s", ErrCorruptPage, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%w: free list: %s", errCorruptPage, fmt.Sprintf(format, args...))
 }
 
-// Allocate returns a page available for use, reusing listed pages first.
+// allocate returns a page available for use, reusing listed pages first.
 // Allocated pages count as fresh until the next commit: the writer may
 // rewrite them under the same id, since no published state can reference
 // them.
-func (s *Store) Allocate() (PageID, error) {
+func (s *Store) allocate() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.allocate()
+	return s.allocateLocked()
 }
 
-func (s *Store) allocate() (PageID, error) {
+func (s *Store) allocateLocked() (PageID, error) {
 	if s.closed.Load() {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	id, err := s.popFree()
 	if err != nil {

@@ -61,7 +61,7 @@ func TestFreeListCyclicV2Chain(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrCorruptPage) {
+		if !errors.Is(err, errCorruptPage) {
 			t.Fatalf("accounting over a cyclic free chain: %v, want ErrCorruptPage", err)
 		}
 	case <-time.After(10 * time.Second):
@@ -70,9 +70,9 @@ func TestFreeListCyclicV2Chain(t *testing.T) {
 	defer s.Close()
 	var got []PageID
 	for i := 0; i < 3; i++ {
-		id, err := s.Allocate()
+		id, err := s.allocate()
 		if err != nil {
-			if !errors.Is(err, ErrCorruptPage) {
+			if !errors.Is(err, errCorruptPage) {
 				t.Fatalf("allocation %d: %v, want ErrCorruptPage", i, err)
 			}
 			return
@@ -98,7 +98,7 @@ func TestFreeListOpensV2LinkChain(t *testing.T) {
 	}
 	var got []PageID
 	for i := 0; i < 6; i++ {
-		id, err := s.Allocate()
+		id, err := s.allocate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestFreeListOpensV2LinkChain(t *testing.T) {
 	}
 	s.SetRoot(0, tree.Root())
 	for _, id := range got {
-		if err := s.Retire(id); err != nil {
+		if err := s.retire(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,11 +145,11 @@ func TestFreeListSpillsToTrunks(t *testing.T) {
 	}
 	var ids []PageID
 	for i := 0; i < n; i++ {
-		id, err := s.Allocate()
+		id, err := s.allocate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WritePage(id, bytes.Repeat([]byte{byte(i)}, PageSize)); err != nil {
+		if err := s.writePage(id, bytes.Repeat([]byte{byte(i)}, PageSize)); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
@@ -158,7 +158,7 @@ func TestFreeListSpillsToTrunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		if err := s.Retire(id); err != nil {
+		if err := s.retire(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestFreeListSpillsToTrunks(t *testing.T) {
 	defer s.Close()
 	var got []PageID
 	for i := 0; i < n+trunks; i++ {
-		id, err := s.Allocate()
+		id, err := s.allocate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestFreeListSpillsToTrunks(t *testing.T) {
 	if s.PageCount() != count {
 		t.Fatalf("draining the list grew the file from %d to %d pages", count, s.PageCount())
 	}
-	if id, err := s.Allocate(); err != nil || id != count {
+	if id, err := s.allocate(); err != nil || id != count {
 		t.Fatalf("allocation past the list: %d, %v, want %d", id, err, count)
 	}
 }
@@ -321,11 +321,11 @@ func checkBatchesCarryNoFreePage(t *testing.T, name string, batches [][]DirtyPag
 func TestFreeListGrownPageSurvivesLostGrowth(t *testing.T) {
 	s, path := openTempStore(t)
 	s.SetCheckpointPolicy(1<<40, time.Hour)
-	id, err := s.Allocate()
+	id, err := s.allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Retire(id); err != nil { // fresh: freed at once, never written
+	if err := s.retire(id); err != nil { // fresh: freed at once, never written
 		t.Fatal(err)
 	}
 	if err := s.Commit(); err != nil {
@@ -343,11 +343,11 @@ func TestFreeListGrownPageSurvivesLostGrowth(t *testing.T) {
 	if re.PageCount() <= id {
 		t.Fatalf("reopened with %d pages; free page %d is past the end", re.PageCount(), id)
 	}
-	got, err := re.Allocate()
+	got, err := re.allocate()
 	if err != nil || got != id {
 		t.Fatalf("allocation: %d, %v, want the free page %d", got, err, id)
 	}
-	if err := re.WritePage(got, bytes.Repeat([]byte{7}, PageSize)); err != nil {
+	if err := re.writePage(got, bytes.Repeat([]byte{7}, PageSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Commit(); err != nil {
@@ -379,11 +379,11 @@ func TestFreeListFollowerMatchesPrimaryPageCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetRoot(0, tree.Root())
-	id, err := p.Allocate()
+	id, err := p.allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Retire(id); err != nil {
+	if err := p.retire(id); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -400,7 +400,7 @@ func TestFreeListFollowerMatchesPrimaryPageCount(t *testing.T) {
 	if err := f.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := f.Allocate(); err != nil || got != id {
+	if got, err := f.allocate(); err != nil || got != id {
 		t.Fatalf("promoted follower allocated %d, %v, want the free page %d", got, err, id)
 	}
 }
@@ -416,7 +416,7 @@ func TestCatchUpSnapshotKeepsTrunks(t *testing.T) {
 	s, _ := openTempStore(t)
 	var ids []PageID
 	for i := 0; i < 1500; i++ {
-		id, err := s.Allocate()
+		id, err := s.allocate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +426,7 @@ func TestCatchUpSnapshotKeepsTrunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		if err := s.Retire(id); err != nil {
+		if err := s.retire(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -436,7 +436,7 @@ func TestCatchUpSnapshotKeepsTrunks(t *testing.T) {
 	count := s.PageCount()
 	// Drain the inline ids and one trunk: its page is handed out.
 	for s.handout == 0 {
-		if _, err := s.Allocate(); err != nil {
+		if _, err := s.allocate(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -478,14 +478,14 @@ func TestCatchUpSnapshotKeepsTrunks(t *testing.T) {
 		trunks[id] = img
 	}
 	for s.meta.freeHead != 0 || s.nfree > 0 {
-		id, err := s.Allocate()
+		id, err := s.allocate()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := trunks[id]; ok {
 			t.Fatalf("trunk page %d handed out while a snapshot is open", id)
 		}
-		if err := s.WritePage(id, bytes.Repeat([]byte{0xEE}, PageSize)); err != nil {
+		if err := s.writePage(id, bytes.Repeat([]byte{0xEE}, PageSize)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -114,7 +114,7 @@ func (s *Store) flushBatch(batch []*commitReq) error {
 	// a Size() sample can observe these bytes, the checkpointer can also see
 	// that their epochs are durable (so it never resets past an image it
 	// skipped).
-	err := s.wal.AppendGroup(batches, batch[0].epoch, last.epoch, func() { s.wb.setDurable(last.epoch) })
+	err := s.wal.appendGroup(batches, batch[0].epoch, last.epoch, func() { s.wb.setDurable(last.epoch) })
 	walDur := time.Since(start)
 	if err != nil {
 		return err
@@ -242,7 +242,7 @@ func (s *Store) CommitAsync() *CommitWaiter {
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return &CommitWaiter{err: ErrClosed, done: true}
+		return &CommitWaiter{err: errClosed, done: true}
 	}
 	req, err := s.prepareLocked()
 	epoch := s.meta.epoch
@@ -258,11 +258,11 @@ func (s *Store) CommitAsync() *CommitWaiter {
 // (or, during init, have exclusive access). A nil request means there was
 // nothing to commit or the store is in-memory (committed inline).
 func (s *Store) prepareLocked() (*commitReq, error) {
-	if s.pool.DirtyCount() == 0 && !s.metaDirty {
+	if s.pool.dirtyCount() == 0 && !s.metaDirty {
 		return nil, nil
 	}
 	if s.replica.Load() {
-		return nil, ErrReplica
+		return nil, errReplica
 	}
 	// Stamp the new epoch into the meta page before collecting, so the
 	// stamped meta page is part of the batch and recovery lands on it.
@@ -276,7 +276,7 @@ func (s *Store) prepareLocked() (*commitReq, error) {
 // primary's meta image verbatim) and enqueues them for the next group
 // flush. Callers hold Store.mu.
 func (s *Store) captureLocked() (*commitReq, error) {
-	dirty := s.pool.DirtyPages()
+	dirty := s.pool.dirtyPages()
 	// Every batch carries its stamped meta page, and page 0 sorts first.
 	meta := dirty[0].Data
 
@@ -284,12 +284,12 @@ func (s *Store) captureLocked() (*commitReq, error) {
 		// In-memory store: no WAL, no checkpointer — write straight back
 		// and publish, as the old synchronous path did.
 		for _, d := range dirty {
-			if err := s.pager.WritePage(d.ID, d.Data); err != nil {
+			if err := s.pager.writePage(d.ID, d.Data); err != nil {
 				return nil, err
 			}
 		}
 		obs.Engine.Add(obs.CtrPagesWritten, int64(len(dirty)))
-		s.pool.ClearDirty()
+		s.pool.clearDirty()
 		s.fresh = make(map[PageID]struct{})
 		s.publish(s.meta.epoch, s.meta.roots, meta)
 		obs.Engine.Add(obs.CtrCommits, 1)
@@ -302,10 +302,10 @@ func (s *Store) captureLocked() (*commitReq, error) {
 	// them with the pool instead of copying.
 	pages := dirty
 	// Insert into the writeback table before clearing dirty flags: once
-	// ClearDirty may evict a frame, a pool miss must find the committed
+	// clearDirty may evict a frame, a pool miss must find the committed
 	// image in the writeback table rather than stale bytes on disk.
 	s.wb.insert(s.meta.epoch, pages)
-	s.pool.ClearDirty()
+	s.pool.clearDirty()
 	s.fresh = make(map[PageID]struct{})
 	req := &commitReq{
 		epoch: s.meta.epoch,

@@ -131,13 +131,13 @@ func TestGroupCommitWaitersAlwaysComplete(t *testing.T) {
 }
 
 // TestCommitAsyncAfterCloseFails pins the closed-store behaviour: the
-// waiter reports ErrClosed instead of panicking or hanging.
+// waiter reports errClosed instead of panicking or hanging.
 func TestCommitAsyncAfterCloseFails(t *testing.T) {
 	s, _ := openTempStore(t)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CommitAsync().Wait(); err != ErrClosed {
+	if err := s.CommitAsync().Wait(); err != errClosed {
 		t.Fatalf("CommitAsync on closed store: %v, want ErrClosed", err)
 	}
 }

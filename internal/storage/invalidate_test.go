@@ -83,7 +83,7 @@ func TestWALRetainCapOverridesFloor(t *testing.T) {
 	s.SetWALRetainFloor(first)
 
 	// Under the default (large) cap the floor wins.
-	if ok, err := s.wal.ResetIf(s.wal.Size(), nil); err != nil || ok {
+	if ok, err := s.wal.resetIf(s.wal.Size(), nil); err != nil || ok {
 		t.Fatalf("truncate under cap: ok=%v err=%v, want refused", ok, err)
 	}
 	if s.WALSize() == 0 {
@@ -91,36 +91,14 @@ func TestWALRetainCapOverridesFloor(t *testing.T) {
 	}
 
 	// With the cap below the log size, the floor is overridden.
-	s.SetWALRetainCap(1)
-	if ok, err := s.wal.ResetIf(s.wal.Size(), nil); err != nil || !ok {
+	s.wal.mu.Lock()
+	s.wal.retainCap = 1
+	s.wal.mu.Unlock()
+	if ok, err := s.wal.resetIf(s.wal.Size(), nil); err != nil || !ok {
 		t.Fatalf("truncate past cap: ok=%v err=%v, want accepted", ok, err)
 	}
 	if s.WALSize() != 0 {
 		t.Fatal("WAL non-empty after a cap-overridden truncate")
-	}
-}
-
-// TestLogCommitContentEpochs asserts the single-batch append path derives
-// the batch's epoch from its stamped meta page, keeping the log's
-// content-epoch range accurate for the retain floor.
-func TestLogCommitContentEpochs(t *testing.T) {
-	s, _ := openTempStore(t)
-	var roots [NumRoots]PageID
-	batch := []DirtyPage{{ID: 0, Data: metaImage(7, roots)}}
-	if err := s.wal.LogCommit(batch); err != nil {
-		t.Fatal(err)
-	}
-	if first, last := s.wal.ContentEpochs(); first != 7 || last != 7 {
-		t.Fatalf("ContentEpochs after LogCommit = [%d, %d], want [7, 7]", first, last)
-	}
-
-	// A second, newer batch extends only the upper bound.
-	batch2 := []DirtyPage{{ID: 0, Data: metaImage(9, roots)}}
-	if err := s.wal.LogCommit(batch2); err != nil {
-		t.Fatal(err)
-	}
-	if first, last := s.wal.ContentEpochs(); first != 7 || last != 9 {
-		t.Fatalf("ContentEpochs after second LogCommit = [%d, %d], want [7, 9]", first, last)
 	}
 }
 

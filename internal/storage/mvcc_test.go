@@ -325,7 +325,7 @@ func TestCrashBetweenWALAndPageFile(t *testing.T) {
 	}
 
 	// Hand-craft the next commit directly in the WAL: a new meta image with
-	// a bumped epoch, as LogCommit would have written before the page file
+	// a bumped epoch, as a commit would have logged before the page file
 	// was updated.
 	s, err = Open(path)
 	if err != nil {
@@ -335,7 +335,7 @@ func TestCrashBetweenWALAndPageFile(t *testing.T) {
 	m.epoch = epoch1 + 5
 	img := make([]byte, PageSize)
 	m.encode(img)
-	if err := s.wal.LogCommit([]DirtyPage{{ID: 0, Data: img}}); err != nil {
+	if err := s.wal.appendGroup([][]DirtyPage{{{ID: 0, Data: img}}}, m.epoch, m.epoch, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.pager.Close()

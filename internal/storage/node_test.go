@@ -92,7 +92,7 @@ func uintptrDiff(page, sub []byte) int {
 }
 
 // FuzzNodeDecode feeds arbitrary bytes to the one node decoder. Torn and
-// hostile pages must come back as ErrCorruptPage (naming the page), never
+// hostile pages must come back as errCorruptPage (naming the page), never
 // as a panic; whatever does decode must lie inside the page and re-encode
 // to the same cells.
 func FuzzNodeDecode(f *testing.F) {
@@ -110,7 +110,7 @@ func FuzzNodeDecode(f *testing.F) {
 		copy(img, raw)
 		n, err := decodeNode(7, img)
 		if err != nil {
-			if !errors.Is(err, ErrCorruptPage) || !strings.Contains(err.Error(), "page 7") {
+			if !errors.Is(err, errCorruptPage) || !strings.Contains(err.Error(), "page 7") {
 				t.Fatalf("decode error %q is not ErrCorruptPage naming the page", err)
 			}
 			return
@@ -121,7 +121,7 @@ func FuzzNodeDecode(f *testing.F) {
 
 // TestCorruptPagesAreErrors drives the hostile cases through the read path
 // itself: a tree whose leaf was overwritten with bytes that claim more than
-// the page holds answers reads with ErrCorruptPage instead of panicking.
+// the page holds answers reads with errCorruptPage instead of panicking.
 func TestCorruptPagesAreErrors(t *testing.T) {
 	leaf, internal, _ := samplePages(t)
 	for name, damage := range map[string]func(img []byte){
@@ -140,17 +140,17 @@ func TestCorruptPagesAreErrors(t *testing.T) {
 			}
 			img := bytes.Clone(leaf)
 			damage(img)
-			if err := s.WritePage(bt.Root(), img); err != nil {
+			if err := s.writePage(bt.Root(), img); err != nil {
 				t.Fatal(err)
 			}
 			_, _, err = bt.Get([]byte("key-000100"))
-			if !errors.Is(err, ErrCorruptPage) || !strings.Contains(err.Error(), fmt.Sprintf("page %d", bt.Root())) {
+			if !errors.Is(err, errCorruptPage) || !strings.Contains(err.Error(), fmt.Sprintf("page %d", bt.Root())) {
 				t.Fatalf("Get on a damaged leaf: err = %v, want ErrCorruptPage naming page %d", err, bt.Root())
 			}
-			if _, err := bt.First(); !errors.Is(err, ErrCorruptPage) {
+			if _, err := bt.First(); !errors.Is(err, errCorruptPage) {
 				t.Fatalf("First on a damaged leaf: err = %v, want ErrCorruptPage", err)
 			}
-			if err := bt.Check(); !errors.Is(err, ErrCorruptPage) {
+			if err := bt.Check(); !errors.Is(err, errCorruptPage) {
 				t.Fatalf("Check on a damaged leaf: err = %v, want ErrCorruptPage", err)
 			}
 		})
@@ -171,19 +171,19 @@ func TestCorruptPagesAreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := PageID(binary.LittleEndian.Uint64(root.val(0)))
-	if err := s.WritePage(head, bytes.Clone(internal)); err != nil {
+	if err := s.writePage(head, bytes.Clone(internal)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bt.Get([]byte("big")); !errors.Is(err, ErrCorruptPage) {
+	if _, _, err := bt.Get([]byte("big")); !errors.Is(err, errCorruptPage) {
 		t.Fatalf("Get through a damaged overflow chain: err = %v, want ErrCorruptPage", err)
 	}
 	long := make([]byte, PageSize)
 	long[0] = pageOverflow
 	binary.LittleEndian.PutUint32(long[9:], PageSize)
-	if err := s.WritePage(head, long); err != nil {
+	if err := s.writePage(head, long); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bt.Get([]byte("big")); !errors.Is(err, ErrCorruptPage) {
+	if _, _, err := bt.Get([]byte("big")); !errors.Is(err, errCorruptPage) {
 		t.Fatalf("Get through an overflow page claiming a full page: err = %v, want ErrCorruptPage", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestSeekBatchMatchesSeek(t *testing.T) {
 	}
 	leaves := map[PageID]bool{} // the leaves the keys route to, and the ones their entries are in
 	for i, key := range keys {
-		c := &Cursor{tree: bt}
+		c := &cursor{tree: bt}
 		if _, err := c.locate(key); err != nil {
 			t.Fatal(err)
 		}

@@ -37,44 +37,43 @@ const (
 
 // Common storage errors.
 var (
-	ErrClosed      = errors.New("storage: closed")
-	ErrBadMeta     = errors.New("storage: bad meta page")
-	ErrPageBounds  = errors.New("storage: page id out of bounds")
+	errClosed      = errors.New("storage: closed")
+	errBadMeta     = errors.New("storage: bad meta page")
+	errPageBounds  = errors.New("storage: page id out of bounds")
 	ErrKeyTooLarge = errors.New("storage: key too large")
-	ErrNotFound    = errors.New("storage: key not found")
-	// ErrCorruptPage is returned when a page's bytes do not decode as what
+	// errCorruptPage is returned when a page's bytes do not decode as what
 	// the reader was told to expect (a torn or damaged node, an overflow
 	// chain running off its pages). The wrapping error names the page.
-	ErrCorruptPage = errors.New("storage: corrupt page")
+	errCorruptPage = errors.New("storage: corrupt page")
 )
 
 // PageID identifies a page within a page file. Page 0 is the meta page and
-// is never handed out by Allocate.
+// is never handed out by allocate.
 type PageID uint64
 
-// Pager is the raw page I/O abstraction shared by the on-disk and in-memory
+// pageFile is the raw page I/O abstraction shared by the on-disk and in-memory
 // backends. Implementations are internally synchronized: concurrent reads
 // (and the Store's commit-time writes) may interleave with pool misses.
-type Pager interface {
+type pageFile interface {
 	// ReadPage reads the page into buf, which must be PageSize long.
 	ReadPage(id PageID, buf []byte) error
-	// WritePage writes buf (PageSize long) to the page.
-	WritePage(id PageID, buf []byte) error
-	// WritePages writes a batch of page images, sorted ascending by id.
+	// writePage writes buf (PageSize long) to the page.
+	writePage(id PageID, buf []byte) error
+	// writePages writes a batch of page images, sorted ascending by id.
 	// Implementations may coalesce runs of adjacent ids into single
 	// larger writes (the checkpoint fast path).
-	WritePages(pages []DirtyPage) error
+	writePages(pages []DirtyPage) error
 	// Grow extends the file by one page and returns its id.
 	Grow() (PageID, error)
 	// PageCount returns the number of pages, including the meta page.
 	PageCount() PageID
 	// Sync flushes written pages to stable media.
-	Sync() error
+	sync() error
 	// Close releases resources.
 	Close() error
 }
 
-// filePager is a Pager backed by a single OS file. A RWMutex guards the
+// filePager is a pageFile backed by a single OS file. A RWMutex guards the
 // page count and file handle; page reads and writes at distinct offsets
 // proceed in parallel under the read lock.
 type filePager struct {
@@ -83,9 +82,9 @@ type filePager struct {
 	count PageID
 }
 
-// OpenFilePager opens (creating if necessary) a page file at path. A fresh
+// openFilePager opens (creating if necessary) a page file at path. A fresh
 // file has zero pages; callers are expected to initialize a meta page.
-func OpenFilePager(path string) (Pager, error) {
+func openFilePager(path string) (pageFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open page file: %w", err)
@@ -106,10 +105,10 @@ func (p *filePager) ReadPage(id PageID, buf []byte) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.f == nil {
-		return ErrClosed
+		return errClosed
 	}
 	if id >= p.count {
-		return fmt.Errorf("%w: read %d of %d", ErrPageBounds, id, p.count)
+		return fmt.Errorf("%w: read %d of %d", errPageBounds, id, p.count)
 	}
 	if _, err := p.f.ReadAt(buf[:PageSize], int64(id)*PageSize); err != nil && err != io.EOF {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
@@ -117,14 +116,14 @@ func (p *filePager) ReadPage(id PageID, buf []byte) error {
 	return nil
 }
 
-func (p *filePager) WritePage(id PageID, buf []byte) error {
+func (p *filePager) writePage(id PageID, buf []byte) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.f == nil {
-		return ErrClosed
+		return errClosed
 	}
 	if id >= p.count {
-		return fmt.Errorf("%w: write %d of %d", ErrPageBounds, id, p.count)
+		return fmt.Errorf("%w: write %d of %d", errPageBounds, id, p.count)
 	}
 	if _, err := p.f.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
 		return fmt.Errorf("storage: write page %d: %w", id, err)
@@ -136,11 +135,11 @@ func (p *filePager) WritePage(id PageID, buf []byte) error {
 // bounding the staging buffer while still amortizing syscall costs.
 const maxCoalescePages = 256
 
-func (p *filePager) WritePages(pages []DirtyPage) error {
+func (p *filePager) writePages(pages []DirtyPage) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.f == nil {
-		return ErrClosed
+		return errClosed
 	}
 	var buf []byte
 	for i := 0; i < len(pages); {
@@ -150,7 +149,7 @@ func (p *filePager) WritePages(pages []DirtyPage) error {
 		}
 		run := pages[i:j]
 		if last := run[len(run)-1].ID; last >= p.count {
-			return fmt.Errorf("%w: write %d of %d", ErrPageBounds, last, p.count)
+			return fmt.Errorf("%w: write %d of %d", errPageBounds, last, p.count)
 		}
 		if len(run) == 1 {
 			if _, err := p.f.WriteAt(run[0].Data[:PageSize], int64(run[0].ID)*PageSize); err != nil {
@@ -178,7 +177,7 @@ func (p *filePager) Grow() (PageID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.f == nil {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	id := p.count
 	var zero [PageSize]byte
@@ -195,11 +194,11 @@ func (p *filePager) PageCount() PageID {
 	return p.count
 }
 
-func (p *filePager) Sync() error {
+func (p *filePager) sync() error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.f == nil {
-		return ErrClosed
+		return errClosed
 	}
 	return p.f.Sync()
 }
@@ -215,7 +214,7 @@ func (p *filePager) Close() error {
 	return err
 }
 
-// memPager is a Pager kept entirely in memory. It is used for tests, for
+// memPager is a pageFile kept entirely in memory. It is used for tests, for
 // ephemeral repositories, and as the default backend of in-memory indexes.
 type memPager struct {
 	mu     sync.RWMutex
@@ -223,38 +222,38 @@ type memPager struct {
 	closed bool
 }
 
-// NewMemPager returns an empty in-memory pager.
-func NewMemPager() Pager { return &memPager{} }
+// newMemPager returns an empty in-memory pager.
+func newMemPager() pageFile { return &memPager{} }
 
 func (p *memPager) ReadPage(id PageID, buf []byte) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if int(id) >= len(p.pages) {
-		return fmt.Errorf("%w: read %d of %d", ErrPageBounds, id, len(p.pages))
+		return fmt.Errorf("%w: read %d of %d", errPageBounds, id, len(p.pages))
 	}
 	copy(buf[:PageSize], p.pages[id])
 	return nil
 }
 
-func (p *memPager) WritePage(id PageID, buf []byte) error {
+func (p *memPager) writePage(id PageID, buf []byte) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if int(id) >= len(p.pages) {
-		return fmt.Errorf("%w: write %d of %d", ErrPageBounds, id, len(p.pages))
+		return fmt.Errorf("%w: write %d of %d", errPageBounds, id, len(p.pages))
 	}
 	copy(p.pages[id], buf[:PageSize])
 	return nil
 }
 
-func (p *memPager) WritePages(pages []DirtyPage) error {
+func (p *memPager) writePages(pages []DirtyPage) error {
 	for _, pg := range pages {
-		if err := p.WritePage(pg.ID, pg.Data); err != nil {
+		if err := p.writePage(pg.ID, pg.Data); err != nil {
 			return err
 		}
 	}
@@ -265,7 +264,7 @@ func (p *memPager) Grow() (PageID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	p.pages = append(p.pages, make([]byte, PageSize))
 	return PageID(len(p.pages) - 1), nil
@@ -277,7 +276,7 @@ func (p *memPager) PageCount() PageID {
 	return PageID(len(p.pages))
 }
 
-func (p *memPager) Sync() error { return nil }
+func (p *memPager) sync() error { return nil }
 
 func (p *memPager) Close() error {
 	p.mu.Lock()
@@ -340,17 +339,17 @@ func (m *meta) encode(buf []byte) {
 
 func (m *meta) decode(buf []byte) error {
 	if len(buf) != PageSize {
-		return fmt.Errorf("%w: %d bytes", ErrBadMeta, len(buf))
+		return fmt.Errorf("%w: %d bytes", errBadMeta, len(buf))
 	}
 	if string(buf[:8]) != metaMagic {
-		return fmt.Errorf("%w: bad magic", ErrBadMeta)
+		return fmt.Errorf("%w: bad magic", errBadMeta)
 	}
 	v := binary.LittleEndian.Uint32(buf[8:])
 	if v < 2 || v > metaVersion {
-		return fmt.Errorf("%w: version %d", ErrBadMeta, v)
+		return fmt.Errorf("%w: version %d", errBadMeta, v)
 	}
 	if ps := binary.LittleEndian.Uint32(buf[12:]); ps != PageSize {
-		return fmt.Errorf("%w: page size %d", ErrBadMeta, ps)
+		return fmt.Errorf("%w: page size %d", errBadMeta, ps)
 	}
 	m.freeHead = PageID(binary.LittleEndian.Uint64(buf[16:]))
 	for i := range m.roots {
@@ -364,7 +363,7 @@ func (m *meta) decode(buf []byte) error {
 	}
 	n := binary.LittleEndian.Uint32(buf[metaFreeNOff:])
 	if n > metaFreeCap {
-		return fmt.Errorf("%w: %d inline free ids, room for %d", ErrBadMeta, n, metaFreeCap)
+		return fmt.Errorf("%w: %d inline free ids, room for %d", errBadMeta, n, metaFreeCap)
 	}
 	m.pageCount = PageID(binary.LittleEndian.Uint64(buf[metaPagesOff:]))
 	if n > 0 {
@@ -381,8 +380,8 @@ func (m *meta) decode(buf []byte) error {
 // mutations happen in the buffer pool; Commit makes them durable atomically
 // and publishes a new epoch.
 //
-// Concurrency: the store is multi-version. Mutations (WriteCOW, WritePage,
-// Allocate, Retire, SetRoot, Commit, Close) serialize on the store
+// Concurrency: the store is multi-version. Mutations (writeCOW, writePage,
+// allocate, retire, SetRoot, Commit, Close) serialize on the store
 // mutex and must come from one writer at a time (package relstore enforces
 // this with its database mutex). Reads — ReadPage — never take the store
 // mutex: they take the page's immutable image from the buffer pool under
@@ -396,9 +395,9 @@ func (m *meta) decode(buf []byte) error {
 // stay what they were.
 type Store struct {
 	mu     sync.RWMutex
-	pager  Pager
-	pool   *BufferPool
-	wal    *WAL
+	pager  pageFile
+	pool   *bufferPool
+	wal    *wal
 	meta   meta
 	closed atomic.Bool
 
@@ -496,7 +495,7 @@ func (s *Store) dropCached(id PageID) {
 // Open opens a file-backed store, creating it if absent, and replays any
 // committed WAL records left behind by a crash. The WAL lives next to the
 // page file at path+".wal".
-func Open(path string) (*Store, error) { return openFile(path, DefaultPoolSize) }
+func Open(path string) (*Store, error) { return openFile(path, defaultPoolSize) }
 
 // openFile is Open with an explicit buffer-pool frame limit (tests shrink it
 // to force evictions through the writeback read path).
@@ -508,14 +507,14 @@ func openFile(path string, poolLimit int) (*Store, error) {
 // recovery still runs (restart resumes on the last fully applied epoch),
 // but the store never stamps epochs itself — all state advances arrive
 // through ApplyReplicated. See Promote.
-func OpenReplica(path string) (*Store, error) { return openFileMode(path, DefaultPoolSize, true) }
+func OpenReplica(path string) (*Store, error) { return openFileMode(path, defaultPoolSize, true) }
 
 func openFileMode(path string, poolLimit int, replica bool) (*Store, error) {
 	wal, err := openWAL(path + ".wal")
 	if err != nil {
 		return nil, err
 	}
-	pager, err := OpenFilePager(path)
+	pager, err := openFilePager(path)
 	if err != nil {
 		wal.Close()
 		return nil, err
@@ -525,7 +524,7 @@ func openFileMode(path string, poolLimit int, replica bool) (*Store, error) {
 	// have not been checkpointed yet must win over the (stale) page file.
 	s := &Store{
 		pager: pager,
-		pool:  NewBufferPool(&writebackPager{Pager: pager, wb: wb}, poolLimit),
+		pool:  newBufferPool(&writebackPager{pageFile: pager, wb: wb}, poolLimit),
 		wal:   wal,
 		wb:    wb,
 		fresh: make(map[PageID]struct{}),
@@ -541,13 +540,13 @@ func openFileMode(path string, poolLimit int, replica bool) (*Store, error) {
 }
 
 // OpenMem opens a store backed entirely by memory (no WAL, no durability).
-func OpenMem() *Store { return OpenMemWithPoolLimit(DefaultPoolSize) }
+func OpenMem() *Store { return OpenMemWithPoolLimit(defaultPoolSize) }
 
 func (s *Store) init() error {
 	// Recover committed pages from the WAL before reading the meta page,
 	// so a crash between WAL commit and page-file write is invisible.
 	if s.wal != nil {
-		if err := s.wal.Recover(s.pager); err != nil {
+		if err := s.wal.recoverPages(s.pager); err != nil {
 			return err
 		}
 	}
@@ -561,10 +560,10 @@ func (s *Store) init() error {
 			return fmt.Errorf("storage: fresh file grew to page %d", id)
 		}
 		s.meta.encode(img)
-		if err := s.pager.WritePage(0, img); err != nil {
+		if err := s.pager.writePage(0, img); err != nil {
 			return err
 		}
-		if err := s.pager.Sync(); err != nil {
+		if err := s.pager.sync(); err != nil {
 			return err
 		}
 		s.ep.init(s.meta.epoch, s.meta.roots, img)
@@ -616,21 +615,21 @@ func (s *Store) listGrown() error {
 	return nil
 }
 
-// Retire marks a page as superseded. A fresh page (allocated since the
+// retire marks a page as superseded. A fresh page (allocated since the
 // last commit) was never visible to anyone and is freed immediately; a
 // committed page enters the epoch-reclamation pipeline and returns to the
 // free list once the superseding commit has published and every snapshot
 // that could reference it has closed.
-func (s *Store) Retire(id PageID) error {
+func (s *Store) retire(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
-		return ErrClosed
+		return errClosed
 	}
-	return s.retire(id)
+	return s.retireLocked(id)
 }
 
-func (s *Store) retire(id PageID) error {
+func (s *Store) retireLocked(id PageID) error {
 	if _, ok := s.fresh[id]; ok {
 		delete(s.fresh, id)
 		return s.free(id)
@@ -638,9 +637,9 @@ func (s *Store) retire(id PageID) error {
 	return s.listPending(id)
 }
 
-// Writable reports whether the writer may rewrite the page under its id:
+// writable reports whether the writer may rewrite the page under its id:
 // true only for pages allocated since the last commit.
-func (s *Store) Writable(id PageID) bool {
+func (s *Store) writable(id PageID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	_, ok := s.fresh[id]
@@ -692,7 +691,7 @@ func (s *Store) ReadPage(id PageID) ([]byte, error) {
 // the per-request set c when a trace is active (c nil-safe).
 func (s *Store) readPage(id PageID, c *obs.Counters) ([]byte, error) {
 	if s.closed.Load() {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	img, hit, err := s.pool.page(id)
 	if err != nil {
@@ -710,45 +709,45 @@ func (s *Store) readPage(id PageID, c *obs.Counters) ([]byte, error) {
 	return img, nil
 }
 
-// WritePage installs img as the page's new image via the buffer pool.
+// writePage installs img as the page's new image via the buffer pool.
 // Ownership of img passes to the store: the caller must not modify it
 // afterwards. Callers must own the page (fresh, or provably unreferenced by
-// any published state); COW paths use WriteCOW.
-func (s *Store) WritePage(id PageID, img []byte) error {
+// any published state); COW paths use writeCOW.
+func (s *Store) writePage(id PageID, img []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
-		return ErrClosed
+		return errClosed
 	}
 	// The page has new contents: any cached decode of it is now stale.
 	s.dropCached(id)
 	return s.pool.Put(id, img)
 }
 
-// WriteCOW writes a page image with copy-on-write semantics: a fresh page
+// writeCOW writes a page image with copy-on-write semantics: a fresh page
 // keeps its id and gets the new image; a committed page is left untouched,
 // the image lands on a newly allocated page, and the old page is retired.
-// The returned id is where the image now lives. As with WritePage,
+// The returned id is where the image now lives. As with writePage,
 // ownership of img passes to the store.
-func (s *Store) WriteCOW(id PageID, img []byte) (PageID, error) {
+func (s *Store) writeCOW(id PageID, img []byte) (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	if _, ok := s.fresh[id]; ok {
 		// Fresh pages keep their id; drop any cached decode.
 		s.dropCached(id)
 		return id, s.pool.Put(id, img)
 	}
-	nid, err := s.allocate()
+	nid, err := s.allocateLocked()
 	if err != nil {
 		return 0, err
 	}
 	if err := s.pool.Put(nid, img); err != nil {
 		return 0, err
 	}
-	if err := s.retire(id); err != nil {
+	if err := s.retireLocked(id); err != nil {
 		return 0, err
 	}
 	obs.Engine.Add(obs.CtrCOWPages, 1)
@@ -773,14 +772,11 @@ func (s *Store) PageCount() PageID {
 	return s.pager.PageCount()
 }
 
-// Pool exposes the buffer pool (used by tests).
-func (s *Store) Pool() *BufferPool { return s.pool }
-
 // OpenMemWithPoolLimit opens an in-memory store whose buffer pool holds at
 // most limit frames — used by tests to force eviction pressure.
 func OpenMemWithPoolLimit(limit int) *Store {
-	pager := NewMemPager()
-	s := &Store{pager: pager, pool: NewBufferPool(pager, limit), fresh: make(map[PageID]struct{})}
+	pager := newMemPager()
+	s := &Store{pager: pager, pool: newBufferPool(pager, limit), fresh: make(map[PageID]struct{})}
 	if err := s.init(); err != nil {
 		// The in-memory pager cannot fail on a fresh store.
 		panic("storage: init mem store: " + err.Error())

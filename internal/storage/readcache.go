@@ -16,7 +16,7 @@ import (
 //   - Store.free and Store.reclaim: the page becomes reusable (freed in
 //     the transaction that allocated it, or no snapshot can read it any
 //     more) and its id may be reallocated with different contents.
-//   - Store.WritePage / the fresh branch of Store.WriteCOW: the writer
+//   - Store.writePage / the fresh branch of Store.writeCOW: the writer
 //     gives a page it owns a new image (fresh pages are the writer's to
 //     rewrite until the next commit).
 //

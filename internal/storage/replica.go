@@ -112,16 +112,7 @@ func (s *Store) PublishedEpoch() uint64 { return s.pubEpoch.Load() }
 // log. Zero clears the floor. No-op on in-memory stores.
 func (s *Store) SetWALRetainFloor(epoch uint64) {
 	if s.wal != nil {
-		s.wal.RetainFrom(epoch)
-	}
-}
-
-// SetWALRetainCap bounds the WAL bytes a retain floor may pin before
-// a reset proceeds anyway (the laggard falls back to a snapshot
-// catch-up). Non-positive means unlimited. No-op on in-memory stores.
-func (s *Store) SetWALRetainCap(bytes int64) {
-	if s.wal != nil {
-		s.wal.SetRetainCap(bytes)
+		s.wal.retainFrom(epoch)
 	}
 }
 
@@ -169,7 +160,7 @@ func (s *Store) WALEpochRange() (first, last uint64) {
 	if s.wal == nil {
 		return 0, 0
 	}
-	return s.wal.ContentEpochs()
+	return s.wal.contentEpochs()
 }
 
 // ScanWALBatches replays every committed batch currently in the WAL through
@@ -179,7 +170,7 @@ func (s *Store) ScanWALBatches(fn func(pages []DirtyPage) error) error {
 	if s.wal == nil {
 		return nil
 	}
-	return s.wal.ScanCommitted(fn)
+	return s.wal.scanCommitted(fn)
 }
 
 // BatchMeta decodes the meta-page image riding in a commit batch, returning
@@ -223,14 +214,14 @@ func (s *Store) CatchUpSnapshot(ctx context.Context) (sn *Snap, metaPage []byte,
 	}
 }
 
-// ErrNotReplica is returned by ApplyReplicated on a store that was not
+// errNotReplica is returned by ApplyReplicated on a store that was not
 // opened with OpenReplica (or that has been promoted).
-var ErrNotReplica = errors.New("storage: not a replica")
+var errNotReplica = errors.New("storage: not a replica")
 
-// ErrReplica is returned when a local commit is attempted on a replica
+// errReplica is returned when a local commit is attempted on a replica
 // store: a replica's epochs advance only through ApplyReplicated, so a
 // local commit would fork its history from the primary's.
-var ErrReplica = errors.New("storage: replica stores are read-only")
+var errReplica = errors.New("storage: replica stores are read-only")
 
 // ApplyReplicated installs one replicated commit batch: the page images are
 // written into the pool (growing the file to the primary's page count and
@@ -254,11 +245,11 @@ func (s *Store) ApplyReplicated(epoch uint64, pages []DirtyPage) error {
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	if !s.replica.Load() {
 		s.mu.Unlock()
-		return ErrNotReplica
+		return errNotReplica
 	}
 	if epoch <= s.meta.epoch {
 		s.mu.Unlock()

@@ -78,7 +78,7 @@ func TestMetaRejectsInlineOverflow(t *testing.T) {
 	(&meta{epoch: 3}).encode(buf[:])
 	binary.LittleEndian.PutUint32(buf[metaFreeNOff:], metaFreeCap+1)
 	var m meta
-	if err := m.decode(buf[:]); !errors.Is(err, ErrBadMeta) {
+	if err := m.decode(buf[:]); !errors.Is(err, errBadMeta) {
 		t.Fatalf("decode of %d inline ids: %v, want ErrBadMeta", metaFreeCap+1, err)
 	}
 }
@@ -118,7 +118,7 @@ func FuzzMetaDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got meta
 		if err := got.decode(data); err != nil {
-			if !errors.Is(err, ErrBadMeta) {
+			if !errors.Is(err, errBadMeta) {
 				t.Fatalf("decode error %v is not ErrBadMeta", err)
 			}
 			return
@@ -152,7 +152,7 @@ func FuzzMetaDecode(f *testing.F) {
 
 func TestFilePagerGrowReadWrite(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenFilePager(filepath.Join(dir, "p.db"))
+	p, err := openFilePager(filepath.Join(dir, "p.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFilePagerGrowReadWrite(t *testing.T) {
 	for i := range want {
 		want[i] = byte(i)
 	}
-	if err := p.WritePage(id, want); err != nil {
+	if err := p.writePage(id, want); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, PageSize)
@@ -181,7 +181,7 @@ func TestFilePagerGrowReadWrite(t *testing.T) {
 	if err := p.ReadPage(99, got); err == nil {
 		t.Fatal("out-of-bounds read succeeded")
 	}
-	if err := p.WritePage(99, want); err == nil {
+	if err := p.writePage(99, want); err == nil {
 		t.Fatal("out-of-bounds write succeeded")
 	}
 }
@@ -192,13 +192,13 @@ func TestFilePagerRejectsTornFile(t *testing.T) {
 	if err := os.WriteFile(path, make([]byte, PageSize+7), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFilePager(path); err == nil {
+	if _, err := openFilePager(path); err == nil {
 		t.Fatal("opening a non-page-multiple file succeeded")
 	}
 }
 
 func TestMemPagerBounds(t *testing.T) {
-	p := NewMemPager()
+	p := newMemPager()
 	buf := make([]byte, PageSize)
 	if err := p.ReadPage(0, buf); err == nil {
 		t.Fatal("read of empty pager succeeded")
@@ -207,7 +207,7 @@ func TestMemPagerBounds(t *testing.T) {
 	if err != nil || id != 0 {
 		t.Fatalf("Grow = %d, %v", id, err)
 	}
-	if err := p.WritePage(0, buf); err != nil {
+	if err := p.writePage(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
@@ -216,20 +216,27 @@ func TestMemPagerBounds(t *testing.T) {
 	}
 }
 
+// poolFrames reports the number of frames the pool caches, clean and dirty.
+func poolFrames(bp *bufferPool) int {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return len(bp.frames)
+}
+
 func TestBufferPoolEvictsOnlyClean(t *testing.T) {
-	p := NewMemPager()
-	bp := NewBufferPool(p, 16)
+	p := newMemPager()
+	bp := newBufferPool(p, 16)
 	// Create 40 pages; write (dirty) the first 20.
 	for i := 0; i < 40; i++ {
 		if _, err := bp.Grow(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := len(bp.DirtyPages()); got != 40 {
+	if got := len(bp.dirtyPages()); got != 40 {
 		t.Fatalf("dirty pages = %d, want 40", got)
 	}
-	bp.ClearDirty()
-	if got := bp.Len(); got > 16 {
+	bp.clearDirty()
+	if got := poolFrames(bp); got > 16 {
 		t.Fatalf("pool holds %d clean frames, limit 16", got)
 	}
 	// Dirty frames must survive eviction pressure.
@@ -254,21 +261,21 @@ func TestBufferPoolEvictsOnlyClean(t *testing.T) {
 
 func TestStoreAllocateFreeReuse(t *testing.T) {
 	s, _ := openTempStore(t)
-	a, err := s.Allocate()
+	a, err := s.allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Allocate()
+	b, err := s.allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a == 0 || b == 0 || a == b {
 		t.Fatalf("bad allocations %d %d", a, b)
 	}
-	if err := s.Retire(a); err != nil { // a is fresh: retiring it frees it
+	if err := s.retire(a); err != nil { // a is fresh: retiring it frees it
 		t.Fatal(err)
 	}
-	c, err := s.Allocate()
+	c, err := s.allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +314,7 @@ func TestWALRecoversCommittedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Allocate()
+	id, err := s.allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +333,7 @@ func TestWALRecoversCommittedBatch(t *testing.T) {
 	}
 	img := make([]byte, PageSize)
 	copy(img, "recovered!")
-	if err := w.LogCommit([]DirtyPage{{ID: id, Data: img}}); err != nil {
+	if err := w.appendGroup([][]DirtyPage{{{ID: id, Data: img}}}, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -352,7 +359,7 @@ func TestWALDiscardsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Allocate()
+	id, err := s.allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,26 +410,36 @@ func TestWALDiscardsTornTail(t *testing.T) {
 type recordingPager struct{ writes []DirtyPage }
 
 func (p *recordingPager) ReadPage(PageID, []byte) error { return nil }
-func (p *recordingPager) WritePage(id PageID, buf []byte) error {
+func (p *recordingPager) writePage(id PageID, buf []byte) error {
 	p.writes = append(p.writes, DirtyPage{ID: id, Data: bytes.Clone(buf)})
 	return nil
 }
-func (p *recordingPager) WritePages(pages []DirtyPage) error {
+func (p *recordingPager) writePages(pages []DirtyPage) error {
 	for _, pg := range pages {
-		p.WritePage(pg.ID, pg.Data)
+		p.writePage(pg.ID, pg.Data)
 	}
 	return nil
 }
 func (p *recordingPager) Grow() (PageID, error) { return 0, errors.New("recordingPager: no growing") }
 func (p *recordingPager) PageCount() PageID     { return ^PageID(0) }
-func (p *recordingPager) Sync() error           { return nil }
+func (p *recordingPager) sync() error           { return nil }
 func (p *recordingPager) Close() error          { return nil }
 
-// FuzzWALScan: arbitrary bytes as a log file, through open, ScanCommitted
-// and Recover. The result is an error, or the replay of CRC-valid batches
+// appendWALBatch encodes one commit batch (page frames terminated by a
+// commit frame) with CRCs seeded by seed onto buf and returns the extended
+// slice. appendGroup writes exactly these bytes, in pieces.
+func appendWALBatch(buf []byte, seed uint32, pages []DirtyPage) []byte {
+	for _, p := range pages {
+		buf = appendWALPage(buf, seed, p)
+	}
+	return appendWALCommit(buf, seed, len(pages))
+}
+
+// FuzzWALScan: arbitrary bytes as a log file, through open, scanCommitted
+// and recoverPages. The result is an error, or the replay of CRC-valid batches
 // only — every batch handed out re-encodes, under the header's generation,
 // to exactly the bytes it was read from, back to back from the first frame,
-// and Recover writes exactly those pages, in order, then leaves an empty
+// and recoverPages writes exactly those pages, in order, then leaves an empty
 // log of the next generation behind a header. The scan never panics and
 // allocates no more than the input's size plus one page.
 func FuzzWALScan(f *testing.F) {
@@ -495,7 +512,7 @@ func FuzzWALScan(f *testing.F) {
 			t.Fatalf("open found generation %d, frames [%d, +%d), scan found %d, [%d, %d)", w.gen, w.base, w.Size(), gen, base, end)
 		}
 		var scanned []DirtyPage
-		if err := w.ScanCommitted(func(pages []DirtyPage) error {
+		if err := w.scanCommitted(func(pages []DirtyPage) error {
 			scanned = append(scanned, pages...)
 			return nil
 		}); err != nil {
@@ -506,7 +523,7 @@ func FuzzWALScan(f *testing.F) {
 			replayed = append(replayed, pages...)
 		}
 		pager := &recordingPager{}
-		if err := w.Recover(pager); err != nil {
+		if err := w.recoverPages(pager); err != nil {
 			return
 		}
 		for name, got := range map[string][]DirtyPage{"ScanCommitted": scanned, "Recover": pager.writes} {

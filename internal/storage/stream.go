@@ -49,7 +49,7 @@ func (t *BTree) Scan(ctx context.Context, start []byte, fn func(key, value []byt
 			ctr.Add(obs.CtrRowsScanned, rows)
 		}
 	}()
-	var c *Cursor
+	var c *cursor
 	var err error
 	if start == nil {
 		c, err = t.firstC(ctr)

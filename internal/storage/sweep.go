@@ -59,7 +59,7 @@ func (s *Store) ReclaimUnreachable(sn *Snap, reachable []bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	if s.meta.roots != sn.roots || len(s.fresh) > 0 {
 		return 0, nil

@@ -24,7 +24,7 @@ const (
 	// walPageFrame is the size of one page frame: header, image, CRC.
 	walPageFrame = 16 + PageSize + 4
 
-	// walBufSize is how many encoded bytes AppendGroup gathers before it
+	// walBufSize is how many encoded bytes appendGroup gathers before it
 	// writes them out: a group larger than this takes several writes (and
 	// still one fsync), through a buffer that never holds more than this
 	// plus one frame.
@@ -41,7 +41,7 @@ type walFile interface {
 	Close() error
 }
 
-// WAL is a physical redo log. Each Commit of the Store appends the full
+// wal is a physical redo log. Each Commit of the Store appends the full
 // images of the dirty pages followed by a commit frame, then syncs. Only
 // batches terminated by a valid commit frame are replayed during recovery;
 // a torn tail (crash mid-append) is discarded. Once the page file holds
@@ -61,7 +61,7 @@ type walFile interface {
 // header (the format before generations) is generation 0: frames from
 // offset 0, unsalted CRCs. Recovery replays it, then frees it once and
 // writes the header.
-type WAL struct {
+type wal struct {
 	mu   sync.Mutex
 	f    walFile
 	gen  uint64       // generation of the frames being appended
@@ -90,9 +90,9 @@ type WAL struct {
 	retainCap   int64
 }
 
-// DefaultRetainCapBytes is the default bound on how much WAL a replication
+// defaultRetainCapBytes is the default bound on how much WAL a replication
 // retain floor may pin before a reset proceeds anyway.
-const DefaultRetainCapBytes = 64 << 20
+const defaultRetainCapBytes = 64 << 20
 
 // walSeed is the CRC seed of a generation's frames; generation 0 is the
 // unsalted format before generations.
@@ -120,12 +120,12 @@ func readWALHeader(r io.ReaderAt) (gen uint64, ok bool) {
 
 // openWAL opens the log and finds the end of its committed content, where
 // the next batch is appended.
-func openWAL(path string) (*WAL, error) {
+func openWAL(path string) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
-	w := &WAL{f: f, retainCap: DefaultRetainCapBytes}
+	w := &wal{f: f, retainCap: defaultRetainCapBytes}
 	if gen, ok := readWALHeader(f); ok {
 		w.gen, w.base = gen, walHeaderSize
 	}
@@ -226,17 +226,7 @@ func appendWALCommit(buf []byte, seed uint32, count int) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Update(seed, crc32.IEEETable, buf[start:]))
 }
 
-// appendWALBatch encodes one commit batch (page frames terminated by a
-// commit frame) with CRCs seeded by seed onto buf and returns the extended
-// slice. AppendGroup writes exactly these bytes, in pieces.
-func appendWALBatch(buf []byte, seed uint32, pages []DirtyPage) []byte {
-	for _, p := range pages {
-		buf = appendWALPage(buf, seed, p)
-	}
-	return appendWALCommit(buf, seed, len(pages))
-}
-
-// AppendGroup encodes every batch back to back at the log's tail, writing
+// appendGroup encodes every batch back to back at the log's tail, writing
 // the encoded frames out each time walBufSize of them have gathered (a
 // group under that size takes one write), and syncs once. This is the
 // group-commit fast path: a flush of N coalesced commits costs one fsync
@@ -251,12 +241,12 @@ func appendWALBatch(buf []byte, seed uint32, pages []DirtyPage) []byte {
 // written back.
 //
 // The first failed write or sync fails this append and every later one,
-// and every later ResetIf (see WAL.err).
-func (w *WAL) AppendGroup(batches [][]DirtyPage, firstEpoch, lastEpoch uint64, onDurable func()) error {
+// and every later resetIf (see wal.err).
+func (w *wal) appendGroup(batches [][]DirtyPage, firstEpoch, lastEpoch uint64, onDurable func()) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
-		return ErrClosed
+		return errClosed
 	}
 	if w.err != nil {
 		return w.err
@@ -317,53 +307,26 @@ func (w *WAL) AppendGroup(batches [][]DirtyPage, firstEpoch, lastEpoch uint64, o
 	return nil
 }
 
-// LogCommit appends the dirty page images and a commit frame, then syncs.
-// The batch's epoch is recovered from the stamped meta page riding in it
-// (when present), so the log's content-epoch range stays accurate for this
-// append path too.
-func (w *WAL) LogCommit(pages []DirtyPage) error {
-	var first, last uint64
-	if ep, _, ok := BatchMeta(pages); ok {
-		first, last = ep, ep
-	}
-	return w.AppendGroup([][]DirtyPage{pages}, first, last, nil)
-}
-
-// RetainFrom sets the replication retain floor: while epoch is non-zero,
-// ResetIf refuses to discard the log as long as it still holds a batch
+// retainFrom sets the replication retain floor: while epoch is non-zero,
+// resetIf refuses to discard the log as long as it still holds a batch
 // with epoch >= the floor. A floor of zero (replication off, or every
 // follower caught up past the log's content) restores normal resets.
-func (w *WAL) RetainFrom(epoch uint64) {
+func (w *wal) retainFrom(epoch uint64) {
 	w.mu.Lock()
 	w.retain = epoch
 	w.mu.Unlock()
 }
 
-// RetainFloor reports the current retain floor (zero when unset).
-func (w *WAL) RetainFloor() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.retain
-}
-
-// SetRetainCap bounds the bytes a retain floor may pin; non-positive means
-// unlimited (the floor always wins).
-func (w *WAL) SetRetainCap(bytes int64) {
-	w.mu.Lock()
-	w.retainCap = bytes
-	w.mu.Unlock()
-}
-
-// ContentEpochs reports the epoch range [first, last] of the batches
+// contentEpochs reports the epoch range [first, last] of the batches
 // currently in the log (zeros when the log is empty or the range is
 // unknown, e.g. batches appended without epoch information).
-func (w *WAL) ContentEpochs() (first, last uint64) {
+func (w *wal) contentEpochs() (first, last uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.first, w.last
 }
 
-// ScanCommitted replays every fully committed batch currently in the log
+// scanCommitted replays every fully committed batch currently in the log
 // through fn, oldest first, without disturbing the append position. The
 // page images passed to fn are freshly allocated and may be retained.
 //
@@ -372,11 +335,11 @@ func (w *WAL) ContentEpochs() (first, last uint64) {
 // concurrent checkpoint may reset the log mid-scan; the next generation's
 // frames then fail the scanned generation's CRCs, so a reset surfaces as a
 // clean end of scan, not corruption.
-func (w *WAL) ScanCommitted(fn func(pages []DirtyPage) error) error {
+func (w *wal) scanCommitted(fn func(pages []DirtyPage) error) error {
 	w.mu.Lock()
 	if w.f == nil {
 		w.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	f, seed, base, size := w.f, walSeed(w.gen), w.base, w.size.Load()
 	w.mu.Unlock()
@@ -386,9 +349,9 @@ func (w *WAL) ScanCommitted(fn func(pages []DirtyPage) error) error {
 
 // Size reports the bytes appended since the last reset (the file itself
 // keeps its blocks, and is at least this long). It takes no lock.
-func (w *WAL) Size() int64 { return w.size.Load() }
+func (w *wal) Size() int64 { return w.size.Load() }
 
-// ResetIf starts a new generation of the log once the page file holds
+// resetIf starts a new generation of the log once the page file holds
 // every batch in it, and reports whether it did. sampled is the Size()
 // the caller read before writing back. If commits have landed since,
 // catchUp must write their now-durable images back first; it runs under
@@ -397,11 +360,11 @@ func (w *WAL) Size() int64 { return w.size.Load() }
 // whole (up to the retain cap), and a handle whose generation is no longer
 // the one in the file's header — another handle has reopened the path —
 // never touches it.
-func (w *WAL) ResetIf(sampled int64, catchUp func() error) (bool, error) {
+func (w *wal) resetIf(sampled int64, catchUp func() error) (bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
-		return false, ErrClosed
+		return false, errClosed
 	}
 	if w.err != nil {
 		return false, w.err
@@ -411,7 +374,7 @@ func (w *WAL) ResetIf(sampled int64, catchUp func() error) (bool, error) {
 		return false, nil
 	}
 	if w.retain != 0 && w.last >= w.retain {
-		if w.retainCap <= 0 || size <= w.retainCap {
+		if size <= w.retainCap {
 			// A follower still needs batches in this log: keep it whole. The
 			// images are already checkpointed, so recovery replaying them
 			// again is idempotent.
@@ -437,14 +400,14 @@ func (w *WAL) ResetIf(sampled int64, catchUp func() error) (bool, error) {
 	return true, nil
 }
 
-// Recover replays committed batches onto the pager and resets the log. It
+// recoverPages replays committed batches onto the pager and resets the log. It
 // is called before the Store reads its meta page, and before the log is
 // shared. A log without a header is freed once here; from then on it is
 // reset in place. A log that is only a header — what Close leaves — holds
 // no frame of any generation and is left as it is.
-func (w *WAL) Recover(pager Pager) error {
+func (w *wal) recoverPages(pager pageFile) error {
 	if w.f == nil {
-		return ErrClosed
+		return errClosed
 	}
 	var probe [1]byte
 	if n, _ := w.f.ReadAt(probe[:], walHeaderSize); n == 0 && w.base == walHeaderSize {
@@ -458,7 +421,7 @@ func (w *WAL) Recover(pager Pager) error {
 					return err
 				}
 			}
-			if err := pager.WritePage(p.ID, p.Data); err != nil {
+			if err := pager.writePage(p.ID, p.Data); err != nil {
 				return err
 			}
 		}
@@ -469,7 +432,7 @@ func (w *WAL) Recover(pager Pager) error {
 		return err
 	}
 	if replayed {
-		if err := pager.Sync(); err != nil {
+		if err := pager.sync(); err != nil {
 			return err
 		}
 	}
@@ -483,8 +446,8 @@ func (w *WAL) Recover(pager Pager) error {
 
 // resetLocked starts the next generation: the header is rewritten and
 // synced, and appends start over right after it. Callers hold w.mu (or,
-// in Recover, have the log to themselves).
-func (w *WAL) resetLocked() error {
+// in recoverPages, have the log to themselves).
+func (w *wal) resetLocked() error {
 	gen := w.gen + 1
 	var h [walHeaderSize]byte
 	if _, err := w.f.WriteAt(appendWALHeader(h[:0], gen), 0); err != nil {
@@ -501,7 +464,7 @@ func (w *WAL) resetLocked() error {
 
 // Close closes the log file, cut back to its header when it holds nothing
 // to replay, so the next open has nothing to reset.
-func (w *WAL) Close() error {
+func (w *wal) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {

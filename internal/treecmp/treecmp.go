@@ -18,14 +18,14 @@ import (
 	"repro/internal/project"
 )
 
-// ErrLeafMismatch is returned when two trees being compared do not share
+// errLeafMismatch is returned when two trees being compared do not share
 // the same leaf set.
-var ErrLeafMismatch = errors.New("treecmp: trees have different leaf sets")
+var errLeafMismatch = errors.New("treecmp: trees have different leaf sets")
 
-// Clades returns the set of non-trivial clades (clusters) of a rooted
+// clades returns the set of non-trivial clades (clusters) of a rooted
 // tree: for every interior node other than the root, the sorted set of
 // leaf names below it, encoded as a canonical string key.
-func Clades(t *phylo.Tree) map[string]bool {
+func clades(t *phylo.Tree) map[string]bool {
 	out := make(map[string]bool)
 	var walk func(n *phylo.Node) []string
 	walk = func(n *phylo.Node) []string {
@@ -53,23 +53,15 @@ func Clades(t *phylo.Tree) map[string]bool {
 // their clade sets. Lower is more similar; 0 means identical topology
 // (ignoring edge lengths and child order).
 func RobinsonFoulds(a, b *phylo.Tree) (int, error) {
-	d, _, err := symDiff(a, b, Clades)
+	d, _, err := symDiff(a, b, clades)
 	return d, err
-}
-
-// NormalizedRF returns RF scaled into [0,1] by the maximum possible
-// distance (the total number of non-trivial clades in both trees). Two
-// identical topologies score 0; trees sharing no clades score 1.
-func NormalizedRF(a, b *phylo.Tree) (float64, error) {
-	d, total, err := symDiff(a, b, Clades)
-	return normalized(d, total), err
 }
 
 // symDiff is the size of the symmetric difference of the two trees' clade
 // or split sets, and the size of both sets together.
 func symDiff(a, b *phylo.Tree, sets func(*phylo.Tree) map[string]bool) (d, total int, err error) {
 	if !sameLeafSet(a, b) {
-		return 0, 0, ErrLeafMismatch
+		return 0, 0, errLeafMismatch
 	}
 	sa, sb := sets(a), sets(b)
 	for k := range sa {
@@ -110,20 +102,20 @@ func sameLeafSet(a, b *phylo.Tree) bool {
 	return true
 }
 
-// Bipartitions returns the non-trivial bipartitions (splits) induced by
+// bipartitions returns the non-trivial bipartitions (splits) induced by
 // the internal edges of a tree, viewed as unrooted. Each split is encoded
 // canonically as the sorted leaf names of the side NOT containing the
 // lexicographically smallest leaf. The edge above a clade splits it from the
 // rest of the leaves, so the splits are the clades with two or more leaves
 // outside them, seen from the side away from that leaf.
-func Bipartitions(t *phylo.Tree) map[string]bool {
+func bipartitions(t *phylo.Tree) map[string]bool {
 	all := t.LeafNames()
 	if len(all) < 4 {
 		return map[string]bool{}
 	}
 	ref := slices.Min(all)
 	out := make(map[string]bool)
-	for c := range Clades(t) {
+	for c := range clades(t) {
 		side := strings.Split(c, "\x00")
 		if len(all)-len(side) < 2 {
 			continue
@@ -155,13 +147,13 @@ func complement(all, side []string) []string {
 // split sets — the standard score for algorithms (like Neighbor-Joining)
 // whose output rooting is arbitrary.
 func RobinsonFouldsUnrooted(a, b *phylo.Tree) (int, error) {
-	d, _, err := symDiff(a, b, Bipartitions)
+	d, _, err := symDiff(a, b, bipartitions)
 	return d, err
 }
 
 // NormalizedRFUnrooted scales the unrooted RF distance into [0,1].
 func NormalizedRFUnrooted(a, b *phylo.Tree) (float64, error) {
-	d, total, err := symDiff(a, b, Bipartitions)
+	d, total, err := symDiff(a, b, bipartitions)
 	return normalized(d, total), err
 }
 
@@ -190,59 +182,11 @@ func PatternMatch(planner *project.Planner, pattern *phylo.Tree) (*MatchResult, 
 // either query engine: the rooted RF distance between the projection and the
 // pattern, normalized, and whether it is zero.
 func Score(projected, pattern *phylo.Tree) (*MatchResult, error) {
-	rf, total, err := symDiff(projected, pattern, Clades)
+	rf, total, err := symDiff(projected, pattern, clades)
 	if err != nil {
 		return nil, err
 	}
 	return &MatchResult{Exact: rf == 0, RF: rf, Normalized: normalized(rf, total), Projected: projected}, nil
-}
-
-// TripletDistance counts resolved leaf triplets on which the two trees
-// disagree, divided by the total number of triplets. It is O(k^3) in the
-// number of leaves and intended for the modest sample sizes the benchmark
-// manager works with.
-func TripletDistance(a, b *phylo.Tree) (float64, error) {
-	if !sameLeafSet(a, b) {
-		return 0, ErrLeafMismatch
-	}
-	names := a.LeafNames()
-	sort.Strings(names)
-	if len(names) < 3 {
-		return 0, nil
-	}
-	disagree, total := 0, 0
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			for k := j + 1; k < len(names); k++ {
-				ra := resolveTriplet(a, names[i], names[j], names[k])
-				rb := resolveTriplet(b, names[i], names[j], names[k])
-				total++
-				if ra != rb {
-					disagree++
-				}
-			}
-		}
-	}
-	return float64(disagree) / float64(total), nil
-}
-
-// resolveTriplet returns which pair of {x,y,z} is closest (joined below
-// the triplet's root): 0 for xy, 1 for xz, 2 for yz, 3 for unresolved.
-func resolveTriplet(t *phylo.Tree, x, y, z string) int {
-	nx, ny, nz := t.NodeByName(x), t.NodeByName(y), t.NodeByName(z)
-	lxy := phylo.LCA(nx, ny)
-	lxz := phylo.LCA(nx, nz)
-	lyz := phylo.LCA(ny, nz)
-	dxy, dxz, dyz := phylo.Depth(lxy), phylo.Depth(lxz), phylo.Depth(lyz)
-	switch {
-	case dxy > dxz && dxy > dyz:
-		return 0
-	case dxz > dxy && dxz > dyz:
-		return 1
-	case dyz > dxy && dyz > dxz:
-		return 2
-	}
-	return 3
 }
 
 // MajorityConsensus builds the majority-rule consensus of the given trees
@@ -255,12 +199,12 @@ func MajorityConsensus(trees []*phylo.Tree) (*phylo.Tree, error) {
 	}
 	for _, t := range trees[1:] {
 		if !sameLeafSet(trees[0], t) {
-			return nil, ErrLeafMismatch
+			return nil, errLeafMismatch
 		}
 	}
 	counts := make(map[string]int)
 	for _, t := range trees {
-		for c := range Clades(t) {
+		for c := range clades(t) {
 			counts[c]++
 		}
 	}

@@ -16,8 +16,8 @@ import (
 	"repro/internal/phylo"
 )
 
-// ErrBadParams is returned for invalid generator parameters.
-var ErrBadParams = errors.New("treegen: bad parameters")
+// errBadParams is returned for invalid generator parameters.
+var errBadParams = errors.New("treegen: bad parameters")
 
 // Yule generates an ultrametric pure-birth tree with n extant leaves and
 // birth rate lambda. Waiting times between speciations are exponential
@@ -26,7 +26,7 @@ var ErrBadParams = errors.New("treegen: bad parameters")
 // sampling meaningful.
 func Yule(n int, lambda float64, r *rand.Rand) (*phylo.Tree, error) {
 	if n < 2 || lambda <= 0 {
-		return nil, fmt.Errorf("%w: Yule(n=%d, lambda=%g)", ErrBadParams, n, lambda)
+		return nil, fmt.Errorf("%w: Yule(n=%d, lambda=%g)", errBadParams, n, lambda)
 	}
 	root := &phylo.Node{}
 	active := []*phylo.Node{root}
@@ -63,7 +63,7 @@ func Yule(n int, lambda float64, r *rand.Rand) (*phylo.Tree, error) {
 // number of attempts.
 func BirthDeath(n int, lambda, mu float64, keepExtinct bool, r *rand.Rand) (*phylo.Tree, error) {
 	if n < 2 || lambda <= 0 || mu < 0 || mu >= lambda {
-		return nil, fmt.Errorf("%w: BirthDeath(n=%d, lambda=%g, mu=%g); need lambda > mu >= 0", ErrBadParams, n, lambda, mu)
+		return nil, fmt.Errorf("%w: BirthDeath(n=%d, lambda=%g, mu=%g); need lambda > mu >= 0", errBadParams, n, lambda, mu)
 	}
 	const maxAttempts = 1000
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -159,7 +159,7 @@ func pruneExtinct(t *phylo.Tree) {
 // more than 1 million levels").
 func Caterpillar(n int, r *rand.Rand) (*phylo.Tree, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("%w: Caterpillar(n=%d)", ErrBadParams, n)
+		return nil, fmt.Errorf("%w: Caterpillar(n=%d)", errBadParams, n)
 	}
 	root := &phylo.Node{}
 	cur := root
@@ -180,7 +180,7 @@ func Caterpillar(n int, r *rand.Rand) (*phylo.Tree, error) {
 // edge lengths; it has 2^depth leaves.
 func Balanced(depth int, r *rand.Rand) (*phylo.Tree, error) {
 	if depth < 1 || depth > 30 {
-		return nil, fmt.Errorf("%w: Balanced(depth=%d)", ErrBadParams, depth)
+		return nil, fmt.Errorf("%w: Balanced(depth=%d)", errBadParams, depth)
 	}
 	leafCount := 0
 	var build func(d int) *phylo.Node
@@ -207,7 +207,7 @@ func Balanced(depth int, r *rand.Rand) (*phylo.Tree, error) {
 // chains and bushy regions.
 func RandomAttach(n int, r *rand.Rand) (*phylo.Tree, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("%w: RandomAttach(n=%d)", ErrBadParams, n)
+		return nil, fmt.Errorf("%w: RandomAttach(n=%d)", errBadParams, n)
 	}
 	root := &phylo.Node{}
 	nodes := []*phylo.Node{root}

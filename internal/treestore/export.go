@@ -19,7 +19,7 @@ import (
 //
 // Cancellation propagates from ctx through the row scan: a client that
 // disconnects mid-export stops paying for the rest of the traversal within
-// one scan batch. Output is buffered in newick.EmitChunkSize chunks, so
+// one scan batch. Output is buffered in the newick emitter's 8 KiB chunks, so
 // the peak allocation of an export is bounded by the chunk size, not the
 // tree.
 func (t *Tree) ExportNewickTo(ctx context.Context, w io.Writer) error {

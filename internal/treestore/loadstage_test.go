@@ -155,7 +155,7 @@ func goldCaterpillar(t testing.TB, n int) *phylo.Tree {
 }
 
 // walBufCap reads the capacity of a store's WAL encode buffer, an
-// unexported field of storage.WAL.
+// unexported field of the store's WAL.
 func walBufCap(st *storage.Store) int {
 	return reflect.ValueOf(st).Elem().FieldByName("wal").Elem().FieldByName("buf").Cap()
 }

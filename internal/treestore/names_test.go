@@ -65,7 +65,7 @@ func TestNodesByName(t *testing.T) {
 		names = append(names, names[i])
 		want = append(want, want[i])
 	}
-	got, err := snap.NodesByNameCtx(ctx, names)
+	got, err := snap.nodesByNameCtx(ctx, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +83,13 @@ func TestNodesByName(t *testing.T) {
 
 	withGhost := append(append([]string{}, names[:20]...), "no-such-taxon")
 	withGhost = append(withGhost, names[20:]...)
-	if _, err := snap.NodesByNameCtx(ctx, withGhost); !errors.Is(err, ErrNoNode) || !strings.Contains(err.Error(), `"no-such-taxon"`) {
+	if _, err := snap.nodesByNameCtx(ctx, withGhost); !errors.Is(err, ErrNoNode) || !strings.Contains(err.Error(), `"no-such-taxon"`) {
 		t.Fatalf("unknown name: err = %v, want ErrNoNode naming it", err)
 	}
 	if _, err := snap.NodeByNameCtx(ctx, "zzz-after-every-name"); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("name past the last entry: err = %v, want ErrNoNode", err)
 	}
-	if rows, err := snap.NodesByNameCtx(ctx, nil); err != nil || len(rows) != 0 {
+	if rows, err := snap.nodesByNameCtx(ctx, nil); err != nil || len(rows) != 0 {
 		t.Fatalf("no names: %d rows, err = %v", len(rows), err)
 	}
 
@@ -100,10 +100,10 @@ func TestNodesByName(t *testing.T) {
 		many = append(many, names...)
 	}
 	many = many[:100]
-	if _, err := snap.NodesByNameCtx(&countdownCtx{Context: ctx, left: 1}, many); !errors.Is(err, context.Canceled) {
+	if _, err := snap.nodesByNameCtx(&countdownCtx{Context: ctx, left: 1}, many); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled mid-sweep: err = %v, want context.Canceled", err)
 	}
-	if _, err := snap.NodesByNameCtx(&countdownCtx{Context: ctx, left: 1 << 20}, many); err != nil {
+	if _, err := snap.nodesByNameCtx(&countdownCtx{Context: ctx, left: 1 << 20}, many); err != nil {
 		t.Fatalf("uncancelled countdown context: %v", err)
 	}
 
@@ -119,7 +119,7 @@ func TestNodesByName(t *testing.T) {
 	}
 	single := total(span, "btree_descents")
 	cctx, span = counterCtx()
-	if _, err := snap.NodesByNameCtx(cctx, names); err != nil {
+	if _, err := snap.nodesByNameCtx(cctx, names); err != nil {
 		t.Fatal(err)
 	}
 	batched := total(span, "btree_descents")

@@ -118,11 +118,11 @@ func everyAnswer(t *testing.T, tr *Tree) string {
 	say("clade", clade, err)
 	clade, err = tr.CladeNamesCtx(ctx, names[:3])
 	say("clade by name", clade, err)
-	front, err := tr.FrontierCtx(ctx, height/3)
+	front, err := tr.frontierCtx(ctx, height/3)
 	say("frontier", front, err)
 	timed, err := tr.SampleWithTimeCtx(ctx, height/3, 20, rand.New(rand.NewSource(54)))
 	say("time sample", timed, err)
-	nodes, err := tr.NodesByNameCtx(ctx, names)
+	nodes, err := tr.nodesByNameCtx(ctx, names)
 	say("by name", nodes, err)
 	for id := -1; id <= info.Nodes; id++ {
 		kids, err := tr.ChildrenCtx(ctx, id)

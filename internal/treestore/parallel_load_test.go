@@ -179,6 +179,18 @@ func TestLoadPageFilesIdentical(t *testing.T) {
 	}
 }
 
+// committedTables lists the tables of db's committed state.
+func committedTables(t *testing.T, db *relstore.DB) []string {
+	t.Helper()
+	sn := db.Snapshot()
+	defer sn.Close()
+	names, err := sn.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 // TestRejectedLoadLeavesNoDirtyPages: a load turned away — in prepare, or by
 // the name check under the writer's lock — must leave nothing for the next
 // commit to publish: no dirty page, no table, and a next commit whose WAL
@@ -197,10 +209,7 @@ func TestRejectedLoadLeavesNoDirtyPages(t *testing.T) {
 	if _, err := s.Load("taken", tr, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	tablesBefore, err := db.Tables()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tablesBefore := committedTables(t, db)
 	var batches [][]storage.DirtyPage
 	db.Store().SetCommitHook(func(b storage.ReplBatch) { batches = append(batches, b.Pages) })
 	// One small committed write sizes an ordinary batch.
@@ -231,21 +240,21 @@ func TestRejectedLoadLeavesNoDirtyPages(t *testing.T) {
 		"bad fanout":    func() error { _, err := s.Load("fresh", tr, 0, nil); return err },
 		"name taken":    func() error { _, err := s.Load("taken", tr, 3, nil); return err },
 	} {
-		dirty := db.Store().Pool().DirtyCount()
+		epoch := db.MVCC().Epoch
 		if err := load(); err == nil {
 			t.Fatalf("%s: load was not rejected", name)
 		}
-		if got := db.Store().Pool().DirtyCount(); got != dirty {
-			t.Fatalf("%s: rejected load changed the dirty page count %d -> %d", name, dirty, got)
+		if err := db.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.MVCC().Epoch; got != epoch {
+			t.Fatalf("%s: rejected load left pages to commit (epoch %d -> %d)", name, epoch, got)
 		}
 		if got := touch("probe-" + name); got > ordinary+1 {
 			t.Fatalf("%s: the commit after a rejected load wrote %d pages, an ordinary one %d", name, got, ordinary)
 		}
 	}
-	tablesAfter, err := db.Tables()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tablesAfter := committedTables(t, db)
 	if !reflect.DeepEqual(tablesAfter, tablesBefore) {
 		t.Fatalf("rejected loads left tables behind: %v, had %v", tablesAfter, tablesBefore)
 	}

@@ -183,7 +183,7 @@ func TestTimeSampleDecodesWhatItReturns(t *testing.T) {
 	}
 	const k, fixed = 50, 48
 	time := 0.95 * last.Dist
-	frontier, err := st.FrontierCtx(ctx, time)
+	frontier, err := st.frontierCtx(ctx, time)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewOnDB(db)
+	s, err := newOnDB(db)
 	if err != nil {
 		db.Close()
 		return nil, err
@@ -93,16 +93,16 @@ func Open(path string) (*Store, error) {
 
 // OpenMem opens an in-memory repository.
 func OpenMem() *Store {
-	s, err := NewOnDB(relstore.OpenMemDB())
+	s, err := newOnDB(relstore.OpenMemDB())
 	if err != nil {
 		panic("treestore: init mem store: " + err.Error())
 	}
 	return s
 }
 
-// NewOnDB layers a tree repository over an existing relational database,
+// newOnDB layers a tree repository over an existing relational database,
 // so the Tree, Species and Query repositories can share one page file.
-func NewOnDB(db *relstore.DB) (*Store, error) {
+func newOnDB(db *relstore.DB) (*Store, error) {
 	return NewOnShards([]*relstore.DB{db}, shard.Single)
 }
 
@@ -868,24 +868,24 @@ func (t *Tree) NodeCtx(ctx context.Context, id int) (Node, error) {
 
 // NodeByNameCtx fetches a node by species name under ctx.
 func (t *Tree) NodeByNameCtx(ctx context.Context, name string) (Node, error) {
-	rows, err := t.NodesByNameCtx(ctx, []string{name})
+	rows, err := t.nodesByNameCtx(ctx, []string{name})
 	if err != nil {
 		return Node{}, err
 	}
 	return rows[0], nil
 }
 
-// NodesByNameCtx fetches the nodes with the given species names under ctx,
+// nodesByNameCtx fetches the nodes with the given species names under ctx,
 // in argument order (a name given twice comes back twice). All the names
 // are resolved in one sorted sweep of the by_name index and their rows read
 // in one batched pass over the nodes relation, so k names cost one descent
 // per distinct leaf touched in either, not two descents each. A name no
 // node carries is an ErrNoNode error naming it.
-func (t *Tree) NodesByNameCtx(ctx context.Context, names []string) ([]Node, error) {
+func (t *Tree) nodesByNameCtx(ctx context.Context, names []string) ([]Node, error) {
 	return t.nodesByName(ctx, newCellMemo(t), names)
 }
 
-// nodesByName is NodesByNameCtx through the request memo, which keeps the
+// nodesByName is nodesByNameCtx through the request memo, which keeps the
 // nodes leaves the rows were read from for the walk that follows.
 func (t *Tree) nodesByName(ctx context.Context, memo *cellMemo, names []string) ([]Node, error) {
 	vals := make([]relstore.Value, len(names))
@@ -1175,14 +1175,14 @@ func (s idSet) in(id int) bool  { return id >= 0 && id>>6 < len(s) }
 func (s idSet) has(id int) bool { return s.in(id) && s[id>>6]&(1<<(id&63)) != 0 }
 func (s idSet) add(id int)      { s[id>>6] |= 1 << (id & 63) }
 
-// FrontierCtx returns the maximal nodes whose root distance exceeds time
+// frontierCtx returns the maximal nodes whose root distance exceeds time
 // under ctx, found with one range scan on the by_dist index — no full-tree
 // traversal and no further reads: the scan yields every node beyond time,
 // so a candidate is maximal exactly when its parent is not a candidate. Of a
 // candidate it reads id, parent and distance, in place; edge lengths are >= 0
 // (Load validates them), so a parent comes by before its children in (dist,
 // id) order and only the maximal candidates are decoded into Nodes.
-func (t *Tree) FrontierCtx(ctx context.Context, time float64) ([]Node, error) {
+func (t *Tree) frontierCtx(ctx context.Context, time float64) ([]Node, error) {
 	beyond := make(idSet, (t.info.Nodes+63)/64)
 	var out []Node
 	err := t.nodes.IndexRangeCtx(ctx, "by_dist", relstore.Float(time), relstore.Value{}, func(row relstore.Row) (bool, error) {
@@ -1359,7 +1359,7 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 		return nil, fmt.Errorf("%w: sample size must be >= 1", ErrBadSample)
 	}
 	frontierCtx, frontierSpan := obs.StartSpan(ctx, "frontier")
-	frontier, err := t.FrontierCtx(frontierCtx, time)
+	frontier, err := t.frontierCtx(frontierCtx, time)
 	frontierSpan.End()
 	if err != nil {
 		return nil, err

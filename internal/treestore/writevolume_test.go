@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relstore"
+	"repro/internal/shard"
 	"repro/internal/species"
 	"repro/internal/storage"
 	"repro/internal/treegen"
@@ -41,11 +42,11 @@ func TestSpeciesPutWriteVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	s, err := NewOnDB(db)
+	s, err := newOnDB(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := species.NewOnDB(db)
+	repo, err := species.NewOnShards([]*relstore.DB{db}, shard.Single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +121,11 @@ func TestDropWriteVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	s, err := NewOnDB(db)
+	s, err := newOnDB(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := species.NewOnDB(db)
+	repo, err := species.NewOnShards([]*relstore.DB{db}, shard.Single)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,18 @@ package dewey
 
 import (
 	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/phylo"
 )
 
-func TestLabelString(t *testing.T) {
+// TestParseString pins the paper's dotted label text: String renders it,
+// and splitting the text on '.' parses back to the same components, so the
+// rendering is lossless for multi-digit components too.
+func TestParseString(t *testing.T) {
 	for _, c := range []struct {
 		l    Label
 		want string
@@ -17,9 +22,24 @@ func TestLabelString(t *testing.T) {
 		{Label{2, 1, 1}, "2.1.1"},
 		{Label{7}, "7"},
 		{Label{1, 2, 3, 4, 5}, "1.2.3.4.5"},
+		{Label{12, 1, 300}, "12.1.300"},
 	} {
-		if got := c.l.String(); got != c.want {
+		got := c.l.String()
+		if got != c.want {
 			t.Fatalf("%v.String() = %q, want %q", []uint32(c.l), got, c.want)
+		}
+		var back Label
+		if got != "" {
+			for _, p := range strings.Split(got, ".") {
+				v, err := strconv.ParseUint(p, 10, 32)
+				if err != nil {
+					t.Fatalf("component %q of %q: %v", p, got, err)
+				}
+				back = append(back, uint32(v))
+			}
+		}
+		if compare(back, c.l) != 0 {
+			t.Fatalf("%q parses back to %v, want %v", got, []uint32(back), []uint32(c.l))
 		}
 	}
 }

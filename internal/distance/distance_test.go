@@ -132,6 +132,39 @@ func TestMatrixValidate(t *testing.T) {
 	}
 }
 
+// TestMatrixIndex pins the matrix's row index: row i is Names[i], in the
+// order the builder was given, so callers address taxa by position.
+func TestMatrixIndex(t *testing.T) {
+	names := []string{"x", "y", "z"}
+	m := New(names)
+	names[0] = "changed"
+	if m.Len() != 3 || m.Names[0] != "x" || m.Names[1] != "y" || m.Names[2] != "z" {
+		t.Fatalf("New(x, y, z) rows = %v, Len %d", m.Names, m.Len())
+	}
+	m.Set(2, 1, 0.5)
+	if m.At(1, 2) != 0.5 || m.At(2, 1) != 0.5 {
+		t.Fatalf("Set(2, 1) not visible at (1, 2) and (2, 1)")
+	}
+
+	aln := alnOf(map[string]string{
+		"c": "TTTT",
+		"a": "AAAA",
+		"b": "AAAT",
+	}, "c", "a", "b")
+	pm, err := PDistance(aln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range aln.Names {
+		if pm.Names[i] != want {
+			t.Fatalf("PDistance row %d = %q, want %q", i, pm.Names[i], want)
+		}
+	}
+	if got := pm.At(1, 2); got != 0.25 { // a vs b
+		t.Fatalf("p(a,b) at rows (1, 2) = %g, want 0.25", got)
+	}
+}
+
 func TestTooFewTaxa(t *testing.T) {
 	one := alnOf(map[string]string{"a": "ACGT"}, "a")
 	if _, err := PDistance(one); err == nil {

@@ -102,6 +102,29 @@ func TestWALRetainCapOverridesFloor(t *testing.T) {
 	}
 }
 
+// TestLogCommitContentEpochs asserts that logging a commit through the
+// group-commit path records the batch's epoch, keeping the log's
+// content-epoch range accurate for the retain floor: the first commit sets
+// both bounds and a newer one extends only the upper bound.
+func TestLogCommitContentEpochs(t *testing.T) {
+	s, _ := openTempStore(t)
+	s.SetCheckpointPolicy(1<<40, time.Hour)
+	crashWorkload(t, s, 1)
+	e1 := s.PublishedEpoch()
+	if first, last := s.WALEpochRange(); first != e1 || last != e1 {
+		t.Fatalf("WALEpochRange after one commit = [%d, %d], want [%d, %d]", first, last, e1, e1)
+	}
+
+	crashWorkload2(t, s, 1, 3)
+	e3 := s.PublishedEpoch()
+	if e3 <= e1 {
+		t.Fatalf("published epoch %d did not advance past %d", e3, e1)
+	}
+	if first, last := s.WALEpochRange(); first != e1 || last != e3 {
+		t.Fatalf("WALEpochRange after three commits = [%d, %d], want [%d, %d]", first, last, e1, e3)
+	}
+}
+
 // TestInvalidationOnlyPinnedReaders sanity-checks that a long unpinned
 // scan keeps working across an invalidation (the mark is about pinned
 // epochs, not read duration).

@@ -716,6 +716,59 @@ func BenchmarkStoredClade(b *testing.B) {
 	}
 }
 
+// BenchmarkDeepLCAFacade is the LCA op of the benchmark's deep_inproc
+// workload on its own: on a file-backed repository holding a depth-20k
+// caterpillar, each iteration takes a snapshot, opens the tree, looks up two
+// species by name, finds their LCA, reads its node and closes the snapshot —
+// so it times opening a tree next to walking its layered labels.
+func BenchmarkDeepLCAFacade(b *testing.B) {
+	const pairs = 64
+	t := catTree(b, 20000)
+	repo, err := crimson.Open(filepath.Join(b.TempDir(), "bench.db"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer repo.Close()
+	if _, err := repo.LoadTree("cat", t, crimson.DefaultFanout, nil); err != nil {
+		b.Fatal(err)
+	}
+	leaves := t.LeafNames()
+	r := rand.New(rand.NewSource(29))
+	var names [pairs][2]string
+	for i := range names {
+		names[i] = [2]string{leaves[r.Intn(len(leaves))], leaves[r.Intn(len(leaves))]}
+	}
+	ctx := context.Background()
+	lca := func(a, c string) error {
+		sn := repo.Snapshot()
+		defer sn.Close()
+		st, err := sn.Tree("cat")
+		if err != nil {
+			return err
+		}
+		na, err := st.NodeByNameCtx(ctx, a)
+		if err != nil {
+			return err
+		}
+		nc, err := st.NodeByNameCtx(ctx, c)
+		if err != nil {
+			return err
+		}
+		id, err := st.LCACtx(ctx, na.ID, nc.ID)
+		if err != nil {
+			return err
+		}
+		_, err = st.NodeCtx(ctx, id)
+		return err
+	}
+	defer timeStored(b)()
+	for i := 0; i < b.N; i++ {
+		if err := lca(names[i%pairs][0], names[i%pairs][1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- E13: storage substrate micro-benchmarks ---------------------------------
 
 // BenchmarkE13BTree measures raw B+tree operations of the storage engine.

@@ -466,8 +466,12 @@ func runQuery(repoPath string, v queryrepo.Query, o printOpts) error {
 			fmt.Println(summary)
 		}
 	case queryrepo.Match:
+		var pattern *crimson.Tree
+		if pattern, err = crimson.ParseNewick(v.Pattern); err != nil {
+			return err
+		}
 		var m *crimson.MatchResult
-		if m, summary, err = v.Run(ctx, st); err != nil {
+		if m, summary, err = v.Run(ctx, st, pattern); err != nil {
 			return err
 		}
 		if m.RF == 0 {

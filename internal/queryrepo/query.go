@@ -249,11 +249,9 @@ func (q Sample) Run(ctx context.Context, t *treestore.Tree) ([]string, string, e
 }
 
 // Run returns the projection over the pattern's leaves scored against it.
-func (q Match) Run(ctx context.Context, t *treestore.Tree) (*treecmp.MatchResult, string, error) {
-	pattern, err := newick.Parse(q.Pattern)
-	if err != nil {
-		return nil, "", err
-	}
+// pattern is q.Pattern parsed: the caller has parsed it already, to check it
+// and to write it canonically.
+func (q Match) Run(ctx context.Context, t *treestore.Tree, pattern *phylo.Tree) (*treecmp.MatchResult, string, error) {
 	projected, err := t.ProjectNamesCtx(ctx, pattern.LeafNames())
 	if err != nil {
 		return nil, "", err

@@ -55,7 +55,7 @@ func NewOnDB(db *relstore.DB) (*Repo, error) {
 // NewOnReplicaDB layers the repository over a replica database without
 // touching it: a replica can neither create the table nor record queries,
 // so the writer's handle stays unresolved until a promote calls Reload.
-// Views never notice — they resolve the table per snapshot.
+// Views never notice — a snapshot reads the table as of its own epoch.
 func NewOnReplicaDB(db *relstore.DB) *Repo { return &Repo{db: db} }
 
 // Reload (re-)resolves the writer's table handle, creating the table where

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/storage"
@@ -32,8 +33,9 @@ type catalogEntry struct {
 //
 // Concurrency: the database is multi-version, and a read sees committed
 // state, whole or not at all. Every read goes through a Snapshot, whose table
-// views read copy-on-write pages pinned at the last committed epoch and take
-// no database lock: they never wait on a writer, and a writer never waits on
+// views (decoded once per committed epoch, shared by its snapshots) read
+// copy-on-write pages pinned at the last committed epoch and take no
+// database lock: they never wait on a writer, and a writer never waits on
 // them. One mutex serializes the writer's side — each mutation of a Table,
 // CreateTable, DropTable and the capture of a Commit.
 type DB struct {
@@ -41,6 +43,7 @@ type DB struct {
 	store   *storage.Store
 	catalog *storage.BTree
 	tables  map[string]*Table
+	views   atomic.Pointer[epochViews] // of the newest epoch a snapshot read
 }
 
 // OpenDB opens (creating if needed) a database in the page file at path.
@@ -93,12 +96,14 @@ func NewOnReplicaStore(store *storage.Store) *DB {
 }
 
 // Reload reopens the catalog at the store's current root slot and drops
-// every cached writer's handle: on a follower applied batches move the roots
-// under them (snapshots re-resolve per snapshot and never notice). A promote
-// calls it before the first write.
+// every cached writer's handle, and the table views snapshots share: on a
+// follower applied batches move the roots under them (snapshots bind to the
+// views of their own epoch and never notice). A promote calls it before the
+// first write.
 func (db *DB) Reload() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.views.Store(nil)
 	if root := db.store.Root(catalogRootSlot); root != 0 {
 		db.catalog = storage.OpenBTree(db.store, root)
 	} else {

@@ -25,8 +25,18 @@ import (
 // (visible as pending_reclaim_pages in the stats) but cannot corrupt
 // anything.
 type Snap struct {
-	ss      *storage.Snap
-	catalog *storage.BTree // nil when the snapshot predates the catalog
+	ss    *storage.Snap
+	views *epochViews
+}
+
+// epochViews holds the table views decoded for one committed epoch. The
+// snapshots of that epoch share them: a view is read-only apart from its
+// trees' cached sizes, which are the same for every reader of the epoch, and
+// its trees are pinned to the epoch, which each snapshot using them holds.
+type epochViews struct {
+	epoch   uint64
+	root    storage.PageID // the catalog root the views were decoded from
+	catalog *storage.BTree // nil when the epoch predates the catalog
 
 	mu    sync.Mutex
 	views map[string]*TableView
@@ -35,11 +45,27 @@ type Snap struct {
 // Snapshot pins the last committed epoch and returns a read view of it.
 func (db *DB) Snapshot() *Snap {
 	ss := db.store.Snapshot()
-	sn := &Snap{ss: ss, views: make(map[string]*TableView)}
-	if root := ss.Root(catalogRootSlot); root != 0 {
-		sn.catalog = storage.OpenBTreeAt(db.store, root, ss.Epoch())
+	return &Snap{ss: ss, views: db.bindViews(ss)}
+}
+
+// bindViews binds a snapshot to the shared views of its epoch. A snapshot
+// of a newer epoch installs fresh ones; one of an older epoch, or of the
+// same epoch under another catalog root, decodes its own.
+func (db *DB) bindViews(ss *storage.Snap) *epochViews {
+	epoch, root := ss.Epoch(), ss.Root(catalogRootSlot)
+	for {
+		cur := db.views.Load()
+		if cur != nil && cur.epoch == epoch && cur.root == root {
+			return cur
+		}
+		ev := &epochViews{epoch: epoch, root: root, views: make(map[string]*TableView)}
+		if root != 0 {
+			ev.catalog = storage.OpenBTreeAt(db.store, root, epoch)
+		}
+		if (cur != nil && cur.epoch >= epoch) || db.views.CompareAndSwap(cur, ev) {
+			return ev
+		}
 	}
-	return sn
 }
 
 // Epoch reports the committed epoch this snapshot reads.
@@ -49,18 +75,20 @@ func (s *Snap) Epoch() uint64 { return s.ss.Epoch() }
 func (s *Snap) Close() { s.ss.Close() }
 
 // Table returns a lock-free read view of the named table as of the
-// snapshot. Views are cached per snapshot, so repeated lookups are cheap.
+// snapshot. A view is decoded from the catalog once per committed epoch and
+// shared by every snapshot of that epoch, so repeated lookups are cheap.
 func (s *Snap) Table(name string) (*TableView, error) {
-	s.mu.Lock()
-	if v, ok := s.views[name]; ok {
-		s.mu.Unlock()
+	ev := s.views
+	ev.mu.Lock()
+	v, ok := ev.views[name]
+	ev.mu.Unlock()
+	if ok {
 		return v, nil
 	}
-	s.mu.Unlock()
-	if s.catalog == nil {
+	if ev.catalog == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
-	enc, ok, err := s.catalog.Get(catalogKey(name))
+	enc, ok, err := ev.catalog.Get(catalogKey(name))
 	if err != nil {
 		return nil, err
 	}
@@ -73,9 +101,9 @@ func (s *Snap) Table(name string) (*TableView, error) {
 	}
 	keyCol, _ := ent.Schema.colIndex(ent.Schema.Key)
 	// Views are pinned to the snapshot's epoch: their pages are immutable
-	// for the snapshot's lifetime, so decoded-node cache entries keyed
+	// while any snapshot of it is open, so decoded-node cache entries keyed
 	// (page, epoch) are shared by every reader of this epoch.
-	v := &TableView{
+	v = &TableView{
 		schema:  ent.Schema,
 		keyCol:  keyCol,
 		primary: storage.OpenBTreeAt(s.ss.Store(), ent.PrimaryRoot, s.ss.Epoch()),
@@ -84,23 +112,23 @@ func (s *Snap) Table(name string) (*TableView, error) {
 	for ixName, root := range ent.IndexRoots {
 		v.indexes[ixName] = storage.OpenBTreeAt(s.ss.Store(), root, s.ss.Epoch())
 	}
-	s.mu.Lock()
-	if prev, ok := s.views[name]; ok {
+	ev.mu.Lock()
+	if prev, ok := ev.views[name]; ok {
 		v = prev
 	} else {
-		s.views[name] = v
+		ev.views[name] = v
 	}
-	s.mu.Unlock()
+	ev.mu.Unlock()
 	return v, nil
 }
 
 // Tables lists the names of all tables as of the snapshot.
 func (s *Snap) Tables() ([]string, error) {
-	if s.catalog == nil {
+	if s.views.catalog == nil {
 		return nil, nil
 	}
 	var names []string
-	c, err := s.catalog.First()
+	c, err := s.views.catalog.First()
 	if err != nil {
 		return nil, err
 	}
@@ -117,10 +145,10 @@ func (s *Snap) Tables() ([]string, error) {
 // Check verifies the catalog and every table of the snapshot (see DB.Check)
 // without blocking the writer.
 func (s *Snap) Check() error {
-	if s.catalog == nil {
+	if s.views.catalog == nil {
 		return nil
 	}
-	if err := s.catalog.Check(); err != nil {
+	if err := s.views.catalog.Check(); err != nil {
 		return fmt.Errorf("relstore: catalog tree: %w", err)
 	}
 	names, err := s.Tables()
@@ -151,8 +179,8 @@ func (s *Snap) reachable() ([]bool, error) {
 		}
 	}
 	var trees []*storage.BTree
-	if s.catalog != nil {
-		trees = append(trees, s.catalog)
+	if s.views.catalog != nil {
+		trees = append(trees, s.views.catalog)
 	}
 	names, err := s.Tables()
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	crimson "repro"
 	"repro/client"
@@ -130,4 +132,99 @@ func rerunMatches[T any](t *testing.T, cl *client.Client, kind string, id int64,
 			t.Fatalf("rerun of #%d:\n got %+v\nwant %+v", id, got, want)
 		}
 	})
+}
+
+// postBody posts body to path on the primary and returns the response body,
+// failing the test on any status but 200.
+func postBody(t *testing.T, cl *client.Client, path, body string) []byte {
+	t.Helper()
+	resp, err := http.Post(cl.BaseURL()+path, "", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %d %s", path, resp.StatusCode, out)
+	}
+	return out
+}
+
+// TestMatchPatternCanonical: a match parses its pattern once, and that parse
+// is written canonically for both the result cache's key and the history. A
+// pattern sent with spaces and line breaks answers as its canonical form
+// does, the canonical form then hits the cache, and the history entry holds
+// the pattern as it is written canonically.
+func TestMatchPatternCanonical(t *testing.T) {
+	_, cl := startServer(t, crimson.ServerConfig{})
+	ctx := context.Background()
+	gold := yule(t, 200, 5)
+	if _, err := cl.LoadTreeCtx(ctx, "gold", 0, gold); err != nil {
+		t.Fatal(err)
+	}
+	l := gold.LeafNames()
+	parsed, err := crimson.ParseNewick(fmt.Sprintf("((%s,%s),%s);", l[0], l[1], l[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := crimson.FormatNewick(parsed)
+	var loose client.MatchResponse
+	body := postBody(t, cl, "/v1/trees/gold/match", fmt.Sprintf(" ( ( %s , %s ) ,\n %s ) ;\n", l[0], l[1], l[2]))
+	if err := json.Unmarshal(body, &loose); err != nil {
+		t.Fatal(err)
+	}
+	again, err := cl.MatchCtx(ctx, "gold", parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached {
+		t.Error("the canonical pattern missed the cache its loose form filled")
+	}
+	if again.Cached = loose.Cached; !reflect.DeepEqual(again, loose) {
+		t.Fatalf("canonical pattern answers %+v, loose one %+v", again, loose)
+	}
+	want, _ := json.Marshal(queryrepo.Match{Pattern: canonical, Tree: "gold"})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		hist, err := cl.HistoryCtx(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range hist {
+			if e.Kind == "match" {
+				if e.Args != string(want) {
+					t.Fatalf("history keeps match args %s, want %s", e.Args, want)
+				}
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no match entry in the history")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestBenchDefaultSeqLength: a bench request without seq_length simulates
+// 500 sites, and its report says so.
+func TestBenchDefaultSeqLength(t *testing.T) {
+	_, cl := startServer(t, crimson.ServerConfig{})
+	if _, err := cl.LoadTreeCtx(context.Background(), "gold", 0, yule(t, 60, 5)); err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Config struct {
+			SeqLength int `json:"seq_length"`
+		} `json:"config"`
+	}
+	body := postBody(t, cl, "/v1/trees/gold/bench", `{"sizes":[6],"replicates":1,"algorithms":["NJ"],"seed":2}`)
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Config.SeqLength != 500 {
+		t.Fatalf("a bench request without seq_length reports seq_length %d, want 500", rep.Config.SeqLength)
+	}
 }

@@ -1160,8 +1160,15 @@ func (s *Server) answer(q *req, v queryrepo.Query) (any, error) {
 			return CladeResponse{Root: nodeJSON(nodes[0]), Nodes: len(nodes), Leaves: len(leaves), Species: leaves}, summary, nil
 		})
 	case queryrepo.Match:
+		// One parse writes the pattern canonically, for the key and the
+		// history, and answers a miss.
+		pattern, err := newick.Parse(v.Pattern)
+		if err != nil {
+			return nil, err
+		}
+		v.Pattern = newick.String(pattern)
 		return s.cachedQuery(q, v, func(t *treestore.Tree) (cacheable, string, error) {
-			m, summary, err := v.Run(ctx, t)
+			m, summary, err := v.Run(ctx, t, pattern)
 			if err != nil {
 				return nil, "", err
 			}
@@ -1230,11 +1237,7 @@ func (s *Server) handleMatch(q *req) (any, error) {
 	if err != nil {
 		return nil, badRequest("reading pattern body: %v", err)
 	}
-	pattern, err := newick.Parse(string(raw))
-	if err != nil {
-		return nil, err
-	}
-	return s.answer(q, queryrepo.Match{Pattern: newick.String(pattern), Tree: q.PathValue("name")})
+	return s.answer(q, queryrepo.Match{Pattern: string(raw), Tree: q.PathValue("name")})
 }
 
 func (s *Server) handleBench(q *req) (any, error) {

@@ -73,7 +73,7 @@ func NewOnShards(dbs []*relstore.DB, router *shard.Router) (*Repo, error) {
 // NewOnShardsReplica layers the repository over replica databases without
 // touching them: a replica can neither create the table nor accept writes,
 // so the writer's handles stay unresolved until a promote calls Reload.
-// Views never notice — they resolve tables per snapshot.
+// Views never notice — a snapshot reads the tables as of its own epoch.
 func NewOnShardsReplica(dbs []*relstore.DB, router *shard.Router) (*Repo, error) {
 	if router.N() != len(dbs) {
 		return nil, fmt.Errorf("species: router covers %d shards, got %d databases", router.N(), len(dbs))

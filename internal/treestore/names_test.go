@@ -231,3 +231,36 @@ func TestStoredQueryAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeOpenAllocations holds opening a tree to its allocation ceiling: a
+// snapshot, Tree and Close at an unchanged epoch, on a depth-20k caterpillar
+// (f=16, four layers, so nine tables to open). The snapshots of one epoch
+// share their table views, so only the first decodes the nine catalog
+// entries; the rest take 30 allocations, where decoding them again for every
+// snapshot took 296.
+func TestTreeOpenAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20k-leaf tree load")
+	}
+	s := OpenMem()
+	defer s.Close()
+	if _, err := s.Load("cat", goldCaterpillar(t, 20000), 16, nil); err != nil {
+		t.Fatal(err)
+	}
+	const maxAllocs = 40
+	got := testing.AllocsPerRun(50, func() {
+		sn := s.Snapshot()
+		defer sn.Close()
+		tr, err := sn.Tree("cat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Info().Layers != 4 {
+			t.Fatalf("caterpillar has %d layers, want 4", tr.Info().Layers)
+		}
+	})
+	t.Logf("snapshot + Tree + Close allocates %v times", got)
+	if got > maxAllocs {
+		t.Errorf("snapshot + Tree + Close allocates %v times, want <= %d", got, maxAllocs)
+	}
+}

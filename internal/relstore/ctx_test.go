@@ -78,11 +78,17 @@ func TestIndexScanCtxCancels(t *testing.T) {
 	tab := ctxTestTable(t, 2000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := tab.view.IndexRangeCtx(ctx, "by_label", Value{}, Value{}, func(Row) (bool, error) {
+	err := tab.view.IndexScanCtx(ctx, "by_label", nil, func(Row) (bool, error) {
 		return true, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	err = tab.view.IndexKeysCtx(ctx, "by_label", Value{}, Value{}, func(Value, Value) (bool, error) {
+		return true, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("key-only scan: err = %v, want context.Canceled", err)
 	}
 }
 

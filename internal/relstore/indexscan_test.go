@@ -60,7 +60,9 @@ func countedCtx() (context.Context, func(name string) int64) {
 
 // TestIndexScanBatchedOrder checks that batched resolution still delivers
 // rows in index order although every batch is resolved in primary-key
-// order, on the live table and on a snapshot view alike.
+// order, on the live table and on a snapshot view alike; and that the
+// key-only scan of a range hands out, in index order, the label and the id
+// of exactly the rows the range holds, without reading one.
 func TestIndexScanBatchedOrder(t *testing.T) {
 	db, tab := permutedTable(t)
 	sn := db.Snapshot()
@@ -69,12 +71,10 @@ func TestIndexScanBatchedOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type rangeScan func(ctx context.Context, index string, lo, hi Value, fn func(Row) (bool, error)) error
-	collect := func(scan rangeScan) []Tuple {
+	collect := func(v *TableView) []Tuple {
 		var rows []Tuple
-		err := scan(context.Background(), "by_label", Str("label-0100"), Str("label-2900"), func(stored Row) (bool, error) {
-			row := tup(t, stored)
-			rows = append(rows, row)
+		err := v.IndexScanCtx(context.Background(), "by_label", nil, func(stored Row) (bool, error) {
+			rows = append(rows, tup(t, stored))
 			return true, nil
 		})
 		if err != nil {
@@ -82,12 +82,12 @@ func TestIndexScanBatchedOrder(t *testing.T) {
 		}
 		return rows
 	}
-	live, snap := collect(tab.view.IndexRangeCtx), collect(view.IndexRangeCtx)
-	if len(live) != 2800 || len(snap) != len(live) {
-		t.Fatalf("range delivered %d live and %d snapshot rows, want 2800 each", len(live), len(snap))
+	live, snap := collect(&tab.view), collect(view)
+	if len(live) != indexScanRows || len(snap) != len(live) {
+		t.Fatalf("scan delivered %d live and %d snapshot rows, want %d each", len(live), len(snap), indexScanRows)
 	}
 	for i, row := range live {
-		if want := fmt.Sprintf("label-%04d", 100+i); row[1].Text() != want {
+		if want := fmt.Sprintf("label-%04d", i); row[1].Text() != want {
 			t.Fatalf("row %d has label %s, want %s (index order)", i, row[1].Text(), want)
 		}
 		if got := permutedLabel(int(row[0].i)); got != row[1].Text() {
@@ -96,6 +96,26 @@ func TestIndexScanBatchedOrder(t *testing.T) {
 		if snap[i][0].i != row[0].i || snap[i][1].Text() != row[1].Text() {
 			t.Fatalf("row %d: snapshot view %v, live table %v", i, snap[i], row)
 		}
+	}
+
+	ctx, totals := countedCtx()
+	var keys int
+	err = view.IndexKeysCtx(ctx, "by_label", Str("label-0100"), Str("label-2900"), func(label, id Value) (bool, error) {
+		if want := fmt.Sprintf("label-%04d", 100+keys); label.Text() != want || permutedLabel(int(id.Int64())) != want {
+			t.Fatalf("entry %d: label %s id %d, want %s and the id that has it", keys, label.Text(), id.Int64(), want)
+		}
+		keys++
+		return true, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys != 2800 {
+		t.Fatalf("key-only range delivered %d entries, want 2800", keys)
+	}
+	// The 2 800 entries and the one that ends the range; no primary row.
+	if rows := totals("rows_scanned"); rows != 2801 {
+		t.Fatalf("key-only range scanned %d rows, want 2801", rows)
 	}
 }
 
@@ -106,7 +126,7 @@ func TestIndexScanStopsWithinBatch(t *testing.T) {
 	_, tab := permutedTable(t)
 	ctx, totals := countedCtx()
 	seen := 0
-	err := tab.view.IndexRangeCtx(ctx, "by_label", Value{}, Value{}, func(Row) (bool, error) {
+	err := tab.view.IndexScanCtx(ctx, "by_label", nil, func(Row) (bool, error) {
 		seen++
 		return seen < 5, nil
 	})
@@ -160,7 +180,7 @@ func TestIndexScanDanglingEntry(t *testing.T) {
 		t.Fatalf("deleting the primary entry: %v, %v", ok, err)
 	}
 	seen := 0
-	err := tab.view.IndexRangeCtx(context.Background(), "by_label", Value{}, Value{}, func(Row) (bool, error) {
+	err := tab.view.IndexScanCtx(context.Background(), "by_label", nil, func(Row) (bool, error) {
 		seen++
 		return true, nil
 	})
@@ -179,7 +199,7 @@ func TestIndexScanCancelsMidScan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	err := tab.view.IndexRangeCtx(ctx, "by_label", Value{}, Value{}, func(Row) (bool, error) {
+	err := tab.view.IndexScanCtx(ctx, "by_label", nil, func(Row) (bool, error) {
 		seen++
 		if seen == 10 {
 			cancel()

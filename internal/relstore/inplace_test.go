@@ -411,7 +411,7 @@ func TestScanRowsSurviveRewriteAndEviction(t *testing.T) {
 	if err := view.ScanCtx(context.Background(), visit("primary scan", &primary)); err != nil {
 		t.Fatal(err)
 	}
-	if err := view.IndexRangeCtx(context.Background(), "by_label", Value{}, Value{}, visit("index scan", &index)); err != nil {
+	if err := view.IndexScanCtx(context.Background(), "by_label", nil, visit("index scan", &index)); err != nil {
 		t.Fatal(err)
 	}
 	if primary != indexScanRows || index != indexScanRows || round < 4 {

@@ -334,23 +334,25 @@ func TestIndexRangeByFloat(t *testing.T) {
 		}
 	}
 	var depths []float64
-	err := committed(t, db, "species").IndexRangeCtx(context.Background(), "by_depth", Float(5.0), Float(10.0), func(stored Row) (bool, error) {
-		r := tup(t, stored)
-		depths = append(depths, r[2].f)
+	err := committed(t, db, "species").IndexKeysCtx(context.Background(), "by_depth", Float(5.0), Float(10.0), func(depth, id Value) (bool, error) {
+		if want := float64(id.Int64()) * 0.5; depth.Float64() != want {
+			t.Fatalf("entry of row %d has depth %g, the row %g", id.Int64(), depth.Float64(), want)
+		}
+		depths = append(depths, depth.Float64())
 		return true, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(depths) != 10 {
-		t.Fatalf("IndexRange returned %d rows: %v", len(depths), depths)
+		t.Fatalf("IndexKeysCtx returned %d entries: %v", len(depths), depths)
 	}
 	for i, d := range depths {
 		if d < 5.0 || d >= 10.0 {
 			t.Fatalf("depth %g out of range", d)
 		}
 		if i > 0 && depths[i-1] > d {
-			t.Fatal("IndexRange out of order")
+			t.Fatal("IndexKeysCtx out of order")
 		}
 	}
 }

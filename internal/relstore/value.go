@@ -78,6 +78,22 @@ func (v Value) Text() string {
 	return v.s
 }
 
+// Int64 returns the integer payload; it panics on other types.
+func (v Value) Int64() int64 {
+	if v.Type != TInt {
+		panic("relstore: Int64 on " + v.Type.String())
+	}
+	return v.i
+}
+
+// Float64 returns the floating point payload; it panics on other types.
+func (v Value) Float64() float64 {
+	if v.Type != TFloat {
+		panic("relstore: Float64 on " + v.Type.String())
+	}
+	return v.f
+}
+
 // Bytes returns the byte payload; it panics on other types.
 func (v Value) Bytes() []byte {
 	if v.Type != TBytes {

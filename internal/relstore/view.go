@@ -252,28 +252,52 @@ func (v *TableView) IndexScanCtx(ctx context.Context, index string, vals []Value
 	}, fn)
 }
 
-// IndexRangeCtx visits rows whose first indexed column lies in [lo, hi)
-// under ctx; either bound may be the zero Value for unbounded.
-func (v *TableView) IndexRangeCtx(ctx context.Context, index string, lo, hi Value, fn func(Row) (bool, error)) error {
+// IndexKeysCtx visits the entries of an index whose first column lies in
+// [lo, hi) under ctx — either bound may be the zero Value for unbounded —
+// and reads nothing but the index: fn gets each entry's first indexed column
+// and its row's primary key, both decoded from the entry, in index order.
+// No primary row is read, so a caller that only needs to know which rows a
+// range holds pays for the index entries alone. Both values have the types
+// the schema gives their columns; an entry that decodes otherwise is
+// errCorruptRow.
+func (v *TableView) IndexKeysCtx(ctx context.Context, index string, lo, hi Value, fn func(col, pk Value) (bool, error)) error {
 	ix, tree, err := v.findIndex(index)
 	if err != nil {
 		return err
 	}
-	var start []byte
+	var start, hiKey []byte
 	if lo.Type != 0 {
 		if start, err = v.indexPrefix(ix, []Value{lo}); err != nil {
 			return err
 		}
 	}
-	var hiKey []byte
 	if hi.Type != 0 {
 		if hiKey, err = v.indexPrefix(ix, []Value{hi}); err != nil {
 			return err
 		}
 	}
-	return v.indexRowScan(ctx, index, tree, start, func(key []byte) bool {
-		return hiKey == nil || bytes.Compare(key, hiKey) < 0
-	}, fn)
+	ci, _ := v.schema.colIndex(ix.Columns[0])
+	colType, keyType := v.schema.Columns[ci].Type, v.schema.Columns[v.keyCol].Type
+	return tree.Scan(ctx, start, func(key, enc []byte) (bool, error) {
+		if hiKey != nil && bytes.Compare(key, hiKey) >= 0 {
+			return false, nil
+		}
+		col, _, err := decodeTupleValue(key)
+		if err == nil && col.Type != colType {
+			err = fmt.Errorf("%w: column is %s, not %s", errCorruptRow, col.Type, colType)
+		}
+		if err != nil {
+			return false, fmt.Errorf("relstore: index %s.%s entry: %w", v.schema.Name, index, err)
+		}
+		pk, _, err := decodeTupleValue(enc)
+		if err == nil && pk.Type != keyType {
+			err = fmt.Errorf("%w: key is %s, not %s", errCorruptRow, pk.Type, keyType)
+		}
+		if err != nil {
+			return false, fmt.Errorf("relstore: index %s.%s primary key: %w", v.schema.Name, index, err)
+		}
+		return fn(col, pk)
+	})
 }
 
 // Check verifies one table view: B+tree structural invariants, row

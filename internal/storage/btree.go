@@ -45,7 +45,8 @@ const (
 // moment that root was current — the basis of snapshot reads.
 //
 // Reads happen in place. A node read takes the page's immutable image from
-// the buffer pool (no copy) and indexes its cells; the keys and values a
+// the buffer pool (no copy) and indexes its cells — once per pool residency,
+// since the frame keeps the node with the image; the keys and values a
 // read returns — Get, GetBatch, Leaf, Scan, cursor.Key/Value — are
 // sub-slices of that image (overflow values are assembled into a buffer of
 // their own). They stay valid and unchanged for as long as the caller holds
@@ -124,8 +125,10 @@ func (t *BTree) Root() PageID { return t.root }
 // inside the page, so the accessors slice without further checks; what they
 // return aliases the image (capacity clipped, so an append cannot reach the
 // page). A node holds no pointers besides its two slices and is never
-// modified, which is what lets the decoded-node cache share one among
-// readers; the mutation paths turn it into cells to splice.
+// modified, which is what lets one be shared among readers: the buffer-pool
+// frame holding its image keeps it for as long as it keeps that image, and
+// the decoded-node cache keeps interior ones past eviction. The mutation
+// paths turn it into cells to splice.
 type node struct {
 	kind byte
 	page PageID
@@ -357,26 +360,31 @@ func (t *BTree) readNode(id PageID) (*node, error) {
 
 // readNodeC is readNode with per-request counter attribution: page reads
 // feed the buffer-pool hit/miss counters and the cells of every node
-// visited are counted, globally always and into c when a trace is active
-// (c nil-safe).
+// decoded are counted, globally always and into c when a trace is active
+// (c nil-safe). A page is decoded once per pool residency: the node is kept
+// with the frame's image, and a read that finds it there decodes nothing.
 func (t *BTree) readNodeC(id PageID, c *obs.Counters) (*node, error) {
-	img, err := t.store.readPage(id, c)
+	img, n, err := t.store.readPage(id, c)
 	if err != nil {
 		return nil, err
 	}
-	// Checked after the read on purpose: the invalidation mark is stored
-	// before a replicated apply replaces any pool frame, and pool access
-	// serializes on the pool mutex, so a read that got a post-apply image is
-	// ordered after the mark and fails here instead of decoding it.
+	// Checked after the read on purpose, and before a kept node is handed
+	// out: the invalidation mark is stored before a replicated apply
+	// replaces any pool frame, and pool access serializes on the pool mutex,
+	// so a read that got a post-apply image or its node is ordered after the
+	// mark and fails here instead of using it.
 	if t.pinned && t.store.snapshotInvalid(t.epoch) {
 		return nil, ErrSnapshotInvalidated
 	}
-	n, err := decodeNode(id, img)
-	if err != nil {
+	if n != nil {
+		return n, nil
+	}
+	if n, err = decodeNode(id, img); err != nil {
 		return nil, err
 	}
 	obs.Engine.Add(obs.CtrCellsDecoded, int64(n.nkeys()))
 	c.Add(obs.CtrCellsDecoded, int64(n.nkeys()))
+	t.store.pool.keep(n)
 	return n, nil
 }
 

@@ -16,9 +16,13 @@ const defaultPoolSize = 4096
 // clean; dirty frames are never evicted. data is the page's image and is
 // immutable: nothing writes into it once the frame holds it. A new version
 // of the page replaces the slice (Put), eviction merely drops the reference.
+// node is the B+tree node decoded from data, once a read has decoded it
+// (keep), so the next read of a resident page indexes no cell; it goes
+// wherever data goes — cleared by Put, dropped with the frame.
 type frame struct {
 	id    PageID
 	data  []byte
+	node  *node
 	dirty bool
 	slot  int           // index in bufferPool.dirty while dirty
 	elem  *list.Element // position in the LRU list (nil while dirty)
@@ -67,34 +71,48 @@ func newBufferPool(pager pageFile, limit int) *bufferPool {
 	}
 }
 
-// page returns the image of page id, reading it from the pager on a miss,
-// and reports whether the frame was already resident (feeding the pool
-// hit/miss counters).
-func (bp *bufferPool) page(id PageID) ([]byte, bool, error) {
+// page returns the image of page id, and the node kept with it if a read
+// has decoded one, reading the image from the pager on a miss; it reports
+// whether the frame was already resident (feeding the pool hit/miss
+// counters).
+func (bp *bufferPool) page(id PageID) ([]byte, *node, bool, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
 		if f.elem != nil {
 			bp.lru.MoveToFront(f.elem)
 		}
-		return f.data, true, nil
+		return f.data, f.node, true, nil
 	}
 	data := make([]byte, PageSize)
 	if err := bp.pager.ReadPage(id, data); err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	f := &frame{id: id, data: data}
 	f.elem = bp.lru.PushFront(f)
 	bp.frames[id] = f
 	bp.evict()
-	return data, false, nil
+	return data, nil, false, nil
 }
 
 // Get returns the image of page id. The slice is shared and immutable: the
 // caller must not write into it, and may hold it indefinitely.
 func (bp *bufferPool) Get(id PageID) ([]byte, error) {
-	img, _, err := bp.page(id)
+	img, _, _, err := bp.page(id)
 	return img, err
+}
+
+// keep attaches n, decoded from an image that page returned, to its frame — if
+// the frame still holds that very image. A Put, a discard or an eviction
+// since the read leaves n unattached, so a kept node is always the decode
+// of the image beside it. Like the image it is immutable and shared by every
+// reader the page's next reads return it to.
+func (bp *bufferPool) keep(n *node) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if f, ok := bp.frames[n.page]; ok && f.node == nil && &f.data[0] == &n.data[0] {
+		f.node = n
+	}
 }
 
 // Put installs img as the new image of page id and marks the page dirty.
@@ -112,7 +130,7 @@ func (bp *bufferPool) Put(id PageID, img []byte) error {
 		f = &frame{id: id}
 		bp.frames[id] = f
 	}
-	f.data = img
+	f.data, f.node = img, nil
 	bp.markDirty(f)
 	return nil
 }

@@ -683,19 +683,22 @@ func (s *Store) SetRoot(slot int, id PageID) {
 // store mutex, so they proceed while a writer mutates other pages — the
 // foundation of non-blocking snapshot reads.
 func (s *Store) ReadPage(id PageID) ([]byte, error) {
-	return s.readPage(id, nil)
+	img, _, err := s.readPage(id, nil)
+	return img, err
 }
 
 // readPage is the counted read chokepoint: buffer-pool hits and misses
 // (each miss is one page read) feed the global engine counters always, and
-// the per-request set c when a trace is active (c nil-safe).
-func (s *Store) readPage(id PageID, c *obs.Counters) ([]byte, error) {
+// the per-request set c when a trace is active (c nil-safe). It also
+// returns the node the pool keeps with the image, nil until a read has
+// decoded one (bufferPool.keep).
+func (s *Store) readPage(id PageID, c *obs.Counters) ([]byte, *node, error) {
 	if s.closed.Load() {
-		return nil, errClosed
+		return nil, nil, errClosed
 	}
-	img, hit, err := s.pool.page(id)
+	img, n, hit, err := s.pool.page(id)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if hit {
 		obs.Engine.Add(obs.CtrPoolHits, 1)
@@ -706,7 +709,7 @@ func (s *Store) readPage(id PageID, c *obs.Counters) ([]byte, error) {
 		c.Add(obs.CtrPoolMisses, 1)
 		c.Add(obs.CtrPagesRead, 1)
 	}
-	return img, nil
+	return img, n, nil
 }
 
 // writePage installs img as the page's new image via the buffer pool.

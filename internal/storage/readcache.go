@@ -27,12 +27,14 @@ import (
 // so an entry outlives the pool frame it was decoded from.
 //
 // Leaves are not cached, for economy rather than safety — a leaf's values
-// are handed out as sub-slices of an immutable image either way. Indexing a
-// leaf's cells is one pass over their headers, cheap next to the descent
-// that led there, while every cached leaf would pin a 4 KiB image the
-// buffer pool already budgets for: the leaf level is the bulk of a tree,
-// and the cache would become a second, unaccounted pool. Interior nodes are
-// few, hot, and on the path of every descent.
+// are handed out as sub-slices of an immutable image either way. Every page,
+// leaf or interior, already keeps its node in its buffer-pool frame while it
+// is resident (bufferPool.keep), so a descent over resident pages decodes
+// nothing with or without this cache; what this cache adds is interior
+// nodes that outlive their frames. Caching leaves too would pin a 4 KiB
+// image per leaf past the pool's budget: the leaf level is the bulk of a
+// tree, and the cache would become a second, unaccounted pool. Interior
+// nodes are few, hot, and on the path of every descent.
 //
 // The cache is sharded to keep it lock-light: each shard is an
 // independently locked LRU with its own slice of the byte budget, and a

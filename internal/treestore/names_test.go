@@ -165,16 +165,19 @@ func TestProjectNamesSkipsTheRefetch(t *testing.T) {
 
 // TestStoredQueryAllocations holds the stored queries on the 10k-leaf tree
 // (f=4, seven layers; snapshot handle, decoded-node cache warm) under
-// allocation ceilings ~10% over the counts recorded. An LCA and a k=50
-// projection take 40 and 647 with the request holding its leaves — about five
-// a storage leaf read and nothing per row but a Node's name; one run of
-// integers per leaf read took 161 and 2 559, and copying every key and value
-// of every node touched 3 334 and 39 477. The scans read rows where they lie:
-// a clade of a few hundred nodes takes 170 (462 when a scan built a Tuple and
-// a Node of every row), a k=50 uniform sample 242 (559 when every draw was
-// decoded, leaf or not) and a k=50 sample beyond 0.8 of the height — some
-// 1 600 frontier clades, a range scan each, which is where what is left goes —
-// 23 346 (84 723 when every row beyond the frontier was decoded).
+// allocation ceilings ~10% over the counts recorded (the higher of a plain and
+// a -race run). A buffer-pool frame keeps the node decoded from its image, so
+// reading a resident page allocates nothing: an LCA and a k=50 projection
+// take 15 and 298 — 37 and 544 while every node read allocated a node and
+// its cell offsets, 161 and 2 559 with one run of integers per leaf read,
+// 3 334 and 39 477 when every key and value of every node touched was copied.
+// The scans read rows where they lie: a clade of a few hundred nodes takes
+// 153 (167 with a node allocated per page read, 462 when a scan built a Tuple
+// and a Node of every row), a k=50 uniform sample 67 (241; 559 when every
+// draw was decoded, leaf or not) and a k=50 sample beyond 0.8 of the height —
+// some 1 600 frontier clades — 3 077
+// (20 682 while the frontier decoded each of its nodes and scanned each
+// clade alone; 84 723 when every row beyond the frontier was decoded).
 func TestStoredQueryAllocations(t *testing.T) {
 	snap, sel := bigYule(t)
 	ids := make([]int, len(sel))
@@ -209,17 +212,17 @@ func TestStoredQueryAllocations(t *testing.T) {
 		max   float64
 		query func() error
 	}{
-		{"LCACtx", 20, 43, func() error { _, err := snap.LCACtx(ctx, ids[0], ids[49]); return err }},
-		{"ProjectCtx(k=50)", 5, 710, func() error { _, err := snap.ProjectCtx(ctx, ids); return err }},
-		{"MinimalSpanningCladeCtx", 5, 187, func() error {
+		{"LCACtx", 20, 20, func() error { _, err := snap.LCACtx(ctx, ids[0], ids[49]); return err }},
+		{"ProjectCtx(k=50)", 5, 330, func() error { _, err := snap.ProjectCtx(ctx, ids); return err }},
+		{"MinimalSpanningCladeCtx", 5, 170, func() error {
 			_, err := snap.MinimalSpanningCladeCtx(ctx, []int{cladeRoot})
 			return err
 		}},
-		{"SampleUniformCtx(k=50)", 5, 266, func() error {
+		{"SampleUniformCtx(k=50)", 5, 82, func() error {
 			_, err := snap.SampleUniformCtx(ctx, 50, rand.New(rand.NewSource(12)))
 			return err
 		}},
-		{"SampleWithTimeCtx(k=50)", 5, 25700, func() error {
+		{"SampleWithTimeCtx(k=50)", 5, 3400, func() error {
 			_, err := snap.SampleWithTimeCtx(ctx, 0.8*height, 50, rand.New(rand.NewSource(12)))
 			return err
 		}},

@@ -118,8 +118,8 @@ func everyAnswer(t *testing.T, tr *Tree) string {
 	say("clade", clade, err)
 	clade, err = tr.CladeNamesCtx(ctx, names[:3])
 	say("clade by name", clade, err)
-	front, err := tr.frontierCtx(ctx, height/3)
-	say("frontier", front, err)
+	front, groups, err := frontierAt(ctx, tr, height/3)
+	say("frontier", fmt.Sprint(front, groups), err)
 	timed, err := tr.SampleWithTimeCtx(ctx, height/3, 20, rand.New(rand.NewSource(54)))
 	say("time sample", timed, err)
 	nodes, err := tr.nodesByNameCtx(ctx, names)
@@ -128,7 +128,7 @@ func everyAnswer(t *testing.T, tr *Tree) string {
 		kids, err := tr.ChildrenCtx(ctx, id)
 		say("children", kids, err)
 	}
-	leaves, err := tr.LeavesUnderCtx(ctx, front[0].ID)
+	leaves, err := tr.LeavesUnderCtx(ctx, front[0])
 	say("leaves under", leaves, err)
 	export, err := tr.ExportCtx(ctx)
 	say("export", newick.String(export), err)

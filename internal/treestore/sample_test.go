@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/phylo"
+	"repro/internal/relstore"
 	"repro/internal/sample"
 	"repro/internal/treegen"
 )
@@ -104,6 +106,172 @@ func TestTimeSampleMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestFrontierMatchesInMemoryProperty checks the stored frontier — the
+// maximal nodes beyond a time, ascending, each with its clade's leaves — and
+// the stored time sample against sample.Frontier and WithRespectToTime on
+// Yule, birth-death, caterpillar and balanced trees, each also with every
+// third edge cut to length zero (a node then ties its parent on distance),
+// at times spread over the height and at times equal to some node's own
+// distance, where that node is not beyond and its children may be.
+func TestFrontierMatchesInMemoryProperty(t *testing.T) {
+	shapes := []struct {
+		name string
+		gen  func(*rand.Rand) (*phylo.Tree, error)
+	}{
+		{"yule", func(r *rand.Rand) (*phylo.Tree, error) { return treegen.Yule(120, 1, r) }},
+		{"birth-death", func(r *rand.Rand) (*phylo.Tree, error) { return treegen.BirthDeath(90, 1, 0.4, true, r) }},
+		{"caterpillar", func(r *rand.Rand) (*phylo.Tree, error) { return treegen.Caterpillar(80, r) }},
+		{"balanced", func(r *rand.Rand) (*phylo.Tree, error) { return treegen.Balanced(6, r) }},
+	}
+	ctx := context.Background()
+	for _, shape := range shapes {
+		for _, zeros := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/zero-edges=%v", shape.name, zeros), func(t *testing.T) {
+				r := rand.New(rand.NewSource(81))
+				gold, err := shape.gen(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if zeros {
+					for _, n := range gold.Nodes() {
+						if n.ID%3 == 1 {
+							n.Length = 0
+						}
+					}
+				}
+				st := loadTree(t, gold, 4)
+				nodes := gold.Nodes()
+				dist := gold.RootDistances()
+				height := 0.0
+				for _, d := range dist {
+					height = max(height, d)
+				}
+				times := []float64{-1, 0, height, 2 * height}
+				for i := 0; i < 6; i++ {
+					times = append(times, height*r.Float64(), dist[nodes[r.Intn(len(nodes))]])
+				}
+				for _, time := range times {
+					var wantRoots []int
+					var wantGroups [][]int
+					for _, fn := range sample.Frontier(gold, time) {
+						wantRoots = append(wantRoots, fn.ID)
+						var leaves []int
+						for _, n := range nodes[fn.ID:] {
+							if phylo.LCA(fn, n) != fn {
+								break // preorder: past the clade
+							}
+							if n.IsLeaf() {
+								leaves = append(leaves, n.ID)
+							}
+						}
+						wantGroups = append(wantGroups, leaves)
+					}
+					roots, groups, err := frontierAt(ctx, st, time)
+					if err != nil {
+						t.Fatalf("time %g: %v", time, err)
+					}
+					if fmt.Sprint(roots, groups) != fmt.Sprint(wantRoots, wantGroups) {
+						t.Fatalf("time %g: stored frontier %v with leaves %v, in memory %v with %v", time, roots, groups, wantRoots, wantGroups)
+					}
+					for _, k := range []int{1, 5} {
+						want, werr := sample.WithRespectToTime(gold, time, k, rand.New(rand.NewSource(int64(k))))
+						got, gerr := st.SampleWithTimeCtx(ctx, time, k, rand.New(rand.NewSource(int64(k))))
+						if werr != nil || gerr != nil {
+							if werr == nil || !errors.Is(gerr, ErrBadSample) {
+								t.Fatalf("time %g k %d: in memory %v, stored %v", time, k, werr, gerr)
+							}
+							continue
+						}
+						wantIDs := make([]int, len(want))
+						for i, n := range want {
+							wantIDs[i] = n.ID
+						}
+						slices.Sort(wantIDs)
+						if !slices.Equal(idsOf(got), wantIDs) {
+							t.Fatalf("time %g k %d: stored %v, in memory %v", time, k, idsOf(got), wantIDs)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFrontierCorruptSizeFails stores a balanced tree whose edges all have
+// length 1, so at time 0.5 the frontier is the root's two children and their
+// clades are adjacent: the first child's row is read on its own, the second
+// is met inside the first clade's scan. Either one's size made 0, negative,
+// or long enough to run past the tree ends the sample in an error — no hang,
+// no panic.
+func TestFrontierCorruptSizeFails(t *testing.T) {
+	gold, err := treegen.Balanced(4, rand.New(rand.NewSource(83)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range gold.Nodes() {
+		n.Length = 1
+	}
+	first := gold.Root.Children[0]
+	second := gold.Root.Children[1]
+	nodes := gold.NumNodes()
+	for _, victim := range []*phylo.Node{first, second} {
+		for _, size := range []int{0, -3, nodes - victim.ID + 1} {
+			t.Run(fmt.Sprintf("node=%d/size=%d", victim.ID, size), func(t *testing.T) {
+				s := OpenMem()
+				defer s.Close()
+				if _, err := s.Load("t", gold, 4, nil); err != nil {
+					t.Fatal(err)
+				}
+				db := s.dbs[0]
+				tab, err := db.Table(nodesTable("t"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				row, ok, err := tab.Get(relstore.Int(int64(victim.ID)))
+				if err != nil || !ok {
+					t.Fatalf("row %d: %v, %v", victim.ID, ok, err)
+				}
+				tup, err := row.Tuple()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tup[colSize] = relstore.Int(int64(size))
+				if err := tab.Put(tup); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				st := openTreeOf(t, s, "t")
+				got, err := st.SampleWithTimeCtx(context.Background(), 0.5, 1, rand.New(rand.NewSource(1)))
+				if err == nil || !strings.Contains(err.Error(), "claims a clade") {
+					t.Fatalf("a frontier node of size %d sampled %v, %v; want the frontier's size error", size, idsOf(got), err)
+				}
+			})
+		}
+	}
+}
+
+// frontierAt is the frontier of a time sample on its own: the nodes beyond
+// time from the by_dist keys, then the ascending pass over them.
+func frontierAt(ctx context.Context, tr *Tree, time float64) (roots []int, groups [][]int, err error) {
+	beyond, err := tr.beyondCtx(ctx, time)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr.frontierCtx(ctx, newCellMemo(tr), beyond)
+}
+
+// frontierNodes is frontierAt's maximal nodes, read whole.
+func frontierNodes(tr *Tree, time float64) ([]Node, error) {
+	ctx := context.Background()
+	roots, _, err := frontierAt(ctx, tr, time)
+	if err != nil {
+		return nil, err
+	}
+	return tr.fetchNodes(ctx, newCellMemo(tr), roots)
+}
+
 // TestUniformSampleReplaysItsDraws checks the stored uniform sample, which
 // judges a draw on its leaf flag and decodes only the leaves it keeps,
 // against the draw it documents: rejection on the id space for a small k —
@@ -183,17 +351,13 @@ func TestTimeSampleDecodesWhatItReturns(t *testing.T) {
 	}
 	const k, fixed = 50, 48
 	time := 0.95 * last.Dist
-	frontier, err := st.frontierCtx(ctx, time)
+	frontier, groups, err := frontierAt(ctx, st, time)
 	if err != nil {
 		t.Fatal(err)
 	}
 	leaves := 0
-	for _, fn := range frontier {
-		ids, err := st.leafIDs(ctx, fn, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaves += len(ids)
+	for _, g := range groups {
+		leaves += len(g)
 	}
 	if leaves < 10*k {
 		t.Fatalf("%d leaves beyond the frontier, the fixture is meant to have about 1000", leaves)

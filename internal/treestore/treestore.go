@@ -20,9 +20,11 @@
 package treestore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -789,8 +791,8 @@ var (
 
 // decodeNode is the one reader of a whole nodes row: the twelve columns in
 // schema order, straight from the stored row, the name copied out of the page.
-// What only tests a column or two (frontier, leafIDs) reads those with a
-// cursor of its own and comes here for the rows it keeps.
+// What only tests a column or three (cladeOf: the frontier, leafIDs, the
+// uniform draws) reads those in place and comes here for the rows it keeps.
 func decodeNode(row relstore.Row) (Node, error) {
 	c := row.Cols()
 	n := Node{
@@ -1175,39 +1177,114 @@ func (s idSet) in(id int) bool  { return id >= 0 && id>>6 < len(s) }
 func (s idSet) has(id int) bool { return s.in(id) && s[id>>6]&(1<<(id&63)) != 0 }
 func (s idSet) add(id int)      { s[id>>6] |= 1 << (id & 63) }
 
-// frontierCtx returns the maximal nodes whose root distance exceeds time
-// under ctx, found with one range scan on the by_dist index — no full-tree
-// traversal and no further reads: the scan yields every node beyond time,
-// so a candidate is maximal exactly when its parent is not a candidate. Of a
-// candidate it reads id, parent and distance, in place; edge lengths are >= 0
-// (Load validates them), so a parent comes by before its children in (dist,
-// id) order and only the maximal candidates are decoded into Nodes.
-func (t *Tree) frontierCtx(ctx context.Context, time float64) ([]Node, error) {
-	beyond := make(idSet, (t.info.Nodes+63)/64)
-	var out []Node
-	err := t.nodes.IndexRangeCtx(ctx, "by_dist", relstore.Float(time), relstore.Value{}, func(row relstore.Row) (bool, error) {
-		c := row.Cols()
-		id, parent := int(c.Int()), int(c.Int())
-		c.Skip(colDist - colOrd)
-		dist := c.Float()
-		if err := c.Err(); err != nil || dist <= time {
-			return err == nil, err
+// next returns the smallest id >= from in the set, -1 if there is none. It
+// steps a word at a time, so an empty stretch costs one test per 64 ids.
+func (s idSet) next(from int) int {
+	w := from >> 6
+	if from < 0 || w >= len(s) {
+		return -1
+	}
+	for word := s[w] &^ (1<<(from&63) - 1); ; word = s[w] {
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
 		}
+		if w++; w == len(s) {
+			return -1
+		}
+	}
+}
+
+// beyondCtx returns the set of nodes whose root distance exceeds time under
+// ctx, read from the by_dist index alone: one key-only range scan from time,
+// whose entries carry each node's distance and id, and no node row read.
+func (t *Tree) beyondCtx(ctx context.Context, time float64) (idSet, error) {
+	beyond := make(idSet, (t.info.Nodes+63)/64)
+	err := t.nodes.IndexKeysCtx(ctx, "by_dist", relstore.Float(time), relstore.Value{}, func(dist, pk relstore.Value) (bool, error) {
+		if dist.Float64() <= time {
+			return true, nil // the scan starts at time itself
+		}
+		id := int(pk.Int64())
 		if !beyond.in(id) {
 			return false, fmt.Errorf("treestore: frontier: node id %d out of range", id)
 		}
-		if beyond.add(id); beyond.has(parent) {
-			return true, nil
-		}
-		n, err := decodeNode(row)
-		out = append(out, n)
-		return true, err
+		beyond.add(id)
+		return true, nil
 	})
-	if err != nil {
-		return nil, err
+	return beyond, err
+}
+
+// frontierCtx returns the frontier of a beyondCtx set — the maximal nodes
+// in it, ascending — and the leaves of each one's clade, ascending, in one
+// pass up the ids. The smallest id in the set is maximal: an ancestor has a
+// smaller id, and had one been in the set, the id would lie in a clade
+// already taken. Edge lengths are >= 0 (Load validates them), so a node's
+// whole preorder range [id, id+size) is in the set with it, and the next
+// maximal node is the smallest id in the set past that range. A maximal
+// node's row comes through the request memo, for its size and leaf flag; an
+// interior clade's leaves come from one range scan, which runs on into the
+// next clade when that one starts where the last ends, so adjacent clades
+// are one scan. A size that is not >= 1 or runs past the tree is an error,
+// never a hang.
+func (t *Tree) frontierCtx(ctx context.Context, memo *cellMemo, beyond idSet) (roots []int, groups [][]int, err error) {
+	var leaves, starts []int // starts[i]: where the leaves of roots[i] begin
+	// open starts the clade of a maximal node and returns where it ends.
+	open := func(id, size int) (int, error) {
+		if size < 1 || size > t.info.Nodes-id {
+			return 0, fmt.Errorf("treestore: frontier: node %d claims a clade of %d nodes in a tree of %d", id, size, t.info.Nodes)
+		}
+		roots, starts = append(roots, id), append(starts, len(leaves))
+		return id + size, nil
 	}
-	slices.SortFunc(out, func(a, b Node) int { return a.ID - b.ID })
-	return out, nil
+	for id, end := beyond.next(0), 0; id >= 0; id = beyond.next(end) {
+		row, ok, err := memo.nodes.Row(ctx, relstore.Int(int64(id)))
+		if err != nil {
+			return nil, nil, err
+		}
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: id %d", ErrNoNode, id)
+		}
+		_, leaf, size, err := cladeOf(row)
+		if err != nil {
+			return nil, nil, cmp.Or(ctx.Err(), err) // a cancelled read may land on a reclaimed page
+		}
+		if end, err = open(id, size); err != nil {
+			return nil, nil, err
+		}
+		if leaf {
+			leaves = append(leaves, id)
+			continue
+		}
+		err = t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(id+1)), relstore.Value{}, func(row relstore.Row) (bool, error) {
+			id, leaf, size, err := cladeOf(row)
+			if err != nil {
+				return false, err
+			}
+			if id >= end {
+				if id != end || !beyond.has(id) {
+					return false, nil
+				}
+				if end, err = open(id, size); err != nil {
+					return false, err
+				}
+			}
+			if leaf {
+				leaves = append(leaves, id)
+			}
+			return true, nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	groups = make([][]int, len(roots))
+	for i, at := range starts {
+		to := len(leaves)
+		if i+1 < len(starts) {
+			to = starts[i+1]
+		}
+		groups[i] = leaves[at:to:to]
+	}
+	return roots, groups, nil
 }
 
 // LeavesUnderCtx returns the leaves in the clade rooted at id under ctx,
@@ -1234,7 +1311,7 @@ func (t *Tree) leafIDs(ctx context.Context, n Node, ids []int) ([]int, error) {
 		return append(ids, n.ID), nil
 	}
 	err := t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(n.ID)), relstore.Int(int64(n.ID+n.Size)), func(row relstore.Row) (bool, error) {
-		id, leaf, err := idAndLeaf(row)
+		id, leaf, _, err := cladeOf(row)
 		if leaf {
 			ids = append(ids, id)
 		}
@@ -1243,13 +1320,15 @@ func (t *Tree) leafIDs(ctx context.Context, n Node, ids []int) ([]int, error) {
 	return ids, err
 }
 
-// idAndLeaf reads the id and the leaf flag of a nodes row in place.
-func idAndLeaf(row relstore.Row) (id int, leaf bool, err error) {
+// cladeOf reads the id, the leaf flag and the subtree size of a nodes row in
+// place.
+func cladeOf(row relstore.Row) (id int, leaf bool, size int, err error) {
 	c := row.Cols()
 	id = int(c.Int())
 	c.Skip(colLeaf - colParent)
 	leaf = c.Bool()
-	return id, leaf, c.Err()
+	size = int(c.Int())
+	return id, leaf, size, c.Err()
 }
 
 // MinimalSpanningCladeCtx returns all nodes of the clade rooted at the LCA
@@ -1334,7 +1413,7 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 		if !ok {
 			return nil, fmt.Errorf("%w: id %d", ErrNoNode, id)
 		}
-		if _, leaf, err := idAndLeaf(row); err != nil {
+		if _, leaf, _, err := cladeOf(row); err != nil {
 			return nil, err
 		} else if !leaf {
 			continue
@@ -1351,43 +1430,41 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 }
 
 // SampleWithTimeCtx implements the paper's time-constrained sampling
-// against the stored tree under ctx: frontier via the distance index, then
-// per-frontier quotas with remainder redistribution. The draws run on leaf
-// ids; only the k drawn are fetched and decoded.
+// against the stored tree under ctx: the nodes beyond time from the distance
+// index's keys, the frontier and its leaves in one ascending pass over them,
+// then per-frontier quotas with remainder redistribution. The draws run on
+// leaf ids; only the k drawn are fetched and decoded.
 func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *rand.Rand) ([]Node, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: sample size must be >= 1", ErrBadSample)
 	}
 	frontierCtx, frontierSpan := obs.StartSpan(ctx, "frontier")
-	frontier, err := t.frontierCtx(frontierCtx, time)
+	beyond, err := t.beyondCtx(frontierCtx, time)
 	frontierSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	if len(frontier) == 0 {
+	memo := newCellMemo(t)
+	leavesCtx, leavesSpan := obs.StartSpan(ctx, "collect_leaves")
+	roots, groups, err := t.frontierCtx(leavesCtx, memo, beyond)
+	leavesSpan.End()
+	if err != nil {
+		return nil, err
+	}
+	if len(roots) == 0 {
 		return nil, fmt.Errorf("%w: no nodes beyond time %g", ErrBadSample, time)
 	}
-	leavesCtx, leavesSpan := obs.StartSpan(ctx, "collect_leaves")
-	// Every group is appended to one slice. A later append writes past a group
-	// or into a new array, so a group taken as the tail just read stays put.
-	var leaves []int
-	groups := make([][]int, len(frontier))
-	for i, fn := range frontier {
-		start := len(leaves)
-		if leaves, err = t.leafIDs(leavesCtx, fn, leaves); err != nil {
-			leavesSpan.End()
-			return nil, err
-		}
-		groups[i] = leaves[start:]
+	leaves := 0
+	for _, g := range groups {
+		leaves += len(g)
 	}
-	leavesSpan.End()
-	if len(leaves) < k {
-		return nil, fmt.Errorf("%w: only %d leaves beyond time %g < %d", ErrBadSample, len(leaves), time, k)
+	if leaves < k {
+		return nil, fmt.Errorf("%w: only %d leaves beyond time %g < %d", ErrBadSample, leaves, time, k)
 	}
 	picked := sample.Draw(groups, k, r)
 	fetchCtx, fetchSpan := obs.StartSpan(ctx, "fetch_nodes")
 	defer fetchSpan.End()
-	return t.fetchNodes(fetchCtx, newCellMemo(t), picked)
+	return t.fetchNodes(fetchCtx, memo, picked)
 }
 
 // fetchNodes fetches the rows of the distinct ids in preorder (id) order

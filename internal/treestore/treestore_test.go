@@ -137,7 +137,7 @@ func TestStoredLCAMatchesPaper(t *testing.T) {
 
 func TestFrontierMatchesInMemory(t *testing.T) {
 	_, tr := loadFigure1(t, 2)
-	front, err := tr.frontierCtx(context.Background(), 1)
+	front, err := frontierNodes(tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestFrontierMatchesInMemory(t *testing.T) {
 		}
 	}
 	// Strictness at the boundary.
-	front, err = tr.frontierCtx(context.Background(), 1.25)
+	front, err = frontierNodes(tr, 1.25)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,10 @@ func total(root *obs.Span, name string) int64 {
 // query path, so descents are the same whatever is cached: 123, one per
 // distinct leaf the request touches, with a ceiling ~10% over. A page is
 // decoded once per buffer-pool residency — the frame keeps the node with
-// the image — so the first run after the load, which finds no node kept (a
-// write keeps none), decodes 7 134 cells, under a ceiling of 11 100, and a
-// warm repeat decodes none, with the decoded-node cache off or on. While
+// the image, and a write keeps none — so the first run after the load, which
+// finds kept only the leaves the sample that chose its ids decoded, decodes
+// 7 134 cells, under a ceiling of 11 100, and a warm repeat decodes none,
+// with the decoded-node cache off or on. While
 // every read re-indexed its page, the cold run decoded 26 214 cells and a
 // warm one 10 135 with the cache on; while the request memo kept a leaf's
 // integers and not the leaf, 38 more descents went back for the full row of
@@ -80,8 +81,6 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 		return p, run{name, total(span, "btree_descents"), total(span, "cells_decoded")}
 	}
 
-	// The sample above read the nodes relation's leaves it drew from, not
-	// the pages the projection walks.
 	want, cold := project("cold, cache off")
 	_, warm := project("warm, cache off")
 	s.dbs[0].Store().SetReadCacheBytes(64 << 20)

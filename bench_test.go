@@ -171,9 +171,9 @@ func BenchmarkE5LCA(b *testing.B) {
 			})
 		}
 		b.Run(fmt.Sprintf("stored-f=%d/depth=%d", core.DefaultFanout, depth), func(b *testing.B) {
-			s := treestore.OpenMem()
+			s := crimson.OpenMem()
 			defer s.Close()
-			if _, err := s.Load("cat", t, core.DefaultFanout, nil); err != nil {
+			if _, err := s.LoadTree("cat", t, core.DefaultFanout, nil); err != nil {
 				b.Fatal(err)
 			}
 			sn := s.Snapshot()
@@ -212,12 +212,7 @@ func BenchmarkE6StructureQueries(b *testing.B) {
 	b.Run("IsAncestor", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			ix.IsAncestor(p[0], p[1])
-		}
-	})
-	b.Run("LocalLabel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.Label(pairs[i%len(pairs)][0])
+			_ = ix.LCA(p[0], p[1]) == p[0]
 		}
 	})
 }
@@ -286,8 +281,8 @@ func BenchmarkE9Load(b *testing.B) {
 		t := yuleTree(b, leaves)
 		b.Run(fmt.Sprintf("leaves=%d", leaves), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := treestore.OpenMem()
-				if _, err := s.Load("t", t, core.DefaultFanout, nil); err != nil {
+				s := crimson.OpenMem()
+				if _, err := s.LoadTree("t", t, core.DefaultFanout, nil); err != nil {
 					b.Fatal(err)
 				}
 				s.Close()
@@ -305,8 +300,8 @@ func BenchmarkLoadTree(b *testing.B) {
 	t := yuleTree(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := treestore.OpenMem()
-		if _, err := s.Load("t", t, core.DefaultFanout, nil); err != nil {
+		s := crimson.OpenMem()
+		if _, err := s.LoadTree("t", t, core.DefaultFanout, nil); err != nil {
 			b.Fatal(err)
 		}
 		s.Close()
@@ -387,9 +382,9 @@ func relstoreBenchRows(n int) []relstore.Tuple {
 // which takes no lock. -cpu 1,4,8 sweeps the parallelism.
 func BenchmarkParallelRead(b *testing.B) {
 	t := yuleTree(b, 20000)
-	s := treestore.OpenMem()
+	s := crimson.OpenMem()
 	defer s.Close()
-	if _, err := s.Load("gold", t, core.DefaultFanout, nil); err != nil {
+	if _, err := s.LoadTree("gold", t, core.DefaultFanout, nil); err != nil {
 		b.Fatal(err)
 	}
 	sn := s.Snapshot()
@@ -507,22 +502,22 @@ func BenchmarkE11EndToEnd(b *testing.B) {
 // --- E12: disk-resident point queries ----------------------------------------
 
 // BenchmarkE12DiskAccess measures random access against a file-backed
-// repository — name lookup, child listing, storage-backed LCA and
-// time-frontier queries — supporting the paper's "argues against main
-// memory techniques" design point.
+// repository — name lookup, storage-backed LCA and time-frontier queries
+// — supporting the paper's "argues against main memory techniques" design
+// point.
 func BenchmarkE12DiskAccess(b *testing.B) {
 	dir, err := os.MkdirTemp("", "crimson-bench-*")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	s, err := treestore.Open(filepath.Join(dir, "bench.db"))
+	s, err := crimson.Open(filepath.Join(dir, "bench.db"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
 	t := yuleTree(b, 20000)
-	if _, err := s.Load("gold", t, core.DefaultFanout, nil); err != nil {
+	if _, err := s.LoadTree("gold", t, core.DefaultFanout, nil); err != nil {
 		b.Fatal(err)
 	}
 	sn := s.Snapshot()
@@ -537,13 +532,6 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 	b.Run("NodeByName", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := st.NodeByNameCtx(context.Background(), names[i%len(names)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Children", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := st.ChildrenCtx(context.Background(), pairs[i%len(pairs)][0]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -581,13 +569,13 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 // them; everything is closed when the benchmark ends.
 func storedTrees(b *testing.B, t *phylo.Tree, n int) []*treestore.Tree {
 	b.Helper()
-	s, err := treestore.Open(filepath.Join(b.TempDir(), "bench.db"))
+	s, err := crimson.Open(filepath.Join(b.TempDir(), "bench.db"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { s.Close() })
 	for i := 0; i < n; i++ {
-		if _, err := s.Load(fmt.Sprintf("gold%d", i), t, core.DefaultFanout, nil); err != nil {
+		if _, err := s.LoadTree(fmt.Sprintf("gold%d", i), t, core.DefaultFanout, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

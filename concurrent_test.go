@@ -311,14 +311,14 @@ func TestSnapshotIsolationLoadDeleteStress(t *testing.T) {
 					}
 					// Count every stored node row: mid-delete states would
 					// lose rows, mid-load states would miss tables.
-					leaves, err := ft.LeavesUnderCtx(context.Background(), 0)
+					exp, err := ft.ExportCtx(context.Background())
 					if err != nil {
-						errs <- fmt.Errorf("reader %d: flux leaves: %w", g, err)
+						errs <- fmt.Errorf("reader %d: flux export: %w", g, err)
 						sn.Close()
 						return
 					}
-					if len(leaves) != info.Leaves {
-						errs <- fmt.Errorf("reader %d: torn snapshot: %d leaves scanned, info says %d", g, len(leaves), info.Leaves)
+					if leaves := len(exp.Leaves()); leaves != info.Leaves {
+						errs <- fmt.Errorf("reader %d: torn snapshot: %d leaves exported, info says %d", g, leaves, info.Leaves)
 						sn.Close()
 						return
 					}

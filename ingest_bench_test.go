@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	crimson "repro"
 	"repro/internal/core"
 	"repro/internal/newick"
 	"repro/internal/relstore"
@@ -35,9 +36,9 @@ func BenchmarkParallelIngest(b *testing.B) {
 		// metric reports its isolated share of the load.
 		var stage, insert int64
 		for i := 0; i < b.N; i++ {
-			s := treestore.OpenMem()
+			s := crimson.OpenMem()
 			var m treestore.LoadMetrics
-			if _, err := s.LoadOpts("t", t, core.DefaultFanout, treestore.LoadOptions{Metrics: &m}, nil); err != nil {
+			if _, err := s.Trees.LoadOpts("t", t, core.DefaultFanout, treestore.LoadOptions{Metrics: &m}, nil); err != nil {
 				b.Fatal(err)
 			}
 			s.Close()
@@ -71,8 +72,8 @@ func BenchmarkParallelIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := treestore.OpenMem()
-			if _, err := s.LoadOpts("t", tr, core.DefaultFanout, treestore.LoadOptions{}, nil); err != nil {
+			s := crimson.OpenMem()
+			if _, err := s.Trees.LoadOpts("t", tr, core.DefaultFanout, treestore.LoadOptions{}, nil); err != nil {
 				b.Fatal(err)
 			}
 			s.Close()
@@ -94,8 +95,8 @@ func BenchmarkParallelIngestWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s := treestore.OpenMem()
-				if _, err := s.LoadOpts("t", tr, core.DefaultFanout, treestore.LoadOptions{Workers: workers}, nil); err != nil {
+				s := crimson.OpenMem()
+				if _, err := s.Trees.LoadOpts("t", tr, core.DefaultFanout, treestore.LoadOptions{Workers: workers}, nil); err != nil {
 					b.Fatal(err)
 				}
 				s.Close()

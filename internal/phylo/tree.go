@@ -32,18 +32,6 @@ func (n *Node) AddChild(child *Node) {
 	n.Children = append(n.Children, child)
 }
 
-// RemoveChild detaches child from n, reporting whether it was present.
-func (n *Node) RemoveChild(child *Node) bool {
-	for i, c := range n.Children {
-		if c == child {
-			n.Children = append(n.Children[:i], n.Children[i+1:]...)
-			child.Parent = nil
-			return true
-		}
-	}
-	return false
-}
-
 // Degree returns the number of children.
 func (n *Node) Degree() int { return len(n.Children) }
 
@@ -104,15 +92,6 @@ func (t *Tree) Nodes() []*Node {
 	}
 	t.nodes.Store(&out)
 	return out
-}
-
-// Walk visits nodes in preorder until fn returns false.
-func (t *Tree) Walk(fn func(*Node) bool) {
-	for _, n := range t.Nodes() {
-		if !fn(n) {
-			return
-		}
-	}
 }
 
 // Leaves returns the leaf nodes in preorder.

@@ -273,30 +273,6 @@ func TestEqualTolerance(t *testing.T) {
 	}
 }
 
-func TestWalkEarlyStop(t *testing.T) {
-	tr := PaperFigure1()
-	n := 0
-	tr.Walk(func(*Node) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Fatalf("Walk visited %d, want 3", n)
-	}
-}
-
-func TestRemoveChild(t *testing.T) {
-	tr := PaperFigure1()
-	syn := tr.NodeByName("Syn")
-	if !tr.Root.RemoveChild(syn) {
-		t.Fatal("RemoveChild failed")
-	}
-	if tr.Root.RemoveChild(syn) {
-		t.Fatal("second RemoveChild succeeded")
-	}
-	tr.Mutated()
-	if tr.NumLeaves() != 4 {
-		t.Fatalf("NumLeaves = %d after removal", tr.NumLeaves())
-	}
-}
-
 func TestDepth(t *testing.T) {
 	tr := PaperFigure1()
 	if d := Depth(tr.Root); d != 0 {

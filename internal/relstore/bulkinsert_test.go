@@ -69,14 +69,14 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	}
 	// Identical scan results in identical order.
 	var bulkSeen, rowSeen []int64
-	if err := bt.Scan(func(stored Row) (bool, error) {
+	if err := bt.ScanRange(Value{}, Value{}, func(stored Row) (bool, error) {
 		r := tup(t, stored)
 		bulkSeen = append(bulkSeen, r[0].i)
 		return true, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Scan(func(stored Row) (bool, error) {
+	if err := rt.ScanRange(Value{}, Value{}, func(stored Row) (bool, error) {
 		r := tup(t, stored)
 		rowSeen = append(rowSeen, r[0].i)
 		return true, nil

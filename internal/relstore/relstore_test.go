@@ -293,7 +293,7 @@ func TestScanOrderAndRange(t *testing.T) {
 		}
 	}
 	var ids []int64
-	tab.Scan(func(stored Row) (bool, error) {
+	tab.ScanRange(Value{}, Value{}, func(stored Row) (bool, error) {
 		r := tup(t, stored)
 		ids = append(ids, r[0].i)
 		return true, nil
@@ -315,7 +315,7 @@ func TestScanOrderAndRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tab.Scan(func(Row) (bool, error) {
+	tab.ScanRange(Value{}, Value{}, func(Row) (bool, error) {
 		n++
 		return n < 5, nil
 	})
@@ -522,4 +522,32 @@ func tup(t testing.TB, row Row) Tuple {
 		t.Fatal(err)
 	}
 	return vals
+}
+
+// Len returns the row count.
+func (v *TableView) Len() (int, error) {
+	n := 0
+	err := v.ScanCtx(context.Background(), func(Row) (bool, error) {
+		n++
+		return true, nil
+	})
+	return n, err
+}
+
+// Equal reports deep equality of two values.
+func (v Value) Equal(o Value) bool {
+	if v.Type != o.Type {
+		return false
+	}
+	switch v.Type {
+	case TInt, TBool:
+		return v.i == o.i
+	case TFloat:
+		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
+	case TString:
+		return v.s == o.s
+	case TBytes:
+		return string(v.b) == string(o.b)
+	}
+	return false
 }

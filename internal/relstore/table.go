@@ -97,7 +97,7 @@ var (
 // secondary index whose keys are (indexed columns..., primary key) and whose
 // values are the encoded primary key. Its trees are the working trees of the
 // open transaction, so every method — the mutations and the reads a writer
-// decides by (Get, Scan, ScanRange) — holds the database mutex.
+// decides by (Get, ScanRange) — holds the database mutex.
 // Everything else reads a Snap's TableView.
 type Table struct {
 	view TableView
@@ -118,15 +118,9 @@ func (t *Table) Get(key Value) (Row, bool, error) {
 	return t.view.Get(key)
 }
 
-// Scan visits all rows of the working state in primary key order. fn runs
-// under the database mutex: it collects, and calls nothing of the database.
-func (t *Table) Scan(fn func(Row) (bool, error)) error {
-	return t.ScanRange(Value{}, Value{}, fn)
-}
-
 // ScanRange visits the rows of the working state with primary key in
 // [lo, hi), either bound the zero Value for unbounded. fn runs under the
-// database mutex, as in Scan.
+// database mutex: it collects, and calls nothing of the database.
 func (t *Table) ScanRange(lo, hi Value, fn func(Row) (bool, error)) error {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()

@@ -118,24 +118,6 @@ func (v Value) String() string {
 	return "<invalid>"
 }
 
-// Equal reports deep equality of two values.
-func (v Value) Equal(o Value) bool {
-	if v.Type != o.Type {
-		return false
-	}
-	switch v.Type {
-	case TInt, TBool:
-		return v.i == o.i
-	case TFloat:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
-	case TString:
-		return v.s == o.s
-	case TBytes:
-		return string(v.b) == string(o.b)
-	}
-	return false
-}
-
 // Tuple is a row as values: an ordered tuple matching a table schema. It is
 // what a writer hands in (Insert, Put, BulkInsert) and what Row.Tuple decodes
 // for a reader that wants every column as a Value.

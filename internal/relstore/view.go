@@ -38,9 +38,6 @@ func (v *TableView) Schema() Schema {
 	return s
 }
 
-// Name returns the table name.
-func (v *TableView) Name() string { return v.schema.Name }
-
 func (v *TableView) checkRow(row Tuple) error {
 	if len(row) != len(v.schema.Columns) {
 		return fmt.Errorf("%w: %d values for %d columns", errSchemaRow, len(row), len(v.schema.Columns))
@@ -140,11 +137,6 @@ func (v *TableView) GetBatchCtx(ctx context.Context, keys []Value) ([]Row, []boo
 		rows[i] = Row{val}
 	}
 	return rows, found, nil
-}
-
-// Len returns the row count.
-func (v *TableView) Len() (int, error) {
-	return v.primary.Len()
 }
 
 // ScanCtx visits all rows in primary key order under ctx: the scan checks

@@ -64,9 +64,6 @@ func NewPublisher(store *storage.Store) *Publisher {
 // their contexts do.
 func (p *Publisher) Close() { p.store.SetCommitHook(nil) }
 
-// Store returns the shard store this publisher ships.
-func (p *Publisher) Store() *storage.Store { return p.store }
-
 // Subscribers reports the number of connected streams.
 func (p *Publisher) Subscribers() int {
 	p.mu.Lock()

@@ -865,28 +865,6 @@ func (t *BTree) remove(pid PageID, key []byte) (PageID, bool, error) {
 	return e.page, true, err
 }
 
-// Len returns the number of entries, counting by scan if the cached count
-// is unknown (tree opened from disk). Safe for concurrent readers.
-func (t *BTree) Len() (int, error) {
-	if sz := t.size.Load(); sz >= 0 {
-		return int(sz), nil
-	}
-	n := 0
-	c, err := t.First()
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-	for c.Valid() {
-		n++
-		if err := c.Next(); err != nil {
-			return 0, err
-		}
-	}
-	t.size.Store(int64(n))
-	return n, nil
-}
-
 // writeOverflow spills value into a chain of overflow pages and returns the
 // 12-byte reference stored inline in the leaf.
 func (t *BTree) writeOverflow(value []byte) ([]byte, error) {

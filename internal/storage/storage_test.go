@@ -962,3 +962,20 @@ func TestStoreCommitDurability(t *testing.T) {
 		t.Fatalf("committed data lost: %q %v %v", v, ok, err)
 	}
 }
+
+// Len counts the entries by a scan. Safe for concurrent readers.
+func (t *BTree) Len() (int, error) {
+	n := 0
+	c, err := t.First()
+	if err != nil {
+		return 0, err
+	}
+	defer c.Close()
+	for c.Valid() {
+		n++
+		if err := c.Next(); err != nil {
+			return 0, err
+		}
+	}
+	return n, nil
+}

@@ -146,7 +146,7 @@ func collapse(tr *phylo.Tree, k int, r *rand.Rand) *phylo.Tree {
 		}
 		n := inner[r.Intn(len(inner))]
 		p := n.Parent
-		p.RemoveChild(n)
+		p.Children = slices.DeleteFunc(p.Children, func(c *phylo.Node) bool { return c == n })
 		for _, c := range slices.Clone(n.Children) {
 			c.Length += n.Length
 			p.AddChild(c)

@@ -36,7 +36,7 @@ func TestOldNodesSchemaStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rows []relstore.Tuple
-	if err := tab.Scan(func(row relstore.Row) (bool, error) {
+	if err := tab.ScanRange(relstore.Value{}, relstore.Value{}, func(row relstore.Row) (bool, error) {
 		tup, err := row.Tuple()
 		rows = append(rows, tup)
 		return true, err
@@ -128,8 +128,6 @@ func everyAnswer(t *testing.T, tr *Tree) string {
 		kids, err := tr.ChildrenCtx(ctx, id)
 		say("children", kids, err)
 	}
-	leaves, err := tr.LeavesUnderCtx(ctx, front[0])
-	say("leaves under", leaves, err)
 	export, err := tr.ExportCtx(ctx)
 	say("export", newick.String(export), err)
 	var stream strings.Builder

@@ -28,7 +28,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -77,35 +76,6 @@ type Store struct {
 // dbFor returns the shard database that owns the named tree.
 func (s *Store) dbFor(name string) *relstore.DB {
 	return s.dbs[s.router.Place(name)]
-}
-
-// Open opens (creating if needed) a repository in the page file at path.
-func Open(path string) (*Store, error) {
-	db, err := relstore.OpenDB(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := newOnDB(db)
-	if err != nil {
-		db.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// OpenMem opens an in-memory repository.
-func OpenMem() *Store {
-	s, err := newOnDB(relstore.OpenMemDB())
-	if err != nil {
-		panic("treestore: init mem store: " + err.Error())
-	}
-	return s
-}
-
-// newOnDB layers a tree repository over an existing relational database,
-// so the Tree, Species and Query repositories can share one page file.
-func newOnDB(db *relstore.DB) (*Store, error) {
-	return NewOnShards([]*relstore.DB{db}, shard.Single)
 }
 
 // NewOnShards layers a tree repository over one database per shard. The
@@ -165,38 +135,6 @@ func initShard(db *relstore.DB) error {
 		})
 	}
 	return err
-}
-
-// Commit flushes buffered pages of every shard to disk. The per-shard
-// commits are issued concurrently: each shard's WAL fsync proceeds in
-// parallel instead of serializing behind the previous shard's.
-func (s *Store) Commit() error {
-	if len(s.dbs) == 1 {
-		if err := s.dbs[0].Commit(); err != nil {
-			return fmt.Errorf("treestore: committing shard 0: %w", err)
-		}
-		return nil
-	}
-	errs := make([]error, len(s.dbs))
-	var wg sync.WaitGroup
-	for i, db := range s.dbs {
-		wg.Add(1)
-		go func(i int, db *relstore.DB) {
-			defer wg.Done()
-			if err := db.Commit(); err != nil {
-				errs[i] = fmt.Errorf("treestore: committing shard %d: %w", i, err)
-			}
-		}(i, db)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// Close commits and closes every shard's database. All shards are closed
-// even if one fails — a broken shard must not leave the others' WALs
-// unflushed — and the failures come back joined.
-func (s *Store) Close() error {
-	return shard.CloseAll(s.dbs)
 }
 
 func validName(name string) bool {
@@ -268,13 +206,6 @@ func (o LoadOptions) workerCount() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Load stores the tree under the given name with depth bound f and commits.
-// The tree must have preorder IDs (Reindex). The result describes what was
-// stored (Info); query it through a Snapshot.
-func (s *Store) Load(name string, t *phylo.Tree, f int, progress Progress) (*PreparedLoad, error) {
-	return s.LoadOpts(name, t, f, LoadOptions{}, progress)
 }
 
 // LoadOpts is Load with pipeline options: staging fans out across
@@ -636,15 +567,6 @@ type Snap struct {
 	router *shard.Router
 }
 
-// Snapshot pins the last committed state of every shard.
-func (s *Store) Snapshot() *Snap {
-	sns := make([]*relstore.Snap, len(s.dbs))
-	for i, db := range s.dbs {
-		sns[i] = db.Snapshot()
-	}
-	return &Snap{sns: sns, router: s.router}
-}
-
 // SnapOn wraps an existing relational snapshot (shared with the species
 // and query repositories) as a single-shard tree-repository view.
 func SnapOn(rs *relstore.Snap) *Snap {
@@ -656,32 +578,6 @@ func SnapOn(rs *relstore.Snap) *Snap {
 // from.
 func SnapOnShards(sns []*relstore.Snap, router *shard.Router) *Snap {
 	return &Snap{sns: sns, router: router}
-}
-
-// Epoch reports the sum of the per-shard committed epochs: a scalar that
-// advances whenever any shard commits. Use Epochs for the full vector.
-func (sn *Snap) Epoch() uint64 {
-	var sum uint64
-	for _, rs := range sn.sns {
-		sum += rs.Epoch()
-	}
-	return sum
-}
-
-// Epochs reports the per-shard epoch vector this snapshot pins.
-func (sn *Snap) Epochs() []uint64 {
-	out := make([]uint64, len(sn.sns))
-	for i, rs := range sn.sns {
-		out[i] = rs.Epoch()
-	}
-	return out
-}
-
-// Close releases every shard's epoch pin. Safe to call multiple times.
-func (sn *Snap) Close() {
-	for _, rs := range sn.sns {
-		rs.Close()
-	}
 }
 
 // Tree opens a handle on a stored tree as of its shard's snapshot. The
@@ -906,33 +802,6 @@ func (t *Tree) nodesByName(ctx context.Context, memo *cellMemo, names []string) 
 		if out[i], err = nodeOf(ctx, row); err != nil {
 			return nil, err
 		}
-	}
-	return out, nil
-}
-
-// ChildrenCtx lists a node's children in ordinal order under ctx, walking
-// preorder ids through one request memo: the first child is id+1, the next
-// sibling starts where a child's subtree ends (child.ID + child.Size), and
-// the walk stops at id + Size. An id the tree does not have has no children.
-func (t *Tree) ChildrenCtx(ctx context.Context, id int) ([]Node, error) {
-	memo := newCellMemo(t)
-	n, err := t.nodeRow(ctx, memo, id)
-	if errors.Is(err, ErrNoNode) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out []Node
-	for c := id + 1; c < id+n.Size; c += out[len(out)-1].Size {
-		kid, err := t.nodeRow(ctx, memo, c)
-		if err != nil {
-			return nil, err
-		}
-		if kid.Size < 1 {
-			return nil, fmt.Errorf("treestore: node %d has subtree size %d", c, kid.Size)
-		}
-		out = append(out, kid)
 	}
 	return out, nil
 }
@@ -1285,22 +1154,6 @@ func (t *Tree) frontierCtx(ctx context.Context, memo *cellMemo, beyond idSet) (r
 		groups[i] = leaves[at:to:to]
 	}
 	return roots, groups, nil
-}
-
-// LeavesUnderCtx returns the leaves in the clade rooted at id under ctx,
-// using the preorder-range property (descendants occupy ids
-// [id, id+size)).
-func (t *Tree) LeavesUnderCtx(ctx context.Context, id int) ([]Node, error) {
-	memo := newCellMemo(t)
-	n, err := t.nodeRow(ctx, memo, id)
-	if err != nil {
-		return nil, err
-	}
-	ids, err := t.leafIDs(ctx, n, nil)
-	if err != nil {
-		return nil, err
-	}
-	return t.fetchNodes(ctx, memo, ids)
 }
 
 // leafIDs appends the ids of the leaves in the clade rooted at n, ascending:

@@ -173,7 +173,11 @@ func TestLeavesUnderAndClade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaves, err := tr.LeavesUnderCtx(context.Background(), yID)
+	y, err := tr.NodeCtx(context.Background(), yID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves, err := tr.leafIDs(context.Background(), y, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +426,7 @@ func TestCorruptRelationsAreErrors(t *testing.T) {
 	// enters through need not lie in the subtree the upper layer named.
 	for k := 0; k < layers; k++ {
 		var rows []relstore.Tuple
-		if err := table(subsTable("other", k)).Scan(func(row relstore.Row) (bool, error) {
+		if err := table(subsTable("other", k)).ScanRange(relstore.Value{}, relstore.Value{}, func(row relstore.Row) (bool, error) {
 			vals, err := row.Tuple()
 			rows = append(rows, vals)
 			return true, err

@@ -7,8 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	crimson "repro"
 	"repro/internal/core"
-	"repro/internal/treestore"
 )
 
 // BenchmarkReadDuringLoad quantifies what MVCC snapshots buy: reader
@@ -25,7 +25,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 	churn := yuleTree(b, 10000)
 
 	// onSnapshot runs fn on the gold tree as a new snapshot reads it.
-	onSnapshot := func(b *testing.B, s *treestore.Store, fn func(st *treestore.Tree) error) {
+	onSnapshot := func(b *testing.B, s *crimson.Repository, fn func(st *crimson.StoredTree) error) {
 		sn := s.Snapshot()
 		defer sn.Close()
 		st, err := sn.Tree("gold")
@@ -36,18 +36,18 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	type readerFunc func(b *testing.B, s *treestore.Store, nodes int, r *rand.Rand)
-	snapLCA := func(b *testing.B, s *treestore.Store, nodes int, r *rand.Rand) {
+	type readerFunc func(b *testing.B, s *crimson.Repository, nodes int, r *rand.Rand)
+	snapLCA := func(b *testing.B, s *crimson.Repository, nodes int, r *rand.Rand) {
 		for i := 0; i < b.N; i++ {
-			onSnapshot(b, s, func(st *treestore.Tree) error {
+			onSnapshot(b, s, func(st *crimson.StoredTree) error {
 				_, err := st.LCACtx(context.Background(), r.Intn(nodes), r.Intn(nodes))
 				return err
 			})
 		}
 	}
-	snapProject := func(b *testing.B, s *treestore.Store, nodes int, r *rand.Rand) {
+	snapProject := func(b *testing.B, s *crimson.Repository, nodes int, r *rand.Rand) {
 		var ids []int
-		onSnapshot(b, s, func(st *treestore.Tree) error {
+		onSnapshot(b, s, func(st *crimson.StoredTree) error {
 			rows, err := st.SampleUniformCtx(context.Background(), 20, rand.New(rand.NewSource(7)))
 			for _, row := range rows {
 				ids = append(ids, row.ID)
@@ -56,7 +56,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 		})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			onSnapshot(b, s, func(st *treestore.Tree) error {
+			onSnapshot(b, s, func(st *crimson.StoredTree) error {
 				_, err := st.ProjectCtx(context.Background(), ids)
 				return err
 			})
@@ -64,9 +64,9 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 	}
 
 	run := func(b *testing.B, reader readerFunc, withLoad bool) {
-		s := treestore.OpenMem()
+		s := crimson.OpenMem()
 		defer s.Close()
-		loaded, err := s.Load("gold", base, core.DefaultFanout, nil)
+		loaded, err := s.LoadTree("gold", base, core.DefaultFanout, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 					default:
 					}
 					name := fmt.Sprintf("churn%d", i)
-					if _, err := s.Load(name, churn, core.DefaultFanout, nil); err != nil {
+					if _, err := s.LoadTree(name, churn, core.DefaultFanout, nil); err != nil {
 						b.Error(err)
 						return
 					}
-					if err := s.Delete(name); err != nil {
+					if err := s.Trees.Delete(name); err != nil {
 						b.Error(err)
 						return
 					}
@@ -123,9 +123,9 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 // Close sit on the epoch spine's change signal: with no waiter registered
 // that signal is a nil check, and must stay one.
 func BenchmarkSnapshotOpen(b *testing.B) {
-	s := treestore.OpenMem()
+	s := crimson.OpenMem()
 	defer s.Close()
-	if _, err := s.Load("gold", yuleTree(b, 2000), core.DefaultFanout, nil); err != nil {
+	if _, err := s.LoadTree("gold", yuleTree(b, 2000), core.DefaultFanout, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

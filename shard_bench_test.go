@@ -69,7 +69,7 @@ func BenchmarkShardedParallelLoad(b *testing.B) {
 						si := router.Place(names[j])
 						writerMu[si].Lock()
 						defer writerMu[si].Unlock()
-						if _, err := repo.Trees.Load(names[j], trees[j], crimson.DefaultFanout, nil); err != nil {
+						if _, err := repo.Trees.LoadOpts(names[j], trees[j], crimson.DefaultFanout, crimson.LoadOptions{}, nil); err != nil {
 							b.Error(err)
 						}
 					}(j)

@@ -206,7 +206,7 @@ func TestConcurrentLoadsOnDistinctShards(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := repo.Trees.Load(names[i], trees[i], crimson.DefaultFanout, nil); err != nil {
+			if _, err := repo.Trees.LoadOpts(names[i], trees[i], crimson.DefaultFanout, crimson.LoadOptions{}, nil); err != nil {
 				errs <- fmt.Errorf("load %s: %w", names[i], err)
 			}
 		}(i)
@@ -264,7 +264,7 @@ func TestShardedSnapshotEpochVector(t *testing.T) {
 			break
 		}
 	}
-	if _, err := repo.Trees.Load(second, tree, crimson.DefaultFanout, nil); err != nil {
+	if _, err := repo.Trees.LoadOpts(second, tree, crimson.DefaultFanout, crimson.LoadOptions{}, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -227,9 +227,11 @@ type Repository struct {
 	// writeMus serializes the facade's managed mutations (LoadTree,
 	// LoadNexus) per shard, including their query-history writes on shard
 	// 0 — so two concurrent loads of trees that hash apart can never slice
-	// a commit into each other's half-applied shard-0 state. Callers going
-	// through Trees/Species/Queries directly bypass these and own the
-	// one-writer-per-shard contract themselves.
+	// a commit into each other's half-applied shard-0 state. A server over
+	// the repository (NewServer) locks the same mutexes, so its writes and
+	// history commits never capture a managed load half applied either.
+	// Callers going through Trees/Species/Queries directly bypass these and
+	// own the one-writer-per-shard contract themselves.
 	writeMus []sync.Mutex
 
 	Trees   *treestore.Store
@@ -842,11 +844,12 @@ func (r *Repository) MVCCShards() []MVCCStats {
 //	defer srv.Shutdown(context.Background())
 func (r *Repository) NewServer(cfg ServerConfig) *Server {
 	return server.New(server.Backend{
-		DBs:     r.dbs,
-		Router:  r.router,
-		Trees:   r.Trees,
-		Species: r.Species,
-		Queries: r.Queries,
+		DBs:      r.dbs,
+		Router:   r.router,
+		Trees:    r.Trees,
+		Species:  r.Species,
+		Queries:  r.Queries,
+		WriteMus: r.writeMus,
 	}, cfg)
 }
 
@@ -866,6 +869,7 @@ func (r *Repository) NewFollowerServer(fl *Follower, cfg ServerConfig) *Server {
 		Trees:    r.Trees,
 		Species:  r.Species,
 		Queries:  r.Queries,
+		WriteMus: r.writeMus,
 		Follower: fl,
 	}, cfg)
 }

@@ -102,6 +102,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("server stats: %d requests, %d cache hits, %d aborted reads, %d open trees\n",
-		stats.Requests, stats.CacheHits, stats.AbortedReads, stats.OpenTrees)
+	fmt.Printf("server stats: %d requests, %d cache hits, %d aborted reads\n",
+		stats.Requests, stats.CacheHits, stats.AbortedReads)
 }

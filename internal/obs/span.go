@@ -80,9 +80,9 @@ func (s *Span) Counters() *Counters {
 	return &s.c
 }
 
-// Duration returns the span's duration (time since start if unfinished,
+// duration returns the span's duration (time since start if unfinished,
 // 0 on a nil receiver).
-func (s *Span) Duration() time.Duration {
+func (s *Span) duration() time.Duration {
 	if s == nil {
 		return 0
 	}
@@ -111,7 +111,7 @@ func (s *Span) Summary() *SpanSummary {
 	}
 	sum := &SpanSummary{
 		Name:       s.name,
-		DurationUS: s.Duration().Microseconds(),
+		DurationUS: s.duration().Microseconds(),
 		Counters:   s.c.Snapshot(),
 	}
 	if len(sum.Counters) == 0 {

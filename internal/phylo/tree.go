@@ -32,9 +32,6 @@ func (n *Node) AddChild(child *Node) {
 	n.Children = append(n.Children, child)
 }
 
-// Degree returns the number of children.
-func (n *Node) Degree() int { return len(n.Children) }
-
 // Tree is a rooted phylogenetic tree. The zero Tree is empty; build trees
 // with New or by parsing Newick/NEXUS.
 type Tree struct {
@@ -345,7 +342,7 @@ func (t *Tree) SuppressUnary() {
 		return
 	}
 	t.invalidate()
-	for t.Root.Degree() == 1 {
+	for len(t.Root.Children) == 1 {
 		child := t.Root.Children[0]
 		child.Parent = nil
 		// The paper's convention keeps the projected subtree rooted at the
@@ -357,7 +354,7 @@ func (t *Tree) SuppressUnary() {
 	walk = func(n *Node) {
 		for i := 0; i < len(n.Children); i++ {
 			c := n.Children[i]
-			for c.Degree() == 1 {
+			for len(c.Children) == 1 {
 				g := c.Children[0]
 				g.Length += c.Length
 				g.Parent = n

@@ -232,8 +232,8 @@ func TestSuppressUnaryRootChain(t *testing.T) {
 	root.AddChild(mid)
 	tr := New(root)
 	tr.SuppressUnary()
-	if tr.Root.Degree() != 2 {
-		t.Fatalf("root degree = %d, want 2", tr.Root.Degree())
+	if len(tr.Root.Children) != 2 {
+		t.Fatalf("root degree = %d, want 2", len(tr.Root.Children))
 	}
 	if tr.Root.Parent != nil {
 		t.Fatal("new root keeps a parent")

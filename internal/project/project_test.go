@@ -37,8 +37,8 @@ func TestFigure2Projection(t *testing.T) {
 		t.Fatalf("projection has %d leaves", got.NumLeaves())
 	}
 	// Root: two children, Syn and the interior x.
-	if got.Root.Degree() != 2 {
-		t.Fatalf("projection root degree = %d, want 2", got.Root.Degree())
+	if len(got.Root.Children) != 2 {
+		t.Fatalf("projection root degree = %d, want 2", len(got.Root.Children))
 	}
 	syn := got.NodeByName("Syn")
 	if syn == nil || syn.Parent != got.Root {
@@ -68,7 +68,7 @@ func TestFigure2Projection(t *testing.T) {
 	}
 	// Every interior node has out-degree > 1, as required of projections.
 	for _, n := range got.Nodes() {
-		if !n.IsLeaf() && n.Degree() < 2 {
+		if !n.IsLeaf() && len(n.Children) < 2 {
 			t.Fatalf("projection contains unary node %v", n)
 		}
 	}
@@ -112,7 +112,7 @@ func TestProjectPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumNodes() != 3 || got.Root.Degree() != 2 {
+	if got.NumNodes() != 3 || len(got.Root.Children) != 2 {
 		t.Fatalf("pair projection shape wrong: %d nodes", got.NumNodes())
 	}
 	// Root is y; both edges have weight 1.
@@ -180,7 +180,7 @@ func TestMatchesNaiveProperty(t *testing.T) {
 			return false
 		}
 		for _, n := range got.Nodes() {
-			if !n.IsLeaf() && n.Degree() < 2 {
+			if !n.IsLeaf() && len(n.Children) < 2 {
 				t.Logf("seed %d: unary node in projection", seed)
 				return false
 			}

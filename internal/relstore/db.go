@@ -20,11 +20,14 @@ var ErrNoTable = errors.New("relstore: no such table")
 // errTableExists is returned by CreateTable for duplicate names.
 var errTableExists = errors.New("relstore: table already exists")
 
-// catalogEntry is the persisted description of one table.
+// catalogEntry is the persisted description of one table. Created is the
+// epoch of the first commit that could carry the table (see
+// TableView.Created); entries written before it existed decode as 0.
 type catalogEntry struct {
 	Schema      Schema                    `json:"schema"`
 	PrimaryRoot storage.PageID            `json:"primary_root"`
 	IndexRoots  map[string]storage.PageID `json:"index_roots"`
+	Created     uint64                    `json:"created,omitempty"`
 }
 
 // DB is a small embedded relational database: a set of named tables stored
@@ -175,6 +178,7 @@ func (db *DB) CreateTable(schema Schema) (*Table, error) {
 			keyCol:  keyCol,
 			primary: primary,
 			indexes: make(map[string]*storage.BTree, len(schema.Indexes)),
+			created: db.store.NextEpoch(),
 		},
 		db:          db,
 		primaryRoot: primary.Root(),
@@ -227,6 +231,7 @@ func (db *DB) loadTable(name string) (*Table, error) {
 			keyCol:  keyCol,
 			primary: storage.OpenBTree(db.store, ent.PrimaryRoot),
 			indexes: make(map[string]*storage.BTree, len(ent.IndexRoots)),
+			created: ent.Created,
 		},
 		db:          db,
 		primaryRoot: ent.PrimaryRoot,
@@ -296,7 +301,7 @@ func (db *DB) saveTable(t *Table) error {
 	for name, tree := range t.view.indexes {
 		t.indexRoots[name] = tree.Root()
 	}
-	ent := catalogEntry{Schema: t.view.schema, PrimaryRoot: t.primaryRoot, IndexRoots: t.indexRoots}
+	ent := catalogEntry{Schema: t.view.schema, PrimaryRoot: t.primaryRoot, IndexRoots: t.indexRoots, Created: t.view.created}
 	enc, err := json.Marshal(&ent)
 	if err != nil {
 		return err

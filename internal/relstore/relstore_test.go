@@ -551,3 +551,73 @@ func (v Value) Equal(o Value) bool {
 	}
 	return false
 }
+
+// TestCreatedStampNamesTheIncarnation: a table's creation stamp is the epoch
+// of the commit that first carries it; it survives the table's mutations and
+// a reopen, and a drop and create under the same name moves it. A catalog
+// entry written before the stamp existed has no "created" field and reads 0.
+func TestCreatedStampNamesTheIncarnation(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "created.db")
+	db, err := OpenDB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(id int64) Tuple {
+		return Tuple{Int(id), Str(fmt.Sprintf("sp%d", id)), Float(0), Blob(nil), boolValue(true)}
+	}
+	tab, err := db.CreateTable(speciesSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := committed(t, db, "species").Created()
+	if first == 0 || first != db.MVCC().Epoch {
+		t.Fatalf("stamp %d, want the epoch %d of the commit that carried the table", first, db.MVCC().Epoch)
+	}
+	for id := int64(0); id < 50; id++ {
+		if err := tab.Insert(row(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := committed(t, db, "species").Created(); got != first {
+		t.Fatalf("stamp %d after inserts, want %d", got, first)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = OpenDB(path); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := committed(t, db, "species").Created(); got != first {
+		t.Fatalf("stamp %d after a reopen, want %d", got, first)
+	}
+
+	// Write the entry as a file from before the stamp holds it.
+	if tab, err = db.Table("species"); err != nil {
+		t.Fatal(err)
+	}
+	db.mu.Lock()
+	tab.view.created = 0
+	err = db.saveTable(tab)
+	enc, _, gerr := db.catalog.Get(catalogKey("species"))
+	db.mu.Unlock()
+	if err != nil || gerr != nil {
+		t.Fatal(err, gerr)
+	}
+	if bytes.Contains(enc, []byte(`"created"`)) {
+		t.Fatalf("an unstamped entry carries the field: %s", enc)
+	}
+	if got := committed(t, db, "species").Created(); got != 0 {
+		t.Fatalf("unstamped entry reads %d, want 0", got)
+	}
+
+	if err := db.DropTable("species"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable(speciesSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if got := committed(t, db, "species").Created(); got <= first || got != db.MVCC().Epoch {
+		t.Fatalf("stamp %d after a drop and create, want the new commit's epoch %d (> %d)", got, db.MVCC().Epoch, first)
+	}
+}

@@ -30,9 +30,8 @@ type Snap struct {
 }
 
 // epochViews holds the table views decoded for one committed epoch. The
-// snapshots of that epoch share them: a view is read-only apart from its
-// trees' cached sizes, which are the same for every reader of the epoch, and
-// its trees are pinned to the epoch, which each snapshot using them holds.
+// snapshots of that epoch share them: a view is read-only, and its trees are
+// pinned to the epoch, which each snapshot using them holds.
 type epochViews struct {
 	epoch   uint64
 	root    storage.PageID // the catalog root the views were decoded from
@@ -108,6 +107,7 @@ func (s *Snap) Table(name string) (*TableView, error) {
 		keyCol:  keyCol,
 		primary: storage.OpenBTreeAt(s.ss.Store(), ent.PrimaryRoot, s.ss.Epoch()),
 		indexes: make(map[string]*storage.BTree, len(ent.IndexRoots)),
+		created: ent.Created,
 	}
 	for ixName, root := range ent.IndexRoots {
 		v.indexes[ixName] = storage.OpenBTreeAt(s.ss.Store(), root, s.ss.Epoch())

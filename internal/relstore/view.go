@@ -28,7 +28,14 @@ type TableView struct {
 	keyCol  int
 	primary *storage.BTree
 	indexes map[string]*storage.BTree
+	created uint64
 }
+
+// Created reports the table's creation stamp: the epoch the first commit
+// after its CreateTable stamped (or will stamp). A table dropped and created
+// again under the same name gets a later stamp, so the stamp names one
+// incarnation of the name. Tables created before the stamp existed report 0.
+func (v *TableView) Created() uint64 { return v.created }
 
 // Schema returns a copy of the table's schema.
 func (v *TableView) Schema() Schema {

@@ -350,7 +350,7 @@ func (f *Follower) streamOnce(ctx context.Context, i int) error {
 			sh.notePrimaryEpoch(frame.Epoch)
 			if st.PublishedEpoch() >= frame.Epoch {
 				sh.healthy()
-				if !sh.synced.Swap(true) && f.Synced() {
+				if !sh.synced.Swap(true) && f.synced() {
 					f.syncedOnce.Do(func() { close(f.allSynced) })
 				}
 			}
@@ -402,9 +402,9 @@ func (f *Follower) waitHorizon(ctx context.Context, st *storage.Store, limit uin
 	return nil
 }
 
-// Synced reports whether every shard has caught up with the primary at
+// synced reports whether every shard has caught up with the primary at
 // least once since its stream connected.
-func (f *Follower) Synced() bool {
+func (f *Follower) synced() bool {
 	for _, sh := range f.shards {
 		if !sh.synced.Load() {
 			return false

@@ -143,7 +143,6 @@ type StatsSnapshot struct {
 	CacheHits    int64            `json:"cache_hits"`
 	CacheMisses  int64            `json:"cache_misses"`
 	CacheEntries int              `json:"cache_entries"`
-	OpenTrees    int              `json:"open_trees"`
 	PerOp        map[string]int64 `json:"per_op"`
 
 	// OpLatencies maps each op with at least one completed request (plus

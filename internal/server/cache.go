@@ -10,13 +10,13 @@ import (
 )
 
 // resultCache is a bounded LRU over query results. Keys are
-// "<tree>\x00<version>\x00<kind>\x00<canonical value's JSON>", where the version is
-// the shard epoch the tree's current incarnation was committed at: an
-// entry names one immutable incarnation of one tree, so nothing ever has
-// to be updated or dropped: reloading or deleting a tree moves its version
-// (versions only grow), which strands the old keys — no lookup can reach
-// them again, and they age out of the LRU. A capacity of zero disables the
-// cache entirely.
+// "<tree>\x00<version>\x00<kind>\x00<canonical value's JSON>", where the
+// version is the one a handle on the tree reports (treestore.Tree.Version):
+// an entry names one immutable incarnation of one tree, so nothing ever has
+// to be updated or dropped: reloading a tree gives it a later version, which
+// strands the old keys — only a snapshot of the old incarnation can reach
+// them, and they age out of the LRU. A capacity of zero disables the cache
+// entirely.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -71,14 +71,6 @@ func (c *resultCache) put(key string, val any) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-// purge drops every entry (promote resets all epoch-keyed state).
-func (c *resultCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
 }
 
 func (c *resultCache) len() int {

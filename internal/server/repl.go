@@ -226,9 +226,9 @@ func (s *Server) promote() error {
 	if fl == nil || !s.readOnly.Load() {
 		return &httpErr{status: http.StatusConflict, msg: "already primary"}
 	}
-	for i := range s.writeMus {
-		s.writeMus[i].Lock()
-		defer s.writeMus[i].Unlock()
+	for i := range s.be.WriteMus {
+		s.be.WriteMus[i].Lock()
+		defer s.be.WriteMus[i].Unlock()
 	}
 	// Everything past this point runs with the apply loops stopped. A
 	// failure leaves the server half-promoted: still read-only, nothing
@@ -252,8 +252,10 @@ func (s *Server) promote() error {
 }
 
 // finishPromote runs the post-flip promotion steps: re-resolve every
-// repository's writer handles, commit, and drop the read-only epoch-keyed
-// caches. Idempotent, so a failed promote can be retried end to end.
+// repository's writer handles and commit. Idempotent, so a failed promote
+// can be retried end to end. The result cache stays: its keys name tree
+// versions the store stamped, and the tables the new primary creates get
+// later ones.
 func (s *Server) finishPromote() error {
 	for _, db := range s.be.DBs {
 		db.Reload()
@@ -272,13 +274,5 @@ func (s *Server) finishPromote() error {
 			return fmt.Errorf("promote: committing shard %d: %w", i, err)
 		}
 	}
-	// Old epoch-keyed state (handles, versions, cached results) was
-	// accumulated read-only; drop it wholesale before writes can move
-	// the epochs.
-	s.handleMu.Lock()
-	s.handles = make(map[string]epochHandle)
-	s.vers = make(map[string]uint64)
-	s.handleMu.Unlock()
-	s.cache.purge()
 	return nil
 }

@@ -397,10 +397,8 @@ func TestReplicaPromote(t *testing.T) {
 		t.Fatalf("promoted tree has %d leaves, want %d", exp.NumLeaves(), gold.NumLeaves())
 	}
 
-	// The promoted server regains the result cache at full size: repeating
-	// a cacheable query must score a hit (the cache used to be permanently
-	// disabled on promoted followers). Three rounds: the first seeds the
-	// tree version, the second populates the cache, the third hits.
+	// The promoted server keeps its result cache: of three identical
+	// cacheable queries, at least the last two are hits.
 	for i := 0; i < 3; i++ {
 		if _, err := fcl.LCACtx(ctx, "p", leaves[0], leaves[1]); err != nil {
 			t.Fatalf("post-promote lca %d: %v", i, err)
@@ -410,8 +408,8 @@ func TestReplicaPromote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHits < 1 {
-		t.Fatalf("promoted server result cache scored %d hits, want >= 1", stats.CacheHits)
+	if stats.CacheHits < 2 {
+		t.Fatalf("promoted server result cache scored %d hits, want >= 2", stats.CacheHits)
 	}
 }
 

@@ -27,9 +27,10 @@
 // async recorder goroutine so recording never puts a read behind any
 // writer lock. Repeated projections, LCAs, clades and pattern matches are
 // served from a bounded LRU result cache keyed by (tree, version), where a
-// tree's version is the shard epoch its current incarnation was committed
-// at — entries are immutable by construction, since a reload or delete
-// moves the version and strands the old keys.
+// tree's version is what the store stamped its nodes relation with when it
+// was created (treestore.Tree.Version) — read from the request's own
+// snapshot, so an entry names one incarnation of the tree whoever wrote it,
+// and a reload under the same name gets a new version and new keys.
 //
 // Every read runs under its request's context: a client that disconnects
 // or times out aborts the engine scan cooperatively, the request's
@@ -81,6 +82,10 @@ type Backend struct {
 	Trees   *treestore.Store
 	Species *species.Repo
 	Queries *queryrepo.Repo
+	// WriteMus holds one writer mutex per database, shared with every
+	// other writer of them (the facade's managed loads): a mutation holds
+	// its tree's shard's, a history append shard 0's. Required.
+	WriteMus []sync.Mutex
 	// Follower, when set, marks this server as a read-only replica fed
 	// by the given apply loops: writes return 403, reads serve at each
 	// shard's last applied epoch, and POST /v1/repl/promote flips the
@@ -157,17 +162,15 @@ type Server struct {
 	slogger *slog.Logger // nil unless Config.Logger was set
 	reqSeq  atomic.Int64 // request-id sequence
 
-	readSem  chan struct{} // bounds in-flight reads
-	writeMus []sync.Mutex  // one writer mutex per shard; mutations lock their tree's shard
+	readSem chan struct{} // bounds in-flight reads
 
 	// pubs streams each shard's WAL batches to replication subscribers.
 	// Publishers exist on every server (they are inert without
 	// subscribers), so any primary can feed followers without restart.
 	pubs []*repl.Publisher
 	// readOnly is true while this server is an unpromoted follower:
-	// writes 403, the result cache and version maps stay cold (epochs
-	// move under replication without the write path's invalidation
-	// hooks), and reads serve at the last applied epoch.
+	// writes 403, reads serve at the last applied epoch, and no history
+	// is recorded for them.
 	readOnly  atomic.Bool
 	promoteMu sync.Mutex // serializes POST /v1/repl/promote
 	// promoteDegraded is set when a promote attempt failed after the
@@ -181,15 +184,6 @@ type Server struct {
 	streamCtx    context.Context
 	streamCancel context.CancelFunc
 
-	handleMu sync.Mutex
-	handles  map[string]epochHandle // per-tree handles, keyed to the epoch they read
-	// vers maps each tree to its version: the shard epoch at which the
-	// tree's current incarnation was committed (set by the load path) or
-	// first observed (seeded by the read path from a current snapshot).
-	// Result-cache keys embed the version, so entries are immutable: a
-	// reload or delete moves or removes the version and strands old keys.
-	vers map[string]uint64
-
 	recCh     chan histRecord // read-path history records, drained async
 	recWG     sync.WaitGroup
 	recStart  sync.Once    // lazily spawns recordLoop on the first record
@@ -199,15 +193,6 @@ type Server struct {
 	httpSrv *http.Server
 	lnMu    sync.Mutex
 	ln      net.Listener
-}
-
-// epochHandle is a cached tree handle valid only for requests whose
-// snapshot reads the same epoch. The requesting snapshot's pin keeps the
-// epoch's pages alive while the handle is in use, so serving a cached
-// handle is exactly as safe as opening a fresh one.
-type epochHandle struct {
-	epoch uint64
-	tree  *treestore.Tree
 }
 
 // histRecord is one deferred query-history append.
@@ -227,22 +212,20 @@ func New(be Backend, cfg Config) *Server {
 		}
 		be.Router = r
 	}
-	// Note: the result cache is built at the configured size even for a
-	// follower. It stays naturally unused while readOnly — cache lookups
-	// are gated on tree versions (vers), which only the write path seeds —
-	// and promote() purges it before the new primary starts writing, so a
-	// promoted follower regains caching at full size.
+	if len(be.WriteMus) != len(be.DBs) {
+		panic(fmt.Sprintf("server: %d writer mutexes for %d databases", len(be.WriteMus), len(be.DBs)))
+	}
+	// A follower caches like a primary: its snapshots read the versions
+	// the primary stamped, so an entry names the same incarnation on both,
+	// and a promote keeps the cache.
 	s := &Server{
-		cfg:      cfg,
-		be:       be,
-		mux:      http.NewServeMux(),
-		stats:    &serverStats{start: time.Now()},
-		cache:    newResultCache(cfg.ResultCacheSize),
-		readSem:  make(chan struct{}, cfg.MaxInFlightReads),
-		writeMus: make([]sync.Mutex, len(be.DBs)),
-		handles:  make(map[string]epochHandle),
-		vers:     make(map[string]uint64),
-		recCh:    make(chan histRecord, 256),
+		cfg:     cfg,
+		be:      be,
+		mux:     http.NewServeMux(),
+		stats:   &serverStats{start: time.Now()},
+		cache:   newResultCache(cfg.ResultCacheSize),
+		readSem: make(chan struct{}, cfg.MaxInFlightReads),
+		recCh:   make(chan histRecord, 256),
 	}
 	s.slogger = cfg.Logger
 	s.streamCtx, s.streamCancel = context.WithCancel(context.Background())
@@ -312,15 +295,15 @@ func (s *Server) recordLoop() {
 		case rec, ok := <-s.recCh:
 			if !ok {
 				if pending > 0 {
-					s.writeMus[0].Lock()
+					s.be.WriteMus[0].Lock()
 					w := capture()
-					s.writeMus[0].Unlock()
+					s.be.WriteMus[0].Unlock()
 					wait(w)
 				}
 				return
 			}
 			var w *relstore.CommitWaiter
-			s.writeMus[0].Lock()
+			s.be.WriteMus[0].Lock()
 			recordOne(rec)
 			pending++
 		drain:
@@ -344,14 +327,14 @@ func (s *Server) recordLoop() {
 			} else if flush == nil {
 				flush = time.After(recCommitInterval)
 			}
-			s.writeMus[0].Unlock()
+			s.be.WriteMus[0].Unlock()
 			wait(w)
 		case <-flush:
 			flush = nil
 			if pending > 0 {
-				s.writeMus[0].Lock()
+				s.be.WriteMus[0].Lock()
 				w := capture()
-				s.writeMus[0].Unlock()
+				s.be.WriteMus[0].Unlock()
 				pending = 0
 				lastCommit = time.Now()
 				wait(w)
@@ -458,9 +441,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// back to back.
 	waiters := make([]*relstore.CommitWaiter, len(s.be.DBs))
 	for i := range s.be.DBs {
-		s.writeMus[i].Lock()
+		s.be.WriteMus[i].Lock()
 		waiters[i] = s.be.DBs[i].CommitAsync()
-		s.writeMus[i].Unlock()
+		s.be.WriteMus[i].Unlock()
 	}
 	errs := make([]error, len(waiters))
 	var wg sync.WaitGroup
@@ -481,10 +464,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 func (s *Server) snapshot() StatsSnapshot {
-	s.handleMu.Lock()
-	open := len(s.handles)
-	s.handleMu.Unlock()
-	st := s.stats.snapshot(s.cache.len(), open)
+	st := s.stats.snapshot(s.cache.len())
 	st.LoadWorkers = s.cfg.LoadWorkers
 	st.Shards = make([]ShardMVCC, len(s.be.DBs))
 	for i, db := range s.be.DBs {
@@ -570,11 +550,9 @@ func (sn *reqSnap) shard(i int) *relstore.Snap {
 	return sn.sns[i]
 }
 
-// forTree returns the pinned snapshot of the shard owning the named tree,
-// along with the shard index.
-func (sn *reqSnap) forTree(name string) (*relstore.Snap, int) {
-	i := sn.s.be.Router.Place(name)
-	return sn.shard(i), i
+// forTree returns the pinned snapshot of the shard owning the named tree.
+func (sn *reqSnap) forTree(name string) *relstore.Snap {
+	return sn.shard(sn.s.be.Router.Place(name))
 }
 
 // treeSnap pins every shard and returns the merged tree-repository view
@@ -586,111 +564,9 @@ func (sn *reqSnap) treeSnap() *treestore.Snap {
 	return treestore.SnapOnShards(sn.sns, sn.s.be.Router)
 }
 
-// treeVer reports the tree's version — the shard epoch its current
-// incarnation was committed at — and whether a request whose shard
-// snapshot reads epoch ep may use the result cache. A request older than
-// the current incarnation must bypass the cache entirely: it sees (and
-// must serve) a previous incarnation.
-func (s *Server) treeVer(name string, ep uint64) (uint64, bool) {
-	s.handleMu.Lock()
-	defer s.handleMu.Unlock()
-	ver, known := s.vers[name]
-	return ver, known && ep >= ver
-}
-
-// tree returns a handle on a stored tree as of the request's snapshot,
-// reusing the cached handle whenever it reads the same version of the
-// tree — tree relations are immutable between loads, so any handle opened
-// at or after the version epoch sees identical content, and the request's
-// snapshot pin keeps the version's pages alive while the handle is in
-// use. On a miss the fresh handle is cached, and trees loaded before the
-// server started have their version seeded here — but only from a
-// snapshot reading the shard's current published epoch, so a reader
-// holding a pre-delete snapshot can never resurrect a dead tree's version
-// (dropTree runs strictly after the delete publishes).
+// tree opens a handle on a stored tree as of the request's snapshot.
 func (s *Server) tree(sn *reqSnap, name string) (*treestore.Tree, error) {
-	rs, si := sn.forTree(name)
-	if s.readOnly.Load() {
-		// On a follower, epochs advance under replication without
-		// bumpTree/dropTree running, so the handle and version maps
-		// would go stale silently. Open fresh against the snapshot;
-		// promote purges the maps before re-enabling them.
-		return treestore.SnapOn(rs).Tree(name)
-	}
-	ep := rs.Epoch()
-	s.handleMu.Lock()
-	h, ok := s.handles[name]
-	ver, known := s.vers[name]
-	s.handleMu.Unlock()
-	if ok && (h.epoch == ep || (known && h.epoch >= ver && ep >= ver)) {
-		return h.tree, nil
-	}
-	t, err := treestore.SnapOn(rs).Tree(name)
-	if err != nil {
-		return nil, err
-	}
-	s.handleMu.Lock()
-	if _, k := s.vers[name]; !k && s.be.DBs[si].MVCC().Epoch == ep {
-		s.vers[name] = ep
-	}
-	if v, k := s.vers[name]; k && ep >= v {
-		if cur, ok := s.handles[name]; !ok || cur.epoch < ep {
-			s.handles[name] = epochHandle{epoch: ep, tree: t}
-		}
-	}
-	s.handleMu.Unlock()
-	return t, nil
-}
-
-// cachePut inserts a computed result under its (tree, version) key. The
-// entry is immutable by construction — the key names one incarnation of
-// the tree, and the caller proved its snapshot reads that incarnation
-// (ep >= ver) — so unrelated commits on the shard are irrelevant and no
-// epoch freshness check is needed. The one guard left: the version must
-// still be current, so a result computed as a reload or delete lands is
-// not inserted (it would be unreachable, but would take LRU room until
-// evicted).
-func (s *Server) cachePut(name string, ver uint64, key string, val any) {
-	s.handleMu.Lock()
-	defer s.handleMu.Unlock()
-	if v, ok := s.vers[name]; ok && v == ver {
-		s.cache.put(key, val)
-	}
-}
-
-// bumpTree captures shard si's pending transaction — the one that changes
-// which incarnation of the tree exists: a load's, or a delete's — and
-// installs the captured commit's epoch as the tree's version, dropping the
-// handle the previous incarnation left behind; its cached results need no
-// dropping, their keys name the old version.
-// Both happen under handleMu: a commit may publish the moment it is
-// captured (any waiter's group flush can carry it), and a reader of the new
-// epoch must not find the old version still installed, or it would be handed
-// the old incarnation's handle. The version is the captured epoch, not the
-// published one: readers older than it bypass the caches, and no reader
-// reaches it before the commit is durable. The caller holds the shard's
-// writer mutex.
-func (s *Server) bumpTree(cc *commitCollector, name string) uint64 {
-	s.handleMu.Lock()
-	defer s.handleMu.Unlock()
-	ep := cc.commitAsync(cc.si).Epoch()
-	delete(s.handles, name)
-	s.vers[name] = ep
-	return ep
-}
-
-// dropTree forgets the version a delete installed at epoch ep (see
-// bumpTree), so the map does not grow with every name ever deleted. It must
-// run strictly after the delete has published: an unknown version is
-// re-seeded by the next reader of the current epoch, and before the delete
-// publishes that reader still sees the tree about to vanish. A reload that
-// has installed a newer version since is left alone.
-func (s *Server) dropTree(name string, ep uint64) {
-	s.handleMu.Lock()
-	defer s.handleMu.Unlock()
-	if s.vers[name] == ep {
-		delete(s.vers, name)
-	}
+	return treestore.SnapOn(sn.forTree(name)).Tree(name)
 }
 
 // observeCommitWaiter records one awaited commit: total latency in the
@@ -722,13 +598,13 @@ func (s *Server) observeCommitWaiter(ctx context.Context, w *relstore.CommitWait
 // mutation. Prepare is whatever the handler does before apply — reading the
 // body, parsing, staging — with no lock held. apply runs the handler's
 // mutation under its shard's writer mutex: page writes and commit capture
-// (commitAsync, bumpTree) and nothing that blocks. The wait — every
-// captured commit's WAL fsync, then the afterPublish steps — is the write
-// pipeline's, after the mutex is released. That window (transaction
-// captured, lock released, fsync pending) is what lets concurrent write
-// requests coalesce into one WAL flush (group commit), and keeping the
-// other two phases out of the mutex is what keeps a writer from queueing
-// behind another's upload, parse or disk.
+// (commitAsync) and nothing that blocks. The wait — every captured commit's
+// WAL fsync, then the afterPublish steps — is the write pipeline's, after
+// the mutex is released. That window (transaction captured, lock released,
+// fsync pending) is what lets concurrent write requests coalesce into one
+// WAL flush (group commit), and keeping the other two phases out of the
+// mutex is what keeps a writer from queueing behind another's upload, parse
+// or disk.
 type commitCollector struct {
 	s         *Server
 	ctx       context.Context
@@ -740,16 +616,14 @@ type commitCollector struct {
 // apply runs fn under the request's shard writer mutex.
 func (cc *commitCollector) apply(fn func() error) error {
 	cc.s.lockShard(cc.ctx, cc.si)
-	defer cc.s.writeMus[cc.si].Unlock()
+	defer cc.s.be.WriteMus[cc.si].Unlock()
 	return fn()
 }
 
 // commitAsync captures shard si's pending transaction now; the caller holds
 // that shard's writer mutex. Durability is awaited by the pipeline.
-func (cc *commitCollector) commitAsync(si int) *relstore.CommitWaiter {
-	w := cc.s.be.DBs[si].CommitAsync()
-	cc.waiters = append(cc.waiters, w)
-	return w
+func (cc *commitCollector) commitAsync(si int) {
+	cc.waiters = append(cc.waiters, cc.s.be.DBs[si].CommitAsync())
 }
 
 // afterPublish registers a step the pipeline runs once every collected
@@ -781,7 +655,7 @@ func (cc *commitCollector) wait() error {
 // write-lock wait histogram; an acquisition that finds the mutex free
 // records nothing.
 func (s *Server) lockShard(ctx context.Context, i int) {
-	mu := &s.writeMus[i]
+	mu := &s.be.WriteMus[i]
 	if mu.TryLock() {
 		return
 	}
@@ -843,7 +717,7 @@ func queryInt[T int | int64](r *http.Request, key string, def T) (T, error) {
 func (s *Server) recordWrite(cc *commitCollector, v queryrepo.Query, summary string) error {
 	if cc.si != 0 {
 		s.lockShard(cc.ctx, 0)
-		defer s.writeMus[0].Unlock()
+		defer s.be.WriteMus[0].Unlock()
 	}
 	if _, err := s.be.Queries.Record(v, summary); err != nil {
 		s.logf("crimsond: recording %s query: %v", v.Kind(), err)
@@ -1028,8 +902,8 @@ func (s *Server) handleLoad(q *req) (any, error) {
 			resp.Sequences = len(chars.Order)
 		}
 		// One commit carries the tree and its sequences (they share the
-		// shard); its epoch is the new incarnation's version.
-		s.bumpTree(cc, name)
+		// shard).
+		cc.commitAsync(cc.si)
 		return s.recordWrite(cc, queryrepo.Load{F: f, Nodes: resp.Tree.Nodes, Tree: name},
 			fmt.Sprintf("loaded %d nodes", resp.Tree.Nodes))
 	})
@@ -1053,13 +927,9 @@ func (s *Server) handleDelete(q *req) (any, error) {
 		if err := s.be.Trees.Drop(name); err != nil {
 			return err
 		}
-		// From the delete's epoch on the name has no incarnation: install
-		// that as its version now, atomically with the capture and before
-		// anything fallible runs, or a failed species cleanup would leave
-		// the caches serving a tree whose relations are gone. The entry
-		// itself goes once the delete has published.
-		ep := s.bumpTree(cc, name)
-		cc.afterPublish(func() { s.dropTree(name, ep) })
+		// The drop is captured before the fallible species cleanup: a
+		// failed cleanup leaves the tree deleted, not half deleted.
+		cc.commitAsync(cc.si)
 		if _, err := s.be.Species.DeleteTree(name); err != nil {
 			return err
 		}
@@ -1098,36 +968,30 @@ func (r LCAResponse) asHit() any     { r.Cached = true; return r }
 func (r CladeResponse) asHit() any   { r.Cached = true; return r }
 func (r MatchResponse) asHit() any   { r.Cached = true; return r }
 
-// cachedQuery answers a cacheable query (project, lca, clade, match): from
-// the result cache under (tree, version, canonical value) when the
-// request's snapshot reads the tree's current incarnation, else by running
-// compute on the tree's handle, caching what it answers and recording v
-// with the summary compute returns.
+// cachedQuery answers a cacheable query (project, lca, clade, match): it
+// opens the tree from the request's snapshot and answers from the result
+// cache under (tree, the handle's version, canonical value), else by running
+// compute on the handle, caching what it answers and recording v with the
+// summary compute returns. A query on a tree the snapshot lacks counts as a
+// miss.
 func (s *Server) cachedQuery(q *req, v queryrepo.Query, compute func(t *treestore.Tree) (cacheable, string, error)) (any, error) {
-	name := v.TreeName()
-	rs, _ := q.sn.forTree(name)
-	ver, useCache := s.treeVer(name, rs.Epoch())
-	var k string
-	if useCache {
-		k = cacheKey(ver, v)
-		if hit, ok := s.cache.get(k); ok {
-			s.stats.cacheHits.Add(1)
-			return hit.(cacheable).asHit(), nil
-		}
-	}
-	s.stats.cacheMisses.Add(1)
-	t, err := s.tree(q.sn, name)
+	t, err := s.tree(q.sn, v.TreeName())
 	if err != nil {
+		s.stats.cacheMisses.Add(1)
 		return nil, err
 	}
+	k := cacheKey(t.Version(), v)
+	if hit, ok := s.cache.get(k); ok {
+		s.stats.cacheHits.Add(1)
+		return hit.(cacheable).asHit(), nil
+	}
+	s.stats.cacheMisses.Add(1)
 	resp, summary, err := compute(t)
 	if err != nil {
 		return nil, err
 	}
 	s.recordAsync(v, summary)
-	if useCache {
-		s.cachePut(name, ver, k, resp)
-	}
+	s.cache.put(k, resp)
 	return resp, nil
 }
 
@@ -1291,7 +1155,7 @@ func (s *Server) handleSpeciesPut(q *req) (any, error) {
 }
 
 func (s *Server) handleSpeciesGet(q *req) (any, error) {
-	rs, _ := q.sn.forTree(q.PathValue("name"))
+	rs := q.sn.forTree(q.PathValue("name"))
 	data, err := species.ViewOn(rs).Get(q.PathValue("name"), q.PathValue("sp"), q.PathValue("kind"))
 	if err != nil {
 		return nil, err
@@ -1315,7 +1179,7 @@ func (s *Server) handleSpeciesDelete(q *req) (any, error) {
 }
 
 func (s *Server) handleSpeciesList(q *req) (any, error) {
-	rs, _ := q.sn.forTree(q.PathValue("name"))
+	rs := q.sn.forTree(q.PathValue("name"))
 	recs, err := species.ViewOn(rs).List(q.PathValue("name"), q.PathValue("sp"))
 	if err != nil {
 		return nil, err

@@ -130,7 +130,7 @@ func (st *serverStats) waitSnapshots() []waitHist {
 
 // snapshot captures every counter; cacheEntries and openTrees are
 // supplied by the server since they live outside this struct.
-func (st *serverStats) snapshot(cacheEntries, openTrees int) StatsSnapshot {
+func (st *serverStats) snapshot(cacheEntries int) StatsSnapshot {
 	perOp := make(map[string]int64)
 	for _, o := range st.ops {
 		if n := o.requests.Load(); n > 0 {
@@ -159,7 +159,6 @@ func (st *serverStats) snapshot(cacheEntries, openTrees int) StatsSnapshot {
 		CacheHits:      st.cacheHits.Load(),
 		CacheMisses:    st.cacheMisses.Load(),
 		CacheEntries:   cacheEntries,
-		OpenTrees:      openTrees,
 		PerOp:          perOp,
 		OpLatencies:    lat,
 		ReplWaits:      waits["repl"],
@@ -270,7 +269,6 @@ func metricsText(s StatsSnapshot, hists []opHistEntry, waits []waitHist) string 
 		counter("crimsond_cache_hits_total", "Result-cache hits.", s.CacheHits),
 		counter("crimsond_cache_misses_total", "Result-cache misses.", s.CacheMisses),
 		gauge("crimsond_cache_entries", "Entries currently in the result cache.", int64(s.CacheEntries)),
-		gauge("crimsond_open_trees", "Trees open in the repository catalog.", int64(s.OpenTrees)),
 		gauge("crimsond_epoch", "Sum of committed MVCC epochs across shards.", int64(s.Epoch)),
 		gauge("crimsond_open_snapshots", "Open MVCC snapshots across shards.", int64(s.OpenSnapshots)),
 		gauge("crimsond_reclaim_pending_pages", "Pages awaiting MVCC reclamation across shards.", int64(s.PendingReclaimPages)),

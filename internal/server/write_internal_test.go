@@ -10,6 +10,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,7 +51,8 @@ func newWriteTestServer(t *testing.T, shards int) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Backend{DBs: dbs, Router: router, Trees: trees, Species: sp, Queries: q}, Config{})
+	s := New(Backend{DBs: dbs, Router: router, Trees: trees, Species: sp, Queries: q,
+		WriteMus: make([]sync.Mutex, shards)}, Config{})
 	t.Cleanup(func() { shard.CloseAll(dbs) })
 	return s
 }
@@ -155,15 +157,16 @@ func TestSlowUploadDoesNotStallWriters(t *testing.T) {
 // shard k != 0: its own shard's mutex for the apply, and only then shard 0's
 // for the history record — never shard 0's first, which would let two loads
 // on different shards deadlock. With shard 0's mutex held by the test, the
-// load must get as far as installing its tree's version and stop there.
+// load must get as far as creating its tree's relations in its shard's
+// working state and stop there.
 func TestLoadAppliesBeforeTakingHistoryShard(t *testing.T) {
 	s := newWriteTestServer(t, 4)
 	name := nameOnShard(s, "tree", 2)
-	s.writeMus[0].Lock()
+	s.be.WriteMus[0].Lock()
 	held := true
 	defer func() {
 		if held {
-			s.writeMus[0].Unlock()
+			s.be.WriteMus[0].Unlock()
 		}
 	}()
 
@@ -174,10 +177,7 @@ func TestLoadAppliesBeforeTakingHistoryShard(t *testing.T) {
 		rec = serve(s, "POST", "/v1/trees/"+name, strings.NewReader(newickBody(t, 100, 2)))
 	}()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.handleMu.Lock()
-		_, applied := s.vers[name]
-		s.handleMu.Unlock()
-		if applied {
+		if _, err := s.be.DBs[2].Table("nodes_" + name); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -189,7 +189,7 @@ func TestLoadAppliesBeforeTakingHistoryShard(t *testing.T) {
 		t.Fatalf("the load finished without shard 0's mutex: %d %s", rec.Code, rec.Body)
 	default:
 	}
-	s.writeMus[0].Unlock()
+	s.be.WriteMus[0].Unlock()
 	held = false
 	within(t, loaded, "the load, once shard 0's mutex was free")
 	if rec.Code != http.StatusOK {
@@ -225,14 +225,14 @@ func TestWriteLockWaitIsObserved(t *testing.T) {
 		if try == 20 {
 			t.Fatal("no load ever waited for the held writer mutex")
 		}
-		s.writeMus[si].Lock()
+		s.be.WriteMus[si].Lock()
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			rec = load()
 		}()
 		time.Sleep(20 * time.Millisecond)
-		s.writeMus[si].Unlock()
+		s.be.WriteMus[si].Unlock()
 		within(t, done, "a load whose shard mutex was released")
 	}
 	var resp struct {

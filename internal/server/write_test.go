@@ -3,15 +3,21 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	crimson "repro"
 	"repro/client"
 	"repro/internal/phylo"
+	"repro/internal/queryrepo"
+	"repro/internal/treestore"
 )
 
 // The write path holds a shard's writer mutex for its page writes only, so
@@ -79,8 +85,8 @@ func TestConcurrentLoadsOfOneName(t *testing.T) {
 
 // startFileServer is startServer on a file-backed repository whatever the
 // mode: an in-memory store publishes a commit the moment it is captured, so
-// only a store with a WAL has the window between capture and publish the
-// version ordering is about.
+// only a store with a WAL has a window between a commit's capture and its
+// publication for a reader to fall into.
 func startFileServer(t *testing.T) *client.Client {
 	t.Helper()
 	if replicaMode() {
@@ -104,9 +110,8 @@ func startFileServer(t *testing.T) *client.Client {
 	return client.New("http://"+srv.Addr(), nil)
 }
 
-// incarnation is what the three cached read paths answer for one stored
-// tree: Info goes through the handle cache, LCA and Project through the
-// result cache.
+// incarnation is what three read paths answer for one stored tree: Info
+// from the tree handle, LCA and Project through the result cache.
 type incarnation struct {
 	leaves int
 	lca    client.Node
@@ -132,10 +137,9 @@ func readIncarnation(ctx context.Context, cl *client.Client, name string, names 
 
 // TestDeleteReloadNeverServesOldIncarnation churns one name between two
 // trees — delete, reload, with the commits' waits outside the writer mutex —
-// while readers keep its handle and result-cache entries hot and keep
-// re-seeding its version. Once a reload is acknowledged, every cached path
-// must answer from the new tree; at no time may a reader see anything but
-// one of the two trees or a 404.
+// while readers keep its result-cache entries hot. Once a reload is
+// acknowledged, every read path must answer from the new tree; at no time
+// may a reader see anything but one of the two trees or a 404.
 func TestDeleteReloadNeverServesOldIncarnation(t *testing.T) {
 	cl := startFileServer(t)
 	ctx := context.Background()
@@ -205,4 +209,202 @@ func TestDeleteReloadNeverServesOldIncarnation(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestFacadeReloadUnderAServedName: a tree dropped and reloaded through the
+// facade — around the server, not through it — is what the server answers
+// next. Its lca, project and clade equal a facade snapshot's, and no answer
+// cached from the old incarnation is served.
+func TestFacadeReloadUnderAServedName(t *testing.T) {
+	for _, size := range [][2]int{{200, 300}, {2000, 500}} {
+		t.Run(fmt.Sprintf("%d-to-%d", size[0], size[1]), func(t *testing.T) {
+			repo, cl := startServer(t, crimson.ServerConfig{})
+			ctx := context.Background()
+			old, fresh := yule(t, size[0], 61), yule(t, size[1], 62)
+			if _, err := repo.LoadTree("t", old, crimson.DefaultFanout, nil); err != nil {
+				t.Fatal(err)
+			}
+			inOld := make(map[string]bool)
+			for _, name := range old.LeafNames() {
+				inOld[name] = true
+			}
+			names := fresh.LeafNames()
+			sort.Strings(names)
+			var both []string
+			for _, name := range names {
+				if inOld[name] {
+					both = append(both, name)
+				}
+			}
+			// Answers cached from the old tree, for species both trees have.
+			var l client.LCAResponse
+			var p client.ProjectResponse
+			for rep := 0; rep < 3; rep++ {
+				var err error
+				if l, err = cl.LCACtx(ctx, "t", both[0], both[1]); err != nil {
+					t.Fatal(err)
+				}
+				if p, err = cl.ProjectCtx(ctx, "t", both[:5]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !l.Cached || !p.Cached {
+				t.Fatalf("old tree, third repeat: lca cached %v, project cached %v", l.Cached, p.Cached)
+			}
+
+			if err := repo.Trees.Drop("t"); err != nil {
+				t.Fatal(err)
+			}
+			if err := repo.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := repo.LoadTree("t", fresh, crimson.DefaultFanout, nil); err != nil {
+				t.Fatal(err)
+			}
+			snap := repo.Snapshot()
+			defer snap.Close()
+			st, err := snap.Tree("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			spread := make([]string, 8) // across the new tree's names
+			for i := range spread {
+				spread[i] = names[i*(len(names)-1)/(len(spread)-1)]
+			}
+			pairs := [][2]string{{both[0], both[1]}}
+			for i := 0; i+1 < len(spread); i++ {
+				pairs = append(pairs, [2]string{spread[i], spread[i+1]})
+			}
+			for _, pair := range pairs {
+				n, _, err := queryrepo.LCA{A: pair[0], B: pair[1], Tree: "t"}.Run(ctx, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cl.LCACtx(ctx, "t", pair[0], pair[1])
+				if err != nil {
+					t.Fatalf("lca %v after the reload: %v", pair, err)
+				}
+				if want := (client.LCAResponse{Node: nodeOf(n)}); got != want {
+					t.Fatalf("lca %v after the reload: the server answered\n%+v\nthe facade\n%+v", pair, got, want)
+				}
+			}
+			for _, species := range [][]string{both[:5], spread} {
+				_, newick, err := queryrepo.Project{Species: species, Tree: "t"}.Run(ctx, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cl.ProjectCtx(ctx, "t", species)
+				if err != nil {
+					t.Fatalf("project %v after the reload: %v", species, err)
+				}
+				if got.Cached || got.Newick != newick {
+					t.Fatalf("project %v after the reload: the server answered %+v, the facade %s", species, got, newick)
+				}
+			}
+			nodes, leaves, _, err := queryrepo.Clade{Species: spread[:4], Tree: "t"}.Run(ctx, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clade, err := cl.CladeCtx(ctx, "t", spread[:4])
+			if err != nil {
+				t.Fatalf("clade after the reload: %v", err)
+			}
+			want := client.CladeResponse{Root: nodeOf(nodes[0]), Nodes: len(nodes), Leaves: len(leaves), Species: leaves}
+			if fmt.Sprint(clade) != fmt.Sprint(want) {
+				t.Fatalf("clade after the reload: the server answered\n%+v\nthe facade\n%+v", clade, want)
+			}
+			// The new tree's answers are cached in their turn.
+			if again, err := cl.LCACtx(ctx, "t", both[0], both[1]); err != nil || !again.Cached {
+				t.Fatalf("repeat lca on the new tree: %+v, %v", again, err)
+			}
+		})
+	}
+}
+
+// nodeOf is a stored node as the wire carries it.
+func nodeOf(n treestore.Node) client.Node {
+	return client.Node{ID: n.ID, Parent: n.Parent, Name: n.Name, Length: n.Length,
+		Depth: n.Depth, Dist: n.Dist, Leaf: n.Leaf, Size: n.Size}
+}
+
+// TestServerAndFacadeShareWriterMutexes: a server and the repository it
+// serves lock one set of writer mutexes. While a server load holds shard 0's
+// (paused mid-apply in its progress log line), a facade LoadTree on shard 0
+// prepares but does not apply; once the server's load is through, it does.
+func TestServerAndFacadeShareWriterMutexes(t *testing.T) {
+	repo := crimson.OpenMem()
+	defer repo.Close()
+	held, other := yule(t, 100, 71), yule(t, 100, 72)
+	holding, release := make(chan struct{}), make(chan struct{})
+	var hold, unhold sync.Once
+	releaseServer := func() { unhold.Do(func() { close(release) }) }
+	srv := repo.NewServer(crimson.ServerConfig{Addr: "127.0.0.1:0", Logf: func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), "load held: creating relations") {
+			hold.Do(func() {
+				close(holding)
+				<-release
+			})
+		}
+	}})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	defer releaseServer() // before Shutdown, which waits for the held load
+	cl := client.New("http://"+srv.Addr(), nil)
+
+	serverDone := make(chan error, 1)
+	go func() {
+		_, err := cl.LoadTreeCtx(context.Background(), "held", 0, held)
+		serverDone <- err
+	}()
+	select {
+	case <-holding:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server's load never reached its apply")
+	}
+
+	staged := make(chan struct{})
+	var applied atomic.Bool
+	facadeDone := make(chan error, 1)
+	go func() {
+		_, err := repo.LoadTree("other", other, crimson.DefaultFanout, func(msg string) {
+			switch {
+			case strings.HasPrefix(msg, "staged "):
+				close(staged)
+			case strings.HasPrefix(msg, "creating relations"):
+				applied.Store(true)
+			}
+		})
+		facadeDone <- err
+	}()
+	<-staged
+	// A bound on a negative: the facade's load is a lock acquisition away
+	// from applying, which it could only do on a mutex of its own.
+	time.Sleep(100 * time.Millisecond)
+	if applied.Load() {
+		t.Fatal("the facade's load applied on shard 0 while the server's load held its mutex")
+	}
+	releaseServer()
+	for what, done := range map[string]chan error{"server": serverDone, "facade": facadeDone} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("the %s load: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the %s load did not finish", what)
+		}
+	}
+	snap := repo.Snapshot()
+	defer snap.Close()
+	for _, name := range []string{"held", "other"} {
+		if _, err := snap.Tree(name); err != nil {
+			t.Fatalf("tree %s: %v", name, err)
+		}
+	}
+	if err := repo.Check(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -64,7 +63,6 @@ const (
 type BTree struct {
 	store *Store
 	root  PageID
-	size  atomic.Int64 // cached entry count; -1 when unknown (opened from disk)
 
 	// epoch/pinned key this tree's entries in the store's decoded-node
 	// cache. A tree opened from a snapshot is pinned to the snapshot's
@@ -91,9 +89,7 @@ func NewBTree(store *Store) (*BTree, error) {
 
 // OpenBTree opens an existing tree rooted at root.
 func OpenBTree(store *Store, root PageID) *BTree {
-	t := &BTree{store: store, root: root}
-	t.size.Store(-1)
-	return t
+	return &BTree{store: store, root: root}
 }
 
 // OpenBTreeAt opens an existing tree rooted at root, pinned to the given
@@ -102,9 +98,7 @@ func OpenBTree(store *Store, root PageID) *BTree {
 // immutable, so (page, epoch) names the decode for the snapshot's whole
 // lifetime and concurrent readers of the same epoch share entries.
 func OpenBTreeAt(store *Store, root PageID, epoch uint64) *BTree {
-	t := &BTree{store: store, root: root, epoch: epoch, pinned: true}
-	t.size.Store(-1)
-	return t
+	return &BTree{store: store, root: root, epoch: epoch, pinned: true}
 }
 
 // cacheEpoch resolves the epoch this tree keys cache entries by.
@@ -647,14 +641,11 @@ func (t *BTree) Put(key, value []byte) error {
 		}
 		stored, isOverflow = ref, true
 	}
-	rootID, split, added, err := t.insert(t.root, key, stored, isOverflow)
+	rootID, split, err := t.insert(t.root, key, stored, isOverflow)
 	if err != nil {
 		return err
 	}
 	t.root = rootID
-	if n := t.size.Load(); added && n >= 0 {
-		t.size.Store(n + 1)
-	}
 	if split == nil {
 		return nil
 	}
@@ -678,13 +669,12 @@ func (t *BTree) Put(key, value []byte) error {
 
 // insert descends to the leaf, splices the cell in, and copy-on-writes the
 // dirtied path back up. It returns the (possibly moved) page id of the
-// subtree root, a pending split for the caller to absorb, and whether a new
-// key was added. Nodes on the path are read in place and listed as cells
+// subtree root and a pending split for the caller to absorb. Nodes on the path are read in place and listed as cells
 // only where they change.
-func (t *BTree) insert(pid PageID, key, value []byte, isOverflow bool) (PageID, *splitResult, bool, error) {
+func (t *BTree) insert(pid PageID, key, value []byte, isOverflow bool) (PageID, *splitResult, error) {
 	n, err := t.readNode(pid)
 	if err != nil {
-		return 0, nil, false, err
+		return 0, nil, err
 	}
 	if n.kind == pageLeaf {
 		pos, found := leafIndex(n, key)
@@ -692,7 +682,7 @@ func (t *BTree) insert(pid PageID, key, value []byte, isOverflow bool) (PageID, 
 		if found {
 			if e.overflow[pos] {
 				if err := t.freeOverflow(e.vals[pos]); err != nil {
-					return 0, nil, false, err
+					return 0, nil, err
 				}
 			}
 			e.vals[pos] = value
@@ -704,21 +694,21 @@ func (t *BTree) insert(pid PageID, key, value []byte, isOverflow bool) (PageID, 
 		}
 		if e.encodedSize() <= PageSize {
 			err := t.writeNodeCOW(e)
-			return e.page, nil, !found, err
+			return e.page, nil, err
 		}
 		split, err := t.splitLeaf(e)
-		return e.page, split, !found, err
+		return e.page, split, err
 	}
 
 	idx := childIndex(n, key)
 	child := n.child(idx)
-	childID, split, added, err := t.insert(child, key, value, isOverflow)
+	childID, split, err := t.insert(child, key, value, isOverflow)
 	if err != nil {
-		return 0, nil, added, err
+		return 0, nil, err
 	}
 	if split == nil && childID == child {
 		// Child was fresh and kept its id: this node is untouched.
-		return pid, nil, added, nil
+		return pid, nil, nil
 	}
 	e := n.edit()
 	e.children[idx] = childID
@@ -728,10 +718,10 @@ func (t *BTree) insert(pid PageID, key, value []byte, isOverflow bool) (PageID, 
 	}
 	if e.encodedSize() <= PageSize {
 		err := t.writeNodeCOW(e)
-		return e.page, nil, added, err
+		return e.page, nil, err
 	}
 	up, err := t.splitInternal(e)
-	return e.page, up, added, err
+	return e.page, up, err
 }
 
 // splitIndex picks where to cut an over-full node of n cells: the index in
@@ -819,9 +809,6 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 		return false, nil
 	}
 	t.root = rootID
-	if sz := t.size.Load(); sz > 0 {
-		t.size.Store(sz - 1)
-	}
 	return true, nil
 }
 

@@ -157,6 +157,5 @@ func (t *BTree) BulkLoad(n int, at func(i int) (key, val []byte)) error {
 		}
 	}
 	t.root = level[0].page
-	t.size.Store(int64(n))
 	return nil
 }

@@ -226,7 +226,7 @@ func TestCrashMatrixCheckpointDuringPreparedCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	want["c00-k00"] = "prepared"
-	verifyRecovered(t, crashSnapshot(t, path), w.Epoch(), want)
+	verifyRecovered(t, crashSnapshot(t, path), epoch+1, want)
 }
 
 // syncHookPager runs onSync, once, before the first page-file sync.

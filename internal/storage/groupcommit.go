@@ -166,7 +166,6 @@ func (s *Store) publish(epoch uint64, roots [NumRoots]PageID, meta []byte) {
 type CommitWaiter struct {
 	s       *Store
 	req     *commitReq // nil: nothing to flush (clean, or mem-store fast path)
-	epoch   uint64     // see Epoch
 	err     error
 	done    bool
 	ckptDur time.Duration
@@ -191,19 +190,6 @@ func (w *CommitWaiter) Wait() error {
 		w.ckptDur = w.s.maybeCheckpoint()
 	}
 	return w.err
-}
-
-// Epoch reports the epoch the captured transaction publishes at: the one
-// CommitAsync stamped, or — when there was nothing to commit — the epoch of
-// the last transaction captured before it. It is known as soon as
-// CommitAsync returns, before Wait, and published epochs only reach it once
-// the commit is durable; a caller that must order something against the
-// commit's publication (a cache version, say) keys it to this.
-func (w *CommitWaiter) Epoch() uint64 {
-	if w == nil {
-		return 0
-	}
-	return w.epoch
 }
 
 // WALTime reports the wall time of the WAL append + fsync this commit rode
@@ -245,12 +231,19 @@ func (s *Store) CommitAsync() *CommitWaiter {
 		return &CommitWaiter{err: errClosed, done: true}
 	}
 	req, err := s.prepareLocked()
-	epoch := s.meta.epoch
 	s.mu.Unlock()
 	if err != nil {
 		return &CommitWaiter{s: s, err: err, done: true}
 	}
-	return &CommitWaiter{s: s, req: req, epoch: epoch}
+	return &CommitWaiter{s: s, req: req}
+}
+
+// NextEpoch reports the epoch the next captured commit will stamp: one past
+// the last prepared epoch, which may not have published yet.
+func (s *Store) NextEpoch() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.meta.epoch + 1
 }
 
 // prepareLocked stamps the next epoch, captures the transaction's dirty

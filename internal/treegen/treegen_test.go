@@ -23,8 +23,8 @@ func TestYuleShape(t *testing.T) {
 	}
 	// Binary interior nodes.
 	for _, n := range tr.Nodes() {
-		if !n.IsLeaf() && n.Degree() != 2 {
-			t.Fatalf("interior node with degree %d", n.Degree())
+		if !n.IsLeaf() && len(n.Children) != 2 {
+			t.Fatalf("interior node with degree %d", len(n.Children))
 		}
 	}
 	// Ultrametric: all leaves at the same root distance.

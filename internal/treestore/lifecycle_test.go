@@ -1,7 +1,6 @@
 package treestore
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -76,31 +75,4 @@ func (sn *Snap) Close() {
 	for _, rs := range sn.sns {
 		rs.Close()
 	}
-}
-
-// ChildrenCtx lists a node's children in ordinal order under ctx, walking
-// preorder ids through one request memo: the first child is id+1, the next
-// sibling starts where a child's subtree ends (child.ID + child.Size), and
-// the walk stops at id + Size. An id the tree does not have has no children.
-func (t *Tree) ChildrenCtx(ctx context.Context, id int) ([]Node, error) {
-	memo := newCellMemo(t)
-	n, err := t.nodeRow(ctx, memo, id)
-	if errors.Is(err, ErrNoNode) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out []Node
-	for c := id + 1; c < id+n.Size; c += out[len(out)-1].Size {
-		kid, err := t.nodeRow(ctx, memo, c)
-		if err != nil {
-			return nil, err
-		}
-		if kid.Size < 1 {
-			return nil, fmt.Errorf("treestore: node %d has subtree size %d", c, kid.Size)
-		}
-		out = append(out, kid)
-	}
-	return out, nil
 }

@@ -14,8 +14,8 @@ import (
 
 // TestOldNodesSchemaStillWorks: a tree stored before the children walk came
 // off the preorder ids has a node relation with a third secondary index,
-// by_parent. Every query — the §2.2 ones, ChildrenCtx and the lookups under
-// them — answers on it exactly as on the same tree stored now, and deleting
+// by_parent. Every query — the §2.2 ones, the node lookups and the lookups
+// under them — answers on it exactly as on the same tree stored now, and deleting
 // the tree leaves Check green, as does every commit before it.
 func TestOldNodesSchemaStillWorks(t *testing.T) {
 	gold, err := treegen.Yule(600, 1.0, rand.New(rand.NewSource(51)))
@@ -124,9 +124,9 @@ func everyAnswer(t *testing.T, tr *Tree) string {
 	say("time sample", timed, err)
 	nodes, err := tr.nodesByNameCtx(ctx, names)
 	say("by name", nodes, err)
-	for id := -1; id <= info.Nodes; id++ {
-		kids, err := tr.ChildrenCtx(ctx, id)
-		say("children", kids, err)
+	for id := 0; id < info.Nodes; id++ {
+		n, err := tr.NodeCtx(ctx, id)
+		say("node", n, err)
 	}
 	export, err := tr.ExportCtx(ctx)
 	say("export", newick.String(export), err)

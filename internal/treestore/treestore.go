@@ -751,6 +751,12 @@ type Tree struct {
 // Info returns the tree's summary.
 func (t *Tree) Info() TreeInfo { return t.info }
 
+// Version names the incarnation of the tree the handle reads: its nodes
+// relation's creation stamp (relstore.TableView.Created). A delete and a
+// reload under the same name give a larger one; a tree stored before the
+// stamp existed reads 0.
+func (t *Tree) Version() uint64 { return t.nodes.Created() }
+
 // NodeCtx fetches a node by preorder id, attributing engine counters to the
 // request span carried by ctx, if any.
 func (t *Tree) NodeCtx(ctx context.Context, id int) (Node, error) {

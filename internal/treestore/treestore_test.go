@@ -96,12 +96,12 @@ func TestNodeAccess(t *testing.T) {
 	if root.Parent != -1 || root.Size != 8 {
 		t.Fatalf("root row = %+v", root)
 	}
-	kids, err := tr.ChildrenCtx(context.Background(), 0)
+	first, err := tr.NodeCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kids) != 3 || kids[0].Name != "Syn" || kids[0].Ord != 1 {
-		t.Fatalf("children = %+v", kids)
+	if first.Name != "Syn" || first.Ord != 1 || first.Parent != 0 {
+		t.Fatalf("first child = %+v", first)
 	}
 	if _, err := tr.NodeCtx(context.Background(), 99); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("missing node error = %v", err)

@@ -389,8 +389,8 @@ func assemble(dbs []*relstore.DB) (*Repository, error) {
 // OpenFollower opens (creating if needed) path as a streaming replica of
 // the primary crimsond at primaryURL: it probes the primary for its
 // shard count, opens every shard store in replica mode, starts the
-// per-shard apply loops, waits under ctx for the initial catch-up (ring,
-// WAL tail or full snapshot, whichever the primary chooses), and
+// per-shard apply loops, waits under ctx for the initial catch-up (from
+// the primary's ring of recent batches, else a full snapshot), and
 // assembles a read-only Repository over the replica.
 //
 // The returned Repository serves snapshot reads that trail the primary

@@ -60,7 +60,6 @@ const (
 	CtrReplApplyConflicts
 	CtrReplReconnects
 	CtrReplSnapshotsInvalidated
-	CtrWALRetainDrops
 	CtrReplFenceWaits
 	CtrReplFenceTimeouts
 	CtrReplFenceWakeups
@@ -101,7 +100,6 @@ var counterDefs = [NumCounters]struct{ name, help string }{
 	CtrReplApplyConflicts:       {"repl_apply_conflicts", "Replica applies that waited out the snapshot grace period and invalidated the still-open snapshots."},
 	CtrReplReconnects:           {"repl_reconnects", "Replication stream reconnect attempts."},
 	CtrReplSnapshotsInvalidated: {"repl_snapshots_invalidated", "Replica applies that invalidated still-open local snapshots (their reads fail with a retryable error)."},
-	CtrWALRetainDrops:           {"wal_retain_drops", "WAL truncations that overrode a replication retain floor because the log outgrew the retain cap."},
 	CtrReplFenceWaits:           {"repl_fence_waits", "Reads that blocked on their X-Crimson-Min-Epoch fence."},
 	CtrReplFenceTimeouts:        {"repl_fence_timeouts", "Fenced reads that gave up with 409 because the store did not reach the epoch in time."},
 	CtrReplFenceWakeups:         {"repl_fence_wakeups", "Wake-ups of epoch waiters by the store's change signal (one per event, none while idle)."},

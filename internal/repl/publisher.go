@@ -14,7 +14,7 @@ import (
 const (
 	// ringBudgetBytes bounds the in-memory batch ring. The ring only fills
 	// while at least one subscriber is connected; beyond the budget the
-	// oldest batches fall off and laggards catch up from the WAL instead.
+	// oldest batches fall off and laggards catch up from a snapshot instead.
 	ringBudgetBytes = 32 << 20
 	// pingInterval paces keepalive frames to caught-up subscribers.
 	pingInterval = 3 * time.Second
@@ -22,19 +22,18 @@ const (
 	snapChunkPages = 256
 	// streamWriteTimeout bounds each write on a subscriber stream. A
 	// follower whose connection hangs (stops reading but stays
-	// established) trips it on the next frame or ping, so the stream ends,
-	// the subscriber unregisters, and its WAL retain floor is released
-	// instead of pinning the log forever.
+	// established) trips it on the next frame or ping, so the stream ends
+	// and the subscriber unregisters, instead of holding its goroutine, its
+	// connection and a filled ring forever.
 	streamWriteTimeout = 30 * time.Second
 )
 
 // Publisher streams one shard store's durable commits to replication
-// subscribers. It hooks the group committer's post-fsync point, keeps a
-// bounded ring of recent batches for live shipping, holds the store's WAL
-// retain floor at the oldest epoch a connected subscriber still needs,
-// and serves cold subscribers a full page-file snapshot pinned at one
-// epoch. A publisher with no subscribers costs one atomic load per
-// commit and retains nothing.
+// subscribers. It hooks the group committer's post-fsync point and keeps a
+// bounded ring of recent batches for live shipping; a subscriber whose next
+// epoch the ring does not hold gets a full page-file snapshot pinned at one
+// epoch, then the ring from there. A publisher with no subscribers costs
+// one atomic load per commit and retains nothing.
 type Publisher struct {
 	store *storage.Store
 
@@ -44,9 +43,9 @@ type Publisher struct {
 	subs      map[*subscriber]struct{}
 }
 
-// subscriber is one connected stream's cursor. next (the first epoch the
-// stream has not shipped) is guarded by the publisher mutex so the floor
-// computation reads a consistent set.
+// subscriber is one connected stream's cursor. next, the first epoch the
+// stream has not shipped, is read and written only by the stream's own
+// goroutine.
 type subscriber struct {
 	next uint64
 	ch   chan struct{} // cap 1; poked when new batches enter the ring
@@ -97,14 +96,12 @@ func (p *Publisher) onCommit(b storage.ReplBatch) {
 	p.mu.Unlock()
 }
 
-// register adds a subscriber cursor and immediately pins the WAL retain
-// floor at it, before any catch-up source is consulted — so a WAL reset
-// can never race away batches the new subscriber was about to read.
+// register adds a subscriber cursor; from then on every commit enters the
+// ring and pokes it.
 func (p *Publisher) register(from uint64) *subscriber {
 	sub := &subscriber{next: from, ch: make(chan struct{}, 1)}
 	p.mu.Lock()
 	p.subs[sub] = struct{}{}
-	p.updateFloorLocked()
 	p.mu.Unlock()
 	return sub
 }
@@ -115,30 +112,7 @@ func (p *Publisher) unregister(sub *subscriber) {
 	if len(p.subs) == 0 {
 		p.ring, p.ringBytes = nil, 0
 	}
-	p.updateFloorLocked()
 	p.mu.Unlock()
-}
-
-// advance moves a subscriber's cursor past a shipped epoch and re-derives
-// the retain floor.
-func (p *Publisher) advance(sub *subscriber, next uint64) {
-	p.mu.Lock()
-	sub.next = next
-	p.updateFloorLocked()
-	p.mu.Unlock()
-}
-
-// updateFloorLocked sets the store's WAL retain floor to the oldest epoch
-// any connected subscriber still needs (zero — no floor — when none are
-// connected). Callers hold p.mu.
-func (p *Publisher) updateFloorLocked() {
-	var floor uint64
-	for s := range p.subs {
-		if floor == 0 || s.next < floor {
-			floor = s.next
-		}
-	}
-	p.store.SetWALRetainFloor(floor)
 }
 
 // ringFrom returns the ring batches from epoch next on. ok is false when
@@ -165,28 +139,9 @@ func (p *Publisher) ringFrom(next uint64) ([]storage.ReplBatch, bool) {
 	return append([]storage.ReplBatch(nil), p.ring[i:]...), true
 }
 
-// publisherStatus is one publisher's /v1/repl/status entry.
-type publisherStatus struct {
-	Epoch       uint64 `json:"epoch"`
-	Subscribers int    `json:"subscribers"`
-	WALFirst    uint64 `json:"wal_first_epoch"`
-	WALLast     uint64 `json:"wal_last_epoch"`
-}
-
-// Status reports the publisher's shipping state.
-func (p *Publisher) Status() publisherStatus {
-	first, last := p.store.WALEpochRange()
-	return publisherStatus{
-		Epoch:       p.store.PublishedEpoch(),
-		Subscribers: p.Subscribers(),
-		WALFirst:    first,
-		WALLast:     last,
-	}
-}
-
 // ServeStream runs one subscriber stream until ctx ends or the transport
-// fails: catch the subscriber up from epoch from (ring, WAL or full
-// snapshot, whichever is cheapest and sufficient), then ship each new
+// fails: catch the subscriber up from epoch from (from the ring when it
+// still holds that epoch, else from a full snapshot), then ship each new
 // commit batch as it lands, with pings while idle. w must support
 // http.Flusher for timely delivery (plain writers still work, at the
 // mercy of downstream buffering).
@@ -255,75 +210,40 @@ func (dw *deadlineWriter) Write(p []byte) (int, error) {
 }
 
 // catchUp ships batches until the subscriber's cursor passes the store's
-// published epoch, choosing per round between the ring, a WAL scan and a
-// full snapshot.
+// published epoch: from the ring when it holds the cursor, else from a full
+// snapshot, after which the ring takes over again.
 func (p *Publisher) catchUp(ctx context.Context, fw *frameWriter, sub *subscriber, flush func()) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		target := p.store.PublishedEpoch()
-		if sub.next > target {
+		if sub.next > p.store.PublishedEpoch() {
 			return nil
 		}
-		if batches, ok := p.ringFrom(sub.next); ok {
-			for _, b := range batches {
-				if err := p.shipBatch(fw, sub, flush, b.Epoch, b.Horizon, b.Pages); err != nil {
-					return err
-				}
+		batches, ok := p.ringFrom(sub.next)
+		if !ok {
+			if err := p.sendSnapshot(ctx, fw, sub, flush); err != nil {
+				return err
 			}
 			continue
 		}
-		if shipped, err := p.shipFromWAL(ctx, fw, sub, flush); err != nil {
-			return err
-		} else if shipped {
-			continue
-		}
-		if err := p.sendSnapshot(ctx, fw, sub, flush); err != nil {
-			return err
+		for _, b := range batches {
+			if err := p.shipBatch(fw, sub, flush, b); err != nil {
+				return err
+			}
 		}
 	}
-}
-
-// shipFromWAL replays the primary's own WAL to the subscriber when the
-// log still holds the subscriber's next epoch. Returns whether anything
-// shipped; false falls through to a full snapshot.
-func (p *Publisher) shipFromWAL(ctx context.Context, fw *frameWriter, sub *subscriber, flush func()) (bool, error) {
-	first, last := p.store.WALEpochRange()
-	if first == 0 || sub.next < first || sub.next > last {
-		return false, nil
-	}
-	shipped := false
-	// The retire horizon at scan time over-approximates the horizon each
-	// scanned batch carried: a larger horizon only makes the follower
-	// more conservative about applying over open snapshots.
-	hz := p.store.ReclaimHorizon()
-	err := p.store.ScanWALBatches(func(pages []storage.DirtyPage) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ep, _, ok := storage.BatchMeta(pages)
-		if !ok || ep < sub.next {
-			return nil
-		}
-		shipped = true
-		return p.shipBatch(fw, sub, flush, ep, hz, pages)
-	})
-	if err != nil {
-		return shipped, err
-	}
-	return shipped, nil
 }
 
 // shipBatch writes one commit batch frame and advances the cursor.
-func (p *Publisher) shipBatch(fw *frameWriter, sub *subscriber, flush func(), epoch, horizon uint64, pages []storage.DirtyPage) error {
-	if err := fw.writeFrame(frame{Kind: kindBatch, Epoch: epoch, Horizon: horizon}, pages); err != nil {
+func (p *Publisher) shipBatch(fw *frameWriter, sub *subscriber, flush func(), b storage.ReplBatch) error {
+	if err := fw.writeFrame(frame{Kind: kindBatch, Epoch: b.Epoch, Horizon: b.Horizon}, b.Pages); err != nil {
 		return err
 	}
 	flush()
-	p.advance(sub, epoch+1)
+	sub.next = b.Epoch + 1
 	obs.Engine.Add(obs.CtrReplBatchesShipped, 1)
-	obs.Engine.Add(obs.CtrReplBytesShipped, int64(len(pages))*(storage.PageSize+8))
+	obs.Engine.Add(obs.CtrReplBytesShipped, int64(len(b.Pages))*(storage.PageSize+8))
 	return nil
 }
 
@@ -388,6 +308,6 @@ func (p *Publisher) sendSnapshot(ctx context.Context, fw *frameWriter, sub *subs
 		return err
 	}
 	flush()
-	p.advance(sub, epoch+1)
+	sub.next = epoch + 1
 	return nil
 }

@@ -139,6 +139,17 @@ func (f *primaryFixture) commit(t *testing.T, prefix string, n int) uint64 {
 	return f.store.PublishedEpoch()
 }
 
+// horizon reports the reclaim horizon the publisher ships: the Horizon of
+// the newest batch in its ring (zero while the ring is empty).
+func (f *primaryFixture) horizon() uint64 {
+	f.pub.mu.Lock()
+	defer f.pub.mu.Unlock()
+	if len(f.pub.ring) == 0 {
+		return 0
+	}
+	return f.pub.ring[len(f.pub.ring)-1].Horizon
+}
+
 // waitEpoch blocks until the store's published epoch reaches want.
 func waitEpoch(t *testing.T, st *storage.Store, want uint64) {
 	t.Helper()
@@ -182,11 +193,12 @@ func startFollower(t *testing.T, ctx context.Context, dir, url string) *Follower
 	return fl
 }
 
-// TestFollowerTailsWAL covers the WAL catch-up path (the primary's log
-// still holds every batch) and live streaming: a follower connecting from
-// epoch zero must reach the primary's epoch with identical content, then
-// track subsequent commits.
-func TestFollowerTailsWAL(t *testing.T) {
+// TestFollowerSyncsUncheckpointedPrimaryAndTails covers a snapshot catch-up
+// whose pages the primary has not yet written back (its log still holds
+// every batch) and live streaming: a follower connecting from epoch zero
+// must reach the primary's epoch with identical content, then track
+// subsequent commits.
+func TestFollowerSyncsUncheckpointedPrimaryAndTails(t *testing.T) {
 	p := newPrimaryFixture(t)
 	epoch := p.commit(t, "wal", 5)
 
@@ -213,9 +225,9 @@ func TestFollowerTailsWAL(t *testing.T) {
 	}
 }
 
-// TestFollowerSnapshotCatchUp truncates the primary's WAL before the
-// follower ever connects, forcing the full page-file snapshot path, and
-// then checks the stream degrades gracefully into ordinary batch tailing.
+// TestFollowerSnapshotCatchUp checkpoints the primary before the follower
+// ever connects, so the snapshot's pages come from the page file, and then
+// checks the stream moves on to ordinary batch tailing.
 func TestFollowerSnapshotCatchUp(t *testing.T) {
 	p := newPrimaryFixture(t)
 	epoch := p.commit(t, "snap", 8)
@@ -223,7 +235,7 @@ func TestFollowerSnapshotCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p.store.WALSize() != 0 {
-		t.Fatal("setup: WAL not truncated, the test would not exercise the snapshot path")
+		t.Fatal("setup: WAL not reset, the snapshot's pages would not all come from the page file")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -242,8 +254,8 @@ func TestFollowerSnapshotCatchUp(t *testing.T) {
 
 // TestFollowerResumesFromLocalWAL stops a synced follower, lets the
 // primary advance, and reopens the same directory: the follower must
-// recover its applied epoch from its own WAL and resume from there (ring
-// or WAL catch-up), not re-snapshot from scratch.
+// recover its applied epoch from its own WAL before it asks the primary
+// for anything, and converge from there.
 func TestFollowerResumesFromLocalWAL(t *testing.T) {
 	p := newPrimaryFixture(t)
 	epoch := p.commit(t, "one", 4)
@@ -345,9 +357,9 @@ func TestFollowerInvalidatesPinnedSnapshots(t *testing.T) {
 	// the shipped batches now conflict with the open pin.
 	deadline := time.Now().Add(10 * time.Second)
 	round := 0
-	for p.store.ReclaimHorizon() < sn.Epoch() {
+	for p.horizon() < sn.Epoch() {
 		if time.Now().After(deadline) {
-			t.Fatalf("primary reclaim horizon stuck at %d, want >= %d", p.store.ReclaimHorizon(), sn.Epoch())
+			t.Fatalf("shipped reclaim horizon stuck at %d, want >= %d", p.horizon(), sn.Epoch())
 		}
 		p.commit(t, fmt.Sprintf("churn%d", round), 2)
 		round++
@@ -443,9 +455,9 @@ func TestFollowerApplyLeavesHeldImagesIntact(t *testing.T) {
 	// apply past it. (Few commits: each conflicting batch
 	// waits out the follower's grace period for the open snapshot.)
 	deadline := time.Now().Add(10 * time.Second)
-	for round := 0; p.store.ReclaimHorizon() < sn.Epoch()+2; round++ {
+	for round := 0; p.horizon() < sn.Epoch()+2; round++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("primary reclaim horizon stuck at %d, want >= %d", p.store.ReclaimHorizon(), sn.Epoch()+2)
+			t.Fatalf("shipped reclaim horizon stuck at %d, want >= %d", p.horizon(), sn.Epoch()+2)
 		}
 		p.commit(t, fmt.Sprintf("churn%d", round), 2)
 	}
@@ -528,9 +540,9 @@ func TestHorizonWaitEndsWhenTheReaderCloses(t *testing.T) {
 	waits := obs.ReplHorizonWait.Snapshot()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for round := 0; p.store.ReclaimHorizon() < sn.Epoch(); round++ {
+	for round := 0; p.horizon() < sn.Epoch(); round++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("primary reclaim horizon stuck at %d, want >= %d", p.store.ReclaimHorizon(), sn.Epoch())
+			t.Fatalf("shipped reclaim horizon stuck at %d, want >= %d", p.horizon(), sn.Epoch())
 		}
 		p.commit(t, fmt.Sprintf("churn%d", round), 2)
 	}

@@ -21,10 +21,9 @@
 //	          the subscriber is caught up; followers derive lag and the
 //	          synced signal from it
 //
-// Catch-up picks the cheapest source that can reach the subscriber's
-// next epoch: the publisher's in-memory ring of recent batches, else a
-// scan of the primary's WAL (whose reset the subscriber's retain
-// floor holds back), else a full page-file snapshot.
+// Catch-up ships the subscriber's next epoch on from the publisher's
+// in-memory ring of recent batches when the ring still holds it, else a
+// full page-file snapshot, after which the ring takes over.
 package repl
 
 import (

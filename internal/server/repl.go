@@ -158,8 +158,7 @@ func (s *Server) replStatus() repl.StatusResponse {
 	}
 	st := repl.StatusResponse{Role: "primary", Shards: make([]repl.ShardStatus, len(s.pubs))}
 	for i, p := range s.pubs {
-		ps := p.Status()
-		st.Shards[i] = repl.ShardStatus{Shard: i, Epoch: ps.Epoch, Subscribers: ps.Subscribers}
+		st.Shards[i] = repl.ShardStatus{Shard: i, Epoch: s.be.DBs[i].Store().PublishedEpoch(), Subscribers: p.Subscribers()}
 	}
 	return st
 }
@@ -167,7 +166,7 @@ func (s *Server) replStatus() repl.StatusResponse {
 func (s *Server) handleReplStatus(*req) (any, error) { return s.replStatus(), nil }
 
 // handleReplStream serves one shard's replication stream: catch-up
-// (ring, WAL scan or full snapshot) followed by live batches as the
+// (from the ring, else a full snapshot) followed by live batches as the
 // group committer fsyncs them. The response streams until the client
 // disconnects or the server shuts down.
 func (s *Server) handleReplStream(q *req) (any, error) {

@@ -973,17 +973,22 @@ func (r MatchResponse) asHit() any   { r.Cached = true; return r }
 // cache under (tree, the handle's version, canonical value), else by running
 // compute on the handle, caching what it answers and recording v with the
 // summary compute returns. A query on a tree the snapshot lacks counts as a
-// miss.
+// miss. So does every query on a tree of version 0: its nodes relation was
+// created without a stamp (a file, or a primary, from before stamps), so
+// every incarnation of it has that version and none may answer for another.
 func (s *Server) cachedQuery(q *req, v queryrepo.Query, compute func(t *treestore.Tree) (cacheable, string, error)) (any, error) {
 	t, err := s.tree(q.sn, v.TreeName())
 	if err != nil {
 		s.stats.cacheMisses.Add(1)
 		return nil, err
 	}
-	k := cacheKey(t.Version(), v)
-	if hit, ok := s.cache.get(k); ok {
-		s.stats.cacheHits.Add(1)
-		return hit.(cacheable).asHit(), nil
+	version := t.Version()
+	k := cacheKey(version, v)
+	if version != 0 {
+		if hit, ok := s.cache.get(k); ok {
+			s.stats.cacheHits.Add(1)
+			return hit.(cacheable).asHit(), nil
+		}
 	}
 	s.stats.cacheMisses.Add(1)
 	resp, summary, err := compute(t)
@@ -991,7 +996,9 @@ func (s *Server) cachedQuery(q *req, v queryrepo.Query, compute func(t *treestor
 		return nil, err
 	}
 	s.recordAsync(v, summary)
-	s.cache.put(k, resp)
+	if version != 0 {
+		s.cache.put(k, resp)
+	}
 	return resp, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -812,5 +813,75 @@ func TestReloadNeverServesOldIncarnation(t *testing.T) {
 	}
 	if st.CacheEntries > capacity {
 		t.Fatalf("cache_entries = %d, capacity %d", st.CacheEntries, capacity)
+	}
+}
+
+// TestPreStampTreeAnswersUncached serves a repository the crimson CLI wrote
+// before tables carried a creation stamp (testdata/prestamp.db: one tree,
+// "gold", over leaves a..h). Its tree is version 0, as every incarnation of
+// it would be, so a repeated query is answered afresh and counted a miss,
+// never served from the result cache. Deleted and reloaded, the tree
+// carries a stamp and its answers are cached again.
+func TestPreStampTreeAnswersUncached(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"prestamp.db", "prestamp.db.wal"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repo, err := crimson.Open(filepath.Join(dir, "prestamp.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := repo.NewServer(crimson.ServerConfig{Addr: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		repo.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		repo.Close()
+	})
+	cl := client.New("http://"+srv.Addr(), nil)
+	ctx := context.Background()
+
+	// lcaTwice asks the same LCA twice and reports both answers' "cached"
+	// flags and the cache misses the two requests counted.
+	lcaTwice := func() (cached [2]bool, size int, misses int64) {
+		before, err := cl.StatsCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cached {
+			l, err := cl.LCACtx(ctx, "gold", "a", "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached[i], size = l.Cached, l.Node.Size
+		}
+		after, err := cl.StatsCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cached, size, after.CacheMisses - before.CacheMisses
+	}
+	if cached, size, misses := lcaTwice(); cached != [2]bool{} || size != 3 || misses != 2 {
+		t.Fatalf("version-0 tree: cached %v, LCA size %d, %d misses; want no cached answer, size 3, 2 misses", cached, size, misses)
+	}
+
+	if err := cl.DeleteCtx(ctx, "gold"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.LoadNewickCtx(ctx, "gold", 0, strings.NewReader("((a,c),(b,d));")); err != nil {
+		t.Fatal(err)
+	}
+	if cached, size, misses := lcaTwice(); cached != [2]bool{false, true} || size != 7 || misses != 1 {
+		t.Fatalf("reloaded tree: cached %v, LCA size %d, %d misses; want the repeat cached, size 7, 1 miss", cached, size, misses)
 	}
 }

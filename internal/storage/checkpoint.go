@@ -217,7 +217,7 @@ type checkpointer struct {
 	stop    chan struct{}
 	done    chan struct{}
 	started bool
-	walMark atomic.Int64 // WAL size at the end of the last pass
+	walMark atomic.Int64 // WAL size at the end of the last pass: zero unless its reset was refused
 }
 
 // SetCheckpointPolicy adjusts the byte threshold and the age interval of
@@ -293,8 +293,10 @@ func (s *Store) checkpointLoop() {
 // synchronous pass (backpressure) once the backlog crosses the hard cap or
 // the WAL has grown by as much since the last pass — rewrites of the same
 // pages grow the log, not the backlog. Growth is counted from the last
-// pass, not from zero, so a log a retain floor keeps does not force a pass
-// per commit. Returns the time spent in a synchronous pass, if any.
+// pass, not from zero: a pass may end with the log whole, when another
+// handle has reopened the path and its generation is no longer this
+// handle's (resetIf refuses it), and such a log must not force a pass per
+// commit. Returns the time spent in a synchronous pass, if any.
 func (s *Store) maybeCheckpoint() time.Duration {
 	if s.wb == nil {
 		return 0
@@ -316,8 +318,7 @@ func (s *Store) maybeCheckpoint() time.Duration {
 }
 
 // Checkpoint synchronously writes every WAL-durable pending image to the
-// page file and resets the WAL, unless a replication retain floor keeps it.
-// A no-op on in-memory stores.
+// page file and resets the WAL. A no-op on in-memory stores.
 func (s *Store) Checkpoint() error {
 	if s.wb == nil {
 		return nil

@@ -112,7 +112,7 @@ func TestWALBatchListsPagesAscending(t *testing.T) {
 		}
 	}
 	batches := 0
-	err = s.ScanWALBatches(func(pages []DirtyPage) error {
+	err = scanLog(s.wal, func(pages []DirtyPage) error {
 		batches++
 		for i := 1; i < len(pages); i++ {
 			if pages[i-1].ID >= pages[i].ID {

@@ -86,6 +86,29 @@ func crashWorkload(t *testing.T, s *Store, commits int) map[string]string {
 	return want
 }
 
+// crashWorkload2 extends crashWorkload with a commit-index offset so two
+// rounds against the same store produce disjoint key sets.
+func crashWorkload2(t *testing.T, s *Store, from, to int) map[string]string {
+	t.Helper()
+	tree := OpenBTree(s, s.Root(0))
+	want := make(map[string]string)
+	for c := from; c < to; c++ {
+		for i := 0; i < 8; i++ {
+			k := fmt.Sprintf("c%02d-k%02d", c, i)
+			v := fmt.Sprintf("v%d-%d", c, i)
+			if err := tree.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = v
+		}
+		s.SetRoot(0, tree.Root())
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
 // verifyRecovered opens the copied files and asserts the recovered store
 // holds exactly the last committed state.
 func verifyRecovered(t *testing.T, path string, wantEpoch uint64, want map[string]string) {
@@ -697,7 +720,7 @@ func TestCrashMatrixHeaderlessLog(t *testing.T) {
 	want := crashWorkload(t, s, 5)
 	epoch := s.MVCC().Epoch
 	var old []byte
-	if err := s.ScanWALBatches(func(pages []DirtyPage) error {
+	if err := scanLog(s.wal, func(pages []DirtyPage) error {
 		old = appendUnsaltedBatch(old, pages)
 		return nil
 	}); err != nil {

@@ -254,7 +254,7 @@ func TestFreeListNoBatchCarriesAFreePage(t *testing.T) {
 		}
 	}
 	var walBatches [][]DirtyPage
-	if err := s.ScanWALBatches(func(pages []DirtyPage) error {
+	if err := scanLog(s.wal, func(pages []DirtyPage) error {
 		walBatches = append(walBatches, pages)
 		return nil
 	}); err != nil {

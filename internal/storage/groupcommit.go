@@ -114,7 +114,7 @@ func (s *Store) flushBatch(batch []*commitReq) error {
 	// a Size() sample can observe these bytes, the checkpointer can also see
 	// that their epochs are durable (so it never resets past an image it
 	// skipped).
-	err := s.wal.appendGroup(batches, batch[0].epoch, last.epoch, func() { s.wb.setDurable(last.epoch) })
+	err := s.wal.appendGroup(batches, func() { s.wb.setDurable(last.epoch) })
 	walDur := time.Since(start)
 	if err != nil {
 		return err

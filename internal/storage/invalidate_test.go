@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // These tests pin the replica-apply safety valve: when a follower's grace
@@ -67,61 +66,6 @@ func TestSnapshotInvalidationMonotonic(t *testing.T) {
 	}
 	if s.snapshotInvalid(9) {
 		t.Fatal("epoch 9 is at the mark (exclusive bound) and should be valid")
-	}
-}
-
-// TestWALRetainCapOverridesFloor drives the log past a tiny retain cap and
-// asserts truncation proceeds despite a floor covering the content — the
-// laggard is dropped to snapshot catch-up instead of pinning the WAL
-// without bound.
-func TestWALRetainCapOverridesFloor(t *testing.T) {
-	s, _ := openTempStore(t)
-	s.SetCheckpointPolicy(1<<40, time.Hour)
-	crashWorkload(t, s, 5)
-
-	first, _ := s.WALEpochRange()
-	s.SetWALRetainFloor(first)
-
-	// Under the default (large) cap the floor wins.
-	if ok, err := s.wal.resetIf(s.wal.Size(), nil); err != nil || ok {
-		t.Fatalf("truncate under cap: ok=%v err=%v, want refused", ok, err)
-	}
-	if s.WALSize() == 0 {
-		t.Fatal("WAL truncated while the floor was within the cap")
-	}
-
-	// With the cap below the log size, the floor is overridden.
-	s.wal.mu.Lock()
-	s.wal.retainCap = 1
-	s.wal.mu.Unlock()
-	if ok, err := s.wal.resetIf(s.wal.Size(), nil); err != nil || !ok {
-		t.Fatalf("truncate past cap: ok=%v err=%v, want accepted", ok, err)
-	}
-	if s.WALSize() != 0 {
-		t.Fatal("WAL non-empty after a cap-overridden truncate")
-	}
-}
-
-// TestLogCommitContentEpochs asserts that logging a commit through the
-// group-commit path records the batch's epoch, keeping the log's
-// content-epoch range accurate for the retain floor: the first commit sets
-// both bounds and a newer one extends only the upper bound.
-func TestLogCommitContentEpochs(t *testing.T) {
-	s, _ := openTempStore(t)
-	s.SetCheckpointPolicy(1<<40, time.Hour)
-	crashWorkload(t, s, 1)
-	e1 := s.PublishedEpoch()
-	if first, last := s.WALEpochRange(); first != e1 || last != e1 {
-		t.Fatalf("WALEpochRange after one commit = [%d, %d], want [%d, %d]", first, last, e1, e1)
-	}
-
-	crashWorkload2(t, s, 1, 3)
-	e3 := s.PublishedEpoch()
-	if e3 <= e1 {
-		t.Fatalf("published epoch %d did not advance past %d", e3, e1)
-	}
-	if first, last := s.WALEpochRange(); first != e1 || last != e3 {
-		t.Fatalf("WALEpochRange after three commits = [%d, %d], want [%d, %d]", first, last, e1, e3)
 	}
 }
 

@@ -335,7 +335,7 @@ func TestCrashBetweenWALAndPageFile(t *testing.T) {
 	m.epoch = epoch1 + 5
 	img := make([]byte, PageSize)
 	m.encode(img)
-	if err := s.wal.appendGroup([][]DirtyPage{{{ID: 0, Data: img}}}, m.epoch, m.epoch, nil); err != nil {
+	if err := s.wal.appendGroup([][]DirtyPage{{{ID: 0, Data: img}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.pager.Close()

@@ -76,10 +76,6 @@ func (s *Store) noteHorizon(epoch uint64) {
 	}
 }
 
-// ReclaimHorizon reports the newest retire epoch whose pages have been
-// reused (see noteHorizon).
-func (s *Store) ReclaimHorizon() uint64 { return s.horizon.Load() }
-
 // IsReplica reports whether the store is a replication follower.
 func (s *Store) IsReplica() bool { return s.replica.Load() }
 
@@ -105,16 +101,6 @@ func (s *Store) Promote() error {
 // PublishedEpoch reports the last published (committed or applied) epoch
 // without taking any locks.
 func (s *Store) PublishedEpoch() uint64 { return s.pubEpoch.Load() }
-
-// SetWALRetainFloor sets the WAL retain floor: while non-zero, a WAL
-// reset is refused whenever the log still holds a batch at or beyond
-// the floor epoch, so a connected follower can always be caught up from the
-// log. Zero clears the floor. No-op on in-memory stores.
-func (s *Store) SetWALRetainFloor(epoch uint64) {
-	if s.wal != nil {
-		s.wal.retainFrom(epoch)
-	}
-}
 
 // ErrSnapshotInvalidated is returned by reads on a pinned snapshot whose
 // pages may have been replaced by a replicated apply: the follower waited
@@ -152,30 +138,10 @@ func (s *Store) snapshotInvalid(epoch uint64) bool {
 	return epoch < s.snapInvalid.Load()
 }
 
-// WALEpochRange reports the first and last commit epochs whose batches are
-// currently in the WAL (zeros when empty or in-memory). The range is what
-// the publisher consults to decide between log catch-up and a full
-// snapshot.
-func (s *Store) WALEpochRange() (first, last uint64) {
-	if s.wal == nil {
-		return 0, 0
-	}
-	return s.wal.contentEpochs()
-}
-
-// ScanWALBatches replays every committed batch currently in the WAL through
-// fn, oldest first. The page slices passed to fn are private copies. Use
-// BatchMeta to recover each batch's epoch and roots.
-func (s *Store) ScanWALBatches(fn func(pages []DirtyPage) error) error {
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.scanCommitted(fn)
-}
-
 // BatchMeta decodes the meta-page image riding in a commit batch, returning
 // the epoch and root set the batch publishes. ok is false when the batch
-// carries no valid meta page (e.g. a pre-replication WAL record).
+// carries no valid meta page. A follower checks a snapshot catch-up's pages
+// against the roots its closing frame names with it.
 func BatchMeta(pages []DirtyPage) (epoch uint64, roots [NumRoots]PageID, ok bool) {
 	for _, p := range pages {
 		if p.ID != 0 {

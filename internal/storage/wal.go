@@ -75,24 +75,7 @@ type wal struct {
 	// group may land on top of it. Every append and reset returns it until
 	// the store is reopened and recovery decides what the tail holds.
 	err error
-
-	// first/last are the epochs of the oldest and newest batches currently
-	// in the log (zero when empty or unknown). retain is the replication
-	// retain floor: while non-zero, a reset is refused as long as the log
-	// still holds any batch with epoch >= retain, so a connected follower
-	// that has not consumed those batches can always catch up from the log
-	// instead of falling back to a full snapshot. retainCap bounds how many
-	// bytes the floor may pin: once the log outgrows it, the reset proceeds
-	// despite the floor and the laggard falls back to a snapshot catch-up —
-	// a hung subscriber must not grow the primary's WAL without bound.
-	first, last uint64
-	retain      uint64
-	retainCap   int64
 }
-
-// defaultRetainCapBytes is the default bound on how much WAL a replication
-// retain floor may pin before a reset proceeds anyway.
-const defaultRetainCapBytes = 64 << 20
 
 // walSeed is the CRC seed of a generation's frames; generation 0 is the
 // unsalted format before generations.
@@ -125,7 +108,7 @@ func openWAL(path string) (*wal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
-	w := &wal{f: f, retainCap: defaultRetainCapBytes}
+	w := &wal{f: f}
 	if gen, ok := readWALHeader(f); ok {
 		w.gen, w.base = gen, walHeaderSize
 	}
@@ -231,18 +214,15 @@ func appendWALCommit(buf []byte, seed uint32, count int) []byte {
 // group under that size takes one write), and syncs once. This is the
 // group-commit fast path: a flush of N coalesced commits costs one fsync
 // instead of N. A crash between two of the writes leaves a tail without the
-// group's commit frames, which recovery discards like any torn write.
-// firstEpoch/lastEpoch are the epochs of the oldest and newest batches in
-// the group (zero when unknown); they maintain the log's content-epoch
-// range for the replication retain floor. A non-nil onDurable hook runs
-// after the fsync and before the new size is published, so whatever it
-// records is ordered before any Size() sample that counts these bytes — the
-// checkpointer relies on this to never reset past a batch it has not
-// written back.
+// group's commit frames, which recovery discards like any torn write. A
+// non-nil onDurable hook runs after the fsync and before the new size is
+// published, so whatever it records is ordered before any Size() sample
+// that counts these bytes — the checkpointer relies on this to never reset
+// past a batch it has not written back.
 //
 // The first failed write or sync fails this append and every later one,
 // and every later resetIf (see wal.err).
-func (w *wal) appendGroup(batches [][]DirtyPage, firstEpoch, lastEpoch uint64, onDurable func()) error {
+func (w *wal) appendGroup(batches [][]DirtyPage, onDurable func()) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -291,12 +271,6 @@ func (w *wal) appendGroup(batches [][]DirtyPage, firstEpoch, lastEpoch uint64, o
 		w.err = fmt.Errorf("storage: wal sync: %w", err)
 		return w.err
 	}
-	if w.first == 0 && firstEpoch > 0 {
-		w.first = firstEpoch
-	}
-	if lastEpoch > w.last {
-		w.last = lastEpoch
-	}
 	if onDurable != nil {
 		onDurable()
 	}
@@ -305,46 +279,6 @@ func (w *wal) appendGroup(batches [][]DirtyPage, firstEpoch, lastEpoch uint64, o
 	obs.Engine.Add(obs.CtrWALSyncs, 1)
 	obs.Engine.Max(obs.CtrWALHighwaterBytes, end)
 	return nil
-}
-
-// retainFrom sets the replication retain floor: while epoch is non-zero,
-// resetIf refuses to discard the log as long as it still holds a batch
-// with epoch >= the floor. A floor of zero (replication off, or every
-// follower caught up past the log's content) restores normal resets.
-func (w *wal) retainFrom(epoch uint64) {
-	w.mu.Lock()
-	w.retain = epoch
-	w.mu.Unlock()
-}
-
-// contentEpochs reports the epoch range [first, last] of the batches
-// currently in the log (zeros when the log is empty or the range is
-// unknown, e.g. batches appended without epoch information).
-func (w *wal) contentEpochs() (first, last uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.first, w.last
-}
-
-// scanCommitted replays every fully committed batch currently in the log
-// through fn, oldest first, without disturbing the append position. The
-// page images passed to fn are freshly allocated and may be retained.
-//
-// Callers that need the scanned range to stay stable (the replication
-// catch-up path) must hold a retain floor covering it, otherwise a
-// concurrent checkpoint may reset the log mid-scan; the next generation's
-// frames then fail the scanned generation's CRCs, so a reset surfaces as a
-// clean end of scan, not corruption.
-func (w *wal) scanCommitted(fn func(pages []DirtyPage) error) error {
-	w.mu.Lock()
-	if w.f == nil {
-		w.mu.Unlock()
-		return errClosed
-	}
-	f, seed, base, size := w.f, walSeed(w.gen), w.base, w.size.Load()
-	w.mu.Unlock()
-	_, err := scanWAL(f, seed, base, base+size, fn)
-	return err
 }
 
 // Size reports the bytes appended since the last reset (the file itself
@@ -356,10 +290,8 @@ func (w *wal) Size() int64 { return w.size.Load() }
 // the caller read before writing back. If commits have landed since,
 // catchUp must write their now-durable images back first; it runs under
 // the WAL mutex, so nothing lands meanwhile. A nil catchUp refuses
-// instead. A replication retain floor covering the log's content keeps it
-// whole (up to the retain cap), and a handle whose generation is no longer
-// the one in the file's header — another handle has reopened the path —
-// never touches it.
+// instead. A handle whose generation is no longer the one in the file's
+// header — another handle has reopened the path — never touches it.
 func (w *wal) resetIf(sampled int64, catchUp func() error) (bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -372,19 +304,6 @@ func (w *wal) resetIf(sampled int64, catchUp func() error) (bool, error) {
 	size := w.size.Load()
 	if size == 0 || (size != sampled && catchUp == nil) {
 		return false, nil
-	}
-	if w.retain != 0 && w.last >= w.retain {
-		if size <= w.retainCap {
-			// A follower still needs batches in this log: keep it whole. The
-			// images are already checkpointed, so recovery replaying them
-			// again is idempotent.
-			return false, nil
-		}
-		// The floor has pinned more than the cap: reset anyway. The lagging
-		// subscriber's next catch-up finds the log range gone and falls back
-		// to a full snapshot; a scan already in flight sees a clean end of
-		// scan.
-		obs.Engine.Add(obs.CtrWALRetainDrops, 1)
 	}
 	if gen, _ := readWALHeader(w.f); gen != w.gen {
 		return false, nil
@@ -458,7 +377,6 @@ func (w *wal) resetLocked() error {
 	}
 	w.gen, w.base = gen, walHeaderSize
 	w.size.Store(0)
-	w.first, w.last = 0, 0
 	return nil
 }
 

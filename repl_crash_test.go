@@ -163,6 +163,102 @@ func TestCrashMatrixReplFollowerKill(t *testing.T) {
 	}
 }
 
+// TestReplFollowerRestartResyncsBySnapshot stops a synced follower, lets
+// the primary commit more, and reopens the follower's directory. The
+// publisher's ring holds nothing while no follower is connected, so the
+// restarted follower catches up by a snapshot over its own files — even
+// though the primary, never checkpointed, still has every batch in its log —
+// and must converge with integrity green.
+func TestReplFollowerRestartResyncsBySnapshot(t *testing.T) {
+	shards := matrixShards(t)
+	repo, srv, url := startReplPrimary(t, shards)
+	defer repo.Close()
+	defer srv.Shutdown(context.Background())
+	repo.SetCheckpointPolicy(1<<40, time.Hour)
+	cl := client.New(url, nil)
+	ctx := context.Background()
+
+	gold, err := crimson.GenerateYule(200, 1.0, rand.New(rand.NewSource(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.LoadTreeCtx(ctx, "rs", 0, gold); err != nil {
+		t.Fatal(err)
+	}
+	fdir := filepath.Join(t.TempDir(), "follower")
+	frepo, fl, err := crimson.OpenFollower(ctx, fdir, url)
+	if err != nil {
+		t.Fatalf("opening follower: %v", err)
+	}
+	fl.Stop()
+	if err := frepo.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Wait for the primary to drop the stopped follower's streams: a stream
+	// still registered would keep the ring filling.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, err := cl.ReplStatusCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs := 0
+		for _, sh := range st.Shards {
+			subs += sh.Subscribers
+		}
+		if subs == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the primary still streams to the stopped follower: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	for i := 0; i < 10; i++ {
+		sp := fmt.Sprintf("later-%03d", i)
+		if err := cl.PutSpeciesDataCtx(ctx, "rs", sp, "seq:test", []byte("v:"+sp)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pShards := repo.MVCCShards()
+	shipped := crimson.EngineCounters()["repl_snapshot_pages"]
+
+	frepo, fl, err = crimson.OpenFollower(ctx, fdir, url)
+	if err != nil {
+		t.Fatalf("reopening follower: %v", err)
+	}
+	defer frepo.Close()
+	defer fl.Stop()
+	deadline = time.Now().Add(30 * time.Second)
+	for i, sh := range fl.Status().Shards {
+		for sh.Epoch < pShards[i].Epoch {
+			if time.Now().After(deadline) {
+				t.Fatalf("restarted follower never converged: %+v vs %+v", fl.Status(), pShards)
+			}
+			time.Sleep(5 * time.Millisecond)
+			sh = fl.Status().Shards[i]
+		}
+	}
+	if crimson.EngineCounters()["repl_snapshot_pages"] == shipped {
+		t.Fatal("the restarted follower shipped no snapshot pages")
+	}
+	if p, f := exportNewick(t, repo, "rs"), exportNewick(t, frepo, "rs"); p != f {
+		t.Fatalf("tree rs differs on the restarted follower (%d vs %d bytes)", len(p), len(f))
+	}
+	snap := frepo.Snapshot()
+	defer snap.Close()
+	for i := 0; i < 10; i++ {
+		sp := fmt.Sprintf("later-%03d", i)
+		if data, err := snap.SpeciesView.Get("rs", sp, "seq:test"); err != nil || string(data) != "v:"+sp {
+			t.Fatalf("row %s on the restarted follower: %q err=%v", sp, data, err)
+		}
+	}
+	if err := frepo.Check(); err != nil {
+		t.Fatalf("restarted follower integrity: %v", err)
+	}
+}
+
 // TestCrashMatrixReplPromote kills the primary once the follower has
 // caught up and promotes the follower through the real server path: every
 // epoch the primary had WAL-fsynced must survive, and the promoted
@@ -264,9 +360,8 @@ func TestCrashMatrixReplPromote(t *testing.T) {
 
 // TestCrashMatrixReplPromoteAfterCatchUp promotes a follower whose only
 // replication was a snapshot catch-up: the primary drops a tree (its pages
-// listed, spilling into trunk pages), checkpoints so its log can no longer
-// replay from the start, and a new follower catches up from the page file,
-// then the primary dies with no batch after it. The catch-up shipped the
+// listed, spilling into trunk pages) and checkpoints, a new follower catches
+// up from the page file, then the primary dies with no batch after it. The catch-up shipped the
 // pinned epoch's own meta page and trunk pages, so Check accounts for
 // every follower page before and after the promote, and reloading the
 // dropped tree reuses the primary's listed pages instead of growing the
@@ -330,7 +425,7 @@ func TestCrashMatrixReplPromoteAfterCatchUp(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if crimson.EngineCounters()["repl_snapshot_pages"] == shipped {
-		t.Fatal("the follower caught up from the log; the test needs a snapshot catch-up")
+		t.Fatal("the follower shipped no snapshot pages; the test needs a snapshot catch-up")
 	}
 	if err := frepo.Check(); err != nil {
 		t.Fatalf("follower integrity after the catch-up: %v", err)

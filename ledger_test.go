@@ -20,6 +20,9 @@ type ledgerCost struct {
 	Descents     int64 `json:"btree_descents"`
 	CellsDecoded int64 `json:"cells_decoded"`
 	RowsScanned  int64 `json:"rows_scanned"`
+	PoolHits     int64 `json:"pool_hits"`
+	PoolMisses   int64 `json:"pool_misses"`
+	PagesRead    int64 `json:"pages_read"`
 }
 
 // ledgerRow is one op: its first run on a freshly opened repository, whose
@@ -41,8 +44,9 @@ const ledgerFixture = "caterpillar of depth 20000 (seed 1) loaded at f=16 into a
 	"sample_time_k50: 50 leaves beyond 0.95 of the height (draw seed 9)"
 
 // TestCostLedger pins what the deep-tree reads cost the engine, layer by
-// layer, as exact counts: B+tree descents and decoded cells (storage) and
-// rows scanned (relstore) of an LCA, a k=50 projection by name and a k=50
+// layer, as exact counts: B+tree descents and decoded cells (storage),
+// buffer-pool hits and misses and pages read (the pool) and rows scanned
+// (relstore) of an LCA, a k=50 projection by name and a k=50
 // time-constrained sample on the paper's deep case, each cold and warm. The
 // counts are deterministic, so any change to them — a read path that got
 // cheaper as much as one that got dearer — fails here until
@@ -58,6 +62,13 @@ func TestCostLedger(t *testing.T) {
 		t.Fatalf("%s: %v", ledgerPath, err)
 	}
 	got := measureLedger(t)
+	for _, row := range got.Rows {
+		for _, c := range []ledgerCost{row.Cold, row.Warm} {
+			if c.PoolMisses != c.PagesRead {
+				t.Errorf("%s: %d pool misses but %d pages read; every miss is one read", row.Op, c.PoolMisses, c.PagesRead)
+			}
+		}
+	}
 	if !reflect.DeepEqual(got, want) {
 		out, _ := json.MarshalIndent(got, "", "  ")
 		t.Fatalf("the engine's costs differ from %s; measured:\n%s", ledgerPath, out)
@@ -130,7 +141,10 @@ func measureLedger(t *testing.T) costLedger {
 			}
 			span.End()
 			c := span.Summary().Totals()
-			return ledgerCost{Descents: c["btree_descents"], CellsDecoded: c["cells_decoded"], RowsScanned: c["rows_scanned"]}
+			return ledgerCost{
+				Descents: c["btree_descents"], CellsDecoded: c["cells_decoded"], RowsScanned: c["rows_scanned"],
+				PoolHits: c["pool_hits"], PoolMisses: c["pool_misses"], PagesRead: c["pages_read"],
+			}
 		}
 		row := ledgerRow{Op: op.name}
 		row.Cold = measure()

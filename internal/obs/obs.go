@@ -38,6 +38,7 @@ const (
 	CtrPoolHits
 	CtrPoolMisses
 	CtrPagesRead
+	CtrPoolReadWaits
 	CtrPagesWritten
 	CtrCOWPages
 	CtrWALBytes
@@ -78,6 +79,7 @@ var counterDefs = [NumCounters]struct{ name, help string }{
 	CtrPoolHits:                 {"pool_hits", "Buffer-pool page read hits."},
 	CtrPoolMisses:               {"pool_misses", "Buffer-pool page read misses."},
 	CtrPagesRead:                {"pages_read", "Pages read from disk."},
+	CtrPoolReadWaits:            {"pool_read_waits", "Buffer-pool reads that waited for another reader's in-flight read of the same page (counted as hits)."},
 	CtrPagesWritten:             {"pages_written", "Pages written at commit."},
 	CtrCOWPages:                 {"cow_pages", "Pages copied by copy-on-write before modification."},
 	CtrWALBytes:                 {"wal_bytes", "Bytes appended to the write-ahead log."},

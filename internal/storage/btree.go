@@ -364,9 +364,10 @@ func (t *BTree) readNodeC(id PageID, c *obs.Counters) (*node, error) {
 	}
 	// Checked after the read on purpose, and before a kept node is handed
 	// out: the invalidation mark is stored before a replicated apply
-	// replaces any pool frame, and pool access serializes on the pool mutex,
-	// so a read that got a post-apply image or its node is ordered after the
-	// mark and fails here instead of using it.
+	// replaces any pool frame. A hit takes the pool mutex to find its frame,
+	// and a miss re-takes it after its pager read, so a read that got a
+	// post-apply image or its node is ordered after the apply's Put, hence
+	// after the mark, and fails here instead of using it.
 	if t.pinned && t.store.snapshotInvalid(t.epoch) {
 		return nil, ErrSnapshotInvalidated
 	}

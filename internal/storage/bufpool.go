@@ -19,13 +19,20 @@ const defaultPoolSize = 4096
 // node is the B+tree node decoded from data, once a read has decoded it
 // (keep), so the next read of a resident page indexes no cell; it goes
 // wherever data goes — cleared by Put, dropped with the frame.
+//
+// A loading frame is a placeholder for a read in flight: it has no image
+// yet and is on neither list. The first reader to wait for it makes
+// readDone, and the read closes it when it ends, whether or not its image
+// was installed; a read nobody waited for allocates no channel.
 type frame struct {
-	id    PageID
-	data  []byte
-	node  *node
-	dirty bool
-	slot  int           // index in bufferPool.dirty while dirty
-	elem  *list.Element // position in the LRU list (nil while dirty)
+	id       PageID
+	data     []byte
+	node     *node
+	dirty    bool
+	slot     int           // index in bufferPool.dirty while dirty
+	elem     *list.Element // position in the LRU list (nil while dirty)
+	loading  bool
+	readDone chan struct{}
 }
 
 // zeroPage is the image of every page that has been grown but not yet
@@ -36,7 +43,7 @@ var zeroPage = make([]byte, PageSize)
 // frames are never evicted; they are held until the Store commits them
 // through the WAL, which keeps crash recovery simple (no steal policy).
 //
-// Images are immutable. Get hands out the image itself — no copy — and the
+// Images are immutable. page hands out the image itself — no copy — and the
 // caller may keep it for as long as it likes: Put installs a new image
 // beside it and eviction only drops the pool's reference, so neither can
 // change bytes a reader holds. In exchange nobody may write into an image,
@@ -46,9 +53,16 @@ var zeroPage = make([]byte, PageSize)
 // clearing them at commit costs O(dirty · log dirty) — the size of the
 // transaction — whatever the number of resident frames.
 //
-// All methods are safe for concurrent use; an internal mutex serializes
-// access to the frame table and the LRU list (a map lookup and an LRU touch
-// on a hit).
+// All methods are safe for concurrent use. An internal mutex guards the
+// frame table and the LRU list, and is held for a map lookup and an LRU
+// touch, never across a pager read: a miss installs a loading frame, reads
+// the page with the mutex released, and re-takes it to install the image.
+// So a hit never waits on the disk, and readers of a page that is being
+// read wait for that one read instead of starting their own. A Put or a
+// discard of the page while its read is in flight supersedes the read: the
+// reader gets the image it read, and the pool never installs it. Loading
+// frames are outside the LRU list, so the pool exceeds its limit by at most
+// the number of reads in flight.
 type bufferPool struct {
 	mu     sync.Mutex
 	pager  pageFile
@@ -71,54 +85,91 @@ func newBufferPool(pager pageFile, limit int) *bufferPool {
 	}
 }
 
+// poolRead says how page found the image it returned.
+type poolRead uint8
+
+const (
+	poolHit    poolRead = iota // the frame was resident
+	poolJoined                 // resident once another reader's in-flight read ended
+	poolMiss                   // this call read it from the pager
+)
+
 // page returns the image of page id, and the node kept with it if a read
 // has decoded one, reading the image from the pager on a miss; it reports
-// whether the frame was already resident (feeding the pool hit/miss
-// counters).
-func (bp *bufferPool) page(id PageID) ([]byte, *node, bool, error) {
+// how it found the image (feeding the pool hit/miss/wait counters). A read
+// that waited for another reader's read and then had to read the page
+// itself — that read failed or was superseded — is a miss.
+func (bp *bufferPool) page(id PageID) ([]byte, *node, poolRead, error) {
+	how := poolHit
 	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if f, ok := bp.frames[id]; ok {
+	f, ok := bp.frames[id]
+	for ok && f.loading {
+		if f.readDone == nil {
+			f.readDone = make(chan struct{})
+		}
+		wait := f.readDone
+		bp.mu.Unlock()
+		<-wait
+		how = poolJoined
+		bp.mu.Lock()
+		f, ok = bp.frames[id]
+	}
+	if ok {
 		if f.elem != nil {
 			bp.lru.MoveToFront(f.elem)
 		}
-		return f.data, f.node, true, nil
+		data, n := f.data, f.node
+		bp.mu.Unlock()
+		return data, n, how, nil
 	}
-	data := make([]byte, PageSize)
-	if err := bp.pager.ReadPage(id, data); err != nil {
-		return nil, nil, false, err
-	}
-	f := &frame{id: id, data: data}
-	f.elem = bp.lru.PushFront(f)
+	f = &frame{id: id, loading: true}
 	bp.frames[id] = f
-	bp.evict()
-	return data, nil, false, nil
-}
+	bp.mu.Unlock()
 
-// Get returns the image of page id. The slice is shared and immutable: the
-// caller must not write into it, and may hold it indefinitely.
-func (bp *bufferPool) Get(id PageID) ([]byte, error) {
-	img, _, _, err := bp.page(id)
-	return img, err
+	data := make([]byte, PageSize)
+	err := bp.pager.ReadPage(id, data)
+	bp.mu.Lock()
+	if bp.frames[id] == f {
+		if err != nil {
+			delete(bp.frames, id)
+		} else {
+			f.data, f.loading = data, false
+			f.elem = bp.lru.PushFront(f)
+			bp.evict()
+		}
+	}
+	done := f.readDone
+	bp.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
+	if err != nil {
+		return nil, nil, poolMiss, err
+	}
+	return data, nil, poolMiss, nil
 }
 
 // keep attaches n, decoded from an image that page returned, to its frame — if
 // the frame still holds that very image. A Put, a discard or an eviction
-// since the read leaves n unattached, so a kept node is always the decode
-// of the image beside it. Like the image it is immutable and shared by every
-// reader the page's next reads return it to.
+// since the read leaves n unattached, and so does a superseded read, whose
+// image no frame holds, so a kept node is always the decode of the image
+// beside it. A loading frame has no image and gets no node. Like the image
+// the node is immutable and shared by every reader the page's next reads
+// return it to.
 func (bp *bufferPool) keep(n *node) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if f, ok := bp.frames[n.page]; ok && f.node == nil && &f.data[0] == &n.data[0] {
+	if f, ok := bp.frames[n.page]; ok && !f.loading && f.node == nil && &f.data[0] == &n.data[0] {
 		f.node = n
 	}
 }
 
 // Put installs img as the new image of page id and marks the page dirty.
 // Ownership of img passes to the pool: the caller must not modify it
-// afterwards (readers of the page's previous image keep that one). The page
-// is not written to the pager until the owning Store commits.
+// afterwards (readers of the page's previous image keep that one). A read
+// of the page in flight is superseded: Put installs a frame of its own in
+// place of the loading one. The page is not written to the pager until the
+// owning Store commits.
 func (bp *bufferPool) Put(id PageID, img []byte) error {
 	if len(img) != PageSize {
 		return fmt.Errorf("storage: Put page %d with %d bytes", id, len(img))
@@ -126,7 +177,7 @@ func (bp *bufferPool) Put(id PageID, img []byte) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	f, ok := bp.frames[id]
-	if !ok {
+	if !ok || f.loading {
 		f = &frame{id: id}
 		bp.frames[id] = f
 	}
@@ -164,7 +215,8 @@ func (bp *bufferPool) markDirty(f *frame) {
 
 // discard drops page id's frame, dirty or clean, without its image going
 // anywhere: the page has been freed, nothing reads a free page, and the
-// page's next owner installs a new image.
+// page's next owner installs a new image. A loading frame is dropped too,
+// which supersedes its read.
 func (bp *bufferPool) discard(id PageID) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()

@@ -23,8 +23,8 @@ func TestStoreConcurrentReaders(t *testing.T) {
 		}
 	}
 	// The B+tree itself is single-writer; concurrent READ access via
-	// independent cursors is safe because all page I/O goes through the
-	// buffer pool's mutex and page images are immutable.
+	// independent cursors is safe because the buffer pool's mutex guards
+	// its frame table and page images are immutable.
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {

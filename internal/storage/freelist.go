@@ -227,7 +227,7 @@ func (s *Store) reclaim() {
 
 // readTrunk decodes trunk page id: the next trunk and the ids it holds.
 func (s *Store) readTrunk(id PageID) (PageID, []PageID, error) {
-	img, err := s.pool.Get(id)
+	img, _, _, err := s.pool.page(id)
 	if err != nil {
 		return 0, nil, err
 	}

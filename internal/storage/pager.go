@@ -384,8 +384,8 @@ func (m *meta) decode(buf []byte) error {
 // allocate, retire, SetRoot, Commit, Close) serialize on the store
 // mutex and must come from one writer at a time (package relstore enforces
 // this with its database mutex). Reads — ReadPage — never take the store
-// mutex: they take the page's immutable image from the buffer pool under
-// its own short-lived latch and may run from any number of goroutines
+// mutex: they take the page's immutable image from the buffer pool, whose
+// own mutex no pager read holds, and may run from any number of goroutines
 // concurrently with the writer. Snapshot readers are safe because a
 // committed page is never modified in place: writers copy-on-write onto
 // fresh pages and the superseded pages are only reused after every snapshot
@@ -689,18 +689,23 @@ func (s *Store) ReadPage(id PageID) ([]byte, error) {
 
 // readPage is the counted read chokepoint: buffer-pool hits and misses
 // (each miss is one page read) feed the global engine counters always, and
-// the per-request set c when a trace is active (c nil-safe). It also
-// returns the node the pool keeps with the image, nil until a read has
-// decoded one (bufferPool.keep).
+// the per-request set c when a trace is active (c nil-safe). A read that
+// waited for another reader's read of the page read nothing itself: it is
+// a hit, and a pool read wait. It also returns the node the pool keeps with
+// the image, nil until a read has decoded one (bufferPool.keep).
 func (s *Store) readPage(id PageID, c *obs.Counters) ([]byte, *node, error) {
 	if s.closed.Load() {
 		return nil, nil, errClosed
 	}
-	img, n, hit, err := s.pool.page(id)
+	img, n, how, err := s.pool.page(id)
 	if err != nil {
 		return nil, nil, err
 	}
-	if hit {
+	if how == poolJoined {
+		obs.Engine.Add(obs.CtrPoolReadWaits, 1)
+		c.Add(obs.CtrPoolReadWaits, 1)
+	}
+	if how != poolMiss {
 		obs.Engine.Add(obs.CtrPoolHits, 1)
 		c.Add(obs.CtrPoolHits, 1)
 	} else {

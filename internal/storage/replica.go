@@ -114,10 +114,13 @@ var ErrSnapshotInvalidated = errors.New("storage: snapshot invalidated by replic
 
 // InvalidateSnapshotsBelow marks every snapshot with epoch < limit invalid:
 // their subsequent page reads fail with ErrSnapshotInvalidated. The mark is
-// monotonic. It must be stored BEFORE the apply replaces any pool frame —
-// pool reads and writes serialize on the pool mutex, so a reader that
-// gets a post-apply image is ordered after the apply's Put, hence after
-// this store, and its post-read check sees the mark. Snapshots below the
+// monotonic. It must be stored BEFORE the apply replaces any pool frame.
+// A pool hit takes the pool mutex to find its frame; a miss reads the page
+// with the mutex released, but re-takes it afterwards, and the post-apply
+// bytes reach the page's frame (Put) before they reach the pager (commit
+// and writeback). So a reader that gets a post-apply image, from a frame
+// or from the pager, is ordered after the apply's Put, hence after this
+// store, and its post-read check sees the mark. Snapshots below the
 // mark no longer hold back AwaitSnapshotsFrom, so its waiters are woken.
 func (s *Store) InvalidateSnapshotsBelow(limit uint64) {
 	for {

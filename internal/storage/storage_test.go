@@ -246,11 +246,11 @@ func TestBufferPoolEvictsOnlyClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := PageID(4); i < 40; i++ {
-		if _, err := bp.Get(i); err != nil {
+		if _, _, _, err := bp.page(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := bp.Get(3)
+	got, _, _, err := bp.page(3)
 	if err != nil {
 		t.Fatal(err)
 	}

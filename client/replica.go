@@ -15,7 +15,6 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"repro/internal/repl"
@@ -85,7 +84,7 @@ func (c *Client) endpoints(method, path string, body io.Reader) []string {
 // replica attempts only (the primary is trivially current).
 func (c *Client) minEpochFor(ctx context.Context, base string) string {
 	if v, ok := ctx.Value(minEpochCtxKey{}).([]uint64); ok && len(v) > 0 {
-		return formatEpochs(v)
+		return repl.FormatEpochs(v)
 	}
 	if !c.ryw || base == c.base {
 		return ""
@@ -95,18 +94,7 @@ func (c *Client) minEpochFor(ctx context.Context, base string) string {
 	if len(c.lastEpochs) == 0 {
 		return ""
 	}
-	return formatEpochs(c.lastEpochs)
-}
-
-func formatEpochs(eps []uint64) string {
-	var sb strings.Builder
-	for i, e := range eps {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.FormatUint(e, 10))
-	}
-	return sb.String()
+	return repl.FormatEpochs(c.lastEpochs)
 }
 
 // noteEpochs folds a response's X-Crimson-Epoch vector into the
@@ -117,14 +105,9 @@ func (c *Client) noteEpochs(resp *http.Response) {
 	if raw == "" {
 		return
 	}
-	parts := strings.Split(raw, ",")
-	eps := make([]uint64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return
-		}
-		eps[i] = v
+	eps, err := repl.ParseEpochs(raw)
+	if err != nil {
+		return
 	}
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()

@@ -394,61 +394,38 @@ func assemble(dbs []*relstore.DB) (*Repository, error) {
 // assembles a read-only Repository over the replica.
 //
 // The returned Repository serves snapshot reads that trail the primary
-// by the apply lag; writes are rejected until the follower is promoted
-// (Follower.Promote via the server's /v1/repl/promote, after which the
-// repository must be reopened or served through NewFollowerServer, which
-// refreshes it in place). Closing the Repository closes the replica
-// stores; call Follower.Stop first.
+// by the apply lag. A replica store refuses writer handles, so writes fail
+// until the follower is promoted (Follower.Promote, or the server's
+// /v1/repl/promote); after that the same Repository takes them, each
+// writer resolving its tables at its first write. Closing the Repository
+// closes the replica stores; call Follower.Stop first.
 func OpenFollower(ctx context.Context, path, primaryURL string) (*Repository, *Follower, error) {
 	fl, err := repl.OpenFollower(path, primaryURL, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	fl.Start(ctx)
-	if err := fl.WaitSynced(ctx); err != nil {
+	fail := func(err error) (*Repository, *Follower, error) {
 		fl.Stop()
 		for _, st := range fl.Stores() {
 			st.Close()
 		}
-		return nil, nil, fmt.Errorf("crimson: initial replica sync: %w", err)
+		return nil, nil, err
+	}
+	fl.Start(ctx)
+	if err := fl.WaitSynced(ctx); err != nil {
+		return fail(fmt.Errorf("crimson: initial replica sync: %w", err))
 	}
 	dbs := make([]*relstore.DB, len(fl.Stores()))
 	for i, st := range fl.Stores() {
-		dbs[i] = relstore.NewOnReplicaStore(st)
+		if dbs[i], err = relstore.NewOnStore(st); err != nil {
+			return fail(err)
+		}
 	}
-	r, err := assembleReplica(dbs)
+	r, err := assemble(dbs)
 	if err != nil {
-		fl.Stop()
-		shard.CloseAll(dbs)
-		return nil, nil, err
+		return fail(err)
 	}
 	return r, fl, nil
-}
-
-// assembleReplica builds the repository surface over replica databases
-// without initializing anything: replica repositories are read-only, and
-// snapshots resolve tables lazily at their pinned epoch.
-func assembleReplica(dbs []*relstore.DB) (*Repository, error) {
-	router, err := shard.NewRouter(len(dbs))
-	if err != nil {
-		return nil, err
-	}
-	trees, err := treestore.NewOnShardsReplica(dbs, router)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := species.NewOnShardsReplica(dbs, router)
-	if err != nil {
-		return nil, err
-	}
-	return &Repository{
-		dbs:      dbs,
-		router:   router,
-		writeMus: make([]sync.Mutex, len(dbs)),
-		Trees:    trees,
-		Species:  sp,
-		Queries:  queryrepo.NewOnReplicaDB(dbs[0]),
-	}, nil
 }
 
 // Shards reports the repository's shard count.
@@ -839,7 +816,7 @@ func (r *Repository) MVCCShards() []MVCCStats {
 // repository. Start it with Start/ListenAndServe (or mount it as an
 // http.Handler) and drive it with the typed client in repro/client:
 //
-//	srv := crimson.NewServer(repo, crimson.ServerConfig{Addr: ":8321"})
+//	srv := repo.NewServer(crimson.ServerConfig{Addr: ":8321"})
 //	if err := srv.Start(); err != nil { ... }
 //	defer srv.Shutdown(context.Background())
 func (r *Repository) NewServer(cfg ServerConfig) *Server {
@@ -853,15 +830,11 @@ func (r *Repository) NewServer(cfg ServerConfig) *Server {
 	}, cfg)
 }
 
-// NewServer builds crimsond over repo; see Repository.NewServer.
-func NewServer(repo *Repository, cfg ServerConfig) *Server { return repo.NewServer(cfg) }
-
 // NewFollowerServer builds crimsond over a replica repository opened
 // with OpenFollower. The server rejects writes with 403, serves every
 // read at the shard's last applied epoch, reports apply lag in
 // /v1/stats and /metrics, and turns into a writable primary on
-// POST /v1/repl/promote (which re-resolves the repository's writer handles
-// in place — no reopen needed).
+// POST /v1/repl/promote.
 func (r *Repository) NewFollowerServer(fl *Follower, cfg ServerConfig) *Server {
 	return server.New(server.Backend{
 		DBs:      r.dbs,

@@ -84,8 +84,12 @@ func TestHistoryPageSkipsGaps(t *testing.T) {
 	}
 	// Burn a stretch of ids: delete rows 2..4 straight from the table,
 	// leaving the counter (and ids 1, plus fresh ones above) intact.
+	tab, err := db.Table(tableName)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for id := int64(2); id <= 4; id++ {
-		if _, err := repo.tab.Delete(relstore.Int(id)); err != nil {
+		if _, err := tab.Delete(relstore.Int(id)); err != nil {
 			t.Fatal(err)
 		}
 	}

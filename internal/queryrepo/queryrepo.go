@@ -38,33 +38,29 @@ type Entry struct {
 // IDs stay unique and dense no matter how many recorders race. The history
 // is read through a View, which sees committed records only.
 type Repo struct {
-	db  *relstore.DB
-	mu  sync.Mutex // serializes Record/Clear (the id counter's read-modify-write)
-	tab *relstore.Table
+	db *relstore.DB
+	mu sync.Mutex // serializes Record (the id counter's read-modify-write)
 }
 
-// NewOnDB layers the repository over an existing database.
+// NewOnDB layers the repository over an existing database, creating the
+// history table on a writable one. A replica's arrives through
+// replication, and Record finds it (or creates it) at its first write
+// after a promote.
 func NewOnDB(db *relstore.DB) (*Repo, error) {
-	r := &Repo{db: db}
-	if err := r.Reload(); err != nil {
-		return nil, err
+	if !db.Store().IsReplica() {
+		if _, err := historyTable(db); err != nil {
+			return nil, err
+		}
 	}
-	return r, nil
+	return &Repo{db: db}, nil
 }
 
-// NewOnReplicaDB layers the repository over a replica database without
-// touching it: a replica can neither create the table nor record queries,
-// so the writer's handle stays unresolved until a promote calls Reload.
-// Views never notice — a snapshot reads the table as of its own epoch.
-func NewOnReplicaDB(db *relstore.DB) *Repo { return &Repo{db: db} }
-
-// Reload (re-)resolves the writer's table handle, creating the table where
-// missing. Called at construction and after a promote flips the
-// underlying store writable.
-func (r *Repo) Reload() error {
-	tab, err := r.db.Table(tableName)
+// historyTable returns the writer's handle on the history table, creating
+// the table where missing.
+func historyTable(db *relstore.DB) (*relstore.Table, error) {
+	tab, err := db.Table(tableName)
 	if errors.Is(err, relstore.ErrNoTable) {
-		tab, err = r.db.CreateTable(relstore.Schema{
+		tab, err = db.CreateTable(relstore.Schema{
 			Name: tableName,
 			Columns: []relstore.Column{
 				{Name: "id", Type: relstore.TInt},
@@ -79,13 +75,7 @@ func (r *Repo) Reload() error {
 			},
 		})
 	}
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.tab = tab
-	r.mu.Unlock()
-	return nil
+	return tab, err
 }
 
 // Record appends a query to the history: its kind, its JSON encoding as
@@ -97,12 +87,16 @@ func (r *Repo) Record(q Query, summary string) (Entry, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	id, err := r.nextID()
+	tab, err := historyTable(r.db)
+	if err != nil {
+		return Entry{}, err
+	}
+	id, err := nextID(tab)
 	if err != nil {
 		return Entry{}, err
 	}
 	e := Entry{ID: id, Time: time.Now(), Kind: q.Kind(), Args: string(argsJSON), Summary: summary}
-	err = r.tab.Insert(relstore.Tuple{
+	err = tab.Insert(relstore.Tuple{
 		relstore.Int(e.ID),
 		relstore.Int(e.Time.UnixNano()),
 		relstore.Str(e.Kind),
@@ -115,8 +109,8 @@ func (r *Repo) Record(q Query, summary string) (Entry, error) {
 	return e, nil
 }
 
-func (r *Repo) nextID() (int64, error) {
-	row, ok, err := r.tab.Get(relstore.Int(counterKey))
+func nextID(tab *relstore.Table) (int64, error) {
+	row, ok, err := tab.Get(relstore.Int(counterKey))
 	if err != nil {
 		return 0, err
 	}
@@ -128,7 +122,7 @@ func (r *Repo) nextID() (int64, error) {
 		}
 		next = counter.Time.UnixNano() + 1 // the counter row keeps the last id in its time column
 	}
-	err = r.tab.Put(relstore.Tuple{
+	err = tab.Put(relstore.Tuple{
 		relstore.Int(counterKey),
 		relstore.Int(next),
 		relstore.Str("_counter"),

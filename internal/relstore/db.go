@@ -20,6 +20,10 @@ var ErrNoTable = errors.New("relstore: no such table")
 // errTableExists is returned by CreateTable for duplicate names.
 var errTableExists = errors.New("relstore: table already exists")
 
+// errReplica is returned by the writer's side of a database over a replica
+// store.
+var errReplica = errors.New("relstore: replica is read-only (promote before writing)")
+
 // catalogEntry is the persisted description of one table. Created is the
 // epoch of the first commit that could carry the table (see
 // TableView.Created); entries written before it existed decode as 0.
@@ -44,7 +48,7 @@ type catalogEntry struct {
 type DB struct {
 	mu      sync.Mutex
 	store   *storage.Store
-	catalog *storage.BTree
+	catalog *storage.BTree // the writer's; nil until its first use
 	tables  map[string]*Table
 	views   atomic.Pointer[epochViews] // of the newest epoch a snapshot read
 }
@@ -59,7 +63,7 @@ func OpenDB(path string) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := newDB(store)
+	db, err := NewOnStore(store)
 	if err == nil && store.Incomplete() {
 		if _, err = db.account(); err == nil {
 			err = db.Commit()
@@ -85,64 +89,61 @@ func (db *DB) account() (int, error) {
 	return db.store.ReclaimUnreachable(sn.ss, reachable)
 }
 
-// NewOnReplicaStore layers a database over a replication-follower store.
-// Nothing is bootstrapped or committed: a replica's pages arrive solely
-// through applied batches, so the catalog is opened at whatever root the
-// replicated meta page names (nil until the primary's first commit
-// arrives; Reload picks it up).
-func NewOnReplicaStore(store *storage.Store) *DB {
-	db := &DB{store: store, tables: make(map[string]*Table)}
-	if root := store.Root(catalogRootSlot); root != 0 {
-		db.catalog = storage.OpenBTree(store, root)
-	}
-	return db
-}
-
-// Reload reopens the catalog at the store's current root slot and drops
-// every cached writer's handle, and the table views snapshots share: on a
-// follower applied batches move the roots under them (snapshots bind to the
-// views of their own epoch and never notice). A promote calls it before the
-// first write.
-func (db *DB) Reload() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.views.Store(nil)
-	if root := db.store.Root(catalogRootSlot); root != 0 {
-		db.catalog = storage.OpenBTree(db.store, root)
-	} else {
-		db.catalog = nil
-	}
-	db.tables = make(map[string]*Table)
-}
-
 // OpenMemDB opens a database backed entirely by memory.
 func OpenMemDB() *DB {
-	db, err := newDB(storage.OpenMem())
+	db, err := NewOnStore(storage.OpenMem())
 	if err != nil {
 		panic("relstore: open mem db: " + err.Error())
 	}
 	return db
 }
 
-func newDB(store *storage.Store) (*DB, error) {
+// NewOnStore layers a database over an open page store. A writable store
+// without a catalog gets an empty one, published as its first epoch. A
+// replica is left untouched: its pages arrive solely through applied
+// batches, and its writer side (Table, CreateTable, DropTable) refuses
+// until the store is promoted.
+func NewOnStore(store *storage.Store) (*DB, error) {
 	db := &DB{store: store, tables: make(map[string]*Table)}
-	root := store.Root(catalogRootSlot)
-	if root == 0 {
-		tree, err := storage.NewBTree(store)
-		if err != nil {
-			return nil, err
-		}
-		db.catalog = tree
-		store.SetRoot(catalogRootSlot, tree.Root())
-		// Publish the empty catalog so snapshots taken before the first
-		// user commit see an empty database rather than no database.
-		if err := store.Commit(); err != nil {
-			return nil, err
-		}
-	} else {
-		db.catalog = storage.OpenBTree(store, root)
+	if store.IsReplica() || store.Root(catalogRootSlot) != 0 {
+		return db, nil
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, err := db.catalogLocked(); err != nil {
+		return nil, err
+	}
+	// Publish the empty catalog so snapshots taken before the first user
+	// commit see an empty database rather than no database.
+	if err := store.Commit(); err != nil {
+		return nil, err
 	}
 	return db, nil
+}
+
+// catalogLocked returns the writer's catalog, opened at its first use from
+// the store's root slot (created empty if the slot is empty), so a
+// promoted replica's writer starts at the root its last applied batch
+// left. A replica store refuses: this is the one check that keeps writers
+// off it. The caller holds db.mu.
+func (db *DB) catalogLocked() (*storage.BTree, error) {
+	if db.store.IsReplica() {
+		return nil, errReplica
+	}
+	if db.catalog != nil {
+		return db.catalog, nil
+	}
+	if root := db.store.Root(catalogRootSlot); root != 0 {
+		db.catalog = storage.OpenBTree(db.store, root)
+		return db.catalog, nil
+	}
+	tree, err := storage.NewBTree(db.store)
+	if err != nil {
+		return nil, err
+	}
+	db.catalog = tree
+	db.store.SetRoot(catalogRootSlot, tree.Root())
+	return tree, nil
 }
 
 // Store exposes the underlying page store (used by tests and fsck).
@@ -156,9 +157,6 @@ func (db *DB) MVCC() storage.MVCCStats { return db.store.MVCC() }
 func (db *DB) CreateTable(schema Schema) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
-	}
-	if db.store.IsReplica() {
-		return nil, fmt.Errorf("relstore: replica is read-only: cannot create table %s", schema.Name)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -200,6 +198,8 @@ func (db *DB) CreateTable(schema Schema) (*Table, error) {
 }
 
 // Table returns the named table, loading it from the catalog if needed.
+// Over a replica store it refuses, as CreateTable and DropTable do: the
+// writer's handles resolve at their first use after a promote.
 func (db *DB) Table(name string) (*Table, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -207,13 +207,14 @@ func (db *DB) Table(name string) (*Table, error) {
 }
 
 func (db *DB) loadTable(name string) (*Table, error) {
+	catalog, err := db.catalogLocked()
+	if err != nil {
+		return nil, err
+	}
 	if t, ok := db.tables[name]; ok {
 		return t, nil
 	}
-	if db.catalog == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
-	}
-	enc, ok, err := db.catalog.Get(catalogKey(name))
+	enc, ok, err := catalog.Get(catalogKey(name))
 	if err != nil {
 		return nil, err
 	}

@@ -328,7 +328,7 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 // for as long as the Row is kept — they read what they read when handed out,
 // and the scan goes on over the snapshot's rows as if nothing had happened.
 func TestScanRowsSurviveRewriteAndEviction(t *testing.T) {
-	db, err := newDB(storage.OpenMemWithPoolLimit(16))
+	db, err := NewOnStore(storage.OpenMemWithPoolLimit(16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,9 +229,9 @@ func TestRecreatedTableViewsPerEpoch(t *testing.T) {
 }
 
 // TestFollowerViewsPerAppliedEpoch: on a follower, every applied batch is a
-// new epoch with views of its own; Reload, and a promote, which calls it,
-// drop the shared views, so the next snapshot decodes afresh and reads what
-// the last batch holds.
+// new epoch with views of its own. The writer's side refuses until a
+// promote; then it opens at the root the last batch left, without a reload,
+// and finds the table that arrived after the database was opened.
 func TestFollowerViewsPerAppliedEpoch(t *testing.T) {
 	dir := t.TempDir()
 	pdb, err := OpenDB(filepath.Join(dir, "primary.db"))
@@ -250,7 +250,10 @@ func TestFollowerViewsPerAppliedEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fdb := NewOnReplicaStore(fstore)
+	fdb, err := NewOnStore(fstore)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer fdb.Close()
 	apply := func() {
 		t.Helper()
@@ -293,18 +296,21 @@ func TestFollowerViewsPerAppliedEpoch(t *testing.T) {
 		t.Fatal("a follower snapshot after an applied batch reuses the old epoch's view")
 	}
 
-	fdb.Reload()
-	v3 := read("[0=two 1=two]")
-	if v3 == v2 {
-		t.Fatal("Reload kept the shared views")
+	if _, err := fdb.Table("t"); !errors.Is(err, errReplica) {
+		t.Fatalf("Table on a replica: %v, want %v", err, errReplica)
+	}
+	if _, err := fdb.CreateTable(snapTestSchema("u")); !errors.Is(err, errReplica) {
+		t.Fatalf("CreateTable on a replica: %v, want %v", err, errReplica)
+	}
+	if err := fdb.DropTable("t"); !errors.Is(err, errReplica) {
+		t.Fatalf("DropTable on a replica: %v, want %v", err, errReplica)
 	}
 
 	if err := fstore.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	fdb.Reload()
-	if v4 := read("[0=two 1=two]"); v4 == v3 {
-		t.Fatal("promote kept the shared views")
+	if v3 := read("[0=two 1=two]"); v3 != v2 {
+		t.Fatal("a snapshot of the promoted epoch decoded the table again")
 	}
 	ftab, err := fdb.Table("t")
 	if err != nil {

@@ -424,9 +424,10 @@ func (f *Follower) WaitSynced(ctx context.Context) error {
 }
 
 // Promote stops the apply loops and flips every shard store to a
-// writable primary. The serving layer completes the promotion (catalog
-// reload, accepting writes); replication of already-applied epochs is
-// preserved — nothing the primary WAL-fsynced and shipped is lost. A store
+// writable primary; the databases over them take writes from then on, and
+// a server over them opens its write path. Replication of already-applied
+// epochs is preserved — nothing the primary WAL-fsynced and shipped is
+// lost. A store
 // whose list of unreachable pages does not read stays a follower, and the
 // error says which; promoting again retries it.
 func (f *Follower) Promote() error {

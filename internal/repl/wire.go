@@ -32,6 +32,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"repro/internal/storage"
 )
@@ -180,4 +182,33 @@ func (fr *frameReader) readFrame() (frame, []storage.DirtyPage, error) {
 		pages = append(pages, storage.DirtyPage{ID: storage.PageID(binary.LittleEndian.Uint64(idb[:])), Data: dst})
 	}
 	return f, pages, nil
+}
+
+// FormatEpochs renders a per-shard epoch vector the way the X-Crimson-Epoch
+// and X-Crimson-Min-Epoch headers carry it: decimal epochs joined by commas,
+// shard 0 first.
+func FormatEpochs(eps []uint64) string {
+	var sb strings.Builder
+	for i, e := range eps {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(strconv.FormatUint(e, 10))
+	}
+	return sb.String()
+}
+
+// ParseEpochs reads a vector in FormatEpochs' form; spaces around an epoch
+// are allowed.
+func ParseEpochs(raw string) ([]uint64, error) {
+	parts := strings.Split(raw, ",")
+	eps := make([]uint64, len(parts))
+	for i, p := range parts {
+		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad epoch %q: %w", p, err)
+		}
+		eps[i] = v
+	}
+	return eps, nil
 }

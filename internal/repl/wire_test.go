@@ -3,6 +3,7 @@ package repl
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -129,4 +130,25 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEpochsCodec: a vector survives FormatEpochs and ParseEpochs, spaces
+// around an epoch are allowed, and a malformed vector is an error.
+func TestEpochsCodec(t *testing.T) {
+	eps := []uint64{3, 0, 1<<64 - 1}
+	raw := FormatEpochs(eps)
+	if raw != "3,0,18446744073709551615" {
+		t.Fatalf("FormatEpochs = %q", raw)
+	}
+	for _, in := range []string{raw, " 3, 0 ,18446744073709551615 "} {
+		got, err := ParseEpochs(in)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(eps) {
+			t.Fatalf("ParseEpochs(%q) = %v, %v", in, got, err)
+		}
+	}
+	for _, bad := range []string{"", "x", "1,,2", "1,-2", "1;2", "18446744073709551616"} {
+		if got, err := ParseEpochs(bad); err == nil {
+			t.Errorf("ParseEpochs(%q) = %v, want an error", bad, got)
+		}
+	}
 }

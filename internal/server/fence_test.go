@@ -11,6 +11,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	crimson "repro"
 	"repro/client"
 	"repro/internal/obs"
+	"repro/internal/repl"
 	"repro/internal/shard"
 	"repro/internal/treegen"
 )
@@ -75,14 +77,6 @@ func epochVector(t *testing.T, cl *client.Client) []uint64 {
 	return eps
 }
 
-func formatVector(eps []uint64) string {
-	parts := make([]string, len(eps))
-	for i, e := range eps {
-		parts[i] = strconv.FormatUint(e, 10)
-	}
-	return strings.Join(parts, ",")
-}
-
 // awaitCounter polls the process-global engine counters until name has
 // grown by delta over base (the test's own observation loop — the code
 // under test does not poll).
@@ -133,7 +127,7 @@ func TestFenceWakesOnceOnTheApply(t *testing.T) {
 
 	before := crimson.EngineCounters()
 	hist := obs.ReplFenceWait.Snapshot()
-	done := startFencedInfo(fcl.BaseURL(), "fw", formatVector(want))
+	done := startFencedInfo(fcl.BaseURL(), "fw", repl.FormatEpochs(want))
 	awaitCounter(t, "repl_fence_waits", before["repl_fence_waits"], 1)
 	time.Sleep(50 * time.Millisecond)
 	select {
@@ -255,7 +249,7 @@ func TestFenceMedianWaitIsTheApplyLag(t *testing.T) {
 		if err := pcl.PutSpeciesDataCtx(ctx, "med", leaves[i%len(leaves)], "seq:test", []byte(strconv.Itoa(i))); err != nil {
 			t.Fatal(err)
 		}
-		status, _, wait, err := fencedInfo(ctx, fcl.BaseURL(), "med", formatVector(pcl.LastEpochs()))
+		status, _, wait, err := fencedInfo(ctx, fcl.BaseURL(), "med", repl.FormatEpochs(pcl.LastEpochs()))
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("round %d: HTTP %d, err %v", i, status, err)
 		}
@@ -305,7 +299,7 @@ func TestFenceWaitsOnTheLaggingShardOnly(t *testing.T) {
 	want[lagging]++
 
 	before := crimson.EngineCounters()["repl_fence_waits"]
-	done := startFencedInfo(fcl.BaseURL(), onLagging, formatVector(want))
+	done := startFencedInfo(fcl.BaseURL(), onLagging, repl.FormatEpochs(want))
 	awaitCounter(t, "repl_fence_waits", before, 1)
 	put := func(tree string) {
 		t.Helper()
@@ -391,4 +385,28 @@ func BenchmarkFencedReadAfterWrite(b *testing.B) {
 	after := obs.ReplFenceWait.Snapshot()
 	b.ReportMetric(float64(after.SumNS-before.SumNS)/float64(b.N), "fence_wait_ns/op")
 	b.ReportMetric(float64(after.Count-before.Count)/float64(b.N), "fenced_blocked/op")
+}
+
+// TestClientIgnoresMalformedEpochHeader: the client folds each well-formed
+// X-Crimson-Epoch into its vector and skips a malformed one, keeping the
+// vector it had.
+func TestClientIgnoresMalformedEpochHeader(t *testing.T) {
+	headers := []string{"2,5", "9,x", "3,4", "1,7"}
+	var served int
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Crimson-Epoch", headers[served])
+		served++
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"trees":[]}`)
+	}))
+	defer ts.Close()
+	cl := client.New(ts.URL, nil)
+	for i, want := range []string{"[2 5]", "[2 5]", "[3 5]", "[3 7]"} {
+		if _, err := cl.TreesCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(cl.LastEpochs()); got != want {
+			t.Fatalf("after X-Crimson-Epoch %q: LastEpochs %s, want %s", headers[i], got, want)
+		}
+	}
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -49,34 +48,10 @@ func (s *Server) epochVector() []uint64 {
 	return eps
 }
 
-func formatEpochVector(eps []uint64) string {
-	var sb strings.Builder
-	for i, e := range eps {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.FormatUint(e, 10))
-	}
-	return sb.String()
-}
-
-func parseEpochVector(raw string) ([]uint64, error) {
-	parts := strings.Split(raw, ",")
-	eps := make([]uint64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad epoch %q: %w", p, err)
-		}
-		eps[i] = v
-	}
-	return eps, nil
-}
-
 // setEpochHeader stamps the response with the current epoch vector. It
 // must run before the status line is written.
 func (s *Server) setEpochHeader(w http.ResponseWriter) {
-	w.Header().Set("X-Crimson-Epoch", formatEpochVector(s.epochVector()))
+	w.Header().Set("X-Crimson-Epoch", repl.FormatEpochs(s.epochVector()))
 }
 
 // awaitMinEpoch implements the X-Crimson-Min-Epoch wait. The vector is
@@ -90,7 +65,7 @@ func (s *Server) awaitMinEpoch(r *http.Request) error {
 	if raw == "" {
 		return nil
 	}
-	want, err := parseEpochVector(raw)
+	want, err := repl.ParseEpochs(raw)
 	if err != nil {
 		return badRequest("bad X-Crimson-Min-Epoch: %v", err)
 	}
@@ -138,7 +113,7 @@ func (s *Server) awaitMinEpoch(r *http.Request) error {
 		obs.Engine.Add(obs.CtrReplFenceTimeouts, 1)
 		return &httpErr{status: http.StatusConflict, msg: fmt.Sprintf(
 			"replica lags the requested epoch (have %s, want %s); retry on the primary",
-			formatEpochVector(s.epochVector()), formatEpochVector(want))}
+			repl.FormatEpochs(s.epochVector()), repl.FormatEpochs(want))}
 	}
 	return err
 }
@@ -214,10 +189,9 @@ func (s *Server) handleReplPromote(*req) (any, error) {
 }
 
 // promote completes a failover: stop the apply loops, flip the stores
-// writable, re-resolve every repository's writer handles (creating tables
-// a young replica never saw), commit, and open the write path. Idempotent
-// — a second call returns 409. The writer mutexes are all held across the
-// flip so the first real write starts against fully promoted state.
+// writable, commit, and open the write path. Idempotent — a second call
+// returns 409. The writer mutexes are all held across the flip so the
+// first real write starts against fully promoted state.
 func (s *Server) promote() error {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -246,28 +220,18 @@ func (s *Server) promote() error {
 	}
 	s.promoteDegraded.Store(false)
 	s.readOnly.Store(false)
-	s.logf("crimsond: promoted to primary (epochs %s)", formatEpochVector(s.epochVector()))
+	s.logf("crimsond: promoted to primary (epochs %s)", repl.FormatEpochs(s.epochVector()))
 	return nil
 }
 
-// finishPromote runs the post-flip promotion steps: re-resolve every
-// repository's writer handles and commit. Idempotent, so a failed promote
-// can be retried end to end. The result cache stays: its keys name tree
-// versions the store stamped, and the tables the new primary creates get
-// later ones.
+// finishPromote commits every shard, so the promoted state is durable
+// before the write path opens. Idempotent, so a failed promote can be
+// retried end to end. The writers need no step of their own: a replica
+// store refuses their handles, and once promoted they resolve at their
+// first write. The result cache stays:
+// its keys name tree versions the store stamped, and the tables the new
+// primary creates get later ones.
 func (s *Server) finishPromote() error {
-	for _, db := range s.be.DBs {
-		db.Reload()
-	}
-	if err := s.be.Trees.Reload(); err != nil {
-		return fmt.Errorf("promote: reloading tree repository: %w", err)
-	}
-	if err := s.be.Species.Reload(); err != nil {
-		return fmt.Errorf("promote: reloading species repository: %w", err)
-	}
-	if err := s.be.Queries.Reload(); err != nil {
-		return fmt.Errorf("promote: reloading query repository: %w", err)
-	}
 	for i, db := range s.be.DBs {
 		if err := db.Commit(); err != nil {
 			return fmt.Errorf("promote: committing shard %d: %w", i, err)

@@ -338,6 +338,9 @@ func TestReplicaPromote(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
+	if _, err := pcl.LoadTreeCtx(ctx, "d", 0, yule(t, 80, 32)); err != nil {
+		t.Fatalf("load: %v", err)
+	}
 	waitCaughtUp(t, pcl, fcl)
 	pst, err := pcl.ReplStatusCtx(ctx)
 	if err != nil {
@@ -395,6 +398,33 @@ func TestReplicaPromote(t *testing.T) {
 	}
 	if exp.NumLeaves() != gold.NumLeaves() {
 		t.Fatalf("promoted tree has %d leaves, want %d", exp.NumLeaves(), gold.NumLeaves())
+	}
+
+	// Every writer takes writes: a load, the delete of a replicated tree,
+	// and the history records both leave on shard 0.
+	if _, err := fcl.LoadTreeCtx(ctx, "q", 0, yule(t, 90, 33)); err != nil {
+		t.Fatalf("load after promote: %v", err)
+	}
+	if err := fcl.DeleteCtx(ctx, "d"); err != nil {
+		t.Fatalf("delete of a replicated tree after promote: %v", err)
+	}
+	if _, err := fcl.InfoCtx(ctx, "d"); !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+		t.Fatalf("info of the deleted tree = %v, want HTTP 404", err)
+	}
+	if info, err := fcl.InfoCtx(ctx, "q"); err != nil || info.Leaves != 90 {
+		t.Fatalf("tree loaded after promote: %+v err=%v", info, err)
+	}
+	hist, err := fcl.HistoryCtx(ctx, 0)
+	if err != nil {
+		t.Fatalf("history after promote: %v", err)
+	}
+	var loaded, deleted bool
+	for _, e := range hist {
+		loaded = loaded || e.Kind == "load" && strings.Contains(e.Args, `"tree":"q"`)
+		deleted = deleted || e.Kind == "delete" && strings.Contains(e.Args, `"tree":"d"`)
+	}
+	if !loaded || !deleted {
+		t.Fatalf("history after promote records the load %v and the delete %v: %+v", loaded, deleted, hist)
 	}
 
 	// The promoted server keeps its result cache: of three identical

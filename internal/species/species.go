@@ -31,14 +31,14 @@ const tableName = "species_data"
 // its sequences always live (and are deleted) together.
 type Repo struct {
 	dbs    []*relstore.DB
-	tabs   []*relstore.Table // one species_data table per shard
 	router *shard.Router
 }
 
-// initShard opens the shard's table, creating it where missing: one B+tree,
-// keyed tree/species/kind. Tables created with by_species and by_tree keep
-// them, kept consistent by the writer and read by nothing.
-func initShard(db *relstore.DB) (*relstore.Table, error) {
+// dataTable returns the writer's handle on the shard's table, creating it
+// where missing: one B+tree, keyed tree/species/kind. Tables created with
+// by_species and by_tree keep them, kept consistent by the writer and read
+// by nothing.
+func dataTable(db *relstore.DB) (*relstore.Table, error) {
 	tab, err := db.Table(tableName)
 	if errors.Is(err, relstore.ErrNoTable) {
 		tab, err = db.CreateTable(relstore.Schema{
@@ -58,52 +58,28 @@ func initShard(db *relstore.DB) (*relstore.Table, error) {
 
 // NewOnShards layers the repository over one database per shard, using the
 // same router as the tree repository so species data lands on its tree's
-// shard.
+// shard. A writable shard gets its table here; a replica's arrives through
+// replication, and the writer finds it (or creates it) at its first write
+// after a promote.
 func NewOnShards(dbs []*relstore.DB, router *shard.Router) (*Repo, error) {
 	if router.N() != len(dbs) {
 		return nil, fmt.Errorf("species: router covers %d shards, got %d databases", router.N(), len(dbs))
 	}
-	r := &Repo{dbs: dbs, tabs: make([]*relstore.Table, len(dbs)), router: router}
-	if err := r.Reload(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// NewOnShardsReplica layers the repository over replica databases without
-// touching them: a replica can neither create the table nor accept writes,
-// so the writer's handles stay unresolved until a promote calls Reload.
-// Views never notice — a snapshot reads the tables as of its own epoch.
-func NewOnShardsReplica(dbs []*relstore.DB, router *shard.Router) (*Repo, error) {
-	if router.N() != len(dbs) {
-		return nil, fmt.Errorf("species: router covers %d shards, got %d databases", router.N(), len(dbs))
-	}
-	return &Repo{dbs: dbs, tabs: make([]*relstore.Table, len(dbs)), router: router}, nil
-}
-
-// Reload (re-)resolves the writer's table handle of every shard, creating
-// the table where missing. Called at construction and after a promote flips
-// the underlying stores writable.
-func (r *Repo) Reload() error {
-	for i, db := range r.dbs {
-		tab, err := initShard(db)
-		if err != nil {
-			return fmt.Errorf("species: initializing shard %d: %w", i, err)
+	for i, db := range dbs {
+		if db.Store().IsReplica() {
+			continue
 		}
-		r.tabs[i] = tab
+		if _, err := dataTable(db); err != nil {
+			return nil, fmt.Errorf("species: initializing shard %d: %w", i, err)
+		}
 	}
-	return nil
+	return &Repo{dbs: dbs, router: router}, nil
 }
 
 // tabFor returns the writer's handle on the shard table that owns records of
-// the given tree. On a replica it is unresolved, and a clear error beats a
-// nil dereference.
+// the given tree.
 func (r *Repo) tabFor(tree string) (*relstore.Table, error) {
-	tab := r.tabs[r.router.Place(tree)]
-	if tab == nil {
-		return nil, fmt.Errorf("species: repository is a read-only replica (promote before writing)")
-	}
-	return tab, nil
+	return dataTable(r.dbs[r.router.Place(tree)])
 }
 
 func key(tree, sp, kind string) string { return tree + "/" + sp + "/" + kind }

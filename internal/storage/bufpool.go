@@ -186,14 +186,17 @@ func (bp *bufferPool) Put(id PageID, img []byte) error {
 	return nil
 }
 
-// Grow extends the pager by one page and installs a zeroed dirty frame.
+// Grow extends the pager by one page and installs a zeroed dirty frame. The
+// file extension runs without bp.mu, so no pool hit waits it out: the Store
+// allocates under its own mutex, and no reader asks for a page before its
+// allocation returns.
 func (bp *bufferPool) Grow() (PageID, error) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
 	id, err := bp.pager.Grow()
 	if err != nil {
 		return 0, err
 	}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	f := &frame{id: id, data: zeroPage}
 	bp.frames[id] = f
 	bp.markDirty(f)

@@ -25,12 +25,14 @@ import (
 // id reports on entered and then waits for release. With
 // readFirst the read takes the page's bytes before it waits (so it returns
 // the bytes the page had when the read began); without, after. failFirst
-// fails the first read of id, once released.
+// fails the first read of id, once released. With blockGrow, Grow reports
+// and waits the same way before it extends the file.
 type blockingPager struct {
 	pageFile
 	id        PageID
 	readFirst bool
 	failFirst bool
+	blockGrow bool
 	entered   chan struct{} // buffered past any test's reads, so none waits to report
 	release   chan struct{} // closed by open
 	opened    sync.Once
@@ -64,6 +66,14 @@ func (p *blockingPager) ReadPage(id PageID, buf []byte) error {
 		err = p.pageFile.ReadPage(id, buf)
 	}
 	return err
+}
+
+func (p *blockingPager) Grow() (PageID, error) {
+	if p.blockGrow {
+		p.entered <- struct{}{}
+		<-p.release
+	}
+	return p.pageFile.Grow()
 }
 
 // pageImage is a page of PageSize bytes that starts with tag.
@@ -163,6 +173,41 @@ func TestPoolHitDoesNotWaitForMiss(t *testing.T) {
 	}
 	if miss.err != nil || miss.how != poolMiss || !bytes.Equal(miss.img, pageImage("one")) {
 		t.Fatalf("miss: how %d, err %v, or not page 1's image", miss.how, miss.err)
+	}
+}
+
+// TestPoolHitDoesNotWaitForGrow: while the pager extends the file, a hit on
+// a resident page returns, and the grown page's frame is installed once the
+// extension is done.
+func TestPoolHitDoesNotWaitForGrow(t *testing.T) {
+	bpager := newBlockingPager(memPages(t, pageImage("zero")), 1) // page 1 is grown, never read
+	bpager.blockGrow = true
+	bp := newBufferPool(bpager, 16)
+	if _, _, _, err := bp.page(0); err != nil {
+		t.Fatal(err)
+	}
+	var grown PageID
+	growErr := make(chan error, 1)
+	go func() {
+		var err error
+		grown, err = bp.Grow()
+		growErr <- err
+	}()
+	<-bpager.entered
+	var hit pageRead
+	if !finishes(bpager, func() { hit.img, _, hit.how, hit.err = bp.page(0) }) {
+		t.Error("a hit on a resident page waited for the pager to grow")
+	}
+	bpager.open()
+	if err := <-growErr; err != nil {
+		t.Fatal(err)
+	}
+	if hit.err != nil || hit.how != poolHit || !bytes.Equal(hit.img, pageImage("zero")) {
+		t.Fatalf("hit: how %d, err %v, or not page 0's image", hit.how, hit.err)
+	}
+	img, _, how, err := bp.page(grown)
+	if err != nil || how != poolHit || !bytes.Equal(img, zeroPage) || grown != 1 {
+		t.Fatalf("grown page %d: how %d, err %v, or not a zeroed frame", grown, how, err)
 	}
 }
 

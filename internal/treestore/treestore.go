@@ -81,47 +81,31 @@ func (s *Store) dbFor(name string) *relstore.DB {
 // NewOnShards layers a tree repository over one database per shard. The
 // router decides which shard owns each tree name; it must describe exactly
 // len(dbs) shards and must be the same router the databases were written
-// under, or reopened trees would be looked up on the wrong shard.
+// under, or reopened trees would be looked up on the wrong shard. A
+// writable shard gets its trees catalog table here; a replica's arrives
+// through replication, and its writers find it (or create it, on a
+// never-written primary) at their first write after a promote.
 func NewOnShards(dbs []*relstore.DB, router *shard.Router) (*Store, error) {
 	if router.N() != len(dbs) {
 		return nil, fmt.Errorf("treestore: router covers %d shards, got %d databases", router.N(), len(dbs))
 	}
-	s := &Store{dbs: dbs, router: router}
 	for i, db := range dbs {
-		if err := initShard(db); err != nil {
+		if db.Store().IsReplica() {
+			continue
+		}
+		if _, err := treesTable(db); err != nil {
 			return nil, fmt.Errorf("treestore: initializing shard %d: %w", i, err)
 		}
-	}
-	return s, nil
-}
-
-// NewOnShardsReplica layers a tree repository over replica databases
-// without initializing them: the trees catalog table arrives via
-// replication, and the repository resolves every table lazily per
-// operation anyway (it caches no handles). After a promote, Reload makes
-// sure the catalog table exists (it may not on a never-written primary).
-func NewOnShardsReplica(dbs []*relstore.DB, router *shard.Router) (*Store, error) {
-	if router.N() != len(dbs) {
-		return nil, fmt.Errorf("treestore: router covers %d shards, got %d databases", router.N(), len(dbs))
 	}
 	return &Store{dbs: dbs, router: router}, nil
 }
 
-// Reload re-initializes every shard (creating the trees catalog table
-// where missing). Called after a promote flips the stores writable.
-func (s *Store) Reload() error {
-	for i, db := range s.dbs {
-		if err := initShard(db); err != nil {
-			return fmt.Errorf("treestore: initializing shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-func initShard(db *relstore.DB) error {
-	_, err := db.Table("trees")
+// treesTable returns the writer's handle on the shard's trees catalog
+// table, creating the table where missing.
+func treesTable(db *relstore.DB) (*relstore.Table, error) {
+	tab, err := db.Table("trees")
 	if errors.Is(err, relstore.ErrNoTable) {
-		_, err = db.CreateTable(relstore.Schema{
+		tab, err = db.CreateTable(relstore.Schema{
 			Name: "trees",
 			Columns: []relstore.Column{
 				{Name: "name", Type: relstore.TString},
@@ -134,7 +118,7 @@ func initShard(db *relstore.DB) error {
 			Key: "name",
 		})
 	}
-	return err
+	return tab, err
 }
 
 func validName(name string) bool {
@@ -439,7 +423,7 @@ func (s *Store) PrepareLoad(name string, t *phylo.Tree, f int, opts LoadOptions,
 func (p *PreparedLoad) Apply() error {
 	start := time.Now()
 	name := p.info.Name
-	trees, err := p.db.Table("trees")
+	trees, err := treesTable(p.db)
 	if err != nil {
 		return err
 	}
@@ -608,7 +592,7 @@ func (s *Store) Delete(name string) error {
 // transaction to the caller, who is the shard's one writer while it runs.
 func (s *Store) Drop(name string) error {
 	db := s.dbFor(name)
-	trees, err := db.Table("trees")
+	trees, err := treesTable(db)
 	if err != nil {
 		return err
 	}

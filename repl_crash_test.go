@@ -453,3 +453,98 @@ func TestCrashMatrixReplPromoteAfterCatchUp(t *testing.T) {
 		t.Fatalf("reloading the dropped tree on the promoted follower grew its page files from %d to %d bytes", size, grown)
 	}
 }
+
+// TestFacadeFollowerWritesAfterPromote promotes a follower opened through
+// the facade, with no server over it, and writes through the same
+// Repository: a species put, the delete of a tree that replicated after the
+// follower opened, and a load whose history record lands on shard 0. Each
+// writer resolves its tables at its first write after the promote.
+func TestFacadeFollowerWritesAfterPromote(t *testing.T) {
+	shards := matrixShards(t)
+	repo, srv, url := startReplPrimary(t, shards)
+	defer repo.Close()
+	defer srv.Shutdown(context.Background())
+	cl := client.New(url, nil)
+	ctx := context.Background()
+
+	gen := func(n int, seed int64) *crimson.Tree {
+		t.Helper()
+		tr, err := crimson.GenerateYule(n, 1.0, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	if _, err := cl.LoadTreeCtx(ctx, "early", 0, gen(120, 31)); err != nil {
+		t.Fatal(err)
+	}
+	fctx, fcancel := context.WithCancel(ctx)
+	defer fcancel()
+	frepo, fl, err := crimson.OpenFollower(fctx, filepath.Join(t.TempDir(), "follower"), url)
+	if err != nil {
+		t.Fatalf("opening follower: %v", err)
+	}
+	defer frepo.Close()
+	defer fl.Stop()
+	if _, err := cl.LoadTreeCtx(ctx, "late", 0, gen(150, 32)); err != nil {
+		t.Fatal(err)
+	}
+	pShards := repo.MVCCShards()
+	deadline := time.Now().Add(30 * time.Second)
+	for i, sh := range fl.Status().Shards {
+		for sh.Epoch < pShards[i].Epoch {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower never converged: %+v vs %+v", fl.Status(), pShards)
+			}
+			time.Sleep(5 * time.Millisecond)
+			sh = fl.Status().Shards[i]
+		}
+	}
+	if err := fl.Promote(); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+
+	if err := frepo.Species.Put("early", "sp1", "seq:test", []byte("after promote")); err != nil {
+		t.Errorf("Species.Put after promote: %v", err)
+	}
+	if err := frepo.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := frepo.Trees.Delete("late"); err != nil {
+		t.Errorf("Trees.Delete of a tree replicated after the open: %v", err)
+	}
+	load := func() (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
+			}
+		}()
+		_, err = frepo.LoadTree("after", gen(80, 33), crimson.DefaultFanout, nil)
+		return err
+	}
+	if err := load(); err != nil {
+		t.Fatalf("LoadTree after promote: %v", err)
+	}
+
+	snap := frepo.Snapshot()
+	defer snap.Close()
+	if data, err := snap.SpeciesView.Get("early", "sp1", "seq:test"); err != nil || string(data) != "after promote" {
+		t.Errorf("species record after promote: %q err=%v", data, err)
+	}
+	if _, err := snap.Tree("late"); err == nil {
+		t.Error("tree late is still there after its delete")
+	}
+	if _, err := snap.Tree("after"); err != nil {
+		t.Errorf("tree loaded after promote: %v", err)
+	}
+	hist, err := snap.QueryView.History(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist) != 1 || hist[0].Kind != "load" || !strings.Contains(hist[0].Args, `"tree":"after"`) {
+		t.Errorf("newest history entry after the load: %+v", hist)
+	}
+	if err := frepo.Check(); err != nil {
+		t.Fatalf("post-promote integrity: %v", err)
+	}
+}

@@ -50,10 +50,12 @@
 // tens of microseconds; superseded pages are reclaimed by epoch once the last
 // snapshot that could read them closes.
 //
-// Mutations — LoadTree, Trees.Delete, Species.Put, Queries.Record, Commit —
-// take their shard's writer mutex; callers must not run two writer
-// goroutines against the same shard at once, but writers on different shards
-// (loads of different trees that hash apart) proceed in parallel. Loads use
+// LoadTree, LoadNexus and Commit take the per-shard writer mutexes, the
+// same ones a server over the repository (NewServer) writes under, so
+// loads of different trees that hash apart proceed in parallel and no
+// commit captures a load half applied. Trees.Delete, Species.Put and
+// Queries.Record take no mutex: their callers must not run them beside
+// another writer of the same shard (shard 0 for Queries.Record). Loads use
 // a sorted bulk-load fast path that builds the node relation and its indexes
 // bottom-up rather than one B+tree descent per row. In-memory helpers
 // (Index, Planner, pattern match, RunBenchmark) are read-only after
@@ -222,18 +224,15 @@ var (
 // A Repository is safe for any number of snapshot readers plus one writer
 // per shard (see the package comment's Concurrency section).
 type Repository struct {
-	dbs    []*relstore.DB
-	router *shard.Router
-	// writeMus serializes the facade's managed mutations (LoadTree,
-	// LoadNexus) per shard, including their query-history writes on shard
-	// 0 — so two concurrent loads of trees that hash apart can never slice
-	// a commit into each other's half-applied shard-0 state. A server over
-	// the repository (NewServer) locks the same mutexes, so its writes and
-	// history commits never capture a managed load half applied either.
-	// Callers going through Trees/Species/Queries directly bypass these and
-	// own the one-writer-per-shard contract themselves.
-	writeMus []sync.Mutex
+	// be is the shards, the repositories and their one writer, shared with
+	// every server built over the repository (NewServer): LoadTree, LoadNexus
+	// and Commit take the same per-shard writer mutexes as its writes, so
+	// neither side ever captures the other's half-applied state.
+	be *server.Backend
 
+	// The three repositories, as be holds them. Writes through them
+	// directly bypass the writer mutexes; their callers own the
+	// one-writer-per-shard contract.
 	Trees   *treestore.Store
 	Species *species.Repo
 	Queries *queryrepo.Repo
@@ -376,14 +375,9 @@ func assemble(dbs []*relstore.DB) (*Repository, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Repository{
-		dbs:      dbs,
-		router:   router,
-		writeMus: make([]sync.Mutex, len(dbs)),
-		Trees:    trees,
-		Species:  sp,
-		Queries:  q,
-	}, nil
+	be := &server.Backend{DBs: dbs, Router: router, Trees: trees, Species: sp, Queries: q,
+		WriteMus: make([]sync.Mutex, len(dbs))}
+	return &Repository{be: be, Trees: trees, Species: sp, Queries: q}, nil
 }
 
 // OpenFollower opens (creating if needed) path as a streaming replica of
@@ -429,7 +423,7 @@ func OpenFollower(ctx context.Context, path, primaryURL string) (*Repository, *F
 }
 
 // Shards reports the repository's shard count.
-func (r *Repository) Shards() int { return r.router.N() }
+func (r *Repository) Shards() int { return r.be.Router.N() }
 
 // SetReadCacheMB (re)configures the decoded-node read cache of every
 // shard's storage engine, splitting the budget evenly across shards. The
@@ -439,23 +433,12 @@ func (r *Repository) Shards() int { return r.router.N() }
 // memoized code at every size, and results are byte-identical.
 func (r *Repository) SetReadCacheMB(mb int) {
 	per := int64(mb) << 20
-	if n := int64(len(r.dbs)); n > 1 && per > 0 {
+	if n := int64(len(r.be.DBs)); n > 1 && per > 0 {
 		per /= n
 	}
-	for _, db := range r.dbs {
+	for _, db := range r.be.DBs {
 		db.Store().SetReadCacheBytes(per)
 	}
-}
-
-// ReadCacheStats reports the decoded-node cache's entry count and resident
-// bytes summed across shards (zeros when disabled).
-func (r *Repository) ReadCacheStats() (entries int, bytes int64) {
-	for _, db := range r.dbs {
-		e, b := db.Store().ReadCacheStats()
-		entries += e
-		bytes += b
-	}
-	return entries, bytes
 }
 
 // CommitWaiter tracks the durability of commits issued across one or more
@@ -498,12 +481,15 @@ func (r *Repository) Commit() error {
 	return r.CommitAsync().Wait()
 }
 
-// CommitAsync captures every shard's pending transaction and returns a
-// waiter for their durability.
+// CommitAsync captures every shard's pending transaction, each under its
+// shard's writer mutex and one shard at a time, and returns a waiter for
+// their durability.
 func (r *Repository) CommitAsync() *CommitWaiter {
-	w := &CommitWaiter{waiters: make([]*relstore.CommitWaiter, len(r.dbs))}
-	for i, db := range r.dbs {
+	w := &CommitWaiter{waiters: make([]*relstore.CommitWaiter, len(r.be.DBs))}
+	for i, db := range r.be.DBs {
+		r.be.WriteMus[i].Lock()
 		w.waiters[i] = db.CommitAsync()
+		r.be.WriteMus[i].Unlock()
 	}
 	return w
 }
@@ -512,7 +498,7 @@ func (r *Repository) CommitAsync() *CommitWaiter {
 // page file and resets the WALs (a no-op for in-memory repositories).
 func (r *Repository) Checkpoint() error {
 	var errs []error
-	for i, db := range r.dbs {
+	for i, db := range r.be.DBs {
 		if err := db.Checkpoint(); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 		}
@@ -525,7 +511,7 @@ func (r *Repository) Checkpoint() error {
 // interval regardless. Non-positive values leave the respective knob at
 // its default.
 func (r *Repository) SetCheckpointPolicy(bytes int64, interval time.Duration) {
-	for _, db := range r.dbs {
+	for _, db := range r.be.DBs {
 		db.SetCheckpointPolicy(bytes, interval)
 	}
 }
@@ -534,7 +520,7 @@ func (r *Repository) SetCheckpointPolicy(bytes int64, interval time.Duration) {
 // background checkpoint writeback, summed across shards.
 func (r *Repository) CheckpointBacklog() int64 {
 	var n int64
-	for _, db := range r.dbs {
+	for _, db := range r.be.DBs {
 		n += db.CheckpointBacklog()
 	}
 	return n
@@ -543,7 +529,7 @@ func (r *Repository) CheckpointBacklog() int64 {
 // WALSize reports the combined size of every shard's write-ahead log.
 func (r *Repository) WALSize() int64 {
 	var n int64
-	for _, db := range r.dbs {
+	for _, db := range r.be.DBs {
 		n += db.WALSize()
 	}
 	return n
@@ -551,36 +537,20 @@ func (r *Repository) WALSize() int64 {
 
 // Check verifies the integrity of every table, tree and index in every
 // shard of the repository (the CLI's fsck).
-func (r *Repository) Check() error { return shard.CheckAll(r.dbs) }
+func (r *Repository) Check() error { return shard.CheckAll(r.be.DBs) }
 
 // Close commits and closes every shard of the repository. All shards are
 // closed even if one fails; failures come back joined.
-func (r *Repository) Close() error { return shard.CloseAll(r.dbs) }
-
-// recordAsync appends one history record and captures shard 0's commit,
-// under shard 0's facade writer mutex: the record's counter
-// read-modify-write plus entry insert and the capture land as one unit, so
-// a concurrent load's shard-0 commit can never publish a half-applied
-// record (nor can a history commit publish another load's half-applied
-// shard-0 tables — loads hold the same mutex while they write shard 0). The
-// caller waits on the returned commit; waiting happens outside every mutex,
-// so concurrent writers coalesce into one group flush. Callers must not
-// hold any facade writer mutex when calling (shard 0's included).
-func (r *Repository) recordAsync(q queryrepo.Query, summary string) *relstore.CommitWaiter {
-	r.writeMus[0].Lock()
-	defer r.writeMus[0].Unlock()
-	_, _ = r.Queries.Record(q, summary)
-	return r.dbs[0].CommitAsync()
-}
+func (r *Repository) Close() error { return shard.CloseAll(r.be.DBs) }
 
 // LoadTree stores an in-memory tree under the given name with depth bound
 // f, recording the load in the query history. Like LoadNexus, it commits
 // before returning: a successful load — tree relations and its history
 // record both — is durable even if the caller never calls Commit or
 // Close. Only the tree's shard (and the history's shard 0) is committed,
-// and both steps run under the facade's per-shard writer mutexes, so
-// concurrent LoadTree calls for trees on different shards never publish
-// each other's half-applied state.
+// and both steps run under the per-shard writer mutexes, so concurrent
+// LoadTree calls for trees on different shards never publish each other's
+// half-applied state.
 func (r *Repository) LoadTree(name string, t *Tree, f int, progress treestore.Progress) (*LoadedTree, error) {
 	return r.LoadTreeOpts(name, t, f, LoadOptions{}, progress)
 }
@@ -611,50 +581,29 @@ func (r *Repository) LoadNexusOpts(doc *NexusDocument, name string, f int, opts 
 	return r.load(name, doc.Trees[0].Tree, doc.Characters, f, opts, progress)
 }
 
-// load is the one managed load path. It holds the tree's shard writer
-// mutex for the apply alone: the tree is validated, indexed and staged
-// before the mutex is taken (treestore.PrepareLoad), and both commits — the
-// tree's shard, carrying the tree and any sequences, and the history's
-// shard 0 — are captured under their mutexes but waited for after release,
-// so their WAL flushes overlap each other and coalesce with other writers'.
+// load is the facade's entrance to the one load path, Backend.Load. The
+// tree is validated, indexed and staged before any mutex is taken
+// (treestore.PrepareLoad), and both commits — the tree's shard, carrying the
+// tree and any sequences, and the history's shard 0 — are waited for after
+// the mutexes are released, so their WAL flushes overlap each other and
+// coalesce with other writers'.
 func (r *Repository) load(name string, t *Tree, chars *nexus.Characters, f int, opts LoadOptions, progress treestore.Progress) (*LoadedTree, error) {
 	p, err := r.Trees.PrepareLoad(name, t, f, opts, progress)
 	if err != nil {
 		return nil, err
 	}
-	si := r.router.Place(name)
-	apply := func() (*relstore.CommitWaiter, error) {
-		r.writeMus[si].Lock()
-		defer r.writeMus[si].Unlock()
-		if err := p.Apply(); err != nil {
-			return nil, err
-		}
-		if chars != nil {
-			for _, taxon := range chars.Order {
-				if err := r.Species.Put(name, taxon, "seq:nexus", []byte(chars.Seqs[taxon])); err != nil {
-					// Nothing of this load is captured yet: take it back out
-					// of the working state so no later commit publishes half
-					// of it.
-					_ = r.Trees.Drop(name)
-					_, _ = r.Species.DeleteTree(name)
-					return nil, err
-				}
-			}
-			progress.Say("stored %d sequences in the species repository", len(chars.Order))
-		}
-		return r.dbs[si].CommitAsync(), nil
-	}
-	w, err := apply()
+	tree, hist, err := r.be.Load(context.TODO(), p, chars)
 	if err != nil {
 		return nil, err
 	}
-	rec := r.recordAsync(queryrepo.Load{F: f, Nodes: p.Info().Nodes, Tree: name},
-		fmt.Sprintf("loaded %d nodes", p.Info().Nodes))
-	if err := w.Wait(); err != nil {
-		return nil, fmt.Errorf("crimson: committing shard %d: %w", si, err)
+	if chars != nil {
+		progress.Say("stored %d sequences in the species repository", len(chars.Order))
+	}
+	if err := tree.Wait(); err != nil {
+		return nil, fmt.Errorf("crimson: committing shard %d: %w", r.be.Router.Place(name), err)
 	}
 	p.Committed()
-	if err := rec.Wait(); err != nil {
+	if err := hist.Wait(); err != nil {
 		return p, fmt.Errorf("crimson: committing history shard: %w", err)
 	}
 	return p, nil
@@ -684,14 +633,14 @@ type Snapshot struct {
 // Snapshot pins the current committed state of every shard for lock-free
 // reading.
 func (r *Repository) Snapshot() *Snapshot {
-	sns := make([]*relstore.Snap, len(r.dbs))
-	for i, db := range r.dbs {
+	sns := make([]*relstore.Snap, len(r.be.DBs))
+	for i, db := range r.be.DBs {
 		sns[i] = db.Snapshot()
 	}
 	return &Snapshot{
 		sns:         sns,
-		TreeSnap:    treestore.SnapOnShards(sns, r.router),
-		SpeciesView: species.ViewOnShards(sns, r.router),
+		TreeSnap:    treestore.SnapOnShards(sns, r.be.Router),
+		SpeciesView: species.ViewOnShards(sns, r.be.Router),
 		QueryView:   queryrepo.ViewOn(sns[0]),
 	}
 }
@@ -793,7 +742,7 @@ func (s *Snapshot) closePins() {
 // for the per-shard breakdown.
 func (r *Repository) MVCC() MVCCStats {
 	var agg MVCCStats
-	for _, db := range r.dbs {
+	for _, db := range r.be.DBs {
 		mv := db.MVCC()
 		agg.Epoch += mv.Epoch
 		agg.OpenSnapshots += mv.OpenSnapshots
@@ -805,8 +754,8 @@ func (r *Repository) MVCC() MVCCStats {
 // MVCCShards reports each shard's epoch, open snapshot count and
 // reclamation backlog — the per-shard view behind the aggregate MVCC.
 func (r *Repository) MVCCShards() []MVCCStats {
-	out := make([]MVCCStats, len(r.dbs))
-	for i, db := range r.dbs {
+	out := make([]MVCCStats, len(r.be.DBs))
+	for i, db := range r.be.DBs {
 		out[i] = db.MVCC()
 	}
 	return out
@@ -819,16 +768,7 @@ func (r *Repository) MVCCShards() []MVCCStats {
 //	srv := repo.NewServer(crimson.ServerConfig{Addr: ":8321"})
 //	if err := srv.Start(); err != nil { ... }
 //	defer srv.Shutdown(context.Background())
-func (r *Repository) NewServer(cfg ServerConfig) *Server {
-	return server.New(server.Backend{
-		DBs:      r.dbs,
-		Router:   r.router,
-		Trees:    r.Trees,
-		Species:  r.Species,
-		Queries:  r.Queries,
-		WriteMus: r.writeMus,
-	}, cfg)
-}
+func (r *Repository) NewServer(cfg ServerConfig) *Server { return server.New(r.be, nil, cfg) }
 
 // NewFollowerServer builds crimsond over a replica repository opened
 // with OpenFollower. The server rejects writes with 403, serves every
@@ -836,15 +776,7 @@ func (r *Repository) NewServer(cfg ServerConfig) *Server {
 // /v1/stats and /metrics, and turns into a writable primary on
 // POST /v1/repl/promote.
 func (r *Repository) NewFollowerServer(fl *Follower, cfg ServerConfig) *Server {
-	return server.New(server.Backend{
-		DBs:      r.dbs,
-		Router:   r.router,
-		Trees:    r.Trees,
-		Species:  r.Species,
-		Queries:  r.Queries,
-		WriteMus: r.writeMus,
-		Follower: fl,
-	}, cfg)
+	return server.New(r.be, fl, cfg)
 }
 
 // EngineCounters snapshots the process-global storage-engine work

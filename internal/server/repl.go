@@ -1,7 +1,7 @@
 // Replication endpoints and read-your-writes plumbing. A crimsond
 // process plays one of two roles: a primary serves the full API plus
 // the WAL-shipping stream (`GET /v1/repl/stream`), a follower
-// (Backend.Follower set) serves reads at its last applied epoch,
+// (built by New with a follower) serves reads at its last applied epoch,
 // rejects writes with 403, and can be flipped into a primary with
 // `POST /v1/repl/promote`. Both roles answer `GET /v1/repl/status`.
 //
@@ -121,7 +121,7 @@ func (s *Server) awaitMinEpoch(r *http.Request) error {
 // replStatus builds the role + per-shard replication view served by
 // /v1/repl/status and embedded in /v1/stats and /metrics.
 func (s *Server) replStatus() repl.StatusResponse {
-	if fl := s.be.Follower; fl != nil && s.readOnly.Load() {
+	if fl := s.follower; fl != nil && s.readOnly.Load() {
 		st := fl.Status()
 		st.Degraded = s.promoteDegraded.Load()
 		for i := range st.Shards {
@@ -195,7 +195,7 @@ func (s *Server) handleReplPromote(*req) (any, error) {
 func (s *Server) promote() error {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
-	fl := s.be.Follower
+	fl := s.follower
 	if fl == nil || !s.readOnly.Load() {
 		return &httpErr{status: http.StatusConflict, msg: "already primary"}
 	}

@@ -315,18 +315,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 type httpErr struct {
 	status int
 	msg    string
+	cause  error // what badRequest's format wrapped with %w, if anything
 }
 
 func (e *httpErr) Error() string { return e.msg }
 
 func badRequest(format string, args ...any) error {
-	return &httpErr{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+	err := fmt.Errorf(format, args...)
+	return &httpErr{status: http.StatusBadRequest, msg: err.Error(), cause: errors.Unwrap(err)}
 }
 
 func errStatus(err error) int {
 	var he *httpErr
 	switch {
 	case errors.As(err, &he):
+		if errors.As(he.cause, new(*http.MaxBytesError)) {
+			return http.StatusRequestEntityTooLarge // the body broke MaxBodyBytes
+		}
 		return he.status
 	case errors.Is(err, treestore.ErrNoTree), errors.Is(err, treestore.ErrNoNode),
 		errors.Is(err, species.ErrNoData), errors.Is(err, queryrepo.ErrNoEntry):

@@ -72,25 +72,87 @@ import (
 	"repro/internal/treestore"
 )
 
-// Backend bundles the repositories the server exposes. DBs holds one
-// relational database per shard; the repositories route tree-scoped
-// operations with Router (query history lives on shard 0). A nil Router
-// with a single database is normalized to the one-shard layout.
+// Backend is the repository: one relational database per shard, the three
+// §2.1 repositories over them, and the one writer both entrances — crimsond
+// and the crimson facade — mutate it through. Trees and their species data
+// are placed on shards by Router; the query history lives on shard 0.
+//
+// WriteMus holds one writer mutex per database. A mutation holds its tree's
+// shard's while it writes pages and captures its commit, and its history
+// append takes shard 0's after that, never before, so writers on different
+// shards cannot deadlock. Load is the one apply of a tree load; the facade's
+// raw Trees, Species and Queries writes bypass the mutexes.
 type Backend struct {
-	DBs     []*relstore.DB
-	Router  *shard.Router
-	Trees   *treestore.Store
-	Species *species.Repo
-	Queries *queryrepo.Repo
-	// WriteMus holds one writer mutex per database, shared with every
-	// other writer of them (the facade's managed loads): a mutation holds
-	// its tree's shard's, a history append shard 0's. Required.
+	DBs      []*relstore.DB
+	Router   *shard.Router
+	Trees    *treestore.Store
+	Species  *species.Repo
+	Queries  *queryrepo.Repo
 	WriteMus []sync.Mutex
-	// Follower, when set, marks this server as a read-only replica fed
-	// by the given apply loops: writes return 403, reads serve at each
-	// shard's last applied epoch, and POST /v1/repl/promote flips the
-	// process into a writable primary.
-	Follower *repl.Follower
+
+	// lockWait records the time writers spent blocked on a writer mutex:
+	// one observation per acquisition that found it held.
+	lockWait obs.Histogram
+}
+
+// lock takes shard i's writer mutex. Time spent blocked on it is ctx's
+// "write_lock_wait" child span and one observation of lockWait; an
+// acquisition that finds the mutex free records nothing.
+func (b *Backend) lock(ctx context.Context, i int) {
+	mu := &b.WriteMus[i]
+	if mu.TryLock() {
+		return
+	}
+	start := time.Now()
+	mu.Lock()
+	d := time.Since(start)
+	b.lockWait.Observe(d)
+	obs.SpanFrom(ctx).AddTimed("write_lock_wait", d)
+}
+
+// record appends a mutation's history entry and captures shard 0's commit.
+// The caller holds shard si's writer mutex; shard 0's is taken here when it
+// is another one, as capturing a commit needs its shard's mutex. A failed
+// append does not fail the mutation, which is already applied: the entry is
+// missing and the capture goes ahead.
+func (b *Backend) record(ctx context.Context, si int, q queryrepo.Query, summary string) *relstore.CommitWaiter {
+	if si != 0 {
+		b.lock(ctx, 0)
+		defer b.WriteMus[0].Unlock()
+	}
+	_, _ = b.Queries.Record(q, summary)
+	return b.DBs[0].CommitAsync()
+}
+
+// Load applies a prepared load under its tree's shard writer mutex: the
+// tree, then chars' sequences (nil for none) in the Species Repository
+// under kind "seq:nexus", then the load's history entry. It returns the
+// tree shard's commit, which carries the tree and its sequences, and the
+// history shard's, both captured and not waited for, so the caller waits
+// outside every mutex and concurrent writers coalesce into one WAL flush.
+// A sequence that fails to store takes the tree and its sequences back out
+// of the working state before the mutex drops, so no commit publishes half
+// a load.
+func (b *Backend) Load(ctx context.Context, p *treestore.PreparedLoad, chars *nexus.Characters) (tree, hist *relstore.CommitWaiter, err error) {
+	info := p.Info()
+	si := b.Router.Place(info.Name)
+	b.lock(ctx, si)
+	defer b.WriteMus[si].Unlock()
+	if err := p.Apply(); err != nil {
+		return nil, nil, err
+	}
+	if chars != nil {
+		for _, taxon := range chars.Order {
+			if err := b.Species.Put(info.Name, taxon, "seq:nexus", []byte(chars.Seqs[taxon])); err != nil {
+				derr := b.Trees.Drop(info.Name)
+				_, serr := b.Species.DeleteTree(info.Name)
+				return nil, nil, errors.Join(err, derr, serr)
+			}
+		}
+	}
+	tree = b.DBs[si].CommitAsync()
+	return tree, b.record(ctx, si, queryrepo.Load{F: info.F, Nodes: info.Nodes, Tree: info.Name},
+		fmt.Sprintf("loaded %d nodes", info.Nodes)), nil
 }
 
 // Config tunes the server. The zero value is usable.
@@ -155,7 +217,7 @@ func (c Config) withDefaults() Config {
 // Server serves the crimsond HTTP API over one repository.
 type Server struct {
 	cfg     Config
-	be      Backend
+	be      *Backend
 	mux     *http.ServeMux
 	stats   *serverStats
 	cache   *resultCache
@@ -164,6 +226,9 @@ type Server struct {
 
 	readSem chan struct{} // bounds in-flight reads
 
+	// follower, when set, is the apply loops feeding this server as a
+	// read-only replica until POST /v1/repl/promote.
+	follower *repl.Follower
 	// pubs streams each shard's WAL batches to replication subscribers.
 	// Publishers exist on every server (they are inert without
 	// subscribers), so any primary can feed followers without restart.
@@ -201,17 +266,13 @@ type histRecord struct {
 	summary string
 }
 
-// New builds a server over the backend. Call Start to accept
-// connections, or use it directly as an http.Handler.
-func New(be Backend, cfg Config) *Server {
+// New builds a server over the backend. A non-nil follower makes it a
+// read-only replica fed by those apply loops: writes return 403, reads serve
+// at each shard's last applied epoch, and POST /v1/repl/promote flips the
+// process into a writable primary. Call Start to accept connections, or use
+// the server directly as an http.Handler.
+func New(be *Backend, follower *repl.Follower, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if be.Router == nil {
-		r, err := shard.NewRouter(len(be.DBs))
-		if err != nil {
-			panic("server: backend with no databases: " + err.Error())
-		}
-		be.Router = r
-	}
 	if len(be.WriteMus) != len(be.DBs) {
 		panic(fmt.Sprintf("server: %d writer mutexes for %d databases", len(be.WriteMus), len(be.DBs)))
 	}
@@ -219,17 +280,18 @@ func New(be Backend, cfg Config) *Server {
 	// the primary stamped, so an entry names the same incarnation on both,
 	// and a promote keeps the cache.
 	s := &Server{
-		cfg:     cfg,
-		be:      be,
-		mux:     http.NewServeMux(),
-		stats:   &serverStats{start: time.Now()},
-		cache:   newResultCache(cfg.ResultCacheSize),
-		readSem: make(chan struct{}, cfg.MaxInFlightReads),
-		recCh:   make(chan histRecord, 256),
+		cfg:      cfg,
+		be:       be,
+		follower: follower,
+		mux:      http.NewServeMux(),
+		stats:    &serverStats{start: time.Now()},
+		cache:    newResultCache(cfg.ResultCacheSize),
+		readSem:  make(chan struct{}, cfg.MaxInFlightReads),
+		recCh:    make(chan histRecord, 256),
 	}
 	s.slogger = cfg.Logger
 	s.streamCtx, s.streamCancel = context.WithCancel(context.Background())
-	s.readOnly.Store(be.Follower != nil)
+	s.readOnly.Store(follower != nil)
 	s.pubs = make([]*repl.Publisher, len(be.DBs))
 	for i, db := range be.DBs {
 		s.pubs[i] = repl.NewPublisher(db.Store())
@@ -464,7 +526,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 func (s *Server) snapshot() StatsSnapshot {
-	st := s.stats.snapshot(s.cache.len())
+	st := s.stats.snapshot(s.cache.len(), s.waitSnapshots())
 	st.LoadWorkers = s.cfg.LoadWorkers
 	st.Shards = make([]ShardMVCC, len(s.be.DBs))
 	for i, db := range s.be.DBs {
@@ -598,9 +660,10 @@ func (s *Server) observeCommitWaiter(ctx context.Context, w *relstore.CommitWait
 // mutation. Prepare is whatever the handler does before apply — reading the
 // body, parsing, staging — with no lock held. apply runs the handler's
 // mutation under its shard's writer mutex: page writes and commit capture
-// (commitAsync) and nothing that blocks. The wait — every captured commit's
-// WAL fsync, then the afterPublish steps — is the write pipeline's, after
-// the mutex is released. That window (transaction captured, lock released,
+// (commitAsync) and nothing that blocks; a load's apply is Backend.Load,
+// and the handler adds the commits it captured to waiters. The wait —
+// every captured commit's WAL fsync, then the afterPublish steps — is the
+// write pipeline's, after the mutex is released. That window (transaction captured, lock released,
 // fsync pending) is what lets concurrent write requests coalesce into one
 // WAL flush (group commit), and keeping the other two phases out of the
 // mutex is what keeps a writer from queueing behind another's upload, parse
@@ -615,15 +678,16 @@ type commitCollector struct {
 
 // apply runs fn under the request's shard writer mutex.
 func (cc *commitCollector) apply(fn func() error) error {
-	cc.s.lockShard(cc.ctx, cc.si)
+	cc.s.be.lock(cc.ctx, cc.si)
 	defer cc.s.be.WriteMus[cc.si].Unlock()
 	return fn()
 }
 
-// commitAsync captures shard si's pending transaction now; the caller holds
-// that shard's writer mutex. Durability is awaited by the pipeline.
-func (cc *commitCollector) commitAsync(si int) {
-	cc.waiters = append(cc.waiters, cc.s.be.DBs[si].CommitAsync())
+// commitAsync captures the request shard's pending transaction now; the
+// caller holds that shard's writer mutex. Durability is awaited by the
+// pipeline.
+func (cc *commitCollector) commitAsync() {
+	cc.waiters = append(cc.waiters, cc.s.be.DBs[cc.si].CommitAsync())
 }
 
 // afterPublish registers a step the pipeline runs once every collected
@@ -648,22 +712,6 @@ func (cc *commitCollector) wait() error {
 		fn()
 	}
 	return firstErr
-}
-
-// lockShard takes shard i's writer mutex. Time spent blocked on it is the
-// request's "write_lock_wait" child span and one observation of the
-// write-lock wait histogram; an acquisition that finds the mutex free
-// records nothing.
-func (s *Server) lockShard(ctx context.Context, i int) {
-	mu := &s.be.WriteMus[i]
-	if mu.TryLock() {
-		return
-	}
-	start := time.Now()
-	mu.Lock()
-	d := time.Since(start)
-	s.stats.lockWait.Observe(d)
-	obs.SpanFrom(ctx).AddTimed("write_lock_wait", d)
 }
 
 func infoJSON(i treestore.TreeInfo) TreeInfo {
@@ -705,25 +753,6 @@ func queryInt[T int | int64](r *http.Request, key string, def T) (T, error) {
 		return 0, badRequest("bad %s=%q: %v", key, raw, err)
 	}
 	return T(v), nil
-}
-
-// recordWrite appends a mutation's history record on shard 0 and captures
-// its commit on cc (awaited by the pipeline after every mutex drops).
-// The caller holds its shard's (cc.si's) writer mutex; when the history shard is a
-// different one, its mutex is taken here — capturing a commit on a shard
-// requires its writer lock, or a concurrent history commit could capture
-// another load's half-applied tables. Lock order is safe: shard 0's mutex
-// is only ever acquired bare or after another shard's, never the other way.
-func (s *Server) recordWrite(cc *commitCollector, v queryrepo.Query, summary string) error {
-	if cc.si != 0 {
-		s.lockShard(cc.ctx, 0)
-		defer s.be.WriteMus[0].Unlock()
-	}
-	if _, err := s.be.Queries.Record(v, summary); err != nil {
-		s.logf("crimsond: recording %s query: %v", v.Kind(), err)
-	}
-	cc.commitAsync(0)
-	return nil
 }
 
 // recordAsync enqueues a read-path history record for the recorder
@@ -854,7 +883,7 @@ func (s *Server) handleLoad(q *req) (any, error) {
 	case "newick":
 		var raw strings.Builder
 		if _, err := io.Copy(&raw, q.Body); err != nil {
-			return nil, badRequest("reading body: %v", err)
+			return nil, badRequest("reading body: %w", err)
 		}
 		if t, err = newick.ParseWorkers(raw.String(), s.cfg.LoadWorkers); err != nil {
 			return nil, err
@@ -862,7 +891,7 @@ func (s *Server) handleLoad(q *req) (any, error) {
 	case "nexus":
 		doc, err := nexus.Parse(q.Body)
 		if err != nil {
-			return nil, badRequest("parsing NEXUS: %v", err)
+			return nil, badRequest("parsing NEXUS: %w", err)
 		}
 		if len(doc.Trees) == 0 {
 			return nil, badRequest("NEXUS document has no trees")
@@ -879,37 +908,11 @@ func (s *Server) handleLoad(q *req) (any, error) {
 		return nil, err
 	}
 
-	resp := LoadResponse{Tree: infoJSON(p.Info())}
-	err = cc.apply(func() error {
-		if err := p.Apply(); err != nil {
-			return err
-		}
-		if chars != nil {
-			for _, taxon := range chars.Order {
-				if err := s.be.Species.Put(name, taxon, "seq:nexus", []byte(chars.Seqs[taxon])); err != nil {
-					// Compensate: nothing of this load has been captured
-					// yet, so taking it back out of the working state means
-					// no commit ever publishes half of it.
-					if derr := s.be.Trees.Drop(name); derr != nil {
-						s.logf("crimsond: rolling back partial load of %s: %v", name, derr)
-					}
-					if _, derr := s.be.Species.DeleteTree(name); derr != nil {
-						s.logf("crimsond: rolling back sequences of %s: %v", name, derr)
-					}
-					return err
-				}
-			}
-			resp.Sequences = len(chars.Order)
-		}
-		// One commit carries the tree and its sequences (they share the
-		// shard).
-		cc.commitAsync(cc.si)
-		return s.recordWrite(cc, queryrepo.Load{F: f, Nodes: resp.Tree.Nodes, Tree: name},
-			fmt.Sprintf("loaded %d nodes", resp.Tree.Nodes))
-	})
+	tree, hist, err := s.be.Load(q.Context(), p, chars)
 	if err != nil {
 		return nil, err
 	}
+	cc.waiters = append(cc.waiters, tree, hist)
 	cc.afterPublish(p.Committed)
 	s.stats.countLoad(parseNS, metrics)
 	if sp := obs.SpanFrom(q.Context()); sp != nil {
@@ -917,6 +920,10 @@ func (s *Server) handleLoad(q *req) (any, error) {
 		sp.AddTimed("index", time.Duration(metrics.IndexNS))
 		sp.AddTimed("stage", time.Duration(metrics.StageNS))
 		sp.AddTimed("insert", time.Duration(metrics.InsertNS))
+	}
+	resp := LoadResponse{Tree: infoJSON(p.Info())}
+	if chars != nil {
+		resp.Sequences = len(chars.Order)
 	}
 	return resp, nil
 }
@@ -929,12 +936,13 @@ func (s *Server) handleDelete(q *req) (any, error) {
 		}
 		// The drop is captured before the fallible species cleanup: a
 		// failed cleanup leaves the tree deleted, not half deleted.
-		cc.commitAsync(cc.si)
+		cc.commitAsync()
 		if _, err := s.be.Species.DeleteTree(name); err != nil {
 			return err
 		}
-		cc.commitAsync(cc.si)
-		return s.recordWrite(cc, queryrepo.Delete{Tree: name}, "deleted")
+		cc.commitAsync()
+		cc.waiters = append(cc.waiters, s.be.record(cc.ctx, cc.si, queryrepo.Delete{Tree: name}, "deleted"))
+		return nil
 	})
 }
 
@@ -1106,7 +1114,7 @@ func (s *Server) handleClade(q *req) (any, error) {
 func (s *Server) handleMatch(q *req) (any, error) {
 	raw, err := io.ReadAll(q.Body)
 	if err != nil {
-		return nil, badRequest("reading pattern body: %v", err)
+		return nil, badRequest("reading pattern body: %w", err)
 	}
 	return s.answer(q, queryrepo.Match{Pattern: string(raw), Tree: q.PathValue("name")})
 }
@@ -1114,7 +1122,7 @@ func (s *Server) handleMatch(q *req) (any, error) {
 func (s *Server) handleBench(q *req) (any, error) {
 	var breq BenchRequest
 	if err := json.NewDecoder(q.Body).Decode(&breq); err != nil {
-		return nil, badRequest("decoding bench request: %v", err)
+		return nil, badRequest("decoding bench request: %w", err)
 	}
 	v := queryrepo.Bench{Algs: breq.Algorithms, Reps: breq.Replicates, Seed: breq.Seed,
 		SeqLength: breq.SeqLength, Sizes: breq.Sizes, Time: -1, Tree: q.PathValue("name")}
@@ -1150,13 +1158,13 @@ func (s *Server) handleSpeciesPut(q *req) (any, error) {
 	name, sp, kind := q.PathValue("name"), q.PathValue("sp"), q.PathValue("kind")
 	data, err := io.ReadAll(q.Body)
 	if err != nil {
-		return nil, badRequest("reading body: %v", err)
+		return nil, badRequest("reading body: %w", err)
 	}
 	return nil, q.cc.apply(func() error {
 		if err := s.be.Species.Put(name, sp, kind, data); err != nil {
 			return err
 		}
-		q.cc.commitAsync(q.cc.si)
+		q.cc.commitAsync()
 		return nil
 	})
 }
@@ -1180,7 +1188,7 @@ func (s *Server) handleSpeciesDelete(q *req) (any, error) {
 		if !ok {
 			return fmt.Errorf("%w: %s/%s/%s", species.ErrNoData, name, sp, kind)
 		}
-		q.cc.commitAsync(q.cc.si)
+		q.cc.commitAsync()
 		return nil
 	})
 }
@@ -1287,6 +1295,6 @@ func (s *Server) handleRerun(q *req) (any, error) {
 func (s *Server) handleStats(*req) (any, error) { return s.snapshot(), nil }
 
 func (s *Server) handleMetrics(*req) (any, error) {
-	text := metricsText(s.snapshot(), s.stats.histSnapshots(), s.stats.waitSnapshots())
+	text := metricsText(s.snapshot(), s.stats.histSnapshots(), s.waitSnapshots())
 	return rawBody{"text/plain; version=0.0.4; charset=utf-8", text}, nil
 }

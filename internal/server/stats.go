@@ -50,10 +50,6 @@ type serverStats struct {
 	// commitHist records storage-engine commit latency across all commit
 	// sites (loads, writes, the history recorder, shutdown).
 	commitHist obs.Histogram
-	// lockWait records the time write requests spent blocked on their
-	// shard's writer mutex: one observation per acquisition that found the
-	// mutex held (an uncontended one is not observed).
-	lockWait obs.Histogram
 }
 
 // op returns the named op's slot, adding it on first use.
@@ -118,19 +114,19 @@ type waitHist struct {
 }
 
 // waitSnapshots returns the wait histograms: the two replication waits
-// (process-global, observed by the layers that wait) and this server's
+// (process-global, observed by the layers that wait) and the backend's
 // writer-mutex wait.
-func (st *serverStats) waitSnapshots() []waitHist {
+func (s *Server) waitSnapshots() []waitHist {
 	return []waitHist{
 		{"repl", "fence", "Time reads spent blocked on their X-Crimson-Min-Epoch fence before the publishing apply woke them.", obs.ReplFenceWait.Snapshot()},
 		{"repl", "horizon", "Time replicated applies spent waiting for local snapshots older than the reclaim horizon to close.", obs.ReplHorizonWait.Snapshot()},
-		{"write", "lock", "Time write requests spent blocked on their shard's writer mutex, one observation per contended acquisition; the mutex is held for page writes and commit capture only, never for parsing, staging or an fsync.", st.lockWait.Snapshot()},
+		{"write", "lock", "Time write requests spent blocked on their shard's writer mutex, one observation per contended acquisition; the mutex is held for page writes and commit capture only, never for parsing, staging or an fsync.", s.be.lockWait.Snapshot()},
 	}
 }
 
-// snapshot captures every counter; cacheEntries and openTrees are
-// supplied by the server since they live outside this struct.
-func (st *serverStats) snapshot(cacheEntries int) StatsSnapshot {
+// snapshot captures every counter; cacheEntries and the wait histograms
+// are supplied by the server since they live outside this struct.
+func (st *serverStats) snapshot(cacheEntries int, waitHists []waitHist) StatsSnapshot {
 	perOp := make(map[string]int64)
 	for _, o := range st.ops {
 		if n := o.requests.Load(); n > 0 {
@@ -142,7 +138,7 @@ func (st *serverStats) snapshot(cacheEntries int) StatsSnapshot {
 		lat[e.op] = latencyOf(e.h)
 	}
 	waits := map[string]map[string]OpLatency{"repl": {}, "write": {}}
-	for _, w := range st.waitSnapshots() {
+	for _, w := range waitHists {
 		if w.h.Count > 0 {
 			waits[w.group][w.key] = latencyOf(w.h)
 		}

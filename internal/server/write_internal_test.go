@@ -51,8 +51,8 @@ func newWriteTestServer(t *testing.T, shards int) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Backend{DBs: dbs, Router: router, Trees: trees, Species: sp, Queries: q,
-		WriteMus: make([]sync.Mutex, shards)}, Config{})
+	s := New(&Backend{DBs: dbs, Router: router, Trees: trees, Species: sp, Queries: q,
+		WriteMus: make([]sync.Mutex, shards)}, nil, Config{})
 	t.Cleanup(func() { shard.CloseAll(dbs) })
 	return s
 }
@@ -214,14 +214,14 @@ func TestWriteLockWaitIsObserved(t *testing.T) {
 	if rec := load(); rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), "write_lock_wait") {
 		t.Fatalf("uncontended load: %d %s", rec.Code, rec.Body)
 	}
-	if n := s.stats.lockWait.Snapshot().Count; n != 0 {
+	if n := s.be.lockWait.Snapshot().Count; n != 0 {
 		t.Fatalf("%d lock waits observed before any contention", n)
 	}
 
 	// Hold the mutex until the load has had time to block on it; should it
 	// not have got that far (a loaded machine), go round again.
 	var rec *httptest.ResponseRecorder
-	for try := 0; s.stats.lockWait.Snapshot().Count == 0; try++ {
+	for try := 0; s.be.lockWait.Snapshot().Count == 0; try++ {
 		if try == 20 {
 			t.Fatal("no load ever waited for the held writer mutex")
 		}

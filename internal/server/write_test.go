@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -406,5 +407,36 @@ func TestServerAndFacadeShareWriterMutexes(t *testing.T) {
 	}
 	if err := repo.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOversizedBodyIs413: a body past MaxBodyBytes answers 413 on every
+// route that reads one — a Newick and a NEXUS load, a species put and a
+// pattern match — and the loads it cut short leave no tree behind.
+func TestOversizedBodyIs413(t *testing.T) {
+	repo := crimson.OpenMemSharded(testShards(t))
+	defer repo.Close()
+	srv := repo.NewServer(crimson.ServerConfig{MaxBodyBytes: 1024})
+	defer srv.Shutdown(context.Background())
+	newick := crimson.FormatNewick(yule(t, 200, 5))
+	if len(newick) <= 1024 {
+		t.Fatalf("a %d-byte Newick body is within the limit", len(newick))
+	}
+	for _, c := range []struct{ method, target, body string }{
+		{"POST", "/v1/trees/x?format=newick", newick},
+		{"POST", "/v1/trees/x?format=nexus", "#NEXUS\nBEGIN TREES;\n\tTREE x = " + newick + "\nEND;\n"},
+		{"PUT", "/v1/trees/x/species/a/seq:x", strings.Repeat("ACGT", 512)},
+		{"POST", "/v1/trees/x/match", newick},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(c.method, c.target, strings.NewReader(c.body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with a %d-byte body: %d %s, want 413", c.method, c.target, len(c.body), rec.Code, rec.Body)
+		}
+	}
+	snap := repo.Snapshot()
+	defer snap.Close()
+	if _, err := snap.Tree("x"); !errors.Is(err, treestore.ErrNoTree) {
+		t.Fatalf("tree x after the oversized loads: %v, want ErrNoTree", err)
 	}
 }

@@ -473,15 +473,6 @@ func (s *Store) SetReadCacheBytes(n int64) {
 	s.rcache.Store(newReadCache(n))
 }
 
-// ReadCacheStats reports the decoded-node cache's entry count and resident
-// bytes (zeros when disabled).
-func (s *Store) ReadCacheStats() (entries int, bytes int64) {
-	if rc := s.rcache.Load(); rc != nil {
-		return rc.stats()
-	}
-	return 0, 0
-}
-
 // dropCached removes every cached decode of the page. Must be called
 // whenever a page id may come to name different bytes while a reader could
 // still look it up: on free (the id becomes reallocatable) and on rewrites

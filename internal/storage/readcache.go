@@ -158,20 +158,6 @@ func (c *readCache) drop(id PageID) {
 	sh.mu.Unlock()
 }
 
-// stats reports entry count and resident bytes across all shards.
-func (c *readCache) stats() (entries int, bytes int64) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, byEpoch := range sh.pages {
-			entries += len(byEpoch)
-		}
-		bytes += sh.used
-		sh.mu.Unlock()
-	}
-	return entries, bytes
-}
-
 // pushFront links a new entry at the hot end. Callers hold sh.mu.
 func (sh *rcShard) pushFront(e *rcEntry) {
 	e.prev = nil

@@ -10,6 +10,21 @@ import (
 	"repro/internal/obs"
 )
 
+// stats reports the cache's entry count and resident bytes across all its
+// shards.
+func (c *readCache) stats() (entries int, bytes int64) {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for _, byEpoch := range sh.pages {
+			entries += len(byEpoch)
+		}
+		bytes += sh.used
+		sh.mu.Unlock()
+	}
+	return entries, bytes
+}
+
 // rcTestNode builds a small interior node for direct cache tests.
 func rcTestNode(page PageID, keyBytes int) *node {
 	e := &cells{
@@ -150,7 +165,7 @@ func TestReadCacheHitsOnRepeatedDescents(t *testing.T) {
 	if c1.Get(obs.CtrReadCacheMisses) == 0 {
 		t.Fatal("cold pass recorded no cache misses")
 	}
-	if entries, bts := s.ReadCacheStats(); entries == 0 || bts == 0 {
+	if entries, bts := s.rcache.Load().stats(); entries == 0 || bts == 0 {
 		t.Fatalf("cache empty after cold pass: %d entries %d bytes", entries, bts)
 	}
 
@@ -207,7 +222,7 @@ func TestReadCacheDroppedWhenPagesFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if entries, _ := s.ReadCacheStats(); entries == 0 {
+	if entries, _ := s.rcache.Load().stats(); entries == 0 {
 		t.Fatal("cache empty after warming")
 	}
 
@@ -221,7 +236,7 @@ func TestReadCacheDroppedWhenPagesFree(t *testing.T) {
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if entries, bts := s.ReadCacheStats(); entries != 0 {
+	if entries, bts := s.rcache.Load().stats(); entries != 0 {
 		t.Fatalf("cache holds %d entries (%d bytes) for freed pages", entries, bts)
 	}
 }

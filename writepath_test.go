@@ -1,13 +1,21 @@
 package crimson_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	crimson "repro"
+	"repro/internal/nexus"
+	"repro/internal/species"
 	"repro/internal/treestore"
 )
 
@@ -119,5 +127,154 @@ func TestConcurrentLoadTreeOfOneName(t *testing.T) {
 	}
 	if _, err := repo.LoadTree("same", trees[0], crimson.DefaultFanout, nil); err != nil {
 		t.Fatalf("reloading the name after the race: %v", err)
+	}
+}
+
+// TestCommitDuringRejectedNexusLoad: Commit takes each shard's writer
+// mutex, so it cannot capture a NEXUS load between the apply of its tree
+// and the rollback a sequence that fails to store sets off. A 3 000-taxon
+// caterpillar whose last CHARACTERS taxon is 'x/y' loads while another
+// goroutine commits and looks for the tree in a fresh snapshot, again and
+// again: no snapshot may see it.
+func TestCommitDuringRejectedNexusLoad(t *testing.T) {
+	repo := crimson.OpenMemSharded(matrixShards(t))
+	defer repo.Close()
+	tree, err := crimson.GenerateCaterpillar(3000, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chars := &nexus.Characters{Datatype: "DNA", Order: tree.LeafNames(), Seqs: map[string]string{}}
+	chars.Order[len(chars.Order)-1] = "x/y"
+	for _, taxon := range chars.Order {
+		chars.Seqs[taxon] = "ACGT"
+	}
+	doc := &crimson.NexusDocument{Trees: []crimson.NamedTree{{Name: "t", Tree: tree}}, Characters: chars}
+
+	var stop atomic.Bool
+	snapshots, seen := 0, 0
+	committed := make(chan error, 1)
+	go func() {
+		for !stop.Load() {
+			if err := repo.Commit(); err != nil {
+				committed <- err
+				return
+			}
+			snap := repo.Snapshot()
+			if _, err := snap.Tree("t"); err == nil {
+				seen++
+			}
+			snap.Close()
+			snapshots++
+		}
+		committed <- nil
+	}()
+	_, loadErr := repo.LoadNexus(doc, "", crimson.DefaultFanout, nil)
+	stop.Store(true)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(loadErr, species.ErrBadKey) {
+		t.Fatalf("load with taxon 'x/y': %v, want species.ErrBadKey", loadErr)
+	}
+	if seen > 0 {
+		t.Fatalf("%d of %d snapshots saw the tree of a load that was rolled back", seen, snapshots)
+	}
+	snap := snapshotOf(t, repo)
+	if _, err := snap.Tree("t"); !errors.Is(err, treestore.ErrNoTree) {
+		t.Fatalf("tree after the rejected load: %v, want ErrNoTree", err)
+	}
+	if err := repo.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRejectedNexusLoadLeavesNothing: a NEXUS load whose second taxon, 'b/c',
+// is no species key fails with species.ErrBadKey through the facade and 400
+// over HTTP, and the rollback takes back everything it applied: after a
+// commit there is no tree, no sequence of the document and no load entry in
+// the history, and the repository checks clean. A clean document then loads
+// under the same name.
+func TestRejectedNexusLoadLeavesNothing(t *testing.T) {
+	const bad = `#NEXUS
+BEGIN CHARACTERS;
+	DIMENSIONS NCHAR=4;
+	FORMAT DATATYPE=DNA;
+	MATRIX
+		a ACGT
+		'b/c' AGGT
+		d ACGA
+	;
+END;
+BEGIN TREES;
+	TREE t = ((a:1,'b/c':1):1,d:2);
+END;
+`
+	clean := strings.ReplaceAll(bad, "'b/c'", "bc")
+	for _, shards := range []int{1, 4} {
+		for _, via := range []string{"LoadNexus", "POST"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, via), func(t *testing.T) {
+				repo := crimson.OpenMemSharded(shards)
+				defer repo.Close()
+				srv := repo.NewServer(crimson.ServerConfig{})
+				defer srv.Shutdown(context.Background())
+				load := func(text string) error {
+					if via == "POST" {
+						rec := httptest.NewRecorder()
+						srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/trees/t?format=nexus", strings.NewReader(text)))
+						if rec.Code != http.StatusOK {
+							return fmt.Errorf("status %d: %s", rec.Code, rec.Body)
+						}
+						return nil
+					}
+					doc, err := crimson.ParseNexus(strings.NewReader(text))
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = repo.LoadNexus(doc, "", crimson.DefaultFanout, nil)
+					return err
+				}
+
+				err := load(bad)
+				switch {
+				case via == "POST" && (err == nil || !strings.HasPrefix(err.Error(), "status 400:")):
+					t.Fatalf("POST of a document with taxon 'b/c': %v, want status 400", err)
+				case via == "LoadNexus" && !errors.Is(err, species.ErrBadKey):
+					t.Fatalf("LoadNexus of a document with taxon 'b/c': %v, want species.ErrBadKey", err)
+				}
+				// A rollback that missed anything would show in this commit.
+				if err := repo.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				snap := snapshotOf(t, repo)
+				if _, err := snap.Tree("t"); !errors.Is(err, treestore.ErrNoTree) {
+					t.Fatalf("tree after the rejected load: %v, want ErrNoTree", err)
+				}
+				for _, taxon := range []string{"a", "d"} {
+					if seq, err := snap.SpeciesView.Get("t", taxon, "seq:nexus"); !errors.Is(err, species.ErrNoData) {
+						t.Fatalf("sequence of %s after the rejected load: %q, %v", taxon, seq, err)
+					}
+				}
+				if loads, err := snap.QueryView.ByKind(context.Background(), "load"); err != nil || len(loads) != 0 {
+					t.Fatalf("load history after the rejected load: %v, %v", loads, err)
+				}
+				if err := repo.Check(); err != nil {
+					t.Fatal(err)
+				}
+
+				if err := load(clean); err != nil {
+					t.Fatalf("clean reload of the name: %v", err)
+				}
+				snap = snapshotOf(t, repo)
+				if _, err := snap.Tree("t"); err != nil {
+					t.Fatalf("tree after the clean reload: %v", err)
+				}
+				if seq, err := snap.SpeciesView.Get("t", "bc", "seq:nexus"); err != nil || string(seq) != "AGGT" {
+					t.Fatalf("sequence of bc after the clean reload: %q, %v", seq, err)
+				}
+				if loads, err := snap.QueryView.ByKind(context.Background(), "load"); err != nil || len(loads) != 1 {
+					t.Fatalf("load history after the clean reload: %v, %v", loads, err)
+				}
+			})
+		}
 	}
 }

@@ -550,7 +550,9 @@ func (r *Repository) Close() error { return shard.CloseAll(r.be.DBs) }
 // Close. Only the tree's shard (and the history's shard 0) is committed,
 // and both steps run under the per-shard writer mutexes, so concurrent
 // LoadTree calls for trees on different shards never publish each other's
-// half-applied state.
+// half-applied state. progress is also called during the apply, with the
+// tree's shard writer mutex held: it must not call LoadTree, LoadNexus or
+// Commit.
 func (r *Repository) LoadTree(name string, t *Tree, f int, progress treestore.Progress) (*LoadedTree, error) {
 	return r.LoadTreeOpts(name, t, f, LoadOptions{}, progress)
 }

@@ -44,8 +44,8 @@ type layer struct {
 	SubSource []int32 // the subtree root's parent node in this layer; -1 for the subtree holding the layer root
 }
 
-// NumNodes returns the number of nodes in the layer.
-func (l *layer) NumNodes() int { return len(l.Parent) }
+// numNodes returns the number of nodes in the layer.
+func (l *layer) numNodes() int { return len(l.Parent) }
 
 // numSubtrees returns the number of bounded-depth subtrees in the layer.
 func (l *layer) numSubtrees() int { return len(l.SubRoot) }
@@ -312,7 +312,7 @@ type stats struct {
 func (ix *Index) Stats() stats {
 	st := stats{
 		F:           ix.F,
-		Nodes:       ix.Layers[0].NumNodes(),
+		Nodes:       ix.Layers[0].numNodes(),
 		Layers:      len(ix.Layers),
 		MaxLabelLen: ix.MaxLabelLen(),
 		LabelBytes:  ix.TotalLabelBytes(),

@@ -58,7 +58,7 @@ func TestFigure4Decomposition(t *testing.T) {
 	}
 	// Layer 1: two nodes, node 1's parent is node 0.
 	l1 := ix.Layers[1]
-	if l1.NumNodes() != 2 || l1.Parent[1] != 0 || l1.Parent[0] != -1 {
+	if l1.numNodes() != 2 || l1.Parent[1] != 0 || l1.Parent[0] != -1 {
 		t.Fatalf("layer 1 malformed: %+v", l1)
 	}
 	// Every local label fits within f components.

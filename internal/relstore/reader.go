@@ -3,9 +3,9 @@ package relstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -15,9 +15,14 @@ import (
 // holds the page, not its numbers: every primary leaf it descends to is kept
 // as it is (storage.Leaf — the pool's own immutable image and a cell-offset
 // table), ordered by key range, and a later key that a held leaf covers is
-// answered there with two binary searches. So within a request no leaf is
-// descended to twice, and of a held leaf only the rows asked for are looked at,
-// one at a time, only the columns asked for.
+// answered there. On an integer key the held leaf is picked by comparing
+// numbers, and the row is tried at the key's distance from the leaf's first
+// key with one compare: a table of dense ids (the nodes, layer and subs
+// relations) is answered that way almost always, and a key the try misses —
+// a gap, a sparse or non-integer key — falls back to a binary search of the
+// leaf. So within a request no leaf is descended to twice, and of a held leaf
+// only the rows asked for are looked at, one at a time, only the columns
+// asked for.
 //
 // The leaves kept are bounded by a budget the owner hands in
 // (TableView.Reader) and may share among the readers of one request; once it
@@ -30,16 +35,35 @@ import (
 // used.
 type Reader struct {
 	v      *TableView
-	budget *int           // leaves the request may still retain; shared, counted down
-	leaves []storage.Leaf // non-empty leaves, ascending by first key
-	key    []byte         // scratch: the encoded key of the lookup in progress
+	budget *int       // leaves the request may still retain; shared, counted down
+	ints   bool       // the key column is TInt: every key is 9 bytes, its number in the last 8
+	leaves []heldLeaf // non-empty leaves, ascending by first key
+	key    []byte     // scratch: the encoded key of the lookup in progress
+}
+
+// heldLeaf is a leaf a Reader holds and, on an integer key, the number of
+// its first key.
+type heldLeaf struct {
+	storage.Leaf
+	first uint64
 }
 
 // Reader returns a reader over the view's rows. It retains a leaf while
 // *budget is positive and counts it down for each one; readers given the same
 // budget share it, which bounds what one request holds over all its tables.
 func (v *TableView) Reader(budget *int) Reader {
-	return Reader{v: v, budget: budget}
+	return Reader{v: v, budget: budget, ints: v.schema.Columns[v.keyCol].Type == TInt}
+}
+
+// keyNum is the number of an encoded integer key: its 8 bytes after the tag,
+// big-endian. The encoding flips the sign bit, so numbers order as the keys'
+// bytes do. A key of another length is 0; only a corrupt page holds one,
+// and the search by bytes still answers it.
+func keyNum(key []byte) uint64 {
+	if len(key) != 9 {
+		return 0
+	}
+	return binary.BigEndian.Uint64(key[1:])
 }
 
 // fail reports a read failure — as the cancellation once the context is
@@ -58,27 +82,30 @@ func fail(ctx context.Context, err error) error {
 // the leaf, which is then held too.
 func (r *Reader) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	var (
-		leaf    storage.Leaf
+		n       uint64 // key's number, on an integer key
+		leaf    heldLeaf
 		pos     int
 		ok      bool // the entry at pos is key's
 		covered bool // key lies within leaf's entries
 	)
-	i := sort.Search(len(r.leaves), func(i int) bool { return bytes.Compare(r.leaves[i].Key(0), key) > 0 })
-	if i > 0 {
+	if r.ints {
+		n = keyNum(key)
+	}
+	if i := r.upTo(key, n); i > 0 {
 		leaf = r.leaves[i-1]
-		pos, ok = leaf.Find(key)
+		pos, ok = r.find(leaf, key, n)
 		covered = ok || pos < leaf.Len()
 	}
 	if !covered {
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		var err error
-		if leaf, err = r.v.primary.LeafC(key, obs.CountersFrom(ctx)); err != nil {
+		l, err := r.v.primary.LeafC(key, obs.CountersFrom(ctx))
+		if err != nil {
 			return nil, false, fail(ctx, err)
 		}
-		r.hold(leaf)
-		pos, ok = leaf.Find(key)
+		leaf = r.hold(l)
+		pos, ok = r.find(leaf, key, n)
 	}
 	if !ok {
 		return nil, false, nil
@@ -90,20 +117,61 @@ func (r *Reader) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	return enc, true, nil
 }
 
-// hold keeps a leaf just descended to, while the budget lasts. An absent key
-// outside every held leaf's entries can land in a held leaf again: that one
-// is not kept twice.
-func (r *Reader) hold(leaf storage.Leaf) {
-	if leaf.Len() == 0 || *r.budget <= 0 {
-		return
+// upTo returns how many held leaves begin at or before key (n its number, on
+// an integer key): the leaf that may hold it is the last of those.
+func (r *Reader) upTo(key []byte, n uint64) int {
+	lo, hi := 0, len(r.leaves)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		var before bool
+		if r.ints {
+			before = r.leaves[mid].first <= n
+		} else {
+			before = bytes.Compare(r.leaves[mid].Key(0), key) <= 0
+		}
+		if before {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	at, held := slices.BinarySearchFunc(r.leaves, leaf.Key(0), func(l storage.Leaf, first []byte) int {
-		return bytes.Compare(l.Key(0), first)
-	})
-	if !held {
-		r.leaves = slices.Insert(r.leaves, at, leaf)
-		*r.budget--
+	return lo
+}
+
+// find is storage.Leaf.Find, first trying the entry at the key's distance
+// from the leaf's first key, where a run of dense integer keys puts it. The
+// distance is unsigned: a key below the first wraps past every position.
+func (r *Reader) find(leaf heldLeaf, key []byte, n uint64) (int, bool) {
+	if r.ints {
+		if d := n - leaf.first; d < uint64(leaf.Len()) && bytes.Equal(leaf.Key(int(d)), key) {
+			return int(d), true
+		}
 	}
+	return leaf.Find(key)
+}
+
+// hold keeps a leaf just descended to, while the budget lasts, and returns
+// it as held. An absent key outside every held leaf's entries can land in a
+// held leaf again: that one is not kept twice.
+func (r *Reader) hold(l storage.Leaf) heldLeaf {
+	leaf := heldLeaf{Leaf: l}
+	if l.Len() == 0 {
+		return leaf
+	}
+	first := l.Key(0)
+	if r.ints {
+		leaf.first = keyNum(first)
+	}
+	if *r.budget <= 0 {
+		return leaf
+	}
+	at := r.upTo(first, leaf.first)
+	if at > 0 && bytes.Equal(r.leaves[at-1].Key(0), first) {
+		return leaf
+	}
+	r.leaves = slices.Insert(r.leaves, at, leaf)
+	*r.budget--
+	return leaf
 }
 
 // encoded returns the stored bytes of the row with the given primary key.

@@ -132,10 +132,12 @@ func (b *Backend) record(ctx context.Context, si int, q queryrepo.Query, summary
 // outside every mutex and concurrent writers coalesce into one WAL flush.
 // A sequence that fails to store takes the tree and its sequences back out
 // of the working state before the mutex drops, so no commit publishes half
-// a load.
+// a load. The progress lines of the apply are said once every mutex is
+// released, so the load's progress sink may write to the repository.
 func (b *Backend) Load(ctx context.Context, p *treestore.PreparedLoad, chars *nexus.Characters) (tree, hist *relstore.CommitWaiter, err error) {
 	info := p.Info()
 	si := b.Router.Place(info.Name)
+	defer p.Report() // after the unlocks below: a progress sink may commit
 	b.lock(ctx, si)
 	defer b.WriteMus[si].Unlock()
 	if err := p.Apply(); err != nil {

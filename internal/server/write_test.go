@@ -330,77 +330,70 @@ func nodeOf(n treestore.Node) client.Node {
 }
 
 // TestServerAndFacadeShareWriterMutexes: a server and the repository it
-// serves lock one set of writer mutexes. While a server load holds shard 0's
-// (paused mid-apply in its progress log line), a facade LoadTree on shard 0
-// prepares but does not apply; once the server's load is through, it does.
+// serves lock one set of writer mutexes. On a one-shard repository a server
+// load and a facade load of one 5k-leaf tree run side by side — the
+// facade's starts as the server's, its body parsed, starts to index — so
+// they reach the shard's mutex together, one finds it held by the other's
+// apply, and the write_waits.lock histogram counts the wait. With a mutex
+// each, neither could wait. No caller code runs under a writer mutex, so
+// neither side can be held still in its apply: a round whose loads did not
+// overlap is run again.
 func TestServerAndFacadeShareWriterMutexes(t *testing.T) {
 	repo := crimson.OpenMem()
 	defer repo.Close()
-	held, other := yule(t, 100, 71), yule(t, 100, 72)
-	holding, release := make(chan struct{}), make(chan struct{})
-	var hold, unhold sync.Once
-	releaseServer := func() { unhold.Do(func() { close(release) }) }
+	tree := yule(t, 5000, 71)
+	indexing := make(chan struct{}, 1)
 	srv := repo.NewServer(crimson.ServerConfig{Addr: "127.0.0.1:0", Logf: func(format string, args ...any) {
-		if strings.Contains(fmt.Sprintf(format, args...), "load held: creating relations") {
-			hold.Do(func() {
-				close(holding)
-				<-release
-			})
+		if strings.Contains(fmt.Sprintf(format, args...), ": building hierarchical index") {
+			indexing <- struct{}{}
 		}
 	}})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown(context.Background())
-	defer releaseServer() // before Shutdown, which waits for the held load
 	cl := client.New("http://"+srv.Addr(), nil)
 
-	serverDone := make(chan error, 1)
-	go func() {
-		_, err := cl.LoadTreeCtx(context.Background(), "held", 0, held)
-		serverDone <- err
-	}()
-	select {
-	case <-holding:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the server's load never reached its apply")
-	}
-
-	staged := make(chan struct{})
-	var applied atomic.Bool
-	facadeDone := make(chan error, 1)
-	go func() {
-		_, err := repo.LoadTree("other", other, crimson.DefaultFanout, func(msg string) {
-			switch {
-			case strings.HasPrefix(msg, "staged "):
-				close(staged)
-			case strings.HasPrefix(msg, "creating relations"):
-				applied.Store(true)
-			}
-		})
-		facadeDone <- err
-	}()
-	<-staged
-	// A bound on a negative: the facade's load is a lock acquisition away
-	// from applying, which it could only do on a mutex of its own.
-	time.Sleep(100 * time.Millisecond)
-	if applied.Load() {
-		t.Fatal("the facade's load applied on shard 0 while the server's load held its mutex")
-	}
-	releaseServer()
-	for what, done := range map[string]chan error{"server": serverDone, "facade": facadeDone} {
+	var names []string
+	for round := 0; ; round++ {
+		if round == 10 {
+			t.Fatal("in 10 rounds of a server load and a facade load side by side on one shard, neither waited for the other's writer mutex")
+		}
+		server, facade := fmt.Sprintf("server%d", round), fmt.Sprintf("facade%d", round)
+		names = append(names, server, facade)
+		serverDone := make(chan error, 1)
+		go func() {
+			_, err := cl.LoadTreeCtx(context.Background(), server, 0, tree)
+			serverDone <- err
+		}()
 		select {
-		case err := <-done:
+		case <-indexing:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the server load never started to index")
+		}
+		if _, err := repo.LoadTree(facade, tree, crimson.DefaultFanout, nil); err != nil {
+			t.Fatalf("the facade load: %v", err)
+		}
+		select {
+		case err := <-serverDone:
 			if err != nil {
-				t.Fatalf("the %s load: %v", what, err)
+				t.Fatalf("the server load: %v", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("the %s load did not finish", what)
+			t.Fatal("the server load did not finish")
+		}
+		stats, err := cl.StatsCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.WriteWaits["lock"].Count > 0 {
+			t.Logf("a load waited for the other's mutex in round %d", round)
+			break
 		}
 	}
 	snap := repo.Snapshot()
 	defer snap.Close()
-	for _, name := range []string{"held", "other"} {
+	for _, name := range names {
 		if _, err := snap.Tree(name); err != nil {
 			t.Fatalf("tree %s: %v", name, err)
 		}

@@ -198,14 +198,17 @@ func (o LoadOptions) workerCount() int {
 //
 // It is PrepareLoad, Apply and a commit, back to back. A caller that
 // serializes writers with a lock of its own calls the halves itself: prepare
-// before taking the lock, Apply and relstore.DB.CommitAsync under it, Wait
-// after releasing it — the lock is then held for the page writes only.
+// before taking the lock, Apply and relstore.DB.CommitAsync under it, Report
+// and Wait after releasing it — the lock is then held for the page writes
+// only, and no progress line is said under it.
 func (s *Store) LoadOpts(name string, t *phylo.Tree, f int, opts LoadOptions, progress Progress) (*PreparedLoad, error) {
 	p, err := s.PrepareLoad(name, t, f, opts, progress)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Apply(); err != nil {
+	err = p.Apply()
+	p.Report()
+	if err != nil {
 		return nil, err
 	}
 	if err := p.db.Commit(); err != nil {
@@ -279,6 +282,7 @@ type PreparedLoad struct {
 	opts     LoadOptions
 	metrics  LoadMetrics
 	progress Progress
+	held     []string // what Apply had to say, for Report
 }
 
 // Info describes the tree as it will be stored.
@@ -416,7 +420,9 @@ func (s *Store) PrepareLoad(name string, t *phylo.Tree, f int, opts LoadOptions,
 // nothing — the caller captures the shard's transaction
 // (relstore.DB.CommitAsync) when it has written whatever else belongs to
 // it. Apply is a mutation like any other: the caller is the shard's one
-// writer while it runs.
+// writer while it runs. So it says nothing: its progress lines wait for
+// Report, which the caller calls once it holds no lock, and a progress sink
+// may call back into the repository — commit it, say — without deadlock.
 //
 // ErrTreeExists comes back before anything is written. Past that check
 // nothing in a load can be rejected any more, only fail (I/O).
@@ -432,7 +438,7 @@ func (p *PreparedLoad) Apply() error {
 	} else if ok {
 		return fmt.Errorf("%w: %s", ErrTreeExists, name)
 	}
-	p.progress.Say("creating relations for tree %q", name)
+	p.hold("creating relations for tree %q", name)
 	create := func(st *relstore.BulkStage) error {
 		tab, err := p.db.CreateTable(st.Schema())
 		if err != nil {
@@ -457,7 +463,7 @@ func (p *PreparedLoad) Apply() error {
 			return err
 		}
 	}
-	p.progress.Say("loaded %d/%d nodes", p.info.Nodes, p.info.Nodes)
+	p.hold("loaded %d/%d nodes", p.info.Nodes, p.info.Nodes)
 	err = trees.Insert(relstore.Tuple{
 		relstore.Str(name),
 		relstore.Int(int64(p.info.Nodes)),
@@ -474,6 +480,23 @@ func (p *PreparedLoad) Apply() error {
 		*p.opts.Metrics = p.metrics
 	}
 	return nil
+}
+
+// hold keeps a progress line of Apply's for Report.
+func (p *PreparedLoad) hold(format string, args ...any) {
+	if p.progress != nil {
+		p.held = append(p.held, fmt.Sprintf(format, args...))
+	}
+}
+
+// Report says the progress lines Apply held back, in order, once. The
+// caller calls it after Apply, failed or not, with its writer mutex
+// released.
+func (p *PreparedLoad) Report() {
+	for _, line := range p.held {
+		p.progress(line)
+	}
+	p.held = nil
 }
 
 // Committed tells the progress sink the load is durable. The caller that
@@ -671,8 +694,9 @@ var (
 
 // decodeNode is the one reader of a whole nodes row: the twelve columns in
 // schema order, straight from the stored row, the name copied out of the page.
-// What only tests a column or three (cladeOf: the frontier, leafIDs, the
-// uniform draws) reads those in place and comes here for the rows it keeps.
+// What only tests a column or three (cladeOf: the frontier's clade roots,
+// the uniform draws; cladeLeaves: a clade's rows) reads those in place and
+// comes here for the rows it keeps.
 func decodeNode(row relstore.Row) (Node, error) {
 	c := row.Cols()
 	n := Node{
@@ -821,7 +845,9 @@ type subLink struct{ root, source int }
 // Project and MinimalSpanningClade run the LCA recursion over many pairs
 // whose ancestor chains overlap heavily, and a local climb's next cell is
 // most often in the leaf of the last; the held leaves turn those reads into
-// binary searches and decode nothing but the row asked for. It is
+// a compare or two — every relation here is keyed by dense ids, so a held
+// row is found at its id's distance from its leaf's first — and decode
+// nothing but the row asked for. It is
 // request-scoped — created per call, never shared across requests, gone with
 // it — and used from a single goroutine, so it needs no locking.
 type cellMemo struct {
@@ -1080,10 +1106,10 @@ func (t *Tree) beyondCtx(ctx context.Context, time float64) (idSet, error) {
 // whole preorder range [id, id+size) is in the set with it, and the next
 // maximal node is the smallest id in the set past that range. A maximal
 // node's row comes through the request memo, for its size and leaf flag; an
-// interior clade's leaves come from one range scan, which runs on into the
-// next clade when that one starts where the last ends, so adjacent clades
-// are one scan. A size that is not >= 1 or runs past the tree is an error,
-// never a hang.
+// interior clade's leaves come from one range scan (cladeLeaves), which runs
+// on into the next clade when that one starts where the last ends, so
+// adjacent clades are one scan. A size that is not >= 1 or runs past the
+// tree is an error, never a hang.
 func (t *Tree) frontierCtx(ctx context.Context, memo *cellMemo, beyond idSet) (roots []int, groups [][]int, err error) {
 	var leaves, starts []int // starts[i]: where the leaves of roots[i] begin
 	// open starts the clade of a maximal node and returns where it ends.
@@ -1093,6 +1119,19 @@ func (t *Tree) frontierCtx(ctx context.Context, memo *cellMemo, beyond idSet) (r
 		}
 		roots, starts = append(roots, id), append(starts, len(leaves))
 		return id + size, nil
+	}
+	// next opens the clade of a row that starts where the last clade ends,
+	// when it is in the set.
+	next := func(row relstore.Row, id, end int) (int, bool, error) {
+		if id != end || !beyond.has(id) {
+			return 0, false, nil
+		}
+		_, _, size, err := cladeOf(row)
+		if err != nil {
+			return 0, false, err
+		}
+		end, err = open(id, size)
+		return end, err == nil, err
 	}
 	for id, end := beyond.next(0), 0; id >= 0; id = beyond.next(end) {
 		row, ok, err := memo.nodes.Row(ctx, relstore.Int(int64(id)))
@@ -1113,25 +1152,7 @@ func (t *Tree) frontierCtx(ctx context.Context, memo *cellMemo, beyond idSet) (r
 			leaves = append(leaves, id)
 			continue
 		}
-		err = t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(id+1)), relstore.Value{}, func(row relstore.Row) (bool, error) {
-			id, leaf, size, err := cladeOf(row)
-			if err != nil {
-				return false, err
-			}
-			if id >= end {
-				if id != end || !beyond.has(id) {
-					return false, nil
-				}
-				if end, err = open(id, size); err != nil {
-					return false, err
-				}
-			}
-			if leaf {
-				leaves = append(leaves, id)
-			}
-			return true, nil
-		})
-		if err != nil {
+		if end, err = t.cladeLeaves(ctx, id+1, id, end, relstore.Value{}, &leaves, next); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -1147,20 +1168,58 @@ func (t *Tree) frontierCtx(ctx context.Context, memo *cellMemo, beyond idSet) (r
 }
 
 // leafIDs appends the ids of the leaves in the clade rooted at n, ascending:
-// a leaf is its own clade, an interior node one range scan that reads the id
-// and the leaf flag of each row. The callers fetch the rows they keep.
+// a leaf is its own clade, an interior node one range scan (cladeLeaves).
+// The callers fetch the rows they keep.
 func (t *Tree) leafIDs(ctx context.Context, n Node, ids []int) ([]int, error) {
 	if n.Leaf {
 		return append(ids, n.ID), nil
 	}
-	err := t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(n.ID)), relstore.Int(int64(n.ID+n.Size)), func(row relstore.Row) (bool, error) {
-		id, leaf, _, err := cladeOf(row)
-		if leaf {
-			ids = append(ids, id)
-		}
-		return true, err
-	})
+	end := n.ID + n.Size
+	_, err := t.cladeLeaves(ctx, n.ID, -1, end, relstore.Int(int64(end)), &ids, nil)
 	return ids, err
+}
+
+// cladeLeaves appends to *ids the leaves among the nodes rows a range scan
+// from `from` up to hi (the zero Value for no bound) reads, ascending, from
+// each row's id and parent alone — no flag or size column is decoded. In
+// preorder a node's first child is the row after it, so a row is a leaf when
+// the next row's parent is not that row, and the last row of a clade — the
+// one before end — always is. prev is the row before from, -1 when the scan
+// starts at the clade's root. When the scan reaches a row at or past end,
+// next — nil to stop there — says whether that row opens another clade and
+// where that one ends, and the scan goes on into it. It returns the end of
+// the last clade scanned.
+func (t *Tree) cladeLeaves(ctx context.Context, from, prev, end int, hi relstore.Value, ids *[]int, next func(row relstore.Row, id, end int) (int, bool, error)) (int, error) {
+	err := t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(from)), hi, func(row relstore.Row) (bool, error) {
+		c := row.Cols()
+		id, parent := int(c.Int()), int(c.Int())
+		if err := c.Err(); err != nil {
+			return false, err
+		}
+		if prev >= 0 && parent != prev {
+			*ids = append(*ids, prev) // a first child would be this row
+		}
+		prev = id
+		if id < end {
+			return true, nil
+		}
+		if next != nil {
+			more, ok, err := next(row, id, end)
+			if ok {
+				end = more
+				return true, nil
+			}
+			if err != nil {
+				return false, err
+			}
+		}
+		prev = -1 // the row that stops the scan is no clade's
+		return false, nil
+	})
+	if err == nil && prev >= 0 {
+		*ids = append(*ids, prev)
+	}
+	return end, err
 }
 
 // cladeOf reads the id, the leaf flag and the subtree size of a nodes row in

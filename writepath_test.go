@@ -278,3 +278,76 @@ END;
 		}
 	}
 }
+
+// TestProgressMayCallCommit: a load says its progress with no writer mutex
+// held, so a progress sink may call back into the repository. A LoadTree and
+// a LoadNexus on a 4-shard repository whose sink commits on every line — a
+// Commit takes each shard's writer mutex in turn — return, and say what a
+// load always said, in the order it always said it.
+func TestProgressMayCallCommit(t *testing.T) {
+	repo := crimson.OpenMemSharded(4)
+	defer repo.Close()
+	tree, err := crimson.GenerateYule(200, 1.0, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chars := &nexus.Characters{Datatype: "DNA", Order: tree.LeafNames(), Seqs: map[string]string{}}
+	for _, taxon := range chars.Order {
+		chars.Seqs[taxon] = "ACGT"
+	}
+	opts := crimson.LoadOptions{Workers: 2}
+	loads := []struct {
+		name string
+		load func(progress func(string)) (*crimson.LoadedTree, error)
+		seqs bool
+	}{
+		{"tree", func(progress func(string)) (*crimson.LoadedTree, error) {
+			return repo.LoadTreeOpts("tree", tree, crimson.DefaultFanout, opts, progress)
+		}, false},
+		{"nexus", func(progress func(string)) (*crimson.LoadedTree, error) {
+			doc := &crimson.NexusDocument{Trees: []crimson.NamedTree{{Name: "nexus", Tree: tree}}, Characters: chars}
+			return repo.LoadNexusOpts(doc, "", crimson.DefaultFanout, opts, progress)
+		}, true},
+	}
+	for _, l := range loads {
+		var said []string
+		done := make(chan error, 1)
+		var info treestore.TreeInfo
+		go func() {
+			st, err := l.load(func(msg string) {
+				said = append(said, msg)
+				if err := repo.Commit(); err != nil {
+					t.Errorf("a commit from the progress sink: %v", err)
+				}
+			})
+			if err == nil {
+				info = st.Info()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("load %s: %v", l.name, err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("load %s, its progress sink committing, did not return in 3 s: it says a line under a writer mutex", l.name)
+		}
+		want := []string{
+			fmt.Sprintf("building hierarchical index (f=%d) over %d nodes", crimson.DefaultFanout, tree.NumNodes()),
+			fmt.Sprintf("staged %d node rows for bulk load (%d workers)", tree.NumNodes(), opts.Workers),
+			fmt.Sprintf("creating relations for tree %q", l.name),
+			fmt.Sprintf("loaded %d/%d nodes", tree.NumNodes(), tree.NumNodes()),
+		}
+		if l.seqs {
+			want = append(want, fmt.Sprintf("stored %d sequences in the species repository", len(chars.Order)))
+		}
+		want = append(want, fmt.Sprintf("tree %q committed (%d layers, depth %d)", l.name, info.Layers, info.Depth))
+		if strings.Join(said, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("load %s said\n%s\nwant\n%s", l.name, strings.Join(said, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	if err := repo.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -860,7 +860,7 @@ func BenchmarkBTreeGet(b *testing.B) {
 	b.Run("point", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok, err := tr.GetC(key(i), nil); err != nil || !ok {
+			if _, ok, err := tr.Get(key(i)); err != nil || !ok {
 				b.Fatal(ok, err)
 			}
 		}

@@ -490,8 +490,8 @@ func runQuery(repoPath string, v queryrepo.Query, o printOpts) error {
 	default:
 		return fmt.Errorf("rerun: query kind %q is not rerunnable", v.Kind())
 	}
-	_, _ = repo.Queries.Record(v, summary)
-	return repo.Commit()
+	_, err = repo.Record(v, summary)
+	return err
 }
 
 // cmdExport streams a stored tree's Newick serialization to stdout (or

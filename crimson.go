@@ -50,12 +50,13 @@
 // tens of microseconds; superseded pages are reclaimed by epoch once the last
 // snapshot that could read them closes.
 //
-// LoadTree, LoadNexus and Commit take the per-shard writer mutexes, the
-// same ones a server over the repository (NewServer) writes under, so
-// loads of different trees that hash apart proceed in parallel and no
-// commit captures a load half applied. Trees.Delete, Species.Put and
-// Queries.Record take no mutex: their callers must not run them beside
-// another writer of the same shard (shard 0 for Queries.Record). Loads use
+// LoadTree, LoadNexus, Record and Commit take the per-shard writer mutexes,
+// the same ones a server over the repository (NewServer) writes under, so
+// loads of different trees that hash apart proceed in parallel — each one
+// commit on its own shard, its history entry included — and no commit
+// captures a load half applied. Trees.Delete and Species.Put take no
+// mutex: their callers must not run them beside another writer of the same
+// shard. Loads use
 // a sorted bulk-load fast path that builds the node relation and its indexes
 // bottom-up rather than one B+tree descent per row. In-memory helpers
 // (Index, Planner, pattern match, RunBenchmark) are read-only after
@@ -81,7 +82,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/benchmark"
@@ -182,6 +182,9 @@ type (
 	// ReplStatus is the /v1/repl/status body: per-shard replication state
 	// of a primary or follower.
 	ReplStatus = repl.StatusResponse
+	// CommitWaiter tracks the durability of one commit per shard (see
+	// Repository.CommitAsync).
+	CommitWaiter = server.CommitWaiter
 )
 
 // DefaultFanout is the default depth bound f for hierarchical labels.
@@ -217,9 +220,11 @@ var (
 // relational database — its own page file, WAL and epoch machinery — and
 // trees (with their species data) are placed on shards by a deterministic
 // hash of the tree name, so the API below is identical at every shard
-// count. Query history lives on shard 0. With N shards there are N
-// independent writer locks: loads of trees on different shards proceed
-// genuinely in parallel, and the single-writer contract holds per shard.
+// count. A load's history entry lives on its tree's shard and a read
+// query's on shard 0; snapshots merge the history by id. With N shards
+// there are N independent writer locks: loads of trees on different
+// shards proceed genuinely in parallel, and the single-writer contract
+// holds per shard.
 //
 // A Repository is safe for any number of snapshot readers plus one writer
 // per shard (see the package comment's Concurrency section).
@@ -230,12 +235,12 @@ type Repository struct {
 	// neither side ever captures the other's half-applied state.
 	be *server.Backend
 
-	// The three repositories, as be holds them. Writes through them
-	// directly bypass the writer mutexes; their callers own the
-	// one-writer-per-shard contract.
+	// The tree and species repositories, as be holds them. Writes through
+	// them directly bypass the writer mutexes; their callers own the
+	// one-writer-per-shard contract. The query history is written through
+	// LoadTree, LoadNexus and Record.
 	Trees   *treestore.Store
 	Species *species.Repo
-	Queries *queryrepo.Repo
 }
 
 // Open opens (creating if needed) a repository stored at path. A plain
@@ -357,27 +362,11 @@ func OpenMemSharded(n int) *Repository {
 }
 
 func assemble(dbs []*relstore.DB) (*Repository, error) {
-	router, err := shard.NewRouter(len(dbs))
+	be, err := server.NewBackend(dbs)
 	if err != nil {
 		return nil, err
 	}
-	trees, err := treestore.NewOnShards(dbs, router)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := species.NewOnShards(dbs, router)
-	if err != nil {
-		return nil, err
-	}
-	// Query history is repository-global (not tree-scoped), so it lives on
-	// shard 0.
-	q, err := queryrepo.NewOnDB(dbs[0])
-	if err != nil {
-		return nil, err
-	}
-	be := &server.Backend{DBs: dbs, Router: router, Trees: trees, Species: sp, Queries: q,
-		WriteMus: make([]sync.Mutex, len(dbs))}
-	return &Repository{be: be, Trees: trees, Species: sp, Queries: q}, nil
+	return &Repository{be: be, Trees: be.Trees, Species: be.Species}, nil
 }
 
 // OpenFollower opens (creating if needed) path as a streaming replica of
@@ -441,41 +430,6 @@ func (r *Repository) SetReadCacheMB(mb int) {
 	}
 }
 
-// CommitWaiter tracks the durability of commits issued across one or more
-// shards (see Repository.CommitAsync).
-type CommitWaiter struct {
-	waiters []*relstore.CommitWaiter
-}
-
-// Wait blocks until every shard's commit is durable. Multi-shard waits fan
-// out across goroutines: each waiting goroutine may lead its own store's
-// group flush, so the per-shard WAL fsyncs run in parallel rather than
-// serializing behind one another.
-func (w *CommitWaiter) Wait() error {
-	if w == nil || len(w.waiters) == 0 {
-		return nil
-	}
-	if len(w.waiters) == 1 {
-		if err := w.waiters[0].Wait(); err != nil {
-			return fmt.Errorf("shard 0: %w", err)
-		}
-		return nil
-	}
-	errs := make([]error, len(w.waiters))
-	var wg sync.WaitGroup
-	for i, cw := range w.waiters {
-		wg.Add(1)
-		go func(i int, cw *relstore.CommitWaiter) {
-			defer wg.Done()
-			if err := cw.Wait(); err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-			}
-		}(i, cw)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // Commit makes all buffered changes of every shard durable.
 func (r *Repository) Commit() error {
 	return r.CommitAsync().Wait()
@@ -484,14 +438,17 @@ func (r *Repository) Commit() error {
 // CommitAsync captures every shard's pending transaction, each under its
 // shard's writer mutex and one shard at a time, and returns a waiter for
 // their durability.
-func (r *Repository) CommitAsync() *CommitWaiter {
-	w := &CommitWaiter{waiters: make([]*relstore.CommitWaiter, len(r.be.DBs))}
-	for i, db := range r.be.DBs {
-		r.be.WriteMus[i].Lock()
-		w.waiters[i] = db.CommitAsync()
-		r.be.WriteMus[i].Unlock()
+func (r *Repository) CommitAsync() *CommitWaiter { return r.be.CommitAsync() }
+
+// Record appends a read query to the history with its result summary and
+// commits it before returning. Read queries are recorded on shard 0 under
+// its writer mutex, as crimsond records the ones it serves.
+func (r *Repository) Record(q queryrepo.Query, summary string) (queryrepo.Entry, error) {
+	e, w, err := r.be.Record(q, summary)
+	if err == nil {
+		err = w.Wait()
 	}
-	return w
+	return e, err
 }
 
 // Checkpoint synchronously flushes every shard's committed pages to its
@@ -546,12 +503,12 @@ func (r *Repository) Close() error { return shard.CloseAll(r.be.DBs) }
 // LoadTree stores an in-memory tree under the given name with depth bound
 // f, recording the load in the query history. Like LoadNexus, it commits
 // before returning: a successful load — tree relations and its history
-// record both — is durable even if the caller never calls Commit or
-// Close. Only the tree's shard (and the history's shard 0) is committed,
-// and both steps run under the per-shard writer mutexes, so concurrent
-// LoadTree calls for trees on different shards never publish each other's
+// record both, in one commit of the tree's shard — is durable even if the
+// caller never calls Commit or Close, and a crash keeps both or neither.
+// The load runs under its shard's writer mutex, so concurrent LoadTree
+// calls for trees on different shards never publish each other's
 // half-applied state. progress is never called with a writer mutex held:
-// the apply's lines are said once the mutexes are released, so it may call
+// the apply's lines are said once the mutex is released, so it may call
 // back into the repository — Commit included.
 func (r *Repository) LoadTree(name string, t *Tree, f int, progress treestore.Progress) (*LoadedTree, error) {
 	return r.LoadTreeOpts(name, t, f, LoadOptions{}, progress)
@@ -585,29 +542,25 @@ func (r *Repository) LoadNexusOpts(doc *NexusDocument, name string, f int, opts 
 
 // load is the facade's entrance to the one load path, Backend.Load. The
 // tree is validated, indexed and staged before any mutex is taken
-// (treestore.PrepareLoad), and both commits — the tree's shard, carrying the
-// tree and any sequences, and the history's shard 0 — are waited for after
-// the mutexes are released, so their WAL flushes overlap each other and
-// coalesce with other writers'.
+// (treestore.PrepareLoad), and the one commit — the tree's shard, carrying
+// the tree, any sequences and the history entry — is waited for after the
+// mutex is released, so its WAL flush coalesces with other writers'.
 func (r *Repository) load(name string, t *Tree, chars *nexus.Characters, f int, opts LoadOptions, progress treestore.Progress) (*LoadedTree, error) {
 	p, err := r.Trees.PrepareLoad(name, t, f, opts, progress)
 	if err != nil {
 		return nil, err
 	}
-	tree, hist, err := r.be.Load(context.TODO(), p, chars)
+	w, err := r.be.Load(context.TODO(), p, chars)
 	if err != nil {
 		return nil, err
 	}
 	if chars != nil {
 		progress.Say("stored %d sequences in the species repository", len(chars.Order))
 	}
-	if err := tree.Wait(); err != nil {
+	if err := w.Wait(); err != nil {
 		return nil, fmt.Errorf("crimson: committing shard %d: %w", r.be.Router.Place(name), err)
 	}
 	p.Committed()
-	if err := hist.Wait(); err != nil {
-		return p, fmt.Errorf("crimson: committing history shard: %w", err)
-	}
 	return p, nil
 }
 
@@ -643,7 +596,7 @@ func (r *Repository) Snapshot() *Snapshot {
 		sns:         sns,
 		TreeSnap:    treestore.SnapOnShards(sns, r.be.Router),
 		SpeciesView: species.ViewOnShards(sns, r.be.Router),
-		QueryView:   queryrepo.ViewOn(sns[0]),
+		QueryView:   queryrepo.ViewOnShards(sns),
 	}
 }
 
@@ -680,7 +633,7 @@ func (r *Repository) SnapshotCtx(ctx context.Context) (*Snapshot, error) {
 func (s *Snapshot) Tree(name string) (*StoredTree, error) { return s.TreeSnap.Tree(name) }
 
 // Trees lists the trees stored as of the snapshot.
-func (s *Snapshot) Trees() ([]TreeInfo, error) { return s.TreeSnap.Trees() }
+func (s *Snapshot) Trees() ([]TreeInfo, error) { return s.TreeSnap.TreesCtx(context.Background()) }
 
 // TreesPage lists up to limit trees whose name sorts strictly after the
 // cursor name (limit <= 0 means all), merged across shards in name order,

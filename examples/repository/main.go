@@ -74,7 +74,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("LCA(%s, %s) = node %d at depth %d, time %.3f\n", lq.A, lq.B, lrow.ID, lrow.Depth, lrow.Dist)
-	repo.Queries.Record(lq, summary)
+	if _, err := repo.Record(lq, summary); err != nil {
+		log.Fatal(err)
+	}
 
 	// Sample with respect to time and project — the §2.2 workload.
 	picked, err := stored.SampleWithTimeCtx(ctx, lrow.Dist, 8, r)
@@ -90,7 +92,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nprojected %d sampled species:\n%s", len(picked), crimson.ASCII(projected))
-	repo.Queries.Record(pq, summary)
+	if _, err := repo.Record(pq, summary); err != nil {
+		log.Fatal(err)
+	}
 
 	// Species data retrieval for the sample.
 	seq, err := snap.SpeciesView.Get("gold", picked[0].Name, "seq:sim")

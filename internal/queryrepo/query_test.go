@@ -37,7 +37,7 @@ func TestQueryEncoding(t *testing.T) {
 	}
 	r := newRepo(t)
 	for i, q := range everyKind {
-		e, err := r.Record(q, "")
+		e, err := r.Record(0, q, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,10 +4,12 @@
 package queryrepo
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,28 +33,36 @@ type Entry struct {
 	Summary string // human-readable result summary
 }
 
-// Repo is the query history repository.
+// Repo is the query history repository over one database per shard. A
+// write records its entry on its own shard, in its own transaction, so the
+// entry commits with the write or not at all; reads are recorded on shard 0.
 //
-// Record is safe to call from many goroutines at once: a repo-level
-// mutex makes the read-counter/write-counter/insert sequence atomic, so
-// IDs stay unique and dense no matter how many recorders race. The history
-// is read through a View, which sees committed records only.
+// Ids are global: one in-process counter, seeded at the first successful
+// Record from the largest id any shard's counter row holds, issues them
+// dense and increasing across shards. Record is safe to call from many
+// goroutines at once, but on one shard only under that shard's writer
+// contract. The history is read through a View, which sees committed
+// records only.
 type Repo struct {
-	db *relstore.DB
-	mu sync.Mutex // serializes Record (the id counter's read-modify-write)
+	dbs  []*relstore.DB
+	mu   sync.Mutex // serializes Record (the id counter)
+	last int64      // the last id issued; 0 until the first Record succeeds
 }
 
-// NewOnDB layers the repository over an existing database, creating the
-// history table on a writable one. A replica's arrives through
+// NewOnShards layers the repository over one database per shard, creating
+// the history table on every writable one. A replica's arrives through
 // replication, and Record finds it (or creates it) at its first write
 // after a promote.
-func NewOnDB(db *relstore.DB) (*Repo, error) {
-	if !db.Store().IsReplica() {
+func NewOnShards(dbs []*relstore.DB) (*Repo, error) {
+	for i, db := range dbs {
+		if db.Store().IsReplica() {
+			continue
+		}
 		if _, err := historyTable(db); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("queryrepo: initializing shard %d: %w", i, err)
 		}
 	}
-	return &Repo{db: db}, nil
+	return &Repo{dbs: dbs}, nil
 }
 
 // historyTable returns the writer's handle on the history table, creating
@@ -78,61 +88,83 @@ func historyTable(db *relstore.DB) (*relstore.Table, error) {
 	return tab, err
 }
 
-// Record appends a query to the history: its kind, its JSON encoding as
-// the args and the summary. Safe for concurrent use.
-func (r *Repo) Record(q Query, summary string) (Entry, error) {
+// Record appends a query to shard si's history, in the transaction the
+// caller has open there: its kind, its JSON encoding as the args and the
+// summary.
+func (r *Repo) Record(si int, q Query, summary string) (Entry, error) {
 	argsJSON, err := json.Marshal(q)
 	if err != nil {
 		return Entry{}, fmt.Errorf("queryrepo: encoding args: %w", err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tab, err := historyTable(r.db)
+	tab, err := historyTable(r.dbs[si])
 	if err != nil {
 		return Entry{}, err
 	}
-	id, err := nextID(tab)
-	if err != nil {
-		return Entry{}, err
-	}
-	e := Entry{ID: id, Time: time.Now(), Kind: q.Kind(), Args: string(argsJSON), Summary: summary}
-	err = tab.Insert(relstore.Tuple{
-		relstore.Int(e.ID),
-		relstore.Int(e.Time.UnixNano()),
-		relstore.Str(e.Kind),
-		relstore.Str(e.Args),
-		relstore.Str(e.Summary),
-	})
-	if err != nil {
-		return Entry{}, err
-	}
-	return e, nil
-}
-
-func nextID(tab *relstore.Table) (int64, error) {
-	row, ok, err := tab.Get(relstore.Int(counterKey))
-	if err != nil {
-		return 0, err
-	}
-	next := int64(1)
-	if ok {
-		counter, err := decodeEntry(row)
-		if err != nil {
-			return 0, err
+	last := r.last
+	if last == 0 {
+		if last, err = r.lastIssued(si, tab); err != nil {
+			return Entry{}, err
 		}
-		next = counter.Time.UnixNano() + 1 // the counter row keeps the last id in its time column
 	}
+	e := Entry{ID: last + 1, Time: time.Now(), Kind: q.Kind(), Args: string(argsJSON), Summary: summary}
+	// The counter row keeps the shard's last id in its time column.
 	err = tab.Put(relstore.Tuple{
 		relstore.Int(counterKey),
-		relstore.Int(next),
+		relstore.Int(e.ID),
 		relstore.Str("_counter"),
 		relstore.Str(""),
 		relstore.Str(""),
 	})
+	if err == nil {
+		err = tab.Insert(relstore.Tuple{
+			relstore.Int(e.ID),
+			relstore.Int(e.Time.UnixNano()),
+			relstore.Str(e.Kind),
+			relstore.Str(e.Args),
+			relstore.Str(e.Summary),
+		})
+	}
 	if err != nil {
+		return Entry{}, err
+	}
+	r.last = e.ID
+	return e, nil
+}
+
+// lastIssued is the largest id any shard's counter row holds: shard si's as
+// the caller's transaction has it (tab is its writer handle), every other
+// shard's as last committed, which no writer of that shard holds up.
+func (r *Repo) lastIssued(si int, tab *relstore.Table) (int64, error) {
+	last, err := lastID(tab.Get)
+	for i, db := range r.dbs {
+		if i == si || err != nil {
+			continue
+		}
+		sn := db.Snapshot()
+		var id int64
+		view, verr := sn.Table(tableName)
+		if verr == nil {
+			id, err = lastID(view.Get)
+		} else if !errors.Is(verr, relstore.ErrNoTable) {
+			err = verr
+		}
+		sn.Close()
+		last = max(last, id)
+	}
+	return last, err
+}
+
+// lastID reads the last issued id off one shard's counter row (0 when the
+// shard has issued none).
+func lastID(get func(relstore.Value) (relstore.Row, bool, error)) (int64, error) {
+	row, ok, err := get(relstore.Int(counterKey))
+	if err != nil || !ok {
 		return 0, err
 	}
-	return next, nil
+	counter, err := decodeEntry(row)
+	return counter.Time.UnixNano(), err
 }
 
 func decodeEntry(row relstore.Row) (Entry, error) {
@@ -171,59 +203,66 @@ func getEntry(tab *relstore.TableView, id int64) (Entry, error) {
 	return e, err
 }
 
+// scanIDs returns every shard's entries with lo <= id < hi (hi unset: no
+// upper bound), merged in ascending id order.
+func scanIDs(ctx context.Context, tabs []*relstore.TableView, lo, hi relstore.Value) ([]Entry, error) {
+	var out []Entry
+	for _, tab := range tabs {
+		if err := tab.ScanRangeCtx(ctx, lo, hi, appendEntries(&out)); err != nil {
+			return nil, err
+		}
+	}
+	slices.SortFunc(out, byID)
+	return out, nil
+}
+
+func byID(a, b Entry) int { return cmp.Compare(a.ID, b.ID) }
+
 // historyPage returns up to limit entries with id < beforeID (beforeID <= 0
 // means "from the newest"), newest first, plus the id to pass as the next
 // page's beforeID (0 once the history is exhausted).
 //
 // The storage cursor only walks forward, but ids are issued by a dense
 // counter, so a page of L entries below beforeID almost always lives in
-// the id window [beforeID-L, beforeID). The pager scans that window,
-// prepends it reversed, and walks further windows down only to cover the
-// shortfall from gaps (a crashed insert that burned an id) — O(pages
-// read), not O(history), per page. A final one-descent probe below the
+// the id window [beforeID-L, beforeID). The pager scans that window on
+// every shard, prepends it reversed, and walks further windows down only to
+// cover the shortfall from gaps (a crashed insert that burned an id, an
+// entry whose shard has not committed it) — O(pages read), not
+// O(history), per page. A final one-descent probe per shard below the
 // oldest returned id decides whether a next cursor exists.
-func historyPage(ctx context.Context, tab *relstore.TableView, beforeID int64, limit int) ([]Entry, int64, error) {
+func historyPage(ctx context.Context, tabs []*relstore.TableView, beforeID int64, limit int) ([]Entry, int64, error) {
 	if limit <= 0 {
-		// Full listing: one ascending scan, reversed.
-		var all []Entry
+		// Full listing: one ascending scan per shard, merged and reversed.
 		hi := relstore.Value{}
 		if beforeID > 0 {
 			hi = relstore.Int(beforeID)
 		}
-		err := tab.ScanRangeCtx(ctx, relstore.Int(0), hi, appendEntries(&all))
-		if err != nil {
-			return nil, 0, err
-		}
-		for i, j := 0, len(all)-1; i < j; i, j = i+1, j-1 {
-			all[i], all[j] = all[j], all[i]
-		}
-		return all, 0, nil
+		all, err := scanIDs(ctx, tabs, relstore.Int(0), hi)
+		slices.Reverse(all)
+		return all, 0, err
 	}
 
 	hi := beforeID
 	if hi <= 0 {
-		// First page: the counter row (id -1) holds the last issued id.
-		row, ok, err := tab.Get(relstore.Int(counterKey))
-		if err != nil {
-			return nil, 0, err
+		// First page: the counter rows (id -1) hold each shard's last
+		// issued id.
+		last := int64(0)
+		for _, tab := range tabs {
+			id, err := lastID(tab.Get)
+			if err != nil {
+				return nil, 0, err
+			}
+			last = max(last, id)
 		}
-		if !ok {
+		if last == 0 {
 			return nil, 0, nil // no history yet
 		}
-		counter, err := decodeEntry(row)
-		if err != nil {
-			return nil, 0, err
-		}
-		hi = counter.Time.UnixNano() + 1
+		hi = last + 1
 	}
 	out := make([]Entry, 0, limit)
 	for hi > 0 && len(out) < limit {
-		lo := hi - int64(limit-len(out))
-		if lo < 0 {
-			lo = 0
-		}
-		var window []Entry // ascending within the window
-		err := tab.ScanRangeCtx(ctx, relstore.Int(lo), relstore.Int(hi), appendEntries(&window))
+		lo := max(hi-int64(limit-len(out)), 0)
+		window, err := scanIDs(ctx, tabs, relstore.Int(lo), relstore.Int(hi))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -235,65 +274,71 @@ func historyPage(ctx context.Context, tab *relstore.TableView, beforeID int64, l
 	next := int64(0)
 	if len(out) > 0 {
 		oldest := out[len(out)-1].ID
-		// Probe: does anything exist below the oldest returned id?
-		older := false
-		err := tab.ScanRangeCtx(ctx, relstore.Int(0), relstore.Int(oldest), func(relstore.Row) (bool, error) {
-			older = true
-			return false, nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		if older {
-			next = oldest
+		// Probe: does any shard hold anything below the oldest returned id?
+		for _, tab := range tabs {
+			err := tab.ScanRangeCtx(ctx, relstore.Int(0), relstore.Int(oldest), func(relstore.Row) (bool, error) {
+				next = oldest
+				return false, nil
+			})
+			if err != nil {
+				return nil, 0, err
+			}
+			if next != 0 {
+				break
+			}
 		}
 	}
 	return out, next, nil
 }
 
-// View is the read side of the query history, as of a snapshot: Get, History
-// and ByKind run lock-free against the epoch the snapshot pinned, so browsing
-// history never waits behind a bulk load. Records not committed when the
-// snapshot was taken are invisible to it.
+// View is the read side of the query history, as of a snapshot of every
+// shard: Get, History and ByKind run lock-free against the epochs the
+// snapshot pinned, so browsing history never waits behind a bulk load, and
+// merge the shards' entries by id. Records not committed when the snapshot
+// was taken are invisible to it.
 type View struct {
-	rs *relstore.Snap
+	sns []*relstore.Snap
 }
 
-// ViewOn binds a history view to a relational snapshot (shared with the
-// tree and species repositories).
-func ViewOn(rs *relstore.Snap) *View { return &View{rs: rs} }
+// ViewOnShards binds a history view to one relational snapshot per shard
+// (shared with the tree and species repositories).
+func ViewOnShards(sns []*relstore.Snap) *View { return &View{sns: sns} }
 
-func (v *View) table() (*relstore.TableView, error) {
-	tab, err := v.rs.Table(tableName)
-	if errors.Is(err, relstore.ErrNoTable) {
-		return nil, nil
+// tables returns the history table of every shard that has one: a shard
+// written before its history table existed has none.
+func (v *View) tables() ([]*relstore.TableView, error) {
+	var tabs []*relstore.TableView
+	for _, sn := range v.sns {
+		tab, err := sn.Table(tableName)
+		if errors.Is(err, relstore.ErrNoTable) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		tabs = append(tabs, tab)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return tab, nil
+	return tabs, nil
 }
 
 // Get fetches one entry by id as of the snapshot.
 func (v *View) Get(id int64) (Entry, error) {
-	tab, err := v.table()
+	tabs, err := v.tables()
 	if err != nil {
 		return Entry{}, err
 	}
-	if tab == nil {
-		return Entry{}, fmt.Errorf("%w: %d", ErrNoEntry, id)
+	for _, tab := range tabs {
+		if e, err := getEntry(tab, id); !errors.Is(err, ErrNoEntry) {
+			return e, err
+		}
 	}
-	return getEntry(tab, id)
+	return Entry{}, fmt.Errorf("%w: %d", ErrNoEntry, id)
 }
 
 // History returns up to limit most recent entries (all of them when limit
 // <= 0) as of the snapshot, newest first.
 func (v *View) History(ctx context.Context, limit int) ([]Entry, error) {
-	tab, err := v.table()
-	if err != nil || tab == nil {
-		return nil, err
-	}
-	out, _, err := historyPage(ctx, tab, 0, limit)
+	out, _, err := v.HistoryPage(ctx, 0, limit)
 	return out, err
 }
 
@@ -301,20 +346,25 @@ func (v *View) History(ctx context.Context, limit int) ([]Entry, error) {
 // snapshot (beforeID <= 0 starts at the newest), newest first, and the id
 // to pass as the next page's beforeID — 0 once exhausted.
 func (v *View) HistoryPage(ctx context.Context, beforeID int64, limit int) ([]Entry, int64, error) {
-	tab, err := v.table()
-	if err != nil || tab == nil {
+	tabs, err := v.tables()
+	if err != nil {
 		return nil, 0, err
 	}
-	return historyPage(ctx, tab, beforeID, limit)
+	return historyPage(ctx, tabs, beforeID, limit)
 }
 
 // ByKind returns all entries of one kind as of the snapshot, oldest first.
 func (v *View) ByKind(ctx context.Context, kind string) ([]Entry, error) {
-	tab, err := v.table()
-	if err != nil || tab == nil {
+	tabs, err := v.tables()
+	if err != nil {
 		return nil, err
 	}
 	var out []Entry
-	err = tab.IndexScanCtx(ctx, "by_kind", []relstore.Value{relstore.Str(kind)}, appendEntries(&out))
-	return out, err
+	for _, tab := range tabs {
+		if err := tab.IndexScanCtx(ctx, "by_kind", []relstore.Value{relstore.Str(kind)}, appendEntries(&out)); err != nil {
+			return nil, err
+		}
+	}
+	slices.SortFunc(out, byID)
+	return out, nil
 }

@@ -16,7 +16,7 @@ func newRepo(t *testing.T) *Repo {
 	t.Helper()
 	db := relstore.OpenMemDB()
 	t.Cleanup(func() { db.Close() })
-	r, err := NewOnDB(db)
+	r, err := NewOnShards([]*relstore.DB{db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,24 +27,24 @@ func newRepo(t *testing.T) *Repo {
 // snapshot taken right after reads it; the snapshot closes with the test.
 func committed(t testing.TB, r *Repo) *View {
 	t.Helper()
-	if err := r.db.Commit(); err != nil {
+	if err := r.dbs[0].Commit(); err != nil {
 		t.Fatal(err)
 	}
-	sn := r.db.Snapshot()
+	sn := r.dbs[0].Snapshot()
 	t.Cleanup(sn.Close)
-	return ViewOn(sn)
+	return ViewOnShards([]*relstore.Snap{sn})
 }
 
 func TestRecordAndHistory(t *testing.T) {
 	r := newRepo(t)
-	e1, err := r.Record(LCA{A: "Lla", B: "Spy", Tree: "gold"}, "LCA = node 3")
+	e1, err := r.Record(0, LCA{A: "Lla", B: "Spy", Tree: "gold"}, "LCA = node 3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1.ID != 1 {
 		t.Fatalf("first id = %d", e1.ID)
 	}
-	e2, err := r.Record(Project{Species: []string{"Bha", "Lla", "Syn"}, Tree: "gold"}, "3-leaf projection")
+	e2, err := r.Record(0, Project{Species: []string{"Bha", "Lla", "Syn"}, Tree: "gold"}, "3-leaf projection")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRecordAndHistory(t *testing.T) {
 func TestRerunArgsRoundTrip(t *testing.T) {
 	r := newRepo(t)
 	for _, q := range everyKind {
-		e, err := r.Record(q, "summary of "+q.Kind())
+		e, err := r.Record(0, q, "summary of "+q.Kind())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,14 +105,14 @@ func TestRerunArgsRoundTrip(t *testing.T) {
 func TestHistoryMixedRowSizes(t *testing.T) {
 	db := relstore.OpenMemDB()
 	defer db.Close()
-	r, err := NewOnDB(db)
+	r, err := NewOnShards([]*relstore.DB{db})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []string
 	record := func(q Query, summary string) {
 		t.Helper()
-		if _, err := r.Record(q, summary); err != nil {
+		if _, err := r.Record(0, q, summary); err != nil {
 			t.Fatalf("record #%d (%s, %d B summary): %v", len(want)+1, q.Kind(), len(summary), err)
 		}
 		want = append(want, summary)
@@ -148,7 +148,7 @@ func TestGetMissing(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// The internal counter row must not leak.
-	r.Record(Delete{Tree: "x"}, "")
+	r.Record(0, Delete{Tree: "x"}, "")
 	if _, err := committed(t, r).Get(-1); !errors.Is(err, ErrNoEntry) {
 		t.Fatalf("counter row leaked: %v", err)
 	}
@@ -156,9 +156,9 @@ func TestGetMissing(t *testing.T) {
 
 func TestByKind(t *testing.T) {
 	r := newRepo(t)
-	r.Record(LCA{}, "1")
-	r.Record(Sample{}, "2")
-	r.Record(LCA{}, "3")
+	r.Record(0, LCA{}, "1")
+	r.Record(0, Sample{}, "2")
+	r.Record(0, LCA{}, "3")
 	got, err := committed(t, r).ByKind(context.Background(), "lca")
 	if err != nil {
 		t.Fatal(err)
@@ -171,16 +171,16 @@ func TestByKind(t *testing.T) {
 func TestIDsPersistAcrossHandles(t *testing.T) {
 	db := relstore.OpenMemDB()
 	defer db.Close()
-	r1, err := NewOnDB(db)
+	r1, err := NewOnShards([]*relstore.DB{db})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.Record(Delete{Tree: "x"}, "")
-	r2, err := NewOnDB(db)
+	r1.Record(0, Delete{Tree: "x"}, "")
+	r2, err := NewOnShards([]*relstore.DB{db})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := r2.Record(Delete{Tree: "y"}, "")
+	e, err := r2.Record(0, Delete{Tree: "y"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +217,13 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 					return
 				default:
 				}
-				if err := r.db.Commit(); err != nil {
+				if err := r.dbs[0].Commit(); err != nil {
 					t.Errorf("reader %d: Commit: %v", g, err)
 					return
 				}
-				sn := r.db.Snapshot()
-				_, herr := ViewOn(sn).History(context.Background(), 10)
-				_, kerr := ViewOn(sn).ByKind(context.Background(), "lca")
+				sn := r.dbs[0].Snapshot()
+				_, herr := ViewOnShards([]*relstore.Snap{sn}).History(context.Background(), 10)
+				_, kerr := ViewOnShards([]*relstore.Snap{sn}).ByKind(context.Background(), "lca")
 				sn.Close()
 				if herr != nil || kerr != nil {
 					t.Errorf("reader %d: History: %v, ByKind: %v", g, herr, kerr)
@@ -242,7 +242,7 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 				if i%2 == 1 {
 					q = Project{Species: []string{fmt.Sprint(g), fmt.Sprint(i)}, Tree: "gold"}
 				}
-				e, err := r.Record(q, "x")
+				e, err := r.Record(0, q, "x")
 				if err != nil {
 					errs[g] = err
 					return
@@ -302,10 +302,10 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 // after it — and visible to a snapshot taken after.
 func TestViewSeesCommittedRecordsOnly(t *testing.T) {
 	r := newRepo(t)
-	if _, err := r.Record(LCA{}, "first"); err != nil {
+	if _, err := r.Record(0, LCA{}, "first"); err != nil {
 		t.Fatal(err)
 	}
-	before := r.db.Snapshot()
+	before := r.dbs[0].Snapshot()
 	defer before.Close()
 	count := func(v *View) int {
 		t.Helper()
@@ -315,7 +315,7 @@ func TestViewSeesCommittedRecordsOnly(t *testing.T) {
 		}
 		return len(hist)
 	}
-	if n := count(ViewOn(before)); n != 0 {
+	if n := count(ViewOnShards([]*relstore.Snap{before})); n != 0 {
 		t.Fatalf("uncommitted record visible: history of %d", n)
 	}
 	after := committed(t, r)
@@ -325,10 +325,10 @@ func TestViewSeesCommittedRecordsOnly(t *testing.T) {
 	if _, err := after.Get(1); err != nil {
 		t.Fatalf("Get(1) after commit: %v", err)
 	}
-	if n := count(ViewOn(before)); n != 0 {
+	if n := count(ViewOnShards([]*relstore.Snap{before})); n != 0 {
 		t.Fatalf("old snapshot moved: history of %d", n)
 	}
-	if _, err := ViewOn(before).Get(1); !errors.Is(err, ErrNoEntry) {
+	if _, err := ViewOnShards([]*relstore.Snap{before}).Get(1); !errors.Is(err, ErrNoEntry) {
 		t.Fatalf("old snapshot Get(1): err = %v, want ErrNoEntry", err)
 	}
 }

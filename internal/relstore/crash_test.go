@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 func crashSchema(name string) Schema {
@@ -30,8 +28,8 @@ func fillCrashTable(t *testing.T, db *DB, name string, rows int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Values above MaxInlineValue force overflow chains, so the page
-	// accounting's chain walk is exercised too.
+	// Values above the B+tree's inline limit (1 KiB) force overflow chains,
+	// so the page accounting's chain walk is exercised too.
 	for i := 0; i < rows; i++ {
 		if err := tab.Insert(Tuple{Int(int64(i)), Blob(crashPayload())}); err != nil {
 			t.Fatal(err)
@@ -43,7 +41,7 @@ func fillCrashTable(t *testing.T, db *DB, name string, rows int) {
 }
 
 func crashPayload() []byte {
-	payload := make([]byte, storage.MaxInlineValue*2)
+	payload := make([]byte, 2048) // twice the inline limit
 	for i := range payload {
 		payload[i] = byte(i)
 	}

@@ -41,11 +41,11 @@ type Reader struct {
 	key    []byte     // scratch: the encoded key of the lookup in progress
 }
 
-// heldLeaf is a leaf a Reader holds and, on an integer key, the number of
-// its first key.
+// heldLeaf is a leaf a Reader holds and, on an integer key, the numbers of
+// its first and last keys.
 type heldLeaf struct {
 	storage.Leaf
-	first uint64
+	first, last uint64
 }
 
 // Reader returns a reader over the view's rows. It retains a leaf while
@@ -138,11 +138,15 @@ func (r *Reader) upTo(key []byte, n uint64) int {
 	return lo
 }
 
-// find is storage.Leaf.Find, first trying the entry at the key's distance
-// from the leaf's first key, where a run of dense integer keys puts it. The
-// distance is unsigned: a key below the first wraps past every position.
+// find is storage.Leaf.Find, first answering a key past the leaf's last as
+// past every entry, then trying the entry at the key's distance from the
+// leaf's first key, where a run of dense integer keys puts it. The distance
+// is unsigned: a key below the first wraps past every position.
 func (r *Reader) find(leaf heldLeaf, key []byte, n uint64) (int, bool) {
 	if r.ints {
+		if n > leaf.last {
+			return leaf.Len(), false
+		}
 		if d := n - leaf.first; d < uint64(leaf.Len()) && bytes.Equal(leaf.Key(int(d)), key) {
 			return int(d), true
 		}
@@ -160,7 +164,7 @@ func (r *Reader) hold(l storage.Leaf) heldLeaf {
 	}
 	first := l.Key(0)
 	if r.ints {
-		leaf.first = keyNum(first)
+		leaf.first, leaf.last = keyNum(first), keyNum(l.Key(l.Len()-1))
 	}
 	if *r.budget <= 0 {
 		return leaf

@@ -25,11 +25,11 @@ func TestHandlerPanicIsRecovered(t *testing.T) {
 		logged = append(logged, fmt.Sprintf(format, args...))
 	}
 	s.mount(route{"GET /v1/test/panic", "info", readRoute, func(_ *Server, q *req) (any, error) {
-		q.sn.shard(0) // pin, as a real query would have by now
+		q.sn.pin(0) // pin, as a real query would have by now
 		panic("boom in a handler")
 	}})
 	s.mount(route{"GET /v1/test/panic-midstream", "export", readRoute, func(_ *Server, q *req) (any, error) {
-		q.sn.shard(0)
+		q.sn.pin(0)
 		q.w.Write([]byte("(a,"))
 		panic("boom mid-body")
 	}})

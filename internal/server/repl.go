@@ -199,9 +199,9 @@ func (s *Server) promote() error {
 	if fl == nil || !s.readOnly.Load() {
 		return &httpErr{status: http.StatusConflict, msg: "already primary"}
 	}
-	for i := range s.be.WriteMus {
-		s.be.WriteMus[i].Lock()
-		defer s.be.WriteMus[i].Unlock()
+	for i := range s.be.writeMus {
+		s.be.writeMus[i].Lock()
+		defer s.be.writeMus[i].Unlock()
 	}
 	// Everything past this point runs with the apply loops stopped. A
 	// failure leaves the server half-promoted: still read-only, nothing

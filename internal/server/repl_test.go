@@ -401,7 +401,7 @@ func TestReplicaPromote(t *testing.T) {
 	}
 
 	// Every writer takes writes: a load, the delete of a replicated tree,
-	// and the history records both leave on shard 0.
+	// and the history records both leave on their trees' shards.
 	if _, err := fcl.LoadTreeCtx(ctx, "q", 0, yule(t, 90, 33)); err != nil {
 		t.Fatalf("load after promote: %v", err)
 	}

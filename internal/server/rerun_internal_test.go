@@ -18,7 +18,7 @@ func TestRerunRefusals(t *testing.T) {
 	if rec := serve(s, http.MethodPost, "/v1/trees/t", strings.NewReader("((a:1,b:1):1,c:2);")); rec.Code != http.StatusOK {
 		t.Fatalf("load: %d %s", rec.Code, rec.Body)
 	}
-	del, err := s.be.Queries.Record(queryrepo.Delete{Tree: "gone"}, "deleted")
+	del, err := s.be.queries.Record(0, queryrepo.Delete{Tree: "gone"}, "deleted")
 	if err != nil {
 		t.Fatal(err)
 	}

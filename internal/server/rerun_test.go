@@ -38,14 +38,11 @@ func TestRerunEveryReadKind(t *testing.T) {
 	bench := queryrepo.Bench{Algs: []string{"NJ"}, Reps: 1, Seed: 2, SeqLength: 60, Sizes: []int{6}, Time: -1, Tree: "gold"}
 	ids := map[string]int64{}
 	for _, v := range []queryrepo.Query{lca, project, clade, sample, match, bench} {
-		e, err := repo.Queries.Record(v, "")
+		e, err := repo.Record(v, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[v.Kind()] = e.ID
-	}
-	if err := repo.Commit(); err != nil {
-		t.Fatal(err)
 	}
 
 	wantLCA, err := cl.LCACtx(ctx, "gold", lca.A, lca.B)

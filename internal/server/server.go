@@ -20,17 +20,17 @@
 // load, delete, species put — serialize on a per-shard writer mutex, held
 // only while a mutation writes pages and captures its commit: body reads,
 // parsing, indexing and staging come before it, every fsync wait after it.
-// Each shard is its own storage engine with its own single-writer
-// contract, so loads of trees on different shards proceed genuinely in
-// parallel.
-// Query-history lives on shard 0; read-path records are drained by an
-// async recorder goroutine so recording never puts a read behind any
-// writer lock. Repeated projections, LCAs, clades and pattern matches are
-// served from a bounded LRU result cache keyed by (tree, version), where a
-// tree's version is what the store stamped its nodes relation with when it
-// was created (treestore.Tree.Version) — read from the request's own
-// snapshot, so an entry names one incarnation of the tree whoever wrote it,
-// and a reload under the same name gets a new version and new keys.
+// Each shard is its own storage engine with its own single-writer contract,
+// and a write's history entry rides in its shard's transaction, so loads on
+// different shards run genuinely in parallel, history append included. Read
+// queries are recorded on shard 0, drained by an async recorder goroutine so
+// recording never puts a read behind any writer lock. Repeated projections,
+// LCAs, clades and pattern matches are served from a bounded LRU result
+// cache keyed by (tree, version), where a tree's version is what the store
+// stamped its nodes relation with when it was created
+// (treestore.Tree.Version) — read from the request's own snapshot, so an
+// entry names one incarnation of the tree whoever wrote it, and a reload
+// under the same name gets a new version and new keys.
 //
 // Every read runs under its request's context: a client that disconnects
 // or times out aborts the engine scan cooperatively, the request's
@@ -75,31 +75,53 @@ import (
 // Backend is the repository: one relational database per shard, the three
 // §2.1 repositories over them, and the one writer both entrances — crimsond
 // and the crimson facade — mutate it through. Trees and their species data
-// are placed on shards by Router; the query history lives on shard 0.
+// are placed on shards by Router. A write's history entry lands on its own
+// shard, in its own transaction; a read query's is recorded on shard 0.
 //
-// WriteMus holds one writer mutex per database. A mutation holds its tree's
-// shard's while it writes pages and captures its commit, and its history
-// append takes shard 0's after that, never before, so writers on different
-// shards cannot deadlock. Load is the one apply of a tree load; the facade's
-// raw Trees, Species and Queries writes bypass the mutexes.
+// writeMus holds one writer mutex per database. A mutation takes only its
+// shard's, to write pages (its history entry included) and capture its
+// commit. Load is the one apply of a tree load; the facade's raw Trees and
+// Species writes bypass the mutexes.
 type Backend struct {
-	DBs      []*relstore.DB
-	Router   *shard.Router
-	Trees    *treestore.Store
-	Species  *species.Repo
-	Queries  *queryrepo.Repo
-	WriteMus []sync.Mutex
+	DBs     []*relstore.DB
+	Router  *shard.Router
+	Trees   *treestore.Store
+	Species *species.Repo
 
+	queries  *queryrepo.Repo
+	writeMus []sync.Mutex
 	// lockWait records the time writers spent blocked on a writer mutex:
 	// one observation per acquisition that found it held.
 	lockWait obs.Histogram
+}
+
+// NewBackend layers the three repositories over one database per shard.
+func NewBackend(dbs []*relstore.DB) (*Backend, error) {
+	router, err := shard.NewRouter(len(dbs))
+	if err != nil {
+		return nil, err
+	}
+	trees, err := treestore.NewOnShards(dbs, router)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := species.NewOnShards(dbs, router)
+	if err != nil {
+		return nil, err
+	}
+	q, err := queryrepo.NewOnShards(dbs)
+	if err != nil {
+		return nil, err
+	}
+	return &Backend{DBs: dbs, Router: router, Trees: trees, Species: sp, queries: q,
+		writeMus: make([]sync.Mutex, len(dbs))}, nil
 }
 
 // lock takes shard i's writer mutex. Time spent blocked on it is ctx's
 // "write_lock_wait" child span and one observation of lockWait; an
 // acquisition that finds the mutex free records nothing.
 func (b *Backend) lock(ctx context.Context, i int) {
-	mu := &b.WriteMus[i]
+	mu := &b.writeMus[i]
 	if mu.TryLock() {
 		return
 	}
@@ -110,51 +132,89 @@ func (b *Backend) lock(ctx context.Context, i int) {
 	obs.SpanFrom(ctx).AddTimed("write_lock_wait", d)
 }
 
-// record appends a mutation's history entry and captures shard 0's commit.
-// The caller holds shard si's writer mutex; shard 0's is taken here when it
-// is another one, as capturing a commit needs its shard's mutex. A failed
-// append does not fail the mutation, which is already applied: the entry is
-// missing and the capture goes ahead.
-func (b *Backend) record(ctx context.Context, si int, q queryrepo.Query, summary string) *relstore.CommitWaiter {
-	if si != 0 {
-		b.lock(ctx, 0)
-		defer b.WriteMus[0].Unlock()
-	}
-	_, _ = b.Queries.Record(q, summary)
-	return b.DBs[0].CommitAsync()
-}
-
 // Load applies a prepared load under its tree's shard writer mutex: the
 // tree, then chars' sequences (nil for none) in the Species Repository
-// under kind "seq:nexus", then the load's history entry. It returns the
-// tree shard's commit, which carries the tree and its sequences, and the
-// history shard's, both captured and not waited for, so the caller waits
-// outside every mutex and concurrent writers coalesce into one WAL flush.
-// A sequence that fails to store takes the tree and its sequences back out
-// of the working state before the mutex drops, so no commit publishes half
-// a load. The progress lines of the apply are said once every mutex is
-// released, so the load's progress sink may write to the repository.
-func (b *Backend) Load(ctx context.Context, p *treestore.PreparedLoad, chars *nexus.Characters) (tree, hist *relstore.CommitWaiter, err error) {
+// under kind "seq:nexus", then the load's history entry, all on the tree's
+// shard. It returns that shard's commit, which carries all three, captured
+// and not waited for, so the caller waits outside the mutex and concurrent
+// writers coalesce into one WAL flush. A sequence or entry that fails to
+// store takes the tree and its sequences back out of the working state
+// before the mutex drops, so no commit publishes half a load. The progress
+// lines of the apply are said once the mutex is released, so the load's
+// progress sink may write to the repository.
+func (b *Backend) Load(ctx context.Context, p *treestore.PreparedLoad, chars *nexus.Characters) (*relstore.CommitWaiter, error) {
 	info := p.Info()
 	si := b.Router.Place(info.Name)
-	defer p.Report() // after the unlocks below: a progress sink may commit
+	defer p.Report() // after the unlock below: a progress sink may commit
 	b.lock(ctx, si)
-	defer b.WriteMus[si].Unlock()
+	defer b.writeMus[si].Unlock()
 	if err := p.Apply(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if chars != nil {
-		for _, taxon := range chars.Order {
-			if err := b.Species.Put(info.Name, taxon, "seq:nexus", []byte(chars.Seqs[taxon])); err != nil {
-				derr := b.Trees.Drop(info.Name)
-				_, serr := b.Species.DeleteTree(info.Name)
-				return nil, nil, errors.Join(err, derr, serr)
+	var err error
+	for i := 0; chars != nil && err == nil && i < len(chars.Order); i++ {
+		taxon := chars.Order[i]
+		err = b.Species.Put(info.Name, taxon, "seq:nexus", []byte(chars.Seqs[taxon]))
+	}
+	if err == nil {
+		_, err = b.queries.Record(si, queryrepo.Load{F: info.F, Nodes: info.Nodes, Tree: info.Name},
+			fmt.Sprintf("loaded %d nodes", info.Nodes))
+	}
+	if err != nil {
+		derr := b.Trees.Drop(info.Name)
+		_, serr := b.Species.DeleteTree(info.Name)
+		return nil, errors.Join(err, derr, serr)
+	}
+	return b.DBs[si].CommitAsync(), nil
+}
+
+// Record appends a read query's entry to shard 0's history under its writer
+// mutex and returns that shard's commit, captured, not waited for. A read
+// entry carries no other write, so its shard changes no atomicity.
+func (b *Backend) Record(q queryrepo.Query, summary string) (e queryrepo.Entry, w *relstore.CommitWaiter, err error) {
+	b.writeMus[0].Lock()
+	defer b.writeMus[0].Unlock()
+	if e, err = b.queries.Record(0, q, summary); err == nil {
+		w = b.DBs[0].CommitAsync()
+	}
+	return e, w, err
+}
+
+// CommitWaiter tracks the durability of one captured commit per shard.
+type CommitWaiter struct {
+	waiters []*relstore.CommitWaiter
+}
+
+// CommitAsync captures every shard's pending transaction, each under its
+// shard's writer mutex and one shard at a time, and returns a waiter for
+// their durability.
+func (b *Backend) CommitAsync() *CommitWaiter {
+	w := &CommitWaiter{waiters: make([]*relstore.CommitWaiter, len(b.DBs))}
+	for i, db := range b.DBs {
+		b.writeMus[i].Lock()
+		w.waiters[i] = db.CommitAsync()
+		b.writeMus[i].Unlock()
+	}
+	return w
+}
+
+// Wait blocks until every shard's commit is durable. The waits fan out
+// across goroutines: each may lead its own store's group flush, so the
+// shards' WAL fsyncs run in parallel rather than back to back.
+func (w *CommitWaiter) Wait() error {
+	errs := make([]error, len(w.waiters))
+	var wg sync.WaitGroup
+	for i, cw := range w.waiters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := cw.Wait(); err != nil {
+				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			}
-		}
+		}()
 	}
-	tree = b.DBs[si].CommitAsync()
-	return tree, b.record(ctx, si, queryrepo.Load{F: info.F, Nodes: info.Nodes, Tree: info.Name},
-		fmt.Sprintf("loaded %d nodes", info.Nodes)), nil
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // Config tunes the server. The zero value is usable.
@@ -275,9 +335,6 @@ type histRecord struct {
 // the server directly as an http.Handler.
 func New(be *Backend, follower *repl.Follower, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if len(be.WriteMus) != len(be.DBs) {
-		panic(fmt.Sprintf("server: %d writer mutexes for %d databases", len(be.WriteMus), len(be.DBs)))
-	}
 	// A follower caches like a primary: its snapshots read the versions
 	// the primary stamped, so an entry names the same incarnation on both,
 	// and a promote keeps the cache.
@@ -316,7 +373,7 @@ func New(be *Backend, follower *repl.Follower, cfg Config) *Server {
 }
 
 // recordLoop drains read-path history records onto the write path of
-// shard 0, where the query history lives. Taking that shard's writer mutex
+// shard 0, where read queries are recorded. Taking that shard's writer mutex
 // keeps history appends (and especially their commits) from interleaving
 // with a half-applied load or delete on the same shard; readers themselves
 // never wait on it. Commits (which fsync on file-backed stores and publish
@@ -331,78 +388,48 @@ func (s *Server) recordLoop() {
 		recCommitBatch    = 64
 		recCommitInterval = time.Second
 	)
-	recordOne := func(rec histRecord) {
-		if _, err := s.be.Queries.Record(rec.q, rec.summary); err != nil {
-			s.logf("crimsond: recording %s query: %v", rec.q.Kind(), err)
-		}
-	}
-	// capture snapshots the pending records' transaction under the shard-0
-	// writer mutex; wait awaits its durability after the mutex is released,
-	// so the recorder's fsync coalesces with concurrent write endpoints.
-	capture := func() *relstore.CommitWaiter { return s.be.DBs[0].CommitAsync() }
-	wait := func(w *relstore.CommitWaiter) {
-		if w == nil {
-			return
-		}
-		start := time.Now()
-		err := w.Wait()
-		s.observeCommitWaiter(context.Background(), w, time.Since(start))
-		if err != nil {
-			s.logf("crimsond: committing history batch: %v", err)
-		}
-	}
-	pending := 0
-	lastCommit := time.Now()
+	pending, lastCommit := 0, time.Now()
 	var flush <-chan time.Time // armed while records await commit
-	for {
+	for open := true; open; {
+		var recs []histRecord
 		select {
 		case rec, ok := <-s.recCh:
-			if !ok {
-				if pending > 0 {
-					s.be.WriteMus[0].Lock()
-					w := capture()
-					s.be.WriteMus[0].Unlock()
-					wait(w)
-				}
-				return
+			if open = ok; ok {
+				recs = append(recs, rec)
 			}
-			var w *relstore.CommitWaiter
-			s.be.WriteMus[0].Lock()
-			recordOne(rec)
-			pending++
-		drain:
-			for pending < 4*recCommitBatch {
-				select {
-				case more, moreOK := <-s.recCh:
-					if !moreOK {
-						break drain
-					}
-					recordOne(more)
-					pending++
-				default:
-					break drain
-				}
-			}
-			if pending >= recCommitBatch || time.Since(lastCommit) >= recCommitInterval {
-				w = capture()
-				pending = 0
-				lastCommit = time.Now()
-				flush = nil
-			} else if flush == nil {
-				flush = time.After(recCommitInterval)
-			}
-			s.be.WriteMus[0].Unlock()
-			wait(w)
 		case <-flush:
-			flush = nil
-			if pending > 0 {
-				s.be.WriteMus[0].Lock()
-				w := capture()
-				s.be.WriteMus[0].Unlock()
-				pending = 0
-				lastCommit = time.Now()
-				wait(w)
+			flush = nil // fired: the batch is due
+		}
+	drain:
+		for open && pending+len(recs) < 4*recCommitBatch {
+			select {
+			case rec, ok := <-s.recCh:
+				if open = ok; ok {
+					recs = append(recs, rec)
+				}
+			default:
+				break drain
 			}
+		}
+		// The commit is captured under the shard-0 writer mutex and waited
+		// for after it is released, so the recorder's fsync coalesces with
+		// concurrent write endpoints.
+		cc := &commitCollector{s: s, ctx: context.Background()} // shard 0
+		s.be.writeMus[0].Lock()
+		for _, rec := range recs {
+			if _, err := s.be.queries.Record(0, rec.q, rec.summary); err != nil {
+				s.logf("crimsond: recording %s query: %v", rec.q.Kind(), err)
+			}
+		}
+		if pending += len(recs); pending > 0 && (!open || pending >= recCommitBatch || time.Since(lastCommit) >= recCommitInterval) {
+			cc.commitAsync()
+			pending, lastCommit, flush = 0, time.Now(), nil
+		} else if pending > 0 && flush == nil {
+			flush = time.After(recCommitInterval)
+		}
+		s.be.writeMus[0].Unlock()
+		if err := cc.wait(); err != nil {
+			s.logf("crimsond: committing history batch: %v", err)
 		}
 	}
 }
@@ -500,31 +527,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.recMu.Unlock()
 	s.recWG.Wait()
-	// Capture every shard's final transaction first, then wait on all of
-	// them together: the shards' WAL fsyncs run concurrently instead of
-	// back to back.
-	waiters := make([]*relstore.CommitWaiter, len(s.be.DBs))
-	for i := range s.be.DBs {
-		s.be.WriteMus[i].Lock()
-		waiters[i] = s.be.DBs[i].CommitAsync()
-		s.be.WriteMus[i].Unlock()
-	}
-	errs := make([]error, len(waiters))
-	var wg sync.WaitGroup
-	for i, w := range waiters {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = w.Wait()
-		}()
-	}
-	wg.Wait()
-	for i, cerr := range errs {
-		if err == nil && cerr != nil {
-			err = fmt.Errorf("committing shard %d: %w", i, cerr)
-		}
-	}
-	return err
+	return errors.Join(err, s.be.CommitAsync().Wait())
 }
 
 func (s *Server) snapshot() StatsSnapshot {
@@ -606,31 +609,21 @@ func (sn *reqSnap) release() {
 	<-sn.s.readSem
 }
 
-// shard pins (once) and returns the snapshot of shard i.
-func (sn *reqSnap) shard(i int) *relstore.Snap {
-	if sn.sns[i] == nil {
-		sn.sns[i] = sn.s.be.DBs[i].Snapshot()
+// pin pins (once) the snapshot of shard i, or of every shard when i < 0
+// (the tree listing, the query history), and returns the request's
+// snapshots, indexed by shard as the repositories' views read them.
+func (sn *reqSnap) pin(i int) []*relstore.Snap {
+	for j := range sn.sns {
+		if sn.sns[j] == nil && (i < 0 || i == j) {
+			sn.sns[j] = sn.s.be.DBs[j].Snapshot()
+		}
 	}
-	return sn.sns[i]
-}
-
-// forTree returns the pinned snapshot of the shard owning the named tree.
-func (sn *reqSnap) forTree(name string) *relstore.Snap {
-	return sn.shard(sn.s.be.Router.Place(name))
-}
-
-// treeSnap pins every shard and returns the merged tree-repository view
-// (used by cross-shard reads like the tree listing).
-func (sn *reqSnap) treeSnap() *treestore.Snap {
-	for i := range sn.sns {
-		sn.shard(i)
-	}
-	return treestore.SnapOnShards(sn.sns, sn.s.be.Router)
+	return sn.sns
 }
 
 // tree opens a handle on a stored tree as of the request's snapshot.
 func (s *Server) tree(sn *reqSnap, name string) (*treestore.Tree, error) {
-	return treestore.SnapOn(sn.forTree(name)).Tree(name)
+	return treestore.SnapOnShards(sn.pin(s.be.Router.Place(name)), s.be.Router).Tree(name)
 }
 
 // observeCommitWaiter records one awaited commit: total latency in the
@@ -663,7 +656,7 @@ func (s *Server) observeCommitWaiter(ctx context.Context, w *relstore.CommitWait
 // body, parsing, staging — with no lock held. apply runs the handler's
 // mutation under its shard's writer mutex: page writes and commit capture
 // (commitAsync) and nothing that blocks; a load's apply is Backend.Load,
-// and the handler adds the commits it captured to waiters. The wait —
+// and the handler adds the commit it captured to waiters. The wait —
 // every captured commit's WAL fsync, then the afterPublish steps — is the
 // write pipeline's, after the mutex is released. That window (transaction captured, lock released,
 // fsync pending) is what lets concurrent write requests coalesce into one
@@ -681,7 +674,7 @@ type commitCollector struct {
 // apply runs fn under the request's shard writer mutex.
 func (cc *commitCollector) apply(fn func() error) error {
 	cc.s.be.lock(cc.ctx, cc.si)
-	defer cc.s.be.WriteMus[cc.si].Unlock()
+	defer cc.s.be.writeMus[cc.si].Unlock()
 	return fn()
 }
 
@@ -839,7 +832,7 @@ func (s *Server) handleTrees(q *req) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	infos, next, err := q.sn.treeSnap().TreesPage(q.Context(), after, limit)
+	infos, next, err := treestore.SnapOnShards(q.sn.pin(-1), s.be.Router).TreesPage(q.Context(), after, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -910,11 +903,11 @@ func (s *Server) handleLoad(q *req) (any, error) {
 		return nil, err
 	}
 
-	tree, hist, err := s.be.Load(q.Context(), p, chars)
+	w, err := s.be.Load(q.Context(), p, chars)
 	if err != nil {
 		return nil, err
 	}
-	cc.waiters = append(cc.waiters, tree, hist)
+	cc.waiters = append(cc.waiters, w)
 	cc.afterPublish(p.Committed)
 	s.stats.countLoad(parseNS, metrics)
 	if sp := obs.SpanFrom(q.Context()); sp != nil {
@@ -936,14 +929,18 @@ func (s *Server) handleDelete(q *req) (any, error) {
 		if err := s.be.Trees.Drop(name); err != nil {
 			return err
 		}
-		// The drop is captured before the fallible species cleanup: a
-		// failed cleanup leaves the tree deleted, not half deleted.
+		// The drop and its history entry are captured before the fallible
+		// species cleanup: a failed cleanup leaves the tree deleted, not
+		// half deleted.
+		_, err := s.be.queries.Record(cc.si, queryrepo.Delete{Tree: name}, "deleted")
 		cc.commitAsync()
+		if err != nil {
+			return err
+		}
 		if _, err := s.be.Species.DeleteTree(name); err != nil {
 			return err
 		}
 		cc.commitAsync()
-		cc.waiters = append(cc.waiters, s.be.record(cc.ctx, cc.si, queryrepo.Delete{Tree: name}, "deleted"))
 		return nil
 	})
 }
@@ -1172,8 +1169,9 @@ func (s *Server) handleSpeciesPut(q *req) (any, error) {
 }
 
 func (s *Server) handleSpeciesGet(q *req) (any, error) {
-	rs := q.sn.forTree(q.PathValue("name"))
-	data, err := species.ViewOn(rs).Get(q.PathValue("name"), q.PathValue("sp"), q.PathValue("kind"))
+	name := q.PathValue("name")
+	view := species.ViewOnShards(q.sn.pin(s.be.Router.Place(name)), s.be.Router)
+	data, err := view.Get(name, q.PathValue("sp"), q.PathValue("kind"))
 	if err != nil {
 		return nil, err
 	}
@@ -1196,8 +1194,9 @@ func (s *Server) handleSpeciesDelete(q *req) (any, error) {
 }
 
 func (s *Server) handleSpeciesList(q *req) (any, error) {
-	rs := q.sn.forTree(q.PathValue("name"))
-	recs, err := species.ViewOn(rs).List(q.PathValue("name"), q.PathValue("sp"))
+	name := q.PathValue("name")
+	view := species.ViewOnShards(q.sn.pin(s.be.Router.Place(name)), s.be.Router)
+	recs, err := view.List(name, q.PathValue("sp"))
 	if err != nil {
 		return nil, err
 	}
@@ -1218,7 +1217,7 @@ func entryJSON(e queryrepo.Entry) HistoryEntry {
 // page (default 50) and cursor resumes where the previous page stopped;
 // ?kind= filtering is unpaginated (index scan, oldest first), as before.
 func (s *Server) handleHistory(q *req) (any, error) {
-	view := queryrepo.ViewOn(q.sn.shard(0)) // history lives on shard 0
+	view := queryrepo.ViewOnShards(q.sn.pin(-1))
 	if kind := q.URL.Query().Get("kind"); kind != "" {
 		entries, err := view.ByKind(q.Context(), kind)
 		if err != nil {
@@ -1267,7 +1266,7 @@ func (s *Server) historyEntry(q *req) (queryrepo.Entry, error) {
 	if err != nil {
 		return queryrepo.Entry{}, badRequest("bad history id %q", q.PathValue("id"))
 	}
-	return queryrepo.ViewOn(q.sn.shard(0)).Get(id)
+	return queryrepo.ViewOnShards(q.sn.pin(-1)).Get(id)
 }
 
 func (s *Server) handleHistoryGet(q *req) (any, error) {

@@ -10,17 +10,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/newick"
-	"repro/internal/queryrepo"
 	"repro/internal/relstore"
 	"repro/internal/shard"
-	"repro/internal/species"
 	"repro/internal/treegen"
-	"repro/internal/treestore"
 )
 
 // These tests reach into the server for its writer mutexes, which the
@@ -31,30 +27,16 @@ import (
 // count as a bare http.Handler.
 func newWriteTestServer(t *testing.T, shards int) *Server {
 	t.Helper()
-	router, err := shard.NewRouter(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dbs := make([]*relstore.DB, shards)
 	for i := range dbs {
 		dbs[i] = relstore.OpenMemDB()
 	}
-	trees, err := treestore.NewOnShards(dbs, router)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := species.NewOnShards(dbs, router)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := queryrepo.NewOnDB(dbs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(&Backend{DBs: dbs, Router: router, Trees: trees, Species: sp, Queries: q,
-		WriteMus: make([]sync.Mutex, shards)}, nil, Config{})
 	t.Cleanup(func() { shard.CloseAll(dbs) })
-	return s
+	be, err := NewBackend(dbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(be, nil, Config{})
 }
 
 // envShards is CRIMSON_TEST_SHARDS, or 1.
@@ -153,47 +135,45 @@ func TestSlowUploadDoesNotStallWriters(t *testing.T) {
 	}
 }
 
-// TestLoadAppliesBeforeTakingHistoryShard pins the lock order of a load on
-// shard k != 0: its own shard's mutex for the apply, and only then shard 0's
-// for the history record — never shard 0's first, which would let two loads
-// on different shards deadlock. With shard 0's mutex held by the test, the
-// load must get as far as creating its tree's relations in its shard's
-// working state and stop there.
-func TestLoadAppliesBeforeTakingHistoryShard(t *testing.T) {
+// TestOffShardWriteIgnoresShardZero: a load and a delete on shard 2 write
+// their history entries on shard 2, so with shard 0's writer mutex held by
+// the test both answer 200, and their entries are in /v1/history once the
+// mutex is released.
+func TestOffShardWriteIgnoresShardZero(t *testing.T) {
 	s := newWriteTestServer(t, 4)
 	name := nameOnShard(s, "tree", 2)
-	s.be.WriteMus[0].Lock()
+	s.be.writeMus[0].Lock()
 	held := true
 	defer func() {
 		if held {
-			s.be.WriteMus[0].Unlock()
+			s.be.writeMus[0].Unlock()
 		}
 	}()
 
-	loaded := make(chan struct{})
-	var rec *httptest.ResponseRecorder
+	done := make(chan struct{})
+	var load, del *httptest.ResponseRecorder
 	go func() {
-		defer close(loaded)
-		rec = serve(s, "POST", "/v1/trees/"+name, strings.NewReader(newickBody(t, 100, 2)))
+		defer close(done)
+		load = serve(s, "POST", "/v1/trees/"+name, strings.NewReader(newickBody(t, 100, 2)))
+		del = serve(s, "DELETE", "/v1/trees/"+name, nil)
 	}()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, err := s.be.DBs[2].Table("nodes_" + name); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the load never applied on its own shard while shard 0's mutex was held")
-		}
+	within(t, done, "a load and a delete on shard 2 while shard 0's mutex was held")
+	if load.Code != http.StatusOK || del.Code != http.StatusNoContent {
+		t.Fatalf("load: %d %s; delete: %d %s", load.Code, load.Body, del.Code, del.Body)
 	}
-	select {
-	case <-loaded:
-		t.Fatalf("the load finished without shard 0's mutex: %d %s", rec.Code, rec.Body)
-	default:
-	}
-	s.be.WriteMus[0].Unlock()
+	s.be.writeMus[0].Unlock()
 	held = false
-	within(t, loaded, "the load, once shard 0's mutex was free")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("load: %d %s", rec.Code, rec.Body)
+
+	var hist HistoryResponse
+	if err := json.Unmarshal(serve(s, "GET", "/v1/history", nil).Body.Bytes(), &hist); err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, e := range hist.Entries {
+		kinds = append(kinds, e.Kind)
+	}
+	if fmt.Sprint(kinds) != "[delete load]" {
+		t.Fatalf("history after the load and delete: %v, want [delete load]", kinds)
 	}
 }
 
@@ -225,14 +205,14 @@ func TestWriteLockWaitIsObserved(t *testing.T) {
 		if try == 20 {
 			t.Fatal("no load ever waited for the held writer mutex")
 		}
-		s.be.WriteMus[si].Lock()
+		s.be.writeMus[si].Lock()
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			rec = load()
 		}()
 		time.Sleep(20 * time.Millisecond)
-		s.be.WriteMus[si].Unlock()
+		s.be.writeMus[si].Unlock()
 		within(t, done, "a load whose shard mutex was released")
 	}
 	var resp struct {

@@ -56,10 +56,6 @@ func NewRouter(n int) (*Router, error) {
 	return &Router{n: n}, nil
 }
 
-// Single is the 1-shard router: every name places on shard 0. It is what
-// single-database repositories route with.
-var Single = &Router{n: 1}
-
 // N reports the shard count.
 func (r *Router) N() int { return r.n }
 

@@ -175,12 +175,6 @@ type View struct {
 	router *shard.Router
 }
 
-// ViewOn binds a species view to a relational snapshot (shared with the
-// tree and query repositories).
-func ViewOn(rs *relstore.Snap) *View {
-	return &View{sns: []*relstore.Snap{rs}, router: shard.Single}
-}
-
 // ViewOnShards binds a species view to one relational snapshot per shard.
 func ViewOnShards(sns []*relstore.Snap, router *shard.Router) *View {
 	return &View{sns: sns, router: router}

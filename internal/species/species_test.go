@@ -12,11 +12,14 @@ import (
 	"repro/internal/shard"
 )
 
+// oneShard routes every tree to the one database of a single-shard repository.
+var oneShard, _ = shard.NewRouter(1)
+
 func newRepo(t *testing.T) *Repo {
 	t.Helper()
 	db := relstore.OpenMemDB()
 	t.Cleanup(func() { db.Close() })
-	r, err := NewOnShards([]*relstore.DB{db}, shard.Single)
+	r, err := NewOnShards([]*relstore.DB{db}, oneShard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestViewSeesCommittedRecordsOnly(t *testing.T) {
 	}
 	sn := r.dbs[0].Snapshot()
 	defer sn.Close()
-	before := ViewOn(sn)
+	before := ViewOnShards([]*relstore.Snap{sn}, r.router)
 	if _, err := before.Get("gold", "Bha", "seq:ssu"); !errors.Is(err, ErrNoData) {
 		t.Fatalf("uncommitted put visible: err = %v", err)
 	}
@@ -208,7 +211,7 @@ func TestOldSpeciesSchemaStillWorks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	old, err := NewOnShards([]*relstore.DB{oldDB}, shard.Single)
+	old, err := NewOnShards([]*relstore.DB{oldDB}, oneShard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,11 +257,11 @@ func TestPointReadAllocations(t *testing.T) {
 			}
 			key := pairs[12345].Key
 			if got := testing.AllocsPerRun(200, func() {
-				if _, ok, err := bt.GetC(key, nil); err != nil || !ok {
+				if _, ok, err := bt.getC(key, nil); err != nil || !ok {
 					t.Fatal(ok, err)
 				}
 			}); got > 0 {
-				t.Fatalf("GetC allocates %v times with %d cells a leaf, want 0", got, first.nkeys())
+				t.Fatalf("getC allocates %v times with %d cells a leaf, want 0", got, first.nkeys())
 			}
 			_, cs := counterCtx()
 			if _, _, err := bt.GetBatchC(ctx, batch, cs); err != nil {

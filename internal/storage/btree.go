@@ -17,12 +17,12 @@ const (
 	pageOverflow = 3
 )
 
-// Size limits. A key must fit inline in a node; values above MaxInlineValue
+// Size limits. A key must fit inline in a node; values above maxInlineValue
 // are spilled to a chain of overflow pages so sequence data of arbitrary
 // length can be stored.
 const (
 	MaxKeySize      = 512
-	MaxInlineValue  = 1024
+	maxInlineValue  = 1024
 	overflowRefSize = 12 // u64 head page + u32 total length
 
 	leafHeaderSize     = 1 + 2     // kind, nkeys
@@ -458,18 +458,18 @@ func (t *BTree) leafFor(key []byte, c *obs.Counters) (*node, error) {
 
 // Get returns the value stored under key.
 func (t *BTree) Get(key []byte) ([]byte, bool, error) {
-	return t.GetC(key, nil)
+	return t.getC(key, nil)
 }
 
 // GetCtx is Get attributing engine counters to the request span carried
 // by ctx (if any). The span lookup happens once per call, never per page.
 func (t *BTree) GetCtx(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return t.GetC(key, obs.CountersFrom(ctx))
+	return t.getC(key, obs.CountersFrom(ctx))
 }
 
-// GetC is Get with explicit per-request counter attribution (c may be
+// getC is Get with explicit per-request counter attribution (c may be
 // nil). One call is one root-to-leaf descent.
-func (t *BTree) GetC(key []byte, c *obs.Counters) ([]byte, bool, error) {
+func (t *BTree) getC(key []byte, c *obs.Counters) ([]byte, bool, error) {
 	n, err := t.leafFor(key, c)
 	if err != nil {
 		return nil, false, err
@@ -635,7 +635,7 @@ func (t *BTree) Put(key, value []byte) error {
 		return fmt.Errorf("%w: %d bytes (max %d, min 1)", ErrKeyTooLarge, len(key), MaxKeySize)
 	}
 	stored, isOverflow := value, false
-	if len(value) > MaxInlineValue {
+	if len(value) > maxInlineValue {
 		ref, err := t.writeOverflow(value)
 		if err != nil {
 			return err

@@ -45,7 +45,7 @@ func (t *BTree) Empty() (bool, error) {
 // with no splits — and is the fast path behind relstore's Table.ApplyBulk,
 // which hands it views over its staging arenas. The bytes at returns are
 // read in place and must stay unchanged until BulkLoad returns. The tree
-// must be empty; values longer than MaxInlineValue spill to overflow chains
+// must be empty; values longer than maxInlineValue spill to overflow chains
 // exactly as with Put. Like all mutations, BulkLoad requires exclusive
 // access.
 //
@@ -90,7 +90,7 @@ func (t *BTree) BulkLoad(n int, at func(i int) (key, val []byte)) error {
 		}
 		prev = key
 		stored, isOverflow := val, false
-		if len(val) > MaxInlineValue {
+		if len(val) > maxInlineValue {
 			ref, err := t.writeOverflow(val)
 			if err != nil {
 				return err

@@ -92,7 +92,7 @@ func TestBulkLoadOverflowValues(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	pairs := make([]kv, 40)
 	for i := range pairs {
-		val := make([]byte, MaxInlineValue*3+i*100)
+		val := make([]byte, maxInlineValue*3+i*100)
 		r.Read(val)
 		pairs[i] = kv{Key: []byte(fmt.Sprintf("big%04d", i)), Value: val}
 	}

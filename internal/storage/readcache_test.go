@@ -158,7 +158,7 @@ func TestReadCacheHitsOnRepeatedDescents(t *testing.T) {
 	// First pass decodes and publishes every interior node it crosses.
 	_, c1 := counterCtx()
 	for k := range want {
-		if _, ok, err := bt.GetC([]byte(k), c1); err != nil || !ok {
+		if _, ok, err := bt.getC([]byte(k), c1); err != nil || !ok {
 			t.Fatalf("get %s: %v %v", k, ok, err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestReadCacheHitsOnRepeatedDescents(t *testing.T) {
 	// Second pass: every interior read is a hit, zero misses.
 	_, c2 := counterCtx()
 	for k, v := range want {
-		got, ok, err := bt.GetC([]byte(k), c2)
+		got, ok, err := bt.getC([]byte(k), c2)
 		if err != nil || !ok || !bytes.Equal(got, v) {
 			t.Fatalf("warm get %s mismatch (ok=%v err=%v)", k, ok, err)
 		}

@@ -876,7 +876,7 @@ func TestBTreeSplitsSkewedCellsByBytes(t *testing.T) {
 		smallVal, valMin int
 		valSpan          int
 	}{
-		{name: "leaf", small: 300, large: 300, largeKey: 9, smallVal: 8, valMin: 450, valSpan: MaxInlineValue - 450 + 1},
+		{name: "leaf", small: 300, large: 300, largeKey: 9, smallVal: 8, valMin: 450, valSpan: maxInlineValue - 450 + 1},
 		// 2-byte keys under 1000 B values make three-cell leaves, so the
 		// root fills with short separators; 512 B keys then arrive on its
 		// right edge.

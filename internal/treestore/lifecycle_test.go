@@ -35,9 +35,12 @@ func OpenMem() *Store {
 	return s
 }
 
+// oneShard routes every tree to the one database of a single-shard store.
+var oneShard, _ = shard.NewRouter(1)
+
 // newOnDB layers a tree repository over one relational database.
 func newOnDB(db *relstore.DB) (*Store, error) {
-	return NewOnShards([]*relstore.DB{db}, shard.Single)
+	return NewOnShards([]*relstore.DB{db}, oneShard)
 }
 
 // Commit flushes buffered pages of every shard to disk.

@@ -327,7 +327,7 @@ func TestLoadOptsConcurrentDistinctShards(t *testing.T) {
 	}
 	sn := s.Snapshot()
 	defer sn.Close()
-	infos, err := sn.Trees()
+	infos, err := sn.TreesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -574,12 +574,6 @@ type Snap struct {
 	router *shard.Router
 }
 
-// SnapOn wraps an existing relational snapshot (shared with the species
-// and query repositories) as a single-shard tree-repository view.
-func SnapOn(rs *relstore.Snap) *Snap {
-	return &Snap{sns: []*relstore.Snap{rs}, router: shard.Single}
-}
-
 // SnapOnShards wraps one relational snapshot per shard as a
 // tree-repository view. The router must match the store the snapshots came
 // from.
@@ -593,12 +587,6 @@ func SnapOnShards(sns []*relstore.Snap, router *shard.Router) *Snap {
 // snapshot was taken) ErrNoTree — never a torn state.
 func (sn *Snap) Tree(name string) (*Tree, error) {
 	return openTree(sn.sns[sn.router.Place(name)], name)
-}
-
-// Trees lists the trees stored as of the snapshot, merged across shards in
-// name order.
-func (sn *Snap) Trees() ([]TreeInfo, error) {
-	return sn.TreesCtx(context.Background())
 }
 
 // Delete removes a stored tree and its relations from its shard and

@@ -327,7 +327,7 @@ func TestPersistAcrossReopen(t *testing.T) {
 	defer s.Close()
 	sn := s.Snapshot()
 	defer sn.Close()
-	infos, err := sn.Trees()
+	infos, err := sn.TreesCtx(context.Background())
 	if err != nil || len(infos) != 1 || infos[0].Name != "fig1" {
 		t.Fatalf("Trees after reopen = %v, %v", infos, err)
 	}

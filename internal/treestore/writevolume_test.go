@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relstore"
-	"repro/internal/shard"
 	"repro/internal/species"
 	"repro/internal/storage"
 	"repro/internal/treegen"
@@ -46,7 +45,7 @@ func TestSpeciesPutWriteVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := species.NewOnShards([]*relstore.DB{db}, shard.Single)
+	repo, err := species.NewOnShards([]*relstore.DB{db}, oneShard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestDropWriteVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := species.NewOnShards([]*relstore.DB{db}, shard.Single)
+	repo, err := species.NewOnShards([]*relstore.DB{db}, oneShard)
 	if err != nil {
 		t.Fatal(err)
 	}

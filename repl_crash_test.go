@@ -457,8 +457,9 @@ func TestCrashMatrixReplPromoteAfterCatchUp(t *testing.T) {
 // TestFacadeFollowerWritesAfterPromote promotes a follower opened through
 // the facade, with no server over it, and writes through the same
 // Repository: a species put, the delete of a tree that replicated after the
-// follower opened, and a load whose history record lands on shard 0. Each
-// writer resolves its tables at its first write after the promote.
+// follower opened, and a load whose history record lands on its tree's
+// shard with the first id past the largest replicated one. Each writer
+// resolves its tables at its first write after the promote.
 func TestFacadeFollowerWritesAfterPromote(t *testing.T) {
 	shards := matrixShards(t)
 	repo, srv, url := startReplPrimary(t, shards)
@@ -499,6 +500,12 @@ func TestFacadeFollowerWritesAfterPromote(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 			sh = fl.Status().Shards[i]
 		}
+	}
+	replicated := frepo.Snapshot()
+	last, err := replicated.QueryView.History(ctx, 1)
+	replicated.Close()
+	if err != nil || len(last) != 1 {
+		t.Fatalf("the follower's newest replicated history entry: %+v, %v", last, err)
 	}
 	if err := fl.Promote(); err != nil {
 		t.Fatalf("promote: %v", err)
@@ -543,6 +550,8 @@ func TestFacadeFollowerWritesAfterPromote(t *testing.T) {
 	}
 	if len(hist) != 1 || hist[0].Kind != "load" || !strings.Contains(hist[0].Args, `"tree":"after"`) {
 		t.Errorf("newest history entry after the load: %+v", hist)
+	} else if hist[0].ID != last[0].ID+1 {
+		t.Errorf("first id after the promote is %d, want one past the largest replicated id %d", hist[0].ID, last[0].ID)
 	}
 	if err := frepo.Check(); err != nil {
 		t.Fatalf("post-promote integrity: %v", err)

@@ -255,7 +255,7 @@ func TestShardedSnapshotEpochVector(t *testing.T) {
 	}
 
 	// Load a second tree placed on a different shard than "first" and
-	// shard 0 (where the history commit lands).
+	// than shard 0, where read queries' history lands.
 	firstShard := router.Place("first")
 	var second string
 	for i := 0; ; i++ {

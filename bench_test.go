@@ -834,16 +834,15 @@ func BenchmarkE13BTree(b *testing.B) {
 }
 
 // BenchmarkBTreeGet shows the cost of the B+tree's three read shapes on a
-// warm tree — 100k bulk-loaded keys, buffer pool and decoded-node cache both
-// holding everything — with allocations reported: a point read, a sorted
-// batch of 64, and the descent to one held leaf. Reads happen in place and
-// every page is resident with its node kept in its pool frame, so a point
-// read and a leaf allocate nothing and a batch only its result slices,
-// whatever a leaf holds.
+// warm tree — 100k bulk-loaded keys, the buffer pool holding everything —
+// with allocations reported: a point read, a sorted batch of 64, and the
+// descent to one held leaf. Reads happen in place and every page is
+// resident with its node kept in its pool frame, so a point read and a leaf
+// allocate nothing and a batch only its result slices, whatever a leaf
+// holds.
 func BenchmarkBTreeGet(b *testing.B) {
 	s := storage.OpenMem()
 	defer s.Close()
-	s.SetReadCacheBytes(64 << 20)
 	tr, err := storage.NewBTree(s)
 	if err != nil {
 		b.Fatal(err)

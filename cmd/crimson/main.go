@@ -706,7 +706,6 @@ func cmdServe(args []string) error {
 	cacheSize := fs.Int("cache", 1024, "result-cache capacity in entries (negative disables)")
 	maxBody := fs.Int64("max-body", 256<<20, "request body limit in bytes")
 	loadWorkers := fs.Int("load-workers", 0, "ingest pipeline fan-out per load request (0 = GOMAXPROCS)")
-	readCacheMB := fs.Int("read-cache-mb", 64, "decoded-node read cache budget in MB, split across shards (0 = no cache; queries run the same batched path either way)")
 	slowQueryMS := fs.Int("slow-query-ms", 0, "log requests slower than this many milliseconds together with their span tree (0 disables)")
 	traceAll := fs.Bool("trace", false, "collect a span tree on every request (clients still opt into the echo with ?debug=trace)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -747,7 +746,6 @@ func cmdServe(args []string) error {
 		}
 	}
 	defer repo.Close()
-	repo.SetReadCacheMB(*readCacheMB)
 	repo.SetCheckpointPolicy(int64(*checkpointMB)<<20, *checkpointInterval)
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	if *quiet {

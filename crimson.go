@@ -414,21 +414,10 @@ func OpenFollower(ctx context.Context, path, primaryURL string) (*Repository, *F
 // Shards reports the repository's shard count.
 func (r *Repository) Shards() int { return r.be.Router.N() }
 
-// SetReadCacheMB (re)configures the decoded-node read cache of every
-// shard's storage engine, splitting the budget evenly across shards. The
-// cache keys decoded interior B+tree nodes by (page, epoch) — immutable
-// under copy-on-write commits — so hot descents skip the copy+decode per
-// level. mb <= 0 means no cache: tree queries run the same batched,
-// memoized code at every size, and results are byte-identical.
-func (r *Repository) SetReadCacheMB(mb int) {
-	per := int64(mb) << 20
-	if n := int64(len(r.be.DBs)); n > 1 && per > 0 {
-		per /= n
-	}
-	for _, db := range r.be.DBs {
-		db.Store().SetReadCacheBytes(per)
-	}
-}
+// SetReadCacheMB does nothing: each shard's buffer pool is its one page
+// cache, and its frames keep the nodes decoded from their images. It stays
+// because perfbench/ calls it, and goes with ROADMAP item 4.
+func (r *Repository) SetReadCacheMB(int) {}
 
 // Commit makes all buffered changes of every shard durable.
 func (r *Repository) Commit() error {

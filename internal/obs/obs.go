@@ -43,9 +43,6 @@ const (
 	CtrCOWPages
 	CtrWALBytes
 	CtrWALSyncs
-	CtrReadCacheHits
-	CtrReadCacheMisses
-	CtrReadCacheEvicts
 	CtrCommits
 	CtrGroupBatches
 	CtrGroupFsyncsSaved
@@ -84,9 +81,6 @@ var counterDefs = [NumCounters]struct{ name, help string }{
 	CtrCOWPages:                 {"cow_pages", "Pages copied by copy-on-write before modification."},
 	CtrWALBytes:                 {"wal_bytes", "Bytes appended to the write-ahead log."},
 	CtrWALSyncs:                 {"wal_syncs", "Write-ahead log fsyncs."},
-	CtrReadCacheHits:            {"read_cache_hits", "Decoded-node read cache hits."},
-	CtrReadCacheMisses:          {"read_cache_misses", "Decoded-node read cache misses (cacheable interior nodes decoded)."},
-	CtrReadCacheEvicts:          {"read_cache_evicts", "Decoded-node read cache evictions under the byte budget."},
 	CtrCommits:                  {"commits", "Storage-engine commits made durable."},
 	CtrGroupBatches:             {"group_commit_batches", "WAL batches flushed by group commit (each is one fsync)."},
 	CtrGroupFsyncsSaved:         {"group_fsyncs_saved", "Fsyncs avoided by coalescing commits into group-commit batches."},

@@ -99,9 +99,8 @@ func (s *Snap) Table(name string) (*TableView, error) {
 		return nil, fmt.Errorf("relstore: catalog entry for %s: %w", name, err)
 	}
 	keyCol, _ := ent.Schema.colIndex(ent.Schema.Key)
-	// Views are pinned to the snapshot's epoch: their pages are immutable
-	// while any snapshot of it is open, so decoded-node cache entries keyed
-	// (page, epoch) are shared by every reader of this epoch.
+	// Views are pinned to the snapshot's epoch, so their reads fail once a
+	// replicated apply invalidates it instead of reading replaced pages.
 	v = &TableView{
 		schema:  ent.Schema,
 		keyCol:  keyCol,

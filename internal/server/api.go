@@ -108,6 +108,11 @@ type HistoryEntry struct {
 // HistoryResponse lists query-history entries, newest first. NextCursor
 // carries the opaque cursor for the next (older) page when more entries
 // remain; absent once the history is exhausted.
+//
+// Ids, and so this order, follow the order entries were appended, not the
+// order their requests ran: a write appends its entry in its own
+// transaction, while a read's entry is appended later by the async
+// recorder, so a read can take a higher id than a write that ran after it.
 type HistoryResponse struct {
 	Entries    []HistoryEntry `json:"entries"`
 	NextCursor string         `json:"next_cursor,omitempty"`

@@ -380,8 +380,10 @@ func New(be *Backend, follower *repl.Follower, cfg Config) *Server {
 // a new epoch) are throttled to once per recCommitBatch records or
 // recCommitInterval, whichever comes first, so a steady query stream costs
 // at most ~one fsync per second — not one per query. Records not yet
-// committed become durable at the next write endpoint's commit or at
-// Shutdown.
+// committed become durable at the next commit of shard 0: a write whose
+// tree is placed there, the flush recCommitInterval after the batch
+// began, or Shutdown. A write on any other shard commits its own shard
+// only.
 func (s *Server) recordLoop() {
 	defer s.recWG.Done()
 	const (

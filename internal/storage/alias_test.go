@@ -211,8 +211,7 @@ func TestHeldBytesSurviveRewriteReuseAndEviction(t *testing.T) {
 }
 
 // TestPointReadAllocations pins what reading in place buys: on a warm tree
-// with the decoded-node cache on, every page a read visits is resident with
-// its node kept in the frame, so a point read allocates nothing and a batched
+// every page a read visits is resident with its node kept in the frame, so a point read allocates nothing and a batched
 // read a constant, whatever the number of leaves it visits — whether a leaf
 // holds 40 cells or 250. While each read decoded its leaf, a point read
 // allocated the leaf's node and offset table, and a batched read those two
@@ -222,7 +221,6 @@ func TestPointReadAllocations(t *testing.T) {
 		t.Run(fmt.Sprintf("value=%dB", valueBytes), func(t *testing.T) {
 			s := OpenMem()
 			defer s.Close()
-			s.SetReadCacheBytes(8 << 20)
 			bt, err := NewBTree(s)
 			if err != nil {
 				t.Fatal(err)
@@ -252,7 +250,7 @@ func TestPointReadAllocations(t *testing.T) {
 				batch[i] = pairs[(i*311)%len(pairs)].Key
 			}
 			ctx := context.Background()
-			if _, _, err := bt.GetBatch(ctx, batch); err != nil { // warms the cache
+			if _, _, err := bt.GetBatch(ctx, batch); err != nil { // keeps the nodes it decodes
 				t.Fatal(err)
 			}
 			key := pairs[12345].Key

@@ -64,12 +64,9 @@ type BTree struct {
 	store *Store
 	root  PageID
 
-	// epoch/pinned key this tree's entries in the store's decoded-node
-	// cache. A tree opened from a snapshot is pinned to the snapshot's
-	// epoch (its pages are immutable for the snapshot's lifetime); an
-	// unpinned tree keys by the store's last published epoch, so entries
-	// cached before a commit are simply superseded — never stale — after
-	// it.
+	// epoch/pinned mark a tree opened from a snapshot: its reads fail with
+	// ErrSnapshotInvalidated once a replicated apply may have replaced
+	// pages of that epoch (see Store.InvalidateSnapshotsBelow).
 	epoch  uint64
 	pinned bool
 }
@@ -93,20 +90,12 @@ func OpenBTree(store *Store, root PageID) *BTree {
 }
 
 // OpenBTreeAt opens an existing tree rooted at root, pinned to the given
-// committed epoch for decoded-node cache keying. Use it for trees opened
-// from a snapshot: the snapshot guarantees every reachable page is
-// immutable, so (page, epoch) names the decode for the snapshot's whole
-// lifetime and concurrent readers of the same epoch share entries.
+// committed epoch. Use it for trees opened from a snapshot: the snapshot
+// keeps every reachable page immutable until a replicated apply invalidates
+// the epoch, after which the tree's reads fail rather than read pages the
+// apply replaced.
 func OpenBTreeAt(store *Store, root PageID, epoch uint64) *BTree {
 	return &BTree{store: store, root: root, epoch: epoch, pinned: true}
-}
-
-// cacheEpoch resolves the epoch this tree keys cache entries by.
-func (t *BTree) cacheEpoch() uint64 {
-	if t.pinned {
-		return t.epoch
-	}
-	return t.store.pubEpoch.Load()
 }
 
 // Root returns the current root page id. Under copy-on-write it changes on
@@ -120,9 +109,8 @@ func (t *BTree) Root() PageID { return t.root }
 // return aliases the image (capacity clipped, so an append cannot reach the
 // page). A node holds no pointers besides its two slices and is never
 // modified, which is what lets one be shared among readers: the buffer-pool
-// frame holding its image keeps it for as long as it keeps that image, and
-// the decoded-node cache keeps interior ones past eviction. The mutation
-// paths turn it into cells to splice.
+// frame holding its image keeps it for as long as it keeps that image. The
+// mutation paths turn it into cells to splice.
 type node struct {
 	kind byte
 	page PageID
@@ -383,37 +371,6 @@ func (t *BTree) readNodeC(id PageID, c *obs.Counters) (*node, error) {
 	return n, nil
 }
 
-// readNodeShared is readNodeC for the read-only descent paths: it consults
-// the store's decoded-node cache before touching the page, and publishes
-// the interior nodes it had to decode. Nodes are immutable, so a cached one
-// is shared as is; the mutation and maintenance paths read through
-// readNode, past the cache, because they also read pages the writer has
-// rewritten since the last commit.
-func (t *BTree) readNodeShared(id PageID, c *obs.Counters) (*node, error) {
-	rc := t.store.rcache.Load()
-	if rc == nil {
-		return t.readNodeC(id, c)
-	}
-	epoch := t.cacheEpoch()
-	if n, ok := rc.get(id, epoch); ok {
-		obs.Engine.Add(obs.CtrReadCacheHits, 1)
-		c.Add(obs.CtrReadCacheHits, 1)
-		return n, nil
-	}
-	n, err := t.readNodeC(id, c)
-	if err != nil {
-		return nil, err
-	}
-	if n.kind == pageInternal {
-		// Only cacheable nodes count as misses, so hits+misses tracks the
-		// interior working set rather than being diluted by leaf reads.
-		obs.Engine.Add(obs.CtrReadCacheMisses, 1)
-		c.Add(obs.CtrReadCacheMisses, 1)
-		rc.put(id, epoch, n)
-	}
-	return n, nil
-}
-
 // childIndex returns the child to descend into for key: the first separator
 // strictly greater than key bounds the child on its left.
 func childIndex(n *node, key []byte) int {
@@ -449,9 +406,9 @@ func leafIndex(n *node, key []byte) (int, bool) {
 func (t *BTree) leafFor(key []byte, c *obs.Counters) (*node, error) {
 	obs.Engine.Add(obs.CtrBTreeDescents, 1)
 	c.Add(obs.CtrBTreeDescents, 1)
-	n, err := t.readNodeShared(t.root, c)
+	n, err := t.readNodeC(t.root, c)
 	for err == nil && n.kind == pageInternal {
-		n, err = t.readNodeShared(n.child(childIndex(n, key)), c)
+		n, err = t.readNodeC(n.child(childIndex(n, key)), c)
 	}
 	return n, err
 }
@@ -1026,7 +983,7 @@ func (c *cursor) Close() {
 func (c *cursor) descend(id PageID, key []byte) error {
 	obs.Engine.Add(obs.CtrBTreeDescents, 1)
 	c.c.Add(obs.CtrBTreeDescents, 1)
-	n, err := c.tree.readNodeShared(id, c.c)
+	n, err := c.tree.readNodeC(id, c.c)
 	if err != nil {
 		return err
 	}
@@ -1036,7 +993,7 @@ func (c *cursor) descend(id PageID, key []byte) error {
 			idx = childIndex(n, key)
 		}
 		c.stack = append(c.stack, cursorFrame{n: n, idx: idx})
-		if n, err = c.tree.readNodeShared(n.child(idx), c.c); err != nil {
+		if n, err = c.tree.readNodeC(n.child(idx), c.c); err != nil {
 			return err
 		}
 	}

@@ -18,7 +18,8 @@ const defaultPoolSize = 4096
 // of the page replaces the slice (Put), eviction merely drops the reference.
 // node is the B+tree node decoded from data, once a read has decoded it
 // (keep), so the next read of a resident page indexes no cell; it goes
-// wherever data goes — cleared by Put, dropped with the frame.
+// wherever data goes — cleared by Put, dropped with the frame. touched is
+// the pool's tick when the frame last went to the front of the LRU list.
 //
 // A loading frame is a placeholder for a read in flight: it has no image
 // yet and is on neither list. The first reader to wait for it makes
@@ -31,6 +32,7 @@ type frame struct {
 	dirty    bool
 	slot     int           // index in bufferPool.dirty while dirty
 	elem     *list.Element // position in the LRU list (nil while dirty)
+	touched  uint64
 	loading  bool
 	readDone chan struct{}
 }
@@ -54,21 +56,32 @@ var zeroPage = make([]byte, PageSize)
 // transaction — whatever the number of resident frames.
 //
 // All methods are safe for concurrent use. An internal mutex guards the
-// frame table and the LRU list, and is held for a map lookup and an LRU
-// touch, never across a pager read: a miss installs a loading frame, reads
-// the page with the mutex released, and re-takes it to install the image.
+// frame table and the LRU list, and is held for a map lookup and at most
+// an LRU touch, never across a pager read: a miss installs a loading frame,
+// reads the page with the mutex released, and re-takes it to install the
+// image.
 // So a hit never waits on the disk, and readers of a page that is being
 // read wait for that one read instead of starting their own. A Put or a
 // discard of the page while its read is in flight supersedes the read: the
 // reader gets the image it read, and the pool never installs it. Loading
 // frames are outside the LRU list, so the pool exceeds its limit by at most
 // the number of reads in flight.
+//
+// A hit moves its frame to the front of the LRU list only once the frame has
+// left the newest quarter of it: tick counts the frames put at the front, and
+// a hit moves a frame only when more than limit/4 went there since it did.
+// A hit in the newest quarter therefore leaves the list alone, which keeps
+// the mutex's hold on the hot path to a map lookup. Since no more than
+// tick-touched frames can have overtaken a frame, one that a hit finds in
+// the newest quarter is still evicted no sooner than by the ¾·limit-th
+// frame put at the front after that hit (exact LRU: the limit-th).
 type bufferPool struct {
 	mu     sync.Mutex
 	pager  pageFile
 	frames map[PageID]*frame
 	lru    *list.List // clean frames only, front = most recent
 	limit  int
+	tick   uint64   // frames put at the front of lru so far
 	dirty  []*frame // the dirty frames, in no particular order
 }
 
@@ -115,8 +128,8 @@ func (bp *bufferPool) page(id PageID) ([]byte, *node, poolRead, error) {
 		f, ok = bp.frames[id]
 	}
 	if ok {
-		if f.elem != nil {
-			bp.lru.MoveToFront(f.elem)
+		if f.elem != nil && bp.tick-f.touched > uint64(bp.limit/4) {
+			bp.front(f)
 		}
 		data, n := f.data, f.node
 		bp.mu.Unlock()
@@ -134,7 +147,7 @@ func (bp *bufferPool) page(id PageID) ([]byte, *node, poolRead, error) {
 			delete(bp.frames, id)
 		} else {
 			f.data, f.loading = data, false
-			f.elem = bp.lru.PushFront(f)
+			bp.front(f)
 			bp.evict()
 		}
 	}
@@ -241,6 +254,18 @@ func (bp *bufferPool) discard(id PageID) {
 	}
 }
 
+// front puts f at the front of the LRU list, pushing it if it is not on the
+// list, and stamps it with the next tick. Callers hold bp.mu.
+func (bp *bufferPool) front(f *frame) {
+	bp.tick++
+	f.touched = bp.tick
+	if f.elem == nil {
+		f.elem = bp.lru.PushFront(f)
+	} else {
+		bp.lru.MoveToFront(f.elem)
+	}
+}
+
 // evict trims the LRU list to the pool limit. Only clean frames are ever
 // on the list, so dirty pages survive. Callers hold bp.mu.
 func (bp *bufferPool) evict() {
@@ -285,7 +310,7 @@ func (bp *bufferPool) clearDirty() {
 	defer bp.mu.Unlock()
 	for _, f := range bp.dirty {
 		f.dirty = false
-		f.elem = bp.lru.PushFront(f)
+		bp.front(f)
 	}
 	clear(bp.dirty) // evicted frames must not stay reachable from the list
 	bp.dirty = bp.dirty[:0]

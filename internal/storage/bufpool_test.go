@@ -485,6 +485,83 @@ func TestPoolMissDuringReplicatedApply(t *testing.T) {
 	}
 }
 
+// touchPool is a 16-frame pool over 64 pages, and a reader of it that fails
+// the test on an error or on a hit or miss other than the one expected.
+func touchPool(t *testing.T) (bp *bufferPool, read func(id PageID, want poolRead)) {
+	t.Helper()
+	imgs := make([][]byte, 64)
+	for i := range imgs {
+		imgs[i] = pageImage(fmt.Sprint(i))
+	}
+	bp = newBufferPool(memPages(t, imgs...), 16)
+	return bp, func(id PageID, want poolRead) {
+		t.Helper()
+		if _, _, how, err := bp.page(id); err != nil || how != want {
+			t.Fatalf("page %d: how %d, err %v; want how %d", id, how, err, want)
+		}
+	}
+}
+
+// resident reports whether page id has a frame, without touching it.
+func resident(bp *bufferPool, id PageID) bool {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	_, ok := bp.frames[id]
+	return ok
+}
+
+// TestPoolHitKeepsFrameThreeQuarters pins the touch rule at a limit of 16: a
+// hit on a frame at most 4 (limit/4) front-moves old leaves the LRU list
+// alone, yet the frame outlives the next 11 misses and goes with the 12th,
+// ¾·limit after the hit; a hit on one that is 5 old moves it to the front,
+// and it outlives 15 misses, as under exact LRU.
+func TestPoolHitKeepsFrameThreeQuarters(t *testing.T) {
+	for _, tc := range []struct {
+		age      PageID // frames put at the front between page 0's miss and its hit
+		survives PageID // misses of other pages page 0 outlives after the hit
+	}{
+		{4, 11}, // in the newest quarter: not moved
+		{5, 15}, // out of it: moved to the front
+	} {
+		t.Run(fmt.Sprintf("age=%d", tc.age), func(t *testing.T) {
+			bp, read := touchPool(t)
+			read(0, poolMiss)
+			next := PageID(1)
+			for ; next <= tc.age; next++ {
+				read(next, poolMiss)
+			}
+			read(0, poolHit)
+			for i := PageID(0); i < tc.survives; i, next = i+1, next+1 {
+				read(next, poolMiss)
+				if !resident(bp, 0) {
+					t.Fatalf("page 0 evicted by the %d-th miss after its hit, want it to outlive %d", i+1, tc.survives)
+				}
+			}
+			read(next, poolMiss)
+			if resident(bp, 0) {
+				t.Fatalf("page 0 outlived %d misses after its hit, want evicted by the %d-th", tc.survives+1, tc.survives+1)
+			}
+		})
+	}
+}
+
+// TestPoolEvictsInLRUOrder: frames nothing hits again leave in the order
+// they came, one for each miss past the limit.
+func TestPoolEvictsInLRUOrder(t *testing.T) {
+	bp, read := touchPool(t)
+	for id := PageID(0); id < 16; id++ {
+		read(id, poolMiss)
+	}
+	for id := PageID(16); id < 48; id++ {
+		read(id, poolMiss)
+		for old := id - 16; old <= id; old++ {
+			if want := old > id-16; resident(bp, old) != want {
+				t.Fatalf("after reading page %d: page %d resident %v, want %v", id, old, !want, want)
+			}
+		}
+	}
+}
+
 // BenchmarkPoolMissParallel reads pages of a file-backed store from
 // parallel goroutines through a 64-frame pool over 2048 checkpointed pages.
 // Two reads in three go to 32 hot pages, which stay resident, and the third

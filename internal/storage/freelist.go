@@ -141,7 +141,6 @@ func (s *Store) checkFreeID(id PageID) error {
 // upgrade reclaims — and drops its pool frame unwritten. When the inline
 // ids are full, id becomes a trunk page.
 func (s *Store) free(id PageID) error {
-	s.dropCached(id)
 	s.pool.discard(id)
 	s.metaDirty = true
 	if len(s.meta.free) < metaFreeCap {
@@ -217,7 +216,6 @@ func (s *Store) reclaim() {
 	e.mu.Unlock()
 	s.noteHorizon(hz)
 	for _, id := range ids {
-		s.dropCached(id)
 		s.pool.discard(id)
 	}
 	inTrunks := min(len(ids), s.spilled)

@@ -417,13 +417,7 @@ type Store struct {
 	nfree, spilled int
 	handout        uint64
 
-	// rcache, when non-nil, is the version-keyed decoded-node cache the
-	// B+tree read paths consult before decoding pages (see readcache.go).
-	// Held atomically so SetReadCacheBytes may flip it while readers run.
-	rcache atomic.Pointer[readCache]
-
-	// pubEpoch mirrors ep.current for lock-free reads: trees not pinned to
-	// a snapshot key their cache entries by the last published epoch.
+	// pubEpoch mirrors ep.current for lock-free reads (PublishedEpoch).
 	pubEpoch atomic.Uint64
 
 	ep epochs
@@ -460,28 +454,10 @@ type Store struct {
 	snapInvalid atomic.Uint64
 }
 
-// SetReadCacheBytes (re)configures the decoded-node read cache. A size of
-// zero or less disables it; any other value installs a fresh cache bounded
-// to roughly that many bytes. Safe to call at any time — readers pick up
-// the new cache on their next node read — though it is typically called
-// once right after open.
-func (s *Store) SetReadCacheBytes(n int64) {
-	if n <= 0 {
-		s.rcache.Store(nil)
-		return
-	}
-	s.rcache.Store(newReadCache(n))
-}
-
-// dropCached removes every cached decode of the page. Must be called
-// whenever a page id may come to name different bytes while a reader could
-// still look it up: on free (the id becomes reallocatable) and on rewrites
-// of writer-owned pages.
-func (s *Store) dropCached(id PageID) {
-	if rc := s.rcache.Load(); rc != nil {
-		rc.drop(id)
-	}
-}
+// SetReadCacheBytes does nothing: the buffer pool is the store's one page
+// cache, and its frames keep the nodes decoded from their images. It stays
+// because perfbench/ calls it, and goes with ROADMAP item 4.
+func (s *Store) SetReadCacheBytes(int64) {}
 
 // Open opens a file-backed store, creating it if absent, and replays any
 // committed WAL records left behind by a crash. The WAL lives next to the
@@ -718,8 +694,6 @@ func (s *Store) writePage(id PageID, img []byte) error {
 	if s.closed.Load() {
 		return errClosed
 	}
-	// The page has new contents: any cached decode of it is now stale.
-	s.dropCached(id)
 	return s.pool.Put(id, img)
 }
 
@@ -735,8 +709,7 @@ func (s *Store) writeCOW(id PageID, img []byte) (PageID, error) {
 		return 0, errClosed
 	}
 	if _, ok := s.fresh[id]; ok {
-		// Fresh pages keep their id; drop any cached decode.
-		s.dropCached(id)
+		// Fresh pages keep their id.
 		return id, s.pool.Put(id, img)
 	}
 	nid, err := s.allocateLocked()

@@ -238,8 +238,6 @@ func (s *Store) ApplyReplicated(epoch uint64, pages []DirtyPage) error {
 		return err
 	}
 	for _, p := range pages {
-		// The id may be a reuse of a page some cached decode still names.
-		s.dropCached(p.ID)
 		// The batch's buffers stay the caller's (one receive buffer may back
 		// many pages): the pool gets an image of its own, and a reader still
 		// holding the page's previous image keeps it.

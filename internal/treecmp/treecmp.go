@@ -1,10 +1,14 @@
-// Package treecmp compares phylogenetic trees: exact topology match, the
-// Robinson–Foulds (clade symmetric-difference) distance used to score
-// reconstruction algorithms against the gold standard, triplet distance,
-// and the linear-time majority-rule consensus the paper cites (reference
-// [1], Amenta, Clarke & St. John, WABI 2003). It also implements the tree
-// pattern match query of §2.2: project the target tree over the pattern's
-// leaves and compare.
+// Package treecmp compares phylogenetic trees. It has the Robinson–Foulds
+// distance that scores reconstruction algorithms against the gold standard
+// — the symmetric difference of two trees' clades (rooted) or bipartitions
+// (unrooted), as a count or normalized to [0, 1] — and the majority-rule
+// consensus of trees over one leaf set. The paper cites a linear-time
+// consensus (reference [1], Amenta, Clarke & St. John, WABI 2003); this one
+// counts every input clade keyed by its sorted leaf names, so its cost
+// grows with the total size of the clades, quadratic in the leaves on a
+// caterpillar. It also implements the tree pattern match query of §2.2:
+// project the target tree over the pattern's leaves and score the
+// projection against the pattern, an exact match when the distance is 0.
 package treecmp
 
 import (

@@ -27,7 +27,6 @@ func bigYule(t *testing.T) (snap *Tree, sel []Node) {
 	if _, err = s.Load("big", gold, 4, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.dbs[0].Store().SetReadCacheBytes(64 << 20)
 	snap = openTreeOf(t, s, "big")
 	if sel, err = snap.SampleUniformCtx(context.Background(), 50, rand.New(rand.NewSource(12))); err != nil {
 		t.Fatal(err)
@@ -164,7 +163,7 @@ func TestProjectNamesSkipsTheRefetch(t *testing.T) {
 }
 
 // TestStoredQueryAllocations holds the stored queries on the 10k-leaf tree
-// (f=4, seven layers; snapshot handle, decoded-node cache warm) under
+// (f=4, seven layers; snapshot handle, pool warm) under
 // allocation ceilings ~10% over the counts recorded (the higher of a plain and
 // a -race run). A buffer-pool frame keeps the node decoded from its image, so
 // reading a resident page allocates nothing: an LCA and a k=50 projection
@@ -185,7 +184,7 @@ func TestStoredQueryAllocations(t *testing.T) {
 		ids[i] = n.ID
 	}
 	ctx := context.Background()
-	if _, err := snap.ProjectCtx(ctx, ids); err != nil { // warms the decoded-node cache
+	if _, err := snap.ProjectCtx(ctx, ids); err != nil { // warms the pool
 		t.Fatal(err)
 	}
 	cladeRoot, height := 0, 0.0

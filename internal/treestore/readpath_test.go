@@ -12,6 +12,8 @@ import (
 	"repro/internal/newick"
 	"repro/internal/obs"
 	"repro/internal/phylo"
+	"repro/internal/relstore"
+	"repro/internal/storage"
 	"repro/internal/treegen"
 )
 
@@ -37,14 +39,13 @@ func total(root *obs.Span, name string) int64 {
 // decoded once per buffer-pool residency — the frame keeps the node with
 // the image, and a write keeps none — so the first run after the load, which
 // finds kept only the leaves the sample that chose its ids decoded, decodes
-// 7 134 cells, under a ceiling of 11 100, and a warm repeat decodes none,
-// with the decoded-node cache off or on. While
-// every read re-indexed its page, the cold run decoded 26 214 cells and a
-// warm one 10 135 with the cache on; while the request memo kept a leaf's
-// integers and not the leaf, 38 more descents went back for the full row of
-// an LCA (161); before layer 0 read whole leaves at all, the same projection
-// took 226 descents; the per-row path before that 1 145 descents and
-// 225 139 cells.
+// 7 134 cells, under a ceiling of 11 100, and a warm repeat decodes none.
+// While every read re-indexed its page, the cold run decoded 26 214 cells
+// and a warm one 10 135 with a decoded-node cache on; while the request
+// memo kept a leaf's integers and not the leaf, 38 more descents went back
+// for the full row of an LCA (161); before layer 0 read whole leaves at
+// all, the same projection took 226 descents; the per-row path before that
+// 1 145 descents and 225 139 cells.
 func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-leaf tree load")
@@ -81,14 +82,12 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 		return p, run{name, total(span, "btree_descents"), total(span, "cells_decoded")}
 	}
 
-	want, cold := project("cold, cache off")
-	_, warm := project("warm, cache off")
-	s.dbs[0].Store().SetReadCacheBytes(64 << 20)
-	got, on := project("warm, cache on")
+	want, cold := project("cold")
+	got, warm := project("warm")
 	if !phylo.Equal(got, want, 1e-12) {
-		t.Fatal("cache-on projection differs from cache-off projection")
+		t.Fatal("warm projection differs from the cold one")
 	}
-	t.Logf("%+v %+v %+v", cold, warm, on)
+	t.Logf("%+v %+v", cold, warm)
 	const (
 		maxDescents  = 135
 		maxCellsCold = 11100
@@ -99,26 +98,25 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	if cold.cells == 0 || cold.cells > maxCellsCold {
 		t.Fatalf("cells_decoded (cold) = %d, want 1..%d", cold.cells, maxCellsCold)
 	}
-	for _, r := range []run{warm, on} {
-		if r.descents != cold.descents {
-			t.Fatalf("btree_descents: %s %d, cold %d, want equal (one query path)", r.name, r.descents, cold.descents)
-		}
-		if r.cells != 0 {
-			t.Fatalf("cells_decoded (%s) = %d, want 0: every page it reads is resident and decoded", r.name, r.cells)
-		}
+	if warm.descents != cold.descents {
+		t.Fatalf("btree_descents: warm %d, cold %d, want equal (one query path)", warm.descents, cold.descents)
+	}
+	if warm.cells != 0 {
+		t.Fatalf("cells_decoded (warm) = %d, want 0: every page it reads is resident and decoded", warm.cells)
 	}
 }
 
-// TestQueriesByteIdenticalAcrossCacheSizes runs the same query mix at every
-// cache configuration — disabled, too small to admit anything, small
-// enough to evict constantly, and comfortably large — and requires
-// identical answers from all of them, reached through the identical number
-// of B+tree descents: the cache size selects no query code. It runs on a
-// shallow Yule tree and on a deep caterpillar (four layers at f=16), and
-// pins a digest of the Project / MinimalSpanningClade / SampleWithTime / LCA
-// answers recorded at commit 0874a91, before the LCA recursion stopped
-// walking source chains and the frontier stopped reading parents: those
-// changes remove reads, never a byte of any answer.
+// TestQueriesByteIdenticalAcrossCacheSizes runs the same query mix at three
+// sizes of the page cache, the buffer pool — 16 frames and 64, small enough
+// to evict constantly, and the default 4 096, which holds the whole tree —
+// and requires identical answers from all of them, reached through the
+// identical number of B+tree descents: the pool size selects no query code,
+// and a node kept by a frame leaves with it. Subtests name the size in
+// bytes. It runs on a shallow Yule tree and on a deep caterpillar (four
+// layers at f=16), and pins a digest of the Project / MinimalSpanningClade
+// / SampleWithTime / LCA answers recorded at commit 0874a91, before the LCA
+// recursion stopped walking source chains and the frontier stopped reading
+// parents: those changes remove reads, never a byte of any answer.
 func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -167,10 +165,11 @@ func queriesByteIdentical(t *testing.T, gold *phylo.Tree, f int, digest string) 
 		sample   []Node
 		lcas     []int
 		descents int64
+		reads    int64 // pages read from the pager
 	}
 	run := func(tr *Tree) (a answers, err error) {
 		ctx, span := counterCtx()
-		defer func() { a.descents = total(span, "btree_descents") }()
+		defer func() { a.descents, a.reads = total(span, "btree_descents"), total(span, "pages_read") }()
 		if a.project, err = tr.ProjectCtx(ctx, ids); err != nil {
 			return a, err
 		}
@@ -193,7 +192,7 @@ func queriesByteIdentical(t *testing.T, gold *phylo.Tree, f int, digest string) 
 		return a, nil
 	}
 
-	want, err := run(base) // cache disabled: the reference answers
+	want, err := run(base) // the default pool, cold: the reference answers
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +216,21 @@ func queriesByteIdentical(t *testing.T, gold *phylo.Tree, f int, digest string) 
 			}
 		}
 	}
-	for _, bytes := range []int64{64 << 10, 256 << 10, 64 << 20} {
-		t.Run(fmt.Sprintf("cache=%d", bytes), func(t *testing.T) {
-			s.dbs[0].Store().SetReadCacheBytes(bytes)
-			tr := openTreeOf(t, s, "t")
+	for _, frames := range []int{16, 64, 4096} {
+		t.Run(fmt.Sprintf("cache=%d", frames*storage.PageSize), func(t *testing.T) {
+			db, err := relstore.NewOnStore(storage.OpenMemWithPoolLimit(frames))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := newOnDB(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ps.Close() })
+			if _, err := ps.Load("t", gold, f, nil); err != nil {
+				t.Fatal(err)
+			}
+			tr := openTreeOf(t, ps, "t")
 			for pass := 0; pass < 2; pass++ { // cold, then warm
 				got, err := run(tr)
 				if err != nil {
@@ -240,12 +250,14 @@ func queriesByteIdentical(t *testing.T, gold *phylo.Tree, f int, digest string) 
 					}
 				}
 				if got.descents != want.descents {
-					t.Fatalf("pass %d: %d descents, cache off took %d", pass, got.descents, want.descents)
+					t.Fatalf("pass %d: %d descents, the reference took %d", pass, got.descents, want.descents)
+				}
+				if pass == 1 && frames == 16 && got.reads == 0 {
+					t.Fatal("the warm pass over a 16-frame pool read no page: nothing was evicted")
 				}
 			}
 		})
 	}
-	s.dbs[0].Store().SetReadCacheBytes(0) // leave the store as found
 }
 
 // loadTree loads gold into a fresh in-memory repository at depth bound f.

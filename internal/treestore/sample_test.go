@@ -344,7 +344,6 @@ func TestTimeSampleDecodesWhatItReturns(t *testing.T) {
 	s := OpenMem()
 	t.Cleanup(func() { s.Close() })
 	st := loadOpen(t, s, "t", gold, 16)
-	s.dbs[0].Store().SetReadCacheBytes(64 << 20)
 	ctx := context.Background()
 	last, err := st.NodeCtx(ctx, gold.NumNodes()-1)
 	if err != nil {

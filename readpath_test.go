@@ -13,22 +13,21 @@ import (
 	"repro/internal/treestore"
 )
 
-// TestReadCacheChurnSnapshotIsolation hammers the version-keyed read cache
-// with churn: one writer repeatedly deletes and reloads the same tree name
-// (a different tree at a different depth bound each round) while eight
-// readers open a snapshot per query and one snapshot taken before the churn
-// keeps reading the original version. The cache keys by (page, epoch), so
-// the old snapshot must keep seeing the old tree bit-for-bit while every new
-// one sees a complete version — old or new, checked against the in-memory
-// engine — or, between a delete and its reload, no tree at all.
+// TestReadChurnSnapshotIsolation hammers the read path with churn: one
+// writer repeatedly deletes and reloads the same tree name (a different tree
+// at a different depth bound each round) while eight readers open a
+// snapshot per query and one snapshot taken before the churn keeps reading
+// the original version. Freed pages are reused and their pool frames, with
+// the nodes they keep, replaced, so the old snapshot must keep seeing the
+// old tree bit-for-bit while every new one sees a complete version — old or
+// new, checked against the in-memory engine — or, between a delete and its
+// reload, no tree at all.
 // Runs at 1 and 4 shards; the -race build is the point of this test.
-func TestReadCacheChurnSnapshotIsolation(t *testing.T) {
+func TestReadChurnSnapshotIsolation(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			repo := crimson.OpenMemSharded(shards)
 			defer repo.Close()
-			repo.SetReadCacheMB(8)
-			hitsBefore := crimson.EngineCounters()["read_cache_hits"]
 
 			const name = "churn"
 			versions := make([]*goldVersion, 4)
@@ -137,9 +136,6 @@ func TestReadCacheChurnSnapshotIsolation(t *testing.T) {
 			st := openTree(t, repo, name)
 			if err := checkWhole(context.Background(), st, versions[rounds%len(versions):][:1], rand.New(rand.NewSource(9))); err != nil {
 				t.Fatalf("final tree: %v", err)
-			}
-			if hits := crimson.EngineCounters()["read_cache_hits"]; hits <= hitsBefore {
-				t.Fatalf("the read cache served no hit (%d before the churn, %d after)", hitsBefore, hits)
 			}
 		})
 	}

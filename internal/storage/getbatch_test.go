@@ -41,36 +41,43 @@ func counterCtx() (context.Context, *obs.Counters) {
 }
 
 func TestGetBatchMatchesGet(t *testing.T) {
-	s := OpenMem()
-	defer s.Close()
-	bt, err := NewBTree(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fillTree(t, bt, 2500)
+	// The axis is the buffer pool's size in bytes. A pool of 0 bytes is
+	// raised to the pool's floor of 16 frames, so batched descents run
+	// under eviction; 8 MiB (2048 frames) holds the whole tree.
+	for _, poolBytes := range []int{0, 8 << 20} {
+		t.Run(fmt.Sprintf("cache=%d", poolBytes), func(t *testing.T) {
+			s := OpenMemWithPoolLimit(poolBytes / PageSize)
+			defer s.Close()
+			bt, err := NewBTree(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fillTree(t, bt, 2500)
 
-	// Query mix: present keys in random order, absent keys, and
-	// duplicates — results must be positional and match Get.
-	r := rand.New(rand.NewSource(7))
-	var keys [][]byte
-	for i := 0; i < 400; i++ {
-		keys = append(keys, []byte(fmt.Sprintf("key-%06d", r.Intn(2500))))
-	}
-	keys = append(keys, []byte("absent-aaa"), []byte("key-999999"), []byte(""))
-	keys = append(keys, keys[0], keys[1]) // duplicates
+			// Query mix: present keys in random order, absent keys, and
+			// duplicates — results must be positional and match Get.
+			r := rand.New(rand.NewSource(7))
+			var keys [][]byte
+			for i := 0; i < 400; i++ {
+				keys = append(keys, []byte(fmt.Sprintf("key-%06d", r.Intn(2500))))
+			}
+			keys = append(keys, []byte("absent-aaa"), []byte("key-999999"), []byte(""))
+			keys = append(keys, keys[0], keys[1]) // duplicates
 
-	vals, found, err := bt.GetBatch(context.Background(), keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		wv, wok := want[string(k)]
-		if found[i] != wok {
-			t.Fatalf("keys[%d]=%q found=%v want %v", i, k, found[i], wok)
-		}
-		if wok && !bytes.Equal(vals[i], wv) {
-			t.Fatalf("keys[%d]=%q value mismatch", i, k)
-		}
+			vals, found, err := bt.GetBatch(context.Background(), keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range keys {
+				wv, wok := want[string(k)]
+				if found[i] != wok {
+					t.Fatalf("keys[%d]=%q found=%v want %v", i, k, found[i], wok)
+				}
+				if wok && !bytes.Equal(vals[i], wv) {
+					t.Fatalf("keys[%d]=%q value mismatch", i, k)
+				}
+			}
+		})
 	}
 }
 

@@ -467,7 +467,7 @@ func (r *Repository) SetCheckpointPolicy(bytes int64, interval time.Duration) {
 func (r *Repository) CheckpointBacklog() int64 {
 	var n int64
 	for _, db := range r.be.DBs {
-		n += db.CheckpointBacklog()
+		n += db.Store().CheckpointBacklog()
 	}
 	return n
 }
@@ -476,7 +476,7 @@ func (r *Repository) CheckpointBacklog() int64 {
 func (r *Repository) WALSize() int64 {
 	var n int64
 	for _, db := range r.be.DBs {
-		n += db.WALSize()
+		n += db.Store().WALSize()
 	}
 	return n
 }

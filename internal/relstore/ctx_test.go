@@ -84,7 +84,16 @@ func TestIndexScanCtxCancels(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	err = tab.view.IndexKeysCtx(ctx, "by_label", Value{}, Value{}, func(Value, Value) (bool, error) {
+	db := OpenMemDB()
+	defer db.Close()
+	species, err := db.CreateTable(speciesSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := species.Insert(speciesRow(1, "a", 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	err = species.view.IndexKeysCtx(ctx, "by_depth", Value{}, Value{}, func(float64, int64) (bool, error) {
 		return true, nil
 	})
 	if !errors.Is(err, context.Canceled) {

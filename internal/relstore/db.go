@@ -355,13 +355,6 @@ func (db *DB) SetCheckpointPolicy(bytes int64, interval time.Duration) {
 	db.store.SetCheckpointPolicy(bytes, interval)
 }
 
-// CheckpointBacklog reports the bytes of committed pages awaiting
-// checkpoint writeback (surfaced in server stats and the commit bench).
-func (db *DB) CheckpointBacklog() int64 { return db.store.CheckpointBacklog() }
-
-// WALSize reports the write-ahead log's current size in bytes.
-func (db *DB) WALSize() int64 { return db.store.WALSize() }
-
 // Close commits and closes the underlying store.
 func (db *DB) Close() error {
 	db.mu.Lock()

@@ -60,9 +60,7 @@ func countedCtx() (context.Context, func(name string) int64) {
 
 // TestIndexScanBatchedOrder checks that batched resolution still delivers
 // rows in index order although every batch is resolved in primary-key
-// order, on the live table and on a snapshot view alike; and that the
-// key-only scan of a range hands out, in index order, the label and the id
-// of exactly the rows the range holds, without reading one.
+// order, on the live table and on a snapshot view alike.
 func TestIndexScanBatchedOrder(t *testing.T) {
 	db, tab := permutedTable(t)
 	sn := db.Snapshot()
@@ -98,25 +96,6 @@ func TestIndexScanBatchedOrder(t *testing.T) {
 		}
 	}
 
-	ctx, totals := countedCtx()
-	var keys int
-	err = view.IndexKeysCtx(ctx, "by_label", Str("label-0100"), Str("label-2900"), func(label, id Value) (bool, error) {
-		if want := fmt.Sprintf("label-%04d", 100+keys); label.Text() != want || permutedLabel(int(id.Int64())) != want {
-			t.Fatalf("entry %d: label %s id %d, want %s and the id that has it", keys, label.Text(), id.Int64(), want)
-		}
-		keys++
-		return true, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keys != 2800 {
-		t.Fatalf("key-only range delivered %d entries, want 2800", keys)
-	}
-	// The 2 800 entries and the one that ends the range; no primary row.
-	if rows := totals("rows_scanned"); rows != 2801 {
-		t.Fatalf("key-only range scanned %d rows, want 2801", rows)
-	}
 }
 
 // TestIndexScanStopsWithinBatch stops a range after five rows: exactly five

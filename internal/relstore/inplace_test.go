@@ -55,7 +55,8 @@ func TestRowIntsReadsWhatDecodeRowReads(t *testing.T) {
 // integer at a position asked for, a position past the last column, a row
 // cut short before the last position asked for, an over-long varint and an
 // unknown column type are all errCorruptRow, never a panic — and decodeRow
-// agrees on every cut.
+// agrees on every cut; Row.Ints without room for its columns is
+// errSchemaRow.
 func TestRowIntsRejectsCorruptAndMistyped(t *testing.T) {
 	enc := encodeRow(Tuple{Int(7), Str("name"), Float(2), boolValue(true), Int(9)})
 	out := make([]int64, 2)
@@ -84,6 +85,13 @@ func TestRowIntsRejectsCorruptAndMistyped(t *testing.T) {
 	}
 	if _, err := decodeRow([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, byte(TInt), 2}); !errors.Is(err, errCorruptRow) {
 		t.Fatalf("a hostile column count: err = %v, want errCorruptRow", err)
+	}
+	// Row.Ints is rowInts on the row, with room for the columns checked.
+	if err := (Row{enc}).Ints([]int{0, 4}, out); err != nil || out[0] != 7 || out[1] != 9 {
+		t.Fatalf("Row.Ints = %v, %v, want [7 9]", out, err)
+	}
+	if err := (Row{enc}).Ints([]int{0, 4}, out[:1]); !errors.Is(err, errSchemaRow) {
+		t.Fatalf("Row.Ints with room for one of two columns: err = %v, want errSchemaRow", err)
 	}
 }
 
@@ -167,7 +175,7 @@ func TestIndexGetBatch(t *testing.T) {
 		// again by key without a descent.
 		before := totals("btree_descents")
 		for _, id := range ids {
-			if row, ok, err := r.Row(ctx, Int(int64(id))); err != nil || !ok || tup(t, row)[1].Text() != permutedLabel(id) {
+			if row, ok, err := r.Row(ctx, int64(id)); err != nil || !ok || tup(t, row)[1].Text() != permutedLabel(id) {
 				t.Fatalf("%s: row %d after the sweep: %v, %v, %v", name, id, row, ok, err)
 			}
 		}
@@ -225,14 +233,14 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 	lo, hi := first[0].i, first[0].i+int64(leaf.Len())
 
 	left := 1 << 10
-	r := view.Reader(&left)
+	r := view.Reader(&left, 0)
 	ints := make([]int64, 1)
 	for id := hi - 1; id >= lo; id-- { // downwards: held leaves are found by range, not by recency
-		if ok, err := r.Ints(ctx, Int(id), []int{0}, ints); err != nil || !ok || ints[0] != id {
+		if ok, err := r.Ints(ctx, id, ints); err != nil || !ok || ints[0] != id {
 			t.Fatalf("Ints(%d) = %v, %v, %v", id, ints[0], ok, err)
 		}
 		if id%3 == 0 { // in full only now and then, as a walk does
-			row, ok, err := r.Row(ctx, Int(id))
+			row, ok, err := r.Row(ctx, id)
 			if full := tup(t, row); err != nil || !ok || len(full) != 2 || full[0].i != id || full[1].Text() != permutedLabel(int(id)) {
 				t.Fatalf("row %d decoded to %v, %v, %v", id, full, ok, err)
 			}
@@ -250,7 +258,7 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 		for i := 0; i < indexScanRows; i++ {
 			id := i * 7919 % indexScanRows
 			leaves[leafOf(t, view, "", encodeKey(Int(int64(id))))] = true
-			stored, ok, err := r.Row(ctx, Int(int64(id)))
+			stored, ok, err := r.Row(ctx, int64(id))
 			if row := tup(t, stored); err != nil || !ok || row[0].i != int64(id) || row[1].Text() != permutedLabel(id) {
 				t.Fatalf("pass %d: row %d = %v, %v, %v", pass, id, row, ok, err)
 			}
@@ -270,10 +278,10 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 	// holds each leaf once.
 	held := len(r.leaves)
 	for _, id := range []int64{-1, indexScanRows, indexScanRows + 7, -1} {
-		if ok, err := r.Ints(ctx, Int(id), []int{0}, ints); err != nil || ok {
+		if ok, err := r.Ints(ctx, id, ints); err != nil || ok {
 			t.Fatalf("Ints(%d) on an absent key = %v, %v", id, ok, err)
 		}
-		if _, ok, err := r.Row(ctx, Int(id)); err != nil || ok {
+		if _, ok, err := r.Row(ctx, id); err != nil || ok {
 			t.Fatalf("Row(%d) on an absent key = %v, %v", id, ok, err)
 		}
 	}
@@ -289,7 +297,7 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 	one := view.Reader(budget(1))
 	for i := 0; i < indexScanRows; i += 13 {
 		id := i * 7919 % indexScanRows
-		stored, ok, err := one.Row(ctx, Int(int64(id)))
+		stored, ok, err := one.Row(ctx, int64(id))
 		if row := tup(t, stored); err != nil || !ok || row[0].i != int64(id) || row[1].Text() != permutedLabel(id) {
 			t.Fatalf("bounded reader: row %d = %v, %v, %v", id, row, ok, err)
 		}
@@ -298,24 +306,22 @@ func TestReaderHoldsTheLeaf(t *testing.T) {
 		}
 	}
 
-	if _, err := r.Ints(ctx, Str("x"), nil, nil); !errors.Is(err, errSchemaRow) {
-		t.Fatalf("mistyped key: err = %v, want errSchemaRow", err)
-	}
-	if _, _, err := r.Row(ctx, Str("x")); !errors.Is(err, errSchemaRow) {
-		t.Fatalf("mistyped key: err = %v, want errSchemaRow", err)
-	}
 	for _, cols := range [][]int{{1}, {0, 0}, {2}, {-1}} { // a string column, a repeat, out of range
-		if _, err := r.Ints(ctx, Int(5), cols, make([]int64, 2)); !errors.Is(err, errSchemaRow) {
+		bad := view.Reader(budget(1<<10), cols...)
+		if _, err := bad.Ints(ctx, 5, make([]int64, 2)); !errors.Is(err, errSchemaRow) {
 			t.Fatalf("columns %v: err = %v, want errSchemaRow", cols, err)
 		}
+		if _, _, err := bad.Row(ctx, 5); !errors.Is(err, errSchemaRow) {
+			t.Fatalf("columns %v: Row: err = %v, want errSchemaRow", cols, err)
+		}
 	}
-	if _, err := r.Ints(ctx, Int(5), []int{0}, nil); !errors.Is(err, errSchemaRow) {
+	if _, err := r.Ints(ctx, 5, nil); !errors.Is(err, errSchemaRow) {
 		t.Fatalf("no room for the column: err = %v, want errSchemaRow", err)
 	}
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
-	fresh := tab.view.Reader(budget(1 << 10))
-	if _, err := fresh.Ints(dead, Int(5), []int{0}, ints); !errors.Is(err, context.Canceled) {
+	fresh := tab.view.Reader(budget(1<<10), 0)
+	if _, err := fresh.Ints(dead, 5, ints); !errors.Is(err, context.Canceled) {
 		t.Fatalf("a descent under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -324,36 +325,60 @@ func TestScanOrderAndRange(t *testing.T) {
 	}
 }
 
+// TestIndexRangeByFloat: the key-only scan of a float index hands out, in
+// index order, the float and the id of exactly the rows a range holds — negative
+// floats, a range across leaves, the unbounded one — read from the entries
+// alone: the rows scanned are the entries and the one that ends the range,
+// no primary row. An index on another type is errSchemaRow, and so is a
+// bound of another type.
 func TestIndexRangeByFloat(t *testing.T) {
+	const rows = 3000
 	db := OpenMemDB()
 	defer db.Close()
 	tab, _ := db.CreateTable(speciesSchema())
-	for i := int64(0); i < 30; i++ {
-		if err := tab.Insert(speciesRow(i, fmt.Sprintf("n%02d", i), float64(i)*0.5)); err != nil {
+	depth := func(id int64) float64 { return float64(id*7919%rows)*0.5 - 200 }
+	for i := int64(0); i < rows; i++ {
+		if err := tab.Insert(speciesRow(i, fmt.Sprintf("n%04d", i), depth(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var depths []float64
-	err := committed(t, db, "species").IndexKeysCtx(context.Background(), "by_depth", Float(5.0), Float(10.0), func(depth, id Value) (bool, error) {
-		if want := float64(id.Int64()) * 0.5; depth.Float64() != want {
-			t.Fatalf("entry of row %d has depth %g, the row %g", id.Int64(), depth.Float64(), want)
+	view := committed(t, db, "species")
+	for _, r := range []struct{ lo, hi Value }{{Float(-50), Float(400)}, {Float(5), Float(10)}, {Value{}, Value{}}, {Float(-1e9), Value{}}} {
+		ctx, totals := countedCtx()
+		var depths []float64
+		err := view.IndexKeysCtx(ctx, "by_depth", r.lo, r.hi, func(d float64, id int64) (bool, error) {
+			if want := depth(id); d != want {
+				t.Fatalf("entry of row %d has depth %g, the row %g", id, d, want)
+			}
+			depths = append(depths, d)
+			return true, nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		depths = append(depths, depth.Float64())
-		return true, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		want := 0
+		for i := int64(0); i < rows; i++ {
+			if d := depth(i); (r.lo.Type == 0 || d >= r.lo.f) && (r.hi.Type == 0 || d < r.hi.f) {
+				want++
+			}
+		}
+		if len(depths) != want || !slices.IsSorted(depths) {
+			t.Fatalf("[%v, %v): %d entries (sorted %v), want %d", r.lo, r.hi, len(depths), slices.IsSorted(depths), want)
+		}
+		scanned := int64(want)
+		if r.hi.Type != 0 {
+			scanned++ // the entry that ends the range
+		}
+		if got := totals("rows_scanned"); got != scanned {
+			t.Fatalf("[%v, %v): %d rows scanned, want %d", r.lo, r.hi, got, scanned)
+		}
 	}
-	if len(depths) != 10 {
-		t.Fatalf("IndexKeysCtx returned %d entries: %v", len(depths), depths)
+	none := func(float64, int64) (bool, error) { return true, nil }
+	if err := view.IndexKeysCtx(context.Background(), "by_name", Value{}, Value{}, none); !errors.Is(err, errSchemaRow) {
+		t.Fatalf("key-only scan of a string index: err = %v, want errSchemaRow", err)
 	}
-	for i, d := range depths {
-		if d < 5.0 || d >= 10.0 {
-			t.Fatalf("depth %g out of range", d)
-		}
-		if i > 0 && depths[i-1] > d {
-			t.Fatal("IndexKeysCtx out of order")
-		}
+	if err := view.IndexKeysCtx(context.Background(), "by_depth", Str("x"), Value{}, none); !errors.Is(err, errSchemaRow) {
+		t.Fatalf("a string bound on a float index: err = %v, want errSchemaRow", err)
 	}
 }
 

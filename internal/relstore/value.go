@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // columnType enumerates the value types a column can hold.
@@ -76,22 +77,6 @@ func (v Value) Text() string {
 		panic("relstore: Text on " + v.Type.String())
 	}
 	return v.s
-}
-
-// Int64 returns the integer payload; it panics on other types.
-func (v Value) Int64() int64 {
-	if v.Type != TInt {
-		panic("relstore: Int64 on " + v.Type.String())
-	}
-	return v.i
-}
-
-// Float64 returns the floating point payload; it panics on other types.
-func (v Value) Float64() float64 {
-	if v.Type != TFloat {
-		panic("relstore: Float64 on " + v.Type.String())
-	}
-	return v.f
 }
 
 // Bytes returns the byte payload; it panics on other types.
@@ -178,6 +163,15 @@ func tupleInt(v int64) (b [9]byte) {
 	return b
 }
 
+// keyFloat is the float whose tuple encoding carries u in its last 8 bytes:
+// tupleFloat undone.
+func keyFloat(u uint64) float64 {
+	if u&(1<<63) != 0 {
+		return math.Float64frombits(u &^ (1 << 63))
+	}
+	return math.Float64frombits(^u)
+}
+
 func tupleFloat(v float64) (b [9]byte) {
 	bits := math.Float64bits(v)
 	if bits&(1<<63) != 0 {
@@ -231,13 +225,7 @@ func decodeTupleValue(buf []byte) (Value, []byte, error) {
 		if len(buf) < 8 {
 			return Value{}, nil, errCorruptRow
 		}
-		bits := binary.BigEndian.Uint64(buf)
-		if bits&(1<<63) != 0 {
-			bits &^= 1 << 63
-		} else {
-			bits = ^bits
-		}
-		return Float(math.Float64frombits(bits)), buf[8:], nil
+		return Float(keyFloat(binary.BigEndian.Uint64(buf))), buf[8:], nil
 	case tagString, tagBytes:
 		raw, rest, err := unescape(buf)
 		if err != nil {
@@ -543,15 +531,102 @@ func (c *colCursor) Skip(n int) {
 }
 
 // rowInts reads the integer columns at the ascending positions cols of an
-// encoded row into out: one pass of a Cols cursor, skipping the others. It is
-// what Reader.Ints runs on the one row it was asked for.
+// encoded row into out in one pass: the columns before each are stepped over
+// by their lengths — a number's varint by its continuation bits, without
+// decoding it — and only the integers asked for are decoded. The columns
+// after the last one asked for are not looked at. It is what Reader.Ints and
+// Row.Ints run on the one row they were asked for; a success builds no error
+// value and no Value. Like the cursor it trusts none of the bytes
+// (FuzzRowDecode holds it to decodeRow).
 func rowInts(buf []byte, cols []int, out []int64) error {
-	c := Row{buf}.Cols()
-	at := 0
-	for i, col := range cols {
-		c.Skip(col - at)
-		out[i] = c.Int()
-		at = col + 1
+	n, sz := uvarint(buf)
+	if sz <= 0 {
+		return errCorruptRow
 	}
-	return c.Err()
+	buf = buf[sz:]
+	at := 0 // the column buf starts at
+	for i, col := range cols {
+		if col < at || uint64(col) >= n {
+			return errCorruptRow
+		}
+		for ; at < col; at++ {
+			if len(buf) < 2 { // a type byte and at least one payload byte
+				return errCorruptRow
+			}
+			size := 0
+			switch columnType(buf[0]) {
+			case TInt, TFloat: // one varint either way
+				size = varintLen(buf[1:])
+			case TString, TBytes:
+				if l, lsz := uvarint(buf[1:]); lsz > 0 && uint64(len(buf)-1-lsz) >= l {
+					size = lsz + int(l)
+				}
+			case TBool:
+				size = 1
+			default:
+				return fmt.Errorf("%w: column type %d", errCorruptRow, buf[0])
+			}
+			if size == 0 {
+				return errCorruptRow
+			}
+			buf = buf[1+size:]
+		}
+		if len(buf) == 0 || columnType(buf[0]) != TInt {
+			return errCorruptRow
+		}
+		u, vsz := uvarint(buf[1:])
+		if vsz <= 0 {
+			return errCorruptRow
+		}
+		out[i] = int64(u>>1) ^ -int64(u&1) // binary.Varint's zig-zag
+		buf = buf[1+vsz:]
+		at++
+	}
+	return nil
+}
+
+// uvarint is binary.Uvarint with the one- and two-byte cases, which are
+// most of a row's numbers and lengths, taken before the loop.
+func uvarint(buf []byte) (uint64, int) {
+	if len(buf) > 0 && buf[0] < 0x80 {
+		return uint64(buf[0]), 1
+	}
+	if len(buf) > 1 && buf[1] < 0x80 {
+		return uint64(buf[0]&0x7f) | uint64(buf[1])<<7, 2
+	}
+	return binary.Uvarint(buf)
+}
+
+// varintLen is the length of the varint buf starts with, from the
+// continuation bits alone: 0 when none ends within buf or within
+// binary.MaxVarintLen64 bytes. Eight bytes are tested at once.
+func varintLen(buf []byte) int {
+	if len(buf) >= 8 {
+		if ends := ^binary.LittleEndian.Uint64(buf) & 0x8080808080808080; ends != 0 {
+			return bits.TrailingZeros64(ends)/8 + 1
+		}
+		for i := 8; i < min(len(buf), binary.MaxVarintLen64); i++ {
+			if buf[i] < 0x80 {
+				return i + 1
+			}
+		}
+		return 0
+	}
+	for i, c := range buf {
+		if c < 0x80 {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// Ints reads the integer columns at the ascending positions cols of the row
+// into out, in one pass over its bytes (rowInts): a column asked for that is
+// not an integer, or that the row does not have, is errCorruptRow; out
+// without room for them all is errSchemaRow.
+func (r Row) Ints(cols []int, out []int64) error {
+	if len(out) < len(cols) {
+		return fmt.Errorf("%w: %d columns into %d", errSchemaRow, len(cols), len(out))
+	}
+	return rowInts(r.enc, cols, out)
 }

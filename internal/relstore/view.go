@@ -3,6 +3,7 @@ package relstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/obs"
@@ -77,14 +78,22 @@ func (v *TableView) indexPrefix(ix Index, vals []Value) ([]byte, error) {
 	}
 	var key []byte
 	for i, val := range vals {
-		ci, _ := v.schema.colIndex(ix.Columns[i])
-		if val.Type != v.schema.Columns[ci].Type {
-			return nil, fmt.Errorf("%w: index %s column %s wants %s, got %s",
-				errSchemaRow, ix.Name, ix.Columns[i], v.schema.Columns[ci].Type, val.Type)
+		if err := v.checkIndexValue(ix, i, val); err != nil {
+			return nil, err
 		}
 		key = appendTupleValue(key, val)
 	}
 	return key, nil
+}
+
+// checkIndexValue checks that val has the type of the index's i-th column.
+func (v *TableView) checkIndexValue(ix Index, i int, val Value) error {
+	ci, _ := v.schema.colIndex(ix.Columns[i])
+	if val.Type != v.schema.Columns[ci].Type {
+		return fmt.Errorf("%w: index %s column %s wants %s, got %s",
+			errSchemaRow, ix.Name, ix.Columns[i], v.schema.Columns[ci].Type, val.Type)
+	}
+	return nil
 }
 
 func (v *TableView) indexVals(ix Index, row Tuple) []Value {
@@ -251,51 +260,52 @@ func (v *TableView) IndexScanCtx(ctx context.Context, index string, vals []Value
 	}, fn)
 }
 
-// IndexKeysCtx visits the entries of an index whose first column lies in
-// [lo, hi) under ctx — either bound may be the zero Value for unbounded —
-// and reads nothing but the index: fn gets each entry's first indexed column
-// and its row's primary key, both decoded from the entry, in index order.
-// No primary row is read, so a caller that only needs to know which rows a
-// range holds pays for the index entries alone. Both values have the types
-// the schema gives their columns; an entry that decodes otherwise is
-// errCorruptRow.
-func (v *TableView) IndexKeysCtx(ctx context.Context, index string, lo, hi Value, fn func(col, pk Value) (bool, error)) error {
+// IndexKeysCtx visits the entries of an index on a float column of an
+// integer-keyed table whose float lies in [lo, hi) under ctx — either bound
+// may be the zero Value for unbounded — and reads nothing but the index: fn
+// gets each entry's float and its row's id, in index order, both read in
+// place from the entry's bytes (no Value is built). No primary row is read,
+// so a caller that only needs to know which rows a range holds pays for the
+// index entries alone. An index of another first column, or over a table
+// keyed otherwise, is errSchemaRow; an entry that is not a float's and an
+// integer key's is errCorruptRow.
+func (v *TableView) IndexKeysCtx(ctx context.Context, index string, lo, hi Value, fn func(col float64, id int64) (bool, error)) error {
 	ix, tree, err := v.findIndex(index)
 	if err != nil {
 		return err
 	}
-	var start, hiKey []byte
+	ci, _ := v.schema.colIndex(ix.Columns[0])
+	if colType, keyType := v.schema.Columns[ci].Type, v.schema.Columns[v.keyCol].Type; colType != TFloat || keyType != TInt {
+		return fmt.Errorf("%w: a key-only scan reads a float column of an integer-keyed table, index %s.%s is on %s of a table keyed by %s",
+			errSchemaRow, v.schema.Name, index, colType, keyType)
+	}
+	var start []byte
+	var end uint64 // the number of hi's encoding
+	bounded := hi.Type != 0
 	if lo.Type != 0 {
 		if start, err = v.indexPrefix(ix, []Value{lo}); err != nil {
 			return err
 		}
 	}
-	if hi.Type != 0 {
-		if hiKey, err = v.indexPrefix(ix, []Value{hi}); err != nil {
+	if bounded {
+		hiKey, err := v.indexPrefix(ix, []Value{hi})
+		if err != nil {
 			return err
 		}
+		end = keyNum(hiKey)
 	}
-	ci, _ := v.schema.colIndex(ix.Columns[0])
-	colType, keyType := v.schema.Columns[ci].Type, v.schema.Columns[v.keyCol].Type
-	return tree.Scan(ctx, start, func(key, enc []byte) (bool, error) {
-		if hiKey != nil && bytes.Compare(key, hiKey) >= 0 {
+	return tree.Scan(ctx, start, func(key, pk []byte) (bool, error) {
+		if len(key) < 9 || key[0] != tagFloat {
+			return false, fmt.Errorf("%w: index %s.%s entry %x", errCorruptRow, v.schema.Name, index, key)
+		}
+		n := binary.BigEndian.Uint64(key[1:])
+		if bounded && n >= end {
 			return false, nil
 		}
-		col, _, err := decodeTupleValue(key)
-		if err == nil && col.Type != colType {
-			err = fmt.Errorf("%w: column is %s, not %s", errCorruptRow, col.Type, colType)
+		if len(pk) != 9 || pk[0] != tagInt {
+			return false, fmt.Errorf("%w: index %s.%s primary key %x", errCorruptRow, v.schema.Name, index, pk)
 		}
-		if err != nil {
-			return false, fmt.Errorf("relstore: index %s.%s entry: %w", v.schema.Name, index, err)
-		}
-		pk, _, err := decodeTupleValue(enc)
-		if err == nil && pk.Type != keyType {
-			err = fmt.Errorf("%w: key is %s, not %s", errCorruptRow, pk.Type, keyType)
-		}
-		if err != nil {
-			return false, fmt.Errorf("relstore: index %s.%s primary key: %w", v.schema.Name, index, err)
-		}
-		return fn(col, pk)
+		return fn(keyFloat(n), numID(keyNum(pk)))
 	})
 }
 

@@ -482,7 +482,11 @@ func TestFollowerApplyLeavesHeldImagesIntact(t *testing.T) {
 		t.Fatal("the apply replaced none of the pages the reader held: the test exercised nothing")
 	}
 	// What the reader holds still answers; its next page read does not.
-	if pos, ok := leaf.Find([]byte("held-000")); !ok {
+	pos := 0
+	for pos < leaf.Len() && !bytes.Equal(leaf.Key(pos), []byte("held-000")) {
+		pos++
+	}
+	if pos == leaf.Len() {
 		t.Fatal("the held leaf lost its key after the conflicting apply")
 	} else if _, err := leaf.Val(pos); err != nil {
 		t.Fatalf("the held leaf's value after the conflicting apply: %v", err)

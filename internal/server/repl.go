@@ -149,7 +149,7 @@ func (s *Server) handleReplStream(q *req) (any, error) {
 		return nil, &httpErr{status: http.StatusConflict,
 			msg: "follower cannot serve the replication stream; connect to the primary"}
 	}
-	si, err := queryInt(q.Request, "shard", 0)
+	si, err := queryInt(q.query, "shard", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func (s *Server) handleReplStream(q *req) (any, error) {
 		return nil, badRequest("shard %d out of range (server has %d)", si, len(s.pubs))
 	}
 	from := uint64(0)
-	if raw := q.URL.Query().Get("from_epoch"); raw != "" {
+	if raw := q.query.Get("from_epoch"); raw != "" {
 		if from, err = strconv.ParseUint(raw, 10, 64); err != nil {
 			return nil, badRequest("bad from_epoch %q: %v", raw, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"repro/internal/newick"
@@ -91,8 +92,9 @@ type req struct {
 	st    *opStats
 	rid   string
 	start time.Time
-	root  *obs.Span // nil when this request is not traced
-	debug bool      // the client asked for ?debug=trace
+	query url.Values // the URL's query, parsed once (beginOp)
+	root  *obs.Span  // nil when this request is not traced
+	debug bool       // the client asked for ?debug=trace
 }
 
 // A handler returns one of three results: a JSON value (nil answers 204),
@@ -195,7 +197,8 @@ func (s *Server) respond(q *req, v any, err error, sum *obs.SpanSummary) {
 // engine counters tick.
 func (s *Server) beginOp(q *req) {
 	q.start = time.Now()
-	q.debug = q.URL.Query().Get("debug") == "trace"
+	q.query = q.URL.Query()
+	q.debug = q.query.Get("debug") == "trace"
 	q.rid = s.nextRequestID()
 	q.w.Header().Set("X-Request-Id", q.rid)
 	s.setEpochHeader(q.w)

@@ -51,6 +51,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -538,7 +539,7 @@ func (s *Server) snapshot() StatsSnapshot {
 	st.Shards = make([]ShardMVCC, len(s.be.DBs))
 	for i, db := range s.be.DBs {
 		mv := db.MVCC()
-		backlog, wal := db.CheckpointBacklog(), db.WALSize()
+		backlog, wal := db.Store().CheckpointBacklog(), db.Store().WALSize()
 		st.Epoch += mv.Epoch
 		st.OpenSnapshots += mv.OpenSnapshots
 		st.PendingReclaimPages += mv.PendingReclaimPages
@@ -732,8 +733,8 @@ func splitList(s string) []string {
 
 // queryInt parses an integer query parameter the way strconv.Atoi (int)
 // or strconv.ParseInt (int64) does; absent, it is def.
-func queryInt[T int | int64](r *http.Request, key string, def T) (T, error) {
-	raw := r.URL.Query().Get(key)
+func queryInt[T int | int64](query url.Values, key string, def T) (T, error) {
+	raw := query.Get(key)
 	if raw == "" {
 		return def, nil
 	}
@@ -823,14 +824,14 @@ func decodeCursor(kind, cursor string) (string, error) {
 // stopped, reading only what the page needs from each shard. Without
 // either parameter it returns the full listing, as before.
 func (s *Server) handleTrees(q *req) (any, error) {
-	limit, err := queryInt(q.Request, "limit", 0)
+	limit, err := queryInt(q.query, "limit", 0)
 	if err != nil {
 		return nil, err
 	}
 	if limit < 0 {
 		return nil, badRequest("bad limit %d: must be >= 0", limit)
 	}
-	after, err := decodeCursor(treeCursorKind, q.URL.Query().Get("cursor"))
+	after, err := decodeCursor(treeCursorKind, q.query.Get("cursor"))
 	if err != nil {
 		return nil, err
 	}
@@ -863,11 +864,11 @@ func (s *Server) handleInfo(q *req) (any, error) {
 // mutex is taken: a slow upload or a large tree delays nobody else.
 func (s *Server) handleLoad(q *req) (any, error) {
 	name, cc := q.PathValue("name"), q.cc
-	f, err := queryInt(q.Request, "f", core.DefaultFanout)
+	f, err := queryInt(q.query, "f", core.DefaultFanout)
 	if err != nil {
 		return nil, err
 	}
-	format := q.URL.Query().Get("format")
+	format := q.query.Get("format")
 	if format == "" {
 		format = "newick"
 	}
@@ -1072,7 +1073,7 @@ func (s *Server) answer(q *req, v queryrepo.Query) (any, error) {
 }
 
 func (s *Server) handleProject(q *req) (any, error) {
-	names := splitList(q.URL.Query().Get("species"))
+	names := splitList(q.query.Get("species"))
 	if len(names) == 0 {
 		return nil, badRequest("species parameter is required")
 	}
@@ -1080,7 +1081,7 @@ func (s *Server) handleProject(q *req) (any, error) {
 }
 
 func (s *Server) handleLCA(q *req) (any, error) {
-	a, b := q.URL.Query().Get("a"), q.URL.Query().Get("b")
+	a, b := q.query.Get("a"), q.query.Get("b")
 	if a == "" || b == "" {
 		return nil, badRequest("a and b parameters are required")
 	}
@@ -1090,13 +1091,13 @@ func (s *Server) handleLCA(q *req) (any, error) {
 func (s *Server) handleSample(q *req) (any, error) {
 	v := queryrepo.Sample{Time: -1, Tree: q.PathValue("name")}
 	var err error
-	if v.K, err = queryInt(q.Request, "k", 10); err != nil {
+	if v.K, err = queryInt(q.query, "k", 10); err != nil {
 		return nil, err
 	}
-	if v.Seed, err = queryInt(q.Request, "seed", int64(1)); err != nil {
+	if v.Seed, err = queryInt(q.query, "seed", int64(1)); err != nil {
 		return nil, err
 	}
-	if raw := q.URL.Query().Get("time"); raw != "" {
+	if raw := q.query.Get("time"); raw != "" {
 		if v.Time, err = strconv.ParseFloat(raw, 64); err != nil {
 			return nil, badRequest("bad time=%q: %v", raw, err)
 		}
@@ -1105,7 +1106,7 @@ func (s *Server) handleSample(q *req) (any, error) {
 }
 
 func (s *Server) handleClade(q *req) (any, error) {
-	names := splitList(q.URL.Query().Get("species"))
+	names := splitList(q.query.Get("species"))
 	if len(names) == 0 {
 		return nil, badRequest("species parameter is required")
 	}
@@ -1220,21 +1221,21 @@ func entryJSON(e queryrepo.Entry) HistoryEntry {
 // ?kind= filtering is unpaginated (index scan, oldest first), as before.
 func (s *Server) handleHistory(q *req) (any, error) {
 	view := queryrepo.ViewOnShards(q.sn.pin(-1))
-	if kind := q.URL.Query().Get("kind"); kind != "" {
+	if kind := q.query.Get("kind"); kind != "" {
 		entries, err := view.ByKind(q.Context(), kind)
 		if err != nil {
 			return nil, err
 		}
 		return historyJSON(entries, 0), nil
 	}
-	limit, err := queryInt(q.Request, "limit", 50)
+	limit, err := queryInt(q.query, "limit", 50)
 	if err != nil {
 		return nil, err
 	}
 	if limit < 0 {
 		return nil, badRequest("bad limit %d: must be >= 0", limit)
 	}
-	pos, err := decodeCursor(historyCursorKind, q.URL.Query().Get("cursor"))
+	pos, err := decodeCursor(historyCursorKind, q.query.Get("cursor"))
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,10 @@ import (
 // what they were whatever happens to the page afterwards. Run under -race
 // they also show that nothing writes the memory a reader is looking at.
 
+// Find returns the position of the first entry of the leaf whose key is >=
+// key, and whether that entry holds key itself.
+func (l Leaf) Find(key []byte) (int, bool) { return leafIndex(l.n, key) }
+
 // held is a slice some read returned, and what it held when returned.
 type held struct {
 	what string

@@ -577,10 +577,6 @@ func (l Leaf) Val(i int) ([]byte, error) {
 	return v, err
 }
 
-// Find returns the position of the first entry whose key is >= key, and
-// whether that entry holds key itself.
-func (l Leaf) Find(key []byte) (int, bool) { return leafIndex(l.n, key) }
-
 type splitResult struct {
 	key   []byte
 	right PageID

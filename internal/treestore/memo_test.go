@@ -51,14 +51,13 @@ func TestNoLeafTwice(t *testing.T) {
 	// leaves the memo held between them.
 	run := func() (sweep, swept, walk int64, nwk string) {
 		ctx, span := counterCtx()
-		rows, err := st.nodesByName(ctx, memo, names)
+		sel, err := st.verticesByName(ctx, memo, names)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sweep, swept = total(span, "btree_descents"), memo.held()
-		slices.SortFunc(rows, func(a, b Node) int { return a.ID - b.ID })
 		ctx, span = counterCtx()
-		tr, err := st.project(ctx, memo, rows)
+		tr, err := st.project(ctx, memo, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,16 +119,15 @@ func TestMemoLeafBudget(t *testing.T) {
 			return m
 		}
 		m := memo()
-		rows, err := st.nodesByName(ctx, m, names)
+		sel, err := st.verticesByName(ctx, m, names)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids := make([]int, len(rows))
-		for i, n := range rows {
-			ids[i] = n.ID
+		ids := make([]int, len(sel))
+		for i, v := range sel {
+			ids[i] = v.ID
 		}
-		slices.SortFunc(rows, func(a, b Node) int { return a.ID - b.ID })
-		tr, err := st.project(ctx, m, rows)
+		tr, err := st.project(ctx, m, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,5 +163,46 @@ func TestMemoLeafBudget(t *testing.T) {
 		if got.project != want.project || got.lca != want.lca || !slices.Equal(got.clade, want.clade) {
 			t.Fatalf("budget %d: answers differ from the whole budget's", budget)
 		}
+	}
+}
+
+// TestMemoOpensLayerReadersForAWalk: a request memo opens the readers of the
+// layer and subs relations at the walk's first read of them, not before — a
+// name lookup or a frontier pass reads the nodes relation alone and opens
+// none — and the readers it opens draw on the memo's one leaf budget.
+func TestMemoOpensLayerReadersForAWalk(t *testing.T) {
+	st := loadTree(t, goldCaterpillar(t, 2000), 4)
+	if st.info.Layers < 3 {
+		t.Fatalf("a depth-2000 caterpillar at f=4 has %d layers, want several", st.info.Layers)
+	}
+	ctx := context.Background()
+	memo := newCellMemo(st)
+	ids, err := st.idsByName(ctx, memo, []string{"taxon000007", "taxon001900"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	beyond, err := st.beyondCtx(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.frontierCtx(ctx, memo, beyond); err != nil {
+		t.Fatal(err)
+	}
+	if memo.upper != nil {
+		t.Fatalf("a name lookup and a frontier pass opened %d layer and subs readers", len(memo.upper))
+	}
+	nodesHeld := memo.held()
+	l, err := st.lca(ctx, memo, ids[0], ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(st.subs) + len(st.layers); len(memo.upper) != want {
+		t.Fatalf("the walk opened %d layer and subs readers, want %d", len(memo.upper), want)
+	}
+	if memo.held() <= nodesHeld {
+		t.Fatalf("the walk's readers held %d leaves beyond the nodes reader's %d: not on the memo's budget", memo.held()-nodesHeld, nodesHeld)
+	}
+	if want, err := st.LCACtx(ctx, ids[0], ids[1]); err != nil || l != want {
+		t.Fatalf("LCA through the lookup's memo = %d, LCACtx = %d (%v)", l, want, err)
 	}
 }

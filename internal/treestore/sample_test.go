@@ -269,7 +269,7 @@ func frontierNodes(tr *Tree, time float64) ([]Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tr.fetchNodes(ctx, newCellMemo(tr), roots)
+	return fetch(ctx, newCellMemo(tr), roots, tr.nodeRow)
 }
 
 // TestUniformSampleReplaysItsDraws checks the stored uniform sample, which

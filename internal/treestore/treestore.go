@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -136,8 +137,8 @@ func validName(name string) bool {
 }
 
 func nodesTable(tree string) string        { return "nodes_" + tree }
-func layerTable(tree string, k int) string { return fmt.Sprintf("layer_%s_%d", tree, k) }
-func subsTable(tree string, k int) string  { return fmt.Sprintf("subs_%s_%d", tree, k) }
+func layerTable(tree string, k int) string { return "layer_" + tree + "_" + strconv.Itoa(k) }
+func subsTable(tree string, k int) string  { return "subs_" + tree + "_" + strconv.Itoa(k) }
 
 // TreeInfo summarizes a stored tree.
 type TreeInfo struct {
@@ -530,6 +531,10 @@ func openTree(rs *relstore.Snap, name string) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{info: info, nodes: nodeTab}
+	if info.Layers > 0 {
+		t.subs = make([]*relstore.TableView, 0, info.Layers)
+		t.layers = make([]*relstore.TableView, 0, info.Layers-1)
+	}
 	for k := 0; k < info.Layers; k++ {
 		subTab, err := rs.Table(subsTable(name, k))
 		if err != nil {
@@ -678,6 +683,8 @@ var (
 	nodeCellCols  = []int{colSub, colLParent, colLDepth}
 	layerCellCols = []int{3, 4, 5}
 	subLinkCols   = []int{1, 2}
+	idCols        = []int{colID}
+	idParentCols  = []int{colID, colParent}
 )
 
 // decodeNode is the one reader of a whole nodes row: the twelve columns in
@@ -768,26 +775,22 @@ func (t *Tree) NodeCtx(ctx context.Context, id int) (Node, error) {
 
 // NodeByNameCtx fetches a node by species name under ctx.
 func (t *Tree) NodeByNameCtx(ctx context.Context, name string) (Node, error) {
-	rows, err := t.nodesByNameCtx(ctx, []string{name})
+	rows, err := t.nodesByName(ctx, newCellMemo(t), []string{name})
 	if err != nil {
 		return Node{}, err
 	}
-	return rows[0], nil
+	return nodeOf(ctx, rows[0])
 }
 
-// nodesByNameCtx fetches the nodes with the given species names under ctx,
-// in argument order (a name given twice comes back twice). All the names
-// are resolved in one sorted sweep of the by_name index and their rows read
-// in one batched pass over the nodes relation, so k names cost one descent
-// per distinct leaf touched in either, not two descents each. A name no
-// node carries is an ErrNoNode error naming it.
-func (t *Tree) nodesByNameCtx(ctx context.Context, names []string) ([]Node, error) {
-	return t.nodesByName(ctx, newCellMemo(t), names)
-}
-
-// nodesByName is nodesByNameCtx through the request memo, which keeps the
-// nodes leaves the rows were read from for the walk that follows.
-func (t *Tree) nodesByName(ctx context.Context, memo *cellMemo, names []string) ([]Node, error) {
+// nodesByName reads the rows of the nodes with the given species names
+// through the request memo, in argument order (a name given twice comes
+// back twice), and decodes none of them: the callers read what they need.
+// All the names are resolved in one sorted sweep of the by_name index and
+// their rows read through the memo's nodes reader, so k names cost one
+// descent per distinct leaf touched in either, not two descents each, and
+// the nodes leaves stay held for the walk that follows. A name no node
+// carries is an ErrNoNode error naming it.
+func (t *Tree) nodesByName(ctx context.Context, memo *cellMemo, names []string) ([]relstore.Row, error) {
 	vals := make([]relstore.Value, len(names))
 	for i, name := range names {
 		vals[i] = relstore.Str(name)
@@ -796,16 +799,44 @@ func (t *Tree) nodesByName(ctx context.Context, memo *cellMemo, names []string) 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Node, len(names))
-	for i, row := range rows {
-		if !found[i] {
+	for i, ok := range found {
+		if !ok {
 			return nil, fmt.Errorf("%w: name %q", ErrNoNode, names[i])
 		}
-		if out[i], err = nodeOf(ctx, row); err != nil {
+	}
+	return rows, nil
+}
+
+// verticesByName is nodesByName's rows as projection vertices (vertexOf).
+func (t *Tree) verticesByName(ctx context.Context, memo *cellMemo, names []string) ([]project.Vertex, error) {
+	rows, err := t.nodesByName(ctx, memo, names)
+	if err != nil {
+		return nil, err
+	}
+	sel := make([]project.Vertex, len(rows))
+	for i, row := range rows {
+		if sel[i], err = vertexOf(ctx, row); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return sel, nil
+}
+
+// idsByName is nodesByName's rows as their ids.
+func (t *Tree) idsByName(ctx context.Context, memo *cellMemo, names []string) ([]int, error) {
+	rows, err := t.nodesByName(ctx, memo, names)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int, len(rows))
+	var id [1]int64
+	for i, row := range rows {
+		if err := row.Ints(idCols, id[:]); err != nil {
+			return nil, cmp.Or(ctx.Err(), err)
+		}
+		ids[i] = int(id[0])
+	}
+	return ids, nil
 }
 
 // layerCell is the subset of fields the LCA recursion needs.
@@ -832,34 +863,47 @@ type subLink struct{ root, source int }
 // layer — each holding the storage leaves the request has descended to.
 // Project and MinimalSpanningClade run the LCA recursion over many pairs
 // whose ancestor chains overlap heavily, and a local climb's next cell is
-// most often in the leaf of the last; the held leaves turn those reads into
-// a compare or two — every relation here is keyed by dense ids, so a held
-// row is found at its id's distance from its leaf's first — and decode
-// nothing but the row asked for. It is
-// request-scoped — created per call, never shared across requests, gone with
-// it — and used from a single goroutine, so it needs no locking.
+// most often in the leaf of the last (or, in the lockstep climb, of the
+// other side's last); the held leaves turn those reads into a compare or two
+// — every relation here is keyed by dense ids, so a held row is found by
+// number at its id's distance from its leaf's first — and decode nothing but
+// the columns asked for. The nodes reader is opened with the memo; the layer
+// and subs readers at the walk's first read of one of them, so a request
+// that walks nothing (a name lookup, a sample) opens none. All of them draw
+// on the one budget. It is request-scoped — created per call, never shared
+// across requests, gone with it — and used from a single goroutine, so it
+// needs no locking.
 type cellMemo struct {
 	budget int // leaves the readers may still retain, of memoMaxLeaves
 	nodes  relstore.Reader
-	layers []relstore.Reader // layer 1.. (index 0 = layer 1)
-	subs   []relstore.Reader // layer 0..
+	upper  []relstore.Reader // subs_0.. then layer_1..; nil until the walk's first read of them
 	ints   [3]int64          // scratch: the columns of the row being read
 }
 
 func newCellMemo(t *Tree) *cellMemo {
-	m := &cellMemo{
-		budget: memoMaxLeaves,
-		layers: make([]relstore.Reader, len(t.layers)),
-		subs:   make([]relstore.Reader, len(t.subs)),
-	}
-	m.nodes = t.nodes.Reader(&m.budget)
-	for k, tab := range t.layers {
-		m.layers[k] = tab.Reader(&m.budget)
-	}
-	for k, tab := range t.subs {
-		m.subs[k] = tab.Reader(&m.budget)
-	}
+	m := &cellMemo{budget: memoMaxLeaves}
+	m.nodes = t.nodes.Reader(&m.budget, nodeCellCols...)
 	return m
+}
+
+// subs is the reader of t's subs relation of layer k, layer the reader of
+// its layer relation k >= 1; the first call of either opens them all.
+func (m *cellMemo) subs(t *Tree, k int) *relstore.Reader { return &m.open(t)[k] }
+func (m *cellMemo) layer(t *Tree, k int) *relstore.Reader {
+	return &m.open(t)[len(t.subs)+k-1]
+}
+
+func (m *cellMemo) open(t *Tree) []relstore.Reader {
+	if m.upper == nil {
+		m.upper = make([]relstore.Reader, len(t.subs)+len(t.layers))
+		for k, tab := range t.subs {
+			m.upper[k] = tab.Reader(&m.budget, subLinkCols...)
+		}
+		for k, tab := range t.layers {
+			m.upper[len(t.subs)+k] = tab.Reader(&m.budget, layerCellCols...)
+		}
+	}
+	return m.upper
 }
 
 // cell fetches the LCA recursion fields of node id at layer k, checking
@@ -874,16 +918,16 @@ func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, 
 	if err := ctx.Err(); err != nil {
 		return layerCell{}, err
 	}
-	r, cols := &memo.nodes, nodeCellCols
+	r := &memo.nodes
 	switch {
-	case k > len(memo.layers):
+	case k > len(t.layers):
 		// Only corrupt relations get here: the top layer's nodes share one
 		// subtree, so a sound walk never climbs past it.
-		return layerCell{}, fmt.Errorf("%w: layer %d beyond the handle's %d", ErrNoNode, k, len(memo.layers))
+		return layerCell{}, fmt.Errorf("%w: layer %d beyond the handle's %d", ErrNoNode, k, len(t.layers))
 	case k > 0:
-		r, cols = &memo.layers[k-1], layerCellCols
+		r = memo.layer(t, k)
 	}
-	ok, err := r.Ints(ctx, relstore.Int(int64(id)), cols, memo.ints[:])
+	ok, err := r.Ints(ctx, int64(id), memo.ints[:])
 	if err != nil {
 		return layerCell{}, err
 	}
@@ -900,14 +944,30 @@ func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, 
 // from the leaf the request holds when it has been there — for the row's
 // cell, or a neighbor's — and by one descent otherwise.
 func (t *Tree) nodeRow(ctx context.Context, memo *cellMemo, id int) (Node, error) {
-	row, ok, err := memo.nodes.Row(ctx, relstore.Int(int64(id)))
+	row, err := memo.row(ctx, id)
 	if err != nil {
 		return Node{}, err
 	}
-	if !ok {
-		return Node{}, fmt.Errorf("%w: id %d", ErrNoNode, id)
-	}
 	return nodeOf(ctx, row)
+}
+
+// vertexRow is nodeRow decoding only what a projection keeps of the row.
+func (t *Tree) vertexRow(ctx context.Context, memo *cellMemo, id int) (project.Vertex, error) {
+	row, err := memo.row(ctx, id)
+	if err != nil {
+		return project.Vertex{}, err
+	}
+	return vertexOf(ctx, row)
+}
+
+// row reads the nodes row of id through the memo's nodes reader; there
+// being none is an ErrNoNode error.
+func (m *cellMemo) row(ctx context.Context, id int) (relstore.Row, error) {
+	row, ok, err := m.nodes.Row(ctx, int64(id))
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: id %d", ErrNoNode, id)
+	}
+	return row, err
 }
 
 // subLink returns the root and source node of subtree s at layer k through
@@ -916,7 +976,7 @@ func (t *Tree) nodeRow(ctx context.Context, memo *cellMemo, id int) (Node, error
 // the narrow subs relation packs hundreds to a leaf, so the pairs that
 // follow in the same request mostly find theirs held.
 func (t *Tree) subLink(ctx context.Context, memo *cellMemo, k, s int) (subLink, error) {
-	ok, err := memo.subs[k].Ints(ctx, relstore.Int(int64(s)), subLinkCols, memo.ints[:])
+	ok, err := memo.subs(t, k).Ints(ctx, int64(s), memo.ints[:])
 	if err != nil {
 		return subLink{}, err
 	}
@@ -940,11 +1000,11 @@ func (t *Tree) LCACtx(ctx context.Context, a, b int) (int, error) {
 // is mostly decoded from a leaf the walk has been to.
 func (t *Tree) LCANamesCtx(ctx context.Context, a, b string) (Node, error) {
 	memo := newCellMemo(t)
-	ends, err := t.nodesByName(ctx, memo, []string{a, b})
+	ends, err := t.idsByName(ctx, memo, []string{a, b})
 	if err != nil {
 		return Node{}, err
 	}
-	l, err := t.lca(ctx, memo, ends[0].ID, ends[1].ID)
+	l, err := t.lca(ctx, memo, ends[0], ends[1])
 	if err != nil {
 		return Node{}, err
 	}
@@ -1050,6 +1110,15 @@ func (s idSet) in(id int) bool  { return id >= 0 && id>>6 < len(s) }
 func (s idSet) has(id int) bool { return s.in(id) && s[id>>6]&(1<<(id&63)) != 0 }
 func (s idSet) add(id int)      { s[id>>6] |= 1 << (id & 63) }
 
+// count returns the number of ids in the set.
+func (s idSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // next returns the smallest id >= from in the set, -1 if there is none. It
 // steps a word at a time, so an empty stretch costs one test per 64 ids.
 func (s idSet) next(from int) int {
@@ -1072,11 +1141,11 @@ func (s idSet) next(from int) int {
 // whose entries carry each node's distance and id, and no node row read.
 func (t *Tree) beyondCtx(ctx context.Context, time float64) (idSet, error) {
 	beyond := make(idSet, (t.info.Nodes+63)/64)
-	err := t.nodes.IndexKeysCtx(ctx, "by_dist", relstore.Float(time), relstore.Value{}, func(dist, pk relstore.Value) (bool, error) {
-		if dist.Float64() <= time {
+	err := t.nodes.IndexKeysCtx(ctx, "by_dist", relstore.Float(time), relstore.Value{}, func(dist float64, pk int64) (bool, error) {
+		if dist <= time {
 			return true, nil // the scan starts at time itself
 		}
-		id := int(pk.Int64())
+		id := int(pk)
 		if !beyond.in(id) {
 			return false, fmt.Errorf("treestore: frontier: node id %d out of range", id)
 		}
@@ -1099,7 +1168,8 @@ func (t *Tree) beyondCtx(ctx context.Context, time float64) (idSet, error) {
 // adjacent clades are one scan. A size that is not >= 1 or runs past the
 // tree is an error, never a hang.
 func (t *Tree) frontierCtx(ctx context.Context, memo *cellMemo, beyond idSet) (roots []int, groups [][]int, err error) {
-	var leaves, starts []int // starts[i]: where the leaves of roots[i] begin
+	leaves := make([]int, 0, beyond.count()) // every leaf found is in the set
+	var starts []int                         // starts[i]: where the leaves of roots[i] begin
 	// open starts the clade of a maximal node and returns where it ends.
 	open := func(id, size int) (int, error) {
 		if size < 1 || size > t.info.Nodes-id {
@@ -1122,12 +1192,9 @@ func (t *Tree) frontierCtx(ctx context.Context, memo *cellMemo, beyond idSet) (r
 		return end, err == nil, err
 	}
 	for id, end := beyond.next(0), 0; id >= 0; id = beyond.next(end) {
-		row, ok, err := memo.nodes.Row(ctx, relstore.Int(int64(id)))
+		row, err := memo.row(ctx, id)
 		if err != nil {
 			return nil, nil, err
-		}
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: id %d", ErrNoNode, id)
 		}
 		_, leaf, size, err := cladeOf(row)
 		if err != nil {
@@ -1169,7 +1236,8 @@ func (t *Tree) leafIDs(ctx context.Context, n Node, ids []int) ([]int, error) {
 
 // cladeLeaves appends to *ids the leaves among the nodes rows a range scan
 // from `from` up to hi (the zero Value for no bound) reads, ascending, from
-// each row's id and parent alone — no flag or size column is decoded. In
+// each row's id and parent alone, read in place in one pass (Row.Ints) — no
+// flag or size column is decoded. In
 // preorder a node's first child is the row after it, so a row is a leaf when
 // the next row's parent is not that row, and the last row of a clade — the
 // one before end — always is. prev is the row before from, -1 when the scan
@@ -1179,11 +1247,11 @@ func (t *Tree) leafIDs(ctx context.Context, n Node, ids []int) ([]int, error) {
 // the last clade scanned.
 func (t *Tree) cladeLeaves(ctx context.Context, from, prev, end int, hi relstore.Value, ids *[]int, next func(row relstore.Row, id, end int) (int, bool, error)) (int, error) {
 	err := t.nodes.ScanRangeCtx(ctx, relstore.Int(int64(from)), hi, func(row relstore.Row) (bool, error) {
-		c := row.Cols()
-		id, parent := int(c.Int()), int(c.Int())
-		if err := c.Err(); err != nil {
+		var cols [2]int64
+		if err := row.Ints(idParentCols, cols[:]); err != nil {
 			return false, err
 		}
+		id, parent := int(cols[0]), int(cols[1])
 		if prev >= 0 && parent != prev {
 			*ids = append(*ids, prev) // a first child would be this row
 		}
@@ -1232,13 +1300,9 @@ func (t *Tree) MinimalSpanningCladeCtx(ctx context.Context, ids []int) ([]Node, 
 // name lookup read are not read again by id.
 func (t *Tree) CladeNamesCtx(ctx context.Context, names []string) ([]Node, error) {
 	memo := newCellMemo(t)
-	rows, err := t.nodesByName(ctx, memo, names)
+	ids, err := t.idsByName(ctx, memo, names)
 	if err != nil {
 		return nil, err
-	}
-	ids := make([]int, len(rows))
-	for i, n := range rows {
-		ids[i] = n.ID
 	}
 	return t.clade(ctx, memo, ids)
 }
@@ -1284,7 +1348,7 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 		if err != nil {
 			return nil, err
 		}
-		return t.fetchNodes(ctx, memo, sample.Pick(leaves, k, r))
+		return fetch(ctx, memo, sample.Pick(leaves, k, r), t.nodeRow)
 	}
 	picked := make(map[int]bool, k)
 	out := make([]Node, 0, k)
@@ -1296,7 +1360,7 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 		if picked[id] {
 			continue
 		}
-		row, ok, err := memo.nodes.Row(ctx, relstore.Int(int64(id)))
+		row, ok, err := memo.nodes.Row(ctx, int64(id))
 		if err != nil {
 			return nil, err
 		}
@@ -1354,21 +1418,21 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 	picked := sample.Draw(groups, k, r)
 	fetchCtx, fetchSpan := obs.StartSpan(ctx, "fetch_nodes")
 	defer fetchSpan.End()
-	return t.fetchNodes(fetchCtx, memo, picked)
+	return fetch(fetchCtx, memo, picked, t.nodeRow)
 }
 
-// fetchNodes fetches the rows of the distinct ids in preorder (id) order
-// through the request memo: one descent per distinct storage leaf they fall
-// in, and those leaves are held for the LCA walk that follows. Any missing
-// id is an ErrNoNode error.
-func (t *Tree) fetchNodes(ctx context.Context, memo *cellMemo, ids []int) ([]Node, error) {
+// fetch reads the rows of the distinct ids in preorder (id) order through
+// the request memo, each decoded by read (nodeRow, vertexRow): one descent
+// per distinct storage leaf they fall in, and those leaves are held for the
+// LCA walk that follows. Any missing id is an ErrNoNode error.
+func fetch[T any](ctx context.Context, memo *cellMemo, ids []int, read func(context.Context, *cellMemo, int) (T, error)) ([]T, error) {
 	want := slices.Clone(ids)
 	slices.Sort(want)
 	want = slices.Compact(want)
-	rows := make([]Node, len(want))
+	rows := make([]T, len(want))
 	for i, id := range want {
 		var err error
-		if rows[i], err = t.nodeRow(ctx, memo, id); err != nil {
+		if rows[i], err = read(ctx, memo, id); err != nil {
 			return nil, err
 		}
 	}
@@ -1384,24 +1448,21 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	}
 	memo := newCellMemo(t)
 	fetchCtx, fetchSpan := obs.StartSpan(ctx, "fetch_nodes")
-	rows, err := t.fetchNodes(fetchCtx, memo, ids)
+	sel, err := fetch(fetchCtx, memo, ids, t.vertexRow)
 	fetchSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	return t.project(ctx, memo, rows)
+	return t.project(ctx, memo, sel)
 }
 
-// project is ProjectCtx over rows already fetched through memo, distinct and
-// in preorder (id) order: project.Build over the rows, with the LCA answered by the stored walk and its row read
-// through the same memo. A singleton projection walks nothing and opens no
-// lca_walk span.
-func (t *Tree) project(ctx context.Context, memo *cellMemo, rows []Node) (*phylo.Tree, error) {
-	sel := make([]project.Vertex, len(rows))
-	for i, n := range rows {
-		sel[i] = vertexOf(n)
-	}
-	if len(sel) == 1 {
+// project is ProjectCtx over the vertices of rows read through memo, sorted
+// in place: project.Build over the distinct ones, with the LCA answered by the stored walk and its
+// row read through the same memo. A singleton projection walks nothing and
+// opens no lca_walk span.
+func (t *Tree) project(ctx context.Context, memo *cellMemo, sel []project.Vertex) (*phylo.Tree, error) {
+	slices.SortFunc(sel, func(a, b project.Vertex) int { return a.ID - b.ID })
+	if sel = slices.CompactFunc(sel, func(a, b project.Vertex) bool { return a.ID == b.ID }); len(sel) == 1 {
 		return project.Build(sel, nil)
 	}
 	lcaCtx, lcaSpan := obs.StartSpan(ctx, "lca_walk")
@@ -1413,13 +1474,24 @@ func (t *Tree) project(ctx context.Context, memo *cellMemo, rows []Node) (*phylo
 		if err != nil {
 			return project.Vertex{}, err
 		}
-		n, err := t.nodeRow(lcaCtx, memo, id)
-		return vertexOf(n), err
+		return t.vertexRow(lcaCtx, memo, id)
 	})
 }
 
-func vertexOf(n Node) project.Vertex {
-	return project.Vertex{ID: n.ID, Depth: n.Depth, Dist: n.Dist, Name: n.Name}
+// vertexOf reads what a projection keeps of a nodes row — its id, name,
+// depth and root distance — in place, the name copied out of the page.
+func vertexOf(ctx context.Context, row relstore.Row) (project.Vertex, error) {
+	c := row.Cols()
+	v := project.Vertex{ID: int(c.Int())}
+	c.Skip(colName - colParent)
+	v.Name = string(c.Str())
+	c.Skip(colDepth - colLength)
+	v.Depth = int(c.Int())
+	v.Dist = c.Float()
+	if err := c.Err(); err != nil {
+		return project.Vertex{}, cmp.Or(ctx.Err(), err) // a cancelled read may land on a reclaimed page
+	}
+	return v, nil
 }
 
 // ExportCtx rebuilds the complete in-memory tree from the stored relation
@@ -1469,12 +1541,10 @@ func (t *Tree) ProjectNamesCtx(ctx context.Context, names []string) (*phylo.Tree
 	}
 	memo := newCellMemo(t)
 	resolveCtx, resolveSpan := obs.StartSpan(ctx, "resolve_names")
-	rows, err := t.nodesByName(resolveCtx, memo, names)
+	sel, err := t.verticesByName(resolveCtx, memo, names)
 	resolveSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	slices.SortFunc(rows, func(a, b Node) int { return a.ID - b.ID })
-	rows = slices.CompactFunc(rows, func(a, b Node) bool { return a.ID == b.ID })
-	return t.project(ctx, memo, rows)
+	return t.project(ctx, memo, sel)
 }

@@ -18,7 +18,7 @@ import (
 
 // maxInternalExports caps the exported names (top-level funcs, types, vars
 // and consts plus exported methods) of the non-test files under internal/.
-const maxInternalExports = 550
+const maxInternalExports = 546
 
 // layers ranks every package of the module and of perfbench/ by directory,
 // lowest first. A package imports only packages of a strictly lower rank.

@@ -33,21 +33,41 @@ type ledgerRow struct {
 	Warm ledgerCost `json:"warm"`
 }
 
+// costLedger is every fixture's rows, in the order measureLedger runs them.
 type costLedger struct {
+	Fixtures []ledgerFixture `json:"fixtures"`
+}
+
+// ledgerFixture is one stored tree and the ops run on it.
+type ledgerFixture struct {
 	Fixture string      `json:"fixture"`
 	Rows    []ledgerRow `json:"rows"`
 }
 
-const ledgerFixture = "caterpillar of depth 20000 (seed 1) loaded at f=16 into a file-backed repository " +
+// ledgerOp is one row's query; run is timed under a single trace, so an op
+// of many calls (lca_x64) sums their costs.
+type ledgerOp struct {
+	name string
+	run  func(ctx context.Context, st *crimson.StoredTree) error
+}
+
+const caterpillarFixture = "caterpillar of depth 20000 (seed 1) loaded at f=16 into a file-backed repository " +
 	"with the default buffer pool and no decoded-node cache, reopened before each op; " +
 	"lca: two leaves by name (seed 7); project_names_k50: 50 leaves by name (seed 7); " +
 	"sample_time_k50: 50 leaves beyond 0.95 of the height (draw seed 9)"
 
-// TestCostLedger pins what the deep-tree reads cost the engine, layer by
+const yuleFixture = "Yule tree of 20000 leaves (rate 1, seed 2) loaded at f=16 into a file-backed repository " +
+	"with the default buffer pool, reopened before each op; " +
+	"lca_x64: 64 pairs of leaves by name (seed 7), one LCA each, summed; " +
+	"project_names_k50: 50 leaves by name (seed 7)"
+
+// TestCostLedger pins what the stored reads cost the engine, layer by
 // layer, as exact counts: B+tree descents and decoded cells (storage),
 // buffer-pool hits and misses and pages read (the pool) and rows scanned
-// (relstore) of an LCA, a k=50 projection by name and a k=50
-// time-constrained sample on the paper's deep case, each cold and warm. The
+// (relstore), each cold and warm. On the paper's deep case, a depth-20k
+// caterpillar, it counts an LCA, a k=50 projection by name and a k=50
+// time-constrained sample; on a 20k-leaf Yule tree, whose random pairs meet
+// near the root far above both leaves, 64 LCAs and a k=50 projection. The
 // counts are deterministic, so any change to them — a read path that got
 // cheaper as much as one that got dearer — fails here until
 // testdata/cost_ledger.json is updated with it, and every change to the cost
@@ -61,11 +81,13 @@ func TestCostLedger(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("%s: %v", ledgerPath, err)
 	}
-	got := measureLedger(t)
-	for _, row := range got.Rows {
-		for _, c := range []ledgerCost{row.Cold, row.Warm} {
-			if c.PoolMisses != c.PagesRead {
-				t.Errorf("%s: %d pool misses but %d pages read; every miss is one read", row.Op, c.PoolMisses, c.PagesRead)
+	got := costLedger{Fixtures: []ledgerFixture{caterpillarLedger(t), yuleLedger(t)}}
+	for _, fx := range got.Fixtures {
+		for _, row := range fx.Rows {
+			for _, c := range []ledgerCost{row.Cold, row.Warm} {
+				if c.PoolMisses != c.PagesRead {
+					t.Errorf("%s: %d pool misses but %d pages read; every miss is one read", row.Op, c.PoolMisses, c.PagesRead)
+				}
 			}
 		}
 	}
@@ -75,43 +97,37 @@ func TestCostLedger(t *testing.T) {
 	}
 }
 
-// measureLedger loads the fixture once and runs each op on a repository
-// opened afresh, so the cold run finds nothing resident.
-func measureLedger(t *testing.T) costLedger {
-	t.Helper()
+// leafNames draws the pair and the name set the ops ask for from the leaves
+// of gold, with one seeded generator: pairs pairs of leaves, then k distinct
+// leaves.
+func leafNames(gold *crimson.Tree, seed int64, pairs, k int) ([][2]string, []string) {
+	leaves := gold.LeafNames()
+	r := rand.New(rand.NewSource(seed))
+	pair := make([][2]string, pairs)
+	for i := range pair {
+		pair[i] = [2]string{leaves[r.Intn(len(leaves))], leaves[r.Intn(len(leaves))]}
+	}
+	var names []string
+	for _, i := range r.Perm(len(leaves))[:k] {
+		names = append(names, leaves[i])
+	}
+	return pair, names
+}
+
+// caterpillarLedger is the deep fixture's rows.
+func caterpillarLedger(t *testing.T) ledgerFixture {
 	gold, err := crimson.GenerateCaterpillar(20000, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ledger.db")
-	repo, err := crimson.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repo.LoadTree("cat", gold, 16, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	leaves := gold.LeafNames()
-	r := rand.New(rand.NewSource(7))
-	pair := [2]string{leaves[r.Intn(len(leaves))], leaves[r.Intn(len(leaves))]}
-	var names []string
-	for _, i := range r.Perm(len(leaves))[:50] {
-		names = append(names, leaves[i])
-	}
+	pair, names := leafNames(gold, 7, 1, 50)
 	height := 0.0
 	for _, d := range gold.RootDistances() {
 		height = max(height, d)
 	}
-	ops := []struct {
-		name string
-		run  func(ctx context.Context, st *crimson.StoredTree) error
-	}{
+	return measureLedger(t, caterpillarFixture, gold, []ledgerOp{
 		{"lca", func(ctx context.Context, st *crimson.StoredTree) error {
-			_, err := st.LCANamesCtx(ctx, pair[0], pair[1])
+			_, err := st.LCANamesCtx(ctx, pair[0][0], pair[0][1])
 			return err
 		}},
 		{"project_names_k50", func(ctx context.Context, st *crimson.StoredTree) error {
@@ -122,15 +138,56 @@ func measureLedger(t *testing.T) costLedger {
 			_, err := st.SampleWithTimeCtx(ctx, 0.95*height, 50, rand.New(rand.NewSource(9)))
 			return err
 		}},
+	})
+}
+
+// yuleLedger is the shallow fixture's rows: the shape whose far pairs the
+// LCA walk answers through every layer.
+func yuleLedger(t *testing.T) ledgerFixture {
+	gold, err := crimson.GenerateYule(20000, 1.0, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	ledger := costLedger{Fixture: ledgerFixture}
+	pairs, names := leafNames(gold, 7, 64, 50)
+	return measureLedger(t, yuleFixture, gold, []ledgerOp{
+		{"lca_x64", func(ctx context.Context, st *crimson.StoredTree) error {
+			for _, p := range pairs {
+				if _, err := st.LCANamesCtx(ctx, p[0], p[1]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"project_names_k50", func(ctx context.Context, st *crimson.StoredTree) error {
+			_, err := st.ProjectNamesCtx(ctx, names)
+			return err
+		}},
+	})
+}
+
+// measureLedger loads gold once at f=16 and runs each op on a repository
+// opened afresh, so the cold run finds nothing resident.
+func measureLedger(t *testing.T, fixture string, gold *crimson.Tree, ops []ledgerOp) ledgerFixture {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ledger.db")
+	repo, err := crimson.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.LoadTree("t", gold, 16, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ledger := ledgerFixture{Fixture: fixture}
 	for _, op := range ops {
 		repo, err := crimson.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sn := repo.Snapshot()
-		st, err := sn.Tree("cat")
+		st, err := sn.Tree("t")
 		if err != nil {
 			t.Fatal(err)
 		}

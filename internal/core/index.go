@@ -211,11 +211,15 @@ func (ix *Index) LCA(a, b int) int {
 // subtree on a side names the one source node through which that side
 // enters the LCA's subtree.
 //
-// treestore's Tree.lcaAt is the same recursion over stored cells, and stays a
-// second copy on purpose: a walk generic over a cell source took this one
-// from ≈ 125 ns to ≈ 220 ns an LCA at depth 100k, f=16, on a 2-vCPU machine
-// (≈ 310 ns through a plain interface). TestLCADifferentialNaive holds the two to phylo.LCA on
-// one table of tree shapes.
+// treestore's Tree.lcaAt is the same recursion over stored cells above layer
+// 0, and stays a second copy on purpose: a walk generic over a cell source
+// took this one from ≈ 125 ns to ≈ 220 ns an LCA at depth 100k, f=16, on a
+// 2-vCPU machine (≈ 310 ns through a plain interface). The stored walk also
+// tries preorder intervals first, from the subtree sizes its node rows keep,
+// and answers most pairs from layer 0 alone; this one keeps no sizes and
+// stays the plain recursion, the oracle those shortcuts are held to.
+// TestLCADifferentialNaive holds the two to phylo.LCA on one table of tree
+// shapes.
 func (ix *Index) lcaAt(k int, a, b int32) (lca, childA, childB int32) {
 	l := ix.Layers[k]
 	if l.Sub[a] == l.Sub[b] {

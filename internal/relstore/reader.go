@@ -302,18 +302,58 @@ func (r *Reader) IndexGetBatchCtx(ctx context.Context, index string, vals []Valu
 		if key == nil || !bytes.HasPrefix(key, prefixes[i]) {
 			continue
 		}
-		pk := pks[i]
-		if len(pk) != 9 || pk[0] != tagInt {
-			return nil, nil, fail(ctx, fmt.Errorf("%w: index %s.%s holds primary key %x", errCorruptRow, v.schema.Name, index, pk))
-		}
-		enc, ok, err := r.get(ctx, keyNum(pk))
-		if err != nil {
+		if rows[i], err = r.pointedAt(ctx, index, pks[i]); err != nil {
 			return nil, nil, err
 		}
-		if !ok {
-			return nil, nil, fail(ctx, fmt.Errorf("relstore: index %s.%s points at missing row", v.schema.Name, index))
-		}
-		rows[i], found[i] = Row{enc}, true
+		found[i] = true
 	}
 	return rows, found, nil
+}
+
+// IndexGetCtx is IndexGetBatchCtx for one value: the first row, in index
+// order, whose indexed first column equals val, and whether there is one.
+// The value is encoded on the stack and found by one seek of the index that
+// keeps its descent path there too, and the row is read through the reader,
+// so a lookup allocates nothing.
+func (r *Reader) IndexGetCtx(ctx context.Context, index string, val Value) (Row, bool, error) {
+	if r.bad != nil {
+		return Row{}, false, r.bad
+	}
+	ix, tree, err := r.v.findIndex(index)
+	if err != nil {
+		return Row{}, false, err
+	}
+	if err := r.v.checkIndexValue(ix, 0, val); err != nil {
+		return Row{}, false, err
+	}
+	if err := ctx.Err(); err != nil {
+		return Row{}, false, err
+	}
+	var room [64]byte
+	prefix := appendTupleValue(room[:0], val)
+	key, pk, err := tree.SeekOneC(prefix, obs.CountersFrom(ctx))
+	if err != nil {
+		return Row{}, false, fail(ctx, err)
+	}
+	if key == nil || !bytes.HasPrefix(key, prefix) {
+		return Row{}, false, nil
+	}
+	row, err := r.pointedAt(ctx, index, pk)
+	return row, err == nil, err
+}
+
+// pointedAt reads, through the reader, the row an entry of the index points
+// at by its primary key pk; an entry that points at no row is corruption.
+func (r *Reader) pointedAt(ctx context.Context, index string, pk []byte) (Row, error) {
+	if len(pk) != 9 || pk[0] != tagInt {
+		return Row{}, fail(ctx, fmt.Errorf("%w: index %s.%s holds primary key %x", errCorruptRow, r.v.schema.Name, index, pk))
+	}
+	enc, ok, err := r.get(ctx, keyNum(pk))
+	if err != nil {
+		return Row{}, err
+	}
+	if !ok {
+		return Row{}, fail(ctx, fmt.Errorf("relstore: index %s.%s points at missing row", r.v.schema.Name, index))
+	}
+	return Row{enc}, nil
 }

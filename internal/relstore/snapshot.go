@@ -74,16 +74,25 @@ func (s *Snap) Epoch() uint64 { return s.ss.Epoch() }
 func (s *Snap) Close() { s.ss.Close() }
 
 // Table returns a lock-free read view of the named table as of the
-// snapshot. A view is decoded from the catalog once per committed epoch and
-// shared by every snapshot of that epoch, so repeated lookups are cheap.
-func (s *Snap) Table(name string) (*TableView, error) {
+// snapshot. The name is the concatenation of its parts, so a caller that
+// names tables by pattern — a prefix, a tree's name, a layer number — hands
+// the pieces over and builds no string. A view is decoded from the catalog
+// once per committed epoch and shared by every snapshot of that epoch, so
+// repeated lookups are cheap: they allocate nothing.
+func (s *Snap) Table(parts ...string) (*TableView, error) {
+	var room [128]byte // a longer name is spelled on the heap
+	spelled := room[:0]
+	for _, p := range parts {
+		spelled = append(spelled, p...)
+	}
 	ev := s.views
 	ev.mu.Lock()
-	v, ok := ev.views[name]
+	v, ok := ev.views[string(spelled)]
 	ev.mu.Unlock()
 	if ok {
 		return v, nil
 	}
+	name := string(spelled)
 	if ev.catalog == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}

@@ -141,7 +141,7 @@ func (t *Table) Insert(row Tuple) error {
 func (t *Table) insertLocked(row Tuple) error {
 	v := &t.view
 	pk := v.primaryKey(row)
-	if ok, err := v.primary.Has(pk); err != nil {
+	if _, ok, err := v.primary.Get(pk); err != nil {
 		return err
 	} else if ok {
 		return fmt.Errorf("%w: %s in %s", errDuplicateKey, row[v.keyCol], v.schema.Name)

@@ -126,7 +126,8 @@ func (v *TableView) GetCtx(ctx context.Context, key Value) (Row, bool, error) {
 		return Row{}, false, fmt.Errorf("%w: key wants %s, got %s",
 			errSchemaRow, v.schema.Columns[v.keyCol].Type, key.Type)
 	}
-	enc, ok, err := v.primary.GetCtx(ctx, encodeKey(key))
+	var room [64]byte // a key that outgrows it is encoded on the heap
+	enc, ok, err := v.primary.GetCtx(ctx, appendTupleValue(room[:0], key))
 	return Row{enc}, ok, err
 }
 
@@ -144,7 +145,7 @@ func (v *TableView) GetBatchCtx(ctx context.Context, keys []Value) ([]Row, []boo
 		}
 		enc[i] = encodeKey(key)
 	}
-	vals, found, err := v.primary.GetBatch(ctx, enc)
+	vals, found, err := v.primary.GetBatchC(ctx, enc, obs.CountersFrom(ctx))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -375,7 +376,7 @@ func (v *TableView) Check() error {
 				ic.Close()
 				return err
 			}
-			if ok, err := v.primary.Has(pk); err != nil {
+			if _, ok, err := v.primary.Get(pk); err != nil {
 				ic.Close()
 				return err
 			} else if !ok {

@@ -100,7 +100,7 @@ func TestHeldBytesSurviveRewriteReuseAndEviction(t *testing.T) {
 		}
 		hs = append(hs, hold("a held leaf's key", leaf.Key(i)), hold("a held leaf's value", v))
 	}
-	vals, _, err := pinned.GetBatch(context.Background(), [][]byte{key(5), key(2995), key(1200)})
+	vals, _, err := pinned.GetBatchC(context.Background(), [][]byte{key(5), key(2995), key(1200)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestPointReadAllocations(t *testing.T) {
 				batch[i] = pairs[(i*311)%len(pairs)].Key
 			}
 			ctx := context.Background()
-			if _, _, err := bt.GetBatch(ctx, batch); err != nil { // keeps the nodes it decodes
+			if _, _, err := bt.GetBatchC(ctx, batch, nil); err != nil { // keeps the nodes it decodes
 				t.Fatal(err)
 			}
 			key := pairs[12345].Key

@@ -46,7 +46,7 @@ const (
 // Reads happen in place. A node read takes the page's immutable image from
 // the buffer pool (no copy) and indexes its cells — once per pool residency,
 // since the frame keeps the node with the image; the keys and values a
-// read returns — Get, GetBatch, Leaf, Scan, cursor.Key/Value — are
+// read returns — Get, GetBatchC, Leaf, Scan, cursor.Key/Value — are
 // sub-slices of that image (overflow values are assembled into a buffer of
 // their own). They stay valid and unchanged for as long as the caller holds
 // them, whatever the writer, the pool or a replicated apply do meanwhile,
@@ -446,12 +446,6 @@ func (t *BTree) resolveValue(n *node, pos int) ([]byte, bool, error) {
 	return v, err == nil, err
 }
 
-// Has reports whether key is present.
-func (t *BTree) Has(key []byte) (bool, error) {
-	_, ok, err := t.Get(key)
-	return ok, err
-}
-
 // sortedOrder returns the indexes of keys in ascending key order.
 func sortedOrder(keys [][]byte) []int {
 	order := make([]int, len(keys))
@@ -462,19 +456,12 @@ func sortedOrder(keys [][]byte) []int {
 	return order
 }
 
-// GetBatch performs many point reads in one pass: keys are visited in
+// GetBatchC performs many point reads in one pass: keys are visited in
 // sorted order and every key landing in the current leaf is answered
 // without a fresh descent, so k keys cost one descent per distinct leaf
 // instead of k. Results are positional — vals[i]/found[i] answer keys[i]
 // regardless of the internal visit order. The context is checked
-// periodically; engine counters attribute to the request span carried by
-// ctx, if any.
-func (t *BTree) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, error) {
-	return t.GetBatchC(ctx, keys, obs.CountersFrom(ctx))
-}
-
-// GetBatchC is GetBatch with explicit per-request counter attribution (c
-// may be nil).
+// periodically; engine counters attribute to c (nil for none).
 func (t *BTree) GetBatchC(ctx context.Context, keys [][]byte, c *obs.Counters) ([][]byte, []bool, error) {
 	vals := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
@@ -538,6 +525,32 @@ func (t *BTree) SeekBatchC(ctx context.Context, keys [][]byte, c *obs.Counters) 
 		rows++
 	}
 	return found, vals, nil
+}
+
+// SeekOneC is SeekBatchC for one key: the first entry at or after key — its
+// key and value, found nil when none follows — with explicit per-request
+// counter attribution (c may be nil). Its descent path lives on the stack,
+// so a lookup allocates nothing; like SeekBatchC it counts the entry it
+// reports as a row scanned.
+func (t *BTree) SeekOneC(key []byte, c *obs.Counters) (found, val []byte, err error) {
+	var room [pathRoom]cursorFrame
+	n, path, err := t.pathTo(t.root, key, room[:0], c)
+	if err != nil {
+		return nil, nil, err
+	}
+	pos, _ := leafIndex(n, key)
+	for pos == n.nkeys() {
+		if n, path, err = t.nextLeaf(path, c); err != nil || n == nil {
+			return nil, nil, err
+		}
+		pos = 0
+	}
+	if val, _, err = t.resolveValue(n, pos); err != nil {
+		return nil, nil, err
+	}
+	obs.Engine.Add(obs.CtrRowsScanned, 1)
+	c.Add(obs.CtrRowsScanned, 1)
+	return n.key(pos), val, nil
 }
 
 // Leaf is one leaf of a tree held in place: the page's immutable image and
@@ -966,6 +979,11 @@ type cursorFrame struct {
 	idx int
 }
 
+// pathRoom is the descent path a cursor on the stack has room for: a tree
+// of 4 KiB pages is that deep only past billions of entries, and a deeper
+// one grows its path on the heap.
+const pathRoom = 8
+
 // Close releases the cursor. It is safe to call multiple times and on
 // exhausted cursors.
 func (c *cursor) Close() {
@@ -977,24 +995,45 @@ func (c *cursor) Close() {
 // the cursor stack. With key == nil it follows the leftmost edge;
 // otherwise it routes by key.
 func (c *cursor) descend(id PageID, key []byte) error {
-	obs.Engine.Add(obs.CtrBTreeDescents, 1)
-	c.c.Add(obs.CtrBTreeDescents, 1)
-	n, err := c.tree.readNodeC(id, c.c)
+	n, stack, err := c.tree.pathTo(id, key, c.stack, c.c)
+	c.stack = stack
 	if err != nil {
 		return err
 	}
-	for n.kind == pageInternal {
+	c.leaf = n
+	return nil
+}
+
+// pathTo descends from page id to a leaf — routing by key, or along the
+// leftmost edge when key is nil — and appends the internal nodes it passes,
+// with the child taken in each, to path. One call is one descent. A caller
+// that keeps path on its stack descends without allocating.
+func (t *BTree) pathTo(id PageID, key []byte, path []cursorFrame, c *obs.Counters) (*node, []cursorFrame, error) {
+	obs.Engine.Add(obs.CtrBTreeDescents, 1)
+	c.Add(obs.CtrBTreeDescents, 1)
+	n, err := t.readNodeC(id, c)
+	for err == nil && n.kind == pageInternal {
 		idx := 0
 		if key != nil {
 			idx = childIndex(n, key)
 		}
-		c.stack = append(c.stack, cursorFrame{n: n, idx: idx})
-		if n, err = c.tree.readNodeC(n.child(idx), c.c); err != nil {
-			return err
+		path = append(path, cursorFrame{n: n, idx: idx})
+		n, err = t.readNodeC(n.child(idx), c)
+	}
+	return n, path, err
+}
+
+// nextLeaf moves a descent path on past its leaf: up to the nearest ancestor
+// with an unvisited child, then down that child's leftmost edge. The leaf is
+// nil once the path's leaf was the tree's last.
+func (t *BTree) nextLeaf(path []cursorFrame, c *obs.Counters) (*node, []cursorFrame, error) {
+	for ; len(path) > 0; path = path[:len(path)-1] {
+		if f := &path[len(path)-1]; f.idx < f.n.nkeys() {
+			f.idx++
+			return t.pathTo(f.n.child(f.idx), nil, path, c)
 		}
 	}
-	c.leaf = n
-	return nil
+	return nil, path, nil
 }
 
 // covers reports whether key routes to the current leaf: at or above the
@@ -1096,24 +1135,16 @@ func (c *cursor) Next() error {
 // leftmost edge.
 func (c *cursor) skipEmpty() error {
 	for c.leaf != nil && c.pos >= c.leaf.nkeys() {
-		advanced := false
-		for len(c.stack) > 0 {
-			f := &c.stack[len(c.stack)-1]
-			if f.idx < f.n.nkeys() {
-				f.idx++
-				if err := c.descend(f.n.child(f.idx), nil); err != nil {
-					return err
-				}
-				c.pos = 0
-				advanced = true
-				break
-			}
-			c.stack = c.stack[:len(c.stack)-1]
+		n, stack, err := c.tree.nextLeaf(c.stack, c.c)
+		c.stack = stack
+		if err != nil {
+			return err
 		}
-		if !advanced {
+		if n == nil {
 			c.Close()
 			return nil
 		}
+		c.leaf, c.pos = n, 0
 	}
 	return nil
 }

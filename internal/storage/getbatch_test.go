@@ -64,7 +64,7 @@ func TestGetBatchMatchesGet(t *testing.T) {
 			keys = append(keys, []byte("absent-aaa"), []byte("key-999999"), []byte(""))
 			keys = append(keys, keys[0], keys[1]) // duplicates
 
-			vals, found, err := bt.GetBatch(context.Background(), keys)
+			vals, found, err := bt.GetBatchC(context.Background(), keys, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestGetBatchSharesDescents(t *testing.T) {
 		keys[i] = []byte(fmt.Sprintf("key-%06d", i*5))
 	}
 	ctx, c := counterCtx()
-	if _, _, err := bt.GetBatch(ctx, keys); err != nil {
+	if _, _, err := bt.GetBatchC(ctx, keys, c); err != nil {
 		t.Fatal(err)
 	}
 	descents := c.Get(obs.CtrBTreeDescents)
@@ -119,7 +119,7 @@ func TestGetBatchHonorsContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := bt.GetBatch(ctx, keys); err == nil {
+	if _, _, err := bt.GetBatchC(ctx, keys, nil); err == nil {
 		t.Fatal("batch read on a cancelled context succeeded")
 	}
 }

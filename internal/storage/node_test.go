@@ -188,10 +188,11 @@ func TestCorruptPagesAreErrors(t *testing.T) {
 	}
 }
 
-// TestSeekBatchMatchesSeek checks the batched seek against one cursor per
-// key — present keys, absent ones, keys before the first and after the last
-// entry, duplicates, any order — and that a sorted sweep costs no more
-// descents than the distinct leaves it lands in.
+// TestSeekBatchMatchesSeek checks the batched seek and the one-key seek
+// against one cursor per key — present keys, absent ones, keys before the
+// first and after the last entry, duplicates, any order — that a sorted
+// sweep costs no more descents than the distinct leaves it lands in, and
+// that a one-key seek allocates nothing.
 func TestSeekBatchMatchesSeek(t *testing.T) {
 	s := OpenMem()
 	defer s.Close()
@@ -224,9 +225,13 @@ func TestSeekBatchMatchesSeek(t *testing.T) {
 		if err := c.skipEmpty(); err != nil {
 			t.Fatal(err)
 		}
+		one, oneVal, err := bt.SeekOneC(key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !c.Valid() {
-			if found[i] != nil {
-				t.Fatalf("seek %s: batch found %s, cursor found nothing", key, found[i])
+			if found[i] != nil || one != nil {
+				t.Fatalf("seek %s: batch found %s, one-key seek %s, cursor nothing", key, found[i], one)
 			}
 			continue
 		}
@@ -238,6 +243,16 @@ func TestSeekBatchMatchesSeek(t *testing.T) {
 		if !bytes.Equal(found[i], c.Key()) || !bytes.Equal(vals[i], v) {
 			t.Fatalf("seek %s: batch (%s, %s), cursor (%s, %s)", key, found[i], vals[i], c.Key(), v)
 		}
+		if !bytes.Equal(one, c.Key()) || !bytes.Equal(oneVal, v) {
+			t.Fatalf("seek %s: one-key seek (%s, %s), cursor (%s, %s)", key, one, oneVal, c.Key(), v)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, _, err := bt.SeekOneC(keys[0], nil); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("a one-key seek allocates %v times, want 0", got)
 	}
 	if d := root.Counters().Get(obs.CtrBTreeDescents); d == 0 || d > int64(len(leaves)) {
 		t.Fatalf("batched seek took %d descents over %d distinct leaves", d, len(leaves))

@@ -188,7 +188,7 @@ func TestMemoOpensLayerReadersForAWalk(t *testing.T) {
 	if _, _, err := st.frontierCtx(ctx, memo, beyond); err != nil {
 		t.Fatal(err)
 	}
-	if memo.upper != nil {
+	if len(memo.upper) != 0 {
 		t.Fatalf("a name lookup and a frontier pass opened %d layer and subs readers", len(memo.upper))
 	}
 	nodesHeld := memo.held()

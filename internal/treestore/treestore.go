@@ -29,6 +29,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -526,23 +527,26 @@ func openTree(rs *relstore.Snap, name string) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodeTab, err := rs.Table(nodesTable(name))
+	// The relations are looked up by the parts of the names nodesTable,
+	// subsTable and layerTable spell (strconv.Itoa of a small int is a
+	// constant), so an open builds no string.
+	nodeTab, err := rs.Table("nodes_", name)
 	if err != nil {
 		return nil, err
 	}
 	t := &Tree{info: info, nodes: nodeTab}
 	if info.Layers > 0 {
-		t.subs = make([]*relstore.TableView, 0, info.Layers)
-		t.layers = make([]*relstore.TableView, 0, info.Layers-1)
+		views := make([]*relstore.TableView, 0, 2*info.Layers-1)
+		t.subs, t.layers = views[:0:info.Layers], views[info.Layers:info.Layers]
 	}
 	for k := 0; k < info.Layers; k++ {
-		subTab, err := rs.Table(subsTable(name, k))
+		subTab, err := rs.Table("subs_", name, "_", strconv.Itoa(k))
 		if err != nil {
 			return nil, err
 		}
 		t.subs = append(t.subs, subTab)
 		if k > 0 {
-			layTab, err := rs.Table(layerTable(name, k))
+			layTab, err := rs.Table("layer_", name, "_", strconv.Itoa(k))
 			if err != nil {
 				return nil, err
 			}
@@ -676,11 +680,12 @@ const (
 	colSize
 )
 
-// What the LCA recursion reads of a row, per relation: the fields it walks
-// on. A layer relation is (id, parent, ord, sub, lparent, ldepth), a subs
-// relation (id, root, source).
+// What the LCA walk reads of a row, per relation: the fields it walks on —
+// of a nodes row the parent, subtree, local depth and the subtree size that
+// gives the node's preorder interval. A layer relation is (id, parent, ord,
+// sub, lparent, ldepth), a subs relation (id, root, source).
 var (
-	nodeCellCols  = []int{colSub, colLParent, colLDepth}
+	nodeCellCols  = []int{colParent, colSub, colLDepth, colSize}
 	layerCellCols = []int{3, 4, 5}
 	subLinkCols   = []int{1, 2}
 	idCols        = []int{colID}
@@ -735,9 +740,10 @@ func appendNodes(out *[]Node) func(relstore.Row) (bool, error) {
 // the relational store, through one request-scoped memo (cellMemo): a
 // relstore.Reader per relation that holds every storage leaf the request has
 // been to, so no leaf is descended to twice in a request and a row is decoded
-// — the three integers the walk needs, or the whole Node — only when the walk
-// asks for it. Names resolve in one batched index sweep whose primary leaves
-// the walk then finds already held. Scans read their rows where they lie
+// — the integers the walk needs, or the whole Node — only when the walk asks
+// for it. One name resolves in one index seek, many in one batched index
+// sweep whose primary leaves the walk then finds already held. Scans read
+// their rows where they lie
 // (relstore.Row): a clade or an export decodes each row once, straight into a
 // Node, and a sample tests a column or two of the rows it passes and decodes
 // the ones it returns. A Tree handle is safe for concurrent use
@@ -763,23 +769,25 @@ func (t *Tree) Version() uint64 { return t.nodes.Created() }
 // NodeCtx fetches a node by preorder id, attributing engine counters to the
 // request span carried by ctx, if any.
 func (t *Tree) NodeCtx(ctx context.Context, id int) (Node, error) {
-	row, ok, err := t.nodes.GetCtx(ctx, relstore.Int(int64(id)))
+	memo := newCellMemo(t)
+	defer memo.release()
+	return t.nodeRow(ctx, memo, id)
+}
+
+// NodeByNameCtx fetches a node by species name under ctx: one seek of the
+// by_name index and the row it points at, read through a pooled memo, so
+// the lookup allocates nothing but the name it returns.
+func (t *Tree) NodeByNameCtx(ctx context.Context, name string) (Node, error) {
+	memo := newCellMemo(t)
+	defer memo.release()
+	row, ok, err := memo.nodes.IndexGetCtx(ctx, "by_name", relstore.Str(name))
 	if err != nil {
 		return Node{}, err
 	}
 	if !ok {
-		return Node{}, fmt.Errorf("%w: id %d", ErrNoNode, id)
+		return Node{}, fmt.Errorf("%w: name %q", ErrNoNode, name)
 	}
 	return nodeOf(ctx, row)
-}
-
-// NodeByNameCtx fetches a node by species name under ctx.
-func (t *Tree) NodeByNameCtx(ctx context.Context, name string) (Node, error) {
-	rows, err := t.nodesByName(ctx, newCellMemo(t), []string{name})
-	if err != nil {
-		return Node{}, err
-	}
-	return nodeOf(ctx, rows[0])
 }
 
 // nodesByName reads the rows of the nodes with the given species names
@@ -839,12 +847,21 @@ func (t *Tree) idsByName(ctx context.Context, memo *cellMemo, names []string) ([
 	return ids, nil
 }
 
-// layerCell is the subset of fields the LCA recursion needs.
+// layerCell is the subset of fields the LCA walk needs. Above layer 0 it
+// climbs local parents; at layer 0 it climbs parents by preorder interval:
+// the subtree of node id is the interval [id, id+size), so one row says
+// whether the node is an ancestor of another (holds).
 type layerCell struct {
 	sub     int
-	lparent int
 	ldepth  int
+	lparent int // layers >= 1: the parent in the subtree, -1 at its root
+	parent  int // layer 0: the parent, -1 at the tree's root
+	size    int // layer 0: the nodes in the subtree rooted here
 }
+
+// holds reports whether node id, whose layer-0 cell c is, is other or an
+// ancestor of it: whether its preorder interval holds other.
+func (c layerCell) holds(id, other int) bool { return id <= other && other < id+c.size }
 
 // memoMaxLeaves bounds the storage leaves a request memo holds, over all its
 // relations: 1 024 of them are 4 MiB of page images, most of which the buffer
@@ -870,20 +887,41 @@ type subLink struct{ root, source int }
 // the columns asked for. The nodes reader is opened with the memo; the layer
 // and subs readers at the walk's first read of one of them, so a request
 // that walks nothing (a name lookup, a sample) opens none. All of them draw
-// on the one budget. It is request-scoped — created per call, never shared
-// across requests, gone with it — and used from a single goroutine, so it
-// needs no locking.
+// on the one budget. It is request-scoped — taken for one call, never shared
+// by two at once — and used from a single goroutine, so it needs no locking.
+// Memos come from a pool and go back to it when their call returns
+// (release), readers and all, so a request allocates none.
 type cellMemo struct {
 	budget int // leaves the readers may still retain, of memoMaxLeaves
 	nodes  relstore.Reader
-	upper  []relstore.Reader // subs_0.. then layer_1..; nil until the walk's first read of them
-	ints   [3]int64          // scratch: the columns of the row being read
+	upper  []relstore.Reader // subs_0.. then layer_1..; empty until the walk's first read of them
+	ints   [4]int64          // scratch: the columns of the row being read
+	reads  int               // cells and subs rows the walk has read
 }
 
+// memos holds the cellMemos no call is using. A sync.Pool keeps one list per
+// P, so calls on many goroutines take and return memos without contending.
+var memos = sync.Pool{New: func() any { return new(cellMemo) }}
+
+// newCellMemo takes a memo from the pool for one call on t; the call gives
+// it back with release.
 func newCellMemo(t *Tree) *cellMemo {
-	m := &cellMemo{budget: memoMaxLeaves}
+	m := memos.Get().(*cellMemo)
+	m.budget = memoMaxLeaves
 	m.nodes = t.nodes.Reader(&m.budget, nodeCellCols...)
 	return m
+}
+
+// release lets go of every leaf the memo's readers hold and returns it to
+// the pool, keeping the room its readers took. Nothing the call hands out
+// points into a memo — rows point into page images — so it may go back as
+// the call returns.
+func (m *cellMemo) release() {
+	m.nodes = relstore.Reader{}
+	clear(m.upper)
+	m.upper = m.upper[:0]
+	m.reads = 0
+	memos.Put(m)
 }
 
 // subs is the reader of t's subs relation of layer k, layer the reader of
@@ -894,8 +932,8 @@ func (m *cellMemo) layer(t *Tree, k int) *relstore.Reader {
 }
 
 func (m *cellMemo) open(t *Tree) []relstore.Reader {
-	if m.upper == nil {
-		m.upper = make([]relstore.Reader, len(t.subs)+len(t.layers))
+	if len(m.upper) == 0 {
+		m.upper = slices.Grow(m.upper, len(t.subs)+len(t.layers))[:len(t.subs)+len(t.layers)]
 		for k, tab := range t.subs {
 			m.upper[k] = tab.Reader(&m.budget, subLinkCols...)
 		}
@@ -906,18 +944,21 @@ func (m *cellMemo) open(t *Tree) []relstore.Reader {
 	return m.upper
 }
 
-// cell fetches the LCA recursion fields of node id at layer k, checking
-// ctx first: the recursion's local climbs are chains of point reads (at
-// most 2f per layer), so this check is what makes an LCA (and everything
-// built on it — Project, pattern match, clade) abort promptly on
-// cancellation. The read goes through the layer's reader: three integers
-// taken in place from the one row — of the layer relation or, at layer 0, of
-// the wide nodes relation, whose other nine columns are passed over — and a
-// descent only when the request has not been to the row's leaf yet.
+// cell fetches the LCA walk's fields of node id at layer k, checking ctx
+// first: the walk's local climbs are chains of point reads (at most 2f per
+// layer), so this check is what makes an LCA (and everything built on it —
+// Project, pattern match, clade) abort promptly on cancellation. The read
+// goes through the layer's reader: three integers taken in place from the
+// one row of the layer relation or, at layer 0, four from the wide nodes
+// relation, whose other eight columns are passed over; and a descent only
+// when the request has not been to the row's leaf yet. A layer-0 size below
+// one or running past the tree is an ErrNoNode error: the walk trusts a node
+// to be an ancestor by its interval.
 func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, error) {
 	if err := ctx.Err(); err != nil {
 		return layerCell{}, err
 	}
+	memo.reads++
 	r := &memo.nodes
 	switch {
 	case k > len(t.layers):
@@ -937,7 +978,14 @@ func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, 
 		}
 		return layerCell{}, fmt.Errorf("%w: layer %d id %d", ErrNoNode, k, id)
 	}
-	return layerCell{sub: int(memo.ints[0]), lparent: int(memo.ints[1]), ldepth: int(memo.ints[2])}, nil
+	if k > 0 {
+		return layerCell{sub: int(memo.ints[0]), lparent: int(memo.ints[1]), ldepth: int(memo.ints[2])}, nil
+	}
+	c := layerCell{parent: int(memo.ints[0]), sub: int(memo.ints[1]), ldepth: int(memo.ints[2]), size: int(memo.ints[3])}
+	if c.size < 1 || c.size > t.info.Nodes-id {
+		return layerCell{}, fmt.Errorf("%w: node %d claims a subtree of %d nodes in a tree of %d", ErrNoNode, id, c.size, t.info.Nodes)
+	}
+	return c, nil
 }
 
 // nodeRow fetches a full layer-0 node row through the request memo: decoded
@@ -976,6 +1024,7 @@ func (m *cellMemo) row(ctx context.Context, id int) (relstore.Row, error) {
 // the narrow subs relation packs hundreds to a leaf, so the pairs that
 // follow in the same request mostly find theirs held.
 func (t *Tree) subLink(ctx context.Context, memo *cellMemo, k, s int) (subLink, error) {
+	memo.reads++
 	ok, err := memo.subs(t, k).Ints(ctx, int64(s), memo.ints[:])
 	if err != nil {
 		return subLink{}, err
@@ -987,11 +1036,16 @@ func (t *Tree) subLink(ctx context.Context, memo *cellMemo, k, s int) (subLink, 
 }
 
 // LCACtx answers least-common-ancestor queries directly against the stored
-// relations under ctx, using the same layered recursion as core.Index but
-// fetching only the rows the query touches: per layer at most 2f cells and
-// two subs rows, whatever the tree's depth.
+// relations under ctx, fetching only the rows the query touches. A pair whose
+// LCA lies in an endpoint's layer-0 subtree is answered from layer 0 alone —
+// by the endpoints' preorder intervals and one climb of at most f cells on
+// one side — and any other by the layered recursion of core.Index: per layer
+// at most 2f cells and two subs rows, whatever the tree's depth, plus the two
+// rows that ruled the climb out.
 func (t *Tree) LCACtx(ctx context.Context, a, b int) (int, error) {
-	return t.lca(ctx, newCellMemo(t), a, b)
+	memo := newCellMemo(t)
+	defer memo.release()
+	return t.lca(ctx, memo, a, b)
 }
 
 // LCANamesCtx returns the least common ancestor of two species, by name,
@@ -1000,6 +1054,7 @@ func (t *Tree) LCACtx(ctx context.Context, a, b int) (int, error) {
 // is mostly decoded from a leaf the walk has been to.
 func (t *Tree) LCANamesCtx(ctx context.Context, a, b string) (Node, error) {
 	memo := newCellMemo(t)
+	defer memo.release()
 	ends, err := t.idsByName(ctx, memo, []string{a, b})
 	if err != nil {
 		return Node{}, err
@@ -1011,36 +1066,172 @@ func (t *Tree) LCANamesCtx(ctx context.Context, a, b string) (Node, error) {
 	return t.nodeRow(ctx, memo, l)
 }
 
-// lca is the layer-0 LCA of a and b through the request memo.
+// lca is the layer-0 LCA of a and b through the request memo. It reads both
+// endpoints' cells, sizes included, and answers from layer 0 whenever rows
+// prove where the LCA is:
+//   - an endpoint whose interval holds the other is the answer;
+//   - endpoints in one layer-0 subtree meet in it: the shallower one climbs
+//     to its first ancestor whose interval holds the other;
+//   - otherwise only the endpoint of the earlier subtree (in preorder) can be
+//     in a subtree that holds the other, and one subs row and its root's
+//     cell say whether it is; if so, that endpoint climbs the same way.
+//
+// Only otherwise does it run the layered recursion (across), on the cells
+// already read. So a pair reads at most two cells or subs rows more than the
+// recursion alone, and every answer stands on the nodes rows it was read
+// from: a node whose interval holds both endpoints, reached by parents from
+// one that holds one endpoint and not the other.
 func (t *Tree) lca(ctx context.Context, memo *cellMemo, a, b int) (int, error) {
-	l, _, _, err := t.lcaAt(ctx, memo, 0, a, b)
-	return l, err
+	ca, err := t.cell(ctx, memo, 0, a)
+	if err != nil {
+		return 0, err
+	}
+	cb, err := t.cell(ctx, memo, 0, b)
+	if err != nil {
+		return 0, err
+	}
+	switch {
+	case ca.holds(a, b):
+		return a, nil
+	case cb.holds(b, a):
+		return b, nil
+	case ca.sub == cb.sub:
+		if ca.ldepth > cb.ldepth {
+			a, ca, b = b, cb, a
+		}
+		return t.climb(ctx, memo, a, ca, b)
+	}
+	if ca.sub > cb.sub {
+		a, ca, b, cb = b, cb, a, ca
+	}
+	link, err := t.subLink(ctx, memo, 0, ca.sub)
+	if err != nil {
+		return 0, err
+	}
+	root, err := t.cell(ctx, memo, 0, link.root)
+	if err != nil {
+		return 0, err
+	}
+	if root.holds(link.root, b) {
+		return t.climb(ctx, memo, a, ca, b)
+	}
+	return t.across(ctx, memo, a, ca, b, cb)
 }
 
-// lcaAt returns the LCA of a and b in layer k's tree and the child of that
-// LCA on each side's path (-1 when the side is the LCA itself). Subtree ids
-// of layer k are node ids of layer k+1, so the child subtree the upper
-// layer reports for a side names the one subs row through which that side
-// enters the LCA's subtree: its source is the side's ancestor there and its
-// root the child on the path. No source chain is walked.
+// climb returns the first ancestor of node a, whose layer-0 cell ca is, whose
+// interval holds node b, climbing parents inside a's layer-0 subtree: the LCA
+// of a and b when a does not hold b and the subtree holds their LCA. Running
+// past the subtree's root is an ErrNoNode error — sound relations never get
+// there — and so is a parent id not below its child's, so on corrupt
+// relations too the climb ends within the ids below a.
+func (t *Tree) climb(ctx context.Context, memo *cellMemo, a int, ca layerCell, b int) (int, error) {
+	var err error
+	for !ca.holds(a, b) {
+		if ca.ldepth == 0 || ca.parent >= a {
+			return 0, fmt.Errorf("%w: the climb to node %d's ancestors ends at node %d", ErrNoNode, b, a)
+		}
+		a = ca.parent
+		if ca, err = t.cell(ctx, memo, 0, a); err != nil {
+			return 0, err
+		}
+	}
+	return a, nil
+}
+
+// across answers a pair whose LCA lies above both endpoints' layer-0
+// subtrees. The recursion over the upper layers names the child subtree
+// through which each side enters the LCA's layer-0 subtree, and its subs row
+// the source node it enters at, an ancestor of the endpoint there. Where core
+// climbs both entry points in lockstep, the interval lets one climb alone:
+// an entry point that does not hold the other endpoint — the shallower, if
+// both qualify — climbs to its first ancestor that does. Entry points that
+// both hold both endpoints are, in sound relations, one node: the LCA,
+// entered from two sides. Its child on a's path, the root of a's entered
+// subtree, certifies it — holding a, not b, and having it for parent.
+// Contradicting rows are an ErrNoNode error.
+func (t *Tree) across(ctx context.Context, memo *cellMemo, a int, ca layerCell, b int, cb layerCell) (int, error) {
+	cs, err := t.cell(ctx, memo, 1, ca.sub)
+	if err != nil {
+		return 0, err
+	}
+	cr, err := t.cell(ctx, memo, 1, cb.sub)
+	if err != nil {
+		return 0, err
+	}
+	_, sa, sb, err := t.lcaAt(ctx, memo, 1, ca.sub, cs, cb.sub, cr)
+	if err != nil {
+		return 0, err
+	}
+	ea, cea, eb, ceb, child := a, ca, b, cb, -1 // the entry points, and the root a's side enters through
+	if sa >= 0 {
+		link, err := t.subLink(ctx, memo, 0, sa)
+		if err != nil {
+			return 0, err
+		}
+		if cea, err = t.cell(ctx, memo, 0, link.source); err != nil {
+			return 0, err
+		}
+		ea, child = link.source, link.root
+	}
+	if sb >= 0 {
+		link, err := t.subLink(ctx, memo, 0, sb)
+		if err != nil {
+			return 0, err
+		}
+		if eb, ceb = link.source, cea; eb != ea {
+			if ceb, err = t.cell(ctx, memo, 0, eb); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if !cea.holds(ea, a) || !ceb.holds(eb, b) {
+		return 0, fmt.Errorf("%w: the subs rows enter the LCA of %d and %d's subtree at a node not above them", ErrNoNode, a, b)
+	}
+	upA, upB := !cea.holds(ea, b), !ceb.holds(eb, a)
+	switch {
+	case upA && (!upB || cea.ldepth <= ceb.ldepth):
+		return t.climb(ctx, memo, ea, cea, b)
+	case upB:
+		return t.climb(ctx, memo, eb, ceb, a)
+	case child < 0:
+		return 0, fmt.Errorf("%w: node %d holds node %d past the recursion", ErrNoNode, ea, b)
+	}
+	cc, err := t.cell(ctx, memo, 0, child)
+	if err != nil {
+		return 0, err
+	}
+	if !cc.holds(child, a) || cc.holds(child, b) || cc.parent != ea {
+		return 0, fmt.Errorf("%w: subtree root %d does not certify node %d as the LCA of %d and %d", ErrNoNode, child, ea, a, b)
+	}
+	return ea, nil
+}
+
+// lcaAt returns the LCA of a and b in layer k's tree, whose cells ca and cb
+// are, and the child of that LCA on each side's path (-1 when the side is the
+// LCA itself). Subtree ids of layer k are node ids of layer k+1, so the child
+// subtree the upper layer reports for a side names the one subs row through
+// which that side enters the LCA's subtree: its source is the side's ancestor
+// there and its root the child on the path. No source chain is walked.
 //
 // It is core.Index's lcaAt over the request memo instead of slices, kept as a
 // second copy on purpose: making the in-memory walk generic over a cell
-// source cost it 1.75× (2.4× through a plain interface).
+// source cost it 1.75× (2.4× through a plain interface). Only the stored walk
+// tries preorder intervals first (lca): core.Index keeps no sizes, and its
+// recursion is the oracle the shortcuts are held to.
 // TestLCADifferentialNaive holds the two to phylo.LCA on one table of tree
 // shapes.
-func (t *Tree) lcaAt(ctx context.Context, memo *cellMemo, k, a, b int) (lca, childA, childB int, err error) {
-	ca, err := t.cell(ctx, memo, k, a)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	cb, err := t.cell(ctx, memo, k, b)
-	if err != nil {
-		return 0, 0, 0, err
-	}
+func (t *Tree) lcaAt(ctx context.Context, memo *cellMemo, k, a int, ca layerCell, b int, cb layerCell) (lca, childA, childB int, err error) {
 	pa, pb := -1, -1
 	if ca.sub != cb.sub {
-		_, sa, sb, err := t.lcaAt(ctx, memo, k+1, ca.sub, cb.sub)
+		cs, err := t.cell(ctx, memo, k+1, ca.sub)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		cr, err := t.cell(ctx, memo, k+1, cb.sub)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		_, sa, sb, err := t.lcaAt(ctx, memo, k+1, ca.sub, cs, cb.sub, cr)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -1293,13 +1484,16 @@ func cladeOf(row relstore.Row) (id int, leaf bool, size int, err error) {
 // of the given nodes under ctx (§2.2: "the set of nodes in the tree rooted
 // by their least common ancestor").
 func (t *Tree) MinimalSpanningCladeCtx(ctx context.Context, ids []int) ([]Node, error) {
-	return t.clade(ctx, newCellMemo(t), ids)
+	memo := newCellMemo(t)
+	defer memo.release()
+	return t.clade(ctx, memo, ids)
 }
 
 // CladeNamesCtx is MinimalSpanningCladeCtx over species names: the rows the
 // name lookup read are not read again by id.
 func (t *Tree) CladeNamesCtx(ctx context.Context, names []string) ([]Node, error) {
 	memo := newCellMemo(t)
+	defer memo.release()
 	ids, err := t.idsByName(ctx, memo, names)
 	if err != nil {
 		return nil, err
@@ -1343,6 +1537,7 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 		return nil, fmt.Errorf("%w: sample %d > %d leaves", ErrBadSample, k, t.info.Leaves)
 	}
 	memo := newCellMemo(t)
+	defer memo.release()
 	if 2*k > t.info.Leaves {
 		leaves, err := t.leafIDs(ctx, Node{Size: t.info.Nodes, Leaf: t.info.Nodes == 1}, nil)
 		if err != nil {
@@ -1399,6 +1594,7 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 		return nil, err
 	}
 	memo := newCellMemo(t)
+	defer memo.release()
 	leavesCtx, leavesSpan := obs.StartSpan(ctx, "collect_leaves")
 	roots, groups, err := t.frontierCtx(leavesCtx, memo, beyond)
 	leavesSpan.End()
@@ -1447,6 +1643,7 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 		return nil, errors.New("treestore: empty projection set")
 	}
 	memo := newCellMemo(t)
+	defer memo.release()
 	fetchCtx, fetchSpan := obs.StartSpan(ctx, "fetch_nodes")
 	sel, err := fetch(fetchCtx, memo, ids, t.vertexRow)
 	fetchSpan.End()
@@ -1540,6 +1737,7 @@ func (t *Tree) ProjectNamesCtx(ctx context.Context, names []string) (*phylo.Tree
 		return nil, errors.New("treestore: empty projection set")
 	}
 	memo := newCellMemo(t)
+	defer memo.release()
 	resolveCtx, resolveSpan := obs.StartSpan(ctx, "resolve_names")
 	sel, err := t.verticesByName(resolveCtx, memo, names)
 	resolveSpan.End()

@@ -3,6 +3,7 @@ package treestore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -396,17 +397,23 @@ func TestDeepStoredTree(t *testing.T) {
 }
 
 // TestCorruptRelationsAreErrors damages a committed tree's relations and
-// queries them: relations that contradict each other are ErrNoNode, never an
-// index out of range or a walk that does not end.
+// queries them: relations that contradict each other give phylo.LCA's answer
+// or ErrNoNode, never another node, an index out of range or a walk that
+// does not end. The tree is balanced, 12 levels deep at f=2, so a pair of
+// leaves from the root's two halves meets at the root, far above both
+// leaves' layer-0 subtrees: the walk cannot answer it from layer 0 and runs
+// the layered recursion over the subs rows.
 func TestCorruptRelationsAreErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	gold, err := treegen.Caterpillar(800, r)
+	gold, err := treegen.Balanced(12, r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nodes := gold.Nodes()
+	left, right := gold.Root.Children[0], gold.Root.Children[1]
 	s := OpenMem()
 	defer s.Close()
-	for name, f := range map[string]int{"deep": 8, "other": 5} {
+	for name, f := range map[string]int{"deep": 2, "other": 1} {
 		if _, err := s.Load(name, gold, f, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +427,26 @@ func TestCorruptRelationsAreErrors(t *testing.T) {
 		}
 		return tab
 	}
+	// ask runs LCA(a, b) and fails the test on an answer that is neither
+	// phylo.LCA's nor ErrNoNode; it reports whether the walk failed.
+	ask := func(st *Tree, a, b int) bool {
+		t.Helper()
+		got, err := st.LCACtx(context.Background(), a, b)
+		if err != nil {
+			if !errors.Is(err, ErrNoNode) {
+				t.Fatalf("LCA(%d,%d): err = %v, want ErrNoNode", a, b, err)
+			}
+			return true
+		}
+		if want := phylo.LCA(nodes[a], nodes[b]).ID; got != want {
+			t.Fatalf("LCA(%d,%d) = %d on corrupt relations, want %d or ErrNoNode", a, b, got, want)
+		}
+		return false
+	}
 	layers := openTreeOf(t, s, "deep").Info().Layers
+	if layers < 3 {
+		t.Fatalf("the balanced tree has %d layers at f=2, want several", layers)
+	}
 
 	// Subtree links that belong to another decomposition: the source a side
 	// enters through need not lie in the subtree the upper layer named.
@@ -445,23 +471,22 @@ func TestCorruptRelationsAreErrors(t *testing.T) {
 	st := openTreeOf(t, s, "deep")
 	failed := 0
 	for i := 0; i < 200; i++ {
-		_, err := st.LCACtx(context.Background(), r.Intn(gold.NumNodes()), r.Intn(gold.NumNodes()))
-		if err != nil && !errors.Is(err, ErrNoNode) {
-			t.Fatalf("LCA over another decomposition's subs: err = %v, want ErrNoNode", err)
-		}
-		if err != nil {
+		a := left.ID + r.Intn(right.ID-left.ID)
+		b := right.ID + r.Intn(len(nodes)-right.ID)
+		if ask(st, a, b) {
 			failed++
 		}
+		ask(st, r.Intn(len(nodes)), r.Intn(len(nodes)))
 	}
 	if failed == 0 {
-		t.Fatal("no LCA failed; the fixture no longer corrupts anything")
+		t.Fatal("no LCA across the root failed; the fixture no longer corrupts anything")
 	}
 
 	// A catalog row that claims fewer layers than the node rows imply.
 	info := st.Info()
 	err = table("trees").Put(relstore.Tuple{
 		relstore.Str("other"), relstore.Int(int64(info.Nodes)), relstore.Int(int64(info.Leaves)),
-		relstore.Int(5), relstore.Int(1), relstore.Int(int64(info.Depth)),
+		relstore.Int(1), relstore.Int(1), relstore.Int(int64(info.Depth)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +494,46 @@ func TestCorruptRelationsAreErrors(t *testing.T) {
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openTreeOf(t, s, "other").LCACtx(context.Background(), 0, gold.NumNodes()-1); !errors.Is(err, ErrNoNode) {
+	if _, err := openTreeOf(t, s, "other").LCACtx(context.Background(), left.ID+1, len(nodes)-1); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("LCA on a tree missing its layers: err = %v, want ErrNoNode", err)
+	}
+
+	// A subtree size below one or running past the tree, on a leaf and on its
+	// parent, which the climb from the leaf to its sibling reads.
+	leaf := nodes[len(nodes)-1]
+	sibling := leaf.Parent.Children[0]
+	for _, victim := range []*phylo.Node{leaf, leaf.Parent} {
+		for _, size := range []int{0, -3, len(nodes) - victim.ID + 1} {
+			t.Run(fmt.Sprintf("node=%d/size=%d", victim.ID, size), func(t *testing.T) {
+				s := OpenMem()
+				defer s.Close()
+				if _, err := s.Load("t", gold, 2, nil); err != nil {
+					t.Fatal(err)
+				}
+				tab, err := s.dbs[0].Table(nodesTable("t"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				row, ok, err := tab.Get(relstore.Int(int64(victim.ID)))
+				if err != nil || !ok {
+					t.Fatalf("row %d: %v, %v", victim.ID, ok, err)
+				}
+				tup, err := row.Tuple()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tup[colSize] = relstore.Int(int64(size))
+				if err := tab.Put(tup); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				st := openTreeOf(t, s, "t")
+				if got, err := st.LCACtx(context.Background(), leaf.ID, sibling.ID); !errors.Is(err, ErrNoNode) {
+					t.Fatalf("LCA(%d,%d) with node %d's size %d = %d, %v; want ErrNoNode", leaf.ID, sibling.ID, victim.ID, size, got, err)
+				}
+			})
+		}
 	}
 }
